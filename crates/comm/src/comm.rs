@@ -132,6 +132,19 @@ pub trait Comm {
     /// (modeled compute) may ignore it.
     fn configure_gemm(&mut self, _cfg: &GemmConfig) {}
 
+    /// Back a prefetch-pipeline slot's fetch buffer for one multiply:
+    /// a backend that pools buffers swaps a free one (capacity kept,
+    /// contents unspecified) into `buf`. It then stays with the rank —
+    /// fetched panels are live between polls — until
+    /// [`Comm::return_buf`]. The default leaves `buf` alone: where
+    /// every rank owns a thread there is nothing to share, and the
+    /// rank simply keeps its buffers.
+    fn lease_buf(&mut self, _buf: &mut Vec<f64>) {}
+
+    /// Hand a leased buffer back at the end of the multiply, to
+    /// whichever thread runs this rank now.
+    fn return_buf(&mut self, _buf: &mut Vec<f64>) {}
+
     /// Nonblocking one-sided fetch of `owner`'s block of `mat` into
     /// `buf` (cleared/filled as appropriate). The *data* lands
     /// immediately (operands are immutable during an operation, so

@@ -443,6 +443,37 @@ impl DistMatrix {
         }
     }
 
+    /// [`Self::scatter`] of `logical`ᵀ (`logical` is `cols × rows`)
+    /// without materialising the transpose: each owner's block is
+    /// filled straight from the logical matrix in 16×16 tiles, so both
+    /// the strided reads and the contiguous writes of a tile stay in L1.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch or virtual backing.
+    pub fn scatter_transposed(&self, logical: &Matrix) {
+        const TILE: usize = 16;
+        assert_eq!((logical.cols(), logical.rows()), (self.rows, self.cols));
+        let Backing::Real { arena, .. } = &self.backing else {
+            panic!("scatter_transposed() on a virtual DistMatrix");
+        };
+        let src = logical.as_slice();
+        for rank in 0..self.grid.nranks() {
+            let (r0, c0) = self.block_origin(rank);
+            let (br, bc) = self.block_dims(rank);
+            let mut w = arena.write_guard(self.region_of(rank));
+            let dst = w.slice_mut();
+            for ii in (0..br).step_by(TILE) {
+                for jj in (0..bc).step_by(TILE) {
+                    for i in ii..(ii + TILE).min(br) {
+                        for j in jj..(jj + TILE).min(bc) {
+                            dst[i * bc + j] = src[(c0 + j) * self.rows + r0 + i];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Assemble the global matrix from all blocks (real backing only).
     pub fn gather(&self) -> Matrix {
         let Backing::Real { arena, .. } = &self.backing else {
@@ -572,6 +603,27 @@ mod tests {
         let global = Matrix::random(7, 8, 99);
         m.scatter(&global);
         assert_eq!(m.gather(), global);
+    }
+
+    /// Element for element, on uneven blocks wider than one 16×16
+    /// tile, `p ≠ q`, under both rank placements.
+    #[test]
+    fn scatter_transposed_matches_scatter_of_the_transpose() {
+        let grid = ProcGrid::new(2, 3);
+        let logical = Matrix::random(41, 37, 5);
+        for order in [RankOrder::RowMajor, RankOrder::ColMajor] {
+            let want = DistMatrix::create_with_order(grid, 37, 41, order, true);
+            want.scatter(&logical.transposed());
+            let got = DistMatrix::create_with_order(grid, 37, 41, order, true);
+            got.scatter_transposed(&logical);
+            for r in 0..grid.nranks() {
+                assert_eq!(
+                    got.read_block(r).mat().unwrap().data(),
+                    want.read_block(r).mat().unwrap().data(),
+                    "{order:?} rank {r}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,7 @@ use srumma_dense::{dgemm_ws, GemmConfig, GemmWorkspace, MatMut, MatRef, Op};
 use srumma_model::Topology;
 use srumma_trace::{Counters, ExecStats, Recorder, RunStats, TraceEvent, TraceKind};
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -51,6 +52,24 @@ type Payload = Box<dyn Any + Send + 'static>;
 type Mail = (usize, u64, Vec<f64>);
 /// Per-rank trace drainage: merged events plus `(rank, counters)`.
 type TraceBag = (Vec<TraceEvent>, Vec<(usize, Counters)>);
+
+/// Scratch of the OS thread that is *running* — a pool worker polling
+/// state-machine ranks, or a gated rank's own thread — rather than of
+/// the rank that is scheduled: N ranks on W workers pack through W
+/// workspaces and recycle one worker's fetch buffers, each faulted in
+/// once, instead of N sets mapped cold and unmapped one after another.
+#[derive(Default)]
+struct WorkerScratch {
+    ws: Option<GemmWorkspace>,
+    /// Free pipeline buffers ([`Comm::lease_buf`] / [`Comm::return_buf`]).
+    bufs: Vec<Vec<f64>>,
+}
+
+thread_local! {
+    /// Emptied when the thread leaves its `exec_run*` (a scoped thread's
+    /// TLS destructors may run after the scope has returned).
+    static SCRATCH: RefCell<WorkerScratch> = RefCell::default();
+}
 
 /// What a state-machine rank task reports back from one `step` call.
 pub enum Step<T> {
@@ -194,6 +213,7 @@ struct SchedCore {
     injector_pops: AtomicU64,
     parks: AtomicU64,
     worker_parks: AtomicU64,
+    ws_grows: AtomicU64,
     /// Worker-side `Sched` trace events, merged into the run trace.
     sched_events: Mutex<Vec<TraceEvent>>,
 }
@@ -248,6 +268,7 @@ impl SchedCore {
             injector_pops: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             worker_parks: AtomicU64::new(0),
+            ws_grows: AtomicU64::new(0),
             sched_events: Mutex::new(Vec::new()),
         })
     }
@@ -469,7 +490,12 @@ impl SchedCore {
 
     /// Record an instantaneous scheduling marker into the worker-side
     /// event stream (tracing runs only).
-    fn sched_event(&self, local: &mut Vec<TraceEvent>, rank: usize, label: String) {
+    fn sched_event<F: FnOnce() -> String>(
+        &self,
+        local: &mut Vec<TraceEvent>,
+        rank: usize,
+        label: F,
+    ) {
         if self.trace {
             let t = self.now();
             local.push(TraceEvent {
@@ -477,7 +503,7 @@ impl SchedCore {
                 t0: t,
                 t1: t,
                 kind: TraceKind::Sched,
-                label,
+                label: label(),
                 bytes: 0,
             });
         }
@@ -505,7 +531,11 @@ pub struct ExecComm {
     mode: TaskMode,
     core: Arc<SchedCore>,
     recorder: Recorder,
-    ws: GemmWorkspace,
+    /// This rank's resolved serial-kernel configuration; the workspace
+    /// itself belongs to whichever thread runs the rank's `gemm`.
+    cfg: GemmConfig,
+    /// Grow count of the workspace this rank last computed in.
+    ws_grows: u64,
     /// Split-barrier bookkeeping for FSM ranks: fence index awaited and
     /// the span start time.
     arrived: Option<(u64, f64)>,
@@ -520,7 +550,8 @@ impl ExecComm {
             mode,
             core,
             recorder: Recorder::new(rank, trace),
-            ws: GemmWorkspace::new(),
+            cfg: GemmWorkspace::new().config(),
+            ws_grows: 0,
             arrived: None,
         }
     }
@@ -681,16 +712,23 @@ impl Comm for ExecComm {
     }
 
     fn ws_grow_count(&self) -> u64 {
-        self.ws.grow_count()
+        self.ws_grows
     }
 
     fn configure_gemm(&mut self, cfg: &GemmConfig) {
-        // Idempotent: an unchanged effective config keeps the existing
-        // workspace so pooled workers never re-grow their buffers.
-        let resolved = GemmWorkspace::configured(*cfg);
-        if resolved.config() != self.ws.config() {
-            self.ws = resolved;
+        // Resolve `None` fields like construction would. A worker keeps
+        // its workspace for as long as the ranks it runs agree on this.
+        self.cfg = GemmWorkspace::configured(*cfg).config();
+    }
+
+    fn lease_buf(&mut self, buf: &mut Vec<f64>) {
+        if let Some(free) = SCRATCH.with_borrow_mut(|s| s.bufs.pop()) {
+            *buf = free;
         }
+    }
+
+    fn return_buf(&mut self, buf: &mut Vec<f64>) {
+        SCRATCH.with_borrow_mut(|s| s.bufs.push(std::mem::take(buf)));
     }
 
     fn barrier(&mut self) {
@@ -772,7 +810,21 @@ impl Comm for ExecComm {
             panic!("executor backend requires real-backed matrices ({m}x{n}x{k} block had none)");
         };
         let t0 = self.span_start();
-        dgemm_ws(ta, tb, alpha, a, b, 1.0, c, &mut self.ws);
+        // A gemm call never yields, so the lease of the running
+        // thread's workspace is the call.
+        SCRATCH.with_borrow_mut(|s| {
+            if s.ws.as_ref().is_some_and(|ws| ws.config() != self.cfg) {
+                s.ws = None;
+            }
+            let ws =
+                s.ws.get_or_insert_with(|| GemmWorkspace::configured(self.cfg));
+            let before = ws.grow_count();
+            dgemm_ws(ta, tb, alpha, a, b, 1.0, c, ws);
+            self.ws_grows = ws.grow_count();
+            if self.ws_grows > before {
+                self.core.ws_grows.fetch_add(1, Ordering::Relaxed);
+            }
+        });
         self.span_end(TraceKind::Compute, t0, 0, || label.to_string());
     }
 
@@ -842,7 +894,7 @@ fn find_work(core: &SchedCore, me: usize, events: &mut Vec<TraceEvent>) -> Optio
         if let Some(id) = g.injector.pop_front() {
             drop(g);
             core.injector_pops.fetch_add(1, Ordering::Relaxed);
-            core.sched_event(events, id, format!("resume w{me}"));
+            core.sched_event(events, id, || format!("resume w{me}"));
             return Some(id);
         }
     }
@@ -850,7 +902,7 @@ fn find_work(core: &SchedCore, me: usize, events: &mut Vec<TraceEvent>) -> Optio
         let victim = (me + off) % core.workers;
         if let Some(id) = core.deques[victim].steal() {
             core.steals.fetch_add(1, Ordering::Relaxed);
-            core.sched_event(events, id, format!("steal w{me}<-w{victim}"));
+            core.sched_event(events, id, || format!("steal w{me}<-w{victim}"));
             return Some(id);
         }
     }
@@ -932,7 +984,7 @@ fn run_one<'env, T: Send>(
                         st.phase = Phase::Parked;
                         drop(st);
                         core.parks.fetch_add(1, Ordering::Relaxed);
-                        core.sched_event(events, id, format!("park w{me}"));
+                        core.sched_event(events, id, || format!("park w{me}"));
                     }
                 }
             }
@@ -968,6 +1020,7 @@ fn worker_loop<'env, T: Send>(
     if !events.is_empty() {
         relock(&core.sched_events).extend(events);
     }
+    drop(SCRATCH.take());
     busy
 }
 
@@ -1015,6 +1068,7 @@ fn assemble<T>(
         injector_pops: core.injector_pops.load(Ordering::Relaxed),
         parks: core.parks.load(Ordering::Relaxed),
         worker_parks: core.worker_parks.load(Ordering::Relaxed),
+        ws_grows: core.ws_grows.load(Ordering::Relaxed),
         busy_seconds: busy.iter().sum(),
         wall_seconds,
     });
@@ -1155,6 +1209,7 @@ where
                         core.poison(p);
                     }
                 }
+                drop(SCRATCH.take());
             });
         }
         for (w, busy_slot) in busy.iter_mut().enumerate() {

@@ -228,6 +228,12 @@ impl<C: Comm + ?Sized> Comm for &mut C {
     fn configure_gemm(&mut self, cfg: &GemmConfig) {
         (**self).configure_gemm(cfg)
     }
+    fn lease_buf(&mut self, buf: &mut Vec<f64>) {
+        (**self).lease_buf(buf)
+    }
+    fn return_buf(&mut self, buf: &mut Vec<f64>) {
+        (**self).return_buf(buf)
+    }
     fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
         (**self).nbget(mat, owner, buf)
     }
@@ -363,6 +369,12 @@ impl<C: Comm> Comm for ChaosComm<C> {
     }
     fn configure_gemm(&mut self, cfg: &GemmConfig) {
         self.inner.configure_gemm(cfg)
+    }
+    fn lease_buf(&mut self, buf: &mut Vec<f64>) {
+        self.inner.lease_buf(buf)
+    }
+    fn return_buf(&mut self, buf: &mut Vec<f64>) {
+        self.inner.return_buf(buf)
     }
     fn barrier(&mut self) {
         self.inner.barrier()

@@ -95,6 +95,14 @@ impl<C: Comm> Comm for SubComm<'_, C> {
         self.inner.configure_gemm(cfg);
     }
 
+    fn lease_buf(&mut self, buf: &mut Vec<f64>) {
+        self.inner.lease_buf(buf);
+    }
+
+    fn return_buf(&mut self, buf: &mut Vec<f64>) {
+        self.inner.return_buf(buf);
+    }
+
     // One-sided operations forward untranslated: `owner` indexes a slot
     // of `mat`, whose `CostMap` already maps slots to global ranks.
     fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {

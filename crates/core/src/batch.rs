@@ -12,9 +12,9 @@
 //!   mark ([`crate::memory::batch_region_elems`]); entry `e` lives in
 //!   slot `e % window`;
 //! * **one worker pool** — [`multiply_batch_exec`] keeps a single
-//!   `ExecComm` executor (and each rank's gemm workspace and
-//!   [`MachineScratch`]) alive across every entry, so
-//!   `ws_grow_count() ≤ 1` holds for the whole stream;
+//!   `ExecComm` executor (each worker's gemm workspace and fetch
+//!   buffers, each rank's [`MachineScratch`]) alive across every entry,
+//!   so `ws_grow_count() ≤ 1` holds for the whole stream;
 //! * **epoch fences instead of barriers** — each entry has a *staged*
 //!   fence (all ranks loaded its operands) and a *done* fence (all
 //!   ranks computed and extracted it), built on the executor's
@@ -215,7 +215,7 @@ fn build_storage(
     }
     let (arena, _offsets) = SharedArena::new(&lens);
     // Clamp explicit cache blocks to the stream's high-water shape,
-    // once for the whole batch: per-rank workspaces then size for what
+    // once for the whole batch: workspaces then size for what
     // the largest entry can touch instead of a profile's paper-scale
     // maxima, while every entry still sees the *same* gemm config, so
     // configure_gemm stays idempotent and grow-at-most-once holds.
@@ -381,7 +381,7 @@ fn run_rank_blocking<C: Comm>(
             comm, &plan.spec, &plan.da, &plan.db, &plan.dc, &eopts, scratch,
         );
         while machine.step(comm) {}
-        let (report, scratch) = machine.into_scratch();
+        let (report, scratch) = machine.into_scratch(comm);
         extract_entry(plan, rank, &outputs[e]);
         samples[e].compute_s += comm.now() - t0;
         samples[e].tasks_run = report.tasks as u64;
@@ -655,8 +655,8 @@ impl RankTask for BatchRankTask<'_> {
                     // Release the C write guard (into_scratch) before
                     // arriving at the done fence — peers passing it may
                     // restage this slot.
-                    let (report, scratch) =
-                        self.machine.take().expect("machine exists").into_scratch();
+                    let machine = self.machine.take().expect("machine exists");
+                    let (report, scratch) = machine.into_scratch(&mut self.comm);
                     self.scratch = scratch;
                     self.samples[e].tasks_run = report.tasks as u64;
                     self.samples[e].tasks_masked = report.masked_tasks as u64;
@@ -695,7 +695,8 @@ pub struct BatchResult {
     pub outputs: Vec<Matrix>,
     /// Per-entry SRUMMA reports summed across ranks.
     pub reports: Vec<SrummaReport>,
-    /// Per-rank gemm-workspace grow counts (each must stay `≤ 1`).
+    /// Per rank, the grow count of the gemm workspace it last computed
+    /// in — its worker's on the executor (each must stay `≤ 1`).
     pub ws_grow_counts: Vec<u64>,
     /// The per-entry / whole-stream metrics rollup.
     pub stats: BatchStats,

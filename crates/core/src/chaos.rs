@@ -172,7 +172,8 @@ impl RankTask for ChaosSrummaRankTask<'_, '_> {
                 return Step::Yield;
             }
             // Release the C write guard before any barrier arrival.
-            self.report = Some(self.machine.take().expect("machine exists here").finish());
+            let machine = self.machine.take().expect("machine exists here");
+            self.report = Some(machine.finish(&mut self.comm));
         }
 
         // Phase 2 (survivors): claim and drive orphaned work. This
@@ -201,7 +202,7 @@ impl RankTask for ChaosSrummaRankTask<'_, '_> {
                 // rank's recorder. Finishing releases the dead rank's
                 // C write guard, which must happen before the proxy
                 // arrival lets peers past the barrier to gather C.
-                let _ = orphan.machine.finish();
+                let _ = orphan.machine.finish(&mut self.comm);
                 self.comm.inner_mut().fence_arrive_for(dead);
             }
         }

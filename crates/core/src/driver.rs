@@ -10,7 +10,7 @@
 
 use crate::api::{parallel_gemm, Algorithm};
 use crate::chaos::{ChaosRecovery, ChaosSrummaRankTask};
-use crate::layout::{dist_a, dist_b, dist_c, scatter_operands, set_a_mask, set_b_mask};
+use crate::layout::{dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask};
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::srumma::{srumma, SrummaRankTask, SrummaReport};
 use srumma_comm::{
@@ -41,11 +41,11 @@ pub fn multiply_verified(
     let grid = default_grid(nranks);
     let da = dist_a(spec, grid, true);
     let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     let opts = SimOptions::new(machine.clone(), nranks);
     let res = sim_run(&opts, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
+        parallel_gemm(comm, alg, spec, &da, &db, dc);
     });
     (dc.gather(), res.stats)
 }
@@ -61,10 +61,10 @@ pub fn measure_modeled(
     let grid = default_grid(nranks);
     let da = dist_a(spec, grid, false);
     let db = dist_b(spec, grid, false);
-    let dc = dist_c(spec, grid, false);
+    let (spec, dc) = &fresh_c(spec, grid, false);
     let opts = SimOptions::new(machine.clone(), nranks);
     sim_run(&opts, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
+        parallel_gemm(comm, alg, spec, &da, &db, dc);
     })
     .stats
 }
@@ -92,10 +92,10 @@ pub fn measure_traced(
     let grid = default_grid(nranks);
     let da = dist_a(spec, grid, false);
     let db = dist_b(spec, grid, false);
-    let dc = dist_c(spec, grid, false);
+    let (spec, dc) = &fresh_c(spec, grid, false);
     let opts = SimOptions::traced(machine.clone(), nranks);
     let res = sim_run(&opts, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
+        parallel_gemm(comm, alg, spec, &da, &db, dc);
     });
     TracedRun {
         stats: res.stats,
@@ -121,10 +121,10 @@ pub fn multiply_threads(
     let grid = default_grid(nranks);
     let da = dist_a(spec, grid, true);
     let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     let res = thread_run(nranks, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
+        parallel_gemm(comm, alg, spec, &da, &db, dc);
     });
     (dc.gather(), res.wall_seconds)
 }
@@ -142,10 +142,10 @@ pub fn multiply_threads_traced(
     let grid = default_grid(nranks);
     let da = dist_a(spec, grid, true);
     let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     let res = thread_run_traced(nranks, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
+        parallel_gemm(comm, alg, spec, &da, &db, dc);
     });
     (
         dc.gather(),
@@ -199,12 +199,12 @@ fn multiply_exec_inner(
     let grid = default_grid(nranks);
     let da = dist_a(spec, grid, true);
     let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     let res = match alg {
         Algorithm::Srumma(opts) => {
             let r = exec_run_tasks(nranks, workers, trace, |comm| {
-                Box::new(SrummaRankTask::new(comm, spec, &da, &db, &dc, opts))
+                Box::new(SrummaRankTask::new(comm, spec, &da, &db, dc, opts))
             });
             ExecRunResult {
                 outputs: r.outputs.into_iter().map(Some).collect(),
@@ -215,7 +215,7 @@ fn multiply_exec_inner(
         }
         _ => {
             let run =
-                |comm: &mut srumma_comm::ExecComm| parallel_gemm(comm, alg, spec, &da, &db, &dc);
+                |comm: &mut srumma_comm::ExecComm| parallel_gemm(comm, alg, spec, &da, &db, dc);
             if trace {
                 exec_run_traced(nranks, workers, run)
             } else {
@@ -243,11 +243,11 @@ pub fn multiply_verified_chaos(
     let grid = default_grid(nranks);
     let da = dist_a(spec, grid, true);
     let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     let opts = SimOptions::new(machine.clone(), nranks).with_faults(plan.clone());
     let res = sim_run(&opts, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
+        parallel_gemm(comm, alg, spec, &da, &db, dc);
     });
     (dc.gather(), res.stats)
 }
@@ -265,10 +265,10 @@ pub fn measure_chaos(
     let grid = default_grid(nranks);
     let da = dist_a(spec, grid, false);
     let db = dist_b(spec, grid, false);
-    let dc = dist_c(spec, grid, false);
+    let (spec, dc) = &fresh_c(spec, grid, false);
     let opts = SimOptions::new(machine.clone(), nranks).with_faults(plan.clone());
     sim_run(&opts, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
+        parallel_gemm(comm, alg, spec, &da, &db, dc);
     })
     .stats
 }
@@ -293,11 +293,11 @@ pub fn multiply_threads_chaos(
     let grid = default_grid(nranks);
     let da = dist_a(spec, grid, true);
     let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     let res = thread_run(nranks, |comm| {
         let mut chaos = ChaosComm::new(&mut *comm, plan.clone());
-        srumma(&mut chaos, spec, &da, &db, &dc, opts);
+        srumma(&mut chaos, spec, &da, &db, dc, opts);
     });
     (dc.gather(), res.wall_seconds)
 }
@@ -322,7 +322,7 @@ pub fn multiply_exec_chaos(
     let grid = default_grid(nranks);
     let da = dist_a(spec, grid, true);
     let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     // Declared after the matrices: any unclaimed machine (borrowing
     // them) drops with the queue first.
@@ -333,7 +333,7 @@ pub fn multiply_exec_chaos(
             spec,
             &da,
             &db,
-            &dc,
+            dc,
             opts,
             plan.clone(),
             &recovery,
@@ -410,11 +410,11 @@ pub fn multiply_threads_sparse(
     let grid = default_grid(nranks);
     let mut da = dist_a(spec, grid, true);
     let mut db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     masks.apply(spec, &mut da, &mut db);
     let res = thread_run(nranks, |comm| {
-        srumma(comm, spec, &da, &db, &dc, opts);
+        srumma(comm, spec, &da, &db, dc, opts);
     });
     (dc.gather(), res.wall_seconds)
 }
@@ -435,12 +435,12 @@ pub fn multiply_verified_sparse(
     let grid = default_grid(nranks);
     let mut da = dist_a(spec, grid, true);
     let mut db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     masks.apply(spec, &mut da, &mut db);
     let sim_opts = SimOptions::new(machine.clone(), nranks);
     let res = sim_run(&sim_opts, |comm| {
-        srumma(comm, spec, &da, &db, &dc, opts);
+        srumma(comm, spec, &da, &db, dc, opts);
     });
     (dc.gather(), res.stats)
 }
@@ -464,12 +464,12 @@ pub fn multiply_verified_sparse_chaos(
     let grid = default_grid(nranks);
     let mut da = dist_a(spec, grid, true);
     let mut db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     masks.apply(spec, &mut da, &mut db);
     let sim_opts = SimOptions::new(machine.clone(), nranks).with_faults(plan.clone());
     let res = sim_run(&sim_opts, |comm| {
-        srumma(comm, spec, &da, &db, &dc, opts);
+        srumma(comm, spec, &da, &db, dc, opts);
     });
     (dc.gather(), res.stats)
 }
@@ -492,11 +492,11 @@ pub fn multiply_exec_sparse(
     let grid = default_grid(nranks);
     let mut da = dist_a(spec, grid, true);
     let mut db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     masks.apply(spec, &mut da, &mut db);
     let res = exec_run_tasks(nranks, workers, false, |comm| {
-        Box::new(SrummaRankTask::new(comm, spec, &da, &db, &dc, opts))
+        Box::new(SrummaRankTask::new(comm, spec, &da, &db, dc, opts))
     });
     (dc.gather(), res)
 }

@@ -33,7 +33,7 @@
 //! off-node A traffic exists. Wider nodes (`w > q`) additionally share
 //! B panels across rows and stage those too.
 
-use crate::layout::{dist_a, dist_b, dist_c, scatter_operands};
+use crate::layout::{dist_a, dist_b, fresh_c, scatter_operands};
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::srumma::{srumma, SrummaMachine, SrummaReport};
 use srumma_comm::{
@@ -328,7 +328,7 @@ pub fn srumma_hier<C: Comm>(
         base,
     });
     while machine.step(comm) {}
-    let report = machine.finish();
+    let report = machine.finish(comm);
     comm.barrier();
     HierReport {
         report,
@@ -454,7 +454,8 @@ impl RankTask for HierRankTask<'_> {
                 return Step::Yield;
             }
             // Release the C write guard before arriving at the barrier.
-            self.report = Some(self.machine.take().expect("machine exists here").finish());
+            let machine = self.machine.take().expect("machine exists here");
+            self.report = Some(machine.finish(&mut self.comm));
             self.phase = Phase::CloseBarrier;
         }
         if self.comm.barrier_try() {
@@ -487,11 +488,11 @@ pub fn multiply_threads_hier(
     let grid = crate::driver::default_grid(nranks);
     let da = dist_a(spec, grid, true);
     let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     let stages = HierStageSet::create(spec, grid, topo, true);
     let res = thread_run_with_topology(nranks, topo, |comm| {
-        srumma_hier(comm, spec, &da, &db, &dc, opts, &stages);
+        srumma_hier(comm, spec, &da, &db, dc, opts, &stages);
     });
     (dc.gather(), res.wall_seconds)
 }
@@ -511,11 +512,11 @@ pub fn multiply_exec_hier(
     let grid = crate::driver::default_grid(nranks);
     let da = dist_a(spec, grid, true);
     let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     let stages = HierStageSet::create(spec, grid, topo, true);
     let res = exec_run_tasks_with_topology(nranks, workers, false, Some(topo), |comm| {
-        Box::new(HierRankTask::new(comm, spec, &da, &db, &dc, opts, &stages))
+        Box::new(HierRankTask::new(comm, spec, &da, &db, dc, opts, &stages))
     });
     (dc.gather(), res)
 }
@@ -536,12 +537,12 @@ pub fn multiply_verified_hier(
     let grid = crate::driver::default_grid(nranks);
     let da = dist_a(spec, grid, true);
     let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
+    let (spec, dc) = &fresh_c(spec, grid, true);
     scatter_operands(spec, &da, &db, a, b);
     let stages = HierStageSet::create(spec, grid, topo, true);
     let sim_opts = SimOptions::new(machine.clone(), nranks);
     let res = sim_run(&sim_opts, |comm| {
-        srumma_hier(comm, spec, &da, &db, &dc, opts, &stages);
+        srumma_hier(comm, spec, &da, &db, dc, opts, &stages);
     });
     (dc.gather(), res.stats)
 }
@@ -560,10 +561,10 @@ pub fn measure_hier_virtual(
     let grid = crate::driver::default_grid(nranks);
     let da = dist_a(spec, grid, false);
     let db = dist_b(spec, grid, false);
-    let dc = dist_c(spec, grid, false);
+    let (spec, dc) = &fresh_c(spec, grid, false);
     let stages = HierStageSet::create(spec, grid, topo, false);
     virtual_run(machine, nranks, workers, |comm| {
-        srumma_hier(comm, spec, &da, &db, &dc, opts, &stages);
+        srumma_hier(comm, spec, &da, &db, dc, opts, &stages);
     })
     .stats
 }
@@ -581,9 +582,9 @@ pub fn measure_flat_virtual(
     let grid = crate::driver::default_grid(nranks);
     let da = dist_a(spec, grid, false);
     let db = dist_b(spec, grid, false);
-    let dc = dist_c(spec, grid, false);
+    let (spec, dc) = &fresh_c(spec, grid, false);
     virtual_run(machine, nranks, workers, |comm| {
-        srumma(comm, spec, &da, &db, &dc, opts);
+        srumma(comm, spec, &da, &db, dc, opts);
     })
     .stats
 }
@@ -592,6 +593,7 @@ pub fn measure_flat_virtual(
 mod tests {
     use super::*;
     use crate::driver::serial_reference;
+    use crate::layout::dist_c;
     use srumma_dense::max_abs_diff;
 
     /// The election rule and `CostMap::Staged::cost_rank` are the same

@@ -104,6 +104,19 @@ pub fn dist_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> DistMatrix {
     }
 }
 
+/// [`dist_c`] for a driver that creates C itself and never writes it
+/// before the multiply, plus the spec to run with. Such a C is all
+/// zero, so `β` is moot; normalising it to `0` makes every owner's
+/// pre-pass (`scale_block(me, 0.0)`, a `fill`) the **first touch** of
+/// its block — a write, by the owner, in parallel. Left at the default
+/// `β = 1` the pre-pass is skipped and the first touch is the kernel's
+/// read in `c += α·acc`: a fault that maps the shared zero page, then a
+/// second one that copies it and shoots down the other workers' TLBs.
+/// A caller-supplied C keeps its real `β` (use [`dist_c`]).
+pub fn fresh_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> (GemmSpec, DistMatrix) {
+    (GemmSpec { beta: 0.0, ..*spec }, dist_c(spec, grid, real))
+}
+
 /// [`dist_a`] backed by regions of an existing shared arena (rank `r` →
 /// region `base + stride·r`) instead of a private allocation — the
 /// batched driver's one-arena-for-the-whole-stream path.
@@ -279,11 +292,11 @@ pub fn scatter_operands(
     assert_eq!((b.rows(), b.cols()), (spec.k, spec.n), "B must be k x n");
     match spec.transa {
         Op::N => dist_a.scatter(a),
-        Op::T => dist_a.scatter(&a.transposed()),
+        Op::T => dist_a.scatter_transposed(a),
     }
     match spec.transb {
         Op::N => dist_b.scatter(b),
-        Op::T => dist_b.scatter(&b.transposed()),
+        Op::T => dist_b.scatter_transposed(b),
     }
 }
 
@@ -358,6 +371,27 @@ mod tests {
                 Op::T => seg_view.at(0, 0), // (k, m) storage: (0,0) is same corner
             };
             assert_eq!(got, logical_val, "{:?}", spec.transa);
+        }
+    }
+
+    /// All four transpose cases: the tiled transposing scatter stores
+    /// exactly what scattering an explicit transpose stored.
+    #[test]
+    fn scatter_operands_matches_scattering_explicit_transposes() {
+        let grid = ProcGrid::new(2, 3);
+        for ta in [Op::N, Op::T] {
+            for tb in [Op::N, Op::T] {
+                let spec = GemmSpec::new(ta, tb, 37, 21, 50);
+                let a = Matrix::random(spec.m, spec.k, 1);
+                let b = Matrix::random(spec.k, spec.n, 2);
+                let (da, db) = (dist_a(&spec, grid, true), dist_b(&spec, grid, true));
+                scatter_operands(&spec, &da, &db, &a, &b);
+                let (wa, wb) = (dist_a(&spec, grid, true), dist_b(&spec, grid, true));
+                wa.scatter(&if ta == Op::T { a.transposed() } else { a });
+                wb.scatter(&if tb == Op::T { b.transposed() } else { b });
+                assert_eq!(da.gather(), wa.gather(), "{spec:?}: A");
+                assert_eq!(db.gather(), wb.gather(), "{spec:?}: B");
+            }
         }
     }
 

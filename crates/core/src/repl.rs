@@ -5,8 +5,8 @@
 //! distribution restricted to a disjoint `k`-slice, and lets every team
 //! run the ordinary SRUMMA schedule as if it were the whole machine
 //! (via [`SubComm`]). Team `l` computes the partial product
-//! `α·op(A)[:, K_l]·op(B)[K_l, :]`; team 0 additionally applies
-//! `β` to the live C. A final serialized accumulation folds teams
+//! `α·op(A)[:, K_l]·op(B)[K_l, :]` onto a C the set created zero (so
+//! `β` is moot). A final serialized accumulation folds teams
 //! `1..c` into team 0's C — the only cross-team communication.
 //!
 //! The memory trade is the classic one (cf. 2.5D / SUMMA-2.5D): each
@@ -24,7 +24,7 @@
 //! recombination aligned across teams.
 
 use crate::hier::{srumma_hier, HierStageSet};
-use crate::layout::{dist_a, dist_b, dist_c, scatter_operands};
+use crate::layout::{dist_a, dist_b, fresh_c, scatter_operands};
 use crate::memory::replicated_arena_footprint;
 use crate::options::{GemmSpec, ReplicationFactor, SrummaOptions};
 use crate::srumma::{srumma, SrummaReport};
@@ -88,7 +88,7 @@ pub fn resolve_factor(
 /// One team's slice of the problem.
 struct TeamMats {
     /// The team-sized spec: `k` is this team's slice width, `beta` is
-    /// the caller's on team 0 and `0` elsewhere (scratch C).
+    /// `0` (every team multiplies onto a C the set just created).
     spec: GemmSpec,
     da: DistMatrix,
     db: DistMatrix,
@@ -133,17 +133,13 @@ impl ReplSet {
         let mut k0 = 0;
         for l in 0..c {
             let kl = chunk_len(spec.k, c, l);
-            let team_spec = GemmSpec {
-                k: kl,
-                beta: if l == 0 { spec.beta } else { 0.0 },
-                ..*spec
-            };
+            let team_spec = GemmSpec { k: kl, ..*spec };
             let base = CostMap::Base(l * team_ranks);
             let mut da = dist_a(&team_spec, grid, real);
             da.set_cost_map(base);
             let mut db = dist_b(&team_spec, grid, real);
             db.set_cost_map(base);
-            let mut dc = dist_c(&team_spec, grid, real);
+            let (team_spec, mut dc) = fresh_c(&team_spec, grid, real);
             dc.set_cost_map(base);
             if let Some((a, b)) = ab {
                 let mut al = Matrix::zeros(spec.m, kl);

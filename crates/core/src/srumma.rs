@@ -74,10 +74,10 @@ impl Pipeline {
         p
     }
 
-    /// Re-arm for a new multiply at pipeline depth `depth`, keeping the
-    /// slot buffers (capacity) from the previous one — the batched
-    /// driver's grow-at-most-once property depends on fetch buffers
-    /// surviving across entries just like the gemm workspace does.
+    /// Re-arm for a new multiply at pipeline depth `depth`, keeping
+    /// whatever slot buffers the previous one left here (all of them
+    /// unless the backend pools fetch buffers per worker, see
+    /// [`Comm::lease_buf`]) — a batch must not reallocate them per entry.
     fn reset(&mut self, depth: usize) {
         for s in &self.slots {
             assert!(s.pending.is_none(), "pipeline reset with a get in flight");
@@ -92,6 +92,10 @@ impl Pipeline {
             s.panel = None;
             s.dims = (0, 0);
         }
+    }
+
+    fn bufs(&mut self) -> impl Iterator<Item = &mut Vec<f64>> {
+        self.slots.iter_mut().map(|s| &mut s.buf)
     }
 
     fn find(&self, panel: usize) -> Option<usize> {
@@ -160,9 +164,11 @@ impl Pipeline {
 /// Reusable per-rank allocations of a [`SrummaMachine`] — the
 /// **batch-continuation mode**. A machine consumed with
 /// [`SrummaMachine::into_scratch`] hands back its task list, ordering,
-/// source table, prefetch pipelines (with their fetch buffers) and
-/// window vectors; [`SrummaMachine::new_reusing`] re-arms them for the
-/// next multiply in a stream. Combined with the backend's persistent
+/// source table, prefetch pipelines and window vectors;
+/// [`SrummaMachine::new_reusing`] re-arms them for the next multiply in
+/// a stream. The fetch buffers stay in the pipelines, or between
+/// entries with the worker the rank last ran on
+/// ([`Comm::return_buf`]); combined with the backend's persistent
 /// [`srumma_dense` gemm workspace](srumma_comm::Comm::ws_grow_count),
 /// a whole batch of multiplies runs with no steady-state per-entry
 /// heap allocation.
@@ -250,8 +256,8 @@ impl<'a> SrummaMachine<'a> {
             mut wa,
             mut wb,
         } = scratch;
-        // Push any serial-kernel override to this rank's workspace
-        // before the first gemm; configure_gemm is idempotent, so batch
+        // Push any serial-kernel override to the backend before the
+        // first gemm; configure_gemm is idempotent, so batch
         // continuations re-applying the same config never re-grow.
         if let Some(cfg) = opts.gemm {
             comm.configure_gemm(&cfg);
@@ -353,6 +359,9 @@ impl<'a> SrummaMachine<'a> {
         let mut b_pipe = b_pipe.unwrap_or_else(|| Pipeline::new(depth));
         a_pipe.reset(depth);
         b_pipe.reset(depth);
+        for buf in a_pipe.bufs().chain(b_pipe.bufs()) {
+            comm.lease_buf(buf);
+        }
         wa.clear();
         wa.reserve(depth + 1);
         wb.clear();
@@ -554,17 +563,26 @@ impl<'a> SrummaMachine<'a> {
         self.report
     }
 
-    /// Release the C write guard and return the report. Call this
-    /// *before* the closing barrier — peers may not read C while this
-    /// rank's guard is live.
-    pub fn finish(self) -> SrummaReport {
+    /// Hand the pipeline buffers back ([`Comm::return_buf`]).
+    fn return_bufs<C: Comm>(&mut self, comm: &mut C) {
+        for buf in self.a_pipe.bufs().chain(self.b_pipe.bufs()) {
+            comm.return_buf(buf);
+        }
+    }
+
+    /// Release the C write guard and the fetch buffers and return the
+    /// report. Call this *before* the closing barrier — peers may not
+    /// read C while this rank's guard is live.
+    pub fn finish<C: Comm>(mut self, comm: &mut C) -> SrummaReport {
+        self.return_bufs(comm);
         self.report
     }
 
     /// [`SrummaMachine::finish`], additionally salvaging the machine's
     /// allocations for the next multiply in a batch (see
     /// [`MachineScratch`]). The C write guard is released here.
-    pub fn into_scratch(self) -> (SrummaReport, MachineScratch) {
+    pub fn into_scratch<C: Comm>(mut self, comm: &mut C) -> (SrummaReport, MachineScratch) {
+        self.return_bufs(comm);
         let SrummaMachine {
             report,
             tasks,
@@ -665,7 +683,8 @@ impl RankTask for SrummaRankTask<'_> {
             }
             // Release the C write guard *before* arriving at the
             // barrier: a peer passing the barrier may gather C.
-            self.report = Some(self.machine.take().expect("machine exists here").finish());
+            let machine = self.machine.take().expect("machine exists here");
+            self.report = Some(machine.finish(&mut self.comm));
         }
         if self.comm.barrier_try() {
             Step::Done(self.report.take().expect("report set above"))
@@ -698,7 +717,7 @@ pub fn srumma<C: Comm>(
     let opts = opts.clamp_gemm_to(spec.m, spec.k, spec.n);
     let mut machine = SrummaMachine::new(comm, spec, a, b, c, &opts);
     while machine.step(comm) {}
-    let report = machine.finish();
+    let report = machine.finish(comm);
     comm.barrier();
     report
 }

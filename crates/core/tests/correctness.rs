@@ -229,6 +229,64 @@ fn pblas_alpha_beta_semantics() {
     }
 }
 
+/// The drivers normalise β to 0 for a C they created themselves
+/// (`layout::fresh_c`); that must never reach a C the caller supplied.
+/// Every algorithm on threads, on the executor's gated threads and —
+/// SRUMMA — as polled state machines still accumulates onto a
+/// scattered C with the caller's β.
+#[test]
+fn caller_supplied_c_keeps_its_beta_on_every_backend() {
+    use srumma_core::srumma::SrummaRankTask;
+    let n = 24;
+    let a = Matrix::random(n, n, 211);
+    let b = Matrix::random(n, n, 212);
+    let c0 = Matrix::random(n, n, 213);
+    let grid = srumma_core::driver::default_grid(4);
+    for beta in [1.0, 0.5, 0.0] {
+        let spec = GemmSpec::square(n).with_scalars(1.5, beta);
+        let mut expect = c0.clone();
+        srumma_dense::dgemm(
+            Op::N,
+            Op::N,
+            spec.alpha,
+            a.as_ref(),
+            b.as_ref(),
+            beta,
+            expect.as_mut(),
+        );
+        let da = srumma_core::layout::dist_a(&spec, grid, true);
+        let db = srumma_core::layout::dist_b(&spec, grid, true);
+        let dc = srumma_core::layout::dist_c(&spec, grid, true);
+        srumma_core::layout::scatter_operands(&spec, &da, &db, &a, &b);
+        let check = |what: &str| {
+            let err = max_abs_diff(&dc.gather(), &expect);
+            assert!(err < 1e-9, "{what} beta={beta}: err {err}");
+        };
+        for alg in [
+            Algorithm::srumma_default(),
+            Algorithm::summa_default(),
+            Algorithm::Cannon,
+        ] {
+            dc.scatter(&c0);
+            srumma_comm::thread_run(4, |comm| {
+                srumma_core::parallel_gemm(comm, &alg, &spec, &da, &db, &dc);
+            });
+            check(&format!("{} on thread_run", alg.name()));
+            dc.scatter(&c0);
+            srumma_comm::exec_run(4, 2, |comm| {
+                srumma_core::parallel_gemm(comm, &alg, &spec, &da, &db, &dc);
+            });
+            check(&format!("{} on exec_run", alg.name()));
+        }
+        dc.scatter(&c0);
+        let opts = SrummaOptions::default();
+        srumma_comm::exec_run_tasks(4, 2, false, |comm| {
+            Box::new(SrummaRankTask::new(comm, &spec, &da, &db, &dc, &opts))
+        });
+        check("srumma on exec_run_tasks");
+    }
+}
+
 #[test]
 fn beta_zero_overwrites_stale_c() {
     let n = 24;

@@ -3,7 +3,9 @@
 //! SRUMMA runs as polled state machines; SUMMA and Cannon run their
 //! unmodified blocking code on loan-gated threads.
 
-use srumma_core::driver::{multiply_exec, multiply_exec_traced, serial_reference};
+use srumma_core::driver::{
+    multiply_exec, multiply_exec_chaos, multiply_exec_traced, multiply_threads, serial_reference,
+};
 use srumma_core::{Algorithm, GemmSpec, ShmemFlavor, SrummaOptions};
 use srumma_dense::{max_abs_diff, Matrix, Op};
 
@@ -70,6 +72,57 @@ fn heavy_oversubscription_completes_and_matches() {
     let spec = GemmSpec::square(64);
     check_exec(&Algorithm::srumma_default(), &spec, 64, 2);
     check_exec(&Algorithm::summa_default(), &spec, 64, 2);
+}
+
+/// Scratch belongs to the worker that is running, fetched panels to the
+/// rank. 35 ranks are a 5×7 grid: 11 merged k-segments per rank, more
+/// than the 8 tasks of one poll (36 ranks would be 6×6 with 6), so
+/// every rank yields mid-list with panels resident and may resume on
+/// another worker. The result is the thread backend's, bit for bit,
+/// and the run grows one gemm workspace per worker, not per rank.
+#[test]
+fn worker_owned_scratch_survives_yield_and_steal() {
+    let (nranks, workers) = (35, 3);
+    let spec = GemmSpec::new(Op::N, Op::T, 70, 84, 110).with_scalars(1.5, 1.0);
+    let a = Matrix::random(spec.m, spec.k, 21);
+    let b = Matrix::random(spec.k, spec.n, 22);
+    let alg = Algorithm::Srumma(SrummaOptions {
+        shmem: ShmemFlavor::ForceCopy,
+        ..Default::default()
+    });
+    let (want, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
+    let (got, res) = multiply_exec(nranks, workers, &alg, &spec, &a, &b);
+    assert_eq!(max_abs_diff(&got, &want), 0.0);
+    let exec = res.stats.exec.unwrap();
+    // Polls per rank: 8 tasks and a yield, the last 3 and a park in
+    // the barrier, the wake-up (which the last arriver does not need).
+    assert!(exec.schedules() >= 3 * nranks as u64 - 1, "{exec:?}");
+    assert!((1..=workers as u64).contains(&exec.ws_grows), "{exec:?}");
+}
+
+/// The other two ways a rank reaches a workspace: a gated body computes
+/// on its own thread (one workspace per rank, as before), and a dead
+/// rank's machine — fetched panels and all — is finished by a survivor
+/// on that survivor's worker, bitwise as if nobody had died.
+#[test]
+fn gated_and_reexecuted_ranks_compute_in_the_running_threads_scratch() {
+    let spec = GemmSpec::square(40);
+    let a = Matrix::random(spec.m, spec.k, 31);
+    let b = Matrix::random(spec.k, spec.n, 32);
+    let (c, res) = multiply_exec(4, 2, &Algorithm::summa_default(), &spec, &a, &b);
+    assert!(max_abs_diff(&c, &serial_reference(&spec, &a, &b)) < 1e-9);
+    assert!((1..=4).contains(&res.stats.exec.unwrap().ws_grows));
+
+    let opts = SrummaOptions {
+        shmem: ShmemFlavor::ForceCopy,
+        ..Default::default()
+    };
+    let (healthy, _) = multiply_exec(9, 2, &Algorithm::Srumma(opts), &spec, &a, &b);
+    let plan = srumma_comm::FaultPlan::healthy().with_death(4, 1);
+    let (chaotic, res) = multiply_exec_chaos(9, 2, &opts, &spec, &a, &b, &plan);
+    assert_eq!(max_abs_diff(&chaotic, &healthy), 0.0);
+    assert!(res.stats.total_tasks_reexecuted() > 0);
+    assert!((1..=2).contains(&res.stats.exec.unwrap().ws_grows));
 }
 
 #[test]

@@ -112,6 +112,10 @@ pub struct ExecStats {
     pub parks: u64,
     /// Times a worker went to sleep for lack of runnable tasks.
     pub worker_parks: u64,
+    /// Gemm-workspace grows summed over the run. Workspaces belong to
+    /// the threads that run ranks, so state-machine ranks grow at most
+    /// one per worker however many ranks there are.
+    pub ws_grows: u64,
     /// Summed seconds workers spent running rank work (across all
     /// workers).
     pub busy_seconds: f64,
@@ -515,6 +519,7 @@ mod tests {
                 injector_pops: 2,
                 parks: 3,
                 worker_parks: 1,
+                ws_grows: 2,
                 busy_seconds: 2.0,
                 wall_seconds: 1.25,
             }),

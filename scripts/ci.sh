@@ -30,6 +30,25 @@ echo "== cargo test (Z-order pack layout, dense crate) =="
 # Morton pack path stays green even though defaults never exercise it.
 SRUMMA_LAYOUT=zorder cargo test -q -p srumma-dense
 
+echo "== benchmark harness: unit tests + a bounded contract run per workload =="
+# benchmark/ is a workspace of its own, so nothing above builds it. It
+# calls a pinned list of public functions (benchmark/README.md, last
+# section); compiling it and running every BENCHMARK.json workload for
+# two seconds — each op's output is checked — makes a break of that
+# surface fail here instead of in the pipeline that runs the benchmark.
+cargo test --release -q --manifest-path benchmark/Cargo.toml
+workloads=$(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.json)
+[ -n "$workloads" ] || { echo "FAIL: no workloads found in BENCHMARK.json" >&2; exit 1; }
+for workload in $workloads; do
+    echo "--  $workload"
+    result=$(timeout 300 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    case "$result" in
+        *'"failed": 0'*) ;;
+        *) echo "FAIL: benchmark workload $workload: $result" >&2; exit 1 ;;
+    esac
+done
+
 echo "== oversubscription smoke: 128 ranks on 2 workers =="
 # Deadlocks in the work-stealing executor (lost wakeups, barrier bugs)
 # hang rather than fail — bound the run so they fail CI fast instead.
