@@ -32,7 +32,7 @@
 //! 2-worker pool asserting bitwise-identical outputs and bounded
 //! overhead.
 
-use srumma_bench::{print_table, write_bench_json};
+use srumma_bench::{print_table, write_bench_json, BenchArgs};
 use srumma_core::batch::{
     batch_serial_reference, multiply_batch_exec, multiply_batch_exec_tuned, BatchEntry, BatchSpec,
 };
@@ -42,33 +42,6 @@ use srumma_dense::{max_abs_diff, Matrix, Op};
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 use std::time::Instant;
-
-struct Config {
-    quick: bool,
-    smoke: bool,
-    out: Option<String>,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        quick: false,
-        smoke: false,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => cfg.quick = true,
-            "--smoke" => cfg.smoke = true,
-            "--out" => cfg.out = args.next(),
-            other => {
-                eprintln!("unknown arg {other:?} (expected --quick, --smoke, --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
-    cfg
-}
 
 fn worker_pool() -> usize {
     std::thread::available_parallelism()
@@ -180,7 +153,7 @@ fn smoke() {
 }
 
 fn main() {
-    let cfg = parse_args();
+    let cfg = BenchArgs::parse(&[]);
     if cfg.smoke {
         smoke();
         return;

@@ -28,7 +28,7 @@
 //! serial reference, with the grow-at-most-once workspace invariant
 //! asserted per rank.
 
-use srumma_bench::{fmt, print_table, write_bench_json};
+use srumma_bench::{fmt, print_table, write_bench_json, BenchArgs};
 use srumma_core::batch::{batch_serial_reference, multiply_batch_exec, BatchEntry, BatchSpec};
 use srumma_core::driver::multiply_exec;
 use srumma_core::{Algorithm, GemmSpec};
@@ -36,33 +36,6 @@ use srumma_dense::{max_abs_diff, Matrix, Op};
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 use std::time::Instant;
-
-struct Config {
-    quick: bool,
-    smoke: bool,
-    out: Option<String>,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        quick: false,
-        smoke: false,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => cfg.quick = true,
-            "--smoke" => cfg.smoke = true,
-            "--out" => cfg.out = args.next(),
-            other => {
-                eprintln!("unknown arg {other:?} (expected --quick, --smoke, --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
-    cfg
-}
 
 fn worker_pool() -> usize {
     std::thread::available_parallelism()
@@ -134,7 +107,7 @@ fn smoke() {
 }
 
 fn main() {
-    let cfg = parse_args();
+    let cfg = BenchArgs::parse(&[]);
     if cfg.smoke {
         smoke();
         return;

@@ -14,8 +14,8 @@
 //! and gated (warn-level) in CI via `bench_diff --only
 //! degradation_ratio`.
 //!
-//! Runs under the virtual-time simulator (`measure_chaos`, Linux
-//! cluster + Myrinet model, virtual matrices), so every number is
+//! Runs under the virtual-time simulator (`Backend::Sim`, Linux
+//! cluster + Myrinet model, shape-only matrices), so every number is
 //! bit-for-bit reproducible. The default problem size keeps the run
 //! communication-bound — the regime where the communication styles
 //! actually differ (see the note in `main`).
@@ -26,49 +26,16 @@
 //! Usage: `cargo run --release -p srumma-bench --bin bench_degradation
 //! [-- --quick] [-- --out PATH] [-- --n N] [-- --nranks P]`
 
-use srumma_bench::{print_table, write_bench_json};
+use srumma_bench::{print_table, write_bench_json, BenchArgs};
 use srumma_comm::FaultPlan;
-use srumma_core::driver::measure_chaos;
-use srumma_core::{Algorithm, GemmSpec};
+use srumma_core::{Algorithm, Backend, GemmSpec, Run};
 use srumma_model::Machine;
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 
-struct Config {
-    quick: bool,
-    out: Option<String>,
-    n: Option<usize>,
-    nranks: Option<usize>,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        quick: false,
-        out: None,
-        n: None,
-        nranks: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => cfg.quick = true,
-            "--out" => cfg.out = args.next(),
-            "--n" => cfg.n = args.next().and_then(|v| v.parse().ok()),
-            "--nranks" => cfg.nranks = args.next().and_then(|v| v.parse().ok()),
-            other => {
-                eprintln!(
-                    "unknown arg {other:?} (expected --quick, --out PATH, --n N, --nranks P)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    cfg
-}
-
 fn main() {
-    let cfg = parse_args();
-    let nranks = cfg.nranks.unwrap_or(16);
+    let cfg = BenchArgs::parse(&["--n", "--nranks"]);
+    let nranks = cfg.extra("--nranks").unwrap_or(16);
     // The default regime is deliberately communication-bound (small
     // tiles per rank): straggler resilience is a property of the
     // *communication* style, and this is where the two styles differ.
@@ -77,7 +44,7 @@ fn main() {
     // mechanically favors whichever algorithm had the worse healthy
     // baseline — a denominator artifact, not resilience (sweep `--n`
     // to watch the crossover).
-    let n = cfg.n.unwrap_or(384);
+    let n = cfg.extra("--n").unwrap_or(384);
     let straggler = 0usize;
     let factors: &[f64] = if cfg.quick {
         &[2.0, 4.0]
@@ -95,11 +62,22 @@ fn main() {
     metrics.num("nranks", nranks as f64);
     metrics.num("n", n as f64);
 
+    // Shape-only runs under the simulator, faults applied in virtual time.
+    let measure_chaos = |alg: &Algorithm, plan: &FaultPlan| {
+        Run {
+            faults: Some(plan),
+            ..Run::new(spec, nranks, *alg, Backend::Sim(&machine))
+        }
+        .execute()
+        .expect("straggler plans are legal on the simulator")
+        .stats
+    };
+
     // Healthy baselines.
     let healthy: Vec<f64> = algs
         .iter()
         .map(|(name, alg)| {
-            let stats = measure_chaos(&machine, nranks, alg, &spec, &FaultPlan::healthy());
+            let stats = measure_chaos(alg, &FaultPlan::healthy());
             metrics.num(&format!("seconds_healthy_{name}"), stats.makespan);
             eprintln!("{name:>7} healthy: {:.3} s", stats.makespan);
             stats.makespan
@@ -114,7 +92,7 @@ fn main() {
         let mut row = vec![format!("{f:.2}x")];
         let mut pair = [0.0f64; 2];
         for (i, (name, alg)) in algs.iter().enumerate() {
-            let stats = measure_chaos(&machine, nranks, alg, &spec, &plan);
+            let stats = measure_chaos(alg, &plan);
             let ratio = stats.makespan / healthy[i];
             metrics.num(&format!("seconds_straggled_{name}_x{fx}"), stats.makespan);
             metrics.num(&format!("degradation_ratio_{name}_x{fx}"), ratio);

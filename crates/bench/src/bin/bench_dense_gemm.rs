@@ -35,7 +35,7 @@
 //! Usage: `cargo run --release -p srumma-bench --bin bench_dense_gemm
 //! [-- --quick] [-- --out PATH]`
 
-use srumma_bench::{fmt, print_table, write_bench_json};
+use srumma_bench::{fmt, print_table, write_bench_json, BenchArgs};
 use srumma_dense::blocked::STRASSEN_MIN_CUTOFF;
 use srumma_dense::gemm::gemm_flops;
 use srumma_dense::kernel::Microkernel;
@@ -44,30 +44,6 @@ use srumma_dense::{dgemm_ws, GemmWorkspace, Matrix, Op};
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 use std::time::Instant;
-
-struct Config {
-    quick: bool,
-    out: Option<String>,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        quick: false,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => cfg.quick = true,
-            "--out" => cfg.out = args.next(),
-            other => {
-                eprintln!("unknown arg {other:?} (expected --quick, --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
-    cfg
-}
 
 /// Best-of-samples GFLOP/s of `f` (a full `n³` multiply per call).
 fn measure<F: FnMut()>(n: usize, quick: bool, mut f: F) -> f64 {
@@ -91,7 +67,7 @@ fn measure<F: FnMut()>(n: usize, quick: bool, mut f: F) -> f64 {
 }
 
 fn main() {
-    let cfg = parse_args();
+    let cfg = BenchArgs::parse(&[]);
     // SRUMMA task-block sizes: a √P × √P grid over the paper's problem
     // range leaves per-task operand blocks in the 64–500 band.
     let sizes: &[usize] = if cfg.quick {

@@ -23,39 +23,12 @@
 //! threads), verified against the serial kernel — a deadlock or
 //! mismatch fails fast.
 
-use srumma_bench::{fmt, print_table, write_bench_json};
+use srumma_bench::{fmt, print_table, write_bench_json, BenchArgs};
 use srumma_core::driver::{multiply_exec, multiply_threads, serial_reference};
 use srumma_core::{Algorithm, GemmSpec};
 use srumma_dense::{max_abs_diff, Matrix};
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
-
-struct Config {
-    quick: bool,
-    smoke: bool,
-    out: Option<String>,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        quick: false,
-        smoke: false,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => cfg.quick = true,
-            "--smoke" => cfg.smoke = true,
-            "--out" => cfg.out = args.next(),
-            other => {
-                eprintln!("unknown arg {other:?} (expected --quick, --smoke, --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
-    cfg
-}
 
 fn worker_pool() -> usize {
     std::thread::available_parallelism()
@@ -104,7 +77,7 @@ fn smoke() {
 }
 
 fn main() {
-    let cfg = parse_args();
+    let cfg = BenchArgs::parse(&[]);
     if cfg.smoke {
         smoke();
         return;

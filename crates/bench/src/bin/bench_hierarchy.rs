@@ -15,7 +15,8 @@
 //! * **hier** — two-level node-group staging (`srumma_hier`): one
 //!   elected fetcher per group per shared off-node panel;
 //! * **hier+repl** — the same staging inside `c = 4` replica teams
-//!   (`srumma_replicated_hier`), each sweeping a quarter of `k`.
+//!   (`srumma_replicated` with stage sets), each sweeping a quarter of
+//!   `k`.
 //!
 //! Headline metrics per point: LogGP-modeled makespan and total
 //! inter-node bytes (plus intra-group bytes for the staged runs).
@@ -33,49 +34,16 @@
 //! [-- --quick] [-- --smoke] [-- --out PATH] [-- --workers W]`
 //! (`--quick`: 1k/4k only; `--smoke`: the CI configuration, 4k only.)
 
-use srumma_bench::{print_table, write_bench_json};
+use srumma_bench::{print_table, write_bench_json, BenchArgs};
 use srumma_core::hier::{measure_flat_virtual, measure_hier_virtual};
-use srumma_core::repl::measure_replicated_hier_virtual;
-use srumma_core::{GemmSpec, ReplicationFactor, SrummaOptions};
+use srumma_core::{Algorithm, Backend, GemmSpec, ReplicationFactor, Run, SrummaOptions};
 use srumma_model::machine::RanksPerDomain;
 use srumma_model::Machine;
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 
-struct Config {
-    quick: bool,
-    smoke: bool,
-    out: Option<String>,
-    workers: Option<usize>,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        quick: false,
-        smoke: false,
-        out: None,
-        workers: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => cfg.quick = true,
-            "--smoke" => cfg.smoke = true,
-            "--out" => cfg.out = args.next(),
-            "--workers" => cfg.workers = args.next().and_then(|v| v.parse().ok()),
-            other => {
-                eprintln!(
-                    "unknown arg {other:?} (expected --quick, --smoke, --out PATH, --workers W)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    cfg
-}
-
 fn main() {
-    let cfg = parse_args();
+    let cfg = BenchArgs::parse(&[]);
     let rank_counts: &[usize] = if cfg.smoke {
         &[4096]
     } else if cfg.quick {
@@ -122,7 +90,18 @@ fn main() {
             hier.makespan,
             hier.total_internode_bytes()
         );
-        let (hr, c) = measure_replicated_hier_virtual(&machine, p, workers, repl, &opts, &spec);
+        let backend = Backend::Virtual {
+            machine: &machine,
+            workers,
+        };
+        let out = Run {
+            hier: true,
+            replication: repl,
+            ..Run::new(spec, p, Algorithm::Srumma(opts), backend)
+        }
+        .execute()
+        .expect("c = 4 leaves whole 8-rank nodes per team at every swept rank count");
+        let (hr, c) = (out.stats, out.replication);
         eprintln!(
             "p={p} n={n} hier+repl(c={c}): makespan {:.3}s, internode {} B",
             hr.makespan,

@@ -12,11 +12,11 @@
 //! against a dense B (the sparse-weights × dense-activations shape, so
 //! surviving work scales linearly with density) on all three backends:
 //!
-//! * **threads** — `multiply_threads_sparse`, wall seconds;
-//! * **exec** — `multiply_exec_sparse` (work-stealing executor, ranks
+//! * **threads** — `Backend::Threads`, wall seconds;
+//! * **exec** — `Backend::Exec` (work-stealing executor, ranks
 //!   oversubscribed onto a bounded pool), wall seconds;
-//! * **sim** — `multiply_verified_sparse` under the SGI Altix machine
-//!   model, *modeled* makespan (virtual seconds).
+//! * **sim** — `Backend::Sim` with the SGI Altix machine model,
+//!   *modeled* makespan (virtual seconds).
 //!
 //! Every cell is verified against `sparse_serial_reference` (masked
 //! copies through the serial kernel) before it is timed, and density
@@ -32,44 +32,14 @@
 //! the executor with 2 workers, verified, with the per-rank counter
 //! invariant `tasks + masked_tasks == dense task count` asserted.
 
-use srumma_bench::{print_table, write_bench_json};
-use srumma_core::driver::{
-    default_grid, multiply_exec, multiply_exec_sparse, multiply_threads_sparse,
-    multiply_verified_sparse, sparse_serial_reference, SparseMasks,
-};
-use srumma_core::{Algorithm, GemmSpec, SrummaOptions};
+use srumma_bench::{print_table, write_bench_json, BenchArgs};
+use srumma_core::driver::{default_grid, multiply_exec, sparse_serial_reference, SparseMasks};
+use srumma_core::{Algorithm, Backend, GemmSpec, Run, RunOutput, SrummaReport};
 use srumma_dense::{max_abs_diff, BlockMask, Matrix};
 use srumma_model::Machine;
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 use std::time::Instant;
-
-struct Config {
-    quick: bool,
-    smoke: bool,
-    out: Option<String>,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        quick: false,
-        smoke: false,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => cfg.quick = true,
-            "--smoke" => cfg.smoke = true,
-            "--out" => cfg.out = args.next(),
-            other => {
-                eprintln!("unknown arg {other:?} (expected --quick, --smoke, --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
-    cfg
-}
 
 fn worker_pool() -> usize {
     std::thread::available_parallelism()
@@ -102,6 +72,31 @@ fn make_masks(nranks: usize, density: f64, seed: u64) -> SparseMasks {
     )
 }
 
+/// Block-sparse SRUMMA (default options) on real data.
+fn multiply_sparse(
+    backend: Backend<'_>,
+    nranks: usize,
+    spec: &GemmSpec,
+    a: &Matrix,
+    b: &Matrix,
+    masks: &SparseMasks,
+) -> RunOutput {
+    Run {
+        operands: Some((a, b)),
+        masks: Some(masks),
+        ..Run::new(*spec, nranks, Algorithm::srumma_default(), backend)
+    }
+    .execute()
+    .expect("grid-shaped masks on SRUMMA are a legal plan")
+}
+
+/// Every rank's SRUMMA counters.
+fn srumma_reports(out: &RunOutput) -> impl Iterator<Item = SrummaReport> + '_ {
+    out.reports
+        .iter()
+        .map(|r| r.srumma.expect("SRUMMA ranks report"))
+}
+
 /// Best-of-samples wall seconds of `f`.
 fn best_of<F: FnMut() -> f64>(samples: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
@@ -122,17 +117,18 @@ fn smoke() {
     let a = Matrix::random(n, n, 41);
     let b = Matrix::random(n, n, 42);
     let masks = make_masks(nranks, 0.25, 9001);
-    let opts = SrummaOptions::default();
+    let exec = Backend::Exec { workers };
 
     let expect = sparse_serial_reference(&spec, &a, &b, &masks);
-    let (got, res) = multiply_exec_sparse(nranks, workers, &opts, &spec, &a, &b, &masks);
-    let diff = max_abs_diff(&got, &expect);
+    let res = multiply_sparse(exec, nranks, &spec, &a, &b, &masks);
+    let diff = max_abs_diff(res.c.as_ref().expect("real operands"), &expect);
     assert!(diff < 1e-9, "smoke: |diff|={diff:e}");
 
-    let (_, dense_res) = multiply_exec(nranks, workers, &Algorithm::Srumma(opts), &spec, &a, &b);
+    let (_, dense_res) =
+        multiply_exec(nranks, workers, &Algorithm::srumma_default(), &spec, &a, &b);
     let mut masked_total = 0usize;
     let mut flops_skipped = 0u64;
-    for (rank, (sparse, dense)) in res.outputs.iter().zip(&dense_res.outputs).enumerate() {
+    for (rank, (sparse, dense)) in srumma_reports(&res).zip(&dense_res.outputs).enumerate() {
         let dense = dense.as_ref().expect("dense exec run returns a report");
         assert_eq!(
             sparse.tasks + sparse.masked_tasks,
@@ -152,7 +148,7 @@ fn smoke() {
 }
 
 fn main() {
-    let cfg = parse_args();
+    let cfg = BenchArgs::parse(&[]);
     if cfg.smoke {
         smoke();
         return;
@@ -167,7 +163,7 @@ fn main() {
     let samples = if cfg.quick { 2 } else { 3 };
     let densities: &[f64] = &[0.05, 0.10, 0.25, 0.50, 0.75, 1.00];
     let machine = Machine::sgi_altix();
-    let opts = SrummaOptions::default();
+    let exec = Backend::Exec { workers };
 
     let spec = GemmSpec::square(n);
     let a = Matrix::random(n, n, 7001);
@@ -190,34 +186,35 @@ fn main() {
         // At full density the masks are all-ones, so the sparse path
         // must agree with the dense driver bit for bit.
         let expect = sparse_serial_reference(&spec, &a, &b, &masks);
-        let (got, res) = multiply_exec_sparse(nranks, workers, &opts, &spec, &a, &b, &masks);
-        let diff = max_abs_diff(&got, &expect);
+        let res = multiply_sparse(exec, nranks, &spec, &a, &b, &masks);
+        let got = res.c.as_ref().expect("real operands");
+        let diff = max_abs_diff(got, &expect);
         assert!(diff < 1e-6 * n as f64, "d={d}: exec |diff|={diff:e}");
         if d == 100 {
-            let (dense, _) =
-                multiply_exec(nranks, workers, &Algorithm::Srumma(opts), &spec, &a, &b);
+            let alg = Algorithm::srumma_default();
+            let (dense, _) = multiply_exec(nranks, workers, &alg, &spec, &a, &b);
             assert_eq!(
-                max_abs_diff(&got, &dense),
+                max_abs_diff(got, &dense),
                 0.0,
                 "d=100 must be bitwise identical to the dense driver"
             );
         }
-        let masked: usize = res.outputs.iter().map(|r| r.masked_tasks).sum();
-        let survived: usize = res.outputs.iter().map(|r| r.tasks).sum();
-        let skipped: u64 = res.outputs.iter().map(|r| r.skipped_flops).sum();
+        let masked: usize = srumma_reports(&res).map(|r| r.masked_tasks).sum();
+        let survived: usize = srumma_reports(&res).map(|r| r.tasks).sum();
+        let skipped: u64 = srumma_reports(&res).map(|r| r.skipped_flops).sum();
 
         // Warm both wall-clock paths, then time.
-        let _ = multiply_threads_sparse(nranks, &opts, &spec, &a, &b, &masks);
+        let _ = multiply_sparse(Backend::Threads, nranks, &spec, &a, &b, &masks);
         let t_threads = best_of(samples, || {
-            multiply_threads_sparse(nranks, &opts, &spec, &a, &b, &masks).1
+            multiply_sparse(Backend::Threads, nranks, &spec, &a, &b, &masks).wall_seconds
         });
         let t_exec = best_of(samples, || {
             let t0 = Instant::now();
-            let _ = multiply_exec_sparse(nranks, workers, &opts, &spec, &a, &b, &masks);
+            let _ = multiply_sparse(exec, nranks, &spec, &a, &b, &masks);
             t0.elapsed().as_secs_f64()
         });
-        let (_, stats) = multiply_verified_sparse(&machine, nranks, &opts, &spec, &a, &b, &masks);
-        let t_sim = stats.makespan;
+        let sim = multiply_sparse(Backend::Sim(&machine), nranks, &spec, &a, &b, &masks);
+        let t_sim = sim.stats.makespan;
 
         metrics.num(&format!("seconds_threads_d{d}"), t_threads);
         metrics.num(&format!("seconds_exec_d{d}"), t_exec);

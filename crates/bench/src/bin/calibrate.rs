@@ -22,8 +22,7 @@ use srumma_core::driver::{multiply_exec, multiply_threads};
 use srumma_core::memory::replicated_arena_footprint;
 use srumma_core::repl::admissible_factor;
 use srumma_core::{
-    multiply_threads_hier, multiply_threads_replicated, Algorithm, GemmSpec, HostProfile,
-    ReplicationFactor, SrummaOptions,
+    Algorithm, Backend, GemmSpec, HostProfile, ReplicationFactor, Run, SrummaOptions,
 };
 use srumma_dense::blocked::{blocked_gemm_ws, BlockSizes, STRASSEN_MIN_CUTOFF};
 use srumma_dense::kernel::host_kernel_summary;
@@ -418,8 +417,8 @@ fn probe_batch() -> HostProfile {
 }
 
 /// Probe node-group sizes and replication factors on this host: run
-/// the flat, hierarchical (`multiply_threads_hier`) and replicated
-/// (`multiply_threads_replicated`) drivers over the admissible
+/// the flat, hierarchical (`hier`) and replicated (`replication`)
+/// thread-backend plans over the admissible
 /// `ranks_per_node` / `c` values at a fixed rank count, report wall
 /// times and the crossover (best group size, best factor), and write
 /// the result as a small JSON profile to
@@ -465,6 +464,19 @@ fn probe_topology() -> HostProfile {
     let flat = best_of_3(&mut || {
         let _ = multiply_threads(nranks, &alg, &spec, &a, &b);
     });
+    // The same multiply restructured: staged through node groups of
+    // `rpn`, or split into replica teams.
+    let restructured = |rpn: usize, hier: bool, replication: ReplicationFactor| {
+        Run {
+            operands: Some((&a, &b)),
+            ranks_per_node: Some(rpn),
+            hier,
+            replication,
+            ..Run::new(spec, nranks, alg, Backend::Threads)
+        }
+        .execute()
+        .expect("divisor group sizes and admissible factors are legal plans")
+    };
     println!("  flat                  {:>8.2} ms", flat * 1e3);
     profile.num("flat_seconds", flat);
 
@@ -474,7 +486,7 @@ fn probe_topology() -> HostProfile {
     let mut best_group = (f64::INFINITY, 1usize);
     for rpn in (1..=nranks).filter(|w| nranks.is_multiple_of(*w)) {
         let t = best_of_3(&mut || {
-            let _ = multiply_threads_hier(nranks, rpn, &opts, &spec, &a, &b);
+            let _ = restructured(rpn, true, ReplicationFactor::One);
         });
         println!(
             "  hier  rpn={rpn:<3}        {:>8.2} ms ({:+.1}% vs flat)",
@@ -496,15 +508,7 @@ fn probe_topology() -> HostProfile {
     for c in (1..=nranks).filter(|&c| admissible_factor(nranks, topo, spec.k, c)) {
         let arena = replicated_arena_footprint(&spec, nranks, c, &opts).buffer_bytes;
         let t = best_of_3(&mut || {
-            let _ = multiply_threads_replicated(
-                nranks,
-                best_group.1,
-                ReplicationFactor::Fixed(c),
-                &opts,
-                &spec,
-                &a,
-                &b,
-            );
+            let _ = restructured(best_group.1, false, ReplicationFactor::Fixed(c));
         });
         println!(
             "  repl  c={c:<3} rpn={:<3}  {:>8.2} ms ({:+.1}% vs flat, arena {} B/rank)",

@@ -13,8 +13,58 @@ use srumma_model::Machine;
 use srumma_sim::RunStats;
 use std::io::Write;
 
-pub mod jsonin;
 pub mod timing;
+
+/// The command line every `bench_*` binary shares: `--quick` (short
+/// sweep), `--smoke` (bounded CI correctness run), `--out PATH` (where
+/// the `BENCH_*.json` goes), `--workers W`, plus the binary's own
+/// numeric `--name N` flags. Anything else is a usage error (exit 2).
+pub struct BenchArgs {
+    pub quick: bool,
+    pub smoke: bool,
+    pub out: Option<String>,
+    pub workers: Option<usize>,
+    extra: Vec<(String, usize)>,
+}
+
+impl BenchArgs {
+    /// Parse the process arguments; `extra` names the binary's own
+    /// numeric flags (e.g. `&["--n", "--nranks"]`).
+    pub fn parse(extra: &[&str]) -> Self {
+        let mut cfg = BenchArgs {
+            quick: false,
+            smoke: false,
+            out: None,
+            workers: None,
+            extra: Vec::new(),
+        };
+        let mut args = std::env::args().skip(1);
+        while let Some(a) = args.next() {
+            let mut number = || args.next().and_then(|v| v.parse().ok());
+            match a.as_str() {
+                "--quick" => cfg.quick = true,
+                "--smoke" => cfg.smoke = true,
+                "--out" => cfg.out = args.next(),
+                "--workers" => cfg.workers = number(),
+                name if extra.contains(&name) => cfg.extra.extend(number().map(|v| (a.clone(), v))),
+                other => {
+                    let own: String = extra.iter().map(|e| format!(", {e} N")).collect();
+                    eprintln!(
+                        "unknown arg {other:?} (expected --quick, --smoke, --out PATH, --workers W{own})"
+                    );
+                    std::process::exit(2);
+                }
+            }
+        }
+        cfg
+    }
+
+    /// The (last, parseable) value given for one of the `extra` flags.
+    pub fn extra(&self, name: &str) -> Option<usize> {
+        let given = self.extra.iter().rev().find(|(n, _)| n == name);
+        given.map(|&(_, v)| v)
+    }
+}
 
 /// Write a JSON report under `<results_dir>/BENCH_<name>.json` (the
 /// unified trace + metrics document the figure harnesses emit). The

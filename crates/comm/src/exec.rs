@@ -192,8 +192,8 @@ struct SchedCore {
     workers: usize,
     trace: bool,
     /// Emulated node layout every rank's `ExecComm` reports. Defaults
-    /// to one cacheable domain; the `_with_topology` entry points
-    /// override it for hierarchical schedules.
+    /// to one cacheable domain; the launchers' `topo` argument
+    /// overrides it for hierarchical schedules.
     topo: Topology,
     t0: Instant,
     global: Mutex<Global>,
@@ -1127,36 +1127,15 @@ where
     T: Send,
     F: Fn(&mut ExecComm) -> T + Sync,
 {
-    exec_run_gated(nranks, workers, false, None, body)
+    exec_launch(nranks, workers, false, None, body)
 }
 
-/// [`exec_run`] with wall-clock event tracing (plus `Sched` steal /
-/// park / resume markers).
-pub fn exec_run_traced<T, F>(nranks: usize, workers: usize, body: F) -> ExecRunResult<T>
-where
-    T: Send,
-    F: Fn(&mut ExecComm) -> T + Sync,
-{
-    exec_run_gated(nranks, workers, true, None, body)
-}
-
-/// [`exec_run`] with an emulated cluster topology: every rank's
-/// `ExecComm` reports `topo`, off-node blocks lose direct access, and
-/// transfers are classified intra-group vs inter-node.
-pub fn exec_run_with_topology<T, F>(
-    nranks: usize,
-    workers: usize,
-    topo: Topology,
-    body: F,
-) -> ExecRunResult<T>
-where
-    T: Send,
-    F: Fn(&mut ExecComm) -> T + Sync,
-{
-    exec_run_gated(nranks, workers, false, Some(topo), body)
-}
-
-fn exec_run_gated<T, F>(
+/// The general form of [`exec_run`]. With `trace`, ranks record
+/// wall-clock events (plus `Sched` steal / park / resume markers). With
+/// `topo`, every rank's `ExecComm` reports that emulated cluster
+/// topology: off-node blocks lose direct access, and transfers are
+/// classified intra-group vs inter-node.
+pub fn exec_launch<T, F>(
     nranks: usize,
     workers: usize,
     trace: bool,
@@ -1228,23 +1207,9 @@ where
 
 /// Run `nranks` state-machine rank tasks on `workers` workers — no
 /// per-rank OS threads at all. `factory` is called once per rank with
-/// that rank's [`ExecComm`] and returns the task that owns it.
+/// that rank's [`ExecComm`] and returns the task that owns it. `trace`
+/// and `topo` as in [`exec_launch`].
 pub fn exec_run_tasks<'env, T, F>(
-    nranks: usize,
-    workers: usize,
-    trace: bool,
-    factory: F,
-) -> ExecRunResult<T>
-where
-    T: Send,
-    F: FnMut(ExecComm) -> Box<dyn RankTask<Out = T> + Send + 'env>,
-{
-    exec_run_tasks_with_topology(nranks, workers, trace, None, factory)
-}
-
-/// [`exec_run_tasks`] with an optional emulated cluster topology (see
-/// [`exec_run_with_topology`]).
-pub fn exec_run_tasks_with_topology<'env, T, F>(
     nranks: usize,
     workers: usize,
     trace: bool,

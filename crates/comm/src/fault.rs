@@ -72,6 +72,29 @@ pub struct FaultPlan {
     pub death: Option<RankDeath>,
 }
 
+/// Why a [`FaultPlan`] cannot be applied to a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultPlanError {
+    /// The straggler table was sized for `plan` ranks, the run has `run`.
+    RankCount { plan: usize, run: usize },
+    /// `rank`'s slowdown factor is below 1.0 (or NaN).
+    SlowFactor { rank: usize },
+    /// The scripted death needs a rank the run has, and a survivor to
+    /// re-execute its tasks: `rank < nranks` and `nranks >= 2`.
+    DeadRank { rank: usize, nranks: usize },
+    /// Fail-stop death is a scheduling event: only the work-stealing
+    /// executor can hand a dead rank's machine to a survivor.
+    DeathNeedsExecutor,
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{self:?}")
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
 impl FaultPlan {
     /// No faults at all.
     pub fn healthy() -> Self {
@@ -135,26 +158,30 @@ impl FaultPlan {
     }
 
     /// Kill `rank` after it has run `after_tasks` of its own tasks
-    /// (executor backend only — the sim and thread backends reject
-    /// plans with deaths).
+    /// (executor backend only — elsewhere the plan is rejected with
+    /// [`FaultPlanError::DeathNeedsExecutor`]).
     pub fn with_death(mut self, rank: usize, after_tasks: usize) -> Self {
         self.death = Some(RankDeath { rank, after_tasks });
         self
     }
 
-    /// Sanity-check the plan against a run's rank count.
-    pub fn validate(&self, nranks: usize) {
-        assert!(
-            self.slow.is_empty() || self.slow.len() == nranks,
-            "fault plan sized for {} ranks, run has {nranks}",
-            self.slow.len()
-        );
-        for (r, &f) in self.slow.iter().enumerate() {
-            assert!(f >= 1.0, "rank {r} slowdown factor {f} < 1.0");
+    /// Check the plan against a run's rank count.
+    pub fn validate(&self, nranks: usize) -> Result<(), FaultPlanError> {
+        if !self.slow.is_empty() && self.slow.len() != nranks {
+            return Err(FaultPlanError::RankCount {
+                plan: self.slow.len(),
+                run: nranks,
+            });
         }
-        if let Some(d) = self.death {
-            assert!(d.rank < nranks, "dead rank {} out of {nranks}", d.rank);
-            assert!(nranks >= 2, "rank death needs at least one survivor");
+        if let Some(rank) = self.slow.iter().position(|&f| f.is_nan() || f < 1.0) {
+            return Err(FaultPlanError::SlowFactor { rank });
+        }
+        match self.death {
+            Some(d) if d.rank >= nranks || nranks < 2 => Err(FaultPlanError::DeadRank {
+                rank: d.rank,
+                nranks,
+            }),
+            _ => Ok(()),
         }
     }
 
@@ -478,7 +505,7 @@ mod tests {
     fn straggler_factors_respect_bounds() {
         for seed in 0..32 {
             let p = FaultPlan::random_stragglers(seed, 16);
-            p.validate(16);
+            assert_eq!(p.validate(16), Ok(()));
             for r in 0..16 {
                 let f = p.slow_factor(r);
                 assert!((1.0..=3.0).contains(&f), "factor {f} out of bounds");
@@ -495,14 +522,31 @@ mod tests {
     fn healthy_plan_injects_nothing() {
         let p = FaultPlan::healthy();
         assert!(p.is_healthy());
-        p.validate(1024);
+        assert_eq!(p.validate(1024), Ok(()));
         assert_eq!(p.slow_factor(7), 1.0);
         assert_eq!(p.get_spike(7, 0), 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "at least one survivor")]
-    fn death_on_a_single_rank_run_is_rejected() {
-        FaultPlan::healthy().with_death(0, 0).validate(1);
+    fn validate_names_what_is_wrong_with_a_plan() {
+        let sized = FaultPlan::single_straggler(4, 1, 2.0);
+        assert_eq!(
+            sized.validate(6),
+            Err(FaultPlanError::RankCount { plan: 4, run: 6 })
+        );
+        let mut shrunk = sized.clone();
+        shrunk.slow[2] = 0.5;
+        assert_eq!(
+            shrunk.validate(4),
+            Err(FaultPlanError::SlowFactor { rank: 2 })
+        );
+        assert_eq!(
+            FaultPlan::healthy().with_death(4, 0).validate(4),
+            Err(FaultPlanError::DeadRank { rank: 4, nranks: 4 })
+        );
+        assert_eq!(
+            FaultPlan::healthy().with_death(0, 0).validate(1),
+            Err(FaultPlanError::DeadRank { rank: 0, nranks: 1 })
+        );
     }
 }

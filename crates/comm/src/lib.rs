@@ -50,13 +50,10 @@ pub use arena::SharedArena;
 pub use comm::{BlockMut, BlockRef, Comm, GetHandle};
 pub use dist::{CostMap, DistMatrix};
 pub use exec::{
-    exec_run, exec_run_tasks, exec_run_tasks_with_topology, exec_run_traced,
-    exec_run_with_topology, resolve_workers, ExecComm, ExecRunResult, RankTask, Step,
+    exec_launch, exec_run, exec_run_tasks, resolve_workers, ExecComm, ExecRunResult, RankTask, Step,
 };
-pub use fault::{ChaosComm, FaultPlan, RankDeath};
+pub use fault::{ChaosComm, FaultPlan, FaultPlanError, RankDeath};
 pub use simbackend::{sim_run, ComputeMode, SimComm, SimOptions};
 pub use subcomm::SubComm;
-pub use threadbackend::{
-    thread_run, thread_run_traced, thread_run_with_topology, ThreadComm, ThreadRunResult,
-};
+pub use threadbackend::{thread_launch, thread_run, ThreadComm, ThreadRunResult};
 pub use virt::{virtual_run, VirtualComm, VirtualRunResult};

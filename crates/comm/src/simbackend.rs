@@ -8,7 +8,7 @@
 
 use crate::comm::{Comm, GetHandle};
 use crate::dist::DistMatrix;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FaultPlanError};
 use srumma_dense::{dgemm_ws, GemmConfig, GemmWorkspace, MatMut, MatRef, Op};
 use srumma_model::network::Path;
 use srumma_model::{protocol, Machine, Topology, TransferCost};
@@ -27,8 +27,9 @@ pub struct SimOptions {
     /// Injected faults, applied in **virtual time** (see
     /// [`crate::fault`]): a straggler's compute charges and the
     /// two-sided messages it touches scale by its factor, spiked gets
-    /// gain modeled latency. Deaths are rejected here — fail-stop is an
-    /// executor-scheduling event the simulator does not model.
+    /// gain modeled latency. [`SimOptions::with_faults`] rejects deaths —
+    /// fail-stop is an executor-scheduling event the simulator does not
+    /// model.
     pub fault: FaultPlan,
 }
 
@@ -54,15 +55,13 @@ impl SimOptions {
     }
 
     /// Apply a fault plan (stragglers + get spikes) in virtual time.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        assert!(
-            plan.death.is_none(),
-            "the sim backend applies stragglers and spikes only; rank death \
-             needs the executor's re-execution machinery"
-        );
-        plan.validate(self.nranks);
+    pub fn with_faults(mut self, plan: FaultPlan) -> Result<Self, FaultPlanError> {
+        if plan.death.is_some() {
+            return Err(FaultPlanError::DeathNeedsExecutor);
+        }
+        plan.validate(self.nranks)?;
         self.fault = plan;
-        self
+        Ok(self)
     }
 }
 
@@ -867,8 +866,9 @@ mod tests {
             })
         };
         let healthy = run(&linux16());
-        let faulty =
-            run(&linux16().with_faults(crate::fault::FaultPlan::single_straggler(16, 0, 4.0)));
+        let faulty = run(&linux16()
+            .with_faults(crate::fault::FaultPlan::single_straggler(16, 0, 4.0))
+            .unwrap());
         let (hc, hg) = (healthy.outputs[0], healthy.outputs[2]);
         let (fc, fg) = (faulty.outputs[0], faulty.outputs[2]);
         assert!(
@@ -887,7 +887,7 @@ mod tests {
         let grid = ProcGrid::new(4, 4);
         let mat = DistMatrix::create_virtual(grid, 2048, 2048);
         let run = |plan: FaultPlan| {
-            sim_run(&linux16().with_faults(plan), |c| {
+            sim_run(&linux16().with_faults(plan).unwrap(), |c| {
                 let mut t = 0.0;
                 for owner in 0..c.nranks() {
                     let t0 = c.now();
@@ -909,6 +909,15 @@ mod tests {
         assert!(
             a.outputs.iter().sum::<f64>() > healthy.outputs.iter().sum::<f64>() + 0.2,
             "spikes should visibly lengthen get time"
+        );
+    }
+
+    #[test]
+    fn a_death_plan_is_rejected_not_simulated() {
+        let plan = FaultPlan::healthy().with_death(3, 1);
+        assert_eq!(
+            linux16().with_faults(plan).err(),
+            Some(FaultPlanError::DeathNeedsExecutor)
         );
     }
 

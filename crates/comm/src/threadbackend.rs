@@ -86,7 +86,7 @@ pub struct ThreadComm {
     receivers: Vec<Receiver<Packet>>,
     t0: Instant,
     /// Emulated node layout. Defaults to one cacheable domain (the
-    /// Altix flavor); [`thread_run_with_topology`] overrides it so
+    /// Altix flavor); [`thread_launch`] can override it so
     /// hierarchical schedules exercise real staging `memcpy`s on a
     /// pretend cluster.
     topo: Topology,
@@ -289,8 +289,8 @@ pub struct ThreadRunResult<T> {
     pub outputs: Vec<T>,
     /// Wall-clock duration of the parallel section (seconds).
     pub wall_seconds: f64,
-    /// Recorded trace events (empty unless run via
-    /// [`thread_run_traced`]), merged across ranks and sorted by start
+    /// Recorded trace events (empty unless [`thread_launch`] ran with
+    /// `trace`), merged across ranks and sorted by start
     /// time.
     pub trace: Vec<TraceEvent>,
     /// Derived per-rank and aggregate metrics. Span-derived fields are
@@ -306,34 +306,18 @@ where
     T: Send,
     F: Fn(&mut ThreadComm) -> T + Sync,
 {
-    thread_run_inner(nranks, false, None, body)
+    thread_launch(nranks, false, None, body)
 }
 
-/// Like [`thread_run`], but every rank records wall-clock trace events
-/// (barriers, gets/puts, kernel calls, and whatever task spans the
-/// algorithm layer adds through [`Comm::recorder`]).
-pub fn thread_run_traced<T, F>(nranks: usize, body: F) -> ThreadRunResult<T>
-where
-    T: Send,
-    F: Fn(&mut ThreadComm) -> T + Sync,
-{
-    thread_run_inner(nranks, true, None, body)
-}
-
-/// Like [`thread_run`], but every rank sees `topo` instead of one flat
-/// shared-memory domain. Blocks owned off-(pretend-)node stop being
-/// directly accessible, so hierarchical schedules do real staging
-/// copies — on actual host memory, with the wall clock running.
-pub fn thread_run_with_topology<T, F>(nranks: usize, topo: Topology, body: F) -> ThreadRunResult<T>
-where
-    T: Send,
-    F: Fn(&mut ThreadComm) -> T + Sync,
-{
-    assert_eq!(topo.nranks(), nranks, "topology rank count mismatch");
-    thread_run_inner(nranks, false, Some(topo), body)
-}
-
-fn thread_run_inner<T, F>(
+/// The general form of [`thread_run`]. With `trace`, every rank records
+/// wall-clock trace events (barriers, gets/puts, kernel calls, and
+/// whatever task spans the algorithm layer adds through
+/// [`Comm::recorder`]). With `topo`, every rank sees that topology
+/// instead of one flat shared-memory domain: blocks owned
+/// off-(pretend-)node stop being directly accessible, so hierarchical
+/// schedules do real staging copies — on actual host memory, with the
+/// wall clock running.
+pub fn thread_launch<T, F>(
     nranks: usize,
     trace: bool,
     topo: Option<Topology>,
@@ -345,6 +329,7 @@ where
 {
     assert!(nranks > 0);
     let topo = topo.unwrap_or_else(|| Topology::single_domain(nranks));
+    assert_eq!(topo.nranks(), nranks, "topology rank count mismatch");
     let barrier = Arc::new(PoisonBarrier::new(nranks));
     // Channel matrix: edge (s, d) moves messages s → d.
     let mut txs: Vec<Vec<Option<Sender<Packet>>>> = vec![];

@@ -320,7 +320,7 @@ where
     assert!(nranks > 0);
     let topo = machine.topology(nranks);
     let machine = Arc::new(machine.clone());
-    let res = exec_run_tasks(nranks, workers, false, |comm| {
+    let res = exec_run_tasks(nranks, workers, false, None, |comm| {
         Box::new(VirtTask {
             rank: comm.rank(),
             nranks,

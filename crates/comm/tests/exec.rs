@@ -2,7 +2,7 @@
 //! (gated threads and FSM tasks), oversubscribed collectives, message
 //! passing, scheduling statistics, and poison propagation.
 
-use srumma_comm::exec::{exec_run, exec_run_tasks, exec_run_traced, ExecComm, RankTask, Step};
+use srumma_comm::exec::{exec_launch, exec_run, exec_run_tasks, ExecComm, RankTask, Step};
 use srumma_comm::{Comm, DistMatrix};
 use srumma_dense::Matrix;
 use srumma_model::ProcGrid;
@@ -78,7 +78,7 @@ fn get_copies_real_blocks() {
 
 #[test]
 fn traced_run_records_sched_markers_and_occupancy() {
-    let res = exec_run_traced(32, 2, |c| {
+    let res = exec_launch(32, 2, true, None, |c| {
         c.barrier();
         c.rank()
     });
@@ -130,7 +130,7 @@ impl RankTask for CountTask {
 #[test]
 fn fsm_tasks_yield_park_and_finish() {
     for workers in [1, 2, 4] {
-        let res = exec_run_tasks(24, workers, false, |comm| {
+        let res = exec_run_tasks(24, workers, false, None, |comm| {
             let limit = 3 + comm.rank() % 5;
             Box::new(CountTask {
                 comm,
@@ -151,7 +151,7 @@ fn fsm_tasks_yield_park_and_finish() {
 #[test]
 fn fsm_blocking_barrier_is_rejected() {
     let caught = std::panic::catch_unwind(|| {
-        exec_run_tasks(2, 1, false, |comm| {
+        exec_run_tasks(2, 1, false, None, |comm| {
             Box::new(BadBarrierTask { comm }) as Box<dyn RankTask<Out = ()> + Send>
         })
     });
@@ -241,7 +241,7 @@ impl RankTask for PanicAtTask {
 #[test]
 fn panicking_fsm_task_poisons_the_run() {
     let caught = std::panic::catch_unwind(|| {
-        exec_run_tasks(8, 2, false, |comm| {
+        exec_run_tasks(8, 2, false, None, |comm| {
             let bomb = comm.rank() == 5;
             Box::new(PanicAtTask {
                 comm,

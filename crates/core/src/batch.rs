@@ -871,7 +871,7 @@ fn multiply_batch_exec_inner(
         .iter()
         .map(|e| Mutex::new(Matrix::zeros(e.spec.m, e.spec.n)))
         .collect();
-    let res = exec_run_tasks(nranks, workers, trace, |comm| {
+    let res = exec_run_tasks(nranks, workers, trace, None, |comm| {
         Box::new(BatchRankTask::new(
             comm, batch, &plans, &outputs, window, tuner,
         ))

@@ -47,7 +47,7 @@ struct Orphan<'a> {
 
 /// The shared recovery queue for one chaotic run: dying ranks publish
 /// their machines here, survivors claim them. One per
-/// [`crate::driver::multiply_exec_chaos`] call.
+/// [`crate::run::Run`] that carries a fault plan on the executor.
 #[derive(Default)]
 pub struct ChaosRecovery<'a> {
     orphans: Mutex<Vec<Orphan<'a>>>,

@@ -33,14 +33,12 @@
 //! off-node A traffic exists. Wider nodes (`w > q`) additionally share
 //! B panels across rows and stage those too.
 
-use crate::layout::{dist_a, dist_b, fresh_c, scatter_operands};
+use crate::api::Algorithm;
+use crate::layout::{dist_a, dist_b};
 use crate::options::{GemmSpec, SrummaOptions};
-use crate::srumma::{srumma, SrummaMachine, SrummaReport};
-use srumma_comm::{
-    exec_run_tasks_with_topology, sim_run, thread_run_with_topology, virtual_run, Comm, CostMap,
-    DistMatrix, ExecComm, ExecRunResult, RankTask, SimOptions, Step,
-};
-use srumma_dense::Matrix;
+use crate::run::{Backend, RankReport, Run};
+use crate::srumma::{SrummaMachine, SrummaReport};
+use srumma_comm::{Comm, CostMap, DistMatrix, ExecComm, RankTask, Step};
 use srumma_model::{Machine, ProcGrid, Topology};
 use srumma_sim::RunStats;
 
@@ -245,15 +243,6 @@ impl HierStageSet {
     }
 }
 
-/// Per-rank summary of a hierarchical multiply.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HierReport {
-    /// The compute phase's ordinary SRUMMA report.
-    pub report: SrummaReport,
-    /// Panels this rank fetched over the network on its group's behalf.
-    pub staged_panels: usize,
-}
-
 /// Run this rank's staging duties: overlap the elected network gets,
 /// land each panel in the group's staging matrix, and fence so the puts
 /// are complete at their targets. The caller must still barrier before
@@ -305,7 +294,7 @@ pub fn srumma_hier<C: Comm>(
     c: &DistMatrix,
     opts: &SrummaOptions,
     stages: &HierStageSet,
-) -> HierReport {
+) -> RankReport {
     let topo = stages.topo;
     let base = stages.base;
     assert_eq!(
@@ -330,9 +319,10 @@ pub fn srumma_hier<C: Comm>(
     while machine.step(comm) {}
     let report = machine.finish(comm);
     comm.barrier();
-    HierReport {
-        report,
+    RankReport {
+        srumma: Some(report),
         staged_panels,
+        team: 0,
     }
 }
 
@@ -397,9 +387,9 @@ impl<'a> HierRankTask<'a> {
 }
 
 impl RankTask for HierRankTask<'_> {
-    type Out = HierReport;
+    type Out = RankReport;
 
-    fn step(&mut self) -> Step<HierReport> {
+    fn step(&mut self) -> Step<RankReport> {
         if self.phase == Phase::Stage {
             let me = self.stages.base + self.comm.rank();
             let (sa, sb) = self.stages.stages_for(me);
@@ -459,9 +449,10 @@ impl RankTask for HierRankTask<'_> {
             self.phase = Phase::CloseBarrier;
         }
         if self.comm.barrier_try() {
-            Step::Done(HierReport {
-                report: self.report.take().expect("report set above"),
+            Step::Done(RankReport {
+                srumma: Some(self.report.take().expect("report set above")),
                 staged_panels: self.staged_panels,
+                team: 0,
             })
         } else {
             Step::Park
@@ -471,80 +462,6 @@ impl RankTask for HierRankTask<'_> {
     fn take_trace(&mut self) -> (Vec<srumma_trace::TraceEvent>, srumma_trace::Counters) {
         self.comm.recorder().take()
     }
-}
-
-/// Hierarchical [`crate::driver::multiply_threads`]: real data on real
-/// host threads with an emulated cluster topology of `ranks_per_node`
-/// ranks per node. Returns `(C, wall seconds)`.
-pub fn multiply_threads_hier(
-    nranks: usize,
-    ranks_per_node: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, f64) {
-    let topo = Topology::new(nranks, ranks_per_node);
-    let grid = crate::driver::default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let (spec, dc) = &fresh_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let stages = HierStageSet::create(spec, grid, topo, true);
-    let res = thread_run_with_topology(nranks, topo, |comm| {
-        srumma_hier(comm, spec, &da, &db, dc, opts, &stages);
-    });
-    (dc.gather(), res.wall_seconds)
-}
-
-/// Hierarchical [`crate::driver::multiply_exec`]: rank state machines
-/// on the work-stealing executor under an emulated cluster topology.
-pub fn multiply_exec_hier(
-    nranks: usize,
-    workers: usize,
-    ranks_per_node: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, ExecRunResult<HierReport>) {
-    let topo = Topology::new(nranks, ranks_per_node);
-    let grid = crate::driver::default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let (spec, dc) = &fresh_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let stages = HierStageSet::create(spec, grid, topo, true);
-    let res = exec_run_tasks_with_topology(nranks, workers, false, Some(topo), |comm| {
-        Box::new(HierRankTask::new(comm, spec, &da, &db, dc, opts, &stages))
-    });
-    (dc.gather(), res)
-}
-
-/// Hierarchical [`crate::driver::multiply_verified`]: real data under
-/// the discrete-event simulator, with the topology taken from the
-/// machine profile. Returns `(C, stats)` — `stats` carries the
-/// inter-node/intra-group byte split.
-pub fn multiply_verified_hier(
-    machine: &Machine,
-    nranks: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, RunStats) {
-    let topo = machine.topology(nranks);
-    let grid = crate::driver::default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let (spec, dc) = &fresh_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let stages = HierStageSet::create(spec, grid, topo, true);
-    let sim_opts = SimOptions::new(machine.clone(), nranks);
-    let res = sim_run(&sim_opts, |comm| {
-        srumma_hier(comm, spec, &da, &db, dc, opts, &stages);
-    });
-    (dc.gather(), res.stats)
 }
 
 /// Modeled hierarchical run on the per-rank virtual-clock backend —
@@ -557,16 +474,7 @@ pub fn measure_hier_virtual(
     opts: &SrummaOptions,
     spec: &GemmSpec,
 ) -> RunStats {
-    let topo = machine.topology(nranks);
-    let grid = crate::driver::default_grid(nranks);
-    let da = dist_a(spec, grid, false);
-    let db = dist_b(spec, grid, false);
-    let (spec, dc) = &fresh_c(spec, grid, false);
-    let stages = HierStageSet::create(spec, grid, topo, false);
-    virtual_run(machine, nranks, workers, |comm| {
-        srumma_hier(comm, spec, &da, &db, dc, opts, &stages);
-    })
-    .stats
+    measure_virtual(machine, nranks, workers, opts, spec, true)
 }
 
 /// Modeled **flat** run on the virtual-clock backend — the baseline the
@@ -579,22 +487,28 @@ pub fn measure_flat_virtual(
     opts: &SrummaOptions,
     spec: &GemmSpec,
 ) -> RunStats {
-    let grid = crate::driver::default_grid(nranks);
-    let da = dist_a(spec, grid, false);
-    let db = dist_b(spec, grid, false);
-    let (spec, dc) = &fresh_c(spec, grid, false);
-    virtual_run(machine, nranks, workers, |comm| {
-        srumma(comm, spec, &da, &db, dc, opts);
-    })
-    .stats
+    measure_virtual(machine, nranks, workers, opts, spec, false)
+}
+
+fn measure_virtual(
+    machine: &Machine,
+    nranks: usize,
+    workers: usize,
+    opts: &SrummaOptions,
+    spec: &GemmSpec,
+    hier: bool,
+) -> RunStats {
+    let backend = Backend::Virtual { machine, workers };
+    let run = Run::new(*spec, nranks, Algorithm::Srumma(*opts), backend);
+    Run { hier, ..run }.execute_or_panic().stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::serial_reference;
-    use crate::layout::dist_c;
-    use srumma_dense::max_abs_diff;
+    use crate::run::RunOutput;
+    use srumma_dense::{max_abs_diff, Matrix};
 
     /// The election rule and `CostMap::Staged::cost_rank` are the same
     /// formula — if they diverge, costs lie about where staged data
@@ -683,27 +597,28 @@ mod tests {
         }
     }
 
-    /// A flat run under the **same topology** (same SMP-first task
-    /// order, hence same summation order) as a bitwise baseline for
-    /// the hierarchical run: staging changes only the data path, never
-    /// the values or the dgemm sequence.
-    fn flat_threads_with_topology(
-        nranks: usize,
-        topo: Topology,
-        opts: &SrummaOptions,
+    /// SRUMMA on real data under an emulated topology of `rpn` ranks
+    /// per node, flat or staged. The flat run under the **same
+    /// topology** (same SMP-first task order, hence same summation
+    /// order) is the bitwise baseline for the hierarchical one: staging
+    /// changes only the data path, never the values or the dgemm
+    /// sequence.
+    fn run_with_topology(
+        backend: Backend<'_>,
+        rpn: usize,
+        hier: bool,
         spec: &GemmSpec,
         a: &Matrix,
         b: &Matrix,
-    ) -> Matrix {
-        let grid = crate::driver::default_grid(nranks);
-        let da = dist_a(spec, grid, true);
-        let db = dist_b(spec, grid, true);
-        let dc = dist_c(spec, grid, true);
-        scatter_operands(spec, &da, &db, a, b);
-        thread_run_with_topology(nranks, topo, |comm| {
-            srumma(comm, spec, &da, &db, &dc, opts);
-        });
-        dc.gather()
+    ) -> RunOutput {
+        Run {
+            operands: Some((a, b)),
+            ranks_per_node: Some(rpn),
+            hier,
+            ..Run::new(*spec, 8, Algorithm::srumma_default(), backend)
+        }
+        .execute()
+        .unwrap()
     }
 
     /// The hierarchical thread run computes exactly the same-topology
@@ -723,11 +638,10 @@ mod tests {
                 want[(i, j)] *= spec.alpha;
             }
         }
-        let opts = SrummaOptions::default();
         for rpn in [1, 2, 4, 8] {
-            let topo = Topology::new(8, rpn);
-            let flat = flat_threads_with_topology(8, topo, &opts, &spec, &a, &b);
-            let (hier, _) = multiply_threads_hier(8, rpn, &opts, &spec, &a, &b);
+            let flat = run_with_topology(Backend::Threads, rpn, false, &spec, &a, &b);
+            let hier = run_with_topology(Backend::Threads, rpn, true, &spec, &a, &b);
+            let (flat, hier) = (flat.c.unwrap(), hier.c.unwrap());
             assert_eq!(
                 max_abs_diff(&hier, &flat),
                 0.0,
@@ -744,14 +658,13 @@ mod tests {
         let spec = GemmSpec::square(24);
         let a = Matrix::random(24, 24, 43);
         let b = Matrix::random(24, 24, 44);
-        let opts = SrummaOptions::default();
         // Nodes of 2 on the 2x4 grid: each node is half a grid row, so
         // the row's other half is off-node A demand shared by both
         // members — real staging work.
-        let flat = flat_threads_with_topology(8, Topology::new(8, 2), &opts, &spec, &a, &b);
-        let (hier, res) = multiply_exec_hier(8, 2, 2, &opts, &spec, &a, &b);
-        assert_eq!(max_abs_diff(&hier, &flat), 0.0);
-        assert!(res.outputs.iter().any(|r| r.staged_panels > 0));
+        let flat = run_with_topology(Backend::Threads, 2, false, &spec, &a, &b);
+        let hier = run_with_topology(Backend::Exec { workers: 2 }, 2, true, &spec, &a, &b);
+        assert_eq!(max_abs_diff(&hier.c.unwrap(), &flat.c.unwrap()), 0.0);
+        assert!(hier.reports.iter().any(|r| r.staged_panels > 0));
     }
 
     /// Simulator backend: the numeric result is right *and* the staged
@@ -771,16 +684,19 @@ mod tests {
         let a = Matrix::random(32, 32, 45);
         let b = Matrix::random(32, 32, 46);
         let want = serial_reference(&spec, &a, &b);
-        let (flat_c, flat_stats) = crate::driver::multiply_verified(
-            &machine,
-            16,
-            &crate::api::Algorithm::srumma_default(),
-            &spec,
-            &a,
-            &b,
-        );
-        let (hier_c, hier_stats) =
-            multiply_verified_hier(&machine, 16, &SrummaOptions::default(), &spec, &a, &b);
+        let flat = Run {
+            operands: Some((&a, &b)),
+            ..Run::new(
+                spec,
+                16,
+                Algorithm::srumma_default(),
+                Backend::Sim(&machine),
+            )
+        };
+        let hier = Run { hier: true, ..flat }.execute().unwrap();
+        let flat = flat.execute().unwrap();
+        let (flat_c, flat_stats) = (flat.c.unwrap(), flat.stats);
+        let (hier_c, hier_stats) = (hier.c.unwrap(), hier.stats);
         assert!(max_abs_diff(&flat_c, &want) < 1e-10);
         assert_eq!(max_abs_diff(&hier_c, &flat_c), 0.0);
         let flat_net = flat_stats.total_internode_bytes();

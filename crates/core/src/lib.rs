@@ -16,21 +16,24 @@
 //! All three are generic over [`srumma_comm::Comm`], so they run
 //! unchanged under the virtual-time machine simulator (paper-scale
 //! experiments on the four modeled platforms) and on real host threads
-//! (genuine parallel speedup; see the `quickstart` example).
+//! (genuine parallel speedup; see the `quickstart` example). One value,
+//! [`run::Run`], says which: backend, tracing, faults, masks, staging
+//! and replication are its fields, and [`run::Run::validate`] names the
+//! combinations that cannot work.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use srumma_core::{Algorithm, GemmSpec};
-//! use srumma_core::driver::{multiply_threads, serial_reference};
+//! use srumma_core::{Algorithm, Backend, GemmSpec, Run};
+//! use srumma_core::driver::serial_reference;
 //! use srumma_dense::Matrix;
 //!
 //! let spec = GemmSpec::square(64);
-//! let a = Matrix::random(64, 64, 1);
-//! let b = Matrix::random(64, 64, 2);
-//! let (c, _secs) = multiply_threads(4, &Algorithm::srumma_default(), &spec, &a, &b);
+//! let (a, b) = (Matrix::random(64, 64, 1), Matrix::random(64, 64, 2));
+//! let run = Run::new(spec, 4, Algorithm::srumma_default(), Backend::Threads);
+//! let out = Run { operands: Some((&a, &b)), ..run }.execute().unwrap();
 //! let expect = serial_reference(&spec, &a, &b);
-//! assert!(srumma_dense::max_abs_diff(&c, &expect) < 1e-9);
+//! assert!(srumma_dense::max_abs_diff(&out.c.unwrap(), &expect) < 1e-9);
 //! ```
 
 pub mod api;
@@ -43,6 +46,7 @@ pub mod layout;
 pub mod memory;
 pub mod options;
 pub mod repl;
+pub mod run;
 pub mod srumma;
 pub mod summa;
 pub mod taskorder;
@@ -55,16 +59,10 @@ pub use batch::{
 };
 pub use chaos::{ChaosRecovery, ChaosSrummaRankTask};
 pub use driver::SparseMasks;
-pub use hier::{
-    multiply_exec_hier, multiply_threads_hier, multiply_verified_hier, srumma_hier, HierRankTask,
-    HierReport, HierStageSet, HierStages,
-};
+pub use hier::{srumma_hier, HierRankTask, HierStageSet, HierStages};
 pub use options::{GemmSpec, ReplicationFactor, ShmemFlavor, SrummaOptions, TunerConfig};
-pub use repl::{
-    multiply_exec_replicated, multiply_threads_replicated, multiply_threads_replicated_hier,
-    multiply_verified_replicated, resolve_factor, srumma_replicated, srumma_replicated_hier,
-    ReplReport, ReplSet,
-};
+pub use repl::{resolve_factor, srumma_replicated, ReplSet};
+pub use run::{Backend, RankReport, Run, RunError, RunOutput};
 pub use srumma::{srumma as srumma_gemm, SrummaMachine, SrummaRankTask, SrummaReport};
 pub use summa::SummaOptions;
 pub use tune::{

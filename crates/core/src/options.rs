@@ -96,9 +96,9 @@ pub enum ShmemFlavor {
 pub enum ReplicationFactor {
     /// No replication — the flat algorithm.
     One,
-    /// Exactly `c` teams. The run panics if `c` is inadmissible
-    /// (must divide the rank count, respect node boundaries, and not
-    /// exceed `k`).
+    /// Exactly `c` teams. An inadmissible `c` (it must divide the rank
+    /// count, respect node boundaries, and not exceed `k`) is
+    /// [`crate::run::RunError::Replication`].
     Fixed(usize),
     /// The largest admissible `c` whose per-rank replicated footprint
     /// (see [`crate::memory::replicated_arena_footprint`]) fits the

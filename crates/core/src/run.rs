@@ -1,0 +1,440 @@
+//! The run plan: one value describes a multiply, one path prepares it,
+//! one check decides whether it is legal.
+//!
+//! The algorithms are generic over [`Comm`], so backend, tracing,
+//! faults, masks, node-group staging and replication are independent
+//! choices. [`Run`] holds them as fields, [`Run::validate`] names every
+//! combination that cannot work as a [`RunError`], and [`Run::execute`]
+//! does the one `grid → dist → fresh C → scatter → masks → stage sets →
+//! launch → gather` sequence, choosing the rank body once.
+
+use crate::api::{parallel_gemm, Algorithm};
+use crate::chaos::{ChaosRecovery, ChaosSrummaRankTask};
+use crate::driver::{default_grid, SparseMasks};
+use crate::hier::{srumma_hier, HierRankTask, HierStageSet};
+use crate::layout::{dist_a, dist_b, fresh_c, scatter_operands};
+use crate::options::{GemmSpec, ReplicationFactor};
+use crate::repl::{resolve_factor, srumma_replicated, ReplSet};
+use crate::srumma::{SrummaRankTask, SrummaReport};
+use srumma_comm::{
+    exec_launch, exec_run_tasks, sim_run, thread_launch, virtual_run, ChaosComm, Comm, DistMatrix,
+    ExecRunResult, FaultPlan, FaultPlanError, SimOptions,
+};
+use srumma_dense::{Matrix, Op};
+use srumma_model::{Machine, Topology};
+use srumma_sim::RunStats;
+use srumma_trace::TraceEvent;
+use std::time::Instant;
+
+/// Where the ranks run.
+#[derive(Clone, Copy, Debug)]
+pub enum Backend<'a> {
+    /// The discrete-event simulator (virtual time, NIC contention).
+    Sim(&'a Machine),
+    /// Per-rank LogGP clocks on `workers` host threads (`0` = auto): the
+    /// 64k-rank path — shape-only, one-sided algorithms only.
+    Virtual {
+        machine: &'a Machine,
+        workers: usize,
+    },
+    /// One OS thread per rank, wall clock.
+    Threads,
+    /// Logical ranks on a work-stealing pool of `workers` threads
+    /// (`0` = auto), wall clock.
+    Exec { workers: usize },
+}
+
+/// One multiply, fully described. Fields are independent of each other;
+/// [`Run::validate`] says which combinations are legal.
+#[derive(Clone, Copy, Debug)]
+pub struct Run<'a> {
+    /// Shapes, transposes and `α`. The run creates `C` zero, so `β` is
+    /// moot.
+    pub spec: GemmSpec,
+    /// Ranks, laid out on [`default_grid`].
+    pub nranks: usize,
+    pub algorithm: Algorithm,
+    pub backend: Backend<'a>,
+    /// The logical `m × k` and `k × n` operands; `None` = shape-only
+    /// matrices (timing without data, virtual-time backends only).
+    pub operands: Option<(&'a Matrix, &'a Matrix)>,
+    /// Block-sparsity masks (SRUMMA task pruning).
+    pub masks: Option<&'a SparseMasks>,
+    /// Stragglers, get spikes and (executor only) one rank death.
+    pub faults: Option<&'a FaultPlan>,
+    /// Emulated cluster topology on the wall-clock backends; the
+    /// virtual-time backends take theirs from the [`Machine`].
+    pub ranks_per_node: Option<usize>,
+    /// Two-level node-group staging ([`crate::hier`]).
+    pub hier: bool,
+    /// `c`-fold replication ([`crate::repl`]).
+    pub replication: ReplicationFactor,
+    /// Record the event timeline.
+    pub trace: bool,
+}
+
+/// Why a [`Run`] cannot execute.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RunError {
+    NoRanks,
+    /// `what` (operand `"A"`/`"B"`: `m × k`/`k × n`; `"mask A"`/
+    /// `"mask B"`: the `p × q` process grid) has the wrong shape.
+    Shape {
+        what: &'static str,
+        want: (usize, usize),
+        got: (usize, usize),
+    },
+    /// The fault plan does not fit the run; a death off the executor is
+    /// [`FaultPlanError::DeathNeedsExecutor`].
+    Faults(FaultPlanError),
+    /// Nodes of `ranks_per_node` ranks do not tile the `window` they
+    /// stage for (the machine, or one replica team).
+    NodeGroups {
+        window: usize,
+        ranks_per_node: usize,
+    },
+    /// `ReplicationFactor::Fixed(c)` is inadmissible: `c` must divide
+    /// `nranks`, leave whole nodes per team, and not exceed `k`.
+    Replication {
+        c: usize,
+        nranks: usize,
+        ranks_per_node: usize,
+        k: usize,
+    },
+    /// A combination of fields no code path can honour; the string says
+    /// why.
+    Unsupported(&'static str),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{self:?}")
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<FaultPlanError> for RunError {
+    fn from(e: FaultPlanError) -> Self {
+        RunError::Faults(e)
+    }
+}
+
+/// One rank's summary of a run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RankReport {
+    /// SRUMMA's task/fetch counters: `None` for SUMMA and Cannon, the
+    /// team-local sweep when replicated, partial for a rank that died.
+    pub srumma: Option<SrummaReport>,
+    /// Panels this rank fetched over the network for its node group.
+    pub staged_panels: usize,
+    /// This rank's replica team.
+    pub team: usize,
+}
+
+/// What a [`Run`] produced.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The gathered product (`None` for a shape-only run).
+    pub c: Option<Matrix>,
+    /// Per-rank and aggregate metrics, in virtual seconds on `Sim` and
+    /// `Virtual`; `stats.exec` is set on the pool-backed backends.
+    pub stats: RunStats,
+    /// Merged event timeline (empty unless `trace`).
+    pub trace: Vec<TraceEvent>,
+    /// Host wall-clock seconds of the parallel section.
+    pub wall_seconds: f64,
+    /// One per rank; none on `Backend::Virtual`.
+    pub reports: Vec<RankReport>,
+    /// The resolved replication factor (`1` when not replicated).
+    pub replication: usize,
+}
+
+struct FlatMats {
+    spec: GemmSpec,
+    a: DistMatrix,
+    b: DistMatrix,
+    c: DistMatrix,
+}
+
+/// The distributed state of one prepared run (one value per run, built
+/// in place and only ever borrowed — the size gap costs nothing).
+#[allow(clippy::large_enum_variant)]
+enum Mats {
+    Flat(FlatMats, Option<HierStageSet>),
+    Replicated(ReplSet, Option<Vec<HierStageSet>>),
+}
+
+/// What every launcher hands back: reports, stats, trace, wall seconds.
+type Launched = (Vec<RankReport>, RunStats, Vec<TraceEvent>, f64);
+
+fn launched<T: Into<RankReport>>(res: ExecRunResult<T>) -> Launched {
+    let reports = res.outputs.into_iter().map(Into::into).collect();
+    (reports, res.stats, res.trace, res.wall_seconds)
+}
+
+impl From<SrummaReport> for RankReport {
+    fn from(srumma: SrummaReport) -> Self {
+        RankReport {
+            srumma: Some(srumma),
+            ..RankReport::default()
+        }
+    }
+}
+
+/// The rank program, chosen once by `(algorithm, hier, replication)`.
+fn rank_body<C: Comm>(comm: &mut C, algorithm: &Algorithm, mats: &Mats) -> RankReport {
+    match (mats, algorithm) {
+        (Mats::Flat(m, None), _) => RankReport {
+            srumma: parallel_gemm(comm, algorithm, &m.spec, &m.a, &m.b, &m.c),
+            ..RankReport::default()
+        },
+        (Mats::Flat(m, Some(stages)), Algorithm::Srumma(opts)) => {
+            srumma_hier(comm, &m.spec, &m.a, &m.b, &m.c, opts, stages)
+        }
+        (Mats::Replicated(set, stages), Algorithm::Srumma(opts)) => {
+            srumma_replicated(comm, set, stages.as_deref(), opts)
+        }
+        _ => unreachable!("validate() admits staging and replication for SRUMMA only"),
+    }
+}
+
+/// [`rank_body`] on a wall-clock backend: a fault plan becomes real
+/// sleeps through [`ChaosComm`].
+fn wall_body<C: Comm>(
+    comm: &mut C,
+    faults: Option<&FaultPlan>,
+    algorithm: &Algorithm,
+    mats: &Mats,
+) -> RankReport {
+    match faults {
+        Some(plan) => rank_body(&mut ChaosComm::new(comm, plan.clone()), algorithm, mats),
+        None => rank_body(comm, algorithm, mats),
+    }
+}
+
+impl<'a> Run<'a> {
+    /// The plain run: shape-only, dense, healthy, flat, unreplicated,
+    /// untraced. Set the other fields with struct-update syntax.
+    pub fn new(spec: GemmSpec, nranks: usize, algorithm: Algorithm, backend: Backend<'a>) -> Self {
+        Run {
+            spec,
+            nranks,
+            algorithm,
+            backend,
+            operands: None,
+            masks: None,
+            faults: None,
+            ranks_per_node: None,
+            hier: false,
+            replication: ReplicationFactor::One,
+            trace: false,
+        }
+    }
+
+    /// Whether this plan can execute. Touches no matrix data and starts
+    /// no thread.
+    pub fn validate(&self) -> Result<(), RunError> {
+        self.resolve().map(drop)
+    }
+
+    /// Every legality rule, in one place. Yields the run topology and
+    /// the resolved replication factor.
+    fn resolve(&self) -> Result<(Topology, usize), RunError> {
+        let Run { spec, nranks, .. } = *self;
+        if nranks == 0 {
+            return Err(RunError::NoRanks);
+        }
+        let grid = default_grid(nranks);
+        let shape = |what, want, got: (usize, usize)| {
+            (want == got)
+                .then_some(())
+                .ok_or(RunError::Shape { what, want, got })
+        };
+        if let Some((a, b)) = self.operands {
+            shape("A", (spec.m, spec.k), (a.rows(), a.cols()))?;
+            shape("B", (spec.k, spec.n), (b.rows(), b.cols()))?;
+        }
+        if let Some(masks) = self.masks {
+            for (what, mask) in [("mask A", &masks.a), ("mask B", &masks.b)] {
+                if let Some(m) = mask {
+                    shape(what, (grid.p, grid.q), (m.rows(), m.cols()))?;
+                }
+            }
+        }
+
+        let (machine, virtual_clock) = match self.backend {
+            Backend::Sim(machine) => (Some(machine), false),
+            Backend::Virtual { machine, .. } => (Some(machine), true),
+            Backend::Threads | Backend::Exec { .. } => (None, false),
+        };
+        let srumma = match self.algorithm {
+            Algorithm::Srumma(opts) => Some(opts),
+            _ => None,
+        };
+        let replicated = self.replication != ReplicationFactor::One;
+        let restructured = self.hier || replicated;
+        let death = self.faults.is_some_and(|plan| plan.death.is_some());
+        let unsupported = if machine.is_none() && self.operands.is_none() {
+            Some("wall-clock backends move real data: operands must be Some")
+        } else if machine.is_some() && self.ranks_per_node.is_some() {
+            Some("virtual-time backends take their topology from the Machine")
+        } else if self.ranks_per_node == Some(0) {
+            Some("a node holds at least one rank")
+        } else if srumma.is_none() && (self.masks.is_some() || restructured) {
+            Some("masks, node-group staging and replication are SRUMMA schedules")
+        } else if self.algorithm == Algorithm::Cannon
+            && (grid.p != grid.q || (spec.transa, spec.transb) != (Op::N, Op::N))
+        {
+            Some("Cannon needs a square process grid and C = A*B")
+        } else if virtual_clock
+            && (srumma.is_none() || self.operands.is_some() || self.trace || self.faults.is_some())
+        {
+            // Its barrier never blocks, so real data would race; it has
+            // no two-sided messages, recorder or fault hooks.
+            Some("the virtual-clock backend runs healthy, untraced, shape-only SRUMMA")
+        } else if self.masks.is_some() && replicated {
+            Some("masks are blocks of the machine grid; replica teams run on team grids")
+        } else if death && (srumma.is_none() || restructured) {
+            Some("only the flat SRUMMA rank machine can be handed to a survivor")
+        } else {
+            None
+        };
+        if let Some(why) = unsupported {
+            return Err(RunError::Unsupported(why));
+        }
+        if let Some(plan) = self.faults {
+            plan.validate(nranks)?;
+            if death && !matches!(self.backend, Backend::Exec { .. }) {
+                return Err(FaultPlanError::DeathNeedsExecutor.into());
+            }
+        }
+
+        let topo = match machine {
+            Some(machine) => machine.topology(nranks),
+            None => Topology::new(nranks, self.ranks_per_node.unwrap_or(nranks)),
+        };
+        let c = match srumma {
+            Some(opts) => resolve_factor(self.replication, nranks, topo, &spec, &opts)?,
+            None => 1,
+        };
+        let (window, ranks_per_node) = (nranks / c, topo.ranks_per_node());
+        if self.hier && !window.is_multiple_of(ranks_per_node) {
+            return Err(RunError::NodeGroups {
+                window,
+                ranks_per_node,
+            });
+        }
+        Ok((topo, c))
+    }
+
+    /// Validate, prepare, launch, gather.
+    pub fn execute(&self) -> Result<RunOutput, RunError> {
+        let (topology, replication) = self.resolve()?;
+        let (nranks, algorithm, faults) = (self.nranks, &self.algorithm, self.faults);
+        let real = self.operands.is_some();
+
+        let mats = if self.replication == ReplicationFactor::One {
+            let grid = default_grid(nranks);
+            let mut a = dist_a(&self.spec, grid, real);
+            let mut b = dist_b(&self.spec, grid, real);
+            let (spec, c) = fresh_c(&self.spec, grid, real);
+            if let Some((la, lb)) = self.operands {
+                scatter_operands(&spec, &a, &b, la, lb);
+            }
+            if let Some(masks) = self.masks {
+                masks.apply(&spec, &mut a, &mut b);
+            }
+            let stages = self
+                .hier
+                .then(|| HierStageSet::create(&spec, grid, topology, real));
+            Mats::Flat(FlatMats { spec, a, b, c }, stages)
+        } else {
+            let set = ReplSet::create(&self.spec, nranks, topology, replication, self.operands);
+            let stages = self.hier.then(|| set.hier_stage_sets(topology, real));
+            Mats::Replicated(set, stages)
+        };
+
+        // On the wall-clock backends the launchers emulate the topology.
+        let topo = Some(topology);
+        let (reports, stats, trace, wall_seconds) = match self.backend {
+            Backend::Sim(machine) => {
+                let mut opts = SimOptions::new(machine.clone(), nranks);
+                opts.trace = self.trace;
+                if let Some(plan) = faults {
+                    opts = opts.with_faults(plan.clone())?;
+                }
+                let t0 = Instant::now();
+                let res = sim_run(&opts, |comm| rank_body(comm, algorithm, &mats));
+                let wall_seconds = t0.elapsed().as_secs_f64();
+                (res.outputs, res.stats, res.trace, wall_seconds)
+            }
+            Backend::Virtual { machine, workers } => {
+                // At 64k ranks the executor would hold several copies of
+                // the per-rank reports; the modeled run is its `stats`.
+                let body = |comm: &mut _| {
+                    rank_body(comm, algorithm, &mats);
+                };
+                let res = virtual_run(machine, nranks, workers, body);
+                (Vec::new(), res.stats, Vec::new(), res.wall_seconds)
+            }
+            Backend::Threads => {
+                let body = |comm: &mut _| wall_body(comm, faults, algorithm, &mats);
+                let res = thread_launch(nranks, self.trace, topo, body);
+                (res.outputs, res.stats, res.trace, res.wall_seconds)
+            }
+            // SRUMMA ranks run as polled state machines where one exists
+            // for the schedule (no OS thread per rank); everything else
+            // runs its blocking body on a gated thread.
+            Backend::Exec { workers } => match (&mats, algorithm, faults) {
+                (Mats::Flat(m, None), Algorithm::Srumma(opts), None) => {
+                    launched(exec_run_tasks(nranks, workers, self.trace, topo, |comm| {
+                        Box::new(SrummaRankTask::new(comm, &m.spec, &m.a, &m.b, &m.c, opts))
+                    }))
+                }
+                (Mats::Flat(m, None), Algorithm::Srumma(opts), Some(plan)) => {
+                    // Declared after the matrices: any unclaimed machine
+                    // (borrowing them) drops with the queue first.
+                    let recovery = ChaosRecovery::new();
+                    let (spec, a, b, c) = (&m.spec, &m.a, &m.b, &m.c);
+                    launched(exec_run_tasks(nranks, workers, self.trace, topo, |comm| {
+                        let plan = plan.clone();
+                        Box::new(ChaosSrummaRankTask::new(
+                            comm, spec, a, b, c, opts, plan, &recovery,
+                        ))
+                    }))
+                }
+                (Mats::Flat(m, Some(stages)), Algorithm::Srumma(opts), None) => {
+                    let (spec, a, b, c) = (&m.spec, &m.a, &m.b, &m.c);
+                    launched(exec_run_tasks(nranks, workers, self.trace, topo, |comm| {
+                        Box::new(HierRankTask::new(comm, spec, a, b, c, opts, stages))
+                    }))
+                }
+                _ => {
+                    let body = |comm: &mut _| wall_body(comm, faults, algorithm, &mats);
+                    launched(exec_launch(nranks, workers, self.trace, topo, body))
+                }
+            },
+        };
+
+        let c = real.then(|| match &mats {
+            Mats::Flat(m, _) => m.c.gather(),
+            Mats::Replicated(set, _) => set.gather(),
+        });
+        Ok(RunOutput {
+            c,
+            stats,
+            trace,
+            wall_seconds,
+            reports,
+            replication,
+        })
+    }
+
+    /// [`Run::execute`] for the pinned positional drivers, whose
+    /// signatures have no error channel.
+    pub(crate) fn execute_or_panic(&self) -> RunOutput {
+        self.execute()
+            .unwrap_or_else(|e| panic!("invalid run plan: {e}"))
+    }
+}

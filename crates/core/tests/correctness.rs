@@ -2,10 +2,29 @@
 //! case × square and rectangular shapes × both backends, checked
 //! against the serial kernel.
 
-use srumma_core::driver::{multiply_threads, multiply_verified, serial_reference};
-use srumma_core::{Algorithm, GemmSpec, ShmemFlavor, SrummaOptions, SummaOptions};
+use srumma_core::driver::{multiply_threads, serial_reference};
+use srumma_core::{Algorithm, Backend, GemmSpec, Run, ShmemFlavor, SrummaOptions, SummaOptions};
 use srumma_dense::{max_abs_diff, Matrix, Op};
 use srumma_model::Machine;
+use srumma_sim::RunStats;
+
+/// Real data under the simulated `machine`: `(C, stats)`.
+fn multiply_verified(
+    machine: &Machine,
+    nranks: usize,
+    alg: &Algorithm,
+    spec: &GemmSpec,
+    a: &Matrix,
+    b: &Matrix,
+) -> (Matrix, RunStats) {
+    let out = Run {
+        operands: Some((a, b)),
+        ..Run::new(*spec, nranks, *alg, Backend::Sim(machine))
+    }
+    .execute()
+    .unwrap();
+    (out.c.unwrap(), out.stats)
+}
 
 fn check_sim(machine: &Machine, nranks: usize, alg: &Algorithm, spec: &GemmSpec, seed: u64) {
     let a = Matrix::random(spec.m, spec.k, seed);
@@ -280,7 +299,7 @@ fn caller_supplied_c_keeps_its_beta_on_every_backend() {
         }
         dc.scatter(&c0);
         let opts = SrummaOptions::default();
-        srumma_comm::exec_run_tasks(4, 2, false, |comm| {
+        srumma_comm::exec_run_tasks(4, 2, false, None, |comm| {
             Box::new(SrummaRankTask::new(comm, &spec, &da, &db, &dc, &opts))
         });
         check("srumma on exec_run_tasks");

@@ -4,10 +4,29 @@
 //! is empty still sweeps A/B panels).
 
 use srumma_comm::Comm;
-use srumma_core::driver::{multiply_threads, multiply_verified, serial_reference};
-use srumma_core::{Algorithm, GemmSpec};
+use srumma_core::driver::{multiply_threads, serial_reference};
+use srumma_core::{Algorithm, Backend, GemmSpec, Run};
 use srumma_dense::{max_abs_diff, Matrix, Op};
 use srumma_model::Machine;
+use srumma_sim::RunStats;
+
+/// Real data under the simulated `machine`: `(C, stats)`.
+fn multiply_verified(
+    machine: &Machine,
+    nranks: usize,
+    alg: &Algorithm,
+    spec: &GemmSpec,
+    a: &Matrix,
+    b: &Matrix,
+) -> (Matrix, RunStats) {
+    let out = Run {
+        operands: Some((a, b)),
+        ..Run::new(*spec, nranks, *alg, Backend::Sim(machine))
+    }
+    .execute()
+    .unwrap();
+    (out.c.unwrap(), out.stats)
+}
 
 fn check_threads(m: usize, n: usize, k: usize, nranks: usize) {
     for ta in [Op::N, Op::T] {

@@ -4,9 +4,9 @@
 //! unmodified blocking code on loan-gated threads.
 
 use srumma_core::driver::{
-    multiply_exec, multiply_exec_chaos, multiply_exec_traced, multiply_threads, serial_reference,
+    multiply_exec, multiply_exec_traced, multiply_threads, serial_reference,
 };
-use srumma_core::{Algorithm, GemmSpec, ShmemFlavor, SrummaOptions};
+use srumma_core::{Algorithm, Backend, GemmSpec, Run, ShmemFlavor, SrummaOptions};
 use srumma_dense::{max_abs_diff, Matrix, Op};
 
 fn check_exec(alg: &Algorithm, spec: &GemmSpec, nranks: usize, workers: usize) {
@@ -119,8 +119,19 @@ fn gated_and_reexecuted_ranks_compute_in_the_running_threads_scratch() {
     };
     let (healthy, _) = multiply_exec(9, 2, &Algorithm::Srumma(opts), &spec, &a, &b);
     let plan = srumma_comm::FaultPlan::healthy().with_death(4, 1);
-    let (chaotic, res) = multiply_exec_chaos(9, 2, &opts, &spec, &a, &b, &plan);
-    assert_eq!(max_abs_diff(&chaotic, &healthy), 0.0);
+    let res = Run {
+        operands: Some((&a, &b)),
+        faults: Some(&plan),
+        ..Run::new(
+            spec,
+            9,
+            Algorithm::Srumma(opts),
+            Backend::Exec { workers: 2 },
+        )
+    }
+    .execute()
+    .unwrap();
+    assert_eq!(max_abs_diff(&res.c.unwrap(), &healthy), 0.0);
     assert!(res.stats.total_tasks_reexecuted() > 0);
     assert!((1..=2).contains(&res.stats.exec.unwrap().ws_grows));
 }
@@ -173,7 +184,7 @@ fn panicking_fsm_rank_does_not_hang_the_run() {
         }
     }
     let result = std::panic::catch_unwind(|| {
-        exec_run_tasks(8, 2, false, |comm| Box::new(Bomb { comm, ticks: 0 }))
+        exec_run_tasks(8, 2, false, None, |comm| Box::new(Bomb { comm, ticks: 0 }))
     });
     assert!(
         result.is_err(),

@@ -17,14 +17,35 @@
 
 use srumma_core::driver::{multiply_threads, serial_reference};
 use srumma_core::repl::admissible_factor;
-use srumma_core::{
-    multiply_exec_hier, multiply_exec_replicated, multiply_threads_hier,
-    multiply_threads_replicated, multiply_threads_replicated_hier, multiply_verified_hier,
-    multiply_verified_replicated, Algorithm, GemmSpec, ReplicationFactor, SrummaOptions,
-};
+use srumma_core::{Algorithm, Backend, GemmSpec, ReplicationFactor, Run, RunOutput};
 use srumma_dense::{max_abs_diff, Matrix, Op, Rng};
 use srumma_model::machine::RanksPerDomain;
 use srumma_model::{Machine, Topology};
+
+/// One restructured SRUMMA run on real data: `rpn` ranks per emulated
+/// node (`None` on the simulator, whose machine profile sets it),
+/// staged when `hier`, split into `c` replica teams when given.
+#[allow(clippy::too_many_arguments)]
+fn restructured(
+    backend: Backend<'_>,
+    nranks: usize,
+    rpn: Option<usize>,
+    hier: bool,
+    c: Option<usize>,
+    spec: &GemmSpec,
+    a: &Matrix,
+    b: &Matrix,
+) -> RunOutput {
+    Run {
+        operands: Some((a, b)),
+        ranks_per_node: rpn,
+        hier,
+        replication: c.map_or(ReplicationFactor::One, ReplicationFactor::Fixed),
+        ..Run::new(*spec, nranks, Algorithm::srumma_default(), backend)
+    }
+    .execute()
+    .unwrap()
+}
 
 /// Small-integer matrix (entries in −4..=4): products and partial sums
 /// stay exactly representable in f64, making bitwise comparison valid
@@ -87,7 +108,6 @@ fn random_factor(rng: &mut Rng, nranks: usize, rpn: usize, k: usize) -> Option<u
 /// included).
 #[test]
 fn hier_threads_matches_flat_bitwise_on_integers() {
-    let opts = SrummaOptions::default();
     let alg = Algorithm::srumma_default();
     for case in 0..16u64 {
         let mut rng = Rng::new(0x41E2_0001 + case);
@@ -97,7 +117,17 @@ fn hier_threads_matches_flat_bitwise_on_integers() {
         let a = int_matrix(spec.m, spec.k, 900 + 2 * case);
         let b = int_matrix(spec.k, spec.n, 901 + 2 * case);
         let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
-        let (hier, _) = multiply_threads_hier(nranks, rpn, &opts, &spec, &a, &b);
+        let hier = restructured(
+            Backend::Threads,
+            nranks,
+            Some(rpn),
+            true,
+            None,
+            &spec,
+            &a,
+            &b,
+        );
+        let hier = hier.c.unwrap();
         assert_eq!(
             max_abs_diff(&hier, &flat),
             0.0,
@@ -111,7 +141,6 @@ fn hier_threads_matches_flat_bitwise_on_integers() {
 /// the serialized team reduction are value-preserving on integers.
 #[test]
 fn replicated_threads_matches_flat_bitwise_on_integers() {
-    let opts = SrummaOptions::default();
     let alg = Algorithm::srumma_default();
     for case in 0..12u64 {
         let mut rng = Rng::new(0x41E2_0002 + case);
@@ -124,16 +153,22 @@ fn replicated_threads_matches_flat_bitwise_on_integers() {
         let a = int_matrix(spec.m, spec.k, 930 + 2 * case);
         let b = int_matrix(spec.k, spec.n, 931 + 2 * case);
         let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
-        let factor = ReplicationFactor::Fixed(c);
         // The staged variant additionally needs replica windows to
         // cover whole node groups (`HierStageSet::create_window`);
         // `admissible_factor` only demands that when nodes are real
         // (nnodes > 1), so re-check before taking the hier path.
-        let (repl, got_c) = if rng.chance(0.5) && (nranks / c).is_multiple_of(rpn) {
-            multiply_threads_replicated_hier(nranks, rpn, factor, &opts, &spec, &a, &b)
-        } else {
-            multiply_threads_replicated(nranks, rpn, factor, &opts, &spec, &a, &b)
-        };
+        let hier = rng.chance(0.5) && (nranks / c).is_multiple_of(rpn);
+        let out = restructured(
+            Backend::Threads,
+            nranks,
+            Some(rpn),
+            hier,
+            Some(c),
+            &spec,
+            &a,
+            &b,
+        );
+        let (repl, got_c) = (out.c.unwrap(), out.replication);
         assert_eq!(got_c, c, "case {case}");
         assert_eq!(
             max_abs_diff(&repl, &flat),
@@ -148,7 +183,6 @@ fn replicated_threads_matches_flat_bitwise_on_integers() {
 /// reference.
 #[test]
 fn hier_and_replicated_float_within_k_scaled_tolerance() {
-    let opts = SrummaOptions::default();
     let alg = Algorithm::srumma_default();
     for case in 0..6u64 {
         let mut rng = Rng::new(0x41E2_0003 + case);
@@ -168,15 +202,34 @@ fn hier_and_replicated_float_within_k_scaled_tolerance() {
                 want[(i, j)] *= alpha;
             }
         }
-        let (hier, _) = multiply_threads_hier(nranks, rpn, &opts, &spec, &a, &b);
+        let hier = restructured(
+            Backend::Threads,
+            nranks,
+            Some(rpn),
+            true,
+            None,
+            &spec,
+            &a,
+            &b,
+        );
+        let hier = hier.c.unwrap();
         assert!(
             max_abs_diff(&hier, &flat) < tol && max_abs_diff(&hier, &want) < tol,
             "case {case}: hier rpn={rpn} k={k} diff={:e}",
             max_abs_diff(&hier, &want)
         );
         if let Some(c) = random_factor(&mut rng, nranks, rpn, spec.k) {
-            let factor = ReplicationFactor::Fixed(c);
-            let (repl, _) = multiply_threads_replicated(nranks, rpn, factor, &opts, &spec, &a, &b);
+            let out = restructured(
+                Backend::Threads,
+                nranks,
+                Some(rpn),
+                false,
+                Some(c),
+                &spec,
+                &a,
+                &b,
+            );
+            let repl = out.c.unwrap();
             assert!(
                 max_abs_diff(&repl, &flat) < tol && max_abs_diff(&repl, &want) < tol,
                 "case {case}: repl c={c} k={k} diff={:e}",
@@ -191,7 +244,6 @@ fn hier_and_replicated_float_within_k_scaled_tolerance() {
 /// must not change a bit of C.
 #[test]
 fn exec_oversubscribed_pools_match_flat_bitwise() {
-    let opts = SrummaOptions::default();
     let alg = Algorithm::srumma_default();
     for case in 0..8u64 {
         let mut rng = Rng::new(0x41E2_0004 + case);
@@ -202,23 +254,17 @@ fn exec_oversubscribed_pools_match_flat_bitwise() {
         let a = int_matrix(spec.m, spec.k, 990 + 2 * case);
         let b = int_matrix(spec.k, spec.n, 991 + 2 * case);
         let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
-        let (hier, _res) = multiply_exec_hier(nranks, workers, rpn, &opts, &spec, &a, &b);
+        let exec = Backend::Exec { workers };
+        let hier = restructured(exec, nranks, Some(rpn), true, None, &spec, &a, &b);
+        let hier = hier.c.unwrap();
         assert_eq!(
             max_abs_diff(&hier, &flat),
             0.0,
             "case {case}: exec hier nranks={nranks} workers={workers} rpn={rpn}"
         );
         if let Some(c) = random_factor(&mut rng, nranks, rpn, spec.k) {
-            let (repl, _) = multiply_exec_replicated(
-                nranks,
-                workers,
-                rpn,
-                ReplicationFactor::Fixed(c),
-                &opts,
-                &spec,
-                &a,
-                &b,
-            );
+            let out = restructured(exec, nranks, Some(rpn), false, Some(c), &spec, &a, &b);
+            let repl = out.c.unwrap();
             assert_eq!(
                 max_abs_diff(&repl, &flat),
                 0.0,
@@ -233,7 +279,6 @@ fn exec_oversubscribed_pools_match_flat_bitwise() {
 /// drivers.
 #[test]
 fn sim_backend_matches_flat_bitwise_on_integers() {
-    let opts = SrummaOptions::default();
     let alg = Algorithm::srumma_default();
     for case in 0..4u64 {
         let mut rng = Rng::new(0x41E2_0005 + case);
@@ -248,22 +293,17 @@ fn sim_backend_matches_flat_bitwise_on_integers() {
         let a = int_matrix(spec.m, spec.k, 1020 + 2 * case);
         let b = int_matrix(spec.k, spec.n, 1021 + 2 * case);
         let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
-        let (hier, _stats) = multiply_verified_hier(&machine, nranks, &opts, &spec, &a, &b);
+        let sim = Backend::Sim(&machine);
+        let hier = restructured(sim, nranks, None, true, None, &spec, &a, &b);
+        let hier = hier.c.unwrap();
         assert_eq!(
             max_abs_diff(&hier, &flat),
             0.0,
             "case {case}: sim hier nranks={nranks} rpn={rpn}"
         );
         if let Some(c) = random_factor(&mut rng, nranks, rpn, spec.k) {
-            let (repl, _stats, got_c) = multiply_verified_replicated(
-                &machine,
-                nranks,
-                ReplicationFactor::Fixed(c),
-                &opts,
-                &spec,
-                &a,
-                &b,
-            );
+            let out = restructured(sim, nranks, None, false, Some(c), &spec, &a, &b);
+            let (repl, got_c) = (out.c.unwrap(), out.replication);
             assert_eq!(got_c, c, "case {case}");
             assert_eq!(
                 max_abs_diff(&repl, &flat),
@@ -280,7 +320,6 @@ fn sim_backend_matches_flat_bitwise_on_integers() {
 /// (single-rank teams, every k-slice reduced serially into team 0).
 #[test]
 fn degenerate_groups_and_factors_match_flat_bitwise() {
-    let opts = SrummaOptions::default();
     let alg = Algorithm::srumma_default();
     let nranks = 8usize;
     let spec = GemmSpec::new(Op::N, Op::T, 33, 29, 24).with_scalars(2.0, 0.0);
@@ -288,27 +327,33 @@ fn degenerate_groups_and_factors_match_flat_bitwise() {
     let b = int_matrix(spec.k, spec.n, 78);
     let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
     for rpn in [1usize, nranks] {
-        let (hier, _) = multiply_threads_hier(nranks, rpn, &opts, &spec, &a, &b);
+        let hier = restructured(
+            Backend::Threads,
+            nranks,
+            Some(rpn),
+            true,
+            None,
+            &spec,
+            &a,
+            &b,
+        );
+        let hier = hier.c.unwrap();
         assert_eq!(max_abs_diff(&hier, &flat), 0.0, "threads hier rpn={rpn}");
-        let (ehier, res) = multiply_exec_hier(nranks, 2, rpn, &opts, &spec, &a, &b);
+        let exec = Backend::Exec { workers: 2 };
+        let out = restructured(exec, nranks, Some(rpn), true, None, &spec, &a, &b);
+        let (ehier, reports) = (out.c.unwrap(), out.reports);
         assert_eq!(max_abs_diff(&ehier, &flat), 0.0, "exec hier rpn={rpn}");
         // No group can share an off-node panel at either extreme.
         assert!(
-            res.outputs.iter().all(|r| r.staged_panels == 0),
+            reports.iter().all(|r| r.staged_panels == 0),
             "rpn={rpn} staged panels in a degenerate topology"
         );
     }
     // Whole-machine node => single domain => every c | nranks (≤ k) is
     // admissible, including single-rank teams.
-    let (repl, got_c) = multiply_threads_replicated(
-        nranks,
-        nranks,
-        ReplicationFactor::Fixed(nranks),
-        &opts,
-        &spec,
-        &a,
-        &b,
-    );
+    let whole = Some(nranks);
+    let out = restructured(Backend::Threads, nranks, whole, false, whole, &spec, &a, &b);
+    let (repl, got_c) = (out.c.unwrap(), out.replication);
     assert_eq!(got_c, nranks);
     assert_eq!(max_abs_diff(&repl, &flat), 0.0, "full replication c=nranks");
 }

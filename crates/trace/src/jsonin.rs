@@ -11,8 +11,7 @@
 //!
 //! (This module started life in `srumma-bench`; it moved down to the
 //! trace crate so `srumma-core` — which cannot depend on the bench
-//! harness — can parse host profiles. `srumma_bench::jsonin` re-exports
-//! it unchanged.)
+//! harness — can parse host profiles.)
 
 use std::collections::BTreeMap;
 

@@ -7,9 +7,8 @@
 //! # then open results/trace_threads.json in ui.perfetto.dev
 //! ```
 
-use srumma::core::driver::{measure_traced, multiply_threads_traced};
 use srumma::trace::chrome_trace_json;
-use srumma::{Algorithm, GemmSpec, Machine, Matrix};
+use srumma::{Algorithm, Backend, GemmSpec, Machine, Matrix, Run};
 
 fn main() {
     std::fs::create_dir_all("results").expect("create results/");
@@ -19,7 +18,13 @@ fn main() {
     let spec = GemmSpec::square(n);
     let a = Matrix::random(n, n, 1);
     let b = Matrix::random(n, n, 2);
-    let (_, run) = multiply_threads_traced(4, &Algorithm::srumma_default(), &spec, &a, &b);
+    let run = Run {
+        operands: Some((&a, &b)),
+        trace: true,
+        ..Run::new(spec, 4, Algorithm::srumma_default(), Backend::Threads)
+    }
+    .execute()
+    .expect("a dense traced thread run is a legal plan");
     std::fs::write("results/trace_threads.json", chrome_trace_json(&run.trace))
         .expect("write trace");
     println!(
@@ -29,12 +34,19 @@ fn main() {
     println!("{}\n", run.stats.summary_json());
 
     // Simulated Linux/Myrinet cluster, virtual-time events.
-    let sim = measure_traced(
-        &Machine::linux_myrinet(),
-        16,
-        &Algorithm::srumma_default(),
-        &GemmSpec::square(2000),
-    );
+    let machine = Machine::linux_myrinet();
+    let cluster = Backend::Sim(&machine);
+    let sim = Run {
+        trace: true,
+        ..Run::new(
+            GemmSpec::square(2000),
+            16,
+            Algorithm::srumma_default(),
+            cluster,
+        )
+    }
+    .execute()
+    .expect("a shape-only traced simulator run is a legal plan");
     std::fs::write("results/trace_sim.json", chrome_trace_json(&sim.trace)).expect("write trace");
     println!(
         "sim backend: {} events from 16 ranks -> results/trace_sim.json",

@@ -3,6 +3,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== entry-point guard: a feature is a Run field, not another function =="
+# The seven survivors are the harness-pinned wrappers plus measure_gflops.
+entry_points=$(cat crates/core/src/{driver,hier,repl}.rs | grep -c 'pub fn \(multiply\|measure\)_')
+[ "$entry_points" -le 7 ] || { echo "FAIL: $entry_points multiply_*/measure_* drivers (max 7); add a field to core::run::Run" >&2; exit 1; }
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -19,6 +19,7 @@ pub use srumma_trace as trace;
 
 pub use srumma_comm::{ChaosComm, FaultPlan, RankDeath};
 pub use srumma_core::{Algorithm, GemmSpec, ShmemFlavor, SrummaOptions, SummaOptions};
+pub use srumma_core::{Backend, Run, RunError, RunOutput};
 pub use srumma_core::{BatchEntry, BatchResult, BatchSpec, ReplicationFactor, SparseMasks};
 pub use srumma_dense::{max_abs_diff, BlockMask, Matrix, Op};
 pub use srumma_model::{Machine, Platform, Topology};

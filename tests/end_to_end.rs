@@ -3,10 +3,27 @@
 //! claims hold in the model (small scale, so the suite stays fast; the
 //! full-scale numbers live in the bench harnesses / EXPERIMENTS.md).
 
-use srumma::core::driver::{
-    measure_gflops, measure_modeled, multiply_threads, multiply_verified, serial_reference,
-};
-use srumma::{Algorithm, GemmSpec, Machine, Matrix, Op};
+use srumma::core::driver::{measure_gflops, measure_modeled, multiply_threads, serial_reference};
+use srumma::sim::RunStats;
+use srumma::{Algorithm, Backend, GemmSpec, Machine, Matrix, Op, Run};
+
+/// Real data under the simulated `machine`: `(C, stats)`.
+fn multiply_verified(
+    machine: &Machine,
+    nranks: usize,
+    alg: &Algorithm,
+    spec: &GemmSpec,
+    a: &Matrix,
+    b: &Matrix,
+) -> (Matrix, RunStats) {
+    let out = Run {
+        operands: Some((a, b)),
+        ..Run::new(*spec, nranks, *alg, Backend::Sim(machine))
+    }
+    .execute()
+    .unwrap();
+    (out.c.unwrap(), out.stats)
+}
 
 #[test]
 fn facade_quickstart_flow() {
@@ -213,16 +230,21 @@ fn backends_agree_bitwise() {
 
 #[test]
 fn traced_runs_emit_perfetto_json_and_metrics_on_both_backends() {
-    use srumma::core::driver::{measure_traced, multiply_threads_traced};
     use srumma::trace::{bench_report_json, chrome_trace_json, TraceKind};
 
     // Thread backend: wall-clock events from a real multiply.
     let spec = GemmSpec::square(48);
     let a = Matrix::random(48, 48, 11);
     let b = Matrix::random(48, 48, 12);
-    let (c, run) = multiply_threads_traced(4, &Algorithm::srumma_default(), &spec, &a, &b);
+    let run = Run {
+        operands: Some((&a, &b)),
+        trace: true,
+        ..Run::new(spec, 4, Algorithm::srumma_default(), Backend::Threads)
+    }
+    .execute()
+    .unwrap();
     let expect = serial_reference(&spec, &a, &b);
-    assert!(srumma::dense::max_abs_diff(&c, &expect) < 1e-9);
+    assert!(srumma::dense::max_abs_diff(run.c.as_ref().unwrap(), &expect) < 1e-9);
     assert!(!run.trace.is_empty(), "traced run must record events");
     assert!(
         run.trace.iter().any(|e| e.kind == TraceKind::Task),
@@ -235,12 +257,18 @@ fn traced_runs_emit_perfetto_json_and_metrics_on_both_backends() {
     assert!(run.stats.ranks.iter().map(|r| r.tasks).sum::<u64>() > 0);
 
     // Simulator backend: virtual-time events from a modeled run.
-    let sim = measure_traced(
-        &Machine::linux_myrinet(),
-        8,
-        &Algorithm::srumma_default(),
-        &GemmSpec::square(2000),
-    );
+    let machine = Machine::linux_myrinet();
+    let sim = Run {
+        trace: true,
+        ..Run::new(
+            GemmSpec::square(2000),
+            8,
+            Algorithm::srumma_default(),
+            Backend::Sim(&machine),
+        )
+    }
+    .execute()
+    .unwrap();
     assert!(!sim.trace.is_empty());
     assert!(sim.trace.iter().any(|e| e.kind == TraceKind::Compute));
     assert!(sim.trace.iter().any(|e| e.kind == TraceKind::Task));
@@ -291,7 +319,6 @@ fn disabled_recorder_overhead_is_small() {
     // honest comparison available in-tree is untraced vs fully traced:
     // the disabled cost is strictly below the enabled cost measured
     // here. Timing-based, hence ignored by default to keep CI stable.
-    use srumma::core::driver::multiply_threads_traced;
     let spec = GemmSpec::square(64);
     let a = Matrix::random(64, 64, 1);
     let b = Matrix::random(64, 64, 2);
@@ -299,11 +326,13 @@ fn disabled_recorder_overhead_is_small() {
     let time = |traced: bool| {
         let t0 = std::time::Instant::now();
         for _ in 0..reps {
-            if traced {
-                let _ = multiply_threads_traced(4, &Algorithm::srumma_default(), &spec, &a, &b);
-            } else {
-                let _ = multiply_threads(4, &Algorithm::srumma_default(), &spec, &a, &b);
+            let run = Run::new(spec, 4, Algorithm::srumma_default(), Backend::Threads);
+            let _ = Run {
+                operands: Some((&a, &b)),
+                trace: traced,
+                ..run
             }
+            .execute();
         }
         t0.elapsed().as_secs_f64() / reps as f64
     };

@@ -8,15 +8,10 @@
 //! Set `SRUMMA_PROP_SEED` to pin one case or `SRUMMA_PROP_CASES` to
 //! widen the sweep (see `srumma::dense::prop`).
 
-use srumma::core::driver::{
-    default_grid, multiply_exec, multiply_exec_chaos, multiply_threads_chaos,
-    multiply_verified_chaos, multiply_verified_sparse_chaos, serial_reference,
-    sparse_serial_reference,
-};
+use srumma::core::driver::{default_grid, serial_reference, sparse_serial_reference};
 use srumma::dense::{max_abs_diff, prop_rerun, prop_seeds, Rng};
-use srumma::{
-    Algorithm, BlockMask, FaultPlan, GemmSpec, Machine, Matrix, SparseMasks, SrummaOptions,
-};
+use srumma::{Algorithm, BlockMask, FaultPlan, GemmSpec, Machine, Matrix, SparseMasks};
+use srumma::{Backend, Run, RunOutput};
 
 const CASES: u64 = 6;
 
@@ -28,6 +23,24 @@ fn tolerance(k: usize) -> f64 {
 /// Wall-clock backends sleep for real on injected faults — keep the
 /// injected latencies tiny so the suite stays fast.
 const WALL_SPIKE_SECONDS: f64 = 2e-4;
+
+/// SRUMMA (or `alg`) on real data under `plan`.
+fn multiply_under(
+    backend: Backend<'_>,
+    nranks: usize,
+    alg: Algorithm,
+    spec: &GemmSpec,
+    (a, b): (&Matrix, &Matrix),
+    plan: &FaultPlan,
+) -> RunOutput {
+    Run {
+        operands: Some((a, b)),
+        faults: Some(plan),
+        ..Run::new(*spec, nranks, alg, backend)
+    }
+    .execute()
+    .unwrap()
+}
 
 /// Straggler-plus-spike plans on all three backends: the injected
 /// delays stretch the schedule but the gathered C still matches the
@@ -44,12 +57,12 @@ fn straggled_backends_match_serial_reference() {
         let a = Matrix::random(spec.m, spec.k, seed ^ 0xA);
         let b = Matrix::random(spec.k, spec.n, seed ^ 0xB);
         let expect = serial_reference(&spec, &a, &b);
-        let opts = SrummaOptions::default();
+        let srumma = Algorithm::srumma_default();
         let plan =
             FaultPlan::random_stragglers(seed, nranks).with_get_spikes(0.25, WALL_SPIKE_SECONDS);
 
-        let (c_threads, _) = multiply_threads_chaos(nranks, &opts, &spec, &a, &b, &plan);
-        let d = max_abs_diff(&c_threads, &expect);
+        let threads = multiply_under(Backend::Threads, nranks, srumma, &spec, (&a, &b), &plan);
+        let d = max_abs_diff(&threads.c.unwrap(), &expect);
         assert!(
             d < tolerance(spec.k),
             "seed {seed:#x}: threads n={n} x{nranks}: |diff|={d:e}\n{}",
@@ -57,8 +70,9 @@ fn straggled_backends_match_serial_reference() {
         );
 
         let workers = *rng.pick(&[1usize, 2, 3, 4]);
-        let (c_exec, _) = multiply_exec_chaos(nranks, workers, &opts, &spec, &a, &b, &plan);
-        let d = max_abs_diff(&c_exec, &expect);
+        let exec = Backend::Exec { workers };
+        let exec = multiply_under(exec, nranks, srumma, &spec, (&a, &b), &plan);
+        let d = max_abs_diff(&exec.c.unwrap(), &expect);
         assert!(
             d < tolerance(spec.k),
             "seed {seed:#x}: exec n={n} x{nranks} on {workers} workers: |diff|={d:e}\n{}",
@@ -70,9 +84,10 @@ fn straggled_backends_match_serial_reference() {
         // path the one-sided algorithms never touch).
         let sim_plan = FaultPlan::random_stragglers(seed, nranks).with_get_spikes(0.25, 1e-3);
         let machine = Machine::linux_myrinet();
-        for alg in [Algorithm::Srumma(opts), Algorithm::summa_default()] {
-            let (c_sim, stats) =
-                multiply_verified_chaos(&machine, nranks, &alg, &spec, &a, &b, &sim_plan);
+        for alg in [srumma, Algorithm::summa_default()] {
+            let sim = Backend::Sim(&machine);
+            let sim = multiply_under(sim, nranks, alg, &spec, (&a, &b), &sim_plan);
+            let (c_sim, stats) = (sim.c.unwrap(), sim.stats);
             let d = max_abs_diff(&c_sim, &expect);
             assert!(
                 d < tolerance(spec.k),
@@ -100,11 +115,16 @@ fn rank_death_reexecution_is_bitwise_exact() {
         let spec = GemmSpec::square(32);
         let a = Matrix::random(spec.m, spec.k, seed ^ 0xA);
         let b = Matrix::random(spec.k, spec.n, seed ^ 0xB);
-        let opts = SrummaOptions::default();
+        let (srumma, exec) = (Algorithm::srumma_default(), Backend::Exec { workers });
 
-        let (healthy, _) = multiply_exec(nranks, workers, &Algorithm::Srumma(opts), &spec, &a, &b);
+        let healthy = Run {
+            operands: Some((&a, &b)),
+            ..Run::new(spec, nranks, srumma, exec)
+        };
+        let healthy = healthy.execute().unwrap().c.unwrap();
         let plan = FaultPlan::healthy().with_death(dead, after);
-        let (chaotic, res) = multiply_exec_chaos(nranks, workers, &opts, &spec, &a, &b, &plan);
+        let res = multiply_under(exec, nranks, srumma, &spec, (&a, &b), &plan);
+        let chaotic = res.c.unwrap();
 
         assert_eq!(
             max_abs_diff(&chaotic, &healthy),
@@ -120,7 +140,7 @@ fn rank_death_reexecution_is_bitwise_exact() {
             res.stats.total_tasks_reexecuted() > 0,
             "x{nranks} death(rank={dead}, after={after}): nobody re-executed anything"
         );
-        assert_eq!(res.outputs.len(), nranks, "every rank must complete");
+        assert_eq!(res.reports.len(), nranks, "every rank must complete");
     }
 }
 
@@ -131,11 +151,11 @@ fn death_past_the_task_list_never_fires() {
     let spec = GemmSpec::square(16);
     let a = Matrix::random(spec.m, spec.k, 0xF1);
     let b = Matrix::random(spec.k, spec.n, 0xF2);
-    let opts = SrummaOptions::default();
     let plan = FaultPlan::healthy().with_death(1, 1_000_000);
-    let (c, res) = multiply_exec_chaos(4, 2, &opts, &spec, &a, &b, &plan);
+    let (srumma, exec) = (Algorithm::srumma_default(), Backend::Exec { workers: 2 });
+    let res = multiply_under(exec, 4, srumma, &spec, (&a, &b), &plan);
     let expect = serial_reference(&spec, &a, &b);
-    assert!(max_abs_diff(&c, &expect) < tolerance(spec.k));
+    assert!(max_abs_diff(&res.c.unwrap(), &expect) < tolerance(spec.k));
     assert_eq!(res.stats.total_tasks_reexecuted(), 0);
 }
 
@@ -163,17 +183,20 @@ fn sparse_sim_chaos_matches_masked_reference() {
             BlockMask::random(grid.p, grid.q, density(&mut rng), seed ^ 0xBBBB),
         );
         let plan = FaultPlan::random_stragglers(seed, nranks).with_get_spikes(0.3, 1e-3);
-        let opts = SrummaOptions::default();
-        let (c, _) = multiply_verified_sparse_chaos(
-            &Machine::linux_myrinet(),
+        let machine = Machine::linux_myrinet();
+        let run = Run::new(
+            spec,
             nranks,
-            &opts,
-            &spec,
-            &a,
-            &b,
-            &masks,
-            &plan,
+            Algorithm::srumma_default(),
+            Backend::Sim(&machine),
         );
+        let run = Run {
+            operands: Some((&a, &b)),
+            masks: Some(&masks),
+            faults: Some(&plan),
+            ..run
+        };
+        let c = run.execute().unwrap().c.unwrap();
         let expect = sparse_serial_reference(&spec, &a, &b, &masks);
         let d = max_abs_diff(&c, &expect);
         assert!(
@@ -197,9 +220,11 @@ fn sim_chaos_runs_are_bit_for_bit_reproducible() {
     let b = Matrix::random(spec.k, spec.n, 0xD2);
     let plan = FaultPlan::random_stragglers(7, nranks).with_get_spikes(0.5, 2e-3);
     let machine = Machine::linux_myrinet();
-    let alg = Algorithm::srumma_default();
-    let (c1, s1) = multiply_verified_chaos(&machine, nranks, &alg, &spec, &a, &b, &plan);
-    let (c2, s2) = multiply_verified_chaos(&machine, nranks, &alg, &spec, &a, &b, &plan);
+    let (alg, sim) = (Algorithm::srumma_default(), Backend::Sim(&machine));
+    let run1 = multiply_under(sim, nranks, alg, &spec, (&a, &b), &plan);
+    let run2 = multiply_under(sim, nranks, alg, &spec, (&a, &b), &plan);
+    let (c1, s1) = (run1.c.unwrap(), run1.stats);
+    let (c2, s2) = (run2.c.unwrap(), run2.stats);
     assert_eq!(max_abs_diff(&c1, &c2), 0.0, "C must be bitwise stable");
     assert_eq!(
         s1.makespan.to_bits(),

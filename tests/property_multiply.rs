@@ -8,14 +8,12 @@
 //! `SRUMMA_PROP_SEED` to pin one case or `SRUMMA_PROP_CASES` to widen
 //! the sweep (see `srumma::dense::prop`).
 
-use srumma::core::driver::{
-    default_grid, multiply_exec, multiply_exec_sparse, multiply_threads, multiply_threads_sparse,
-    multiply_verified, multiply_verified_sparse, serial_reference, sparse_serial_reference,
-};
+use srumma::core::driver::{default_grid, serial_reference, sparse_serial_reference};
 use srumma::dense::{max_abs_diff, prop_rerun, prop_seeds, Rng};
 use srumma::{
     Algorithm, BlockMask, GemmSpec, Machine, Matrix, Op, ShmemFlavor, SparseMasks, SrummaOptions,
 };
+use srumma::{Backend, Run, RunOutput};
 
 const CASES: u64 = 24;
 
@@ -59,7 +57,7 @@ fn tolerance(k: usize) -> f64 {
 
 /// Which backend a property case runs on.
 #[derive(Clone, Copy, Debug)]
-enum Backend {
+enum Kind {
     /// One OS thread per rank (`ThreadComm`).
     Threads,
     /// Virtual-time simulator (`SimComm`).
@@ -69,9 +67,41 @@ enum Backend {
     Exec,
 }
 
+impl Kind {
+    fn backend<'a>(self, rng: &mut Rng, machine: &'a Machine) -> Backend<'a> {
+        match self {
+            Kind::Threads => Backend::Threads,
+            Kind::Sim => Backend::Sim(machine),
+            // Workers chosen independently of ranks: frequently an
+            // oversubscribed pool, sometimes more workers than ranks.
+            Kind::Exec => Backend::Exec {
+                workers: *rng.pick(&[1usize, 2, 3, 4]),
+            },
+        }
+    }
+}
+
+/// One multiply on real data: dense when `masks` is `None`.
+fn multiply(
+    backend: Backend<'_>,
+    nranks: usize,
+    alg: Algorithm,
+    spec: &GemmSpec,
+    (a, b): (&Matrix, &Matrix),
+    masks: Option<&SparseMasks>,
+) -> RunOutput {
+    Run {
+        operands: Some((a, b)),
+        masks,
+        ..Run::new(*spec, nranks, alg, backend)
+    }
+    .execute()
+    .unwrap()
+}
+
 /// `β·C + α·op(A)·op(B)` with a random nonzero starting C, checked
 /// against the serial kernel run on the same inputs.
-fn check_case(seed: u64, backend: Backend, test: &str) {
+fn check_case(seed: u64, backend: Kind, test: &str) {
     let mut rng = Rng::new(seed);
     let spec = random_spec(&mut rng);
     let nranks = *rng.pick(&[1usize, 2, 3, 4, 6, 8]);
@@ -95,16 +125,9 @@ fn check_case(seed: u64, backend: Backend, test: &str) {
         Algorithm::Srumma(random_srumma(&mut rng))
     };
 
-    let c = match backend {
-        Backend::Threads => multiply_threads(nranks, &alg, &spec, &a, &b).0,
-        Backend::Sim => multiply_verified(&Machine::linux_myrinet(), nranks, &alg, &spec, &a, &b).0,
-        Backend::Exec => {
-            // Workers chosen independently of ranks: frequently an
-            // oversubscribed pool, sometimes more workers than ranks.
-            let workers = *rng.pick(&[1usize, 2, 3, 4]);
-            multiply_exec(nranks, workers, &alg, &spec, &a, &b).0
-        }
-    };
+    let machine = Machine::linux_myrinet();
+    let on = backend.backend(&mut rng, &machine);
+    let c = multiply(on, nranks, alg, &spec, (&a, &b), None).c.unwrap();
     let diff = max_abs_diff(&c, &expect);
     assert!(
         diff < tolerance(spec.k),
@@ -142,7 +165,7 @@ fn random_masks(rng: &mut Rng, nranks: usize, seed: u64) -> SparseMasks {
 /// serial reference. The operands carry full random data *everywhere*
 /// — including inside masked blocks — so agreement proves the pruned
 /// schedule never reads a dead block.
-fn check_sparse_case(seed: u64, backend: Backend, test: &str) {
+fn check_sparse_case(seed: u64, backend: Kind, test: &str) {
     let mut rng = Rng::new(seed);
     let spec = random_spec(&mut rng);
     let nranks = *rng.pick(&[1usize, 2, 3, 4, 6, 8]);
@@ -160,25 +183,11 @@ fn check_sparse_case(seed: u64, backend: Backend, test: &str) {
         }
     }
 
-    let c = match backend {
-        Backend::Threads => multiply_threads_sparse(nranks, &opts, &spec, &a, &b, &masks).0,
-        Backend::Sim => {
-            multiply_verified_sparse(
-                &Machine::linux_myrinet(),
-                nranks,
-                &opts,
-                &spec,
-                &a,
-                &b,
-                &masks,
-            )
-            .0
-        }
-        Backend::Exec => {
-            let workers = *rng.pick(&[1usize, 2, 3, 4]);
-            multiply_exec_sparse(nranks, workers, &opts, &spec, &a, &b, &masks).0
-        }
-    };
+    let machine = Machine::linux_myrinet();
+    let on = backend.backend(&mut rng, &machine);
+    let alg = Algorithm::Srumma(opts);
+    let c = multiply(on, nranks, alg, &spec, (&a, &b), Some(&masks));
+    let c = c.c.unwrap();
     let diff = max_abs_diff(&c, &expect);
     assert!(
         diff < tolerance(spec.k),
@@ -201,7 +210,7 @@ fn threads_match_serial_reference_on_random_problems() {
     for seed in prop_seeds(0xE2E_7EAD, CASES) {
         check_case(
             seed,
-            Backend::Threads,
+            Kind::Threads,
             "threads_match_serial_reference_on_random_problems",
         );
     }
@@ -212,7 +221,7 @@ fn simulator_matches_serial_reference_on_random_problems() {
     for seed in prop_seeds(0xE2E_0512, CASES) {
         check_case(
             seed,
-            Backend::Sim,
+            Kind::Sim,
             "simulator_matches_serial_reference_on_random_problems",
         );
     }
@@ -223,7 +232,7 @@ fn executor_matches_serial_reference_on_random_problems() {
     for seed in prop_seeds(0xE2E_0EC5, CASES) {
         check_case(
             seed,
-            Backend::Exec,
+            Kind::Exec,
             "executor_matches_serial_reference_on_random_problems",
         );
     }
@@ -234,7 +243,7 @@ fn sparse_threads_match_masked_serial_reference() {
     for seed in prop_seeds(0x5BA_57EAD, CASES) {
         check_sparse_case(
             seed,
-            Backend::Threads,
+            Kind::Threads,
             "sparse_threads_match_masked_serial_reference",
         );
     }
@@ -245,7 +254,7 @@ fn sparse_simulator_matches_masked_serial_reference() {
     for seed in prop_seeds(0x5BA_50512, CASES) {
         check_sparse_case(
             seed,
-            Backend::Sim,
+            Kind::Sim,
             "sparse_simulator_matches_masked_serial_reference",
         );
     }
@@ -256,7 +265,7 @@ fn sparse_executor_matches_masked_serial_reference() {
     for seed in prop_seeds(0x5BA_50EC5, CASES) {
         check_sparse_case(
             seed,
-            Backend::Exec,
+            Kind::Exec,
             "sparse_executor_matches_masked_serial_reference",
         );
     }
@@ -281,25 +290,19 @@ fn density_one_is_bitwise_identical_to_dense() {
         let opts = random_srumma(&mut rng);
         let alg = Algorithm::Srumma(opts);
 
-        let (dense_t, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
-        let (sparse_t, _) = multiply_threads_sparse(nranks, &opts, &spec, &a, &b, &masks);
-        assert_eq!(
-            max_abs_diff(&dense_t, &sparse_t),
-            0.0,
-            "threads seed {seed}"
-        );
-
         let machine = Machine::linux_myrinet();
-        let (dense_s, _) = multiply_verified(&machine, nranks, &alg, &spec, &a, &b);
-        let (sparse_s, _) =
-            multiply_verified_sparse(&machine, nranks, &opts, &spec, &a, &b, &masks);
-        assert_eq!(max_abs_diff(&dense_s, &sparse_s), 0.0, "sim seed {seed}");
-
-        let (dense_e, dres) = multiply_exec(nranks, 2, &alg, &spec, &a, &b);
-        let (sparse_e, sres) = multiply_exec_sparse(nranks, 2, &opts, &spec, &a, &b, &masks);
-        assert_eq!(max_abs_diff(&dense_e, &sparse_e), 0.0, "exec seed {seed}");
-        for (rank, (d, s)) in dres.outputs.iter().zip(&sres.outputs).enumerate() {
-            let d = d.as_ref().unwrap();
+        let bitwise = |backend, what: &str| {
+            let dense = multiply(backend, nranks, alg, &spec, (&a, &b), None);
+            let sparse = multiply(backend, nranks, alg, &spec, (&a, &b), Some(&masks));
+            let diff = max_abs_diff(dense.c.as_ref().unwrap(), sparse.c.as_ref().unwrap());
+            assert_eq!(diff, 0.0, "{what} seed {seed}");
+            (dense, sparse)
+        };
+        bitwise(Backend::Threads, "threads");
+        bitwise(Backend::Sim(&machine), "sim");
+        let (dres, sres) = bitwise(Backend::Exec { workers: 2 }, "exec");
+        for (rank, (d, s)) in dres.reports.iter().zip(&sres.reports).enumerate() {
+            let (d, s) = (d.srumma.unwrap(), s.srumma.unwrap());
             assert_eq!(
                 s.tasks, d.tasks,
                 "rank {rank}: full mask changed the schedule"
@@ -332,12 +335,14 @@ fn one_surviving_block_per_operand() {
                     expect[(i, j)] *= spec.alpha;
                 }
             }
-            let opts = SrummaOptions::default();
-            let (c, res) = multiply_exec_sparse(nranks, 2, &opts, &spec, &a, &b, &masks);
-            let diff = max_abs_diff(&c, &expect);
+            let exec = Backend::Exec { workers: 2 };
+            let alg = Algorithm::srumma_default();
+            let res = multiply(exec, nranks, alg, &spec, (&a, &b), Some(&masks));
+            let diff = max_abs_diff(res.c.as_ref().unwrap(), &expect);
             assert!(diff < tolerance(spec.k), "{ta:?}/{tb:?}: |diff|={diff:e}");
-            let survived: usize = res.outputs.iter().map(|r| r.tasks).sum();
-            let masked: usize = res.outputs.iter().map(|r| r.masked_tasks).sum();
+            let reports = res.reports.iter().map(|r| r.srumma.unwrap());
+            let survived: usize = reports.clone().map(|r| r.tasks).sum();
+            let masked: usize = reports.map(|r| r.masked_tasks).sum();
             assert!(survived <= nranks, "{ta:?}/{tb:?}: too many tasks survived");
             assert!(masked > 0, "{ta:?}/{tb:?}: nothing was pruned");
         }
@@ -361,11 +366,16 @@ fn oversubscribed_sparse_executor_128_ranks_2_workers() {
         BlockMask::random(grid.p, grid.q, 0.3, 0xD3),
     );
     let expect = sparse_serial_reference(&spec, &a, &b, &masks);
-    let opts = SrummaOptions::default();
-    let (c, res) = multiply_exec_sparse(nranks, workers, &opts, &spec, &a, &b, &masks);
-    let diff = max_abs_diff(&c, &expect);
+    let exec = Backend::Exec { workers };
+    let alg = Algorithm::srumma_default();
+    let res = multiply(exec, nranks, alg, &spec, (&a, &b), Some(&masks));
+    let diff = max_abs_diff(res.c.as_ref().unwrap(), &expect);
     assert!(diff < tolerance(spec.k), "|diff|={diff:e}");
-    let masked: usize = res.outputs.iter().map(|r| r.masked_tasks).sum();
+    let masked: usize = res
+        .reports
+        .iter()
+        .map(|r| r.srumma.unwrap().masked_tasks)
+        .sum();
     assert!(
         masked > 0,
         "density 0.3 masks pruned nothing on a 128-rank grid"
