@@ -32,21 +32,30 @@
 //! per-kernel and raw-Strassen numbers sit alongside so regressions in
 //! any single kernel stay visible to `bench_diff`.
 //!
+//! Next to the ladder, the packers that feed it: `pack_ns_per_elem_
+//! {a,b}_{n,t}_{96,1536}` — nanoseconds per element to pack a whole
+//! `S × S` source the way the blocked loop does (`MC × KC` panels for A,
+//! `KC × NC` for B, at the dispatched kernel's `mr`/`nr`), for a
+//! cache-resident source (96², the block an 8×8-rank n = 768 run hands
+//! out) and an out-of-cache one (1536²). Lower is better.
+//!
 //! Usage: `cargo run --release -p srumma-bench --bin bench_dense_gemm
 //! [-- --quick] [-- --out PATH]`
 
 use srumma_bench::{fmt, print_table, write_bench_json, BenchArgs};
+use srumma_dense::aligned::AlignedBuf;
 use srumma_dense::blocked::STRASSEN_MIN_CUTOFF;
 use srumma_dense::gemm::gemm_flops;
-use srumma_dense::kernel::Microkernel;
+use srumma_dense::kernel::{active_kernel, Microkernel};
 use srumma_dense::naive::naive_gemm;
-use srumma_dense::{dgemm_ws, GemmWorkspace, Matrix, Op};
+use srumma_dense::pack::{pack_a, pack_b};
+use srumma_dense::{dgemm_ws, BlockSizes, GemmWorkspace, Matrix, Op};
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 use std::time::Instant;
 
-/// Best-of-samples GFLOP/s of `f` (a full `n³` multiply per call).
-fn measure<F: FnMut()>(n: usize, quick: bool, mut f: F) -> f64 {
+/// Best-of-samples seconds per call of `f`.
+fn best_seconds<F: FnMut()>(quick: bool, mut f: F) -> f64 {
     // Quick mode gates CI: enough samples/window that one scheduler
     // blip on a loaded runner cannot sink the best-of minimum.
     let (samples, target) = if quick { (5, 0.01) } else { (8, 0.02) };
@@ -63,7 +72,53 @@ fn measure<F: FnMut()>(n: usize, quick: bool, mut f: F) -> f64 {
         }
         best = best.min(t.elapsed().as_secs_f64() / iters as f64);
     }
-    gemm_flops(n, n, n) as f64 / best / 1e9
+    best
+}
+
+/// Best-of-samples GFLOP/s of `f` (a full `n³` multiply per call).
+fn measure<F: FnMut()>(n: usize, quick: bool, f: F) -> f64 {
+    gemm_flops(n, n, n) as f64 / best_seconds(quick, f) / 1e9
+}
+
+/// The four (operand, `Op`) pack cases over an `s × s` source, panel by
+/// panel as `blocked_gemm_ws` issues them; returns `(key suffix, ns per
+/// element)` per case.
+fn bench_pack(s: usize, quick: bool) -> Vec<(String, f64)> {
+    let kernel = active_kernel();
+    let (mr, nr) = (kernel.mr(), kernel.nr());
+    let BlockSizes { mc, kc, nc } = BlockSizes::default();
+    let src = Matrix::random(s, s, 3);
+    // Cache-line-aligned like the workspace's own panels: a sliver
+    // group straddling two lines would be measured, but never run.
+    let (mut apack, mut bpack) = (AlignedBuf::new(), AlignedBuf::new());
+    apack.grow_to(mc.div_ceil(mr) * mr * kc);
+    bpack.grow_to(nc.div_ceil(nr) * nr * kc);
+    let (apack, bpack) = (apack.as_mut_slice(), bpack.as_mut_slice());
+    let per_elem = 1e9 / (s * s) as f64; // seconds per source -> ns per element
+    let mut out = Vec::new();
+    for (op, tag) in [(Op::N, "n"), (Op::T, "t")] {
+        let ns = best_seconds(quick, || {
+            for l0 in (0..s).step_by(kc) {
+                for i0 in (0..s).step_by(mc) {
+                    let (m, k) = (mc.min(s - i0), kc.min(s - l0));
+                    pack_a(op, src.as_ref(), i0, l0, m, k, mr, apack);
+                }
+            }
+            std::hint::black_box(&mut *apack);
+        }) * per_elem;
+        out.push((format!("a_{tag}_{s}"), ns));
+        let ns = best_seconds(quick, || {
+            for l0 in (0..s).step_by(kc) {
+                for j0 in (0..s).step_by(nc) {
+                    let (k, n) = (kc.min(s - l0), nc.min(s - j0));
+                    pack_b(op, src.as_ref(), l0, j0, k, n, nr, bpack);
+                }
+            }
+            std::hint::black_box(&mut *bpack);
+        }) * per_elem;
+        out.push((format!("b_{tag}_{s}"), ns));
+    }
+    out
 }
 
 fn main() {
@@ -205,6 +260,25 @@ fn main() {
             "simd/scalar",
         ],
         &rows,
+    );
+
+    let mut pack_rows: Vec<Vec<String>> = Vec::new();
+    for s in [96, 1536] {
+        let mut row = vec![s.to_string()];
+        for (case, ns) in bench_pack(s, cfg.quick) {
+            metrics.num(&format!("pack_ns_per_elem_{case}"), ns);
+            row.push(format!("{ns:.3}"));
+        }
+        pack_rows.push(row);
+    }
+    print_table(
+        &format!(
+            "pack cost (ns per element, best of samples, sliver widths {}x{})",
+            active_kernel().mr(),
+            active_kernel().nr()
+        ),
+        &["source", "A N", "B N", "A T", "B T"],
+        &pack_rows,
     );
 
     let report = bench_report_json("dense_gemm", "host", "[]", &metrics.finish());

@@ -5,10 +5,10 @@
 //! `srumma_trace::bench_report_json`) and, for every numeric key present
 //! in both, classifies the change by the key's name: throughput-like
 //! metrics (`gflops`, `overlap`, `bandwidth`, `speedup`) should go up,
-//! cost-like metrics (`stall`, `skew`, `makespan`, `seconds`, `time`)
-//! should go down, and anything else is reported informally without a
-//! verdict. A change worse than the threshold (default 10 %) is a
-//! regression.
+//! cost-like metrics (`stall`, `skew`, `makespan`, `seconds`, `time`,
+//! `ns_per_elem`) should go down, and anything else is reported
+//! informally without a verdict. A change worse than the threshold
+//! (default 10 %) is a regression.
 //!
 //! Usage:
 //! `cargo run -p srumma-bench --bin bench_diff -- BASE.json NEW.json
@@ -127,6 +127,7 @@ fn direction(key: &str) -> i32 {
         "time",
         "degradation",
         "internode",
+        "ns_per_elem",
     ];
     if HIGHER.iter().any(|w| key.contains(w)) {
         1

@@ -445,32 +445,22 @@ impl DistMatrix {
 
     /// [`Self::scatter`] of `logical`ᵀ (`logical` is `cols × rows`)
     /// without materialising the transpose: each owner's block is
-    /// filled straight from the logical matrix in 16×16 tiles, so both
-    /// the strided reads and the contiguous writes of a tile stay in L1.
+    /// filled straight from the logical matrix by the tiled transposing
+    /// copy ([`MatMut::copy_transposed_from`]).
     ///
     /// # Panics
     /// Panics on shape mismatch or virtual backing.
     pub fn scatter_transposed(&self, logical: &Matrix) {
-        const TILE: usize = 16;
         assert_eq!((logical.cols(), logical.rows()), (self.rows, self.cols));
         let Backing::Real { arena, .. } = &self.backing else {
             panic!("scatter_transposed() on a virtual DistMatrix");
         };
-        let src = logical.as_slice();
         for rank in 0..self.grid.nranks() {
             let (r0, c0) = self.block_origin(rank);
             let (br, bc) = self.block_dims(rank);
             let mut w = arena.write_guard(self.region_of(rank));
-            let dst = w.slice_mut();
-            for ii in (0..br).step_by(TILE) {
-                for jj in (0..bc).step_by(TILE) {
-                    for i in ii..(ii + TILE).min(br) {
-                        for j in jj..(jj + TILE).min(bc) {
-                            dst[i * bc + j] = src[(c0 + j) * self.rows + r0 + i];
-                        }
-                    }
-                }
-            }
+            MatMut::new(br, bc, bc, w.slice_mut())
+                .copy_transposed_from(logical.block(c0, r0, bc, br));
         }
     }
 

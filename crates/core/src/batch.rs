@@ -269,13 +269,7 @@ fn stage_entry(entry: &BatchEntry, plan: &EntryPlan, rank: usize) {
         if let Some(mut dst) = w.mat_mut() {
             match plan.spec.transa {
                 Op::N => dst.copy_from(entry.a.block(r0, c0, dst.rows(), dst.cols())),
-                Op::T => {
-                    for i in 0..dst.rows() {
-                        for j in 0..dst.cols() {
-                            *dst.at_mut(i, j) = entry.a[(c0 + j, r0 + i)];
-                        }
-                    }
-                }
+                Op::T => dst.copy_transposed_from(entry.a.block(c0, r0, dst.cols(), dst.rows())),
             }
         }
     }
@@ -285,13 +279,7 @@ fn stage_entry(entry: &BatchEntry, plan: &EntryPlan, rank: usize) {
         if let Some(mut dst) = w.mat_mut() {
             match plan.spec.transb {
                 Op::N => dst.copy_from(entry.b.block(r0, c0, dst.rows(), dst.cols())),
-                Op::T => {
-                    for i in 0..dst.rows() {
-                        for j in 0..dst.cols() {
-                            *dst.at_mut(i, j) = entry.b[(c0 + j, r0 + i)];
-                        }
-                    }
-                }
+                Op::T => dst.copy_transposed_from(entry.b.block(c0, r0, dst.cols(), dst.rows())),
             }
         }
     }

@@ -136,7 +136,9 @@ impl Matrix {
 
     /// Return a new matrix that is the transpose of `self`.
     pub fn transposed(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        t.as_mut().copy_transposed_from(self.as_ref());
+        t
     }
 
     /// Fill every entry with `v`.
@@ -388,6 +390,26 @@ impl<'a> MatMut<'a> {
         }
     }
 
+    /// Overwrite this view with the transpose of `src` (which is
+    /// `cols × rows`), block by block so that the strided side of each
+    /// block stays in L1.
+    pub fn copy_transposed_from(&mut self, src: MatRef<'_>) {
+        const BLOCK: usize = 32;
+        assert_eq!((self.rows, self.cols), (src.cols(), src.rows()));
+        for i0 in (0..self.rows).step_by(BLOCK) {
+            for j0 in (0..self.cols).step_by(BLOCK) {
+                transpose_into(
+                    &src.data[j0 * src.ld + i0..],
+                    src.ld,
+                    BLOCK.min(self.cols - j0),
+                    BLOCK.min(self.rows - i0),
+                    &mut self.data[i0 * self.ld + j0..],
+                    self.ld,
+                );
+            }
+        }
+    }
+
     /// Fill every entry with `v`.
     pub fn fill(&mut self, v: f64) {
         for i in 0..self.rows {
@@ -409,6 +431,65 @@ impl<'a> MatMut<'a> {
                 }
             }
         }
+    }
+}
+
+/// `dst[k * dld + x] ← src[x * sld + k]` for `x < n`, `k < kk`: the
+/// `n × kk` row-major block at the front of `src` lands transposed at
+/// the front of `dst`. The one transposing mover — [`crate::pack`]'s
+/// strided slivers and [`MatMut::copy_transposed_from`] both end here.
+///
+/// Moved as `n × TILE_K` tiles: each source row is sliced once per
+/// tile, so no source index is checked inside one, each source cache
+/// line is read once, and the destination tile stays in L1. On `x86_64`
+/// with AVX2 the multiple-of-four core goes through in-register 4×4
+/// transposes instead ([`crate::simd::transpose_avx2`]) and only the
+/// fringe is left to the tiles.
+pub(crate) fn transpose_into(
+    src: &[f64],
+    sld: usize,
+    n: usize,
+    kk: usize,
+    dst: &mut [f64],
+    dld: usize,
+) {
+    /// Eight `f64`: one cache line of every source row a tile reads.
+    const TILE_K: usize = 8;
+    #[inline(always)]
+    fn tile(src: &[f64], sld: usize, n: usize, depth: usize, dst: &mut [f64], dld: usize) {
+        // `n <= dld` is asserted below; spelling it out here is what lets
+        // the stores of a whole tile (`depth * dld` long) go unchecked.
+        for x in 0..n.min(dld) {
+            for (i, &v) in src[x * sld..][..depth].iter().enumerate() {
+                dst[i * dld + x] = v;
+            }
+        }
+    }
+    assert!(
+        n <= dld,
+        "block of {n} columns in a destination of stride {dld}"
+    );
+    if n == 0 || kk == 0 {
+        return;
+    }
+    let mut k = 0;
+    #[cfg(target_arch = "x86_64")]
+    if n.is_multiple_of(4) && std::arch::is_x86_feature_detected!("avx2") {
+        k = kk & !3;
+        // SAFETY: avx2 was just detected; `n` and `k` are multiples of
+        // four and the callee asserts its slice bounds.
+        unsafe { crate::simd::transpose_avx2(src, sld, n, k, dst, dld) };
+    }
+    while k < kk {
+        let depth = TILE_K.min(kk - k);
+        let d = &mut dst[k * dld..];
+        // A whole tile gets a constant depth and a destination of
+        // exactly `TILE_K` rows (the last row of `dst` may stop short).
+        match d.get_mut(..TILE_K * dld) {
+            Some(d) if depth == TILE_K => tile(&src[k..], sld, n, TILE_K, d, dld),
+            _ => tile(&src[k..], sld, n, depth, d, dld),
+        }
+        k += depth;
     }
 }
 

@@ -7,13 +7,90 @@
 //! or transpose flags. Rows/columns beyond the matrix edge are padded
 //! with zeros so the micro-kernel never needs edge masks on its inputs.
 //!
-//! The sliver widths are parameters, not constants: the scalar kernel
-//! consumes `4 × 8` tiles and the AVX2 kernel `4 × 12` tiles (see
-//! [`crate::kernel::Microkernel`]), and the packing must match whichever
-//! kernel the enclosing [`crate::blocked::GemmWorkspace`] dispatches to.
+//! A sliver is `kc` groups of `w` values (`dst[k * w + x]`), and there
+//! are only two ways to fill one from a row-major source:
+//!
+//! * **contiguous** ([`move_contig`]; `pack_a` `T`, `pack_b` `N`) — the
+//!   values of group `k` are adjacent in source row `k0 + k`: one copy
+//!   per `k`, of a size fixed at compile time for every `mr`/`nr` of
+//!   the kernel ladder (4, 8, 12; [`crate::kernel::Microkernel`]).
+//! * **strided** (`pack_a` `N`, `pack_b` `T`) — they sit in `w` source
+//!   rows, at column `k0 + k` of each: a `w × kc` block lands
+//!   transposed, tile by tile, through the crate's one transposing
+//!   mover ([`crate::matrix::transpose_into`]). Its tiles are
+//!   store-bound and measured no faster at a compile-time width.
+//!
+//! A ragged last sliver and any other width run through the same two
+//! movers: dead lanes are written `0.0`, other widths use the run-time
+//! `w`. [`pack_a`], [`pack_b`] and [`crate::zorder::pack_a_zorder`]
+//! only choose origins and destinations.
 
 use crate::gemm::Op;
-use crate::matrix::MatRef;
+use crate::matrix::{transpose_into, MatRef};
+
+/// `dst[k * w + x] ← rows[k * ld + x]` for `x < live`, `0.0` for
+/// `live <= x < w`, over the `dst.len() / w` groups of `dst`. `W` is
+/// `w` when that is known at compile time, else 0.
+#[inline(always)]
+fn move_contig<const W: usize>(rows: &[f64], ld: usize, live: usize, w: usize, dst: &mut [f64]) {
+    let w = if W == 0 { w } else { W };
+    // Chunk `k` runs at least to the end of its source row, so it
+    // holds the `live` values wanted.
+    for (d, s) in dst.chunks_exact_mut(w).zip(rows.chunks(ld)) {
+        if live == w {
+            d.copy_from_slice(&s[..w]);
+        } else {
+            d[..live].copy_from_slice(&s[..live]);
+            d[live..].fill(0.0);
+        }
+    }
+}
+
+/// Pack `extent` lanes starting at `x0` into `ceil(extent / w)` slivers
+/// of depth `kc`. `strided` says which way a sliver lies in `src`:
+/// across rows `x0..` reading columns `k0..k0 + kc` (`true`), or along
+/// rows `k0..k0 + kc` reading columns `x0..` (`false`).
+#[allow(clippy::too_many_arguments)]
+fn pack_slivers(
+    strided: bool,
+    src: MatRef<'_>,
+    x0: usize,
+    k0: usize,
+    extent: usize,
+    kc: usize,
+    w: usize,
+    buf: &mut [f64],
+) {
+    let (lanes, depth) = if strided {
+        (src.rows(), src.cols())
+    } else {
+        (src.cols(), src.rows())
+    };
+    debug_assert!(x0 + extent <= lanes && k0 + kc <= depth);
+    debug_assert!(buf.len() >= extent.div_ceil(w) * w * kc);
+    if kc == 0 {
+        return;
+    }
+    let (data, ld) = (src.data(), src.ld());
+    let slivers = buf.chunks_exact_mut(w * kc).take(extent.div_ceil(w));
+    for (x, dst) in (x0..).step_by(w).zip(slivers) {
+        let live = w.min(x0 + extent - x);
+        if strided {
+            if live < w {
+                dst.fill(0.0);
+            }
+            transpose_into(&data[x * ld + k0..], ld, live, kc, dst, w);
+        } else {
+            let rows = &data[k0 * ld + x..];
+            match w {
+                4 => move_contig::<4>(rows, ld, live, w, dst),
+                8 => move_contig::<8>(rows, ld, live, w, dst),
+                12 => move_contig::<12>(rows, ld, live, w, dst),
+                _ => move_contig::<0>(rows, ld, live, w, dst),
+            }
+        }
+    }
+}
 
 /// Pack an `mc × kc` panel of `op(A)` (starting at logical row `i0`,
 /// logical column `l0` of `op(A)`) into `buf`, as slivers of `mr` rows.
@@ -33,37 +110,8 @@ pub fn pack_a(
     mr: usize,
     buf: &mut [f64],
 ) {
-    let slivers = mc.div_ceil(mr);
-    debug_assert!(buf.len() >= slivers * mr * kc);
-    for s in 0..slivers {
-        let row_base = i0 + s * mr;
-        let rows_here = mr.min(mc - s * mr);
-        let dst = &mut buf[s * mr * kc..(s + 1) * mr * kc];
-        match transa {
-            Op::N => {
-                for k in 0..kc {
-                    for r in 0..rows_here {
-                        dst[k * mr + r] = a.at(row_base + r, l0 + k);
-                    }
-                    for r in rows_here..mr {
-                        dst[k * mr + r] = 0.0;
-                    }
-                }
-            }
-            Op::T => {
-                // op(A)[i][k] = A[k][i]
-                for k in 0..kc {
-                    let src_row = a.row(l0 + k);
-                    for r in 0..rows_here {
-                        dst[k * mr + r] = src_row[row_base + r];
-                    }
-                    for r in rows_here..mr {
-                        dst[k * mr + r] = 0.0;
-                    }
-                }
-            }
-        }
-    }
+    // op(A)[i][k] is A[i][k] (a sliver's rows are source rows) or A[k][i].
+    pack_slivers(transa == Op::N, a, i0, l0, mc, kc, mr, buf);
 }
 
 /// Pack a `kc × nc` panel of `op(B)` (starting at logical row `l0`,
@@ -84,37 +132,8 @@ pub fn pack_b(
     nr: usize,
     buf: &mut [f64],
 ) {
-    let slivers = nc.div_ceil(nr);
-    debug_assert!(buf.len() >= slivers * nr * kc);
-    for s in 0..slivers {
-        let col_base = j0 + s * nr;
-        let cols_here = nr.min(nc - s * nr);
-        let dst = &mut buf[s * nr * kc..(s + 1) * nr * kc];
-        match transb {
-            Op::N => {
-                for k in 0..kc {
-                    let src_row = b.row(l0 + k);
-                    for c in 0..cols_here {
-                        dst[k * nr + c] = src_row[col_base + c];
-                    }
-                    for c in cols_here..nr {
-                        dst[k * nr + c] = 0.0;
-                    }
-                }
-            }
-            Op::T => {
-                // op(B)[k][j] = B[j][k]
-                for k in 0..kc {
-                    for c in 0..cols_here {
-                        dst[k * nr + c] = b.at(col_base + c, l0 + k);
-                    }
-                    for c in cols_here..nr {
-                        dst[k * nr + c] = 0.0;
-                    }
-                }
-            }
-        }
-    }
+    // op(B)[k][j] is B[k][j] or B[j][k] (a sliver's columns are source rows).
+    pack_slivers(transb == Op::T, b, j0, l0, nc, kc, nr, buf);
 }
 
 #[cfg(test)]

@@ -108,6 +108,54 @@ pub unsafe fn microkernel_avx512(kc: usize, a_sliver: &[f64], b_sliver: &[f64], 
     }
 }
 
+/// [`crate::matrix::transpose_into`] for the multiple-of-four core of
+/// a block: `dst[k * dld + x] ← src[x * sld + k]` for `x < n`, `k < kk`,
+/// moved as 4×4 in-register transposes. Each 256-bit input pairs the
+/// low or high half of two source rows (the second half inserted
+/// straight from memory), so one unpack per output vector finishes it.
+/// Four source rows are streamed end to end before the next four.
+///
+/// # Safety
+/// The caller must have verified `avx2` is available on this host.
+/// `n` and `kk` must be multiples of four; slice bounds are asserted.
+#[target_feature(enable = "avx2")]
+pub unsafe fn transpose_avx2(
+    src: &[f64],
+    sld: usize,
+    n: usize,
+    kk: usize,
+    dst: &mut [f64],
+    dld: usize,
+) {
+    assert!(n.is_multiple_of(4) && kk.is_multiple_of(4));
+    if n == 0 || kk == 0 {
+        return;
+    }
+    assert!(src.len() >= (n - 1) * sld + kk && dst.len() >= (kk - 1) * dld + n);
+    for x in (0..n).step_by(4) {
+        for k in (0..kk).step_by(4) {
+            let p = src.as_ptr().add(x * sld + k);
+            // [row0[off..off + 2] | row2[off..off + 2]], and the same
+            // for rows 1 and 3.
+            let halves = |off: usize| {
+                let even = _mm256_castpd128_pd256(_mm_loadu_pd(p.add(off)));
+                let odd = _mm256_castpd128_pd256(_mm_loadu_pd(p.add(sld + off)));
+                (
+                    _mm256_insertf128_pd::<1>(even, _mm_loadu_pd(p.add(2 * sld + off))),
+                    _mm256_insertf128_pd::<1>(odd, _mm_loadu_pd(p.add(3 * sld + off))),
+                )
+            };
+            let (lo_even, lo_odd) = halves(0);
+            let (hi_even, hi_odd) = halves(2);
+            let q = dst.as_mut_ptr().add(k * dld + x);
+            _mm256_storeu_pd(q, _mm256_unpacklo_pd(lo_even, lo_odd));
+            _mm256_storeu_pd(q.add(dld), _mm256_unpackhi_pd(lo_even, lo_odd));
+            _mm256_storeu_pd(q.add(2 * dld), _mm256_unpacklo_pd(hi_even, hi_odd));
+            _mm256_storeu_pd(q.add(3 * dld), _mm256_unpackhi_pd(hi_even, hi_odd));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,6 +35,7 @@
 
 use crate::gemm::Op;
 use crate::matrix::MatRef;
+use crate::pack::pack_a;
 
 /// `k`-depth of one Morton micro-tile. Large enough that the extra
 /// accumulator load/store per chunked kernel call is amortized over
@@ -126,37 +127,12 @@ pub fn pack_a_zorder(
     let z = ZShape::new(mc, kc, mr);
     debug_assert!(buf.len() >= z.elems());
     for s in 0..z.slivers {
-        let row_base = i0 + s * mr;
-        let rows_here = mr.min(mc - s * mr);
+        let rows = mr.min(mc - s * mr);
         for t in 0..z.chunks {
-            let k_base = l0 + t * ZT_K;
             let kt = ZT_K.min(kc - t * ZT_K);
-            let off = z.tile_offset(s, t);
-            let dst = &mut buf[off..off + kt * mr];
-            match transa {
-                Op::N => {
-                    for kk in 0..kt {
-                        for r in 0..rows_here {
-                            dst[kk * mr + r] = a.at(row_base + r, k_base + kk);
-                        }
-                        for r in rows_here..mr {
-                            dst[kk * mr + r] = 0.0;
-                        }
-                    }
-                }
-                Op::T => {
-                    // op(A)[i][k] = A[k][i]
-                    for kk in 0..kt {
-                        let src_row = a.row(k_base + kk);
-                        for r in 0..rows_here {
-                            dst[kk * mr + r] = src_row[row_base + r];
-                        }
-                        for r in rows_here..mr {
-                            dst[kk * mr + r] = 0.0;
-                        }
-                    }
-                }
-            }
+            // One tile is a one-sliver linear panel of depth `kt`.
+            let tile = &mut buf[z.tile_offset(s, t)..][..kt * mr];
+            pack_a(transa, a, i0 + s * mr, l0 + t * ZT_K, rows, kt, mr, tile);
         }
     }
 }
@@ -165,7 +141,6 @@ pub fn pack_a_zorder(
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
-    use crate::pack::pack_a;
 
     #[test]
     fn ceil_log2_values() {

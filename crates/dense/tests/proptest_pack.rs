@@ -285,3 +285,324 @@ fn transpose_flag_equals_materialized_transpose() {
         assert_eq!(via_flag, via_copy, "case {case}: pack_b T vs materialized");
     }
 }
+
+// ---------------------------------------------------------------------
+// Bitwise oracle: the element-by-element packers the tile movers
+// replaced, kept here verbatim in behaviour. Packing only moves values,
+// so the new packers must reproduce them bit for bit — NaN payloads and
+// `-0.0` included — and through them `dgemm_ws` must produce the C it
+// always did.
+// ---------------------------------------------------------------------
+
+use srumma_dense::kernel::{writeback, Microkernel, ACC_LEN};
+use srumma_dense::{dgemm_ws, prop_rerun, prop_seeds, BlockSizes, GemmWorkspace, PackLayout};
+
+/// The sliver widths under test: every `mr`/`nr` of the kernel ladder
+/// plus one width the packers have no specialisation for.
+const WIDTHS: [usize; 4] = [4, 8, 12, 6];
+/// Depths around the tile edges (the portable tile is 8 deep, the AVX2
+/// one 4, a Z-order chunk 32) and the default `KC`.
+const DEPTHS: [usize; 7] = [0, 1, 7, 8, 9, 255, 256];
+
+/// Element-wise `pack_a` / `pack_b`: `buf[s][k * w + x] ←
+/// op(X)[x0 + s*w + x][k0 + k]` for A, `op(X)[k0 + k][x0 + s*w + x]`
+/// for B, zero past `extent`.
+#[allow(clippy::too_many_arguments)]
+fn oracle_pack(
+    operand_a: bool,
+    trans: Op,
+    v: MatRef<'_>,
+    x0: usize,
+    k0: usize,
+    extent: usize,
+    kc: usize,
+    w: usize,
+    buf: &mut [f64],
+) {
+    for s in 0..extent.div_ceil(w) {
+        for k in 0..kc {
+            for x in 0..w {
+                let lane = s * w + x;
+                buf[s * w * kc + k * w + x] = if lane >= extent {
+                    0.0
+                } else if operand_a {
+                    op_at(v, trans, x0 + lane, k0 + k)
+                } else {
+                    op_at(v, trans, k0 + k, x0 + lane)
+                };
+            }
+        }
+    }
+}
+
+/// Element-wise `pack_a_zorder`.
+#[allow(clippy::too_many_arguments)]
+fn oracle_pack_a_zorder(
+    trans: Op,
+    v: MatRef<'_>,
+    i0: usize,
+    l0: usize,
+    mc: usize,
+    kc: usize,
+    mr: usize,
+    buf: &mut [f64],
+) {
+    let z = ZShape::new(mc, kc, mr);
+    for s in 0..mc.div_ceil(mr) {
+        for t in 0..kc.div_ceil(ZT_K) {
+            let off = z.tile_offset(s, t);
+            for kk in 0..ZT_K.min(kc - t * ZT_K) {
+                for r in 0..mr {
+                    let row = s * mr + r;
+                    buf[off + kk * mr + r] = if row < mc {
+                        op_at(v, trans, i0 + row, l0 + t * ZT_K + kk)
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// A `rows × cols` sub-view (`ld > cols`, origin off the allocation's)
+/// of random data salted with the values a numeric comparison would
+/// let slip: `-0.0`, infinities and NaNs with distinct payloads.
+fn salted(rows: usize, cols: usize, rng: &mut Rng) -> (Matrix, usize, usize) {
+    let (pr, pc) = (rng.range(0, 3), rng.range(0, 5));
+    let mut big = Matrix::random(rows + pr + 1, cols + pc + rng.range(1, 9), rng.next_u64());
+    for v in big.as_mut_slice() {
+        if rng.chance(0.05) {
+            *v = match rng.below(4) {
+                0 => -0.0,
+                1 => f64::NEG_INFINITY,
+                _ => f64::from_bits(0x7FF8_0000_0000_0000 | (rng.next_u64() >> 13) | 1),
+            };
+        }
+    }
+    (big, pr, pc)
+}
+
+fn assert_same_bits(got: &[f64], want: &[f64], what: &str, seed: u64) {
+    assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits(),
+            "{what}: element {i} is {g:?} ({:#x}), oracle says {w:?} ({:#x})\n{}",
+            g.to_bits(),
+            w.to_bits(),
+            prop_rerun(seed, "packers_are_bit_identical")
+        );
+    }
+}
+
+/// `pack_a`, `pack_b` and `pack_a_zorder` against the element loops:
+/// every width, both `Op`s, ragged extents, origins off any multiple of
+/// eight, strided sub-views, every depth in [`DEPTHS`]. The destination
+/// arrives NaN-poisoned and longer than needed: padding must come back
+/// `0.0` (the oracle writes it) and nothing past the slivers may change.
+#[test]
+fn packers_are_bit_identical_to_the_element_loops() {
+    const SLACK: usize = 19;
+    let poison = f64::from_bits(0x7FF8_DEAD_BEEF_0001);
+    for seed in prop_seeds(0x9AC4_B175, 24) {
+        let mut rng = Rng::new(seed);
+        for &w in &WIDTHS {
+            for &kc in &DEPTHS {
+                let trans = random_op(&mut rng);
+                // Ragged more often than not; sometimes below one sliver.
+                let extent = rng.range(1, 3 * w + 2);
+                let (x0, k0) = (rng.range(0, 11), rng.range(0, 11));
+                let what = format!("w={w} kc={kc} {trans:?} extent={extent} x0={x0} k0={k0}");
+
+                // op(A) spans (x0 + extent) x (k0 + kc); op(B) the transpose of that.
+                let (ar, ac) = trans.apply(x0 + extent, k0 + kc);
+                let (big, pr, pc) = salted(ar.max(1), ac.max(1), &mut rng);
+                let a = big.block(pr, pc, ar.max(1), ac.max(1));
+                let (br, bc) = trans.apply(k0 + kc, x0 + extent);
+                let (bigb, pr, pc) = salted(br.max(1), bc.max(1), &mut rng);
+                let b = bigb.block(pr, pc, br.max(1), bc.max(1));
+
+                let len = extent.div_ceil(w) * w * kc;
+                let mut want = vec![poison; len + SLACK];
+                let mut got = want.clone();
+                oracle_pack(true, trans, a, x0, k0, extent, kc, w, &mut want);
+                pack_a(trans, a, x0, k0, extent, kc, w, &mut got);
+                assert_same_bits(&got, &want, &format!("pack_a {what}"), seed);
+
+                let mut want = vec![poison; len + SLACK];
+                let mut got = want.clone();
+                oracle_pack(false, trans, b, x0, k0, extent, kc, w, &mut want);
+                pack_b(trans, b, k0, x0, kc, extent, w, &mut got);
+                assert_same_bits(&got, &want, &format!("pack_b {what}"), seed);
+
+                // Z-order: same panel, tiles at their Morton offsets;
+                // unused grid tiles and an edge chunk's k tail stay poisoned.
+                let mut want = vec![poison; ZShape::new(extent, kc, w).elems() + SLACK];
+                let mut got = want.clone();
+                oracle_pack_a_zorder(trans, a, x0, k0, extent, kc, w, &mut want);
+                pack_a_zorder(trans, a, x0, k0, extent, kc, w, &mut got);
+                assert_same_bits(&got, &want, &format!("pack_a_zorder {what}"), seed);
+            }
+        }
+    }
+}
+
+/// `MatMut::copy_transposed_from` against `dst[i][j] = src[j][i]`, on
+/// uneven shapes, row and column vectors, and strided views on both
+/// sides; everything outside the destination view keeps its poison.
+#[test]
+fn copy_transposed_from_matches_the_element_loop() {
+    let poison = f64::from_bits(0x7FF8_DEAD_BEEF_0002);
+    for seed in prop_seeds(0x7A44_C0B1, 32) {
+        let mut rng = Rng::new(seed);
+        let (rows, cols) = match seed % 4 {
+            0 => (1, rng.range(1, 70)),
+            1 => (rng.range(1, 70), 1),
+            // Multiples of four: no fringe left for the portable tiles.
+            2 => (4 * rng.range(1, 17), 4 * rng.range(1, 17)),
+            _ => (rng.range(1, 70), rng.range(1, 70)),
+        };
+        let (big, pr, pc) = salted(cols, rows, &mut rng);
+        let src = big.block(pr, pc, cols, rows);
+
+        let (dr, dc) = (rng.range(0, 3), rng.range(0, 5));
+        let mut got = Matrix::from_fn(rows + dr + 1, cols + dc + rng.range(1, 9), |_, _| poison);
+        let mut want = got.clone();
+        for i in 0..rows {
+            for j in 0..cols {
+                want[(dr + i, dc + j)] = src.at(j, i);
+            }
+        }
+        got.block_mut(dr, dc, rows, cols).copy_transposed_from(src);
+        // And into a destination that ends with its last row.
+        let tight = src.to_matrix().transposed();
+        let inner = want.block(dr, dc, rows, cols).to_matrix();
+        assert_same_bits(tight.as_slice(), inner.as_slice(), "transposed", seed);
+        assert_same_bits(
+            got.as_slice(),
+            want.as_slice(),
+            &format!("copy_transposed_from {rows}x{cols}"),
+            seed,
+        );
+    }
+}
+
+/// `C ← α·op(A)·op(B) + β·C` through the blocked loop nest of
+/// `blocked_gemm_ws`, but packing with the element-loop oracles: what
+/// `dgemm_ws` computed before the tile movers.
+#[allow(clippy::too_many_arguments)]
+fn oracle_gemm(
+    kernel: Microkernel,
+    layout: PackLayout,
+    blocks: BlockSizes,
+    (ta, tb): (Op, Op),
+    (alpha, beta): (f64, f64),
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: &mut Matrix,
+) {
+    let (m, n) = (c.rows(), c.cols());
+    let k = ta.apply(a.rows(), a.cols()).1;
+    let (mr, nr) = (kernel.mr(), kernel.nr());
+    c.as_mut().scale(beta);
+    let z_elems = ZShape::new(blocks.mc, blocks.kc, mr).elems();
+    let mut apack = vec![0.0; z_elems.max(blocks.mc.div_ceil(mr) * mr * blocks.kc)];
+    let mut bpack = vec![0.0; blocks.nc.div_ceil(nr) * nr * blocks.kc];
+    for jc in (0..n).step_by(blocks.nc) {
+        let nc = blocks.nc.min(n - jc);
+        for lc in (0..k).step_by(blocks.kc) {
+            let kc = blocks.kc.min(k - lc);
+            oracle_pack(false, tb, b, jc, lc, nc, kc, nr, &mut bpack);
+            for ic in (0..m).step_by(blocks.mc) {
+                let mc = blocks.mc.min(m - ic);
+                let z = ZShape::new(mc, kc, mr);
+                match layout {
+                    PackLayout::Linear => oracle_pack(true, ta, a, ic, lc, mc, kc, mr, &mut apack),
+                    PackLayout::ZOrder => {
+                        oracle_pack_a_zorder(ta, a, ic, lc, mc, kc, mr, &mut apack)
+                    }
+                }
+                for js in 0..nc.div_ceil(nr) {
+                    let b_sliver = &bpack[js * nr * kc..(js + 1) * nr * kc];
+                    for is in 0..mc.div_ceil(mr) {
+                        let mut acc = [0.0; ACC_LEN];
+                        match layout {
+                            PackLayout::Linear => {
+                                let a_sliver = &apack[is * mr * kc..(is + 1) * mr * kc];
+                                kernel.run(kc, a_sliver, b_sliver, &mut acc);
+                            }
+                            PackLayout::ZOrder => {
+                                for (t, l) in (0..kc).step_by(ZT_K).enumerate() {
+                                    let kt = ZT_K.min(kc - l);
+                                    let off = z.tile_offset(is, t);
+                                    let tile = &apack[off..off + kt * mr];
+                                    kernel.run(kt, tile, &b_sliver[l * nr..], &mut acc);
+                                }
+                            }
+                        }
+                        let (r0, c0) = (ic + is * mr, jc + js * nr);
+                        let (rows, cols) = (mr.min(m - r0), nr.min(n - c0));
+                        let tile = &mut c.as_mut_slice()[r0 * n + c0..];
+                        writeback(&acc, alpha, rows, cols, nr, tile, n);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// C is what it was: `dgemm_ws` on random float inputs equals the
+/// oracle-packed loop nest bit for bit — all four transpose cases,
+/// ragged shapes that cross every blocking level, each kernel flavour
+/// this host can run, Linear and Z-order layouts.
+#[test]
+fn dgemm_ws_is_bit_identical_to_the_element_loop_packers() {
+    let blocks = BlockSizes::new(24, 40, 36);
+    for seed in prop_seeds(0xC0DE_9AC4, 6) {
+        let mut rng = Rng::new(seed);
+        for &kernel in Microkernel::all().iter().filter(|k| k.available()) {
+            for layout in [PackLayout::Linear, PackLayout::ZOrder] {
+                for (ta, tb) in [
+                    (Op::N, Op::N),
+                    (Op::T, Op::N),
+                    (Op::N, Op::T),
+                    (Op::T, Op::T),
+                ] {
+                    let (m, n, k) = (rng.range(1, 70), rng.range(1, 70), rng.range(1, 90));
+                    let (ar, ac) = ta.apply(m, k);
+                    let (br, bc) = tb.apply(k, n);
+                    let a = Matrix::random(ar, ac + 3, rng.next_u64());
+                    let b = Matrix::random(br, bc + 1, rng.next_u64());
+                    let (a, b) = (a.block(0, 2, ar, ac), b.block(0, 1, br, bc));
+                    let (alpha, beta) = *rng.pick(&[(1.0, 0.0), (1.0, 1.0), (-0.5, 0.25)]);
+                    let c0 = Matrix::random(m, n, rng.next_u64());
+
+                    let mut want = c0.clone();
+                    oracle_gemm(
+                        kernel,
+                        layout,
+                        blocks,
+                        (ta, tb),
+                        (alpha, beta),
+                        a,
+                        b,
+                        &mut want,
+                    );
+                    let mut got = c0.clone();
+                    let mut ws = GemmWorkspace::with_config(kernel, blocks).with_layout(layout);
+                    dgemm_ws(ta, tb, alpha, a, b, beta, got.as_mut(), &mut ws);
+                    assert_same_bits(
+                        got.as_slice(),
+                        want.as_slice(),
+                        &format!(
+                            "dgemm_ws {} {layout:?} {ta:?}{tb:?} {m}x{n}x{k} alpha={alpha} beta={beta}",
+                            kernel.name()
+                        ),
+                        seed,
+                    );
+                }
+            }
+        }
+    }
+}

@@ -173,6 +173,14 @@ if [ -f results/BENCH_dense_gemm.json ]; then
         --strict --only gflops; then
         echo "WARNING: dense gemm absolute GFLOP/s moved vs checked-in baseline (warn-only gate)"
     fi
+    echo "== perf gate (warn): pack cost per element =="
+    # The packers under the ladder (pack_ns_per_elem_*, lower is
+    # better), warn-only for the same reason: absolute nanoseconds
+    # follow the runner's cache and memory, not only the code.
+    if ! ./scripts/bench_diff results/BENCH_dense_gemm.json /tmp/BENCH_dense_gemm.json \
+        --strict --only pack_ns_per_elem; then
+        echo "WARNING: pack cost per element moved vs checked-in baseline (warn-only gate)"
+    fi
 else
     echo "no checked-in baseline (results/BENCH_dense_gemm.json); skipping"
 fi
