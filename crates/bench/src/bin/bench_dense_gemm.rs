@@ -1,9 +1,11 @@
 //! Local dgemm kernel throughput: the full kernel ladder — `naive`,
 //! the `scalar` micro-kernel, every available SIMD micro-kernel
-//! (AVX2 4×12, AVX-512 8×8, NEON 4×8), and the Strassen-routed best —
+//! (AVX2 4×12, AVX-512 8×24, NEON 4×8), and the Strassen-routed best —
 //! at the block sizes SRUMMA's task loop actually feeds the serial
 //! kernel (a P-rank run of the paper's N=1000..16000 problems hands out
-//! ~64–500-wide blocks).
+//! ~64–500-wide blocks; 96 and 768 are the task shapes of the
+//! performance ledger's `manyrank_copy` and `square_large` workloads,
+//! `benchmark/`).
 //!
 //! This is the compute half of the paper's story made measurable: the
 //! RMA pipeline only pays off when it overlaps a *fast* local multiply,
@@ -37,7 +39,9 @@
 //! `S × S` source the way the blocked loop does (`MC × KC` panels for A,
 //! `KC × NC` for B, at the dispatched kernel's `mr`/`nr`), for a
 //! cache-resident source (96², the block an 8×8-rank n = 768 run hands
-//! out) and an out-of-cache one (1536²). Lower is better.
+//! out) and an out-of-cache one (1536²). `pack_ns_per_elem_b_n_w24_*`
+//! is the contiguous B pack at the AVX-512 sliver width whatever kernel
+//! this host dispatches. Lower is better.
 //!
 //! Usage: `cargo run --release -p srumma-bench --bin bench_dense_gemm
 //! [-- --quick] [-- --out PATH]`
@@ -46,7 +50,7 @@ use srumma_bench::{fmt, print_table, write_bench_json, BenchArgs};
 use srumma_dense::aligned::AlignedBuf;
 use srumma_dense::blocked::STRASSEN_MIN_CUTOFF;
 use srumma_dense::gemm::gemm_flops;
-use srumma_dense::kernel::{active_kernel, Microkernel};
+use srumma_dense::kernel::{active_kernel, Microkernel, NR_AVX512};
 use srumma_dense::naive::naive_gemm;
 use srumma_dense::pack::{pack_a, pack_b};
 use srumma_dense::{dgemm_ws, BlockSizes, GemmWorkspace, Matrix, Op};
@@ -81,20 +85,33 @@ fn measure<F: FnMut()>(n: usize, quick: bool, f: F) -> f64 {
 }
 
 /// The four (operand, `Op`) pack cases over an `s × s` source, panel by
-/// panel as `blocked_gemm_ws` issues them; returns `(key suffix, ns per
-/// element)` per case.
+/// panel as `blocked_gemm_ws` issues them, and the contiguous B pack
+/// once more at width 24; returns `(key suffix, ns per element)` per
+/// case.
 fn bench_pack(s: usize, quick: bool) -> Vec<(String, f64)> {
     let kernel = active_kernel();
     let (mr, nr) = (kernel.mr(), kernel.nr());
-    let BlockSizes { mc, kc, nc } = BlockSizes::default();
+    let BlockSizes { mc, kc, nc } = GemmWorkspace::new().blocks();
     let src = Matrix::random(s, s, 3);
     // Cache-line-aligned like the workspace's own panels: a sliver
     // group straddling two lines would be measured, but never run.
     let (mut apack, mut bpack) = (AlignedBuf::new(), AlignedBuf::new());
     apack.grow_to(mc.div_ceil(mr) * mr * kc);
-    bpack.grow_to(nc.div_ceil(nr) * nr * kc);
+    let widest = nr.max(NR_AVX512);
+    bpack.grow_to(nc.div_ceil(widest) * widest * kc);
     let (apack, bpack) = (apack.as_mut_slice(), bpack.as_mut_slice());
     let per_elem = 1e9 / (s * s) as f64; // seconds per source -> ns per element
+    let mut time_pack_b = |op: Op, nr: usize| {
+        best_seconds(quick, || {
+            for l0 in (0..s).step_by(kc) {
+                for j0 in (0..s).step_by(nc) {
+                    let (k, n) = (kc.min(s - l0), nc.min(s - j0));
+                    pack_b(op, src.as_ref(), l0, j0, k, n, nr, bpack);
+                }
+            }
+            std::hint::black_box(&mut *bpack);
+        }) * per_elem
+    };
     let mut out = Vec::new();
     for (op, tag) in [(Op::N, "n"), (Op::T, "t")] {
         let ns = best_seconds(quick, || {
@@ -107,17 +124,9 @@ fn bench_pack(s: usize, quick: bool) -> Vec<(String, f64)> {
             std::hint::black_box(&mut *apack);
         }) * per_elem;
         out.push((format!("a_{tag}_{s}"), ns));
-        let ns = best_seconds(quick, || {
-            for l0 in (0..s).step_by(kc) {
-                for j0 in (0..s).step_by(nc) {
-                    let (k, n) = (kc.min(s - l0), nc.min(s - j0));
-                    pack_b(op, src.as_ref(), l0, j0, k, n, nr, bpack);
-                }
-            }
-            std::hint::black_box(&mut *bpack);
-        }) * per_elem;
-        out.push((format!("b_{tag}_{s}"), ns));
+        out.push((format!("b_{tag}_{s}"), time_pack_b(op, nr)));
     }
+    out.push((format!("b_n_w24_{s}"), time_pack_b(Op::N, NR_AVX512)));
     out
 }
 
@@ -125,10 +134,13 @@ fn main() {
     let cfg = BenchArgs::parse(&[]);
     // SRUMMA task-block sizes: a √P × √P grid over the paper's problem
     // range leaves per-task operand blocks in the 64–500 band.
+    // The quick set feeds CI's hard simd-over-scalar ratio gate and
+    // stays at the two sizes whose ratios repeat within its 10 % on a
+    // shared runner (96 read 5.58 and 4.99 an hour apart on this host).
     let sizes: &[usize] = if cfg.quick {
         &[64, 256]
     } else {
-        &[64, 128, 256, 500]
+        &[64, 96, 128, 256, 500, 768]
     };
 
     let simd_kernels: Vec<Microkernel> = Microkernel::all()
@@ -277,7 +289,7 @@ fn main() {
             active_kernel().mr(),
             active_kernel().nr()
         ),
-        &["source", "A N", "B N", "A T", "B T"],
+        &["source", "A N", "B N", "A T", "B T", "B N w=24"],
         &pack_rows,
     );
 

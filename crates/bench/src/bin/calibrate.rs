@@ -31,63 +31,88 @@ use srumma_model::{Machine, Topology};
 use srumma_trace::json::JsonObject;
 use std::time::Instant;
 
-/// Probe candidate `MC/KC/NC` block sizes on this host: time a
-/// representative SRUMMA task-block multiply under each candidate and
-/// report GFLOP/s, so the [`BlockSizes`] default can be retuned from
-/// evidence instead of guesswork. Returns the winner as a partial
-/// profile.
+/// Probe candidate `MC/KC/NC` block sizes on this host, so the
+/// [`BlockSizes`] default can be retuned from evidence instead of
+/// guesswork: time `dgemm_ws` under each candidate at the two task
+/// shapes the performance ledger's workloads hand it (96³: 64 ranks on
+/// n = 768; 768³: 4 ranks on n = 1536) and rank candidates by the
+/// harmonic mean of the two rates — the rate of doing as many flops at
+/// one shape as at the other. `nc` candidates are whole slivers of the
+/// dispatched kernel, which is what a workspace would round them to
+/// anyway. Returns the winner as a partial profile.
 fn probe_block_sizes() -> HostProfile {
-    let n = 384; // between the 256/500 task-block sizes, exceeds MC/NC
-    let a = Matrix::random(n, n, 1);
-    let b = Matrix::random(n, n, 2);
-    let mut c = Matrix::zeros(n, n);
-    let flops = 2.0 * (n as f64).powi(3);
+    const SHAPES: [usize; 2] = [96, 768];
+    let kernel = active_kernel();
+    let nr = kernel.nr();
     println!(
-        "block-size probe on this host (kernel {}, n={n}):",
-        active_kernel().name()
+        "block-size probe on this host (kernel {}, n={SHAPES:?}):",
+        kernel.name()
     );
+    let mut operands = SHAPES.map(|n| {
+        (
+            Matrix::random(n, n, 1),
+            Matrix::random(n, n, 2),
+            Matrix::zeros(n, n),
+        )
+    });
     let mut best = (0.0f64, BlockSizes::default());
     for &mc in &[32usize, 64, 128] {
         for &kc in &[128usize, 256, 512] {
-            for &nc in &[256usize, 512, 1024] {
+            for nc in [256usize, 512, 1024].map(|nc| nc / nr * nr) {
                 let blocks = BlockSizes::new(mc, kc, nc);
                 let mut ws = GemmWorkspace::with_blocks(blocks);
-                let mut run = |c: &mut Matrix| {
-                    blocked_gemm_ws(
-                        Op::N,
-                        Op::N,
-                        1.0,
-                        a.as_ref(),
-                        b.as_ref(),
-                        0.0,
-                        c.as_mut(),
-                        &mut ws,
-                    )
-                };
-                run(&mut c); // warm-up sizes the workspace
-                let mut min = f64::INFINITY;
-                for _ in 0..3 {
-                    let t = Instant::now();
-                    run(&mut c);
-                    min = min.min(t.elapsed().as_secs_f64());
+                let mut rates = [0.0f64; SHAPES.len()];
+                for (rate, (a, b, c)) in rates.iter_mut().zip(operands.iter_mut()) {
+                    let mut run = || {
+                        blocked_gemm_ws(
+                            Op::N,
+                            Op::N,
+                            1.0,
+                            a.as_ref(),
+                            b.as_ref(),
+                            0.0,
+                            c.as_mut(),
+                            &mut ws,
+                        )
+                    };
+                    run(); // warm-up sizes the workspace
+                    let flops = 2.0 * (a.rows() as f64).powi(3);
+                    // Enough calls per sample that a 96³ multiply
+                    // (~30 µs) is not timed against the clock's grain.
+                    let iters = (5e7 / flops).ceil() as usize;
+                    let mut min = f64::INFINITY;
+                    for _ in 0..3 {
+                        let t = Instant::now();
+                        for _ in 0..iters {
+                            run();
+                        }
+                        min = min.min(t.elapsed().as_secs_f64() / iters as f64);
+                    }
+                    *rate = flops / min / 1e9;
                 }
-                let gf = flops / min / 1e9;
-                println!("  mc={mc:<4} kc={kc:<4} nc={nc:<5} {:>6} GFLOP/s", fmt(gf));
-                if gf > best.0 {
-                    best = (gf, blocks);
+                let mean = rates.len() as f64 / rates.iter().map(|r| 1.0 / r).sum::<f64>();
+                println!(
+                    "  mc={mc:<4} kc={kc:<4} nc={nc:<5} {:>6} / {:>6} GFLOP/s, mean {:>6}",
+                    fmt(rates[0]),
+                    fmt(rates[1]),
+                    fmt(mean)
+                );
+                if mean > best.0 {
+                    best = (mean, blocks);
                 }
             }
         }
     }
+    let default = GemmWorkspace::new().blocks();
     println!(
         "best: mc={} kc={} nc={} at {} GFLOP/s (defaults mc={} kc={} nc={})",
         best.1.mc,
         best.1.kc,
         best.1.nc,
         fmt(best.0),
-        BlockSizes::default().mc,
-        BlockSizes::default().kc,
-        BlockSizes::default().nc,
+        default.mc,
+        default.kc,
+        default.nc,
     );
     HostProfile {
         blocks: Some(best.1),

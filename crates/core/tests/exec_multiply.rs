@@ -94,9 +94,18 @@ fn worker_owned_scratch_survives_yield_and_steal() {
     let (got, res) = multiply_exec(nranks, workers, &alg, &spec, &a, &b);
     assert_eq!(max_abs_diff(&got, &want), 0.0);
     let exec = res.stats.exec.unwrap();
-    // Polls per rank: 8 tasks and a yield, the last 3 and a park in
-    // the barrier, the wake-up (which the last arriver does not need).
-    assert!(exec.schedules() >= 3 * nranks as u64 - 1, "{exec:?}");
+    // Polls per rank: 8 tasks and a yield; the last 3 and the barrier;
+    // and, for a rank that found the barrier open when it checked, the
+    // wake-up. `barrier_try` arrives and checks under two separate
+    // locks, so the check passes at once not only for the last arriver
+    // but for any rank whose arrival the last one overtook in between —
+    // it has seen every arrival, so it may go on (seen under load as
+    // `parks` of 33 and 32 with 70 other polls). A worker runs one rank
+    // at a time, so at most `workers` ranks skip the third poll.
+    assert!(
+        exec.schedules() >= (3 * nranks - workers) as u64,
+        "{exec:?}"
+    );
     assert!((1..=workers as u64).contains(&exec.ws_grows), "{exec:?}");
 }
 

@@ -45,12 +45,24 @@ use crate::pack::{pack_a, pack_b};
 use crate::zorder::{pack_a_zorder, ZShape, ZT_K};
 use std::sync::OnceLock;
 
-/// Default M-dimension cache block. Chosen for ~32 KiB L1 / 1 MiB L2
-/// class machines; correctness never depends on it.
+/// Default M-dimension cache block: the packed `MC × KC` A panel
+/// (128 KiB) stays in L2 while every B sliver passes over it. Like
+/// [`NC`] it only regroups whole micro-tiles — no bit of the result
+/// depends on it.
 pub const MC: usize = 64;
-/// Default K-dimension block.
+/// Default K-dimension block. The one block size that fixes bits: each C
+/// element is summed in `KC`-long FMA chains, added to C one after the
+/// other, so changing it changes the rounding of every product with
+/// `k > KC`. It is not retuned with the micro-tile for that reason —
+/// every bitwise identity checked against the previous tile (and every
+/// checked-in result file) holds because `KC` stayed — and has no room
+/// to grow: one `KC × nr` B sliver is 48 KiB at `nr = 24`, the whole
+/// L1d of the host the tile was sized on.
 pub const KC: usize = 256;
-/// Default N-dimension block.
+/// Default N-dimension block. A workspace uses it rounded down to whole
+/// `nr`-wide slivers of its kernel ([`GemmWorkspace::configured`]): 512
+/// as configured would end every B panel of a wide matrix in a ragged
+/// 8-column sliver under both `nr = 12` and `nr = 24`.
 pub const NC: usize = 512;
 
 /// Smallest permitted Strassen cutoff. Below this the recursion
@@ -349,6 +361,12 @@ impl GemmWorkspace {
 
     /// Workspace from a full [`GemmConfig`].
     ///
+    /// The configured `nc` takes effect rounded down to a whole number
+    /// of the kernel's `nr`-wide slivers (at least one), so that only a
+    /// matrix's own last columns ever make a ragged sliver, never the
+    /// panel width; [`Self::blocks`] and [`Self::config`] report the
+    /// value in effect. Bitwise-neutral, like any choice of `nc`.
+    ///
     /// # Panics
     /// Panics if the pinned kernel is not available on this host.
     pub fn configured(cfg: GemmConfig) -> Self {
@@ -359,9 +377,11 @@ impl GemmWorkspace {
             "{} kernel is not available on this host",
             kernel.name()
         );
+        let mut blocks = cfg.blocks.unwrap_or_default();
+        blocks.nc = (blocks.nc / kernel.nr()).max(1) * kernel.nr();
         GemmWorkspace {
             kernel,
-            blocks: cfg.blocks.unwrap_or_default(),
+            blocks,
             layout: cfg.layout,
             strassen_cutoff: cfg.strassen_cutoff.map(|c| c.max(STRASSEN_MIN_CUTOFF)),
             apack: AlignedBuf::new(),
@@ -628,7 +648,7 @@ fn macro_kernel(
             let a_sliver = &apack[is * mr * kc..(is + 1) * mr * kc];
             let rows = mr.min(mc - is * mr);
             let mut acc = [0.0; ACC_LEN];
-            kernel.run(kc, a_sliver, b_sliver, &mut acc);
+            kernel.run_cols(cols, kc, a_sliver, b_sliver, &mut acc);
             // Element (ic + is*mr, jc + js*nr) of C within its buffer.
             let r0 = ic + is * mr;
             let c0 = jc + js * nr;
@@ -672,7 +692,8 @@ fn macro_kernel_z(
             while l < kc {
                 let kt = ZT_K.min(kc - l);
                 let off = z.tile_offset(is, t);
-                kernel.run(
+                kernel.run_cols(
+                    cols,
                     kt,
                     &apack[off..off + kt * mr],
                     &b_sliver[l * nr..],

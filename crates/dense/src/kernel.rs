@@ -15,10 +15,16 @@
 //!   B-vector and one broadcast register — exactly the sixteen `ymm`
 //!   registers AVX2 offers), three loads + four broadcasts + twelve
 //!   FMAs per `k` step.
-//! * **AVX-512F** (`mr = 8`, `nr = 8`, [`crate::simd`]) — eight 512-bit
-//!   accumulators (one zmm per row of the tile), one B load + eight
-//!   broadcasts + eight FMAs per `k` step. The taller `mr = 8` tile
-//!   doubles the `k`-reuse of each B load; packing adapts because
+//! * **AVX-512F** (`mr = 8`, `nr = 24`, [`crate::simd`]) — twenty-four
+//!   512-bit accumulators (8 rows × 3 vectors of eight `f64`) plus
+//!   three B-vector and one broadcast register: 28 of the 32 `zmm`
+//!   registers. Three loads + eight broadcasts + twenty-four FMAs per
+//!   `k` step, against one load + eight broadcasts for eight FMAs in an
+//!   8×8 tile: 0.46 instead of 1.13 loads per FMA, and a third of the A
+//!   bytes per flop — which is what matters once the A slivers of an
+//!   `mc × kc` panel stream from L2 (the table is in [`crate::simd`]).
+//!   A ragged last sliver runs a narrower instance of the same kernel
+//!   ([`Microkernel::run_cols`]). Packing adapts because
 //!   `pack_a`/`pack_b` take `mr`/`nr` as parameters.
 //! * **NEON** (`mr = 4`, `nr = 8`, [`crate::simd_neon`], `aarch64`
 //!   only) — sixteen 128-bit accumulators (4 rows × 4 vectors of two
@@ -50,14 +56,14 @@ pub const NR: usize = 8;
 /// Micro-tile columns of the AVX2 kernel.
 pub const NR_AVX2: usize = 12;
 /// Micro-tile columns of the AVX-512 kernel.
-pub const NR_AVX512: usize = 8;
+pub const NR_AVX512: usize = 24;
 /// Micro-tile columns of the NEON kernel.
 pub const NR_NEON: usize = 8;
 /// Largest `nr` any kernel uses.
-pub const NR_MAX: usize = 12;
+pub const NR_MAX: usize = 24;
 /// Accumulator length covering every kernel's `mr × nr` tile
-/// (the largest tile is the AVX-512 kernel's 8×8 = 64).
-pub const ACC_LEN: usize = 64;
+/// (the largest tile is the AVX-512 kernel's 8×24 = 192).
+pub const ACC_LEN: usize = 192;
 
 /// A selectable micro-kernel implementation.
 ///
@@ -75,7 +81,7 @@ pub enum Microkernel {
     /// [`crate::blocked::GemmWorkspace`] enforce this.
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// AVX-512F intrinsics kernel (`8 × 8`). Same availability
+    /// AVX-512F intrinsics kernel (`8 × 24`). Same availability
     /// contract as [`Microkernel::Avx2`].
     #[cfg(target_arch = "x86_64")]
     Avx512,
@@ -139,7 +145,7 @@ impl Microkernel {
             #[cfg(target_arch = "x86_64")]
             Microkernel::Avx2 => "avx2-4x12",
             #[cfg(target_arch = "x86_64")]
-            Microkernel::Avx512 => "avx512-8x8",
+            Microkernel::Avx512 => "avx512-8x24",
             #[cfg(target_arch = "aarch64")]
             Microkernel::Neon => "neon-4x8",
         }
@@ -183,6 +189,25 @@ impl Microkernel {
     ///   `k * nr + c`.
     #[inline]
     pub fn run(self, kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &mut [f64]) {
+        self.run_cols(self.nr(), kc, a_sliver, b_sliver, acc);
+    }
+
+    /// [`Self::run`] for a tile of which only the first `cols` columns
+    /// are wanted (the ragged last sliver of a panel): those columns of
+    /// `acc` come back exactly as `run` would leave them; the rest are
+    /// unspecified — updated or untouched, as is cheapest for the
+    /// kernel. The AVX-512 kernel skips the B vectors that hold no
+    /// wanted column; the narrower kernels run their whole tile.
+    #[inline]
+    pub fn run_cols(
+        self,
+        cols: usize,
+        kc: usize,
+        a_sliver: &[f64],
+        b_sliver: &[f64],
+        acc: &mut [f64],
+    ) {
+        debug_assert!(cols <= self.nr());
         match self {
             Microkernel::Scalar => microkernel(kc, a_sliver, b_sliver, acc),
             #[cfg(target_arch = "x86_64")]
@@ -198,7 +223,14 @@ impl Microkernel {
                 debug_assert!(self.available(), "Avx512 kernel on a non-AVX512F host");
                 // SAFETY: same contract — constructed only after
                 // runtime detection confirmed avx512f.
-                unsafe { crate::simd::microkernel_avx512(kc, a_sliver, b_sliver, acc) }
+                unsafe {
+                    use crate::simd::microkernel_avx512 as kernel;
+                    match cols.div_ceil(8) {
+                        ..=1 => kernel::<1>(kc, a_sliver, b_sliver, acc),
+                        2 => kernel::<2>(kc, a_sliver, b_sliver, acc),
+                        _ => kernel::<3>(kc, a_sliver, b_sliver, acc),
+                    }
+                }
             }
             #[cfg(target_arch = "aarch64")]
             Microkernel::Neon => {
@@ -514,18 +546,20 @@ mod tests {
 
     #[test]
     fn writeback_handles_wide_tiles() {
-        // nr = 12 layout (the AVX2 tile width).
-        let nr = NR_AVX2;
-        let mut acc = vec![0.0; MR * nr];
-        for (i, v) in acc.iter_mut().enumerate() {
-            *v = i as f64;
-        }
-        let ldc = 16;
-        let mut c = vec![0.5; MR * ldc];
-        writeback(&acc, 1.0, MR, nr, nr, &mut c, ldc);
-        for r in 0..MR {
-            for j in 0..nr {
-                assert_eq!(c[r * ldc + j], 0.5 + acc[r * nr + j]);
+        // The AVX2 (4 × 12) and AVX-512 (8 × 24) tile layouts.
+        for (mr, nr) in [(MR, NR_AVX2), (MR_AVX512, NR_AVX512)] {
+            let mut acc = vec![0.0; mr * nr];
+            for (i, v) in acc.iter_mut().enumerate() {
+                *v = i as f64;
+            }
+            let ldc = nr + 4;
+            let mut c = vec![0.5; mr * ldc];
+            writeback(&acc, 1.0, mr, nr, nr, &mut c, ldc);
+            for r in 0..mr {
+                for j in 0..ldc {
+                    let expect = if j < nr { 0.5 + acc[r * nr + j] } else { 0.5 };
+                    assert_eq!(c[r * ldc + j], expect, "nr={nr} r={r} j={j}");
+                }
             }
         }
     }
@@ -583,8 +617,8 @@ mod tests {
         assert_eq!(Microkernel::Avx2.nr(), 12);
         assert_eq!(Microkernel::Avx2.name(), "avx2-4x12");
         assert_eq!(Microkernel::Avx512.mr(), 8);
-        assert_eq!(Microkernel::Avx512.nr(), 8);
-        assert_eq!(Microkernel::Avx512.name(), "avx512-8x8");
+        assert_eq!(Microkernel::Avx512.nr(), 24);
+        assert_eq!(Microkernel::Avx512.name(), "avx512-8x24");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * **contiguous** ([`move_contig`]; `pack_a` `T`, `pack_b` `N`) — the
 //!   values of group `k` are adjacent in source row `k0 + k`: one copy
 //!   per `k`, of a size fixed at compile time for every `mr`/`nr` of
-//!   the kernel ladder (4, 8, 12; [`crate::kernel::Microkernel`]).
+//!   the kernel ladder (4, 8, 12, 24; [`crate::kernel::Microkernel`]).
 //! * **strided** (`pack_a` `N`, `pack_b` `T`) — they sit in `w` source
 //!   rows, at column `k0 + k` of each: a `w × kc` block lands
 //!   transposed, tile by tile, through the crate's one transposing
@@ -86,6 +86,7 @@ fn pack_slivers(
                 4 => move_contig::<4>(rows, ld, live, w, dst),
                 8 => move_contig::<8>(rows, ld, live, w, dst),
                 12 => move_contig::<12>(rows, ld, live, w, dst),
+                24 => move_contig::<24>(rows, ld, live, w, dst),
                 _ => move_contig::<0>(rows, ld, live, w, dst),
             }
         }

@@ -5,14 +5,31 @@
 //! three B loads and four A broadcasts per `k` step, twelve fused
 //! multiply-adds — all sixteen `ymm` registers accounted for.
 //!
-//! **AVX-512** is an 8×8 tiling: eight 512-bit accumulators (one zmm
-//! covers a full 8-wide tile row), one B load and eight A broadcasts
-//! per `k` step, eight fused multiply-adds. Doubling `mr` instead of
-//! `nr` halves B-load traffic per flop relative to a 4×16 shape and
-//! keeps the B sliver width equal to the scalar kernel's (`nr = 8`),
-//! and eight independent accumulator chains cover the FMA latency of
-//! one 512-bit FMA port. The packing buffers are 64-byte aligned
-//! ([`crate::aligned`]) so every sliver starts on a zmm boundary.
+//! **AVX-512** is an 8×24 tiling: twenty-four 512-bit accumulators
+//! (`8` rows × `3` vectors of eight `f64`), three B loads and eight A
+//! broadcasts per `k` step, twenty-four fused multiply-adds. The tile
+//! is sized by what each `k` step has to load per FMA, because the A
+//! sliver of any real `mc × kc` panel streams from L2, not L1:
+//!
+//! | tile | accumulators | loads + broadcasts / `k` | per FMA | A bytes / flop | `zmm` used |
+//! |------|--------------|--------------------------|---------|----------------|------------|
+//! | 8×8  | 8            | 1 + 8                    | 1.13    | 0.50           | 10         |
+//! | 8×16 | 16           | 2 + 8                    | 0.63    | 0.25           | 19         |
+//! | 8×24 | 24           | 3 + 8                    | 0.46    | 0.17           | 28         |
+//!
+//! (24 accumulators + 3 B vectors + 1 broadcast = 28 of the 32 `zmm`
+//! registers; a fourth B vector would need 37.) The 8×8 tile is
+//! load-bound as soon as its A slivers leave L1 — 47 GFLOP/s at 768³
+//! where 8×16 reaches 65 and 8×24 69 on the same host (EXPERIMENTS.md,
+//! "Filling the register file").
+//!
+//! The kernel is written once, [`microkernel_avx512`]`<NV>`, over the
+//! 24-wide packed sliver: `NV` is the number of B vectors it reads per
+//! `k` step, and the macro-kernel runs the narrowest instance covering
+//! the live columns of a ragged last sliver. Each C element's FMA chain
+//! runs over `k` in order whatever `NV` is, so the tile shape never
+//! changes a bit of the result. The packing buffers are 64-byte aligned
+//! ([`crate::aligned`]); a 24-wide sliver row is three cache lines.
 //!
 //! Both consume the same `k`-major sliver format the scalar kernel
 //! does, at their own `mr`/`nr` (see [`crate::pack`]); slivers are
@@ -72,39 +89,60 @@ pub unsafe fn microkernel_avx2(kc: usize, a_sliver: &[f64], b_sliver: &[f64], ac
     }
 }
 
-/// Accumulate `a_sliver · b_sliver` into the `MR_AVX512 × NR_AVX512`
-/// tile at the front of `acc` (element `(r, c)` at `r * NR_AVX512 + c`),
-/// with fused multiply-adds.
+/// Lanes of one `zmm` register.
+const ZMM_LANES: usize = 8;
+
+/// Accumulate `a_sliver · b_sliver` into the first `8 * NV` columns of
+/// the `MR_AVX512 × NR_AVX512` tile at the front of `acc` (element
+/// `(r, c)` at `r * NR_AVX512 + c`), with fused multiply-adds. `NV` is
+/// the number of B vectors read per `k` step (1..=3); columns of `acc`
+/// and of `b_sliver` past `8 * NV` are neither read nor written.
 ///
 /// # Safety
 /// The caller must have verified `avx512f` is available on this host
 /// (e.g. via [`crate::kernel::Microkernel::available`]). Slice bounds
 /// are asserted.
 #[target_feature(enable = "avx512f")]
-pub unsafe fn microkernel_avx512(kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &mut [f64]) {
+pub unsafe fn microkernel_avx512<const NV: usize>(
+    kc: usize,
+    a_sliver: &[f64],
+    b_sliver: &[f64],
+    acc: &mut [f64],
+) {
+    const { assert!(NV >= 1 && NV * ZMM_LANES <= NR_AVX512) };
+    let live = NV * ZMM_LANES;
     assert!(a_sliver.len() >= kc * MR_AVX512);
-    assert!(b_sliver.len() >= kc * NR_AVX512);
-    assert!(acc.len() >= MR_AVX512 * NR_AVX512);
+    assert!(kc == 0 || b_sliver.len() >= (kc - 1) * NR_AVX512 + live);
+    assert!(acc.len() >= (MR_AVX512 - 1) * NR_AVX512 + live);
 
     // Start from the caller's accumulator so the kernel keeps the same
     // accumulate-in semantics as the scalar path.
-    let mut c: [__m512d; MR_AVX512] = [_mm512_setzero_pd(); MR_AVX512];
-    for (r, v) in c.iter_mut().enumerate() {
-        *v = _mm512_loadu_pd(acc.as_ptr().add(r * NR_AVX512));
+    let mut c = [[_mm512_setzero_pd(); NV]; MR_AVX512];
+    for (r, row) in c.iter_mut().enumerate() {
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = _mm512_loadu_pd(acc.as_ptr().add(r * NR_AVX512 + j * ZMM_LANES));
+        }
     }
 
     let ap = a_sliver.as_ptr();
     let bp = b_sliver.as_ptr();
     for k in 0..kc {
-        let b0 = _mm512_loadu_pd(bp.add(k * NR_AVX512));
-        for (r, v) in c.iter_mut().enumerate() {
+        let mut b = [_mm512_setzero_pd(); NV];
+        for (j, v) in b.iter_mut().enumerate() {
+            *v = _mm512_loadu_pd(bp.add(k * NR_AVX512 + j * ZMM_LANES));
+        }
+        for (r, row) in c.iter_mut().enumerate() {
             let av = _mm512_set1_pd(*ap.add(k * MR_AVX512 + r));
-            *v = _mm512_fmadd_pd(av, b0, *v);
+            for (v, bj) in row.iter_mut().zip(b) {
+                *v = _mm512_fmadd_pd(av, bj, *v);
+            }
         }
     }
 
-    for (r, v) in c.iter().enumerate() {
-        _mm512_storeu_pd(acc.as_mut_ptr().add(r * NR_AVX512), *v);
+    for (r, row) in c.iter().enumerate() {
+        for (j, v) in row.iter().enumerate() {
+            _mm512_storeu_pd(acc.as_mut_ptr().add(r * NR_AVX512 + j * ZMM_LANES), *v);
+        }
     }
 }
 
@@ -227,7 +265,7 @@ mod tests {
             }
         }
         let mut acc = vec![1.0; MR_AVX512 * NR_AVX512];
-        unsafe { microkernel_avx512(kc, &a, &b, &mut acc) };
+        unsafe { microkernel_avx512::<3>(kc, &a, &b, &mut acc) };
         for r in 0..MR_AVX512 {
             for c in 0..NR_AVX512 {
                 let mut expect = 1.0; // accumulate-in semantics
@@ -249,8 +287,8 @@ mod tests {
         let b = vec![1.0; NR_AVX512];
         let mut acc = vec![0.0; MR_AVX512 * NR_AVX512];
         unsafe {
-            microkernel_avx512(1, &a, &b, &mut acc);
-            microkernel_avx512(1, &a, &b, &mut acc);
+            microkernel_avx512::<3>(1, &a, &b, &mut acc);
+            microkernel_avx512::<3>(1, &a, &b, &mut acc);
         }
         assert!(acc.iter().all(|&v| v == 2.0));
     }

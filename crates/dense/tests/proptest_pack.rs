@@ -299,7 +299,7 @@ use srumma_dense::{dgemm_ws, prop_rerun, prop_seeds, BlockSizes, GemmWorkspace, 
 
 /// The sliver widths under test: every `mr`/`nr` of the kernel ladder
 /// plus one width the packers have no specialisation for.
-const WIDTHS: [usize; 4] = [4, 8, 12, 6];
+const WIDTHS: [usize; 5] = [4, 8, 12, 24, 6];
 /// Depths around the tile edges (the portable tile is 8 deep, the AVX2
 /// one 4, a Z-order chunk 32) and the default `KC`.
 const DEPTHS: [usize; 7] = [0, 1, 7, 8, 9, 255, 256];

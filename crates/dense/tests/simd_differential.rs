@@ -1,8 +1,11 @@
 //! Differential tests: the AVX2+FMA micro-kernel against the portable
 //! scalar path, at both the micro-kernel level (randomized `kc` and
 //! sliver contents) and the full blocked-gemm level (workspace pinned
-//! to each kernel). Skips cleanly — with a note, not a failure — on
-//! hosts without AVX2+FMA.
+//! to each kernel); and the AVX-512 micro-kernel, every width instance
+//! of it, against a `f64::mul_add` chain and against its own one-vector
+//! instance — bit for bit, which is what lets the tile shape change
+//! without any result changing. Skips cleanly — with a note, not a
+//! failure — on hosts without the instruction set.
 //!
 //! Tolerance notes: FMA contracts each multiply-add into one rounding,
 //! so float results are *not* bitwise equal to mul-then-add. For
@@ -14,8 +17,11 @@
 #![cfg(target_arch = "x86_64")]
 
 use srumma_dense::blocked::{blocked_gemm_ws, BlockSizes};
-use srumma_dense::kernel::{Microkernel, ACC_LEN, MR, NR_AVX2};
-use srumma_dense::{GemmWorkspace, Matrix, Op, Rng};
+use srumma_dense::kernel::{writeback, Microkernel, ACC_LEN, MR, MR_AVX512, NR_AVX2, NR_AVX512};
+use srumma_dense::pack::{pack_a, pack_b};
+use srumma_dense::simd::microkernel_avx512;
+use srumma_dense::zorder::{pack_a_zorder, ZShape, ZT_K};
+use srumma_dense::{dgemm_ws, prop_rerun, prop_seeds, GemmWorkspace, Matrix, Op, PackLayout, Rng};
 
 fn avx2_or_skip() -> bool {
     if Microkernel::Avx2.available() {
@@ -195,5 +201,241 @@ fn avx2_workspace_reuses_buffers() {
             &mut ws,
         );
         assert_eq!(ws.grow_count(), 1);
+    }
+}
+
+fn avx512_or_skip() -> bool {
+    if Microkernel::Avx512.available() {
+        true
+    } else {
+        eprintln!("skipping: host lacks AVX-512F");
+        false
+    }
+}
+
+/// The `NV`-vector instance of the AVX-512 kernel, `NV` chosen at run
+/// time.
+fn avx512_instance(nv: usize, kc: usize, a: &[f64], b: &[f64], acc: &mut [f64]) {
+    assert!(Microkernel::Avx512.available());
+    // SAFETY: avx512f was detected on the line above.
+    unsafe {
+        match nv {
+            1 => microkernel_avx512::<1>(kc, a, b, acc),
+            2 => microkernel_avx512::<2>(kc, a, b, acc),
+            3 => microkernel_avx512::<3>(kc, a, b, acc),
+            _ => unreachable!("no {nv}-vector instance"),
+        }
+    }
+}
+
+fn assert_same_bits(got: &[f64], want: &[f64], what: &str, seed: u64) {
+    assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits(),
+            "{what}: element {i} is {g:?} ({:#x}), expected {w:?} ({:#x})\n{}",
+            g.to_bits(),
+            w.to_bits(),
+            prop_rerun(seed, "avx512")
+        );
+    }
+}
+
+/// Every instance of the AVX-512 kernel, on slivers with 1..=24 live
+/// columns (dead lanes `0.0`, as `pack_b` leaves them), at depths from
+/// empty to the default `KC`, into a non-zero accumulator: each of the
+/// instance's `8 * NV` columns must equal the `f64::mul_add` chain over
+/// `k` in order, bit for bit, and every lane past them — of the tile
+/// and of the slack behind it — must come back untouched. The dispatch
+/// must pick the narrowest instance that covers the live columns.
+#[test]
+fn avx512_every_instance_matches_the_fma_chain_bit_for_bit() {
+    if !avx512_or_skip() {
+        return;
+    }
+    let poison = f64::from_bits(0x7FF8_0000_0BAD_ACC1);
+    let (mr, nr) = (MR_AVX512, NR_AVX512);
+    for seed in prop_seeds(0x0512_8024, 4) {
+        let mut rng = Rng::new(seed);
+        for kc in [0usize, 1, 7, 96, 256] {
+            for cols in 1..=nr {
+                let a: Vec<f64> = (0..kc * mr).map(|_| rng.unit() - 0.5).collect();
+                let mut b = vec![0.0; kc * nr];
+                for row in b.chunks_exact_mut(nr) {
+                    row[..cols].fill_with(|| rng.unit() - 0.5);
+                }
+                let acc0: Vec<f64> = (0..ACC_LEN).map(|_| rng.unit() + 0.25).collect();
+                for nv in 1..=nr / 8 {
+                    let width = 8 * nv;
+                    // The incoming tile: `acc0` in the instance's
+                    // columns, poison everywhere else.
+                    let mut start = vec![poison; ACC_LEN + 8];
+                    for r in 0..mr {
+                        start[r * nr..r * nr + width]
+                            .copy_from_slice(&acc0[r * nr..r * nr + width]);
+                    }
+                    let mut want = start.clone();
+                    for r in 0..mr {
+                        for c in 0..width {
+                            want[r * nr + c] = (0..kc).fold(acc0[r * nr + c], |s, k| {
+                                a[k * mr + r].mul_add(b[k * nr + c], s)
+                            });
+                        }
+                    }
+                    let what = format!("NV={nv} cols={cols} kc={kc}");
+                    let mut got = start.clone();
+                    avx512_instance(nv, kc, &a, &b, &mut got);
+                    assert_same_bits(&got, &want, &what, seed);
+                    if nv == cols.div_ceil(8) {
+                        let mut got = start;
+                        Microkernel::Avx512.run_cols(cols, kc, &a, &b, &mut got);
+                        assert_same_bits(&got, &want, &format!("run_cols {what}"), seed);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `C ← α·op(A)·op(B) + β·C` through the loop nest of `blocked_gemm_ws`
+/// with the real packers, but every tile computed eight columns at a
+/// time by the one-vector instance: one B load, eight broadcasts and
+/// eight FMAs per `k` step — the arithmetic of the 8×8 tile this kernel
+/// replaced.
+fn gemm_by_one_vector_instances(
+    ws: &GemmWorkspace,
+    (ta, tb): (Op, Op),
+    (alpha, beta): (f64, f64),
+    a: &Matrix,
+    b: &Matrix,
+    c: &mut Matrix,
+) {
+    let (m, n) = (c.rows(), c.cols());
+    let k = ta.apply(a.rows(), a.cols()).1;
+    let (mr, nr) = (MR_AVX512, NR_AVX512);
+    let BlockSizes {
+        mc: bmc,
+        kc: bkc,
+        nc: bnc,
+    } = ws.blocks();
+    c.as_mut().scale(beta);
+    let mut apack = vec![0.0; ZShape::new(bmc, bkc, mr).elems()];
+    let mut bpack = vec![0.0; bnc.div_ceil(nr) * nr * bkc];
+    for jc in (0..n).step_by(bnc) {
+        let nc = bnc.min(n - jc);
+        for lc in (0..k).step_by(bkc) {
+            let kc = bkc.min(k - lc);
+            pack_b(tb, b.as_ref(), lc, jc, kc, nc, nr, &mut bpack);
+            for ic in (0..m).step_by(bmc) {
+                let mc = bmc.min(m - ic);
+                // One chunk of `kc` for linear slivers, `ZT_K`-deep
+                // Morton tiles for Z-order.
+                let z = ZShape::new(mc, kc, mr);
+                let chunk = match ws.layout() {
+                    PackLayout::Linear => {
+                        pack_a(ta, a.as_ref(), ic, lc, mc, kc, mr, &mut apack);
+                        kc
+                    }
+                    PackLayout::ZOrder => {
+                        pack_a_zorder(ta, a.as_ref(), ic, lc, mc, kc, mr, &mut apack);
+                        ZT_K
+                    }
+                };
+                for js in 0..nc.div_ceil(nr) {
+                    let b_sliver = &bpack[js * nr * kc..(js + 1) * nr * kc];
+                    for is in 0..mc.div_ceil(mr) {
+                        let mut acc = [0.0; ACC_LEN];
+                        for (t, l) in (0..kc).step_by(chunk).enumerate() {
+                            let kt = chunk.min(kc - l);
+                            let off = match ws.layout() {
+                                PackLayout::Linear => is * mr * kc,
+                                PackLayout::ZOrder => z.tile_offset(is, t),
+                            };
+                            for v in (0..nr).step_by(8) {
+                                avx512_instance(
+                                    1,
+                                    kt,
+                                    &apack[off..off + kt * mr],
+                                    &b_sliver[l * nr + v..],
+                                    &mut acc[v..],
+                                );
+                            }
+                        }
+                        let (r0, c0) = (ic + is * mr, jc + js * nr);
+                        let (rows, cols) = (mr.min(m - r0), nr.min(n - c0));
+                        let tile = &mut c.as_mut_slice()[r0 * n + c0..];
+                        writeback(&acc, alpha, rows, cols, nr, tile, n);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The tile shape is bit-neutral: `dgemm_ws` on the 8×24 tile (three
+/// vectors on full slivers, fewer on ragged ones) equals the same loop
+/// nest computed eight columns at a time, bit for bit — all four
+/// transpose cases, ragged shapes that cross every blocking level (`k`
+/// past the default `KC` included), Linear and Z-order layouts, three
+/// `(α, β)` pairs.
+#[test]
+fn avx512_dgemm_is_bit_identical_to_its_one_vector_instance() {
+    if !avx512_or_skip() {
+        return;
+    }
+    for seed in prop_seeds(0x0512_0801, 3) {
+        let mut rng = Rng::new(seed);
+        for blocks in [None, Some(BlockSizes::new(24, 40, 52))] {
+            for layout in [PackLayout::Linear, PackLayout::ZOrder] {
+                for (ta, tb) in [
+                    (Op::N, Op::N),
+                    (Op::T, Op::N),
+                    (Op::N, Op::T),
+                    (Op::T, Op::T),
+                ] {
+                    for (alpha, beta) in [(1.0, 0.0), (1.0, 1.0), (1.5, 0.5)] {
+                        let (m, n) = (rng.range(1, 90), rng.range(1, 90));
+                        let k = rng.range(1, if blocks.is_none() { 600 } else { 130 });
+                        let (ar, ac) = ta.apply(m, k);
+                        let (br, bc) = tb.apply(k, n);
+                        let a = Matrix::random(ar, ac, rng.next_u64());
+                        let b = Matrix::random(br, bc, rng.next_u64());
+                        let c0 = Matrix::random(m, n, rng.next_u64());
+
+                        let mut ws = match blocks {
+                            Some(blocks) => GemmWorkspace::with_config(Microkernel::Avx512, blocks),
+                            None => GemmWorkspace::with_kernel(Microkernel::Avx512),
+                        }
+                        .with_layout(layout)
+                        .with_strassen(None);
+                        let mut want = c0.clone();
+                        gemm_by_one_vector_instances(
+                            &ws,
+                            (ta, tb),
+                            (alpha, beta),
+                            &a,
+                            &b,
+                            &mut want,
+                        );
+                        let mut got = c0.clone();
+                        dgemm_ws(
+                            ta,
+                            tb,
+                            alpha,
+                            a.as_ref(),
+                            b.as_ref(),
+                            beta,
+                            got.as_mut(),
+                            &mut ws,
+                        );
+                        let what = format!(
+                            "dgemm_ws {layout:?} {ta:?}{tb:?} {m}x{n}x{k} alpha={alpha} beta={beta} blocks={:?}",
+                            ws.blocks()
+                        );
+                        assert_same_bits(got.as_slice(), want.as_slice(), &what, seed);
+                    }
+                }
+            }
+        }
     }
 }
