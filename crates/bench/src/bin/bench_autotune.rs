@@ -26,8 +26,8 @@
 //! Usage: `cargo run --release -p srumma-bench --bin bench_autotune
 //! [-- --quick] [-- --smoke] [-- --out PATH]`
 //!
-//! `--smoke` runs the CI check instead of the sweep: the zero-config
-//! `multiply_autotuned` probe path verified against the serial
+//! `--smoke` runs the CI check instead of the sweep: one executor run
+//! under `SrummaOptions::from_profile()` verified against the serial
 //! reference, then a tuner-on vs tuner-off batch on an oversubscribed
 //! 2-worker pool asserting bitwise-identical outputs and bounded
 //! overhead.
@@ -37,7 +37,7 @@ use srumma_core::batch::{
     batch_serial_reference, multiply_batch_exec, multiply_batch_exec_tuned, BatchEntry, BatchSpec,
 };
 use srumma_core::driver::serial_reference;
-use srumma_core::{multiply_autotuned, GemmSpec, SrummaOptions, TunerConfig};
+use srumma_core::{Algorithm, Backend, GemmSpec, Run, SrummaOptions, TunerConfig};
 use srumma_dense::{max_abs_diff, Matrix, Op};
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
@@ -88,24 +88,41 @@ fn assert_bitwise(tag: &str, tuned: &[Matrix], untuned: &[Matrix]) {
     }
 }
 
-/// CI smoke: the probe path end-to-end plus tuner neutrality on an
+/// CI smoke: the profile path end-to-end plus tuner neutrality on an
 /// oversubscribed pool (2 workers for 8 ranks — the shape where a
 /// window/fence bug deadlocks; `timeout` in ci.sh bounds that).
 fn smoke() {
-    // 1. Zero-config probe path: no profile needed, answers must match
-    // the serial reference.
+    // 1. Profile-resolved options (the static defaults when no profile
+    // exists): answers must match the serial reference.
     let nranks = 8;
     let n = 64;
     let spec = GemmSpec::square(n);
     let a = Matrix::random(n, n, 11);
     let b = Matrix::random(n, n, 12);
-    let (c, _run, decision) = multiply_autotuned(nranks, &spec, &a, &b);
+    let opts = SrummaOptions::from_profile();
+    let run = Run {
+        operands: Some((&a, &b)),
+        ..Run::new(
+            spec,
+            nranks,
+            Algorithm::Srumma(opts),
+            Backend::Exec { workers: 0 },
+        )
+    };
+    let c = run
+        .execute()
+        .expect("a plain run is valid")
+        .c
+        .expect("real operands");
     let expect = serial_reference(&spec, &a, &b);
     let diff = max_abs_diff(&c, &expect);
-    assert!(diff < 1e-9, "smoke: autotuned multiply |diff|={diff:e}");
+    assert!(
+        diff < 1e-9,
+        "smoke: profile-resolved multiply |diff|={diff:e}"
+    );
     println!(
-        "smoke: multiply_autotuned OK (source={}, workers={}, depth={})",
-        decision.source, decision.workers, decision.prefetch_depth
+        "smoke: from_profile run OK (depth={}, gemm={:?})",
+        opts.prefetch_depth, opts.gemm
     );
 
     // 2. Tuner neutrality + bounded overhead on a batched stream.

@@ -1,11 +1,10 @@
 //! Local dgemm kernel throughput: the full kernel ladder — `naive`,
-//! the `scalar` micro-kernel, every available SIMD micro-kernel
-//! (AVX2 4×12, AVX-512 8×24, NEON 4×8), and the Strassen-routed best —
-//! at the block sizes SRUMMA's task loop actually feeds the serial
-//! kernel (a P-rank run of the paper's N=1000..16000 problems hands out
-//! ~64–500-wide blocks; 96 and 768 are the task shapes of the
-//! performance ledger's `manyrank_copy` and `square_large` workloads,
-//! `benchmark/`).
+//! the `scalar` micro-kernel and every available SIMD micro-kernel
+//! (AVX2 4×12, AVX-512 8×24, NEON 4×8) — at the block sizes SRUMMA's
+//! task loop actually feeds the serial kernel (a P-rank run of the
+//! paper's N=1000..16000 problems hands out ~64–500-wide blocks; 96 and
+//! 768 are the task shapes of the performance ledger's `manyrank_copy`
+//! and `square_large` workloads, `benchmark/`).
 //!
 //! This is the compute half of the paper's story made measurable: the
 //! RMA pipeline only pays off when it overlaps a *fast* local multiply,
@@ -23,16 +22,10 @@
 //!   per-kernel rates `calibrate --kernels` also probes;
 //! * `gflops_simd_n` — the best SIMD rate (`max` over available SIMD
 //!   kernels: the rung a host-tuned dispatch would deliver), plus the
-//!   compatible `speedup_simd_over_scalar_n` gate metrics;
-//! * `gflops_strassen_n` — the Strassen-routed rate at a one-level
-//!   cutoff (`n/2`) on the best kernel, and `gflops_best_n` — the top
-//!   rung: best of SIMD and Strassen, i.e. what a calibrated install
-//!   (which enables Strassen only where it wins) would deliver.
+//!   compatible `speedup_simd_over_scalar_n` gate metrics.
 //!
-//! The checked-in ladder `naive → scalar → avx2 → simd → best` is
-//! monotone by construction (each rung widens the choice set); the raw
-//! per-kernel and raw-Strassen numbers sit alongside so regressions in
-//! any single kernel stay visible to `bench_diff`.
+//! The raw per-kernel numbers sit alongside the `simd` rung so
+//! regressions in any single kernel stay visible to `bench_diff`.
 //!
 //! Next to the ladder, the packers that feed it: `pack_ns_per_elem_
 //! {a,b}_{n,t}_{96,1536}` — nanoseconds per element to pack a whole
@@ -48,7 +41,6 @@
 
 use srumma_bench::{fmt, print_table, write_bench_json, BenchArgs};
 use srumma_dense::aligned::AlignedBuf;
-use srumma_dense::blocked::STRASSEN_MIN_CUTOFF;
 use srumma_dense::gemm::gemm_flops;
 use srumma_dense::kernel::{active_kernel, Microkernel, NR_AVX512};
 use srumma_dense::naive::naive_gemm;
@@ -85,9 +77,8 @@ fn measure<F: FnMut()>(n: usize, quick: bool, f: F) -> f64 {
 }
 
 /// The four (operand, `Op`) pack cases over an `s × s` source, panel by
-/// panel as `blocked_gemm_ws` issues them, and the contiguous B pack
-/// once more at width 24; returns `(key suffix, ns per element)` per
-/// case.
+/// panel as `dgemm_ws` issues them, and the contiguous B pack once more
+/// at width 24; returns `(key suffix, ns per element)` per case.
 fn bench_pack(s: usize, quick: bool) -> Vec<(String, f64)> {
     let kernel = active_kernel();
     let (mr, nr) = (kernel.mr(), kernel.nr());
@@ -177,8 +168,8 @@ fn main() {
             None
         };
 
-        let mut bench_kernel = |k: Microkernel, strassen: Option<usize>| {
-            let mut ws = GemmWorkspace::with_kernel(k).with_strassen(strassen);
+        let mut bench_kernel = |k: Microkernel| {
+            let mut ws = GemmWorkspace::with_kernel(k);
             measure(n, cfg.quick, || {
                 dgemm_ws(
                     Op::N,
@@ -193,13 +184,13 @@ fn main() {
             })
         };
 
-        let g_scalar = bench_kernel(Microkernel::Scalar, None);
+        let g_scalar = bench_kernel(Microkernel::Scalar);
         metrics.num(&format!("gflops_scalar_{n}"), g_scalar);
 
         // Raw per-kernel rates, and the best-SIMD rung.
         let mut g_by_kernel: Vec<(Microkernel, f64)> = Vec::new();
         for &k in &simd_kernels {
-            let g = bench_kernel(k, None);
+            let g = bench_kernel(k);
             metrics.num(&format!("gflops_{}_{n}", k.env_name()), g);
             g_by_kernel.push((k, g));
         }
@@ -211,25 +202,6 @@ fn main() {
             metrics.num(&format!("speedup_simd_over_scalar_{n}"), speedup);
             worst_speedup = worst_speedup.min(speedup);
         }
-
-        // Strassen rung: one recursion level (cutoff n/2) on the best
-        // kernel for this size. `gflops_best` is the calibrated top
-        // rung — Strassen only where it wins, so monotone vs `simd`.
-        let base_best = g_simd.unwrap_or(g_scalar);
-        let best_kernel = g_by_kernel
-            .iter()
-            .max_by(|x, y| x.1.total_cmp(&y.1))
-            .map(|&(k, _)| k)
-            .unwrap_or(Microkernel::Scalar);
-        let g_strassen = if n / 2 >= STRASSEN_MIN_CUTOFF {
-            let g = bench_kernel(best_kernel, Some(n / 2));
-            metrics.num(&format!("gflops_strassen_{n}"), g);
-            Some(g)
-        } else {
-            None
-        };
-        let g_best = g_strassen.map_or(base_best, |g| g.max(base_best));
-        metrics.num(&format!("gflops_best_{n}"), g_best);
 
         // Name-based lookup so the table compiles on every arch (the
         // off-target kernel enum variants do not exist there).
@@ -247,8 +219,6 @@ fn main() {
             per_kernel("avx2"),
             per_kernel("avx512"),
             per_kernel("neon"),
-            g_strassen.map(fmt).unwrap_or_else(|| "-".to_string()),
-            fmt(g_best),
             g_simd
                 .map(|g| format!("{:.2}x", g / g_scalar))
                 .unwrap_or_else(|| "-".to_string()),
@@ -267,8 +237,6 @@ fn main() {
             "avx2",
             "avx512",
             "neon",
-            "strassen",
-            "best",
             "simd/scalar",
         ],
         &rows,

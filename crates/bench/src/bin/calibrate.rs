@@ -1,12 +1,11 @@
 //! Calibration probe: check the machine profiles against the paper's
 //! anchor points (DESIGN.md §6), sweep the host's gemm cache-block
-//! sizes (`--blocks`), compare the micro-kernel flavors and pack
-//! layouts (`--kernels`), find the Strassen recursion cutoff
-//! (`--strassen`), probe the work-stealing executor's worker count and
-//! prefetch depth (`--workers`), find the batched-driver amortization
-//! crossover and best slot-ring window (`--batch`), and probe
-//! node-group sizes / replication factors for the hierarchical driver
-//! (`--topology`, which also writes `topology_profile.json`).
+//! sizes (`--blocks`), compare the micro-kernel flavors (`--kernels`),
+//! probe the work-stealing executor's worker count and prefetch depth
+//! (`--workers`), find the batched-driver amortization crossover and
+//! best slot-ring window (`--batch`), and probe node-group sizes /
+//! replication factors for the hierarchical driver (`--topology`, which
+//! also writes `topology_profile.json`).
 //!
 //! Every probe flag merge-updates the persisted host profile
 //! (`<results_dir>/host_profile.json`, see `srumma_core::tune`), which
@@ -24,9 +23,8 @@ use srumma_core::repl::admissible_factor;
 use srumma_core::{
     Algorithm, Backend, GemmSpec, HostProfile, ReplicationFactor, Run, SrummaOptions,
 };
-use srumma_dense::blocked::{blocked_gemm_ws, BlockSizes, STRASSEN_MIN_CUTOFF};
 use srumma_dense::kernel::host_kernel_summary;
-use srumma_dense::{active_kernel, dgemm_ws, GemmWorkspace, Matrix, Microkernel, Op, PackLayout};
+use srumma_dense::{active_kernel, dgemm_ws, BlockSizes, GemmWorkspace, Matrix, Microkernel, Op};
 use srumma_model::{Machine, Topology};
 use srumma_trace::json::JsonObject;
 use std::time::Instant;
@@ -64,7 +62,7 @@ fn probe_block_sizes() -> HostProfile {
                 let mut rates = [0.0f64; SHAPES.len()];
                 for (rate, (a, b, c)) in rates.iter_mut().zip(operands.iter_mut()) {
                     let mut run = || {
-                        blocked_gemm_ws(
+                        dgemm_ws(
                             Op::N,
                             Op::N,
                             1.0,
@@ -121,148 +119,69 @@ fn probe_block_sizes() -> HostProfile {
 }
 
 /// Probe the micro-kernel flavors on this host: GFLOP/s of every
-/// available kernel at SRUMMA task-block sizes, under both pack
-/// layouts, so the `SRUMMA_KERNEL` / `SRUMMA_LAYOUT` defaults for a
-/// deployment come from evidence instead of ISA folklore (a one-FMA-
-/// port AVX-512 host can genuinely prefer the AVX2 kernel).
+/// available kernel at SRUMMA task-block sizes, so the `SRUMMA_KERNEL`
+/// default for a deployment comes from evidence instead of ISA folklore
+/// (a one-FMA-port AVX-512 host can genuinely prefer the AVX2 kernel).
+/// Host speed wanders over seconds, so the candidates are timed
+/// interleaved, round by round, and ranked by their median round — a
+/// slow spell then costs every candidate one sample, not one candidate
+/// all of its samples.
 fn probe_kernels() -> HostProfile {
+    const ROUNDS: usize = 5;
     println!(
         "micro-kernel probe on this host ({})",
         host_kernel_summary()
     );
     // Profile winner: best GFLOP/s at the largest probed size (the
     // most representative of real task blocks).
-    let mut overall = (0.0f64, active_kernel(), PackLayout::Linear);
+    let mut winner = active_kernel();
     for &n in &[128usize, 256, 500] {
         let a = Matrix::random(n, n, 1);
         let b = Matrix::random(n, n, 2);
         let mut c = Matrix::zeros(n, n);
         let flops = 2.0 * (n as f64).powi(3);
         println!("n={n}:");
-        let mut best = (0.0f64, "", PackLayout::Linear);
+        let mut candidates: Vec<(Microkernel, GemmWorkspace, Vec<f64>)> = Vec::new();
         for &kernel in Microkernel::all() {
-            if !kernel.available() {
-                println!("  {:<8} (unavailable on this host)", kernel.name());
-                continue;
+            if kernel.available() {
+                candidates.push((kernel, GemmWorkspace::with_kernel(kernel), Vec::new()));
+            } else {
+                println!("  {:<12} (unavailable on this host)", kernel.name());
             }
-            for layout in [PackLayout::Linear, PackLayout::ZOrder] {
-                let mut ws = GemmWorkspace::with_kernel(kernel).with_layout(layout);
-                let mut run = |c: &mut Matrix| {
-                    blocked_gemm_ws(
-                        Op::N,
-                        Op::N,
-                        1.0,
-                        a.as_ref(),
-                        b.as_ref(),
-                        0.0,
-                        c.as_mut(),
-                        &mut ws,
-                    )
-                };
-                run(&mut c); // warm-up sizes the workspace
-                let mut min = f64::INFINITY;
-                for _ in 0..3 {
-                    let t = Instant::now();
-                    run(&mut c);
-                    min = min.min(t.elapsed().as_secs_f64());
-                }
-                let gf = flops / min / 1e9;
-                println!(
-                    "  {:<8} layout={:<7} {:>7} GFLOP/s",
-                    kernel.name(),
-                    layout.name(),
-                    fmt(gf)
+        }
+        // Round 0 is the warm-up that sizes each workspace.
+        for round in 0..=ROUNDS {
+            for (_, ws, secs) in &mut candidates {
+                let t = Instant::now();
+                dgemm_ws(
+                    Op::N,
+                    Op::N,
+                    1.0,
+                    a.as_ref(),
+                    b.as_ref(),
+                    0.0,
+                    c.as_mut(),
+                    ws,
                 );
-                if gf > best.0 {
-                    best = (gf, kernel.name(), layout);
-                }
-                if n == 500 && gf > overall.0 {
-                    overall = (gf, kernel, layout);
+                if round > 0 {
+                    secs.push(t.elapsed().as_secs_f64());
                 }
             }
         }
-        println!(
-            "  best: {} / {} at {} GFLOP/s",
-            best.1,
-            best.2.name(),
-            fmt(best.0)
-        );
+        let mut best = (0.0f64, active_kernel());
+        for (kernel, _, secs) in &mut candidates {
+            secs.sort_by(f64::total_cmp);
+            let gf = flops / secs[ROUNDS / 2] / 1e9;
+            println!("  {:<12} {:>7} GFLOP/s", kernel.name(), fmt(gf));
+            if gf > best.0 {
+                best = (gf, *kernel);
+            }
+        }
+        println!("  best: {} at {} GFLOP/s", best.1.name(), fmt(best.0));
+        winner = best.1;
     }
     HostProfile {
-        kernel: Some(overall.1),
-        layout: Some(overall.2),
-        ..HostProfile::new()
-    }
-}
-
-/// Probe the Strassen cutoff on this host: time a large square multiply
-/// blocked-only and Strassen-routed at a range of cutoffs, and report
-/// the break-even point — the value a deployment should feed
-/// `SRUMMA_STRASSEN` (or leave it off if no cutoff wins).
-fn probe_strassen() -> HostProfile {
-    let n = 1024;
-    let a = Matrix::random(n, n, 1);
-    let b = Matrix::random(n, n, 2);
-    let mut c = Matrix::zeros(n, n);
-    let flops = 2.0 * (n as f64).powi(3);
-    let kernel = active_kernel();
-    println!("strassen cutoff probe (kernel {}, n={n}):", kernel.name());
-
-    let mut time_with = |cutoff: Option<usize>| {
-        let mut ws = GemmWorkspace::with_kernel(kernel).with_strassen(cutoff);
-        let mut run = |c: &mut Matrix| {
-            dgemm_ws(
-                Op::N,
-                Op::N,
-                1.0,
-                a.as_ref(),
-                b.as_ref(),
-                0.0,
-                c.as_mut(),
-                &mut ws,
-            )
-        };
-        run(&mut c); // warm-up sizes workspace and arena
-        let mut min = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Instant::now();
-            run(&mut c);
-            min = min.min(t.elapsed().as_secs_f64());
-        }
-        min
-    };
-
-    let base = time_with(None);
-    println!(
-        "  blocked only          {:>7} GFLOP/s",
-        fmt(flops / base / 1e9)
-    );
-    let mut best: Option<(usize, f64)> = None;
-    let mut cutoff = n / 2;
-    while cutoff >= STRASSEN_MIN_CUTOFF.max(64) {
-        let t = time_with(Some(cutoff));
-        let levels = srumma_dense::strassen::strassen_levels(n, n, n, cutoff);
-        println!(
-            "  cutoff={cutoff:<5} levels={levels} {:>7} GFLOP/s ({:+.1}% vs blocked)",
-            fmt(flops / t / 1e9),
-            (base / t - 1.0) * 100.0
-        );
-        if t < base && best.is_none_or(|(_, bt)| t < bt) {
-            best = Some((cutoff, t));
-        }
-        cutoff /= 2;
-    }
-    match best {
-        Some((cutoff, t)) => println!(
-            "break-even: SRUMMA_STRASSEN={cutoff} wins ({:.1}% over blocked) on this host",
-            (base / t - 1.0) * 100.0
-        ),
-        None => println!("break-even: none — leave SRUMMA_STRASSEN off on this host"),
-    }
-    HostProfile {
-        // Probed either way: `Some(None)` records "recursion loses
-        // here" so a stale win in an old profile gets overwritten.
-        strassen: Some(best.map(|(cutoff, _)| cutoff)),
+        kernel: Some(winner),
         ..HostProfile::new()
     }
 }
@@ -592,14 +511,13 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let all = args.iter().any(|a| a == "--all");
     let want = |flag: &str| all || args.iter().any(|a| a == flag);
-    // Probe order is deliberate: the kernel/layout winner is baked into
-    // the process-global gemm state, so it runs first and the remaining
+    // Probe order is deliberate: the kernel winner is baked into the
+    // process-global gemm state, so it runs first and the remaining
     // probes measure the host as the profile will configure it.
     type Probe = (&'static str, fn() -> HostProfile);
     let probes: Vec<Probe> = vec![
         ("--kernels", probe_kernels),
         ("--blocks", probe_block_sizes),
-        ("--strassen", probe_strassen),
         ("--workers", probe_workers),
         ("--batch", probe_batch),
         ("--topology", probe_topology),

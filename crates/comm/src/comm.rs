@@ -124,9 +124,9 @@ pub trait Comm {
     }
 
     /// Reconfigure this rank's serial-kernel workspace (micro-kernel,
-    /// cache blocks, pack layout, Strassen cutoff). Idempotent: a
-    /// config equal to the one already in effect must keep the existing
-    /// workspace (and its buffers) untouched, so repeated machine
+    /// cache blocks). Idempotent: a config equal to the one already in
+    /// effect must keep the existing workspace (and its buffers)
+    /// untouched, so repeated machine
     /// setups preserve the grow-at-most-once guarantee tracked by
     /// [`Comm::ws_grow_count`]. Backends without a real workspace
     /// (modeled compute) may ignore it.

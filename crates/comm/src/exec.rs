@@ -1102,10 +1102,9 @@ fn seed(core: &SchedCore) {
 /// `requested` count: `0` means *auto* (host parallelism, capped at 8 —
 /// the same default every bench harness uses), and any request is
 /// clamped to `[1, nranks]` since a worker beyond one-per-rank can
-/// never hold a task. All `exec_run*` entry points apply this, so the
-/// auto-tuner's probe path can pass worker candidates — including the
-/// auto sentinel — straight through and still report the *resolved*
-/// count it measured.
+/// never hold a task. All `exec_run*` entry points apply this, so a
+/// caller can pass the auto sentinel straight through and still report
+/// the *resolved* count.
 pub fn resolve_workers(requested: usize, nranks: usize) -> usize {
     let requested = if requested == 0 {
         std::thread::available_parallelism()

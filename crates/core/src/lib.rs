@@ -65,7 +65,4 @@ pub use repl::{resolve_factor, srumma_replicated, ReplSet};
 pub use run::{Backend, RankReport, Run, RunError, RunOutput};
 pub use srumma::{srumma as srumma_gemm, SrummaMachine, SrummaRankTask, SrummaReport};
 pub use summa::SummaOptions;
-pub use tune::{
-    autotune_decision, multiply_autotuned, AutotuneDecision, HostProfile, ProfileError, Tuner,
-    TunerCell, TunerStep, PROFILE_VERSION,
-};
+pub use tune::{HostProfile, ProfileError, Tuner, TunerCell, TunerStep, PROFILE_VERSION};

@@ -181,11 +181,10 @@ pub struct SrummaOptions {
     /// Shared-memory flavor (§3.2).
     pub shmem: ShmemFlavor,
     /// Serial-kernel configuration override (micro-kernel, cache
-    /// blocks, pack layout, Strassen cutoff). `None` keeps each
-    /// backend's default, i.e. the dispatched kernel plus the
-    /// `SRUMMA_KERNEL` / `SRUMMA_LAYOUT` / `SRUMMA_STRASSEN`
-    /// environment toggles; `Some` is pushed to every rank workspace
-    /// via `Comm::configure_gemm` at machine setup.
+    /// blocks). `None` keeps each backend's default, i.e. the
+    /// dispatched kernel (`SRUMMA_KERNEL` or CPU detection) and the
+    /// default blocks; `Some` is pushed to every rank workspace via
+    /// `Comm::configure_gemm` at machine setup.
     pub gemm: Option<GemmConfig>,
     /// Online tuner for batch streams: `Some` lets the runtime adjust
     /// prefetch depth and batch window *between entries* based on

@@ -1,12 +1,11 @@
-//! Self-tuning runtime: host profiles, the online tuner, and the
-//! probe-based autotuned entry point.
+//! Self-tuning runtime: host profiles and the online tuner.
 //!
 //! SRUMMA's throughput hinges on configuration the paper fixed per
 //! machine — kernel, cache blocks, prefetch depth, worker count, batch
 //! window. The repo measures all of it (`calibrate` probes, per-entry
 //! `RunStats`/`BatchStats`) but until this module each `Auto` knob was
 //! resolved by a static guess scattered across options/memory/repl.
-//! This module closes the measurement→configuration loop in three
+//! This module closes the measurement→configuration loop in two
 //! layers:
 //!
 //! 1. **[`HostProfile`]** — the persisted result of `calibrate -- --all`
@@ -26,21 +25,17 @@
 //!    change *when blocks are fetched*, never which gemm calls run or
 //!    in what per-rank order, so a tuned run is bitwise identical to an
 //!    untuned run on the same inputs.
-//! 3. **[`multiply_autotuned`]** — when no profile exists, runs 2–3
-//!    tiny probe multiplies to pick worker count and prefetch depth,
-//!    then caches the decision for the rest of the process.
+//!
+//! A caller without a profile gets the static defaults — what the
+//! checked-in ledger runs.
 //!
 //! Precedence, uniform across the workspace: explicit configuration
-//! (a `GemmConfig` in the options) beats the `SRUMMA_*` environment
-//! (which warns once, see `srumma_dense::explicit_env_conflicts`),
-//! which beats the profile, which beats the built-in `Auto` heuristics.
+//! (a `GemmConfig` in the options) beats `SRUMMA_KERNEL` (which warns
+//! once, see `srumma_dense::explicit_env_conflicts`), which beats the
+//! profile, which beats the built-in defaults.
 
-use crate::api::Algorithm;
-use crate::driver::multiply_exec;
-use crate::options::{GemmSpec, ReplicationFactor, SrummaOptions, TunerConfig};
-use srumma_comm::{resolve_workers, ExecRunResult};
-use srumma_dense::blocked::STRASSEN_MIN_CUTOFF;
-use srumma_dense::{BlockSizes, GemmConfig, Matrix, Microkernel, PackLayout};
+use crate::options::{ReplicationFactor, SrummaOptions, TunerConfig};
+use srumma_dense::{BlockSizes, GemmConfig, Microkernel};
 use srumma_trace::json::JsonObject;
 use srumma_trace::jsonin::Json;
 use std::fmt;
@@ -107,15 +102,13 @@ impl std::error::Error for ProfileError {}
 /// probe flags update one file incrementally.
 ///
 /// On-disk schema (JSON, flat, version-stamped; unset fields are
-/// omitted):
+/// omitted, keys this build does not know are ignored):
 ///
 /// ```json
 /// {
 ///   "version": 1,
 ///   "kernel": "avx2",
-///   "layout": "linear",
 ///   "blocks": {"mc": 64, "kc": 256, "nc": 512},
-///   "strassen_cutoff": null,
 ///   "workers": 8,
 ///   "prefetch_depth": 2,
 ///   "batch_window": 3,
@@ -123,20 +116,12 @@ impl std::error::Error for ProfileError {}
 ///   "replication_budget_bytes": 50000000
 /// }
 /// ```
-///
-/// `strassen_cutoff` is three-valued: absent = not probed, `null` =
-/// probed and best left off, a number = probed best cutoff.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostProfile {
     /// Best micro-kernel (`calibrate -- --kernels`).
     pub kernel: Option<Microkernel>,
-    /// Best A-panel pack layout (probed alongside the kernel).
-    pub layout: Option<PackLayout>,
     /// Best cache-block sizes (`calibrate -- --blocks`).
     pub blocks: Option<BlockSizes>,
-    /// Probed Strassen verdict: outer `None` = not probed, inner
-    /// `None` = probed, recursion not worth it on this host.
-    pub strassen: Option<Option<usize>>,
     /// Best executor worker-pool size (`calibrate -- --workers`).
     pub workers: Option<usize>,
     /// Best prefetch depth (`0` = double buffering off).
@@ -169,14 +154,8 @@ impl HostProfile {
         if other.kernel.is_some() {
             self.kernel = other.kernel;
         }
-        if other.layout.is_some() {
-            self.layout = other.layout;
-        }
         if other.blocks.is_some() {
             self.blocks = other.blocks;
-        }
-        if other.strassen.is_some() {
-            self.strassen = other.strassen;
         }
         if other.workers.is_some() {
             self.workers = other.workers;
@@ -202,20 +181,12 @@ impl HostProfile {
         if let Some(k) = self.kernel {
             o.str("kernel", k.env_name());
         }
-        if let Some(l) = self.layout {
-            o.str("layout", l.name());
-        }
         if let Some(b) = self.blocks {
             let mut nb = JsonObject::new();
             nb.int("mc", b.mc as u64);
             nb.int("kc", b.kc as u64);
             nb.int("nc", b.nc as u64);
             o.raw("blocks", &nb.finish());
-        }
-        match self.strassen {
-            None => {}
-            Some(None) => o.null("strassen_cutoff"),
-            Some(Some(c)) => o.int("strassen_cutoff", c as u64),
         }
         if let Some(w) = self.workers {
             o.int("workers", w as u64);
@@ -283,18 +254,6 @@ impl HostProfile {
             }
             p.kernel = Some(kernel);
         }
-        if let Some(v) = doc.get("layout") {
-            let name = v.as_str().ok_or_else(|| ProfileError::Field {
-                field: "layout",
-                reason: "must be a string".into(),
-            })?;
-            p.layout = Some(srumma_dense::blocked::parse_layout(name).map_err(|e| {
-                ProfileError::Field {
-                    field: "layout",
-                    reason: e,
-                }
-            })?);
-        }
         if let Some(v) = doc.get("blocks") {
             let get = |k: &'static str| -> Result<usize, ProfileError> {
                 let n = v
@@ -316,24 +275,6 @@ impl HostProfile {
                 mc: get("mc")?,
                 kc: get("kc")?,
                 nc: get("nc")?,
-            });
-        }
-        if let Some(v) = doc.get("strassen_cutoff") {
-            p.strassen = Some(match v {
-                Json::Null => None,
-                Json::Num(n) if *n >= STRASSEN_MIN_CUTOFF as f64 => Some(*n as usize),
-                Json::Num(n) => {
-                    return Err(ProfileError::Field {
-                        field: "strassen_cutoff",
-                        reason: format!("cutoff {n} is below the minimum {STRASSEN_MIN_CUTOFF}"),
-                    })
-                }
-                _ => {
-                    return Err(ProfileError::Field {
-                        field: "strassen_cutoff",
-                        reason: "must be null or an integer".into(),
-                    })
-                }
             });
         }
         let count = |key: &'static str, min: f64| -> Result<Option<usize>, ProfileError> {
@@ -388,26 +329,17 @@ impl HostProfile {
     }
 
     /// The serial-kernel configuration this profile pins, or `None`
-    /// when no gemm-level field was probed. Unpinned sub-fields defer
-    /// to the environment (`GemmConfig::from_env`), preserving the
-    /// explicit > env > profile precedence for each knob individually.
+    /// when no gemm-level field was probed. An unpinned kernel stays
+    /// `None` — resolved at workspace construction from `SRUMMA_KERNEL`
+    /// or CPU detection — preserving the explicit > env > profile
+    /// precedence.
     pub fn gemm_config(&self) -> Option<GemmConfig> {
-        if self.kernel.is_none()
-            && self.layout.is_none()
-            && self.blocks.is_none()
-            && self.strassen.is_none()
-        {
+        if self.kernel.is_none() && self.blocks.is_none() {
             return None;
         }
-        let base = GemmConfig::from_env();
         Some(GemmConfig {
-            kernel: self.kernel.or(base.kernel),
-            blocks: self.blocks.or(base.blocks),
-            layout: self.layout.unwrap_or(base.layout),
-            strassen_cutoff: match self.strassen {
-                Some(verdict) => verdict,
-                None => base.strassen_cutoff,
-            },
+            kernel: self.kernel,
+            blocks: self.blocks,
         })
     }
 
@@ -784,118 +716,6 @@ impl TunerCell {
             })
             .collect()
     }
-}
-
-// ---------------------------------------------------------------------
-// The probe path
-// ---------------------------------------------------------------------
-
-/// The cached outcome of [`autotune_decision`]: what to run with and
-/// where the numbers came from.
-#[derive(Clone, Copy, Debug)]
-pub struct AutotuneDecision {
-    /// Executor worker-pool size (fed through
-    /// `srumma_comm::resolve_workers`).
-    pub workers: usize,
-    /// Prefetch depth for the SRUMMA pipeline.
-    pub prefetch_depth: usize,
-    /// `"profile"` (loaded from `host_profile.json`) or `"probe"`
-    /// (measured by the tiny probe multiplies).
-    pub source: &'static str,
-}
-
-/// Probe problem size: big enough that worker-count differences are
-/// measurable, small enough that three probes cost milliseconds.
-const PROBE_N: usize = 96;
-
-fn probe_seconds(nranks: usize, workers: usize, depth: usize, a: &Matrix, b: &Matrix) -> f64 {
-    let spec = GemmSpec::square(PROBE_N);
-    let opts = SrummaOptions {
-        prefetch_depth: depth,
-        ..SrummaOptions::default()
-    };
-    let (_c, run) = multiply_exec(nranks, workers, &Algorithm::Srumma(opts), &spec, a, b);
-    run.wall_seconds
-}
-
-fn compute_decision(nranks: usize) -> AutotuneDecision {
-    if let Some(p) = cached_profile() {
-        if p.workers.is_some() || p.prefetch_depth.is_some() {
-            return AutotuneDecision {
-                workers: p.worker_count(0),
-                prefetch_depth: p.prefetch_depth.unwrap_or(1).max(1),
-                source: "profile",
-            };
-        }
-    }
-    // No profile: 2–3 tiny probe multiplies. Probe at a bounded rank
-    // count (the worker sweet spot saturates well below 16 ranks) so
-    // the probes stay cheap even for huge target rank counts.
-    let pranks = nranks.clamp(1, 16);
-    let a = Matrix::random(PROBE_N, PROBE_N, 11);
-    let b = Matrix::random(PROBE_N, PROBE_N, 12);
-    let w_full = resolve_workers(0, pranks);
-    let w_half = (w_full / 2).max(1);
-    let t_full = probe_seconds(pranks, w_full, 1, &a, &b);
-    let (mut workers, base_t) = if w_half < w_full {
-        let t_half = probe_seconds(pranks, w_half, 1, &a, &b);
-        if t_half < t_full {
-            (w_half, t_half)
-        } else {
-            (w_full, t_full)
-        }
-    } else {
-        (w_full, t_full)
-    };
-    let t_deep = probe_seconds(pranks, workers, 2, &a, &b);
-    let prefetch_depth = if t_deep < base_t { 2 } else { 1 };
-    if workers == resolve_workers(0, pranks) {
-        // Keep the auto sentinel when the probe confirmed the default,
-        // so the decision scales with the real run's rank count.
-        workers = 0;
-    }
-    AutotuneDecision {
-        workers,
-        prefetch_depth,
-        source: "probe",
-    }
-}
-
-/// The process-wide autotune decision: the host profile when one
-/// exists, otherwise 2–3 tiny probe multiplies, cached after the first
-/// call (the probe runs once per process, not once per multiply).
-pub fn autotune_decision(nranks: usize) -> AutotuneDecision {
-    static DECISION: OnceLock<AutotuneDecision> = OnceLock::new();
-    *DECISION.get_or_init(|| compute_decision(nranks))
-}
-
-/// `C = A·B` on the executor with autotuned worker count and prefetch
-/// depth (and the full host profile when one exists): the zero-config
-/// entry point. Returns the product, the run result, and the decision
-/// that was applied.
-pub fn multiply_autotuned(
-    nranks: usize,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (
-    Matrix,
-    ExecRunResult<Option<crate::srumma::SrummaReport>>,
-    AutotuneDecision,
-) {
-    let decision = autotune_decision(nranks);
-    let mut opts = SrummaOptions::from_profile();
-    opts.double_buffer = true;
-    opts.prefetch_depth = decision.prefetch_depth.max(1);
-    let (c, run) = multiply_exec(
-        nranks,
-        decision.workers,
-        &Algorithm::Srumma(opts),
-        spec,
-        a,
-        b,
-    );
-    (c, run, decision)
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
-//! End-to-end `GemmConfig` plumbing: an explicit kernel / layout /
-//! Strassen configuration handed to `SrummaOptions::with_gemm` must
-//! reach every backend's workspace via `Comm::configure_gemm` and
-//! change nothing about the numerics — the config only selects *how*
-//! the same multiply is computed.
+//! End-to-end `GemmConfig` plumbing: an explicit kernel configuration
+//! handed to `SrummaOptions::with_gemm` must reach every backend's
+//! workspace via `Comm::configure_gemm` and change nothing about the
+//! numerics — the config only selects *how* the same multiply is
+//! computed.
 
 use srumma_core::driver::{multiply_exec, multiply_threads, serial_reference};
 use srumma_core::{Algorithm, GemmSpec, SrummaOptions};
 use srumma_dense::kernel::Microkernel;
-use srumma_dense::{max_abs_diff, GemmConfig, Matrix, PackLayout};
+use srumma_dense::{max_abs_diff, GemmConfig, Matrix};
 
 fn expected(spec: &GemmSpec, a: &Matrix, b: &Matrix) -> Matrix {
     let mut e = serial_reference(spec, a, b);
@@ -20,29 +20,13 @@ fn expected(spec: &GemmSpec, a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 fn configs() -> Vec<(&'static str, GemmConfig)> {
-    let mut cfgs = vec![
-        (
-            "pinned-scalar",
-            GemmConfig {
-                kernel: Some(Microkernel::Scalar),
-                ..Default::default()
-            },
-        ),
-        (
-            "zorder-layout",
-            GemmConfig {
-                layout: PackLayout::ZOrder,
-                ..Default::default()
-            },
-        ),
-        (
-            "strassen-32",
-            GemmConfig {
-                strassen_cutoff: Some(32),
-                ..Default::default()
-            },
-        ),
-    ];
+    let mut cfgs = vec![(
+        "pinned-scalar",
+        GemmConfig {
+            kernel: Some(Microkernel::Scalar),
+            ..Default::default()
+        },
+    )];
     // Every SIMD kernel the host can run, pinned explicitly — the
     // plumbing must carry any of them, not just the dispatch favorite.
     for &k in Microkernel::all() {

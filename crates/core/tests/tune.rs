@@ -1,7 +1,6 @@
 //! Integration tests for the self-tuning runtime
 //! (`srumma_core::tune`): host-profile round-trips and rejection paths,
-//! tuner bitwise neutrality on batch streams, and the probe-based
-//! autotuned entry point.
+//! and tuner bitwise neutrality on batch streams.
 //!
 //! Profile tests use explicit temp-file paths (`HostProfile::save` /
 //! `SrummaOptions::from_profile_path`) rather than the process-global
@@ -12,12 +11,10 @@ use srumma_core::batch::{
     batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_exec_tuned,
     BatchEntry, BatchSpec,
 };
-use srumma_core::driver::serial_reference;
 use srumma_core::{
-    multiply_autotuned, GemmSpec, HostProfile, ProfileError, SrummaOptions, TunerConfig,
-    PROFILE_VERSION,
+    GemmSpec, HostProfile, ProfileError, SrummaOptions, TunerConfig, PROFILE_VERSION,
 };
-use srumma_dense::{max_abs_diff, BlockSizes, GemmConfig, Matrix, Microkernel, Op, PackLayout};
+use srumma_dense::{max_abs_diff, BlockSizes, GemmConfig, Matrix, Microkernel, Op};
 use std::path::PathBuf;
 
 /// A unique temp path per test (pid + name), removed by the caller.
@@ -37,13 +34,11 @@ fn an_available_kernel() -> Microkernel {
 fn profile_roundtrip_preserves_every_field() {
     let profile = HostProfile {
         kernel: Some(an_available_kernel()),
-        layout: Some(PackLayout::Linear),
         blocks: Some(BlockSizes {
             mc: 64,
             kc: 128,
             nc: 512,
         }),
-        strassen: Some(None), // probed: recursion loses on this host
         workers: Some(6),
         prefetch_depth: Some(3),
         batch_window: Some(3),
@@ -199,6 +194,40 @@ fn malformed_fields_are_field_errors() {
     }
 }
 
+/// A profile written before the Z-order layout and the Strassen cutoff
+/// were retired still carries their keys. `PROFILE_VERSION` did not
+/// move, so such a file must load, and resolve to exactly the options
+/// of the same profile without them.
+#[test]
+fn retired_profile_keys_are_ignored() {
+    let profile = HostProfile {
+        kernel: Some(an_available_kernel()),
+        blocks: Some(BlockSizes {
+            mc: 64,
+            kc: 128,
+            nc: 512,
+        }),
+        workers: Some(2),
+        prefetch_depth: Some(3),
+        batch_window: Some(3),
+        ranks_per_node: Some(4),
+        replication_budget_bytes: Some(12_345_678),
+    };
+    let current = profile.to_json();
+    let old = current.replacen(
+        '{',
+        "{\"layout\": \"zorder\", \"strassen_cutoff\": 256, ",
+        1,
+    );
+    assert_ne!(old, current);
+    let loaded = HostProfile::from_json(&old).expect("retired keys must not fail the load");
+    assert_eq!(loaded, profile);
+    assert_eq!(
+        loaded.resolve(SrummaOptions::default()),
+        profile.resolve(SrummaOptions::default())
+    );
+}
+
 #[test]
 fn missing_profile_file_is_an_io_error() {
     let path = temp_path("definitely_absent");
@@ -285,36 +314,6 @@ fn tuner_is_bitwise_neutral_on_thread_backend() {
         let diff = max_abs_diff(got, want);
         assert!(diff == 0.0, "entry {e}: tuned differs by {diff:e}");
     }
-}
-
-// ---------------------------------------------------------------------
-// The autotuned entry point
-// ---------------------------------------------------------------------
-
-#[test]
-fn multiply_autotuned_is_correct_and_decision_is_cached() {
-    let n = 48;
-    let spec = GemmSpec::square(n);
-    let a = Matrix::random(n, n, 31);
-    let b = Matrix::random(n, n, 32);
-    let (c, _run, d1) = multiply_autotuned(4, &spec, &a, &b);
-    let expect = serial_reference(&spec, &a, &b);
-    let diff = max_abs_diff(&c, &expect);
-    assert!(diff < 1e-9, "|diff|={diff:e}");
-    assert!(d1.prefetch_depth >= 1);
-    assert!(d1.source == "probe" || d1.source == "profile");
-
-    // Second call must reuse the process-cached decision (same values,
-    // no re-probe): the decision is a pure lookup now.
-    let (c2, _run2, d2) = multiply_autotuned(4, &spec, &a, &b);
-    assert_eq!(d1.workers, d2.workers);
-    assert_eq!(d1.prefetch_depth, d2.prefetch_depth);
-    assert_eq!(d1.source, d2.source);
-    let diff = max_abs_diff(&c2, &c);
-    assert!(
-        diff == 0.0,
-        "repeated autotuned runs with the cached decision must be bitwise stable"
-    );
 }
 
 // ---------------------------------------------------------------------

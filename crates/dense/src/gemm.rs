@@ -3,9 +3,12 @@
 //! [`dgemm`] is the BLAS-style call used throughout the workspace — the
 //! same serial kernel backs SRUMMA, Cannon and SUMMA, mirroring the
 //! paper's methodology ("the same dgemm routines from vendor optimized
-//! math library were used" for all parallel algorithms).
+//! math library were used" for all parallel algorithms). There is one
+//! path from here to the micro-kernel: the blocked loop
+//! [`crate::blocked::dgemm_ws`], which hot paths call directly with a
+//! workspace they keep.
 
-use crate::blocked::{blocked_gemm, blocked_gemm_ws, GemmWorkspace};
+use crate::blocked::{dgemm_ws, GemmWorkspace};
 use crate::matrix::{MatMut, MatRef};
 
 /// Whether a gemm operand enters the product transposed.
@@ -38,7 +41,8 @@ impl Op {
 /// `C ← α·op(A)·op(B) + β·C` over strided views.
 ///
 /// `op(A)` must be `c.rows() × k` and `op(B)` must be `k × c.cols()`.
-/// Dispatches to the cache-blocked implementation in [`crate::blocked`].
+/// Runs [`dgemm_ws`] on a throwaway [`GemmWorkspace`] — the convenience
+/// entry for one-off calls.
 ///
 /// # Panics
 /// Panics if operand shapes are inconsistent.
@@ -60,34 +64,16 @@ pub fn dgemm(
     beta: f64,
     c: MatMut<'_>,
 ) {
-    blocked_gemm(transa, transb, alpha, a, b, beta, c);
-}
-
-/// [`dgemm`] with a caller-owned [`GemmWorkspace`], for hot paths that
-/// issue many gemms (the comm backends, the SRUMMA task loop): packing
-/// buffers are allocated once per workspace, not once per call.
-///
-/// When the workspace carries a Strassen cutoff
-/// ([`GemmWorkspace::with_strassen`] / `SRUMMA_STRASSEN`), the call is
-/// routed through [`crate::strassen::strassen_gemm_ws`]; its leaves run
-/// on the blocked kernel, so every flop still executes in the packed
-/// micro-kernels. Otherwise this is the blocked path exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm_ws(
-    transa: Op,
-    transb: Op,
-    alpha: f64,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    beta: f64,
-    c: MatMut<'_>,
-    ws: &mut GemmWorkspace,
-) {
-    if ws.strassen_cutoff().is_some() {
-        crate::strassen::strassen_gemm_ws(transa, transb, alpha, a, b, beta, c, ws);
-    } else {
-        blocked_gemm_ws(transa, transb, alpha, a, b, beta, c, ws);
-    }
+    dgemm_ws(
+        transa,
+        transb,
+        alpha,
+        a,
+        b,
+        beta,
+        c,
+        &mut GemmWorkspace::new(),
+    );
 }
 
 /// Convenience wrapper: allocate and return `op(A)·op(B)`.

@@ -50,17 +50,14 @@ pub mod rng;
 pub mod simd;
 #[cfg(target_arch = "aarch64")]
 pub mod simd_neon;
-pub mod strassen;
 pub mod verify;
-pub mod zorder;
 
-pub use blocked::{explicit_env_conflicts, BlockSizes, GemmConfig, GemmWorkspace, PackLayout};
+pub use blocked::{dgemm_ws, explicit_env_conflicts, BlockSizes, GemmConfig, GemmWorkspace};
 pub use effmodel::EffModel;
-pub use gemm::{dgemm, dgemm_into, dgemm_ws, Op};
+pub use gemm::{dgemm, dgemm_into, Op};
 pub use kernel::{active_kernel, Microkernel};
 pub use mask::BlockMask;
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use prop::{prop_rerun, prop_seeds};
 pub use rng::Rng;
-pub use strassen::strassen_gemm_ws;
 pub use verify::{assert_close, max_abs_diff, rel_fro_error};

@@ -22,8 +22,8 @@
 //!
 //! A ragged last sliver and any other width run through the same two
 //! movers: dead lanes are written `0.0`, other widths use the run-time
-//! `w`. [`pack_a`], [`pack_b`] and [`crate::zorder::pack_a_zorder`]
-//! only choose origins and destinations.
+//! `w`. [`pack_a`] and [`pack_b`] only choose origins and
+//! destinations.
 
 use crate::gemm::Op;
 use crate::matrix::{transpose_into, MatRef};

@@ -1,10 +1,9 @@
-//! Property-style tests for the operand packers (`pack_a` / `pack_b` /
-//! `pack_a_zorder`), which were previously only exercised indirectly
-//! through `blocked_gemm`: sliver ordering, zero-padding at ragged
-//! edges, and transposed + strided source views, for every sliver
-//! geometry in use (`mr = 4` scalar/AVX2/NEON, `mr = 8` AVX-512;
-//! `nr = 8` scalar/AVX-512/NEON, `nr = 12` AVX2) and for the Morton
-//! Z-order A-panel layout.
+//! Property-style tests for the operand packers (`pack_a` / `pack_b`),
+//! which are otherwise only exercised indirectly through `dgemm_ws`:
+//! sliver ordering, zero-padding at ragged edges, and transposed +
+//! strided source views, for every sliver geometry in use (`mr = 4`
+//! scalar/AVX2/NEON, `mr = 8` AVX-512; `nr = 8` scalar/AVX-512/NEON,
+//! `nr = 12` AVX2).
 //!
 //! Buffers are pre-filled with NaN so any cell the packer fails to
 //! write — padding it should have zeroed, elements it should have
@@ -13,7 +12,6 @@
 use srumma_dense::gemm::Op;
 use srumma_dense::kernel::{MR, MR_AVX512, NR, NR_AVX2};
 use srumma_dense::pack::{pack_a, pack_b};
-use srumma_dense::zorder::{pack_a_zorder, ZShape, ZT_K};
 use srumma_dense::{MatRef, Matrix, Rng};
 
 const CASES: u64 = 48;
@@ -83,58 +81,6 @@ fn pack_a_slivers_match_logical_panel() {
     }
 }
 
-/// The Z-order packer obeys the same logical contract through the
-/// Morton tile map: tile `(s, t)` element `(r, kk)` equals
-/// `op(A)[s*mr + r][t*ZT_K + kk]` or zero (row padding), under
-/// transposed and strided views and both sliver heights.
-#[test]
-fn pack_a_zorder_tiles_match_logical_panel() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x00A0_2024_u64.wrapping_add(case));
-        let trans = random_op(&mut rng);
-        let mr = if rng.chance(0.5) { MR } else { MR_AVX512 };
-        let mc = rng.range(1, 40);
-        let kc = rng.range(1, 80);
-        let i0 = rng.range(0, 6);
-        let l0 = rng.range(0, 6);
-        let (vr, vc) = match trans {
-            Op::N => (i0 + mc, l0 + kc),
-            Op::T => (l0 + kc, i0 + mc),
-        };
-        let pr = rng.range(0, 4);
-        let pc = rng.range(0, 4);
-        let big = Matrix::random(vr + pr + 2, vc + pc + 3, rng.next_u64());
-        let view = big.block(pr, pc, vr, vc);
-
-        let z = ZShape::new(mc, kc, mr);
-        let mut buf = vec![f64::NAN; z.elems()];
-        pack_a_zorder(trans, view, i0, l0, mc, kc, mr, &mut buf);
-
-        for s in 0..z.slivers {
-            for t in 0..z.chunks {
-                let kt = ZT_K.min(kc - t * ZT_K);
-                let off = z.tile_offset(s, t);
-                for kk in 0..kt {
-                    for r in 0..mr {
-                        let got = buf[off + kk * mr + r];
-                        let row = s * mr + r;
-                        let expect = if row < mc {
-                            op_at(view, trans, i0 + row, l0 + t * ZT_K + kk)
-                        } else {
-                            0.0
-                        };
-                        assert!(
-                            got == expect,
-                            "case {case} trans={trans:?} mr={mr} s={s} t={t} kk={kk} r={r}: \
-                             {got} != {expect}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Same contract for B, at both sliver widths (8 and 12).
 #[test]
 fn pack_b_slivers_match_logical_panel_both_widths() {
@@ -192,9 +138,7 @@ fn ragged_edges_overwrite_poisoned_buffers_with_zeros() {
         (NR_AVX2 + 5, Some(NR_AVX2)),
     ] {
         let kc = 7;
-        // A side: mc not a multiple of mr, at both sliver heights and
-        // in both layouts (the Z-order packer reads padding as data
-        // through the same kernels, so its pad cells matter equally).
+        // A side: mc not a multiple of mr, at both sliver heights.
         for &mr in &[MR, MR_AVX512] {
             let mc = dim;
             let m = Matrix::random(mc, kc, 9);
@@ -205,20 +149,6 @@ fn ragged_edges_overwrite_poisoned_buffers_with_zeros() {
                 buf.iter().all(|v| v.is_finite()),
                 "pack_a left NaN in a padded cell (mc={mc}, mr={mr})"
             );
-
-            let z = ZShape::new(mc, kc, mr);
-            let mut zbuf = vec![f64::NAN; z.elems()];
-            pack_a_zorder(Op::N, m.as_ref(), 0, 0, mc, kc, mr, &mut zbuf);
-            for s in 0..z.slivers {
-                for t in 0..z.chunks {
-                    let kt = ZT_K.min(kc - t * ZT_K);
-                    let off = z.tile_offset(s, t);
-                    assert!(
-                        zbuf[off..off + kt * mr].iter().all(|v| v.is_finite()),
-                        "pack_a_zorder left NaN in a live tile (mc={mc}, mr={mr}, s={s}, t={t})"
-                    );
-                }
-            }
         }
 
         // B side: nc not a multiple of nr.
@@ -295,13 +225,13 @@ fn transpose_flag_equals_materialized_transpose() {
 // ---------------------------------------------------------------------
 
 use srumma_dense::kernel::{writeback, Microkernel, ACC_LEN};
-use srumma_dense::{dgemm_ws, prop_rerun, prop_seeds, BlockSizes, GemmWorkspace, PackLayout};
+use srumma_dense::{dgemm_ws, prop_rerun, prop_seeds, BlockSizes, GemmWorkspace};
 
 /// The sliver widths under test: every `mr`/`nr` of the kernel ladder
 /// plus one width the packers have no specialisation for.
 const WIDTHS: [usize; 5] = [4, 8, 12, 24, 6];
 /// Depths around the tile edges (the portable tile is 8 deep, the AVX2
-/// one 4, a Z-order chunk 32) and the default `KC`.
+/// one 4) and the default `KC`.
 const DEPTHS: [usize; 7] = [0, 1, 7, 8, 9, 255, 256];
 
 /// Element-wise `pack_a` / `pack_b`: `buf[s][k * w + x] ←
@@ -330,36 +260,6 @@ fn oracle_pack(
                 } else {
                     op_at(v, trans, k0 + k, x0 + lane)
                 };
-            }
-        }
-    }
-}
-
-/// Element-wise `pack_a_zorder`.
-#[allow(clippy::too_many_arguments)]
-fn oracle_pack_a_zorder(
-    trans: Op,
-    v: MatRef<'_>,
-    i0: usize,
-    l0: usize,
-    mc: usize,
-    kc: usize,
-    mr: usize,
-    buf: &mut [f64],
-) {
-    let z = ZShape::new(mc, kc, mr);
-    for s in 0..mc.div_ceil(mr) {
-        for t in 0..kc.div_ceil(ZT_K) {
-            let off = z.tile_offset(s, t);
-            for kk in 0..ZT_K.min(kc - t * ZT_K) {
-                for r in 0..mr {
-                    let row = s * mr + r;
-                    buf[off + kk * mr + r] = if row < mc {
-                        op_at(v, trans, i0 + row, l0 + t * ZT_K + kk)
-                    } else {
-                        0.0
-                    };
-                }
             }
         }
     }
@@ -396,7 +296,7 @@ fn assert_same_bits(got: &[f64], want: &[f64], what: &str, seed: u64) {
     }
 }
 
-/// `pack_a`, `pack_b` and `pack_a_zorder` against the element loops:
+/// `pack_a` and `pack_b` against the element loops:
 /// every width, both `Op`s, ragged extents, origins off any multiple of
 /// eight, strided sub-views, every depth in [`DEPTHS`]. The destination
 /// arrives NaN-poisoned and longer than needed: padding must come back
@@ -435,14 +335,6 @@ fn packers_are_bit_identical_to_the_element_loops() {
                 oracle_pack(false, trans, b, x0, k0, extent, kc, w, &mut want);
                 pack_b(trans, b, k0, x0, kc, extent, w, &mut got);
                 assert_same_bits(&got, &want, &format!("pack_b {what}"), seed);
-
-                // Z-order: same panel, tiles at their Morton offsets;
-                // unused grid tiles and an edge chunk's k tail stay poisoned.
-                let mut want = vec![poison; ZShape::new(extent, kc, w).elems() + SLACK];
-                let mut got = want.clone();
-                oracle_pack_a_zorder(trans, a, x0, k0, extent, kc, w, &mut want);
-                pack_a_zorder(trans, a, x0, k0, extent, kc, w, &mut got);
-                assert_same_bits(&got, &want, &format!("pack_a_zorder {what}"), seed);
             }
         }
     }
@@ -489,12 +381,10 @@ fn copy_transposed_from_matches_the_element_loop() {
 }
 
 /// `C ← α·op(A)·op(B) + β·C` through the blocked loop nest of
-/// `blocked_gemm_ws`, but packing with the element-loop oracles: what
+/// `dgemm_ws`, but packing with the element-loop oracles: what
 /// `dgemm_ws` computed before the tile movers.
-#[allow(clippy::too_many_arguments)]
 fn oracle_gemm(
     kernel: Microkernel,
-    layout: PackLayout,
     blocks: BlockSizes,
     (ta, tb): (Op, Op),
     (alpha, beta): (f64, f64),
@@ -506,8 +396,7 @@ fn oracle_gemm(
     let k = ta.apply(a.rows(), a.cols()).1;
     let (mr, nr) = (kernel.mr(), kernel.nr());
     c.as_mut().scale(beta);
-    let z_elems = ZShape::new(blocks.mc, blocks.kc, mr).elems();
-    let mut apack = vec![0.0; z_elems.max(blocks.mc.div_ceil(mr) * mr * blocks.kc)];
+    let mut apack = vec![0.0; blocks.mc.div_ceil(mr) * mr * blocks.kc];
     let mut bpack = vec![0.0; blocks.nc.div_ceil(nr) * nr * blocks.kc];
     for jc in (0..n).step_by(blocks.nc) {
         let nc = blocks.nc.min(n - jc);
@@ -516,31 +405,13 @@ fn oracle_gemm(
             oracle_pack(false, tb, b, jc, lc, nc, kc, nr, &mut bpack);
             for ic in (0..m).step_by(blocks.mc) {
                 let mc = blocks.mc.min(m - ic);
-                let z = ZShape::new(mc, kc, mr);
-                match layout {
-                    PackLayout::Linear => oracle_pack(true, ta, a, ic, lc, mc, kc, mr, &mut apack),
-                    PackLayout::ZOrder => {
-                        oracle_pack_a_zorder(ta, a, ic, lc, mc, kc, mr, &mut apack)
-                    }
-                }
+                oracle_pack(true, ta, a, ic, lc, mc, kc, mr, &mut apack);
                 for js in 0..nc.div_ceil(nr) {
                     let b_sliver = &bpack[js * nr * kc..(js + 1) * nr * kc];
                     for is in 0..mc.div_ceil(mr) {
                         let mut acc = [0.0; ACC_LEN];
-                        match layout {
-                            PackLayout::Linear => {
-                                let a_sliver = &apack[is * mr * kc..(is + 1) * mr * kc];
-                                kernel.run(kc, a_sliver, b_sliver, &mut acc);
-                            }
-                            PackLayout::ZOrder => {
-                                for (t, l) in (0..kc).step_by(ZT_K).enumerate() {
-                                    let kt = ZT_K.min(kc - l);
-                                    let off = z.tile_offset(is, t);
-                                    let tile = &apack[off..off + kt * mr];
-                                    kernel.run(kt, tile, &b_sliver[l * nr..], &mut acc);
-                                }
-                            }
-                        }
+                        let a_sliver = &apack[is * mr * kc..(is + 1) * mr * kc];
+                        kernel.run(kc, a_sliver, b_sliver, &mut acc);
                         let (r0, c0) = (ic + is * mr, jc + js * nr);
                         let (rows, cols) = (mr.min(m - r0), nr.min(n - c0));
                         let tile = &mut c.as_mut_slice()[r0 * n + c0..];
@@ -555,53 +426,42 @@ fn oracle_gemm(
 /// C is what it was: `dgemm_ws` on random float inputs equals the
 /// oracle-packed loop nest bit for bit — all four transpose cases,
 /// ragged shapes that cross every blocking level, each kernel flavour
-/// this host can run, Linear and Z-order layouts.
+/// this host can run.
 #[test]
 fn dgemm_ws_is_bit_identical_to_the_element_loop_packers() {
     let blocks = BlockSizes::new(24, 40, 36);
     for seed in prop_seeds(0xC0DE_9AC4, 6) {
         let mut rng = Rng::new(seed);
         for &kernel in Microkernel::all().iter().filter(|k| k.available()) {
-            for layout in [PackLayout::Linear, PackLayout::ZOrder] {
-                for (ta, tb) in [
-                    (Op::N, Op::N),
-                    (Op::T, Op::N),
-                    (Op::N, Op::T),
-                    (Op::T, Op::T),
-                ] {
-                    let (m, n, k) = (rng.range(1, 70), rng.range(1, 70), rng.range(1, 90));
-                    let (ar, ac) = ta.apply(m, k);
-                    let (br, bc) = tb.apply(k, n);
-                    let a = Matrix::random(ar, ac + 3, rng.next_u64());
-                    let b = Matrix::random(br, bc + 1, rng.next_u64());
-                    let (a, b) = (a.block(0, 2, ar, ac), b.block(0, 1, br, bc));
-                    let (alpha, beta) = *rng.pick(&[(1.0, 0.0), (1.0, 1.0), (-0.5, 0.25)]);
-                    let c0 = Matrix::random(m, n, rng.next_u64());
+            for (ta, tb) in [
+                (Op::N, Op::N),
+                (Op::T, Op::N),
+                (Op::N, Op::T),
+                (Op::T, Op::T),
+            ] {
+                let (m, n, k) = (rng.range(1, 70), rng.range(1, 70), rng.range(1, 90));
+                let (ar, ac) = ta.apply(m, k);
+                let (br, bc) = tb.apply(k, n);
+                let a = Matrix::random(ar, ac + 3, rng.next_u64());
+                let b = Matrix::random(br, bc + 1, rng.next_u64());
+                let (a, b) = (a.block(0, 2, ar, ac), b.block(0, 1, br, bc));
+                let (alpha, beta) = *rng.pick(&[(1.0, 0.0), (1.0, 1.0), (-0.5, 0.25)]);
+                let c0 = Matrix::random(m, n, rng.next_u64());
 
-                    let mut want = c0.clone();
-                    oracle_gemm(
-                        kernel,
-                        layout,
-                        blocks,
-                        (ta, tb),
-                        (alpha, beta),
-                        a,
-                        b,
-                        &mut want,
-                    );
-                    let mut got = c0.clone();
-                    let mut ws = GemmWorkspace::with_config(kernel, blocks).with_layout(layout);
-                    dgemm_ws(ta, tb, alpha, a, b, beta, got.as_mut(), &mut ws);
-                    assert_same_bits(
-                        got.as_slice(),
-                        want.as_slice(),
-                        &format!(
-                            "dgemm_ws {} {layout:?} {ta:?}{tb:?} {m}x{n}x{k} alpha={alpha} beta={beta}",
-                            kernel.name()
-                        ),
-                        seed,
-                    );
-                }
+                let mut want = c0.clone();
+                oracle_gemm(kernel, blocks, (ta, tb), (alpha, beta), a, b, &mut want);
+                let mut got = c0.clone();
+                let mut ws = GemmWorkspace::with_config(kernel, blocks);
+                dgemm_ws(ta, tb, alpha, a, b, beta, got.as_mut(), &mut ws);
+                assert_same_bits(
+                    got.as_slice(),
+                    want.as_slice(),
+                    &format!(
+                        "dgemm_ws {} {ta:?}{tb:?} {m}x{n}x{k} alpha={alpha} beta={beta}",
+                        kernel.name()
+                    ),
+                    seed,
+                );
             }
         }
     }

@@ -16,12 +16,11 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use srumma_dense::blocked::{blocked_gemm_ws, BlockSizes};
+use srumma_dense::blocked::BlockSizes;
 use srumma_dense::kernel::{writeback, Microkernel, ACC_LEN, MR, MR_AVX512, NR_AVX2, NR_AVX512};
 use srumma_dense::pack::{pack_a, pack_b};
 use srumma_dense::simd::microkernel_avx512;
-use srumma_dense::zorder::{pack_a_zorder, ZShape, ZT_K};
-use srumma_dense::{dgemm_ws, prop_rerun, prop_seeds, GemmWorkspace, Matrix, Op, PackLayout, Rng};
+use srumma_dense::{dgemm_ws, prop_rerun, prop_seeds, GemmWorkspace, Matrix, Op, Rng};
 
 fn avx2_or_skip() -> bool {
     if Microkernel::Avx2.available() {
@@ -148,7 +147,7 @@ fn blocked_gemm_avx2_matches_scalar_workspace() {
         let mut ws_avx2 = GemmWorkspace::with_kernel(Microkernel::Avx2);
 
         let mut want = c0.clone();
-        blocked_gemm_ws(
+        dgemm_ws(
             ta,
             tb,
             alpha,
@@ -159,7 +158,7 @@ fn blocked_gemm_avx2_matches_scalar_workspace() {
             &mut ws_scalar,
         );
         let mut got = c0.clone();
-        blocked_gemm_ws(
+        dgemm_ws(
             ta,
             tb,
             alpha,
@@ -190,7 +189,7 @@ fn avx2_workspace_reuses_buffers() {
     let b = Matrix::random(80, 90, 2);
     let mut c = Matrix::zeros(100, 90);
     for _ in 0..3 {
-        blocked_gemm_ws(
+        dgemm_ws(
             Op::N,
             Op::N,
             1.0,
@@ -297,7 +296,7 @@ fn avx512_every_instance_matches_the_fma_chain_bit_for_bit() {
     }
 }
 
-/// `C ← α·op(A)·op(B) + β·C` through the loop nest of `blocked_gemm_ws`
+/// `C ← α·op(A)·op(B) + β·C` through the loop nest of `dgemm_ws`
 /// with the real packers, but every tile computed eight columns at a
 /// time by the one-vector instance: one B load, eight broadcasts and
 /// eight FMAs per `k` step — the arithmetic of the 8×8 tile this kernel
@@ -319,7 +318,7 @@ fn gemm_by_one_vector_instances(
         nc: bnc,
     } = ws.blocks();
     c.as_mut().scale(beta);
-    let mut apack = vec![0.0; ZShape::new(bmc, bkc, mr).elems()];
+    let mut apack = vec![0.0; bmc.div_ceil(mr) * mr * bkc];
     let mut bpack = vec![0.0; bnc.div_ceil(nr) * nr * bkc];
     for jc in (0..n).step_by(bnc) {
         let nc = bnc.min(n - jc);
@@ -328,38 +327,14 @@ fn gemm_by_one_vector_instances(
             pack_b(tb, b.as_ref(), lc, jc, kc, nc, nr, &mut bpack);
             for ic in (0..m).step_by(bmc) {
                 let mc = bmc.min(m - ic);
-                // One chunk of `kc` for linear slivers, `ZT_K`-deep
-                // Morton tiles for Z-order.
-                let z = ZShape::new(mc, kc, mr);
-                let chunk = match ws.layout() {
-                    PackLayout::Linear => {
-                        pack_a(ta, a.as_ref(), ic, lc, mc, kc, mr, &mut apack);
-                        kc
-                    }
-                    PackLayout::ZOrder => {
-                        pack_a_zorder(ta, a.as_ref(), ic, lc, mc, kc, mr, &mut apack);
-                        ZT_K
-                    }
-                };
+                pack_a(ta, a.as_ref(), ic, lc, mc, kc, mr, &mut apack);
                 for js in 0..nc.div_ceil(nr) {
                     let b_sliver = &bpack[js * nr * kc..(js + 1) * nr * kc];
                     for is in 0..mc.div_ceil(mr) {
                         let mut acc = [0.0; ACC_LEN];
-                        for (t, l) in (0..kc).step_by(chunk).enumerate() {
-                            let kt = chunk.min(kc - l);
-                            let off = match ws.layout() {
-                                PackLayout::Linear => is * mr * kc,
-                                PackLayout::ZOrder => z.tile_offset(is, t),
-                            };
-                            for v in (0..nr).step_by(8) {
-                                avx512_instance(
-                                    1,
-                                    kt,
-                                    &apack[off..off + kt * mr],
-                                    &b_sliver[l * nr + v..],
-                                    &mut acc[v..],
-                                );
-                            }
+                        let a_sliver = &apack[is * mr * kc..(is + 1) * mr * kc];
+                        for v in (0..nr).step_by(8) {
+                            avx512_instance(1, kc, a_sliver, &b_sliver[v..], &mut acc[v..]);
                         }
                         let (r0, c0) = (ic + is * mr, jc + js * nr);
                         let (rows, cols) = (mr.min(m - r0), nr.min(n - c0));
@@ -376,8 +351,7 @@ fn gemm_by_one_vector_instances(
 /// vectors on full slivers, fewer on ragged ones) equals the same loop
 /// nest computed eight columns at a time, bit for bit — all four
 /// transpose cases, ragged shapes that cross every blocking level (`k`
-/// past the default `KC` included), Linear and Z-order layouts, three
-/// `(α, β)` pairs.
+/// past the default `KC` included), three `(α, β)` pairs.
 #[test]
 fn avx512_dgemm_is_bit_identical_to_its_one_vector_instance() {
     if !avx512_or_skip() {
@@ -386,54 +360,43 @@ fn avx512_dgemm_is_bit_identical_to_its_one_vector_instance() {
     for seed in prop_seeds(0x0512_0801, 3) {
         let mut rng = Rng::new(seed);
         for blocks in [None, Some(BlockSizes::new(24, 40, 52))] {
-            for layout in [PackLayout::Linear, PackLayout::ZOrder] {
-                for (ta, tb) in [
-                    (Op::N, Op::N),
-                    (Op::T, Op::N),
-                    (Op::N, Op::T),
-                    (Op::T, Op::T),
-                ] {
-                    for (alpha, beta) in [(1.0, 0.0), (1.0, 1.0), (1.5, 0.5)] {
-                        let (m, n) = (rng.range(1, 90), rng.range(1, 90));
-                        let k = rng.range(1, if blocks.is_none() { 600 } else { 130 });
-                        let (ar, ac) = ta.apply(m, k);
-                        let (br, bc) = tb.apply(k, n);
-                        let a = Matrix::random(ar, ac, rng.next_u64());
-                        let b = Matrix::random(br, bc, rng.next_u64());
-                        let c0 = Matrix::random(m, n, rng.next_u64());
+            for (ta, tb) in [
+                (Op::N, Op::N),
+                (Op::T, Op::N),
+                (Op::N, Op::T),
+                (Op::T, Op::T),
+            ] {
+                for (alpha, beta) in [(1.0, 0.0), (1.0, 1.0), (1.5, 0.5)] {
+                    let (m, n) = (rng.range(1, 90), rng.range(1, 90));
+                    let k = rng.range(1, if blocks.is_none() { 600 } else { 130 });
+                    let (ar, ac) = ta.apply(m, k);
+                    let (br, bc) = tb.apply(k, n);
+                    let a = Matrix::random(ar, ac, rng.next_u64());
+                    let b = Matrix::random(br, bc, rng.next_u64());
+                    let c0 = Matrix::random(m, n, rng.next_u64());
 
-                        let mut ws = match blocks {
-                            Some(blocks) => GemmWorkspace::with_config(Microkernel::Avx512, blocks),
-                            None => GemmWorkspace::with_kernel(Microkernel::Avx512),
-                        }
-                        .with_layout(layout)
-                        .with_strassen(None);
-                        let mut want = c0.clone();
-                        gemm_by_one_vector_instances(
-                            &ws,
-                            (ta, tb),
-                            (alpha, beta),
-                            &a,
-                            &b,
-                            &mut want,
-                        );
-                        let mut got = c0.clone();
-                        dgemm_ws(
-                            ta,
-                            tb,
-                            alpha,
-                            a.as_ref(),
-                            b.as_ref(),
-                            beta,
-                            got.as_mut(),
-                            &mut ws,
-                        );
-                        let what = format!(
-                            "dgemm_ws {layout:?} {ta:?}{tb:?} {m}x{n}x{k} alpha={alpha} beta={beta} blocks={:?}",
-                            ws.blocks()
-                        );
-                        assert_same_bits(got.as_slice(), want.as_slice(), &what, seed);
-                    }
+                    let mut ws = match blocks {
+                        Some(blocks) => GemmWorkspace::with_config(Microkernel::Avx512, blocks),
+                        None => GemmWorkspace::with_kernel(Microkernel::Avx512),
+                    };
+                    let mut want = c0.clone();
+                    gemm_by_one_vector_instances(&ws, (ta, tb), (alpha, beta), &a, &b, &mut want);
+                    let mut got = c0.clone();
+                    dgemm_ws(
+                        ta,
+                        tb,
+                        alpha,
+                        a.as_ref(),
+                        b.as_ref(),
+                        beta,
+                        got.as_mut(),
+                        &mut ws,
+                    );
+                    let what = format!(
+                        "dgemm_ws {ta:?}{tb:?} {m}x{n}x{k} alpha={alpha} beta={beta} blocks={:?}",
+                        ws.blocks()
+                    );
+                    assert_same_bits(got.as_slice(), want.as_slice(), &what, seed);
                 }
             }
         }

@@ -8,6 +8,12 @@ echo "== entry-point guard: a feature is a Run field, not another function =="
 entry_points=$(cat crates/core/src/{driver,hier,repl}.rs | grep -c 'pub fn \(multiply\|measure\)_')
 [ "$entry_points" -le 7 ] || { echo "FAIL: $entry_points multiply_*/measure_* drivers (max 7); add a field to core::run::Run" >&2; exit 1; }
 
+echo "== env-knob inventory: the SRUMMA_* names in code are README's knob table =="
+in_code=$(grep -rhoE 'SRUMMA_[A-Z_]+' crates src tests scripts | sort -u)
+in_table=$(grep -oE '^\| `SRUMMA_[A-Z_]+`' README.md | grep -oE 'SRUMMA_[A-Z_]+' | sort -u)
+[ "$in_code" = "$in_table" ] || { echo "FAIL: SRUMMA_* knobs, code (<) vs README table (>):" >&2;
+    diff <(echo "$in_code") <(echo "$in_table") >&2; exit 1; }
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -29,11 +35,6 @@ for flavor in $(cargo run --release -q -p srumma-bench --bin calibrate -- --list
     echo "--  SRUMMA_KERNEL=$flavor"
     SRUMMA_KERNEL="$flavor" cargo test -q --workspace
 done
-
-echo "== cargo test (Z-order pack layout, dense crate) =="
-# The Z-order layout is opt-in; force it through the dense suite so the
-# Morton pack path stays green even though defaults never exercise it.
-SRUMMA_LAYOUT=zorder cargo test -q -p srumma-dense
 
 echo "== benchmark harness: unit tests + a bounded contract run per workload =="
 # benchmark/ is a workspace of its own, so nothing above builds it. It
@@ -78,8 +79,8 @@ timeout 300 cargo run --release -q -p srumma-bench \
 timeout 300 env SRUMMA_KERNEL=scalar cargo run --release -q -p srumma-bench \
     --bin bench_sparse_gemm -- --smoke
 
-echo "== autotune smoke: probe path + tuner neutrality on 2 workers =="
-# The zero-config probe path (multiply_autotuned) end-to-end, then a
+echo "== autotune smoke: profile path + tuner neutrality on 2 workers =="
+# One executor run under SrummaOptions::from_profile(), then a
 # tuner-on vs tuner-off batch on an oversubscribed pool. The smoke
 # hard-asserts bitwise-identical outputs (the tuner may only move
 # scheduling knobs) and bounded tuner overhead; a window-clamp bug in
@@ -166,9 +167,9 @@ if [ -f results/BENCH_dense_gemm.json ]; then
     fi
     echo "== perf gate (warn): dense gemm absolute GFLOP/s ladder =="
     # Absolute throughput of every ladder rung (naive/scalar/avx2/
-    # avx512/neon/strassen/best), warn-only: it tracks kernel-level
-    # regressions across commits without letting runner-hardware
-    # variance block merges.
+    # avx512/neon), warn-only: it tracks kernel-level regressions
+    # across commits without letting runner-hardware variance block
+    # merges.
     if ! ./scripts/bench_diff results/BENCH_dense_gemm.json /tmp/BENCH_dense_gemm.json \
         --strict --only gflops; then
         echo "WARNING: dense gemm absolute GFLOP/s moved vs checked-in baseline (warn-only gate)"
