@@ -1,28 +1,13 @@
-//! Bench: the discrete-event engine itself — event-queue operations,
-//! resource scheduling, and a full modeled SRUMMA run per iteration
-//! (the cost of regenerating one Figure-10 data point). Plain
-//! wall-clock harness (`harness = false`).
+//! Bench: the discrete-event engine itself — resource scheduling, and
+//! a full modeled SRUMMA run per iteration (the cost of regenerating
+//! one Figure-10 data point). Plain wall-clock harness
+//! (`harness = false`).
 
 use srumma_bench::timing::{bench_case, keep};
 use srumma_core::driver::measure_modeled;
 use srumma_core::{Algorithm, GemmSpec};
 use srumma_model::Machine;
-use srumma_sim::event::{EventKind, EventQueue};
 use srumma_sim::resource::Resource;
-
-fn bench_event_queue() {
-    bench_case("sim_engine/event_queue_push_pop_1k", 0, || {
-        let mut q = EventQueue::new();
-        for i in 0..1000u64 {
-            q.push(((i * 37) % 101) as f64, EventKind::WakeRank(i as usize));
-        }
-        let mut last = -1.0;
-        while let Some(e) = q.pop() {
-            assert!(e.time >= last);
-            last = e.time;
-        }
-    });
-}
 
 fn bench_resource() {
     bench_case("sim_engine/resource_acquire_10k", 0, || {
@@ -58,7 +43,6 @@ fn bench_modeled_run() {
 }
 
 fn main() {
-    bench_event_queue();
     bench_resource();
     bench_modeled_run();
 }

@@ -2,8 +2,13 @@
 //!
 //! Every parallel algorithm in `srumma-core` (SRUMMA itself, Cannon,
 //! SUMMA/pdgemm) is written once against this trait and runs unchanged
-//! under the virtual-time simulator ([`crate::simbackend::SimComm`]) or
-//! on real host threads ([`crate::threadbackend::ThreadComm`]).
+//! on all four backends: the discrete-event simulator
+//! ([`crate::simbackend::SimComm`]), per-rank virtual clocks
+//! ([`crate::virt::VirtualComm`]), one host thread per rank
+//! ([`crate::threadbackend::ThreadComm`]) and the work-stealing
+//! executor ([`crate::exec::ExecComm`]) — bare or behind the
+//! [`crate::fault::ChaosComm`] and [`crate::subcomm::SubComm`]
+//! decorators.
 //!
 //! The surface deliberately mirrors what the paper's implementation
 //! used from ARMCI and MPI:
@@ -14,7 +19,26 @@
 //!   baselines;
 //! * **compute**: `gemm` charges the serial-kernel time (and executes
 //!   it when real data is present), because on the simulated machines
-//!   compute cost comes from the machine model, not the host.
+//!   compute cost comes from the machine model, not the host;
+//! * **synchronisation**: `barrier`, and its split form
+//!   (`fence_arrive` / `fence_try` / `barrier_try` — the
+//!   `MPI_Ibarrier` / `MPI_Test` pair).
+//!
+//! # The split fence, and programs written over it
+//!
+//! A rank that must not block its thread (thousands of ranks polled on
+//! a few executor workers) arrives at a fence without waiting and
+//! *tests* it later; a `false` test means "registered as a waiter —
+//! yield the thread". The trait's defaults make that protocol correct
+//! on every backend whose barrier simply blocks: **arrive is the full
+//! barrier and every test is `true`**. Only `ExecComm` overrides them
+//! (and the decorators forward them).
+//!
+//! That is what lets a schedule be written once: a [`RankProgram`] is a
+//! resumable state machine whose `step` takes whatever communicator
+//! hosts it. The executor polls it ([`crate::exec::ProgramTask`]);
+//! everywhere else [`drive`] loops it to completion, and it never parks
+//! because the tests never fail.
 
 use crate::dist::DistMatrix;
 use srumma_dense::{GemmConfig, MatMut, MatRef, Op};
@@ -67,16 +91,6 @@ impl<'a> BlockRef<'a> {
     }
 }
 
-/// The C block being accumulated into (owner-computes).
-pub struct BlockMut<'a> {
-    /// Block rows.
-    pub rows: usize,
-    /// Block cols.
-    pub cols: usize,
-    /// Mutable dense view, if real.
-    pub data: Option<MatMut<'a>>,
-}
-
 /// Backend-independent rank communicator.
 pub trait Comm {
     /// This rank's id.
@@ -113,6 +127,34 @@ pub trait Comm {
 
     /// Full barrier.
     fn barrier(&mut self);
+
+    /// Arrive at this rank's next fence without waiting for it and
+    /// return its index, to be handed to [`Comm::fence_try`] — the
+    /// `MPI_Ibarrier` of the split barrier. Every rank arrives at fences
+    /// in the same program order, and a rank may be several arrivals
+    /// ahead of the fence it waits on next. Where waiting blocks the
+    /// thread anyway there is nothing to split: the default is the full
+    /// barrier, after which every fence up to this one has completed.
+    fn fence_arrive(&mut self) -> u64 {
+        self.barrier();
+        0
+    }
+
+    /// Test fence `fence` (`MPI_Test`): `true` once every rank has
+    /// arrived at it. On `false` this rank has been registered as a
+    /// waiter and the program should report [`Step::Park`]. Always
+    /// `true` under the default [`Comm::fence_arrive`].
+    fn fence_try(&mut self, _fence: u64) -> bool {
+        true
+    }
+
+    /// The full barrier in split form: arrives on the first call, then
+    /// tests that arrival; call again after every [`Step::Park`] until
+    /// it returns `true`. The default blocks in [`Comm::barrier`].
+    fn barrier_try(&mut self) -> bool {
+        self.barrier();
+        true
+    }
 
     /// How many times this rank's reusable gemm packing workspace has
     /// grown (0 on backends without one). Buffer demand depends only on
@@ -230,6 +272,49 @@ pub trait Comm {
         recv_buf: &mut Vec<f64>,
         recv_bytes: u64,
     );
+}
+
+/// What one `step` of a resumable rank reports back to its host.
+pub enum Step<T> {
+    /// The rank finished; `T` is its output.
+    Done(T),
+    /// More work immediately available: step again (on the executor the
+    /// worker re-runs it unless a thief takes it first).
+    Yield,
+    /// Blocked on a fence or a message this rank has already registered
+    /// as a waiter for; the matching wake-up makes it runnable again.
+    Park,
+}
+
+/// One rank's share of a collective schedule as a resumable state
+/// machine over whatever communicator hosts it. Written once; polled on
+/// the executor's workers ([`crate::exec::ProgramTask`]) or looped to
+/// completion by [`drive`] on a thread of its own.
+pub trait RankProgram {
+    /// The rank's output.
+    type Out;
+
+    /// Advance until done, a natural yield point, or a fence test that
+    /// failed.
+    fn step<C: Comm>(&mut self, comm: &mut C) -> Step<Self::Out>;
+}
+
+/// Run `program` to completion on a communicator whose fences block —
+/// the simulator, the virtual clocks, thread-per-rank, or a *gated*
+/// executor rank. Such a communicator never fails a fence test, so a
+/// [`Step::Park`] here is a bug in the program (it parked on something
+/// no one will wake it for) and panics rather than spin.
+pub fn drive<C: Comm, P: RankProgram>(comm: &mut C, mut program: P) -> P::Out {
+    loop {
+        match program.step(comm) {
+            Step::Done(out) => return out,
+            Step::Yield => {}
+            Step::Park => panic!(
+                "a rank program parked on a communicator whose fences block: \
+                 only a polled executor rank may be told to wait"
+            ),
+        }
+    }
 }
 
 #[cfg(test)]

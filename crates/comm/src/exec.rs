@@ -11,16 +11,26 @@
 //!   runnable task ids and steals from its siblings when its own deque
 //!   runs dry;
 //! * ranks written as **resumable state machines** (the [`RankTask`]
-//!   trait — SRUMMA's task loop in `srumma-core` is one) are polled
-//!   directly on the workers: a barrier or message wait returns
+//!   trait; [`ProgramTask`] makes one of any [`RankProgram`] — every
+//!   SRUMMA schedule in `srumma-core` is such a program) are polled
+//!   directly on the workers: a failed fence test returns
 //!   [`Step::Park`] and costs a deque operation, not a blocked OS
 //!   thread, so thousands of ranks need only W threads in total;
 //! * ranks written in plain blocking style (SUMMA, Cannon — any
-//!   [`Comm`] closure) run on dedicated *gated* threads that execute
-//!   only while holding a worker's **loan**: every blocking point
-//!   inside [`ExecComm`] releases the loan and parks, so runnable
-//!   concurrency never exceeds W and the barrier convoy of hundreds of
-//!   preempted threads disappears.
+//!   [`Comm`] closure, including one that [`drive`](crate::comm::drive)s
+//!   a program) run on dedicated *gated* threads that execute only
+//!   while holding a worker's **loan**: every blocking point inside
+//!   [`ExecComm`] releases the loan and parks, so runnable concurrency
+//!   never exceeds W and the barrier convoy of hundreds of preempted
+//!   threads disappears.
+//!
+//! Both kinds synchronise through the same fence machinery, reached
+//! through the [`Comm`] split fence: a polled rank's failed
+//! `fence_try` / `barrier_try` registers it as a waiter and returns
+//! `false`; a gated rank's never returns `false` — it gives the loan
+//! back and sleeps until the fence has completed, exactly as its
+//! `barrier` does, because a rank that polled while holding a loan
+//! would starve the very ranks it is waiting for.
 //!
 //! Scheduling itself is observable: steals, parks and resumes are
 //! counted (and traced as [`TraceKind::Sched`] events when tracing is
@@ -33,7 +43,7 @@
 //! "executor poisoned", state machines are dropped, and the original
 //! panic payload is rethrown from the run entry point.
 
-use crate::comm::{Comm, GetHandle};
+use crate::comm::{Comm, GetHandle, RankProgram, Step};
 use crate::deque::WorkDeque;
 use crate::dist::DistMatrix;
 use srumma_dense::{dgemm_ws, GemmConfig, GemmWorkspace, MatMut, MatRef, Op};
@@ -71,23 +81,12 @@ thread_local! {
     static SCRATCH: RefCell<WorkerScratch> = RefCell::default();
 }
 
-/// What a state-machine rank task reports back from one `step` call.
-pub enum Step<T> {
-    /// The rank finished; `T` is its output.
-    Done(T),
-    /// More work immediately available: reschedule (the worker re-runs
-    /// it unless a thief takes it first).
-    Yield,
-    /// Blocked on an event (barrier, message). The task must already
-    /// have registered itself as a waiter — the matching wake-up
-    /// re-enqueues it; a wake that raced the park is detected and the
-    /// task is re-queued immediately.
-    Park,
-}
-
 /// A logical rank as a resumable state machine, polled on the worker
 /// pool instead of owning an OS thread. The task owns its [`ExecComm`]
-/// (built by [`exec_run_tasks`] and handed to the factory).
+/// (built by [`exec_run_tasks`] and handed to the factory). On
+/// [`Step::Park`] the task must already be registered as a waiter — the
+/// matching wake-up re-enqueues it; a wake that raced the park is
+/// detected and the task is re-queued immediately.
 pub trait RankTask: Send {
     /// The rank's output (what the blocking closure would return).
     type Out: Send;
@@ -100,6 +99,38 @@ pub trait RankTask: Send {
     /// forwarding to the owned `ExecComm`'s recorder).
     fn take_trace(&mut self) -> (Vec<TraceEvent>, Counters) {
         (Vec::new(), Counters::default())
+    }
+}
+
+/// The generic host of a [`RankProgram`] on the executor: the program
+/// plus the communicator it is stepped with — the rank's [`ExecComm`],
+/// bare or decorated (`ChaosComm<ExecComm>`) — as one pollable task.
+pub struct ProgramTask<C, P> {
+    comm: C,
+    program: P,
+}
+
+impl<C, P> ProgramTask<C, P> {
+    /// Host `program` on `comm`. Nothing runs until the first poll.
+    pub fn new(comm: C, program: P) -> Self {
+        ProgramTask { comm, program }
+    }
+}
+
+impl<C, P> RankTask for ProgramTask<C, P>
+where
+    C: Comm + Send,
+    P: RankProgram + Send,
+    P::Out: Send,
+{
+    type Out = P::Out;
+
+    fn step(&mut self) -> Step<P::Out> {
+        self.program.step(&mut self.comm)
+    }
+
+    fn take_trace(&mut self) -> (Vec<TraceEvent>, Counters) {
+        self.comm.recorder().take()
     }
 }
 
@@ -226,6 +257,8 @@ fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 impl SchedCore {
     fn new(nranks: usize, workers: usize, trace: bool, topo: Option<Topology>) -> Arc<Self> {
+        assert!(nranks > 0);
+        let workers = resolve_workers(workers, nranks);
         let topo = topo.unwrap_or_else(|| Topology::single_domain(nranks));
         assert_eq!(topo.nranks(), nranks, "topology rank count mismatch");
         Arc::new(SchedCore {
@@ -582,21 +615,12 @@ impl ExecComm {
         }
     }
 
-    /// Arrive at this rank's next **epoch fence** and return its index.
-    /// Never blocks. Every rank must arrive at fences in the same
-    /// program order (the batched driver's per-entry "staged" and
-    /// "done" fences); fence `f` completes once every rank has made its
-    /// `f`-th arrival. Pair with [`Self::fence_try`] to wait.
-    pub fn fence_arrive(&mut self) -> u64 {
-        self.core.fence_arrive(self.rank)
-    }
-
-    /// Poll fence `f` (state-machine ranks): `true` once it completed;
-    /// otherwise this rank is registered as a waiter and the caller
-    /// should return [`Step::Park`] — the completing arrival re-enqueues
-    /// the task.
-    pub fn fence_try(&mut self, f: u64) -> bool {
-        self.core.fence_check(self.rank, f)
+    /// Gated ranks: sleep, loan returned, until fence `f` has completed.
+    fn gate_wait_fence(&mut self, f: u64) {
+        while !self.core.fence_check(self.rank, f) {
+            self.mark_park();
+            self.core.gate_park(self.rank);
+        }
     }
 
     /// Arrive at the next fence **on behalf of another rank** — the
@@ -624,48 +648,6 @@ impl ExecComm {
                 self.core.wake(r);
             }
         }
-    }
-
-    /// Nonblocking barrier for state-machine ranks: arrive on the first
-    /// call, then poll. Returns `true` once the barrier has passed —
-    /// until then the caller should return [`Step::Park`] (the poll
-    /// registered it as a waiter). Built on the fence machinery: a full
-    /// barrier is an arrival immediately followed by a wait on the same
-    /// fence. Panics when the executor has been poisoned, mirroring the
-    /// gated threads' `gate_wait_grant` — a parked FSM rank re-stepped
-    /// after a peer's panic must unwind, not re-park.
-    pub fn barrier_try(&mut self) -> bool {
-        if self.core.is_poisoned() {
-            panic!("executor poisoned: another rank panicked");
-        }
-        match self.arrived {
-            Some((f, t0)) => {
-                if self.core.fence_check(self.rank, f) {
-                    self.arrived = None;
-                    self.span_end(TraceKind::Barrier, t0, 0, String::new);
-                    true
-                } else {
-                    false
-                }
-            }
-            None => {
-                let t0 = self.span_start();
-                let f = self.core.fence_arrive(self.rank);
-                if self.core.fence_check(self.rank, f) {
-                    self.span_end(TraceKind::Barrier, t0, 0, String::new);
-                    true
-                } else {
-                    self.arrived = Some((f, t0));
-                    self.mark_park();
-                    false
-                }
-            }
-        }
-    }
-
-    /// Drain recorded events and counters (run teardown).
-    fn take_trace(&mut self) -> (Vec<TraceEvent>, Counters) {
-        self.recorder.take()
     }
 
     /// Classify a transfer against the emulated topology: which level of
@@ -732,21 +714,68 @@ impl Comm for ExecComm {
     }
 
     fn barrier(&mut self) {
+        assert!(
+            self.mode == TaskMode::Gate,
+            "state-machine rank tasks must use Comm::barrier_try and Step::Park, \
+             not the blocking Comm::barrier"
+        );
         let t0 = self.span_start();
+        let f = self.core.fence_arrive(self.rank);
+        self.gate_wait_fence(f);
+        self.span_end(TraceKind::Barrier, t0, 0, String::new);
+    }
+
+    /// Never blocks, polled or gated. Fence `f` completes once every
+    /// rank has made its `f`-th arrival.
+    fn fence_arrive(&mut self) -> u64 {
+        self.core.fence_arrive(self.rank)
+    }
+
+    fn fence_try(&mut self, f: u64) -> bool {
         match self.mode {
-            TaskMode::Fsm => panic!(
-                "state-machine rank tasks must use ExecComm::barrier_try and Step::Park, \
-                 not the blocking Comm::barrier"
-            ),
+            TaskMode::Fsm => self.core.fence_check(self.rank, f),
             TaskMode::Gate => {
+                self.gate_wait_fence(f);
+                true
+            }
+        }
+    }
+
+    /// A full barrier is an arrival followed by a wait on the same
+    /// fence. Panics when the executor has been poisoned, mirroring the
+    /// gated threads' `gate_wait_grant` — a parked polled rank
+    /// re-stepped after a peer's panic must unwind, not re-park.
+    fn barrier_try(&mut self) -> bool {
+        if self.mode == TaskMode::Gate {
+            self.barrier();
+            return true;
+        }
+        if self.core.is_poisoned() {
+            panic!("executor poisoned: another rank panicked");
+        }
+        match self.arrived {
+            Some((f, t0)) => {
+                if self.core.fence_check(self.rank, f) {
+                    self.arrived = None;
+                    self.span_end(TraceKind::Barrier, t0, 0, String::new);
+                    true
+                } else {
+                    false
+                }
+            }
+            None => {
+                let t0 = self.span_start();
                 let f = self.core.fence_arrive(self.rank);
-                while !self.core.fence_check(self.rank, f) {
+                if self.core.fence_check(self.rank, f) {
+                    self.span_end(TraceKind::Barrier, t0, 0, String::new);
+                    true
+                } else {
+                    self.arrived = Some((f, t0));
                     self.mark_park();
-                    self.core.gate_park(self.rank);
+                    false
                 }
             }
         }
-        self.span_end(TraceKind::Barrier, t0, 0, String::new);
     }
 
     fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
@@ -1091,11 +1120,73 @@ fn assemble<T>(
     }
 }
 
-/// Seed the worker deques round-robin with all task ids.
-fn seed(core: &SchedCore) {
+/// A gated rank's thread: run `body` from the first loan on, handing the
+/// loan back at every blocking point inside `ExecComm` and at the end.
+fn gated_rank<T>(
+    core: &Arc<SchedCore>,
+    rank: usize,
+    body: &(dyn Fn(&mut ExecComm) -> T + Sync),
+    outputs: &[Mutex<Option<T>>],
+    collect: &Mutex<TraceBag>,
+) {
+    let mut comm = ExecComm::new(Arc::clone(core), rank, TaskMode::Gate);
+    let res = catch_unwind(AssertUnwindSafe(|| {
+        core.gate_wait_grant(rank);
+        body(&mut comm)
+    }));
+    match res {
+        Ok(v) => {
+            let (ev, ctr) = comm.recorder.take();
+            {
+                let mut bag = relock(collect);
+                bag.0.extend(ev);
+                bag.1.push((rank, ctr));
+            }
+            *relock(&outputs[rank]) = Some(v);
+            core.task_done(rank);
+            core.gate_release(rank);
+        }
+        Err(p) => {
+            // Return the loan so the lending worker resumes, then
+            // poison (first payload wins — secondary "executor
+            // poisoned" panics never overwrite the original).
+            core.gate_release(rank);
+            core.poison(p);
+        }
+    }
+    drop(SCRATCH.take());
+}
+
+/// One run: seed the deques round-robin with all task ids, start the
+/// workers — and, where the slots are gates, a thread per rank running
+/// `gated` — join them all, and assemble the result.
+fn run_pool<'env, T: Send>(
+    core: &Arc<SchedCore>,
+    slots: Vec<TaskSlot<'env, T>>,
+    gated: Option<&(dyn Fn(&mut ExecComm) -> T + Sync)>,
+) -> ExecRunResult<T> {
     for id in 0..core.nranks {
         core.deques[id % core.workers].push(id);
     }
+    let outputs: Vec<Mutex<Option<T>>> = (0..core.nranks).map(|_| Mutex::new(None)).collect();
+    let collect: Mutex<TraceBag> = Mutex::new((Vec::new(), Vec::new()));
+    let mut busy = vec![0.0f64; core.workers];
+    let t_run = Instant::now();
+    std::thread::scope(|scope| {
+        let (slots, outputs, collect) = (&slots, &outputs, &collect);
+        if let Some(body) = gated {
+            for rank in 0..core.nranks {
+                scope.spawn(move || gated_rank(core, rank, body, outputs, collect));
+            }
+        }
+        for (w, busy_slot) in busy.iter_mut().enumerate() {
+            scope.spawn(move || {
+                *busy_slot = worker_loop(core, slots, outputs, collect, w);
+            });
+        }
+    });
+    let wall = t_run.elapsed().as_secs_f64();
+    assemble(core, outputs, collect, busy, wall)
 }
 
 /// The worker-pool size an executor run will actually use for a
@@ -1145,63 +1236,9 @@ where
     T: Send,
     F: Fn(&mut ExecComm) -> T + Sync,
 {
-    assert!(nranks > 0);
-    let workers = resolve_workers(workers, nranks);
     let core = SchedCore::new(nranks, workers, trace, topo);
-    seed(&core);
-    let slots: Vec<TaskSlot<'_, T>> = (0..nranks).map(|_| TaskSlot::Gate).collect();
-    let outputs: Vec<Mutex<Option<T>>> = (0..nranks).map(|_| Mutex::new(None)).collect();
-    let collect: Mutex<TraceBag> = Mutex::new((Vec::new(), Vec::new()));
-    let mut busy = vec![0.0f64; workers];
-    let t_run = Instant::now();
-    std::thread::scope(|scope| {
-        for rank in 0..nranks {
-            let core = Arc::clone(&core);
-            let body = &body;
-            let outputs = &outputs;
-            let collect = &collect;
-            scope.spawn(move || {
-                let mut comm = ExecComm::new(Arc::clone(&core), rank, TaskMode::Gate);
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    core.gate_wait_grant(rank);
-                    body(&mut comm)
-                }));
-                match res {
-                    Ok(v) => {
-                        let (ev, ctr) = comm.take_trace();
-                        {
-                            let mut bag = relock(collect);
-                            bag.0.extend(ev);
-                            bag.1.push((rank, ctr));
-                        }
-                        *relock(&outputs[rank]) = Some(v);
-                        core.task_done(rank);
-                        core.gate_release(rank);
-                    }
-                    Err(p) => {
-                        // Return the loan so the lending worker resumes,
-                        // then poison (first payload wins — secondary
-                        // "executor poisoned" panics never overwrite the
-                        // original).
-                        core.gate_release(rank);
-                        core.poison(p);
-                    }
-                }
-                drop(SCRATCH.take());
-            });
-        }
-        for (w, busy_slot) in busy.iter_mut().enumerate() {
-            let core = Arc::clone(&core);
-            let slots = &slots;
-            let outputs = &outputs;
-            let collect = &collect;
-            scope.spawn(move || {
-                *busy_slot = worker_loop(&core, slots, outputs, collect, w);
-            });
-        }
-    });
-    let wall = t_run.elapsed().as_secs_f64();
-    assemble(&core, outputs, collect, busy, wall)
+    let slots = (0..nranks).map(|_| TaskSlot::Gate).collect();
+    run_pool(&core, slots, Some(&body))
 }
 
 /// Run `nranks` state-machine rank tasks on `workers` workers — no
@@ -1219,33 +1256,14 @@ where
     T: Send,
     F: FnMut(ExecComm) -> Box<dyn RankTask<Out = T> + Send + 'env>,
 {
-    assert!(nranks > 0);
-    let workers = resolve_workers(workers, nranks);
     let core = SchedCore::new(nranks, workers, trace, topo);
-    let slots: Vec<TaskSlot<'env, T>> = (0..nranks)
+    let slots = (0..nranks)
         .map(|rank| {
             let comm = ExecComm::new(Arc::clone(&core), rank, TaskMode::Fsm);
             TaskSlot::Fsm(Mutex::new(Some(factory(comm))))
         })
         .collect();
-    seed(&core);
-    let outputs: Vec<Mutex<Option<T>>> = (0..nranks).map(|_| Mutex::new(None)).collect();
-    let collect: Mutex<TraceBag> = Mutex::new((Vec::new(), Vec::new()));
-    let mut busy = vec![0.0f64; workers];
-    let t_run = Instant::now();
-    std::thread::scope(|scope| {
-        for (w, busy_slot) in busy.iter_mut().enumerate() {
-            let core = Arc::clone(&core);
-            let slots = &slots;
-            let outputs = &outputs;
-            let collect = &collect;
-            scope.spawn(move || {
-                *busy_slot = worker_loop(&core, slots, outputs, collect, w);
-            });
-        }
-    });
-    let wall = t_run.elapsed().as_secs_f64();
-    assemble(&core, outputs, collect, busy, wall)
+    run_pool(&core, slots, None)
 }
 
 #[cfg(test)]

@@ -249,6 +249,15 @@ impl<C: Comm + ?Sized> Comm for &mut C {
     fn barrier(&mut self) {
         (**self).barrier()
     }
+    fn fence_arrive(&mut self) -> u64 {
+        (**self).fence_arrive()
+    }
+    fn fence_try(&mut self, fence: u64) -> bool {
+        (**self).fence_try(fence)
+    }
+    fn barrier_try(&mut self) -> bool {
+        (**self).barrier_try()
+    }
     fn ws_grow_count(&self) -> u64 {
         (**self).ws_grow_count()
     }
@@ -349,12 +358,7 @@ impl<C: Comm> ChaosComm<C> {
     }
 
     /// The wrapped communicator (for backend-specific calls like
-    /// `ExecComm::barrier_try`).
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped communicator.
+    /// `ExecComm::fence_arrive_for`).
     pub fn inner_mut(&mut self) -> &mut C {
         &mut self.inner
     }
@@ -405,6 +409,15 @@ impl<C: Comm> Comm for ChaosComm<C> {
     }
     fn barrier(&mut self) {
         self.inner.barrier()
+    }
+    fn fence_arrive(&mut self) -> u64 {
+        self.inner.fence_arrive()
+    }
+    fn fence_try(&mut self, fence: u64) -> bool {
+        self.inner.fence_try(fence)
+    }
+    fn barrier_try(&mut self) -> bool {
+        self.inner.barrier_try()
     }
 
     fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {

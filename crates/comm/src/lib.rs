@@ -5,18 +5,24 @@
 //! cluster-locality query that tells each process which peers it can
 //! reach through plain load/store. This crate rebuilds that layer — and
 //! the MPI-style two-sided operations the baselines (Cannon,
-//! SUMMA/pdgemm) need — over two interchangeable backends:
+//! SUMMA/pdgemm) need — over four interchangeable backends:
 //!
 //! * [`SimComm`](simbackend::SimComm) — runs under the virtual-time
 //!   simulator (`srumma-sim`) with costs from `srumma-model`. Data
 //!   movement is *real* when matrices carry real backing (tests verify
 //!   numerics end-to-end) and elided for paper-scale modeled runs.
+//! * [`VirtualComm`](virt::VirtualComm) — one uncontended LogGP clock
+//!   per rank, recombined at barriers: the same machines at 64k ranks.
 //! * [`ThreadComm`](threadbackend::ThreadComm) — real host threads in
 //!   one shared-memory domain, real memcpys, wall-clock timing: the
 //!   "SGI Altix flavor" made concrete on today's hardware.
+//! * [`ExecComm`](exec::ExecComm) — the same data model with the ranks
+//!   multiplexed onto a small work-stealing pool, polled or gated.
 //!
 //! Algorithms in `srumma-core` are generic over the [`Comm`] trait, so
-//! the *same* SRUMMA/Cannon/SUMMA code runs on both backends.
+//! the *same* SRUMMA/Cannon/SUMMA code runs on all four — and behind
+//! the two decorators ([`ChaosComm`], [`SubComm`]) that wrap any of
+//! them.
 //!
 //! ## Module map
 //!
@@ -24,10 +30,12 @@
 //!   debug-build access checker.
 //! * [`dist`] — [`dist::DistMatrix`]: 2-D block-distributed matrices
 //!   over a process grid, with optional real backing.
-//! * [`comm`] — the [`Comm`] trait and block handle types.
-//! * [`simbackend`] / [`threadbackend`] / [`exec`] — the three
-//!   implementations (virtual time, thread-per-rank, work-stealing
-//!   executor).
+//! * [`comm`] — the [`Comm`] trait and block handle types; the split
+//!   fence, [`RankProgram`] and [`drive`].
+//! * [`simbackend`] / [`virt`] / [`threadbackend`] / [`exec`] — the four
+//!   implementations (discrete-event virtual time, per-rank virtual
+//!   clocks, thread-per-rank, work-stealing executor).
+//! * [`subcomm`] — [`SubComm`], a rank window presented as a machine.
 //! * [`deque`] — the Chase–Lev work-stealing deque under the executor.
 //! * [`mpi`] — two-sided collectives (broadcast, shift, allgather) built
 //!   on `Comm::send`/`Comm::recv`, used by the baselines.
@@ -47,13 +55,14 @@ pub mod threadbackend;
 pub mod virt;
 
 pub use arena::SharedArena;
-pub use comm::{BlockMut, BlockRef, Comm, GetHandle};
+pub use comm::{drive, BlockRef, Comm, GetHandle, RankProgram, Step};
 pub use dist::{CostMap, DistMatrix};
 pub use exec::{
-    exec_launch, exec_run, exec_run_tasks, resolve_workers, ExecComm, ExecRunResult, RankTask, Step,
+    exec_launch, exec_run, exec_run_tasks, resolve_workers, ExecComm, ExecRunResult, ProgramTask,
+    RankTask,
 };
 pub use fault::{ChaosComm, FaultPlan, FaultPlanError, RankDeath};
-pub use simbackend::{sim_run, ComputeMode, SimComm, SimOptions};
+pub use simbackend::{sim_run, SimComm, SimOptions};
 pub use subcomm::SubComm;
 pub use threadbackend::{thread_launch, thread_run, ThreadComm, ThreadRunResult};
 pub use virt::{virtual_run, VirtualComm, VirtualRunResult};

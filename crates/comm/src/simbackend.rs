@@ -65,16 +65,6 @@ impl SimOptions {
     }
 }
 
-/// Marker kept for API clarity in harnesses: whether a run carries real
-/// matrix data (decided by the matrices themselves).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ComputeMode {
-    /// Matrices are real-backed; kernels actually execute.
-    Real,
-    /// Matrices are virtual; only time is charged.
-    Modeled,
-}
-
 /// Per-rank communicator under the simulator.
 pub struct SimComm {
     proc: SimProc,

@@ -13,9 +13,9 @@
 //!
 //! **Barriers are global.** Every rank program in a replicated run is
 //! straight-line symmetric code executing the identical barrier
-//! sequence, so a layer barrier simply forwards to the machine-wide
-//! one — which is also what keeps the virtual backend's BSP segment
-//! recombination aligned across layers.
+//! sequence, so a layer barrier — blocking or split — simply forwards
+//! to the machine-wide one, which is also what keeps the virtual
+//! backend's BSP segment recombination aligned across layers.
 
 use crate::comm::{Comm, GetHandle};
 use crate::dist::DistMatrix;
@@ -50,11 +50,6 @@ impl<'a, C: Comm> SubComm<'a, C> {
             topo,
         }
     }
-
-    /// The window's first global rank.
-    pub fn base(&self) -> usize {
-        self.base
-    }
 }
 
 impl<C: Comm> Comm for SubComm<'_, C> {
@@ -85,6 +80,18 @@ impl<C: Comm> Comm for SubComm<'_, C> {
     /// Machine-wide barrier (see the module docs): every layer arrives.
     fn barrier(&mut self) {
         self.inner.barrier();
+    }
+
+    fn fence_arrive(&mut self) -> u64 {
+        self.inner.fence_arrive()
+    }
+
+    fn fence_try(&mut self, fence: u64) -> bool {
+        self.inner.fence_try(fence)
+    }
+
+    fn barrier_try(&mut self) -> bool {
+        self.inner.barrier_try()
     }
 
     fn ws_grow_count(&self) -> u64 {

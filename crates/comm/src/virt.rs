@@ -21,9 +21,9 @@
 //! what makes the flat-vs-hierarchical byte and makespan crossover
 //! measurable at paper-untouchable scales.
 
-use crate::comm::{Comm, GetHandle};
+use crate::comm::{Comm, GetHandle, Step};
 use crate::dist::DistMatrix;
-use crate::exec::{exec_run_tasks, RankTask, Step};
+use crate::exec::{exec_run_tasks, RankTask};
 use srumma_dense::{dgemm_ws, GemmConfig, GemmWorkspace, MatMut, MatRef, Op};
 use srumma_model::{protocol, Machine, Topology, TransferCost};
 use srumma_trace::{Counters, RankStats, Recorder, RunStats};

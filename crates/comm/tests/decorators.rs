@@ -1,0 +1,287 @@
+//! Every `Comm` decorator passes every trait method through.
+//!
+//! `&mut C`, `ChaosComm<C>` and `SubComm<C>` wrap a communicator by
+//! re-implementing the whole trait. A method one of them forgets falls
+//! back to the trait's default — for the split fence that is a blocking
+//! `barrier()` inside a polled executor rank, for `lease_buf` a silent
+//! loss of buffer pooling — and nothing else in the suite would notice.
+//! A recording fake notes what reaches it; each call made through a
+//! decorator must reach it exactly as the same call made directly does,
+//! and bring the fake's (deliberately non-default) answer back.
+
+use srumma_comm::{ChaosComm, Comm, DistMatrix, FaultPlan, GetHandle, SubComm};
+use srumma_dense::{BlockSizes, GemmConfig, MatMut, MatRef, Op};
+use srumma_model::{ProcGrid, Topology};
+use srumma_trace::Recorder;
+use std::cell::RefCell;
+
+/// Global rank 5 of 8 on nodes of 2. Every answer differs from the
+/// trait's default for that method, so a default taken silently shows
+/// in the result as well as in the log.
+struct Fake {
+    log: RefCell<Vec<String>>,
+    recorder: Recorder,
+}
+
+impl Fake {
+    fn new() -> Self {
+        Fake {
+            log: RefCell::new(Vec::new()),
+            recorder: Recorder::disabled(5),
+        }
+    }
+
+    fn note(&self, call: String) {
+        self.log.borrow_mut().push(call);
+    }
+}
+
+impl Comm for Fake {
+    fn rank(&self) -> usize {
+        self.note("rank".into());
+        5
+    }
+    fn nranks(&self) -> usize {
+        self.note("nranks".into());
+        8
+    }
+    fn topology(&self) -> Topology {
+        self.note("topology".into());
+        Topology::new(8, 2)
+    }
+    fn same_domain(&self, other: usize) -> bool {
+        self.note(format!("same_domain({other})"));
+        other == 6 // not what Topology::new(8, 2) says of rank 5
+    }
+    fn prefer_direct_access(&self, owner: usize) -> bool {
+        self.note(format!("prefer_direct_access({owner})"));
+        owner == 6
+    }
+    fn now(&self) -> f64 {
+        self.note("now".into());
+        42.5
+    }
+    fn recorder(&mut self) -> &mut Recorder {
+        self.note("recorder".into());
+        &mut self.recorder
+    }
+    fn barrier(&mut self) {
+        self.note("barrier".into());
+    }
+    fn fence_arrive(&mut self) -> u64 {
+        self.note("fence_arrive".into());
+        11
+    }
+    fn fence_try(&mut self, fence: u64) -> bool {
+        self.note(format!("fence_try({fence})"));
+        false
+    }
+    fn barrier_try(&mut self) -> bool {
+        self.note("barrier_try".into());
+        false
+    }
+    fn ws_grow_count(&self) -> u64 {
+        self.note("ws_grow_count".into());
+        7
+    }
+    fn configure_gemm(&mut self, cfg: &GemmConfig) {
+        self.note(format!("configure_gemm({cfg:?})"));
+    }
+    fn lease_buf(&mut self, buf: &mut Vec<f64>) {
+        self.note(format!("lease_buf(len {})", buf.len()));
+        buf.push(1.0);
+    }
+    fn return_buf(&mut self, buf: &mut Vec<f64>) {
+        self.note(format!("return_buf(len {})", buf.len()));
+        buf.clear();
+    }
+    fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
+        self.note(format!("nbget({:?}, {owner})", mat.block_dims(owner)));
+        buf.push(2.0);
+        GetHandle::Virt(77)
+    }
+    fn wait(&mut self, h: GetHandle) {
+        self.note(format!("wait({h:?})"));
+    }
+    fn nbput(&mut self, mat: &DistMatrix, owner: usize, data: &[f64]) -> GetHandle {
+        self.note(format!(
+            "nbput({:?}, {owner}, {data:?})",
+            mat.block_dims(owner)
+        ));
+        GetHandle::Virt(78)
+    }
+    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: &[f64]) {
+        let dims = mat.block_dims(owner);
+        self.note(format!("acc({dims:?}, {owner}, {scale}, {data:?})"));
+    }
+    fn fence(&mut self) {
+        self.note("fence".into());
+    }
+    fn gemm(
+        &mut self,
+        ta: Op,
+        tb: Op,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: Option<MatRef<'_>>,
+        b: Option<MatRef<'_>>,
+        c: Option<MatMut<'_>>,
+        direct: bool,
+        label: &str,
+    ) {
+        let real = (a.is_some(), b.is_some(), c.is_some());
+        self.note(format!(
+            "gemm({ta:?}, {tb:?}, {m}, {n}, {k}, {alpha}, {real:?}, {direct}, {label})"
+        ));
+    }
+    fn send(&mut self, dst: usize, tag: u64, data: &[f64], bytes: u64) {
+        self.note(format!("send({dst}, {tag}, {data:?}, {bytes})"));
+    }
+    fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) {
+        self.note(format!("recv({src}, {tag}, {bytes})"));
+        buf.push(3.0);
+    }
+    fn sendrecv(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        send_data: &[f64],
+        send_bytes: u64,
+        src: usize,
+        recv_buf: &mut Vec<f64>,
+        recv_bytes: u64,
+    ) {
+        self.note(format!(
+            "sendrecv({dst}, {tag}, {send_data:?}, {send_bytes}, {src}, {recv_bytes})"
+        ));
+        recv_buf.push(4.0);
+    }
+}
+
+/// One call of every trait method, as `(method, what the caller got
+/// back)`. `peer` stands wherever a *rank* is named; matrix slots and
+/// tags are fixed.
+fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
+    let mat = DistMatrix::create_virtual(ProcGrid::new(2, 2), 6, 10);
+    let cfg = GemmConfig {
+        kernel: None,
+        blocks: Some(BlockSizes {
+            mc: 8,
+            kc: 16,
+            nc: 24,
+        }),
+    };
+    let a = [1.0; 6];
+    let a = Some(MatRef::new(2, 3, 3, &a));
+    let mut buf = vec![0.0; 3];
+    let mut seen = vec![
+        ("rank", c.rank().to_string()),
+        ("nranks", c.nranks().to_string()),
+        ("topology", format!("{:?}", c.topology())),
+        ("same_domain", c.same_domain(peer).to_string()),
+        ("prefer_direct", c.prefer_direct_access(peer).to_string()),
+        ("now", c.now().to_string()),
+        ("recorder", c.recorder().rank().to_string()),
+        ("fence_arrive", c.fence_arrive().to_string()),
+        ("fence_try", c.fence_try(11).to_string()),
+        ("barrier_try", c.barrier_try().to_string()),
+        ("ws_grow_count", c.ws_grow_count().to_string()),
+        ("nbget", format!("{:?}", c.nbget(&mat, 3, &mut buf))),
+        ("nbput", format!("{:?}", c.nbput(&mat, 2, &[1.5, 2.5]))),
+    ];
+    c.barrier();
+    c.configure_gemm(&cfg);
+    c.lease_buf(&mut buf);
+    c.return_buf(&mut buf);
+    c.wait(GetHandle::Virt(9));
+    c.get(&mat, 3, &mut buf);
+    c.put(&mat, 2, &[1.5, 2.5]);
+    c.acc(&mat, 1, -2.0, &[0.5]);
+    c.fence();
+    c.gemm(Op::T, Op::N, 2, 4, 3, 1.5, a, None, None, true, "lbl");
+    c.send(peer, 31, &[9.0], 8);
+    c.recv(peer, 32, &mut buf, 16);
+    c.sendrecv(peer, 33, &[8.0], 8, peer, &mut buf, 24);
+    // Every buffer handed down came back with what the fake did to it.
+    seen.push(("buf", format!("{buf:?}")));
+    seen
+}
+
+/// What the same calls, made directly on global rank 5 about its peer
+/// 6, return and leave in the log.
+fn direct() -> (Vec<(&'static str, String)>, Vec<String>) {
+    let mut fake = Fake::new();
+    let seen = call_all(&mut fake, 6);
+    (seen, fake.log.into_inner())
+}
+
+/// A decorator may ask the wrapped communicator who it is.
+fn without_rank_queries(mut log: Vec<String>) -> Vec<String> {
+    log.retain(|call| call != "rank");
+    log
+}
+
+/// The trait has 26 methods; `get` and `put` are its own compositions,
+/// which the fake leaves alone, so they show as the `nbget`/`nbput` +
+/// `wait` they issue. The other 24 must each have been reached.
+#[test]
+fn every_trait_method_is_called() {
+    let mut reached: Vec<String> = direct()
+        .1
+        .iter()
+        .map(|call| {
+            call.split('(')
+                .next()
+                .expect("split yields one item")
+                .into()
+        })
+        .collect();
+    reached.sort();
+    reached.dedup();
+    assert_eq!(reached.len(), 24, "{reached:?}");
+}
+
+#[test]
+fn mut_ref_passes_every_method_through() {
+    let mut fake = Fake::new();
+    let seen = call_all(&mut &mut fake, 6);
+    assert_eq!((seen, fake.log.into_inner()), direct());
+}
+
+#[test]
+fn healthy_chaos_comm_passes_every_method_through() {
+    let mut chaos = ChaosComm::new(Fake::new(), FaultPlan::healthy());
+    let seen = call_all(&mut chaos, 6);
+    // It looks up its rank's faults at every get and every gemm.
+    let log = without_rank_queries(chaos.into_inner().log.into_inner());
+    let (want_seen, want_log) = direct();
+    assert_eq!((seen, log), (want_seen, without_rank_queries(want_log)));
+}
+
+/// The window `[4, 8)` as a machine of 4 on nodes of 2: global rank 5 is
+/// its rank 1, its peer 2 is global rank 6. Size, layout and the
+/// locality that follows from them are the window's own answers; every
+/// other call reaches the wrapped communicator, ranks translated, tags
+/// and matrix slots untouched.
+#[test]
+fn sub_comm_passes_every_method_through_with_ranks_translated() {
+    let window = Topology::new(4, 2);
+    let mut fake = Fake::new();
+    let seen = call_all(&mut SubComm::new(&mut fake, 4, 4, window), 2);
+    let (mut want_seen, mut want_log) = direct();
+    // Window ranks 1 and 2 sit on different nodes.
+    let own = [
+        "1".into(),
+        "4".into(),
+        format!("{window:?}"),
+        "false".into(),
+    ];
+    for (want, own) in want_seen.iter_mut().zip(own) {
+        want.1 = own;
+    }
+    want_log.retain(|call| !["nranks", "topology", "same_domain(6)"].contains(&call.as_str()));
+    let log = without_rank_queries(fake.log.into_inner());
+    assert_eq!((seen, log), (want_seen, without_rank_queries(want_log)));
+}

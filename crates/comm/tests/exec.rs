@@ -2,8 +2,8 @@
 //! (gated threads and FSM tasks), oversubscribed collectives, message
 //! passing, scheduling statistics, and poison propagation.
 
-use srumma_comm::exec::{exec_launch, exec_run, exec_run_tasks, ExecComm, RankTask, Step};
-use srumma_comm::{Comm, DistMatrix};
+use srumma_comm::exec::{exec_launch, exec_run, exec_run_tasks, ExecComm, RankTask};
+use srumma_comm::{Comm, DistMatrix, Step};
 use srumma_dense::Matrix;
 use srumma_model::ProcGrid;
 use srumma_trace::TraceKind;
@@ -174,6 +174,34 @@ impl RankTask for BadBarrierTask {
         self.comm.barrier(); // wrong: blocking call on an FSM rank
         Step::Done(())
     }
+}
+
+/// The gated side of the same contract: a gated rank's split fence
+/// never reports `false` while the rank holds a loan. If it did, this
+/// poll loop would keep the only worker and the three ranks it waits
+/// for could never arrive. A regression hangs, so the run sits on a
+/// helper thread with a deadline.
+#[test]
+fn gated_ranks_can_poll_the_split_fence_on_one_worker() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let res = exec_run(4, 1, |c| {
+            for _ in 0..3 {
+                while !c.barrier_try() {}
+            }
+            // The two halves apart: arrive twice, then test both.
+            let (f0, f1) = (c.fence_arrive(), c.fence_arrive());
+            assert!(f1 > f0);
+            while !c.fence_try(f1) {}
+            assert!(c.fence_try(f0), "an earlier fence completed first");
+            c.rank()
+        });
+        let _ = done_tx.send(res.outputs);
+    });
+    let outputs = done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("gated ranks polling the split fence livelocked");
+    assert_eq!(outputs, vec![0, 1, 2, 3]);
 }
 
 // ---- poison propagation ---------------------------------------------

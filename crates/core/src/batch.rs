@@ -17,12 +17,12 @@
 //!   so `ws_grow_count() ≤ 1` holds for the whole stream;
 //! * **epoch fences instead of barriers** — each entry has a *staged*
 //!   fence (all ranks loaded its operands) and a *done* fence (all
-//!   ranks computed and extracted it), built on the executor's
-//!   never-blocking [`srumma_comm::ExecComm::fence_arrive`] /
-//!   [`srumma_comm::ExecComm::fence_try`]. A rank that finishes entry
-//!   `i` immediately stages entry `i+1` while stragglers finish `i` —
-//!   the paper's communication/computation overlap lifted from the
-//!   task level to the batch level.
+//!   ranks computed and extracted it), on the split fence of
+//!   [`Comm`] ([`Comm::fence_arrive`] / [`Comm::fence_try`]), which
+//!   never blocks on the executor. A rank that finishes entry `i`
+//!   immediately stages entry `i+1` while stragglers finish `i` — the
+//!   paper's communication/computation overlap lifted from the task
+//!   level to the batch level.
 //!
 //! Per rank, with `n` entries and a `window ≥ 2` slot ring:
 //!
@@ -37,20 +37,26 @@
 //!
 //! `window == 1` degenerates to the serialized variant (stage gated on
 //! the previous entry's done fence) — the loop-of-multiplies shape,
-//! still on one arena and one pool. Blocking backends (threads,
-//! simulator) run the same program with every `arrive` a full barrier
-//! and every `wait` a no-op, which is what makes the three-backend
-//! correctness matrix possible.
+//! still on one arena and one pool.
+//!
+//! That text is one [`RankProgram`], [`BatchProgram`]: the executor
+//! polls it, with the fence waits as park points; the blocking backends
+//! (threads, simulator) [`drive`] the same value, where the trait's
+//! defaults make every `arrive` a full barrier and every `wait` a
+//! no-op — which is what makes the three-backend correctness matrix
+//! possible. Time inside `arrive` is charged to the entry's `fence_s`
+//! like time parked in a `wait`, so [`BatchStats`] reads the same
+//! whichever of the two blocks.
 
 use crate::driver::{default_grid, TracedRun};
 use crate::layout::{dist_a_in_arena, dist_b_in_arena, dist_c_in_arena};
 use crate::memory::batch_region_elems;
 use crate::options::{GemmSpec, SrummaOptions};
-use crate::srumma::{MachineScratch, SrummaMachine, SrummaReport};
+use crate::srumma::{MachineScratch, SrummaMachine, SrummaReport, STRIDE};
 use crate::tune::{TunerCell, TunerStep};
 use srumma_comm::{
-    exec_run_tasks, sim_run, thread_run, Comm, DistMatrix, ExecComm, RankTask, SharedArena,
-    SimOptions, Step,
+    drive, exec_run_tasks, sim_run, thread_run, Comm, DistMatrix, ProgramTask, RankProgram,
+    SharedArena, SimOptions, Step,
 };
 use srumma_dense::{BlockMask, Matrix, Op};
 use srumma_model::Machine;
@@ -320,130 +326,24 @@ pub struct BatchRankOut {
     pub ws_grow_count: u64,
 }
 
-/// The batch program on a blocking backend (threads, simulator): same
-/// staging/compute order as the executor path, with every fence arrival
-/// a full barrier (so the waits are trivially satisfied and elided).
-fn run_rank_blocking<C: Comm>(
-    comm: &mut C,
-    batch: &BatchSpec,
-    plans: &[EntryPlan],
-    outputs: &[Mutex<Matrix>],
-    window: usize,
-    tuner: Option<&TunerCell>,
-) -> BatchRankOut {
-    let n = plans.len();
-    let rank = comm.rank();
-    let mut samples = vec![EntryRankSample::default(); n];
-    let mut reports = Vec::with_capacity(n);
-    let mut scratch = MachineScratch::default();
-
-    let stage = |comm: &mut C, e: usize, samples: &mut [EntryRankSample]| {
-        let t0 = comm.now();
-        samples[e].t_start = t0;
-        stage_entry(&batch.entries[e], &plans[e], rank);
-        samples[e].stage_s += comm.now() - t0;
-    };
-    let fence = |comm: &mut C, s: &mut EntryRankSample| {
-        let t0 = comm.now();
-        comm.barrier();
-        s.fence_s += comm.now() - t0;
-    };
-
-    let compute = |comm: &mut C,
-                   e: usize,
-                   scratch: MachineScratch,
-                   samples: &mut [EntryRankSample]|
-     -> (SrummaReport, MachineScratch) {
-        let plan = &plans[e];
-        let t0 = comm.now();
-        // On blocking backends only the depth knob applies (the window
-        // is a barrier cadence here, not a look-ahead). `new_reusing`
-        // copies the options, so a stack-local tuned copy is safe.
-        let mut eopts = plan.opts;
-        if let Some(t) = tuner {
-            if eopts.double_buffer {
-                eopts.prefetch_depth = t.setting_for(e).0;
-            }
-        }
-        let mut machine = SrummaMachine::new_reusing(
-            comm, &plan.spec, &plan.da, &plan.db, &plan.dc, &eopts, scratch,
-        );
-        while machine.step(comm) {}
-        let (report, scratch) = machine.into_scratch(comm);
-        extract_entry(plan, rank, &outputs[e]);
-        samples[e].compute_s += comm.now() - t0;
-        samples[e].tasks_run = report.tasks as u64;
-        samples[e].tasks_masked = report.masked_tasks as u64;
-        samples[e].flops_skipped = report.skipped_flops;
-        (report, scratch)
-    };
-
-    if n > 0 && window >= 2 {
-        stage(comm, 0, &mut samples);
-        fence(comm, &mut samples[0]);
-        for e in 0..n {
-            if e + 1 < n {
-                // The slot of entry `e+1` was freed by the done barrier
-                // of entry `e+1−window ≤ e−1`, which this iteration's
-                // predecessor already passed.
-                stage(comm, e + 1, &mut samples);
-                fence(comm, &mut samples[e + 1]);
-            }
-            let (report, s) = compute(comm, e, scratch, &mut samples);
-            scratch = s;
-            reports.push(report);
-            if let Some(t) = tuner {
-                t.record(e, samples[e].compute_s);
-            }
-            fence(comm, &mut samples[e]);
-            samples[e].t_end = comm.now();
-        }
-    } else {
-        for e in 0..n {
-            stage(comm, e, &mut samples);
-            fence(comm, &mut samples[e]);
-            let (report, s) = compute(comm, e, scratch, &mut samples);
-            scratch = s;
-            reports.push(report);
-            if let Some(t) = tuner {
-                t.record(e, samples[e].compute_s);
-            }
-            fence(comm, &mut samples[e]);
-            samples[e].t_end = comm.now();
-        }
-    }
-    BatchRankOut {
-        reports,
-        samples,
-        ws_grow_count: comm.ws_grow_count(),
-    }
-}
-
-/// Where a [`BatchRankTask`] resumes on its next poll.
+/// Where a [`BatchProgram`] resumes on its next step.
 enum BatchState {
-    /// Stage entry 0 and arrive at its staged fence.
-    Start,
-    /// Pipelined iteration head for entry `e`: gate on the slot of
-    /// `e+1`, stage it, then wait for `e`'s staged fence.
+    /// Head of iteration `e`: stage what is not staged yet up to the
+    /// look-ahead — `e+1` on a ring of two or more slots, `e` itself on
+    /// the serialized ring of one — each entry once its slot is free
+    /// (its previous occupant's done fence); then wait for `e`'s staged
+    /// fence.
     Head { e: usize },
-    /// Parked until the slot of entry `e+1` is free (its previous
-    /// occupant's done fence).
-    WaitSlot { e: usize },
-    /// Serialized (window 1) stage of entry `e`, gated on `e−1` done.
-    SerialStage { e: usize },
-    /// Parked until all ranks have staged entry `e`.
-    WaitStaged { e: usize },
-    /// Driving entry `e`'s [`SrummaMachine`], a stride per poll.
+    /// Driving entry `e`'s [`SrummaMachine`], a stride per step.
     Compute { e: usize },
 }
 
-/// The whole batch as **one** schedulable rank task on the
-/// work-stealing executor: per-entry epoch fences are park points, so a
-/// rank blocked on a straggler costs a deque entry, not an OS thread,
-/// and the worker slot immediately runs another rank's staging or
-/// compute for a different entry.
-pub struct BatchRankTask<'a> {
-    comm: ExecComm,
+/// One rank's whole batch as **one** [`RankProgram`]. On the
+/// work-stealing executor the per-entry epoch fences are park points,
+/// so a rank blocked on a straggler costs a deque entry, not an OS
+/// thread, and the worker slot immediately runs another rank's staging
+/// or compute for a different entry.
+pub struct BatchProgram<'a> {
     batch: &'a BatchSpec,
     plans: &'a [EntryPlan],
     outputs: &'a [Mutex<Matrix>],
@@ -455,19 +355,14 @@ pub struct BatchRankTask<'a> {
     /// Fence indices of this rank's staged/done arrivals, by entry.
     sf: Vec<u64>,
     df: Vec<u64>,
-    /// Wall time the current fence wait began (None when not waiting).
+    /// Time the current fence wait began (None when not waiting).
     wait_t0: Option<f64>,
     samples: Vec<EntryRankSample>,
     reports: Vec<SrummaReport>,
 }
 
-impl<'a> BatchRankTask<'a> {
-    /// Machine steps per poll — same amortization/interleaving tradeoff
-    /// as [`crate::srumma::SrummaRankTask`].
-    const STRIDE: usize = 8;
-
+impl<'a> BatchProgram<'a> {
     fn new(
-        comm: ExecComm,
         batch: &'a BatchSpec,
         plans: &'a [EntryPlan],
         outputs: &'a [Mutex<Matrix>],
@@ -475,14 +370,13 @@ impl<'a> BatchRankTask<'a> {
         tuner: Option<&'a TunerCell>,
     ) -> Self {
         let n = plans.len();
-        BatchRankTask {
-            comm,
+        BatchProgram {
             batch,
             plans,
             outputs,
             window,
             tuner,
-            state: BatchState::Start,
+            state: BatchState::Head { e: 0 },
             machine: None,
             scratch: MachineScratch::default(),
             sf: Vec::with_capacity(n),
@@ -493,27 +387,38 @@ impl<'a> BatchRankTask<'a> {
         }
     }
 
-    fn stage(&mut self, e: usize) {
-        let t0 = self.comm.now();
-        self.samples[e].t_start = t0;
-        stage_entry(&self.batch.entries[e], &self.plans[e], self.comm.rank());
-        self.samples[e].stage_s += self.comm.now() - t0;
-        self.sf.push(self.comm.fence_arrive());
-        debug_assert_eq!(self.sf.len(), e + 1);
+    /// Arrive at this rank's next fence on `entry`'s account, the clock
+    /// having just read `t0`; returns the fence and the time after.
+    fn arrive<C: Comm>(&mut self, comm: &mut C, entry: usize, t0: f64) -> (u64, f64) {
+        let f = comm.fence_arrive();
+        let t1 = comm.now();
+        self.samples[entry].fence_s += t1 - t0;
+        (f, t1)
     }
 
-    /// Poll fence `f`; on failure remember when the wait began (the
-    /// task is now registered as a waiter and should park), on success
+    fn stage<C: Comm>(&mut self, comm: &mut C, e: usize) {
+        let t0 = comm.now();
+        self.samples[e].t_start = t0;
+        stage_entry(&self.batch.entries[e], &self.plans[e], comm.rank());
+        let t1 = comm.now();
+        self.samples[e].stage_s += t1 - t0;
+        debug_assert_eq!(self.sf.len(), e);
+        let (f, _) = self.arrive(comm, e, t1);
+        self.sf.push(f);
+    }
+
+    /// Test fence `f`; on failure remember when the wait began (the
+    /// rank is now registered as a waiter and should park), on success
     /// charge the elapsed wait to `samples[entry].fence_s`.
-    fn fence_poll(&mut self, f: u64, entry: usize) -> bool {
-        if self.comm.fence_try(f) {
+    fn fence_poll<C: Comm>(&mut self, comm: &mut C, f: u64, entry: usize) -> bool {
+        if comm.fence_try(f) {
             if let Some(t0) = self.wait_t0.take() {
-                self.samples[entry].fence_s += self.comm.now() - t0;
+                self.samples[entry].fence_s += comm.now() - t0;
             }
             true
         } else {
             if self.wait_t0.is_none() {
-                self.wait_t0 = Some(self.comm.now());
+                self.wait_t0 = Some(comm.now());
             }
             false
         }
@@ -527,7 +432,8 @@ impl<'a> BatchRankTask<'a> {
     /// while a larger one could reuse a slot still being read. The
     /// floor of 2 exists because at the head of entry `e` this rank
     /// has arrived at done fences `0..e` only — a window of 1 would
-    /// wait on its own not-yet-arrived fence and deadlock.
+    /// wait on its own not-yet-arrived fence and deadlock. Memoized per
+    /// entry by the tuner, so a retry after a park tests the same fence.
     fn eff_window(&self, e: usize) -> usize {
         match self.tuner {
             Some(t) if self.window >= 2 => t.setting_for(e).1.clamp(2, self.window),
@@ -535,145 +441,88 @@ impl<'a> BatchRankTask<'a> {
         }
     }
 
-    fn take_out(&mut self) -> BatchRankOut {
+    fn take_out<C: Comm>(&mut self, comm: &C) -> BatchRankOut {
         BatchRankOut {
             reports: std::mem::take(&mut self.reports),
             samples: std::mem::take(&mut self.samples),
-            ws_grow_count: self.comm.ws_grow_count(),
+            ws_grow_count: comm.ws_grow_count(),
         }
     }
 }
 
-impl RankTask for BatchRankTask<'_> {
+impl RankProgram for BatchProgram<'_> {
     type Out = BatchRankOut;
 
-    fn step(&mut self) -> Step<BatchRankOut> {
-        loop {
-            match self.state {
-                BatchState::Start => {
-                    if self.plans.is_empty() {
-                        return Step::Done(self.take_out());
-                    }
-                    if self.window >= 2 {
-                        self.stage(0);
-                        self.state = BatchState::Head { e: 0 };
-                    } else {
-                        self.state = BatchState::SerialStage { e: 0 };
-                    }
-                    return Step::Yield;
-                }
-                BatchState::Head { e } => {
-                    if e + 1 < self.plans.len() {
-                        let w = self.eff_window(e + 1);
-                        if e + 1 >= w {
-                            let f = self.df[e + 1 - w];
-                            if !self.fence_poll(f, e + 1) {
-                                self.state = BatchState::WaitSlot { e };
-                                return Step::Park;
-                            }
-                        }
-                        self.stage(e + 1);
-                    }
-                    self.state = BatchState::WaitStaged { e };
-                }
-                BatchState::WaitSlot { e } => {
-                    // eff_window is memoized per entry, so the retry
-                    // polls the same fence the Head attempt did.
-                    let w = self.eff_window(e + 1);
-                    let f = self.df[e + 1 - w];
-                    if !self.fence_poll(f, e + 1) {
+    fn step<C: Comm>(&mut self, comm: &mut C) -> Step<BatchRankOut> {
+        match self.state {
+            BatchState::Head { e } => {
+                let Some(last) = self.plans.len().checked_sub(1) else {
+                    return Step::Done(self.take_out(comm));
+                };
+                let ahead = (e + usize::from(self.window >= 2)).min(last);
+                while self.sf.len() <= ahead {
+                    let s = self.sf.len();
+                    let w = self.eff_window(s);
+                    if s >= w && !self.fence_poll(comm, self.df[s - w], s) {
                         return Step::Park;
                     }
-                    self.stage(e + 1);
-                    self.state = BatchState::WaitStaged { e };
+                    self.stage(comm, s);
                 }
-                BatchState::SerialStage { e } => {
-                    if e > 0 {
-                        let f = self.df[e - 1];
-                        if !self.fence_poll(f, e) {
-                            return Step::Park;
-                        }
-                    }
-                    self.stage(e);
-                    self.state = BatchState::WaitStaged { e };
+                if !self.fence_poll(comm, self.sf[e], e) {
+                    return Step::Park;
                 }
-                BatchState::WaitStaged { e } => {
-                    if !self.fence_poll(self.sf[e], e) {
-                        return Step::Park;
-                    }
-                    self.state = BatchState::Compute { e };
-                    return Step::Yield;
-                }
-                BatchState::Compute { e } => {
-                    let t0 = self.comm.now();
-                    if self.machine.is_none() {
-                        let plan: &'_ EntryPlan = &self.plans[e];
-                        let scratch = std::mem::take(&mut self.scratch);
-                        // The machine copies the options at
-                        // construction, so the tuned prefetch depth is
-                        // applied through a stack-local copy.
-                        let mut eopts = plan.opts;
-                        if let Some(t) = self.tuner {
-                            if eopts.double_buffer {
-                                eopts.prefetch_depth = t.setting_for(e).0;
-                            }
-                        }
-                        self.machine = Some(SrummaMachine::new_reusing(
-                            &mut self.comm,
-                            &plan.spec,
-                            &plan.da,
-                            &plan.db,
-                            &plan.dc,
-                            &eopts,
-                            scratch,
-                        ));
-                    }
-                    let machine = self.machine.as_mut().expect("machine built above");
-                    let mut more = machine.has_work();
-                    for _ in 0..Self::STRIDE {
-                        if !more {
-                            break;
-                        }
-                        more = machine.step(&mut self.comm);
-                    }
-                    if more {
-                        self.samples[e].compute_s += self.comm.now() - t0;
-                        return Step::Yield;
-                    }
-                    // Release the C write guard (into_scratch) before
-                    // arriving at the done fence — peers passing it may
-                    // restage this slot.
-                    let machine = self.machine.take().expect("machine exists");
-                    let (report, scratch) = machine.into_scratch(&mut self.comm);
-                    self.scratch = scratch;
-                    self.samples[e].tasks_run = report.tasks as u64;
-                    self.samples[e].tasks_masked = report.masked_tasks as u64;
-                    self.samples[e].flops_skipped = report.skipped_flops;
-                    self.reports.push(report);
-                    extract_entry(&self.plans[e], self.comm.rank(), &self.outputs[e]);
-                    self.samples[e].compute_s += self.comm.now() - t0;
-                    self.samples[e].t_end = self.comm.now();
+                self.state = BatchState::Compute { e };
+                Step::Yield
+            }
+            BatchState::Compute { e } => {
+                let t0 = comm.now();
+                let machine = self.machine.get_or_insert_with(|| {
+                    let plan = &self.plans[e];
+                    let scratch = std::mem::take(&mut self.scratch);
+                    // The machine copies the options at construction, so
+                    // the tuned prefetch depth is applied through a
+                    // stack-local copy.
+                    let mut eopts = plan.opts;
                     if let Some(t) = self.tuner {
-                        t.record(e, self.samples[e].compute_s);
+                        if eopts.double_buffer {
+                            eopts.prefetch_depth = t.setting_for(e).0;
+                        }
                     }
-                    self.df.push(self.comm.fence_arrive());
-                    debug_assert_eq!(self.df.len(), e + 1);
-                    if e + 1 < self.plans.len() {
-                        self.state = if self.window >= 2 {
-                            BatchState::Head { e: e + 1 }
-                        } else {
-                            BatchState::SerialStage { e: e + 1 }
-                        };
-                        return Step::Yield;
-                    }
-                    return Step::Done(self.take_out());
+                    SrummaMachine::new(
+                        comm, &plan.spec, &plan.da, &plan.db, &plan.dc, &eopts, scratch,
+                    )
+                });
+                if machine.run(comm, STRIDE) {
+                    self.samples[e].compute_s += comm.now() - t0;
+                    return Step::Yield;
                 }
+                // Release the C write guard (finish) before arriving
+                // at the done fence — peers passing it may restage this
+                // slot.
+                let machine = self.machine.take().expect("machine exists");
+                let (report, scratch) = machine.finish(comm);
+                self.scratch = scratch;
+                self.samples[e].tasks_run = report.tasks as u64;
+                self.samples[e].tasks_masked = report.masked_tasks as u64;
+                self.samples[e].flops_skipped = report.skipped_flops;
+                self.reports.push(report);
+                extract_entry(&self.plans[e], comm.rank(), &self.outputs[e]);
+                let t1 = comm.now();
+                self.samples[e].compute_s += t1 - t0;
+                if let Some(t) = self.tuner {
+                    t.record(e, self.samples[e].compute_s);
+                }
+                debug_assert_eq!(self.df.len(), e);
+                let (f, t2) = self.arrive(comm, e, t1);
+                self.df.push(f);
+                self.samples[e].t_end = t2;
+                if e + 1 == self.plans.len() {
+                    return Step::Done(self.take_out(comm));
+                }
+                self.state = BatchState::Head { e: e + 1 };
+                Step::Yield
             }
         }
-    }
-
-    fn take_trace(&mut self) -> (Vec<srumma_trace::TraceEvent>, srumma_trace::Counters) {
-        self.comm.recorder().take()
     }
 }
 
@@ -777,7 +626,8 @@ pub fn multiply_batch(batch: &BatchSpec, nranks: usize) -> BatchResult {
         .collect();
     let tuner = make_tuner_cell(batch, nranks);
     let res = thread_run(nranks, |comm| {
-        run_rank_blocking(comm, batch, &plans, &outputs, window, tuner.as_ref())
+        let program = BatchProgram::new(batch, &plans, &outputs, window, tuner.as_ref());
+        drive(comm, program)
     });
     assemble_batch(batch, outputs, res.outputs, res.wall_seconds)
 }
@@ -799,7 +649,8 @@ pub fn multiply_batch_sim(batch: &BatchSpec, machine: &Machine, nranks: usize) -
     let opts = SimOptions::new(machine.clone(), nranks);
     let tuner = make_tuner_cell(batch, nranks);
     let res = sim_run(&opts, |comm| {
-        run_rank_blocking(comm, batch, &plans, &outputs, window, tuner.as_ref())
+        let program = BatchProgram::new(batch, &plans, &outputs, window, tuner.as_ref());
+        drive(comm, program)
     });
     assemble_batch(batch, outputs, res.outputs, res.stats.makespan)
 }
@@ -860,9 +711,8 @@ fn multiply_batch_exec_inner(
         .map(|e| Mutex::new(Matrix::zeros(e.spec.m, e.spec.n)))
         .collect();
     let res = exec_run_tasks(nranks, workers, trace, None, |comm| {
-        Box::new(BatchRankTask::new(
-            comm, batch, &plans, &outputs, window, tuner,
-        ))
+        let program = BatchProgram::new(batch, &plans, &outputs, window, tuner);
+        Box::new(ProgramTask::new(comm, program))
     });
     let traced = if trace {
         Some(TracedRun {

@@ -74,7 +74,7 @@ pub fn multiply_threads(
 
 /// Run `alg` on real data on the **work-stealing executor**: `nranks`
 /// logical ranks multiplexed onto `workers` worker threads. SRUMMA
-/// ranks run as polled state machines ([`crate::srumma::SrummaRankTask`]
+/// ranks run as polled state machines ([`crate::srumma::SrummaProgram`]
 /// — zero OS threads per rank); SUMMA and Cannon run their unmodified
 /// blocking code on loan-gated threads. Returns the numeric result and
 /// the full run result — `stats.exec` carries the steal-rate/occupancy

@@ -14,10 +14,13 @@
 //!    plus one barrier makes the staged panels visible group-wide;
 //! 2. **compute** — the ordinary SRUMMA task loop runs unchanged,
 //!    except that fetches of staged panels are redirected to the
-//!    staging matrix (see [`SrummaMachine::with_hier`]); the staging
+//!    staging matrix (see [`HierStages`]); the staging
 //!    matrices carry [`CostMap::Staged`], whose `cost_rank` is the
 //!    *same* election formula, so the redirected gets price and
 //!    classify as intra-node copies.
+//!
+//! Both levels are phases of the one [`SrummaProgram`]; [`srumma_hier`]
+//! drives it where fences block.
 //!
 //! Panels demanded by only one member are **not** staged — staging them
 //! would add an intra-node hop without saving any network traffic — so
@@ -37,8 +40,8 @@ use crate::api::Algorithm;
 use crate::layout::{dist_a, dist_b};
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::run::{Backend, RankReport, Run};
-use crate::srumma::{SrummaMachine, SrummaReport};
-use srumma_comm::{Comm, CostMap, DistMatrix, ExecComm, RankTask, Step};
+use crate::srumma::SrummaProgram;
+use srumma_comm::{drive, Comm, CostMap, DistMatrix};
 use srumma_model::{Machine, ProcGrid, Topology};
 use srumma_sim::RunStats;
 
@@ -108,7 +111,7 @@ pub fn staging_duties(
 }
 
 /// One rank's view of its group's staging matrices, attached to a
-/// [`SrummaMachine`] via [`SrummaMachine::with_hier`]. The redirect
+/// [`crate::srumma::SrummaMachine`] via its `with_hier`. The redirect
 /// predicate must match [`staging_duties`] exactly: off-node owner,
 /// demanded by ≥ 2 group members.
 #[derive(Clone, Copy)]
@@ -226,40 +229,46 @@ impl HierStageSet {
         }
     }
 
-    /// The run topology the set was built for.
-    pub fn topology(&self) -> Topology {
-        self.topo
-    }
-
-    /// First global rank of the window.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
     /// Global rank `rank`'s group's `(stage_a, stage_b)` pair.
     pub fn stages_for(&self, rank: usize) -> (&DistMatrix, &DistMatrix) {
         let g = self.topo.node_of(rank) - self.first_node;
         (&self.sa[g], &self.sb[g])
     }
+
+    /// Window-local rank `rank`'s fetch redirect over the C grid `grid`.
+    pub(crate) fn redirect(&self, rank: usize, grid: ProcGrid) -> HierStages<'_> {
+        let me = self.base + rank;
+        let (sa, sb) = self.stages_for(me);
+        HierStages {
+            sa,
+            sb,
+            topo: self.topo,
+            grid,
+            me,
+            base: self.base,
+        }
+    }
 }
 
 /// Run this rank's staging duties: overlap the elected network gets,
 /// land each panel in the group's staging matrix, and fence so the puts
-/// are complete at their targets. The caller must still barrier before
-/// any groupmate reads the staged panels.
-#[allow(clippy::too_many_arguments)]
-fn stage_panels<C: Comm>(
+/// are complete at their targets. Returns the panels staged. The caller
+/// must still barrier before any groupmate reads them.
+pub(crate) fn stage_panels<C: Comm>(
     comm: &mut C,
     a: &DistMatrix,
     b: &DistMatrix,
-    sa: &DistMatrix,
-    sb: &DistMatrix,
     grid: ProcGrid,
-    topo: Topology,
-    base: usize,
+    stages: &HierStageSet,
 ) -> usize {
-    let me = base + comm.rank();
-    let (da, db) = staging_duties(grid, topo, me, base);
+    assert_eq!(
+        comm.nranks(),
+        stages.window,
+        "stage set was built for a different rank window"
+    );
+    let me = stages.base + comm.rank();
+    let (sa, sb) = stages.stages_for(me);
+    let (da, db) = staging_duties(grid, stages.topo, me, stages.base);
     let duties: Vec<(&DistMatrix, &DistMatrix, usize)> = da
         .iter()
         .map(|&s| (a, sa, s))
@@ -295,173 +304,7 @@ pub fn srumma_hier<C: Comm>(
     opts: &SrummaOptions,
     stages: &HierStageSet,
 ) -> RankReport {
-    let topo = stages.topo;
-    let base = stages.base;
-    assert_eq!(
-        comm.nranks(),
-        stages.window,
-        "stage set was built for a different rank window"
-    );
-    let me = base + comm.rank();
-    let grid = c.grid();
-    let (sa, sb) = stages.stages_for(me);
-    let staged_panels = stage_panels(comm, a, b, sa, sb, grid, topo, base);
-    comm.barrier();
-    let opts = opts.clamp_gemm_to(spec.m, spec.k, spec.n);
-    let mut machine = SrummaMachine::new(comm, spec, a, b, c, &opts).with_hier(HierStages {
-        sa,
-        sb,
-        topo,
-        grid,
-        me,
-        base,
-    });
-    while machine.step(comm) {}
-    let report = machine.finish(comm);
-    comm.barrier();
-    RankReport {
-        srumma: Some(report),
-        staged_panels,
-        team: 0,
-    }
-}
-
-/// One hierarchical SRUMMA rank as a schedulable state machine for the
-/// work-stealing executor: staging runs on the first poll, the staging
-/// barrier and the closing barrier are park points, and the compute
-/// phase is polled [`HierRankTask::STRIDE`] tasks at a time — the same
-/// shape as [`crate::srumma::SrummaRankTask`] with a staging prologue.
-pub struct HierRankTask<'a> {
-    comm: ExecComm,
-    spec: &'a GemmSpec,
-    a: &'a DistMatrix,
-    b: &'a DistMatrix,
-    c: &'a DistMatrix,
-    opts: SrummaOptions,
-    stages: &'a HierStageSet,
-    machine: Option<SrummaMachine<'a>>,
-    staged_panels: usize,
-    report: Option<SrummaReport>,
-    phase: Phase,
-}
-
-#[derive(PartialEq, Eq)]
-enum Phase {
-    Stage,
-    StageBarrier,
-    Compute,
-    CloseBarrier,
-}
-
-impl<'a> HierRankTask<'a> {
-    /// Compute-phase tasks per poll (see
-    /// [`crate::srumma::SrummaRankTask::STRIDE`]).
-    const STRIDE: usize = 8;
-
-    /// Wrap one rank's hierarchical multiply. All work (including
-    /// staging) is deferred to the first `step`, so it runs on a
-    /// worker.
-    pub fn new(
-        comm: ExecComm,
-        spec: &'a GemmSpec,
-        a: &'a DistMatrix,
-        b: &'a DistMatrix,
-        c: &'a DistMatrix,
-        opts: &SrummaOptions,
-        stages: &'a HierStageSet,
-    ) -> Self {
-        HierRankTask {
-            comm,
-            spec,
-            a,
-            b,
-            c,
-            opts: opts.clamp_gemm_to(spec.m, spec.k, spec.n),
-            stages,
-            machine: None,
-            staged_panels: 0,
-            report: None,
-            phase: Phase::Stage,
-        }
-    }
-}
-
-impl RankTask for HierRankTask<'_> {
-    type Out = RankReport;
-
-    fn step(&mut self) -> Step<RankReport> {
-        if self.phase == Phase::Stage {
-            let me = self.stages.base + self.comm.rank();
-            let (sa, sb) = self.stages.stages_for(me);
-            self.staged_panels = stage_panels(
-                &mut self.comm,
-                self.a,
-                self.b,
-                sa,
-                sb,
-                self.c.grid(),
-                self.stages.topo,
-                self.stages.base,
-            );
-            self.phase = Phase::StageBarrier;
-        }
-        if self.phase == Phase::StageBarrier {
-            if !self.comm.barrier_try() {
-                return Step::Park;
-            }
-            self.phase = Phase::Compute;
-        }
-        if self.phase == Phase::Compute {
-            let machine = self.machine.get_or_insert_with(|| {
-                let me = self.stages.base + self.comm.rank();
-                let (sa, sb) = self.stages.stages_for(me);
-                let grid = self.c.grid();
-                SrummaMachine::new(
-                    &mut self.comm,
-                    self.spec,
-                    self.a,
-                    self.b,
-                    self.c,
-                    &self.opts,
-                )
-                .with_hier(HierStages {
-                    sa,
-                    sb,
-                    topo: self.stages.topo,
-                    grid,
-                    me,
-                    base: self.stages.base,
-                })
-            });
-            let mut more = machine.has_work();
-            for _ in 0..Self::STRIDE {
-                if !more {
-                    break;
-                }
-                more = machine.step(&mut self.comm);
-            }
-            if more {
-                return Step::Yield;
-            }
-            // Release the C write guard before arriving at the barrier.
-            let machine = self.machine.take().expect("machine exists here");
-            self.report = Some(machine.finish(&mut self.comm));
-            self.phase = Phase::CloseBarrier;
-        }
-        if self.comm.barrier_try() {
-            Step::Done(RankReport {
-                srumma: Some(self.report.take().expect("report set above")),
-                staged_panels: self.staged_panels,
-                team: 0,
-            })
-        } else {
-            Step::Park
-        }
-    }
-
-    fn take_trace(&mut self) -> (Vec<srumma_trace::TraceEvent>, srumma_trace::Counters) {
-        self.comm.recorder().take()
-    }
+    drive(comm, SrummaProgram::new(spec, a, b, c, opts, Some(stages)))
 }
 
 /// Modeled hierarchical run on the per-rank virtual-clock backend —
@@ -541,15 +384,7 @@ mod tests {
             let spec = GemmSpec::square(32);
             let stages = HierStageSet::create(&spec, grid, topo, false);
             for me in 0..nranks {
-                let (sa, sb) = stages.stages_for(me);
-                let h = HierStages {
-                    sa,
-                    sb,
-                    topo,
-                    grid,
-                    me,
-                    base: 0,
-                };
+                let h = stages.redirect(me, grid);
                 let g = topo.node_of(me);
                 let members = topo.ranks_on_node(g);
                 // Collect the group's duties once.

@@ -59,10 +59,10 @@ pub use batch::{
 };
 pub use chaos::{ChaosRecovery, ChaosSrummaRankTask};
 pub use driver::SparseMasks;
-pub use hier::{srumma_hier, HierRankTask, HierStageSet, HierStages};
+pub use hier::{srumma_hier, HierStageSet, HierStages};
 pub use options::{GemmSpec, ReplicationFactor, ShmemFlavor, SrummaOptions, TunerConfig};
 pub use repl::{resolve_factor, srumma_replicated, ReplSet};
 pub use run::{Backend, RankReport, Run, RunError, RunOutput};
-pub use srumma::{srumma as srumma_gemm, SrummaMachine, SrummaRankTask, SrummaReport};
+pub use srumma::{srumma as srumma_gemm, SrummaMachine, SrummaProgram, SrummaReport};
 pub use summa::SummaOptions;
 pub use tune::{HostProfile, ProfileError, Tuner, TunerCell, TunerStep, PROFILE_VERSION};

@@ -23,13 +23,13 @@
 //! (see [`SubComm`]) — which keeps the virtual backend's BSP segment
 //! recombination aligned across teams.
 
-use crate::hier::{srumma_hier, HierStageSet};
+use crate::hier::HierStageSet;
 use crate::layout::{dist_a, dist_b, fresh_c, scatter_operands};
 use crate::memory::replicated_arena_footprint;
 use crate::options::{GemmSpec, ReplicationFactor, SrummaOptions};
 use crate::run::{RankReport, RunError};
-use crate::srumma::srumma;
-use srumma_comm::{Comm, CostMap, DistMatrix, SubComm};
+use crate::srumma::SrummaProgram;
+use srumma_comm::{drive, Comm, CostMap, DistMatrix, SubComm};
 use srumma_dense::mask::chunk_len;
 use srumma_dense::Matrix;
 use srumma_model::{ProcGrid, Topology};
@@ -210,11 +210,9 @@ pub fn srumma_replicated<C: Comm>(
     let mats = &set.teams[team];
     let report = {
         let mut sub = SubComm::new(comm, base, set.team_ranks, set.team_topo);
-        let (spec, da, db, dc) = (&mats.spec, &mats.da, &mats.db, &mats.dc);
-        match stage_sets {
-            None => srumma(&mut sub, spec, da, db, dc, opts).into(),
-            Some(sets) => srumma_hier(&mut sub, spec, da, db, dc, opts, &sets[team]),
-        }
+        let stages = stage_sets.map(|sets| &sets[team]);
+        let program = SrummaProgram::new(&mats.spec, &mats.da, &mats.db, &mats.dc, opts, stages);
+        drive(&mut sub, program)
     };
     // The team sweep ends with a (forwarded, machine-wide) barrier:
     // every team's partial product is complete here. Fold teams 1..c

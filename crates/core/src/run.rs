@@ -11,14 +11,14 @@
 use crate::api::{parallel_gemm, Algorithm};
 use crate::chaos::{ChaosRecovery, ChaosSrummaRankTask};
 use crate::driver::{default_grid, SparseMasks};
-use crate::hier::{srumma_hier, HierRankTask, HierStageSet};
+use crate::hier::{srumma_hier, HierStageSet};
 use crate::layout::{dist_a, dist_b, fresh_c, scatter_operands};
 use crate::options::{GemmSpec, ReplicationFactor};
 use crate::repl::{resolve_factor, srumma_replicated, ReplSet};
-use crate::srumma::{SrummaRankTask, SrummaReport};
+use crate::srumma::{SrummaProgram, SrummaReport};
 use srumma_comm::{
     exec_launch, exec_run_tasks, sim_run, thread_launch, virtual_run, ChaosComm, Comm, DistMatrix,
-    ExecRunResult, FaultPlan, FaultPlanError, SimOptions,
+    ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions,
 };
 use srumma_dense::{Matrix, Op};
 use srumma_model::{Machine, Topology};
@@ -168,18 +168,8 @@ enum Mats {
 /// What every launcher hands back: reports, stats, trace, wall seconds.
 type Launched = (Vec<RankReport>, RunStats, Vec<TraceEvent>, f64);
 
-fn launched<T: Into<RankReport>>(res: ExecRunResult<T>) -> Launched {
-    let reports = res.outputs.into_iter().map(Into::into).collect();
-    (reports, res.stats, res.trace, res.wall_seconds)
-}
-
-impl From<SrummaReport> for RankReport {
-    fn from(srumma: SrummaReport) -> Self {
-        RankReport {
-            srumma: Some(srumma),
-            ..RankReport::default()
-        }
-    }
+fn launched(res: ExecRunResult<RankReport>) -> Launched {
+    (res.outputs, res.stats, res.trace, res.wall_seconds)
 }
 
 /// The rank program, chosen once by `(algorithm, hier, replication)`.
@@ -383,32 +373,34 @@ impl<'a> Run<'a> {
                 let res = thread_launch(nranks, self.trace, topo, body);
                 (res.outputs, res.stats, res.trace, res.wall_seconds)
             }
-            // SRUMMA ranks run as polled state machines where one exists
-            // for the schedule (no OS thread per rank); everything else
-            // runs its blocking body on a gated thread.
-            Backend::Exec { workers } => match (&mats, algorithm, faults) {
-                (Mats::Flat(m, None), Algorithm::Srumma(opts), None) => {
-                    launched(exec_run_tasks(nranks, workers, self.trace, topo, |comm| {
-                        Box::new(SrummaRankTask::new(comm, &m.spec, &m.a, &m.b, &m.c, opts))
-                    }))
-                }
-                (Mats::Flat(m, None), Algorithm::Srumma(opts), Some(plan)) => {
-                    // Declared after the matrices: any unclaimed machine
+            // Flat or staged SRUMMA is one program, polled (no OS thread
+            // per rank) under whichever communicator the fault plan
+            // calls for; everything else runs its blocking body on a
+            // gated thread.
+            Backend::Exec { workers } => match (&mats, algorithm) {
+                (Mats::Flat(m, stages), Algorithm::Srumma(opts)) => {
+                    // Declared after the matrices: any unclaimed program
                     // (borrowing them) drops with the queue first.
                     let recovery = ChaosRecovery::new();
-                    let (spec, a, b, c) = (&m.spec, &m.a, &m.b, &m.c);
-                    launched(exec_run_tasks(nranks, workers, self.trace, topo, |comm| {
-                        let plan = plan.clone();
-                        Box::new(ChaosSrummaRankTask::new(
-                            comm, spec, a, b, c, opts, plan, &recovery,
-                        ))
-                    }))
-                }
-                (Mats::Flat(m, Some(stages)), Algorithm::Srumma(opts), None) => {
-                    let (spec, a, b, c) = (&m.spec, &m.a, &m.b, &m.c);
-                    launched(exec_run_tasks(nranks, workers, self.trace, topo, |comm| {
-                        Box::new(HierRankTask::new(comm, spec, a, b, c, opts, stages))
-                    }))
+                    let FlatMats { spec, a, b, c } = m;
+                    let program = || SrummaProgram::new(spec, a, b, c, opts, stages.as_ref());
+                    launched(exec_run_tasks(
+                        nranks,
+                        workers,
+                        self.trace,
+                        topo,
+                        |comm| match faults {
+                            None => Box::new(ProgramTask::new(comm, program())),
+                            Some(plan) if plan.death.is_none() => {
+                                let comm = ChaosComm::new(comm, plan.clone());
+                                Box::new(ProgramTask::new(comm, program()))
+                            }
+                            Some(plan) => {
+                                let plan = plan.clone();
+                                Box::new(ChaosSrummaRankTask::new(comm, program(), plan, &recovery))
+                            }
+                        },
+                    ))
                 }
                 _ => {
                     let body = |comm: &mut _| wall_body(comm, faults, algorithm, &mats);

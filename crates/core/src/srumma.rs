@@ -19,12 +19,18 @@
 //! No rank ever synchronizes with another during the multiply — the
 //! only barrier is the closing one that makes C globally visible,
 //! which is what makes SRUMMA "more asynchronous" than Cannon/SUMMA.
+//!
+//! The rank's whole share — optional node-group staging
+//! ([`crate::hier`]), the task loop, the closing fence — is one
+//! [`SrummaProgram`]: polled on the executor, [`drive`]n everywhere
+//! else ([`srumma`], [`crate::hier::srumma_hier`]).
 
-use crate::hier::HierStages;
+use crate::hier::{stage_panels, HierStageSet, HierStages};
 use crate::layout::{a_owner, a_seg_view, b_owner, b_seg_view};
 use crate::options::{GemmSpec, ShmemFlavor, SrummaOptions};
+use crate::run::RankReport;
 use crate::taskorder::{build_tasks_into, diagonal_shift_origin, order_tasks_into, Task};
-use srumma_comm::{Comm, DistMatrix, ExecComm, GetHandle, RankTask, Step};
+use srumma_comm::{drive, Comm, DistMatrix, GetHandle, RankProgram, Step};
 use srumma_dense::MatRef;
 use srumma_trace::TraceKind;
 
@@ -56,6 +62,7 @@ enum Source {
 
 /// One operand's prefetch pipeline: `depth + 1` reusable block buffers
 /// (the paper's B1/B2 at depth 1).
+#[derive(Default)]
 struct Pipeline {
     slots: Vec<Slot>,
 }
@@ -68,8 +75,9 @@ struct Slot {
 }
 
 impl Pipeline {
+    #[cfg(test)]
     fn new(depth: usize) -> Self {
-        let mut p = Pipeline { slots: Vec::new() };
+        let mut p = Pipeline::default();
         p.reset(depth);
         p
     }
@@ -162,43 +170,18 @@ impl Pipeline {
 }
 
 /// Reusable per-rank allocations of a [`SrummaMachine`] — the
-/// **batch-continuation mode**. A machine consumed with
-/// [`SrummaMachine::into_scratch`] hands back its task list, ordering,
-/// source table, prefetch pipelines and window vectors;
-/// [`SrummaMachine::new_reusing`] re-arms them for the next multiply in
-/// a stream. The fetch buffers stay in the pipelines, or between
-/// entries with the worker the rank last ran on
+/// **batch-continuation mode**. [`SrummaMachine::finish`] hands back
+/// the machine's task list, ordering, source table, prefetch pipelines
+/// and window vectors; [`SrummaMachine::new`] re-arms them for the next
+/// multiply in a stream (a single multiply starts from the empty
+/// default and drops them). The fetch buffers stay in the pipelines, or
+/// between entries with the worker the rank last ran on
 /// ([`Comm::return_buf`]); combined with the backend's persistent
 /// [`srumma_dense` gemm workspace](srumma_comm::Comm::ws_grow_count),
 /// a whole batch of multiplies runs with no steady-state per-entry
 /// heap allocation.
 #[derive(Default)]
 pub struct MachineScratch {
-    tasks: Vec<Task>,
-    order: Vec<usize>,
-    sources: Vec<(Source, Source)>,
-    a_pipe: Option<Pipeline>,
-    b_pipe: Option<Pipeline>,
-    wa: Vec<usize>,
-    wb: Vec<usize>,
-}
-
-/// SRUMMA's per-rank task loop as a resumable state machine: all the
-/// setup in [`SrummaMachine::new`], one pipelined task per
-/// [`SrummaMachine::step`], the C write-guard released by
-/// [`SrummaMachine::finish`].
-///
-/// The blocking [`srumma`] entry point drives it to completion in a
-/// plain loop; the work-stealing executor instead polls `step` from a
-/// worker thread, interleaving thousands of rank machines on a few
-/// workers. The machine deliberately contains **no** synchronization —
-/// the closing barrier belongs to the caller, which is what lets the
-/// executor turn it into a park point instead of a blocked thread.
-pub struct SrummaMachine<'a> {
-    spec: &'a GemmSpec,
-    a: &'a DistMatrix,
-    b: &'a DistMatrix,
-    depth: usize,
     tasks: Vec<Task>,
     order: Vec<usize>,
     sources: Vec<(Source, Source)>,
@@ -209,6 +192,26 @@ pub struct SrummaMachine<'a> {
     /// allocation-free in the steady state.
     wa: Vec<usize>,
     wb: Vec<usize>,
+}
+
+/// SRUMMA's per-rank task loop as a resumable state machine: all the
+/// setup in [`SrummaMachine::new`], one pipelined task per
+/// [`SrummaMachine::step`], the C write-guard released by
+/// [`SrummaMachine::finish`].
+///
+/// The machine deliberately contains **no** synchronization: the
+/// fences around it belong to the program that owns it
+/// ([`SrummaProgram`], the batch program), and a machine — cursor,
+/// pipelines, C guard and all — can be handed to another rank's
+/// communicator mid-run (see [`crate::chaos`]).
+pub struct SrummaMachine<'a> {
+    spec: &'a GemmSpec,
+    a: &'a DistMatrix,
+    b: &'a DistMatrix,
+    depth: usize,
+    /// Task list, ordering, source table, pipelines and windows: the
+    /// allocations that outlive this multiply in a batch.
+    scratch: MachineScratch,
     cw: srumma_comm::dist::BlockWrite<'a>,
     crows: usize,
     ccols: usize,
@@ -222,8 +225,10 @@ pub struct SrummaMachine<'a> {
 
 impl<'a> SrummaMachine<'a> {
     /// Build this rank's task list, ordering, source resolution and
-    /// prefetch pipelines, apply the beta pre-pass, and take the C
-    /// write guard. No task runs yet.
+    /// prefetch pipelines — inside `scratch`'s allocations (a previous
+    /// multiply's [`SrummaMachine::finish`], or the empty default) —
+    /// apply the beta pre-pass, and take the C write guard. No task
+    /// runs yet.
     pub fn new<C: Comm>(
         comm: &mut C,
         spec: &'a GemmSpec,
@@ -231,31 +236,8 @@ impl<'a> SrummaMachine<'a> {
         b: &'a DistMatrix,
         c: &'a DistMatrix,
         opts: &SrummaOptions,
+        mut scratch: MachineScratch,
     ) -> Self {
-        Self::new_reusing(comm, spec, a, b, c, opts, MachineScratch::default())
-    }
-
-    /// [`SrummaMachine::new`] in batch-continuation mode: rebuild the
-    /// per-rank state inside `scratch`'s allocations (from a previous
-    /// entry's [`SrummaMachine::into_scratch`]) instead of fresh ones.
-    pub fn new_reusing<C: Comm>(
-        comm: &mut C,
-        spec: &'a GemmSpec,
-        a: &'a DistMatrix,
-        b: &'a DistMatrix,
-        c: &'a DistMatrix,
-        opts: &SrummaOptions,
-        scratch: MachineScratch,
-    ) -> Self {
-        let MachineScratch {
-            mut tasks,
-            mut order,
-            mut sources,
-            a_pipe,
-            b_pipe,
-            mut wa,
-            mut wb,
-        } = scratch;
         // Push any serial-kernel override to the backend before the
         // first gemm; configure_gemm is idempotent, so batch
         // continuations re-applying the same config never re-grow.
@@ -269,7 +251,7 @@ impl<'a> SrummaMachine<'a> {
         let bparts = crate::layout::b_kparts(grid);
         let depth = opts.effective_depth();
 
-        build_tasks_into(&mut tasks, spec.k, aparts, bparts);
+        build_tasks_into(&mut scratch.tasks, spec.k, aparts, bparts);
 
         // Block-sparsity pruning: a k-segment whose A block or B block
         // is masked out contributes nothing to this rank's C_ij, so the
@@ -281,10 +263,11 @@ impl<'a> SrummaMachine<'a> {
         let mut masked_tasks = 0usize;
         let mut skipped_flops = 0u64;
         if a.mask().is_some() || b.mask().is_some() {
-            let (pruned, skipped_k) = crate::taskorder::prune_masked_tasks(&mut tasks, |t| {
-                a.block_nonzero(a_owner(spec, grid, gi, t.la))
-                    && b.block_nonzero(b_owner(spec, grid, t.lb, gj))
-            });
+            let (pruned, skipped_k) =
+                crate::taskorder::prune_masked_tasks(&mut scratch.tasks, |t| {
+                    a.block_nonzero(a_owner(spec, grid, gi, t.la))
+                        && b.block_nonzero(b_owner(spec, grid, t.lb, gj))
+                });
             if pruned > 0 {
                 let crows = srumma_comm::dist::chunk_len(spec.m, grid.p, gi);
                 let ccols = srumma_comm::dist::chunk_len(spec.n, grid.q, gj);
@@ -308,9 +291,9 @@ impl<'a> SrummaMachine<'a> {
                 && topo.same_domain(me, b_owner(spec, grid, t.lb, gj))
         };
         order_tasks_into(
-            &mut order,
-            tasks.len(),
-            &tasks,
+            &mut scratch.order,
+            scratch.tasks.len(),
+            &scratch.tasks,
             aparts,
             shift,
             opts.smp_first,
@@ -325,9 +308,9 @@ impl<'a> SrummaMachine<'a> {
         };
 
         // Pre-resolve sources per ordered task (A and B independently).
-        sources.clear();
-        sources.extend(order.iter().map(|&idx| {
-            let t = &tasks[idx];
+        scratch.sources.clear();
+        scratch.sources.extend(scratch.order.iter().map(|&idx| {
+            let t = &scratch.tasks[idx];
             let ao = a_owner(spec, grid, gi, t.la);
             let bo = b_owner(spec, grid, t.lb, gj);
             let sa = if direct_ok(ao, comm) {
@@ -355,27 +338,22 @@ impl<'a> SrummaMachine<'a> {
         debug_assert_eq!(crows, srumma_comm::dist::chunk_len(spec.m, grid.p, gi));
         debug_assert_eq!(ccols, srumma_comm::dist::chunk_len(spec.n, grid.q, gj));
 
-        let mut a_pipe = a_pipe.unwrap_or_else(|| Pipeline::new(depth));
-        let mut b_pipe = b_pipe.unwrap_or_else(|| Pipeline::new(depth));
-        a_pipe.reset(depth);
-        b_pipe.reset(depth);
-        for buf in a_pipe.bufs().chain(b_pipe.bufs()) {
+        scratch.a_pipe.reset(depth);
+        scratch.b_pipe.reset(depth);
+        for buf in scratch.a_pipe.bufs().chain(scratch.b_pipe.bufs()) {
             comm.lease_buf(buf);
         }
-        wa.clear();
-        wa.reserve(depth + 1);
-        wb.clear();
-        wb.reserve(depth + 1);
+        scratch.wa.clear();
+        scratch.wa.reserve(depth + 1);
+        scratch.wb.clear();
+        scratch.wb.reserve(depth + 1);
 
         SrummaMachine {
             spec,
             a,
             b,
             depth,
-            a_pipe,
-            b_pipe,
-            wa,
-            wb,
+            scratch,
             cw,
             crows,
             ccols,
@@ -385,9 +363,6 @@ impl<'a> SrummaMachine<'a> {
                 skipped_flops,
                 ..SrummaReport::default()
             },
-            tasks,
-            order,
-            sources,
             hier: None,
         }
     }
@@ -403,25 +378,20 @@ impl<'a> SrummaMachine<'a> {
         self
     }
 
-    /// Whether any task remains to run.
-    pub fn has_work(&self) -> bool {
-        self.pos < self.order.len()
-    }
-
     /// Run one pipelined task (prefetch lookahead, wait for the current
     /// blocks, segment dgemm). Returns `true` while more tasks remain.
     pub fn step<C: Comm>(&mut self, comm: &mut C) -> bool {
-        let Some(&idx) = self.order.get(self.pos) else {
+        let Some(&idx) = self.scratch.order.get(self.pos) else {
             return false;
         };
         let (spec, depth, pos) = (self.spec, self.depth, self.pos);
-        let t = self.tasks[idx];
-        let (sa, sb) = self.sources[pos];
-        self.wa.clear();
-        self.wb.clear();
-        for &i in &self.order[pos..(pos + depth + 1).min(self.order.len())] {
-            self.wa.push(self.tasks[i].la);
-            self.wb.push(self.tasks[i].lb);
+        let t = self.scratch.tasks[idx];
+        let (sa, sb) = self.scratch.sources[pos];
+        self.scratch.wa.clear();
+        self.scratch.wb.clear();
+        for &i in &self.scratch.order[pos..(pos + depth + 1).min(self.scratch.order.len())] {
+            self.scratch.wa.push(self.scratch.tasks[i].la);
+            self.scratch.wb.push(self.scratch.tasks[i].lb);
         }
         let traced = comm.recorder().is_enabled();
         let t_task = if traced { comm.now() } else { 0.0 };
@@ -432,22 +402,22 @@ impl<'a> SrummaMachine<'a> {
         // With depth 0 (ablation) only the current task is fetched,
         // i.e. every get degenerates to a blocking one.
         for ahead in 0..=depth {
-            let Some(&nidx) = self.order.get(pos + ahead) else {
+            let Some(&nidx) = self.scratch.order.get(pos + ahead) else {
                 break;
             };
-            let nt = &self.tasks[nidx];
-            let (nsa, nsb) = self.sources[pos + ahead];
+            let nt = &self.scratch.tasks[nidx];
+            let (nsa, nsb) = self.scratch.sources[pos + ahead];
             if let Source::Fetch { owner } = nsa {
                 let mat = match &self.hier {
                     Some(h) => h.a_mat(self.a, owner),
                     None => self.a,
                 };
-                self.a_pipe.ensure_issued(
+                self.scratch.a_pipe.ensure_issued(
                     comm,
                     mat,
                     owner,
                     nt.la,
-                    &self.wa,
+                    &self.scratch.wa,
                     &mut self.report.fetched_blocks,
                 );
             }
@@ -456,12 +426,12 @@ impl<'a> SrummaMachine<'a> {
                     Some(h) => h.b_mat(self.b, owner),
                     None => self.b,
                 };
-                self.b_pipe.ensure_issued(
+                self.scratch.b_pipe.ensure_issued(
                     comm,
                     mat,
                     owner,
                     nt.lb,
-                    &self.wb,
+                    &self.scratch.wb,
                     &mut self.report.fetched_blocks,
                 );
             }
@@ -471,10 +441,11 @@ impl<'a> SrummaMachine<'a> {
         let a_slot = match sa {
             Source::Fetch { .. } => {
                 let s = self
+                    .scratch
                     .a_pipe
                     .find(t.la)
                     .expect("current A panel must be resident");
-                self.a_pipe.wait_ready(comm, s);
+                self.scratch.a_pipe.wait_ready(comm, s);
                 Some(s)
             }
             Source::Direct { owner } => {
@@ -486,10 +457,11 @@ impl<'a> SrummaMachine<'a> {
         let b_slot = match sb {
             Source::Fetch { .. } => {
                 let s = self
+                    .scratch
                     .b_pipe
                     .find(t.lb)
                     .expect("current B panel must be resident");
-                self.b_pipe.wait_ready(comm, s);
+                self.scratch.b_pipe.wait_ready(comm, s);
                 Some(s)
             }
             Source::Direct { owner } => {
@@ -519,12 +491,12 @@ impl<'a> SrummaMachine<'a> {
         };
         let a_whole: Option<MatRef<'_>> = match (&a_direct, a_slot) {
             (Some(blk), _) => blk.mat(),
-            (None, Some(s)) => self.a_pipe.view(s),
+            (None, Some(s)) => self.scratch.a_pipe.view(s),
             _ => None,
         };
         let b_whole: Option<MatRef<'_>> = match (&b_direct, b_slot) {
             (Some(blk), _) => blk.mat(),
-            (None, Some(s)) => self.b_pipe.view(s),
+            (None, Some(s)) => self.scratch.b_pipe.view(s),
             _ => None,
         };
         let av = a_whole.map(|v| a_seg_view(spec, v, t.rel_a(), seg));
@@ -553,148 +525,166 @@ impl<'a> SrummaMachine<'a> {
             });
         }
         self.pos += 1;
-        self.pos < self.order.len()
+        self.pos < self.scratch.order.len()
     }
 
-    /// Snapshot of the report so far, without consuming the machine.
-    /// The fault-injection path uses this to capture a dying rank's
-    /// partial progress before publishing the machine for re-execution.
+    /// Run at most `limit` tasks; `true` while more remain.
+    pub fn run<C: Comm>(&mut self, comm: &mut C, limit: usize) -> bool {
+        for _ in 0..limit {
+            if !self.step(comm) {
+                return false;
+            }
+        }
+        self.pos < self.scratch.order.len()
+    }
+
+    /// Snapshot of the report so far, without consuming the machine
+    /// (a rank that dies mid-run reports its partial progress).
     pub fn report(&self) -> SrummaReport {
         self.report
     }
 
-    /// Hand the pipeline buffers back ([`Comm::return_buf`]).
-    fn return_bufs<C: Comm>(&mut self, comm: &mut C) {
-        for buf in self.a_pipe.bufs().chain(self.b_pipe.bufs()) {
+    /// Release the C write guard, hand the fetch buffers back
+    /// ([`Comm::return_buf`]) and return the report, with the machine's
+    /// allocations for the next multiply of a batch (see
+    /// [`MachineScratch`]). Call this *before* arriving at the fence
+    /// that follows — peers may not read C while this rank's guard is
+    /// live.
+    pub fn finish<C: Comm>(mut self, comm: &mut C) -> (SrummaReport, MachineScratch) {
+        let pipes = &mut self.scratch;
+        for buf in pipes.a_pipe.bufs().chain(pipes.b_pipe.bufs()) {
             comm.return_buf(buf);
         }
-    }
-
-    /// Release the C write guard and the fetch buffers and return the
-    /// report. Call this *before* the closing barrier — peers may not
-    /// read C while this rank's guard is live.
-    pub fn finish<C: Comm>(mut self, comm: &mut C) -> SrummaReport {
-        self.return_bufs(comm);
-        self.report
-    }
-
-    /// [`SrummaMachine::finish`], additionally salvaging the machine's
-    /// allocations for the next multiply in a batch (see
-    /// [`MachineScratch`]). The C write guard is released here.
-    pub fn into_scratch<C: Comm>(mut self, comm: &mut C) -> (SrummaReport, MachineScratch) {
-        self.return_bufs(comm);
-        let SrummaMachine {
-            report,
-            tasks,
-            order,
-            sources,
-            a_pipe,
-            b_pipe,
-            wa,
-            wb,
-            cw,
-            ..
-        } = self;
-        drop(cw);
-        (
-            report,
-            MachineScratch {
-                tasks,
-                order,
-                sources,
-                a_pipe: Some(a_pipe),
-                b_pipe: Some(b_pipe),
-                wa,
-                wb,
-            },
-        )
+        (self.report, self.scratch)
     }
 }
 
-/// One SRUMMA rank as a schedulable task for the work-stealing
-/// executor: the [`SrummaMachine`] polled a few tasks per `step`, then
-/// the closing barrier as a [`barrier_try`](ExecComm::barrier_try) park
-/// point. This is what lets 1024 SRUMMA ranks run on 4 worker threads —
-/// a rank waiting in the barrier costs a deque entry, not an OS thread.
-pub struct SrummaRankTask<'a> {
-    comm: ExecComm,
+/// Tasks a program runs per `step` before yielding to its host — large
+/// enough to amortize the scheduling round-trip, small enough that
+/// ranks interleave and stealing stays effective.
+pub(crate) const STRIDE: usize = 8;
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Stage,
+    StageFence,
+    Compute,
+    CloseFence,
+}
+
+/// One SRUMMA rank, flat or staged, as a [`RankProgram`]: with a stage
+/// set, the staging prologue and its fence; then the [`SrummaMachine`]
+/// `STRIDE` tasks per step; then the closing fence. On the executor
+/// the fences are park points, which is what lets 1024 ranks run on 4
+/// worker threads — a rank waiting in one costs a deque entry, not an
+/// OS thread.
+pub struct SrummaProgram<'a> {
     spec: &'a GemmSpec,
     a: &'a DistMatrix,
     b: &'a DistMatrix,
     c: &'a DistMatrix,
     opts: SrummaOptions,
+    stages: Option<&'a HierStageSet>,
+    phase: Phase,
     machine: Option<SrummaMachine<'a>>,
-    report: Option<SrummaReport>,
+    report: RankReport,
 }
 
-impl<'a> SrummaRankTask<'a> {
-    /// Tasks to run per poll before yielding back to the scheduler —
-    /// large enough to amortize the scheduling round-trip, small enough
-    /// that ranks interleave and stealing stays effective.
-    const STRIDE: usize = 8;
-
-    /// Wrap one rank's multiply. Setup is deferred to the first `step`
-    /// so it runs on a worker, not on the thread launching the run.
+impl<'a> SrummaProgram<'a> {
+    /// One rank's multiply; with `stages` (created for the
+    /// communicator's topology), the two-level schedule of
+    /// [`crate::hier`]. All work is deferred to the first `step`, so it
+    /// runs on the thread that hosts the rank.
     pub fn new(
-        comm: ExecComm,
         spec: &'a GemmSpec,
         a: &'a DistMatrix,
         b: &'a DistMatrix,
         c: &'a DistMatrix,
         opts: &SrummaOptions,
+        stages: Option<&'a HierStageSet>,
     ) -> Self {
-        SrummaRankTask {
-            comm,
+        SrummaProgram {
             spec,
             a,
             b,
             c,
+            // One spec per run, so clamping explicit cache blocks to the
+            // problem shape here is uniform across every configure_gemm
+            // this comm sees (bitwise-neutral; see
+            // `GemmConfig::clamped_to`).
             opts: opts.clamp_gemm_to(spec.m, spec.k, spec.n),
+            stages,
+            phase: if stages.is_some() {
+                Phase::Stage
+            } else {
+                Phase::Compute
+            },
             machine: None,
-            report: None,
+            report: RankReport::default(),
         }
     }
-}
 
-impl RankTask for SrummaRankTask<'_> {
-    type Out = SrummaReport;
+    /// The report so far (partial while tasks remain).
+    pub fn report(&self) -> RankReport {
+        self.report
+    }
 
-    fn step(&mut self) -> Step<SrummaReport> {
-        if self.report.is_none() {
-            let machine = self.machine.get_or_insert_with(|| {
-                SrummaMachine::new(
-                    &mut self.comm,
-                    self.spec,
-                    self.a,
-                    self.b,
-                    self.c,
-                    &self.opts,
-                )
-            });
-            let mut more = machine.has_work();
-            for _ in 0..Self::STRIDE {
-                if !more {
-                    break;
-                }
-                more = machine.step(&mut self.comm);
+    /// The own-task phase: set up on the first call, then run at most
+    /// `limit` tasks; `true` while more remain. Running the last one
+    /// releases the C write guard and the fetch buffers — before any
+    /// arrival at the closing fence, past which a peer may gather C.
+    /// Any rank's communicator may be passed (a survivor finishing a
+    /// dead rank's program, see [`crate::chaos`]).
+    pub(crate) fn run_tasks<C: Comm>(&mut self, comm: &mut C, limit: usize) -> bool {
+        let machine = self.machine.get_or_insert_with(|| {
+            let fresh = MachineScratch::default();
+            let machine =
+                SrummaMachine::new(comm, self.spec, self.a, self.b, self.c, &self.opts, fresh);
+            match self.stages {
+                Some(stages) => machine.with_hier(stages.redirect(comm.rank(), self.c.grid())),
+                None => machine,
             }
-            if more {
-                return Step::Yield;
-            }
-            // Release the C write guard *before* arriving at the
-            // barrier: a peer passing the barrier may gather C.
+        });
+        let more = machine.run(comm, limit);
+        self.report.srumma = Some(machine.report());
+        if !more {
             let machine = self.machine.take().expect("machine exists here");
-            self.report = Some(machine.finish(&mut self.comm));
+            machine.finish(comm);
+            self.phase = Phase::CloseFence;
         }
-        if self.comm.barrier_try() {
-            Step::Done(self.report.take().expect("report set above"))
+        more
+    }
+
+    /// The closing fence, which makes C globally visible.
+    pub(crate) fn close<C: Comm>(&mut self, comm: &mut C) -> Step<RankReport> {
+        if comm.barrier_try() {
+            Step::Done(self.report)
         } else {
             Step::Park
         }
     }
+}
 
-    fn take_trace(&mut self) -> (Vec<srumma_trace::TraceEvent>, srumma_trace::Counters) {
-        self.comm.recorder().take()
+impl RankProgram for SrummaProgram<'_> {
+    type Out = RankReport;
+
+    fn step<C: Comm>(&mut self, comm: &mut C) -> Step<RankReport> {
+        if self.phase == Phase::Stage {
+            let stages = self.stages.expect("only a staged program starts here");
+            self.report.staged_panels = stage_panels(comm, self.a, self.b, self.c.grid(), stages);
+            self.phase = Phase::StageFence;
+        }
+        if self.phase == Phase::StageFence {
+            // Groupmates read the staged panels only past this fence.
+            if !comm.barrier_try() {
+                return Step::Park;
+            }
+            self.phase = Phase::Compute;
+        }
+        if self.phase == Phase::Compute && self.run_tasks(comm, STRIDE) {
+            return Step::Yield;
+        }
+        self.close(comm)
     }
 }
 
@@ -711,15 +701,9 @@ pub fn srumma<C: Comm>(
     c: &DistMatrix,
     opts: &SrummaOptions,
 ) -> SrummaReport {
-    // One spec per run, so clamping explicit cache blocks to the
-    // problem shape here is uniform across every configure_gemm this
-    // comm sees (bitwise-neutral; see `GemmConfig::clamped_to`).
-    let opts = opts.clamp_gemm_to(spec.m, spec.k, spec.n);
-    let mut machine = SrummaMachine::new(comm, spec, a, b, c, &opts);
-    while machine.step(comm) {}
-    let report = machine.finish(comm);
-    comm.barrier();
-    report
+    drive(comm, SrummaProgram::new(spec, a, b, c, opts, None))
+        .srumma
+        .expect("a finished SRUMMA program reports its sweep")
 }
 
 #[cfg(test)]

@@ -255,7 +255,7 @@ fn pblas_alpha_beta_semantics() {
 /// scattered C with the caller's β.
 #[test]
 fn caller_supplied_c_keeps_its_beta_on_every_backend() {
-    use srumma_core::srumma::SrummaRankTask;
+    use srumma_core::srumma::SrummaProgram;
     let n = 24;
     let a = Matrix::random(n, n, 211);
     let b = Matrix::random(n, n, 212);
@@ -300,7 +300,8 @@ fn caller_supplied_c_keeps_its_beta_on_every_backend() {
         dc.scatter(&c0);
         let opts = SrummaOptions::default();
         srumma_comm::exec_run_tasks(4, 2, false, None, |comm| {
-            Box::new(SrummaRankTask::new(comm, &spec, &da, &db, &dc, &opts))
+            let program = SrummaProgram::new(&spec, &da, &db, &dc, &opts, None);
+            Box::new(srumma_comm::ProgramTask::new(comm, program))
         });
         check("srumma on exec_run_tasks");
     }

@@ -1,13 +1,14 @@
 //! `Run::validate`: every way a plan can be illegal is a typed
 //! `RunError` variant, decided before any matrix is allocated or any
-//! thread is started.
+//! thread is started. And, at the end, two legal plans named for how
+//! the executor hosts them.
 
 use srumma_comm::{FaultPlan, FaultPlanError};
-use srumma_core::driver::default_grid;
+use srumma_core::driver::{default_grid, serial_reference};
 use srumma_core::{
     Algorithm, Backend, GemmSpec, ReplicationFactor, Run, RunError, SparseMasks, SummaOptions,
 };
-use srumma_dense::{BlockMask, Matrix, Op};
+use srumma_dense::{max_abs_diff, BlockMask, Matrix, Op};
 use srumma_model::machine::RanksPerDomain;
 use srumma_model::Machine;
 
@@ -351,4 +352,75 @@ fn unsupported_combinations() {
         assert_eq!(run.validate(), first, "plan {i}: unstable answer");
         assert_eq!(run.execute().err(), first.err(), "plan {i}");
     }
+}
+
+// ---- how the executor hosts the one SRUMMA program -------------------
+
+/// Entries in −4..=4: every partial sum is exact in f64, so any schedule
+/// must produce the serial product bit for bit.
+fn int_operands(spec: &GemmSpec) -> (Matrix, Matrix) {
+    let mut rng = srumma_dense::Rng::new(17);
+    let mut int = |rows, cols| Matrix::from_fn(rows, cols, |_, _| rng.below(9) as f64 - 4.0);
+    (int(spec.m, spec.k), int(spec.k, spec.n))
+}
+
+/// Staged SRUMMA on one executor worker. Nodes of 2 are half a row of
+/// the 2 x 4 (team) grid, so every rank has panels to stage.
+fn staged_on_one_worker<'a>(spec: GemmSpec, ab: &'a (Matrix, Matrix), nranks: usize) -> Run<'a> {
+    let backend = Backend::Exec { workers: 1 };
+    Run {
+        operands: Some((&ab.0, &ab.1)),
+        ranks_per_node: Some(2),
+        hier: true,
+        ..Run::new(spec, nranks, Algorithm::srumma_default(), backend)
+    }
+}
+
+/// Under a death-free fault plan it is the polled program on a
+/// `ChaosComm<ExecComm>`: eight ranks and their staging fences on one
+/// thread. What each rank staged and ran is what the thread-per-rank
+/// host of the same program reports.
+#[test]
+fn staged_srumma_with_stragglers_is_polled_on_one_worker() {
+    let spec = GemmSpec::new(Op::N, Op::N, 23, 19, 29);
+    let ab = int_operands(&spec);
+    let plan = FaultPlan::random_stragglers(7, 8).with_get_spikes(0.25, 1e-4);
+    let on_exec = Run {
+        faults: Some(&plan),
+        ..staged_on_one_worker(spec, &ab, 8)
+    };
+    let exec = on_exec.execute().unwrap();
+    let threads = Run {
+        backend: Backend::Threads,
+        ..on_exec
+    }
+    .execute()
+    .unwrap();
+    let want = serial_reference(&spec, &ab.0, &ab.1);
+    assert_eq!(max_abs_diff(&exec.c.unwrap(), &want), 0.0);
+    assert_eq!(exec.reports, threads.reports);
+    assert!(exec.reports.iter().all(|r| r.staged_panels > 0));
+    assert!(exec.reports.iter().all(|r| r.srumma.unwrap().tasks > 0));
+}
+
+/// In two replica teams it is a blocking body: sixteen gated threads,
+/// each driving the program through a `SubComm`, taking turns on one
+/// worker's loan — the split fence of a gated rank must give the loan
+/// back rather than report `false`.
+#[test]
+fn staged_replica_teams_drive_the_program_from_gated_threads_on_one_worker() {
+    let spec = GemmSpec::new(Op::N, Op::N, 23, 19, 29);
+    let ab = int_operands(&spec);
+    let out = Run {
+        replication: ReplicationFactor::Fixed(2),
+        ..staged_on_one_worker(spec, &ab, 16)
+    }
+    .execute()
+    .unwrap();
+    assert_eq!(out.replication, 2);
+    let want = serial_reference(&spec, &ab.0, &ab.1);
+    assert_eq!(max_abs_diff(&out.c.unwrap(), &want), 0.0);
+    let teams: Vec<usize> = out.reports.iter().map(|r| r.team).collect();
+    assert_eq!(teams, [[0; 8], [1; 8]].concat());
+    assert!(out.reports.iter().all(|r| r.staged_panels > 0));
 }

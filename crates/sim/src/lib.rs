@@ -12,11 +12,11 @@
 //!   *actual algorithm implementation*, written in natural blocking
 //!   style against the [`proc::SimProc`] handle.
 //! * Exactly **one rank thread runs at a time** ("baton passing"); the
-//!   kernel always resumes the runnable rank with the lowest virtual
-//!   clock (ties broken by rank id), and processes pending events in
-//!   `(time, seq)` order before letting a later-clocked rank act. This
-//!   makes every simulation bit-for-bit deterministic, independent of
-//!   host scheduling.
+//!   kernel finds the next rank by scanning the rank clocks — there is
+//!   no event queue — and always resumes the runnable rank with the
+//!   lowest virtual clock (ties broken by rank id), so no rank acts
+//!   before an earlier-clocked one has. This makes every simulation
+//!   bit-for-bit deterministic, independent of host scheduling.
 //! * Time costs come from [`srumma_model::TransferCost`] decompositions
 //!   and the analytic dgemm efficiency model; *data movement is real*
 //!   when callers choose to move real data (so numerics can be verified
@@ -45,7 +45,6 @@
 //! completion and returns per-rank outputs, final virtual times and
 //! aggregated [`stats::RunStats`].
 
-pub mod event;
 pub mod kernel;
 pub mod proc;
 pub mod resource;

@@ -8,6 +8,16 @@ echo "== entry-point guard: a feature is a Run field, not another function =="
 entry_points=$(cat crates/core/src/{driver,hier,repl}.rs | grep -c 'pub fn \(multiply\|measure\)_')
 [ "$entry_points" -le 7 ] || { echo "FAIL: $entry_points multiply_*/measure_* drivers (max 7); add a field to core::run::Run" >&2; exit 1; }
 
+echo "== rank-program guard: one program per schedule, one stride =="
+# Every SRUMMA schedule is one RankProgram that the executor polls and
+# the blocking backends drive; a second hand-written copy of a rank
+# loop is how they drift apart.
+if grep -rn 'run_rank_blocking\|HierRankTask' crates; then
+    echo "FAIL: a hand-written twin of a rank program is back (see above)" >&2; exit 1
+fi
+strides=$(cat crates/core/src/*.rs | grep -c 'const STRIDE')
+[ "$strides" -eq 1 ] || { echo "FAIL: $strides 'const STRIDE' under crates/core/src (want 1): poll granularity is the program's, not each host's" >&2; exit 1; }
+
 echo "== env-knob inventory: the SRUMMA_* names in code are README's knob table =="
 in_code=$(grep -rhoE 'SRUMMA_[A-Z_]+' crates src tests scripts | sort -u)
 in_table=$(grep -oE '^\| `SRUMMA_[A-Z_]+`' README.md | grep -oE 'SRUMMA_[A-Z_]+' | sort -u)
@@ -60,6 +70,13 @@ echo "== oversubscription smoke: 128 ranks on 2 workers =="
 # hang rather than fail — bound the run so they fail CI fast instead.
 timeout 300 cargo run --release -q -p srumma-bench \
     --bin bench_executor_scaling -- --smoke
+
+echo "== split-fence pass: decorators, gated polling, polled and driven programs =="
+# A decorator that drops a fence method, a gated rank that polls with
+# its loan, a program parked where nothing wakes it: all of these hang
+# rather than fail, so the tests that pin them run once more, bounded.
+timeout 300 cargo test -q --release -p srumma-comm --test exec --test decorators
+timeout 300 cargo test -q --release -p srumma-core --test run_plan
 
 echo "== batched-stream smoke: 32-entry batch on 2 workers =="
 # The batched driver's epoch fences and slot-ring reuse are exactly the
