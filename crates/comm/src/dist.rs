@@ -7,9 +7,18 @@
 //! one-sided get of a block is a single transfer).
 //!
 //! A `DistMatrix` can be **real-backed** (a shared arena holds actual
-//! elements — used by tests and host-parallel runs) or **virtual**
+//! elements — used by tests and host-parallel runs), **virtual**
 //! (shape only — used by modeled paper-scale experiments where a
-//! 16000×16000 matrix would otherwise cost 2 GiB per operand).
+//! 16000×16000 matrix would otherwise cost 2 GiB per operand) or a
+//! **host view**: a read-only window of a row-major matrix the caller
+//! already holds, distributed *in place*. Block `(i, j)` of a view is the
+//! sub-window at [`DistMatrix::block_origin`] with the host's leading
+//! dimension — what Global Arrays' `ga_access` hands SRUMMA's direct
+//! flavour — and [`DistMatrix::copy_block_into`] is the row-by-row
+//! strided copy into a contiguous buffer, the `ARMCI_NbGetS` of the copy
+//! flavour. Nothing is allocated or moved to build one; see
+//! [`DistMatrix::with_host_view`] for how the borrow is kept inside a
+//! scope without a lifetime parameter on the type.
 
 use crate::arena::SharedArena;
 use srumma_dense::{BlockMask, MatMut, MatRef, Matrix};
@@ -36,6 +45,10 @@ enum Backing {
         base: usize,
         stride: usize,
     },
+    /// A read-only window of a caller's row-major matrix. `'static` is
+    /// erased, not true: see [`DistMatrix::with_host_view`], the only
+    /// place that builds one.
+    View(MatRef<'static>),
 }
 
 /// How grid blocks map to rank ids.
@@ -201,6 +214,76 @@ impl DistMatrix {
         }
     }
 
+    /// Distribute the host matrix `window` **in place** and lend the
+    /// result to `f`: a read-only `DistMatrix` over `grid` whose blocks
+    /// are sub-windows of `window` (same elements, same leading
+    /// dimension), with `mask` and `cost` attached. No element is copied
+    /// and no arena is allocated.
+    ///
+    /// This is the only way to obtain a host view, and what makes the
+    /// borrow un-outlivable: the view exists for the duration of this
+    /// call (inside `window`'s borrow), `f` receives a shared reference
+    /// of a lifetime it cannot name, and `DistMatrix` is not `Clone` —
+    /// so neither the view nor anything borrowed from it can leave `f`.
+    /// That is also why mask and cost map are constructor arguments: a
+    /// `&mut DistMatrix` would let `f` swap the view out.
+    ///
+    /// # Panics
+    /// Panics if the mask shape does not match the grid; through `f`,
+    /// any write accessor panics (a view is read-only).
+    pub fn with_host_view<R>(
+        grid: ProcGrid,
+        window: MatRef<'_>,
+        order: RankOrder,
+        mask: Option<BlockMask>,
+        cost: CostMap,
+        f: impl FnOnce(&DistMatrix) -> R,
+    ) -> R {
+        // SAFETY: only the lifetime changes. `window`'s borrow is held by
+        // this frame until `f` returns; the erased copy lives in `view`,
+        // a local that `f` sees by shared reference only (so it cannot
+        // be moved, swapped or — `DistMatrix` is not `Clone` — copied
+        // out) and that is dropped before this function returns; every
+        // accessor that reads `Backing::View` hands out data tied to
+        // `&self`, never `'static`. The memory is therefore only read
+        // while the caller's shared borrow of it is live.
+        let host = unsafe { std::mem::transmute::<MatRef<'_>, MatRef<'static>>(window) };
+        let mut view = DistMatrix {
+            grid,
+            rows: window.rows(),
+            cols: window.cols(),
+            order,
+            backing: Backing::View(host),
+            mask: None,
+            cost,
+        };
+        if let Some(mask) = mask {
+            view.set_mask(mask);
+        }
+        f(&view)
+    }
+
+    /// The arena behind a write accessor: `None` on virtual backing
+    /// (modeled writes are no-ops).
+    ///
+    /// # Panics
+    /// Panics on a host view.
+    fn writable(&self) -> Option<&SharedArena> {
+        match &self.backing {
+            Backing::Virtual => None,
+            Backing::Real { arena, .. } => Some(arena),
+            Backing::View(_) => panic!("operand views are read-only"),
+        }
+    }
+
+    /// `rank`'s block of the host view `host`: the sub-window at its
+    /// origin, tied to `&self`.
+    fn view_block<'s>(&'s self, host: MatRef<'s>, rank: usize) -> MatRef<'s> {
+        let (r0, c0) = self.block_origin(rank);
+        let (rows, cols) = self.block_dims(rank);
+        host.block(r0, c0, rows, cols)
+    }
+
     /// Attach a non-identity slot → cost-rank mapping (hierarchical
     /// staging regions, replica-layer matrices). Set before launching
     /// rank code, like the mask.
@@ -220,7 +303,7 @@ impl DistMatrix {
     fn region_of(&self, rank: usize) -> usize {
         match &self.backing {
             Backing::Real { base, stride, .. } => base + stride * rank,
-            Backing::Virtual => unreachable!("virtual matrices have no regions"),
+            _ => unreachable!("only arena-backed matrices have regions"),
         }
     }
 
@@ -268,9 +351,9 @@ impl DistMatrix {
         }
     }
 
-    /// Whether real elements back this matrix.
+    /// Whether real elements back this matrix (an arena or a host view).
     pub fn is_real(&self) -> bool {
-        matches!(self.backing, Backing::Real { .. })
+        !matches!(self.backing, Backing::Virtual)
     }
 
     pub fn grid(&self) -> ProcGrid {
@@ -331,27 +414,31 @@ impl DistMatrix {
     /// Read access to `rank`'s block (None data if virtual).
     pub fn read_block(&self, rank: usize) -> BlockRead<'_> {
         let (rows, cols) = self.block_dims(rank);
-        let guard = match &self.backing {
-            Backing::Virtual => None,
-            Backing::Real { arena, .. } => Some(arena.read_guard(self.region_of(rank))),
+        let data = match &self.backing {
+            Backing::Virtual => BlockData::Virtual,
+            Backing::Real { arena, .. } => BlockData::Arena(arena.read_guard(self.region_of(rank))),
+            Backing::View(host) => BlockData::View(self.view_block(*host, rank)),
         };
-        BlockRead { rows, cols, guard }
+        BlockRead { rows, cols, data }
     }
 
     /// Write access to `rank`'s block (no-op handle if virtual).
+    ///
+    /// # Panics
+    /// Panics on a host view, like every write accessor.
     pub fn write_block(&self, rank: usize) -> BlockWrite<'_> {
         let (rows, cols) = self.block_dims(rank);
-        let guard = match &self.backing {
-            Backing::Virtual => None,
-            Backing::Real { arena, .. } => Some(arena.write_guard(self.region_of(rank))),
-        };
+        let guard = self
+            .writable()
+            .map(|arena| arena.write_guard(self.region_of(rank)));
         BlockWrite { rows, cols, guard }
     }
 
-    /// Copy `rank`'s block into `dst` (resized to fit). For a virtual
-    /// matrix, `dst` is cleared. Returns the block dims. This is the
-    /// data-movement half of a one-sided get; the timing half lives in
-    /// the backend.
+    /// Copy `rank`'s block into `dst` (resized to fit), contiguous and
+    /// row-major whatever the backing — from a host view that is the
+    /// strided, row-by-row get. For a virtual matrix, `dst` is cleared.
+    /// Returns the block dims. This is the data-movement half of a
+    /// one-sided get; the timing half lives in the backend.
     pub fn copy_block_into(&self, rank: usize, dst: &mut Vec<f64>) -> (usize, usize) {
         let (rows, cols) = self.block_dims(rank);
         match &self.backing {
@@ -360,6 +447,17 @@ impl DistMatrix {
                 let g = arena.read_guard(self.region_of(rank));
                 dst.clear();
                 dst.extend_from_slice(&g.slice()[..rows * cols]);
+            }
+            Backing::View(host) => {
+                let blk = self.view_block(*host, rank);
+                dst.clear();
+                dst.reserve(rows * cols);
+                // A `rows × 0` window has no storage to slice rows from.
+                if cols > 0 {
+                    for i in 0..rows {
+                        dst.extend_from_slice(blk.row(i));
+                    }
+                }
             }
         }
         (rows, cols)
@@ -371,7 +469,7 @@ impl DistMatrix {
     /// must hold exactly the block's elements, row-major.
     pub fn copy_block_from(&self, rank: usize, src: &[f64]) {
         let (rows, cols) = self.block_dims(rank);
-        let Backing::Real { arena, .. } = &self.backing else {
+        let Some(arena) = self.writable() else {
             return;
         };
         if src.is_empty() && rows * cols > 0 {
@@ -387,7 +485,7 @@ impl DistMatrix {
     /// backing or empty payloads.
     pub fn acc_block_from(&self, rank: usize, scale: f64, src: &[f64]) {
         let (rows, cols) = self.block_dims(rank);
-        let Backing::Real { arena, .. } = &self.backing else {
+        let Some(arena) = self.writable() else {
             return;
         };
         if src.is_empty() && rows * cols > 0 {
@@ -403,12 +501,12 @@ impl DistMatrix {
     /// Scale `rank`'s block in place (the `β·C` pre-pass of a full
     /// `C ← α·op(A)op(B) + β·C`). No-op on virtual backing.
     pub fn scale_block(&self, rank: usize, beta: f64) {
+        let Some(arena) = self.writable() else {
+            return;
+        };
         if beta == 1.0 {
             return;
         }
-        let Backing::Real { arena, .. } = &self.backing else {
-            return;
-        };
         let (rows, cols) = self.block_dims(rank);
         let mut g = arena.write_guard(self.region_of(rank));
         let blk = &mut g.slice_mut()[..rows * cols];
@@ -421,14 +519,14 @@ impl DistMatrix {
         }
     }
 
-    /// Fill all blocks from a global matrix (real backing only; call
+    /// Fill all blocks from a global matrix (arena backing only; call
     /// from one thread between operations).
     ///
     /// # Panics
-    /// Panics on shape mismatch or virtual backing.
+    /// Panics on shape mismatch, virtual backing or a host view.
     pub fn scatter(&self, global: &Matrix) {
         assert_eq!((global.rows(), global.cols()), (self.rows, self.cols));
-        let Backing::Real { arena, .. } = &self.backing else {
+        let Some(arena) = self.writable() else {
             panic!("scatter() on a virtual DistMatrix");
         };
         for rank in 0..self.grid.nranks() {
@@ -443,16 +541,16 @@ impl DistMatrix {
         }
     }
 
-    /// [`Self::scatter`] of `logical`ᵀ (`logical` is `cols × rows`)
-    /// without materialising the transpose: each owner's block is
-    /// filled straight from the logical matrix by the tiled transposing
-    /// copy ([`MatMut::copy_transposed_from`]).
+    /// [`Self::scatter`] of `logical`ᵀ (`logical` is `cols × rows`, any
+    /// window of a host matrix) without materialising the transpose:
+    /// each owner's block is filled straight from the logical matrix by
+    /// the tiled transposing copy ([`MatMut::copy_transposed_from`]).
     ///
     /// # Panics
-    /// Panics on shape mismatch or virtual backing.
-    pub fn scatter_transposed(&self, logical: &Matrix) {
+    /// Panics on shape mismatch, virtual backing or a host view.
+    pub fn scatter_transposed(&self, logical: MatRef<'_>) {
         assert_eq!((logical.cols(), logical.rows()), (self.rows, self.cols));
-        let Backing::Real { arena, .. } = &self.backing else {
+        let Some(arena) = self.writable() else {
             panic!("scatter_transposed() on a virtual DistMatrix");
         };
         for rank in 0..self.grid.nranks() {
@@ -464,10 +562,12 @@ impl DistMatrix {
         }
     }
 
-    /// Assemble the global matrix from all blocks (real backing only).
+    /// Assemble the global matrix from all blocks (arena backing only:
+    /// a virtual matrix has no elements, and the caller of a host view
+    /// already holds the matrix).
     pub fn gather(&self) -> Matrix {
         let Backing::Real { arena, .. } = &self.backing else {
-            panic!("gather() on a virtual DistMatrix");
+            panic!("gather() on a DistMatrix without an arena");
         };
         let mut out = Matrix::zeros(self.rows, self.cols);
         for rank in 0..self.grid.nranks() {
@@ -489,11 +589,20 @@ impl DistMatrix {
     }
 }
 
+/// Where a [`BlockRead`] finds its elements.
+enum BlockData<'a> {
+    Virtual,
+    /// The prefix of a guarded arena region, `ld = cols`.
+    Arena(crate::arena::ReadGuard<'a>),
+    /// A window of the host matrix, `ld` = the host's.
+    View(MatRef<'a>),
+}
+
 /// Read handle to one block: dims always, data only if real-backed.
 pub struct BlockRead<'a> {
     rows: usize,
     cols: usize,
-    guard: Option<crate::arena::ReadGuard<'a>>,
+    data: BlockData<'a>,
 }
 
 impl BlockRead<'_> {
@@ -505,17 +614,18 @@ impl BlockRead<'_> {
         self.cols
     }
 
-    /// Dense view of the block, if real-backed (the region's
-    /// `rows · cols` prefix — shared-arena regions may be longer).
+    /// Strided view of the block, if real-backed: the arena region's
+    /// `rows · cols` prefix (shared-arena regions may be longer) with
+    /// `ld = cols`, or the block's window of the host matrix with the
+    /// host's `ld` — address elements through [`MatRef::at`] /
+    /// [`MatRef::row`], not as one contiguous run.
     pub fn mat(&self) -> Option<MatRef<'_>> {
-        self.guard.as_ref().map(|g| {
-            MatRef::new(
-                self.rows,
-                self.cols,
-                self.cols,
-                &g.slice()[..self.rows * self.cols],
-            )
-        })
+        let (rows, cols) = (self.rows, self.cols);
+        match &self.data {
+            BlockData::Virtual => None,
+            BlockData::Arena(g) => Some(MatRef::new(rows, cols, cols, &g.slice()[..rows * cols])),
+            BlockData::View(window) => Some(*window),
+        }
     }
 }
 
@@ -605,7 +715,7 @@ mod tests {
             let want = DistMatrix::create_with_order(grid, 37, 41, order, true);
             want.scatter(&logical.transposed());
             let got = DistMatrix::create_with_order(grid, 37, 41, order, true);
-            got.scatter_transposed(&logical);
+            got.scatter_transposed(logical.as_ref());
             for r in 0..grid.nranks() {
                 assert_eq!(
                     got.read_block(r).mat().unwrap().data(),
@@ -654,6 +764,76 @@ mod tests {
         assert_eq!(buf.len(), r * c);
         let b = m.read_block(2);
         assert_eq!(b.mat().unwrap().data()[..r * c], buf[..]);
+    }
+
+    /// A host view serves every block exactly as an arena scattered
+    /// from the same matrix does — uneven blocks, more grid rows than
+    /// matrix rows, a `rows × 0` matrix, a `1 × N` one, both rank
+    /// placements, a window narrower than its host (`ld > cols`).
+    #[test]
+    fn host_view_serves_what_a_scattered_arena_serves() {
+        for (rows, cols, p, q) in [
+            (10, 9, 3, 4),
+            (41, 37, 2, 3),
+            (2, 7, 5, 2),
+            (7, 2, 2, 5),
+            (6, 0, 2, 3),
+            (0, 6, 3, 2),
+            (1, 13, 4, 4),
+            (8, 8, 1, 1),
+        ] {
+            let grid = ProcGrid::new(p, q);
+            // The operand is a window at (2, 3) of a wider host matrix.
+            let host = Matrix::random(rows + 5, cols + 4, 11);
+            let window = host.block(2, 3, rows, cols);
+            let mask = BlockMask::from_fn(p, q, |i, j| (i + 2 * j) % 3 != 0);
+            for order in [RankOrder::RowMajor, RankOrder::ColMajor] {
+                let mut arena = DistMatrix::create_with_order(grid, rows, cols, order, true);
+                arena.scatter(&window.to_matrix());
+                arena.set_mask(mask.clone());
+                let mask = Some(mask.clone());
+                DistMatrix::with_host_view(grid, window, order, mask, CostMap::Base(7), |view| {
+                    let what = format!("{rows}x{cols} on {p}x{q} {order:?}");
+                    assert!(view.is_real());
+                    assert_eq!((view.rows(), view.cols()), (rows, cols), "{what}");
+                    assert_eq!(view.cost_rank(1), 8, "{what}");
+                    let (mut got, mut want) = (vec![1.0], vec![2.0]);
+                    for r in 0..grid.nranks() {
+                        assert_eq!(view.block_dims(r), arena.block_dims(r), "{what} rank {r}");
+                        assert_eq!(view.block_origin(r), arena.block_origin(r), "{what}");
+                        assert_eq!(view.block_bytes(r), arena.block_bytes(r), "{what}");
+                        assert_eq!(view.block_nonzero(r), arena.block_nonzero(r), "{what}");
+                        let (vb, ab) = (view.read_block(r), arena.read_block(r));
+                        let (v, a) = (vb.mat().unwrap(), ab.mat().unwrap());
+                        assert_eq!((v.rows(), v.cols()), (a.rows(), a.cols()), "{what}");
+                        assert_eq!((v.rows(), v.cols()), (vb.rows(), vb.cols()), "{what}");
+                        for i in 0..v.rows() {
+                            for j in 0..v.cols() {
+                                assert_eq!(v.at(i, j), a.at(i, j), "{what} rank {r} ({i},{j})");
+                            }
+                        }
+                        assert_eq!(
+                            view.copy_block_into(r, &mut got),
+                            arena.copy_block_into(r, &mut want),
+                            "{what} rank {r}"
+                        );
+                        assert_eq!(got, want, "{what} rank {r}");
+                    }
+                });
+            }
+        }
+        // A `rows × 0` window over no storage at all, `ld > 0`: there is
+        // no tail to slice row `i > 0` from.
+        let (grid, empty) = (ProcGrid::new(2, 3), MatRef::new(6, 0, 5, &[]));
+        let order = RankOrder::RowMajor;
+        DistMatrix::with_host_view(grid, empty, order, None, CostMap::Identity, |view| {
+            let mut buf = vec![1.0];
+            for r in 0..grid.nranks() {
+                assert_eq!(view.copy_block_into(r, &mut buf), (3, 0));
+                assert!(buf.is_empty());
+                assert_eq!(view.read_block(r).mat().map(|v| v.rows()), Some(3));
+            }
+        });
     }
 
     #[test]
@@ -775,5 +955,56 @@ mod put_acc_tests {
         let grid = ProcGrid::new(1, 1);
         let m = DistMatrix::create(grid, 2, 2);
         m.copy_block_from(0, &[1.0]);
+    }
+
+    /// `f` on a 2 x 2-grid view of a 4 x 4 host matrix.
+    fn on_view(f: impl FnOnce(&DistMatrix)) {
+        let host = Matrix::random(4, 4, 3);
+        let (grid, order) = (ProcGrid::new(2, 2), RankOrder::RowMajor);
+        DistMatrix::with_host_view(grid, host.as_ref(), order, None, CostMap::Identity, f);
+    }
+
+    #[test]
+    #[should_panic(expected = "operand views are read-only")]
+    fn view_refuses_write_block() {
+        on_view(|v| drop(v.write_block(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "operand views are read-only")]
+    fn view_refuses_put() {
+        on_view(|v| v.copy_block_from(0, &[0.0; 4]));
+    }
+
+    /// Even the payload-free put of a modeled run.
+    #[test]
+    #[should_panic(expected = "operand views are read-only")]
+    fn view_refuses_modeled_put() {
+        on_view(|v| v.copy_block_from(0, &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "operand views are read-only")]
+    fn view_refuses_acc() {
+        on_view(|v| v.acc_block_from(0, 1.0, &[0.0; 4]));
+    }
+
+    /// Even the `β = 1` scale an arena skips.
+    #[test]
+    #[should_panic(expected = "operand views are read-only")]
+    fn view_refuses_scale() {
+        on_view(|v| v.scale_block(0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "operand views are read-only")]
+    fn view_refuses_scatter() {
+        on_view(|v| v.scatter(&Matrix::zeros(4, 4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "operand views are read-only")]
+    fn view_refuses_scatter_transposed() {
+        on_view(|v| v.scatter_transposed(Matrix::zeros(4, 4).as_ref()));
     }
 }

@@ -29,7 +29,8 @@
 //! * [`arena`] — the shared allocation (`ArmciHeap` stand-in) with a
 //!   debug-build access checker.
 //! * [`dist`] — [`dist::DistMatrix`]: 2-D block-distributed matrices
-//!   over a process grid, with optional real backing.
+//!   over a process grid: arena-backed, shape-only, or a read-only view
+//!   of a host matrix distributed in place.
 //! * [`comm`] — the [`Comm`] trait and block handle types; the split
 //!   fence, [`RankProgram`] and [`drive`].
 //! * [`simbackend`] / [`virt`] / [`threadbackend`] / [`exec`] — the four

@@ -7,7 +7,6 @@
 //! benchmark harness (`benchmark/src/adapter.rs`) calls them by name.
 
 use crate::api::Algorithm;
-use crate::layout::{set_a_mask, set_b_mask};
 use crate::options::GemmSpec;
 use crate::run::{Backend, Run};
 use crate::srumma::SrummaReport;
@@ -162,20 +161,6 @@ impl SparseMasks {
         Self {
             a: None,
             b: Some(b),
-        }
-    }
-
-    pub(crate) fn apply(
-        &self,
-        spec: &GemmSpec,
-        da: &mut srumma_comm::DistMatrix,
-        db: &mut srumma_comm::DistMatrix,
-    ) {
-        if let Some(m) = &self.a {
-            set_a_mask(spec, da, m.clone());
-        }
-        if let Some(m) = &self.b {
-            set_b_mask(spec, db, m.clone());
         }
     }
 }

@@ -15,10 +15,19 @@
 //! `p` panels for B; when `p ≠ q` these panels do not align, and the
 //! task builder (see [`crate::taskorder`]) multiplies over the *merged*
 //! segments, so every fetched block is still used whole.
+//!
+//! For a host operand the stored matrix of an `N` case **is** the
+//! caller's matrix, so [`with_dist_a`] / [`with_dist_b`] distribute it in
+//! place — a read-only [`DistMatrix::with_host_view`] over the C grid,
+//! no arena and no copy — and only a `T` case, whose stored orientation
+//! exists nowhere yet, allocates an arena and fills it by the transposing
+//! scatter. [`dist_a`] / [`dist_b`] + [`scatter_operands`] remain the
+//! copying form (arenas for both cases) for callers that own their
+//! distributed matrices.
 
 use crate::options::GemmSpec;
 use srumma_comm::dist::RankOrder;
-use srumma_comm::DistMatrix;
+use srumma_comm::{CostMap, DistMatrix};
 use srumma_dense::{BlockMask, MatRef, Op};
 use srumma_model::ProcGrid;
 
@@ -93,6 +102,79 @@ pub fn dist_b(spec: &GemmSpec, grid: ProcGrid, real: bool) -> DistMatrix {
         Op::T => RankOrder::ColMajor,
     };
     DistMatrix::create_with_order(g, r, c, order, real)
+}
+
+/// Lend `f` the stored distribution of one host operand: the in-place
+/// view when it is stored as given (`N`), else the arena `create` makes
+/// (real iff there is a host matrix), filled by the transposing scatter.
+/// `mask` is already in stored block coordinates.
+fn with_operand<R>(
+    op: Op,
+    grid: ProcGrid,
+    create: impl FnOnce(bool) -> DistMatrix,
+    logical: Option<MatRef<'_>>,
+    mask: Option<BlockMask>,
+    cost: CostMap,
+    f: impl FnOnce(&DistMatrix) -> R,
+) -> R {
+    if let (Op::N, Some(host)) = (op, logical) {
+        return DistMatrix::with_host_view(grid, host, RankOrder::RowMajor, mask, cost, f);
+    }
+    let mut stored = create(logical.is_some());
+    if let Some(logical) = logical {
+        stored.scatter_transposed(logical);
+    }
+    if let Some(mask) = mask {
+        stored.set_mask(mask);
+    }
+    stored.set_cost_map(cost);
+    f(&stored)
+}
+
+/// A logical mask in the block coordinates of an operand stored as `op`.
+fn stored_mask(op: Op, logical: BlockMask) -> BlockMask {
+    match op {
+        Op::N => logical,
+        Op::T => logical.transposed(),
+    }
+}
+
+/// Lend `f` the distributed A of one multiply whose logical `m × k`
+/// operand is `a` (any window of a host matrix; `None` = shape only),
+/// with the **logical** `mask` (see [`set_a_mask`]) and `cost` attached.
+/// Stored `N`, it is a read-only view of `a` itself; stored `T`, the one
+/// copy that has to be made (see the module docs).
+pub fn with_dist_a<R>(
+    spec: &GemmSpec,
+    grid: ProcGrid,
+    a: Option<MatRef<'_>>,
+    mask: Option<&BlockMask>,
+    cost: CostMap,
+    f: impl FnOnce(&DistMatrix) -> R,
+) -> R {
+    if let Some(a) = a {
+        assert_eq!((a.rows(), a.cols()), (spec.m, spec.k), "A must be m x k");
+    }
+    let mask = mask.map(|m| stored_mask(spec.transa, m.clone()));
+    let create = |real| dist_a(spec, grid, real);
+    with_operand(spec.transa, grid, create, a, mask, cost, f)
+}
+
+/// [`with_dist_a`] for the logical `k × n` operand `b`.
+pub fn with_dist_b<R>(
+    spec: &GemmSpec,
+    grid: ProcGrid,
+    b: Option<MatRef<'_>>,
+    mask: Option<&BlockMask>,
+    cost: CostMap,
+    f: impl FnOnce(&DistMatrix) -> R,
+) -> R {
+    if let Some(b) = b {
+        assert_eq!((b.rows(), b.cols()), (spec.k, spec.n), "B must be k x n");
+    }
+    let mask = mask.map(|m| stored_mask(spec.transb, m.clone()));
+    let create = |real| dist_b(spec, grid, real);
+    with_operand(spec.transb, grid, create, b, mask, cost, f)
 }
 
 /// Create the distributed C for `spec`.
@@ -178,19 +260,13 @@ pub fn dist_c_in_arena(
 /// flipped, so the mask is transposed to stored coordinates before
 /// attachment — callers always think in logical blocks.
 pub fn set_a_mask(spec: &GemmSpec, da: &mut DistMatrix, logical: BlockMask) {
-    match spec.transa {
-        Op::N => da.set_mask(logical),
-        Op::T => da.set_mask(logical.transposed()),
-    }
+    da.set_mask(stored_mask(spec.transa, logical));
 }
 
 /// Attach a **logical** mask to stored B (`p` k-panels × `q` C-column
 /// blocks; see [`set_a_mask`]).
 pub fn set_b_mask(spec: &GemmSpec, db: &mut DistMatrix, logical: BlockMask) {
-    match spec.transb {
-        Op::N => db.set_mask(logical),
-        Op::T => db.set_mask(logical.transposed()),
-    }
+    db.set_mask(stored_mask(spec.transb, logical));
 }
 
 /// Derive C's nonzero structure from the operand masks:
@@ -280,7 +356,9 @@ pub fn b_seg_view<'a>(
 
 /// Scatter logical matrices into their stored distributions: `a` is the
 /// logical `m × k` operand (untransposed), and likewise `b` (`k × n`).
-/// Handles the storage transposition for the `T` cases.
+/// Handles the storage transposition for the `T` cases. The copying
+/// form: [`crate::run::Run`] itself goes through [`with_dist_a`] /
+/// [`with_dist_b`] and copies only the `T` cases.
 pub fn scatter_operands(
     spec: &GemmSpec,
     dist_a: &DistMatrix,
@@ -292,11 +370,11 @@ pub fn scatter_operands(
     assert_eq!((b.rows(), b.cols()), (spec.k, spec.n), "B must be k x n");
     match spec.transa {
         Op::N => dist_a.scatter(a),
-        Op::T => dist_a.scatter_transposed(a),
+        Op::T => dist_a.scatter_transposed(a.as_ref()),
     }
     match spec.transb {
         Op::N => dist_b.scatter(b),
-        Op::T => dist_b.scatter_transposed(b),
+        Op::T => dist_b.scatter_transposed(b.as_ref()),
     }
 }
 

@@ -24,13 +24,13 @@
 //! recombination aligned across teams.
 
 use crate::hier::HierStageSet;
-use crate::layout::{dist_a, dist_b, fresh_c, scatter_operands};
+use crate::layout::{fresh_c, with_dist_a, with_dist_b};
 use crate::memory::replicated_arena_footprint;
 use crate::options::{GemmSpec, ReplicationFactor, SrummaOptions};
 use crate::run::{RankReport, RunError};
 use crate::srumma::SrummaProgram;
 use srumma_comm::{drive, Comm, CostMap, DistMatrix, SubComm};
-use srumma_dense::mask::chunk_len;
+use srumma_dense::mask::{chunk_len, chunk_start};
 use srumma_dense::Matrix;
 use srumma_model::{ProcGrid, Topology};
 
@@ -80,38 +80,42 @@ pub fn resolve_factor(
 }
 
 /// One team's slice of the problem.
-struct TeamMats {
+struct TeamMats<'m> {
     /// The team-sized spec: `k` is this team's slice width, `beta` is
     /// `0` (every team multiplies onto a C the set just created).
     spec: GemmSpec,
-    da: DistMatrix,
-    db: DistMatrix,
+    /// Lent by [`with_dist_a`] / [`with_dist_b`]: stored `N`, a view of
+    /// the team's `k`-window of the host operand.
+    da: &'m DistMatrix,
+    db: &'m DistMatrix,
     dc: DistMatrix,
 }
 
 /// The collective state of one replicated multiply: every team's
-/// distributed slices, created (and scattered) up front like the flat
-/// drivers' operands.
-pub struct ReplSet {
+/// distributed slices, created up front like the flat drivers' operands.
+pub struct ReplSet<'m> {
     c: usize,
     team_ranks: usize,
     team_topo: Topology,
     grid: ProcGrid,
-    teams: Vec<TeamMats>,
+    teams: Vec<TeamMats<'m>>,
 }
 
-impl ReplSet {
-    /// Build (and, given operands, scatter) every team's `k`-slice of the
-    /// logical operands `a` (`m × k`) and `b` (`k × n`). `c` must be
+impl ReplSet<'_> {
+    /// Build every team's `k`-slice of the logical operands `a` (`m × k`)
+    /// and `b` (`k × n`) and lend the set to `f`. A team's slice is the
+    /// window `a[:, K_l]` / `b[K_l, :]` of the host matrix: distributed
+    /// in place when stored `N`, transposed out of the window when
+    /// stored `T` — never copied through a temporary. `c` must be
     /// admissible. `ab = None` builds a shape-only (virtual) set.
-    pub fn create(
+    pub fn create<R>(
         spec: &GemmSpec,
         nranks: usize,
         topo: Topology,
         c: usize,
         ab: Option<(&Matrix, &Matrix)>,
-    ) -> Self {
-        let real = ab.is_some();
+        f: impl FnOnce(&ReplSet<'_>) -> R,
+    ) -> R {
         assert!(
             admissible_factor(nranks, topo, spec.k, c),
             "inadmissible replication factor {c}"
@@ -122,49 +126,51 @@ impl ReplSet {
         } else {
             Topology::new(team_ranks, topo.ranks_per_node())
         };
-        let grid = ProcGrid::near_square(team_ranks);
-        let mut teams = Vec::with_capacity(c);
-        let mut k0 = 0;
-        for l in 0..c {
-            let kl = chunk_len(spec.k, c, l);
-            let team_spec = GemmSpec { k: kl, ..*spec };
-            let base = CostMap::Base(l * team_ranks);
-            let mut da = dist_a(&team_spec, grid, real);
-            da.set_cost_map(base);
-            let mut db = dist_b(&team_spec, grid, real);
-            db.set_cost_map(base);
-            let (team_spec, mut dc) = fresh_c(&team_spec, grid, real);
-            dc.set_cost_map(base);
-            if let Some((a, b)) = ab {
-                let mut al = Matrix::zeros(spec.m, kl);
-                for i in 0..spec.m {
-                    for j in 0..kl {
-                        al[(i, j)] = a[(i, k0 + j)];
-                    }
-                }
-                let mut bl = Matrix::zeros(kl, spec.n);
-                for i in 0..kl {
-                    for j in 0..spec.n {
-                        bl[(i, j)] = b[(k0 + i, j)];
-                    }
-                }
-                scatter_operands(&team_spec, &da, &db, &al, &bl);
-            }
-            teams.push(TeamMats {
-                spec: team_spec,
-                da,
-                db,
-                dc,
-            });
-            k0 += kl;
-        }
-        ReplSet {
+        let set = ReplSet {
             c,
             team_ranks,
             team_topo,
-            grid,
-            teams,
+            grid: ProcGrid::near_square(team_ranks),
+            teams: Vec::with_capacity(c),
+        };
+        set.with_remaining_teams(spec, ab, f)
+    }
+
+    /// Add team `self.teams.len()` and recurse; with all `c` teams in,
+    /// call `f`. Recursion because each team's operands are lent to a
+    /// closure ([`with_dist_a`]) and every team must be live at once.
+    fn with_remaining_teams<R>(
+        self,
+        spec: &GemmSpec,
+        ab: Option<(&Matrix, &Matrix)>,
+        f: impl FnOnce(&ReplSet<'_>) -> R,
+    ) -> R {
+        let l = self.teams.len();
+        if l == self.c {
+            return f(&self);
         }
+        let (k0, kl) = (chunk_start(spec.k, self.c, l), chunk_len(spec.k, self.c, l));
+        let team_spec = GemmSpec { k: kl, ..*spec };
+        let base = CostMap::Base(l * self.team_ranks);
+        let (team_spec, mut dc) = fresh_c(&team_spec, self.grid, ab.is_some());
+        dc.set_cost_map(base);
+        let (al, bl) = ab
+            .map(|(a, b)| (a.block(0, k0, spec.m, kl), b.block(k0, 0, kl, spec.n)))
+            .unzip();
+        let grid = self.grid;
+        with_dist_a(&team_spec, grid, al, None, base, |da| {
+            with_dist_b(&team_spec, grid, bl, None, base, |db| {
+                // Every earlier team outlives this frame: shorten them.
+                let mut set: ReplSet<'_> = self;
+                set.teams.push(TeamMats {
+                    spec: team_spec,
+                    da,
+                    db,
+                    dc,
+                });
+                set.with_remaining_teams(spec, ab, f)
+            })
+        })
     }
 
     /// Per-team hierarchical stage sets under the *global* topology
@@ -199,7 +205,7 @@ impl ReplSet {
 /// unchanged on all backends.
 pub fn srumma_replicated<C: Comm>(
     comm: &mut C,
-    set: &ReplSet,
+    set: &ReplSet<'_>,
     stage_sets: Option<&[HierStageSet]>,
     opts: &SrummaOptions,
 ) -> RankReport {
@@ -211,7 +217,7 @@ pub fn srumma_replicated<C: Comm>(
     let report = {
         let mut sub = SubComm::new(comm, base, set.team_ranks, set.team_topo);
         let stages = stage_sets.map(|sets| &sets[team]);
-        let program = SrummaProgram::new(&mats.spec, &mats.da, &mats.db, &mats.dc, opts, stages);
+        let program = SrummaProgram::new(&mats.spec, mats.da, mats.db, &mats.dc, opts, stages);
         drive(&mut sub, program)
     };
     // The team sweep ends with a (forwarded, machine-wide) barrier:

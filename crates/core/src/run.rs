@@ -5,20 +5,28 @@
 //! faults, masks, node-group staging and replication are independent
 //! choices. [`Run`] holds them as fields, [`Run::validate`] names every
 //! combination that cannot work as a [`RunError`], and [`Run::execute`]
-//! does the one `grid → dist → fresh C → scatter → masks → stage sets →
+//! does the one `grid → fresh C → operands (with masks) → stage sets →
 //! launch → gather` sequence, choosing the rank body once.
+//!
+//! Host operands are distributed **in place**: an operand whose stored
+//! orientation is `N` is the caller's matrix, so the ranks read it
+//! through a read-only view ([`crate::layout::with_dist_a`]) and nothing
+//! is allocated, faulted in or copied for it before the first flop. Only
+//! a stored-`T` operand is copied (the transposing scatter), and only C
+//! is allocated per run. Which backing an operand gets follows from
+//! `spec.transa` / `spec.transb` alone.
 
 use crate::api::{parallel_gemm, Algorithm};
 use crate::chaos::{ChaosRecovery, ChaosSrummaRankTask};
 use crate::driver::{default_grid, SparseMasks};
 use crate::hier::{srumma_hier, HierStageSet};
-use crate::layout::{dist_a, dist_b, fresh_c, scatter_operands};
+use crate::layout::{fresh_c, with_dist_a, with_dist_b};
 use crate::options::{GemmSpec, ReplicationFactor};
 use crate::repl::{resolve_factor, srumma_replicated, ReplSet};
 use crate::srumma::{SrummaProgram, SrummaReport};
 use srumma_comm::{
-    exec_launch, exec_run_tasks, sim_run, thread_launch, virtual_run, ChaosComm, Comm, DistMatrix,
-    ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions,
+    exec_launch, exec_run_tasks, sim_run, thread_launch, virtual_run, ChaosComm, Comm, CostMap,
+    DistMatrix, ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions,
 };
 use srumma_dense::{Matrix, Op};
 use srumma_model::{Machine, Topology};
@@ -150,19 +158,19 @@ pub struct RunOutput {
     pub replication: usize,
 }
 
-struct FlatMats {
+struct FlatMats<'m> {
     spec: GemmSpec,
-    a: DistMatrix,
-    b: DistMatrix,
-    c: DistMatrix,
+    a: &'m DistMatrix,
+    b: &'m DistMatrix,
+    c: &'m DistMatrix,
 }
 
-/// The distributed state of one prepared run (one value per run, built
-/// in place and only ever borrowed — the size gap costs nothing).
-#[allow(clippy::large_enum_variant)]
-enum Mats {
-    Flat(FlatMats, Option<HierStageSet>),
-    Replicated(ReplSet, Option<Vec<HierStageSet>>),
+/// The distributed state of one prepared run. The operands are lent for
+/// the launch only (they may be views of the caller's matrices), so the
+/// matrices live in [`Run::execute`]'s frames and this borrows them.
+enum Mats<'m> {
+    Flat(FlatMats<'m>, Option<HierStageSet>),
+    Replicated(&'m ReplSet<'m>, Option<Vec<HierStageSet>>),
 }
 
 /// What every launcher hands back: reports, stats, trace, wall seconds.
@@ -176,11 +184,11 @@ fn launched(res: ExecRunResult<RankReport>) -> Launched {
 fn rank_body<C: Comm>(comm: &mut C, algorithm: &Algorithm, mats: &Mats) -> RankReport {
     match (mats, algorithm) {
         (Mats::Flat(m, None), _) => RankReport {
-            srumma: parallel_gemm(comm, algorithm, &m.spec, &m.a, &m.b, &m.c),
+            srumma: parallel_gemm(comm, algorithm, &m.spec, m.a, m.b, m.c),
             ..RankReport::default()
         },
         (Mats::Flat(m, Some(stages)), Algorithm::Srumma(opts)) => {
-            srumma_hier(comm, &m.spec, &m.a, &m.b, &m.c, opts, stages)
+            srumma_hier(comm, &m.spec, m.a, m.b, m.c, opts, stages)
         }
         (Mats::Replicated(set, stages), Algorithm::Srumma(opts)) => {
             srumma_replicated(comm, set, stages.as_deref(), opts)
@@ -321,33 +329,49 @@ impl<'a> Run<'a> {
     /// Validate, prepare, launch, gather.
     pub fn execute(&self) -> Result<RunOutput, RunError> {
         let (topology, replication) = self.resolve()?;
-        let (nranks, algorithm, faults) = (self.nranks, &self.algorithm, self.faults);
         let real = self.operands.is_some();
 
-        let mats = if self.replication == ReplicationFactor::One {
-            let grid = default_grid(nranks);
-            let mut a = dist_a(&self.spec, grid, real);
-            let mut b = dist_b(&self.spec, grid, real);
-            let (spec, c) = fresh_c(&self.spec, grid, real);
-            if let Some((la, lb)) = self.operands {
-                scatter_operands(&spec, &a, &b, la, lb);
-            }
-            if let Some(masks) = self.masks {
-                masks.apply(&spec, &mut a, &mut b);
-            }
-            let stages = self
-                .hier
-                .then(|| HierStageSet::create(&spec, grid, topology, real));
-            Mats::Flat(FlatMats { spec, a, b, c }, stages)
-        } else {
-            let set = ReplSet::create(&self.spec, nranks, topology, replication, self.operands);
-            let stages = self.hier.then(|| set.hier_stage_sets(topology, real));
-            Mats::Replicated(set, stages)
-        };
+        let ((reports, stats, trace, wall_seconds), c) =
+            if self.replication == ReplicationFactor::One {
+                let grid = default_grid(self.nranks);
+                let (spec, c) = fresh_c(&self.spec, grid, real);
+                let (a, b) = self.operands.map(|(a, b)| (a.as_ref(), b.as_ref())).unzip();
+                let mask_a = self.masks.and_then(|m| m.a.as_ref());
+                let mask_b = self.masks.and_then(|m| m.b.as_ref());
+                let stages = self
+                    .hier
+                    .then(|| HierStageSet::create(&spec, grid, topology, real));
+                let launched = with_dist_a(&spec, grid, a, mask_a, CostMap::Identity, |a| {
+                    with_dist_b(&spec, grid, b, mask_b, CostMap::Identity, |b| {
+                        let flat = FlatMats { spec, a, b, c: &c };
+                        self.launch(topology, &Mats::Flat(flat, stages))
+                    })
+                })?;
+                (launched, real.then(|| c.gather()))
+            } else {
+                let (spec, nranks) = (&self.spec, self.nranks);
+                ReplSet::create(spec, nranks, topology, replication, self.operands, |set| {
+                    let stages = self.hier.then(|| set.hier_stage_sets(topology, real));
+                    self.launch(topology, &Mats::Replicated(set, stages))
+                        .map(|launched| (launched, real.then(|| set.gather())))
+                })?
+            };
+        Ok(RunOutput {
+            c,
+            stats,
+            trace,
+            wall_seconds,
+            reports,
+            replication,
+        })
+    }
 
+    /// Run the ranks over the prepared matrices on `self.backend`.
+    fn launch(&self, topology: Topology, mats: &Mats<'_>) -> Result<Launched, RunError> {
+        let (nranks, algorithm, faults) = (self.nranks, &self.algorithm, self.faults);
         // On the wall-clock backends the launchers emulate the topology.
         let topo = Some(topology);
-        let (reports, stats, trace, wall_seconds) = match self.backend {
+        Ok(match self.backend {
             Backend::Sim(machine) => {
                 let mut opts = SimOptions::new(machine.clone(), nranks);
                 opts.trace = self.trace;
@@ -355,7 +379,7 @@ impl<'a> Run<'a> {
                     opts = opts.with_faults(plan.clone())?;
                 }
                 let t0 = Instant::now();
-                let res = sim_run(&opts, |comm| rank_body(comm, algorithm, &mats));
+                let res = sim_run(&opts, |comm| rank_body(comm, algorithm, mats));
                 let wall_seconds = t0.elapsed().as_secs_f64();
                 (res.outputs, res.stats, res.trace, wall_seconds)
             }
@@ -363,13 +387,13 @@ impl<'a> Run<'a> {
                 // At 64k ranks the executor would hold several copies of
                 // the per-rank reports; the modeled run is its `stats`.
                 let body = |comm: &mut _| {
-                    rank_body(comm, algorithm, &mats);
+                    rank_body(comm, algorithm, mats);
                 };
                 let res = virtual_run(machine, nranks, workers, body);
                 (Vec::new(), res.stats, Vec::new(), res.wall_seconds)
             }
             Backend::Threads => {
-                let body = |comm: &mut _| wall_body(comm, faults, algorithm, &mats);
+                let body = |comm: &mut _| wall_body(comm, faults, algorithm, mats);
                 let res = thread_launch(nranks, self.trace, topo, body);
                 (res.outputs, res.stats, res.trace, res.wall_seconds)
             }
@@ -377,7 +401,7 @@ impl<'a> Run<'a> {
             // per rank) under whichever communicator the fault plan
             // calls for; everything else runs its blocking body on a
             // gated thread.
-            Backend::Exec { workers } => match (&mats, algorithm) {
+            Backend::Exec { workers } => match (mats, algorithm) {
                 (Mats::Flat(m, stages), Algorithm::Srumma(opts)) => {
                     // Declared after the matrices: any unclaimed program
                     // (borrowing them) drops with the queue first.
@@ -403,23 +427,10 @@ impl<'a> Run<'a> {
                     ))
                 }
                 _ => {
-                    let body = |comm: &mut _| wall_body(comm, faults, algorithm, &mats);
+                    let body = |comm: &mut _| wall_body(comm, faults, algorithm, mats);
                     launched(exec_launch(nranks, workers, self.trace, topo, body))
                 }
             },
-        };
-
-        let c = real.then(|| match &mats {
-            Mats::Flat(m, _) => m.c.gather(),
-            Mats::Replicated(set, _) => set.gather(),
-        });
-        Ok(RunOutput {
-            c,
-            stats,
-            trace,
-            wall_seconds,
-            reports,
-            replication,
         })
     }
 

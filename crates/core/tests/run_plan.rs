@@ -1,16 +1,22 @@
 //! `Run::validate`: every way a plan can be illegal is a typed
 //! `RunError` variant, decided before any matrix is allocated or any
 //! thread is started. And, at the end, two legal plans named for how
-//! the executor hosts them.
+//! the executor hosts them, and the differential that says distributing
+//! host operands in place changed nothing a rank can observe.
 
-use srumma_comm::{FaultPlan, FaultPlanError};
+use srumma_comm::{
+    drive, exec_launch, sim_run, thread_launch, FaultPlan, FaultPlanError, SimOptions,
+};
 use srumma_core::driver::{default_grid, serial_reference};
+use srumma_core::layout::{dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask};
 use srumma_core::{
-    Algorithm, Backend, GemmSpec, ReplicationFactor, Run, RunError, SparseMasks, SummaOptions,
+    Algorithm, Backend, GemmSpec, HierStageSet, RankReport, ReplicationFactor, Run, RunError,
+    ShmemFlavor, SparseMasks, SrummaOptions, SrummaProgram, SummaOptions,
 };
 use srumma_dense::{max_abs_diff, BlockMask, Matrix, Op};
 use srumma_model::machine::RanksPerDomain;
-use srumma_model::Machine;
+use srumma_model::{Machine, Topology};
+use srumma_trace::RunStats;
 
 fn operands(spec: &GemmSpec) -> (Matrix, Matrix) {
     (
@@ -423,4 +429,138 @@ fn staged_replica_teams_drive_the_program_from_gated_threads_on_one_worker() {
     let teams: Vec<usize> = out.reports.iter().map(|r| r.team).collect();
     assert_eq!(teams, [[0; 8], [1; 8]].concat());
     assert!(out.reports.iter().all(|r| r.staged_panels > 0));
+}
+
+// ---- host operands in place ≡ operands scattered into arenas ---------
+
+/// What `run` computes when both operands are copied into arenas first
+/// (`dist_a`/`dist_b` + `scatter_operands`, the form every caller that
+/// owns its distributed matrices uses) and the same rank program is
+/// driven over those: flat or staged SRUMMA, masks attached, on `run`'s
+/// backend and topology.
+fn over_scattered_arenas(run: &Run) -> (Matrix, Vec<RankReport>, RunStats) {
+    let grid = default_grid(run.nranks);
+    let (a, b) = run.operands.expect("a differential over real data");
+    let (mut da, mut db) = (dist_a(&run.spec, grid, true), dist_b(&run.spec, grid, true));
+    let (spec, dc) = fresh_c(&run.spec, grid, true);
+    scatter_operands(&spec, &da, &db, a, b);
+    if let Some(masks) = run.masks {
+        set_a_mask(&spec, &mut da, masks.a.clone().expect("both masked"));
+        set_b_mask(&spec, &mut db, masks.b.clone().expect("both masked"));
+    }
+    let topo = match run.backend {
+        Backend::Sim(machine) => machine.topology(run.nranks),
+        _ => Topology::new(run.nranks, run.ranks_per_node.unwrap_or(run.nranks)),
+    };
+    let stages = run
+        .hier
+        .then(|| HierStageSet::create(&spec, grid, topo, true));
+    let Algorithm::Srumma(opts) = run.algorithm else {
+        panic!("the differential drives the SRUMMA program");
+    };
+    let program = || SrummaProgram::new(&spec, &da, &db, &dc, &opts, stages.as_ref());
+    let (reports, stats) = match run.backend {
+        Backend::Sim(machine) => {
+            let sim = SimOptions::new(machine.clone(), run.nranks);
+            let res = sim_run(&sim, |comm| drive(comm, program()));
+            (res.outputs, res.stats)
+        }
+        Backend::Threads => {
+            let body = |comm: &mut _| drive(comm, program());
+            let res = thread_launch(run.nranks, false, Some(topo), body);
+            (res.outputs, res.stats)
+        }
+        Backend::Exec { workers } => {
+            let body = |comm: &mut _| drive(comm, program());
+            let res = exec_launch(run.nranks, workers, false, Some(topo), body);
+            (res.outputs, res.stats)
+        }
+        Backend::Virtual { .. } => panic!("the virtual clock moves no data"),
+    };
+    (dc.gather(), reports, stats)
+}
+
+/// NN/NT/TN/TT × every shared-memory flavour × flat/staged × dense/masked
+/// × `Sim`/`Threads`/`Exec`: `Run` reads an `N`-stored operand through a
+/// view of the caller's matrix and copies only the `T`-stored ones, and
+/// no rank can tell — the same C to the bit, the same per-rank reports,
+/// the same traffic counter by counter, and under the simulator the same
+/// makespan to the bit (model time is charged from block bytes, never
+/// from layout).
+#[test]
+fn operands_in_place_are_indistinguishable_from_scattered_copies() {
+    let mut machine = Machine::linux_myrinet();
+    machine.ranks_per_domain = RanksPerDomain::Fixed(2);
+    let nranks = 8;
+    let grid = default_grid(nranks);
+    let masks = SparseMasks::new(
+        BlockMask::random(grid.p, grid.q, 0.6, 0xA),
+        BlockMask::random(grid.p, grid.q, 0.7, 0xB),
+    );
+    // Uneven blocks; fewer rows than grid rows' worth of k; a 1-row C.
+    let shapes = [(23, 19, 29), (9, 31, 5), (1, 12, 17)];
+    let mut case = 0;
+    for (ta, tb) in [
+        (Op::N, Op::N),
+        (Op::N, Op::T),
+        (Op::T, Op::N),
+        (Op::T, Op::T),
+    ] {
+        for shmem in [
+            ShmemFlavor::Auto,
+            ShmemFlavor::ForceCopy,
+            ShmemFlavor::ForceDirect,
+        ] {
+            for (hier, masked) in [(false, false), (false, true), (true, false), (true, true)] {
+                let (m, n, k) = shapes[case % shapes.len()];
+                case += 1;
+                let spec = GemmSpec::new(ta, tb, m, n, k).with_scalars(2.0, 0.0);
+                let ab = int_operands(&spec);
+                let algorithm = Algorithm::Srumma(SrummaOptions {
+                    shmem,
+                    ..SrummaOptions::default()
+                });
+                for backend in [
+                    Backend::Sim(&machine),
+                    Backend::Threads,
+                    Backend::Exec { workers: 2 },
+                ] {
+                    let on_sim = matches!(backend, Backend::Sim(_));
+                    let run = Run {
+                        operands: Some((&ab.0, &ab.1)),
+                        masks: masked.then_some(&masks),
+                        ranks_per_node: (!on_sim).then_some(2),
+                        hier,
+                        ..Run::new(spec, nranks, algorithm, backend)
+                    };
+                    let what =
+                        format!("{spec:?} {shmem:?} hier={hier} masked={masked} {backend:?}");
+                    let views = run.execute().unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let (c, reports, stats) = over_scattered_arenas(&run);
+                    assert_eq!(views.c.unwrap().as_slice(), c.as_slice(), "{what}: C");
+                    assert_eq!(views.reports, reports, "{what}: reports");
+                    assert_eq!(views.stats.ranks.len(), nranks, "{what}");
+                    for (rank, (v, s)) in views.stats.ranks.iter().zip(&stats.ranks).enumerate() {
+                        let traffic = |r: &srumma_trace::RankStats| {
+                            [
+                                r.bytes_network,
+                                r.bytes_shm,
+                                r.bytes_direct,
+                                r.transfers,
+                                r.bytes_internode,
+                                r.bytes_intragroup,
+                                r.tasks,
+                                r.tasks_masked,
+                            ]
+                        };
+                        assert_eq!(traffic(v), traffic(s), "{what}: traffic of rank {rank}");
+                    }
+                    if on_sim {
+                        let (v, s) = (views.stats.makespan, stats.makespan);
+                        assert_eq!(v.to_bits(), s.to_bits(), "{what}: makespan {v} vs {s}");
+                    }
+                }
+            }
+        }
+    }
 }

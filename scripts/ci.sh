@@ -63,6 +63,24 @@ for workload in $workloads; do
         *'"failed": 0'*) ;;
         *) echo "FAIL: benchmark workload $workload: $result" >&2; exit 1 ;;
     esac
+    # Host operands are distributed in place: an op holds A, B, the C
+    # arena and the gathered C, never a second copy of an operand. Peak
+    # RSS repeats to < 1 % under the harness's allocator policy (93 / 27
+    # MB here, 129 / 36 when both operands were scattered into arenas),
+    # so a ceiling between the two fails the day a copy comes back —
+    # where a wall-clock gate would only warn.
+    case "$workload" in
+        square_large) rss_ceiling=105 ;;
+        manyrank_copy) rss_ceiling=30 ;;
+        *) rss_ceiling= ;;
+    esac
+    if [ -n "$rss_ceiling" ]; then
+        rss=$(echo "$result" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')
+        awk -v rss="$rss" -v max="$rss_ceiling" 'BEGIN { exit !(rss != "" && rss + 0 < max) }' || {
+            echo "FAIL: $workload peak_rss_mb ${rss:-missing} (ceiling $rss_ceiling): an operand is being copied again" >&2
+            exit 1
+        }
+    fi
 done
 
 echo "== oversubscription smoke: 128 ranks on 2 workers =="
@@ -75,6 +93,8 @@ echo "== split-fence pass: decorators, gated polling, polled and driven programs
 # A decorator that drops a fence method, a gated rank that polls with
 # its loan, a program parked where nothing wakes it: all of these hang
 # rather than fail, so the tests that pin them run once more, bounded.
+# run_plan also holds the view ≡ scatter differential (144 plans, each
+# run twice on Sim/Threads/Exec), bounded here for the same reason.
 timeout 300 cargo test -q --release -p srumma-comm --test exec --test decorators
 timeout 300 cargo test -q --release -p srumma-core --test run_plan
 
