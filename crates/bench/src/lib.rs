@@ -162,11 +162,7 @@ pub fn srumma_gflops_opts(
 
 /// The pdgemm stand-in: SUMMA with the empirically best panel width
 /// from a small sweep (as the paper tuned ScaLAPACK's block size).
-pub fn pdgemm_gflops(machine: &Machine, nranks: usize, spec: &GemmSpec) -> f64 {
-    pdgemm_best(machine, nranks, spec).0
-}
-
-/// Best (GFLOP/s, panel width) over the sweep. `None` width = natural
+/// Returns the best (GFLOP/s, panel width); `None` width = natural
 /// block panels.
 pub fn pdgemm_best(machine: &Machine, nranks: usize, spec: &GemmSpec) -> (f64, Option<usize>) {
     let mut best = (0.0f64, None);
@@ -191,11 +187,6 @@ pub fn pdgemm_best(machine: &Machine, nranks: usize, spec: &GemmSpec) -> (f64, O
         }
     }
     best
-}
-
-/// Cannon's algorithm GFLOP/s (square grids only).
-pub fn cannon_gflops(machine: &Machine, nranks: usize, spec: &GemmSpec) -> f64 {
-    measure_gflops(machine, nranks, &Algorithm::Cannon, spec)
 }
 
 #[cfg(test)]

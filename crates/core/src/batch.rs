@@ -37,7 +37,10 @@
 //!
 //! `window == 1` degenerates to the serialized variant (stage gated on
 //! the previous entry's done fence) — the loop-of-multiplies shape,
-//! still on one arena and one pool.
+//! still on one arena and one pool. The ring size *is* the look-ahead,
+//! and every entry runs at the prefetch depth its options say: nothing
+//! adjusts either while the stream runs, and neither changes a bit of
+//! any output (`batch_multiply.rs`, the depth × window grid).
 //!
 //! That text is one [`RankProgram`], [`BatchProgram`]: the executor
 //! polls it, with the fence waits as park points; the blocking backends
@@ -53,7 +56,6 @@ use crate::layout::{dist_a_in_arena, dist_b_in_arena, dist_c_in_arena};
 use crate::memory::batch_region_elems;
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::srumma::{MachineScratch, SrummaMachine, SrummaReport, STRIDE};
-use crate::tune::{TunerCell, TunerStep};
 use srumma_comm::{
     drive, exec_run_tasks, sim_run, thread_run, Comm, DistMatrix, ProgramTask, RankProgram,
     SharedArena, SimOptions, Step,
@@ -348,7 +350,6 @@ pub struct BatchProgram<'a> {
     plans: &'a [EntryPlan],
     outputs: &'a [Mutex<Matrix>],
     window: usize,
-    tuner: Option<&'a TunerCell>,
     state: BatchState,
     machine: Option<SrummaMachine<'a>>,
     scratch: MachineScratch,
@@ -367,7 +368,6 @@ impl<'a> BatchProgram<'a> {
         plans: &'a [EntryPlan],
         outputs: &'a [Mutex<Matrix>],
         window: usize,
-        tuner: Option<&'a TunerCell>,
     ) -> Self {
         let n = plans.len();
         BatchProgram {
@@ -375,7 +375,6 @@ impl<'a> BatchProgram<'a> {
             plans,
             outputs,
             window,
-            tuner,
             state: BatchState::Head { e: 0 },
             machine: None,
             scratch: MachineScratch::default(),
@@ -424,23 +423,6 @@ impl<'a> BatchProgram<'a> {
         }
     }
 
-    /// The look-ahead window gating the stage of entry `e`: the
-    /// tuner's pick for `e`, clamped to `[2, physical window]`. Only
-    /// ever *shrunk* below the slot-ring size — a smaller window waits
-    /// on a *later* done fence (fence indices are monotone per rank,
-    /// so the wait is strictly stronger and the slot certainly free),
-    /// while a larger one could reuse a slot still being read. The
-    /// floor of 2 exists because at the head of entry `e` this rank
-    /// has arrived at done fences `0..e` only — a window of 1 would
-    /// wait on its own not-yet-arrived fence and deadlock. Memoized per
-    /// entry by the tuner, so a retry after a park tests the same fence.
-    fn eff_window(&self, e: usize) -> usize {
-        match self.tuner {
-            Some(t) if self.window >= 2 => t.setting_for(e).1.clamp(2, self.window),
-            _ => self.window,
-        }
-    }
-
     fn take_out<C: Comm>(&mut self, comm: &C) -> BatchRankOut {
         BatchRankOut {
             reports: std::mem::take(&mut self.reports),
@@ -462,7 +444,8 @@ impl RankProgram for BatchProgram<'_> {
                 let ahead = (e + usize::from(self.window >= 2)).min(last);
                 while self.sf.len() <= ahead {
                     let s = self.sf.len();
-                    let w = self.eff_window(s);
+                    let w = self.window;
+                    // Entry `s` reuses the slot of entry `s − w`.
                     if s >= w && !self.fence_poll(comm, self.df[s - w], s) {
                         return Step::Park;
                     }
@@ -479,17 +462,8 @@ impl RankProgram for BatchProgram<'_> {
                 let machine = self.machine.get_or_insert_with(|| {
                     let plan = &self.plans[e];
                     let scratch = std::mem::take(&mut self.scratch);
-                    // The machine copies the options at construction, so
-                    // the tuned prefetch depth is applied through a
-                    // stack-local copy.
-                    let mut eopts = plan.opts;
-                    if let Some(t) = self.tuner {
-                        if eopts.double_buffer {
-                            eopts.prefetch_depth = t.setting_for(e).0;
-                        }
-                    }
                     SrummaMachine::new(
-                        comm, &plan.spec, &plan.da, &plan.db, &plan.dc, &eopts, scratch,
+                        comm, &plan.spec, &plan.da, &plan.db, &plan.dc, &plan.opts, scratch,
                     )
                 });
                 if machine.run(comm, STRIDE) {
@@ -509,9 +483,6 @@ impl RankProgram for BatchProgram<'_> {
                 extract_entry(&self.plans[e], comm.rank(), &self.outputs[e]);
                 let t1 = comm.now();
                 self.samples[e].compute_s += t1 - t0;
-                if let Some(t) = self.tuner {
-                    t.record(e, self.samples[e].compute_s);
-                }
                 debug_assert_eq!(self.df.len(), e);
                 let (f, t2) = self.arrive(comm, e, t1);
                 self.df.push(f);
@@ -580,79 +551,80 @@ fn assemble_batch(
     }
 }
 
-fn effective_window(batch: &BatchSpec) -> usize {
-    batch.window.clamp(1, batch.entries.len().max(1))
-}
+/// What [`run_batch`] hands a backend: the constructor of one rank's
+/// program over the storage it laid out.
+type NewProgram<'p> = dyn Fn() -> BatchProgram<'p> + Sync + 'p;
 
-/// The shared tuner state for one run, when the batch's default
-/// options enable it (`SrummaOptions::with_tuner`). The climb starts
-/// from the options' own depth and the physical slot-ring window.
-fn make_tuner_cell(batch: &BatchSpec, nranks: usize) -> Option<TunerCell> {
-    batch.opts.tuner.map(|cfg| {
-        let flops: Vec<f64> = batch.entries.iter().map(|e| e.spec.flops()).collect();
-        TunerCell::new(
-            cfg,
-            nranks,
-            flops,
-            batch.opts.effective_depth().max(1),
-            effective_window(batch),
-        )
-    })
-}
+/// What the backend hands back: each rank's results, the run's wall (or
+/// modeled) seconds, and whatever else it reports.
+type Launched<X> = (Vec<BatchRankOut>, f64, X);
 
-fn empty_result() -> BatchResult {
-    BatchResult {
-        outputs: Vec::new(),
-        reports: Vec::new(),
-        ws_grow_counts: Vec::new(),
-        stats: BatchStats::from_entries(Vec::new(), 0.0),
+/// Everything a batched run does that does not depend on the backend:
+/// lay the stream out over one slot-ring arena, let `launch` run one
+/// [`BatchProgram`] per rank (it is handed the constructor), and roll
+/// the per-rank results up. An empty batch launches nothing.
+fn run_batch<X>(
+    batch: &BatchSpec,
+    nranks: usize,
+    launch: impl for<'p> FnOnce(&'p NewProgram<'p>) -> Launched<X>,
+) -> (BatchResult, Option<X>) {
+    if batch.entries.is_empty() {
+        return (assemble_batch(batch, Vec::new(), Vec::new(), 0.0), None);
     }
+    let grid = default_grid(nranks);
+    let window = batch.window.clamp(1, batch.entries.len());
+    let (_arena, plans) = build_storage(batch, grid, window);
+    let outputs: Vec<Mutex<Matrix>> = batch
+        .entries
+        .iter()
+        .map(|e| Mutex::new(Matrix::zeros(e.spec.m, e.spec.n)))
+        .collect();
+    let (rank_outs, wall_s, extra) = launch(&|| BatchProgram::new(batch, &plans, &outputs, window));
+    (
+        assemble_batch(batch, outputs, rank_outs, wall_s),
+        Some(extra),
+    )
+}
+
+/// The executor launcher of [`multiply_batch_exec`] and
+/// [`multiply_batch_traced`]: a [`ProgramTask`] per rank polls the
+/// program, with the fence waits as park points.
+fn launch_exec<'p>(
+    nranks: usize,
+    workers: usize,
+    trace: bool,
+    program: &'p NewProgram<'p>,
+) -> Launched<TracedRun> {
+    let res = exec_run_tasks(nranks, workers, trace, None, |comm| {
+        Box::new(ProgramTask::new(comm, program()))
+    });
+    let traced = TracedRun {
+        stats: res.stats,
+        trace: res.trace,
+    };
+    (res.outputs, res.wall_seconds, traced)
 }
 
 /// Run the batch on real host threads (one thread per rank, blocking
 /// barriers at the fence points). The correctness baseline for the
 /// executor path — same staging, same slot ring, same arena.
 pub fn multiply_batch(batch: &BatchSpec, nranks: usize) -> BatchResult {
-    if batch.entries.is_empty() {
-        return empty_result();
-    }
-    let grid = default_grid(nranks);
-    let window = effective_window(batch);
-    let (_arena, plans) = build_storage(batch, grid, window);
-    let outputs: Vec<Mutex<Matrix>> = batch
-        .entries
-        .iter()
-        .map(|e| Mutex::new(Matrix::zeros(e.spec.m, e.spec.n)))
-        .collect();
-    let tuner = make_tuner_cell(batch, nranks);
-    let res = thread_run(nranks, |comm| {
-        let program = BatchProgram::new(batch, &plans, &outputs, window, tuner.as_ref());
-        drive(comm, program)
-    });
-    assemble_batch(batch, outputs, res.outputs, res.wall_seconds)
+    run_batch(batch, nranks, |program| {
+        let res = thread_run(nranks, |comm| drive(comm, program()));
+        (res.outputs, res.wall_seconds, ())
+    })
+    .0
 }
 
 /// Run the batch under the virtual-time simulator (real data, modeled
 /// time) — the third leg of the correctness matrix.
 pub fn multiply_batch_sim(batch: &BatchSpec, machine: &Machine, nranks: usize) -> BatchResult {
-    if batch.entries.is_empty() {
-        return empty_result();
-    }
-    let grid = default_grid(nranks);
-    let window = effective_window(batch);
-    let (_arena, plans) = build_storage(batch, grid, window);
-    let outputs: Vec<Mutex<Matrix>> = batch
-        .entries
-        .iter()
-        .map(|e| Mutex::new(Matrix::zeros(e.spec.m, e.spec.n)))
-        .collect();
-    let opts = SimOptions::new(machine.clone(), nranks);
-    let tuner = make_tuner_cell(batch, nranks);
-    let res = sim_run(&opts, |comm| {
-        let program = BatchProgram::new(batch, &plans, &outputs, window, tuner.as_ref());
-        drive(comm, program)
-    });
-    assemble_batch(batch, outputs, res.outputs, res.stats.makespan)
+    run_batch(batch, nranks, |program| {
+        let opts = SimOptions::new(machine.clone(), nranks);
+        let res = sim_run(&opts, |comm| drive(comm, program()));
+        (res.outputs, res.stats.makespan, ())
+    })
+    .0
 }
 
 /// Run the batch on the work-stealing executor: `nranks` logical ranks
@@ -660,23 +632,7 @@ pub fn multiply_batch_sim(batch: &BatchSpec, machine: &Machine, nranks: usize) -
 /// whole stream, per-entry epoch fences instead of open/close barrier
 /// pairs. This is the tentpole path — independent entries overlap.
 pub fn multiply_batch_exec(batch: &BatchSpec, nranks: usize, workers: usize) -> BatchResult {
-    let tuner = make_tuner_cell(batch, nranks);
-    multiply_batch_exec_inner(batch, nranks, workers, false, tuner.as_ref()).0
-}
-
-/// [`multiply_batch_exec`], additionally returning the online tuner's
-/// per-entry trajectory (empty when the batch options leave the tuner
-/// off). The numeric outputs are bitwise identical to
-/// [`multiply_batch_exec`] with the tuner off — the tuned knobs change
-/// fetch scheduling only.
-pub fn multiply_batch_exec_tuned(
-    batch: &BatchSpec,
-    nranks: usize,
-    workers: usize,
-) -> (BatchResult, Vec<TunerStep>) {
-    let tuner = make_tuner_cell(batch, nranks);
-    let res = multiply_batch_exec_inner(batch, nranks, workers, false, tuner.as_ref()).0;
-    (res, tuner.map(|t| t.steps()).unwrap_or_default())
+    run_batch(batch, nranks, |p| launch_exec(nranks, workers, false, p)).0
 }
 
 /// [`multiply_batch_exec`] with wall-clock event tracing on: returns
@@ -687,45 +643,8 @@ pub fn multiply_batch_traced(
     nranks: usize,
     workers: usize,
 ) -> (BatchResult, TracedRun) {
-    let tuner = make_tuner_cell(batch, nranks);
-    let (res, traced) = multiply_batch_exec_inner(batch, nranks, workers, true, tuner.as_ref());
-    (res, traced.expect("traced run requested"))
-}
-
-fn multiply_batch_exec_inner(
-    batch: &BatchSpec,
-    nranks: usize,
-    workers: usize,
-    trace: bool,
-    tuner: Option<&TunerCell>,
-) -> (BatchResult, Option<TracedRun>) {
-    if batch.entries.is_empty() {
-        return (empty_result(), None);
-    }
-    let grid = default_grid(nranks);
-    let window = effective_window(batch);
-    let (_arena, plans) = build_storage(batch, grid, window);
-    let outputs: Vec<Mutex<Matrix>> = batch
-        .entries
-        .iter()
-        .map(|e| Mutex::new(Matrix::zeros(e.spec.m, e.spec.n)))
-        .collect();
-    let res = exec_run_tasks(nranks, workers, trace, None, |comm| {
-        let program = BatchProgram::new(batch, &plans, &outputs, window, tuner);
-        Box::new(ProgramTask::new(comm, program))
-    });
-    let traced = if trace {
-        Some(TracedRun {
-            stats: res.stats,
-            trace: res.trace,
-        })
-    } else {
-        None
-    };
-    (
-        assemble_batch(batch, outputs, res.outputs, res.wall_seconds),
-        traced,
-    )
+    let (res, traced) = run_batch(batch, nranks, |p| launch_exec(nranks, workers, true, p));
+    (res, traced.expect("a traced run needs at least one entry"))
 }
 
 /// Serial reference for every entry: `C_e = α·A_e·B_e + β·C0_e` (zeros

@@ -155,14 +155,6 @@ impl SparseMasks {
             b: None,
         }
     }
-
-    /// Mask only B (A dense).
-    pub fn b_only(b: BlockMask) -> Self {
-        Self {
-            a: None,
-            b: Some(b),
-        }
-    }
 }
 
 /// The serial reference for a block-sparse multiply: zero out the

@@ -54,15 +54,15 @@ pub mod tune;
 
 pub use api::{parallel_gemm, Algorithm};
 pub use batch::{
-    batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_exec_tuned,
-    multiply_batch_sim, multiply_batch_traced, BatchEntry, BatchResult, BatchSpec,
+    batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_sim,
+    multiply_batch_traced, BatchEntry, BatchResult, BatchSpec,
 };
 pub use chaos::{ChaosRecovery, ChaosSrummaRankTask};
 pub use driver::SparseMasks;
 pub use hier::{srumma_hier, HierStageSet, HierStages};
-pub use options::{GemmSpec, ReplicationFactor, ShmemFlavor, SrummaOptions, TunerConfig};
+pub use options::{GemmSpec, ReplicationFactor, ShmemFlavor, SrummaOptions};
 pub use repl::{resolve_factor, srumma_replicated, ReplSet};
 pub use run::{Backend, RankReport, Run, RunError, RunOutput};
 pub use srumma::{srumma as srumma_gemm, SrummaMachine, SrummaProgram, SrummaReport};
 pub use summa::SummaOptions;
-pub use tune::{HostProfile, ProfileError, Tuner, TunerCell, TunerStep, PROFILE_VERSION};
+pub use tune::{HostProfile, ProfileError, PROFILE_VERSION};

@@ -114,20 +114,6 @@ pub fn batch_region_elems(
     (ea, eb, ec)
 }
 
-/// Total bytes of the batched driver's **single** shared arena for a
-/// `window`-slot ring over `specs`: one A + B + C region per rank per
-/// slot, each sized to the batch high-water mark. Compare against
-/// `Σ_e (A_e + B_e + C_e)` to see what the slot ring saves on long
-/// streams.
-pub fn batch_arena_footprint(specs: &[GemmSpec], grid: ProcGrid, window: usize) -> Footprint {
-    let (ea, eb, ec) = batch_region_elems(specs, grid);
-    let per_slot: usize = ea.iter().chain(&eb).chain(&ec).sum();
-    Footprint {
-        buffer_bytes: (window * per_slot * 8) as u64,
-        buffers: 3 * grid.nranks() * window,
-    }
-}
-
 /// Per-rank bytes of a `c`-fold replicated multiply (see
 /// [`crate::repl`]): the rank's stored A/B slice blocks plus its team's
 /// C scratch block, all laid out on the *team* grid of `P/c` ranks.

@@ -109,56 +109,6 @@ pub enum ReplicationFactor {
     },
 }
 
-/// Bounds and hysteresis for the online tuner (see
-/// [`crate::tune::Tuner`]). All fields are plain integers so the
-/// options struct stays `Copy + Eq`; the tuner itself (its state
-/// machine, accumulated observations) lives outside the options.
-///
-/// The tuner only ever changes *scheduling* knobs — prefetch depth and
-/// the batch look-ahead window — which affect when blocks are fetched,
-/// never which gemm calls run or in what per-rank order. Tuned runs are
-/// therefore bitwise identical to untuned runs on the same inputs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TunerConfig {
-    /// Seed for the tuner's initial move directions (deterministic:
-    /// the same seed and observation sequence reproduce the same
-    /// decisions).
-    pub seed: u64,
-    /// Smallest prefetch depth the tuner may select (≥ 1).
-    pub min_depth: usize,
-    /// Largest prefetch depth the tuner may select.
-    pub max_depth: usize,
-    /// Smallest batch look-ahead window (≥ 2 — a window of 1 would
-    /// make an entry wait on its *own* done fence before starting).
-    pub min_window: usize,
-    /// Largest batch look-ahead window. Clamped at run time to the
-    /// batch's physical slot-ring window, which bounds memory.
-    pub max_window: usize,
-    /// Observations accumulated per candidate setting before judging
-    /// it (hysteresis against run-to-run noise).
-    pub settle: usize,
-    /// A move is kept only if it improves the score by more than this
-    /// many permille (2 % = 20); otherwise it is reverted.
-    pub margin_permille: u32,
-    /// Total accepted-or-reverted moves before the tuner freezes.
-    pub max_moves: usize,
-}
-
-impl Default for TunerConfig {
-    fn default() -> Self {
-        TunerConfig {
-            seed: 0x5254_4d4d, // "RTMM"
-            min_depth: 1,
-            max_depth: 4,
-            min_window: 2,
-            max_window: 4,
-            settle: 2,
-            margin_permille: 20,
-            max_moves: 8,
-        }
-    }
-}
-
 /// SRUMMA scheduling options; the defaults are the paper's algorithm,
 /// the `false` settings are the ablation knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -186,11 +136,6 @@ pub struct SrummaOptions {
     /// default blocks; `Some` is pushed to every rank workspace via
     /// `Comm::configure_gemm` at machine setup.
     pub gemm: Option<GemmConfig>,
-    /// Online tuner for batch streams: `Some` lets the runtime adjust
-    /// prefetch depth and batch window *between entries* based on
-    /// measured per-entry times (see [`crate::tune::Tuner`]). Off by
-    /// default; never changes numerics.
-    pub tuner: Option<TunerConfig>,
 }
 
 impl Default for SrummaOptions {
@@ -202,7 +147,6 @@ impl Default for SrummaOptions {
             prefetch_depth: 1,
             shmem: ShmemFlavor::Auto,
             gemm: None,
-            tuner: None,
         }
     }
 }
@@ -217,19 +161,12 @@ impl SrummaOptions {
             prefetch_depth: 0,
             shmem: ShmemFlavor::ForceCopy,
             gemm: None,
-            tuner: None,
         }
     }
 
     /// Override the serial-kernel configuration on every rank.
     pub fn with_gemm(mut self, cfg: GemmConfig) -> Self {
         self.gemm = Some(cfg);
-        self
-    }
-
-    /// Enable the online tuner for batch streams (see [`TunerConfig`]).
-    pub fn with_tuner(mut self, cfg: TunerConfig) -> Self {
-        self.tuner = Some(cfg);
         self
     }
 

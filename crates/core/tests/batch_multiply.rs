@@ -4,7 +4,7 @@
 
 use srumma_core::batch::{
     batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_sim,
-    multiply_batch_traced, BatchEntry, BatchSpec,
+    multiply_batch_traced, BatchEntry, BatchResult, BatchSpec,
 };
 use srumma_core::driver::{multiply_exec, serial_reference};
 use srumma_core::{Algorithm, GemmSpec, SrummaOptions};
@@ -100,17 +100,42 @@ fn workspace_grows_at_most_once_across_batch() {
     }
 }
 
-/// The serialized (`window = 1`) and pipelined (`window ≥ 2`) programs
-/// must be numerically indistinguishable.
+/// Prefetch depth and the slot-ring window move *when* blocks are
+/// fetched and entries staged, never which gemm calls run or in what
+/// per-rank order: over depth {1, 2, 4} × window {1 (serialized), 2, 3,
+/// 6}, on the executor and on threads, every stream is bit for bit the
+/// executor's (1, 1) stream, on one workspace grown at most once.
 #[test]
 fn window_one_matches_window_three() {
-    let batch3 = mixed_batch(); // default window = 3
-    let batch1 = mixed_batch().with_window(1);
-    let r3 = multiply_batch_exec(&batch3, 4, 2);
-    let r1 = multiply_batch_exec(&batch1, 4, 2);
-    for (e, (c3, c1)) in r3.outputs.iter().zip(&r1.outputs).enumerate() {
-        let diff = max_abs_diff(c3, c1);
-        assert!(diff == 0.0, "entry {e}: window 1 vs 3 |diff|={diff:e}");
+    let stream = |depth: usize, window: usize| {
+        let opts = SrummaOptions {
+            prefetch_depth: depth,
+            ..SrummaOptions::default()
+        };
+        mixed_batch().with_opts(opts).with_window(window)
+    };
+    let base = multiply_batch_exec(&stream(1, 1), 4, 2);
+    let check = |res: &BatchResult, what: &str| {
+        for (e, (got, want)) in res.outputs.iter().zip(&base.outputs).enumerate() {
+            let same = got.as_slice().iter().map(|x| x.to_bits());
+            assert!(
+                same.eq(want.as_slice().iter().map(|x| x.to_bits())),
+                "{what}: entry {e} differs from depth 1, window 1"
+            );
+        }
+        assert!(
+            res.ws_grow_counts.iter().all(|&g| g <= 1),
+            "{what}: workspace grows {:?}",
+            res.ws_grow_counts
+        );
+    };
+    for depth in [1usize, 2, 4] {
+        for window in [1usize, 2, 3, 6] {
+            let what = format!("depth {depth} window {window}");
+            let batch = stream(depth, window);
+            check(&multiply_batch_exec(&batch, 4, 2), &format!("exec {what}"));
+            check(&multiply_batch(&batch, 4), &format!("threads {what}"));
+        }
     }
     // A window wider than the batch is clamped, not an error.
     let wide = mixed_batch().with_window(64);

@@ -1,18 +1,16 @@
-//! Integration tests for the self-tuning runtime
-//! (`srumma_core::tune`): host-profile round-trips and rejection paths,
-//! and tuner bitwise neutrality on batch streams.
+//! Integration tests for host profiles (`srumma_core::tune`):
+//! round-trips, rejection paths, keys retired from the schema, and the
+//! profile path end to end.
 //!
 //! Profile tests use explicit temp-file paths (`HostProfile::save` /
 //! `SrummaOptions::from_profile_path`) rather than the process-global
 //! cached default so they stay independent of each other and of the
 //! test runner's parallelism.
 
-use srumma_core::batch::{
-    batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_exec_tuned,
-    BatchEntry, BatchSpec,
-};
+use srumma_core::batch::{batch_serial_reference, multiply_batch_exec, BatchEntry, BatchSpec};
+use srumma_core::driver::serial_reference;
 use srumma_core::{
-    GemmSpec, HostProfile, ProfileError, SrummaOptions, TunerConfig, PROFILE_VERSION,
+    Algorithm, Backend, GemmSpec, HostProfile, ProfileError, Run, SrummaOptions, PROFILE_VERSION,
 };
 use srumma_dense::{max_abs_diff, BlockSizes, GemmConfig, Matrix, Microkernel, Op};
 use std::path::PathBuf;
@@ -39,11 +37,7 @@ fn profile_roundtrip_preserves_every_field() {
             kc: 128,
             nc: 512,
         }),
-        workers: Some(6),
         prefetch_depth: Some(3),
-        batch_window: Some(3),
-        ranks_per_node: Some(4),
-        replication_budget_bytes: Some(12_345_678),
     };
     let path = temp_path("roundtrip");
     profile.save(&path).unwrap();
@@ -55,14 +49,13 @@ fn profile_roundtrip_preserves_every_field() {
 #[test]
 fn profile_roundtrip_resolves_identical_options() {
     let profile = HostProfile {
+        kernel: Some(an_available_kernel()),
         blocks: Some(BlockSizes {
             mc: 32,
             kc: 64,
             nc: 256,
         }),
         prefetch_depth: Some(2),
-        batch_window: Some(4),
-        ..HostProfile::new()
     };
     let path = temp_path("resolve");
     profile.save(&path).unwrap();
@@ -76,6 +69,24 @@ fn profile_roundtrip_resolves_identical_options() {
     assert!(from_disk.double_buffer);
     assert_eq!(from_disk.prefetch_depth, 2);
     assert_eq!(from_disk.gemm.unwrap().blocks.unwrap().kc, 64);
+
+    // The profile path end to end: a run under the options a kernel +
+    // blocks + depth profile resolves to equals the serial reference.
+    let (nranks, n) = (8, 64);
+    let spec = GemmSpec::square(n);
+    let (a, b) = (Matrix::random(n, n, 11), Matrix::random(n, n, 12));
+    let run = Run {
+        operands: Some((&a, &b)),
+        ..Run::new(
+            spec,
+            nranks,
+            Algorithm::Srumma(from_disk),
+            Backend::Exec { workers: 0 },
+        )
+    };
+    let c = run.execute().expect("a plain run is valid").c.unwrap();
+    let diff = max_abs_diff(&c, &serial_reference(&spec, &a, &b));
+    assert!(diff < 1e-9, "profile-resolved multiply |diff|={diff:e}");
 }
 
 #[test]
@@ -118,18 +129,29 @@ fn profile_does_not_override_explicit_gemm_config() {
 
 #[test]
 fn merge_folds_probed_fields_without_erasing_others() {
+    let blocks = |mc| {
+        Some(BlockSizes {
+            mc,
+            kc: 256,
+            nc: 512,
+        })
+    };
     let mut merged = HostProfile {
-        workers: Some(4),
-        batch_window: Some(2),
+        kernel: Some(an_available_kernel()),
+        blocks: blocks(32),
         ..HostProfile::new()
     };
     merged.merge(&HostProfile {
-        workers: Some(8),
+        blocks: blocks(64),
         prefetch_depth: Some(1),
         ..HostProfile::new()
     });
-    assert_eq!(merged.workers, Some(8), "newer probe wins");
-    assert_eq!(merged.batch_window, Some(2), "unprobed field survives");
+    assert_eq!(merged.blocks, blocks(64), "newer probe wins");
+    assert_eq!(
+        merged.kernel,
+        Some(an_available_kernel()),
+        "unprobed field survives"
+    );
     assert_eq!(merged.prefetch_depth, Some(1), "new field lands");
 }
 
@@ -148,7 +170,7 @@ fn corrupt_profile_is_a_parse_error() {
 #[test]
 fn stale_version_is_rejected() {
     let path = temp_path("stale");
-    std::fs::write(&path, "{\"version\": 999, \"workers\": 4}\n").unwrap();
+    std::fs::write(&path, "{\"version\": 999, \"prefetch_depth\": 4}\n").unwrap();
     let err = HostProfile::load(&path).unwrap_err();
     std::fs::remove_file(&path).ok();
     assert_eq!(
@@ -162,7 +184,7 @@ fn stale_version_is_rejected() {
 
 #[test]
 fn missing_version_is_rejected() {
-    let err = HostProfile::from_json("{\"workers\": 4}").unwrap_err();
+    let err = HostProfile::from_json("{\"prefetch_depth\": 4}").unwrap_err();
     assert_eq!(
         err,
         ProfileError::Version {
@@ -186,18 +208,23 @@ fn malformed_fields_are_field_errors() {
         ProfileError::Field { field, .. } => assert_eq!(field, "kernel"),
         other => panic!("expected Field(kernel), got {other:?}"),
     }
-    // non-integer worker count
-    let text = format!("{{\"version\": {PROFILE_VERSION}, \"workers\": 2.5}}");
-    match HostProfile::from_json(&text).unwrap_err() {
-        ProfileError::Field { field, .. } => assert_eq!(field, "workers"),
-        other => panic!("expected Field(workers), got {other:?}"),
+    // non-integer, negative and non-numeric prefetch depths
+    for bad in ["2.5", "-1", "\"deep\""] {
+        let text = format!("{{\"version\": {PROFILE_VERSION}, \"prefetch_depth\": {bad}}}");
+        match HostProfile::from_json(&text).unwrap_err() {
+            ProfileError::Field { field, .. } => assert_eq!(field, "prefetch_depth"),
+            other => panic!("expected Field(prefetch_depth) for {bad}, got {other:?}"),
+        }
     }
 }
 
-/// A profile written before the Z-order layout and the Strassen cutoff
-/// were retired still carries their keys. `PROFILE_VERSION` did not
-/// move, so such a file must load, and resolve to exactly the options
-/// of the same profile without them.
+/// A profile written before a key was retired still carries it: the
+/// Z-order layout and the Strassen cutoff (PR 16), and the four keys no
+/// run ever read — `workers`, `batch_window`, `ranks_per_node`,
+/// `replication_budget_bytes` — as the parent's `calibrate -- --all`
+/// wrote them. `PROFILE_VERSION` did not move, so such a file must
+/// load, whatever those keys hold, and resolve to exactly the options
+/// of the same file without them.
 #[test]
 fn retired_profile_keys_are_ignored() {
     let profile = HostProfile {
@@ -207,25 +234,27 @@ fn retired_profile_keys_are_ignored() {
             kc: 128,
             nc: 512,
         }),
-        workers: Some(2),
         prefetch_depth: Some(3),
-        batch_window: Some(3),
-        ranks_per_node: Some(4),
-        replication_budget_bytes: Some(12_345_678),
     };
     let current = profile.to_json();
-    let old = current.replacen(
-        '{',
-        "{\"layout\": \"zorder\", \"strassen_cutoff\": 256, ",
-        1,
-    );
-    assert_ne!(old, current);
-    let loaded = HostProfile::from_json(&old).expect("retired keys must not fail the load");
-    assert_eq!(loaded, profile);
-    assert_eq!(
-        loaded.resolve(SrummaOptions::default()),
-        profile.resolve(SrummaOptions::default())
-    );
+    let valid = "\"workers\": 2, \"batch_window\": 6, \"ranks_per_node\": 16, \
+                 \"replication_budget_bytes\": 917504";
+    let malformed = "\"workers\": 2.5, \"batch_window\": 0, \"ranks_per_node\": \"four\", \
+                     \"replication_budget_bytes\": -1";
+    for retired in [valid, malformed] {
+        let old = current.replacen(
+            '{',
+            &format!("{{\"layout\": \"zorder\", \"strassen_cutoff\": 256, {retired}, "),
+            1,
+        );
+        assert_ne!(old, current);
+        let loaded = HostProfile::from_json(&old).expect("retired keys must not fail the load");
+        assert_eq!(loaded, profile);
+        assert_eq!(
+            loaded.resolve(SrummaOptions::default()),
+            profile.resolve(SrummaOptions::default())
+        );
+    }
 }
 
 #[test]
@@ -245,75 +274,6 @@ fn from_profile_never_panics_and_defaults_sanely() {
     // corrupt), the forgiving path must return usable options.
     let opts = SrummaOptions::from_profile();
     assert!(opts.prefetch_depth >= 1 || !opts.double_buffer);
-}
-
-// ---------------------------------------------------------------------
-// Tuner neutrality: bitwise-identical outputs, tuner on vs off
-// ---------------------------------------------------------------------
-
-/// A mixed-shape stream long enough for the tuner to complete several
-/// baseline/trial cycles.
-fn tuned_test_batch(entries: usize, n: usize, tuner: Option<TunerConfig>) -> BatchSpec {
-    let mut batch = BatchSpec::new();
-    for e in 0..entries {
-        let ta = if e % 2 == 0 { Op::N } else { Op::T };
-        let tb = if e % 3 == 0 { Op::T } else { Op::N };
-        let spec = GemmSpec::new(ta, tb, n, n, n);
-        let a = Matrix::random(n, n, 9000 + 2 * e as u64);
-        let b = Matrix::random(n, n, 9001 + 2 * e as u64);
-        batch.push(BatchEntry::new(spec, a, b));
-    }
-    let mut opts = SrummaOptions::default();
-    if let Some(cfg) = tuner {
-        opts = opts.with_tuner(cfg);
-    }
-    batch.with_opts(opts).with_window(3)
-}
-
-#[test]
-fn tuner_is_bitwise_neutral_on_exec_backend() {
-    let (entries, n, nranks, workers) = (16, 32, 4, 2);
-    let plain = tuned_test_batch(entries, n, None);
-    let tuned = tuned_test_batch(entries, n, Some(TunerConfig::default()));
-
-    let base = multiply_batch_exec(&plain, nranks, workers);
-    let (tuned_res, steps) = multiply_batch_exec_tuned(&tuned, nranks, workers);
-
-    let expect = batch_serial_reference(&plain);
-    for (e, (got, want)) in tuned_res.outputs.iter().zip(&expect).enumerate() {
-        let diff = max_abs_diff(got, want);
-        assert!(diff < 1e-10, "entry {e}: |diff|={diff:e}");
-    }
-    for (e, (got, want)) in tuned_res.outputs.iter().zip(&base.outputs).enumerate() {
-        let diff = max_abs_diff(got, want);
-        assert!(
-            diff == 0.0,
-            "entry {e}: tuned differs from untuned by {diff:e} — \
-             the tuner must be bitwise-neutral"
-        );
-    }
-    // The trajectory covers the stream and stays inside the config's
-    // bounds (clamped additionally by the physical window).
-    let cfg = TunerConfig::default();
-    assert_eq!(steps.len(), entries);
-    for s in &steps {
-        assert!(s.depth >= cfg.min_depth && s.depth <= cfg.max_depth);
-        assert!(s.window >= cfg.min_window && s.window <= cfg.max_window);
-    }
-}
-
-#[test]
-fn tuner_is_bitwise_neutral_on_thread_backend() {
-    let (entries, n, nranks) = (12, 24, 4);
-    let plain = tuned_test_batch(entries, n, None);
-    let tuned = tuned_test_batch(entries, n, Some(TunerConfig::default()));
-
-    let base = multiply_batch(&plain, nranks);
-    let tuned_res = multiply_batch(&tuned, nranks);
-    for (e, (got, want)) in tuned_res.outputs.iter().zip(&base.outputs).enumerate() {
-        let diff = max_abs_diff(got, want);
-        assert!(diff == 0.0, "entry {e}: tuned differs by {diff:e}");
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 //! Where result artifacts live, independent of the current directory.
 //!
 //! Every harness in the workspace writes its artifacts — `BENCH_*.json`
-//! reports, CSV tables, the calibration profiles — under one `results/`
+//! reports, CSV tables, the calibration profile — under one `results/`
 //! directory. Historically each binary wrote the literal relative path
 //! `"results/…"`, which silently scattered files wherever the binary
 //! happened to be launched from. [`results_dir`] resolves the directory

@@ -3,10 +3,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Regenerated reports land in a directory of this run's own, so two runs
+# on one host do not clobber each other.
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
 echo "== entry-point guard: a feature is a Run field, not another function =="
-# The seven survivors are the harness-pinned wrappers plus measure_gflops.
-entry_points=$(cat crates/core/src/{driver,hier,repl}.rs | grep -c 'pub fn \(multiply\|measure\)_')
-[ "$entry_points" -le 7 ] || { echo "FAIL: $entry_points multiply_*/measure_* drivers (max 7); add a field to core::run::Run" >&2; exit 1; }
+# The survivors: seven in the drivers (the harness-pinned wrappers plus
+# measure_gflops) and the batch driver's four (threads, sim, exec, traced).
+entry_points=$(cat crates/core/src/{driver,hier,repl,batch}.rs | grep -c 'pub fn \(multiply\|measure\)_')
+[ "$entry_points" -le 11 ] || { echo "FAIL: $entry_points multiply_*/measure_* drivers (max 11 = 7 + 4); add a field to core::run::Run" >&2; exit 1; }
+
+echo "== retired-tuner guard: a stream runs at the depth and window its options say =="
+if grep -rn 'Tuner\|with_tuner\|_tuned' crates src tests examples; then
+    echo "FAIL: the online tuner is back (see above; EXPERIMENTS.md, \"Retired: the online tuner\")" >&2; exit 1
+fi
 
 echo "== rank-program guard: one program per schedule, one stride =="
 # Every SRUMMA schedule is one RankProgram that the executor polls and
@@ -116,15 +127,6 @@ timeout 300 cargo run --release -q -p srumma-bench \
 timeout 300 env SRUMMA_KERNEL=scalar cargo run --release -q -p srumma-bench \
     --bin bench_sparse_gemm -- --smoke
 
-echo "== autotune smoke: profile path + tuner neutrality on 2 workers =="
-# One executor run under SrummaOptions::from_profile(), then a
-# tuner-on vs tuner-off batch on an oversubscribed pool. The smoke
-# hard-asserts bitwise-identical outputs (the tuner may only move
-# scheduling knobs) and bounded tuner overhead; a window-clamp bug in
-# the tuned fence gating deadlocks, so the run is bounded.
-timeout 300 cargo run --release -q -p srumma-bench \
-    --bin bench_autotune -- --smoke
-
 echo "== chaos pass: fault injection under fixed-seed plans =="
 # The chaos suite injects stragglers, spiked gets and a rank death
 # (with task re-execution) from seeded FaultPlans. Its failure modes
@@ -146,7 +148,7 @@ echo "== hierarchical smoke: 4096 simulated ranks on the virtual backend =="
 # flat at 4096 ranks; hangs in the staging fence or the replica
 # reduction are bounded by the timeout.
 timeout 300 cargo run --release -q -p srumma-bench \
-    --bin bench_hierarchy -- --smoke --out /tmp/BENCH_hierarchy.json
+    --bin bench_hierarchy -- --smoke --out "$out/BENCH_hierarchy.json"
 
 echo "== perf gate (warn): hierarchical inter-node bytes =="
 # Diff the smoke point against the checked-in crossover baseline on the
@@ -156,7 +158,7 @@ echo "== perf gate (warn): hierarchical inter-node bytes =="
 # it warn-only so an intentional model change reads as a diff to
 # re-baseline, not a red CI.
 if [ -f results/BENCH_hierarchy.json ]; then
-    if ! ./scripts/bench_diff results/BENCH_hierarchy.json /tmp/BENCH_hierarchy.json \
+    if ! ./scripts/bench_diff results/BENCH_hierarchy.json "$out/BENCH_hierarchy.json" \
         --strict --only internode_bytes --threshold internode_bytes=0.5; then
         echo "WARNING: hierarchical inter-node bytes moved vs checked-in baseline (warn-only gate)"
     fi
@@ -172,8 +174,8 @@ echo "== perf gate (warn): straggler degradation ratio =="
 # moves when the model or the algorithms change — read the diff).
 if [ -f results/BENCH_degradation.json ]; then
     cargo run --release -q -p srumma-bench --bin bench_degradation -- \
-        --out /tmp/BENCH_degradation.json >/dev/null
-    if ! ./scripts/bench_diff results/BENCH_degradation.json /tmp/BENCH_degradation.json \
+        --out "$out/BENCH_degradation.json" >/dev/null
+    if ! ./scripts/bench_diff results/BENCH_degradation.json "$out/BENCH_degradation.json" \
         --strict --only degradation_ratio; then
         echo "WARNING: straggler degradation ratios moved vs checked-in baseline (warn-only gate)"
     fi
@@ -191,8 +193,8 @@ echo "== perf gate (hard): dense gemm kernel =="
 GATE_MODE="${SRUMMA_PERF_GATE:-fail}"
 if [ -f results/BENCH_dense_gemm.json ]; then
     cargo run --release -q -p srumma-bench --bin bench_dense_gemm -- \
-        --quick --out /tmp/BENCH_dense_gemm.json >/dev/null
-    if ! ./scripts/bench_diff results/BENCH_dense_gemm.json /tmp/BENCH_dense_gemm.json \
+        --quick --out "$out/BENCH_dense_gemm.json" >/dev/null
+    if ! ./scripts/bench_diff results/BENCH_dense_gemm.json "$out/BENCH_dense_gemm.json" \
         --strict --only speedup; then
         if [ "$GATE_MODE" = "warn" ]; then
             echo "WARNING: dense gemm perf regressed vs checked-in baseline (SRUMMA_PERF_GATE=warn)"
@@ -207,7 +209,7 @@ if [ -f results/BENCH_dense_gemm.json ]; then
     # avx512/neon), warn-only: it tracks kernel-level regressions
     # across commits without letting runner-hardware variance block
     # merges.
-    if ! ./scripts/bench_diff results/BENCH_dense_gemm.json /tmp/BENCH_dense_gemm.json \
+    if ! ./scripts/bench_diff results/BENCH_dense_gemm.json "$out/BENCH_dense_gemm.json" \
         --strict --only gflops; then
         echo "WARNING: dense gemm absolute GFLOP/s moved vs checked-in baseline (warn-only gate)"
     fi
@@ -215,7 +217,7 @@ if [ -f results/BENCH_dense_gemm.json ]; then
     # The packers under the ladder (pack_ns_per_elem_*, lower is
     # better), warn-only for the same reason: absolute nanoseconds
     # follow the runner's cache and memory, not only the code.
-    if ! ./scripts/bench_diff results/BENCH_dense_gemm.json /tmp/BENCH_dense_gemm.json \
+    if ! ./scripts/bench_diff results/BENCH_dense_gemm.json "$out/BENCH_dense_gemm.json" \
         --strict --only pack_ns_per_elem; then
         echo "WARNING: pack cost per element moved vs checked-in baseline (warn-only gate)"
     fi
@@ -230,8 +232,8 @@ echo "== perf gate (hard): executor vs thread-per-rank scaling =="
 # The wider threshold absorbs scheduler jitter on loaded runners.
 if [ -f results/BENCH_executor_scaling.json ]; then
     cargo run --release -q -p srumma-bench --bin bench_executor_scaling -- \
-        --quick --out /tmp/BENCH_executor_scaling.json >/dev/null
-    if ! ./scripts/bench_diff results/BENCH_executor_scaling.json /tmp/BENCH_executor_scaling.json \
+        --quick --out "$out/BENCH_executor_scaling.json" >/dev/null
+    if ! ./scripts/bench_diff results/BENCH_executor_scaling.json "$out/BENCH_executor_scaling.json" \
         --strict --threshold 40 --only speedup; then
         if [ "$GATE_MODE" = "warn" ]; then
             echo "WARNING: executor scaling regressed vs checked-in baseline (SRUMMA_PERF_GATE=warn)"
@@ -245,31 +247,6 @@ else
     echo "no checked-in baseline (results/BENCH_executor_scaling.json); skipping"
 fi
 
-echo "== perf gate (warn): tuned vs static-Auto batch streams =="
-# The self-tuning runtime must pay for itself: bench_autotune itself
-# hard-fails if the tuner costs more than 5% on any config
-# (tuned_speedup_min < 0.95), and the diff against the checked-in
-# baseline is warn-only on top — wall-clock ratios on a loaded runner
-# are too noisy for a hard cross-host gate.
-if [ -f results/BENCH_autotune.json ]; then
-    # The quick run's own in-bench gate is warn-only here too: on a
-    # loaded 1-core runner the 2-sample quick sweep can dip below the
-    # 0.95 floor on noise alone; the full sweep owns the hard gate.
-    rm -f /tmp/BENCH_autotune.json
-    if ! timeout 600 cargo run --release -q -p srumma-bench --bin bench_autotune -- \
-        --quick --out /tmp/BENCH_autotune.json >/dev/null; then
-        echo "WARNING: quick autotune sweep tripped its in-bench gate (warn-only in CI)"
-    fi
-    if [ -f /tmp/BENCH_autotune.json ]; then
-        if ! ./scripts/bench_diff results/BENCH_autotune.json /tmp/BENCH_autotune.json \
-            --strict --threshold 40 --only tuned_speedup; then
-            echo "WARNING: tuned-vs-static speedup moved vs checked-in baseline (warn-only gate)"
-        fi
-    fi
-else
-    echo "no checked-in baseline (results/BENCH_autotune.json); skipping"
-fi
-
 echo "== perf gate (warn): block-sparse speedup vs density =="
 # Sparse pruning is a *throughput* feature: gate on the
 # sparse-over-dense speedup ratios, which are host-stable. Warn-only
@@ -277,8 +254,8 @@ echo "== perf gate (warn): block-sparse speedup vs density =="
 # single density cell; the smoke above is the hard correctness gate.
 if [ -f results/BENCH_sparse_gemm.json ]; then
     cargo run --release -q -p srumma-bench --bin bench_sparse_gemm -- \
-        --quick --out /tmp/BENCH_sparse_gemm.json >/dev/null
-    if ! ./scripts/bench_diff results/BENCH_sparse_gemm.json /tmp/BENCH_sparse_gemm.json \
+        --quick --out "$out/BENCH_sparse_gemm.json" >/dev/null
+    if ! ./scripts/bench_diff results/BENCH_sparse_gemm.json "$out/BENCH_sparse_gemm.json" \
         --strict --threshold 40 --only speedup_sparse; then
         echo "WARNING: block-sparse speedup regressed vs checked-in baseline (warn-only gate)"
     fi

@@ -45,7 +45,6 @@ fn random_srumma(rng: &mut Rng) -> SrummaOptions {
             ShmemFlavor::ForceDirect,
         ]),
         gemm: None,
-        tuner: None,
     }
 }
 

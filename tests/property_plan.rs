@@ -67,7 +67,6 @@ const SRUMMA: Algorithm = Algorithm::Srumma(SrummaOptions {
     prefetch_depth: 1,
     shmem: ShmemFlavor::Auto,
     gemm: None,
-    tuner: None,
 });
 
 /// A plain SRUMMA draw: 8 ranks (a 2 x 4 grid), nodes of 2, `C = A·B`
@@ -308,7 +307,6 @@ fn random_draw(rng: &mut Rng) -> Draw {
                 ShmemFlavor::ForceDirect,
             ]),
             gemm: None,
-            tuner: None,
         }),
     };
     let on = match rng.below(3) {
