@@ -19,7 +19,7 @@
 //! * `gflops_naive_n` (n ≤ 256), `gflops_scalar_n` — the two bottom
 //!   ladder rungs;
 //! * `gflops_<kernel>_n` for each available SIMD kernel — the raw
-//!   per-kernel rates `calibrate --kernels` also probes;
+//!   per-kernel rates (what to read before setting `SRUMMA_KERNEL`);
 //! * `gflops_simd_n` — the best SIMD rate (`max` over available SIMD
 //!   kernels: the rung a host-tuned dispatch would deliver), plus the
 //!   compatible `speedup_simd_over_scalar_n` gate metrics.

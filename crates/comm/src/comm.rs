@@ -41,7 +41,7 @@
 //! because the tests never fail.
 
 use crate::dist::DistMatrix;
-use srumma_dense::{GemmConfig, MatMut, MatRef, Op};
+use srumma_dense::{MatMut, MatRef, Op};
 use srumma_model::Topology;
 use srumma_trace::Recorder;
 
@@ -164,15 +164,6 @@ pub trait Comm {
     fn ws_grow_count(&self) -> u64 {
         0
     }
-
-    /// Reconfigure this rank's serial-kernel workspace (micro-kernel,
-    /// cache blocks). Idempotent: a config equal to the one already in
-    /// effect must keep the existing workspace (and its buffers)
-    /// untouched, so repeated machine
-    /// setups preserve the grow-at-most-once guarantee tracked by
-    /// [`Comm::ws_grow_count`]. Backends without a real workspace
-    /// (modeled compute) may ignore it.
-    fn configure_gemm(&mut self, _cfg: &GemmConfig) {}
 
     /// Back a prefetch-pipeline slot's fetch buffer for one multiply:
     /// a backend that pools buffers swaps a free one (capacity kept,

@@ -582,11 +582,6 @@ impl DistMatrix {
         }
         out
     }
-
-    /// Total bytes of the whole matrix.
-    pub fn total_bytes(&self) -> u64 {
-        (self.rows * self.cols * std::mem::size_of::<f64>()) as u64
-    }
 }
 
 /// Where a [`BlockRead`] finds its elements.

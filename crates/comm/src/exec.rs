@@ -46,7 +46,7 @@
 use crate::comm::{Comm, GetHandle, RankProgram, Step};
 use crate::deque::WorkDeque;
 use crate::dist::DistMatrix;
-use srumma_dense::{dgemm_ws, GemmConfig, GemmWorkspace, MatMut, MatRef, Op};
+use srumma_dense::{dgemm_ws, GemmWorkspace, MatMut, MatRef, Op};
 use srumma_model::Topology;
 use srumma_trace::{Counters, ExecStats, Recorder, RunStats, TraceEvent, TraceKind};
 use std::any::Any;
@@ -564,10 +564,8 @@ pub struct ExecComm {
     mode: TaskMode,
     core: Arc<SchedCore>,
     recorder: Recorder,
-    /// This rank's resolved serial-kernel configuration; the workspace
-    /// itself belongs to whichever thread runs the rank's `gemm`.
-    cfg: GemmConfig,
-    /// Grow count of the workspace this rank last computed in.
+    /// Grow count of the workspace this rank last computed in (the
+    /// workspace itself belongs to whichever thread runs the `gemm`).
     ws_grows: u64,
     /// Split-barrier bookkeeping for FSM ranks: fence index awaited and
     /// the span start time.
@@ -583,7 +581,6 @@ impl ExecComm {
             mode,
             core,
             recorder: Recorder::new(rank, trace),
-            cfg: GemmWorkspace::new().config(),
             ws_grows: 0,
             arrived: None,
         }
@@ -695,12 +692,6 @@ impl Comm for ExecComm {
 
     fn ws_grow_count(&self) -> u64 {
         self.ws_grows
-    }
-
-    fn configure_gemm(&mut self, cfg: &GemmConfig) {
-        // Resolve `None` fields like construction would. A worker keeps
-        // its workspace for as long as the ranks it runs agree on this.
-        self.cfg = GemmWorkspace::configured(*cfg).config();
     }
 
     fn lease_buf(&mut self, buf: &mut Vec<f64>) {
@@ -842,11 +833,7 @@ impl Comm for ExecComm {
         // A gemm call never yields, so the lease of the running
         // thread's workspace is the call.
         SCRATCH.with_borrow_mut(|s| {
-            if s.ws.as_ref().is_some_and(|ws| ws.config() != self.cfg) {
-                s.ws = None;
-            }
-            let ws =
-                s.ws.get_or_insert_with(|| GemmWorkspace::configured(self.cfg));
+            let ws = s.ws.get_or_insert_with(GemmWorkspace::new);
             let before = ws.grow_count();
             dgemm_ws(ta, tb, alpha, a, b, 1.0, c, ws);
             self.ws_grows = ws.grow_count();

@@ -34,7 +34,7 @@
 
 use crate::comm::{Comm, GetHandle};
 use crate::dist::DistMatrix;
-use srumma_dense::{GemmConfig, MatMut, MatRef, Op, Rng};
+use srumma_dense::{MatMut, MatRef, Op, Rng};
 use srumma_model::Topology;
 use srumma_trace::Recorder;
 use std::time::{Duration, Instant};
@@ -261,9 +261,6 @@ impl<C: Comm + ?Sized> Comm for &mut C {
     fn ws_grow_count(&self) -> u64 {
         (**self).ws_grow_count()
     }
-    fn configure_gemm(&mut self, cfg: &GemmConfig) {
-        (**self).configure_gemm(cfg)
-    }
     fn lease_buf(&mut self, buf: &mut Vec<f64>) {
         (**self).lease_buf(buf)
     }
@@ -397,9 +394,6 @@ impl<C: Comm> Comm for ChaosComm<C> {
     }
     fn ws_grow_count(&self) -> u64 {
         self.inner.ws_grow_count()
-    }
-    fn configure_gemm(&mut self, cfg: &GemmConfig) {
-        self.inner.configure_gemm(cfg)
     }
     fn lease_buf(&mut self, buf: &mut Vec<f64>) {
         self.inner.lease_buf(buf)

@@ -9,7 +9,7 @@
 use crate::comm::{Comm, GetHandle};
 use crate::dist::DistMatrix;
 use crate::fault::{FaultPlan, FaultPlanError};
-use srumma_dense::{dgemm_ws, GemmConfig, GemmWorkspace, MatMut, MatRef, Op};
+use srumma_dense::{dgemm_ws, GemmWorkspace, MatMut, MatRef, Op};
 use srumma_model::network::Path;
 use srumma_model::{protocol, Machine, Topology, TransferCost};
 use srumma_sim::{run_sim, SimConfig, SimProc, SimResult, TransferSpec};
@@ -213,16 +213,6 @@ impl Comm for SimComm {
 
     fn ws_grow_count(&self) -> u64 {
         self.ws.grow_count()
-    }
-
-    fn configure_gemm(&mut self, cfg: &GemmConfig) {
-        // Same idempotent swap as the thread backend: only a config
-        // that actually differs replaces the workspace. Modeled runs
-        // never touch the buffers, so this is cheap either way.
-        let resolved = GemmWorkspace::configured(*cfg);
-        if resolved.config() != self.ws.config() {
-            self.ws = resolved;
-        }
     }
 
     fn barrier(&mut self) {

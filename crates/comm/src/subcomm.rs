@@ -19,7 +19,7 @@
 
 use crate::comm::{Comm, GetHandle};
 use crate::dist::DistMatrix;
-use srumma_dense::{GemmConfig, MatMut, MatRef, Op};
+use srumma_dense::{MatMut, MatRef, Op};
 use srumma_model::Topology;
 use srumma_trace::Recorder;
 
@@ -96,10 +96,6 @@ impl<C: Comm> Comm for SubComm<'_, C> {
 
     fn ws_grow_count(&self) -> u64 {
         self.inner.ws_grow_count()
-    }
-
-    fn configure_gemm(&mut self, cfg: &GemmConfig) {
-        self.inner.configure_gemm(cfg);
     }
 
     fn lease_buf(&mut self, buf: &mut Vec<f64>) {

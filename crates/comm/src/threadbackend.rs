@@ -10,7 +10,7 @@
 
 use crate::comm::{Comm, GetHandle};
 use crate::dist::DistMatrix;
-use srumma_dense::{dgemm_ws, GemmConfig, GemmWorkspace, MatMut, MatRef, Op};
+use srumma_dense::{dgemm_ws, GemmWorkspace, MatMut, MatRef, Op};
 use srumma_model::Topology;
 use srumma_trace::{Counters, Recorder, RunStats, TraceEvent, TraceKind};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -166,16 +166,6 @@ impl Comm for ThreadComm {
 
     fn ws_grow_count(&self) -> u64 {
         self.ws.grow_count()
-    }
-
-    fn configure_gemm(&mut self, cfg: &GemmConfig) {
-        // Resolve `None` fields exactly like construction would, then
-        // swap workspaces only when the effective config changed —
-        // idempotent reconfiguration keeps grow-at-most-once intact.
-        let resolved = GemmWorkspace::configured(*cfg);
-        if resolved.config() != self.ws.config() {
-            self.ws = resolved;
-        }
     }
 
     fn barrier(&mut self) {

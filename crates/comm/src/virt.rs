@@ -24,7 +24,7 @@
 use crate::comm::{Comm, GetHandle, Step};
 use crate::dist::DistMatrix;
 use crate::exec::{exec_run_tasks, RankTask};
-use srumma_dense::{dgemm_ws, GemmConfig, GemmWorkspace, MatMut, MatRef, Op};
+use srumma_dense::{dgemm_ws, GemmWorkspace, MatMut, MatRef, Op};
 use srumma_model::{protocol, Machine, Topology, TransferCost};
 use srumma_trace::{Counters, RankStats, Recorder, RunStats};
 use std::sync::Arc;
@@ -150,13 +150,6 @@ impl Comm for VirtualComm {
 
     fn ws_grow_count(&self) -> u64 {
         self.ws.grow_count()
-    }
-
-    fn configure_gemm(&mut self, cfg: &GemmConfig) {
-        let resolved = GemmWorkspace::configured(*cfg);
-        if resolved.config() != self.ws.config() {
-            self.ws = resolved;
-        }
     }
 
     /// Non-blocking in virtual time: cuts the current clock segment.

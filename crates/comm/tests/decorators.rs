@@ -10,7 +10,7 @@
 //! and bring the fake's (deliberately non-default) answer back.
 
 use srumma_comm::{ChaosComm, Comm, DistMatrix, FaultPlan, GetHandle, SubComm};
-use srumma_dense::{BlockSizes, GemmConfig, MatMut, MatRef, Op};
+use srumma_dense::{MatMut, MatRef, Op};
 use srumma_model::{ProcGrid, Topology};
 use srumma_trace::Recorder;
 use std::cell::RefCell;
@@ -83,9 +83,6 @@ impl Comm for Fake {
     fn ws_grow_count(&self) -> u64 {
         self.note("ws_grow_count".into());
         7
-    }
-    fn configure_gemm(&mut self, cfg: &GemmConfig) {
-        self.note(format!("configure_gemm({cfg:?})"));
     }
     fn lease_buf(&mut self, buf: &mut Vec<f64>) {
         self.note(format!("lease_buf(len {})", buf.len()));
@@ -165,14 +162,6 @@ impl Comm for Fake {
 /// tags are fixed.
 fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
     let mat = DistMatrix::create_virtual(ProcGrid::new(2, 2), 6, 10);
-    let cfg = GemmConfig {
-        kernel: None,
-        blocks: Some(BlockSizes {
-            mc: 8,
-            kc: 16,
-            nc: 24,
-        }),
-    };
     let a = [1.0; 6];
     let a = Some(MatRef::new(2, 3, 3, &a));
     let mut buf = vec![0.0; 3];
@@ -192,7 +181,6 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
         ("nbput", format!("{:?}", c.nbput(&mat, 2, &[1.5, 2.5]))),
     ];
     c.barrier();
-    c.configure_gemm(&cfg);
     c.lease_buf(&mut buf);
     c.return_buf(&mut buf);
     c.wait(GetHandle::Virt(9));
@@ -223,9 +211,9 @@ fn without_rank_queries(mut log: Vec<String>) -> Vec<String> {
     log
 }
 
-/// The trait has 26 methods; `get` and `put` are its own compositions,
+/// The trait has 25 methods; `get` and `put` are its own compositions,
 /// which the fake leaves alone, so they show as the `nbget`/`nbput` +
-/// `wait` they issue. The other 24 must each have been reached.
+/// `wait` they issue. The other 23 must each have been reached.
 #[test]
 fn every_trait_method_is_called() {
     let mut reached: Vec<String> = direct()
@@ -240,7 +228,7 @@ fn every_trait_method_is_called() {
         .collect();
     reached.sort();
     reached.dedup();
-    assert_eq!(reached.len(), 24, "{reached:?}");
+    assert_eq!(reached.len(), 23, "{reached:?}");
 }
 
 #[test]

@@ -222,16 +222,6 @@ fn build_storage(
         }
     }
     let (arena, _offsets) = SharedArena::new(&lens);
-    // Clamp explicit cache blocks to the stream's high-water shape,
-    // once for the whole batch: workspaces then size for what
-    // the largest entry can touch instead of a profile's paper-scale
-    // maxima, while every entry still sees the *same* gemm config, so
-    // configure_gemm stays idempotent and grow-at-most-once holds.
-    // (`min(block, dim)` never changes the tiling of a call whose dims
-    // fit the clamp — bitwise-neutral; see `GemmConfig::clamped_to`.)
-    let (hm, hk, hn) = batch.entries.iter().fold((0, 0, 0), |(m, k, n), e| {
-        (m.max(e.spec.m), k.max(e.spec.k), n.max(e.spec.n))
-    });
     let plans = batch
         .entries
         .iter()
@@ -249,7 +239,7 @@ fn build_storage(
             }
             EntryPlan {
                 spec: entry.spec,
-                opts: batch.entry_opts(e).clamp_gemm_to(hm, hk, hn),
+                opts: batch.entry_opts(e),
                 da,
                 db,
                 dc: dist_c_in_arena(&entry.spec, grid, Arc::clone(&arena), base + 2, 3),

@@ -50,7 +50,6 @@ pub mod run;
 pub mod srumma;
 pub mod summa;
 pub mod taskorder;
-pub mod tune;
 
 pub use api::{parallel_gemm, Algorithm};
 pub use batch::{
@@ -65,4 +64,3 @@ pub use repl::{resolve_factor, srumma_replicated, ReplSet};
 pub use run::{Backend, RankReport, Run, RunError, RunOutput};
 pub use srumma::{srumma as srumma_gemm, SrummaMachine, SrummaProgram, SrummaReport};
 pub use summa::SummaOptions;
-pub use tune::{HostProfile, ProfileError, PROFILE_VERSION};

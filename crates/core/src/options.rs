@@ -1,6 +1,12 @@
 //! Operation descriptors and algorithm options.
+//!
+//! What a run reads is the [`SrummaOptions`] it was handed and the
+//! process's serial kernel — `SRUMMA_KERNEL`, else CPU detection, over
+//! the constant `MC`/`KC`/`NC` of `srumma_dense::blocked` — and nothing
+//! on disk: the kernel is a property of the machine, as the vendor
+//! `dgemm` the paper links is, never of one multiply.
 
-use srumma_dense::{GemmConfig, Op};
+use srumma_dense::Op;
 
 /// One parallel matrix-multiplication problem:
 /// `C ← α·op(A)·op(B) + β·C` with `op(A)` of shape `m × k` and `op(B)`
@@ -130,12 +136,6 @@ pub struct SrummaOptions {
     pub prefetch_depth: usize,
     /// Shared-memory flavor (§3.2).
     pub shmem: ShmemFlavor,
-    /// Serial-kernel configuration override (micro-kernel, cache
-    /// blocks). `None` keeps each backend's default, i.e. the
-    /// dispatched kernel (`SRUMMA_KERNEL` or CPU detection) and the
-    /// default blocks; `Some` is pushed to every rank workspace via
-    /// `Comm::configure_gemm` at machine setup.
-    pub gemm: Option<GemmConfig>,
 }
 
 impl Default for SrummaOptions {
@@ -146,7 +146,6 @@ impl Default for SrummaOptions {
             double_buffer: true,
             prefetch_depth: 1,
             shmem: ShmemFlavor::Auto,
-            gemm: None,
         }
     }
 }
@@ -160,28 +159,7 @@ impl SrummaOptions {
             double_buffer: false,
             prefetch_depth: 0,
             shmem: ShmemFlavor::ForceCopy,
-            gemm: None,
         }
-    }
-
-    /// Override the serial-kernel configuration on every rank.
-    pub fn with_gemm(mut self, cfg: GemmConfig) -> Self {
-        self.gemm = Some(cfg);
-        self
-    }
-
-    /// [`GemmConfig::clamped_to`] applied to the explicit gemm config,
-    /// if any. Drivers call this once per problem — or once per batch
-    /// stream with the stream's *high-water* shape — so a host profile
-    /// calibrated at paper scale never sizes per-rank packing buffers
-    /// beyond what the problem at hand can touch. The clamp must be
-    /// uniform across a stream: a per-entry clamp would make
-    /// `configure_gemm` see a different config at every entry and
-    /// re-grow the workspace mid-batch, defeating grow-at-most-once.
-    #[must_use]
-    pub fn clamp_gemm_to(mut self, m: usize, k: usize, n: usize) -> Self {
-        self.gemm = self.gemm.map(|g| g.clamped_to(m, k, n));
-        self
     }
 
     /// The pipeline depth actually used: 0 when double buffering is

@@ -238,12 +238,6 @@ impl<'a> SrummaMachine<'a> {
         opts: &SrummaOptions,
         mut scratch: MachineScratch,
     ) -> Self {
-        // Push any serial-kernel override to the backend before the
-        // first gemm; configure_gemm is idempotent, so batch
-        // continuations re-applying the same config never re-grow.
-        if let Some(cfg) = opts.gemm {
-            comm.configure_gemm(&cfg);
-        }
         let me = comm.rank();
         let grid = c.grid();
         let (gi, gj) = grid.coords(me);
@@ -608,11 +602,7 @@ impl<'a> SrummaProgram<'a> {
             a,
             b,
             c,
-            // One spec per run, so clamping explicit cache blocks to the
-            // problem shape here is uniform across every configure_gemm
-            // this comm sees (bitwise-neutral; see
-            // `GemmConfig::clamped_to`).
-            opts: opts.clamp_gemm_to(spec.m, spec.k, spec.n),
+            opts: *opts,
             stages,
             phase: if stages.is_some() {
                 Phase::Stage

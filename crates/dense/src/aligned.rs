@@ -52,12 +52,11 @@ impl AlignedBuf {
     /// The allocation deliberately goes through `vec![0.0; n]` rather
     /// than `resize`: `from_elem(0.0, n)` lowers to `alloc_zeroed`, so
     /// the zero fill is untouched kernel pages, not 8-byte stores. A
-    /// workspace configured with paper-scale cache blocks (a calibrated
-    /// host profile pins mc/kc/nc for the *largest* problems) then
-    /// costs a small multiply only the pages its packers actually
-    /// touch — measured 6× on a 48×48 multiply under a 128/512/512
-    /// profile, where eager zeroing of 16 ranks' panels dwarfed the
-    /// actual compute.
+    /// workspace's panels are sized for full cache blocks (≈ 1.1 MB at
+    /// the default `MC`/`KC`/`NC`), so a small multiply then costs only
+    /// the pages its packers actually touch — measured 6× on a 48×48
+    /// multiply with 128/512/512 blocks, where eager zeroing of 16
+    /// ranks' panels dwarfed the actual compute.
     pub fn grow_to(&mut self, n: usize) -> bool {
         if n <= self.len {
             return false;

@@ -17,10 +17,10 @@
 //! The packing buffers live in a [`GemmWorkspace`] that callers on hot
 //! paths (the `Comm::gemm` implementations, the SRUMMA task loop) keep
 //! across calls, so the steady state performs **zero** heap
-//! allocations; the cache-block sizes are per-workspace [`BlockSizes`]
-//! the `calibrate` harness can probe instead of hard-coded constants.
-//! The micro-kernel itself is dispatched once per process (or pinned
-//! per workspace) — see [`crate::kernel::Microkernel`].
+//! allocations. A workspace runs the process kernel — dispatched once
+//! per process, see [`crate::kernel::Microkernel`] — over the constant
+//! [`MC`]/[`KC`]/[`NC`]; only the differential tests and the kernel
+//! ladder pin another kernel or other [`BlockSizes`] per workspace.
 //!
 //! `SRUMMA_KERNEL` (see [`crate::kernel`]) is the one environment knob
 //! of the serial path; it is parsed strictly — an unrecognized value
@@ -48,16 +48,16 @@ pub const MC: usize = 64;
 /// L1d of the host the tile was sized on.
 pub const KC: usize = 256;
 /// Default N-dimension block. A workspace uses it rounded down to whole
-/// `nr`-wide slivers of its kernel ([`GemmWorkspace::configured`]): 512
-/// as configured would end every B panel of a wide matrix in a ragged
+/// `nr`-wide slivers of its kernel ([`GemmWorkspace::with_config`]): 512
+/// as it stands would end every B panel of a wide matrix in a ragged
 /// 8-column sliver under both `nr = 12` and `nr = 24`.
 pub const NC: usize = 512;
 
-/// Tunable cache-block sizes for the three blocking levels.
+/// Cache-block sizes for the three blocking levels.
 ///
-/// Correctness never depends on these; throughput does. The defaults
-/// match the historical constants; `cargo run --bin calibrate` probes a
-/// candidate grid on the host and reports the best-performing set.
+/// Correctness never depends on these; throughput does, and `kc` fixes
+/// the rounding (see [`KC`]). Every run uses the defaults; the
+/// differential tests pass others to show exactly that.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockSizes {
     /// A-panel rows per pack (`ic` step).
@@ -89,80 +89,6 @@ impl BlockSizes {
     }
 }
 
-/// A complete gemm configuration: which kernel and which cache blocks.
-///
-/// `None` fields mean "resolve at workspace construction" (the
-/// process-wide dispatched kernel — `SRUMMA_KERNEL` or CPU detection —
-/// and the default block sizes). [`GemmWorkspace::new`] and the comm
-/// backends start from `GemmConfig::default()` before applying per-run
-/// option overrides.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct GemmConfig {
-    /// Pinned micro-kernel, or `None` for the dispatched one.
-    pub kernel: Option<Microkernel>,
-    /// Explicit cache blocks, or `None` for the defaults.
-    pub blocks: Option<BlockSizes>,
-}
-
-impl GemmConfig {
-    /// Clamp explicit cache blocks to a known problem shape (or a
-    /// stream's high-water shape): `min(block, dim)` per dimension.
-    ///
-    /// A cache block that already covers a dimension tiles it as one
-    /// chunk whether it is `dim` or ten times `dim`, so for every gemm
-    /// call whose dims fit the clamp this changes nothing — outputs
-    /// stay bitwise identical. What does change is the workspace
-    /// demand ([`GemmWorkspace::reserve`] sizes `apack`/`bpack` from
-    /// the configured blocks): a host profile calibrated at paper
-    /// scale (say `kc = nc = 512`) would otherwise make every rank of
-    /// a small-stream pool allocate — and first-touch — megabytes of
-    /// panel it can never use. Auto blocks (`None`) are left to the
-    /// resolver untouched.
-    pub fn clamped_to(mut self, m: usize, k: usize, n: usize) -> Self {
-        if let Some(b) = &mut self.blocks {
-            b.mc = b.mc.min(m.max(1));
-            b.kc = b.kc.min(k.max(1));
-            b.nc = b.nc.min(n.max(1));
-        }
-        self
-    }
-}
-
-/// The environment knobs an explicit `cfg` overrides: `SRUMMA_KERNEL`
-/// when it is both *set* and *contradicted* by the config's pinned
-/// kernel. Empty when the variable is unset, the config pins no kernel,
-/// or the two agree.
-///
-/// Precedence is uniform everywhere: an explicit `GemmConfig` (whether
-/// set directly, through `SrummaOptions`, or resolved from a host
-/// profile) beats the environment. [`GemmWorkspace::configured`] calls
-/// this and warns **once per process** when the override is exercised,
-/// so a user who exported `SRUMMA_KERNEL=avx2` and then ran a
-/// profile-pinned benchmark learns which setting actually applied.
-pub fn explicit_env_conflicts(cfg: &GemmConfig) -> Vec<&'static str> {
-    let mut conflicts = Vec::new();
-    if let Some(kernel) = cfg.kernel {
-        if std::env::var("SRUMMA_KERNEL").is_ok() && kernel != active_kernel() {
-            conflicts.push("SRUMMA_KERNEL");
-        }
-    }
-    conflicts
-}
-
-fn warn_env_overridden(cfg: &GemmConfig) {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let conflicts = explicit_env_conflicts(cfg);
-    if !conflicts.is_empty() {
-        WARNED.call_once(|| {
-            eprintln!(
-                "srumma: explicit gemm configuration overrides {} (explicit config wins \
-                 over environment; this is reported once)",
-                conflicts.join(", ")
-            );
-        });
-    }
-}
-
 /// Reusable per-caller gemm state: the packing buffers, the cache-block
 /// sizes, and the micro-kernel the packing layout is sized for.
 ///
@@ -189,62 +115,38 @@ impl Default for GemmWorkspace {
 }
 
 impl GemmWorkspace {
-    /// Workspace for the process-wide dispatched kernel and the default
-    /// block sizes.
+    /// Workspace for the process kernel (`SRUMMA_KERNEL`, else CPU
+    /// detection) and the default block sizes — what every run uses.
     pub fn new() -> Self {
-        Self::configured(GemmConfig::default())
+        Self::with_kernel(active_kernel())
     }
 
-    /// Workspace pinned to an explicit kernel (differential tests, CI
-    /// fallback runs).
+    /// Workspace pinned to an explicit kernel (differential tests, the
+    /// kernel ladder of `bench_dense_gemm`).
     ///
     /// # Panics
     /// Panics if `kernel` is not available on this host.
     pub fn with_kernel(kernel: Microkernel) -> Self {
-        Self::configured(GemmConfig {
-            kernel: Some(kernel),
-            blocks: None,
-        })
+        Self::with_config(kernel, BlockSizes::default())
     }
 
-    /// Workspace with explicit block sizes (the `calibrate` probe).
-    pub fn with_blocks(blocks: BlockSizes) -> Self {
-        Self::configured(GemmConfig {
-            kernel: None,
-            blocks: Some(blocks),
-        })
-    }
-
-    /// Workspace with explicit kernel and block sizes.
+    /// Workspace with explicit kernel and block sizes (differential
+    /// tests only).
+    ///
+    /// `blocks.nc` takes effect rounded down to a whole number of the
+    /// kernel's `nr`-wide slivers (at least one), so that only a
+    /// matrix's own last columns ever make a ragged sliver, never the
+    /// panel width; [`Self::blocks`] reports the value in effect.
+    /// Bitwise-neutral, like any choice of `nc`.
     ///
     /// # Panics
     /// Panics if `kernel` is not available on this host.
-    pub fn with_config(kernel: Microkernel, blocks: BlockSizes) -> Self {
-        Self::configured(GemmConfig {
-            kernel: Some(kernel),
-            blocks: Some(blocks),
-        })
-    }
-
-    /// Workspace from a full [`GemmConfig`].
-    ///
-    /// The configured `nc` takes effect rounded down to a whole number
-    /// of the kernel's `nr`-wide slivers (at least one), so that only a
-    /// matrix's own last columns ever make a ragged sliver, never the
-    /// panel width; [`Self::blocks`] and [`Self::config`] report the
-    /// value in effect. Bitwise-neutral, like any choice of `nc`.
-    ///
-    /// # Panics
-    /// Panics if the pinned kernel is not available on this host.
-    pub fn configured(cfg: GemmConfig) -> Self {
-        warn_env_overridden(&cfg);
-        let kernel = cfg.kernel.unwrap_or_else(active_kernel);
+    pub fn with_config(kernel: Microkernel, mut blocks: BlockSizes) -> Self {
         assert!(
             kernel.available(),
             "{} kernel is not available on this host",
             kernel.name()
         );
-        let mut blocks = cfg.blocks.unwrap_or_default();
         blocks.nc = (blocks.nc / kernel.nr()).max(1) * kernel.nr();
         GemmWorkspace {
             kernel,
@@ -265,15 +167,6 @@ impl GemmWorkspace {
         self.blocks
     }
 
-    /// The full configuration this workspace was resolved to, suitable
-    /// for idempotence checks (rebuild only when the config changed).
-    pub fn config(&self) -> GemmConfig {
-        GemmConfig {
-            kernel: Some(self.kernel),
-            blocks: Some(self.blocks),
-        }
-    }
-
     /// How many times the packing buffers have grown. After the first
     /// gemm this stays constant — the reuse guarantee tests assert on.
     pub fn grow_count(&self) -> u64 {
@@ -284,9 +177,8 @@ impl GemmWorkspace {
     /// and one (kc × nc) B panel. Buffer demand depends only on the
     /// workspace configuration, so this grows at most once — and the
     /// allocation is zero-page-backed ([`AlignedBuf::grow_to`]), so a
-    /// small multiply under a big-block configuration (e.g. a host
-    /// profile calibrated at paper scale) only ever touches the panel
-    /// prefix it actually packs.
+    /// small multiply only ever touches the panel prefix it actually
+    /// packs.
     fn reserve(&mut self) {
         let (mr, nr) = (self.kernel.mr(), self.kernel.nr());
         let a_need = self.blocks.mc.div_ceil(mr) * mr * self.blocks.kc;
@@ -610,7 +502,7 @@ mod tests {
             (16, 8, 24),
             (128, 512, 96),
         ] {
-            let mut ws = GemmWorkspace::with_blocks(BlockSizes::new(mc, kc, nc));
+            let mut ws = GemmWorkspace::with_config(active_kernel(), BlockSizes::new(mc, kc, nc));
             let (m, n, k) = (37, 29, 41);
             let a = Matrix::random(m, k, 60);
             let b = Matrix::random(k, n, 61);

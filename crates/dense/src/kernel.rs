@@ -264,8 +264,8 @@ pub enum KernelRequest {
 }
 
 /// One line per valid kernel name with its availability on this host,
-/// used by the strict-parse error and by `calibrate --kernels`.
-pub fn host_kernel_summary() -> String {
+/// for the strict-parse error.
+fn host_kernel_summary() -> String {
     let mut lines = Vec::new();
     for k in Microkernel::all() {
         lines.push(format!(
@@ -310,8 +310,8 @@ pub fn parse_kernel_request(raw: &str) -> Result<KernelRequest, String> {
 }
 
 /// The best available kernel by static preference (widest vectors
-/// first); `SRUMMA_KERNEL` and `calibrate --kernels` exist because the
-/// static order is not always the measured order.
+/// first); `SRUMMA_KERNEL` exists because the static order is not
+/// always the measured order (`bench_dense_gemm` prints the ladder).
 fn best_available() -> Microkernel {
     #[cfg(target_arch = "x86_64")]
     {

@@ -52,7 +52,7 @@ pub mod simd;
 pub mod simd_neon;
 pub mod verify;
 
-pub use blocked::{dgemm_ws, explicit_env_conflicts, BlockSizes, GemmConfig, GemmWorkspace};
+pub use blocked::{dgemm_ws, BlockSizes, GemmWorkspace};
 pub use effmodel::EffModel;
 pub use gemm::{dgemm, dgemm_into, Op};
 pub use kernel::{active_kernel, Microkernel};

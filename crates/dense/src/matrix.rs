@@ -100,10 +100,6 @@ impl Matrix {
         &mut self.data
     }
 
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow the whole matrix as a view.
     pub fn as_ref(&self) -> MatRef<'_> {
         MatRef {

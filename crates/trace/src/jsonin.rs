@@ -1,19 +1,23 @@
 //! A minimal JSON reader for the workspace's own documents.
 //!
 //! The workspace builds offline with no external crates, so the
-//! documents written through [`crate::json`] — `BENCH_*.json` reports
-//! (`bench_diff` compares two of them) and the persisted
-//! `host_profile.json` that `srumma_core::tune` loads — are read back
-//! with this hand-rolled parser. It parses full JSON — objects, arrays,
+//! documents written through [`crate::json`] — the `BENCH_*.json`
+//! reports, two of which `bench_diff` compares — are read back with
+//! this hand-rolled parser. It parses full JSON — objects, arrays,
 //! strings with escapes, numbers, booleans, null — into a small
-//! [`Json`] tree; it does not aim to be fast or to validate every dark
-//! corner of the grammar, just to round-trip what the writer emits.
-//!
-//! (This module started life in `srumma-bench`; it moved down to the
-//! trace crate so `srumma-core` — which cannot depend on the bench
-//! harness — can parse host profiles.)
+//! [`Json`] tree; it does not aim to validate every dark corner of the
+//! grammar, just to round-trip what the writer emits. The files are
+//! named on a command line, though, so whatever they hold the parser
+//! returns — `Ok` or `Err`, in time linear in the input — and never
+//! panics: nesting is bounded by [`MAX_DEPTH`] (the recursion is the
+//! call stack) and a string is copied run by run, not character by
+//! character.
 
 use std::collections::BTreeMap;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts; the
+/// writer's own documents nest five deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,6 +37,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -79,6 +84,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -122,8 +129,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -135,6 +142,20 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// An array or object, one level further down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -237,12 +258,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (possibly multi-byte).
+                    // Everything up to the next quote or escape, as is
+                    // (both are ASCII, so the run ends on a boundary).
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?;
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
             }
         }

@@ -1,12 +1,11 @@
 //! Where result artifacts live, independent of the current directory.
 //!
 //! Every harness in the workspace writes its artifacts — `BENCH_*.json`
-//! reports, CSV tables, the calibration profile — under one `results/`
-//! directory. Historically each binary wrote the literal relative path
+//! reports, CSV tables, traces — under one `results/` directory.
+//! Historically each binary wrote the literal relative path
 //! `"results/…"`, which silently scattered files wherever the binary
 //! happened to be launched from. [`results_dir`] resolves the directory
-//! once, the same way for every writer *and* reader (the profile loader
-//! in `srumma-core` must find the file `calibrate` wrote):
+//! once, the same way for every writer:
 //!
 //! 1. `SRUMMA_RESULTS_DIR`, when set — an explicit deployment override
 //!    (CI sandboxes, read-only checkouts);
@@ -57,12 +56,6 @@ pub fn ensure_results_dir() -> std::io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// The canonical location of the persisted host calibration profile
-/// (see `srumma_core::tune`): `<results_dir>/host_profile.json`.
-pub fn host_profile_path() -> PathBuf {
-    results_dir().join("host_profile.json")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,12 +71,5 @@ mod tests {
             "unexpected results dir {}",
             dir.display()
         );
-    }
-
-    #[test]
-    fn profile_path_is_under_results() {
-        let p = host_profile_path();
-        assert_eq!(p.file_name().unwrap(), "host_profile.json");
-        assert_eq!(p.parent().unwrap(), results_dir());
     }
 }

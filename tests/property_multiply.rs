@@ -44,7 +44,6 @@ fn random_srumma(rng: &mut Rng) -> SrummaOptions {
             ShmemFlavor::ForceCopy,
             ShmemFlavor::ForceDirect,
         ]),
-        gemm: None,
     }
 }
 

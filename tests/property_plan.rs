@@ -66,7 +66,6 @@ const SRUMMA: Algorithm = Algorithm::Srumma(SrummaOptions {
     double_buffer: true,
     prefetch_depth: 1,
     shmem: ShmemFlavor::Auto,
-    gemm: None,
 });
 
 /// A plain SRUMMA draw: 8 ranks (a 2 x 4 grid), nodes of 2, `C = A·B`
@@ -306,7 +305,6 @@ fn random_draw(rng: &mut Rng) -> Draw {
                 ShmemFlavor::ForceCopy,
                 ShmemFlavor::ForceDirect,
             ]),
-            gemm: None,
         }),
     };
     let on = match rng.below(3) {
