@@ -27,6 +27,12 @@
 //! The raw per-kernel numbers sit alongside the `simd` rung so
 //! regressions in any single kernel stay visible to `bench_diff`.
 //!
+//! * `gflops_prepacked_{96,768}` — the same loop nest with both factors
+//!   already in sliver order (`dgemm_operands` over two `Packed`
+//!   sides, the dispatched kernel): what a SRUMMA task costs once its
+//!   gets have landed packed. Read it beside `gflops_simd_n`; the gap is
+//!   the pack the get took over.
+//!
 //! Next to the ladder, the packers that feed it: `pack_ns_per_elem_
 //! {a,b}_{n,t}_{96,1536}` — nanoseconds per element to pack a whole
 //! `S × S` source the way the blocked loop does (`MC × KC` panels for A,
@@ -34,7 +40,10 @@
 //! cache-resident source (96², the block an 8×8-rank n = 768 run hands
 //! out) and an out-of-cache one (1536²). `pack_ns_per_elem_b_n_w24_*`
 //! is the contiguous B pack at the AVX-512 sliver width whatever kernel
-//! this host dispatches. Lower is better.
+//! this host dispatches. `pack_ns_per_elem_get_{a,b}_n_96` is what a
+//! get that lands packed pays per element: one whole 96 × 96 block out
+//! of an `ld` = 768 window into a `PackedPanel` at full depth. Lower is
+//! better.
 //!
 //! Usage: `cargo run --release -p srumma-bench --bin bench_dense_gemm
 //! [-- --quick] [-- --out PATH]`
@@ -45,7 +54,9 @@ use srumma_dense::gemm::gemm_flops;
 use srumma_dense::kernel::{active_kernel, Microkernel, NR_AVX512};
 use srumma_dense::naive::naive_gemm;
 use srumma_dense::pack::{pack_a, pack_b};
-use srumma_dense::{dgemm_ws, BlockSizes, GemmWorkspace, Matrix, Op};
+use srumma_dense::{
+    dgemm_operands, dgemm_ws, BlockSizes, GemmWorkspace, Matrix, Op, Operand, PackedPanel, Side,
+};
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 use std::time::Instant;
@@ -119,6 +130,25 @@ fn bench_pack(s: usize, quick: bool) -> Vec<(String, f64)> {
     }
     out.push((format!("b_n_w24_{s}"), time_pack_b(Op::N, NR_AVX512)));
     out
+}
+
+/// A 96 × 96 block of an 8 × 8-rank n = 768 operand, packed whole as a
+/// get lands it (`N` storage: the strided mover on the A side, the
+/// contiguous one on the B side); `(key suffix, ns per element)`.
+fn bench_get_pack(quick: bool) -> Vec<(String, f64)> {
+    let host = Matrix::random(768, 768, 5);
+    let block = host.block(96, 192, 96, 96);
+    let mut panel = PackedPanel::new();
+    [(Side::A(Op::N), "a"), (Side::B(Op::N), "b")]
+        .into_iter()
+        .map(|(side, tag)| {
+            let s = best_seconds(quick, || {
+                panel.pack(side, active_kernel(), block);
+                std::hint::black_box(&mut panel);
+            });
+            (format!("get_{tag}_n_96"), s * 1e9 / (96.0 * 96.0))
+        })
+        .collect()
 }
 
 fn main() {
@@ -203,6 +233,22 @@ fn main() {
             worst_speedup = worst_speedup.min(speedup);
         }
 
+        // Both factors prepacked: the task shapes of `manyrank_copy`
+        // and `square_large`.
+        let g_prepacked = (n == 96 || n == 768).then(|| {
+            let kernel = active_kernel();
+            let (mut pa, mut pb) = (PackedPanel::new(), PackedPanel::new());
+            pa.pack(Side::A(Op::N), kernel, a.as_ref());
+            pb.pack(Side::B(Op::N), kernel, b.as_ref());
+            let mut ws = GemmWorkspace::new();
+            let g = measure(n, cfg.quick, || {
+                let (a, b) = (Operand::Packed(pa.view()), Operand::Packed(pb.view()));
+                dgemm_operands(1.0, a, b, 0.0, c.as_mut(), &mut ws)
+            });
+            metrics.num(&format!("gflops_prepacked_{n}"), g);
+            g
+        });
+
         // Name-based lookup so the table compiles on every arch (the
         // off-target kernel enum variants do not exist there).
         let per_kernel = |name: &str| {
@@ -219,6 +265,7 @@ fn main() {
             per_kernel("avx2"),
             per_kernel("avx512"),
             per_kernel("neon"),
+            g_prepacked.map(fmt).unwrap_or_else(|| "-".to_string()),
             g_simd
                 .map(|g| format!("{:.2}x", g / g_scalar))
                 .unwrap_or_else(|| "-".to_string()),
@@ -237,6 +284,7 @@ fn main() {
             "avx2",
             "avx512",
             "neon",
+            "prepacked",
             "simd/scalar",
         ],
         &rows,
@@ -251,6 +299,13 @@ fn main() {
         }
         pack_rows.push(row);
     }
+    let mut get_row = vec!["96 of ld 768, whole".to_string()];
+    for (case, ns) in bench_get_pack(cfg.quick) {
+        metrics.num(&format!("pack_ns_per_elem_{case}"), ns);
+        get_row.push(format!("{ns:.3}"));
+    }
+    get_row.resize(6, "-".to_string());
+    pack_rows.push(get_row);
     print_table(
         &format!(
             "pack cost (ns per element, best of samples, sliver widths {}x{})",

@@ -13,7 +13,7 @@
 //! (non-overlapped) communication time.
 
 use srumma_bench::{print_table, write_bench_json, write_csv};
-use srumma_comm::{sim_run, Comm, DistMatrix, SimOptions};
+use srumma_comm::{sim_run, Comm, DistMatrix, Landing, SimOptions};
 use srumma_model::machine::RanksPerDomain;
 use srumma_model::overlap::overlap_curve;
 use srumma_model::{Machine, ProcGrid};
@@ -52,7 +52,7 @@ fn measured_overlap(machine: &Machine, bytes: usize) -> Probe {
         let mut buf = Vec::new();
         c.get(&mat, peer, &mut buf);
         let t_comm = c.now() - t0;
-        let h = c.nbget(&mat, peer, &mut buf);
+        let h = c.nbget(&mat, peer, Landing::Rows(&mut buf));
         c.proc().charge_compute(t_comm, "probe work");
         c.wait(h);
     });

@@ -13,12 +13,17 @@
 //! The surface deliberately mirrors what the paper's implementation
 //! used from ARMCI and MPI:
 //!
-//! * **one-sided**: nonblocking block get (`nbget`/`wait`), the
-//!   locality query (`same_domain`, `prefer_direct_access`);
+//! * **one-sided**: nonblocking block get (`nbget`/`wait`) — one
+//!   method, whose [`Landing`] says whether the block arrives as a
+//!   row-major matrix or already packed for the serial kernel, so every
+//!   backend keeps one body for its counters, cost model and trace span
+//!   and a decorator has one method to forward — and the locality query
+//!   (`same_domain`, `prefer_direct_access`);
 //! * **two-sided**: `send`/`recv`/`sendrecv` for the message-passing
 //!   baselines;
 //! * **compute**: `gemm` charges the serial-kernel time (and executes
-//!   it when real data is present), because on the simulated machines
+//!   it when real data is present, each factor a stored matrix or a
+//!   fetched panel — [`Operand`]), because on the simulated machines
 //!   compute cost comes from the machine model, not the host;
 //! * **synchronisation**: `barrier`, and its split form
 //!   (`fence_arrive` / `fence_try` / `barrier_try` — the
@@ -40,8 +45,8 @@
 //! everywhere else [`drive`] loops it to completion, and it never parks
 //! because the tests never fail.
 
-use crate::dist::DistMatrix;
-use srumma_dense::{MatMut, MatRef, Op};
+use crate::dist::{DistMatrix, Landing};
+use srumma_dense::{MatMut, Operand, PackedPanel};
 use srumma_model::Topology;
 use srumma_trace::Recorder;
 
@@ -57,38 +62,6 @@ pub enum GetHandle {
     /// ([`crate::virt::VirtualComm`]); the index keys its internal
     /// completion-time table.
     Virt(usize),
-}
-
-/// A fetched (or directly accessible) operand block: dimensions always,
-/// element data only when the run carries real matrices.
-#[derive(Clone, Copy)]
-pub struct BlockRef<'a> {
-    /// Block rows.
-    pub rows: usize,
-    /// Block cols.
-    pub cols: usize,
-    /// Dense row-major view, if real.
-    pub data: Option<MatRef<'a>>,
-}
-
-impl<'a> BlockRef<'a> {
-    /// View over a fetch buffer filled by `nbget` (empty buffer ⇒
-    /// virtual).
-    pub fn from_buffer(buf: &'a [f64], rows: usize, cols: usize) -> Self {
-        if buf.is_empty() {
-            BlockRef {
-                rows,
-                cols,
-                data: None,
-            }
-        } else {
-            BlockRef {
-                rows,
-                cols,
-                data: Some(MatRef::new(rows, cols, cols, buf)),
-            }
-        }
-    }
 }
 
 /// Backend-independent rank communicator.
@@ -165,32 +138,33 @@ pub trait Comm {
         0
     }
 
-    /// Back a prefetch-pipeline slot's fetch buffer for one multiply:
-    /// a backend that pools buffers swaps a free one (capacity kept,
-    /// contents unspecified) into `buf`. It then stays with the rank —
-    /// fetched panels are live between polls — until
-    /// [`Comm::return_buf`]. The default leaves `buf` alone: where
-    /// every rank owns a thread there is nothing to share, and the
-    /// rank simply keeps its buffers.
-    fn lease_buf(&mut self, _buf: &mut Vec<f64>) {}
+    /// Back a prefetch-pipeline slot's panel for one multiply: a backend
+    /// that pools panels swaps a free one (capacity kept, contents
+    /// unspecified) into `panel`. It then stays with the rank — fetched
+    /// panels are live between polls — until [`Comm::return_buf`]. The
+    /// default leaves `panel` alone: where every rank owns a thread
+    /// there is nothing to share, and the rank simply keeps its panels.
+    fn lease_buf(&mut self, _panel: &mut PackedPanel) {}
 
-    /// Hand a leased buffer back at the end of the multiply, to
+    /// Hand a leased panel back at the end of the multiply, to
     /// whichever thread runs this rank now.
-    fn return_buf(&mut self, _buf: &mut Vec<f64>) {}
+    fn return_buf(&mut self, _panel: &mut PackedPanel) {}
 
-    /// Nonblocking one-sided fetch of `owner`'s block of `mat` into
-    /// `buf` (cleared/filled as appropriate). The *data* lands
-    /// immediately (operands are immutable during an operation, so
-    /// eager copying is indistinguishable); the returned handle carries
-    /// the *timing*.
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle;
+    /// Nonblocking one-sided fetch of `owner`'s block of `mat` to where
+    /// `into` says ([`DistMatrix::land_block`]): row-major for a caller
+    /// that forwards or inspects the block, or already packed for the
+    /// serial kernel — the same get either way, with the same bytes,
+    /// counters and cost. The *data* lands immediately (operands are
+    /// immutable during an operation, so eager copying is
+    /// indistinguishable); the returned handle carries the *timing*.
+    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle;
 
     /// Block until a nonblocking get completes (in model time).
     fn wait(&mut self, h: GetHandle);
 
-    /// Blocking get.
+    /// Blocking get of the block as a row-major matrix in `buf`.
     fn get(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) {
-        let h = self.nbget(mat, owner, buf);
+        let h = self.nbget(mat, owner, Landing::Rows(buf));
         self.wait(h);
     }
 
@@ -221,21 +195,21 @@ pub trait Comm {
     fn fence(&mut self);
 
     /// Charge (and, when data is present, execute) a serial block
-    /// dgemm `C += α·op(A)·op(B)` of logical shape `m × n × k`.
-    /// `direct` marks operands read in place from shared memory, which
-    /// on non-cacheable machines (Cray X1) runs far below the copied
-    /// kernel's rate.
+    /// dgemm `C += α·op(A)·op(B)` of logical shape `m × n × k`. Each
+    /// factor is a stored matrix with its transpose flag or a fetched
+    /// panel already in sliver order ([`Operand`]); the time charged
+    /// depends on `m`, `n`, `k` and `direct` only. `direct` marks
+    /// operands read in place from shared memory, which on non-cacheable
+    /// machines (Cray X1) runs far below the copied kernel's rate.
     #[allow(clippy::too_many_arguments)]
     fn gemm(
         &mut self,
-        ta: Op,
-        tb: Op,
         m: usize,
         n: usize,
         k: usize,
         alpha: f64,
-        a: Option<MatRef<'_>>,
-        b: Option<MatRef<'_>>,
+        a: Option<Operand<'_>>,
+        b: Option<Operand<'_>>,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
@@ -305,28 +279,5 @@ pub fn drive<C: Comm, P: RankProgram>(comm: &mut C, mut program: P) -> P::Out {
                  only a polled executor rank may be told to wait"
             ),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn block_ref_from_real_buffer() {
-        let buf = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let b = BlockRef::from_buffer(&buf, 2, 3);
-        assert_eq!(b.rows, 2);
-        assert_eq!(b.cols, 3);
-        let m = b.data.unwrap();
-        assert_eq!(m.at(1, 2), 6.0);
-    }
-
-    #[test]
-    fn block_ref_from_empty_buffer_is_virtual() {
-        let buf: Vec<f64> = vec![];
-        let b = BlockRef::from_buffer(&buf, 100, 200);
-        assert_eq!(b.rows, 100);
-        assert!(b.data.is_none());
     }
 }

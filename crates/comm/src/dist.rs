@@ -14,14 +14,17 @@
 //! already holds, distributed *in place*. Block `(i, j)` of a view is the
 //! sub-window at [`DistMatrix::block_origin`] with the host's leading
 //! dimension — what Global Arrays' `ga_access` hands SRUMMA's direct
-//! flavour — and [`DistMatrix::copy_block_into`] is the row-by-row
-//! strided copy into a contiguous buffer, the `ARMCI_NbGetS` of the copy
-//! flavour. Nothing is allocated or moved to build one; see
+//! flavour — and [`DistMatrix::land_block`] is the strided get of the
+//! copy flavour, the `ARMCI_NbGetS`: row by row into a contiguous buffer
+//! ([`Landing::Rows`]), or — what SRUMMA's task loop asks for — straight
+//! into the sliver order the serial kernel reads ([`Landing::Packed`]),
+//! so a fetched block is moved once, not copied and then packed.
+//! Nothing is allocated or moved to build a view; see
 //! [`DistMatrix::with_host_view`] for how the borrow is kept inside a
 //! scope without a lifetime parameter on the type.
 
 use crate::arena::SharedArena;
-use srumma_dense::{BlockMask, MatMut, MatRef, Matrix};
+use srumma_dense::{active_kernel, BlockMask, MatMut, MatRef, Matrix, PackedPanel, Side};
 use srumma_model::{ProcGrid, Topology};
 use std::sync::Arc;
 
@@ -108,6 +111,18 @@ impl CostMap {
             }
         }
     }
+}
+
+/// Where a one-sided get puts the block it fetches
+/// ([`DistMatrix::land_block`]).
+pub enum Landing<'a> {
+    /// Contiguous and row-major in the vector (resized to fit) — for a
+    /// caller that will read or forward the block as a matrix
+    /// ([`DistMatrix::copy_block_into`]).
+    Rows(&'a mut Vec<f64>),
+    /// In sliver order at full depth, as the given side of a product —
+    /// for a caller that will multiply with it.
+    Packed(&'a mut PackedPanel, Side),
 }
 
 /// A dense matrix distributed in 2-D blocks over a process grid.
@@ -461,6 +476,28 @@ impl DistMatrix {
             }
         }
         (rows, cols)
+    }
+
+    /// Land `rank`'s block where a one-sided get wants it — the one
+    /// data-movement routine behind every backend's `nbget`. The
+    /// [`Landing::Packed`] arm packs straight from the owner's memory
+    /// (arena region or host window, whatever its `ld`) into the panel,
+    /// in the sliver order of the process kernel: the block is moved
+    /// once, and what arrives is what the micro-kernel reads. Nothing
+    /// lands from virtual backing (`Rows` is cleared, `Packed` is
+    /// emptied). Returns the block dims.
+    pub fn land_block(&self, rank: usize, landing: Landing<'_>) -> (usize, usize) {
+        match landing {
+            Landing::Rows(dst) => self.copy_block_into(rank, dst),
+            Landing::Packed(panel, side) => {
+                let block = self.read_block(rank);
+                match block.mat() {
+                    Some(src) => panel.pack(side, active_kernel(), src),
+                    None => panel.clear(),
+                }
+                (block.rows(), block.cols())
+            }
+        }
     }
 
     /// Overwrite `rank`'s block from `src` (the data-movement half of a

@@ -45,8 +45,8 @@
 
 use crate::comm::{Comm, GetHandle, RankProgram, Step};
 use crate::deque::WorkDeque;
-use crate::dist::DistMatrix;
-use srumma_dense::{dgemm_ws, GemmWorkspace, MatMut, MatRef, Op};
+use crate::dist::{DistMatrix, Landing};
+use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, Operand, PackedPanel};
 use srumma_model::Topology;
 use srumma_trace::{Counters, ExecStats, Recorder, RunStats, TraceEvent, TraceKind};
 use std::any::Any;
@@ -71,8 +71,8 @@ type TraceBag = (Vec<TraceEvent>, Vec<(usize, Counters)>);
 #[derive(Default)]
 struct WorkerScratch {
     ws: Option<GemmWorkspace>,
-    /// Free pipeline buffers ([`Comm::lease_buf`] / [`Comm::return_buf`]).
-    bufs: Vec<Vec<f64>>,
+    /// Free pipeline panels ([`Comm::lease_buf`] / [`Comm::return_buf`]).
+    bufs: Vec<PackedPanel>,
 }
 
 thread_local! {
@@ -694,14 +694,14 @@ impl Comm for ExecComm {
         self.ws_grows
     }
 
-    fn lease_buf(&mut self, buf: &mut Vec<f64>) {
+    fn lease_buf(&mut self, panel: &mut PackedPanel) {
         if let Some(free) = SCRATCH.with_borrow_mut(|s| s.bufs.pop()) {
-            *buf = free;
+            *panel = free;
         }
     }
 
-    fn return_buf(&mut self, buf: &mut Vec<f64>) {
-        SCRATCH.with_borrow_mut(|s| s.bufs.push(std::mem::take(buf)));
+    fn return_buf(&mut self, panel: &mut PackedPanel) {
+        SCRATCH.with_borrow_mut(|s| s.bufs.push(std::mem::take(panel)));
     }
 
     fn barrier(&mut self) {
@@ -769,9 +769,9 @@ impl Comm for ExecComm {
         }
     }
 
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
+    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
         let t0 = self.span_start();
-        let (rows, cols) = mat.copy_block_into(owner, buf);
+        let (rows, cols) = mat.land_block(owner, into);
         let bytes = (rows * cols * 8) as u64;
         self.recorder.count_fetch(bytes);
         self.classify(mat.cost_rank(owner), bytes);
@@ -811,14 +811,12 @@ impl Comm for ExecComm {
 
     fn gemm(
         &mut self,
-        ta: Op,
-        tb: Op,
         m: usize,
         n: usize,
         k: usize,
         alpha: f64,
-        a: Option<MatRef<'_>>,
-        b: Option<MatRef<'_>>,
+        a: Option<Operand<'_>>,
+        b: Option<Operand<'_>>,
         c: Option<MatMut<'_>>,
         _direct: bool,
         label: &str,
@@ -835,7 +833,7 @@ impl Comm for ExecComm {
         SCRATCH.with_borrow_mut(|s| {
             let ws = s.ws.get_or_insert_with(GemmWorkspace::new);
             let before = ws.grow_count();
-            dgemm_ws(ta, tb, alpha, a, b, 1.0, c, ws);
+            dgemm_operands(alpha, a, b, 1.0, c, ws);
             self.ws_grows = ws.grow_count();
             if self.ws_grows > before {
                 self.core.ws_grows.fetch_add(1, Ordering::Relaxed);

@@ -33,8 +33,8 @@
 //! engines run, so messages touching a straggler scale by its factor.
 
 use crate::comm::{Comm, GetHandle};
-use crate::dist::DistMatrix;
-use srumma_dense::{MatMut, MatRef, Op, Rng};
+use crate::dist::{DistMatrix, Landing};
+use srumma_dense::{MatMut, Operand, PackedPanel, Rng};
 use srumma_model::Topology;
 use srumma_trace::Recorder;
 use std::time::{Duration, Instant};
@@ -261,14 +261,14 @@ impl<C: Comm + ?Sized> Comm for &mut C {
     fn ws_grow_count(&self) -> u64 {
         (**self).ws_grow_count()
     }
-    fn lease_buf(&mut self, buf: &mut Vec<f64>) {
-        (**self).lease_buf(buf)
+    fn lease_buf(&mut self, panel: &mut PackedPanel) {
+        (**self).lease_buf(panel)
     }
-    fn return_buf(&mut self, buf: &mut Vec<f64>) {
-        (**self).return_buf(buf)
+    fn return_buf(&mut self, panel: &mut PackedPanel) {
+        (**self).return_buf(panel)
     }
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
-        (**self).nbget(mat, owner, buf)
+    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
+        (**self).nbget(mat, owner, into)
     }
     fn wait(&mut self, h: GetHandle) {
         (**self).wait(h)
@@ -291,19 +291,17 @@ impl<C: Comm + ?Sized> Comm for &mut C {
     #[allow(clippy::too_many_arguments)]
     fn gemm(
         &mut self,
-        ta: Op,
-        tb: Op,
         m: usize,
         n: usize,
         k: usize,
         alpha: f64,
-        a: Option<MatRef<'_>>,
-        b: Option<MatRef<'_>>,
+        a: Option<Operand<'_>>,
+        b: Option<Operand<'_>>,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
     ) {
-        (**self).gemm(ta, tb, m, n, k, alpha, a, b, c, direct, label)
+        (**self).gemm(m, n, k, alpha, a, b, c, direct, label)
     }
     fn send(&mut self, dst: usize, tag: u64, data: &[f64], bytes: u64) {
         (**self).send(dst, tag, data, bytes)
@@ -395,11 +393,11 @@ impl<C: Comm> Comm for ChaosComm<C> {
     fn ws_grow_count(&self) -> u64 {
         self.inner.ws_grow_count()
     }
-    fn lease_buf(&mut self, buf: &mut Vec<f64>) {
-        self.inner.lease_buf(buf)
+    fn lease_buf(&mut self, panel: &mut PackedPanel) {
+        self.inner.lease_buf(panel)
     }
-    fn return_buf(&mut self, buf: &mut Vec<f64>) {
-        self.inner.return_buf(buf)
+    fn return_buf(&mut self, panel: &mut PackedPanel) {
+        self.inner.return_buf(panel)
     }
     fn barrier(&mut self) {
         self.inner.barrier()
@@ -414,10 +412,10 @@ impl<C: Comm> Comm for ChaosComm<C> {
         self.inner.barrier_try()
     }
 
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
+    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
         let seq = self.gets_issued;
         self.gets_issued += 1;
-        let h = self.inner.nbget(mat, owner, buf);
+        let h = self.inner.nbget(mat, owner, into);
         let spike = self.plan.get_spike(self.inner.rank(), seq);
         if spike > 0.0 {
             self.inner.recorder().count_delay();
@@ -441,27 +439,22 @@ impl<C: Comm> Comm for ChaosComm<C> {
     #[allow(clippy::too_many_arguments)]
     fn gemm(
         &mut self,
-        ta: Op,
-        tb: Op,
         m: usize,
         n: usize,
         k: usize,
         alpha: f64,
-        a: Option<MatRef<'_>>,
-        b: Option<MatRef<'_>>,
+        a: Option<Operand<'_>>,
+        b: Option<Operand<'_>>,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
     ) {
         let f = self.plan.slow_factor(self.inner.rank());
         if f <= 1.0 {
-            return self
-                .inner
-                .gemm(ta, tb, m, n, k, alpha, a, b, c, direct, label);
+            return self.inner.gemm(m, n, k, alpha, a, b, c, direct, label);
         }
         let t0 = Instant::now();
-        self.inner
-            .gemm(ta, tb, m, n, k, alpha, a, b, c, direct, label);
+        self.inner.gemm(m, n, k, alpha, a, b, c, direct, label);
         let stretch = t0.elapsed().as_secs_f64() * (f - 1.0);
         self.inner.recorder().count_delay();
         Self::sleep(stretch);

@@ -56,8 +56,8 @@ pub mod threadbackend;
 pub mod virt;
 
 pub use arena::SharedArena;
-pub use comm::{drive, BlockRef, Comm, GetHandle, RankProgram, Step};
-pub use dist::{CostMap, DistMatrix};
+pub use comm::{drive, Comm, GetHandle, RankProgram, Step};
+pub use dist::{CostMap, DistMatrix, Landing};
 pub use exec::{
     exec_launch, exec_run, exec_run_tasks, resolve_workers, ExecComm, ExecRunResult, ProgramTask,
     RankTask,

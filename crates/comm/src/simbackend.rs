@@ -7,9 +7,9 @@
 //! *measure the model* — with the same algorithm code.
 
 use crate::comm::{Comm, GetHandle};
-use crate::dist::DistMatrix;
+use crate::dist::{DistMatrix, Landing};
 use crate::fault::{FaultPlan, FaultPlanError};
-use srumma_dense::{dgemm_ws, GemmWorkspace, MatMut, MatRef, Op};
+use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, Operand};
 use srumma_model::network::Path;
 use srumma_model::{protocol, Machine, Topology, TransferCost};
 use srumma_sim::{run_sim, SimConfig, SimProc, SimResult, TransferSpec};
@@ -219,9 +219,9 @@ impl Comm for SimComm {
         self.proc.barrier();
     }
 
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
+    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
         let me = self.proc.rank();
-        let (rows, cols) = mat.copy_block_into(owner, buf);
+        let (rows, cols) = mat.land_block(owner, into);
         self.recorder.count_fetch((rows * cols * 8) as u64);
         // `owner` indexes the data slot; the *cost* endpoint is the rank
         // whose memory serves it (they differ for staged/layered
@@ -343,14 +343,12 @@ impl Comm for SimComm {
 
     fn gemm(
         &mut self,
-        ta: Op,
-        tb: Op,
         m: usize,
         n: usize,
         k: usize,
         alpha: f64,
-        a: Option<MatRef<'_>>,
-        b: Option<MatRef<'_>>,
+        a: Option<Operand<'_>>,
+        b: Option<Operand<'_>>,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
@@ -365,7 +363,7 @@ impl Comm for SimComm {
         self.proc
             .charge_compute(base / factor * self.fault_self(), label);
         if let (Some(a), Some(b), Some(c)) = (a, b, c) {
-            dgemm_ws(ta, tb, alpha, a, b, 1.0, c, &mut self.ws);
+            dgemm_operands(alpha, a, b, 1.0, c, &mut self.ws);
         }
     }
 
@@ -602,6 +600,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srumma_dense::Op;
     use srumma_model::ProcGrid;
 
     fn linux16() -> SimOptions {
@@ -660,14 +659,12 @@ mod tests {
             let b = srumma_dense::Matrix::random(16, 8, 2);
             let mut cm = srumma_dense::Matrix::zeros(32, 8);
             c.gemm(
-                Op::N,
-                Op::N,
                 32,
                 8,
                 16,
                 1.0,
-                Some(a.as_ref()),
-                Some(b.as_ref()),
+                Some(Operand::Plain(a.as_ref(), Op::N)),
+                Some(Operand::Plain(b.as_ref(), Op::N)),
                 Some(cm.as_mut()),
                 false,
                 "t",
@@ -688,34 +685,10 @@ mod tests {
         for (machine, expect_slow) in [(Machine::cray_x1(), true), (Machine::sgi_altix(), false)] {
             let res = sim_run(&SimOptions::new(machine, 2), |c| {
                 let t0 = c.now();
-                c.gemm(
-                    Op::N,
-                    Op::N,
-                    256,
-                    256,
-                    256,
-                    1.0,
-                    None,
-                    None,
-                    None,
-                    true,
-                    "d",
-                );
+                c.gemm(256, 256, 256, 1.0, None, None, None, true, "d");
                 let direct = c.now() - t0;
                 let t1 = c.now();
-                c.gemm(
-                    Op::N,
-                    Op::N,
-                    256,
-                    256,
-                    256,
-                    1.0,
-                    None,
-                    None,
-                    None,
-                    false,
-                    "c",
-                );
+                c.gemm(256, 256, 256, 1.0, None, None, None, false, "c");
                 (direct, c.now() - t1)
             });
             let (direct, copied) = res.outputs[0];
@@ -820,19 +793,7 @@ mod tests {
             sim_run(opts, |c| {
                 if c.rank() == 0 {
                     let t0 = c.now();
-                    c.gemm(
-                        Op::N,
-                        Op::N,
-                        256,
-                        256,
-                        256,
-                        1.0,
-                        None,
-                        None,
-                        None,
-                        false,
-                        "g",
-                    );
+                    c.gemm(256, 256, 256, 1.0, None, None, None, false, "g");
                     c.now() - t0
                 } else if c.rank() == 2 {
                     // Rank 2 is on another node: remote RMA get from 0.

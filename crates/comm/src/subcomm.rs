@@ -18,8 +18,8 @@
 //! backend's BSP segment recombination aligned across layers.
 
 use crate::comm::{Comm, GetHandle};
-use crate::dist::DistMatrix;
-use srumma_dense::{MatMut, MatRef, Op};
+use crate::dist::{DistMatrix, Landing};
+use srumma_dense::{MatMut, Operand, PackedPanel};
 use srumma_model::Topology;
 use srumma_trace::Recorder;
 
@@ -98,18 +98,18 @@ impl<C: Comm> Comm for SubComm<'_, C> {
         self.inner.ws_grow_count()
     }
 
-    fn lease_buf(&mut self, buf: &mut Vec<f64>) {
-        self.inner.lease_buf(buf);
+    fn lease_buf(&mut self, panel: &mut PackedPanel) {
+        self.inner.lease_buf(panel);
     }
 
-    fn return_buf(&mut self, buf: &mut Vec<f64>) {
-        self.inner.return_buf(buf);
+    fn return_buf(&mut self, panel: &mut PackedPanel) {
+        self.inner.return_buf(panel);
     }
 
     // One-sided operations forward untranslated: `owner` indexes a slot
     // of `mat`, whose `CostMap` already maps slots to global ranks.
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
-        self.inner.nbget(mat, owner, buf)
+    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
+        self.inner.nbget(mat, owner, into)
     }
 
     fn wait(&mut self, h: GetHandle) {
@@ -131,20 +131,17 @@ impl<C: Comm> Comm for SubComm<'_, C> {
     #[allow(clippy::too_many_arguments)]
     fn gemm(
         &mut self,
-        ta: Op,
-        tb: Op,
         m: usize,
         n: usize,
         k: usize,
         alpha: f64,
-        a: Option<MatRef<'_>>,
-        b: Option<MatRef<'_>>,
+        a: Option<Operand<'_>>,
+        b: Option<Operand<'_>>,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
     ) {
-        self.inner
-            .gemm(ta, tb, m, n, k, alpha, a, b, c, direct, label);
+        self.inner.gemm(m, n, k, alpha, a, b, c, direct, label);
     }
 
     fn send(&mut self, dst: usize, tag: u64, data: &[f64], bytes: u64) {

@@ -9,8 +9,8 @@
 //! that runs under the simulator.
 
 use crate::comm::{Comm, GetHandle};
-use crate::dist::DistMatrix;
-use srumma_dense::{dgemm_ws, GemmWorkspace, MatMut, MatRef, Op};
+use crate::dist::{DistMatrix, Landing};
+use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, Operand};
 use srumma_model::Topology;
 use srumma_trace::{Counters, Recorder, RunStats, TraceEvent, TraceKind};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -174,9 +174,9 @@ impl Comm for ThreadComm {
         self.span_end(TraceKind::Barrier, t0, 0, String::new);
     }
 
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
+    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
         let t0 = self.span_start();
-        let (rows, cols) = mat.copy_block_into(owner, buf);
+        let (rows, cols) = mat.land_block(owner, into);
         let bytes = (rows * cols * 8) as u64;
         self.recorder.count_fetch(bytes);
         self.classify(mat.cost_rank(owner), bytes);
@@ -216,14 +216,12 @@ impl Comm for ThreadComm {
 
     fn gemm(
         &mut self,
-        ta: Op,
-        tb: Op,
         m: usize,
         n: usize,
         k: usize,
         alpha: f64,
-        a: Option<MatRef<'_>>,
-        b: Option<MatRef<'_>>,
+        a: Option<Operand<'_>>,
+        b: Option<Operand<'_>>,
         c: Option<MatMut<'_>>,
         _direct: bool,
         label: &str,
@@ -235,7 +233,7 @@ impl Comm for ThreadComm {
             panic!("thread backend requires real-backed matrices ({m}x{n}x{k} block had none)");
         };
         let t0 = self.span_start();
-        dgemm_ws(ta, tb, alpha, a, b, 1.0, c, &mut self.ws);
+        dgemm_operands(alpha, a, b, 1.0, c, &mut self.ws);
         self.span_end(TraceKind::Compute, t0, 0, || label.to_string());
     }
 
@@ -436,7 +434,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srumma_dense::Matrix;
+    use srumma_dense::{Matrix, Op};
     use srumma_model::ProcGrid;
 
     #[test]
@@ -498,14 +496,12 @@ mod tests {
             let b = Matrix::from_fn(4, 4, |i, j| (i + j) as f64);
             let mut cm = Matrix::from_fn(4, 4, |_, _| 1.0);
             c.gemm(
-                Op::N,
-                Op::N,
                 4,
                 4,
                 4,
                 1.0,
-                Some(a.as_ref()),
-                Some(b.as_ref()),
+                Some(Operand::Plain(a.as_ref(), Op::N)),
+                Some(Operand::Plain(b.as_ref(), Op::N)),
                 Some(cm.as_mut()),
                 true,
                 "t",

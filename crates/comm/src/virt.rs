@@ -22,9 +22,9 @@
 //! measurable at paper-untouchable scales.
 
 use crate::comm::{Comm, GetHandle, Step};
-use crate::dist::DistMatrix;
+use crate::dist::{DistMatrix, Landing};
 use crate::exec::{exec_run_tasks, RankTask};
-use srumma_dense::{dgemm_ws, GemmWorkspace, MatMut, MatRef, Op};
+use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, Operand};
 use srumma_model::{protocol, Machine, Topology, TransferCost};
 use srumma_trace::{Counters, RankStats, Recorder, RunStats};
 use std::sync::Arc;
@@ -161,8 +161,8 @@ impl Comm for VirtualComm {
         self.seg_start = self.clock;
     }
 
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
-        let (rows, cols) = mat.copy_block_into(owner, buf);
+    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
+        let (rows, cols) = mat.land_block(owner, into);
         let bytes = (rows * cols * 8) as u64;
         self.recorder.count_fetch(bytes);
         let serve = mat.cost_rank(owner);
@@ -211,14 +211,12 @@ impl Comm for VirtualComm {
 
     fn gemm(
         &mut self,
-        ta: Op,
-        tb: Op,
         m: usize,
         n: usize,
         k: usize,
         alpha: f64,
-        a: Option<MatRef<'_>>,
-        b: Option<MatRef<'_>>,
+        a: Option<Operand<'_>>,
+        b: Option<Operand<'_>>,
         c: Option<MatMut<'_>>,
         direct: bool,
         _label: &str,
@@ -231,7 +229,7 @@ impl Comm for VirtualComm {
         };
         self.clock += base / factor;
         if let (Some(a), Some(b), Some(c)) = (a, b, c) {
-            dgemm_ws(ta, tb, alpha, a, b, 1.0, c, &mut self.ws);
+            dgemm_operands(alpha, a, b, 1.0, c, &mut self.ws);
         }
     }
 
@@ -391,12 +389,12 @@ mod tests {
     fn clocks_advance_and_segments_align() {
         let machine = Machine::linux_myrinet();
         let res = virtual_run(&machine, 4, 2, |c| {
-            c.gemm(Op::N, Op::N, 64, 64, 64, 1.0, None, None, None, false, "t");
+            c.gemm(64, 64, 64, 1.0, None, None, None, false, "t");
             c.barrier();
             if c.rank() == 0 {
                 // Rank 0 computes more in segment 2: it alone should
                 // stretch the second segment's maximum.
-                c.gemm(Op::N, Op::N, 64, 64, 64, 1.0, None, None, None, false, "t");
+                c.gemm(64, 64, 64, 1.0, None, None, None, false, "t");
             }
             c.rank()
         });
@@ -417,7 +415,7 @@ mod tests {
         let res = virtual_run(&machine, 4, 2, |c| {
             let mut buf = Vec::new();
             let peer = (c.rank() + 2) % 4; // always off-node under w=2
-            let h = c.nbget(&mat, peer, &mut buf);
+            let h = c.nbget(&mat, peer, Landing::Rows(&mut buf));
             let at_issue = c.now();
             c.wait(h);
             (at_issue, c.now())

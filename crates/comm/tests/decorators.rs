@@ -9,8 +9,8 @@
 //! decorator must reach it exactly as the same call made directly does,
 //! and bring the fake's (deliberately non-default) answer back.
 
-use srumma_comm::{ChaosComm, Comm, DistMatrix, FaultPlan, GetHandle, SubComm};
-use srumma_dense::{MatMut, MatRef, Op};
+use srumma_comm::{ChaosComm, Comm, DistMatrix, FaultPlan, GetHandle, Landing, SubComm};
+use srumma_dense::{active_kernel, MatMut, MatRef, Op, Operand, PackedPanel, Side};
 use srumma_model::{ProcGrid, Topology};
 use srumma_trace::Recorder;
 use std::cell::RefCell;
@@ -34,6 +34,22 @@ impl Fake {
     fn note(&self, call: String) {
         self.log.borrow_mut().push(call);
     }
+}
+
+/// What a panel holds, as the log and the caller see it.
+fn shape(panel: &PackedPanel) -> String {
+    let v = panel.view();
+    format!("{}x{}", v.lanes(), v.depth())
+}
+
+/// Leave a `1 × depth` block in `panel`: the fake's visible mark.
+fn mark(panel: &mut PackedPanel, side: Side, depth: usize) {
+    let ones = vec![1.0; depth];
+    let src = match side {
+        Side::A(Op::N) | Side::B(Op::T) => MatRef::new(1, depth, depth, &ones),
+        Side::A(Op::T) | Side::B(Op::N) => MatRef::new(depth, 1, 1, &ones),
+    };
+    panel.pack(side, active_kernel(), src);
 }
 
 impl Comm for Fake {
@@ -84,17 +100,29 @@ impl Comm for Fake {
         self.note("ws_grow_count".into());
         7
     }
-    fn lease_buf(&mut self, buf: &mut Vec<f64>) {
-        self.note(format!("lease_buf(len {})", buf.len()));
-        buf.push(1.0);
+    fn lease_buf(&mut self, panel: &mut PackedPanel) {
+        self.note(format!("lease_buf({})", shape(panel)));
+        mark(panel, Side::A(Op::N), 2);
     }
-    fn return_buf(&mut self, buf: &mut Vec<f64>) {
-        self.note(format!("return_buf(len {})", buf.len()));
-        buf.clear();
+    fn return_buf(&mut self, panel: &mut PackedPanel) {
+        self.note(format!("return_buf({})", shape(panel)));
+        panel.clear();
     }
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
-        self.note(format!("nbget({:?}, {owner})", mat.block_dims(owner)));
-        buf.push(2.0);
+    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
+        let dims = mat.block_dims(owner);
+        match into {
+            Landing::Rows(buf) => {
+                self.note(format!("nbget({dims:?}, {owner}, rows {})", buf.len()));
+                buf.push(2.0);
+            }
+            Landing::Packed(panel, side) => {
+                self.note(format!(
+                    "nbget({dims:?}, {owner}, {side:?} {})",
+                    shape(panel)
+                ));
+                mark(panel, side, 3);
+            }
+        }
         GetHandle::Virt(77)
     }
     fn wait(&mut self, h: GetHandle) {
@@ -116,21 +144,25 @@ impl Comm for Fake {
     }
     fn gemm(
         &mut self,
-        ta: Op,
-        tb: Op,
         m: usize,
         n: usize,
         k: usize,
         alpha: f64,
-        a: Option<MatRef<'_>>,
-        b: Option<MatRef<'_>>,
+        a: Option<Operand<'_>>,
+        b: Option<Operand<'_>>,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
     ) {
-        let real = (a.is_some(), b.is_some(), c.is_some());
+        let side = |x: Option<Operand<'_>>| match x {
+            None => "none".to_string(),
+            Some(Operand::Plain(v, op)) => format!("plain {op:?} {}x{}", v.rows(), v.cols()),
+            Some(Operand::Packed(p)) => format!("packed {}x{}", p.lanes(), p.depth()),
+        };
+        let (a, b) = (side(a), side(b));
         self.note(format!(
-            "gemm({ta:?}, {tb:?}, {m}, {n}, {k}, {alpha}, {real:?}, {direct}, {label})"
+            "gemm({m}, {n}, {k}, {alpha}, {a}, {b}, {}, {direct}, {label})",
+            c.is_some()
         ));
     }
     fn send(&mut self, dst: usize, tag: u64, data: &[f64], bytes: u64) {
@@ -163,8 +195,9 @@ impl Comm for Fake {
 fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
     let mat = DistMatrix::create_virtual(ProcGrid::new(2, 2), 6, 10);
     let a = [1.0; 6];
-    let a = Some(MatRef::new(2, 3, 3, &a));
+    let a = Some(Operand::Plain(MatRef::new(3, 2, 2, &a), Op::T));
     let mut buf = vec![0.0; 3];
+    let mut panel = PackedPanel::new();
     let mut seen = vec![
         ("rank", c.rank().to_string()),
         ("nranks", c.nranks().to_string()),
@@ -177,18 +210,33 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
         ("fence_try", c.fence_try(11).to_string()),
         ("barrier_try", c.barrier_try().to_string()),
         ("ws_grow_count", c.ws_grow_count().to_string()),
-        ("nbget", format!("{:?}", c.nbget(&mat, 3, &mut buf))),
+        (
+            "nbget",
+            format!("{:?}", c.nbget(&mat, 3, Landing::Rows(&mut buf))),
+        ),
+        (
+            "nbget packed",
+            format!(
+                "{:?}",
+                c.nbget(&mat, 1, Landing::Packed(&mut panel, Side::B(Op::T)))
+            ),
+        ),
+        ("landed", shape(&panel)),
         ("nbput", format!("{:?}", c.nbput(&mat, 2, &[1.5, 2.5]))),
     ];
     c.barrier();
-    c.lease_buf(&mut buf);
-    c.return_buf(&mut buf);
+    c.lease_buf(&mut panel);
+    seen.push(("leased", shape(&panel)));
+    let b = Some(Operand::Packed(panel.view()));
+    c.gemm(2, 1, 2, 0.5, None, b, None, false, "packed");
+    c.return_buf(&mut panel);
+    seen.push(("returned", shape(&panel)));
     c.wait(GetHandle::Virt(9));
     c.get(&mat, 3, &mut buf);
     c.put(&mat, 2, &[1.5, 2.5]);
     c.acc(&mat, 1, -2.0, &[0.5]);
     c.fence();
-    c.gemm(Op::T, Op::N, 2, 4, 3, 1.5, a, None, None, true, "lbl");
+    c.gemm(2, 4, 3, 1.5, a, None, None, true, "lbl");
     c.send(peer, 31, &[9.0], 8);
     c.recv(peer, 32, &mut buf, 16);
     c.sendrecv(peer, 33, &[8.0], 8, peer, &mut buf, 24);
@@ -272,4 +320,39 @@ fn sub_comm_passes_every_method_through_with_ranks_translated() {
     want_log.retain(|call| !["nranks", "topology", "same_domain(6)"].contains(&call.as_str()));
     let log = without_rank_queries(fake.log.into_inner());
     assert_eq!((seen, log), (want_seen, without_rank_queries(want_log)));
+}
+
+/// A get that lands packed is still a get of the sequence `ChaosComm`
+/// draws its spikes from: alternating landings are delayed exactly
+/// where the plan spikes gets 0, 1, 2, … of this rank, and each reaches
+/// the wrapped communicator once.
+#[test]
+fn chaos_comm_counts_a_packed_landing_in_its_get_sequence() {
+    const GETS: u64 = 24;
+    let plan = FaultPlan::random_stragglers(9, 8).with_get_spikes(0.5, 1e-6);
+    let spiked = (0..GETS)
+        .filter(|&seq| plan.get_spike(5, seq) > 0.0)
+        .count() as u64;
+    let rows_only = (0..GETS / 2)
+        .filter(|&seq| plan.get_spike(5, seq) > 0.0)
+        .count() as u64;
+    assert_ne!(spiked, rows_only, "pick a seed that tells the two apart");
+    let before = Fake::new().recorder.counters.delays_injected;
+
+    let mut chaos = ChaosComm::new(Fake::new(), plan);
+    let mat = DistMatrix::create_virtual(ProcGrid::new(2, 2), 6, 10);
+    let (mut buf, mut panel) = (Vec::new(), PackedPanel::new());
+    for seq in 0..GETS {
+        if seq % 2 == 0 {
+            chaos.nbget(&mat, 3, Landing::Rows(&mut buf));
+        } else {
+            chaos.nbget(&mat, 3, Landing::Packed(&mut panel, Side::A(Op::T)));
+        }
+    }
+    let fake = chaos.into_inner();
+    assert_eq!(fake.recorder.counters.delays_injected - before, spiked);
+    let log = fake.log.into_inner();
+    let gets = log.iter().filter(|call| call.starts_with("nbget(")).count();
+    assert_eq!(gets as u64, GETS);
+    assert_eq!(shape(&panel), "1x3");
 }

@@ -16,7 +16,7 @@ use crate::options::GemmSpec;
 use srumma_comm::dist::chunk_len;
 use srumma_comm::mpi::ring_shift;
 use srumma_comm::{Comm, DistMatrix};
-use srumma_dense::{MatRef, Op};
+use srumma_dense::{MatRef, Op, Operand};
 use srumma_trace::TraceKind;
 
 /// Run Cannon's algorithm: `C ← C + A·B`. Collective.
@@ -89,8 +89,9 @@ pub fn cannon<C: Comm>(
         // with l = (i + j + step) mod q.
         let l = (gi + gj + step) % q;
         let ka = chunk_len(spec.k, q, l);
-        let av = (!a_buf.is_empty()).then(|| MatRef::new(crows, ka, ka, &a_buf));
-        let bv = (!b_buf.is_empty()).then(|| MatRef::new(ka, ccols, ccols, &b_buf));
+        let plain = |rows, cols, buf| Operand::Plain(MatRef::new(rows, cols, cols, buf), Op::N);
+        let av = (!a_buf.is_empty()).then(|| plain(crows, ka, &a_buf));
+        let bv = (!b_buf.is_empty()).then(|| plain(ka, ccols, &b_buf));
         let traced = comm.recorder().is_enabled();
         let t_task = if traced { comm.now() } else { 0.0 };
         let label = if traced {
@@ -99,8 +100,6 @@ pub fn cannon<C: Comm>(
             String::new()
         };
         comm.gemm(
-            Op::N,
-            Op::N,
             crows,
             ccols,
             ka,

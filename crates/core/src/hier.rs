@@ -41,7 +41,7 @@ use crate::layout::{dist_a, dist_b};
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::run::{Backend, RankReport, Run};
 use crate::srumma::SrummaProgram;
-use srumma_comm::{drive, Comm, CostMap, DistMatrix};
+use srumma_comm::{drive, Comm, CostMap, DistMatrix, Landing};
 use srumma_model::{Machine, ProcGrid, Topology};
 use srumma_sim::RunStats;
 
@@ -280,7 +280,7 @@ pub(crate) fn stage_panels<C: Comm>(
     let handles: Vec<_> = duties
         .iter()
         .zip(&mut bufs)
-        .map(|(&(src, _, slot), buf)| comm.nbget(src, slot, buf))
+        .map(|(&(src, _, slot), buf)| comm.nbget(src, slot, Landing::Rows(buf)))
         .collect();
     for (h, (&(_, stage, slot), buf)) in handles.into_iter().zip(duties.iter().zip(&bufs)) {
         comm.wait(h);

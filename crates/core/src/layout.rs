@@ -324,7 +324,9 @@ pub fn b_owner(spec: &GemmSpec, grid: ProcGrid, lb: usize, j: usize) -> usize {
 /// Sub-view of a *stored* A block for the k-segment
 /// `[rel0, rel0 + seg)` (relative to the block's k-panel), together
 /// with the transpose flag to hand to dgemm. `view` must be the whole
-/// stored block of `a_owner(spec, grid, i, la)`.
+/// stored block of `a_owner(spec, grid, i, la)`. (A block that was
+/// *fetched* is a packed panel, already in `op(A)` order: its segment is
+/// `PackedView::k_range(rel0, seg)`, with no orientation to choose.)
 pub fn a_seg_view<'a>(
     spec: &GemmSpec,
     view: MatRef<'a>,

@@ -11,10 +11,17 @@
 //!    blocks of task *t* (buffer B1), nonblocking gets fill further
 //!    buffers with the blocks of tasks *t+1 … t+depth* (the paper's
 //!    B1/B2 scheme is `prefetch_depth = 1`; deeper pipelines are an
-//!    extension this crate exposes for ablation);
+//!    extension this crate exposes for ablation). A buffer is a
+//!    [`PackedPanel`]: the get lands the block in it once, in the order
+//!    the micro-kernel reads it and at its full k-depth
+//!    ([`Landing::Packed`]), and the kernel runs on a k-range of the
+//!    panel as it lies — the buffer the paper hands to `dgemm`, not a
+//!    stop-over that `dgemm` would copy again;
 //! 4. blocks reachable through cacheable shared memory skip the fetch
 //!    entirely and are passed to the kernel *in place* (direct access —
-//!    profitable on the Altix, catastrophic on the X1, Figure 5).
+//!    profitable on the Altix, catastrophic on the X1, Figure 5); the
+//!    kernel packs those itself, and one task may have one operand of
+//!    each kind ([`Operand`]).
 //!
 //! No rank ever synchronizes with another during the multiply — the
 //! only barrier is the closing one that makes C globally visible,
@@ -30,8 +37,8 @@ use crate::layout::{a_owner, a_seg_view, b_owner, b_seg_view};
 use crate::options::{GemmSpec, ShmemFlavor, SrummaOptions};
 use crate::run::RankReport;
 use crate::taskorder::{build_tasks_into, diagonal_shift_origin, order_tasks_into, Task};
-use srumma_comm::{drive, Comm, DistMatrix, GetHandle, RankProgram, Step};
-use srumma_dense::MatRef;
+use srumma_comm::{drive, Comm, DistMatrix, GetHandle, Landing, RankProgram, Step};
+use srumma_dense::{Operand, PackedPanel, PackedView, Side};
 use srumma_trace::TraceKind;
 
 /// Per-rank execution summary.
@@ -56,22 +63,26 @@ pub struct SrummaReport {
 enum Source {
     /// Read in place from the owner's segment of the shared arena.
     Direct { owner: usize },
-    /// Fetched (shm memcpy or RMA get) into a pipeline buffer.
+    /// Fetched (shm memcpy or RMA get) into a pipeline panel, where it
+    /// lands already packed for the kernel.
     Fetch { owner: usize },
 }
 
-/// One operand's prefetch pipeline: `depth + 1` reusable block buffers
-/// (the paper's B1/B2 at depth 1).
+/// One operand's prefetch pipeline: `depth + 1` reusable packed panels
+/// (the paper's B1/B2 at depth 1). A get lands its block in a slot in
+/// the order the micro-kernel reads it, at the block's full k-depth, so
+/// every task that uses the panel — any k-segment of it — multiplies
+/// straight out of the slot.
 #[derive(Default)]
 struct Pipeline {
     slots: Vec<Slot>,
 }
 
+#[derive(Default)]
 struct Slot {
     panel: Option<usize>,
-    buf: Vec<f64>,
+    buf: PackedPanel,
     pending: Option<GetHandle>,
-    dims: (usize, usize),
 }
 
 impl Pipeline {
@@ -83,26 +94,20 @@ impl Pipeline {
     }
 
     /// Re-arm for a new multiply at pipeline depth `depth`, keeping
-    /// whatever slot buffers the previous one left here (all of them
-    /// unless the backend pools fetch buffers per worker, see
+    /// whatever slot panels the previous one left here (all of them
+    /// unless the backend pools panels per worker, see
     /// [`Comm::lease_buf`]) — a batch must not reallocate them per entry.
     fn reset(&mut self, depth: usize) {
         for s in &self.slots {
             assert!(s.pending.is_none(), "pipeline reset with a get in flight");
         }
-        self.slots.resize_with(depth + 1, || Slot {
-            panel: None,
-            buf: Vec::new(),
-            pending: None,
-            dims: (0, 0),
-        });
+        self.slots.resize_with(depth + 1, Slot::default);
         for s in &mut self.slots {
             s.panel = None;
-            s.dims = (0, 0);
         }
     }
 
-    fn bufs(&mut self) -> impl Iterator<Item = &mut Vec<f64>> {
+    fn bufs(&mut self) -> impl Iterator<Item = &mut PackedPanel> {
         self.slots.iter_mut().map(|s| &mut s.buf)
     }
 
@@ -110,16 +115,19 @@ impl Pipeline {
         self.slots.iter().position(|s| s.panel == Some(panel))
     }
 
-    /// Ensure a get has been issued for `panel`. `window` holds the
-    /// panels of the tasks currently in flight (the running task plus
-    /// the prefetch lookahead); a slot holding a window panel is never
-    /// evicted. With `depth + 1` slots a victim always exists.
+    /// Ensure a get has been issued for `panel`, to land packed as
+    /// `side` of the product. `window` holds the panels of the tasks
+    /// currently in flight (the running task plus the prefetch
+    /// lookahead); a slot holding a window panel is never evicted. With
+    /// `depth + 1` slots a victim always exists.
+    #[allow(clippy::too_many_arguments)]
     fn ensure_issued<C: Comm>(
         &mut self,
         comm: &mut C,
         mat: &DistMatrix,
         owner: usize,
         panel: usize,
+        side: Side,
         window: &[usize],
         fetched: &mut usize,
     ) -> usize {
@@ -137,15 +145,15 @@ impl Pipeline {
         let slot = &mut self.slots[victim];
         // The window invariant makes a pending get on the victim
         // unlikely (`depth + 1` slots cover the whole in-flight
-        // window), but reusing a buffer that a nonblocking get is still
+        // window), but reusing a panel that a nonblocking get is still
         // filling would corrupt data silently — so drain any pending
-        // transfer before the buffer is overwritten.
+        // transfer before the panel is overwritten.
         if let Some(h) = slot.pending.take() {
             comm.wait(h);
         }
-        slot.dims = mat.block_dims(owner);
         slot.panel = Some(panel);
-        slot.pending = Some(comm.nbget(mat, owner, &mut slot.buf));
+        let into = Landing::Packed(&mut slot.buf, side);
+        slot.pending = Some(comm.nbget(mat, owner, into));
         *fetched += 1;
         victim
     }
@@ -157,15 +165,11 @@ impl Pipeline {
         }
     }
 
-    /// View of the whole stored block held in `idx` (None if virtual).
-    fn view(&self, idx: usize) -> Option<MatRef<'_>> {
-        let s = &self.slots[idx];
-        if s.buf.is_empty() {
-            None
-        } else {
-            let (r, c) = s.dims;
-            Some(MatRef::new(r, c, c, &s.buf))
-        }
+    /// The whole panel held in `idx` (None if nothing landed: virtual
+    /// backing, or a block with an empty dimension).
+    fn view(&self, idx: usize) -> Option<PackedView<'_>> {
+        let buf = &self.slots[idx].buf;
+        (!buf.is_empty()).then(|| buf.view())
     }
 }
 
@@ -174,7 +178,7 @@ impl Pipeline {
 /// the machine's task list, ordering, source table, prefetch pipelines
 /// and window vectors; [`SrummaMachine::new`] re-arms them for the next
 /// multiply in a stream (a single multiply starts from the empty
-/// default and drops them). The fetch buffers stay in the pipelines, or
+/// default and drops them). The fetched panels stay in the pipelines, or
 /// between entries with the worker the rank last ran on
 /// ([`Comm::return_buf`]); combined with the backend's persistent
 /// [`srumma_dense` gemm workspace](srumma_comm::Comm::ws_grow_count),
@@ -411,6 +415,7 @@ impl<'a> SrummaMachine<'a> {
                     mat,
                     owner,
                     nt.la,
+                    Side::A(spec.transa),
                     &self.scratch.wa,
                     &mut self.report.fetched_blocks,
                 );
@@ -425,6 +430,7 @@ impl<'a> SrummaMachine<'a> {
                     mat,
                     owner,
                     nt.lb,
+                    Side::B(spec.transb),
                     &self.scratch.wb,
                     &mut self.report.fetched_blocks,
                 );
@@ -466,8 +472,9 @@ impl<'a> SrummaMachine<'a> {
         };
 
         // Kernel call on the segment. Direct blocks borrow the
-        // DistMatrix; fetched ones borrow the pipeline. Read guards
-        // must outlive the gemm call.
+        // DistMatrix and are packed by the kernel's own loop; fetched
+        // ones are the slot's panel, cut to the segment's k-range. Read
+        // guards must outlive the gemm call.
         let seg = t.klen();
         let direct = a_slot.is_none() || b_slot.is_none();
         let label = if traced {
@@ -483,29 +490,35 @@ impl<'a> SrummaMachine<'a> {
             Source::Direct { owner } => Some(self.b.read_block(owner)),
             _ => None,
         };
-        let a_whole: Option<MatRef<'_>> = match (&a_direct, a_slot) {
-            (Some(blk), _) => blk.mat(),
-            (None, Some(s)) => self.scratch.a_pipe.view(s),
+        let av = match (&a_direct, a_slot) {
+            (Some(blk), _) => blk.mat().map(|whole| {
+                let (v, op) = a_seg_view(spec, whole, t.rel_a(), seg);
+                Operand::Plain(v, op)
+            }),
+            (None, Some(s)) => {
+                let whole = self.scratch.a_pipe.view(s);
+                whole.map(|p| Operand::Packed(p.k_range(t.rel_a(), seg)))
+            }
             _ => None,
         };
-        let b_whole: Option<MatRef<'_>> = match (&b_direct, b_slot) {
-            (Some(blk), _) => blk.mat(),
-            (None, Some(s)) => self.scratch.b_pipe.view(s),
+        let bv = match (&b_direct, b_slot) {
+            (Some(blk), _) => blk.mat().map(|whole| {
+                let (v, op) = b_seg_view(spec, whole, t.rel_b(), seg);
+                Operand::Plain(v, op)
+            }),
+            (None, Some(s)) => {
+                let whole = self.scratch.b_pipe.view(s);
+                whole.map(|p| Operand::Packed(p.k_range(t.rel_b(), seg)))
+            }
             _ => None,
         };
-        let av = a_whole.map(|v| a_seg_view(spec, v, t.rel_a(), seg));
-        let bv = b_whole.map(|v| b_seg_view(spec, v, t.rel_b(), seg));
-        let ta = av.map(|(_, o)| o).unwrap_or(spec.transa);
-        let tb = bv.map(|(_, o)| o).unwrap_or(spec.transb);
         comm.gemm(
-            ta,
-            tb,
             self.crows,
             self.ccols,
             seg,
             spec.alpha,
-            av.map(|(v, _)| v),
-            bv.map(|(v, _)| v),
+            av,
+            bv,
             self.cw.mat_mut(),
             direct,
             &label,
@@ -538,7 +551,7 @@ impl<'a> SrummaMachine<'a> {
         self.report
     }
 
-    /// Release the C write guard, hand the fetch buffers back
+    /// Release the C write guard, hand the slot panels back
     /// ([`Comm::return_buf`]) and return the report, with the machine's
     /// allocations for the next multiply of a batch (see
     /// [`MachineScratch`]). Call this *before* arriving at the fence
@@ -621,7 +634,7 @@ impl<'a> SrummaProgram<'a> {
 
     /// The own-task phase: set up on the first call, then run at most
     /// `limit` tasks; `true` while more remain. Running the last one
-    /// releases the C write guard and the fetch buffers — before any
+    /// releases the C write guard and the slot panels — before any
     /// arrival at the closing fence, past which a peer may gather C.
     /// Any rank's communicator may be passed (a survivor finishing a
     /// dead rank's program, see [`crate::chaos`]).
@@ -748,9 +761,9 @@ mod tests {
             &mut self.recorder
         }
         fn barrier(&mut self) {}
-        fn nbget(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) -> GetHandle {
+        fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
             self.issued += 1;
-            mat.copy_block_into(owner, buf);
+            mat.land_block(owner, into);
             GetHandle::Ready
         }
         fn wait(&mut self, _h: GetHandle) {
@@ -766,14 +779,12 @@ mod tests {
         #[allow(clippy::too_many_arguments)]
         fn gemm(
             &mut self,
-            ta: Op,
-            tb: Op,
             m: usize,
             n: usize,
             k: usize,
             alpha: f64,
-            a: Option<MatRef<'_>>,
-            b: Option<MatRef<'_>>,
+            a: Option<Operand<'_>>,
+            b: Option<Operand<'_>>,
             c: Option<MatMut<'_>>,
             _direct: bool,
             _label: &str,
@@ -782,7 +793,8 @@ mod tests {
                 return;
             }
             if let (Some(a), Some(b), Some(c)) = (a, b, c) {
-                srumma_dense::dgemm(ta, tb, alpha, a, b, 1.0, c);
+                let ws = &mut srumma_dense::GemmWorkspace::new();
+                srumma_dense::dgemm_operands(alpha, a, b, 1.0, c, ws);
             }
         }
         fn send(&mut self, _dst: usize, _tag: u64, _data: &[f64], _bytes: u64) {
@@ -819,13 +831,13 @@ mod tests {
         let mut pipe = Pipeline::new(1); // two slots (B1/B2)
 
         // Fill both slots with pending (never-waited) gets.
-        pipe.ensure_issued(&mut comm, &mat, 0, 0, &[0, 1], &mut fetched);
-        pipe.ensure_issued(&mut comm, &mat, 0, 1, &[0, 1], &mut fetched);
+        pipe.ensure_issued(&mut comm, &mat, 0, 0, Side::A(Op::N), &[0, 1], &mut fetched);
+        pipe.ensure_issued(&mut comm, &mat, 0, 1, Side::A(Op::N), &[0, 1], &mut fetched);
         assert_eq!((comm.issued, comm.completed), (2, 0));
 
         // A window that protects neither slot forces an eviction while
         // the victim's get is still in flight.
-        pipe.ensure_issued(&mut comm, &mat, 0, 2, &[2], &mut fetched);
+        pipe.ensure_issued(&mut comm, &mat, 0, 2, Side::A(Op::N), &[2], &mut fetched);
         assert_eq!(comm.issued, 3);
         assert_eq!(
             comm.completed, 1,
@@ -936,7 +948,7 @@ mod tests {
         let mut comm = CountingComm::new(0, 1);
         let mut fetched = 0;
         let mut pipe = Pipeline::new(1);
-        pipe.ensure_issued(&mut comm, &mat, 0, 0, &[0], &mut fetched);
+        pipe.ensure_issued(&mut comm, &mat, 0, 0, Side::A(Op::N), &[0], &mut fetched);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipe.reset(1)))
             .expect_err("reset must panic while a get is pending");
         let msg = err
@@ -960,7 +972,7 @@ mod tests {
         let mut comm = CountingComm::new(0, 1);
         let mut fetched = 0;
         let mut pipe = Pipeline::new(1);
-        let s = pipe.ensure_issued(&mut comm, &mat, 0, 0, &[0], &mut fetched);
+        let s = pipe.ensure_issued(&mut comm, &mat, 0, 0, Side::A(Op::N), &[0], &mut fetched);
         pipe.wait_ready(&mut comm, s);
         pipe.reset(2); // deeper than before: B1/B2 → three slots
         assert_eq!(pipe.slots.len(), 3);

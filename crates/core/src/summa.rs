@@ -19,7 +19,7 @@ use crate::options::GemmSpec;
 use crate::taskorder::build_tasks;
 use srumma_comm::mpi::{bcast, bcast_ring};
 use srumma_comm::{Comm, DistMatrix};
-use srumma_dense::{MatRef, Op};
+use srumma_dense::{MatRef, Op, Operand};
 use srumma_trace::TraceKind;
 
 /// Broadcast schedule for the panel distribution.
@@ -179,27 +179,18 @@ pub fn summa<C: Comm>(
         // --- local update --------------------------------------------
         // The A strip is in *stored* orientation (op applied at the
         // kernel); the B strip was normalized to (seg × ccols).
-        let (av, ta) = if a_buf.is_empty() {
-            (None, spec.transa)
-        } else {
-            match spec.transa {
-                Op::N => (Some(MatRef::new(crows, seg, seg, &a_buf)), Op::N),
-                Op::T => (Some(MatRef::new(seg, crows, crows, &a_buf)), Op::T),
-            }
-        };
-        let bv = if b_buf.is_empty() {
-            None
-        } else {
-            Some(MatRef::new(seg, ccols, ccols, &b_buf))
-        };
+        let av = (!a_buf.is_empty()).then(|| {
+            let (rows, cols) = spec.transa.apply(crows, seg);
+            Operand::Plain(MatRef::new(rows, cols, cols, &a_buf), spec.transa)
+        });
+        let bv = (!b_buf.is_empty())
+            .then(|| Operand::Plain(MatRef::new(seg, ccols, ccols, &b_buf), Op::N));
         let label = if traced {
             format!("summa step {step}")
         } else {
             String::new()
         };
         comm.gemm(
-            ta,
-            Op::N,
             crows,
             ccols,
             seg,

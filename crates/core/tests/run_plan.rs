@@ -7,7 +7,7 @@
 use srumma_comm::{
     drive, exec_launch, sim_run, thread_launch, FaultPlan, FaultPlanError, SimOptions,
 };
-use srumma_core::driver::{default_grid, serial_reference};
+use srumma_core::driver::{default_grid, serial_reference, sparse_serial_reference};
 use srumma_core::layout::{dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask};
 use srumma_core::{
     Algorithm, Backend, GemmSpec, HierStageSet, RankReport, ReplicationFactor, Run, RunError,
@@ -563,4 +563,123 @@ fn operands_in_place_are_indistinguishable_from_scattered_copies() {
             }
         }
     }
+}
+
+// ---- a fetched panel lands packed ≡ a block read in place ------------
+
+/// Under the copy flavour a fetched block lands in its pipeline slot
+/// already in sliver order, at full depth, and every task that uses it
+/// multiplies a k-range of that panel; under the direct flavour the
+/// kernel packs the same k-range of the owner's block itself. No rank
+/// and no bit can tell: on a 2 x 3 grid with `k` = 1800 the A panels are
+/// 600 deep and the B panels 900, so the merged segments are
+/// 600/300/300/600 — segments longer than `KC`, segments that start
+/// inside a panel on either side, panels used by two tasks — and
+/// `ForceCopy` equals `ForceDirect` bit for bit on random operands, and
+/// the serial reference bit for bit on small-integer ones (every partial
+/// sum exact), for all four transposes, on `Sim`, `Threads` and `Exec`;
+/// in one domain (every block fetched, or every block direct) and in
+/// nodes of 2 (a task with one fetched and one direct operand), masked,
+/// and staged through the node groups.
+#[test]
+fn fetched_panels_multiply_to_the_bits_of_blocks_read_in_place() {
+    let mut machine = Machine::linux_myrinet();
+    machine.ranks_per_domain = RanksPerDomain::Fixed(2);
+    let nranks = 6;
+    let grid = default_grid(nranks);
+    assert_eq!((grid.p, grid.q), (2, 3));
+    let masks = SparseMasks::new(
+        BlockMask::random(grid.p, grid.q, 0.7, 0xC),
+        BlockMask::random(grid.p, grid.q, 0.7, 0xD),
+    );
+    for (ta, tb) in [
+        (Op::N, Op::N),
+        (Op::N, Op::T),
+        (Op::T, Op::N),
+        (Op::T, Op::T),
+    ] {
+        let spec = GemmSpec::new(ta, tb, 41, 37, 1800);
+        let (floats, ints) = (operands(&spec), int_operands(&spec));
+        for (grouped, masked, hier) in [
+            (false, false, false),
+            (true, false, false),
+            (true, true, false),
+            (true, false, true),
+            (true, true, true),
+        ] {
+            for backend in [
+                Backend::Sim(&machine),
+                Backend::Threads,
+                Backend::Exec { workers: 2 },
+            ] {
+                let on_sim = matches!(backend, Backend::Sim(_));
+                if on_sim && !grouped {
+                    continue; // the machine fixes its own domains
+                }
+                let what = format!(
+                    "{ta:?}{tb:?} grouped={grouped} masked={masked} hier={hier} {backend:?}"
+                );
+                let c = |shmem, ab: &(Matrix, Matrix)| {
+                    let algorithm = Algorithm::Srumma(SrummaOptions {
+                        shmem,
+                        ..SrummaOptions::default()
+                    });
+                    let run = Run {
+                        operands: Some((&ab.0, &ab.1)),
+                        masks: masked.then_some(&masks),
+                        ranks_per_node: (grouped && !on_sim).then_some(2),
+                        hier,
+                        ..Run::new(spec, nranks, algorithm, backend)
+                    };
+                    let out = run.execute().unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let fetched: u64 = out.stats.ranks.iter().map(|r| r.transfers).sum();
+                    (out.c.expect("real operands"), fetched)
+                };
+                let (copy, gets) = c(ShmemFlavor::ForceCopy, &floats);
+                let (direct, _) = c(ShmemFlavor::ForceDirect, &floats);
+                assert!(gets > 0, "{what}: the copy flavour fetched nothing");
+                assert_eq!(copy.as_slice(), direct.as_slice(), "{what}: copy vs direct");
+                let want = match masked {
+                    true => sparse_serial_reference(&spec, &ints.0, &ints.1, &masks),
+                    false => serial_reference(&spec, &ints.0, &ints.1),
+                };
+                let (copy, _) = c(ShmemFlavor::ForceCopy, &ints);
+                assert_eq!(copy.as_slice(), want.as_slice(), "{what}: copy vs serial");
+            }
+        }
+    }
+}
+
+/// A rank that dies with fetched panels in its pipeline hands them, with
+/// the rest of its machine, to the survivor that finishes its tasks:
+/// the recovered C is the healthy copy-flavour C, which is the direct
+/// flavour's, bit for bit.
+#[test]
+fn a_machine_adopted_mid_run_keeps_multiplying_from_its_packed_panels() {
+    let spec = GemmSpec::new(Op::T, Op::N, 41, 37, 1800);
+    let ab = operands(&spec);
+    let c = |shmem, faults| {
+        let algorithm = Algorithm::Srumma(SrummaOptions {
+            shmem,
+            ..SrummaOptions::default()
+        });
+        let run = Run {
+            operands: Some((&ab.0, &ab.1)),
+            faults,
+            ..Run::new(spec, 6, algorithm, Backend::Exec { workers: 2 })
+        };
+        let out = run.execute().unwrap();
+        (out.c.unwrap(), out.stats.total_tasks_reexecuted())
+    };
+    let plan = FaultPlan::healthy().with_death(4, 2);
+    let (recovered, reexecuted) = c(ShmemFlavor::ForceCopy, Some(&plan));
+    assert!(reexecuted > 0, "nobody adopted the dead rank's machine");
+    let (healthy, _) = c(ShmemFlavor::ForceCopy, None);
+    let (direct, _) = c(ShmemFlavor::ForceDirect, None);
+    assert_eq!(
+        recovered.as_slice(),
+        healthy.as_slice(),
+        "recovered vs healthy"
+    );
+    assert_eq!(healthy.as_slice(), direct.as_slice(), "copy vs direct");
 }

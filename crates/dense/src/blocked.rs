@@ -14,6 +14,15 @@
 //! `β·C` is applied exactly once at the start (BLAS semantics), after
 //! which every `(lc)` slice accumulates into C.
 //!
+//! That nest is written once, [`dgemm_operands`], over two
+//! [`Operand`]s. A `Plain` side (a stored matrix and its transpose
+//! flag) is packed as above; a `Packed` side is a k-range of a
+//! [`crate::pack::PackedPanel`] — a whole block some earlier step (a
+//! one-sided get) already left in sliver order — and its `pack` line
+//! simply does not run: the macro-kernel takes a sliver base and stride
+//! per side and cannot tell the two apart, so neither can any bit of C.
+//! [`dgemm_ws`] is the nest with two `Plain` sides.
+//!
 //! The packing buffers live in a [`GemmWorkspace`] that callers on hot
 //! paths (the `Comm::gemm` implementations, the SRUMMA task loop) keep
 //! across calls, so the steady state performs **zero** heap
@@ -31,7 +40,7 @@ use crate::aligned::{AlignedBuf, ALIGN};
 use crate::gemm::Op;
 use crate::kernel::{active_kernel, writeback, Microkernel, ACC_LEN};
 use crate::matrix::{MatMut, MatRef};
-use crate::pack::{pack_a, pack_b};
+use crate::pack::{pack_a, pack_b, PackedView};
 
 /// Default M-dimension cache block: the packed `MC × KC` A panel
 /// (128 KiB) stays in L2 while every B sliver passes over it. Like
@@ -133,11 +142,14 @@ impl GemmWorkspace {
     /// Workspace with explicit kernel and block sizes (differential
     /// tests only).
     ///
-    /// `blocks.nc` takes effect rounded down to a whole number of the
-    /// kernel's `nr`-wide slivers (at least one), so that only a
-    /// matrix's own last columns ever make a ragged sliver, never the
-    /// panel width; [`Self::blocks`] reports the value in effect.
-    /// Bitwise-neutral, like any choice of `nc`.
+    /// `blocks.mc` and `blocks.nc` take effect rounded down to a whole
+    /// number of the kernel's `mr`- / `nr`-wide slivers (at least one),
+    /// so that only a matrix's own last rows and columns ever make a
+    /// ragged sliver, never the panel size — which is also what lets the
+    /// loop step through a [`crate::pack::PackedPanel`], whose slivers
+    /// were cut before any block size was known; [`Self::blocks`]
+    /// reports the values in effect. Bitwise-neutral, like any choice of
+    /// `mc` and `nc`.
     ///
     /// # Panics
     /// Panics if `kernel` is not available on this host.
@@ -147,6 +159,7 @@ impl GemmWorkspace {
             "{} kernel is not available on this host",
             kernel.name()
         );
+        blocks.mc = (blocks.mc / kernel.mr()).max(1) * kernel.mr();
         blocks.nc = (blocks.nc / kernel.nr()).max(1) * kernel.nr();
         GemmWorkspace {
             kernel,
@@ -193,6 +206,17 @@ impl GemmWorkspace {
     }
 }
 
+/// One factor of a product, in either form the blocked loop reads.
+#[derive(Clone, Copy)]
+pub enum Operand<'a> {
+    /// A stored matrix and the transpose flag it enters with; the loop
+    /// packs it, one cache block at a time, into the workspace.
+    Plain(MatRef<'a>, Op),
+    /// A k-range of a block already in sliver order
+    /// ([`crate::pack::PackedPanel`]); the loop reads it in place.
+    Packed(PackedView<'a>),
+}
+
 /// Cache-blocked `C ← α·op(A)·op(B) + β·C` with a caller-owned
 /// [`GemmWorkspace`] — the entry for hot paths that issue many gemms
 /// (the comm backends, the SRUMMA task loop): packing buffers are
@@ -206,13 +230,41 @@ pub fn dgemm_ws(
     a: MatRef<'_>,
     b: MatRef<'_>,
     beta: f64,
+    c: MatMut<'_>,
+    ws: &mut GemmWorkspace,
+) {
+    let (a, b) = (Operand::Plain(a, transa), Operand::Plain(b, transb));
+    dgemm_operands(alpha, a, b, beta, c, ws);
+}
+
+/// [`dgemm_ws`] over [`Operand`]s — the one blocked loop nest. A
+/// `Plain` side is packed per cache block as ever; a `Packed` side
+/// skips the pack and hands the macro-kernel the same values in the
+/// same order from where they already lie, `KC` chains starting at the
+/// view's first depth — so the result is bit-equal to `dgemm_ws` on the
+/// sub-blocks the views were packed from, whichever sides are packed.
+///
+/// # Panics
+/// Panics on a shape mismatch, or if a packed side's sliver width is not
+/// the one `ws`'s kernel consumes.
+pub fn dgemm_operands(
+    alpha: f64,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    beta: f64,
     mut c: MatMut<'_>,
     ws: &mut GemmWorkspace,
 ) {
     let m = c.rows();
     let n = c.cols();
-    let (am, ak) = transa.apply(a.rows(), a.cols());
-    let (bk, bn) = transb.apply(b.rows(), b.cols());
+    let (am, ak) = match a {
+        Operand::Plain(a, op) => op.apply(a.rows(), a.cols()),
+        Operand::Packed(p) => (p.lanes(), p.depth()),
+    };
+    let (bk, bn) = match b {
+        Operand::Plain(b, op) => op.apply(b.rows(), b.cols()),
+        Operand::Packed(p) => (p.depth(), p.lanes()),
+    };
     assert_eq!(am, m, "op(A) rows {am} != C rows {m}");
     assert_eq!(bn, n, "op(B) cols {bn} != C cols {n}");
     assert_eq!(ak, bk, "op(A) cols {ak} != op(B) rows {bk}");
@@ -225,11 +277,24 @@ pub fn dgemm_ws(
 
     ws.reserve();
     let kernel = ws.kernel;
+    let (mr, nr) = (kernel.mr(), kernel.nr());
+    for (side, w) in [(a, mr), (b, nr)] {
+        if let Operand::Packed(p) = side {
+            assert_eq!(
+                p.width(),
+                w,
+                "panel packed in slivers of {}, the {} kernel reads slivers of {w}",
+                p.width(),
+                kernel.name()
+            );
+        }
+    }
     let BlockSizes {
         mc: bmc,
         kc: bkc,
         nc: bnc,
     } = ws.blocks;
+    let GemmWorkspace { apack, bpack, .. } = ws;
 
     let mut jc = 0;
     while jc < n {
@@ -237,40 +302,25 @@ pub fn dgemm_ws(
         let mut lc = 0;
         while lc < k {
             let kc = bkc.min(k - lc);
-            pack_b(
-                transb,
-                b,
-                lc,
-                jc,
-                kc,
-                nc,
-                kernel.nr(),
-                ws.bpack.as_mut_slice(),
-            );
+            let b_slivers = match b {
+                Operand::Plain(b, op) => {
+                    pack_b(op, b, lc, jc, kc, nc, nr, bpack.as_mut_slice());
+                    (bpack.as_slice(), nr * kc)
+                }
+                Operand::Packed(p) => p.slivers_from(jc, lc),
+            };
             let mut ic = 0;
             while ic < m {
                 let mc = bmc.min(m - ic);
-                pack_a(
-                    transa,
-                    a,
-                    ic,
-                    lc,
-                    mc,
-                    kc,
-                    kernel.mr(),
-                    ws.apack.as_mut_slice(),
-                );
+                let a_slivers = match a {
+                    Operand::Plain(a, op) => {
+                        pack_a(op, a, ic, lc, mc, kc, mr, apack.as_mut_slice());
+                        (apack.as_slice(), mr * kc)
+                    }
+                    Operand::Packed(p) => p.slivers_from(ic, lc),
+                };
                 macro_kernel(
-                    kernel,
-                    mc,
-                    nc,
-                    kc,
-                    alpha,
-                    ws.apack.as_slice(),
-                    ws.bpack.as_slice(),
-                    &mut c,
-                    ic,
-                    jc,
+                    kernel, mc, nc, kc, alpha, a_slivers, b_slivers, &mut c, ic, jc,
                 );
                 ic += bmc;
             }
@@ -281,6 +331,9 @@ pub fn dgemm_ws(
 }
 
 /// Run the micro-kernel over every `mr × nr` tile of an `mc × nc` block.
+/// Each side is its first sliver's slice and the distance to the next:
+/// `w · kc` in a workspace panel, `w ·` the full depth in a
+/// [`crate::pack::PackedPanel`].
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
     kernel: Microkernel,
@@ -288,8 +341,8 @@ fn macro_kernel(
     nc: usize,
     kc: usize,
     alpha: f64,
-    apack: &[f64],
-    bpack: &[f64],
+    (apack, a_stride): (&[f64], usize),
+    (bpack, b_stride): (&[f64], usize),
     c: &mut MatMut<'_>,
     ic: usize,
     jc: usize,
@@ -298,10 +351,10 @@ fn macro_kernel(
     let m_slivers = mc.div_ceil(mr);
     let n_slivers = nc.div_ceil(nr);
     for js in 0..n_slivers {
-        let b_sliver = &bpack[js * nr * kc..(js + 1) * nr * kc];
+        let b_sliver = &bpack[js * b_stride..][..nr * kc];
         let cols = nr.min(nc - js * nr);
         for is in 0..m_slivers {
-            let a_sliver = &apack[is * mr * kc..(is + 1) * mr * kc];
+            let a_sliver = &apack[is * a_stride..][..mr * kc];
             let rows = mr.min(mc - is * mr);
             let mut acc = [0.0; ACC_LEN];
             kernel.run_cols(cols, kc, a_sliver, b_sliver, &mut acc);

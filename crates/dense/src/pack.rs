@@ -24,8 +24,19 @@
 //! movers: dead lanes are written `0.0`, other widths use the run-time
 //! `w`. [`pack_a`] and [`pack_b`] only choose origins and
 //! destinations.
+//!
+//! The blocked loop packs one `kc`-deep cache block at a time into its
+//! workspace. A [`PackedPanel`] is the same layout kept: one whole
+//! stored block packed once at its **full** depth, so that any k-range
+//! of it is already what `pack_a`/`pack_b` of that range would write —
+//! sliver `s`, depths `[k0, k0 + kc)` is the contiguous run
+//! `buf[(s · depth + k0) · w ..][.. kc · w]`. A one-sided get lands its
+//! block in this form (`srumma-comm`'s `Landing::Packed`) and the
+//! blocked loop reads it in place ([`crate::blocked::Operand::Packed`]).
 
+use crate::aligned::AlignedBuf;
 use crate::gemm::Op;
+use crate::kernel::Microkernel;
 use crate::matrix::{transpose_into, MatRef};
 
 /// `dst[k * w + x] ← rows[k * ld + x]` for `x < live`, `0.0` for
@@ -135,6 +146,151 @@ pub fn pack_b(
 ) {
     // op(B)[k][j] is B[k][j] or B[j][k] (a sliver's columns are source rows).
     pack_slivers(transb == Op::T, b, j0, l0, nc, kc, nr, buf);
+}
+
+/// Which factor of the product a stored block feeds, and the transpose
+/// flag it enters with — together they fix the sliver width (`mr` or
+/// `nr`) and which of the two movers fills the slivers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// The block is (a k-panel of) `A`; `op(A)` rows are the lanes.
+    A(Op),
+    /// The block is (a k-panel of) `B`; `op(B)` columns are the lanes.
+    B(Op),
+}
+
+/// A whole stored block in sliver order at its full k-depth: what
+/// [`pack_a`] / [`pack_b`] write for `kc` = the block's entire inner
+/// dimension. The buffer is kept across packs (grown, never shrunk), so
+/// a panel that is refilled block after block allocates once.
+#[derive(Debug, Default)]
+pub struct PackedPanel {
+    buf: AlignedBuf,
+    /// Sliver width the contents were packed for.
+    w: usize,
+    /// Live lanes (`m` of an A block, `n` of a B block).
+    lanes: usize,
+    /// Inner-dimension extent of the block.
+    depth: usize,
+}
+
+impl PackedPanel {
+    /// An empty panel; no allocation until the first [`Self::pack`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Pack the whole stored block `src` as `side` of a product run by
+    /// `kernel`, replacing the previous contents — [`pack_a`] /
+    /// [`pack_b`] of the entire block at its full depth.
+    pub fn pack(&mut self, side: Side, kernel: Microkernel, src: MatRef<'_>) {
+        let (w, strided) = match side {
+            Side::A(op) => (kernel.mr(), op == Op::N),
+            Side::B(op) => (kernel.nr(), op == Op::T),
+        };
+        let (lanes, depth) = if strided {
+            (src.rows(), src.cols())
+        } else {
+            (src.cols(), src.rows())
+        };
+        self.buf.grow_to(lanes.div_ceil(w) * w * depth);
+        pack_slivers(strided, src, 0, 0, lanes, depth, w, self.buf.as_mut_slice());
+        (self.w, self.lanes, self.depth) = (w, lanes, depth);
+    }
+
+    /// Forget the contents (the buffer stays): nothing has landed here.
+    pub fn clear(&mut self) {
+        (self.lanes, self.depth) = (0, 0);
+    }
+
+    /// Whether the panel holds no element — never packed, cleared, or
+    /// packed from a block with an empty dimension.
+    pub fn is_empty(&self) -> bool {
+        self.lanes == 0 || self.depth == 0
+    }
+
+    /// The whole panel, every depth of every sliver.
+    pub fn view(&self) -> PackedView<'_> {
+        // A panel never packed has no width to divide by.
+        let slivers = if self.lanes == 0 {
+            0
+        } else {
+            self.lanes.div_ceil(self.w)
+        };
+        PackedView {
+            data: &self.buf.as_slice()[..slivers * self.w * self.depth],
+            w: self.w,
+            lanes: self.lanes,
+            full_depth: self.depth,
+            k0: 0,
+            depth: self.depth,
+        }
+    }
+}
+
+/// A k-range of a [`PackedPanel`]: all its slivers, depths
+/// `[k0, k0 + depth)` of each.
+#[derive(Clone, Copy, Debug)]
+pub struct PackedView<'a> {
+    data: &'a [f64],
+    w: usize,
+    lanes: usize,
+    /// Depth of the panel the view was cut from (the sliver stride is
+    /// `w · full_depth`).
+    full_depth: usize,
+    k0: usize,
+    depth: usize,
+}
+
+impl<'a> PackedView<'a> {
+    /// Sliver width the panel was packed for.
+    pub fn width(&self) -> usize {
+        self.w
+    }
+
+    /// Live lanes: rows of `op(A)`, columns of `op(B)`.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Inner-dimension extent of the view.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// The sub-range `[rel0, rel0 + seg)` of this view's depths.
+    ///
+    /// # Panics
+    /// Panics if the range leaves the view.
+    pub fn k_range(self, rel0: usize, seg: usize) -> Self {
+        assert!(
+            rel0 + seg <= self.depth,
+            "k-range {rel0}..{} of a packed view {} deep",
+            rel0 + seg,
+            self.depth
+        );
+        PackedView {
+            k0: self.k0 + rel0,
+            depth: seg,
+            ..self
+        }
+    }
+
+    /// Sliver `s` of the view: its `depth · w` values, `k`-major, the
+    /// run [`pack_a`] / [`pack_b`] of this k-range would have written.
+    pub fn sliver(&self, s: usize) -> &'a [f64] {
+        &self.slivers_from(s * self.w, 0).0[..self.depth * self.w]
+    }
+
+    /// The slivers from lane `x0` (a whole number of slivers in) on,
+    /// each starting at depth `lc` of the view: the slice that begins
+    /// at the first of them, and the distance between two starts.
+    pub(crate) fn slivers_from(&self, x0: usize, lc: usize) -> (&'a [f64], usize) {
+        debug_assert!(x0.is_multiple_of(self.w) && lc <= self.depth);
+        let stride = self.w * self.full_depth;
+        let start = x0 / self.w * stride + (self.k0 + lc) * self.w;
+        (&self.data[start..], stride)
+    }
 }
 
 #[cfg(test)]

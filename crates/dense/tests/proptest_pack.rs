@@ -466,3 +466,87 @@ fn dgemm_ws_is_bit_identical_to_the_element_loop_packers() {
         }
     }
 }
+
+/// A block packed once at full depth serves every k-range of itself:
+/// for each kernel of the ladder (sliver widths 4 and 8 on the A side,
+/// 8, 12 and 24 on the B side), both orientations, ragged lanes and a
+/// strided, salted source, the sub-range `[k0, k0 + kc)` of the panel
+/// equals `pack_a` / `pack_b` of that sub-range, element for element.
+/// One panel is refilled case after case, so a smaller block must not
+/// see what a larger one left behind.
+#[test]
+fn full_depth_panel_sub_ranges_equal_packing_the_sub_range() {
+    use srumma_dense::{PackedPanel, Side};
+    let poison = f64::from_bits(0x7FF8_DEAD_BEEF_0002);
+    let mut panel = PackedPanel::new();
+    for seed in prop_seeds(0xF011_DE97, 24) {
+        let mut rng = Rng::new(seed);
+        for &kernel in Microkernel::all() {
+            for a_side in [true, false] {
+                let op = random_op(&mut rng);
+                let (side, w) = if a_side {
+                    (Side::A(op), kernel.mr())
+                } else {
+                    (Side::B(op), kernel.nr())
+                };
+                let lanes = rng.range(1, 3 * w + 2);
+                let depth = rng.range(1, 300);
+                let k0 = rng.range(0, depth - 1);
+                let kc = rng.range(1, depth - k0);
+                // op(A) is lanes x depth, op(B) depth x lanes.
+                let (rows, cols) = match (a_side, op) {
+                    (true, Op::N) | (false, Op::T) => (lanes, depth),
+                    (true, Op::T) | (false, Op::N) => (depth, lanes),
+                };
+                let (big, pr, pc) = salted(rows, cols, &mut rng);
+                let src = big.block(pr, pc, rows, cols);
+                let what = format!(
+                    "{} {side:?} w={w} lanes={lanes} depth={depth} k0={k0} kc={kc}",
+                    kernel.name()
+                );
+
+                panel.pack(side, kernel, src);
+                let whole = panel.view();
+                assert_eq!(
+                    (whole.width(), whole.lanes(), whole.depth()),
+                    (w, lanes, depth),
+                    "{what}"
+                );
+                let sub = whole.k_range(k0, kc);
+                assert_eq!((sub.lanes(), sub.depth()), (lanes, kc), "{what}");
+
+                let slivers = lanes.div_ceil(w);
+                let mut want = vec![poison; slivers * w * kc];
+                if a_side {
+                    pack_a(op, src, 0, k0, lanes, kc, w, &mut want);
+                } else {
+                    pack_b(op, src, k0, 0, kc, lanes, w, &mut want);
+                }
+                for (s, want) in want.chunks(w * kc).enumerate() {
+                    assert_same_bits(sub.sliver(s), want, &format!("{what} sliver {s}"), seed);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn an_unpacked_or_cleared_panel_is_empty() {
+    use srumma_dense::{PackedPanel, Side};
+    let mut panel = PackedPanel::new();
+    assert!(panel.is_empty());
+    assert_eq!(panel.view().depth(), 0);
+    let m = Matrix::random(5, 7, 1);
+    panel.pack(Side::B(Op::N), Microkernel::Scalar, m.as_ref());
+    assert!(!panel.is_empty());
+    assert_eq!((panel.view().lanes(), panel.view().depth()), (7, 5));
+    panel.clear();
+    assert!(panel.is_empty());
+    // A block with an empty dimension holds no element either.
+    panel.pack(
+        Side::A(Op::T),
+        Microkernel::Scalar,
+        MatRef::new(0, 4, 4, &[]),
+    );
+    assert!(panel.is_empty());
+}

@@ -20,7 +20,10 @@ use srumma_dense::blocked::BlockSizes;
 use srumma_dense::kernel::{writeback, Microkernel, ACC_LEN, MR, MR_AVX512, NR_AVX2, NR_AVX512};
 use srumma_dense::pack::{pack_a, pack_b};
 use srumma_dense::simd::microkernel_avx512;
-use srumma_dense::{dgemm_ws, prop_rerun, prop_seeds, GemmWorkspace, Matrix, Op, Rng};
+use srumma_dense::{
+    dgemm_operands, dgemm_ws, prop_rerun, prop_seeds, GemmWorkspace, Matrix, Op, Operand,
+    PackedPanel, Rng, Side,
+};
 
 fn avx2_or_skip() -> bool {
     if Microkernel::Avx2.available() {
@@ -401,4 +404,109 @@ fn avx512_dgemm_is_bit_identical_to_its_one_vector_instance() {
             }
         }
     }
+}
+
+/// A prepacked side changes no bit. Each factor is a whole stored block
+/// (its own full depth, a strided window of a larger matrix) of which
+/// the product uses a k-segment that starts past the block's origin and
+/// is longer than `KC`: the plain path multiplies the sub-blocks
+/// through `dgemm_ws`, the packed paths cut the same segment out of a
+/// panel packed once at full depth. (packed, plain), (plain, packed)
+/// and (packed, packed) must all equal (plain, plain) bit for bit — all
+/// four transposes, every kernel this host runs, the default blocks and
+/// one configuration whose `mc` and `nc` are not whole slivers of any
+/// kernel.
+#[test]
+fn packed_operands_are_bit_identical_to_plain_ones() {
+    for seed in prop_seeds(0x9ACC_ED01, 2) {
+        let mut rng = Rng::new(seed);
+        for &kernel in Microkernel::all().iter().filter(|k| k.available()) {
+            for blocks in [None, Some(BlockSizes::new(21, 100, 50))] {
+                for (ta, tb) in [
+                    (Op::N, Op::N),
+                    (Op::T, Op::N),
+                    (Op::N, Op::T),
+                    (Op::T, Op::T),
+                ] {
+                    let (m, n) = (rng.range(1, 70), rng.range(1, 70));
+                    let seg = rng.range(257, 420);
+                    let (rel_a, rel_b) = (rng.range(1, 40), rng.range(1, 40));
+                    let (ka, kb) = (rel_a + seg + rng.range(0, 9), rel_b + seg + rng.range(0, 9));
+                    let (alpha, beta) = (1.5, 0.5);
+
+                    // Whole stored blocks, as windows with ld > cols.
+                    let (ar, ac) = ta.apply(m, ka);
+                    let (br, bc) = tb.apply(kb, n);
+                    let big_a = Matrix::random(ar + 3, ac + 5, rng.next_u64());
+                    let big_b = Matrix::random(br + 2, bc + 7, rng.next_u64());
+                    let (a, b) = (big_a.block(2, 4, ar, ac), big_b.block(1, 6, br, bc));
+                    let c0 = Matrix::random(m, n, rng.next_u64());
+                    // The segment of each, as the plain path sees it.
+                    let a_seg = match ta {
+                        Op::N => a.block(0, rel_a, m, seg),
+                        Op::T => a.block(rel_a, 0, seg, m),
+                    };
+                    let b_seg = match tb {
+                        Op::N => b.block(rel_b, 0, seg, n),
+                        Op::T => b.block(0, rel_b, n, seg),
+                    };
+
+                    let mut ws = match blocks {
+                        Some(blocks) => GemmWorkspace::with_config(kernel, blocks),
+                        None => GemmWorkspace::with_kernel(kernel),
+                    };
+                    let mut want = c0.clone();
+                    dgemm_ws(ta, tb, alpha, a_seg, b_seg, beta, want.as_mut(), &mut ws);
+
+                    let (mut pa, mut pb) = (PackedPanel::new(), PackedPanel::new());
+                    pa.pack(Side::A(ta), kernel, a);
+                    pb.pack(Side::B(tb), kernel, b);
+                    let plain = (Operand::Plain(a_seg, ta), Operand::Plain(b_seg, tb));
+                    let packed = (
+                        Operand::Packed(pa.view().k_range(rel_a, seg)),
+                        Operand::Packed(pb.view().k_range(rel_b, seg)),
+                    );
+                    for (which, a, b) in [
+                        ("packed x plain", packed.0, plain.1),
+                        ("plain x packed", plain.0, packed.1),
+                        ("packed x packed", packed.0, packed.1),
+                    ] {
+                        let mut got = c0.clone();
+                        dgemm_operands(alpha, a, b, beta, got.as_mut(), &mut ws);
+                        let what = format!(
+                            "{which} {} {ta:?}{tb:?} {m}x{n} seg={seg} rel={rel_a}/{rel_b} \
+                             blocks={:?}",
+                            kernel.name(),
+                            ws.blocks()
+                        );
+                        assert_same_bits(got.as_slice(), want.as_slice(), &what, seed);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A panel packed for another kernel's sliver width is refused, by a
+/// message that names both widths — reading it at the wrong stride
+/// would be a silently wrong product.
+#[test]
+fn a_panel_of_another_sliver_width_is_refused() {
+    let b = Matrix::random(9, 30, 1);
+    let a = Matrix::random(5, 9, 2);
+    let mut c = Matrix::zeros(5, 30);
+    let mut panel = PackedPanel::new();
+    panel.pack(Side::B(Op::N), Microkernel::Avx2, b.as_ref());
+    let mut ws = GemmWorkspace::with_kernel(Microkernel::Scalar);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let a = Operand::Plain(a.as_ref(), Op::N);
+        let b = Operand::Packed(panel.view());
+        dgemm_operands(1.0, a, b, 0.0, c.as_mut(), &mut ws);
+    }))
+    .expect_err("a 12-wide panel must not reach the 4x8 kernel");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("slivers of 12") && msg.contains("slivers of 8") && msg.contains("scalar"),
+        "unexpected panic message: {msg}"
+    );
 }

@@ -282,9 +282,15 @@ impl RunStats {
         flops / self.makespan / 1e9
     }
 
-    /// Derive run statistics from a recorded event stream — the thread
-    /// backend's path, where no simulation kernel accounts time.
-    /// `final_times[r]` becomes the latest event end on rank `r`.
+    /// Derive run statistics from a recorded event stream — the path of
+    /// the two wall-clock backends, where no simulation kernel accounts
+    /// time. `final_times[r]` becomes the latest event end on rank `r`.
+    ///
+    /// A `Transfer` span there is a synchronous copy on the issuing
+    /// rank's own thread (its `nbget` returns `GetHandle::Ready`): the
+    /// rank was blocked for the whole of it, so the span counts as
+    /// waited as well as in flight, and the overlap such a run reports
+    /// is the overlap it achieved — none.
     pub fn from_events(nranks: usize, events: &[TraceEvent]) -> RunStats {
         let mut ranks = vec![RankStats::default(); nranks];
         let mut final_times = vec![0.0f64; nranks];
@@ -300,6 +306,7 @@ impl RunStats {
                 TraceKind::Barrier => r.barrier_time += dt,
                 TraceKind::Transfer => {
                     r.inflight_time += dt;
+                    r.wait_time += dt;
                     r.transfers += 1;
                     r.bytes_shm += e.bytes;
                 }
@@ -372,6 +379,33 @@ mod tests {
         assert!((s.overlap_fraction().unwrap() - 0.9).abs() < 1e-12);
         s.wait_time = 20.0; // waited longer than inflight (barrier mix)
         assert_eq!(s.overlap_fraction().unwrap(), 0.0);
+    }
+
+    /// On a wall-clock backend a get is a copy the rank makes itself:
+    /// nothing ran beside it, so nothing was overlapped, and the time is
+    /// part of the rank's stall.
+    #[test]
+    fn a_synchronous_transfer_is_waited_for_in_full() {
+        let ev = |t0: f64, t1: f64, kind| TraceEvent {
+            rank: 0,
+            t0,
+            t1,
+            kind,
+            label: String::new(),
+            bytes: 8,
+        };
+        let events = [
+            ev(0.0, 0.25, TraceKind::Transfer),
+            ev(0.25, 1.25, TraceKind::Compute),
+            ev(1.25, 1.5, TraceKind::Transfer),
+        ];
+        let rs = RunStats::from_events(1, &events);
+        assert_eq!(rs.ranks[0].inflight_time, 0.5);
+        assert_eq!(rs.ranks[0].wait_time, 0.5);
+        assert_eq!(rs.ranks[0].overlap_fraction(), Some(0.0));
+        assert_eq!(rs.mean_overlap(), Some(0.0));
+        assert_eq!(rs.total_stall_time(), 0.5);
+        assert_eq!(rs.ranks[0].transfers, 2);
     }
 
     #[test]
@@ -492,7 +526,8 @@ mod tests {
         ];
         let rs = RunStats::from_events(2, &events);
         assert_eq!(rs.ranks[0].compute_time, 1.0);
-        assert_eq!(rs.ranks[0].wait_time, 0.5);
+        // The recv wait plus the transfer, which blocked its issuer.
+        assert_eq!(rs.ranks[0].wait_time, 0.5 + 2.0);
         assert_eq!(rs.ranks[0].bytes_shm, 4096);
         assert_eq!(rs.ranks[0].transfers, 1);
         assert!((rs.ranks[1].barrier_time - 0.1).abs() < 1e-12);

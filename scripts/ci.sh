@@ -46,6 +46,20 @@ fi
 strides=$(cat crates/core/src/*.rs | grep -c 'const STRIDE')
 [ "$strides" -eq 1 ] || { echo "FAIL: $strides 'const STRIDE' under crates/core/src (want 1): poll granularity is the program's, not each host's" >&2; exit 1; }
 
+echo "== landing guard: one routine lands a fetched block, and a get is one method =="
+# Where a get puts its block (row-major, or packed for the kernel) is
+# DistMatrix::land_block's decision, in dist.rs. A backend or the task
+# loop that copies or packs a block itself is a second landing path
+# whose counters, cost model and fault injection can drift; a second get
+# method beside Comm::nbget is one a decorator can forget to forward.
+if grep -n 'copy_block_into\|pack_a(\|pack_b(' \
+    crates/comm/src/{exec,threadbackend,simbackend,virt}.rs crates/core/src/srumma.rs; then
+    echo "FAIL: a backend or the SRUMMA task loop moves block data itself (see above); go through DistMatrix::land_block" >&2; exit 1
+fi
+if grep -rn 'nbget_packed' crates src tests examples; then
+    echo "FAIL: a second get method is back (see above); Comm::nbget takes a Landing" >&2; exit 1
+fi
+
 echo "== env-knob inventory: the SRUMMA_* names in code are README's knob table =="
 in_code=$(grep -rhoE 'SRUMMA_[A-Z_]+' crates src tests scripts | sort -u)
 in_table=$(grep -oE '^\| `SRUMMA_[A-Z_]+`' README.md | grep -oE 'SRUMMA_[A-Z_]+' | sort -u)
@@ -115,6 +129,24 @@ for workload in $workloads; do
             exit 1
         }
     fi
+    # What was fetched and what was read in place are exact counts (the
+    # traced run prints them): under ForceCopy every one of the 1 024
+    # blocks of an op is still a get of its 73 728 bytes, however it
+    # lands; the other host workloads read every block in place and
+    # issue none.
+    case "$workload" in
+        manyrank_copy) want_transfers=1024 want_fetched=75497472 ;;
+        square_large | rect_tn | batch_stream) want_transfers=0 want_fetched=0 ;;
+        *) continue ;;
+    esac
+    traced=$(timeout 300 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1)
+    for want in "comm.transfers=$want_transfers" "comm.bytes_fetched=$want_fetched"; do
+        case "$traced" in
+            *"\"${want%=*}\": {\"value\": ${want#*=},"*) ;;
+            *) echo "FAIL: $workload: want ${want%=*} = ${want#*=} in the traced result line" >&2; exit 1 ;;
+        esac
+    done
 done
 
 echo "== oversubscription smoke: 128 ranks on 2 workers =="
