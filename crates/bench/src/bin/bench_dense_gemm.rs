@@ -33,6 +33,15 @@
 //!   gets have landed packed. Read it beside `gflops_simd_n`; the gap is
 //!   the pack the get took over.
 //!
+//! * `gflops_ldc_{96,384}_96x96x1536` and `gflops_ldc_{96,768}_96` —
+//!   one rank-task of the ledger's `rect_tn` (`TN`, 96 × 96 × 1536) and
+//!   `manyrank_copy` (`NN`, 96³) workloads, writing its C tile once as a
+//!   private block (`ldc` 96) and once as the window of the caller's
+//!   result matrix a run lends it (`ldc` 384 / 768: at 3 072 and 6 144
+//!   bytes a row, rows `r` and `r + 4` / `r + 2` of a micro-tile share
+//!   their low 12 address bits). The pair must read alike: the writeback
+//!   issues a tile's loads before its stores, so `ldc` costs nothing.
+//!
 //! Next to the ladder, the packers that feed it: `pack_ns_per_elem_
 //! {a,b}_{n,t}_{96,1536}` — nanoseconds per element to pack a whole
 //! `S × S` source the way the blocked loop does (`MC × KC` panels for A,
@@ -149,6 +158,20 @@ fn bench_get_pack(quick: bool) -> Vec<(String, f64)> {
             (format!("get_{tag}_n_96"), s * 1e9 / (96.0 * 96.0))
         })
         .collect()
+}
+
+/// One `m × n × k` rank-task on the dispatched kernel, its C tile a
+/// window at leading dimension `ldc` of a wider matrix; GFLOP/s.
+fn bench_ldc(ta: Op, (m, n, k): (usize, usize, usize), ldc: usize, quick: bool) -> f64 {
+    let (ar, ac) = if ta == Op::N { (m, k) } else { (k, m) };
+    let (a, b) = (Matrix::random(ar, ac, 7), Matrix::random(k, n, 8));
+    let mut host = Matrix::zeros(m, ldc);
+    let mut ws = GemmWorkspace::new();
+    let secs = best_seconds(quick, || {
+        let c = host.block_mut(0, ldc - n, m, n);
+        dgemm_ws(ta, Op::N, 1.0, a.as_ref(), b.as_ref(), 0.0, c, &mut ws)
+    });
+    gemm_flops(m, n, k) as f64 / secs / 1e9
 }
 
 fn main() {
@@ -288,6 +311,25 @@ fn main() {
             "simd/scalar",
         ],
         &rows,
+    );
+
+    let mut ldc_rows: Vec<Vec<String>> = Vec::new();
+    for (ta, shape, tag, ldcs) in [
+        (Op::T, (96, 96, 1536), "96x96x1536", [96, 384]),
+        (Op::N, (96, 96, 96), "96", [96, 768]),
+    ] {
+        let mut row = vec![format!("{ta:?}N {tag}")];
+        for ldc in ldcs {
+            let g = bench_ldc(ta, shape, ldc, cfg.quick);
+            metrics.num(&format!("gflops_ldc_{ldc}_{tag}"), g);
+            row.push(format!("{ldc}: {}", fmt(g)));
+        }
+        ldc_rows.push(row);
+    }
+    print_table(
+        "one rank-task into a C window (GFLOP/s by ldc, best of samples)",
+        &["task", "private block", "window of the result"],
+        &ldc_rows,
     );
 
     let mut pack_rows: Vec<Vec<String>> = Vec::new();

@@ -119,43 +119,58 @@ impl SharedArena {
 
     /// RAII-guarded read access (used by the debug checker paths).
     pub fn read_guard(&self, id: usize) -> ReadGuard<'_> {
-        self.checkers[id].begin_read();
-        ReadGuard { arena: self, id }
+        let _held = self.checkers[id].read();
+        ReadGuard {
+            arena: self,
+            id,
+            _held,
+        }
     }
 
     /// RAII-guarded write access.
     pub fn write_guard(&self, id: usize) -> WriteGuard<'_> {
-        self.checkers[id].begin_write();
-        WriteGuard { arena: self, id }
+        let _held = self.checkers[id].write();
+        WriteGuard {
+            arena: self,
+            id,
+            _held,
+        }
     }
 }
 
-/// Debug-build access conflict detector: a counter that is positive
-/// while readers hold the region and `-1` while a writer does.
+/// Access conflict detector for one region — an arena region, or one
+/// rank's block of a host matrix distributed in place
+/// ([`crate::DistMatrix::with_host_view_mut`]): a counter that is
+/// positive while readers hold the region and `-1` while a writer does.
 pub struct AccessChecker {
     state: AtomicI32,
 }
 
 impl AccessChecker {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AccessChecker {
             state: AtomicI32::new(0),
         }
     }
 
-    fn begin_read(&self) {
+    /// Enter as a reader until the token drops.
+    ///
+    /// # Panics
+    /// Panics if a writer holds the region.
+    pub(crate) fn read(&self) -> ReadHeld<'_> {
         let prev = self.state.fetch_add(1, Ordering::AcqRel);
         assert!(
             prev >= 0,
             "arena discipline violation: read of a region under write"
         );
+        ReadHeld(self)
     }
 
-    fn end_read(&self) {
-        self.state.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    fn begin_write(&self) {
+    /// Enter as the writer until the token drops.
+    ///
+    /// # Panics
+    /// Panics if anyone holds the region.
+    pub(crate) fn write(&self) -> WriteHeld<'_> {
         let prev = self
             .state
             .compare_exchange(0, -1, Ordering::AcqRel, Ordering::Acquire);
@@ -163,10 +178,7 @@ impl AccessChecker {
             prev.is_ok(),
             "arena discipline violation: write of a region under access"
         );
-    }
-
-    fn end_write(&self) {
-        self.state.store(0, Ordering::Release);
+        WriteHeld(self)
     }
 
     fn would_allow_read(&self) -> bool {
@@ -179,10 +191,29 @@ impl AccessChecker {
     }
 }
 
+/// A reader's entry in an [`AccessChecker`], left on drop.
+pub(crate) struct ReadHeld<'a>(&'a AccessChecker);
+
+impl Drop for ReadHeld<'_> {
+    fn drop(&mut self) {
+        self.0.state.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// The writer's entry in an [`AccessChecker`], left on drop.
+pub(crate) struct WriteHeld<'a>(&'a AccessChecker);
+
+impl Drop for WriteHeld<'_> {
+    fn drop(&mut self) {
+        self.0.state.store(0, Ordering::Release);
+    }
+}
+
 /// Guard proving read access to a region.
 pub struct ReadGuard<'a> {
     arena: &'a SharedArena,
     id: usize,
+    _held: ReadHeld<'a>,
 }
 
 impl ReadGuard<'_> {
@@ -193,16 +224,11 @@ impl ReadGuard<'_> {
     }
 }
 
-impl Drop for ReadGuard<'_> {
-    fn drop(&mut self) {
-        self.arena.checkers[self.id].end_read();
-    }
-}
-
 /// Guard proving exclusive write access to a region.
 pub struct WriteGuard<'a> {
     arena: &'a SharedArena,
     id: usize,
+    _held: WriteHeld<'a>,
 }
 
 impl WriteGuard<'_> {
@@ -210,12 +236,6 @@ impl WriteGuard<'_> {
     pub fn slice_mut(&mut self) -> &mut [f64] {
         // SAFETY: the guard holds exclusive access.
         unsafe { self.arena.region_slice_mut(self.id) }
-    }
-}
-
-impl Drop for WriteGuard<'_> {
-    fn drop(&mut self) {
-        self.arena.checkers[self.id].end_write();
     }
 }
 

@@ -10,8 +10,12 @@
 //! elements — used by tests and host-parallel runs), **virtual**
 //! (shape only — used by modeled paper-scale experiments where a
 //! 16000×16000 matrix would otherwise cost 2 GiB per operand) or a
-//! **host view**: a read-only window of a row-major matrix the caller
-//! already holds, distributed *in place*. Block `(i, j)` of a view is the
+//! **host view**: a window of a row-major matrix the caller already
+//! holds, distributed *in place* — read-only for an operand
+//! ([`DistMatrix::with_host_view`]), writable for the result
+//! ([`DistMatrix::with_host_view_mut`]: each rank writes its tile of C
+//! straight into the matrix the caller gets back, so there is no C arena
+//! to gather from). Block `(i, j)` of a view is the
 //! sub-window at [`DistMatrix::block_origin`] with the host's leading
 //! dimension — what Global Arrays' `ga_access` hands SRUMMA's direct
 //! flavour — and [`DistMatrix::land_block`] is the strided get of the
@@ -23,7 +27,7 @@
 //! [`DistMatrix::with_host_view`] for how the borrow is kept inside a
 //! scope without a lifetime parameter on the type.
 
-use crate::arena::SharedArena;
+use crate::arena::{AccessChecker, ReadHeld, SharedArena, WriteHeld};
 use srumma_dense::{active_kernel, BlockMask, MatMut, MatRef, Matrix, PackedPanel, Side};
 use srumma_model::{ProcGrid, Topology};
 use std::sync::Arc;
@@ -52,7 +56,33 @@ enum Backing {
     /// erased, not true: see [`DistMatrix::with_host_view`], the only
     /// place that builds one.
     View(MatRef<'static>),
+    /// A writable window of a caller's row-major matrix
+    /// ([`DistMatrix::with_host_view_mut`], the only place that builds
+    /// one).
+    ViewMut(HostWindowMut),
 }
+
+/// The window behind [`Backing::ViewMut`]. Two ranks' blocks of it
+/// interleave in memory, so it is never held as one slice: a block is
+/// cut out by pointer, as a [`MatMut`] that touches its own rows only.
+struct HostWindowMut {
+    /// Element `(0, 0)` of the window, `ld` elements between row starts.
+    base: *mut f64,
+    ld: usize,
+    /// One per rank block, in rank order (row-major, so a grid row's are
+    /// adjacent): "written only by its owner, not read while written" is
+    /// checked here as it is for arena regions.
+    checkers: Vec<AccessChecker>,
+}
+
+// SAFETY: `base` points into the matrix `with_host_view_mut` borrows
+// exclusively for as long as this value exists, so the memory is this
+// window's alone; threads sharing it reach elements only through
+// `write_block` / `read_block`, one rank block at a time, under that
+// block's `AccessChecker` (atomic, hence `Sync` itself) — the arena's
+// discipline and the arena's check.
+unsafe impl Send for HostWindowMut {}
+unsafe impl Sync for HostWindowMut {}
 
 /// How grid blocks map to rank ids.
 ///
@@ -278,16 +308,62 @@ impl DistMatrix {
         f(&view)
     }
 
-    /// The arena behind a write accessor: `None` on virtual backing
-    /// (modeled writes are no-ops).
+    /// Distribute the host matrix `window` **in place, writably**, and
+    /// lend the result to `f`: a `DistMatrix` over `grid` (row-major rank
+    /// placement, dense, identity cost map — what a result matrix is)
+    /// whose blocks are sub-windows of `window`, so what a rank writes
+    /// through [`Self::write_block`] is written into the caller's matrix.
+    /// No element is copied and no arena is allocated; every accessor
+    /// works on it except the arena-only [`Self::scatter`],
+    /// [`Self::scatter_transposed`] and [`Self::gather`] (the caller
+    /// already holds the matrix).
+    ///
+    /// The borrow cannot be outlived for the reasons given at
+    /// [`Self::with_host_view`]; it is exclusive, so for the duration of
+    /// `f` the window is reachable through the lent `DistMatrix` only.
+    /// Under it the arena's discipline applies block by block, with the
+    /// arena's dynamic check: a block is written by one holder at a time
+    /// and not read meanwhile. One rule is the window's own: the rows of
+    /// the blocks of one grid row interleave in memory, and the strided
+    /// [`MatRef`] a [`BlockRead`] hands out spans the gaps between its
+    /// rows — so a read of a block counts as a read of every block of
+    /// its grid row, and panics while any of them is being written (a
+    /// multiply never reads C at all; a test reads it after the ranks
+    /// are done).
+    pub fn with_host_view_mut<R>(
+        grid: ProcGrid,
+        mut window: MatMut<'_>,
+        f: impl FnOnce(&DistMatrix) -> R,
+    ) -> R {
+        let view = DistMatrix {
+            grid,
+            rows: window.rows(),
+            cols: window.cols(),
+            order: RankOrder::RowMajor,
+            backing: Backing::ViewMut(HostWindowMut {
+                base: window.as_mut_ptr(),
+                ld: window.ld(),
+                checkers: (0..grid.nranks()).map(|_| AccessChecker::new()).collect(),
+            }),
+            mask: None,
+            cost: CostMap::Identity,
+        };
+        // `window` — the exclusive borrow `base` stands for — is held by
+        // this frame until `f` has returned and `view` is gone.
+        f(&view)
+    }
+
+    /// The arena behind `accessor`, one of the whole-matrix operations
+    /// that only an arena-backed matrix has.
     ///
     /// # Panics
-    /// Panics on a host view.
-    fn writable(&self) -> Option<&SharedArena> {
+    /// Panics, naming `accessor`, on any other backing.
+    fn arena_for(&self, accessor: &str) -> &SharedArena {
         match &self.backing {
-            Backing::Virtual => None,
-            Backing::Real { arena, .. } => Some(arena),
-            Backing::View(_) => panic!("operand views are read-only"),
+            Backing::Real { arena, .. } => arena,
+            Backing::Virtual => panic!("{accessor}() on a virtual DistMatrix"),
+            Backing::View(_) => panic!("{accessor}(): operand views are read-only"),
+            Backing::ViewMut(_) => panic!("{accessor}() on a DistMatrix without an arena"),
         }
     }
 
@@ -297,6 +373,18 @@ impl DistMatrix {
         let (r0, c0) = self.block_origin(rank);
         let (rows, cols) = self.block_dims(rank);
         host.block(r0, c0, rows, cols)
+    }
+
+    /// Element `(0, 0)` of `rank`'s block of the writable window `host`
+    /// (`host.base` itself for an empty block, which has no element).
+    fn window_block(&self, host: &HostWindowMut, rank: usize) -> *mut f64 {
+        let (r0, c0) = self.block_origin(rank);
+        match self.block_dims(rank) {
+            (0, _) | (_, 0) => host.base,
+            // SAFETY: a non-empty block's origin is an element of the
+            // window `host.base` was taken from.
+            _ => unsafe { host.base.add(r0 * host.ld + c0) },
+        }
     }
 
     /// Attach a non-identity slot → cost-rank mapping (hierarchical
@@ -433,6 +521,31 @@ impl DistMatrix {
             Backing::Virtual => BlockData::Virtual,
             Backing::Real { arena, .. } => BlockData::Arena(arena.read_guard(self.region_of(rank))),
             Backing::View(host) => BlockData::View(self.view_block(*host, rank)),
+            Backing::ViewMut(host) => {
+                // The strided slice below spans the gaps between the
+                // block's rows, where the other blocks of its grid row
+                // have theirs: a reader of one is a reader of them all.
+                let (q, row) = (self.grid.q, self.block_coords(rank).0);
+                let held: Vec<_> = host.checkers[row * q..(row + 1) * q]
+                    .iter()
+                    .map(AccessChecker::read)
+                    .collect();
+                let span = match (rows, cols) {
+                    (0, _) | (_, 0) => 0,
+                    _ => (rows - 1) * host.ld + cols,
+                };
+                // SAFETY: `span` elements from the block's origin lie
+                // inside the window (the last one is the block's last)
+                // and inside the rows of this grid row's blocks, whose
+                // writers `held` keeps out while the slice lives.
+                let block = unsafe {
+                    std::slice::from_raw_parts(self.window_block(host, rank).cast_const(), span)
+                };
+                BlockData::Window {
+                    block: MatRef::new(rows, cols, host.ld, block),
+                    _held: held,
+                }
+            }
         };
         BlockRead { rows, cols, data }
     }
@@ -440,13 +553,34 @@ impl DistMatrix {
     /// Write access to `rank`'s block (no-op handle if virtual).
     ///
     /// # Panics
-    /// Panics on a host view, like every write accessor.
+    /// Panics on a read-only host view, like every write accessor.
     pub fn write_block(&self, rank: usize) -> BlockWrite<'_> {
+        self.write_block_for(rank, "write_block")
+    }
+
+    /// [`Self::write_block`] on behalf of the write accessor `accessor`,
+    /// which a read-only view's refusal names.
+    fn write_block_for(&self, rank: usize, accessor: &str) -> BlockWrite<'_> {
         let (rows, cols) = self.block_dims(rank);
-        let guard = self
-            .writable()
-            .map(|arena| arena.write_guard(self.region_of(rank)));
-        BlockWrite { rows, cols, guard }
+        let target = match &self.backing {
+            Backing::Virtual => WriteTarget::Virtual,
+            Backing::Real { arena, .. } => {
+                WriteTarget::Arena(arena.write_guard(self.region_of(rank)))
+            }
+            Backing::View(_) => panic!("{accessor}(): operand views are read-only"),
+            Backing::ViewMut(host) => {
+                let held = host.checkers[rank].write();
+                // SAFETY: the block's rows are elements of the window
+                // this matrix borrows exclusively, no two blocks share an
+                // element, and `held` is the one writer's entry for this
+                // block — so for as long as it is held (the `BlockWrite`
+                // keeps it beside the view) nothing else reaches them.
+                let block =
+                    unsafe { MatMut::from_raw(self.window_block(host, rank), rows, cols, host.ld) };
+                WriteTarget::Window { block, _held: held }
+            }
+        };
+        BlockWrite { rows, cols, target }
     }
 
     /// Copy `rank`'s block into `dst` (resized to fit), contiguous and
@@ -455,17 +589,13 @@ impl DistMatrix {
     /// Returns the block dims. This is the data-movement half of a
     /// one-sided get; the timing half lives in the backend.
     pub fn copy_block_into(&self, rank: usize, dst: &mut Vec<f64>) -> (usize, usize) {
-        let (rows, cols) = self.block_dims(rank);
-        match &self.backing {
-            Backing::Virtual => dst.clear(),
-            Backing::Real { arena, .. } => {
-                let g = arena.read_guard(self.region_of(rank));
-                dst.clear();
-                dst.extend_from_slice(&g.slice()[..rows * cols]);
-            }
-            Backing::View(host) => {
-                let blk = self.view_block(*host, rank);
-                dst.clear();
+        let block = self.read_block(rank);
+        let (rows, cols) = (block.rows(), block.cols());
+        dst.clear();
+        if let Some(blk) = block.mat() {
+            if blk.ld() == cols {
+                dst.extend_from_slice(&blk.data()[..rows * cols]);
+            } else {
                 dst.reserve(rows * cols);
                 // A `rows × 0` window has no storage to slice rows from.
                 if cols > 0 {
@@ -505,54 +635,50 @@ impl DistMatrix {
     /// virtual backing. `src` may be empty (modeled runs); otherwise it
     /// must hold exactly the block's elements, row-major.
     pub fn copy_block_from(&self, rank: usize, src: &[f64]) {
-        let (rows, cols) = self.block_dims(rank);
-        let Some(arena) = self.writable() else {
+        let mut w = self.write_block_for(rank, "copy_block_from");
+        let (rows, cols) = (w.rows(), w.cols());
+        let Some(mut dst) = w.mat_mut() else {
             return;
         };
         if src.is_empty() && rows * cols > 0 {
             return; // modeled payload
         }
         assert_eq!(src.len(), rows * cols, "put payload size mismatch");
-        let mut g = arena.write_guard(self.region_of(rank));
-        g.slice_mut()[..rows * cols].copy_from_slice(src);
+        dst.copy_from(MatRef::new(rows, cols, cols, src));
     }
 
     /// Accumulate `scale * src` into `rank`'s block elementwise (the
     /// data half of an ARMCI-style **accumulate**). No-op on virtual
     /// backing or empty payloads.
     pub fn acc_block_from(&self, rank: usize, scale: f64, src: &[f64]) {
-        let (rows, cols) = self.block_dims(rank);
-        let Some(arena) = self.writable() else {
+        let mut w = self.write_block_for(rank, "acc_block_from");
+        let (rows, cols) = (w.rows(), w.cols());
+        let Some(mut dst) = w.mat_mut() else {
             return;
         };
         if src.is_empty() && rows * cols > 0 {
             return;
         }
         assert_eq!(src.len(), rows * cols, "acc payload size mismatch");
-        let mut g = arena.write_guard(self.region_of(rank));
-        for (d, s) in g.slice_mut()[..rows * cols].iter_mut().zip(src) {
-            *d += scale * s;
+        if cols > 0 {
+            for (i, s) in src.chunks_exact(cols).enumerate() {
+                for (d, s) in dst.row_mut(i).iter_mut().zip(s) {
+                    *d += scale * s;
+                }
+            }
         }
     }
 
     /// Scale `rank`'s block in place (the `β·C` pre-pass of a full
-    /// `C ← α·op(A)op(B) + β·C`). No-op on virtual backing.
+    /// `C ← α·op(A)op(B) + β·C`). No-op on virtual backing, and for
+    /// `β = 1` on any backing — a read-only view included.
     pub fn scale_block(&self, rank: usize, beta: f64) {
-        let Some(arena) = self.writable() else {
-            return;
-        };
         if beta == 1.0 {
             return;
         }
-        let (rows, cols) = self.block_dims(rank);
-        let mut g = arena.write_guard(self.region_of(rank));
-        let blk = &mut g.slice_mut()[..rows * cols];
-        if beta == 0.0 {
-            blk.fill(0.0);
-        } else {
-            for v in blk {
-                *v *= beta;
-            }
+        let mut w = self.write_block_for(rank, "scale_block");
+        if let Some(mut blk) = w.mat_mut() {
+            blk.scale(beta);
         }
     }
 
@@ -560,12 +686,10 @@ impl DistMatrix {
     /// from one thread between operations).
     ///
     /// # Panics
-    /// Panics on shape mismatch, virtual backing or a host view.
+    /// Panics on shape mismatch or a matrix without an arena.
     pub fn scatter(&self, global: &Matrix) {
         assert_eq!((global.rows(), global.cols()), (self.rows, self.cols));
-        let Some(arena) = self.writable() else {
-            panic!("scatter() on a virtual DistMatrix");
-        };
+        let arena = self.arena_for("scatter");
         for rank in 0..self.grid.nranks() {
             let (r0, c0) = self.block_origin(rank);
             let (br, bc) = self.block_dims(rank);
@@ -584,12 +708,10 @@ impl DistMatrix {
     /// the tiled transposing copy ([`MatMut::copy_transposed_from`]).
     ///
     /// # Panics
-    /// Panics on shape mismatch, virtual backing or a host view.
+    /// Panics on shape mismatch or a matrix without an arena.
     pub fn scatter_transposed(&self, logical: MatRef<'_>) {
         assert_eq!((logical.cols(), logical.rows()), (self.rows, self.cols));
-        let Some(arena) = self.writable() else {
-            panic!("scatter_transposed() on a virtual DistMatrix");
-        };
+        let arena = self.arena_for("scatter_transposed");
         for rank in 0..self.grid.nranks() {
             let (r0, c0) = self.block_origin(rank);
             let (br, bc) = self.block_dims(rank);
@@ -603,9 +725,7 @@ impl DistMatrix {
     /// a virtual matrix has no elements, and the caller of a host view
     /// already holds the matrix).
     pub fn gather(&self) -> Matrix {
-        let Backing::Real { arena, .. } = &self.backing else {
-            panic!("gather() on a DistMatrix without an arena");
-        };
+        let arena = self.arena_for("gather");
         let mut out = Matrix::zeros(self.rows, self.cols);
         for rank in 0..self.grid.nranks() {
             let (r0, c0) = self.block_origin(rank);
@@ -628,6 +748,12 @@ enum BlockData<'a> {
     Arena(crate::arena::ReadGuard<'a>),
     /// A window of the host matrix, `ld` = the host's.
     View(MatRef<'a>),
+    /// The same of a writable host matrix, with the reader's entries in
+    /// the checkers of the block's grid row.
+    Window {
+        block: MatRef<'a>,
+        _held: Vec<ReadHeld<'a>>,
+    },
 }
 
 /// Read handle to one block: dims always, data only if real-backed.
@@ -656,16 +782,30 @@ impl BlockRead<'_> {
         match &self.data {
             BlockData::Virtual => None,
             BlockData::Arena(g) => Some(MatRef::new(rows, cols, cols, &g.slice()[..rows * cols])),
-            BlockData::View(window) => Some(*window),
+            BlockData::View(block) | BlockData::Window { block, .. } => Some(*block),
         }
     }
 }
 
-/// Write handle to one block.
+/// Where a [`BlockWrite`] puts its elements.
+enum WriteTarget<'a> {
+    Virtual,
+    /// The prefix of a guarded arena region, `ld = cols`.
+    Arena(crate::arena::WriteGuard<'a>),
+    /// The block's rows of a writable host matrix, with the writer's
+    /// entry in the block's checker.
+    Window {
+        block: MatMut<'a>,
+        _held: WriteHeld<'a>,
+    },
+}
+
+/// Write handle to one block. `Send`, whatever it writes to: a rank
+/// machine that dies mid-run moves, C handle and all, to its survivor.
 pub struct BlockWrite<'a> {
     rows: usize,
     cols: usize,
-    guard: Option<crate::arena::WriteGuard<'a>>,
+    target: WriteTarget<'a>,
 }
 
 impl BlockWrite<'_> {
@@ -677,13 +817,21 @@ impl BlockWrite<'_> {
         self.cols
     }
 
-    /// Mutable dense view of the block, if real-backed (the region's
-    /// `rows · cols` prefix).
+    /// Mutable view of the block, if real-backed: the arena region's
+    /// `rows · cols` prefix with `ld = cols`, or the block's rows of the
+    /// host matrix with the host's `ld`.
     pub fn mat_mut(&mut self) -> Option<MatMut<'_>> {
         let (rows, cols) = (self.rows, self.cols);
-        self.guard
-            .as_mut()
-            .map(|g| MatMut::new(rows, cols, cols, &mut g.slice_mut()[..rows * cols]))
+        match &mut self.target {
+            WriteTarget::Virtual => None,
+            WriteTarget::Arena(g) => Some(MatMut::new(
+                rows,
+                cols,
+                cols,
+                &mut g.slice_mut()[..rows * cols],
+            )),
+            WriteTarget::Window { block, .. } => Some(block.reborrow()),
+        }
     }
 }
 
@@ -1021,10 +1169,16 @@ mod put_acc_tests {
         on_view(|v| v.acc_block_from(0, 1.0, &[0.0; 4]));
     }
 
-    /// Even the `β = 1` scale an arena skips.
+    /// The refusal names the accessor that was refused.
     #[test]
-    #[should_panic(expected = "operand views are read-only")]
+    #[should_panic(expected = "scale_block(): operand views are read-only")]
     fn view_refuses_scale() {
+        on_view(|v| v.scale_block(0, 0.5));
+    }
+
+    /// `β = 1` writes nothing, so there is nothing to refuse.
+    #[test]
+    fn view_skips_the_identity_scale() {
         on_view(|v| v.scale_block(0, 1.0));
     }
 
@@ -1038,5 +1192,244 @@ mod put_acc_tests {
     #[should_panic(expected = "operand views are read-only")]
     fn view_refuses_scatter_transposed() {
         on_view(|v| v.scatter_transposed(Matrix::zeros(4, 4).as_ref()));
+    }
+}
+
+/// The writable host view: C distributed in place.
+#[cfg(test)]
+mod window_tests {
+    use super::*;
+
+    /// `(rows, cols, p, q)`: uneven blocks, more grid rows (columns) than
+    /// matrix rows (columns) so some blocks are empty, `1 × q` and
+    /// `p × 1` grids, an empty matrix.
+    const SHAPES: [(usize, usize, usize, usize); 8] = [
+        (10, 9, 3, 4),
+        (41, 37, 2, 3),
+        (2, 7, 5, 2),
+        (7, 2, 2, 5),
+        (5, 13, 1, 4),
+        (13, 5, 4, 1),
+        (6, 0, 2, 3),
+        (8, 8, 1, 1),
+    ];
+    /// Where the window sits in its (wider, taller) host matrix.
+    const AT: (usize, usize) = (2, 3);
+
+    fn host_for(rows: usize, cols: usize, seed: u64) -> Matrix {
+        Matrix::random(rows + 5, cols + 4, seed)
+    }
+
+    /// `f` on the `rows × cols` window at [`AT`] of `host`, distributed
+    /// in place over `p × q`.
+    fn on_window(
+        host: &mut Matrix,
+        (rows, cols, p, q): (usize, usize, usize, usize),
+        f: impl FnOnce(&DistMatrix),
+    ) {
+        let window = host.block_mut(AT.0, AT.1, rows, cols);
+        DistMatrix::with_host_view_mut(ProcGrid::new(p, q), window, f);
+    }
+
+    /// Every rank writes its id over its block: each element of the
+    /// window then names the rank `block_origin`/`block_dims` give it to
+    /// — the blocks are disjoint and cover the window — and no element
+    /// outside the window moved.
+    #[test]
+    fn blocks_are_disjoint_and_cover_the_window() {
+        for shape @ (rows, cols, p, q) in SHAPES {
+            let before = host_for(rows, cols, 21);
+            let mut host = before.clone();
+            on_window(&mut host, shape, |c| {
+                assert!(c.is_real());
+                assert_eq!((c.rows(), c.cols()), (rows, cols));
+                // All at once, as the ranks of a run hold them.
+                let mut held: Vec<_> = (0..p * q).map(|r| c.write_block(r)).collect();
+                for (r, w) in held.iter_mut().enumerate() {
+                    assert_eq!((w.rows(), w.cols()), c.block_dims(r));
+                    let mut blk = w.mat_mut().expect("a window is real");
+                    assert_eq!((blk.rows(), blk.cols()), c.block_dims(r));
+                    blk.fill(r as f64);
+                }
+            });
+            let grid = ProcGrid::new(p, q);
+            for i in 0..host.rows() {
+                for j in 0..host.cols() {
+                    let inside =
+                        (AT.0..AT.0 + rows).contains(&i) && (AT.1..AT.1 + cols).contains(&j);
+                    let want = if inside {
+                        let bi = (0..p).rfind(|&b| chunk_start(rows, p, b) <= i - AT.0);
+                        let bj = (0..q).rfind(|&b| chunk_start(cols, q, b) <= j - AT.1);
+                        grid.rank_at(bi.unwrap(), bj.unwrap()) as f64
+                    } else {
+                        before[(i, j)]
+                    };
+                    assert_eq!(host[(i, j)], want, "{shape:?} ({i},{j})");
+                }
+            }
+        }
+    }
+
+    /// Each write accessor leaves in the window, bit for bit, what its
+    /// arena twin leaves in an arena scattered from the same elements —
+    /// and the window serves reads and gets as that arena does.
+    #[test]
+    fn write_accessors_match_their_arena_twins() {
+        for shape @ (rows, cols, p, q) in SHAPES {
+            let grid = ProcGrid::new(p, q);
+            let mut host = host_for(rows, cols, 22);
+            let before = host.clone();
+            let arena = DistMatrix::create(grid, rows, cols);
+            arena.scatter(&host.block(AT.0, AT.1, rows, cols).to_matrix());
+            // One accessor per rank, by turns; payloads carry a NaN and a
+            // negative zero, which only a bitwise copy preserves.
+            let apply = |m: &DistMatrix| {
+                for r in 0..grid.nranks() {
+                    let (br, bc) = m.block_dims(r);
+                    let mut payload = Matrix::random(br, bc, 30 + r as u64);
+                    if let [first, second, ..] = payload.as_mut_slice() {
+                        (*first, *second) = (f64::NAN, -0.0);
+                    }
+                    let payload = payload.as_slice();
+                    match r % 6 {
+                        0 => m.copy_block_from(r, payload),
+                        1 => m.acc_block_from(r, -1.5, payload),
+                        2 => m.scale_block(r, 0.0),
+                        3 => m.scale_block(r, 0.75),
+                        4 => {
+                            m.scale_block(r, 1.0);
+                            m.copy_block_from(r, &[]); // modeled payloads:
+                            m.acc_block_from(r, 2.0, &[]); // nothing moves
+                        }
+                        _ => {
+                            let mut w = m.write_block(r);
+                            let mut blk = w.mat_mut().unwrap();
+                            for i in 0..br {
+                                for (j, v) in blk.row_mut(i).iter_mut().enumerate() {
+                                    *v = *v * 3.0 + (i * bc + j) as f64;
+                                }
+                            }
+                        }
+                    }
+                }
+            };
+            apply(&arena);
+            on_window(&mut host, shape, |c| {
+                apply(c);
+                let (mut got, mut want) = (vec![1.0], vec![2.0]);
+                for r in 0..grid.nranks() {
+                    let what = format!("{shape:?} rank {r}");
+                    assert_eq!(c.block_bytes(r), arena.block_bytes(r), "{what}");
+                    assert_eq!(
+                        c.copy_block_into(r, &mut got),
+                        arena.copy_block_into(r, &mut want),
+                        "{what}"
+                    );
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                    let (cb, ab) = (c.read_block(r), arena.read_block(r));
+                    let (v, a) = (cb.mat().unwrap(), ab.mat().unwrap());
+                    assert_eq!((v.rows(), v.cols()), (a.rows(), a.cols()), "{what}");
+                    // A `rows × 0` window has no storage to slice rows from.
+                    for i in 0..if v.cols() > 0 { v.rows() } else { 0 } {
+                        assert_eq!(bits(v.row(i)), bits(a.row(i)), "{what} row {i}");
+                    }
+                }
+            });
+            let want = arena.gather();
+            for i in 0..host.rows() {
+                for j in 0..host.cols() {
+                    let inside =
+                        (AT.0..AT.0 + rows).contains(&i) && (AT.1..AT.1 + cols).contains(&j);
+                    let want = if inside {
+                        want[(i - AT.0, j - AT.1)]
+                    } else {
+                        before[(i, j)]
+                    };
+                    assert_eq!(
+                        host[(i, j)].to_bits(),
+                        want.to_bits(),
+                        "{shape:?} ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The ranks of a run write their blocks at the same time, from
+    /// their own threads, each holding its handle throughout.
+    #[test]
+    fn owners_write_concurrently() {
+        let shape @ (rows, cols, p, q) = (41, 37, 2, 3);
+        let mut host = host_for(rows, cols, 23);
+        on_window(&mut host, shape, |c| {
+            let all_hold = std::sync::Barrier::new(p * q);
+            std::thread::scope(|s| {
+                for r in 0..p * q {
+                    let all_hold = &all_hold;
+                    s.spawn(move || {
+                        let mut w = c.write_block(r);
+                        all_hold.wait();
+                        w.mat_mut().unwrap().fill(r as f64);
+                    });
+                }
+            });
+            for r in 0..p * q {
+                let block = c.read_block(r);
+                let blk = block.mat().unwrap();
+                assert!((0..blk.rows()).all(|i| blk.row(i).iter().all(|&v| v == r as f64)));
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "discipline violation: write of a region under access")]
+    fn a_second_writer_of_a_held_block_is_caught() {
+        on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| {
+            let _owner = c.write_block(1);
+            // Another rank's put lands on the block its owner is computing.
+            c.copy_block_from(1, &[0.0; 4]);
+        });
+    }
+
+    /// The slice a read hands out spans the rows of its grid-row
+    /// neighbours: reading beside a writer of another grid row is fine,
+    /// beside one of its own it is caught.
+    #[test]
+    #[should_panic(expected = "discipline violation: read of a region under write")]
+    fn a_read_beside_a_writer_of_its_grid_row_is_caught() {
+        on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| {
+            let _owner = c.write_block(2);
+            assert_eq!(c.read_block(0).mat().map(|m| m.rows()), Some(2));
+            assert_eq!(c.read_block(1).mat().map(|m| m.cols()), Some(2));
+            let _ = c.read_block(3);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "discipline violation: write of a region under access")]
+    fn a_write_beside_a_reader_of_its_grid_row_is_caught() {
+        on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| {
+            let _reader = c.read_block(0);
+            let _ = c.write_block(1);
+        });
+    }
+
+    /// The caller holds the matrix: there is nothing to gather it from.
+    #[test]
+    #[should_panic(expected = "gather() on a DistMatrix without an arena")]
+    fn a_window_has_no_arena_to_gather() {
+        on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| drop(c.gather()));
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter() on a DistMatrix without an arena")]
+    fn a_window_has_no_arena_to_scatter_into() {
+        on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| {
+            c.scatter(&Matrix::zeros(4, 4))
+        });
     }
 }

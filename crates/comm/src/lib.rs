@@ -26,11 +26,12 @@
 //!
 //! ## Module map
 //!
-//! * [`arena`] — the shared allocation (`ArmciHeap` stand-in) with a
-//!   debug-build access checker.
+//! * [`arena`] — the shared allocation (`ArmciHeap` stand-in) with its
+//!   access checker.
 //! * [`dist`] — [`dist::DistMatrix`]: 2-D block-distributed matrices
-//!   over a process grid: arena-backed, shape-only, or a read-only view
-//!   of a host matrix distributed in place.
+//!   over a process grid: arena-backed, shape-only, or a view of a host
+//!   matrix distributed in place (read-only for an operand, writable for
+//!   the product).
 //! * [`comm`] — the [`Comm`] trait and block handle types; the split
 //!   fence, [`RankProgram`] and [`drive`].
 //! * [`simbackend`] / [`virt`] / [`threadbackend`] / [`exec`] — the four

@@ -24,11 +24,19 @@
 //! scatter. [`dist_a`] / [`dist_b`] + [`scatter_operands`] remain the
 //! copying form (arenas for both cases) for callers that own their
 //! distributed matrices.
+//!
+//! The result is in place too: [`with_fresh_c`] lends the ranks the
+//! matrix the caller will be handed as a writable
+//! [`DistMatrix::with_host_view_mut`], so each owner computes its tile
+//! where the caller reads it and there is no C arena to gather from.
+//! [`dist_c`] / [`fresh_c`] remain the arena form, for a C that is a
+//! one-sided accumulate target (replica teams) or one of many alive at
+//! once (the batch stream), and for callers that own their C.
 
 use crate::options::GemmSpec;
 use srumma_comm::dist::RankOrder;
 use srumma_comm::{CostMap, DistMatrix};
-use srumma_dense::{BlockMask, MatRef, Op};
+use srumma_dense::{BlockMask, MatMut, MatRef, Op};
 use srumma_model::ProcGrid;
 
 /// Number of k-panels of A (one per grid column).
@@ -197,6 +205,34 @@ pub fn dist_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> DistMatrix {
 /// A caller-supplied C keeps its real `β` (use [`dist_c`]).
 pub fn fresh_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> (GemmSpec, DistMatrix) {
     (GemmSpec { beta: 0.0, ..*spec }, dist_c(spec, grid, real))
+}
+
+/// [`fresh_c`] distributed **in place**: lend `f` the spec to run with
+/// and a C whose blocks are windows of `product` — the all-zero `m × n`
+/// matrix (any window of one) the driver will hand its caller — or, with
+/// no `product`, the shape-only C of a modeled run. `β` is normalised as
+/// in [`fresh_c`] and for its reason: a just-allocated `product` has no
+/// page of its own yet, and each owner's pre-pass `fill` of its window
+/// is what faults them in, in parallel, on the thread that computes
+/// there. Nothing is allocated or copied for C and nothing is gathered:
+/// when `f` returns, `product` holds the result.
+pub fn with_fresh_c<R>(
+    spec: &GemmSpec,
+    grid: ProcGrid,
+    product: Option<MatMut<'_>>,
+    f: impl FnOnce(&GemmSpec, &DistMatrix) -> R,
+) -> R {
+    // A shape-only C holds nothing, so making one just for its spec is free.
+    let (spec, shape_only) = fresh_c(spec, grid, false);
+    let Some(product) = product else {
+        return f(&spec, &shape_only);
+    };
+    assert_eq!(
+        (product.rows(), product.cols()),
+        (spec.m, spec.n),
+        "C must be m x n"
+    );
+    DistMatrix::with_host_view_mut(grid, product, |c| f(&spec, c))
 }
 
 /// [`dist_a`] backed by regions of an existing shared arena (rank `r` →

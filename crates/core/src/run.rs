@@ -5,22 +5,28 @@
 //! faults, masks, node-group staging and replication are independent
 //! choices. [`Run`] holds them as fields, [`Run::validate`] names every
 //! combination that cannot work as a [`RunError`], and [`Run::execute`]
-//! does the one `grid → fresh C → operands (with masks) → stage sets →
-//! launch → gather` sequence, choosing the rank body once.
+//! does the one `grid → product → operands (with masks) → stage sets →
+//! launch` sequence, choosing the rank body once.
 //!
-//! Host operands are distributed **in place**: an operand whose stored
-//! orientation is `N` is the caller's matrix, so the ranks read it
-//! through a read-only view ([`crate::layout::with_dist_a`]) and nothing
-//! is allocated, faulted in or copied for it before the first flop. Only
-//! a stored-`T` operand is copied (the transposing scatter), and only C
-//! is allocated per run. Which backing an operand gets follows from
-//! `spec.transa` / `spec.transb` alone.
+//! All three host matrices are distributed **in place**. An operand
+//! whose stored orientation is `N` is the caller's matrix, so the ranks
+//! read it through a read-only view ([`crate::layout::with_dist_a`]) and
+//! nothing is allocated, faulted in or copied for it before the first
+//! flop; only a stored-`T` operand is copied (the transposing scatter).
+//! Which backing an operand gets follows from `spec.transa` /
+//! `spec.transb` alone. The product is allocated once, as the matrix the
+//! caller is handed, and lent to the ranks as C
+//! ([`crate::layout::with_fresh_c`]): each owner writes its tile where
+//! the caller will read it, so a run has no C arena and nothing to
+//! gather — on every backend, for every algorithm, mask, stage set and
+//! fault plan. Only a replicated run still gathers: team 0's C is the
+//! target of the other teams' accumulates ([`crate::repl`]).
 
 use crate::api::{parallel_gemm, Algorithm};
 use crate::chaos::{ChaosRecovery, ChaosSrummaRankTask};
 use crate::driver::{default_grid, SparseMasks};
 use crate::hier::{srumma_hier, HierStageSet};
-use crate::layout::{fresh_c, with_dist_a, with_dist_b};
+use crate::layout::{with_dist_a, with_dist_b, with_fresh_c};
 use crate::options::{GemmSpec, ReplicationFactor};
 use crate::repl::{resolve_factor, srumma_replicated, ReplSet};
 use crate::srumma::{SrummaProgram, SrummaReport};
@@ -143,7 +149,7 @@ pub struct RankReport {
 /// What a [`Run`] produced.
 #[derive(Debug)]
 pub struct RunOutput {
-    /// The gathered product (`None` for a shape-only run).
+    /// The product (`None` for a shape-only run).
     pub c: Option<Matrix>,
     /// Per-rank and aggregate metrics, in virtual seconds on `Sim` and
     /// `Virtual`; `stats.exec` is set on the pool-backed backends.
@@ -326,7 +332,7 @@ impl<'a> Run<'a> {
         Ok((topo, c))
     }
 
-    /// Validate, prepare, launch, gather.
+    /// Validate, prepare, launch.
     pub fn execute(&self) -> Result<RunOutput, RunError> {
         let (topology, replication) = self.resolve()?;
         let real = self.operands.is_some();
@@ -334,20 +340,24 @@ impl<'a> Run<'a> {
         let ((reports, stats, trace, wall_seconds), c) =
             if self.replication == ReplicationFactor::One {
                 let grid = default_grid(self.nranks);
-                let (spec, c) = fresh_c(&self.spec, grid, real);
+                // Untouched until each owner's pre-pass fills its tile.
+                let mut product = real.then(|| Matrix::zeros(self.spec.m, self.spec.n));
                 let (a, b) = self.operands.map(|(a, b)| (a.as_ref(), b.as_ref())).unzip();
                 let mask_a = self.masks.and_then(|m| m.a.as_ref());
                 let mask_b = self.masks.and_then(|m| m.b.as_ref());
-                let stages = self
-                    .hier
-                    .then(|| HierStageSet::create(&spec, grid, topology, real));
-                let launched = with_dist_a(&spec, grid, a, mask_a, CostMap::Identity, |a| {
-                    with_dist_b(&spec, grid, b, mask_b, CostMap::Identity, |b| {
-                        let flat = FlatMats { spec, a, b, c: &c };
-                        self.launch(topology, &Mats::Flat(flat, stages))
+                let c = product.as_mut().map(Matrix::as_mut);
+                let launched = with_fresh_c(&self.spec, grid, c, |spec, c| {
+                    let stages = self
+                        .hier
+                        .then(|| HierStageSet::create(spec, grid, topology, real));
+                    with_dist_a(spec, grid, a, mask_a, CostMap::Identity, |a| {
+                        with_dist_b(spec, grid, b, mask_b, CostMap::Identity, |b| {
+                            let spec = *spec;
+                            self.launch(topology, &Mats::Flat(FlatMats { spec, a, b, c }, stages))
+                        })
                     })
                 })?;
-                (launched, real.then(|| c.gather()))
+                (launched, product)
             } else {
                 let (spec, nranks) = (&self.spec, self.nranks);
                 ReplSet::create(spec, nranks, topology, replication, self.operands, |set| {

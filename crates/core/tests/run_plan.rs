@@ -1,17 +1,22 @@
 //! `Run::validate`: every way a plan can be illegal is a typed
 //! `RunError` variant, decided before any matrix is allocated or any
 //! thread is started. And, at the end, two legal plans named for how
-//! the executor hosts them, and the differential that says distributing
-//! host operands in place changed nothing a rank can observe.
+//! the executor hosts them, and the differentials that say distributing
+//! the host matrices in place — the operands read where they lie, the
+//! product written where the caller reads it — changed nothing a rank
+//! can observe.
 
 use srumma_comm::{
-    drive, exec_launch, sim_run, thread_launch, FaultPlan, FaultPlanError, SimOptions,
+    drive, exec_launch, sim_run, thread_launch, Comm, CostMap, DistMatrix, FaultPlan,
+    FaultPlanError, SimOptions,
 };
 use srumma_core::driver::{default_grid, serial_reference, sparse_serial_reference};
-use srumma_core::layout::{dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask};
+use srumma_core::layout::{
+    dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask, with_dist_a, with_dist_b,
+};
 use srumma_core::{
-    Algorithm, Backend, GemmSpec, HierStageSet, RankReport, ReplicationFactor, Run, RunError,
-    ShmemFlavor, SparseMasks, SrummaOptions, SrummaProgram, SummaOptions,
+    parallel_gemm, Algorithm, Backend, GemmSpec, HierStageSet, RankReport, ReplicationFactor, Run,
+    RunError, ShmemFlavor, SparseMasks, SrummaOptions, SrummaProgram, SummaOptions,
 };
 use srumma_dense::{max_abs_diff, BlockMask, Matrix, Op};
 use srumma_model::machine::RanksPerDomain;
@@ -433,11 +438,64 @@ fn staged_replica_teams_drive_the_program_from_gated_threads_on_one_worker() {
 
 // ---- host operands in place ≡ operands scattered into arenas ---------
 
+/// `run`'s rank program — flat or staged SRUMMA, SUMMA, Cannon — driven
+/// by hand over distributed matrices the caller built, on `run`'s backend
+/// and topology.
+fn launch_over(
+    run: &Run,
+    spec: &GemmSpec,
+    (da, db, dc): (&DistMatrix, &DistMatrix, &DistMatrix),
+) -> (Vec<RankReport>, RunStats) {
+    let grid = default_grid(run.nranks);
+    let topo = match run.backend {
+        Backend::Sim(machine) => machine.topology(run.nranks),
+        _ => Topology::new(run.nranks, run.ranks_per_node.unwrap_or(run.nranks)),
+    };
+    let stages = run
+        .hier
+        .then(|| HierStageSet::create(spec, grid, topo, true));
+    fn body<C: Comm>(
+        comm: &mut C,
+        run: &Run,
+        spec: &GemmSpec,
+        (da, db, dc): (&DistMatrix, &DistMatrix, &DistMatrix),
+        stages: Option<&HierStageSet>,
+    ) -> RankReport {
+        match &run.algorithm {
+            Algorithm::Srumma(opts) => {
+                drive(comm, SrummaProgram::new(spec, da, db, dc, opts, stages))
+            }
+            other => RankReport {
+                srumma: parallel_gemm(comm, other, spec, da, db, dc),
+                ..RankReport::default()
+            },
+        }
+    }
+    let (mats, stages) = ((da, db, dc), stages.as_ref());
+    match run.backend {
+        Backend::Sim(machine) => {
+            let sim = SimOptions::new(machine.clone(), run.nranks);
+            let res = sim_run(&sim, |comm| body(comm, run, spec, mats, stages));
+            (res.outputs, res.stats)
+        }
+        Backend::Threads => {
+            let body = |comm: &mut _| body(comm, run, spec, mats, stages);
+            let res = thread_launch(run.nranks, false, Some(topo), body);
+            (res.outputs, res.stats)
+        }
+        Backend::Exec { workers } => {
+            let body = |comm: &mut _| body(comm, run, spec, mats, stages);
+            let res = exec_launch(run.nranks, workers, false, Some(topo), body);
+            (res.outputs, res.stats)
+        }
+        Backend::Virtual { .. } => panic!("the virtual clock moves no data"),
+    }
+}
+
 /// What `run` computes when both operands are copied into arenas first
 /// (`dist_a`/`dist_b` + `scatter_operands`, the form every caller that
-/// owns its distributed matrices uses) and the same rank program is
-/// driven over those: flat or staged SRUMMA, masks attached, on `run`'s
-/// backend and topology.
+/// owns its distributed matrices uses), C is an arena gathered afterwards,
+/// and the same rank program is driven over those, masks attached.
 fn over_scattered_arenas(run: &Run) -> (Matrix, Vec<RankReport>, RunStats) {
     let grid = default_grid(run.nranks);
     let (a, b) = run.operands.expect("a differential over real data");
@@ -448,47 +506,51 @@ fn over_scattered_arenas(run: &Run) -> (Matrix, Vec<RankReport>, RunStats) {
         set_a_mask(&spec, &mut da, masks.a.clone().expect("both masked"));
         set_b_mask(&spec, &mut db, masks.b.clone().expect("both masked"));
     }
-    let topo = match run.backend {
-        Backend::Sim(machine) => machine.topology(run.nranks),
-        _ => Topology::new(run.nranks, run.ranks_per_node.unwrap_or(run.nranks)),
-    };
-    let stages = run
-        .hier
-        .then(|| HierStageSet::create(&spec, grid, topo, true));
-    let Algorithm::Srumma(opts) = run.algorithm else {
-        panic!("the differential drives the SRUMMA program");
-    };
-    let program = || SrummaProgram::new(&spec, &da, &db, &dc, &opts, stages.as_ref());
-    let (reports, stats) = match run.backend {
-        Backend::Sim(machine) => {
-            let sim = SimOptions::new(machine.clone(), run.nranks);
-            let res = sim_run(&sim, |comm| drive(comm, program()));
-            (res.outputs, res.stats)
-        }
-        Backend::Threads => {
-            let body = |comm: &mut _| drive(comm, program());
-            let res = thread_launch(run.nranks, false, Some(topo), body);
-            (res.outputs, res.stats)
-        }
-        Backend::Exec { workers } => {
-            let body = |comm: &mut _| drive(comm, program());
-            let res = exec_launch(run.nranks, workers, false, Some(topo), body);
-            (res.outputs, res.stats)
-        }
-        Backend::Virtual { .. } => panic!("the virtual clock moves no data"),
-    };
+    let (reports, stats) = launch_over(run, &spec, (&da, &db, &dc));
     (dc.gather(), reports, stats)
 }
 
-/// NN/NT/TN/TT × every shared-memory flavour × flat/staged × dense/masked
-/// × `Sim`/`Threads`/`Exec`: `Run` reads an `N`-stored operand through a
-/// view of the caller's matrix and copies only the `T`-stored ones, and
-/// no rank can tell — the same C to the bit, the same per-rank reports,
-/// the same traffic counter by counter, and under the simulator the same
-/// makespan to the bit (model time is charged from block bytes, never
-/// from layout).
-#[test]
-fn operands_in_place_are_indistinguishable_from_scattered_copies() {
+/// The eight traffic counters of one rank.
+fn traffic(r: &srumma_trace::RankStats) -> [u64; 8] {
+    [
+        r.bytes_network,
+        r.bytes_shm,
+        r.bytes_direct,
+        r.transfers,
+        r.bytes_internode,
+        r.bytes_intragroup,
+        r.tasks,
+        r.tasks_masked,
+    ]
+}
+
+/// `run` through [`Run::execute`] against the same plan driven by hand
+/// (`by_hand`): the same C to the bit, the same per-rank reports, the same
+/// traffic counter by counter, and under the simulator the same makespan
+/// to the bit (model time is charged from block bytes, never from layout).
+fn assert_indistinguishable(
+    run: &Run,
+    by_hand: impl FnOnce(&Run) -> (Matrix, Vec<RankReport>, RunStats),
+    what: &str,
+) {
+    let out = run.execute().unwrap_or_else(|e| panic!("{what}: {e}"));
+    let (c, reports, stats) = by_hand(run);
+    assert_eq!(out.c.unwrap().as_slice(), c.as_slice(), "{what}: C");
+    assert_eq!(out.reports, reports, "{what}: reports");
+    assert_eq!(out.stats.ranks.len(), run.nranks, "{what}");
+    for (rank, (v, s)) in out.stats.ranks.iter().zip(&stats.ranks).enumerate() {
+        assert_eq!(traffic(v), traffic(s), "{what}: traffic of rank {rank}");
+    }
+    if matches!(run.backend, Backend::Sim(_)) {
+        let (v, s) = (out.stats.makespan, stats.makespan);
+        assert_eq!(v.to_bits(), s.to_bits(), "{what}: makespan {v} vs {s}");
+    }
+}
+
+/// `f` on every plan of the 144-plan grid: NN/NT/TN/TT × every
+/// shared-memory flavour × flat/staged × dense/masked × `Sim`/`Threads`/
+/// `Exec`, SRUMMA on 8 ranks in nodes of 2, shapes by turns.
+fn for_each_srumma_plan(f: impl Fn(&Run, &str)) {
     let mut machine = Machine::linux_myrinet();
     machine.ranks_per_domain = RanksPerDomain::Fixed(2);
     let nranks = 8;
@@ -497,7 +559,8 @@ fn operands_in_place_are_indistinguishable_from_scattered_copies() {
         BlockMask::random(grid.p, grid.q, 0.6, 0xA),
         BlockMask::random(grid.p, grid.q, 0.7, 0xB),
     );
-    // Uneven blocks; fewer rows than grid rows' worth of k; a 1-row C.
+    // Uneven blocks; fewer rows than grid rows' worth of k; a 1-row C
+    // (more grid rows than C rows: the second row of tiles is empty).
     let shapes = [(23, 19, 29), (9, 31, 5), (1, 12, 17)];
     let mut case = 0;
     for (ta, tb) in [
@@ -535,34 +598,137 @@ fn operands_in_place_are_indistinguishable_from_scattered_copies() {
                     };
                     let what =
                         format!("{spec:?} {shmem:?} hier={hier} masked={masked} {backend:?}");
-                    let views = run.execute().unwrap_or_else(|e| panic!("{what}: {e}"));
-                    let (c, reports, stats) = over_scattered_arenas(&run);
-                    assert_eq!(views.c.unwrap().as_slice(), c.as_slice(), "{what}: C");
-                    assert_eq!(views.reports, reports, "{what}: reports");
-                    assert_eq!(views.stats.ranks.len(), nranks, "{what}");
-                    for (rank, (v, s)) in views.stats.ranks.iter().zip(&stats.ranks).enumerate() {
-                        let traffic = |r: &srumma_trace::RankStats| {
-                            [
-                                r.bytes_network,
-                                r.bytes_shm,
-                                r.bytes_direct,
-                                r.transfers,
-                                r.bytes_internode,
-                                r.bytes_intragroup,
-                                r.tasks,
-                                r.tasks_masked,
-                            ]
-                        };
-                        assert_eq!(traffic(v), traffic(s), "{what}: traffic of rank {rank}");
-                    }
-                    if on_sim {
-                        let (v, s) = (views.stats.makespan, stats.makespan);
-                        assert_eq!(v.to_bits(), s.to_bits(), "{what}: makespan {v} vs {s}");
-                    }
+                    f(&run, &what);
                 }
             }
         }
     }
+}
+
+/// On every plan of the grid: `Run` reads an `N`-stored operand through a
+/// view of the caller's matrix and copies only the `T`-stored ones, and
+/// no rank can tell.
+#[test]
+fn operands_in_place_are_indistinguishable_from_scattered_copies() {
+    for_each_srumma_plan(|run, what| assert_indistinguishable(run, over_scattered_arenas, what));
+}
+
+// ---- C written in place ≡ a C arena, gathered ------------------------
+
+/// What `run` computes when the ranks write C into an arena of its own
+/// that is gathered afterwards (`fresh_c` + `gather`, what `Run` did
+/// before it lent them the product itself), the operands distributed as
+/// `Run` distributes them.
+fn over_a_gathered_arena(run: &Run) -> (Matrix, Vec<RankReport>, RunStats) {
+    let grid = default_grid(run.nranks);
+    let (a, b) = run.operands.expect("a differential over real data");
+    let (spec, dc) = fresh_c(&run.spec, grid, true);
+    let mask = |m: &Option<BlockMask>| m.clone().expect("both masked");
+    let (mask_a, mask_b) = run.masks.map(|m| (mask(&m.a), mask(&m.b))).unzip();
+    let id = CostMap::Identity;
+    let (reports, stats) = with_dist_a(&spec, grid, Some(a.as_ref()), mask_a.as_ref(), id, |da| {
+        with_dist_b(&spec, grid, Some(b.as_ref()), mask_b.as_ref(), id, |db| {
+            launch_over(run, &spec, (da, db, &dc))
+        })
+    });
+    (dc.gather(), reports, stats)
+}
+
+/// `Run` allocates the product once and lends it to the ranks as C: each
+/// owner fills and accumulates its tile where the caller will read it,
+/// at the product's leading dimension, beside the tiles of its
+/// neighbours. No rank and no bit can tell it from a C arena gathered
+/// afterwards — on the whole plan grid, under SUMMA and Cannon, and on
+/// shapes whose tiles are ragged (`m`, `n` no multiple of `p`, `q`),
+/// empty (fewer C rows or columns than grid rows or columns) or all in
+/// one row (a `1 × q` grid; `default_grid` makes no `p × 1` one — the
+/// window tests of `dist.rs` do).
+#[test]
+fn c_in_place_is_indistinguishable_from_a_gathered_arena() {
+    for_each_srumma_plan(|run, what| assert_indistinguishable(run, over_a_gathered_arena, what));
+
+    let mut machine = Machine::linux_myrinet();
+    machine.ranks_per_domain = RanksPerDomain::Fixed(2);
+    let summa = Algorithm::Summa(SummaOptions::default());
+    // (nranks, m, n, k): 2 x 4 ragged, 2 x 4 with one C row and three C
+    // columns, 1 x 5, 1 x 7 with fewer columns than ranks, 3 x 3, 2 x 2.
+    let shapes = [
+        (8, 23, 19, 29),
+        (8, 1, 3, 17),
+        (5, 11, 13, 7),
+        (7, 4, 5, 9),
+        (9, 10, 11, 12),
+        (4, 7, 9, 5),
+    ];
+    for (nranks, m, n, k) in shapes {
+        let grid = default_grid(nranks);
+        for (ta, tb) in [(Op::N, Op::N), (Op::T, Op::N), (Op::N, Op::T)] {
+            let spec = GemmSpec::new(ta, tb, m, n, k).with_scalars(-1.5, 0.0);
+            let ab = int_operands(&spec);
+            let cannon =
+                (grid.p == grid.q && (ta, tb) == (Op::N, Op::N)).then_some(Algorithm::Cannon);
+            for algorithm in [Some(Algorithm::srumma_default()), Some(summa), cannon] {
+                let Some(algorithm) = algorithm else { continue };
+                for backend in [
+                    Backend::Sim(&machine),
+                    Backend::Threads,
+                    Backend::Exec { workers: 2 },
+                ] {
+                    let run = Run {
+                        operands: Some((&ab.0, &ab.1)),
+                        ..Run::new(spec, nranks, algorithm, backend)
+                    };
+                    let what = format!("{spec:?} on {nranks} ranks {algorithm:?} {backend:?}");
+                    assert_indistinguishable(&run, over_a_gathered_arena, &what);
+                    // `serial_reference` is the plain product; every entry
+                    // is a small integer, so scaling it is exact.
+                    let mut want = serial_reference(&spec, &ab.0, &ab.1);
+                    want.as_mut().scale(spec.alpha);
+                    let got = run.execute().unwrap().c.unwrap();
+                    assert_eq!(got.as_slice(), want.as_slice(), "{what}: vs serial");
+                }
+            }
+        }
+    }
+}
+
+/// A rank that dies holds the write handle of its tile of the product;
+/// the handle moves with the rest of its machine to the survivor, which
+/// finishes the tile in place: the recovered product is the healthy one
+/// and the gathered arena's, bit for bit.
+#[test]
+fn a_tile_of_the_product_changes_hands_when_its_rank_dies() {
+    let spec = GemmSpec::new(Op::N, Op::T, 23, 19, 700);
+    let ab = operands(&spec);
+    let healthy = Run {
+        operands: Some((&ab.0, &ab.1)),
+        ..Run::new(
+            spec,
+            8,
+            Algorithm::srumma_default(),
+            Backend::Exec { workers: 2 },
+        )
+    };
+    let plan = FaultPlan::healthy().with_death(5, 1);
+    let recovered = Run {
+        faults: Some(&plan),
+        ..healthy
+    }
+    .execute()
+    .unwrap();
+    assert!(
+        recovered.stats.total_tasks_reexecuted() > 0,
+        "nobody adopted the dead rank's machine"
+    );
+    let recovered = recovered.c.unwrap();
+    let (arena, ..) = over_a_gathered_arena(&healthy);
+    assert_eq!(recovered.as_slice(), arena.as_slice(), "recovered vs arena");
+    let healthy = healthy.execute().unwrap().c.unwrap();
+    assert_eq!(
+        recovered.as_slice(),
+        healthy.as_slice(),
+        "recovered vs healthy"
+    );
 }
 
 // ---- a fetched panel lands packed ≡ a block read in place ------------

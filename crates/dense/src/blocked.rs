@@ -38,7 +38,7 @@
 
 use crate::aligned::{AlignedBuf, ALIGN};
 use crate::gemm::Op;
-use crate::kernel::{active_kernel, writeback, Microkernel, ACC_LEN};
+use crate::kernel::{active_kernel, Microkernel, ACC_LEN};
 use crate::matrix::{MatMut, MatRef};
 use crate::pack::{pack_a, pack_b, PackedView};
 
@@ -330,6 +330,11 @@ pub fn dgemm_operands(
     }
 }
 
+/// One micro-tile's accumulator, on a cache-line boundary: the kernels
+/// move it a whole vector at a time.
+#[repr(align(64))]
+struct Acc([f64; ACC_LEN]);
+
 /// Run the micro-kernel over every `mr × nr` tile of an `mc × nc` block.
 /// Each side is its first sliver's slice and the distance to the next:
 /// `w · kc` in a workspace panel, `w ·` the full depth in a
@@ -356,14 +361,14 @@ fn macro_kernel(
         for is in 0..m_slivers {
             let a_sliver = &apack[is * a_stride..][..mr * kc];
             let rows = mr.min(mc - is * mr);
-            let mut acc = [0.0; ACC_LEN];
-            kernel.run_cols(cols, kc, a_sliver, b_sliver, &mut acc);
+            let mut acc = Acc([0.0; ACC_LEN]);
+            let acc = &mut acc.0;
+            kernel.run_cols(cols, kc, a_sliver, b_sliver, acc);
             // Element (ic + is*mr, jc + js*nr) of C within its buffer.
             let r0 = ic + is * mr;
             let c0 = jc + js * nr;
             let mut tile = c.reborrow().block(r0, c0, rows, cols);
-            let ldc = tile.ld();
-            writeback(&acc, alpha, rows, cols, nr, tile.data_mut(), ldc);
+            kernel.writeback(acc, alpha, &mut tile);
         }
     }
 }

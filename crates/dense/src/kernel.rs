@@ -43,6 +43,7 @@
 //! detection — never a panic — so one CI script can loop over every
 //! flavor name on any runner.
 
+use crate::matrix::MatMut;
 use std::sync::OnceLock;
 
 /// Micro-tile rows of the scalar, AVX2 and NEON kernels.
@@ -240,6 +241,37 @@ impl Microkernel {
                 unsafe { crate::simd_neon::microkernel_neon(kc, a_sliver, b_sliver, acc) }
             }
         }
+    }
+
+    /// [`writeback`] of a tile this kernel produced (`acc` is `nr()`
+    /// wide). A whole `mr() × nr()` tile of the AVX2 and AVX-512 kernels
+    /// is summed in registers — all of its loads, then all of its stores
+    /// ([`crate::simd`]); ragged edge tiles and the other kernels take
+    /// the portable path. The same sums either way, bit for bit.
+    #[inline]
+    pub fn writeback(self, acc: &mut [f64], alpha: f64, tile: &mut MatMut<'_>) {
+        #[cfg(target_arch = "x86_64")]
+        if (tile.rows(), tile.cols()) == (self.mr(), self.nr()) {
+            let ldc = tile.ld();
+            // SAFETY: the variants are only constructed where their
+            // features were detected (see the variant docs); the tile is
+            // `mr × nr`, so the `mr` rows of `nr` elements the routines
+            // touch are the view's own, borrowed exclusively.
+            match self {
+                Microkernel::Avx2 => {
+                    return unsafe {
+                        crate::simd::writeback_avx2(acc, alpha, tile.as_mut_ptr(), ldc)
+                    }
+                }
+                Microkernel::Avx512 => {
+                    return unsafe {
+                        crate::simd::writeback_avx512(acc, alpha, tile.as_mut_ptr(), ldc)
+                    }
+                }
+                _ => {}
+            }
+        }
+        writeback(acc, alpha, self.nr(), tile);
     }
 }
 
@@ -445,40 +477,40 @@ pub fn microkernel(kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &mut [f64
     }
 }
 
-/// Write an accumulator tile into `C`, honouring `alpha` and the valid
-/// (non-padded) extent `rows × cols` of the tile. This is the single
-/// writeback path shared by [`crate::blocked`]'s macro-kernel and any
-/// direct micro-kernel caller.
+/// Add an accumulator tile into its tile of `C`: `tile += alpha · acc`
+/// over the tile's valid (non-padded) extent. This is the portable
+/// writeback path — what [`Microkernel::writeback`] runs for every tile
+/// it has no register-resident routine for — and the oracle for those.
 ///
-/// `acc` holds an `nr`-wide tile (element `(r, c)` at `r*nr + c`); `c`
-/// points at element `(0, 0)` of the destination tile within a
-/// row-major buffer of leading dimension `ldc`. `beta` is applied by
-/// the caller once per whole-matrix pass (BLAS convention), so this
-/// routine only accumulates.
+/// `acc` holds an `nr`-wide tile (element `(r, c)` at `r*nr + c`) and is
+/// used up: it comes back holding the sums. `beta` is applied by the
+/// caller once per whole-matrix pass (BLAS convention), so this routine
+/// only accumulates.
+///
+/// Every element of the tile is read before the first one is written:
+/// at a leading dimension that is a multiple of 512 (a C window of a
+/// wide matrix), rows `r` and `r + k` of a tile share their low 12
+/// address bits, and a load issued behind such a store waits for it —
+/// summed and stored row by row, a tile would cost more at such an `ldc`.
 #[inline]
-pub fn writeback(
-    acc: &[f64],
-    alpha: f64,
-    rows: usize,
-    cols: usize,
-    nr: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
+pub fn writeback(acc: &mut [f64], alpha: f64, nr: usize, tile: &mut MatMut<'_>) {
+    let (rows, cols) = (tile.rows(), tile.cols());
     debug_assert!(rows <= MR_MAX && cols <= nr);
-    debug_assert!(acc.len() >= rows.saturating_sub(1) * nr + cols);
     for r in 0..rows {
-        let dst = &mut c[r * ldc..r * ldc + cols];
-        let src = &acc[r * nr..r * nr + cols];
+        let sums = &mut acc[r * nr..r * nr + cols];
+        let old = tile.row_mut(r);
         if alpha == 1.0 {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += *s;
+            for (s, c) in sums.iter_mut().zip(old.iter()) {
+                *s += *c;
             }
         } else {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += alpha * *s;
+            for (s, c) in sums.iter_mut().zip(old.iter()) {
+                *s = *c + alpha * *s;
             }
         }
+    }
+    for r in 0..rows {
+        tile.row_mut(r).copy_from_slice(&acc[r * nr..r * nr + cols]);
     }
 }
 
@@ -531,7 +563,8 @@ mod tests {
         }
         let ldc = 10;
         let mut c = vec![1.0; MR * ldc];
-        writeback(&acc, 2.0, 3, 5, NR, &mut c, ldc);
+        let mut tile = MatMut::new(3, 5, ldc, &mut c);
+        writeback(&mut acc.clone(), 2.0, NR, &mut tile);
         for r in 0..MR {
             for j in 0..ldc {
                 let expect = if r < 3 && j < 5 {
@@ -554,7 +587,12 @@ mod tests {
             }
             let ldc = nr + 4;
             let mut c = vec![0.5; mr * ldc];
-            writeback(&acc, 1.0, mr, nr, nr, &mut c, ldc);
+            writeback(
+                &mut acc.clone(),
+                1.0,
+                nr,
+                &mut MatMut::new(mr, nr, ldc, &mut c),
+            );
             for r in 0..mr {
                 for j in 0..ldc {
                     let expect = if j < nr { 0.5 + acc[r * nr + j] } else { 0.5 };
@@ -574,11 +612,54 @@ mod tests {
         }
         let ldc = 11;
         let mut c = vec![0.0; MR_AVX512 * ldc];
-        writeback(&acc, 1.0, 7, 5, nr, &mut c, ldc);
+        writeback(
+            &mut acc.clone(),
+            1.0,
+            nr,
+            &mut MatMut::new(7, 5, ldc, &mut c),
+        );
         for r in 0..MR_AVX512 {
             for j in 0..ldc {
                 let expect = if r < 7 && j < 5 { acc[r * nr + j] } else { 0.0 };
                 assert_eq!(c[r * ldc + j], expect, "r={r} j={j}");
+            }
+        }
+    }
+
+    /// A kernel's own writeback (whole tiles of the SIMD kernels are
+    /// summed in registers) leaves the bits of the portable one, for
+    /// whole and ragged tiles, `α = 1` and not, at a leading dimension
+    /// that shares the low address bits of every row (512) and one that
+    /// does not — and touches nothing outside the tile.
+    #[test]
+    fn kernel_writeback_matches_the_portable_one() {
+        for &kernel in Microkernel::all().iter().filter(|k| k.available()) {
+            let (mr, nr) = (kernel.mr(), kernel.nr());
+            for (rows, cols) in [(mr, nr), (mr - 1, nr), (mr, nr - 3), (1, 1)] {
+                for (alpha, ldc) in [(1.0, nr + 5), (-0.5, 512), (1.0, 512), (3.0, nr)] {
+                    let mut acc = [0.0; ACC_LEN];
+                    for (i, v) in acc.iter_mut().enumerate() {
+                        *v = 1.0 / (i as f64 + 3.0);
+                    }
+                    acc[0] = f64::NAN;
+                    acc[1] = -0.0;
+                    let c0: Vec<f64> = (0..mr * ldc).map(|i| (i as f64).sin()).collect();
+                    let (mut want, mut got) = (c0.clone(), c0);
+                    writeback(
+                        &mut acc.clone(),
+                        alpha,
+                        nr,
+                        &mut MatMut::new(rows, cols, ldc, &mut want),
+                    );
+                    kernel.writeback(&mut acc, alpha, &mut MatMut::new(rows, cols, ldc, &mut got));
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{} {rows}x{cols} alpha={alpha} ldc={ldc}",
+                        kernel.name()
+                    );
+                }
             }
         }
     }

@@ -7,6 +7,7 @@
 //! shared arena) without copying.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 /// An owned, row-major, densely packed `f64` matrix (`ld == cols`).
 #[derive(Clone, PartialEq)]
@@ -112,12 +113,7 @@ impl Matrix {
 
     /// Borrow the whole matrix as a mutable view.
     pub fn as_mut(&mut self) -> MatMut<'_> {
-        MatMut {
-            rows: self.rows,
-            cols: self.cols,
-            ld: self.cols,
-            data: &mut self.data,
-        }
+        MatMut::new(self.rows, self.cols, self.cols, &mut self.data)
     }
 
     /// Borrow the sub-block of `nrows × ncols` starting at `(r0, c0)`.
@@ -274,12 +270,31 @@ impl<'a> MatRef<'a> {
 }
 
 /// A borrowed, mutable, row-major strided view.
+///
+/// Unlike [`MatRef`] it is not a slice plus a stride: the windows two
+/// ranks hold of one row-major matrix interleave in memory (row `i` of
+/// the left neighbour's window lies between rows `i` and `i + 1` of
+/// this one), so a window of `rows × cols` elements must never exist as
+/// one `&mut [f64]` of `(rows − 1)·ld + cols` — that slice would claim
+/// the neighbour's elements too. A `MatMut` therefore carries the base
+/// pointer and the shape, touches only `[i·ld, i·ld + cols)` of each
+/// row, and hands out a slice one row at a time ([`Self::row_mut`]).
 pub struct MatMut<'a> {
+    /// Element `(0, 0)`; element `(i, j)` lives at `ptr + i·ld + j`.
+    ptr: *mut f64,
     rows: usize,
     cols: usize,
     ld: usize,
-    data: &'a mut [f64],
+    /// The exclusive borrow of the window's rows.
+    _rows: PhantomData<&'a mut [f64]>,
 }
+
+// SAFETY: a `MatMut` is an exclusive borrow of its rows' elements for
+// `'a` — what a `&'a mut [f64]` is, which is `Send` and `Sync`; the raw
+// pointer only replaces the slice so that the gaps between rows stay
+// unclaimed.
+unsafe impl Send for MatMut<'_> {}
+unsafe impl Sync for MatMut<'_> {}
 
 impl<'a> MatMut<'a> {
     /// Build a mutable view over `data` with explicit leading dimension.
@@ -296,10 +311,31 @@ impl<'a> MatMut<'a> {
             );
         }
         MatMut {
+            ptr: data.as_mut_ptr(),
             rows,
             cols,
             ld,
-            data,
+            _rows: PhantomData,
+        }
+    }
+
+    /// The view of `rows × cols` elements whose `(0, 0)` is at `ptr` —
+    /// how a window is cut out of a matrix that other windows are being
+    /// cut out of too (a rank's C tile of the caller's result matrix).
+    ///
+    /// # Safety
+    /// For every `i < rows`, the `cols` elements at `ptr + i·ld` must be
+    /// valid for reads and writes for `'a`, and during `'a` nothing but
+    /// this view (and what is reborrowed from it) may access them. An
+    /// empty view (`rows` or `cols` zero) asks nothing of `ptr`.
+    pub unsafe fn from_raw(ptr: *mut f64, rows: usize, cols: usize, ld: usize) -> Self {
+        assert!(ld >= cols, "leading dimension {ld} < cols {cols}");
+        MatMut {
+            ptr,
+            rows,
+            cols,
+            ld,
+            _rows: PhantomData,
         }
     }
 
@@ -315,65 +351,65 @@ impl<'a> MatMut<'a> {
         self.ld
     }
 
+    /// Pointer to element `(0, 0)`, for kernels that address the tile
+    /// with an explicit leading dimension. Only `[i·ld, i·ld + cols)` of
+    /// each row `i < rows` belongs to the view.
+    #[inline]
+    pub fn as_mut_ptr(&mut self) -> *mut f64 {
+        self.ptr
+    }
+
     #[inline]
     pub fn at(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.ld + j]
+        assert!(i < self.rows && j < self.cols);
+        // SAFETY: in range, so within row `i` of the view.
+        unsafe { *self.ptr.add(i * self.ld + j) }
     }
 
     #[inline]
     pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[i * self.ld + j]
+        assert!(i < self.rows && j < self.cols);
+        // SAFETY: in range, so within row `i` of the view, which `self`
+        // borrows exclusively.
+        unsafe { &mut *self.ptr.add(i * self.ld + j) }
     }
 
+    /// Row `i` as a contiguous slice of length `cols` — the only slice a
+    /// view hands out.
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        debug_assert!(i < self.rows);
-        &mut self.data[i * self.ld..i * self.ld + self.cols]
-    }
-
-    /// Raw underlying storage (element `(i, j)` at `i * ld + j`), for
-    /// kernels that index with an explicit leading dimension.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        self.data
-    }
-
-    /// Reborrow as an immutable view.
-    pub fn as_ref(&self) -> MatRef<'_> {
-        MatRef {
-            rows: self.rows,
-            cols: self.cols,
-            ld: self.ld,
-            data: self.data,
+        assert!(i < self.rows);
+        if self.cols == 0 {
+            // A `rows × 0` view may sit on no storage at all.
+            return &mut [];
         }
+        // SAFETY: row `i` of a non-empty view is `cols` elements at
+        // `ptr + i·ld` (`new` checked the buffer, `from_raw`'s caller
+        // vouched for it), borrowed exclusively through `self`.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.ld), self.cols) }
     }
 
     /// Reborrow mutably (shorter lifetime).
     pub fn reborrow(&mut self) -> MatMut<'_> {
-        MatMut {
-            rows: self.rows,
-            cols: self.cols,
-            ld: self.ld,
-            data: self.data,
-        }
+        MatMut { ..*self }
     }
 
     /// Mutable sub-block of `nrows × ncols` starting at `(r0, c0)`.
     pub fn block(self, r0: usize, c0: usize, nrows: usize, ncols: usize) -> MatMut<'a> {
         assert!(r0 + nrows <= self.rows && c0 + ncols <= self.cols);
-        // See `MatRef::block`: empty blocks must not slice out of range.
+        // See `MatRef::block`: an empty block must not step out of range.
         let start = if nrows == 0 || ncols == 0 {
             0
         } else {
             r0 * self.ld + c0
         };
         MatMut {
+            // SAFETY: element `(r0, c0)` of a non-empty sub-block is an
+            // element of this view.
+            ptr: unsafe { self.ptr.add(start) },
             rows: nrows,
             cols: ncols,
-            ld: self.ld,
-            data: &mut self.data[start..],
+            ..self
         }
     }
 
@@ -394,14 +430,13 @@ impl<'a> MatMut<'a> {
         assert_eq!((self.rows, self.cols), (src.cols(), src.rows()));
         for i0 in (0..self.rows).step_by(BLOCK) {
             for j0 in (0..self.cols).step_by(BLOCK) {
-                transpose_into(
-                    &src.data[j0 * src.ld + i0..],
-                    src.ld,
-                    BLOCK.min(self.cols - j0),
-                    BLOCK.min(self.rows - i0),
-                    &mut self.data[i0 * self.ld + j0..],
-                    self.ld,
-                );
+                let (n, kk) = (BLOCK.min(self.cols - j0), BLOCK.min(self.rows - i0));
+                // SAFETY: the block lands on `[j0, j0 + n)` of rows
+                // `[i0, i0 + kk)` — elements of this view.
+                unsafe {
+                    let dst = self.ptr.add(i0 * self.ld + j0);
+                    transpose_into_raw(&src.data[j0 * src.ld + i0..], src.ld, n, kk, dst, self.ld);
+                }
             }
         }
     }
@@ -433,14 +468,8 @@ impl<'a> MatMut<'a> {
 /// `dst[k * dld + x] ← src[x * sld + k]` for `x < n`, `k < kk`: the
 /// `n × kk` row-major block at the front of `src` lands transposed at
 /// the front of `dst`. The one transposing mover — [`crate::pack`]'s
-/// strided slivers and [`MatMut::copy_transposed_from`] both end here.
-///
-/// Moved as `n × TILE_K` tiles: each source row is sliced once per
-/// tile, so no source index is checked inside one, each source cache
-/// line is read once, and the destination tile stays in L1. On `x86_64`
-/// with AVX2 the multiple-of-four core goes through in-register 4×4
-/// transposes instead ([`crate::simd::transpose_avx2`]) and only the
-/// fringe is left to the tiles.
+/// strided slivers and [`MatMut::copy_transposed_from`] both end here
+/// ([`transpose_into_raw`]).
 pub(crate) fn transpose_into(
     src: &[f64],
     sld: usize,
@@ -449,22 +478,52 @@ pub(crate) fn transpose_into(
     dst: &mut [f64],
     dld: usize,
 ) {
+    if n == 0 || kk == 0 {
+        return;
+    }
+    assert!(
+        n <= dld && dst.len() >= (kk - 1) * dld + n,
+        "block of {n} columns x {kk} rows in a destination of {} at stride {dld}",
+        dst.len()
+    );
+    // SAFETY: just checked — every destination row lies in `dst`.
+    unsafe { transpose_into_raw(src, sld, n, kk, dst.as_mut_ptr(), dld) }
+}
+
+/// [`transpose_into`] onto a destination given by pointer: only
+/// `[k·dld, k·dld + n)` of each destination row `k < kk` is written, so
+/// the rows may be those of a window whose gaps belong to someone else.
+///
+/// Moved as `n × TILE_K` tiles: each source row is sliced once per
+/// tile, so no source index is checked inside one, each source cache
+/// line is read once, and the destination tile stays in L1. On `x86_64`
+/// with AVX2 the multiple-of-four core goes through in-register 4×4
+/// transposes instead ([`crate::simd::transpose_avx2`]) and only the
+/// fringe is left to the tiles.
+///
+/// # Safety
+/// For every `k < kk`, the `n` elements at `dst + k·dld` must be valid
+/// for writes and not borrowed elsewhere. Source bounds are checked.
+pub(crate) unsafe fn transpose_into_raw(
+    src: &[f64],
+    sld: usize,
+    n: usize,
+    kk: usize,
+    dst: *mut f64,
+    dld: usize,
+) {
     /// Eight `f64`: one cache line of every source row a tile reads.
     const TILE_K: usize = 8;
+    /// # Safety
+    /// `depth` destination rows of `n` elements from `dst`, as above.
     #[inline(always)]
-    fn tile(src: &[f64], sld: usize, n: usize, depth: usize, dst: &mut [f64], dld: usize) {
-        // `n <= dld` is asserted below; spelling it out here is what lets
-        // the stores of a whole tile (`depth * dld` long) go unchecked.
-        for x in 0..n.min(dld) {
+    unsafe fn tile(src: &[f64], sld: usize, n: usize, depth: usize, dst: *mut f64, dld: usize) {
+        for x in 0..n {
             for (i, &v) in src[x * sld..][..depth].iter().enumerate() {
-                dst[i * dld + x] = v;
+                *dst.add(i * dld + x) = v;
             }
         }
     }
-    assert!(
-        n <= dld,
-        "block of {n} columns in a destination of stride {dld}"
-    );
     if n == 0 || kk == 0 {
         return;
     }
@@ -473,17 +532,21 @@ pub(crate) fn transpose_into(
     if n.is_multiple_of(4) && std::arch::is_x86_feature_detected!("avx2") {
         k = kk & !3;
         // SAFETY: avx2 was just detected; `n` and `k` are multiples of
-        // four and the callee asserts its slice bounds.
+        // four, the callee asserts its source bounds and writes rows
+        // `< k ≤ kk` of the destination this function was vouched.
         unsafe { crate::simd::transpose_avx2(src, sld, n, k, dst, dld) };
     }
     while k < kk {
         let depth = TILE_K.min(kk - k);
-        let d = &mut dst[k * dld..];
-        // A whole tile gets a constant depth and a destination of
-        // exactly `TILE_K` rows (the last row of `dst` may stop short).
-        match d.get_mut(..TILE_K * dld) {
-            Some(d) if depth == TILE_K => tile(&src[k..], sld, n, TILE_K, d, dld),
-            _ => tile(&src[k..], sld, n, depth, d, dld),
+        // SAFETY: rows `[k, k + depth)` of the caller's destination. A
+        // whole tile gets a constant depth.
+        unsafe {
+            let d = dst.add(k * dld);
+            if depth == TILE_K {
+                tile(&src[k..], sld, n, TILE_K, d, dld);
+            } else {
+                tile(&src[k..], sld, n, depth, d, dld);
+            }
         }
         k += depth;
     }
@@ -593,6 +656,60 @@ mod tests {
         let before = m.clone();
         m.as_mut().scale(1.0);
         assert_eq!(m, before);
+    }
+
+    /// Two windows of one matrix, side by side, held at once: their rows
+    /// interleave in memory, and every mutating operation of a view
+    /// stays inside its own.
+    #[test]
+    fn interleaved_windows_are_written_independently() {
+        let (rows, cols, split) = (37, 41, 18);
+        let mut m = Matrix::from_fn(rows, cols, |i, j| (i * cols + j) as f64);
+        let src = Matrix::random(cols, rows, 4);
+        let base = m.as_mut_slice().as_mut_ptr();
+        // SAFETY: the two windows share no element of `m`, which is
+        // borrowed exclusively until both are gone.
+        let (mut left, mut right) = unsafe {
+            (
+                MatMut::from_raw(base, rows, split, cols),
+                MatMut::from_raw(base.add(split), rows, cols - split, cols),
+            )
+        };
+        assert_eq!(
+            (right.rows(), right.cols(), right.ld()),
+            (rows, cols - split, cols)
+        );
+        left.copy_transposed_from(src.block(0, 0, split, rows));
+        right.fill(2.0);
+        right.scale(-1.5);
+        *right.at_mut(3, 0) = 7.0;
+        left.reborrow().block(1, 2, 2, 3).scale(0.0);
+        right
+            .row_mut(rows - 1)
+            .copy_from_slice(&vec![9.0; cols - split]);
+        assert_eq!((left.at(0, 1), right.at(3, 0)), (src[(1, 0)], 7.0));
+        for i in 0..rows {
+            for j in 0..cols {
+                let want = match (i, j) {
+                    (1..=2, 2..=4) => 0.0,
+                    (_, j) if j < split => src[(j, i)],
+                    (3, j) if j == split => 7.0,
+                    (i, _) if i == rows - 1 => 9.0,
+                    _ => -3.0,
+                };
+                assert_eq!(m[(i, j)], want, "({i},{j})");
+            }
+        }
+    }
+
+    /// A `rows × 0` view sits on no storage and still hands out rows.
+    #[test]
+    fn a_view_without_columns_has_empty_rows() {
+        let mut v = MatMut::new(3, 0, 5, &mut []);
+        assert!(v.row_mut(2).is_empty());
+        v.fill(1.0);
+        v.scale(0.0);
+        assert_eq!(v.reborrow().block(1, 0, 2, 0).rows(), 2);
     }
 
     #[test]

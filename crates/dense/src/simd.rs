@@ -146,6 +146,74 @@ pub unsafe fn microkernel_avx512<const NV: usize>(
     }
 }
 
+/// [`crate::kernel::writeback`] of a whole `MR × NR_AVX2` tile, in
+/// registers: `c[r][..] += alpha · acc[r][..]` with the twelve loads of
+/// C issued before its first store, so no load waits behind a store to
+/// a row that shares its low address bits (see `writeback`). A product
+/// and a sum per element, unfused — the bits of the portable path.
+///
+/// # Safety
+/// The caller must have verified `avx2` is available on this host, and
+/// for every `r < MR` the `NR_AVX2` elements at `c + r·ldc` must be
+/// valid for reads and writes and not borrowed elsewhere. The bound of
+/// `acc` is asserted.
+#[target_feature(enable = "avx2")]
+pub unsafe fn writeback_avx2(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
+    assert!(acc.len() >= MR * NR_AVX2);
+    // Each sum is formed as its C vector is loaded, so the tile is never
+    // live twice over and stays in the twelve registers it needs.
+    let scale = _mm256_set1_pd(alpha);
+    let mut t = [[_mm256_setzero_pd(); NV]; MR];
+    for (r, row) in t.iter_mut().enumerate() {
+        for (j, v) in row.iter_mut().enumerate() {
+            let s = _mm256_loadu_pd(acc.as_ptr().add(r * NR_AVX2 + j * 4));
+            let s = if alpha == 1.0 {
+                s
+            } else {
+                _mm256_mul_pd(scale, s)
+            };
+            *v = _mm256_add_pd(_mm256_loadu_pd(c.add(r * ldc + j * 4)), s);
+        }
+    }
+    for (r, row) in t.iter().enumerate() {
+        for (j, v) in row.iter().enumerate() {
+            _mm256_storeu_pd(c.add(r * ldc + j * 4), *v);
+        }
+    }
+}
+
+/// [`writeback_avx2`] for a whole `MR_AVX512 × NR_AVX512` tile: the
+/// twenty-four `zmm` of C are loaded, summed and then stored.
+///
+/// # Safety
+/// The caller must have verified `avx512f` is available on this host,
+/// and for every `r < MR_AVX512` the `NR_AVX512` elements at `c + r·ldc`
+/// must be valid for reads and writes and not borrowed elsewhere. The
+/// bound of `acc` is asserted.
+#[target_feature(enable = "avx512f")]
+pub unsafe fn writeback_avx512(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
+    const NV: usize = NR_AVX512 / ZMM_LANES;
+    assert!(acc.len() >= MR_AVX512 * NR_AVX512);
+    let scale = _mm512_set1_pd(alpha);
+    let mut t = [[_mm512_setzero_pd(); NV]; MR_AVX512];
+    for (r, row) in t.iter_mut().enumerate() {
+        for (j, v) in row.iter_mut().enumerate() {
+            let s = _mm512_loadu_pd(acc.as_ptr().add(r * NR_AVX512 + j * ZMM_LANES));
+            let s = if alpha == 1.0 {
+                s
+            } else {
+                _mm512_mul_pd(scale, s)
+            };
+            *v = _mm512_add_pd(_mm512_loadu_pd(c.add(r * ldc + j * ZMM_LANES)), s);
+        }
+    }
+    for (r, row) in t.iter().enumerate() {
+        for (j, v) in row.iter().enumerate() {
+            _mm512_storeu_pd(c.add(r * ldc + j * ZMM_LANES), *v);
+        }
+    }
+}
+
 /// [`crate::matrix::transpose_into`] for the multiple-of-four core of
 /// a block: `dst[k * dld + x] ← src[x * sld + k]` for `x < n`, `k < kk`,
 /// moved as 4×4 in-register transposes. Each 256-bit input pairs the
@@ -154,22 +222,25 @@ pub unsafe fn microkernel_avx512<const NV: usize>(
 /// Four source rows are streamed end to end before the next four.
 ///
 /// # Safety
-/// The caller must have verified `avx2` is available on this host.
-/// `n` and `kk` must be multiples of four; slice bounds are asserted.
+/// The caller must have verified `avx2` is available on this host, and
+/// for every `k < kk` the `n` elements at `dst + k·dld` must be valid for
+/// writes and not borrowed elsewhere (nothing between those rows is
+/// touched). `n` and `kk` must be multiples of four; the source bounds
+/// are asserted.
 #[target_feature(enable = "avx2")]
 pub unsafe fn transpose_avx2(
     src: &[f64],
     sld: usize,
     n: usize,
     kk: usize,
-    dst: &mut [f64],
+    dst: *mut f64,
     dld: usize,
 ) {
     assert!(n.is_multiple_of(4) && kk.is_multiple_of(4));
     if n == 0 || kk == 0 {
         return;
     }
-    assert!(src.len() >= (n - 1) * sld + kk && dst.len() >= (kk - 1) * dld + n);
+    assert!(src.len() >= (n - 1) * sld + kk);
     for x in (0..n).step_by(4) {
         for k in (0..kk).step_by(4) {
             let p = src.as_ptr().add(x * sld + k);
@@ -185,7 +256,7 @@ pub unsafe fn transpose_avx2(
             };
             let (lo_even, lo_odd) = halves(0);
             let (hi_even, hi_odd) = halves(2);
-            let q = dst.as_mut_ptr().add(k * dld + x);
+            let q = dst.add(k * dld + x);
             _mm256_storeu_pd(q, _mm256_unpacklo_pd(lo_even, lo_odd));
             _mm256_storeu_pd(q.add(dld), _mm256_unpackhi_pd(lo_even, lo_odd));
             _mm256_storeu_pd(q.add(2 * dld), _mm256_unpacklo_pd(hi_even, hi_odd));

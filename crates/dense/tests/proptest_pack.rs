@@ -414,8 +414,8 @@ fn oracle_gemm(
                         kernel.run(kc, a_sliver, b_sliver, &mut acc);
                         let (r0, c0) = (ic + is * mr, jc + js * nr);
                         let (rows, cols) = (mr.min(m - r0), nr.min(n - c0));
-                        let tile = &mut c.as_mut_slice()[r0 * n + c0..];
-                        writeback(&acc, alpha, rows, cols, nr, tile, n);
+                        let mut tile = c.block_mut(r0, c0, rows, cols);
+                        writeback(&mut acc, alpha, nr, &mut tile);
                     }
                 }
             }
@@ -462,6 +462,70 @@ fn dgemm_ws_is_bit_identical_to_the_element_loop_packers() {
                     ),
                     seed,
                 );
+            }
+        }
+    }
+}
+
+/// C where the caller reads it: `dgemm_operands` into a window of a
+/// wider matrix (`ldc` > `n` — by a few columns, or up to the 512 at
+/// which every row of a micro-tile shares its low address bits) leaves in
+/// the window, bit for bit, what it leaves in a contiguous C, and moves
+/// no element outside it — plain and prepacked factors, all four
+/// transposes, shapes ragged against every micro-tile (edge tiles take
+/// the portable writeback, whole ones the kernel's own), `k` past `kc`,
+/// each kernel flavour this host can run.
+#[test]
+fn a_c_window_of_a_wider_matrix_takes_the_bits_of_a_contiguous_c() {
+    use srumma_dense::{dgemm_operands, Operand, PackedPanel, Side};
+    let blocks = BlockSizes::new(24, 40, 36);
+    for seed in prop_seeds(0xC1_9AC4, 8) {
+        let mut rng = Rng::new(seed);
+        for &kernel in Microkernel::all().iter().filter(|k| k.available()) {
+            for (ta, tb) in [
+                (Op::N, Op::N),
+                (Op::T, Op::N),
+                (Op::N, Op::T),
+                (Op::T, Op::T),
+            ] {
+                let (m, n, k) = (rng.range(1, 70), rng.range(1, 70), rng.range(1, 90));
+                let (ar, ac) = ta.apply(m, k);
+                let (br, bc) = tb.apply(k, n);
+                let a = Matrix::random(ar, ac, rng.next_u64());
+                let b = Matrix::random(br, bc, rng.next_u64());
+                let (mut pa, mut pb) = (PackedPanel::new(), PackedPanel::new());
+                pa.pack(Side::A(ta), kernel, a.as_ref());
+                pb.pack(Side::B(tb), kernel, b.as_ref());
+                let (a, b) = match rng.below(3) {
+                    0 => (
+                        Operand::Plain(a.as_ref(), ta),
+                        Operand::Plain(b.as_ref(), tb),
+                    ),
+                    1 => (Operand::Packed(pa.view()), Operand::Plain(b.as_ref(), tb)),
+                    _ => (Operand::Packed(pa.view()), Operand::Packed(pb.view())),
+                };
+                let (alpha, beta) = *rng.pick(&[(1.0, 0.0), (1.0, 1.0), (-0.5, 0.25)]);
+                let what = format!(
+                    "window {} {ta:?}{tb:?} {m}x{n}x{k} alpha={alpha} beta={beta}",
+                    kernel.name()
+                );
+
+                let (mut host, pr, pc) = salted(m, n, &mut rng);
+                if rng.chance(0.25) {
+                    host = Matrix::random(host.rows(), 512, rng.next_u64());
+                }
+                let before = host.clone();
+                let mut want = host.block(pr, pc, m, n).to_matrix();
+                let mut ws = GemmWorkspace::with_config(kernel, blocks);
+                dgemm_operands(alpha, a, b, beta, want.as_mut(), &mut ws);
+                dgemm_operands(alpha, a, b, beta, host.block_mut(pr, pc, m, n), &mut ws);
+
+                let got = host.block(pr, pc, m, n).to_matrix();
+                assert_same_bits(got.as_slice(), want.as_slice(), &what, seed);
+                let mut untouched = before;
+                untouched.block_mut(pr, pc, m, n).copy_from(want.as_ref());
+                let outside = format!("{what}: outside the window");
+                assert_same_bits(host.as_slice(), untouched.as_slice(), &outside, seed);
             }
         }
     }

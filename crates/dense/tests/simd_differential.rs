@@ -341,8 +341,8 @@ fn gemm_by_one_vector_instances(
                         }
                         let (r0, c0) = (ic + is * mr, jc + js * nr);
                         let (rows, cols) = (mr.min(m - r0), nr.min(n - c0));
-                        let tile = &mut c.as_mut_slice()[r0 * n + c0..];
-                        writeback(&acc, alpha, rows, cols, nr, tile, n);
+                        let mut tile = c.block_mut(r0, c0, rows, cols);
+                        writeback(&mut acc, alpha, nr, &mut tile);
                     }
                 }
             }

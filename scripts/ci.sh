@@ -60,6 +60,23 @@ if grep -rn 'nbget_packed' crates src tests examples; then
     echo "FAIL: a second get method is back (see above); Comm::nbget takes a Landing" >&2; exit 1
 fi
 
+echo "== product guard: a flat run writes C where the caller reads it =="
+# Run::execute lends the ranks the matrix it returns (layout::with_fresh_c):
+# a flat run has no C arena and nothing to gather. Only the replicated
+# path still gathers, from its ReplSet (team 0's C is an accumulate target).
+if grep -n 'dist_c(\|[^_]fresh_c(' crates/core/src/run.rs ||
+    grep -n 'gather(' crates/core/src/run.rs | grep -v 'set\.gather()'; then
+    echo "FAIL: core::run builds or gathers a C arena again (see above); the product is lent in place" >&2; exit 1
+fi
+# A C window interleaves with its neighbours' in memory, so no `&mut [f64]`
+# may span one: MatMut hands out slices a row at a time (row_mut), and the
+# accessor that handed out the whole span (data_mut) is retired.
+if grep -rn 'data_mut' crates src tests examples ||
+    grep -rn 'from_raw_parts_mut' crates src tests examples | grep -v '^crates/dense/src/matrix.rs:' ||
+    [ "$(grep -c 'from_raw_parts_mut' crates/dense/src/matrix.rs)" -ne 1 ]; then
+    echo "FAIL: a mutable slice is built outside MatMut::row_mut, or MatMut::data_mut is back (see above)" >&2; exit 1
+fi
+
 echo "== env-knob inventory: the SRUMMA_* names in code are README's knob table =="
 in_code=$(grep -rhoE 'SRUMMA_[A-Z_]+' crates src tests scripts | sort -u)
 in_table=$(grep -oE '^\| `SRUMMA_[A-Z_]+`' README.md | grep -oE 'SRUMMA_[A-Z_]+' | sort -u)
@@ -111,21 +128,22 @@ for workload in $workloads; do
         *'"failed": 0'*) ;;
         *) echo "FAIL: benchmark workload $workload: $result" >&2; exit 1 ;;
     esac
-    # Host operands are distributed in place: an op holds A, B, the C
-    # arena and the gathered C, never a second copy of an operand. Peak
-    # RSS repeats to < 1 % under the harness's allocator policy (93 / 27
-    # MB here, 129 / 36 when both operands were scattered into arenas),
-    # so a ceiling between the two fails the day a copy comes back —
-    # where a wall-clock gate would only warn.
+    # All three host matrices are distributed in place: an op holds A, B
+    # and the product, never a second copy of any of them. Peak RSS
+    # repeats to < 1 % under the harness's allocator policy (77 / 22 MB
+    # here; 93 / 27 with a C arena beside the gathered C, 129 / 36 when
+    # both operands were scattered into arenas too), so a ceiling between
+    # the first two fails the day a copy comes back — where a wall-clock
+    # gate would only warn.
     case "$workload" in
-        square_large) rss_ceiling=105 ;;
-        manyrank_copy) rss_ceiling=30 ;;
+        square_large) rss_ceiling=85 ;;
+        manyrank_copy) rss_ceiling=24.5 ;;
         *) rss_ceiling= ;;
     esac
     if [ -n "$rss_ceiling" ]; then
         rss=$(echo "$result" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')
         awk -v rss="$rss" -v max="$rss_ceiling" 'BEGIN { exit !(rss != "" && rss + 0 < max) }' || {
-            echo "FAIL: $workload peak_rss_mb ${rss:-missing} (ceiling $rss_ceiling): an operand is being copied again" >&2
+            echo "FAIL: $workload peak_rss_mb ${rss:-missing} (ceiling $rss_ceiling): an operand or the product is being copied again" >&2
             exit 1
         }
     fi
@@ -159,8 +177,9 @@ echo "== split-fence pass: decorators, gated polling, polled and driven programs
 # A decorator that drops a fence method, a gated rank that polls with
 # its loan, a program parked where nothing wakes it: all of these hang
 # rather than fail, so the tests that pin them run once more, bounded.
-# run_plan also holds the view ≡ scatter differential (144 plans, each
-# run twice on Sim/Threads/Exec), bounded here for the same reason.
+# run_plan also holds the in-place ≡ arena differentials (operands and
+# product: 144 plans, each run twice on Sim/Threads/Exec), bounded here
+# for the same reason.
 timeout 300 cargo test -q --release -p srumma-comm --test exec --test decorators
 timeout 300 cargo test -q --release -p srumma-core --test run_plan
 
