@@ -42,6 +42,14 @@
 //!   their low 12 address bits). The pair must read alike: the writeback
 //!   issues a tile's loads before its stores, so `ldc` costs nothing.
 //!
+//! * `gflops_lda_96t_96x96x1536` and `gflops_lda_6144n_96x96x1536` —
+//!   the same `rect_tn` rank-task by where its A block lies: the
+//!   contiguous stored-`T` block (1536 × 96, `lda` 96) a transposing
+//!   scatter used to leave in an arena, and the `N` window (96 × 1536 at
+//!   `lda` 6144) of the caller's 384 × 6144 matrix a run reads now. At
+//!   49 152 bytes a row the rows of one sliver share their low 12 address
+//!   bits; the pair is recorded so that this is known not to cost.
+//!
 //! Next to the ladder, the packers that feed it: `pack_ns_per_elem_
 //! {a,b}_{n,t}_{96,1536}` — nanoseconds per element to pack a whole
 //! `S × S` source the way the blocked loop does (`MC × KC` panels for A,
@@ -172,6 +180,27 @@ fn bench_ldc(ta: Op, (m, n, k): (usize, usize, usize), ldc: usize, quick: bool) 
         dgemm_ws(ta, Op::N, 1.0, a.as_ref(), b.as_ref(), 0.0, c, &mut ws)
     });
     gemm_flops(m, n, k) as f64 / secs / 1e9
+}
+
+/// The `rect_tn` rank-task (96 × 96 × 1536, private C) on the dispatched
+/// kernel, A once as the contiguous stored-`T` block and once as the `N`
+/// window of a 384 × 6144 host matrix; `(key suffix, GFLOP/s)`.
+fn bench_lda(quick: bool) -> [(&'static str, f64); 2] {
+    let (m, n, k) = (96, 96, 1536);
+    let (stored_t, host) = (Matrix::random(k, m, 7), Matrix::random(4 * m, 4 * k, 9));
+    let b = Matrix::random(k, n, 8);
+    let mut c = Matrix::zeros(m, n);
+    let mut ws = GemmWorkspace::new();
+    [
+        ("96t", Op::T, stored_t.as_ref()),
+        ("6144n", Op::N, host.block(m, k, m, k)),
+    ]
+    .map(|(tag, ta, a)| {
+        let secs = best_seconds(quick, || {
+            dgemm_ws(ta, Op::N, 1.0, a, b.as_ref(), 0.0, c.as_mut(), &mut ws)
+        });
+        (tag, gemm_flops(m, n, k) as f64 / secs / 1e9)
+    })
 }
 
 fn main() {
@@ -330,6 +359,17 @@ fn main() {
         "one rank-task into a C window (GFLOP/s by ldc, best of samples)",
         &["task", "private block", "window of the result"],
         &ldc_rows,
+    );
+
+    let mut lda_row = vec!["TN/NN 96x96x1536".to_string()];
+    for (tag, g) in bench_lda(cfg.quick) {
+        metrics.num(&format!("gflops_lda_{tag}_96x96x1536"), g);
+        lda_row.push(format!("{tag}: {}", fmt(g)));
+    }
+    print_table(
+        "one rank-task by where its A block lies (GFLOP/s by lda, best of samples)",
+        &["task", "stored-T block", "N window of the host A"],
+        &[lda_row],
     );
 
     let mut pack_rows: Vec<Vec<String>> = Vec::new();

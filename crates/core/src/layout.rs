@@ -1,9 +1,11 @@
 //! Distributed storage layouts for the four transpose cases.
 //!
-//! All matrices share the C matrix's `p × q` process grid. A and B are
-//! stored in their *stored* orientation, gridded so that every block a
-//! task needs is a **whole stored block of one rank** — the property
-//! that keeps one-sided gets single contiguous transfers:
+//! All matrices share the C matrix's `p × q` process grid. A distributed
+//! A or B that a caller *builds* ([`dist_a`] / [`dist_b`], the batch
+//! stream's slots, the shape-only matrices of a modeled run) is held in
+//! its *stored* orientation, gridded so that every block a task needs is
+//! a **whole stored block of one rank** — the property that keeps
+//! one-sided gets single contiguous transfers:
 //!
 //! | case | stored A | A grid | logical block `op(A)_{i,l}` lives at |
 //! |------|----------|--------|--------------------------------------|
@@ -16,14 +18,16 @@
 //! task builder (see [`crate::taskorder`]) multiplies over the *merged*
 //! segments, so every fetched block is still used whole.
 //!
-//! For a host operand the stored matrix of an `N` case **is** the
-//! caller's matrix, so [`with_dist_a`] / [`with_dist_b`] distribute it in
-//! place — a read-only [`DistMatrix::with_host_view`] over the C grid,
-//! no arena and no copy — and only a `T` case, whose stored orientation
-//! exists nowhere yet, allocates an arena and fills it by the transposing
-//! scatter. [`dist_a`] / [`dist_b`] + [`scatter_operands`] remain the
-//! copying form (arenas for both cases) for callers that own their
-//! distributed matrices.
+//! A **host** operand has no stored orientation to honour: a driver is
+//! handed the logical `op(A)` (`m × k`) and `op(B)` (`k × n`), which are
+//! the `N` row of the table already. [`with_host_operands`] therefore
+//! distributes both in place — read-only [`DistMatrix::with_host_view`]s
+//! over the C grid, no arena and no copy, whatever `transa` / `transb`
+//! say — and hands back the spec the ranks must run over them, the
+//! transposes normalised to `N`, just as [`with_fresh_c`] normalises `β`
+//! for a C nobody has written. [`dist_a`] / [`dist_b`] +
+//! [`scatter_operands`] remain the copying form (arenas in the stored
+//! orientation) for callers that own their distributed matrices.
 //!
 //! The result is in place too: [`with_fresh_c`] lends the ranks the
 //! matrix the caller will be handed as a writable
@@ -112,33 +116,6 @@ pub fn dist_b(spec: &GemmSpec, grid: ProcGrid, real: bool) -> DistMatrix {
     DistMatrix::create_with_order(g, r, c, order, real)
 }
 
-/// Lend `f` the stored distribution of one host operand: the in-place
-/// view when it is stored as given (`N`), else the arena `create` makes
-/// (real iff there is a host matrix), filled by the transposing scatter.
-/// `mask` is already in stored block coordinates.
-fn with_operand<R>(
-    op: Op,
-    grid: ProcGrid,
-    create: impl FnOnce(bool) -> DistMatrix,
-    logical: Option<MatRef<'_>>,
-    mask: Option<BlockMask>,
-    cost: CostMap,
-    f: impl FnOnce(&DistMatrix) -> R,
-) -> R {
-    if let (Op::N, Some(host)) = (op, logical) {
-        return DistMatrix::with_host_view(grid, host, RankOrder::RowMajor, mask, cost, f);
-    }
-    let mut stored = create(logical.is_some());
-    if let Some(logical) = logical {
-        stored.scatter_transposed(logical);
-    }
-    if let Some(mask) = mask {
-        stored.set_mask(mask);
-    }
-    stored.set_cost_map(cost);
-    f(&stored)
-}
-
 /// A logical mask in the block coordinates of an operand stored as `op`.
 fn stored_mask(op: Op, logical: BlockMask) -> BlockMask {
     match op {
@@ -147,42 +124,52 @@ fn stored_mask(op: Op, logical: BlockMask) -> BlockMask {
     }
 }
 
-/// Lend `f` the distributed A of one multiply whose logical `m × k`
-/// operand is `a` (any window of a host matrix; `None` = shape only),
-/// with the **logical** `mask` (see [`set_a_mask`]) and `cost` attached.
-/// Stored `N`, it is a read-only view of `a` itself; stored `T`, the one
-/// copy that has to be made (see the module docs).
-pub fn with_dist_a<R>(
+/// Lend `f` the distributed operands of one multiply as a driver holds
+/// them — `ab` = the logical `m × k` and `k × n` matrices (any windows
+/// of host matrices), or `None` for shape only — with the **logical**
+/// `masks` (see [`set_a_mask`]) and `cost` attached, and the spec the
+/// ranks must run over them.
+///
+/// A host matrix **is** `op(A)` (`op(B)`), so both are read where they
+/// lie through [`DistMatrix::with_host_view`] over the C grid and the
+/// spec's transposes are normalised to `N`: nothing is allocated,
+/// transposed or copied, and layout and spec cannot disagree because
+/// they come from this one call. Shape-only operands hold no data to be
+/// oriented either way; they keep the stored layout `spec` names
+/// ([`dist_a`] / [`dist_b`]) and `spec` itself.
+pub fn with_host_operands<R>(
     spec: &GemmSpec,
     grid: ProcGrid,
-    a: Option<MatRef<'_>>,
-    mask: Option<&BlockMask>,
+    ab: Option<(MatRef<'_>, MatRef<'_>)>,
+    masks: (Option<&BlockMask>, Option<&BlockMask>),
     cost: CostMap,
-    f: impl FnOnce(&DistMatrix) -> R,
+    f: impl FnOnce(&GemmSpec, &DistMatrix, &DistMatrix) -> R,
 ) -> R {
-    if let Some(a) = a {
-        assert_eq!((a.rows(), a.cols()), (spec.m, spec.k), "A must be m x k");
-    }
-    let mask = mask.map(|m| stored_mask(spec.transa, m.clone()));
-    let create = |real| dist_a(spec, grid, real);
-    with_operand(spec.transa, grid, create, a, mask, cost, f)
-}
-
-/// [`with_dist_a`] for the logical `k × n` operand `b`.
-pub fn with_dist_b<R>(
-    spec: &GemmSpec,
-    grid: ProcGrid,
-    b: Option<MatRef<'_>>,
-    mask: Option<&BlockMask>,
-    cost: CostMap,
-    f: impl FnOnce(&DistMatrix) -> R,
-) -> R {
-    if let Some(b) = b {
-        assert_eq!((b.rows(), b.cols()), (spec.k, spec.n), "B must be k x n");
-    }
-    let mask = mask.map(|m| stored_mask(spec.transb, m.clone()));
-    let create = |real| dist_b(spec, grid, real);
-    with_operand(spec.transb, grid, create, b, mask, cost, f)
+    let Some((a, b)) = ab else {
+        let (mut da, mut db) = (dist_a(spec, grid, false), dist_b(spec, grid, false));
+        if let Some(mask) = masks.0 {
+            set_a_mask(spec, &mut da, mask.clone());
+        }
+        if let Some(mask) = masks.1 {
+            set_b_mask(spec, &mut db, mask.clone());
+        }
+        da.set_cost_map(cost);
+        db.set_cost_map(cost);
+        return f(spec, &da, &db);
+    };
+    assert_eq!((a.rows(), a.cols()), (spec.m, spec.k), "A must be m x k");
+    assert_eq!((b.rows(), b.cols()), (spec.k, spec.n), "B must be k x n");
+    let spec = GemmSpec {
+        transa: Op::N,
+        transb: Op::N,
+        ..*spec
+    };
+    let order = RankOrder::RowMajor;
+    DistMatrix::with_host_view(grid, a, order, masks.0.cloned(), cost, |da| {
+        DistMatrix::with_host_view(grid, b, order, masks.1.cloned(), cost, |db| {
+            f(&spec, da, db)
+        })
+    })
 }
 
 /// Create the distributed C for `spec`.
@@ -395,8 +382,8 @@ pub fn b_seg_view<'a>(
 /// Scatter logical matrices into their stored distributions: `a` is the
 /// logical `m × k` operand (untransposed), and likewise `b` (`k × n`).
 /// Handles the storage transposition for the `T` cases. The copying
-/// form: [`crate::run::Run`] itself goes through [`with_dist_a`] /
-/// [`with_dist_b`] and copies only the `T` cases.
+/// form: [`crate::run::Run`] itself goes through [`with_host_operands`]
+/// and copies nothing.
 pub fn scatter_operands(
     spec: &GemmSpec,
     dist_a: &DistMatrix,
@@ -528,10 +515,34 @@ mod tests {
         assert_eq!(v.at(3, 1), logical[(3, 6)]);
     }
 
+    /// The rank that owns logical block `op(A)(i, la)` sees exactly
+    /// `mask_a[i][la]`, and likewise for B — both masks are `p × q`.
+    fn assert_masks_on_logical_owners(
+        spec: &GemmSpec,
+        grid: ProcGrid,
+        (da, db): (&DistMatrix, &DistMatrix),
+        (mask_a, mask_b): (&BlockMask, &BlockMask),
+    ) {
+        for i in 0..grid.p {
+            for j in 0..grid.q {
+                let (oa, ob) = (a_owner(spec, grid, i, j), b_owner(spec, grid, i, j));
+                assert_eq!(
+                    da.block_nonzero(oa),
+                    mask_a.get(i, j),
+                    "{spec:?} A ({i},{j})"
+                );
+                assert_eq!(
+                    db.block_nonzero(ob),
+                    mask_b.get(i, j),
+                    "{spec:?} B ({i},{j})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn logical_masks_land_on_logical_owners_all_cases() {
-        // Whatever the storage transposition, the rank that owns
-        // logical block op(A)(i, la) must see exactly mask[i][la].
+        // Whatever the storage transposition.
         let grid = ProcGrid::new(2, 3);
         let mask_a = BlockMask::from_fn(grid.p, a_kparts(grid), |i, la| (i + la) % 2 == 0);
         let mask_b = BlockMask::from_fn(b_kparts(grid), grid.q, |lb, j| (lb * 3 + j) % 2 == 1);
@@ -540,26 +551,63 @@ mod tests {
             let mut db = dist_b(&spec, grid, false);
             set_a_mask(&spec, &mut da, mask_a.clone());
             set_b_mask(&spec, &mut db, mask_b.clone());
-            for i in 0..grid.p {
-                for la in 0..a_kparts(grid) {
-                    let owner = a_owner(&spec, grid, i, la);
-                    assert_eq!(
-                        da.block_nonzero(owner),
-                        mask_a.get(i, la),
-                        "{spec:?} A ({i},{la})"
-                    );
-                }
-            }
-            for lb in 0..b_kparts(grid) {
-                for j in 0..grid.q {
-                    let owner = b_owner(&spec, grid, lb, j);
-                    assert_eq!(
-                        db.block_nonzero(owner),
-                        mask_b.get(lb, j),
-                        "{spec:?} B ({lb},{j})"
-                    );
-                }
-            }
+            assert_masks_on_logical_owners(&spec, grid, (&da, &db), (&mask_a, &mask_b));
+        }
+    }
+
+    /// Host operands are lent as views of the logical matrices under a
+    /// spec whose transposes are `N` and nothing else changed: the owner
+    /// of `op(A)(i, la)` holds that window of `a` and sees `mask[i][la]`,
+    /// unflipped. Shape-only operands keep the spec, its stored layout
+    /// and the flipped mask.
+    #[test]
+    fn host_operands_are_views_under_a_normalised_spec() {
+        let grid = ProcGrid::new(2, 3);
+        let mask_a = BlockMask::from_fn(grid.p, a_kparts(grid), |i, la| (i + la) % 2 == 0);
+        let mask_b = BlockMask::from_fn(b_kparts(grid), grid.q, |lb, j| (lb * 3 + j) % 2 == 1);
+        let masks = (Some(&mask_a), Some(&mask_b));
+        let id = CostMap::Identity;
+        for spec in specs() {
+            let a = Matrix::from_fn(spec.m, spec.k, |i, j| (i * 100 + j) as f64);
+            let b = Matrix::from_fn(spec.k, spec.n, |i, j| (i * 100 + j) as f64 + 0.5);
+            let ab = Some((a.as_ref(), b.as_ref()));
+            with_host_operands(&spec, grid, ab, masks, id, |run, da, db| {
+                let (transa, transb) = (spec.transa, spec.transb);
+                assert_eq!((run.transa, run.transb), (Op::N, Op::N));
+                assert_eq!(
+                    GemmSpec {
+                        transa,
+                        transb,
+                        ..*run
+                    },
+                    spec
+                );
+                assert_masks_on_logical_owners(run, grid, (da, db), (&mask_a, &mask_b));
+                let (i, l) = (1, 2);
+                let blk = da.read_block(a_owner(run, grid, i, l));
+                let (r0, k0) = (
+                    chunk_start(spec.m, grid.p, i),
+                    chunk_start(spec.k, grid.q, l),
+                );
+                let (view, op) =
+                    a_seg_view(run, blk.mat().unwrap(), 0, chunk_len(spec.k, grid.q, l));
+                assert_eq!((op, view.ld()), (Op::N, a.ld()));
+                assert_eq!(view.at(1, 1), a[(r0 + 1, k0 + 1)]);
+                let (l, j) = (1, 2);
+                let blk = db.read_block(b_owner(run, grid, l, j));
+                let (k0, c0) = (
+                    chunk_start(spec.k, grid.p, l),
+                    chunk_start(spec.n, grid.q, j),
+                );
+                assert_eq!(blk.mat().unwrap().at(1, 1), b[(k0 + 1, c0 + 1)]);
+            });
+            with_host_operands(&spec, grid, None, masks, id, |run, da, db| {
+                assert_eq!(*run, spec);
+                assert_eq!((da.rows(), da.cols()), a_stored_dims(&spec));
+                assert_eq!((db.rows(), db.cols()), b_stored_dims(&spec));
+                assert!(!da.is_real() && !db.is_real());
+                assert_masks_on_logical_owners(run, grid, (da, db), (&mask_a, &mask_b));
+            });
         }
     }
 

@@ -14,9 +14,13 @@ use srumma_dense::Op;
 /// `C=AᵀBᵀ`, square or rectangular, with full PBLAS-style scalars).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GemmSpec {
-    /// Transpose flag for A.
+    /// How a *distributed* A is stored — `T` = as `k × m`, for the local
+    /// `dgemm` to transpose: arenas built with [`crate::layout::dist_a`],
+    /// the batch stream's slots, the shape-only matrices of a modeled run.
+    /// A run over host matrices is handed `op(A)` itself and does not act
+    /// on it ([`crate::layout::with_host_operands`]).
     pub transa: Op,
-    /// Transpose flag for B.
+    /// How a distributed B is stored (`T` = as `n × k`); see `transa`.
     pub transb: Op,
     /// Rows of `op(A)` and of C.
     pub m: usize,

@@ -24,7 +24,7 @@
 //! recombination aligned across teams.
 
 use crate::hier::HierStageSet;
-use crate::layout::{fresh_c, with_dist_a, with_dist_b};
+use crate::layout::{fresh_c, with_host_operands};
 use crate::memory::replicated_arena_footprint;
 use crate::options::{GemmSpec, ReplicationFactor, SrummaOptions};
 use crate::run::{RankReport, RunError};
@@ -82,10 +82,11 @@ pub fn resolve_factor(
 /// One team's slice of the problem.
 struct TeamMats<'m> {
     /// The team-sized spec: `k` is this team's slice width, `beta` is
-    /// `0` (every team multiplies onto a C the set just created).
+    /// `0` (every team multiplies onto a C the set just created), and
+    /// over host operands the transposes are `N`.
     spec: GemmSpec,
-    /// Lent by [`with_dist_a`] / [`with_dist_b`]: stored `N`, a view of
-    /// the team's `k`-window of the host operand.
+    /// Lent by [`with_host_operands`]: views of the team's `k`-windows
+    /// of the host operands.
     da: &'m DistMatrix,
     db: &'m DistMatrix,
     dc: DistMatrix,
@@ -104,10 +105,9 @@ pub struct ReplSet<'m> {
 impl ReplSet<'_> {
     /// Build every team's `k`-slice of the logical operands `a` (`m × k`)
     /// and `b` (`k × n`) and lend the set to `f`. A team's slice is the
-    /// window `a[:, K_l]` / `b[K_l, :]` of the host matrix: distributed
-    /// in place when stored `N`, transposed out of the window when
-    /// stored `T` — never copied through a temporary. `c` must be
-    /// admissible. `ab = None` builds a shape-only (virtual) set.
+    /// window `a[:, K_l]` / `b[K_l, :]` of the host matrix, distributed
+    /// in place — never copied. `c` must be admissible. `ab = None`
+    /// builds a shape-only (virtual) set.
     pub fn create<R>(
         spec: &GemmSpec,
         nranks: usize,
@@ -138,7 +138,8 @@ impl ReplSet<'_> {
 
     /// Add team `self.teams.len()` and recurse; with all `c` teams in,
     /// call `f`. Recursion because each team's operands are lent to a
-    /// closure ([`with_dist_a`]) and every team must be live at once.
+    /// closure ([`with_host_operands`]) and every team must be live at
+    /// once.
     fn with_remaining_teams<R>(
         self,
         spec: &GemmSpec,
@@ -154,22 +155,18 @@ impl ReplSet<'_> {
         let base = CostMap::Base(l * self.team_ranks);
         let (team_spec, mut dc) = fresh_c(&team_spec, self.grid, ab.is_some());
         dc.set_cost_map(base);
-        let (al, bl) = ab
-            .map(|(a, b)| (a.block(0, k0, spec.m, kl), b.block(k0, 0, kl, spec.n)))
-            .unzip();
-        let grid = self.grid;
-        with_dist_a(&team_spec, grid, al, None, base, |da| {
-            with_dist_b(&team_spec, grid, bl, None, base, |db| {
-                // Every earlier team outlives this frame: shorten them.
-                let mut set: ReplSet<'_> = self;
-                set.teams.push(TeamMats {
-                    spec: team_spec,
-                    da,
-                    db,
-                    dc,
-                });
-                set.with_remaining_teams(spec, ab, f)
-            })
+        let windows = ab.map(|(a, b)| (a.block(0, k0, spec.m, kl), b.block(k0, 0, kl, spec.n)));
+        let (grid, dense) = (self.grid, (None, None));
+        with_host_operands(&team_spec, grid, windows, dense, base, |&team, da, db| {
+            // Every earlier team outlives this frame: shorten them.
+            let mut set: ReplSet<'_> = self;
+            set.teams.push(TeamMats {
+                spec: team,
+                da,
+                db,
+                dc,
+            });
+            set.with_remaining_teams(spec, ab, f)
         })
     }
 

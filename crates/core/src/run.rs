@@ -8,25 +8,25 @@
 //! does the one `grid → product → operands (with masks) → stage sets →
 //! launch` sequence, choosing the rank body once.
 //!
-//! All three host matrices are distributed **in place**. An operand
-//! whose stored orientation is `N` is the caller's matrix, so the ranks
-//! read it through a read-only view ([`crate::layout::with_dist_a`]) and
-//! nothing is allocated, faulted in or copied for it before the first
-//! flop; only a stored-`T` operand is copied (the transposing scatter).
-//! Which backing an operand gets follows from `spec.transa` /
-//! `spec.transb` alone. The product is allocated once, as the matrix the
-//! caller is handed, and lent to the ranks as C
-//! ([`crate::layout::with_fresh_c`]): each owner writes its tile where
-//! the caller will read it, so a run has no C arena and nothing to
-//! gather — on every backend, for every algorithm, mask, stage set and
-//! fault plan. Only a replicated run still gathers: team 0's C is the
-//! target of the other teams' accumulates ([`crate::repl`]).
+//! All three host matrices are distributed **in place**. The operands a
+//! run is handed are the logical `op(A)` and `op(B)`, so the ranks read
+//! them through read-only views ([`crate::layout::with_host_operands`])
+//! and run the spec that call hands back, `transa` / `transb` normalised
+//! to `N`: nothing is allocated, faulted in, transposed or copied for an
+//! operand before the first flop, in any of the four cases. Only a
+//! shape-only run keeps the stored layout its spec names. The product is
+//! allocated once, as the matrix the caller is handed, and lent to the
+//! ranks as C ([`crate::layout::with_fresh_c`]): each owner writes its
+//! tile where the caller will read it, so a run has no C arena and
+//! nothing to gather — on every backend, for every algorithm, mask, stage
+//! set and fault plan. Only a replicated run still gathers: team 0's C
+//! is the target of the other teams' accumulates ([`crate::repl`]).
 
 use crate::api::{parallel_gemm, Algorithm};
 use crate::chaos::{ChaosRecovery, ChaosSrummaRankTask};
 use crate::driver::{default_grid, SparseMasks};
 use crate::hier::{srumma_hier, HierStageSet};
-use crate::layout::{with_dist_a, with_dist_b, with_fresh_c};
+use crate::layout::{with_fresh_c, with_host_operands};
 use crate::options::{GemmSpec, ReplicationFactor};
 use crate::repl::{resolve_factor, srumma_replicated, ReplSet};
 use crate::srumma::{SrummaProgram, SrummaReport};
@@ -63,7 +63,9 @@ pub enum Backend<'a> {
 #[derive(Clone, Copy, Debug)]
 pub struct Run<'a> {
     /// Shapes, transposes and `α`. The run creates `C` zero, so `β` is
-    /// moot.
+    /// moot; so are the transposes over host `operands`, which are
+    /// `op(A)` and `op(B)` themselves (a shape-only run models the stored
+    /// layout they name).
     pub spec: GemmSpec,
     /// Ranks, laid out on [`default_grid`].
     pub nranks: usize,
@@ -342,19 +344,18 @@ impl<'a> Run<'a> {
                 let grid = default_grid(self.nranks);
                 // Untouched until each owner's pre-pass fills its tile.
                 let mut product = real.then(|| Matrix::zeros(self.spec.m, self.spec.n));
-                let (a, b) = self.operands.map(|(a, b)| (a.as_ref(), b.as_ref())).unzip();
-                let mask_a = self.masks.and_then(|m| m.a.as_ref());
-                let mask_b = self.masks.and_then(|m| m.b.as_ref());
+                let ab = self.operands.map(|(a, b)| (a.as_ref(), b.as_ref()));
+                let masks = self
+                    .masks
+                    .map_or((None, None), |m| (m.a.as_ref(), m.b.as_ref()));
                 let c = product.as_mut().map(Matrix::as_mut);
+                let id = CostMap::Identity;
                 let launched = with_fresh_c(&self.spec, grid, c, |spec, c| {
-                    let stages = self
-                        .hier
-                        .then(|| HierStageSet::create(spec, grid, topology, real));
-                    with_dist_a(spec, grid, a, mask_a, CostMap::Identity, |a| {
-                        with_dist_b(spec, grid, b, mask_b, CostMap::Identity, |b| {
-                            let spec = *spec;
-                            self.launch(topology, &Mats::Flat(FlatMats { spec, a, b, c }, stages))
-                        })
+                    with_host_operands(spec, grid, ab, masks, id, |&spec, a, b| {
+                        let stages = self
+                            .hier
+                            .then(|| HierStageSet::create(&spec, grid, topology, real));
+                        self.launch(topology, &Mats::Flat(FlatMats { spec, a, b, c }, stages))
                     })
                 })?;
                 (launched, product)

@@ -12,7 +12,7 @@ use srumma_comm::{
 };
 use srumma_core::driver::{default_grid, serial_reference, sparse_serial_reference};
 use srumma_core::layout::{
-    dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask, with_dist_a, with_dist_b,
+    dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask, with_host_operands,
 };
 use srumma_core::{
     parallel_gemm, Algorithm, Backend, GemmSpec, HierStageSet, RankReport, ReplicationFactor, Run,
@@ -549,8 +549,9 @@ fn assert_indistinguishable(
 
 /// `f` on every plan of the 144-plan grid: NN/NT/TN/TT × every
 /// shared-memory flavour × flat/staged × dense/masked × `Sim`/`Threads`/
-/// `Exec`, SRUMMA on 8 ranks in nodes of 2, shapes by turns.
-fn for_each_srumma_plan(f: impl Fn(&Run, &str)) {
+/// `Exec`, SRUMMA on 8 ranks in nodes of 2, shapes by turns, operands
+/// from `make`.
+fn for_each_srumma_plan(make: fn(&GemmSpec) -> (Matrix, Matrix), f: impl Fn(&Run, &str)) {
     let mut machine = Machine::linux_myrinet();
     machine.ranks_per_domain = RanksPerDomain::Fixed(2);
     let nranks = 8;
@@ -578,7 +579,7 @@ fn for_each_srumma_plan(f: impl Fn(&Run, &str)) {
                 let (m, n, k) = shapes[case % shapes.len()];
                 case += 1;
                 let spec = GemmSpec::new(ta, tb, m, n, k).with_scalars(2.0, 0.0);
-                let ab = int_operands(&spec);
+                let ab = make(&spec);
                 let algorithm = Algorithm::Srumma(SrummaOptions {
                     shmem,
                     ..SrummaOptions::default()
@@ -605,12 +606,84 @@ fn for_each_srumma_plan(f: impl Fn(&Run, &str)) {
     }
 }
 
-/// On every plan of the grid: `Run` reads an `N`-stored operand through a
-/// view of the caller's matrix and copies only the `T`-stored ones, and
-/// no rank can tell.
+/// On every plan of the grid: `Run` reads both operands through views of
+/// the caller's matrices, whatever their stored orientation, and copies
+/// none — and no rank can tell. On small integers (exact in any order)
+/// over the whole grid; then, on the three quarters with a stored-`T`
+/// operand, on random ones, where only equal panels give equal bits: the
+/// `N` packer over the caller's window must build what the `T` packer
+/// built from the transposed arena. Likewise under SUMMA, whose owners
+/// broadcast row-major copies of their blocks.
 #[test]
 fn operands_in_place_are_indistinguishable_from_scattered_copies() {
-    for_each_srumma_plan(|run, what| assert_indistinguishable(run, over_scattered_arenas, what));
+    for_each_srumma_plan(int_operands, |run, what| {
+        assert_indistinguishable(run, over_scattered_arenas, what)
+    });
+    for_each_srumma_plan(operands, |run, what| {
+        if (run.spec.transa, run.spec.transb) != (Op::N, Op::N) {
+            assert_indistinguishable(run, over_scattered_arenas, what)
+        }
+    });
+
+    let mut machine = Machine::linux_myrinet();
+    machine.ranks_per_domain = RanksPerDomain::Fixed(2);
+    let spec = GemmSpec::new(Op::T, Op::N, 23, 19, 29).with_scalars(2.0, 0.0);
+    let ab = operands(&spec);
+    let summa = Algorithm::Summa(SummaOptions::default());
+    for backend in [Backend::Sim(&machine), Backend::Threads] {
+        let run = Run {
+            operands: Some((&ab.0, &ab.1)),
+            ..Run::new(spec, 8, summa, backend)
+        };
+        assert_indistinguishable(
+            &run,
+            over_scattered_arenas,
+            &format!("SUMMA TN {backend:?}"),
+        );
+    }
+}
+
+/// A replica team reads its `k`-window `a[:, K_l]` of a stored-`T`
+/// operand in place too. Two teams of four on random operands: the
+/// product is, bit for bit, team 0's partial plus team 1's, each computed
+/// flat on four ranks over stored-`T` arenas scattered from a copy of the
+/// team's slice.
+#[test]
+fn a_replica_team_reads_its_k_window_of_a_stored_t_operand_in_place() {
+    let spec = GemmSpec::new(Op::T, Op::N, 23, 19, 61).with_scalars(2.0, 0.0);
+    let ab = operands(&spec);
+    let backend = Backend::Threads;
+    let replicated = Run {
+        operands: Some((&ab.0, &ab.1)),
+        replication: ReplicationFactor::Fixed(2),
+        ..Run::new(spec, 8, Algorithm::srumma_default(), backend)
+    };
+    let got = replicated.execute().unwrap().c.unwrap();
+
+    let partial = |k0: usize, kl: usize| {
+        let slice = (
+            ab.0.block(0, k0, spec.m, kl).to_matrix(),
+            ab.1.block(k0, 0, kl, spec.n).to_matrix(),
+        );
+        let team = Run {
+            operands: Some((&slice.0, &slice.1)),
+            ..Run::new(
+                GemmSpec { k: kl, ..spec },
+                4,
+                Algorithm::srumma_default(),
+                backend,
+            )
+        };
+        over_scattered_arenas(&team).0
+    };
+    let (c0, c1) = (partial(0, 31), partial(31, 30));
+    let want: Vec<f64> = c0
+        .as_slice()
+        .iter()
+        .zip(c1.as_slice())
+        .map(|(x, y)| x + y)
+        .collect();
+    assert_eq!(got.as_slice(), want.as_slice());
 }
 
 // ---- C written in place ≡ a C arena, gathered ------------------------
@@ -618,18 +691,17 @@ fn operands_in_place_are_indistinguishable_from_scattered_copies() {
 /// What `run` computes when the ranks write C into an arena of its own
 /// that is gathered afterwards (`fresh_c` + `gather`, what `Run` did
 /// before it lent them the product itself), the operands distributed as
-/// `Run` distributes them.
+/// `Run` distributes them and the spec the one that call hands back.
 fn over_a_gathered_arena(run: &Run) -> (Matrix, Vec<RankReport>, RunStats) {
     let grid = default_grid(run.nranks);
     let (a, b) = run.operands.expect("a differential over real data");
     let (spec, dc) = fresh_c(&run.spec, grid, true);
-    let mask = |m: &Option<BlockMask>| m.clone().expect("both masked");
-    let (mask_a, mask_b) = run.masks.map(|m| (mask(&m.a), mask(&m.b))).unzip();
-    let id = CostMap::Identity;
-    let (reports, stats) = with_dist_a(&spec, grid, Some(a.as_ref()), mask_a.as_ref(), id, |da| {
-        with_dist_b(&spec, grid, Some(b.as_ref()), mask_b.as_ref(), id, |db| {
-            launch_over(run, &spec, (da, db, &dc))
-        })
+    let masks = run
+        .masks
+        .map_or((None, None), |m| (m.a.as_ref(), m.b.as_ref()));
+    let (ab, id) = (Some((a.as_ref(), b.as_ref())), CostMap::Identity);
+    let (reports, stats) = with_host_operands(&spec, grid, ab, masks, id, |spec, da, db| {
+        launch_over(run, spec, (da, db, &dc))
     });
     (dc.gather(), reports, stats)
 }
@@ -645,7 +717,9 @@ fn over_a_gathered_arena(run: &Run) -> (Matrix, Vec<RankReport>, RunStats) {
 /// window tests of `dist.rs` do).
 #[test]
 fn c_in_place_is_indistinguishable_from_a_gathered_arena() {
-    for_each_srumma_plan(|run, what| assert_indistinguishable(run, over_a_gathered_arena, what));
+    for_each_srumma_plan(int_operands, |run, what| {
+        assert_indistinguishable(run, over_a_gathered_arena, what)
+    });
 
     let mut machine = Machine::linux_myrinet();
     machine.ranks_per_domain = RanksPerDomain::Fixed(2);

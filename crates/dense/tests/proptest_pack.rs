@@ -594,6 +594,81 @@ fn full_depth_panel_sub_ranges_equal_packing_the_sub_range() {
     }
 }
 
+/// What lets a driver read a host operand in place whatever orientation
+/// it is said to be stored in: the logical `m × k` window of `op(A)`
+/// packed as `Side::A(N)` is, bit for bit, the panel `Side::A(T)` builds
+/// from the contiguous `k × m` transposed copy of it (what a transposing
+/// scatter left in an arena), and a `k × n` window as `Side::B(N)` is
+/// the panel of its `n × k` copy as `Side::B(T)`. For each kernel of the
+/// ladder, on salted windows at `ld` > their width: lanes ragged against
+/// the sliver width, depths below, at and past `KC`, and empty and
+/// 1-lane windows.
+#[test]
+fn a_logical_window_packs_to_the_panel_of_its_transposed_copy() {
+    use srumma_dense::blocked::KC;
+    use srumma_dense::{PackedPanel, Side};
+    let (mut in_place, mut copied) = (PackedPanel::new(), PackedPanel::new());
+    for seed in prop_seeds(0x7045_9AC4, 16) {
+        let mut rng = Rng::new(seed);
+        for &kernel in Microkernel::all() {
+            for a_side in [true, false] {
+                let w = if a_side { kernel.mr() } else { kernel.nr() };
+                let lanes = match rng.below(6) {
+                    0 => 0,
+                    1 => 1,
+                    2 => 2 * w,
+                    _ => rng.range(2, 3 * w + 2),
+                };
+                let depth = match rng.below(6) {
+                    0 => 0,
+                    1 => KC,
+                    2 => KC + rng.range(1, 70),
+                    _ => rng.range(1, 300),
+                };
+                // The logical operand: op(A) is lanes x depth, op(B) depth x lanes.
+                let (rows, cols) = if a_side {
+                    (lanes, depth)
+                } else {
+                    (depth, lanes)
+                };
+                let (big, pr, pc) = salted(rows, cols, &mut rng);
+                let window = big.block(pr, pc, rows, cols);
+                let copy = window.to_matrix().transposed();
+                let (logical, stored) = if a_side {
+                    (Side::A(Op::N), Side::A(Op::T))
+                } else {
+                    (Side::B(Op::N), Side::B(Op::T))
+                };
+                let what = format!(
+                    "{} {logical:?} w={w} lanes={lanes} depth={depth}",
+                    kernel.name()
+                );
+
+                in_place.pack(logical, kernel, window);
+                copied.pack(stored, kernel, copy.as_ref());
+                let (got, want) = (in_place.view(), copied.view());
+                assert_eq!(in_place.is_empty(), copied.is_empty(), "{what}");
+                if in_place.is_empty() {
+                    continue;
+                }
+                assert_eq!(
+                    (got.width(), got.lanes(), got.depth()),
+                    (want.width(), want.lanes(), want.depth()),
+                    "{what}"
+                );
+                for s in 0..lanes.div_ceil(w) {
+                    assert_same_bits(
+                        got.sliver(s),
+                        want.sliver(s),
+                        &format!("{what} sliver {s}"),
+                        seed,
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn an_unpacked_or_cleared_panel_is_empty() {
     use srumma_dense::{PackedPanel, Side};

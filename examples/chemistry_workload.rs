@@ -46,8 +46,9 @@ fn main() {
     // 1. Density build: D = C_occ * C_occ^T  (rectangular, B transposed).
     //    Logical operands: A = C_occ (nbasis x nocc), op(B) = C_occ^T.
     let spec_d = GemmSpec::new(Op::N, Op::T, nbasis, nbasis, nocc);
-    // The driver takes *logical* operands: B must be k x n = C_occ^T's
-    // untransposed storage... i.e. the logical k x n operand is C_occᵀ.
+    // The driver takes *logical* operands and reads them in place: B is
+    // the k x n matrix op(B) itself, here C_occ^T. `Op::T` only labels the
+    // case; nothing is transposed or copied on the way to the ranks.
     let c_occ_t = c_occ.transposed();
     let _d = verified("density D = C C^T", &spec_d, &c_occ, &c_occ_t, nranks);
 

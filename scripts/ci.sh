@@ -77,6 +77,19 @@ if grep -rn 'data_mut' crates src tests examples ||
     echo "FAIL: a mutable slice is built outside MatMut::row_mut, or MatMut::data_mut is back (see above)" >&2; exit 1
 fi
 
+echo "== operand guard: a host operand reaches the ranks one way, as a view =="
+# Run::execute and ReplSet::create take both operands, and the spec to run
+# over them, from layout::with_host_operands: the matrix a driver is handed
+# is op(A) already, so nothing is scattered, whatever transa/transb say. A
+# driver that builds an operand arena again, or a layout that transposes a
+# host matrix into one outside the copying form, is the copy coming back.
+if grep -n 'scatter_transposed(\|scatter_operands(\|[^_]dist_a(\|[^_]dist_b(' crates/core/src/{run,repl}.rs; then
+    echo "FAIL: core::run or core::repl copies a host operand again (see above); layout::with_host_operands lends views" >&2; exit 1
+fi
+in_scatter_operands=$(sed -n '/^pub fn scatter_operands(/,/^}/p' crates/core/src/layout.rs | grep -c 'scatter_transposed(')
+[ "$(grep -c 'scatter_transposed(' crates/core/src/layout.rs)" -eq "$in_scatter_operands" ] ||
+    { echo "FAIL: crates/core/src/layout.rs calls scatter_transposed outside scatter_operands" >&2; exit 1; }
+
 echo "== env-knob inventory: the SRUMMA_* names in code are README's knob table =="
 in_code=$(grep -rhoE 'SRUMMA_[A-Z_]+' crates src tests scripts | sort -u)
 in_table=$(grep -oE '^\| `SRUMMA_[A-Z_]+`' README.md | grep -oE 'SRUMMA_[A-Z_]+' | sort -u)
@@ -128,16 +141,19 @@ for workload in $workloads; do
         *'"failed": 0'*) ;;
         *) echo "FAIL: benchmark workload $workload: $result" >&2; exit 1 ;;
     esac
-    # All three host matrices are distributed in place: an op holds A, B
-    # and the product, never a second copy of any of them. Peak RSS
-    # repeats to < 1 % under the harness's allocator policy (77 / 22 MB
-    # here; 93 / 27 with a C arena beside the gathered C, 129 / 36 when
-    # both operands were scattered into arenas too), so a ceiling between
-    # the first two fails the day a copy comes back — where a wall-clock
-    # gate would only warn.
+    # All three host matrices are distributed in place, in every transpose
+    # case: an op holds A, B and the product, never a second copy of any
+    # of them. Peak RSS repeats to < 1 % under the harness's allocator
+    # policy (77 / 22 / 42 MB here on the three workloads below; 93 / 27
+    # with a C arena beside the gathered C, 129 / 36 when both operands
+    # were scattered into arenas too, 60 on rect_tn with its stored-T A
+    # transposed into one), so a ceiling between today's reading and the
+    # nearest of those fails the day a copy comes back — where a
+    # wall-clock gate would only warn.
     case "$workload" in
         square_large) rss_ceiling=85 ;;
         manyrank_copy) rss_ceiling=24.5 ;;
+        rect_tn) rss_ceiling=50 ;;
         *) rss_ceiling= ;;
     esac
     if [ -n "$rss_ceiling" ]; then
