@@ -1,18 +1,18 @@
 //! Batched multi-GEMM driver versus a loop of standalone multiplies.
 //!
-//! SRUMMA's per-multiply fixed costs — arena allocation, executor
-//! spawn, operand scatter and the open/close barrier pair — are noise
-//! for one paper-scale product but dominate a *stream* of small tiles.
-//! The batched driver (`srumma_core::batch`) pays them once per stream:
-//! one worker pool, one slot-ring arena sized to the batch high-water
-//! mark, and per-entry epoch fences in place of full barriers, so
-//! independent entries overlap.
+//! SRUMMA's per-multiply fixed costs — executor spawn, fresh workspaces
+//! and fetch buffers, the closing barrier — are noise for one
+//! paper-scale product but dominate a *stream* of small tiles. The
+//! batched driver (`srumma_core::batch`) pays them once per stream: one
+//! worker pool for every entry, every operand and product read and
+//! written in place, and no synchronisation between entries, so a rank
+//! runs ahead into later entries while stragglers finish earlier ones.
 //!
 //! This bench sweeps batch size × tile size and times, wall-clock
 //! around the whole call:
 //!
-//! * **loop** — `multiply_exec` once per entry (fresh pool, fresh
-//!   arena, two barriers each);
+//! * **loop** — `multiply_exec` once per entry (fresh pool and a
+//!   closing barrier each);
 //! * **batched** — one `multiply_batch_exec` over the same entries.
 //!
 //! Emits `results/BENCH_batched_gemm.json`. The headline gate metric is
@@ -69,8 +69,8 @@ fn best_of<F: FnMut() -> f64>(samples: usize, mut f: F) -> f64 {
 }
 
 /// Wall seconds of running every entry through standalone
-/// `multiply_exec` — a fresh executor, arena and barrier pair per
-/// entry. This is the shape batching replaces.
+/// `multiply_exec` — a fresh executor and a closing barrier per entry.
+/// This is the shape batching replaces.
 fn run_loop(batch: &BatchSpec, nranks: usize, workers: usize) -> f64 {
     let alg = Algorithm::srumma_default();
     let t0 = Instant::now();
@@ -81,9 +81,9 @@ fn run_loop(batch: &BatchSpec, nranks: usize, workers: usize) -> f64 {
 }
 
 /// CI smoke: a 32-entry mixed-transpose batch on an oversubscribed
-/// 2-worker pool, checked against the serial reference. A fence bug
-/// (lost wakeup, slot reuse race) deadlocks or corrupts; `timeout` in
-/// ci.sh bounds the former and the numerics check catches the latter.
+/// 2-worker pool, checked against the serial reference. An output tile
+/// that no owner wrote fails the check; a second writer of a tile
+/// panics in the view's access checker.
 fn smoke() {
     let (nranks, workers, entries, n) = (8, 2, 32, 48);
     let batch = make_batch(entries, n, 77);
@@ -98,11 +98,10 @@ fn smoke() {
     }
     println!(
         "smoke OK: {entries} x {n}x{n} on {workers} workers ({} ranks): wall {:.3}s, \
-         overlap {:.3}, fence/entry {:.2}us",
+         overlap {:.3}",
         nranks,
         res.stats.wall_s,
         res.stats.inter_entry_overlap(),
-        res.stats.fence_s_per_entry() * 1e6
     );
 }
 
@@ -142,13 +141,11 @@ fn main() {
 
             let t_loop = best_of(samples, || run_loop(&batch, nranks, workers));
             let mut overlap = 0.0;
-            let mut fence_per_entry = 0.0;
             let t_batched = best_of(samples, || {
                 let t0 = Instant::now();
                 let res = multiply_batch_exec(&batch, nranks, workers);
                 let wall = t0.elapsed().as_secs_f64();
                 overlap = res.stats.inter_entry_overlap();
-                fence_per_entry = res.stats.fence_s_per_entry();
                 wall
             });
             let speedup = t_loop / t_batched;
@@ -168,7 +165,6 @@ fn main() {
                 format!("{:.3}", t_batched * 1e3),
                 format!("{speedup:.2}x"),
                 fmt(overlap),
-                format!("{:.1}", fence_per_entry * 1e6),
             ]);
             eprintln!(
                 "n={n:>4} b={b:>3}: loop {:.2} ms, batched {:.2} ms ({speedup:.2}x, overlap {:.2})",
@@ -187,9 +183,7 @@ fn main() {
             "batched stream vs loop of multiplies, {nranks} ranks on {workers} workers \
              (best of {samples})"
         ),
-        &[
-            "n", "entries", "loop ms", "batch ms", "speedup", "overlap", "fence us",
-        ],
+        &["n", "entries", "loop ms", "batch ms", "speedup", "overlap"],
         &rows,
     );
 

@@ -140,7 +140,7 @@ impl SharedArena {
 
 /// Access conflict detector for one region — an arena region, or one
 /// rank's block of a host matrix distributed in place
-/// ([`crate::DistMatrix::with_host_view_mut`]): a counter that is
+/// ([`crate::DistMatrix::with_host_views_mut`]): a counter that is
 /// positive while readers hold the region and `-1` while a writer does.
 pub struct AccessChecker {
     state: AtomicI32,

@@ -12,10 +12,12 @@
 //! 16000×16000 matrix would otherwise cost 2 GiB per operand) or a
 //! **host view**: a window of a row-major matrix the caller already
 //! holds, distributed *in place* — read-only for an operand
-//! ([`DistMatrix::with_host_view`]), writable for the result
-//! ([`DistMatrix::with_host_view_mut`]: each rank writes its tile of C
+//! ([`DistMatrix::with_host_views`]), writable for the result
+//! ([`DistMatrix::with_host_views_mut`]: each rank writes its tile of C
 //! straight into the matrix the caller gets back, so there is no C arena
-//! to gather from). Block `(i, j)` of a view is the
+//! to gather from). Either constructor lends any number of windows in
+//! one scope — a flat run's two operands and its product, or every
+//! operand and product of a batch stream. Block `(i, j)` of a view is the
 //! sub-window at [`DistMatrix::block_origin`] with the host's leading
 //! dimension — what Global Arrays' `ga_access` hands SRUMMA's direct
 //! flavour — and [`DistMatrix::land_block`] is the strided get of the
@@ -24,7 +26,7 @@
 //! into the sliver order the serial kernel reads ([`Landing::Packed`]),
 //! so a fetched block is moved once, not copied and then packed.
 //! Nothing is allocated or moved to build a view; see
-//! [`DistMatrix::with_host_view`] for how the borrow is kept inside a
+//! [`DistMatrix::with_host_views`] for how the borrow is kept inside a
 //! scope without a lifetime parameter on the type.
 
 use crate::arena::{AccessChecker, ReadHeld, SharedArena, WriteHeld};
@@ -40,24 +42,15 @@ pub use srumma_dense::mask::{chunk_len, chunk_start};
 enum Backing {
     /// Shape only; no elements exist.
     Virtual,
-    /// Real elements in a shared arena: rank `r`'s block lives in
-    /// region `base + stride · r`. A privately allocated matrix uses
-    /// `base = 0, stride = 1`; the batched driver instead threads many
-    /// matrices through **one** arena (regions sized to the batch
-    /// high-water mark), so a region may be *longer* than the block it
-    /// currently holds — every accessor slices to the block's
-    /// `rows · cols` prefix.
-    Real {
-        arena: Arc<SharedArena>,
-        base: usize,
-        stride: usize,
-    },
+    /// Real elements in this matrix's own shared arena: rank `r`'s block
+    /// is region `r`, exactly `rows · cols` of its block long.
+    Real(Arc<SharedArena>),
     /// A read-only window of a caller's row-major matrix. `'static` is
-    /// erased, not true: see [`DistMatrix::with_host_view`], the only
+    /// erased, not true: see [`DistMatrix::with_host_views`], the only
     /// place that builds one.
     View(MatRef<'static>),
     /// A writable window of a caller's row-major matrix
-    /// ([`DistMatrix::with_host_view_mut`], the only place that builds
+    /// ([`DistMatrix::with_host_views_mut`], the only place that builds
     /// one).
     ViewMut(HostWindowMut),
 }
@@ -75,7 +68,7 @@ struct HostWindowMut {
     checkers: Vec<AccessChecker>,
 }
 
-// SAFETY: `base` points into the matrix `with_host_view_mut` borrows
+// SAFETY: `base` points into the matrix `with_host_views_mut` borrows
 // exclusively for as long as this value exists, so the memory is this
 // window's alone; threads sharing it reach elements only through
 // `write_block` / `read_block`, one rank block at a time, under that
@@ -200,11 +193,7 @@ impl DistMatrix {
                 })
                 .collect();
             let (arena, _offsets) = SharedArena::new(&lens);
-            Backing::Real {
-                arena,
-                base: 0,
-                stride: 1,
-            }
+            Backing::Real(arena)
         } else {
             Backing::Virtual
         };
@@ -219,138 +208,110 @@ impl DistMatrix {
         }
     }
 
-    /// Create a distributed matrix **inside an existing shared arena**:
-    /// rank `r`'s block occupies the prefix of region `base + stride·r`.
-    /// This is how the batched driver backs a whole stream of matrices
-    /// with one collective allocation — regions are sized to the batch
-    /// high-water mark and reused slot-by-slot, so each region must be
-    /// at least as long as the block mapped into it.
-    pub fn create_in_arena(
-        grid: ProcGrid,
-        rows: usize,
-        cols: usize,
-        order: RankOrder,
-        arena: Arc<SharedArena>,
-        base: usize,
-        stride: usize,
-    ) -> Self {
-        for r in 0..grid.nranks() {
-            let (br, bc) = Self::dims_for(grid, rows, cols, order, r);
-            let (_, len) = arena.region(base + stride * r);
-            assert!(
-                len >= br * bc,
-                "arena region {} holds {len} elems, block of rank {r} needs {}",
-                base + stride * r,
-                br * bc
-            );
-        }
-        DistMatrix {
-            grid,
-            rows,
-            cols,
-            order,
-            backing: Backing::Real {
-                arena,
-                base,
-                stride,
-            },
-            mask: None,
-            cost: CostMap::Identity,
-        }
-    }
-
-    /// Distribute the host matrix `window` **in place** and lend the
-    /// result to `f`: a read-only `DistMatrix` over `grid` whose blocks
-    /// are sub-windows of `window` (same elements, same leading
-    /// dimension), with `mask` and `cost` attached. No element is copied
-    /// and no arena is allocated.
+    /// Distribute each host matrix of `windows` **in place** and lend the
+    /// results to `f`, in order: view `i` is a read-only `DistMatrix` over
+    /// `grid` (row-major rank placement — a host matrix is `op(A)` as
+    /// handed, never stored transposed) whose blocks are sub-windows of
+    /// `windows[i].0` (same elements, same leading dimension), with the
+    /// mask `windows[i].1` and the cost map `cost` attached. No element is
+    /// copied and no arena is allocated.
     ///
     /// This is the only way to obtain a host view, and what makes the
-    /// borrow un-outlivable: the view exists for the duration of this
-    /// call (inside `window`'s borrow), `f` receives a shared reference
-    /// of a lifetime it cannot name, and `DistMatrix` is not `Clone` —
-    /// so neither the view nor anything borrowed from it can leave `f`.
-    /// That is also why mask and cost map are constructor arguments: a
-    /// `&mut DistMatrix` would let `f` swap the view out.
+    /// borrows un-outlivable: the views exist for the duration of this
+    /// call (inside the windows' borrows), `f` receives a shared slice of
+    /// a lifetime it cannot name, and `DistMatrix` is not `Clone` — so
+    /// neither a view nor anything borrowed from one can leave `f`. That
+    /// is also why mask and cost map are constructor arguments: a
+    /// `&mut DistMatrix` would let `f` swap a view out.
     ///
     /// # Panics
-    /// Panics if the mask shape does not match the grid; through `f`,
-    /// any write accessor panics (a view is read-only).
-    pub fn with_host_view<R>(
+    /// Panics if a mask shape does not match the grid; through `f`, any
+    /// write accessor panics (a view is read-only).
+    pub fn with_host_views<R>(
         grid: ProcGrid,
-        window: MatRef<'_>,
-        order: RankOrder,
-        mask: Option<BlockMask>,
+        windows: &[(MatRef<'_>, Option<BlockMask>)],
         cost: CostMap,
-        f: impl FnOnce(&DistMatrix) -> R,
+        f: impl FnOnce(&[DistMatrix]) -> R,
     ) -> R {
-        // SAFETY: only the lifetime changes. `window`'s borrow is held by
-        // this frame until `f` returns; the erased copy lives in `view`,
-        // a local that `f` sees by shared reference only (so it cannot
-        // be moved, swapped or — `DistMatrix` is not `Clone` — copied
-        // out) and that is dropped before this function returns; every
-        // accessor that reads `Backing::View` hands out data tied to
-        // `&self`, never `'static`. The memory is therefore only read
-        // while the caller's shared borrow of it is live.
-        let host = unsafe { std::mem::transmute::<MatRef<'_>, MatRef<'static>>(window) };
-        let mut view = DistMatrix {
-            grid,
-            rows: window.rows(),
-            cols: window.cols(),
-            order,
-            backing: Backing::View(host),
-            mask: None,
-            cost,
-        };
-        if let Some(mask) = mask {
-            view.set_mask(mask);
-        }
-        f(&view)
+        let views: Vec<DistMatrix> = windows
+            .iter()
+            .map(|(window, mask)| {
+                // SAFETY: only the lifetime changes. `window`'s borrow is
+                // held by the caller until this call returns; the erased
+                // copy lives in `views`, a local that `f` sees by shared
+                // reference only (so it cannot be moved, swapped or —
+                // `DistMatrix` is not `Clone` — copied out) and that is
+                // dropped before this function returns; every accessor
+                // that reads `Backing::View` hands out data tied to
+                // `&self`, never `'static`. The memory is therefore only
+                // read while the caller's shared borrow of it is live.
+                let host = unsafe { std::mem::transmute::<MatRef<'_>, MatRef<'static>>(*window) };
+                let mut view = DistMatrix {
+                    grid,
+                    rows: window.rows(),
+                    cols: window.cols(),
+                    order: RankOrder::RowMajor,
+                    backing: Backing::View(host),
+                    mask: None,
+                    cost,
+                };
+                if let Some(mask) = mask {
+                    view.set_mask(mask.clone());
+                }
+                view
+            })
+            .collect();
+        f(&views)
     }
 
-    /// Distribute the host matrix `window` **in place, writably**, and
-    /// lend the result to `f`: a `DistMatrix` over `grid` (row-major rank
-    /// placement, dense, identity cost map — what a result matrix is)
-    /// whose blocks are sub-windows of `window`, so what a rank writes
-    /// through [`Self::write_block`] is written into the caller's matrix.
-    /// No element is copied and no arena is allocated; every accessor
-    /// works on it except the arena-only [`Self::scatter`],
+    /// Distribute each host matrix of `windows` **in place, writably**,
+    /// and lend the results to `f`, in order: view `i` is a `DistMatrix`
+    /// over `grid` (row-major rank placement, dense, identity cost map —
+    /// what a result matrix is) whose blocks are sub-windows of
+    /// `windows[i]`, so what a rank writes through [`Self::write_block`]
+    /// is written into the caller's matrix `i` and nowhere else. No
+    /// element is copied and no arena is allocated; every accessor works
+    /// on a view except the arena-only [`Self::scatter`],
     /// [`Self::scatter_transposed`] and [`Self::gather`] (the caller
-    /// already holds the matrix).
+    /// already holds the matrices).
     ///
-    /// The borrow cannot be outlived for the reasons given at
-    /// [`Self::with_host_view`]; it is exclusive, so for the duration of
-    /// `f` the window is reachable through the lent `DistMatrix` only.
-    /// Under it the arena's discipline applies block by block, with the
-    /// arena's dynamic check: a block is written by one holder at a time
-    /// and not read meanwhile. One rule is the window's own: the rows of
-    /// the blocks of one grid row interleave in memory, and the strided
-    /// [`MatRef`] a [`BlockRead`] hands out spans the gaps between its
-    /// rows — so a read of a block counts as a read of every block of
-    /// its grid row, and panics while any of them is being written (a
-    /// multiply never reads C at all; a test reads it after the ranks
-    /// are done).
-    pub fn with_host_view_mut<R>(
+    /// The borrows cannot be outlived for the reasons given at
+    /// [`Self::with_host_views`]; they are exclusive, so for the duration
+    /// of `f` each window is reachable through its lent `DistMatrix`
+    /// only. Under it the arena's discipline applies block by block, with
+    /// the arena's dynamic check: a block is written by one holder at a
+    /// time and not read meanwhile. One rule is the window's own: the
+    /// rows of the blocks of one grid row interleave in memory, and the
+    /// strided [`MatRef`] a [`BlockRead`] hands out spans the gaps
+    /// between its rows — so a read of a block counts as a read of every
+    /// block of its grid row, and panics while any of them is being
+    /// written (a multiply never reads C at all; a test reads it after
+    /// the ranks are done).
+    pub fn with_host_views_mut<R>(
         grid: ProcGrid,
-        mut window: MatMut<'_>,
-        f: impl FnOnce(&DistMatrix) -> R,
+        mut windows: Vec<MatMut<'_>>,
+        f: impl FnOnce(&[DistMatrix]) -> R,
     ) -> R {
-        let view = DistMatrix {
-            grid,
-            rows: window.rows(),
-            cols: window.cols(),
-            order: RankOrder::RowMajor,
-            backing: Backing::ViewMut(HostWindowMut {
-                base: window.as_mut_ptr(),
-                ld: window.ld(),
-                checkers: (0..grid.nranks()).map(|_| AccessChecker::new()).collect(),
-            }),
-            mask: None,
-            cost: CostMap::Identity,
-        };
-        // `window` — the exclusive borrow `base` stands for — is held by
-        // this frame until `f` has returned and `view` is gone.
-        f(&view)
+        let views: Vec<DistMatrix> = windows
+            .iter_mut()
+            .map(|window| DistMatrix {
+                grid,
+                rows: window.rows(),
+                cols: window.cols(),
+                order: RankOrder::RowMajor,
+                backing: Backing::ViewMut(HostWindowMut {
+                    base: window.as_mut_ptr(),
+                    ld: window.ld(),
+                    checkers: (0..grid.nranks()).map(|_| AccessChecker::new()).collect(),
+                }),
+                mask: None,
+                cost: CostMap::Identity,
+            })
+            .collect();
+        // `windows` — the exclusive borrows the bases stand for — is held
+        // by this frame, unused, until `f` has returned and `views` is
+        // gone (locals drop in reverse order).
+        f(&views)
     }
 
     /// The arena behind `accessor`, one of the whole-matrix operations
@@ -360,7 +321,7 @@ impl DistMatrix {
     /// Panics, naming `accessor`, on any other backing.
     fn arena_for(&self, accessor: &str) -> &SharedArena {
         match &self.backing {
-            Backing::Real { arena, .. } => arena,
+            Backing::Real(arena) => arena,
             Backing::Virtual => panic!("{accessor}() on a virtual DistMatrix"),
             Backing::View(_) => panic!("{accessor}(): operand views are read-only"),
             Backing::ViewMut(_) => panic!("{accessor}() on a DistMatrix without an arena"),
@@ -400,14 +361,6 @@ impl DistMatrix {
     #[inline]
     pub fn cost_rank(&self, slot: usize) -> usize {
         self.cost.cost_rank(slot)
-    }
-
-    /// Arena region id of `rank`'s block (real backing only).
-    fn region_of(&self, rank: usize) -> usize {
-        match &self.backing {
-            Backing::Real { base, stride, .. } => base + stride * rank,
-            _ => unreachable!("only arena-backed matrices have regions"),
-        }
     }
 
     /// Attach a block-sparsity mask. The mask is indexed by **stored**
@@ -519,7 +472,7 @@ impl DistMatrix {
         let (rows, cols) = self.block_dims(rank);
         let data = match &self.backing {
             Backing::Virtual => BlockData::Virtual,
-            Backing::Real { arena, .. } => BlockData::Arena(arena.read_guard(self.region_of(rank))),
+            Backing::Real(arena) => BlockData::Arena(arena.read_guard(rank)),
             Backing::View(host) => BlockData::View(self.view_block(*host, rank)),
             Backing::ViewMut(host) => {
                 // The strided slice below spans the gaps between the
@@ -564,9 +517,7 @@ impl DistMatrix {
         let (rows, cols) = self.block_dims(rank);
         let target = match &self.backing {
             Backing::Virtual => WriteTarget::Virtual,
-            Backing::Real { arena, .. } => {
-                WriteTarget::Arena(arena.write_guard(self.region_of(rank)))
-            }
+            Backing::Real(arena) => WriteTarget::Arena(arena.write_guard(rank)),
             Backing::View(_) => panic!("{accessor}(): operand views are read-only"),
             Backing::ViewMut(host) => {
                 let held = host.checkers[rank].write();
@@ -693,7 +644,7 @@ impl DistMatrix {
         for rank in 0..self.grid.nranks() {
             let (r0, c0) = self.block_origin(rank);
             let (br, bc) = self.block_dims(rank);
-            let mut w = arena.write_guard(self.region_of(rank));
+            let mut w = arena.write_guard(rank);
             let dst = w.slice_mut();
             for i in 0..br {
                 let src = &global.as_slice()[(r0 + i) * self.cols + c0..][..bc];
@@ -715,7 +666,7 @@ impl DistMatrix {
         for rank in 0..self.grid.nranks() {
             let (r0, c0) = self.block_origin(rank);
             let (br, bc) = self.block_dims(rank);
-            let mut w = arena.write_guard(self.region_of(rank));
+            let mut w = arena.write_guard(rank);
             MatMut::new(br, bc, bc, w.slice_mut())
                 .copy_transposed_from(logical.block(c0, r0, bc, br));
         }
@@ -730,7 +681,7 @@ impl DistMatrix {
         for rank in 0..self.grid.nranks() {
             let (r0, c0) = self.block_origin(rank);
             let (br, bc) = self.block_dims(rank);
-            let g = arena.read_guard(self.region_of(rank));
+            let g = arena.read_guard(rank);
             let src = g.slice();
             for i in 0..br {
                 out.as_mut_slice()[(r0 + i) * self.cols + c0..][..bc]
@@ -772,8 +723,7 @@ impl BlockRead<'_> {
         self.cols
     }
 
-    /// Strided view of the block, if real-backed: the arena region's
-    /// `rows · cols` prefix (shared-arena regions may be longer) with
+    /// Strided view of the block, if real-backed: the arena region with
     /// `ld = cols`, or the block's window of the host matrix with the
     /// host's `ld` — address elements through [`MatRef::at`] /
     /// [`MatRef::row`], not as one contiguous run.
@@ -781,7 +731,7 @@ impl BlockRead<'_> {
         let (rows, cols) = (self.rows, self.cols);
         match &self.data {
             BlockData::Virtual => None,
-            BlockData::Arena(g) => Some(MatRef::new(rows, cols, cols, &g.slice()[..rows * cols])),
+            BlockData::Arena(g) => Some(MatRef::new(rows, cols, cols, g.slice())),
             BlockData::View(block) | BlockData::Window { block, .. } => Some(*block),
         }
     }
@@ -817,19 +767,14 @@ impl BlockWrite<'_> {
         self.cols
     }
 
-    /// Mutable view of the block, if real-backed: the arena region's
-    /// `rows · cols` prefix with `ld = cols`, or the block's rows of the
-    /// host matrix with the host's `ld`.
+    /// Mutable view of the block, if real-backed: the arena region with
+    /// `ld = cols`, or the block's rows of the host matrix with the
+    /// host's `ld`.
     pub fn mat_mut(&mut self) -> Option<MatMut<'_>> {
         let (rows, cols) = (self.rows, self.cols);
         match &mut self.target {
             WriteTarget::Virtual => None,
-            WriteTarget::Arena(g) => Some(MatMut::new(
-                rows,
-                cols,
-                cols,
-                &mut g.slice_mut()[..rows * cols],
-            )),
+            WriteTarget::Arena(g) => Some(MatMut::new(rows, cols, cols, g.slice_mut())),
             WriteTarget::Window { block, .. } => Some(block.reborrow()),
         }
     }
@@ -948,70 +893,116 @@ mod tests {
 
     /// A host view serves every block exactly as an arena scattered
     /// from the same matrix does — uneven blocks, more grid rows than
-    /// matrix rows, a `rows × 0` matrix, a `1 × N` one, both rank
-    /// placements, a window narrower than its host (`ld > cols`).
+    /// matrix rows, a `rows × 0` matrix, a `1 × N` one, a window
+    /// narrower than its host (`ld > cols`).
     #[test]
     fn host_view_serves_what_a_scattered_arena_serves() {
-        for (rows, cols, p, q) in [
-            (10, 9, 3, 4),
-            (41, 37, 2, 3),
-            (2, 7, 5, 2),
-            (7, 2, 2, 5),
-            (6, 0, 2, 3),
-            (0, 6, 3, 2),
-            (1, 13, 4, 4),
-            (8, 8, 1, 1),
-        ] {
+        for (rows, cols, p, q) in VIEW_SHAPES {
             let grid = ProcGrid::new(p, q);
             // The operand is a window at (2, 3) of a wider host matrix.
             let host = Matrix::random(rows + 5, cols + 4, 11);
             let window = host.block(2, 3, rows, cols);
             let mask = BlockMask::from_fn(p, q, |i, j| (i + 2 * j) % 3 != 0);
-            for order in [RankOrder::RowMajor, RankOrder::ColMajor] {
-                let mut arena = DistMatrix::create_with_order(grid, rows, cols, order, true);
-                arena.scatter(&window.to_matrix());
-                arena.set_mask(mask.clone());
-                let mask = Some(mask.clone());
-                DistMatrix::with_host_view(grid, window, order, mask, CostMap::Base(7), |view| {
-                    let what = format!("{rows}x{cols} on {p}x{q} {order:?}");
-                    assert!(view.is_real());
-                    assert_eq!((view.rows(), view.cols()), (rows, cols), "{what}");
-                    assert_eq!(view.cost_rank(1), 8, "{what}");
-                    let (mut got, mut want) = (vec![1.0], vec![2.0]);
-                    for r in 0..grid.nranks() {
-                        assert_eq!(view.block_dims(r), arena.block_dims(r), "{what} rank {r}");
-                        assert_eq!(view.block_origin(r), arena.block_origin(r), "{what}");
-                        assert_eq!(view.block_bytes(r), arena.block_bytes(r), "{what}");
-                        assert_eq!(view.block_nonzero(r), arena.block_nonzero(r), "{what}");
-                        let (vb, ab) = (view.read_block(r), arena.read_block(r));
-                        let (v, a) = (vb.mat().unwrap(), ab.mat().unwrap());
-                        assert_eq!((v.rows(), v.cols()), (a.rows(), a.cols()), "{what}");
-                        assert_eq!((v.rows(), v.cols()), (vb.rows(), vb.cols()), "{what}");
-                        for i in 0..v.rows() {
-                            for j in 0..v.cols() {
-                                assert_eq!(v.at(i, j), a.at(i, j), "{what} rank {r} ({i},{j})");
-                            }
-                        }
-                        assert_eq!(
-                            view.copy_block_into(r, &mut got),
-                            arena.copy_block_into(r, &mut want),
-                            "{what} rank {r}"
-                        );
-                        assert_eq!(got, want, "{what} rank {r}");
-                    }
-                });
-            }
+            let mut arena = DistMatrix::create(grid, rows, cols);
+            arena.scatter(&window.to_matrix());
+            arena.set_mask(mask.clone());
+            let lent = [(window, Some(mask))];
+            DistMatrix::with_host_views(grid, &lent, CostMap::Base(7), |views| {
+                let what = format!("{rows}x{cols} on {p}x{q}");
+                assert_eq!(views.len(), 1);
+                assert_eq!(views[0].cost_rank(1), 8, "{what}");
+                assert_serves_like(&views[0], &arena, &what);
+            });
         }
         // A `rows × 0` window over no storage at all, `ld > 0`: there is
         // no tail to slice row `i > 0` from.
         let (grid, empty) = (ProcGrid::new(2, 3), MatRef::new(6, 0, 5, &[]));
-        let order = RankOrder::RowMajor;
-        DistMatrix::with_host_view(grid, empty, order, None, CostMap::Identity, |view| {
+        DistMatrix::with_host_views(grid, &[(empty, None)], CostMap::Identity, |views| {
             let mut buf = vec![1.0];
             for r in 0..grid.nranks() {
-                assert_eq!(view.copy_block_into(r, &mut buf), (3, 0));
+                assert_eq!(views[0].copy_block_into(r, &mut buf), (3, 0));
                 assert!(buf.is_empty());
-                assert_eq!(view.read_block(r).mat().map(|v| v.rows()), Some(3));
+                assert_eq!(views[0].read_block(r).mat().map(|v| v.rows()), Some(3));
+            }
+        });
+    }
+
+    /// `(rows, cols, p, q)`: uneven blocks, more grid rows (columns) than
+    /// matrix rows (columns), empty matrices, a `1 × N` one, a `1 × 1` grid.
+    const VIEW_SHAPES: [(usize, usize, usize, usize); 8] = [
+        (10, 9, 3, 4),
+        (41, 37, 2, 3),
+        (2, 7, 5, 2),
+        (7, 2, 2, 5),
+        (6, 0, 2, 3),
+        (0, 6, 3, 2),
+        (1, 13, 4, 4),
+        (8, 8, 1, 1),
+    ];
+
+    /// `view` serves every block — dims, origin, bytes, mask bit,
+    /// elements, gets — exactly as `arena` does.
+    fn assert_serves_like(view: &DistMatrix, arena: &DistMatrix, what: &str) {
+        assert!(view.is_real());
+        assert_eq!(
+            (view.rows(), view.cols()),
+            (arena.rows(), arena.cols()),
+            "{what}"
+        );
+        let (mut got, mut want) = (vec![1.0], vec![2.0]);
+        for r in 0..view.grid().nranks() {
+            assert_eq!(view.block_dims(r), arena.block_dims(r), "{what} rank {r}");
+            assert_eq!(view.block_origin(r), arena.block_origin(r), "{what}");
+            assert_eq!(view.block_bytes(r), arena.block_bytes(r), "{what}");
+            assert_eq!(view.block_nonzero(r), arena.block_nonzero(r), "{what}");
+            let (vb, ab) = (view.read_block(r), arena.read_block(r));
+            let (v, a) = (vb.mat().unwrap(), ab.mat().unwrap());
+            assert_eq!((v.rows(), v.cols()), (a.rows(), a.cols()), "{what}");
+            assert_eq!((v.rows(), v.cols()), (vb.rows(), vb.cols()), "{what}");
+            for i in 0..v.rows() {
+                for j in 0..v.cols() {
+                    assert_eq!(v.at(i, j), a.at(i, j), "{what} rank {r} ({i},{j})");
+                }
+            }
+            assert_eq!(
+                view.copy_block_into(r, &mut got),
+                arena.copy_block_into(r, &mut want),
+                "{what} rank {r}"
+            );
+            assert_eq!(got, want, "{what} rank {r}");
+        }
+    }
+
+    /// Many read-only views lent in one scope — different shapes, some
+    /// windows of one host matrix, each with its own mask or none — each
+    /// serve their own window and mask and nobody else's.
+    #[test]
+    fn views_lent_together_each_see_their_own_window_and_mask() {
+        let (p, q) = (2, 3);
+        let grid = ProcGrid::new(p, q);
+        let hosts: Vec<Matrix> = (0..4).map(|s| Matrix::random(30, 28, 40 + s)).collect();
+        // Two windows of host 0 (overlapping), then hosts 1..4 whole or cut.
+        let windows = [
+            hosts[0].block(2, 3, 17, 11),
+            hosts[0].block(5, 1, 9, 20),
+            hosts[1].as_ref(),
+            hosts[2].block(0, 0, 1, 13),
+            hosts[3].block(4, 4, 6, 0),
+        ];
+        let masks: Vec<Option<BlockMask>> = (0..windows.len())
+            .map(|i| (i % 2 == 0).then(|| BlockMask::from_fn(p, q, |a, b| (a + b + i) % 3 != 0)))
+            .collect();
+        let lent: Vec<_> = windows.iter().copied().zip(masks.iter().cloned()).collect();
+        DistMatrix::with_host_views(grid, &lent, CostMap::Identity, |views| {
+            assert_eq!(views.len(), windows.len());
+            for (i, (view, window)) in views.iter().zip(&windows).enumerate() {
+                let mut arena = DistMatrix::create(grid, window.rows(), window.cols());
+                arena.scatter(&window.to_matrix());
+                if let Some(mask) = &masks[i] {
+                    arena.set_mask(mask.clone());
+                }
+                assert_eq!(view.mask(), masks[i].as_ref(), "view {i}");
+                assert_serves_like(view, &arena, &format!("view {i}"));
             }
         });
     }
@@ -1137,11 +1128,15 @@ mod put_acc_tests {
         m.copy_block_from(0, &[1.0]);
     }
 
-    /// `f` on a 2 x 2-grid view of a 4 x 4 host matrix.
+    /// `f` on a 2 x 2-grid view of a 4 x 4 host matrix, lent beside a
+    /// view of another: a read-only view refuses writes however many are
+    /// lent with it.
     fn on_view(f: impl FnOnce(&DistMatrix)) {
-        let host = Matrix::random(4, 4, 3);
-        let (grid, order) = (ProcGrid::new(2, 2), RankOrder::RowMajor);
-        DistMatrix::with_host_view(grid, host.as_ref(), order, None, CostMap::Identity, f);
+        let (other, host) = (Matrix::random(6, 5, 2), Matrix::random(4, 4, 3));
+        let lent = [(other.as_ref(), None), (host.as_ref(), None)];
+        DistMatrix::with_host_views(ProcGrid::new(2, 2), &lent, CostMap::Identity, |views| {
+            f(&views[1])
+        });
     }
 
     #[test]
@@ -1220,6 +1215,22 @@ mod window_tests {
         Matrix::random(rows + 5, cols + 4, seed)
     }
 
+    /// The rank whose block of a `rows × cols` window at [`AT`],
+    /// distributed over `grid`, holds host element `(i, j)` — `None`
+    /// outside the window.
+    fn owner_of(
+        grid: ProcGrid,
+        (rows, cols): (usize, usize),
+        (i, j): (usize, usize),
+    ) -> Option<usize> {
+        let inside = (AT.0..AT.0 + rows).contains(&i) && (AT.1..AT.1 + cols).contains(&j);
+        inside.then(|| {
+            let bi = (0..grid.p).rfind(|&b| chunk_start(rows, grid.p, b) <= i - AT.0);
+            let bj = (0..grid.q).rfind(|&b| chunk_start(cols, grid.q, b) <= j - AT.1);
+            grid.rank_at(bi.unwrap(), bj.unwrap())
+        })
+    }
+
     /// `f` on the `rows × cols` window at [`AT`] of `host`, distributed
     /// in place over `p × q`.
     fn on_window(
@@ -1228,7 +1239,7 @@ mod window_tests {
         f: impl FnOnce(&DistMatrix),
     ) {
         let window = host.block_mut(AT.0, AT.1, rows, cols);
-        DistMatrix::with_host_view_mut(ProcGrid::new(p, q), window, f);
+        DistMatrix::with_host_views_mut(ProcGrid::new(p, q), vec![window], |views| f(&views[0]));
     }
 
     /// Every rank writes its id over its block: each element of the
@@ -1255,14 +1266,9 @@ mod window_tests {
             let grid = ProcGrid::new(p, q);
             for i in 0..host.rows() {
                 for j in 0..host.cols() {
-                    let inside =
-                        (AT.0..AT.0 + rows).contains(&i) && (AT.1..AT.1 + cols).contains(&j);
-                    let want = if inside {
-                        let bi = (0..p).rfind(|&b| chunk_start(rows, p, b) <= i - AT.0);
-                        let bj = (0..q).rfind(|&b| chunk_start(cols, q, b) <= j - AT.1);
-                        grid.rank_at(bi.unwrap(), bj.unwrap()) as f64
-                    } else {
-                        before[(i, j)]
+                    let want = match owner_of(grid, (rows, cols), (i, j)) {
+                        Some(r) => r as f64,
+                        None => before[(i, j)],
                     };
                     assert_eq!(host[(i, j)], want, "{shape:?} ({i},{j})");
                 }
@@ -1415,6 +1421,68 @@ mod window_tests {
         on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| {
             let _reader = c.read_block(0);
             let _ = c.write_block(1);
+        });
+    }
+
+    /// Many products lent in one scope, as a batch stream lends them:
+    /// every rank holds its block of every view at once and writes
+    /// `1000·e + rank` over it. Afterwards each host matrix holds, inside
+    /// its window, the value of view `e` and the rank the distribution
+    /// gives each element to — view `e` wrote into output `e` only — and
+    /// nothing outside its window moved.
+    #[test]
+    fn writable_view_e_writes_only_into_output_e() {
+        let (p, q) = (2, 3);
+        let grid = ProcGrid::new(p, q);
+        let shapes = [(10, 9), (41, 37), (1, 7), (7, 2), (6, 0), (4, 4)];
+        let before: Vec<Matrix> = (shapes.iter().zip(50..))
+            .map(|(&(rows, cols), seed)| host_for(rows, cols, seed))
+            .collect();
+        let mut hosts = before.clone();
+        let windows = hosts
+            .iter_mut()
+            .zip(shapes)
+            .map(|(host, (rows, cols))| host.block_mut(AT.0, AT.1, rows, cols))
+            .collect();
+        DistMatrix::with_host_views_mut(grid, windows, |views| {
+            assert_eq!(views.len(), shapes.len());
+            let mut held = Vec::new();
+            for (e, view) in views.iter().enumerate() {
+                assert_eq!((view.rows(), view.cols()), shapes[e]);
+                for r in 0..grid.nranks() {
+                    held.push((1000 * e + r, view.write_block(r)));
+                }
+            }
+            for (value, w) in &mut held {
+                w.mat_mut().expect("a window is real").fill(*value as f64);
+            }
+        });
+        for (e, (host, (rows, cols))) in hosts.iter().zip(shapes).enumerate() {
+            for i in 0..host.rows() {
+                for j in 0..host.cols() {
+                    let want = match owner_of(grid, (rows, cols), (i, j)) {
+                        Some(r) => (1000 * e + r) as f64,
+                        None => before[e][(i, j)],
+                    };
+                    assert_eq!(host[(i, j)], want, "output {e} ({i},{j})");
+                }
+            }
+        }
+    }
+
+    /// Each view keeps its own checkers: the owner of block 2 of one
+    /// product does not stop anyone writing block 2 of another, but a
+    /// second writer of the block it holds is caught.
+    #[test]
+    #[should_panic(expected = "discipline violation: write of a region under access")]
+    fn a_non_owner_write_into_a_lent_product_is_caught() {
+        let (mut x, mut y) = (host_for(4, 4, 1), host_for(4, 4, 2));
+        let windows = vec![x.block_mut(AT.0, AT.1, 4, 4), y.block_mut(AT.0, AT.1, 4, 4)];
+        DistMatrix::with_host_views_mut(ProcGrid::new(2, 2), windows, |views| {
+            let _owner = views[1].write_block(2);
+            drop(views[0].write_block(2));
+            // Another rank's put lands on the block its owner is computing.
+            views[1].copy_block_from(2, &[0.0; 4]);
         });
     }
 

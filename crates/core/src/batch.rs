@@ -1,75 +1,67 @@
-//! Batched multi-GEMM driver: one executor, one arena, amortized
-//! synchronization across a stream of multiplies.
+//! Batched multi-GEMM driver: a stream of multiplies on one worker pool,
+//! every operand and product distributed in place.
 //!
-//! SRUMMA's per-multiply fixed costs — arena allocation, rank spawn,
-//! and the open/close barrier pair — are negligible for one large
-//! product but dominate a *stream* of small-to-medium tiles (the
-//! chemistry-style workloads behind task-based SUMMA descendants).
-//! This module runs a whole [`BatchSpec`] with those costs paid once:
+//! SRUMMA's per-multiply fixed costs — rank spawn, the closing barrier,
+//! a fresh workspace and fresh fetch buffers — are negligible for one
+//! large product but dominate a *stream* of small-to-medium tiles (the
+//! chemistry-style workloads behind task-based SUMMA descendants). This
+//! module runs a whole [`BatchSpec`] with those costs paid once, and
+//! with nothing copied that a single [`crate::run::Run`] would not copy:
 //!
-//! * **one arena** — a ring of `window` slots, each holding one A, B
-//!   and C region per rank, sized up front to the batch high-water
-//!   mark ([`crate::memory::batch_region_elems`]); entry `e` lives in
-//!   slot `e % window`;
+//! * **every matrix in place** — all entries' logical `a` and `b` are
+//!   lent to the ranks as read-only views for the whole launch
+//!   ([`with_host_operand_sets`]: transposes normalised to `N`, logical
+//!   masks unflipped, exactly as a `Run` reads its operands), and every
+//!   entry's output as a writable view
+//!   ([`DistMatrix::with_host_views_mut`]): the owner of a tile computes
+//!   it where the caller reads it. The one copy left is an entry's `c0`:
+//!   its owner copies its block into the output window before the `β`
+//!   pre-pass, in parallel, as that tile's first touch. An entry without
+//!   `c0` runs with `β` normalised to 0, as [`fresh_c`] does, so the
+//!   pre-pass fill is the first touch;
 //! * **one worker pool** — [`multiply_batch_exec`] keeps a single
 //!   `ExecComm` executor (each worker's gemm workspace and fetch
 //!   buffers, each rank's [`MachineScratch`]) alive across every entry,
-//!   so `ws_grow_count() ≤ 1` holds for the whole stream;
-//! * **epoch fences instead of barriers** — each entry has a *staged*
-//!   fence (all ranks loaded its operands) and a *done* fence (all
-//!   ranks computed and extracted it), on the split fence of
-//!   [`Comm`] ([`Comm::fence_arrive`] / [`Comm::fence_try`]), which
-//!   never blocks on the executor. A rank that finishes entry `i`
-//!   immediately stages entry `i+1` while stragglers finish `i` — the
-//!   paper's communication/computation overlap lifted from the task
-//!   level to the batch level.
+//!   so `ws_grow_count() ≤ 1` holds for the whole stream.
 //!
-//! Per rank, with `n` entries and a `window ≥ 2` slot ring:
+//! Per rank, with `n` entries:
 //!
 //! ```text
-//! stage(0); arrive staged(0)
 //! for e in 0..n:
-//!     if e+1 < n:
-//!         if e+1 ≥ window: wait done(e+1−window)   # slot must be free
-//!         stage(e+1); arrive staged(e+1)
-//!     wait staged(e); compute(e); extract(e); arrive done(e)
+//!     copy c0(e)'s block into the output (if any)
+//!     build e's SrummaMachine; run it STRIDE tasks per step; finish
 //! ```
 //!
-//! `window == 1` degenerates to the serialized variant (stage gated on
-//! the previous entry's done fence) — the loop-of-multiplies shape,
-//! still on one arena and one pool. The ring size *is* the look-ahead,
-//! and every entry runs at the prefetch depth its options say: nothing
-//! adjusts either while the stream runs, and neither changes a bit of
-//! any output (`batch_multiply.rs`, the depth × window grid).
+//! Nothing in that loop waits for another rank, and nothing needs to:
+//! the operands are read-only for the whole launch, each output tile is
+//! written by its owner only, and no storage is reused from one entry to
+//! the next — so there is nothing a rank could read before it is ready
+//! or overwrite while a peer still reads it. A fast rank simply runs
+//! ahead into later entries; the pool's join is the only
+//! synchronisation, on all three backends. Each entry's
+//! [`EntryRankSample::fence_s`] therefore reads 0.
 //!
-//! That text is one [`RankProgram`], [`BatchProgram`]: the executor
-//! polls it, with the fence waits as park points; the blocking backends
-//! (threads, simulator) [`drive`] the same value, where the trait's
-//! defaults make every `arrive` a full barrier and every `wait` a
-//! no-op — which is what makes the three-backend correctness matrix
-//! possible. Time inside `arrive` is charged to the entry's `fence_s`
-//! like time parked in a `wait`, so [`BatchStats`] reads the same
-//! whichever of the two blocks.
+//! That loop is one [`RankProgram`], [`BatchProgram`], which never
+//! parks: the executor polls it, the blocking backends (threads,
+//! simulator) [`drive`] the same value — which is what makes the
+//! three-backend correctness matrix possible.
 
 use crate::driver::{default_grid, TracedRun};
-use crate::layout::{dist_a_in_arena, dist_b_in_arena, dist_c_in_arena};
-use crate::memory::batch_region_elems;
+use crate::layout::{fresh_c, with_host_operand_sets};
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::srumma::{MachineScratch, SrummaMachine, SrummaReport, STRIDE};
 use srumma_comm::{
-    drive, exec_run_tasks, sim_run, thread_run, Comm, DistMatrix, ProgramTask, RankProgram,
-    SharedArena, SimOptions, Step,
+    drive, exec_run_tasks, sim_run, thread_run, Comm, CostMap, DistMatrix, ProgramTask,
+    RankProgram, SimOptions, Step,
 };
 use srumma_dense::{BlockMask, Matrix, Op};
 use srumma_model::Machine;
 use srumma_trace::{BatchStats, EntryRankSample, EntryStats};
-use std::sync::{Arc, Mutex};
 
 /// One multiply of a batch: a spec, its logical operands (`a` is
-/// `m × k`, `b` is `k × n`, transposition resolved by the layout layer
-/// exactly as in [`crate::layout::scatter_operands`]), an optional
-/// initial C (`m × n`, scaled by `spec.beta`) and an optional per-entry
-/// options override.
+/// `m × k`, `b` is `k × n` — `op(A)` and `op(B)` as handed, read in
+/// place whatever the transposes say), an optional initial C (`m × n`,
+/// scaled by `spec.beta`) and an optional per-entry options override.
 #[derive(Clone)]
 pub struct BatchEntry {
     /// The multiply.
@@ -84,7 +76,7 @@ pub struct BatchEntry {
     pub opts: Option<SrummaOptions>,
     /// Logical block-sparsity mask of A (`p` C-row blocks × `q`
     /// k-panels of the run grid). Masked blocks are declared zero:
-    /// their staging, gets and gemm segments are skipped entirely.
+    /// their gets and gemm segments are skipped entirely.
     pub mask_a: Option<BlockMask>,
     /// Logical mask of B (`p` k-panels × `q` C-column blocks).
     pub mask_b: Option<BlockMask>,
@@ -122,9 +114,9 @@ impl BatchEntry {
     /// Declare block-sparsity structure for the operands (either mask
     /// may be `None` ≡ dense). Masks are **logical**: shaped by the run
     /// grid's blocking (`p × q`), with A's columns and B's rows indexing
-    /// k-panels — the layout layer transposes them to stored
-    /// coordinates for the `T` cases. Whatever data sits inside a
-    /// masked block is ignored.
+    /// k-panels — the blocks of the logical operands the ranks read, in
+    /// every transpose case. Whatever data sits inside a masked block is
+    /// ignored.
     pub fn with_masks(mut self, mask_a: Option<BlockMask>, mask_b: Option<BlockMask>) -> Self {
         self.mask_a = mask_a;
         self.mask_b = mask_b;
@@ -132,18 +124,13 @@ impl BatchEntry {
     }
 }
 
-/// A stream of multiplies to run on one executor and one arena.
+/// A stream of multiplies to run on one worker pool.
 #[derive(Clone)]
 pub struct BatchSpec {
     /// The entries, executed in order (results are order-stable).
     pub entries: Vec<BatchEntry>,
     /// Default options for entries without an override.
     pub opts: SrummaOptions,
-    /// Slot-ring size: how many entries may be resident at once.
-    /// `1` serializes entries (the loop-of-multiplies shape); the
-    /// default `3` lets a rank stage entry `e+1` while it computes `e`
-    /// and stragglers still read `e−1`.
-    pub window: usize,
 }
 
 impl Default for BatchSpec {
@@ -153,25 +140,17 @@ impl Default for BatchSpec {
 }
 
 impl BatchSpec {
-    /// An empty batch with default options and a 3-slot ring.
+    /// An empty batch with default options.
     pub fn new() -> Self {
         BatchSpec {
             entries: Vec::new(),
             opts: SrummaOptions::default(),
-            window: 3,
         }
     }
 
     /// Set the default options for all entries.
     pub fn with_opts(mut self, opts: SrummaOptions) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Set the slot-ring size (clamped to `[1, entries]` at run time).
-    pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "batch window must be at least 1");
-        self.window = window;
         self
     }
 
@@ -191,120 +170,26 @@ impl BatchSpec {
     }
 }
 
-/// Per-entry layout over the shared slot ring.
-struct EntryPlan {
+/// What a rank needs of one entry: the spec to run (transposes
+/// normalised to `N`; `β` to 0 when there is no `c0`), the options, the
+/// `c0` to seed the output from, and the entry's three views.
+struct EntryPlan<'v> {
     spec: GemmSpec,
     opts: SrummaOptions,
-    da: DistMatrix,
-    db: DistMatrix,
-    dc: DistMatrix,
+    c0: Option<&'v Matrix>,
+    a: &'v DistMatrix,
+    b: &'v DistMatrix,
+    c: &'v DistMatrix,
 }
 
-/// Build the one shared arena (slot ring sized to the batch high-water
-/// mark) and the per-entry distributed views into it. Region id of rank
-/// `r`'s role-`o` block in slot `s` is `s·nranks·3 + 3r + o` — i.e.
-/// each entry's `DistMatrix` uses `base = slot·nranks·3 + role`,
-/// `stride = 3`.
-fn build_storage(
-    batch: &BatchSpec,
-    grid: srumma_model::ProcGrid,
-    window: usize,
-) -> (Arc<SharedArena>, Vec<EntryPlan>) {
-    let n = grid.nranks();
-    let specs: Vec<GemmSpec> = batch.entries.iter().map(|e| e.spec).collect();
-    let (ea, eb, ec) = batch_region_elems(&specs, grid);
-    let mut lens = Vec::with_capacity(window * n * 3);
-    for _slot in 0..window {
-        for r in 0..n {
-            lens.push(ea[r]);
-            lens.push(eb[r]);
-            lens.push(ec[r]);
-        }
+/// Copy `rank`'s block of `c0` into its tile of the output `c` — the one
+/// copy a batch makes, by the owner, as the tile's first touch.
+fn seed_c(c: &DistMatrix, rank: usize, c0: &Matrix) {
+    let (r0, col0) = c.block_origin(rank);
+    let mut w = c.write_block(rank);
+    if let Some(mut dst) = w.mat_mut() {
+        dst.copy_from(c0.block(r0, col0, dst.rows(), dst.cols()));
     }
-    let (arena, _offsets) = SharedArena::new(&lens);
-    let plans = batch
-        .entries
-        .iter()
-        .enumerate()
-        .map(|(e, entry)| {
-            let slot = e % window;
-            let base = slot * n * 3;
-            let mut da = dist_a_in_arena(&entry.spec, grid, Arc::clone(&arena), base, 3);
-            let mut db = dist_b_in_arena(&entry.spec, grid, Arc::clone(&arena), base + 1, 3);
-            if let Some(m) = &entry.mask_a {
-                crate::layout::set_a_mask(&entry.spec, &mut da, m.clone());
-            }
-            if let Some(m) = &entry.mask_b {
-                crate::layout::set_b_mask(&entry.spec, &mut db, m.clone());
-            }
-            EntryPlan {
-                spec: entry.spec,
-                opts: batch.entry_opts(e),
-                da,
-                db,
-                dc: dist_c_in_arena(&entry.spec, grid, Arc::clone(&arena), base + 2, 3),
-            }
-        })
-        .collect();
-    (arena, plans)
-}
-
-/// Stage this rank's stored blocks of entry `e` into its slot: A and B
-/// in stored orientation (element-transposed in place for the `T`
-/// cases, mirroring [`crate::layout::scatter_operands`] without
-/// materializing a transposed copy), C from `c0` or zeros. Writes only
-/// this rank's own regions — no synchronization needed beyond the slot
-/// being free.
-fn stage_entry(entry: &BatchEntry, plan: &EntryPlan, rank: usize) {
-    // Masked-out operand blocks are never read (their tasks are pruned
-    // before the machine runs), so their staging copy is skipped too —
-    // the slot region keeps whatever stale data it held. C staging
-    // stays unconditional: every rank's C tile must be β-initialized
-    // even when its entire k-row of tasks vanished.
-    if plan.da.block_nonzero(rank) {
-        let (r0, c0) = plan.da.block_origin(rank);
-        let mut w = plan.da.write_block(rank);
-        if let Some(mut dst) = w.mat_mut() {
-            match plan.spec.transa {
-                Op::N => dst.copy_from(entry.a.block(r0, c0, dst.rows(), dst.cols())),
-                Op::T => dst.copy_transposed_from(entry.a.block(c0, r0, dst.cols(), dst.rows())),
-            }
-        }
-    }
-    if plan.db.block_nonzero(rank) {
-        let (r0, c0) = plan.db.block_origin(rank);
-        let mut w = plan.db.write_block(rank);
-        if let Some(mut dst) = w.mat_mut() {
-            match plan.spec.transb {
-                Op::N => dst.copy_from(entry.b.block(r0, c0, dst.rows(), dst.cols())),
-                Op::T => dst.copy_transposed_from(entry.b.block(c0, r0, dst.cols(), dst.rows())),
-            }
-        }
-    }
-    {
-        let (r0, c0) = plan.dc.block_origin(rank);
-        let mut w = plan.dc.write_block(rank);
-        if let Some(mut dst) = w.mat_mut() {
-            // A slot's C region holds a previous entry's stale result —
-            // zeros must be written explicitly.
-            match &entry.c0 {
-                Some(c) => dst.copy_from(c.block(r0, c0, dst.rows(), dst.cols())),
-                None => dst.fill(0.0),
-            }
-        }
-    }
-}
-
-/// Copy this rank's finished C block of entry `e` into the per-entry
-/// output (disjoint blocks; the lock only serializes the bookkeeping).
-fn extract_entry(plan: &EntryPlan, rank: usize, out: &Mutex<Matrix>) {
-    let blk = plan.dc.read_block(rank);
-    let Some(src) = blk.mat() else {
-        return;
-    };
-    let (r0, c0) = plan.dc.block_origin(rank);
-    let mut out = out.lock().expect("output lock");
-    out.block_mut(r0, c0, src.rows(), src.cols()).copy_from(src);
 }
 
 /// One rank's results for the whole stream.
@@ -318,98 +203,29 @@ pub struct BatchRankOut {
     pub ws_grow_count: u64,
 }
 
-/// Where a [`BatchProgram`] resumes on its next step.
-enum BatchState {
-    /// Head of iteration `e`: stage what is not staged yet up to the
-    /// look-ahead — `e+1` on a ring of two or more slots, `e` itself on
-    /// the serialized ring of one — each entry once its slot is free
-    /// (its previous occupant's done fence); then wait for `e`'s staged
-    /// fence.
-    Head { e: usize },
-    /// Driving entry `e`'s [`SrummaMachine`], a stride per step.
-    Compute { e: usize },
-}
-
-/// One rank's whole batch as **one** [`RankProgram`]. On the
-/// work-stealing executor the per-entry epoch fences are park points,
-/// so a rank blocked on a straggler costs a deque entry, not an OS
-/// thread, and the worker slot immediately runs another rank's staging
-/// or compute for a different entry.
+/// One rank's whole batch as **one** [`RankProgram`]: its entries back
+/// to back, each a [`SrummaMachine`] run `STRIDE` tasks per step. It
+/// never parks — there is nothing to wait for — so on the executor a
+/// worker only leaves it for another rank at a yield.
 pub struct BatchProgram<'a> {
-    batch: &'a BatchSpec,
-    plans: &'a [EntryPlan],
-    outputs: &'a [Mutex<Matrix>],
-    window: usize,
-    state: BatchState,
+    plans: &'a [EntryPlan<'a>],
+    /// The entry this rank is on.
+    e: usize,
     machine: Option<SrummaMachine<'a>>,
     scratch: MachineScratch,
-    /// Fence indices of this rank's staged/done arrivals, by entry.
-    sf: Vec<u64>,
-    df: Vec<u64>,
-    /// Time the current fence wait began (None when not waiting).
-    wait_t0: Option<f64>,
     samples: Vec<EntryRankSample>,
     reports: Vec<SrummaReport>,
 }
 
 impl<'a> BatchProgram<'a> {
-    fn new(
-        batch: &'a BatchSpec,
-        plans: &'a [EntryPlan],
-        outputs: &'a [Mutex<Matrix>],
-        window: usize,
-    ) -> Self {
-        let n = plans.len();
+    fn new(plans: &'a [EntryPlan<'a>]) -> Self {
         BatchProgram {
-            batch,
             plans,
-            outputs,
-            window,
-            state: BatchState::Head { e: 0 },
+            e: 0,
             machine: None,
             scratch: MachineScratch::default(),
-            sf: Vec::with_capacity(n),
-            df: Vec::with_capacity(n),
-            wait_t0: None,
-            samples: vec![EntryRankSample::default(); n],
-            reports: Vec::with_capacity(n),
-        }
-    }
-
-    /// Arrive at this rank's next fence on `entry`'s account, the clock
-    /// having just read `t0`; returns the fence and the time after.
-    fn arrive<C: Comm>(&mut self, comm: &mut C, entry: usize, t0: f64) -> (u64, f64) {
-        let f = comm.fence_arrive();
-        let t1 = comm.now();
-        self.samples[entry].fence_s += t1 - t0;
-        (f, t1)
-    }
-
-    fn stage<C: Comm>(&mut self, comm: &mut C, e: usize) {
-        let t0 = comm.now();
-        self.samples[e].t_start = t0;
-        stage_entry(&self.batch.entries[e], &self.plans[e], comm.rank());
-        let t1 = comm.now();
-        self.samples[e].stage_s += t1 - t0;
-        debug_assert_eq!(self.sf.len(), e);
-        let (f, _) = self.arrive(comm, e, t1);
-        self.sf.push(f);
-    }
-
-    /// Test fence `f`; on failure remember when the wait began (the
-    /// rank is now registered as a waiter and should park), on success
-    /// charge the elapsed wait to `samples[entry].fence_s`.
-    fn fence_poll<C: Comm>(&mut self, comm: &mut C, f: u64, entry: usize) -> bool {
-        if comm.fence_try(f) {
-            if let Some(t0) = self.wait_t0.take() {
-                self.samples[entry].fence_s += comm.now() - t0;
-            }
-            true
-        } else {
-            if self.wait_t0.is_none() {
-                self.wait_t0 = Some(comm.now());
-            }
-            false
+            samples: vec![EntryRankSample::default(); plans.len()],
+            reports: Vec::with_capacity(plans.len()),
         }
     }
 
@@ -426,64 +242,40 @@ impl RankProgram for BatchProgram<'_> {
     type Out = BatchRankOut;
 
     fn step<C: Comm>(&mut self, comm: &mut C) -> Step<BatchRankOut> {
-        match self.state {
-            BatchState::Head { e } => {
-                let Some(last) = self.plans.len().checked_sub(1) else {
-                    return Step::Done(self.take_out(comm));
-                };
-                let ahead = (e + usize::from(self.window >= 2)).min(last);
-                while self.sf.len() <= ahead {
-                    let s = self.sf.len();
-                    let w = self.window;
-                    // Entry `s` reuses the slot of entry `s − w`.
-                    if s >= w && !self.fence_poll(comm, self.df[s - w], s) {
-                        return Step::Park;
-                    }
-                    self.stage(comm, s);
-                }
-                if !self.fence_poll(comm, self.sf[e], e) {
-                    return Step::Park;
-                }
-                self.state = BatchState::Compute { e };
-                Step::Yield
-            }
-            BatchState::Compute { e } => {
-                let t0 = comm.now();
-                let machine = self.machine.get_or_insert_with(|| {
-                    let plan = &self.plans[e];
-                    let scratch = std::mem::take(&mut self.scratch);
-                    SrummaMachine::new(
-                        comm, &plan.spec, &plan.da, &plan.db, &plan.dc, &plan.opts, scratch,
-                    )
-                });
-                if machine.run(comm, STRIDE) {
-                    self.samples[e].compute_s += comm.now() - t0;
-                    return Step::Yield;
-                }
-                // Release the C write guard (finish) before arriving
-                // at the done fence — peers passing it may restage this
-                // slot.
-                let machine = self.machine.take().expect("machine exists");
-                let (report, scratch) = machine.finish(comm);
-                self.scratch = scratch;
-                self.samples[e].tasks_run = report.tasks as u64;
-                self.samples[e].tasks_masked = report.masked_tasks as u64;
-                self.samples[e].flops_skipped = report.skipped_flops;
-                self.reports.push(report);
-                extract_entry(&self.plans[e], comm.rank(), &self.outputs[e]);
+        let Some(plan) = self.plans.get(self.e) else {
+            return Step::Done(self.take_out(comm));
+        };
+        let sample = &mut self.samples[self.e];
+        let mut t0 = comm.now();
+        let machine = self.machine.get_or_insert_with(|| {
+            sample.t_start = t0;
+            if let Some(c0) = plan.c0 {
+                seed_c(plan.c, comm.rank(), c0);
                 let t1 = comm.now();
-                self.samples[e].compute_s += t1 - t0;
-                debug_assert_eq!(self.df.len(), e);
-                let (f, t2) = self.arrive(comm, e, t1);
-                self.df.push(f);
-                self.samples[e].t_end = t2;
-                if e + 1 == self.plans.len() {
-                    return Step::Done(self.take_out(comm));
-                }
-                self.state = BatchState::Head { e: e + 1 };
-                Step::Yield
+                sample.stage_s = t1 - t0;
+                t0 = t1;
             }
+            let scratch = std::mem::take(&mut self.scratch);
+            SrummaMachine::new(
+                comm, &plan.spec, plan.a, plan.b, plan.c, &plan.opts, scratch,
+            )
+        });
+        if machine.run(comm, STRIDE) {
+            sample.compute_s += comm.now() - t0;
+            return Step::Yield;
         }
+        let machine = self.machine.take().expect("machine exists");
+        let (report, scratch) = machine.finish(comm);
+        self.scratch = scratch;
+        let t1 = comm.now();
+        sample.compute_s += t1 - t0;
+        sample.t_end = t1;
+        sample.tasks_run = report.tasks as u64;
+        sample.tasks_masked = report.masked_tasks as u64;
+        sample.flops_skipped = report.skipped_flops;
+        self.reports.push(report);
+        self.e += 1;
+        Step::Yield
     }
 }
 
@@ -506,7 +298,7 @@ fn entry_label(spec: &GemmSpec) -> String {
 
 fn assemble_batch(
     batch: &BatchSpec,
-    outputs: Vec<Mutex<Matrix>>,
+    outputs: Vec<Matrix>,
     rank_outs: Vec<BatchRankOut>,
     wall_s: f64,
 ) -> BatchResult {
@@ -531,10 +323,7 @@ fn assemble_batch(
         });
     }
     BatchResult {
-        outputs: outputs
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect(),
+        outputs,
         reports,
         ws_grow_counts: rank_outs.iter().map(|ro| ro.ws_grow_count).collect(),
         stats: BatchStats::from_entries(entries, wall_s),
@@ -542,7 +331,7 @@ fn assemble_batch(
 }
 
 /// What [`run_batch`] hands a backend: the constructor of one rank's
-/// program over the storage it laid out.
+/// program over the views it lent.
 type NewProgram<'p> = dyn Fn() -> BatchProgram<'p> + Sync + 'p;
 
 /// What the backend hands back: each rank's results, the run's wall (or
@@ -550,9 +339,10 @@ type NewProgram<'p> = dyn Fn() -> BatchProgram<'p> + Sync + 'p;
 type Launched<X> = (Vec<BatchRankOut>, f64, X);
 
 /// Everything a batched run does that does not depend on the backend:
-/// lay the stream out over one slot-ring arena, let `launch` run one
-/// [`BatchProgram`] per rank (it is handed the constructor), and roll
-/// the per-rank results up. An empty batch launches nothing.
+/// allocate the outputs, lend every entry's operands and output to the
+/// ranks in place, let `launch` run one [`BatchProgram`] per rank (it is
+/// handed the constructor), and roll the per-rank results up. An empty
+/// batch launches nothing.
 fn run_batch<X>(
     batch: &BatchSpec,
     nranks: usize,
@@ -562,14 +352,34 @@ fn run_batch<X>(
         return (assemble_batch(batch, Vec::new(), Vec::new(), 0.0), None);
     }
     let grid = default_grid(nranks);
-    let window = batch.window.clamp(1, batch.entries.len());
-    let (_arena, plans) = build_storage(batch, grid, window);
-    let outputs: Vec<Mutex<Matrix>> = batch
-        .entries
-        .iter()
-        .map(|e| Mutex::new(Matrix::zeros(e.spec.m, e.spec.n)))
+    // Untouched until each owner's `c0` copy or pre-pass fills its tile.
+    let mut outputs: Vec<Matrix> = (batch.entries.iter())
+        .map(|e| Matrix::zeros(e.spec.m, e.spec.n))
         .collect();
-    let (rank_outs, wall_s, extra) = launch(&|| BatchProgram::new(batch, &plans, &outputs, window));
+    let operands = batch.entries.iter().map(|e| {
+        let masks = (e.mask_a.as_ref(), e.mask_b.as_ref());
+        (&e.spec, e.a.as_ref(), e.b.as_ref(), masks)
+    });
+    let products = outputs.iter_mut().map(Matrix::as_mut).collect();
+    let (rank_outs, wall_s, extra) =
+        with_host_operand_sets(grid, operands, CostMap::Identity, |specs, ab| {
+            DistMatrix::with_host_views_mut(grid, products, |cs| {
+                let plans: Vec<EntryPlan> = (batch.entries.iter().enumerate())
+                    .map(|(e, entry)| EntryPlan {
+                        spec: match entry.c0 {
+                            Some(_) => specs[e],
+                            None => fresh_c(&specs[e], grid, false).0,
+                        },
+                        opts: batch.entry_opts(e),
+                        c0: entry.c0.as_ref(),
+                        a: &ab[2 * e],
+                        b: &ab[2 * e + 1],
+                        c: &cs[e],
+                    })
+                    .collect();
+                launch(&|| BatchProgram::new(&plans))
+            })
+        });
     (
         assemble_batch(batch, outputs, rank_outs, wall_s),
         Some(extra),
@@ -578,7 +388,7 @@ fn run_batch<X>(
 
 /// The executor launcher of [`multiply_batch_exec`] and
 /// [`multiply_batch_traced`]: a [`ProgramTask`] per rank polls the
-/// program, with the fence waits as park points.
+/// program.
 fn launch_exec<'p>(
     nranks: usize,
     workers: usize,
@@ -595,9 +405,9 @@ fn launch_exec<'p>(
     (res.outputs, res.wall_seconds, traced)
 }
 
-/// Run the batch on real host threads (one thread per rank, blocking
-/// barriers at the fence points). The correctness baseline for the
-/// executor path — same staging, same slot ring, same arena.
+/// Run the batch on real host threads (one thread per rank). The
+/// correctness baseline for the executor path — the same program over
+/// the same views.
 pub fn multiply_batch(batch: &BatchSpec, nranks: usize) -> BatchResult {
     run_batch(batch, nranks, |program| {
         let res = thread_run(nranks, |comm| drive(comm, program()));
@@ -618,9 +428,10 @@ pub fn multiply_batch_sim(batch: &BatchSpec, machine: &Machine, nranks: usize) -
 }
 
 /// Run the batch on the work-stealing executor: `nranks` logical ranks
-/// on `workers` worker threads, **one** pool and **one** arena for the
-/// whole stream, per-entry epoch fences instead of open/close barrier
-/// pairs. This is the tentpole path — independent entries overlap.
+/// on `workers` worker threads, **one** pool for the whole stream, every
+/// matrix read and written in place, and no rank ever waiting for
+/// another. This is the tentpole path — ranks run ahead into later
+/// entries while stragglers finish earlier ones.
 pub fn multiply_batch_exec(batch: &BatchSpec, nranks: usize, workers: usize) -> BatchResult {
     run_batch(batch, nranks, |p| launch_exec(nranks, workers, false, p)).0
 }
@@ -638,7 +449,7 @@ pub fn multiply_batch_traced(
 }
 
 /// Serial reference for every entry: `C_e = α·A_e·B_e + β·C0_e` (zeros
-/// when `c0` is absent) — operands logical, exactly as the batch stages
+/// when `c0` is absent) — operands logical, exactly as the batch reads
 /// them. Entries with block-sparsity masks multiply the **masked
 /// copies** (masked blocks zeroed), enforcing the semantics that data
 /// inside a masked block is ignored.

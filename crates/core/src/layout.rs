@@ -1,8 +1,8 @@
 //! Distributed storage layouts for the four transpose cases.
 //!
 //! All matrices share the C matrix's `p × q` process grid. A distributed
-//! A or B that a caller *builds* ([`dist_a`] / [`dist_b`], the batch
-//! stream's slots, the shape-only matrices of a modeled run) is held in
+//! A or B that a caller *builds* ([`dist_a`] / [`dist_b`], the
+//! shape-only matrices of a modeled run) is held in
 //! its *stored* orientation, gridded so that every block a task needs is
 //! a **whole stored block of one rank** — the property that keeps
 //! one-sided gets single contiguous transfers:
@@ -21,21 +21,23 @@
 //! A **host** operand has no stored orientation to honour: a driver is
 //! handed the logical `op(A)` (`m × k`) and `op(B)` (`k × n`), which are
 //! the `N` row of the table already. [`with_host_operands`] therefore
-//! distributes both in place — read-only [`DistMatrix::with_host_view`]s
+//! distributes both in place — read-only [`DistMatrix::with_host_views`]
 //! over the C grid, no arena and no copy, whatever `transa` / `transb`
 //! say — and hands back the spec the ranks must run over them, the
 //! transposes normalised to `N`, just as [`with_fresh_c`] normalises `β`
-//! for a C nobody has written. [`dist_a`] / [`dist_b`] +
-//! [`scatter_operands`] remain the copying form (arenas in the stored
-//! orientation) for callers that own their distributed matrices.
+//! for a C nobody has written; [`with_host_operand_sets`] is the same
+//! for every multiply of a batch stream at once. [`dist_a`] /
+//! [`dist_b`] + [`scatter_operands`] remain the copying form (arenas in
+//! the stored orientation) for callers that own their distributed
+//! matrices.
 //!
 //! The result is in place too: [`with_fresh_c`] lends the ranks the
 //! matrix the caller will be handed as a writable
-//! [`DistMatrix::with_host_view_mut`], so each owner computes its tile
+//! [`DistMatrix::with_host_views_mut`], so each owner computes its tile
 //! where the caller reads it and there is no C arena to gather from.
 //! [`dist_c`] / [`fresh_c`] remain the arena form, for a C that is a
-//! one-sided accumulate target (replica teams) or one of many alive at
-//! once (the batch stream), and for callers that own their C.
+//! one-sided accumulate target (replica teams), and for callers that own
+//! their C.
 
 use crate::options::GemmSpec;
 use srumma_comm::dist::RankOrder;
@@ -131,10 +133,11 @@ fn stored_mask(op: Op, logical: BlockMask) -> BlockMask {
 /// ranks must run over them.
 ///
 /// A host matrix **is** `op(A)` (`op(B)`), so both are read where they
-/// lie through [`DistMatrix::with_host_view`] over the C grid and the
+/// lie through [`DistMatrix::with_host_views`] over the C grid and the
 /// spec's transposes are normalised to `N`: nothing is allocated,
 /// transposed or copied, and layout and spec cannot disagree because
-/// they come from this one call. Shape-only operands hold no data to be
+/// they come from this one call (the one-multiply case of
+/// [`with_host_operand_sets`]). Shape-only operands hold no data to be
 /// oriented either way; they keep the stored layout `spec` names
 /// ([`dist_a`] / [`dist_b`]) and `spec` itself.
 pub fn with_host_operands<R>(
@@ -157,20 +160,50 @@ pub fn with_host_operands<R>(
         db.set_cost_map(cost);
         return f(spec, &da, &db);
     };
-    assert_eq!((a.rows(), a.cols()), (spec.m, spec.k), "A must be m x k");
-    assert_eq!((b.rows(), b.cols()), (spec.k, spec.n), "B must be k x n");
-    let spec = GemmSpec {
-        transa: Op::N,
-        transb: Op::N,
-        ..*spec
-    };
-    let order = RankOrder::RowMajor;
-    DistMatrix::with_host_view(grid, a, order, masks.0.cloned(), cost, |da| {
-        DistMatrix::with_host_view(grid, b, order, masks.1.cloned(), cost, |db| {
-            f(&spec, da, db)
-        })
+    with_host_operand_sets(grid, [(spec, a, b, masks)], cost, |specs, views| {
+        f(&specs[0], &views[0], &views[1])
     })
 }
+
+/// [`with_host_operands`] for many multiplies at once — every entry of a
+/// batch stream: lend `f`, for each `(spec, a, b, masks)` of `sets` in
+/// order, the spec the ranks must run (transposes normalised to `N`) and
+/// read-only views of its logical `a` and `b` with the logical masks
+/// attached, unflipped — multiply `e`'s A is `views[2e]`, its B
+/// `views[2e + 1]`. All of them are alive for the whole of `f`, and
+/// nothing is allocated, transposed or copied for any of them.
+///
+/// # Panics
+/// Panics if an `a` is not `m × k` or a `b` not `k × n` for its spec.
+pub fn with_host_operand_sets<'m, R>(
+    grid: ProcGrid,
+    sets: impl IntoIterator<Item = HostOperands<'m>>,
+    cost: CostMap,
+    f: impl FnOnce(&[GemmSpec], &[DistMatrix]) -> R,
+) -> R {
+    let (mut specs, mut windows) = (Vec::new(), Vec::new());
+    for (spec, a, b, (mask_a, mask_b)) in sets {
+        assert_eq!((a.rows(), a.cols()), (spec.m, spec.k), "A must be m x k");
+        assert_eq!((b.rows(), b.cols()), (spec.k, spec.n), "B must be k x n");
+        specs.push(GemmSpec {
+            transa: Op::N,
+            transb: Op::N,
+            ..*spec
+        });
+        windows.push((a, mask_a.cloned()));
+        windows.push((b, mask_b.cloned()));
+    }
+    DistMatrix::with_host_views(grid, &windows, cost, |views| f(&specs, views))
+}
+
+/// One multiply's operands as a driver is handed them: its spec, the
+/// logical `m × k` A and `k × n` B, and their logical masks.
+pub type HostOperands<'m> = (
+    &'m GemmSpec,
+    MatRef<'m>,
+    MatRef<'m>,
+    (Option<&'m BlockMask>, Option<&'m BlockMask>),
+);
 
 /// Create the distributed C for `spec`.
 pub fn dist_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> DistMatrix {
@@ -219,62 +252,7 @@ pub fn with_fresh_c<R>(
         (spec.m, spec.n),
         "C must be m x n"
     );
-    DistMatrix::with_host_view_mut(grid, product, |c| f(&spec, c))
-}
-
-/// [`dist_a`] backed by regions of an existing shared arena (rank `r` →
-/// region `base + stride·r`) instead of a private allocation — the
-/// batched driver's one-arena-for-the-whole-stream path.
-pub fn dist_a_in_arena(
-    spec: &GemmSpec,
-    grid: ProcGrid,
-    arena: std::sync::Arc<srumma_comm::SharedArena>,
-    base: usize,
-    stride: usize,
-) -> DistMatrix {
-    let (r, c) = a_stored_dims(spec);
-    let g = a_grid(spec, grid);
-    let order = match spec.transa {
-        Op::N => RankOrder::RowMajor,
-        Op::T => RankOrder::ColMajor,
-    };
-    DistMatrix::create_in_arena(g, r, c, order, arena, base, stride)
-}
-
-/// [`dist_b`] backed by regions of an existing shared arena.
-pub fn dist_b_in_arena(
-    spec: &GemmSpec,
-    grid: ProcGrid,
-    arena: std::sync::Arc<srumma_comm::SharedArena>,
-    base: usize,
-    stride: usize,
-) -> DistMatrix {
-    let (r, c) = b_stored_dims(spec);
-    let g = b_grid(spec, grid);
-    let order = match spec.transb {
-        Op::N => RankOrder::RowMajor,
-        Op::T => RankOrder::ColMajor,
-    };
-    DistMatrix::create_in_arena(g, r, c, order, arena, base, stride)
-}
-
-/// [`dist_c`] backed by regions of an existing shared arena.
-pub fn dist_c_in_arena(
-    spec: &GemmSpec,
-    grid: ProcGrid,
-    arena: std::sync::Arc<srumma_comm::SharedArena>,
-    base: usize,
-    stride: usize,
-) -> DistMatrix {
-    DistMatrix::create_in_arena(
-        grid,
-        spec.m,
-        spec.n,
-        RankOrder::RowMajor,
-        arena,
-        base,
-        stride,
-    )
+    DistMatrix::with_host_views_mut(grid, vec![product], |c| f(&spec, &c[0]))
 }
 
 /// Attach a **logical** block-sparsity mask to stored A. The logical

@@ -87,33 +87,6 @@ pub fn cannon_footprint(spec: &GemmSpec, grid: ProcGrid) -> Footprint {
     }
 }
 
-/// Per-rank region element counts for the batched driver's slot ring:
-/// `(a, b, c)` where `a[r]` is the largest *stored* A block any entry
-/// of the batch places on rank `r` (likewise B, C). Every slot of the
-/// ring reuses the same regions, so they are sized to this batch
-/// high-water mark once, up front — no per-entry reallocation.
-pub fn batch_region_elems(
-    specs: &[GemmSpec],
-    grid: ProcGrid,
-) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-    let n = grid.nranks();
-    let (mut ea, mut eb, mut ec) = (vec![0usize; n], vec![0usize; n], vec![0usize; n]);
-    for spec in specs {
-        let da = crate::layout::dist_a(spec, grid, false);
-        let db = crate::layout::dist_b(spec, grid, false);
-        let dc = crate::layout::dist_c(spec, grid, false);
-        for r in 0..n {
-            let (ar, ac) = da.block_dims(r);
-            let (br, bc) = db.block_dims(r);
-            let (cr, cc) = dc.block_dims(r);
-            ea[r] = ea[r].max(ar * ac);
-            eb[r] = eb[r].max(br * bc);
-            ec[r] = ec[r].max(cr * cc);
-        }
-    }
-    (ea, eb, ec)
-}
-
 /// Per-rank bytes of a `c`-fold replicated multiply (see
 /// [`crate::repl`]): the rank's stored A/B slice blocks plus its team's
 /// C scratch block, all laid out on the *team* grid of `P/c` ranks.

@@ -1,14 +1,15 @@
 //! Deterministic correctness and regression tests for the batched
-//! multi-GEMM driver (`srumma_core::batch`): one executor, one
-//! slot-ring arena, per-entry epoch fences.
+//! multi-GEMM driver (`srumma_core::batch`): one executor, every
+//! operand and product read and written in place, no rank waiting for
+//! another.
 
 use srumma_core::batch::{
     batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_sim,
     multiply_batch_traced, BatchEntry, BatchResult, BatchSpec,
 };
-use srumma_core::driver::{multiply_exec, serial_reference};
-use srumma_core::{Algorithm, GemmSpec, SrummaOptions};
-use srumma_dense::{max_abs_diff, Matrix, Op};
+use srumma_core::driver::{default_grid, multiply_exec, serial_reference, SparseMasks};
+use srumma_core::{Algorithm, Backend, GemmSpec, Run, ShmemFlavor, SrummaOptions};
+use srumma_dense::{max_abs_diff, BlockMask, Matrix, Op};
 use srumma_model::Machine;
 
 /// A fixed stream exercising every interesting entry shape at once:
@@ -100,27 +101,29 @@ fn workspace_grows_at_most_once_across_batch() {
     }
 }
 
-/// Prefetch depth and the slot-ring window move *when* blocks are
-/// fetched and entries staged, never which gemm calls run or in what
-/// per-rank order: over depth {1, 2, 4} × window {1 (serialized), 2, 3,
-/// 6}, on the executor and on threads, every stream is bit for bit the
-/// executor's (1, 1) stream, on one workspace grown at most once.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Prefetch depth moves *when* blocks are fetched, never which gemm
+/// calls run or in what per-rank order: at depth {1, 2, 4}, on the
+/// executor and on threads, every stream is bit for bit the executor's
+/// depth-1 stream, on one workspace grown at most once.
 #[test]
-fn window_one_matches_window_three() {
-    let stream = |depth: usize, window: usize| {
+fn prefetch_depth_never_changes_a_bit() {
+    let stream = |depth: usize| {
         let opts = SrummaOptions {
             prefetch_depth: depth,
             ..SrummaOptions::default()
         };
-        mixed_batch().with_opts(opts).with_window(window)
+        mixed_batch().with_opts(opts)
     };
-    let base = multiply_batch_exec(&stream(1, 1), 4, 2);
+    let base = multiply_batch_exec(&stream(1), 4, 2);
     let check = |res: &BatchResult, what: &str| {
         for (e, (got, want)) in res.outputs.iter().zip(&base.outputs).enumerate() {
-            let same = got.as_slice().iter().map(|x| x.to_bits());
             assert!(
-                same.eq(want.as_slice().iter().map(|x| x.to_bits())),
-                "{what}: entry {e} differs from depth 1, window 1"
+                bits(got) == bits(want),
+                "{what}: entry {e} differs from depth 1"
             );
         }
         assert!(
@@ -130,16 +133,143 @@ fn window_one_matches_window_three() {
         );
     };
     for depth in [1usize, 2, 4] {
-        for window in [1usize, 2, 3, 6] {
-            let what = format!("depth {depth} window {window}");
-            let batch = stream(depth, window);
-            check(&multiply_batch_exec(&batch, 4, 2), &format!("exec {what}"));
-            check(&multiply_batch(&batch, 4), &format!("threads {what}"));
+        let batch = stream(depth);
+        check(
+            &multiply_batch_exec(&batch, 4, 2),
+            &format!("exec depth {depth}"),
+        );
+        check(
+            &multiply_batch(&batch, 4),
+            &format!("threads depth {depth}"),
+        );
+    }
+}
+
+/// A stream for `nranks` whose entries without `c0` each name the
+/// [`Run`] they must equal: all four transpose cases, `m` and `n` not
+/// multiples of the grid's `p` and `q`, `k` ∈ {0, 1}, a single-row
+/// entry, dense and masked operands, the copy flavour, a `β` the fresh
+/// C makes moot — with `c0` entries between them, which must disturb
+/// nothing.
+fn run_equivalent_batch(nranks: usize) -> BatchSpec {
+    let grid = default_grid(nranks);
+    let copy = SrummaOptions {
+        shmem: ShmemFlavor::ForceCopy,
+        ..SrummaOptions::default()
+    };
+    // (transa, transb, m, n, k, beta, masked, forced copies, with c0)
+    type Case = (Op, Op, usize, usize, usize, f64, bool, bool, bool);
+    let cases: &[Case] = &[
+        (Op::N, Op::N, 13, 11, 9, 0.0, false, false, false),
+        (Op::N, Op::T, 10, 7, 12, 0.5, true, false, false),
+        (Op::T, Op::N, 9, 14, 1, 0.0, false, false, false),
+        (Op::T, Op::T, 11, 5, 8, -0.5, true, true, false),
+        (Op::T, Op::N, 8, 6, 7, 0.5, false, false, true),
+        (Op::N, Op::N, 7, 9, 0, 2.0, false, false, false),
+        (Op::T, Op::N, 17, 6, 10, 0.0, true, true, false),
+        (Op::N, Op::T, 5, 13, 7, 1.0, false, true, false),
+        (Op::T, Op::T, 6, 6, 6, 1.0, true, false, true),
+        (Op::T, Op::T, 1, 9, 6, 0.0, false, false, false),
+        (Op::N, Op::T, 15, 10, 1, 0.0, true, false, false),
+    ];
+    let mut batch = BatchSpec::new();
+    for (i, &(ta, tb, m, n, k, beta, masked, forced, with_c0)) in cases.iter().enumerate() {
+        let spec = GemmSpec::new(ta, tb, m, n, k).with_scalars(1.0 - 0.25 * i as f64, beta);
+        let seed = 700 + 4 * i as u64;
+        let a = Matrix::random(m, k, seed);
+        let mut e = BatchEntry::new(spec, a, Matrix::random(k, n, seed + 1));
+        if masked {
+            e = e.with_masks(
+                Some(BlockMask::random(grid.p, grid.q, 0.6, seed + 2)),
+                Some(BlockMask::random(grid.p, grid.q, 0.6, seed + 3)),
+            );
+        }
+        if forced {
+            e = e.with_opts(copy);
+        }
+        if with_c0 {
+            e = e.with_c0(Matrix::random(m, n, seed + 4));
+        }
+        batch.push(e);
+    }
+    batch
+}
+
+/// The contract of the in-place stream: every fresh-C entry is, bit for
+/// bit, the [`Run`] of its spec, operands, masks and options on the same
+/// backend and rank count — the batch reaches the ranks exactly the way
+/// a run does, whatever the transposes, masks or extents.
+#[test]
+fn a_batch_entry_is_its_run_bit_for_bit() {
+    let machine = Machine::linux_myrinet();
+    for nranks in [4usize, 6] {
+        let batch = run_equivalent_batch(nranks);
+        let backends = [
+            ("exec", Backend::Exec { workers: 2 }),
+            ("threads", Backend::Threads),
+            ("sim", Backend::Sim(&machine)),
+        ];
+        for (name, backend) in backends {
+            let res = match backend {
+                Backend::Exec { workers } => multiply_batch_exec(&batch, nranks, workers),
+                Backend::Threads => multiply_batch(&batch, nranks),
+                _ => multiply_batch_sim(&batch, &machine, nranks),
+            };
+            for (e, entry) in batch.entries.iter().enumerate() {
+                if entry.c0.is_some() {
+                    continue;
+                }
+                let masks = SparseMasks {
+                    a: entry.mask_a.clone(),
+                    b: entry.mask_b.clone(),
+                };
+                let run = Run {
+                    operands: Some((&entry.a, &entry.b)),
+                    masks: (entry.mask_a.is_some()).then_some(&masks),
+                    ..Run::new(
+                        entry.spec,
+                        nranks,
+                        Algorithm::Srumma(batch.entry_opts(e)),
+                        backend,
+                    )
+                };
+                let out = run.execute().expect("a legal plan");
+                let c = out.c.expect("a run over host operands returns C");
+                assert!(
+                    bits(&res.outputs[e]) == bits(&c),
+                    "{name} x{nranks}: entry {e} ({:?}) is not its run",
+                    entry.spec
+                );
+            }
         }
     }
-    // A window wider than the batch is clamped, not an error.
-    let wide = mixed_batch().with_window(64);
-    assert_matches_reference(&multiply_batch(&wide, 4).outputs, &wide, "wide window");
+}
+
+/// Nothing in the stream waits for another rank: 64 entries on 16
+/// ranks polled by 2 workers — the most oversubscribed the benchmark
+/// runs — and not one rank task ever parks.
+#[test]
+fn a_batch_never_parks_a_rank() {
+    let mut batch = BatchSpec::new();
+    let trans = [(Op::N, Op::N), (Op::T, Op::N), (Op::N, Op::T)];
+    for i in 0..64u64 {
+        let n = [16, 24, 32][i as usize % 3];
+        let (ta, tb) = trans[(i as usize / 3) % 3];
+        let a = Matrix::random(n, n, 900 + 2 * i);
+        let b = Matrix::random(n, n, 901 + 2 * i);
+        batch.push(BatchEntry::new(GemmSpec::new(ta, tb, n, n, n), a, b));
+    }
+    let (res, traced) = multiply_batch_traced(&batch, 16, 2);
+    assert_matches_reference(&res.outputs, &batch, "64 entries on 16 ranks");
+    let exec = traced
+        .stats
+        .exec
+        .expect("a traced run carries executor stats");
+    assert_eq!(
+        exec.parks, 0,
+        "a rank parked in a stream with nothing to wait for"
+    );
+    assert_eq!(res.stats.fence_s_per_entry(), 0.0);
 }
 
 #[test]
@@ -153,8 +283,8 @@ fn empty_batch_is_empty() {
     }
 }
 
-/// A one-entry batch must agree with the standalone driver bit-for-bit
-/// modulo kernel scheduling (same layout, same kernel ⇒ tight bound).
+/// A one-entry batch agrees with the standalone driver bit for bit:
+/// same views, same spec, same kernel calls in the same order.
 #[test]
 fn single_entry_batch_matches_standalone_driver() {
     let spec = GemmSpec::square(24);
@@ -164,8 +294,11 @@ fn single_entry_batch_matches_standalone_driver() {
     batch.push(BatchEntry::new(spec, a.clone(), b.clone()));
     let res = multiply_batch_exec(&batch, 4, 2);
     let (c, _) = multiply_exec(4, 2, &Algorithm::srumma_default(), &spec, &a, &b);
-    let diff = max_abs_diff(&res.outputs[0], &c);
-    assert!(diff < 1e-12, "batch-of-one vs standalone |diff|={diff:e}");
+    assert!(
+        bits(&res.outputs[0]) == bits(&c),
+        "batch-of-one vs standalone |diff|={:e}",
+        max_abs_diff(&res.outputs[0], &c)
+    );
     let expect = serial_reference(&spec, &a, &b);
     assert!(max_abs_diff(&res.outputs[0], &expect) < 1e-10);
 }

@@ -1,20 +1,20 @@
 //! Metrics rollup for **batched** runs: a stream of multiplies on one
-//! executor, one arena, with per-entry epoch fences instead of
-//! per-multiply open/close barrier pairs.
+//! executor, every matrix read and written in place, with no
+//! synchronisation between entries.
 //!
 //! The backends are too far down the stack to know about batch entries,
 //! so the batched driver stamps a small [`EntryRankSample`] per rank
-//! per entry (time staging operands, time computing, time blocked at
-//! the entry's fences, first-touch and done-fence wall times) and this
-//! module rolls them up:
+//! per entry (time seeding the output from `c0`, time computing,
+//! first-touch and finish wall times) and this module rolls them up:
 //!
 //! * [`EntryStats`] — one entry across its ranks, convertible to the
 //!   familiar per-run [`RunStats`] shape;
-//! * [`BatchStats`] — the whole stream: amortized fence time per entry
-//!   and the **inter-entry overlap fraction** (how much of the
-//!   entries' summed wall spans was hidden by pipelining them — the
+//! * [`BatchStats`] — the whole stream: fence time per entry (0 since
+//!   the stream has no fences; kept so a ledger that reads it still
+//!   can) and the **inter-entry overlap fraction** (how much of the
+//!   entries' summed wall spans was hidden by running them at once — the
 //!   paper's communication/computation overlap lifted from the task
-//!   level to the batch level).
+//!   level to the batch level; near 1 when fast ranks run ahead).
 
 use crate::json::JsonObject;
 use crate::stats::{RankStats, RunStats};
@@ -22,15 +22,17 @@ use crate::stats::{RankStats, RunStats};
 /// One rank's timings for one batch entry, stamped by the driver.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EntryRankSample {
-    /// Seconds staging this rank's operand/C blocks into the slot.
+    /// Seconds copying this rank's block of the entry's `c0` into its
+    /// output tile (0 without a `c0`).
     pub stage_s: f64,
-    /// Seconds in the entry's task loop (including result extraction).
+    /// Seconds in the entry's task loop, set-up and β pre-pass included.
     pub compute_s: f64,
-    /// Seconds blocked at the entry's staged/done fences.
+    /// Seconds blocked waiting for other ranks on the entry's account —
+    /// 0 in today's stream, which never waits.
     pub fence_s: f64,
     /// Wall time this rank first touched the entry.
     pub t_start: f64,
-    /// Wall time this rank arrived at the entry's done fence.
+    /// Wall time this rank finished the entry.
     pub t_end: f64,
     /// Tasks this rank executed for the entry (surviving tasks under a
     /// block-sparsity mask; all tasks when dense).
@@ -70,8 +72,8 @@ impl EntryStats {
         self.samples.iter().map(|s| s.fence_s).sum()
     }
 
-    /// Wall span of the entry: first touch by any rank to the last done
-    /// arrival. An entry with no samples (or all-zero timestamps, e.g.
+    /// Wall span of the entry: first touch by any rank to the last
+    /// rank's finish. An entry with no samples (or all-zero timestamps, e.g.
     /// a fully masked-out entry on virtual backing) reports 0, not a
     /// NaN/negative artifact of folding over empty iterators.
     pub fn span_s(&self) -> f64 {
@@ -146,7 +148,7 @@ impl EntryStats {
 pub struct BatchStats {
     /// Per-entry statistics, in batch order.
     pub entries: Vec<EntryStats>,
-    /// Wall seconds of the whole batch (setup to final fence).
+    /// Wall seconds of the whole batch (launch to the last rank's end).
     pub wall_s: f64,
 }
 
@@ -167,8 +169,9 @@ impl BatchStats {
     }
 
     /// Amortized synchronization cost: fence-blocked seconds per entry.
-    /// A loop of standalone multiplies pays two full barriers per
-    /// multiply; the batched stream pays this instead.
+    /// A loop of standalone multiplies pays a full barrier per multiply;
+    /// the batched stream pays this instead — nothing, as it has no
+    /// fences.
     pub fn fence_s_per_entry(&self) -> f64 {
         if self.entries.is_empty() {
             0.0
@@ -179,8 +182,8 @@ impl BatchStats {
 
     /// Inter-entry overlap fraction: `1 − wall / Σ entry spans`,
     /// clamped to `[0, 1)`. Zero means entries ran back-to-back with no
-    /// pipelining; approaching 1 means entry *i+1*'s staging and
-    /// compute hid almost entirely under entry *i*'s stragglers.
+    /// pipelining; approaching 1 means entry *i+1*'s compute hid almost
+    /// entirely under entry *i*'s stragglers.
     pub fn inter_entry_overlap(&self) -> f64 {
         let spans: f64 = self.entries.iter().map(|e| e.span_s()).sum();
         if spans <= 0.0 || self.wall_s <= 0.0 {

@@ -14,7 +14,7 @@ echo "== entry-point guard: a feature is a Run field, not another function =="
 entry_points=$(cat crates/core/src/{driver,hier,repl,batch}.rs | grep -c 'pub fn \(multiply\|measure\)_')
 [ "$entry_points" -le 11 ] || { echo "FAIL: $entry_points multiply_*/measure_* drivers (max 11 = 7 + 4); add a field to core::run::Run" >&2; exit 1; }
 
-echo "== retired-tuner guard: a stream runs at the depth and window its options say =="
+echo "== retired-tuner guard: a stream runs at the depth its options say =="
 if grep -rn 'Tuner\|with_tuner\|_tuned' crates src tests examples; then
     echo "FAIL: the online tuner is back (see above; EXPERIMENTS.md, \"Retired: the online tuner\")" >&2; exit 1
 fi
@@ -90,6 +90,18 @@ in_scatter_operands=$(sed -n '/^pub fn scatter_operands(/,/^}/p' crates/core/src
 [ "$(grep -c 'scatter_transposed(' crates/core/src/layout.rs)" -eq "$in_scatter_operands" ] ||
     { echo "FAIL: crates/core/src/layout.rs calls scatter_transposed outside scatter_operands" >&2; exit 1; }
 
+echo "== batch guard: a batch entry reaches the ranks one way, as views =="
+# run_batch lends every entry's operands (layout::with_host_operand_sets)
+# and output (DistMatrix::with_host_views_mut) for the whole launch, and
+# no rank waits for another. An arena, a staging or transposing copy, or
+# a fence in the batch is the slot ring coming back.
+if grep -n 'SharedArena\|fence_arrive\|fence_try\|copy_transposed_from\|_in_arena' crates/core/src/batch.rs; then
+    echo "FAIL: core::batch stages into an arena or fences again (see above); entries are lent in place" >&2; exit 1
+fi
+if grep -rn 'with_window\|batch_region_elems\|create_in_arena\|dist_c_in_arena' crates src tests examples; then
+    echo "FAIL: a retired slot-ring name is back (see above; EXPERIMENTS.md, \"The batch stream in place\")" >&2; exit 1
+fi
+
 echo "== env-knob inventory: the SRUMMA_* names in code are README's knob table =="
 in_code=$(grep -rhoE 'SRUMMA_[A-Z_]+' crates src tests scripts | sort -u)
 in_table=$(grep -oE '^\| `SRUMMA_[A-Z_]+`' README.md | grep -oE 'SRUMMA_[A-Z_]+' | sort -u)
@@ -142,18 +154,20 @@ for workload in $workloads; do
         *) echo "FAIL: benchmark workload $workload: $result" >&2; exit 1 ;;
     esac
     # All three host matrices are distributed in place, in every transpose
-    # case: an op holds A, B and the product, never a second copy of any
-    # of them. Peak RSS repeats to < 1 % under the harness's allocator
-    # policy (77 / 22 / 42 MB here on the three workloads below; 93 / 27
-    # with a C arena beside the gathered C, 129 / 36 when both operands
-    # were scattered into arenas too, 60 on rect_tn with its stored-T A
-    # transposed into one), so a ceiling between today's reading and the
-    # nearest of those fails the day a copy comes back — where a
-    # wall-clock gate would only warn.
+    # case and in every entry of a batch: an op holds A, B and the
+    # product, never a second copy of any of them. Peak RSS repeats to
+    # < 1 % under the harness's allocator policy (77 / 22 / 42 / 23.2 MB
+    # here on the four workloads below; 93 / 27 with a C arena beside the
+    # gathered C, 129 / 36 when both operands were scattered into arenas
+    # too, 60 on rect_tn with its stored-T A transposed into one,
+    # 24.3–24.7 on batch_stream with its 3-slot ring arena), so a ceiling
+    # between today's reading and the nearest of those fails the day a
+    # copy comes back — where a wall-clock gate would only warn.
     case "$workload" in
         square_large) rss_ceiling=85 ;;
         manyrank_copy) rss_ceiling=24.5 ;;
         rect_tn) rss_ceiling=50 ;;
+        batch_stream) rss_ceiling=24 ;;
         *) rss_ceiling= ;;
     esac
     if [ -n "$rss_ceiling" ]; then
@@ -200,16 +214,18 @@ timeout 300 cargo test -q --release -p srumma-comm --test exec --test decorators
 timeout 300 cargo test -q --release -p srumma-core --test run_plan
 
 echo "== batched-stream smoke: 32-entry batch on 2 workers =="
-# The batched driver's epoch fences and slot-ring reuse are exactly the
-# kind of code whose bugs deadlock (lost fence wakeup) or corrupt a
-# neighbor entry (slot reused too early) — bounded run, serial-checked.
+# Every entry's output is lent to the ranks in place, each tile written
+# by its owner only: a tile no owner wrote fails the serial check here,
+# and a second writer of a tile panics in the view's AccessChecker.
+# Bounded all the same, like every executor run.
 timeout 300 cargo run --release -q -p srumma-bench \
     --bin bench_batched_gemm -- --smoke
 
 echo "== block-sparse smoke: density 25% on 2 workers =="
 # Masked task generation prunes gets/packing/gemm for dead blocks; a
-# pruning bug either corrupts C (serial-checked here) or desyncs a
-# fence on a rank with no surviving work (deadlock — bounded run).
+# pruning bug either corrupts C (serial-checked here) or strands a rank
+# with no surviving work short of the closing barrier of a standalone
+# multiply (deadlock — bounded run).
 # Run under both kernel dispatch modes: the masked path must not
 # depend on which microkernel survives.
 timeout 300 cargo run --release -q -p srumma-bench \
