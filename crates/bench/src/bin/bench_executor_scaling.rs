@@ -3,7 +3,7 @@
 //!
 //! The paper ran one process per processor; studying SRUMMA's task
 //! ordering and pipeline behavior at 256–1024 "processors" on a
-//! laptop-class host means *oversubscription*, and the thread backend
+//! laptop-class host means *oversubscription*, and thread-per-rank
 //! pays for it in spawn cost and scheduler convoys (hundreds of
 //! preempted threads piling into the closing barrier). The
 //! work-stealing executor runs the same ranks as polled state machines
@@ -19,9 +19,9 @@
 //! bench_executor_scaling [-- --quick] [-- --smoke] [-- --out PATH]`
 //!
 //! `--smoke` runs the CI oversubscription check instead of the sweep:
-//! 128 ranks on 2 workers (SRUMMA as state machines, SUMMA on gated
-//! threads), verified against the serial kernel — a deadlock or
-//! mismatch fails fast.
+//! 128 ranks on 2 workers (SRUMMA as state machines, SUMMA on
+//! permit-gated threads), verified against the serial kernel — a
+//! deadlock or mismatch fails fast.
 
 use srumma_bench::{fmt, print_table, write_bench_json, BenchArgs};
 use srumma_core::driver::{multiply_exec, multiply_threads, serial_reference};
@@ -49,7 +49,7 @@ fn best_of<F: FnMut() -> f64>(samples: usize, mut f: F) -> f64 {
 /// CI oversubscription smoke: correctness under heavy oversubscription,
 /// bounded runtime, loud failure. 128 ranks on 2 workers covers both
 /// scheduling modes (SRUMMA state machines park in the closing barrier;
-/// SUMMA's gated threads hand the worker loan around every broadcast).
+/// SUMMA's blocking threads pass 2 permits around every broadcast).
 fn smoke() {
     let nranks = 128;
     let workers = 2;

@@ -2,11 +2,10 @@
 //!
 //! Every parallel algorithm in `srumma-core` (SRUMMA itself, Cannon,
 //! SUMMA/pdgemm) is written once against this trait and runs unchanged
-//! on all four backends: the discrete-event simulator
+//! on all three backends: the discrete-event simulator
 //! ([`crate::simbackend::SimComm`]), per-rank virtual clocks
-//! ([`crate::virt::VirtualComm`]), one host thread per rank
-//! ([`crate::threadbackend::ThreadComm`]) and the work-stealing
-//! executor ([`crate::exec::ExecComm`]) — bare or behind the
+//! ([`crate::virt::VirtualComm`]) and the host's executor
+//! ([`crate::exec::ExecComm`], polled or blocking) — bare or behind the
 //! [`crate::fault::ChaosComm`] and [`crate::subcomm::SubComm`]
 //! decorators.
 //!
@@ -265,10 +264,10 @@ pub trait RankProgram {
 }
 
 /// Run `program` to completion on a communicator whose fences block —
-/// the simulator, the virtual clocks, thread-per-rank, or a *gated*
-/// executor rank. Such a communicator never fails a fence test, so a
-/// [`Step::Park`] here is a bug in the program (it parked on something
-/// no one will wake it for) and panics rather than spin.
+/// the simulator, the virtual clocks, or a *blocking* executor rank.
+/// Such a communicator never fails a fence test, so a [`Step::Park`]
+/// here is a bug in the program (it parked on something no one will
+/// wake it for) and panics rather than spin.
 pub fn drive<C: Comm, P: RankProgram>(comm: &mut C, mut program: P) -> P::Out {
     loop {
         match program.step(comm) {

@@ -1,47 +1,44 @@
-//! The work-stealing rank executor: N logical ranks on W workers.
+//! The host's wall-clock backend: N logical ranks, at most W running.
 //!
-//! `ThreadComm` spawns one OS thread per rank, which is faithful to the
-//! paper's machines but collapses when the rank count exceeds the host
-//! core count by orders of magnitude — exactly the oversubscribed
-//! regime (256 "processors" on a laptop) where SRUMMA's task ordering
-//! and prefetch pipeline are interesting to study. This backend
-//! multiplexes the ranks onto a fixed pool of worker threads instead:
+//! Every rank sees the paper's shared-memory machine (SGI Altix): one
+//! cacheable domain, a get is a `memcpy`, time is the wall clock. The
+//! ranks are hosted in one of two ways, over one fence machinery:
 //!
-//! * each worker owns a [Chase–Lev deque](crate::deque::WorkDeque) of
-//!   runnable task ids and steals from its siblings when its own deque
-//!   runs dry;
 //! * ranks written as **resumable state machines** (the [`RankTask`]
 //!   trait; [`ProgramTask`] makes one of any [`RankProgram`] — every
-//!   SRUMMA schedule in `srumma-core` is such a program) are polled
-//!   directly on the workers: a failed fence test returns
-//!   [`Step::Park`] and costs a deque operation, not a blocked OS
-//!   thread, so thousands of ranks need only W threads in total;
+//!   SRUMMA schedule in `srumma-core` is such a program) are **polled**
+//!   on W worker threads, each owning a
+//!   [Chase–Lev deque](crate::deque::WorkDeque) of runnable task ids and
+//!   stealing from its siblings when its own runs dry: a failed fence
+//!   test returns [`Step::Park`] and costs a deque operation, not a
+//!   blocked OS thread, so thousands of ranks need only W threads;
 //! * ranks written in plain blocking style (SUMMA, Cannon — any
 //!   [`Comm`] closure, including one that [`drive`](crate::comm::drive)s
-//!   a program) run on dedicated *gated* threads that execute only
-//!   while holding a worker's **loan**: every blocking point inside
-//!   [`ExecComm`] releases the loan and parks, so runnable concurrency
-//!   never exceeds W and the barrier convoy of hundreds of preempted
-//!   threads disappears.
+//!   a program) are **blocking**: each owns a thread but runs only while
+//!   holding one of W **permits**. Every blocking point inside
+//!   [`ExecComm`] gives the permit back and sleeps on the rank's own
+//!   condvar until a fence, a message or a peer wakes it, so runnable
+//!   concurrency never exceeds W and the barrier convoy of hundreds of
+//!   preempted threads disappears. With W = N no rank ever waits for a
+//!   permit: that is thread-per-rank ([`thread_run`]).
 //!
-//! Both kinds synchronise through the same fence machinery, reached
-//! through the [`Comm`] split fence: a polled rank's failed
-//! `fence_try` / `barrier_try` registers it as a waiter and returns
-//! `false`; a gated rank's never returns `false` — it gives the loan
-//! back and sleeps until the fence has completed, exactly as its
-//! `barrier` does, because a rank that polled while holding a loan
-//! would starve the very ranks it is waiting for.
+//! Both reach the fences through the [`Comm`] split fence: a polled
+//! rank's failed `fence_try` / `barrier_try` registers it as a waiter
+//! and returns `false`; a blocking rank's never returns `false` — it
+//! gives its permit back and sleeps until the fence has completed,
+//! exactly as its `barrier` does, because a rank that polled while
+//! holding a permit would starve the very ranks it is waiting for.
 //!
 //! Scheduling itself is observable: steals, parks and resumes are
 //! counted (and traced as [`TraceKind::Sched`] events when tracing is
 //! on), and every run's [`RunStats`] carries an
 //! [`ExecStats`](srumma_trace::ExecStats) with the steal rate and
-//! worker-pool occupancy.
+//! occupancy of the W workers or permits.
 //!
-//! A panicking rank poisons the whole executor, mirroring the
-//! thread backend's poison barrier: parked gated threads unwind with
-//! "executor poisoned", state machines are dropped, and the original
-//! panic payload is rethrown from the run entry point.
+//! A panicking rank poisons the whole executor: parked and
+//! permit-waiting threads unwind with "executor poisoned", state
+//! machines are dropped, and the original panic payload is rethrown
+//! from the run entry point.
 
 use crate::comm::{Comm, GetHandle, RankProgram, Step};
 use crate::deque::WorkDeque;
@@ -55,7 +52,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 type Payload = Box<dyn Any + Send + 'static>;
 /// One queued message: `(src, tag, data)`.
@@ -64,7 +61,7 @@ type Mail = (usize, u64, Vec<f64>);
 type TraceBag = (Vec<TraceEvent>, Vec<(usize, Counters)>);
 
 /// Scratch of the OS thread that is *running* — a pool worker polling
-/// state-machine ranks, or a gated rank's own thread — rather than of
+/// state-machine ranks, or a blocking rank's own thread — rather than of
 /// the rank that is scheduled: N ranks on W workers pack through W
 /// workspaces and recycle one worker's fetch buffers, each faulted in
 /// once, instead of N sets mapped cold and unmapped one after another.
@@ -137,9 +134,10 @@ where
 /// Where a rank currently stands with the scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
-    /// In a deque or the injector, waiting for a worker.
+    /// Polled: in a deque or the injector, waiting for a worker.
+    /// Blocking: awake, holding a permit or waiting for one.
     Queued,
-    /// Being polled (FSM) or holding a worker's loan (gated thread).
+    /// Being polled.
     Running,
     /// Parked on an event; a wake moves it back to `Queued`.
     Parked,
@@ -151,18 +149,20 @@ struct TaskSt {
     /// A wake arrived while the task was not parked: consume it at the
     /// next park attempt instead of sleeping through it.
     pending_wake: bool,
-    /// Gated threads only: the loan has been granted / returned.
-    granted: bool,
-    returned: bool,
     done: bool,
 }
 
 struct TaskCtl {
     st: Mutex<TaskSt>,
-    /// The gated rank thread waits here for its loan.
-    gate: Condvar,
-    /// The lending worker waits here for the loan back.
-    loan: Condvar,
+    /// A parked blocking rank sleeps here.
+    cv: Condvar,
+}
+
+/// The blocking hosting's gate: `free` of the W permits are unheld, and
+/// `waiting` ranks sleep on `SchedCore::permit_cv` for one.
+struct Permits {
+    free: usize,
+    waiting: usize,
 }
 
 struct Global {
@@ -220,7 +220,10 @@ impl FenceSt {
 /// lives with the run entry points.
 struct SchedCore {
     nranks: usize,
+    /// W: pool workers (polled) or permits (blocking).
     workers: usize,
+    /// Ranks own threads and run under permits; no deques, no injector.
+    blocking: bool,
     trace: bool,
     /// Emulated node layout every rank's `ExecComm` reports. Defaults
     /// to one cacheable domain; the launchers' `topo` argument
@@ -231,6 +234,8 @@ struct SchedCore {
     work_cv: Condvar,
     deques: Vec<WorkDeque>,
     tasks: Vec<TaskCtl>,
+    permits: Mutex<Permits>,
+    permit_cv: Condvar,
     fences: Mutex<FenceSt>,
     /// Per-destination mailboxes (send scans are per-`src` FIFO).
     mail: Vec<Mutex<VecDeque<Mail>>>,
@@ -245,6 +250,8 @@ struct SchedCore {
     parks: AtomicU64,
     worker_parks: AtomicU64,
     ws_grows: AtomicU64,
+    /// Rank work done: workers' busy time, or permits' held time.
+    busy_ns: AtomicU64,
     /// Worker-side `Sched` trace events, merged into the run trace.
     sched_events: Mutex<Vec<TraceEvent>>,
 }
@@ -256,14 +263,22 @@ fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl SchedCore {
-    fn new(nranks: usize, workers: usize, trace: bool, topo: Option<Topology>) -> Arc<Self> {
+    fn new(
+        nranks: usize,
+        workers: usize,
+        blocking: bool,
+        trace: bool,
+        topo: Option<Topology>,
+    ) -> Arc<Self> {
         assert!(nranks > 0);
         let workers = resolve_workers(workers, nranks);
         let topo = topo.unwrap_or_else(|| Topology::single_domain(nranks));
         assert_eq!(topo.nranks(), nranks, "topology rank count mismatch");
+        let deques = if blocking { 0 } else { workers };
         Arc::new(SchedCore {
             nranks,
             workers,
+            blocking,
             trace,
             topo,
             t0: Instant::now(),
@@ -272,20 +287,22 @@ impl SchedCore {
                 sleepers: 0,
             }),
             work_cv: Condvar::new(),
-            deques: (0..workers).map(|_| WorkDeque::new(nranks + 1)).collect(),
+            deques: (0..deques).map(|_| WorkDeque::new(nranks + 1)).collect(),
             tasks: (0..nranks)
                 .map(|_| TaskCtl {
                     st: Mutex::new(TaskSt {
                         phase: Phase::Queued,
                         pending_wake: false,
-                        granted: false,
-                        returned: false,
                         done: false,
                     }),
-                    gate: Condvar::new(),
-                    loan: Condvar::new(),
+                    cv: Condvar::new(),
                 })
                 .collect(),
+            permits: Mutex::new(Permits {
+                free: workers,
+                waiting: 0,
+            }),
+            permit_cv: Condvar::new(),
             fences: Mutex::new(FenceSt {
                 arrived: vec![0; nranks],
                 completed: 0,
@@ -302,6 +319,7 @@ impl SchedCore {
             parks: AtomicU64::new(0),
             worker_parks: AtomicU64::new(0),
             ws_grows: AtomicU64::new(0),
+            busy_ns: AtomicU64::new(0),
             sched_events: Mutex::new(Vec::new()),
         })
     }
@@ -330,9 +348,10 @@ impl SchedCore {
         }
         for t in &self.tasks {
             let _st = relock(&t.st);
-            t.gate.notify_all();
-            t.loan.notify_all();
+            t.cv.notify_all();
         }
+        let _p = relock(&self.permits);
+        self.permit_cv.notify_all();
     }
 
     /// Push a runnable task where any worker can find it, waking a
@@ -345,20 +364,28 @@ impl SchedCore {
         }
     }
 
-    /// Deliver a wake-up to `id`: re-enqueue it if parked, otherwise
-    /// remember the wake so the task's next park attempt consumes it
-    /// (the classic lost-wakeup guard).
+    /// Deliver a wake-up to `id`: if parked, re-enqueue it (polled) or
+    /// signal its thread (blocking); otherwise remember the wake so the
+    /// task's next park attempt consumes it (the classic lost-wakeup
+    /// guard).
     fn wake(&self, id: usize) {
-        let mut st = relock(&self.tasks[id].st);
+        let ctl = &self.tasks[id];
+        let mut st = relock(&ctl.st);
         if st.done {
             return;
         }
-        if st.phase == Phase::Parked {
-            st.phase = Phase::Queued;
-            drop(st);
-            self.inject(id);
-        } else {
+        if st.phase != Phase::Parked {
             st.pending_wake = true;
+            return;
+        }
+        st.phase = Phase::Queued;
+        // Signal after unlocking, so the woken thread does not go
+        // straight back to sleep on the lock.
+        drop(st);
+        if self.blocking {
+            ctl.cv.notify_one();
+        } else {
+            self.inject(id);
         }
     }
 
@@ -372,74 +399,62 @@ impl SchedCore {
         }
     }
 
-    // ---- gated-thread loan protocol ---------------------------------
+    // ---- the blocking hosting's permits ------------------------------
 
-    /// Rank-thread side: block until a worker grants the run loan.
-    /// Panics (unwinding the rank thread) when the executor has been
-    /// poisoned — this is how a panic elsewhere releases parked peers.
-    fn gate_wait_grant(&self, id: usize) {
-        let mut st = relock(&self.tasks[id].st);
-        loop {
-            if self.is_poisoned() {
-                drop(st);
-                panic!("executor poisoned: another rank panicked");
-            }
-            if st.granted {
-                st.granted = false;
-                st.phase = Phase::Running;
-                return;
-            }
-            st = self.tasks[id]
-                .gate
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
+    /// Take one of the W permits, sleeping while none is free; returns
+    /// when it was taken. Every grant counts as one schedule. Panics
+    /// once the executor has been poisoned — this is how a panic
+    /// elsewhere releases the ranks waiting here.
+    fn permit_take(&self) -> Instant {
+        let mut p = relock(&self.permits);
+        while p.free == 0 && !self.is_poisoned() {
+            p.waiting += 1;
+            p = self.permit_cv.wait(p).unwrap_or_else(|e| e.into_inner());
+            p.waiting -= 1;
+        }
+        if self.is_poisoned() {
+            drop(p);
+            panic!("executor poisoned: another rank panicked");
+        }
+        p.free -= 1;
+        drop(p);
+        self.local_pops.fetch_add(1, Ordering::Relaxed);
+        Instant::now()
+    }
+
+    /// Give back a permit taken at `since`.
+    fn permit_give(&self, since: Instant) {
+        let held = since.elapsed().as_nanos() as u64;
+        self.busy_ns.fetch_add(held, Ordering::Relaxed);
+        let mut p = relock(&self.permits);
+        p.free += 1;
+        if p.waiting > 0 {
+            self.permit_cv.notify_one();
         }
     }
 
-    /// Rank-thread side: hand the loan back to the lending worker
-    /// (on completion or before parking).
-    fn gate_release(&self, id: usize) {
-        let mut st = relock(&self.tasks[id].st);
-        st.returned = true;
-        self.tasks[id].loan.notify_all();
-    }
-
-    /// Rank-thread side: park until woken. If a wake already raced in,
-    /// the loan is kept and the caller simply re-checks its condition.
-    fn gate_park(&self, id: usize) {
+    /// Park blocking rank `id` until woken, giving back the permit it
+    /// took at `held` while it sleeps and taking one again after. A wake
+    /// that already raced in is consumed instead: the permit is kept and
+    /// the caller simply re-checks its condition.
+    fn park_blocking(&self, id: usize, held: &mut Instant) {
+        let ctl = &self.tasks[id];
         {
-            let mut st = relock(&self.tasks[id].st);
+            let mut st = relock(&ctl.st);
             if st.pending_wake {
                 st.pending_wake = false;
                 return;
             }
             st.phase = Phase::Parked;
-            st.returned = true;
-            self.tasks[id].loan.notify_all();
         }
         self.parks.fetch_add(1, Ordering::Relaxed);
-        self.gate_wait_grant(id);
-    }
-
-    /// Worker side: grant the loan to gated task `id` and sleep until
-    /// it comes back (the rank thread blocked or finished). The worker
-    /// slot counts as busy for the whole loan — that thread *is* the
-    /// slot's work.
-    fn grant_and_lend(&self, id: usize) {
-        let mut st = relock(&self.tasks[id].st);
-        if st.done {
-            return; // stale queue entry for a finished rank
+        self.permit_give(*held);
+        let mut st = relock(&ctl.st);
+        while st.phase == Phase::Parked && !self.is_poisoned() {
+            st = ctl.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
-        st.phase = Phase::Running;
-        st.granted = true;
-        st.returned = false;
-        self.tasks[id].gate.notify_all();
-        while !st.returned && !self.is_poisoned() {
-            st = self.tasks[id]
-                .loan
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        drop(st);
+        *held = self.permit_take();
     }
 
     // ---- epoch fences -----------------------------------------------
@@ -548,16 +563,15 @@ impl SchedCore {
 /// How this `ExecComm`'s rank is scheduled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TaskMode {
-    /// Dedicated thread, loan-gated at blocking points.
-    Gate,
+    /// Own thread, permit-gated; gives the permit back at blocking points.
+    Blocking,
     /// State machine polled on the workers ([`RankTask`]).
     Fsm,
 }
 
-/// Per-rank communicator on the work-stealing executor. Shares the
-/// thread backend's data model — one cacheable shared-memory domain,
-/// eager memcpy gets, wall-clock time — but its blocking points
-/// cooperate with the scheduler instead of blocking an OS thread.
+/// Per-rank communicator of the host: one cacheable shared-memory
+/// domain, eager memcpy gets, wall-clock time, and blocking points that
+/// cooperate with the scheduler instead of convoying OS threads.
 pub struct ExecComm {
     rank: usize,
     nranks: usize,
@@ -570,6 +584,8 @@ pub struct ExecComm {
     /// Split-barrier bookkeeping for FSM ranks: fence index awaited and
     /// the span start time.
     arrived: Option<(u64, f64)>,
+    /// Blocking ranks: when the permit this rank holds was taken.
+    held: Instant,
 }
 
 impl ExecComm {
@@ -583,6 +599,7 @@ impl ExecComm {
             recorder: Recorder::new(rank, trace),
             ws_grows: 0,
             arrived: None,
+            held: Instant::now(),
         }
     }
 
@@ -612,11 +629,16 @@ impl ExecComm {
         }
     }
 
-    /// Gated ranks: sleep, loan returned, until fence `f` has completed.
-    fn gate_wait_fence(&mut self, f: u64) {
+    /// Blocking ranks: sleep, permit given back, until woken.
+    fn park(&mut self) {
+        self.mark_park();
+        self.core.park_blocking(self.rank, &mut self.held);
+    }
+
+    /// Blocking ranks: sleep until fence `f` has completed.
+    fn wait_fence(&mut self, f: u64) {
         while !self.core.fence_check(self.rank, f) {
-            self.mark_park();
-            self.core.gate_park(self.rank);
+            self.park();
         }
     }
 
@@ -676,8 +698,8 @@ impl Comm for ExecComm {
     }
 
     fn prefer_direct_access(&self, owner: usize) -> bool {
-        // Host shared memory is cacheable, as on the thread backend —
-        // but an emulated cluster topology makes off-node blocks
+        // Host shared memory is cacheable (the Altix flavor) — but an
+        // emulated cluster topology makes off-node blocks
         // fetch-only so hierarchical staging moves real bytes.
         self.core.topo.same_domain(self.rank, owner)
     }
@@ -706,17 +728,17 @@ impl Comm for ExecComm {
 
     fn barrier(&mut self) {
         assert!(
-            self.mode == TaskMode::Gate,
+            self.mode == TaskMode::Blocking,
             "state-machine rank tasks must use Comm::barrier_try and Step::Park, \
              not the blocking Comm::barrier"
         );
         let t0 = self.span_start();
         let f = self.core.fence_arrive(self.rank);
-        self.gate_wait_fence(f);
+        self.wait_fence(f);
         self.span_end(TraceKind::Barrier, t0, 0, String::new);
     }
 
-    /// Never blocks, polled or gated. Fence `f` completes once every
+    /// Never blocks, polled or blocking. Fence `f` completes once every
     /// rank has made its `f`-th arrival.
     fn fence_arrive(&mut self) -> u64 {
         self.core.fence_arrive(self.rank)
@@ -725,19 +747,19 @@ impl Comm for ExecComm {
     fn fence_try(&mut self, f: u64) -> bool {
         match self.mode {
             TaskMode::Fsm => self.core.fence_check(self.rank, f),
-            TaskMode::Gate => {
-                self.gate_wait_fence(f);
+            TaskMode::Blocking => {
+                self.wait_fence(f);
                 true
             }
         }
     }
 
     /// A full barrier is an arrival followed by a wait on the same
-    /// fence. Panics when the executor has been poisoned, mirroring the
-    /// gated threads' `gate_wait_grant` — a parked polled rank
-    /// re-stepped after a peer's panic must unwind, not re-park.
+    /// fence. Panics when the executor has been poisoned, as a blocking
+    /// rank's permit wait does — a parked polled rank re-stepped after a
+    /// peer's panic must unwind, not re-park.
     fn barrier_try(&mut self) -> bool {
-        if self.mode == TaskMode::Gate {
+        if self.mode == TaskMode::Blocking {
             self.barrier();
             return true;
         }
@@ -858,10 +880,7 @@ impl Comm for ExecComm {
                 break;
             }
             match self.mode {
-                TaskMode::Gate => {
-                    self.mark_park();
-                    self.core.gate_park(self.rank);
-                }
+                TaskMode::Blocking => self.park(),
                 TaskMode::Fsm => panic!(
                     "state-machine rank tasks must not call the blocking Comm::recv \
                      (no message-passing algorithm runs as an FSM yet)"
@@ -889,11 +908,25 @@ impl Comm for ExecComm {
 
 // ---- worker pool ----------------------------------------------------
 
-/// Task storage for one run: either a pollable state machine or a
-/// marker that a dedicated gated thread embodies the rank.
-enum TaskSlot<'env, T> {
-    Fsm(Mutex<Option<Box<dyn RankTask<Out = T> + Send + 'env>>>),
-    Gate,
+/// A polled rank's state machine, out of its slot while a worker steps it.
+type Slot<'env, T> = Mutex<Option<Box<dyn RankTask<Out = T> + Send + 'env>>>;
+
+/// Where finished ranks hand in their output and trace.
+struct Sink<T> {
+    outputs: Vec<Mutex<Option<T>>>,
+    trace: Mutex<TraceBag>,
+}
+
+impl<T> Sink<T> {
+    fn finish(&self, core: &SchedCore, id: usize, out: T, (ev, ctr): (Vec<TraceEvent>, Counters)) {
+        {
+            let mut bag = relock(&self.trace);
+            bag.0.extend(ev);
+            bag.1.push((id, ctr));
+        }
+        *relock(&self.outputs[id]) = Some(out);
+        core.task_done(id);
+    }
 }
 
 /// Pick the next task: own deque first (LIFO, cache-hot), then the
@@ -941,81 +974,59 @@ fn park_worker(core: &SchedCore) -> bool {
     }
 }
 
-/// Run one scheduled task id: poll an FSM or lend the slot to a gated
-/// thread.
-fn run_one<'env, T: Send>(
+/// Poll the state machine of scheduled task `id` once.
+fn run_one<T: Send>(
     core: &SchedCore,
-    slots: &[TaskSlot<'env, T>],
-    outputs: &[Mutex<Option<T>>],
-    collect: &Mutex<TraceBag>,
+    slots: &[Slot<'_, T>],
+    sink: &Sink<T>,
     me: usize,
     id: usize,
     events: &mut Vec<TraceEvent>,
 ) {
-    match &slots[id] {
-        TaskSlot::Gate => core.grant_and_lend(id),
-        TaskSlot::Fsm(cell) => {
-            let Some(mut task) = relock(cell).take() else {
-                return; // stale queue entry for a finished rank
-            };
-            relock(&core.tasks[id].st).phase = Phase::Running;
-            match catch_unwind(AssertUnwindSafe(|| task.step())) {
-                Err(p) => {
-                    drop(task);
-                    core.poison(p);
-                }
-                Ok(Step::Done(out)) => {
-                    let (ev, ctr) = task.take_trace();
-                    {
-                        let mut bag = relock(collect);
-                        bag.0.extend(ev);
-                        bag.1.push((id, ctr));
-                    }
-                    *relock(&outputs[id]) = Some(out);
-                    core.task_done(id);
-                }
-                Ok(Step::Yield) => {
-                    // The box must be back in its cell before the id is
-                    // visible in any queue (a thief may run it at once).
-                    *relock(cell) = Some(task);
-                    {
-                        let mut st = relock(&core.tasks[id].st);
-                        st.pending_wake = false;
-                        st.phase = Phase::Queued;
-                    }
-                    core.deques[me].push(id);
-                }
-                Ok(Step::Park) => {
-                    *relock(cell) = Some(task);
-                    let mut st = relock(&core.tasks[id].st);
-                    if st.pending_wake {
-                        // The wake raced the park: requeue immediately.
-                        st.pending_wake = false;
-                        st.phase = Phase::Queued;
-                        drop(st);
-                        core.deques[me].push(id);
-                    } else {
-                        st.phase = Phase::Parked;
-                        drop(st);
-                        core.parks.fetch_add(1, Ordering::Relaxed);
-                        core.sched_event(events, id, || format!("park w{me}"));
-                    }
-                }
+    let Some(mut task) = relock(&slots[id]).take() else {
+        return; // stale queue entry for a finished rank
+    };
+    relock(&core.tasks[id].st).phase = Phase::Running;
+    match catch_unwind(AssertUnwindSafe(|| task.step())) {
+        Err(p) => {
+            drop(task);
+            core.poison(p);
+        }
+        Ok(Step::Done(out)) => sink.finish(core, id, out, task.take_trace()),
+        Ok(Step::Yield) => {
+            // The box must be back in its cell before the id is
+            // visible in any queue (a thief may run it at once).
+            *relock(&slots[id]) = Some(task);
+            {
+                let mut st = relock(&core.tasks[id].st);
+                st.pending_wake = false;
+                st.phase = Phase::Queued;
+            }
+            core.deques[me].push(id);
+        }
+        Ok(Step::Park) => {
+            *relock(&slots[id]) = Some(task);
+            let mut st = relock(&core.tasks[id].st);
+            if st.pending_wake {
+                // The wake raced the park: requeue immediately.
+                st.pending_wake = false;
+                st.phase = Phase::Queued;
+                drop(st);
+                core.deques[me].push(id);
+            } else {
+                st.phase = Phase::Parked;
+                drop(st);
+                core.parks.fetch_add(1, Ordering::Relaxed);
+                core.sched_event(events, id, || format!("park w{me}"));
             }
         }
     }
 }
 
-/// One worker thread's life. Returns its busy seconds (time spent
-/// running tasks or lending its slot to a gated thread).
-fn worker_loop<'env, T: Send>(
-    core: &SchedCore,
-    slots: &[TaskSlot<'env, T>],
-    outputs: &[Mutex<Option<T>>],
-    collect: &Mutex<TraceBag>,
-    me: usize,
-) -> f64 {
-    let mut busy = 0.0;
+/// One worker thread's life; its time spent running tasks counts as
+/// busy.
+fn worker_loop<T: Send>(core: &SchedCore, slots: &[Slot<'_, T>], sink: &Sink<T>, me: usize) {
+    let mut busy = Duration::ZERO;
     let mut events: Vec<TraceEvent> = Vec::new();
     loop {
         if core.is_poisoned() {
@@ -1028,19 +1039,45 @@ fn worker_loop<'env, T: Send>(
             break;
         };
         let t = Instant::now();
-        run_one(core, slots, outputs, collect, me, id, &mut events);
-        busy += t.elapsed().as_secs_f64();
+        run_one(core, slots, sink, me, id, &mut events);
+        busy += t.elapsed();
     }
     if !events.is_empty() {
         relock(&core.sched_events).extend(events);
     }
+    core.busy_ns
+        .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
     drop(SCRATCH.take());
-    busy
+}
+
+/// A blocking rank's thread: run `body` under a permit, which every
+/// blocking point inside `ExecComm` gives back while the rank sleeps.
+fn blocking_rank<T>(
+    core: &Arc<SchedCore>,
+    rank: usize,
+    body: &(dyn Fn(&mut ExecComm) -> T + Sync),
+    sink: &Sink<T>,
+) {
+    let mut comm = ExecComm::new(Arc::clone(core), rank, TaskMode::Blocking);
+    let res = catch_unwind(AssertUnwindSafe(|| {
+        comm.held = core.permit_take();
+        body(&mut comm)
+    }));
+    match res {
+        Ok(out) => {
+            core.permit_give(comm.held);
+            sink.finish(core, rank, out, comm.recorder.take());
+        }
+        // First payload wins: secondary "executor poisoned" panics
+        // never overwrite the original.
+        Err(p) => core.poison(p),
+    }
+    drop(SCRATCH.take());
 }
 
 // ---- run entry points -----------------------------------------------
 
-/// Result of an executor run (mirrors `ThreadRunResult`).
+/// Result of an executor run.
 #[derive(Debug)]
 pub struct ExecRunResult<T> {
     /// Per-rank outputs.
@@ -1055,17 +1092,29 @@ pub struct ExecRunResult<T> {
     pub stats: RunStats,
 }
 
-fn assemble<T>(
-    core: &Arc<SchedCore>,
-    outputs: Vec<Mutex<Option<T>>>,
-    collect: Mutex<TraceBag>,
-    busy: Vec<f64>,
-    wall_seconds: f64,
+/// Run `thread(0..threads)` on as many scoped threads, join them, and
+/// assemble the result.
+fn run_threads<T: Send>(
+    core: &SchedCore,
+    threads: usize,
+    thread: impl Fn(usize, &Sink<T>) + Sync,
 ) -> ExecRunResult<T> {
+    let sink = Sink {
+        outputs: (0..core.nranks).map(|_| Mutex::new(None)).collect(),
+        trace: Mutex::default(),
+    };
+    let t_run = Instant::now();
+    std::thread::scope(|scope| {
+        for i in 0..threads {
+            let (thread, sink) = (&thread, &sink);
+            scope.spawn(move || thread(i, sink));
+        }
+    });
+    let wall_seconds = t_run.elapsed().as_secs_f64();
     if let Some(p) = relock(&core.payload).take() {
         resume_unwind(p);
     }
-    let (mut events, counters) = collect.into_inner().unwrap_or_else(|e| e.into_inner());
+    let (mut events, counters) = sink.trace.into_inner().unwrap_or_else(|e| e.into_inner());
     events.extend(relock(&core.sched_events).drain(..));
     events.sort_by(|a, b| a.t0.total_cmp(&b.t0).then(a.rank.cmp(&b.rank)));
     let mut stats = RunStats::from_events(core.nranks, &events);
@@ -1083,13 +1132,14 @@ fn assemble<T>(
         parks: core.parks.load(Ordering::Relaxed),
         worker_parks: core.worker_parks.load(Ordering::Relaxed),
         ws_grows: core.ws_grows.load(Ordering::Relaxed),
-        busy_seconds: busy.iter().sum(),
+        busy_seconds: core.busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
         wall_seconds,
     });
     if stats.makespan == 0.0 {
         stats.makespan = wall_seconds;
     }
-    let outputs = outputs
+    let outputs = sink
+        .outputs
         .into_iter()
         .map(|m| {
             m.into_inner()
@@ -1103,75 +1153,6 @@ fn assemble<T>(
         trace: events,
         stats,
     }
-}
-
-/// A gated rank's thread: run `body` from the first loan on, handing the
-/// loan back at every blocking point inside `ExecComm` and at the end.
-fn gated_rank<T>(
-    core: &Arc<SchedCore>,
-    rank: usize,
-    body: &(dyn Fn(&mut ExecComm) -> T + Sync),
-    outputs: &[Mutex<Option<T>>],
-    collect: &Mutex<TraceBag>,
-) {
-    let mut comm = ExecComm::new(Arc::clone(core), rank, TaskMode::Gate);
-    let res = catch_unwind(AssertUnwindSafe(|| {
-        core.gate_wait_grant(rank);
-        body(&mut comm)
-    }));
-    match res {
-        Ok(v) => {
-            let (ev, ctr) = comm.recorder.take();
-            {
-                let mut bag = relock(collect);
-                bag.0.extend(ev);
-                bag.1.push((rank, ctr));
-            }
-            *relock(&outputs[rank]) = Some(v);
-            core.task_done(rank);
-            core.gate_release(rank);
-        }
-        Err(p) => {
-            // Return the loan so the lending worker resumes, then
-            // poison (first payload wins — secondary "executor
-            // poisoned" panics never overwrite the original).
-            core.gate_release(rank);
-            core.poison(p);
-        }
-    }
-    drop(SCRATCH.take());
-}
-
-/// One run: seed the deques round-robin with all task ids, start the
-/// workers — and, where the slots are gates, a thread per rank running
-/// `gated` — join them all, and assemble the result.
-fn run_pool<'env, T: Send>(
-    core: &Arc<SchedCore>,
-    slots: Vec<TaskSlot<'env, T>>,
-    gated: Option<&(dyn Fn(&mut ExecComm) -> T + Sync)>,
-) -> ExecRunResult<T> {
-    for id in 0..core.nranks {
-        core.deques[id % core.workers].push(id);
-    }
-    let outputs: Vec<Mutex<Option<T>>> = (0..core.nranks).map(|_| Mutex::new(None)).collect();
-    let collect: Mutex<TraceBag> = Mutex::new((Vec::new(), Vec::new()));
-    let mut busy = vec![0.0f64; core.workers];
-    let t_run = Instant::now();
-    std::thread::scope(|scope| {
-        let (slots, outputs, collect) = (&slots, &outputs, &collect);
-        if let Some(body) = gated {
-            for rank in 0..core.nranks {
-                scope.spawn(move || gated_rank(core, rank, body, outputs, collect));
-            }
-        }
-        for (w, busy_slot) in busy.iter_mut().enumerate() {
-            scope.spawn(move || {
-                *busy_slot = worker_loop(core, slots, outputs, collect, w);
-            });
-        }
-    });
-    let wall = t_run.elapsed().as_secs_f64();
-    assemble(core, outputs, collect, busy, wall)
 }
 
 /// The worker-pool size an executor run will actually use for a
@@ -1193,10 +1174,10 @@ pub fn resolve_workers(requested: usize, nranks: usize) -> usize {
     requested.clamp(1, nranks.max(1))
 }
 
-/// Run `body` once per rank on the executor: every rank gets a
-/// dedicated thread, but only `workers` of them run at any moment — a
-/// blocking point inside hands the worker slot to another rank instead
-/// of convoying the OS scheduler. Tracing off.
+/// Run `body` once per rank, each on its own thread but only `workers`
+/// of them at any moment: a blocking point inside gives the rank's
+/// permit to another instead of convoying the OS scheduler. Tracing
+/// off.
 pub fn exec_run<T, F>(nranks: usize, workers: usize, body: F) -> ExecRunResult<T>
 where
     T: Send,
@@ -1205,11 +1186,21 @@ where
     exec_launch(nranks, workers, false, None, body)
 }
 
+/// Thread-per-rank: [`exec_run`] with a permit for every rank, so no
+/// rank ever waits for one.
+pub fn thread_run<T, F>(nranks: usize, body: F) -> ExecRunResult<T>
+where
+    T: Send,
+    F: Fn(&mut ExecComm) -> T + Sync,
+{
+    exec_run(nranks, nranks, body)
+}
+
 /// The general form of [`exec_run`]. With `trace`, ranks record
-/// wall-clock events (plus `Sched` steal / park / resume markers). With
-/// `topo`, every rank's `ExecComm` reports that emulated cluster
-/// topology: off-node blocks lose direct access, and transfers are
-/// classified intra-group vs inter-node.
+/// wall-clock events (plus `Sched` park markers). With `topo`, every
+/// rank's `ExecComm` reports that emulated cluster topology: off-node
+/// blocks lose direct access, and transfers are classified intra-group
+/// vs inter-node.
 pub fn exec_launch<T, F>(
     nranks: usize,
     workers: usize,
@@ -1221,9 +1212,10 @@ where
     T: Send,
     F: Fn(&mut ExecComm) -> T + Sync,
 {
-    let core = SchedCore::new(nranks, workers, trace, topo);
-    let slots = (0..nranks).map(|_| TaskSlot::Gate).collect();
-    run_pool(&core, slots, Some(&body))
+    let core = SchedCore::new(nranks, workers, true, trace, topo);
+    run_threads(&core, nranks, |rank, sink| {
+        blocking_rank(&core, rank, &body, sink)
+    })
 }
 
 /// Run `nranks` state-machine rank tasks on `workers` workers — no
@@ -1241,14 +1233,19 @@ where
     T: Send,
     F: FnMut(ExecComm) -> Box<dyn RankTask<Out = T> + Send + 'env>,
 {
-    let core = SchedCore::new(nranks, workers, trace, topo);
-    let slots = (0..nranks)
+    let core = SchedCore::new(nranks, workers, false, trace, topo);
+    let slots: Vec<Slot<'env, T>> = (0..nranks)
         .map(|rank| {
             let comm = ExecComm::new(Arc::clone(&core), rank, TaskMode::Fsm);
-            TaskSlot::Fsm(Mutex::new(Some(factory(comm))))
+            Mutex::new(Some(factory(comm)))
         })
         .collect();
-    run_pool(&core, slots, None)
+    for id in 0..nranks {
+        core.deques[id % core.workers].push(id);
+    }
+    run_threads(&core, core.workers, |w, sink| {
+        worker_loop(&core, &slots, sink, w)
+    })
 }
 
 #[cfg(test)]
@@ -1260,7 +1257,7 @@ mod tests {
 
     #[test]
     fn retiring_a_dead_rank_completes_its_pending_fences() {
-        let core = SchedCore::new(3, 1, false, None);
+        let core = SchedCore::new(3, 1, false, false, None);
         // Mid-batch: ranks 0 and 1 arrive at fence 0, rank 2 is dead
         // and never will. The fence must not complete yet...
         assert_eq!(core.fence_arrive(0), 0);
@@ -1277,7 +1274,7 @@ mod tests {
 
     #[test]
     fn retirement_releases_parked_waiters() {
-        let core = SchedCore::new(2, 1, false, None);
+        let core = SchedCore::new(2, 1, false, false, None);
         core.fence_arrive(0);
         // Rank 0 is parked waiting on fence 0; rank 1 dies without
         // arriving. Retirement must move the waiter back to the queue
@@ -1293,7 +1290,7 @@ mod tests {
 
     #[test]
     fn proxy_arrival_discharges_a_dead_ranks_barrier() {
-        let core = SchedCore::new(3, 1, false, None);
+        let core = SchedCore::new(3, 1, false, false, None);
         // Ranks 0 and 1 arrive; rank 2 is dead. A survivor vouches for
         // it via fence_arrive(dead) — the re-execution handshake.
         core.fence_arrive(0);
@@ -1306,7 +1303,7 @@ mod tests {
 
     #[test]
     fn all_ranks_retired_completes_everything() {
-        let core = SchedCore::new(2, 1, false, None);
+        let core = SchedCore::new(2, 1, false, false, None);
         core.retire_rank(0);
         core.retire_rank(1);
         assert!(core.fence_check(0, 0));
@@ -1315,7 +1312,7 @@ mod tests {
 
     #[test]
     fn barrier_try_after_poison_panics_instead_of_parking() {
-        let core = SchedCore::new(2, 1, false, None);
+        let core = SchedCore::new(2, 1, false, false, None);
         let mut comm = ExecComm::new(Arc::clone(&core), 0, TaskMode::Fsm);
         assert!(!comm.barrier_try(), "one arrival out of two cannot pass");
         core.poison(Box::new("boom"));

@@ -5,7 +5,7 @@
 //! cluster-locality query that tells each process which peers it can
 //! reach through plain load/store. This crate rebuilds that layer — and
 //! the MPI-style two-sided operations the baselines (Cannon,
-//! SUMMA/pdgemm) need — over four interchangeable backends:
+//! SUMMA/pdgemm) need — over three interchangeable backends:
 //!
 //! * [`SimComm`](simbackend::SimComm) — runs under the virtual-time
 //!   simulator (`srumma-sim`) with costs from `srumma-model`. Data
@@ -13,14 +13,14 @@
 //!   numerics end-to-end) and elided for paper-scale modeled runs.
 //! * [`VirtualComm`](virt::VirtualComm) — one uncontended LogGP clock
 //!   per rank, recombined at barriers: the same machines at 64k ranks.
-//! * [`ThreadComm`](threadbackend::ThreadComm) — real host threads in
-//!   one shared-memory domain, real memcpys, wall-clock timing: the
-//!   "SGI Altix flavor" made concrete on today's hardware.
-//! * [`ExecComm`](exec::ExecComm) — the same data model with the ranks
-//!   multiplexed onto a small work-stealing pool, polled or gated.
+//! * [`ExecComm`](exec::ExecComm) — the host: one shared-memory domain,
+//!   real memcpys, wall-clock timing — the "SGI Altix flavor" made
+//!   concrete on today's hardware. Ranks are polled on W workers, or
+//!   block on threads of their own under W permits; thread-per-rank is
+//!   W = N ([`thread_run`]).
 //!
 //! Algorithms in `srumma-core` are generic over the [`Comm`] trait, so
-//! the *same* SRUMMA/Cannon/SUMMA code runs on all four — and behind
+//! the *same* SRUMMA/Cannon/SUMMA code runs on all three — and behind
 //! the two decorators ([`ChaosComm`], [`SubComm`]) that wrap any of
 //! them.
 //!
@@ -34,9 +34,9 @@
 //!   the product).
 //! * [`comm`] — the [`Comm`] trait and block handle types; the split
 //!   fence, [`RankProgram`] and [`drive`].
-//! * [`simbackend`] / [`virt`] / [`threadbackend`] / [`exec`] — the four
-//!   implementations (discrete-event virtual time, per-rank virtual
-//!   clocks, thread-per-rank, work-stealing executor).
+//! * [`simbackend`] / [`virt`] / [`exec`] — the three implementations
+//!   (discrete-event virtual time, per-rank virtual clocks, the host's
+//!   executor).
 //! * [`subcomm`] — [`SubComm`], a rank window presented as a machine.
 //! * [`deque`] — the Chase–Lev work-stealing deque under the executor.
 //! * [`mpi`] — two-sided collectives (broadcast, shift, allgather) built
@@ -53,18 +53,16 @@ pub mod fault;
 pub mod mpi;
 pub mod simbackend;
 pub mod subcomm;
-pub mod threadbackend;
 pub mod virt;
 
 pub use arena::SharedArena;
 pub use comm::{drive, Comm, GetHandle, RankProgram, Step};
 pub use dist::{CostMap, DistMatrix, Landing};
 pub use exec::{
-    exec_launch, exec_run, exec_run_tasks, resolve_workers, ExecComm, ExecRunResult, ProgramTask,
-    RankTask,
+    exec_launch, exec_run, exec_run_tasks, resolve_workers, thread_run, ExecComm, ExecRunResult,
+    ProgramTask, RankTask,
 };
 pub use fault::{ChaosComm, FaultPlan, FaultPlanError, RankDeath};
 pub use simbackend::{sim_run, SimComm, SimOptions};
 pub use subcomm::SubComm;
-pub use threadbackend::{thread_launch, thread_run, ThreadComm, ThreadRunResult};
 pub use virt::{virtual_run, VirtualComm, VirtualRunResult};

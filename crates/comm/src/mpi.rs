@@ -149,7 +149,7 @@ pub fn allreduce_max<C: Comm>(comm: &mut C, value: f64, tag: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threadbackend::thread_run;
+    use crate::exec::thread_run;
 
     #[test]
     fn bcast_delivers_to_all_from_any_root() {
@@ -240,7 +240,7 @@ mod tests {
 #[cfg(test)]
 mod ring_tests {
     use super::*;
-    use crate::threadbackend::thread_run;
+    use crate::exec::thread_run;
 
     #[test]
     fn ring_bcast_delivers_from_any_root() {

@@ -177,7 +177,7 @@ impl<C: Comm> Comm for SubComm<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threadbackend::thread_run;
+    use crate::exec::thread_run;
 
     #[test]
     fn window_renumbers_ranks_and_translates_messages() {

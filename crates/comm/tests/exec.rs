@@ -1,6 +1,6 @@
 //! Executor backend integration tests: correctness of the scheduler
-//! (gated threads and FSM tasks), oversubscribed collectives, message
-//! passing, scheduling statistics, and poison propagation.
+//! (permit-gated threads and FSM tasks), oversubscribed collectives,
+//! message passing, scheduling statistics, and poison propagation.
 
 use srumma_comm::exec::{exec_launch, exec_run, exec_run_tasks, ExecComm, RankTask};
 use srumma_comm::{Comm, DistMatrix, Step};
@@ -40,10 +40,38 @@ fn oversubscribed_barriers_complete() {
     assert_eq!(counter.load(Ordering::SeqCst), 3 * 64);
 }
 
+/// Blocking ranks run only under one of W permits: 16 ranks on 2, each
+/// counting itself in while it runs and out before it blocks (in a
+/// barrier or a receive), never see more than 2 running at once.
+#[test]
+fn blocking_ranks_never_outnumber_their_permits() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let res = exec_run(16, 2, |c| {
+        let n = c.nranks();
+        for round in 0..4 {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::yield_now();
+            running.fetch_sub(1, Ordering::SeqCst);
+            if round % 2 == 0 {
+                c.barrier();
+            } else {
+                let mut buf = Vec::new();
+                let (right, left) = ((c.rank() + 1) % n, (c.rank() + n - 1) % n);
+                c.sendrecv(right, round, &[0.0], 8, left, &mut buf, 8);
+            }
+        }
+    });
+    assert_eq!(res.stats.exec.unwrap().workers, 2);
+    let peak = peak.load(Ordering::SeqCst);
+    assert!((1..=2).contains(&peak), "{peak} ranks ran at once");
+}
+
 #[test]
 fn ring_sendrecv_on_fewer_workers_than_ranks() {
     // Cannon-style shift: every rank blocks in recv at some point, so
-    // the loan gating must keep handing the worker slots around.
+    // the permits must keep passing from rank to rank.
     let res = exec_run(16, 3, |c| {
         let n = c.nranks();
         let right = (c.rank() + 1) % n;
@@ -176,11 +204,11 @@ impl RankTask for BadBarrierTask {
     }
 }
 
-/// The gated side of the same contract: a gated rank's split fence
-/// never reports `false` while the rank holds a loan. If it did, this
-/// poll loop would keep the only worker and the three ranks it waits
-/// for could never arrive. A regression hangs, so the run sits on a
-/// helper thread with a deadline.
+/// The blocking side of the same contract: a blocking rank's split
+/// fence never reports `false` while the rank holds a permit. If it did,
+/// this poll loop would keep the only permit and the three ranks it
+/// waits for could never arrive. A regression hangs, so the run sits on
+/// a helper thread with a deadline.
 #[test]
 fn gated_ranks_can_poll_the_split_fence_on_one_worker() {
     let (done_tx, done_rx) = std::sync::mpsc::channel();

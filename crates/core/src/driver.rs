@@ -75,7 +75,7 @@ pub fn multiply_threads(
 /// logical ranks multiplexed onto `workers` worker threads. SRUMMA
 /// ranks run as polled state machines ([`crate::srumma::SrummaProgram`]
 /// — zero OS threads per rank); SUMMA and Cannon run their unmodified
-/// blocking code on loan-gated threads. Returns the numeric result and
+/// blocking code on permit-gated threads. Returns the numeric result and
 /// the full run result — `stats.exec` carries the steal-rate/occupancy
 /// counters.
 pub fn multiply_exec(

@@ -31,8 +31,8 @@ use crate::options::{GemmSpec, ReplicationFactor};
 use crate::repl::{resolve_factor, srumma_replicated, ReplSet};
 use crate::srumma::{SrummaProgram, SrummaReport};
 use srumma_comm::{
-    exec_launch, exec_run_tasks, sim_run, thread_launch, virtual_run, ChaosComm, Comm, CostMap,
-    DistMatrix, ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions,
+    exec_launch, exec_run_tasks, sim_run, virtual_run, ChaosComm, Comm, CostMap, DistMatrix,
+    ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions,
 };
 use srumma_dense::{Matrix, Op};
 use srumma_model::{Machine, Topology};
@@ -154,7 +154,7 @@ pub struct RunOutput {
     /// The product (`None` for a shape-only run).
     pub c: Option<Matrix>,
     /// Per-rank and aggregate metrics, in virtual seconds on `Sim` and
-    /// `Virtual`; `stats.exec` is set on the pool-backed backends.
+    /// `Virtual`; `stats.exec` is set on every backend but `Sim`.
     pub stats: RunStats,
     /// Merged event timeline (empty unless `trace`).
     pub trace: Vec<TraceEvent>,
@@ -403,15 +403,15 @@ impl<'a> Run<'a> {
                 let res = virtual_run(machine, nranks, workers, body);
                 (Vec::new(), res.stats, Vec::new(), res.wall_seconds)
             }
+            // Thread-per-rank: the blocking hosting with a permit per rank.
             Backend::Threads => {
                 let body = |comm: &mut _| wall_body(comm, faults, algorithm, mats);
-                let res = thread_launch(nranks, self.trace, topo, body);
-                (res.outputs, res.stats, res.trace, res.wall_seconds)
+                launched(exec_launch(nranks, nranks, self.trace, topo, body))
             }
             // Flat or staged SRUMMA is one program, polled (no OS thread
             // per rank) under whichever communicator the fault plan
             // calls for; everything else runs its blocking body on a
-            // gated thread.
+            // permit-gated thread.
             Backend::Exec { workers } => match (mats, algorithm) {
                 (Mats::Flat(m, stages), Algorithm::Srumma(opts)) => {
                     // Declared after the matrices: any unclaimed program

@@ -250,8 +250,8 @@ fn pblas_alpha_beta_semantics() {
 
 /// The drivers normalise β to 0 for a C they created themselves
 /// (`layout::fresh_c`); that must never reach a C the caller supplied.
-/// Every algorithm on threads, on the executor's gated threads and —
-/// SRUMMA — as polled state machines still accumulates onto a
+/// Every algorithm on threads, on the executor's permit-gated threads
+/// and — SRUMMA — as polled state machines still accumulates onto a
 /// scattered C with the caller's β.
 #[test]
 fn caller_supplied_c_keeps_its_beta_on_every_backend() {

@@ -1,7 +1,7 @@
 //! Executor-backend multiplies: the same algorithms, numerically
 //! identical results, with ranks multiplexed onto a small worker pool.
 //! SRUMMA runs as polled state machines; SUMMA and Cannon run their
-//! unmodified blocking code on loan-gated threads.
+//! unmodified blocking code on permit-gated threads.
 
 use srumma_core::driver::{
     multiply_exec, multiply_exec_traced, multiply_threads, serial_reference,
@@ -61,7 +61,7 @@ fn summa_gated_matches_serial() {
 #[test]
 fn cannon_gated_matches_serial() {
     // Cannon needs a square grid; its skew+shift phases block in
-    // sendrecv, exercising the loan hand-off on every step.
+    // sendrecv, passing the permits on at every step.
     check_exec(&Algorithm::Cannon, &GemmSpec::square(36), 4, 2);
 }
 
@@ -109,10 +109,10 @@ fn worker_owned_scratch_survives_yield_and_steal() {
     assert!((1..=workers as u64).contains(&exec.ws_grows), "{exec:?}");
 }
 
-/// The other two ways a rank reaches a workspace: a gated body computes
-/// on its own thread (one workspace per rank, as before), and a dead
-/// rank's machine — fetched panels and all — is finished by a survivor
-/// on that survivor's worker, bitwise as if nobody had died.
+/// The other two ways a rank reaches a workspace: a blocking body
+/// computes on its own thread (one workspace per rank, as before), and a
+/// dead rank's machine — fetched panels and all — is finished by a
+/// survivor on that survivor's worker, bitwise as if nobody had died.
 #[test]
 fn gated_and_reexecuted_ranks_compute_in_the_running_threads_scratch() {
     let spec = GemmSpec::square(40);

@@ -7,8 +7,7 @@
 //! can observe.
 
 use srumma_comm::{
-    drive, exec_launch, sim_run, thread_launch, Comm, CostMap, DistMatrix, FaultPlan,
-    FaultPlanError, SimOptions,
+    drive, exec_launch, sim_run, Comm, CostMap, DistMatrix, FaultPlan, FaultPlanError, SimOptions,
 };
 use srumma_core::driver::{default_grid, serial_reference, sparse_serial_reference};
 use srumma_core::layout::{
@@ -414,10 +413,10 @@ fn staged_srumma_with_stragglers_is_polled_on_one_worker() {
     assert!(exec.reports.iter().all(|r| r.srumma.unwrap().tasks > 0));
 }
 
-/// In two replica teams it is a blocking body: sixteen gated threads,
-/// each driving the program through a `SubComm`, taking turns on one
-/// worker's loan — the split fence of a gated rank must give the loan
-/// back rather than report `false`.
+/// In two replica teams it is a blocking body: sixteen permit-gated
+/// threads, each driving the program through a `SubComm`, taking turns
+/// on one permit — the split fence of a blocking rank must give the
+/// permit back rather than report `false`.
 #[test]
 fn staged_replica_teams_drive_the_program_from_gated_threads_on_one_worker() {
     let spec = GemmSpec::new(Op::N, Op::N, 23, 19, 29);
@@ -480,7 +479,7 @@ fn launch_over(
         }
         Backend::Threads => {
             let body = |comm: &mut _| body(comm, run, spec, mats, stages);
-            let res = thread_launch(run.nranks, false, Some(topo), body);
+            let res = exec_launch(run.nranks, run.nranks, false, Some(topo), body);
             (res.outputs, res.stats)
         }
         Backend::Exec { workers } => {

@@ -8,8 +8,8 @@
 //!
 //! * the **virtual-time simulator** records events against the model
 //!   clock (`srumma-sim` kernel + `SimComm`);
-//! * the **thread backend** records the same events against the wall
-//!   clock (`ThreadComm` with `std::time::Instant`);
+//! * the **host executor** records the same events against the wall
+//!   clock (`ExecComm` with `std::time::Instant`), polled or blocking;
 //! * the algorithms in `srumma-core` add task-level spans through the
 //!   [`Recorder`] handle exposed on the `Comm` trait.
 //!

@@ -63,9 +63,9 @@ impl Counters {
 /// Per-rank trace recorder: a flat event buffer plus counters.
 ///
 /// One `Recorder` exists per rank per run, owned by that rank's
-/// communicator (`SimComm` or `ThreadComm`), so recording needs no
-/// locking. When disabled, [`Recorder::span`] is a single branch and
-/// the label closure is never evaluated.
+/// communicator (`SimComm`, `VirtualComm` or `ExecComm`), so recording
+/// needs no locking. When disabled, [`Recorder::span`] is a single
+/// branch and the label closure is never evaluated.
 #[derive(Debug)]
 pub struct Recorder {
     rank: usize,

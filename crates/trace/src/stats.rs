@@ -92,15 +92,15 @@ impl RankStats {
     }
 }
 
-/// Scheduling counters of a work-stealing-executor run: how N logical
-/// ranks were multiplexed onto W workers. `None` on the per-rank-thread
-/// and simulator backends, where no scheduler sits between ranks and
+/// Scheduling counters of an executor run: how N logical ranks shared
+/// W workers (polled) or W permits (blocking; thread-per-rank is W = N).
+/// `None` on the simulator, where no scheduler sits between ranks and
 /// the hardware.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ExecStats {
-    /// Worker pool size.
+    /// Worker pool size, or permit count.
     pub workers: usize,
-    /// Tasks a worker popped from its own deque.
+    /// Tasks a worker popped from its own deque, or permits granted.
     pub local_pops: u64,
     /// Tasks a worker stole from a sibling's deque.
     pub steals: u64,
@@ -117,7 +117,7 @@ pub struct ExecStats {
     /// one per worker however many ranks there are.
     pub ws_grows: u64,
     /// Summed seconds workers spent running rank work (across all
-    /// workers).
+    /// workers), or permits were held.
     pub busy_seconds: f64,
     /// Wall-clock duration of the executor run.
     pub wall_seconds: f64,

@@ -53,11 +53,20 @@ echo "== landing guard: one routine lands a fetched block, and a get is one meth
 # whose counters, cost model and fault injection can drift; a second get
 # method beside Comm::nbget is one a decorator can forget to forward.
 if grep -n 'copy_block_into\|pack_a(\|pack_b(' \
-    crates/comm/src/{exec,threadbackend,simbackend,virt}.rs crates/core/src/srumma.rs; then
+    crates/comm/src/{exec,simbackend,virt}.rs crates/core/src/srumma.rs; then
     echo "FAIL: a backend or the SRUMMA task loop moves block data itself (see above); go through DistMatrix::land_block" >&2; exit 1
 fi
 if grep -rn 'nbget_packed' crates src tests examples; then
     echo "FAIL: a second get method is back (see above); Comm::nbget takes a Landing" >&2; exit 1
+fi
+
+echo "== host guard: one wall-clock communicator, ranks polled or under permits =="
+# Thread-per-rank is the executor's blocking hosting with a permit per
+# rank (exec::thread_run); a second wall-clock Comm, or a worker lending
+# its slot to a blocking rank, is the retired design coming back.
+if grep -rn 'ThreadComm\|PoisonBarrier\|ThreadRunResult\|thread_launch\|grant_and_lend\|gate_wait_grant' \
+    crates src tests examples; then
+    echo "FAIL: a retired host name is back (see above; EXPERIMENTS.md, \"One wall-clock communicator\")" >&2; exit 1
 fi
 
 echo "== product guard: a flat run writes C where the caller reads it =="
@@ -203,9 +212,9 @@ echo "== oversubscription smoke: 128 ranks on 2 workers =="
 timeout 300 cargo run --release -q -p srumma-bench \
     --bin bench_executor_scaling -- --smoke
 
-echo "== split-fence pass: decorators, gated polling, polled and driven programs =="
-# A decorator that drops a fence method, a gated rank that polls with
-# its loan, a program parked where nothing wakes it: all of these hang
+echo "== split-fence pass: decorators, blocking polling, polled and driven programs =="
+# A decorator that drops a fence method, a blocking rank that polls while
+# holding its permit, a program parked where nothing wakes it: all hang
 # rather than fail, so the tests that pin them run once more, bounded.
 # run_plan also holds the in-place ≡ arena differentials (operands and
 # product: 144 plans, each run twice on Sim/Threads/Exec), bounded here
