@@ -16,8 +16,9 @@
 //! ([`DistMatrix::with_host_views_mut`]: each rank writes its tile of C
 //! straight into the matrix the caller gets back, so there is no C arena
 //! to gather from). Either constructor lends any number of windows in
-//! one scope — a flat run's two operands and its product, or every
-//! operand and product of a batch stream. Block `(i, j)` of a view is the
+//! one scope, each on its own grid and cost map — a flat run's two
+//! operands and its product, or every operand and product of a batch
+//! stream, each over its entry's team. Block `(i, j)` of a view is the
 //! sub-window at [`DistMatrix::block_origin`] with the host's leading
 //! dimension — what Global Arrays' `ga_access` hands SRUMMA's direct
 //! flavour — and [`DistMatrix::land_block`] is the strided get of the
@@ -209,12 +210,14 @@ impl DistMatrix {
     }
 
     /// Distribute each host matrix of `windows` **in place** and lend the
-    /// results to `f`, in order: view `i` is a read-only `DistMatrix` over
-    /// `grid` (row-major rank placement — a host matrix is `op(A)` as
-    /// handed, never stored transposed) whose blocks are sub-windows of
-    /// `windows[i].0` (same elements, same leading dimension), with the
-    /// mask `windows[i].1` and the cost map `cost` attached. No element is
-    /// copied and no arena is allocated.
+    /// results to `f`, in order: for `(window, grid, cost, mask)`, view
+    /// `i` is a read-only `DistMatrix` over `grid` (row-major rank
+    /// placement — a host matrix is `op(A)` as handed, never stored
+    /// transposed) whose blocks are sub-windows of `window` (same
+    /// elements, same leading dimension), with the cost map `cost` and
+    /// the mask `mask` attached. Each window has its own grid and cost
+    /// map, so one scope can lend matrices to ranks of different teams.
+    /// No element is copied and no arena is allocated.
     ///
     /// This is the only way to obtain a host view, and what makes the
     /// borrows un-outlivable: the views exist for the duration of this
@@ -225,17 +228,15 @@ impl DistMatrix {
     /// `&mut DistMatrix` would let `f` swap a view out.
     ///
     /// # Panics
-    /// Panics if a mask shape does not match the grid; through `f`, any
+    /// Panics if a mask shape does not match its grid; through `f`, any
     /// write accessor panics (a view is read-only).
     pub fn with_host_views<R>(
-        grid: ProcGrid,
-        windows: &[(MatRef<'_>, Option<BlockMask>)],
-        cost: CostMap,
+        windows: &[(MatRef<'_>, ProcGrid, CostMap, Option<BlockMask>)],
         f: impl FnOnce(&[DistMatrix]) -> R,
     ) -> R {
         let views: Vec<DistMatrix> = windows
             .iter()
-            .map(|(window, mask)| {
+            .map(|(window, grid, cost, mask)| {
                 // SAFETY: only the lifetime changes. `window`'s borrow is
                 // held by the caller until this call returns; the erased
                 // copy lives in `views`, a local that `f` sees by shared
@@ -247,13 +248,13 @@ impl DistMatrix {
                 // read while the caller's shared borrow of it is live.
                 let host = unsafe { std::mem::transmute::<MatRef<'_>, MatRef<'static>>(*window) };
                 let mut view = DistMatrix {
-                    grid,
+                    grid: *grid,
                     rows: window.rows(),
                     cols: window.cols(),
                     order: RankOrder::RowMajor,
                     backing: Backing::View(host),
                     mask: None,
-                    cost,
+                    cost: *cost,
                 };
                 if let Some(mask) = mask {
                     view.set_mask(mask.clone());
@@ -265,11 +266,12 @@ impl DistMatrix {
     }
 
     /// Distribute each host matrix of `windows` **in place, writably**,
-    /// and lend the results to `f`, in order: view `i` is a `DistMatrix`
-    /// over `grid` (row-major rank placement, dense, identity cost map —
-    /// what a result matrix is) whose blocks are sub-windows of
-    /// `windows[i]`, so what a rank writes through [`Self::write_block`]
-    /// is written into the caller's matrix `i` and nowhere else. No
+    /// and lend the results to `f`, in order: for `(window, grid, cost)`,
+    /// view `i` is a dense `DistMatrix` over `grid` (row-major rank
+    /// placement — what a result matrix is) with the cost map `cost`,
+    /// whose blocks are sub-windows of `window`, so what a rank writes
+    /// through [`Self::write_block`] is written into the caller's matrix
+    /// `i` and nowhere else. No
     /// element is copied and no arena is allocated; every accessor works
     /// on a view except the arena-only [`Self::scatter`],
     /// [`Self::scatter_transposed`] and [`Self::gather`] (the caller
@@ -288,14 +290,13 @@ impl DistMatrix {
     /// written (a multiply never reads C at all; a test reads it after
     /// the ranks are done).
     pub fn with_host_views_mut<R>(
-        grid: ProcGrid,
-        mut windows: Vec<MatMut<'_>>,
+        mut windows: Vec<(MatMut<'_>, ProcGrid, CostMap)>,
         f: impl FnOnce(&[DistMatrix]) -> R,
     ) -> R {
         let views: Vec<DistMatrix> = windows
             .iter_mut()
-            .map(|window| DistMatrix {
-                grid,
+            .map(|(window, grid, cost)| DistMatrix {
+                grid: *grid,
                 rows: window.rows(),
                 cols: window.cols(),
                 order: RankOrder::RowMajor,
@@ -305,7 +306,7 @@ impl DistMatrix {
                     checkers: (0..grid.nranks()).map(|_| AccessChecker::new()).collect(),
                 }),
                 mask: None,
-                cost: CostMap::Identity,
+                cost: *cost,
             })
             .collect();
         // `windows` — the exclusive borrows the bases stand for — is held
@@ -906,8 +907,8 @@ mod tests {
             let mut arena = DistMatrix::create(grid, rows, cols);
             arena.scatter(&window.to_matrix());
             arena.set_mask(mask.clone());
-            let lent = [(window, Some(mask))];
-            DistMatrix::with_host_views(grid, &lent, CostMap::Base(7), |views| {
+            let lent = [(window, grid, CostMap::Base(7), Some(mask))];
+            DistMatrix::with_host_views(&lent, |views| {
                 let what = format!("{rows}x{cols} on {p}x{q}");
                 assert_eq!(views.len(), 1);
                 assert_eq!(views[0].cost_rank(1), 8, "{what}");
@@ -917,7 +918,7 @@ mod tests {
         // A `rows × 0` window over no storage at all, `ld > 0`: there is
         // no tail to slice row `i > 0` from.
         let (grid, empty) = (ProcGrid::new(2, 3), MatRef::new(6, 0, 5, &[]));
-        DistMatrix::with_host_views(grid, &[(empty, None)], CostMap::Identity, |views| {
+        DistMatrix::with_host_views(&[(empty, grid, CostMap::Identity, None)], |views| {
             let mut buf = vec![1.0];
             for r in 0..grid.nranks() {
                 assert_eq!(views[0].copy_block_into(r, &mut buf), (3, 0));
@@ -974,12 +975,12 @@ mod tests {
     }
 
     /// Many read-only views lent in one scope — different shapes, some
-    /// windows of one host matrix, each with its own mask or none — each
-    /// serve their own window and mask and nobody else's.
+    /// windows of one host matrix, each on its own grid and cost map and
+    /// with its own mask or none — each serve their own window, grid,
+    /// cost map and mask and nobody else's.
     #[test]
     fn views_lent_together_each_see_their_own_window_and_mask() {
-        let (p, q) = (2, 3);
-        let grid = ProcGrid::new(p, q);
+        let grids = [(2, 3), (1, 1), (2, 2), (3, 1), (1, 4)].map(|(p, q)| ProcGrid::new(p, q));
         let hosts: Vec<Matrix> = (0..4).map(|s| Matrix::random(30, 28, 40 + s)).collect();
         // Two windows of host 0 (overlapping), then hosts 1..4 whole or cut.
         let windows = [
@@ -989,18 +990,31 @@ mod tests {
             hosts[2].block(0, 0, 1, 13),
             hosts[3].block(4, 4, 6, 0),
         ];
-        let masks: Vec<Option<BlockMask>> = (0..windows.len())
-            .map(|i| (i % 2 == 0).then(|| BlockMask::from_fn(p, q, |a, b| (a + b + i) % 3 != 0)))
+        let masks: Vec<Option<BlockMask>> = (grids.iter().enumerate())
+            .map(|(i, g)| {
+                (i % 2 == 0).then(|| BlockMask::from_fn(g.p, g.q, |a, b| (a + b + i) % 3 != 0))
+            })
             .collect();
-        let lent: Vec<_> = windows.iter().copied().zip(masks.iter().cloned()).collect();
-        DistMatrix::with_host_views(grid, &lent, CostMap::Identity, |views| {
+        let lent: Vec<_> = (0..windows.len())
+            .map(|i| {
+                (
+                    windows[i],
+                    grids[i],
+                    CostMap::Base(10 * i),
+                    masks[i].clone(),
+                )
+            })
+            .collect();
+        DistMatrix::with_host_views(&lent, |views| {
             assert_eq!(views.len(), windows.len());
             for (i, (view, window)) in views.iter().zip(&windows).enumerate() {
-                let mut arena = DistMatrix::create(grid, window.rows(), window.cols());
+                let mut arena = DistMatrix::create(grids[i], window.rows(), window.cols());
                 arena.scatter(&window.to_matrix());
                 if let Some(mask) = &masks[i] {
                     arena.set_mask(mask.clone());
                 }
+                assert_eq!(view.grid(), grids[i], "view {i}");
+                assert_eq!(view.cost_rank(0), 10 * i, "view {i}");
                 assert_eq!(view.mask(), masks[i].as_ref(), "view {i}");
                 assert_serves_like(view, &arena, &format!("view {i}"));
             }
@@ -1133,10 +1147,12 @@ mod put_acc_tests {
     /// lent with it.
     fn on_view(f: impl FnOnce(&DistMatrix)) {
         let (other, host) = (Matrix::random(6, 5, 2), Matrix::random(4, 4, 3));
-        let lent = [(other.as_ref(), None), (host.as_ref(), None)];
-        DistMatrix::with_host_views(ProcGrid::new(2, 2), &lent, CostMap::Identity, |views| {
-            f(&views[1])
-        });
+        let (grid, id) = (ProcGrid::new(2, 2), CostMap::Identity);
+        let lent = [
+            (other.as_ref(), grid, id, None),
+            (host.as_ref(), grid, id, None),
+        ];
+        DistMatrix::with_host_views(&lent, |views| f(&views[1]));
     }
 
     #[test]
@@ -1239,7 +1255,8 @@ mod window_tests {
         f: impl FnOnce(&DistMatrix),
     ) {
         let window = host.block_mut(AT.0, AT.1, rows, cols);
-        DistMatrix::with_host_views_mut(ProcGrid::new(p, q), vec![window], |views| f(&views[0]));
+        let lent = vec![(window, ProcGrid::new(p, q), CostMap::Identity)];
+        DistMatrix::with_host_views_mut(lent, |views| f(&views[0]));
     }
 
     /// Every rank writes its id over its block: each element of the
@@ -1424,32 +1441,35 @@ mod window_tests {
         });
     }
 
-    /// Many products lent in one scope, as a batch stream lends them:
-    /// every rank holds its block of every view at once and writes
-    /// `1000·e + rank` over it. Afterwards each host matrix holds, inside
-    /// its window, the value of view `e` and the rank the distribution
-    /// gives each element to — view `e` wrote into output `e` only — and
-    /// nothing outside its window moved.
+    /// Many products lent in one scope, as a batch stream lends them,
+    /// each on its own grid and cost map (an entry's team): every rank
+    /// holds its block of every view at once and writes `1000·e + rank`
+    /// over it. Afterwards each host matrix holds, inside its window, the
+    /// value of view `e` and the rank view `e`'s grid gives each element
+    /// to — view `e` wrote into output `e` only — and nothing outside its
+    /// window moved.
     #[test]
     fn writable_view_e_writes_only_into_output_e() {
-        let (p, q) = (2, 3);
-        let grid = ProcGrid::new(p, q);
+        let grids =
+            [(2, 3), (1, 1), (3, 2), (2, 2), (2, 3), (1, 4)].map(|(p, q)| ProcGrid::new(p, q));
         let shapes = [(10, 9), (41, 37), (1, 7), (7, 2), (6, 0), (4, 4)];
         let before: Vec<Matrix> = (shapes.iter().zip(50..))
             .map(|(&(rows, cols), seed)| host_for(rows, cols, seed))
             .collect();
         let mut hosts = before.clone();
-        let windows = hosts
-            .iter_mut()
-            .zip(shapes)
-            .map(|(host, (rows, cols))| host.block_mut(AT.0, AT.1, rows, cols))
+        let windows = (hosts.iter_mut().zip(shapes).enumerate())
+            .map(|(e, (host, (rows, cols)))| {
+                let window = host.block_mut(AT.0, AT.1, rows, cols);
+                (window, grids[e], CostMap::Base(10 * e))
+            })
             .collect();
-        DistMatrix::with_host_views_mut(grid, windows, |views| {
+        DistMatrix::with_host_views_mut(windows, |views| {
             assert_eq!(views.len(), shapes.len());
             let mut held = Vec::new();
             for (e, view) in views.iter().enumerate() {
                 assert_eq!((view.rows(), view.cols()), shapes[e]);
-                for r in 0..grid.nranks() {
+                assert_eq!((view.grid(), view.cost_rank(1)), (grids[e], 10 * e + 1));
+                for r in 0..grids[e].nranks() {
                     held.push((1000 * e + r, view.write_block(r)));
                 }
             }
@@ -1460,7 +1480,7 @@ mod window_tests {
         for (e, (host, (rows, cols))) in hosts.iter().zip(shapes).enumerate() {
             for i in 0..host.rows() {
                 for j in 0..host.cols() {
-                    let want = match owner_of(grid, (rows, cols), (i, j)) {
+                    let want = match owner_of(grids[e], (rows, cols), (i, j)) {
                         Some(r) => (1000 * e + r) as f64,
                         None => before[e][(i, j)],
                     };
@@ -1477,8 +1497,12 @@ mod window_tests {
     #[should_panic(expected = "discipline violation: write of a region under access")]
     fn a_non_owner_write_into_a_lent_product_is_caught() {
         let (mut x, mut y) = (host_for(4, 4, 1), host_for(4, 4, 2));
-        let windows = vec![x.block_mut(AT.0, AT.1, 4, 4), y.block_mut(AT.0, AT.1, 4, 4)];
-        DistMatrix::with_host_views_mut(ProcGrid::new(2, 2), windows, |views| {
+        let (grid, id) = (ProcGrid::new(2, 2), CostMap::Identity);
+        let windows = vec![
+            (x.block_mut(AT.0, AT.1, 4, 4), grid, id),
+            (y.block_mut(AT.0, AT.1, 4, 4), grid, id),
+        ];
+        DistMatrix::with_host_views_mut(windows, |views| {
             let _owner = views[1].write_block(2);
             drop(views[0].write_block(2));
             // Another rank's put lands on the block its owner is computing.

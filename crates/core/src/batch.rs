@@ -22,14 +22,24 @@
 //! * **one worker pool** — [`multiply_batch_exec`] keeps a single
 //!   `ExecComm` executor (each worker's gemm workspace and fetch
 //!   buffers, each rank's [`MachineScratch`]) alive across every entry,
-//!   so `ws_grow_count() ≤ 1` holds for the whole stream.
+//!   so `ws_grow_count() ≤ 1` holds for the whole stream;
+//! * **a team per entry** — entry `e` runs on the ranks
+//!   `[base, base + s)`, which run the ordinary SRUMMA machine on
+//!   `default_grid(s)` through a [`SubComm`] as if they were the whole
+//!   machine (the mechanism of [`crate::repl`]); its views carry
+//!   [`CostMap::Base`]`(base)`, so a modeled run still prices every
+//!   transfer against global ranks. `s` is what the entry's share of the
+//!   stream's flops pays for (`team_size`) and `deal` places the
+//!   teams, so small entries stop being cut into tiles too small for the
+//!   kernel. An entry without `c0` is bit for bit its `Run` on `s` ranks.
 //!
-//! Per rank, with `n` entries:
+//! Per rank:
 //!
 //! ```text
-//! for e in 0..n:
-//!     copy c0(e)'s block into the output (if any)
-//!     build e's SrummaMachine; run it STRIDE tasks per step; finish
+//! for e in the entries whose team holds this rank, in deal order:
+//!     as rank (me − base) of e's team:
+//!         copy c0(e)'s block into the output (if any)
+//!         build e's SrummaMachine; run it STRIDE tasks per step; finish
 //! ```
 //!
 //! Nothing in that loop waits for another rank, and nothing needs to:
@@ -47,16 +57,17 @@
 //! three-backend correctness matrix possible.
 
 use crate::driver::{default_grid, TracedRun};
-use crate::layout::{fresh_c, with_host_operand_sets};
+use crate::layout::{fresh_c, with_host_operand_sets, HostOperands};
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::srumma::{MachineScratch, SrummaMachine, SrummaReport, STRIDE};
 use srumma_comm::{
     drive, exec_run_tasks, sim_run, thread_run, Comm, CostMap, DistMatrix, ProgramTask,
-    RankProgram, SimOptions, Step,
+    RankProgram, SimOptions, Step, SubComm,
 };
 use srumma_dense::{BlockMask, Matrix, Op};
-use srumma_model::Machine;
+use srumma_model::{Machine, Topology};
 use srumma_trace::{BatchStats, EntryRankSample, EntryStats};
+use std::ops::Range;
 
 /// One multiply of a batch: a spec, its logical operands (`a` is
 /// `m × k`, `b` is `k × n` — `op(A)` and `op(B)` as handed, read in
@@ -75,7 +86,8 @@ pub struct BatchEntry {
     /// Per-entry override of the batch's default options.
     pub opts: Option<SrummaOptions>,
     /// Logical block-sparsity mask of A (`p` C-row blocks × `q`
-    /// k-panels of the run grid). Masked blocks are declared zero:
+    /// k-panels of `default_grid(nranks)`, which is why a masked entry
+    /// runs on the whole machine). Masked blocks are declared zero:
     /// their gets and gemm segments are skipped entirely.
     pub mask_a: Option<BlockMask>,
     /// Logical mask of B (`p` k-panels × `q` C-column blocks).
@@ -112,11 +124,12 @@ impl BatchEntry {
     }
 
     /// Declare block-sparsity structure for the operands (either mask
-    /// may be `None` ≡ dense). Masks are **logical**: shaped by the run
-    /// grid's blocking (`p × q`), with A's columns and B's rows indexing
-    /// k-panels — the blocks of the logical operands the ranks read, in
-    /// every transpose case. Whatever data sits inside a masked block is
-    /// ignored.
+    /// may be `None` ≡ dense). Masks are **logical**: shaped by the
+    /// blocking of `default_grid(nranks)` (`p × q`), with A's columns and
+    /// B's rows indexing k-panels — the blocks of the logical operands
+    /// the ranks read, in every transpose case. Whatever data sits inside
+    /// a masked block is ignored. A batch with a mask of another shape
+    /// panics before any rank runs, naming the entry.
     pub fn with_masks(mut self, mask_a: Option<BlockMask>, mask_b: Option<BlockMask>) -> Self {
         self.mask_a = mask_a;
         self.mask_b = mask_b;
@@ -127,7 +140,8 @@ impl BatchEntry {
 /// A stream of multiplies to run on one worker pool.
 #[derive(Clone)]
 pub struct BatchSpec {
-    /// The entries, executed in order (results are order-stable).
+    /// The entries. Results come back in this order, whatever order
+    /// the ranks run them in (largest first).
     pub entries: Vec<BatchEntry>,
     /// Default options for entries without an override.
     pub opts: SrummaOptions,
@@ -170,16 +184,94 @@ impl BatchSpec {
     }
 }
 
-/// What a rank needs of one entry: the spec to run (transposes
-/// normalised to `N`; `β` to 0 when there is no `c0`), the options, the
-/// `c0` to seed the output from, and the entry's three views.
+/// What a rank needs of one entry: its index, the spec to run
+/// (transposes normalised to `N`; `β` to 0 when there is no `c0`), the
+/// options, the `c0` to seed the output from, the entry's three views
+/// (over its team's grid), and its team: the global ranks that run it
+/// and the machine they see.
 struct EntryPlan<'v> {
+    index: usize,
     spec: GemmSpec,
     opts: SrummaOptions,
     c0: Option<&'v Matrix>,
     a: &'v DistMatrix,
     b: &'v DistMatrix,
     c: &'v DistMatrix,
+    team: Range<usize>,
+    topo: Topology,
+}
+
+/// How many of `topo`'s ranks an entry runs on, in a stream of `total`
+/// flops. A masked entry gets the whole machine: its masks are drawn on
+/// `default_grid(nranks)`. Any other entry gets the largest divisor `s`
+/// of the rank count with `s ≤ max(1, ⌊nranks · flops / total⌋)` — the
+/// ranks its share of the stream pays for — that, on a machine of
+/// several nodes, divides a node or is whole nodes, so that a team on a
+/// multiple of `s` never splits one (the whole machine always
+/// qualifies). A one-entry stream, or one with no flops at all, keeps
+/// the whole machine.
+fn team_size(entry: &BatchEntry, total: f64, topo: Topology) -> usize {
+    let (nranks, rpn) = (topo.nranks(), topo.ranks_per_node());
+    if entry.mask_a.is_some() || entry.mask_b.is_some() || total <= 0.0 {
+        return nranks;
+    }
+    let paid = ((nranks as f64 * entry.spec.flops() / total) as usize).max(1);
+    let whole_nodes =
+        |s: usize| topo.nnodes() == 1 || rpn.is_multiple_of(s) || s.is_multiple_of(rpn);
+    (1..=paid.min(nranks))
+        .rev()
+        .find(|&s| nranks.is_multiple_of(s) && (s == nranks || whole_nodes(s)))
+        .expect("one rank is always a team")
+}
+
+/// Each entry's team, and the order the entries were dealt in — the
+/// order every rank runs its own. Entries are dealt by flops, largest
+/// first (ties by index); each goes to the aligned window of its
+/// `team_size` `s` (a `base` that is a multiple of `s`) whose
+/// most-loaded rank is least loaded (the lowest such `base`), and adds
+/// `flops / s` to every rank of that window.
+fn deal(batch: &BatchSpec, topo: Topology) -> (Vec<Range<usize>>, Vec<usize>) {
+    let total = batch.flops();
+    let flops: Vec<f64> = batch.entries.iter().map(|e| e.spec.flops()).collect();
+    let mut order: Vec<usize> = (0..flops.len()).collect();
+    order.sort_by(|&x, &y| flops[y].total_cmp(&flops[x]));
+    let mut load = vec![0.0; topo.nranks()];
+    let mut teams = vec![0..0; flops.len()];
+    for &e in &order {
+        let s = team_size(&batch.entries[e], total, topo);
+        let busiest = |base: usize| load[base..base + s].iter().copied().fold(0.0, f64::max);
+        let base = (0..topo.nranks())
+            .step_by(s)
+            .min_by(|&x, &y| busiest(x).total_cmp(&busiest(y)))
+            .expect("a machine has a rank");
+        load[base..base + s]
+            .iter_mut()
+            .for_each(|l| *l += flops[e] / s as f64);
+        teams[e] = base..base + s;
+    }
+    (teams, order)
+}
+
+/// Fail, naming the entry, on a mask that is not shaped for
+/// `default_grid(nranks)` — the grid a masked entry's team runs on —
+/// before any rank runs.
+fn check_masks(batch: &BatchSpec, nranks: usize) {
+    let grid = default_grid(nranks);
+    for (e, entry) in batch.entries.iter().enumerate() {
+        for (what, mask) in [("A", &entry.mask_a), ("B", &entry.mask_b)] {
+            if let Some(mask) = mask {
+                assert!(
+                    (mask.rows(), mask.cols()) == (grid.p, grid.q),
+                    "batch entry {e}: mask {what} is {}x{}, want {}x{} \
+                     (the blocks of default_grid({nranks}))",
+                    mask.rows(),
+                    mask.cols(),
+                    grid.p,
+                    grid.q
+                );
+            }
+        }
+    }
 }
 
 /// Copy `rank`'s block of `c0` into its tile of the output `c` — the one
@@ -192,7 +284,8 @@ fn seed_c(c: &DistMatrix, rank: usize, c0: &Matrix) {
     }
 }
 
-/// One rank's results for the whole stream.
+/// One rank's results for the whole stream, in batch order (default
+/// values for the entries whose team does not hold the rank).
 pub struct BatchRankOut {
     /// Per-entry SRUMMA reports (tasks, fetched/direct blocks).
     pub reports: Vec<SrummaReport>,
@@ -203,13 +296,15 @@ pub struct BatchRankOut {
     pub ws_grow_count: u64,
 }
 
-/// One rank's whole batch as **one** [`RankProgram`]: its entries back
-/// to back, each a [`SrummaMachine`] run `STRIDE` tasks per step. It
-/// never parks — there is nothing to wait for — so on the executor a
-/// worker only leaves it for another rank at a yield.
+/// One rank's whole batch as **one** [`RankProgram`]: the entries of
+/// its teams back to back, in deal order, each a [`SrummaMachine`] run
+/// `STRIDE` tasks per step through its team's [`SubComm`]. It never
+/// parks — there is nothing to wait for — so on the executor a worker
+/// only leaves it for another rank at a yield.
 pub struct BatchProgram<'a> {
+    /// Every entry's plan, in deal order.
     plans: &'a [EntryPlan<'a>],
-    /// The entry this rank is on.
+    /// The plan this rank is on.
     e: usize,
     machine: Option<SrummaMachine<'a>>,
     scratch: MachineScratch,
@@ -225,7 +320,7 @@ impl<'a> BatchProgram<'a> {
             machine: None,
             scratch: MachineScratch::default(),
             samples: vec![EntryRankSample::default(); plans.len()],
-            reports: Vec::with_capacity(plans.len()),
+            reports: vec![SrummaReport::default(); plans.len()],
         }
     }
 
@@ -242,10 +337,15 @@ impl RankProgram for BatchProgram<'_> {
     type Out = BatchRankOut;
 
     fn step<C: Comm>(&mut self, comm: &mut C) -> Step<BatchRankOut> {
+        let me = comm.rank();
+        while (self.plans.get(self.e)).is_some_and(|plan| !plan.team.contains(&me)) {
+            self.e += 1;
+        }
         let Some(plan) = self.plans.get(self.e) else {
             return Step::Done(self.take_out(comm));
         };
-        let sample = &mut self.samples[self.e];
+        let comm = &mut SubComm::new(comm, plan.team.start, plan.team.len(), plan.topo);
+        let sample = &mut self.samples[plan.index];
         let mut t0 = comm.now();
         let machine = self.machine.get_or_insert_with(|| {
             sample.t_start = t0;
@@ -273,7 +373,7 @@ impl RankProgram for BatchProgram<'_> {
         sample.tasks_run = report.tasks as u64;
         sample.tasks_masked = report.masked_tasks as u64;
         sample.flops_skipped = report.skipped_flops;
-        self.reports.push(report);
+        self.reports[plan.index] = report;
         self.e += 1;
         Step::Yield
     }
@@ -296,18 +396,20 @@ fn entry_label(spec: &GemmSpec) -> String {
     format!("{} {}x{}x{}", spec.case_label(), spec.m, spec.n, spec.k)
 }
 
+/// Roll each entry up over the ranks of its team (`teams[e]`).
 fn assemble_batch(
     batch: &BatchSpec,
     outputs: Vec<Matrix>,
     rank_outs: Vec<BatchRankOut>,
     wall_s: f64,
+    teams: &[Range<usize>],
 ) -> BatchResult {
     let n = batch.entries.len();
     let mut reports = vec![SrummaReport::default(); n];
     let mut entries = Vec::with_capacity(n);
     for (e, entry) in batch.entries.iter().enumerate() {
-        let mut samples = Vec::with_capacity(rank_outs.len());
-        for ro in &rank_outs {
+        let mut samples = Vec::with_capacity(teams[e].len());
+        for ro in &rank_outs[teams[e].clone()] {
             samples.push(ro.samples[e]);
             reports[e].tasks += ro.reports[e].tasks;
             reports[e].fetched_blocks += ro.reports[e].fetched_blocks;
@@ -319,6 +421,7 @@ fn assemble_batch(
             index: e,
             label: entry_label(&entry.spec),
             flops: entry.spec.flops(),
+            base: teams[e].start,
             samples,
         });
     }
@@ -339,51 +442,69 @@ type NewProgram<'p> = dyn Fn() -> BatchProgram<'p> + Sync + 'p;
 type Launched<X> = (Vec<BatchRankOut>, f64, X);
 
 /// Everything a batched run does that does not depend on the backend:
-/// allocate the outputs, lend every entry's operands and output to the
-/// ranks in place, let `launch` run one [`BatchProgram`] per rank (it is
+/// check the masks, deal the entries to teams of `topo`'s ranks,
+/// allocate the outputs, lend every entry's operands and output to its
+/// team in place, let `launch` run one [`BatchProgram`] per rank (it is
 /// handed the constructor), and roll the per-rank results up. An empty
 /// batch launches nothing.
 fn run_batch<X>(
     batch: &BatchSpec,
-    nranks: usize,
+    topo: Topology,
     launch: impl for<'p> FnOnce(&'p NewProgram<'p>) -> Launched<X>,
 ) -> (BatchResult, Option<X>) {
+    check_masks(batch, topo.nranks());
     if batch.entries.is_empty() {
-        return (assemble_batch(batch, Vec::new(), Vec::new(), 0.0), None);
+        return (
+            assemble_batch(batch, Vec::new(), Vec::new(), 0.0, &[]),
+            None,
+        );
     }
-    let grid = default_grid(nranks);
+    let (teams, order) = deal(batch, topo);
+    let place = |e: usize| (default_grid(teams[e].len()), CostMap::Base(teams[e].start));
     // Untouched until each owner's `c0` copy or pre-pass fills its tile.
     let mut outputs: Vec<Matrix> = (batch.entries.iter())
         .map(|e| Matrix::zeros(e.spec.m, e.spec.n))
         .collect();
-    let operands = batch.entries.iter().map(|e| {
-        let masks = (e.mask_a.as_ref(), e.mask_b.as_ref());
-        (&e.spec, e.a.as_ref(), e.b.as_ref(), masks)
+    let operands = batch.entries.iter().enumerate().map(|(e, entry)| {
+        let (grid, cost) = place(e);
+        HostOperands {
+            spec: &entry.spec,
+            a: entry.a.as_ref(),
+            b: entry.b.as_ref(),
+            masks: (entry.mask_a.as_ref(), entry.mask_b.as_ref()),
+            grid,
+            cost,
+        }
     });
-    let products = outputs.iter_mut().map(Matrix::as_mut).collect();
-    let (rank_outs, wall_s, extra) =
-        with_host_operand_sets(grid, operands, CostMap::Identity, |specs, ab| {
-            DistMatrix::with_host_views_mut(grid, products, |cs| {
-                let plans: Vec<EntryPlan> = (batch.entries.iter().enumerate())
-                    .map(|(e, entry)| EntryPlan {
-                        spec: match entry.c0 {
-                            Some(_) => specs[e],
-                            None => fresh_c(&specs[e], grid, false).0,
-                        },
-                        opts: batch.entry_opts(e),
-                        c0: entry.c0.as_ref(),
-                        a: &ab[2 * e],
-                        b: &ab[2 * e + 1],
-                        c: &cs[e],
-                    })
-                    .collect();
-                launch(&|| BatchProgram::new(&plans))
-            })
-        });
-    (
-        assemble_batch(batch, outputs, rank_outs, wall_s),
-        Some(extra),
-    )
+    let products = (outputs.iter_mut().enumerate())
+        .map(|(e, c)| {
+            let (grid, cost) = place(e);
+            (c.as_mut(), grid, cost)
+        })
+        .collect();
+    let (rank_outs, wall_s, extra) = with_host_operand_sets(operands, |specs, ab| {
+        DistMatrix::with_host_views_mut(products, |cs| {
+            let plans: Vec<EntryPlan> = (order.iter())
+                .map(|&e| EntryPlan {
+                    index: e,
+                    spec: match batch.entries[e].c0 {
+                        Some(_) => specs[e],
+                        None => fresh_c(&specs[e], cs[e].grid(), false).0,
+                    },
+                    opts: batch.entry_opts(e),
+                    c0: batch.entries[e].c0.as_ref(),
+                    a: &ab[2 * e],
+                    b: &ab[2 * e + 1],
+                    c: &cs[e],
+                    team: teams[e].clone(),
+                    topo: topo.team(teams[e].len()),
+                })
+                .collect();
+            launch(&|| BatchProgram::new(&plans))
+        })
+    });
+    let res = assemble_batch(batch, outputs, rank_outs, wall_s, &teams);
+    (res, Some(extra))
 }
 
 /// The executor launcher of [`multiply_batch_exec`] and
@@ -409,7 +530,7 @@ fn launch_exec<'p>(
 /// correctness baseline for the executor path — the same program over
 /// the same views.
 pub fn multiply_batch(batch: &BatchSpec, nranks: usize) -> BatchResult {
-    run_batch(batch, nranks, |program| {
+    run_batch(batch, Topology::single_domain(nranks), |program| {
         let res = thread_run(nranks, |comm| drive(comm, program()));
         (res.outputs, res.wall_seconds, ())
     })
@@ -419,7 +540,7 @@ pub fn multiply_batch(batch: &BatchSpec, nranks: usize) -> BatchResult {
 /// Run the batch under the virtual-time simulator (real data, modeled
 /// time) — the third leg of the correctness matrix.
 pub fn multiply_batch_sim(batch: &BatchSpec, machine: &Machine, nranks: usize) -> BatchResult {
-    run_batch(batch, nranks, |program| {
+    run_batch(batch, machine.topology(nranks), |program| {
         let opts = SimOptions::new(machine.clone(), nranks);
         let res = sim_run(&opts, |comm| drive(comm, program()));
         (res.outputs, res.stats.makespan, ())
@@ -433,7 +554,8 @@ pub fn multiply_batch_sim(batch: &BatchSpec, machine: &Machine, nranks: usize) -
 /// another. This is the tentpole path — ranks run ahead into later
 /// entries while stragglers finish earlier ones.
 pub fn multiply_batch_exec(batch: &BatchSpec, nranks: usize, workers: usize) -> BatchResult {
-    run_batch(batch, nranks, |p| launch_exec(nranks, workers, false, p)).0
+    let topo = Topology::single_domain(nranks);
+    run_batch(batch, topo, |p| launch_exec(nranks, workers, false, p)).0
 }
 
 /// [`multiply_batch_exec`] with wall-clock event tracing on: returns
@@ -444,7 +566,8 @@ pub fn multiply_batch_traced(
     nranks: usize,
     workers: usize,
 ) -> (BatchResult, TracedRun) {
-    let (res, traced) = run_batch(batch, nranks, |p| launch_exec(nranks, workers, true, p));
+    let topo = Topology::single_domain(nranks);
+    let (res, traced) = run_batch(batch, topo, |p| launch_exec(nranks, workers, true, p));
     (res, traced.expect("a traced run needs at least one entry"))
 }
 
@@ -479,4 +602,70 @@ pub fn batch_serial_reference(batch: &BatchSpec) -> Vec<Matrix> {
             c
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stream of square entries of the given sizes, cycling through
+    /// NN, TN and NT; the operands are never read.
+    fn stream(sizes: impl IntoIterator<Item = usize>) -> BatchSpec {
+        let trans = [(Op::N, Op::N), (Op::T, Op::N), (Op::N, Op::T)];
+        let mut batch = BatchSpec::new();
+        for (i, n) in sizes.into_iter().enumerate() {
+            let (ta, tb) = trans[(i / 3) % 3];
+            let (a, b) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+            batch.push(BatchEntry::new(GemmSpec::new(ta, tb, n, n, n), a, b));
+        }
+        batch
+    }
+
+    /// The benchmark's stream — 64 entries, `n` ∈ {64, 96, 128}, on 16
+    /// ranks: its largest entry is 3.1 % of the flops, so every team is
+    /// one rank, and the largest-first deal leaves the ranks' flops
+    /// within one largest entry of each other.
+    #[test]
+    fn the_benchmark_stream_deals_one_entry_per_rank() {
+        let batch = stream((0..64).map(|i| [64, 96, 128][i % 3]));
+        let (teams, order) = deal(&batch, Topology::single_domain(16));
+        assert!(teams.iter().all(|t| t.len() == 1), "{teams:?}");
+        let mut load = [0.0; 16];
+        for (team, entry) in teams.iter().zip(&batch.entries) {
+            load[team.start] += entry.spec.flops();
+        }
+        let lo = load.iter().copied().fold(f64::MAX, f64::min);
+        let hi = load.iter().copied().fold(0.0, f64::max);
+        assert!(hi - lo <= GemmSpec::square(128).flops(), "{load:?}");
+        // Largest first, ties by index.
+        let flops = |e: usize| batch.entries[e].spec.flops();
+        let dealt_before =
+            |x: usize, y: usize| flops(x) > flops(y) || (flops(x) == flops(y) && x < y);
+        assert!(order.windows(2).all(|w| dealt_before(w[0], w[1])));
+    }
+
+    /// Four equal entries on 16 ranks are each paid four ranks, in four
+    /// disjoint windows; a lone entry and a masked one keep the whole
+    /// machine.
+    #[test]
+    fn equal_entries_get_disjoint_windows_and_masks_keep_the_machine() {
+        let topo = Topology::single_domain(16);
+        let (teams, _) = deal(&stream([128; 4]), topo);
+        assert_eq!(teams, [0..4, 4..8, 8..12, 12..16]);
+        assert_eq!(deal(&stream([128]), topo).0[0], 0..16);
+        // Half the flops pays for 8 ranks; the masked half takes all 16.
+        let mut masked = stream([128, 128]);
+        masked.entries[1].mask_a = Some(BlockMask::random(4, 4, 0.5, 1));
+        assert_eq!(deal(&masked, topo).0, [0..8, 0..16]);
+    }
+
+    /// On nodes of 4 ranks a team divides a node or is whole nodes: the
+    /// 6 ranks half a stream's flops pays for on 12 ranks would split a
+    /// node, so that entry gets 4.
+    #[test]
+    fn a_team_never_splits_a_node() {
+        let batch = stream([128, 128]);
+        assert_eq!(deal(&batch, Topology::single_domain(12)).0, [0..6, 6..12]);
+        assert_eq!(deal(&batch, Topology::new(12, 4)).0, [0..4, 4..8]);
+    }
 }

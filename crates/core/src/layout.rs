@@ -26,7 +26,8 @@
 //! say — and hands back the spec the ranks must run over them, the
 //! transposes normalised to `N`, just as [`with_fresh_c`] normalises `β`
 //! for a C nobody has written; [`with_host_operand_sets`] is the same
-//! for every multiply of a batch stream at once. [`dist_a`] /
+//! for every multiply of a batch stream at once, each over its own
+//! team's grid and cost map. [`dist_a`] /
 //! [`dist_b`] + [`scatter_operands`] remain the copying form (arenas in
 //! the stored orientation) for callers that own their distributed
 //! matrices.
@@ -160,29 +161,42 @@ pub fn with_host_operands<R>(
         db.set_cost_map(cost);
         return f(spec, &da, &db);
     };
-    with_host_operand_sets(grid, [(spec, a, b, masks)], cost, |specs, views| {
-        f(&specs[0], &views[0], &views[1])
-    })
+    let set = HostOperands {
+        spec,
+        a,
+        b,
+        masks,
+        grid,
+        cost,
+    };
+    with_host_operand_sets([set], |specs, views| f(&specs[0], &views[0], &views[1]))
 }
 
 /// [`with_host_operands`] for many multiplies at once — every entry of a
-/// batch stream: lend `f`, for each `(spec, a, b, masks)` of `sets` in
-/// order, the spec the ranks must run (transposes normalised to `N`) and
-/// read-only views of its logical `a` and `b` with the logical masks
-/// attached, unflipped — multiply `e`'s A is `views[2e]`, its B
-/// `views[2e + 1]`. All of them are alive for the whole of `f`, and
-/// nothing is allocated, transposed or copied for any of them.
+/// batch stream, each over its own team's grid and cost map: lend `f`,
+/// for each of `sets` in order, the spec the ranks must run (transposes
+/// normalised to `N`) and read-only views of its logical `a` and `b`
+/// over its `grid`, with its `cost` and its logical masks attached,
+/// unflipped — multiply `e`'s A is `views[2e]`, its B `views[2e + 1]`.
+/// All of them are alive for the whole of `f`, and nothing is allocated,
+/// transposed or copied for any of them.
 ///
 /// # Panics
 /// Panics if an `a` is not `m × k` or a `b` not `k × n` for its spec.
 pub fn with_host_operand_sets<'m, R>(
-    grid: ProcGrid,
     sets: impl IntoIterator<Item = HostOperands<'m>>,
-    cost: CostMap,
     f: impl FnOnce(&[GemmSpec], &[DistMatrix]) -> R,
 ) -> R {
     let (mut specs, mut windows) = (Vec::new(), Vec::new());
-    for (spec, a, b, (mask_a, mask_b)) in sets {
+    for HostOperands {
+        spec,
+        a,
+        b,
+        masks: (mask_a, mask_b),
+        grid,
+        cost,
+    } in sets
+    {
         assert_eq!((a.rows(), a.cols()), (spec.m, spec.k), "A must be m x k");
         assert_eq!((b.rows(), b.cols()), (spec.k, spec.n), "B must be k x n");
         specs.push(GemmSpec {
@@ -190,20 +204,24 @@ pub fn with_host_operand_sets<'m, R>(
             transb: Op::N,
             ..*spec
         });
-        windows.push((a, mask_a.cloned()));
-        windows.push((b, mask_b.cloned()));
+        windows.push((a, grid, cost, mask_a.cloned()));
+        windows.push((b, grid, cost, mask_b.cloned()));
     }
-    DistMatrix::with_host_views(grid, &windows, cost, |views| f(&specs, views))
+    DistMatrix::with_host_views(&windows, |views| f(&specs, views))
 }
 
-/// One multiply's operands as a driver is handed them: its spec, the
-/// logical `m × k` A and `k × n` B, and their logical masks.
-pub type HostOperands<'m> = (
-    &'m GemmSpec,
-    MatRef<'m>,
-    MatRef<'m>,
-    (Option<&'m BlockMask>, Option<&'m BlockMask>),
-);
+/// One multiply's operands as a driver is handed them — its spec, the
+/// logical `m × k` A and `k × n` B, and their logical masks — and where
+/// its ranks are: the grid they multiply on and the cost map from its
+/// slots to global ranks.
+pub struct HostOperands<'m> {
+    pub spec: &'m GemmSpec,
+    pub a: MatRef<'m>,
+    pub b: MatRef<'m>,
+    pub masks: (Option<&'m BlockMask>, Option<&'m BlockMask>),
+    pub grid: ProcGrid,
+    pub cost: CostMap,
+}
 
 /// Create the distributed C for `spec`.
 pub fn dist_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> DistMatrix {
@@ -252,7 +270,8 @@ pub fn with_fresh_c<R>(
         (spec.m, spec.n),
         "C must be m x n"
     );
-    DistMatrix::with_host_views_mut(grid, vec![product], |c| f(&spec, &c[0]))
+    let lent = vec![(product, grid, CostMap::Identity)];
+    DistMatrix::with_host_views_mut(lent, |c| f(&spec, &c[0]))
 }
 
 /// Attach a **logical** block-sparsity mask to stored A. The logical

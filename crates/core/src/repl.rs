@@ -121,15 +121,10 @@ impl ReplSet<'_> {
             "inadmissible replication factor {c}"
         );
         let team_ranks = nranks / c;
-        let team_topo = if topo.nnodes() == 1 {
-            Topology::single_domain(team_ranks)
-        } else {
-            Topology::new(team_ranks, topo.ranks_per_node())
-        };
         let set = ReplSet {
             c,
             team_ranks,
-            team_topo,
+            team_topo: topo.team(team_ranks),
             grid: ProcGrid::near_square(team_ranks),
             teams: Vec::with_capacity(c),
         };

@@ -150,7 +150,9 @@ fn prefetch_depth_never_changes_a_bit() {
 /// multiples of the grid's `p` and `q`, `k` ∈ {0, 1}, a single-row
 /// entry, dense and masked operands, the copy flavour, a `β` the fresh
 /// C makes moot — with `c0` entries between them, which must disturb
-/// nothing.
+/// nothing. One entry holds most of the stream's flops, so it runs on a
+/// team of more than one rank and fewer than all; the masked ones run
+/// on the whole machine and the rest on one rank each.
 fn run_equivalent_batch(nranks: usize) -> BatchSpec {
     let grid = default_grid(nranks);
     let copy = SrummaOptions {
@@ -171,6 +173,7 @@ fn run_equivalent_batch(nranks: usize) -> BatchSpec {
         (Op::T, Op::T, 6, 6, 6, 1.0, true, false, true),
         (Op::T, Op::T, 1, 9, 6, 0.0, false, false, false),
         (Op::N, Op::T, 15, 10, 1, 0.0, true, false, false),
+        (Op::T, Op::N, 26, 24, 22, 0.0, false, false, false),
     ];
     let mut batch = BatchSpec::new();
     for (i, &(ta, tb, m, n, k, beta, masked, forced, with_c0)) in cases.iter().enumerate() {
@@ -197,25 +200,37 @@ fn run_equivalent_batch(nranks: usize) -> BatchSpec {
 
 /// The contract of the in-place stream: every fresh-C entry is, bit for
 /// bit, the [`Run`] of its spec, operands, masks and options on the same
-/// backend and rank count — the batch reaches the ranks exactly the way
-/// a run does, whatever the transposes, masks or extents.
+/// backend and on its team's rank count — the batch reaches a team's
+/// ranks exactly the way a run reaches its own, whatever the
+/// transposes, masks or extents. On the simulator's 2-rank nodes the
+/// big entry's team at 6 ranks is 2, not 3: a team never splits a node.
 #[test]
 fn a_batch_entry_is_its_run_bit_for_bit() {
     let machine = Machine::linux_myrinet();
-    for nranks in [4usize, 6] {
+    for (nranks, exec_team, sim_team) in [(4usize, 2usize, 2usize), (6, 3, 2)] {
         let batch = run_equivalent_batch(nranks);
         let backends = [
-            ("exec", Backend::Exec { workers: 2 }),
-            ("threads", Backend::Threads),
-            ("sim", Backend::Sim(&machine)),
+            ("exec", Backend::Exec { workers: 2 }, exec_team),
+            ("threads", Backend::Threads, exec_team),
+            ("sim", Backend::Sim(&machine), sim_team),
         ];
-        for (name, backend) in backends {
+        for (name, backend, big_team) in backends {
             let res = match backend {
                 Backend::Exec { workers } => multiply_batch_exec(&batch, nranks, workers),
                 Backend::Threads => multiply_batch(&batch, nranks),
                 _ => multiply_batch_sim(&batch, &machine, nranks),
             };
+            let teams: Vec<usize> = (res.stats.entries.iter())
+                .map(|es| es.samples.len())
+                .collect();
             for (e, entry) in batch.entries.iter().enumerate() {
+                let masked = entry.mask_a.is_some() || entry.mask_b.is_some();
+                let want = match (e + 1 == batch.entries.len(), masked) {
+                    (true, _) => big_team,
+                    (_, true) => nranks,
+                    _ => 1,
+                };
+                assert_eq!(teams[e], want, "{name} x{nranks}: entry {e} team");
                 if entry.c0.is_some() {
                     continue;
                 }
@@ -225,10 +240,10 @@ fn a_batch_entry_is_its_run_bit_for_bit() {
                 };
                 let run = Run {
                     operands: Some((&entry.a, &entry.b)),
-                    masks: (entry.mask_a.is_some()).then_some(&masks),
+                    masks: masked.then_some(&masks),
                     ..Run::new(
                         entry.spec,
-                        nranks,
+                        teams[e],
                         Algorithm::Srumma(batch.entry_opts(e)),
                         backend,
                     )
@@ -237,19 +252,19 @@ fn a_batch_entry_is_its_run_bit_for_bit() {
                 let c = out.c.expect("a run over host operands returns C");
                 assert!(
                     bits(&res.outputs[e]) == bits(&c),
-                    "{name} x{nranks}: entry {e} ({:?}) is not its run",
-                    entry.spec
+                    "{name} x{nranks}: entry {e} ({:?}) is not its run on {} ranks",
+                    entry.spec,
+                    teams[e]
                 );
             }
         }
     }
 }
 
-/// Nothing in the stream waits for another rank: 64 entries on 16
-/// ranks polled by 2 workers — the most oversubscribed the benchmark
-/// runs — and not one rank task ever parks.
-#[test]
-fn a_batch_never_parks_a_rank() {
+/// 64 square entries, `n` ∈ {16, 24, 32}, cycling through NN, TN and
+/// NT: none is more than 1/16 of the stream's flops, so on 16 ranks
+/// every entry runs on one.
+fn small_entry_stream() -> BatchSpec {
     let mut batch = BatchSpec::new();
     let trans = [(Op::N, Op::N), (Op::T, Op::N), (Op::N, Op::T)];
     for i in 0..64u64 {
@@ -259,6 +274,55 @@ fn a_batch_never_parks_a_rank() {
         let b = Matrix::random(n, n, 901 + 2 * i);
         batch.push(BatchEntry::new(GemmSpec::new(ta, tb, n, n, n), a, b));
     }
+    batch
+}
+
+/// A one-rank entry is one kernel call over the whole of its logical
+/// operands: bit for bit the serial reference, on the executor and on
+/// threads.
+#[test]
+fn a_one_rank_entry_is_the_serial_reference_bit_for_bit() {
+    let batch = small_entry_stream();
+    let expect = batch_serial_reference(&batch);
+    for (name, res) in [
+        ("exec", multiply_batch_exec(&batch, 16, 2)),
+        ("threads", multiply_batch(&batch, 16)),
+    ] {
+        for (e, es) in res.stats.entries.iter().enumerate() {
+            assert_eq!(
+                es.samples.len(),
+                1,
+                "{name}: entry {e} is not a 1-rank entry"
+            );
+            assert!(
+                bits(&res.outputs[e]) == bits(&expect[e]),
+                "{name}: entry {e} ({:?}) is not the serial reference",
+                batch.entries[e].spec
+            );
+        }
+    }
+}
+
+/// A mask not drawn on `default_grid(nranks)` is refused before any
+/// rank runs, with the entry and the shape it should have.
+#[test]
+#[should_panic(expected = "batch entry 1: mask B is 2x2, want 2x3")]
+fn a_mask_of_the_wrong_shape_fails_at_the_batch() {
+    let mut batch = BatchSpec::new();
+    for i in 0..2u64 {
+        let (a, b) = (Matrix::random(8, 8, i), Matrix::random(8, 8, i + 10));
+        batch.push(BatchEntry::new(GemmSpec::square(8), a, b));
+    }
+    batch.entries[1].mask_b = Some(BlockMask::random(2, 2, 0.5, 3));
+    multiply_batch_exec(&batch, 6, 2);
+}
+
+/// Nothing in the stream waits for another rank: 64 entries on 16
+/// ranks polled by 2 workers — the most oversubscribed the benchmark
+/// runs — and not one rank task ever parks.
+#[test]
+fn a_batch_never_parks_a_rank() {
+    let batch = small_entry_stream();
     let (res, traced) = multiply_batch_traced(&batch, 16, 2);
     assert_matches_reference(&res.outputs, &batch, "64 entries on 16 ranks");
     let exec = traced
@@ -326,8 +390,9 @@ fn per_entry_option_overrides_apply() {
     }
 }
 
-/// The stats rollup: per-entry labels/flops survive, every rank sampled
-/// every entry, time flows, and the traced variant carries a timeline.
+/// The stats rollup: per-entry labels/flops survive, every rank of an
+/// entry's team sampled the entry (and no rank outside it did), time
+/// flows, and the traced variant carries a timeline.
 #[test]
 fn batch_stats_and_trace_are_coherent() {
     let batch = mixed_batch();
@@ -337,7 +402,18 @@ fn batch_stats_and_trace_are_coherent() {
     assert_eq!(res.reports.len(), batch.entries.len());
     for (e, es) in res.stats.entries.iter().enumerate() {
         assert_eq!(es.index, e);
-        assert_eq!(es.samples.len(), 4, "entry {e}: one sample per rank");
+        assert!(
+            !es.samples.is_empty() && es.base + es.samples.len() <= 4,
+            "entry {e}: one sample per team rank, team {} + {}",
+            es.base,
+            es.samples.len()
+        );
+        assert!(
+            es.samples
+                .iter()
+                .all(|s| s.t_end >= s.t_start && s.t_end > 0.0),
+            "entry {e}: a team rank that never ran the entry was sampled"
+        );
         assert_eq!(es.flops, batch.entries[e].spec.flops());
         assert!(es.label.contains('x'), "entry {e}: label {:?}", es.label);
         assert!(es.span_s() >= 0.0);

@@ -80,6 +80,21 @@ impl Topology {
     pub fn local_index(&self, rank: usize) -> usize {
         rank % self.ranks_per_node
     }
+
+    /// What a team of `n` consecutive ranks of this machine sees when it
+    /// runs as a machine of its own (a replica team, a batch entry's
+    /// team): one domain if this machine is one, otherwise nodes of the
+    /// same width. The team must not split a node — `n` divides
+    /// `ranks_per_node` or is a multiple of it, and the team starts on a
+    /// multiple of `n` — so that its same-domain answers are this
+    /// machine's.
+    pub fn team(&self, n: usize) -> Topology {
+        if self.nnodes() == 1 {
+            Topology::single_domain(n)
+        } else {
+            Topology::new(n, self.ranks_per_node)
+        }
+    }
 }
 
 /// A `p × q` logical process grid over `p·q` ranks, row-major:
@@ -178,6 +193,20 @@ mod tests {
         assert_eq!(t.local_index(0), 0);
         assert_eq!(t.local_index(5), 1);
         assert_eq!(t.local_index(7), 3);
+    }
+
+    /// A team inside a node is one domain; a team of whole nodes keeps
+    /// the node width; on a one-domain machine every team is one domain.
+    #[test]
+    fn teams_see_the_machine_s_domains() {
+        let t = Topology::new(16, 4);
+        assert_eq!(t.team(2).nnodes(), 1);
+        assert!(t.team(2).same_domain(0, 1));
+        assert_eq!(t.team(8), Topology::new(8, 4));
+        assert_eq!(
+            Topology::single_domain(16).team(4),
+            Topology::single_domain(4)
+        );
     }
 
     #[test]

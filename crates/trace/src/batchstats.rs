@@ -3,12 +3,13 @@
 //! synchronisation between entries.
 //!
 //! The backends are too far down the stack to know about batch entries,
-//! so the batched driver stamps a small [`EntryRankSample`] per rank
-//! per entry (time seeding the output from `c0`, time computing,
-//! first-touch and finish wall times) and this module rolls them up:
+//! so the batched driver stamps a small [`EntryRankSample`] per entry on
+//! each rank of the entry's team (time seeding the output from `c0`,
+//! time computing, first-touch and finish wall times) and this module
+//! rolls them up:
 //!
-//! * [`EntryStats`] — one entry across its ranks, convertible to the
-//!   familiar per-run [`RunStats`] shape;
+//! * [`EntryStats`] — one entry across its team's ranks, convertible to
+//!   the familiar per-run [`RunStats`] shape;
 //! * [`BatchStats`] — the whole stream: fence time per entry (0 since
 //!   the stream has no fences; kept so a ledger that reads it still
 //!   can) and the **inter-entry overlap fraction** (how much of the
@@ -52,7 +53,9 @@ pub struct EntryStats {
     pub label: String,
     /// Useful flops of the entry (`2mnk`).
     pub flops: f64,
-    /// Per-rank samples, indexed by rank.
+    /// First global rank of the team that ran the entry.
+    pub base: usize,
+    /// One sample per team rank: `samples[i]` is rank `base + i`'s.
     pub samples: Vec<EntryRankSample>,
 }
 
@@ -265,6 +268,7 @@ mod tests {
             index,
             label: format!("e{index}"),
             flops: 1e6,
+            base: 0,
             samples: vec![
                 EntryRankSample {
                     stage_s: 0.01,
@@ -378,6 +382,7 @@ mod tests {
             index: 0,
             label: "masked".into(),
             flops: 0.0,
+            base: 0,
             samples: vec![EntryRankSample::default(); 3],
         };
         assert_eq!(zero.span_s(), 0.0);
@@ -389,6 +394,7 @@ mod tests {
             index: 1,
             label: "hollow".into(),
             flops: 0.0,
+            base: 0,
             samples: vec![],
         };
         assert_eq!(hollow.span_s(), 0.0);
