@@ -194,12 +194,15 @@ pub trait Comm {
     fn fence(&mut self);
 
     /// Charge (and, when data is present, execute) a serial block
-    /// dgemm `C += α·op(A)·op(B)` of logical shape `m × n × k`. Each
-    /// factor is a stored matrix with its transpose flag or a fetched
-    /// panel already in sliver order ([`Operand`]); the time charged
-    /// depends on `m`, `n`, `k` and `direct` only. `direct` marks
-    /// operands read in place from shared memory, which on non-cacheable
-    /// machines (Cray X1) runs far below the copied kernel's rate.
+    /// dgemm `C ← α·op(A)·op(B) + β·C` of logical shape `m × n × k`,
+    /// `β` ∈ {0, 1}: at 1 the product accumulates into C; at 0 C need
+    /// not be set on input and is only written (BLAS), provided `k > 0`
+    /// — a zero-depth call may leave C as it was. Each factor is a
+    /// stored matrix with its transpose flag or a fetched panel already
+    /// in sliver order ([`Operand`]); the time charged depends on `m`,
+    /// `n`, `k` and `direct` only, whatever `β`. `direct` marks operands
+    /// read in place from shared memory, which on non-cacheable machines
+    /// (Cray X1) runs far below the copied kernel's rate.
     #[allow(clippy::too_many_arguments)]
     fn gemm(
         &mut self,
@@ -209,6 +212,7 @@ pub trait Comm {
         alpha: f64,
         a: Option<Operand<'_>>,
         b: Option<Operand<'_>>,
+        beta: f64,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,

@@ -839,10 +839,12 @@ impl Comm for ExecComm {
         alpha: f64,
         a: Option<Operand<'_>>,
         b: Option<Operand<'_>>,
+        beta: f64,
         c: Option<MatMut<'_>>,
         _direct: bool,
         label: &str,
     ) {
+        debug_assert!(beta == 0.0 || beta == 1.0, "Comm::gemm takes beta 0 or 1");
         if m == 0 || n == 0 || k == 0 {
             return;
         }
@@ -855,7 +857,7 @@ impl Comm for ExecComm {
         SCRATCH.with_borrow_mut(|s| {
             let ws = s.ws.get_or_insert_with(GemmWorkspace::new);
             let before = ws.grow_count();
-            dgemm_operands(alpha, a, b, 1.0, c, ws);
+            dgemm_operands(alpha, a, b, beta, c, ws);
             self.ws_grows = ws.grow_count();
             if self.ws_grows > before {
                 self.core.ws_grows.fetch_add(1, Ordering::Relaxed);

@@ -297,11 +297,12 @@ impl<C: Comm + ?Sized> Comm for &mut C {
         alpha: f64,
         a: Option<Operand<'_>>,
         b: Option<Operand<'_>>,
+        beta: f64,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
     ) {
-        (**self).gemm(m, n, k, alpha, a, b, c, direct, label)
+        (**self).gemm(m, n, k, alpha, a, b, beta, c, direct, label)
     }
     fn send(&mut self, dst: usize, tag: u64, data: &[f64], bytes: u64) {
         (**self).send(dst, tag, data, bytes)
@@ -445,16 +446,20 @@ impl<C: Comm> Comm for ChaosComm<C> {
         alpha: f64,
         a: Option<Operand<'_>>,
         b: Option<Operand<'_>>,
+        beta: f64,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
     ) {
         let f = self.plan.slow_factor(self.inner.rank());
         if f <= 1.0 {
-            return self.inner.gemm(m, n, k, alpha, a, b, c, direct, label);
+            return self
+                .inner
+                .gemm(m, n, k, alpha, a, b, beta, c, direct, label);
         }
         let t0 = Instant::now();
-        self.inner.gemm(m, n, k, alpha, a, b, c, direct, label);
+        self.inner
+            .gemm(m, n, k, alpha, a, b, beta, c, direct, label);
         let stretch = t0.elapsed().as_secs_f64() * (f - 1.0);
         self.inner.recorder().count_delay();
         Self::sleep(stretch);

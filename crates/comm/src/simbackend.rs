@@ -349,10 +349,12 @@ impl Comm for SimComm {
         alpha: f64,
         a: Option<Operand<'_>>,
         b: Option<Operand<'_>>,
+        beta: f64,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
     ) {
+        debug_assert!(beta == 0.0 || beta == 1.0, "Comm::gemm takes beta 0 or 1");
         let base = self.machine.cpu.gemm_time(m, n, k);
         let factor = if direct {
             self.machine.shm.direct_access_eff.max(1e-3)
@@ -363,7 +365,7 @@ impl Comm for SimComm {
         self.proc
             .charge_compute(base / factor * self.fault_self(), label);
         if let (Some(a), Some(b), Some(c)) = (a, b, c) {
-            dgemm_operands(alpha, a, b, 1.0, c, &mut self.ws);
+            dgemm_operands(alpha, a, b, beta, c, &mut self.ws);
         }
     }
 
@@ -665,6 +667,7 @@ mod tests {
                 1.0,
                 Some(Operand::Plain(a.as_ref(), Op::N)),
                 Some(Operand::Plain(b.as_ref(), Op::N)),
+                1.0,
                 Some(cm.as_mut()),
                 false,
                 "t",
@@ -685,10 +688,10 @@ mod tests {
         for (machine, expect_slow) in [(Machine::cray_x1(), true), (Machine::sgi_altix(), false)] {
             let res = sim_run(&SimOptions::new(machine, 2), |c| {
                 let t0 = c.now();
-                c.gemm(256, 256, 256, 1.0, None, None, None, true, "d");
+                c.gemm(256, 256, 256, 1.0, None, None, 1.0, None, true, "d");
                 let direct = c.now() - t0;
                 let t1 = c.now();
-                c.gemm(256, 256, 256, 1.0, None, None, None, false, "c");
+                c.gemm(256, 256, 256, 1.0, None, None, 1.0, None, false, "c");
                 (direct, c.now() - t1)
             });
             let (direct, copied) = res.outputs[0];
@@ -793,7 +796,7 @@ mod tests {
             sim_run(opts, |c| {
                 if c.rank() == 0 {
                     let t0 = c.now();
-                    c.gemm(256, 256, 256, 1.0, None, None, None, false, "g");
+                    c.gemm(256, 256, 256, 1.0, None, None, 1.0, None, false, "g");
                     c.now() - t0
                 } else if c.rank() == 2 {
                     // Rank 2 is on another node: remote RMA get from 0.

@@ -137,11 +137,13 @@ impl<C: Comm> Comm for SubComm<'_, C> {
         alpha: f64,
         a: Option<Operand<'_>>,
         b: Option<Operand<'_>>,
+        beta: f64,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
     ) {
-        self.inner.gemm(m, n, k, alpha, a, b, c, direct, label);
+        self.inner
+            .gemm(m, n, k, alpha, a, b, beta, c, direct, label);
     }
 
     fn send(&mut self, dst: usize, tag: u64, data: &[f64], bytes: u64) {

@@ -217,10 +217,12 @@ impl Comm for VirtualComm {
         alpha: f64,
         a: Option<Operand<'_>>,
         b: Option<Operand<'_>>,
+        beta: f64,
         c: Option<MatMut<'_>>,
         direct: bool,
         _label: &str,
     ) {
+        debug_assert!(beta == 0.0 || beta == 1.0, "Comm::gemm takes beta 0 or 1");
         let base = self.machine.cpu.gemm_time(m, n, k);
         let factor = if direct {
             self.machine.shm.direct_access_eff.max(1e-3)
@@ -229,7 +231,7 @@ impl Comm for VirtualComm {
         };
         self.clock += base / factor;
         if let (Some(a), Some(b), Some(c)) = (a, b, c) {
-            dgemm_operands(alpha, a, b, 1.0, c, &mut self.ws);
+            dgemm_operands(alpha, a, b, beta, c, &mut self.ws);
         }
     }
 
@@ -389,12 +391,12 @@ mod tests {
     fn clocks_advance_and_segments_align() {
         let machine = Machine::linux_myrinet();
         let res = virtual_run(&machine, 4, 2, |c| {
-            c.gemm(64, 64, 64, 1.0, None, None, None, false, "t");
+            c.gemm(64, 64, 64, 1.0, None, None, 1.0, None, false, "t");
             c.barrier();
             if c.rank() == 0 {
                 // Rank 0 computes more in segment 2: it alone should
                 // stretch the second segment's maximum.
-                c.gemm(64, 64, 64, 1.0, None, None, None, false, "t");
+                c.gemm(64, 64, 64, 1.0, None, None, 1.0, None, false, "t");
             }
             c.rank()
         });

@@ -150,6 +150,7 @@ impl Comm for Fake {
         alpha: f64,
         a: Option<Operand<'_>>,
         b: Option<Operand<'_>>,
+        beta: f64,
         c: Option<MatMut<'_>>,
         direct: bool,
         label: &str,
@@ -161,7 +162,7 @@ impl Comm for Fake {
         };
         let (a, b) = (side(a), side(b));
         self.note(format!(
-            "gemm({m}, {n}, {k}, {alpha}, {a}, {b}, {}, {direct}, {label})",
+            "gemm({m}, {n}, {k}, {alpha}, {a}, {b}, {beta}, {}, {direct}, {label})",
             c.is_some()
         ));
     }
@@ -228,7 +229,7 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
     c.lease_buf(&mut panel);
     seen.push(("leased", shape(&panel)));
     let b = Some(Operand::Packed(panel.view()));
-    c.gemm(2, 1, 2, 0.5, None, b, None, false, "packed");
+    c.gemm(2, 1, 2, 0.5, None, b, 0.0, None, false, "packed");
     c.return_buf(&mut panel);
     seen.push(("returned", shape(&panel)));
     c.wait(GetHandle::Virt(9));
@@ -236,7 +237,7 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
     c.put(&mat, 2, &[1.5, 2.5]);
     c.acc(&mat, 1, -2.0, &[0.5]);
     c.fence();
-    c.gemm(2, 4, 3, 1.5, a, None, None, true, "lbl");
+    c.gemm(2, 4, 3, 1.5, a, None, 1.0, None, true, "lbl");
     c.send(peer, 31, &[9.0], 8);
     c.recv(peer, 32, &mut buf, 16);
     c.sendrecv(peer, 33, &[8.0], 8, peer, &mut buf, 24);

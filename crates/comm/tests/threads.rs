@@ -70,6 +70,7 @@ fn gemm_accumulates_into_c() {
             1.0,
             Some(Operand::Plain(a.as_ref(), Op::N)),
             Some(Operand::Plain(b.as_ref(), Op::N)),
+            1.0,
             Some(cm.as_mut()),
             true,
             "t",
@@ -78,6 +79,31 @@ fn gemm_accumulates_into_c() {
     });
     let got = &res.outputs[0];
     assert_eq!(got[(2, 3)], 1.0 + 5.0);
+}
+
+/// With `β = 0` the gemm writes C without reading it: a C of NaN comes
+/// back holding the product alone.
+#[test]
+fn gemm_with_beta_zero_writes_c() {
+    let res = thread_run(1, |c| {
+        let a = Matrix::identity(4);
+        let b = Matrix::from_fn(4, 4, |i, j| (i + j) as f64);
+        let mut cm = Matrix::from_fn(4, 4, |_, _| f64::NAN);
+        c.gemm(
+            4,
+            4,
+            4,
+            1.0,
+            Some(Operand::Plain(a.as_ref(), Op::N)),
+            Some(Operand::Plain(b.as_ref(), Op::N)),
+            0.0,
+            Some(cm.as_mut()),
+            true,
+            "t",
+        );
+        cm
+    });
+    assert_eq!(res.outputs[0], Matrix::from_fn(4, 4, |i, j| (i + j) as f64));
 }
 
 #[test]

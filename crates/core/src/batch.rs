@@ -14,11 +14,14 @@
 //!   masks unflipped, exactly as a `Run` reads its operands), and every
 //!   entry's output as a writable view
 //!   ([`DistMatrix::with_host_views_mut`]): the owner of a tile computes
-//!   it where the caller reads it. The one copy left is an entry's `c0`:
-//!   its owner copies its block into the output window before the `β`
-//!   pre-pass, in parallel, as that tile's first touch. An entry without
-//!   `c0` runs with `β` normalised to 0, as [`fresh_c`] does, so the
-//!   pre-pass fill is the first touch;
+//!   it where the caller reads it. Nothing zeroes an output
+//!   (`with_fresh_outputs` allocates it with capacity only), so each
+//!   tile's first write is its owner's, in parallel. The one copy left
+//!   is an entry's `c0`: its owner copies its block into the output
+//!   window before the `β` pre-pass. An entry without `c0` runs with `β`
+//!   normalised to 0, as [`fresh_c`] does, so its owner's first task
+//!   *stores* the product into the tile — no pre-pass, no read of C —
+//!   and only a rank left with no task fills its tile instead;
 //! * **one worker pool** — [`multiply_batch_exec`] keeps a single
 //!   `ExecComm` executor (each worker's gemm workspace and fetch
 //!   buffers, each rank's [`MachineScratch`]) alive across every entry,
@@ -64,8 +67,8 @@ use srumma_comm::{
     drive, exec_run_tasks, sim_run, thread_run, Comm, CostMap, DistMatrix, ProgramTask,
     RankProgram, SimOptions, Step, SubComm,
 };
-use srumma_dense::{BlockMask, Matrix, Op};
-use srumma_model::{Machine, Topology};
+use srumma_dense::{BlockMask, MatMut, Matrix, Op};
+use srumma_model::{Machine, ProcGrid, Topology};
 use srumma_trace::{BatchStats, EntryRankSample, EntryStats};
 use std::ops::Range;
 
@@ -441,12 +444,62 @@ type NewProgram<'p> = dyn Fn() -> BatchProgram<'p> + Sync + 'p;
 /// modeled) seconds, and whatever else it reports.
 type Launched<X> = (Vec<BatchRankOut>, f64, X);
 
+/// Lend `f` a writable view of a fresh `rows × cols` output per
+/// `(rows, cols, grid, cost)` of `windows`, paired with its `grid` and
+/// `cost` — what [`DistMatrix::with_host_views_mut`] takes — and hand the
+/// outputs back, in order, once `f` has returned. An output is allocated
+/// with capacity only — nothing zeroes it, serially or otherwise — so
+/// the first write of each element is its owner's: a `c0` copy, the
+/// pre-pass fill, or the first task's store under `β = 0`. Debug builds
+/// fill every output with NaN first, so an element no owner wrote fails
+/// any check against a reference rather than reading uninitialised
+/// memory.
+///
+/// # Safety
+/// If `f` returns normally, it must have written every element of every
+/// view it was lent: the outputs are handed back as initialised.
+unsafe fn with_fresh_outputs<R>(
+    windows: impl IntoIterator<Item = (usize, usize, ProcGrid, CostMap)>,
+    f: impl for<'c> FnOnce(Vec<(MatMut<'c>, ProcGrid, CostMap)>) -> R,
+) -> (Vec<Matrix>, R) {
+    let mut bufs: Vec<_> = (windows.into_iter())
+        .map(|(rows, cols, grid, cost)| (Vec::with_capacity(rows * cols), rows, cols, grid, cost))
+        .collect();
+    #[cfg(debug_assertions)]
+    for (buf, ..) in &mut bufs {
+        buf.spare_capacity_mut()
+            .fill(std::mem::MaybeUninit::new(f64::NAN));
+    }
+    let lent = (bufs.iter_mut())
+        .map(|(buf, rows, cols, grid, cost)| {
+            // SAFETY: a `rows × cols` view at `ld = cols` spans exactly the
+            // buffer's `rows · cols` allocated elements, which nothing
+            // else reaches while `f` runs; `f` cannot keep the view, whose
+            // lifetime it does not choose. The elements may be
+            // uninitialised: the ranks only write through it.
+            let view = unsafe { MatMut::from_raw(buf.as_mut_ptr(), *rows, *cols, *cols) };
+            (view, *grid, *cost)
+        })
+        .collect();
+    let r = f(lent);
+    let outputs = (bufs.into_iter())
+        .map(|(mut buf, rows, cols, ..)| {
+            // SAFETY: `f` returned normally, so by this function's contract
+            // every element of the buffer is initialised. Had `f` unwound,
+            // the buffers would have been dropped unread, at length 0.
+            unsafe { buf.set_len(rows * cols) };
+            Matrix::from_vec(rows, cols, buf)
+        })
+        .collect();
+    (outputs, r)
+}
+
 /// Everything a batched run does that does not depend on the backend:
 /// check the masks, deal the entries to teams of `topo`'s ranks,
-/// allocate the outputs, lend every entry's operands and output to its
-/// team in place, let `launch` run one [`BatchProgram`] per rank (it is
-/// handed the constructor), and roll the per-rank results up. An empty
-/// batch launches nothing.
+/// allocate the outputs ([`with_fresh_outputs`]), lend every entry's
+/// operands and output to its team in place, let `launch` run one
+/// [`BatchProgram`] per rank (it is handed the constructor), and roll the
+/// per-rank results up. An empty batch launches nothing.
 fn run_batch<X>(
     batch: &BatchSpec,
     topo: Topology,
@@ -461,10 +514,6 @@ fn run_batch<X>(
     }
     let (teams, order) = deal(batch, topo);
     let place = |e: usize| (default_grid(teams[e].len()), CostMap::Base(teams[e].start));
-    // Untouched until each owner's `c0` copy or pre-pass fills its tile.
-    let mut outputs: Vec<Matrix> = (batch.entries.iter())
-        .map(|e| Matrix::zeros(e.spec.m, e.spec.n))
-        .collect();
     let operands = batch.entries.iter().enumerate().map(|(e, entry)| {
         let (grid, cost) = place(e);
         HostOperands {
@@ -476,33 +525,39 @@ fn run_batch<X>(
             cost,
         }
     });
-    let products = (outputs.iter_mut().enumerate())
-        .map(|(e, c)| {
-            let (grid, cost) = place(e);
-            (c.as_mut(), grid, cost)
-        })
-        .collect();
-    let (rank_outs, wall_s, extra) = with_host_operand_sets(operands, |specs, ab| {
-        DistMatrix::with_host_views_mut(products, |cs| {
-            let plans: Vec<EntryPlan> = (order.iter())
-                .map(|&e| EntryPlan {
-                    index: e,
-                    spec: match batch.entries[e].c0 {
-                        Some(_) => specs[e],
-                        None => fresh_c(&specs[e], cs[e].grid(), false).0,
-                    },
-                    opts: batch.entry_opts(e),
-                    c0: batch.entries[e].c0.as_ref(),
-                    a: &ab[2 * e],
-                    b: &ab[2 * e + 1],
-                    c: &cs[e],
-                    team: teams[e].clone(),
-                    topo: topo.team(teams[e].len()),
-                })
-                .collect();
-            launch(&|| BatchProgram::new(&plans))
-        })
+    let products = batch.entries.iter().enumerate().map(|(e, entry)| {
+        let (grid, cost) = place(e);
+        (entry.spec.m, entry.spec.n, grid, cost)
     });
+    let run = |products: Vec<(MatMut<'_>, ProcGrid, CostMap)>| {
+        with_host_operand_sets(operands, |specs, ab| {
+            DistMatrix::with_host_views_mut(products, |cs| {
+                let plans: Vec<EntryPlan> = (order.iter())
+                    .map(|&e| EntryPlan {
+                        index: e,
+                        spec: match batch.entries[e].c0 {
+                            Some(_) => specs[e],
+                            None => fresh_c(&specs[e], cs[e].grid(), false).0,
+                        },
+                        opts: batch.entry_opts(e),
+                        c0: batch.entries[e].c0.as_ref(),
+                        a: &ab[2 * e],
+                        b: &ab[2 * e + 1],
+                        c: &cs[e],
+                        team: teams[e].clone(),
+                        topo: topo.team(teams[e].len()),
+                    })
+                    .collect();
+                launch(&|| BatchProgram::new(&plans))
+            })
+        })
+    };
+    // SAFETY: `launch` returns normally only once every rank has run each
+    // of its entries to the end, and for each entry the tiles of its
+    // team's grid cover the output, each written whole by its owner: the
+    // `c0` copy, the pre-pass fill of a rank with no task, or the first
+    // task's store.
+    let (outputs, (rank_outs, wall_s, extra)) = unsafe { with_fresh_outputs(products, run) };
     let res = assemble_batch(batch, outputs, rank_outs, wall_s, &teams);
     (res, Some(extra))
 }

@@ -106,6 +106,7 @@ pub fn cannon<C: Comm>(
             spec.alpha,
             av,
             bv,
+            1.0,
             cw.mat_mut(),
             false,
             &label,

@@ -233,14 +233,17 @@ pub fn dist_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> DistMatrix {
 }
 
 /// [`dist_c`] for a driver that creates C itself and never writes it
-/// before the multiply, plus the spec to run with. Such a C is all
-/// zero, so `β` is moot; normalising it to `0` makes every owner's
-/// pre-pass (`scale_block(me, 0.0)`, a `fill`) the **first touch** of
-/// its block — a write, by the owner, in parallel. Left at the default
-/// `β = 1` the pre-pass is skipped and the first touch is the kernel's
-/// read in `c += α·acc`: a fault that maps the shared zero page, then a
-/// second one that copies it and shoots down the other workers' TLBs.
-/// A caller-supplied C keeps its real `β` (use [`dist_c`]).
+/// before the multiply, plus the spec to run with. Such a C holds
+/// nothing the product needs, so `β` is moot; normalising it to `0`
+/// (BLAS: C need not be set on input) makes every owner's **first
+/// task** the first touch of its block: the kernel *stores* that task's
+/// product there — a write, by the owner, in parallel, with no pre-pass
+/// and no read of C. Only an owner left with no task (every segment
+/// masked, or `k = 0`) fills its block in the pre-pass instead. Left at
+/// the default `β = 1` the first touch would be the kernel's read in
+/// `c += α·acc`: a fault that maps the shared zero page, then a second
+/// one that copies it and shoots down the other workers' TLBs. A
+/// caller-supplied C keeps its real `β` (use [`dist_c`]).
 pub fn fresh_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> (GemmSpec, DistMatrix) {
     (GemmSpec { beta: 0.0, ..*spec }, dist_c(spec, grid, real))
 }
@@ -250,10 +253,10 @@ pub fn fresh_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> (GemmSpec, DistMa
 /// matrix (any window of one) the driver will hand its caller — or, with
 /// no `product`, the shape-only C of a modeled run. `β` is normalised as
 /// in [`fresh_c`] and for its reason: a just-allocated `product` has no
-/// page of its own yet, and each owner's pre-pass `fill` of its window
-/// is what faults them in, in parallel, on the thread that computes
-/// there. Nothing is allocated or copied for C and nothing is gathered:
-/// when `f` returns, `product` holds the result.
+/// page of its own yet, and each owner's first task, which stores its
+/// product into the window, is what faults them in, in parallel, on the
+/// thread that computes there. Nothing is allocated or copied for C and
+/// nothing is gathered: when `f` returns, `product` holds the result.
 pub fn with_fresh_c<R>(
     spec: &GemmSpec,
     grid: ProcGrid,

@@ -342,7 +342,7 @@ impl<'a> Run<'a> {
         let ((reports, stats, trace, wall_seconds), c) =
             if self.replication == ReplicationFactor::One {
                 let grid = default_grid(self.nranks);
-                // Untouched until each owner's pre-pass fills its tile.
+                // Untouched until each owner's first task stores its tile.
                 let mut product = real.then(|| Matrix::zeros(self.spec.m, self.spec.n));
                 let ab = self.operands.map(|(a, b)| (a.as_ref(), b.as_ref()));
                 let masks = self

@@ -220,6 +220,10 @@ pub struct SrummaMachine<'a> {
     crows: usize,
     ccols: usize,
     pos: usize,
+    /// C's tile holds nothing yet (`β = 0`, no pre-pass ran): the next
+    /// task stores its product instead of adding it. The machine's own
+    /// state, so a survivor that adopts it mid-run carries it on.
+    store_next: bool,
     report: SrummaReport,
     /// Hierarchical staging redirect (see [`crate::hier`]): when set,
     /// fetches of off-node panels that the group staged are served from
@@ -231,8 +235,9 @@ impl<'a> SrummaMachine<'a> {
     /// Build this rank's task list, ordering, source resolution and
     /// prefetch pipelines — inside `scratch`'s allocations (a previous
     /// multiply's [`SrummaMachine::finish`], or the empty default) —
-    /// apply the beta pre-pass, and take the C write guard. No task
-    /// runs yet.
+    /// apply the beta pre-pass (under `β = 0`, only on a rank left with no
+    /// task: otherwise its first task stores), and take the C write
+    /// guard. No task runs yet.
     pub fn new<C: Comm>(
         comm: &mut C,
         spec: &'a GemmSpec,
@@ -255,9 +260,9 @@ impl<'a> SrummaMachine<'a> {
         // is masked out contributes nothing to this rank's C_ij, so the
         // task never exists — no get, no packing, no gemm. Pruning
         // happens before ordering, so the scheduling policies see only
-        // surviving tasks; the β pre-pass below stays unconditional, so
-        // a rank whose entire k-row vanished still applies `C ← β·C`
-        // (and still arrives at every fence — it simply has no work).
+        // surviving tasks; a rank whose entire k-row vanished still
+        // applies `C ← β·C` in the pre-pass below (and still arrives at
+        // every fence — it simply has no work).
         let mut masked_tasks = 0usize;
         let mut skipped_flops = 0u64;
         if a.mask().is_some() || b.mask().is_some() {
@@ -326,8 +331,12 @@ impl<'a> SrummaMachine<'a> {
 
         // PBLAS beta pre-pass: the owner scales its block in place. One
         // flop per C element — negligible next to the 2k flops per
-        // element of the products, so no model time is charged.
-        if spec.beta != 1.0 {
+        // element of the products, so no model time is charged. With
+        // `β = 0` C need not be set, and every task writes the whole tile,
+        // so while one survived, the first one stores and nothing here
+        // touches C; a rank left with no task fills it.
+        let store_next = spec.beta == 0.0 && !scratch.tasks.is_empty();
+        if spec.beta != 1.0 && !store_next {
             c.scale_block(me, spec.beta);
         }
 
@@ -356,6 +365,7 @@ impl<'a> SrummaMachine<'a> {
             crows,
             ccols,
             pos: 0,
+            store_next,
             report: SrummaReport {
                 masked_tasks,
                 skipped_flops,
@@ -512,6 +522,11 @@ impl<'a> SrummaMachine<'a> {
             }
             _ => None,
         };
+        let beta = if std::mem::take(&mut self.store_next) {
+            0.0
+        } else {
+            1.0
+        };
         comm.gemm(
             self.crows,
             self.ccols,
@@ -519,6 +534,7 @@ impl<'a> SrummaMachine<'a> {
             spec.alpha,
             av,
             bv,
+            beta,
             self.cw.mat_mut(),
             direct,
             &label,
@@ -785,6 +801,7 @@ mod tests {
             alpha: f64,
             a: Option<Operand<'_>>,
             b: Option<Operand<'_>>,
+            beta: f64,
             c: Option<MatMut<'_>>,
             _direct: bool,
             _label: &str,
@@ -794,7 +811,7 @@ mod tests {
             }
             if let (Some(a), Some(b), Some(c)) = (a, b, c) {
                 let ws = &mut srumma_dense::GemmWorkspace::new();
-                srumma_dense::dgemm_operands(alpha, a, b, 1.0, c, ws);
+                srumma_dense::dgemm_operands(alpha, a, b, beta, c, ws);
             }
         }
         fn send(&mut self, _dst: usize, _tag: u64, _data: &[f64], _bytes: u64) {

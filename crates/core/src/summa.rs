@@ -197,6 +197,7 @@ pub fn summa<C: Comm>(
             spec.alpha,
             av,
             bv,
+            1.0,
             cw.mat_mut(),
             false,
             &label,

@@ -261,6 +261,54 @@ fn a_batch_entry_is_its_run_bit_for_bit() {
     }
 }
 
+/// Nothing zeroes a batch output (a debug build fills it with NaN), so
+/// each element's first write must be its owner's, whichever path writes
+/// it: the pre-pass fill on the ranks a mask leaves with no task and on
+/// a `k = 0` entry; the `c0` copy at `β` ∈ {0, 0.5, 1}; the first task's
+/// store under `ForceCopy` and on every rank of a multi-rank team. An
+/// element nobody wrote fails the serial check, on all three backends.
+#[test]
+fn every_fresh_output_element_is_written_by_its_owner() {
+    let nranks = 4;
+    let grid = default_grid(nranks);
+    let copy = SrummaOptions {
+        shmem: ShmemFlavor::ForceCopy,
+        ..SrummaOptions::default()
+    };
+    let entry = |(m, n, k): (usize, usize, usize), beta: f64, seed: u64| {
+        let spec = GemmSpec::new(Op::T, Op::N, m, n, k).with_scalars(-1.5, beta);
+        BatchEntry::new(
+            spec,
+            Matrix::random(m, k, seed),
+            Matrix::random(k, n, seed + 1),
+        )
+    };
+    let mut batch = BatchSpec::new();
+    // Grid row 1 of A's blocks is masked out: its ranks have no task.
+    let row_0 = BlockMask::from_fn(grid.p, grid.q, |i, _| i == 0);
+    batch.push(entry((12, 10, 8), 0.0, 1).with_masks(Some(row_0), None));
+    batch.push(entry((9, 7, 0), 0.0, 3));
+    for (i, beta) in [0.0, 0.5, 1.0].into_iter().enumerate() {
+        let c0 = Matrix::random(8, 6, 50 + i as u64);
+        batch.push(entry((8, 6, 5), beta, 10 + 2 * i as u64).with_c0(c0));
+    }
+    batch.push(entry((10, 11, 9), 0.0, 20).with_opts(copy));
+    batch.push(entry((45, 43, 47), 0.0, 30));
+    let big = batch.entries.len() - 1;
+
+    let machine = Machine::linux_myrinet();
+    for (name, res) in [
+        ("exec", multiply_batch_exec(&batch, nranks, 2)),
+        ("threads", multiply_batch(&batch, nranks)),
+        ("sim", multiply_batch_sim(&batch, &machine, nranks)),
+    ] {
+        assert_eq!(res.stats.entries[0].samples.len(), nranks, "{name}: masked");
+        assert!(res.reports[0].masked_tasks > 0, "{name}: nothing masked");
+        assert!(res.stats.entries[big].samples.len() > 1, "{name}: big team");
+        assert_matches_reference(&res.outputs, &batch, name);
+    }
+}
+
 /// 64 square entries, `n` ∈ {16, 24, 32}, cycling through NN, TN and
 /// NT: none is more than 1/16 of the stream's flops, so on 16 ranks
 /// every entry runs on one.

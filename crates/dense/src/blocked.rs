@@ -11,8 +11,10 @@
 //!       macro-kernel: mr x nr micro-tiles over the packed panels
 //! ```
 //!
-//! `β·C` is applied exactly once at the start (BLAS semantics), after
-//! which every `(lc)` slice accumulates into C.
+//! `β` has its BLAS meaning. With `β = 0`, C need not be set on input:
+//! nothing reads or clears it first, and the first `lc` slice *stores*
+//! `α·acc` into every tile ([`Microkernel::store`]). Any other `β` scales
+//! C once at the start. Every later `lc` slice accumulates into C.
 //!
 //! That nest is written once, [`dgemm_operands`], over two
 //! [`Operand`]s. A `Plain` side (a stored matrix and its transpose
@@ -221,7 +223,7 @@ pub enum Operand<'a> {
 /// [`GemmWorkspace`] — the entry for hot paths that issue many gemms
 /// (the comm backends, the SRUMMA task loop): packing buffers are
 /// allocated once per workspace, not once per call. See [`crate::dgemm`]
-/// for the shape contract.
+/// for the shape contract and what `β = 0` means.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm_ws(
     transa: Op,
@@ -270,9 +272,14 @@ pub fn dgemm_operands(
     assert_eq!(ak, bk, "op(A) cols {ak} != op(B) rows {bk}");
     let k = ak;
 
-    c.scale(beta);
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
+        c.scale(beta);
         return;
+    }
+    // With `β = 0` the first `lc` slice stores, so C is never read.
+    let store_first = beta == 0.0;
+    if !store_first {
+        c.scale(beta);
     }
 
     ws.reserve();
@@ -319,8 +326,9 @@ pub fn dgemm_operands(
                     }
                     Operand::Packed(p) => p.slivers_from(ic, lc),
                 };
+                let store = store_first && lc == 0;
                 macro_kernel(
-                    kernel, mc, nc, kc, alpha, a_slivers, b_slivers, &mut c, ic, jc,
+                    kernel, mc, nc, kc, alpha, a_slivers, b_slivers, store, &mut c, ic, jc,
                 );
                 ic += bmc;
             }
@@ -335,10 +343,11 @@ pub fn dgemm_operands(
 #[repr(align(64))]
 struct Acc([f64; ACC_LEN]);
 
-/// Run the micro-kernel over every `mr × nr` tile of an `mc × nc` block.
-/// Each side is its first sliver's slice and the distance to the next:
-/// `w · kc` in a workspace panel, `w ·` the full depth in a
-/// [`crate::pack::PackedPanel`].
+/// Run the micro-kernel over every `mr × nr` tile of an `mc × nc` block,
+/// storing each tile's `α·acc` into C when `store` (a first k-slice under
+/// `β = 0`) and adding it otherwise. Each side is its first sliver's
+/// slice and the distance to the next: `w · kc` in a workspace panel,
+/// `w ·` the full depth in a [`crate::pack::PackedPanel`].
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
     kernel: Microkernel,
@@ -348,6 +357,7 @@ fn macro_kernel(
     alpha: f64,
     (apack, a_stride): (&[f64], usize),
     (bpack, b_stride): (&[f64], usize),
+    store: bool,
     c: &mut MatMut<'_>,
     ic: usize,
     jc: usize,
@@ -368,7 +378,11 @@ fn macro_kernel(
             let r0 = ic + is * mr;
             let c0 = jc + js * nr;
             let mut tile = c.reborrow().block(r0, c0, rows, cols);
-            kernel.writeback(acc, alpha, &mut tile);
+            if store {
+                kernel.store(acc, alpha, &mut tile);
+            } else {
+                kernel.writeback(acc, alpha, &mut tile);
+            }
         }
     }
 }

@@ -41,7 +41,8 @@ impl Op {
 /// `C ← α·op(A)·op(B) + β·C` over strided views.
 ///
 /// `op(A)` must be `c.rows() × k` and `op(B)` must be `k × c.cols()`.
-/// Runs [`dgemm_ws`] on a throwaway [`GemmWorkspace`] — the convenience
+/// With `β = 0`, C need not be set on input (BLAS): it is written, never
+/// read. Runs [`dgemm_ws`] on a throwaway [`GemmWorkspace`] — the convenience
 /// entry for one-off calls.
 ///
 /// # Panics

@@ -273,6 +273,32 @@ impl Microkernel {
         }
         writeback(acc, alpha, self.nr(), tile);
     }
+
+    /// [`store`] of a tile this kernel produced: `tile = alpha · acc`,
+    /// with no load of C — the writeback of a product's first k-panel
+    /// when `β = 0` says C need not be set. A whole tile of the AVX2 and
+    /// AVX-512 kernels leaves from registers ([`crate::simd`]); the rest
+    /// takes the portable path. The bits of [`Self::writeback`] onto a
+    /// zero tile, but for the sign of an exact zero (`0 + (−0)` is `+0`).
+    #[inline]
+    pub fn store(self, acc: &[f64], alpha: f64, tile: &mut MatMut<'_>) {
+        #[cfg(target_arch = "x86_64")]
+        if (tile.rows(), tile.cols()) == (self.mr(), self.nr()) {
+            let ldc = tile.ld();
+            // SAFETY: as in `writeback`; these routines only write the
+            // `mr` rows of `nr` elements.
+            match self {
+                Microkernel::Avx2 => {
+                    return unsafe { crate::simd::store_avx2(acc, alpha, tile.as_mut_ptr(), ldc) }
+                }
+                Microkernel::Avx512 => {
+                    return unsafe { crate::simd::store_avx512(acc, alpha, tile.as_mut_ptr(), ldc) }
+                }
+                _ => {}
+            }
+        }
+        store(acc, alpha, self.nr(), tile);
+    }
 }
 
 /// A parsed `SRUMMA_KERNEL` request. Parsing is architecture-neutral —
@@ -485,7 +511,8 @@ pub fn microkernel(kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &mut [f64
 /// `acc` holds an `nr`-wide tile (element `(r, c)` at `r*nr + c`) and is
 /// used up: it comes back holding the sums. `beta` is applied by the
 /// caller once per whole-matrix pass (BLAS convention), so this routine
-/// only accumulates.
+/// only accumulates; a first k-panel with `β = 0` takes [`store`]
+/// instead.
 ///
 /// Every element of the tile is read before the first one is written:
 /// at a leading dimension that is a multiple of 512 (a C window of a
@@ -511,6 +538,26 @@ pub fn writeback(acc: &mut [f64], alpha: f64, nr: usize, tile: &mut MatMut<'_>) 
     }
     for r in 0..rows {
         tile.row_mut(r).copy_from_slice(&acc[r * nr..r * nr + cols]);
+    }
+}
+
+/// [`writeback`] onto a tile whose old contents are not wanted:
+/// `tile = alpha · acc` over the tile's valid extent, C never read —
+/// the portable path of [`Microkernel::store`], and its oracle.
+#[inline]
+pub fn store(acc: &[f64], alpha: f64, nr: usize, tile: &mut MatMut<'_>) {
+    let (rows, cols) = (tile.rows(), tile.cols());
+    debug_assert!(rows <= MR_MAX && cols <= nr);
+    for r in 0..rows {
+        let sums = &acc[r * nr..r * nr + cols];
+        let row = tile.row_mut(r);
+        if alpha == 1.0 {
+            row.copy_from_slice(sums);
+        } else {
+            for (c, s) in row.iter_mut().zip(sums) {
+                *c = alpha * *s;
+            }
+        }
     }
 }
 
@@ -652,6 +699,48 @@ mod tests {
                         &mut MatMut::new(rows, cols, ldc, &mut want),
                     );
                     kernel.writeback(&mut acc, alpha, &mut MatMut::new(rows, cols, ldc, &mut got));
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{} {rows}x{cols} alpha={alpha} ldc={ldc}",
+                        kernel.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A kernel's store into a tile of NaN leaves the bits the portable
+    /// writeback leaves on a zeroed tile — whole and ragged tiles, every
+    /// `α` and `ldc` above — reads nothing of the tile (a NaN read would
+    /// survive) and writes nothing outside it.
+    #[test]
+    fn kernel_store_is_writeback_onto_zeros() {
+        for &kernel in Microkernel::all().iter().filter(|k| k.available()) {
+            let (mr, nr) = (kernel.mr(), kernel.nr());
+            for (rows, cols) in [(mr, nr), (mr - 1, nr), (mr, nr - 3), (1, 1)] {
+                for (alpha, ldc) in [(1.0, nr + 5), (-0.5, 512), (1.0, 512), (3.0, nr)] {
+                    let mut acc = [0.0; ACC_LEN];
+                    for (i, v) in acc.iter_mut().enumerate() {
+                        *v = 1.0 / (i as f64 + 3.0) - 0.7;
+                    }
+                    let c0: Vec<f64> = (0..mr * ldc).map(|i| (i as f64).sin()).collect();
+                    let in_tile = |i: usize| i / ldc < rows && i % ldc < cols;
+                    let poisoned = |v: f64| {
+                        c0.iter()
+                            .enumerate()
+                            .map(move |(i, &x)| if in_tile(i) { v } else { x })
+                    };
+                    let (mut want, mut got): (Vec<f64>, Vec<f64>) =
+                        (poisoned(0.0).collect(), poisoned(f64::NAN).collect());
+                    writeback(
+                        &mut acc.clone(),
+                        alpha,
+                        nr,
+                        &mut MatMut::new(rows, cols, ldc, &mut want),
+                    );
+                    kernel.store(&acc, alpha, &mut MatMut::new(rows, cols, ldc, &mut got));
                     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
                         bits(&got),

@@ -214,6 +214,57 @@ pub unsafe fn writeback_avx512(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize)
     }
 }
 
+/// [`writeback_avx2`] without the C loads — [`crate::kernel::store`] of
+/// a whole `MR × NR_AVX2` tile: `c[r][..] = alpha · acc[r][..]`, for a
+/// tile whose old contents are not wanted (`β = 0`, the first k-panel).
+///
+/// # Safety
+/// The caller must have verified `avx2` is available on this host, and
+/// for every `r < MR` the `NR_AVX2` elements at `c + r·ldc` must be
+/// valid for writes and not borrowed elsewhere. The bound of `acc` is
+/// asserted.
+#[target_feature(enable = "avx2")]
+pub unsafe fn store_avx2(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
+    assert!(acc.len() >= MR * NR_AVX2);
+    let scale = _mm256_set1_pd(alpha);
+    for r in 0..MR {
+        for j in 0..NV {
+            let s = _mm256_loadu_pd(acc.as_ptr().add(r * NR_AVX2 + j * 4));
+            let s = if alpha == 1.0 {
+                s
+            } else {
+                _mm256_mul_pd(scale, s)
+            };
+            _mm256_storeu_pd(c.add(r * ldc + j * 4), s);
+        }
+    }
+}
+
+/// [`store_avx2`] for a whole `MR_AVX512 × NR_AVX512` tile.
+///
+/// # Safety
+/// The caller must have verified `avx512f` is available on this host,
+/// and for every `r < MR_AVX512` the `NR_AVX512` elements at `c + r·ldc`
+/// must be valid for writes and not borrowed elsewhere. The bound of
+/// `acc` is asserted.
+#[target_feature(enable = "avx512f")]
+pub unsafe fn store_avx512(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
+    const NV: usize = NR_AVX512 / ZMM_LANES;
+    assert!(acc.len() >= MR_AVX512 * NR_AVX512);
+    let scale = _mm512_set1_pd(alpha);
+    for r in 0..MR_AVX512 {
+        for j in 0..NV {
+            let s = _mm512_loadu_pd(acc.as_ptr().add(r * NR_AVX512 + j * ZMM_LANES));
+            let s = if alpha == 1.0 {
+                s
+            } else {
+                _mm512_mul_pd(scale, s)
+            };
+            _mm512_storeu_pd(c.add(r * ldc + j * ZMM_LANES), s);
+        }
+    }
+}
+
 /// [`crate::matrix::transpose_into`] for the multiple-of-four core of
 /// a block: `dst[k * dld + x] ← src[x * sld + k]` for `x < n`, `k < kk`,
 /// moved as 4×4 in-register transposes. Each 256-bit input pairs the

@@ -3,7 +3,8 @@
 use crate::matrix::Matrix;
 
 /// Largest absolute elementwise difference between two same-shape
-/// matrices.
+/// matrices — NaN if any difference is NaN, so that an element nobody
+/// wrote (a debug build's NaN poison) fails every `diff < tol` check.
 ///
 /// # Panics
 /// Panics if shapes differ.
@@ -21,7 +22,7 @@ pub fn max_abs_diff(a: &Matrix, b: &Matrix) -> f64 {
         .iter()
         .zip(b.as_slice())
         .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
+        .fold(0.0, |max, d| if d > max || d.is_nan() { d } else { max })
 }
 
 /// Relative Frobenius-norm error `‖a − b‖_F / max(‖b‖_F, 1)`.
@@ -75,6 +76,11 @@ mod tests {
         b[(1, 2)] = 0.5;
         assert_eq!(max_abs_diff(&a, &b), 0.5);
         assert!(rel_fro_error(&a, &b) > 0.0);
+        b[(0, 0)] = f64::NAN;
+        assert!(
+            max_abs_diff(&a, &b).is_nan(),
+            "a NaN is never within tolerance"
+        );
     }
 
     #[test]

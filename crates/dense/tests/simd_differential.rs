@@ -16,7 +16,7 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use srumma_dense::blocked::BlockSizes;
+use srumma_dense::blocked::{BlockSizes, KC};
 use srumma_dense::kernel::{writeback, Microkernel, ACC_LEN, MR, MR_AVX512, NR_AVX2, NR_AVX512};
 use srumma_dense::pack::{pack_a, pack_b};
 use srumma_dense::simd::microkernel_avx512;
@@ -479,6 +479,55 @@ fn packed_operands_are_bit_identical_to_plain_ones() {
                             kernel.name(),
                             ws.blocks()
                         );
+                        assert_same_bits(got.as_slice(), want.as_slice(), &what, seed);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `β = 0` means C need not be set on input: `dgemm_ws` into a C of NaN
+/// leaves the bits that `β = 1` leaves on a zeroed C — on every kernel
+/// this host runs, for whole tiles and ragged edges, for depths whose
+/// only panel stores and depths past `KC` and `2·KC` whose later panels
+/// add, for two `α`, with C a window (`ld > cols`) whose surroundings
+/// stay untouched. A NaN left behind is a store that never happened.
+#[test]
+fn beta_zero_into_nan_is_beta_one_onto_zeros() {
+    for seed in prop_seeds(0xB0_FEED, 1) {
+        let mut rng = Rng::new(seed);
+        for &kernel in Microkernel::all().iter().filter(|k| k.available()) {
+            let (mr, nr) = (kernel.mr(), kernel.nr());
+            for k in [1, 7, KC, KC + 1, 2 * KC + 3] {
+                for (m, n) in [(2 * mr, 2 * nr), (2 * mr + 3, nr + 5), (1, 1)] {
+                    for alpha in [1.0, -2.5] {
+                        let pick = |rng: &mut Rng| if rng.chance(0.5) { Op::N } else { Op::T };
+                        let (ta, tb) = (pick(&mut rng), pick(&mut rng));
+                        let (ar, ac) = ta.apply(m, k);
+                        let (br, bc) = tb.apply(k, n);
+                        let a = Matrix::random(ar, ac, rng.next_u64());
+                        let b = Matrix::random(br, bc, rng.next_u64());
+                        let mut ws = GemmWorkspace::with_kernel(kernel);
+                        let (a, b) = (a.as_ref(), b.as_ref());
+                        // C is the window at (1, 2) of a matrix 5 wider.
+                        let around = |inside: f64| {
+                            Matrix::from_fn(m + 3, n + 5, |i, j| {
+                                let outside = !(1..1 + m).contains(&i) || !(2..2 + n).contains(&j);
+                                if outside {
+                                    (i * 31 + j) as f64
+                                } else {
+                                    inside
+                                }
+                            })
+                        };
+                        let (mut want, mut got) = (around(0.0), around(f64::NAN));
+                        let c = want.block_mut(1, 2, m, n);
+                        dgemm_ws(ta, tb, alpha, a, b, 1.0, c, &mut ws);
+                        let c = got.block_mut(1, 2, m, n);
+                        dgemm_ws(ta, tb, alpha, a, b, 0.0, c, &mut ws);
+                        let what =
+                            format!("{} {ta:?}{tb:?} {m}x{n}x{k} alpha={alpha}", kernel.name());
                         assert_same_bits(got.as_slice(), want.as_slice(), &what, seed);
                     }
                 }

@@ -85,6 +85,18 @@ if grep -rn 'data_mut' crates src tests examples ||
     [ "$(grep -c 'from_raw_parts_mut' crates/dense/src/matrix.rs)" -ne 1 ]; then
     echo "FAIL: a mutable slice is built outside MatMut::row_mut, or MatMut::data_mut is back (see above)" >&2; exit 1
 fi
+# A batch output is allocated with capacity only and first written by its
+# owners (core::batch::with_fresh_outputs): a zeroed one is the serial
+# memset back, and a set_len anywhere else is a second place that vouches
+# for memory nobody may have written.
+if sed -n '/^fn run_batch/,/^}/p' crates/core/src/batch.rs | grep -n 'Matrix::zeros'; then
+    echo "FAIL: run_batch zeroes its outputs again (see above); with_fresh_outputs allocates them" >&2; exit 1
+fi
+in_fresh=$(sed -n '/^unsafe fn with_fresh_outputs/,/^}/p' crates/core/src/batch.rs | grep -c 'set_len')
+if [ "$in_fresh" -ne 1 ] || [ "$(grep -r 'set_len' crates/*/src | wc -l)" -ne 1 ]; then
+    grep -rn 'set_len' crates/*/src >&2
+    echo "FAIL: set_len outside core::batch::with_fresh_outputs (see above)" >&2; exit 1
+fi
 
 echo "== operand guard: a host operand reaches the ranks one way, as a view =="
 # Run::execute and ReplSet::create take both operands, and the spec to run
