@@ -45,7 +45,7 @@
 //! because the tests never fail.
 
 use crate::dist::{DistMatrix, Landing};
-use srumma_dense::{MatMut, Operand, PackedPanel};
+use srumma_dense::{MatMut, MatRef, Operand, PackedPanel};
 use srumma_model::Topology;
 use srumma_trace::Recorder;
 
@@ -181,10 +181,12 @@ pub trait Comm {
     }
 
     /// One-sided **accumulate**: `owner`'s block += `scale · data`
-    /// (ARMCI_Acc). Blocking; the target-side addition costs the
-    /// owner's CPU in the model, exactly like LAPI/ARMCI accumulate
-    /// handlers did.
-    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: &[f64]);
+    /// (ARMCI_Acc). `data` is shaped like the block, at any leading
+    /// dimension — a block of another distributed matrix is passed where
+    /// it lies — or `None` in modeled runs. Blocking; the target-side
+    /// addition costs the owner's CPU in the model, exactly like
+    /// LAPI/ARMCI accumulate handlers did.
+    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>);
 
     /// `ARMCI_Fence`-style completion: block until every one-sided
     /// operation this rank has issued is complete at its target. (The

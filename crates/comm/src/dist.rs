@@ -2,27 +2,30 @@
 //!
 //! SRUMMA assumes "the regular block distribution of the matrices A, B,
 //! and C" over a `p × q` process grid: process `(i, j)` owns the
-//! `(i, j)` block of every matrix, stored densely in that process's
-//! segment of the shared arena (so whole blocks are contiguous and a
-//! one-sided get of a block is a single transfer).
+//! `(i, j)` block of every matrix. Every `DistMatrix` that holds elements
+//! is one **row-major window**, and block `(i, j)` is the sub-window at
+//! [`DistMatrix::block_origin`] with the window's leading dimension —
+//! what Global Arrays' `ga_access` hands SRUMMA's direct flavour. A
+//! `DistMatrix` is one of:
 //!
-//! A `DistMatrix` can be **real-backed** (a shared arena holds actual
-//! elements — used by tests and host-parallel runs), **virtual**
-//! (shape only — used by modeled paper-scale experiments where a
-//! 16000×16000 matrix would otherwise cost 2 GiB per operand) or a
-//! **host view**: a window of a row-major matrix the caller already
-//! holds, distributed *in place* — read-only for an operand
-//! ([`DistMatrix::with_host_views`]), writable for the result
-//! ([`DistMatrix::with_host_views_mut`]: each rank writes its tile of C
-//! straight into the matrix the caller gets back, so there is no C arena
-//! to gather from). Either constructor lends any number of windows in
-//! one scope, each on its own grid and cost map — a flat run's two
-//! operands and its product, or every operand and product of a batch
-//! stream, each over its entry's team. Block `(i, j)` of a view is the
-//! sub-window at [`DistMatrix::block_origin`] with the host's leading
-//! dimension — what Global Arrays' `ga_access` hands SRUMMA's direct
-//! flavour — and [`DistMatrix::land_block`] is the strided get of the
-//! copy flavour, the `ARMCI_NbGetS`: row by row into a contiguous buffer
+//! * **virtual** — shape only, for modeled paper-scale experiments where
+//!   a 16000×16000 matrix would otherwise cost 2 GiB per operand;
+//! * a **read-only view** of a row-major matrix the caller already holds,
+//!   distributed *in place* ([`DistMatrix::with_host_views`]): an operand;
+//! * a **writable window**, lent or owned. Lent, it is a window of a
+//!   caller's matrix ([`DistMatrix::with_host_views_mut`]): each rank
+//!   writes its tile of C straight into the matrix the caller gets back.
+//!   Owned, it is a zeroed `rows × cols` allocation of its own
+//!   ([`DistMatrix::create`]), reached the same way — the stand-in for
+//!   `ARMCI_Malloc` (hierarchical stage sets, and callers that keep their
+//!   own distributed matrices).
+//!
+//! Either view constructor lends any number of windows in one scope,
+//! each on its own grid and cost map — a flat run's two operands and its
+//! product, a replicated run's every team product, or every operand and
+//! product of a batch stream, each over its entry's team.
+//! [`DistMatrix::land_block`] is the strided get of the copy flavour, the
+//! `ARMCI_NbGetS`: row by row into a contiguous buffer
 //! ([`Landing::Rows`]), or — what SRUMMA's task loop asks for — straight
 //! into the sliver order the serial kernel reads ([`Landing::Packed`]),
 //! so a fetched block is moved once, not copied and then packed.
@@ -30,10 +33,9 @@
 //! [`DistMatrix::with_host_views`] for how the borrow is kept inside a
 //! scope without a lifetime parameter on the type.
 
-use crate::arena::{AccessChecker, ReadHeld, SharedArena, WriteHeld};
+use crate::arena::{AccessChecker, ReadHeld, WriteHeld};
 use srumma_dense::{active_kernel, BlockMask, MatMut, MatRef, Matrix, PackedPanel, Side};
 use srumma_model::{ProcGrid, Topology};
-use std::sync::Arc;
 
 // The near-even 1-D partition is canonical in `srumma_dense::mask` (the
 // masked serial reference must chunk exactly like the distribution);
@@ -43,40 +45,55 @@ pub use srumma_dense::mask::{chunk_len, chunk_start};
 enum Backing {
     /// Shape only; no elements exist.
     Virtual,
-    /// Real elements in this matrix's own shared arena: rank `r`'s block
-    /// is region `r`, exactly `rows · cols` of its block long.
-    Real(Arc<SharedArena>),
     /// A read-only window of a caller's row-major matrix. `'static` is
     /// erased, not true: see [`DistMatrix::with_host_views`], the only
     /// place that builds one.
     View(MatRef<'static>),
-    /// A writable window of a caller's row-major matrix
-    /// ([`DistMatrix::with_host_views_mut`], the only place that builds
-    /// one).
-    ViewMut(HostWindowMut),
+    /// A writable row-major window: of a caller's matrix
+    /// ([`DistMatrix::with_host_views_mut`]) or of this matrix's own
+    /// allocation ([`DistMatrix::create_with_order`]).
+    Window(HostWindowMut),
 }
 
-/// The window behind [`Backing::ViewMut`]. Two ranks' blocks of it
+/// The window behind [`Backing::Window`]. Two ranks' blocks of it
 /// interleave in memory, so it is never held as one slice: a block is
 /// cut out by pointer, as a [`MatMut`] that touches its own rows only.
 struct HostWindowMut {
     /// Element `(0, 0)` of the window, `ld` elements between row starts.
     base: *mut f64,
     ld: usize,
-    /// One per rank block, in rank order (row-major, so a grid row's are
-    /// adjacent): "written only by its owner, not read while written" is
-    /// checked here as it is for arena regions.
+    /// One per grid block, by grid coordinates (`bi·q + bj`, so a grid
+    /// row's are adjacent, whatever the rank placement): "written only by
+    /// its owner, not read while written" is checked here.
     checkers: Vec<AccessChecker>,
+    /// The allocation `base` points into when the matrix owns it; `None`
+    /// for a lent window. Only ever freed: every element is reached
+    /// through `base`.
+    _owned: Option<Vec<f64>>,
 }
 
-// SAFETY: `base` points into the matrix `with_host_views_mut` borrows
-// exclusively for as long as this value exists, so the memory is this
-// window's alone; threads sharing it reach elements only through
-// `write_block` / `read_block`, one rank block at a time, under that
-// block's `AccessChecker` (atomic, hence `Sync` itself) — the arena's
-// discipline and the arena's check.
+// SAFETY: `base` points into memory that this window alone reaches for
+// as long as it exists — the matrix `with_host_views_mut` borrows
+// exclusively, or the allocation in `_owned`, which nothing else holds —
+// and threads sharing the window reach elements only through
+// `write_block` / `read_block`, one block at a time, under that block's
+// `AccessChecker` (atomic, hence `Sync` itself). `ld` is a plain number
+// and `_owned` is never touched but to be freed.
 unsafe impl Send for HostWindowMut {}
 unsafe impl Sync for HostWindowMut {}
+
+impl HostWindowMut {
+    /// The window at `base` with leading dimension `ld`, checked block by
+    /// block over `grid`.
+    fn new(base: *mut f64, ld: usize, grid: ProcGrid, owned: Option<Vec<f64>>) -> Self {
+        HostWindowMut {
+            base,
+            ld,
+            checkers: (0..grid.nranks()).map(|_| AccessChecker::new()).collect(),
+            _owned: owned,
+        }
+    }
+}
 
 /// How grid blocks map to rank ids.
 ///
@@ -165,9 +182,9 @@ pub struct DistMatrix {
 }
 
 impl DistMatrix {
-    /// Create a **real-backed** distributed matrix (collective
-    /// allocation — call once, before launching rank code, like
-    /// `ARMCI_Malloc`).
+    /// Create a distributed matrix that **owns** its elements: a zeroed,
+    /// row-major `rows × cols` window (collective allocation — call once,
+    /// before launching rank code, like `ARMCI_Malloc`).
     pub fn create(grid: ProcGrid, rows: usize, cols: usize) -> Self {
         Self::create_with_order(grid, rows, cols, RankOrder::RowMajor, true)
     }
@@ -178,7 +195,10 @@ impl DistMatrix {
         Self::create_with_order(grid, rows, cols, RankOrder::RowMajor, false)
     }
 
-    /// Full-control constructor: rank placement order and backing.
+    /// Full-control constructor: rank placement order, and whether the
+    /// matrix owns elements (`real`) or is shape only. An owned matrix is
+    /// one row-major window whatever the placement: `order` decides which
+    /// rank owns which block of it, not where the block lies.
     pub fn create_with_order(
         grid: ProcGrid,
         rows: usize,
@@ -187,14 +207,9 @@ impl DistMatrix {
         real: bool,
     ) -> Self {
         let backing = if real {
-            let lens: Vec<usize> = (0..grid.nranks())
-                .map(|r| {
-                    let (br, bc) = Self::dims_for(grid, rows, cols, order, r);
-                    br * bc
-                })
-                .collect();
-            let (arena, _offsets) = SharedArena::new(&lens);
-            Backing::Real(arena)
+            let mut owned = vec![0.0; rows * cols];
+            let base = owned.as_mut_ptr();
+            Backing::Window(HostWindowMut::new(base, cols, grid, Some(owned)))
         } else {
             Backing::Virtual
         };
@@ -217,7 +232,7 @@ impl DistMatrix {
     /// elements, same leading dimension), with the cost map `cost` and
     /// the mask `mask` attached. Each window has its own grid and cost
     /// map, so one scope can lend matrices to ranks of different teams.
-    /// No element is copied and no arena is allocated.
+    /// No element is copied and nothing is allocated.
     ///
     /// This is the only way to obtain a host view, and what makes the
     /// borrows un-outlivable: the views exist for the duration of this
@@ -271,24 +286,23 @@ impl DistMatrix {
     /// placement — what a result matrix is) with the cost map `cost`,
     /// whose blocks are sub-windows of `window`, so what a rank writes
     /// through [`Self::write_block`] is written into the caller's matrix
-    /// `i` and nowhere else. No
-    /// element is copied and no arena is allocated; every accessor works
-    /// on a view except the arena-only [`Self::scatter`],
-    /// [`Self::scatter_transposed`] and [`Self::gather`] (the caller
-    /// already holds the matrices).
+    /// `i` and nowhere else. No element is copied and nothing is
+    /// allocated. A lent window is the same window an owned matrix
+    /// ([`Self::create`]) is, so every accessor works on both.
     ///
     /// The borrows cannot be outlived for the reasons given at
     /// [`Self::with_host_views`]; they are exclusive, so for the duration
     /// of `f` each window is reachable through its lent `DistMatrix`
-    /// only. Under it the arena's discipline applies block by block, with
-    /// the arena's dynamic check: a block is written by one holder at a
-    /// time and not read meanwhile. One rule is the window's own: the
+    /// only. Under it the discipline of [`crate::arena`] applies block by
+    /// block, with its dynamic check: a block is written by one holder at
+    /// a time and not read meanwhile. One rule is the window's own: the
     /// rows of the blocks of one grid row interleave in memory, and the
     /// strided [`MatRef`] a [`BlockRead`] hands out spans the gaps
     /// between its rows — so a read of a block counts as a read of every
     /// block of its grid row, and panics while any of them is being
-    /// written (a multiply never reads C at all; a test reads it after
-    /// the ranks are done).
+    /// written (a multiply never reads C while it is written: the
+    /// replica reduction reads a team's C past the sweep's barrier, a
+    /// test reads it after the ranks are done).
     pub fn with_host_views_mut<R>(
         mut windows: Vec<(MatMut<'_>, ProcGrid, CostMap)>,
         f: impl FnOnce(&[DistMatrix]) -> R,
@@ -300,11 +314,12 @@ impl DistMatrix {
                 rows: window.rows(),
                 cols: window.cols(),
                 order: RankOrder::RowMajor,
-                backing: Backing::ViewMut(HostWindowMut {
-                    base: window.as_mut_ptr(),
-                    ld: window.ld(),
-                    checkers: (0..grid.nranks()).map(|_| AccessChecker::new()).collect(),
-                }),
+                backing: Backing::Window(HostWindowMut::new(
+                    window.as_mut_ptr(),
+                    window.ld(),
+                    *grid,
+                    None,
+                )),
                 mask: None,
                 cost: *cost,
             })
@@ -315,18 +330,11 @@ impl DistMatrix {
         f(&views)
     }
 
-    /// The arena behind `accessor`, one of the whole-matrix operations
-    /// that only an arena-backed matrix has.
-    ///
-    /// # Panics
-    /// Panics, naming `accessor`, on any other backing.
-    fn arena_for(&self, accessor: &str) -> &SharedArena {
-        match &self.backing {
-            Backing::Real(arena) => arena,
-            Backing::Virtual => panic!("{accessor}() on a virtual DistMatrix"),
-            Backing::View(_) => panic!("{accessor}(): operand views are read-only"),
-            Backing::ViewMut(_) => panic!("{accessor}() on a DistMatrix without an arena"),
-        }
+    /// Index of `rank`'s block among a window's checkers: its grid
+    /// coordinates, row-major.
+    fn block_index(&self, rank: usize) -> usize {
+        let (bi, bj) = self.block_coords(rank);
+        bi * self.grid.q + bj
     }
 
     /// `rank`'s block of the host view `host`: the sub-window at its
@@ -337,7 +345,7 @@ impl DistMatrix {
         host.block(r0, c0, rows, cols)
     }
 
-    /// Element `(0, 0)` of `rank`'s block of the writable window `host`
+    /// Element `(0, 0)` of `rank`'s block of the window `host`
     /// (`host.base` itself for an empty block, which has no element).
     fn window_block(&self, host: &HostWindowMut, rank: usize) -> *mut f64 {
         let (r0, c0) = self.block_origin(rank);
@@ -408,7 +416,7 @@ impl DistMatrix {
         }
     }
 
-    /// Whether real elements back this matrix (an arena or a host view).
+    /// Whether real elements back this matrix (a view or a window).
     pub fn is_real(&self) -> bool {
         !matches!(self.backing, Backing::Virtual)
     }
@@ -425,23 +433,13 @@ impl DistMatrix {
         self.cols
     }
 
-    fn dims_for(
-        grid: ProcGrid,
-        rows: usize,
-        cols: usize,
-        order: RankOrder,
-        rank: usize,
-    ) -> (usize, usize) {
-        let (pi, pj) = match order {
-            RankOrder::RowMajor => grid.coords(rank),
-            RankOrder::ColMajor => (rank % grid.p, rank / grid.p),
-        };
-        (chunk_len(rows, grid.p, pi), chunk_len(cols, grid.q, pj))
-    }
-
     /// `(rows, cols)` of the block owned by `rank`.
     pub fn block_dims(&self, rank: usize) -> (usize, usize) {
-        Self::dims_for(self.grid, self.rows, self.cols, self.order, rank)
+        let (pi, pj) = self.block_coords(rank);
+        (
+            chunk_len(self.rows, self.grid.p, pi),
+            chunk_len(self.cols, self.grid.q, pj),
+        )
     }
 
     /// Global `(row, col)` of the top-left element of `rank`'s block.
@@ -471,11 +469,10 @@ impl DistMatrix {
     /// Read access to `rank`'s block (None data if virtual).
     pub fn read_block(&self, rank: usize) -> BlockRead<'_> {
         let (rows, cols) = self.block_dims(rank);
-        let data = match &self.backing {
-            Backing::Virtual => BlockData::Virtual,
-            Backing::Real(arena) => BlockData::Arena(arena.read_guard(rank)),
-            Backing::View(host) => BlockData::View(self.view_block(*host, rank)),
-            Backing::ViewMut(host) => {
+        let (block, held) = match &self.backing {
+            Backing::Virtual => (None, Vec::new()),
+            Backing::View(host) => (Some(self.view_block(*host, rank)), Vec::new()),
+            Backing::Window(host) => {
                 // The strided slice below spans the gaps between the
                 // block's rows, where the other blocks of its grid row
                 // have theirs: a reader of one is a reader of them all.
@@ -495,13 +492,15 @@ impl DistMatrix {
                 let block = unsafe {
                     std::slice::from_raw_parts(self.window_block(host, rank).cast_const(), span)
                 };
-                BlockData::Window {
-                    block: MatRef::new(rows, cols, host.ld, block),
-                    _held: held,
-                }
+                (Some(MatRef::new(rows, cols, host.ld, block)), held)
             }
         };
-        BlockRead { rows, cols, data }
+        BlockRead {
+            rows,
+            cols,
+            block,
+            _held: held,
+        }
     }
 
     /// Write access to `rank`'s block (no-op handle if virtual).
@@ -517,19 +516,18 @@ impl DistMatrix {
     fn write_block_for(&self, rank: usize, accessor: &str) -> BlockWrite<'_> {
         let (rows, cols) = self.block_dims(rank);
         let target = match &self.backing {
-            Backing::Virtual => WriteTarget::Virtual,
-            Backing::Real(arena) => WriteTarget::Arena(arena.write_guard(rank)),
+            Backing::Virtual => None,
             Backing::View(_) => panic!("{accessor}(): operand views are read-only"),
-            Backing::ViewMut(host) => {
-                let held = host.checkers[rank].write();
+            Backing::Window(host) => {
+                let held = host.checkers[self.block_index(rank)].write();
                 // SAFETY: the block's rows are elements of the window
-                // this matrix borrows exclusively, no two blocks share an
+                // this matrix alone reaches, no two blocks share an
                 // element, and `held` is the one writer's entry for this
                 // block — so for as long as it is held (the `BlockWrite`
                 // keeps it beside the view) nothing else reaches them.
                 let block =
                     unsafe { MatMut::from_raw(self.window_block(host, rank), rows, cols, host.ld) };
-                WriteTarget::Window { block, _held: held }
+                Some((block, held))
             }
         };
         BlockWrite { rows, cols, target }
@@ -563,7 +561,7 @@ impl DistMatrix {
     /// Land `rank`'s block where a one-sided get wants it — the one
     /// data-movement routine behind every backend's `nbget`. The
     /// [`Landing::Packed`] arm packs straight from the owner's memory
-    /// (arena region or host window, whatever its `ld`) into the panel,
+    /// (the block's window, whatever its `ld`) into the panel,
     /// in the sliver order of the process kernel: the block is moved
     /// once, and what arrives is what the micro-kernel reads. Nothing
     /// lands from virtual backing (`Rows` is cleared, `Packed` is
@@ -600,23 +598,24 @@ impl DistMatrix {
     }
 
     /// Accumulate `scale * src` into `rank`'s block elementwise (the
-    /// data half of an ARMCI-style **accumulate**). No-op on virtual
-    /// backing or empty payloads.
-    pub fn acc_block_from(&self, rank: usize, scale: f64, src: &[f64]) {
+    /// data half of an ARMCI-style **accumulate**; `src` is shaped like
+    /// the block, at any `ld`). No-op on virtual backing or a modeled
+    /// payload (`None`).
+    pub fn acc_block_from(&self, rank: usize, scale: f64, src: Option<MatRef<'_>>) {
         let mut w = self.write_block_for(rank, "acc_block_from");
-        let (rows, cols) = (w.rows(), w.cols());
-        let Some(mut dst) = w.mat_mut() else {
+        let (Some(mut dst), Some(src)) = (w.mat_mut(), src) else {
             return;
         };
-        if src.is_empty() && rows * cols > 0 {
-            return;
-        }
-        assert_eq!(src.len(), rows * cols, "acc payload size mismatch");
-        if cols > 0 {
-            for (i, s) in src.chunks_exact(cols).enumerate() {
-                for (d, s) in dst.row_mut(i).iter_mut().zip(s) {
-                    *d += scale * s;
-                }
+        let (rows, cols) = (dst.rows(), dst.cols());
+        assert_eq!(
+            (src.rows(), src.cols()),
+            (rows, cols),
+            "acc payload size mismatch"
+        );
+        // A `rows × 0` payload may sit on no storage at all.
+        for i in 0..if cols > 0 { rows } else { 0 } {
+            for (d, s) in dst.row_mut(i).iter_mut().zip(src.row(i)) {
+                *d += scale * s;
             }
         }
     }
@@ -634,24 +633,16 @@ impl DistMatrix {
         }
     }
 
-    /// Fill all blocks from a global matrix (arena backing only; call
-    /// from one thread between operations).
+    /// Fill all blocks from a global matrix (call from one thread
+    /// between operations).
     ///
     /// # Panics
-    /// Panics on shape mismatch or a matrix without an arena.
+    /// Panics on shape mismatch, a virtual matrix or a read-only view.
     pub fn scatter(&self, global: &Matrix) {
         assert_eq!((global.rows(), global.cols()), (self.rows, self.cols));
-        let arena = self.arena_for("scatter");
-        for rank in 0..self.grid.nranks() {
-            let (r0, c0) = self.block_origin(rank);
-            let (br, bc) = self.block_dims(rank);
-            let mut w = arena.write_guard(rank);
-            let dst = w.slice_mut();
-            for i in 0..br {
-                let src = &global.as_slice()[(r0 + i) * self.cols + c0..][..bc];
-                dst[i * bc..(i + 1) * bc].copy_from_slice(src);
-            }
-        }
+        self.fill_blocks("scatter", |blk, (r0, c0)| {
+            blk.copy_from(global.block(r0, c0, blk.rows(), blk.cols()));
+        });
     }
 
     /// [`Self::scatter`] of `logical`ᵀ (`logical` is `cols × rows`, any
@@ -660,59 +651,52 @@ impl DistMatrix {
     /// the tiled transposing copy ([`MatMut::copy_transposed_from`]).
     ///
     /// # Panics
-    /// Panics on shape mismatch or a matrix without an arena.
+    /// Panics on shape mismatch, a virtual matrix or a read-only view.
     pub fn scatter_transposed(&self, logical: MatRef<'_>) {
         assert_eq!((logical.cols(), logical.rows()), (self.rows, self.cols));
-        let arena = self.arena_for("scatter_transposed");
+        self.fill_blocks("scatter_transposed", |blk, (r0, c0)| {
+            blk.copy_transposed_from(logical.block(c0, r0, blk.cols(), blk.rows()));
+        });
+    }
+
+    /// Hand every non-empty block, writable, to `fill` with its origin.
+    fn fill_blocks(&self, accessor: &str, mut fill: impl FnMut(&mut MatMut<'_>, (usize, usize))) {
         for rank in 0..self.grid.nranks() {
-            let (r0, c0) = self.block_origin(rank);
-            let (br, bc) = self.block_dims(rank);
-            let mut w = arena.write_guard(rank);
-            MatMut::new(br, bc, bc, w.slice_mut())
-                .copy_transposed_from(logical.block(c0, r0, bc, br));
+            let mut w = self.write_block_for(rank, accessor);
+            let Some(mut blk) = w.mat_mut() else {
+                panic!("{accessor}() on a virtual DistMatrix");
+            };
+            if blk.rows() > 0 && blk.cols() > 0 {
+                fill(&mut blk, self.block_origin(rank));
+            }
         }
     }
 
-    /// Assemble the global matrix from all blocks (arena backing only:
-    /// a virtual matrix has no elements, and the caller of a host view
-    /// already holds the matrix).
+    /// Assemble the global matrix from all blocks.
+    ///
+    /// # Panics
+    /// Panics on a virtual matrix, which has no elements.
     pub fn gather(&self) -> Matrix {
-        let arena = self.arena_for("gather");
         let mut out = Matrix::zeros(self.rows, self.cols);
         for rank in 0..self.grid.nranks() {
             let (r0, c0) = self.block_origin(rank);
-            let (br, bc) = self.block_dims(rank);
-            let g = arena.read_guard(rank);
-            let src = g.slice();
-            for i in 0..br {
-                out.as_mut_slice()[(r0 + i) * self.cols + c0..][..bc]
-                    .copy_from_slice(&src[i * bc..(i + 1) * bc]);
+            let block = self.read_block(rank);
+            let src = block.mat().expect("gather() on a virtual DistMatrix");
+            if src.rows() > 0 && src.cols() > 0 {
+                out.block_mut(r0, c0, src.rows(), src.cols()).copy_from(src);
             }
         }
         out
     }
 }
 
-/// Where a [`BlockRead`] finds its elements.
-enum BlockData<'a> {
-    Virtual,
-    /// The prefix of a guarded arena region, `ld = cols`.
-    Arena(crate::arena::ReadGuard<'a>),
-    /// A window of the host matrix, `ld` = the host's.
-    View(MatRef<'a>),
-    /// The same of a writable host matrix, with the reader's entries in
-    /// the checkers of the block's grid row.
-    Window {
-        block: MatRef<'a>,
-        _held: Vec<ReadHeld<'a>>,
-    },
-}
-
 /// Read handle to one block: dims always, data only if real-backed.
 pub struct BlockRead<'a> {
     rows: usize,
     cols: usize,
-    data: BlockData<'a>,
+    block: Option<MatRef<'a>>,
+    /// A window reader's entries in the checkers of the block's grid row.
+    _held: Vec<ReadHeld<'a>>,
 }
 
 impl BlockRead<'_> {
@@ -724,31 +708,12 @@ impl BlockRead<'_> {
         self.cols
     }
 
-    /// Strided view of the block, if real-backed: the arena region with
-    /// `ld = cols`, or the block's window of the host matrix with the
-    /// host's `ld` — address elements through [`MatRef::at`] /
-    /// [`MatRef::row`], not as one contiguous run.
+    /// Strided view of the block, if real-backed: the block's window of
+    /// the matrix, with its `ld` — address elements through
+    /// [`MatRef::at`] / [`MatRef::row`], not as one contiguous run.
     pub fn mat(&self) -> Option<MatRef<'_>> {
-        let (rows, cols) = (self.rows, self.cols);
-        match &self.data {
-            BlockData::Virtual => None,
-            BlockData::Arena(g) => Some(MatRef::new(rows, cols, cols, g.slice())),
-            BlockData::View(block) | BlockData::Window { block, .. } => Some(*block),
-        }
+        self.block
     }
-}
-
-/// Where a [`BlockWrite`] puts its elements.
-enum WriteTarget<'a> {
-    Virtual,
-    /// The prefix of a guarded arena region, `ld = cols`.
-    Arena(crate::arena::WriteGuard<'a>),
-    /// The block's rows of a writable host matrix, with the writer's
-    /// entry in the block's checker.
-    Window {
-        block: MatMut<'a>,
-        _held: WriteHeld<'a>,
-    },
 }
 
 /// Write handle to one block. `Send`, whatever it writes to: a rank
@@ -756,7 +721,9 @@ enum WriteTarget<'a> {
 pub struct BlockWrite<'a> {
     rows: usize,
     cols: usize,
-    target: WriteTarget<'a>,
+    /// The block's rows of the window, with the writer's entry in the
+    /// block's checker; `None` if virtual.
+    target: Option<(MatMut<'a>, WriteHeld<'a>)>,
 }
 
 impl BlockWrite<'_> {
@@ -768,16 +735,10 @@ impl BlockWrite<'_> {
         self.cols
     }
 
-    /// Mutable view of the block, if real-backed: the arena region with
-    /// `ld = cols`, or the block's rows of the host matrix with the
-    /// host's `ld`.
+    /// Mutable view of the block, if real-backed: the block's rows of the
+    /// window, with its `ld`.
     pub fn mat_mut(&mut self) -> Option<MatMut<'_>> {
-        let (rows, cols) = (self.rows, self.cols);
-        match &mut self.target {
-            WriteTarget::Virtual => None,
-            WriteTarget::Arena(g) => Some(MatMut::new(rows, cols, cols, g.slice_mut())),
-            WriteTarget::Window { block, .. } => Some(block.reborrow()),
-        }
+        self.target.as_mut().map(|(block, _)| block.reborrow())
     }
 }
 
@@ -822,13 +783,23 @@ mod tests {
         assert_eq!(o, d);
     }
 
+    /// Owned under both rank placements, and lent in place.
     #[test]
     fn scatter_gather_roundtrip() {
         let grid = ProcGrid::new(2, 3);
-        let m = DistMatrix::create(grid, 7, 8);
         let global = Matrix::random(7, 8, 99);
-        m.scatter(&global);
-        assert_eq!(m.gather(), global);
+        for order in [RankOrder::RowMajor, RankOrder::ColMajor] {
+            let m = DistMatrix::create_with_order(grid, 7, 8, order, true);
+            m.scatter(&global);
+            assert_eq!(m.gather(), global, "{order:?}");
+        }
+        let mut host = Matrix::random(9, 11, 98);
+        let window = host.block_mut(1, 2, 7, 8);
+        DistMatrix::with_host_views_mut(vec![(window, grid, CostMap::Identity)], |c| {
+            c[0].scatter(&global);
+            assert_eq!(c[0].gather(), global);
+        });
+        assert_eq!(host.block(1, 2, 7, 8).to_matrix(), global);
     }
 
     /// Element for element, on uneven blocks wider than one 16×16
@@ -843,13 +814,19 @@ mod tests {
             let got = DistMatrix::create_with_order(grid, 37, 41, order, true);
             got.scatter_transposed(logical.as_ref());
             for r in 0..grid.nranks() {
-                assert_eq!(
-                    got.read_block(r).mat().unwrap().data(),
-                    want.read_block(r).mat().unwrap().data(),
-                    "{order:?} rank {r}"
-                );
+                let (g, w) = (got.read_block(r), want.read_block(r));
+                let (g, w) = (g.mat().unwrap(), w.mat().unwrap());
+                assert_eq!((g.rows(), g.cols()), (w.rows(), w.cols()));
+                for i in 0..g.rows() {
+                    assert_eq!(g.row(i), w.row(i), "{order:?} rank {r} row {i}");
+                }
             }
         }
+        // And into a lent window.
+        let mut host = Matrix::zeros(37, 41);
+        let lent = vec![(host.as_mut(), grid, CostMap::Identity)];
+        DistMatrix::with_host_views_mut(lent, |c| c[0].scatter_transposed(logical.as_ref()));
+        assert_eq!(host, logical.transposed());
     }
 
     #[test]
@@ -889,11 +866,15 @@ mod tests {
         let (r, c) = m.copy_block_into(2, &mut buf);
         assert_eq!(buf.len(), r * c);
         let b = m.read_block(2);
-        assert_eq!(b.mat().unwrap().data()[..r * c], buf[..]);
+        let v = b.mat().unwrap();
+        assert_eq!(
+            (0..r).flat_map(|i| v.row(i)).copied().collect::<Vec<_>>(),
+            buf
+        );
     }
 
-    /// A host view serves every block exactly as an arena scattered
-    /// from the same matrix does — uneven blocks, more grid rows than
+    /// A host view serves every block exactly as an owned matrix
+    /// scattered from the same matrix does — uneven blocks, more grid rows than
     /// matrix rows, a `rows × 0` matrix, a `1 × N` one, a window
     /// narrower than its host (`ld > cols`).
     #[test]
@@ -904,15 +885,15 @@ mod tests {
             let host = Matrix::random(rows + 5, cols + 4, 11);
             let window = host.block(2, 3, rows, cols);
             let mask = BlockMask::from_fn(p, q, |i, j| (i + 2 * j) % 3 != 0);
-            let mut arena = DistMatrix::create(grid, rows, cols);
-            arena.scatter(&window.to_matrix());
-            arena.set_mask(mask.clone());
+            let mut owned = DistMatrix::create(grid, rows, cols);
+            owned.scatter(&window.to_matrix());
+            owned.set_mask(mask.clone());
             let lent = [(window, grid, CostMap::Base(7), Some(mask))];
             DistMatrix::with_host_views(&lent, |views| {
                 let what = format!("{rows}x{cols} on {p}x{q}");
                 assert_eq!(views.len(), 1);
                 assert_eq!(views[0].cost_rank(1), 8, "{what}");
-                assert_serves_like(&views[0], &arena, &what);
+                assert_serves_like(&views[0], &owned, &what);
             });
         }
         // A `rows × 0` window over no storage at all, `ld > 0`: there is
@@ -942,22 +923,22 @@ mod tests {
     ];
 
     /// `view` serves every block — dims, origin, bytes, mask bit,
-    /// elements, gets — exactly as `arena` does.
-    fn assert_serves_like(view: &DistMatrix, arena: &DistMatrix, what: &str) {
+    /// elements, gets — exactly as `owned` does.
+    fn assert_serves_like(view: &DistMatrix, owned: &DistMatrix, what: &str) {
         assert!(view.is_real());
         assert_eq!(
             (view.rows(), view.cols()),
-            (arena.rows(), arena.cols()),
+            (owned.rows(), owned.cols()),
             "{what}"
         );
         let (mut got, mut want) = (vec![1.0], vec![2.0]);
         for r in 0..view.grid().nranks() {
-            assert_eq!(view.block_dims(r), arena.block_dims(r), "{what} rank {r}");
-            assert_eq!(view.block_origin(r), arena.block_origin(r), "{what}");
-            assert_eq!(view.block_bytes(r), arena.block_bytes(r), "{what}");
-            assert_eq!(view.block_nonzero(r), arena.block_nonzero(r), "{what}");
-            let (vb, ab) = (view.read_block(r), arena.read_block(r));
-            let (v, a) = (vb.mat().unwrap(), ab.mat().unwrap());
+            assert_eq!(view.block_dims(r), owned.block_dims(r), "{what} rank {r}");
+            assert_eq!(view.block_origin(r), owned.block_origin(r), "{what}");
+            assert_eq!(view.block_bytes(r), owned.block_bytes(r), "{what}");
+            assert_eq!(view.block_nonzero(r), owned.block_nonzero(r), "{what}");
+            let (vb, ob) = (view.read_block(r), owned.read_block(r));
+            let (v, a) = (vb.mat().unwrap(), ob.mat().unwrap());
             assert_eq!((v.rows(), v.cols()), (a.rows(), a.cols()), "{what}");
             assert_eq!((v.rows(), v.cols()), (vb.rows(), vb.cols()), "{what}");
             for i in 0..v.rows() {
@@ -967,7 +948,7 @@ mod tests {
             }
             assert_eq!(
                 view.copy_block_into(r, &mut got),
-                arena.copy_block_into(r, &mut want),
+                owned.copy_block_into(r, &mut want),
                 "{what} rank {r}"
             );
             assert_eq!(got, want, "{what} rank {r}");
@@ -1008,15 +989,15 @@ mod tests {
         DistMatrix::with_host_views(&lent, |views| {
             assert_eq!(views.len(), windows.len());
             for (i, (view, window)) in views.iter().zip(&windows).enumerate() {
-                let mut arena = DistMatrix::create(grids[i], window.rows(), window.cols());
-                arena.scatter(&window.to_matrix());
+                let mut owned = DistMatrix::create(grids[i], window.rows(), window.cols());
+                owned.scatter(&window.to_matrix());
                 if let Some(mask) = &masks[i] {
-                    arena.set_mask(mask.clone());
+                    owned.set_mask(mask.clone());
                 }
                 assert_eq!(view.grid(), grids[i], "view {i}");
                 assert_eq!(view.cost_rank(0), 10 * i, "view {i}");
                 assert_eq!(view.mask(), masks[i].as_ref(), "view {i}");
-                assert_serves_like(view, &arena, &format!("view {i}"));
+                assert_serves_like(view, &owned, &format!("view {i}"));
             }
         });
     }
@@ -1095,7 +1076,8 @@ mod put_acc_tests {
         let payload = vec![7.0; 4];
         m.copy_block_from(3, &payload);
         let b = m.read_block(3);
-        assert!(b.mat().unwrap().data()[..4].iter().all(|&v| v == 7.0));
+        let v = b.mat().unwrap();
+        assert!((0..v.rows()).all(|i| v.row(i).iter().all(|&x| x == 7.0)));
     }
 
     #[test]
@@ -1103,9 +1085,10 @@ mod put_acc_tests {
         let grid = ProcGrid::new(1, 1);
         let m = DistMatrix::create(grid, 2, 2);
         m.copy_block_from(0, &[1.0, 2.0, 3.0, 4.0]);
-        m.acc_block_from(0, 0.5, &[2.0, 2.0, 2.0, 2.0]);
+        m.acc_block_from(0, 0.5, Some(MatRef::new(2, 2, 2, &[2.0; 4])));
         let b = m.read_block(0);
-        assert_eq!(b.mat().unwrap().data(), &[2.0, 3.0, 4.0, 5.0]);
+        let v = b.mat().unwrap();
+        assert_eq!([v.row(0), v.row(1)].concat(), [2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
@@ -1114,15 +1097,9 @@ mod put_acc_tests {
         let m = DistMatrix::create(grid, 2, 2);
         m.copy_block_from(0, &[1.0, f64::NAN, 3.0, 4.0]);
         m.scale_block(0, 1.0); // no-op, NaN preserved
-        assert!(m.read_block(0).mat().unwrap().data()[1].is_nan());
+        assert!(m.read_block(0).mat().unwrap().at(0, 1).is_nan());
         m.scale_block(0, 0.0); // must clear even NaN
-        assert!(m
-            .read_block(0)
-            .mat()
-            .unwrap()
-            .data()
-            .iter()
-            .all(|&v| v == 0.0));
+        assert_eq!(m.gather(), Matrix::zeros(2, 2));
     }
 
     #[test]
@@ -1130,7 +1107,7 @@ mod put_acc_tests {
         let grid = ProcGrid::new(2, 2);
         let m = DistMatrix::create_virtual(grid, 8, 8);
         m.copy_block_from(0, &[]);
-        m.acc_block_from(1, 2.0, &[]);
+        m.acc_block_from(1, 2.0, None);
         m.scale_block(2, 0.0);
     }
 
@@ -1177,7 +1154,7 @@ mod put_acc_tests {
     #[test]
     #[should_panic(expected = "operand views are read-only")]
     fn view_refuses_acc() {
-        on_view(|v| v.acc_block_from(0, 1.0, &[0.0; 4]));
+        on_view(|v| v.acc_block_from(0, 1.0, Some(MatRef::new(2, 2, 2, &[0.0; 4]))));
     }
 
     /// The refusal names the accessor that was refused.
@@ -1206,7 +1183,7 @@ mod put_acc_tests {
     }
 }
 
-/// The writable host view: C distributed in place.
+/// The writable window, lent (C distributed in place) or owned.
 #[cfg(test)]
 mod window_tests {
     use super::*;
@@ -1241,10 +1218,33 @@ mod window_tests {
     ) -> Option<usize> {
         let inside = (AT.0..AT.0 + rows).contains(&i) && (AT.1..AT.1 + cols).contains(&j);
         inside.then(|| {
-            let bi = (0..grid.p).rfind(|&b| chunk_start(rows, grid.p, b) <= i - AT.0);
-            let bj = (0..grid.q).rfind(|&b| chunk_start(cols, grid.q, b) <= j - AT.1);
-            grid.rank_at(bi.unwrap(), bj.unwrap())
+            owner_in(
+                grid,
+                RankOrder::RowMajor,
+                (rows, cols),
+                (i - AT.0, j - AT.1),
+            )
         })
+    }
+
+    /// The rank whose block of a `rows × cols` matrix distributed over
+    /// `grid` under `order` holds its element `(i, j)`.
+    fn owner_in(
+        grid: ProcGrid,
+        order: RankOrder,
+        (rows, cols): (usize, usize),
+        (i, j): (usize, usize),
+    ) -> usize {
+        let bi = (0..grid.p)
+            .rfind(|&b| chunk_start(rows, grid.p, b) <= i)
+            .unwrap();
+        let bj = (0..grid.q)
+            .rfind(|&b| chunk_start(cols, grid.q, b) <= j)
+            .unwrap();
+        match order {
+            RankOrder::RowMajor => grid.rank_at(bi, bj),
+            RankOrder::ColMajor => bj * grid.p + bi,
+        }
     }
 
     /// `f` on the `rows × cols` window at [`AT`] of `host`, distributed
@@ -1259,6 +1259,55 @@ mod window_tests {
         DistMatrix::with_host_views_mut(lent, |views| f(&views[0]));
     }
 
+    /// `f` on every matrix a window test takes for `shape`: the window at
+    /// [`AT`] of `host_for(rows, cols, seed)`, lent in place, then an
+    /// owned matrix under each [`RankOrder`]. Returns each one's rank
+    /// placement and the `rows × cols` elements `f` left in it; no host
+    /// element outside the lent window may move.
+    fn on_inputs(
+        shape @ (rows, cols, p, q): (usize, usize, usize, usize),
+        seed: u64,
+        mut f: impl FnMut(&DistMatrix),
+    ) -> Vec<(RankOrder, Matrix)> {
+        let grid = ProcGrid::new(p, q);
+        let before = host_for(rows, cols, seed);
+        let mut host = before.clone();
+        on_window(&mut host, shape, &mut f);
+        for i in 0..host.rows() {
+            for j in 0..host.cols() {
+                if owner_of(grid, (rows, cols), (i, j)).is_none() {
+                    let (got, want) = (host[(i, j)].to_bits(), before[(i, j)].to_bits());
+                    assert_eq!(got, want, "{shape:?} ({i},{j}) is outside the window");
+                }
+            }
+        }
+        let lent = host.block(AT.0, AT.1, rows, cols).to_matrix();
+        let mut left = vec![(RankOrder::RowMajor, lent)];
+        for order in [RankOrder::RowMajor, RankOrder::ColMajor] {
+            let owned = DistMatrix::create_with_order(grid, rows, cols, order, true);
+            f(&owned);
+            left.push((order, owned.gather()));
+        }
+        left
+    }
+
+    /// `f` on every input [`on_inputs`] makes for `shape`, each of which
+    /// must panic, and all with one message; then that panic again, for
+    /// a `should_panic` test to match.
+    fn panics_on_every_input(shape: (usize, usize, usize, usize), f: impl Fn(&DistMatrix)) {
+        let mut messages = Vec::new();
+        on_inputs(shape, 1, |c| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(c)))
+                .expect_err("every input must panic");
+            let message = (payload.downcast_ref::<&str>().map(|m| m.to_string()))
+                .or_else(|| payload.downcast_ref::<String>().cloned());
+            messages.push(message.expect("a panic message"));
+        });
+        assert_eq!(messages.len(), 3);
+        assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
+        panic!("{}", messages[0]);
+    }
+
     /// Every rank writes its id over its block: each element of the
     /// window then names the rank `block_origin`/`block_dims` give it to
     /// — the blocks are disjoint and cover the window — and no element
@@ -1266,9 +1315,7 @@ mod window_tests {
     #[test]
     fn blocks_are_disjoint_and_cover_the_window() {
         for shape @ (rows, cols, p, q) in SHAPES {
-            let before = host_for(rows, cols, 21);
-            let mut host = before.clone();
-            on_window(&mut host, shape, |c| {
+            let left = on_inputs(shape, 21, |c| {
                 assert!(c.is_real());
                 assert_eq!((c.rows(), c.cols()), (rows, cols));
                 // All at once, as the ranks of a run hold them.
@@ -1281,29 +1328,28 @@ mod window_tests {
                 }
             });
             let grid = ProcGrid::new(p, q);
-            for i in 0..host.rows() {
-                for j in 0..host.cols() {
-                    let want = match owner_of(grid, (rows, cols), (i, j)) {
-                        Some(r) => r as f64,
-                        None => before[(i, j)],
-                    };
-                    assert_eq!(host[(i, j)], want, "{shape:?} ({i},{j})");
+            for (order, got) in left {
+                for i in 0..rows {
+                    for j in 0..cols {
+                        let want = owner_in(grid, order, (rows, cols), (i, j)) as f64;
+                        assert_eq!(got[(i, j)], want, "{shape:?} {order:?} ({i},{j})");
+                    }
                 }
             }
         }
     }
 
-    /// Each write accessor leaves in the window, bit for bit, what its
-    /// arena twin leaves in an arena scattered from the same elements —
-    /// and the window serves reads and gets as that arena does.
+    /// Each write accessor leaves in the lent window, bit for bit, what
+    /// its twin leaves in an owned matrix scattered from the same
+    /// elements — and the window serves reads and gets as that one does.
     #[test]
     fn write_accessors_match_their_arena_twins() {
         for shape @ (rows, cols, p, q) in SHAPES {
             let grid = ProcGrid::new(p, q);
             let mut host = host_for(rows, cols, 22);
             let before = host.clone();
-            let arena = DistMatrix::create(grid, rows, cols);
-            arena.scatter(&host.block(AT.0, AT.1, rows, cols).to_matrix());
+            let owned = DistMatrix::create(grid, rows, cols);
+            owned.scatter(&host.block(AT.0, AT.1, rows, cols).to_matrix());
             // One accessor per rank, by turns; payloads carry a NaN and a
             // negative zero, which only a bitwise copy preserves.
             let apply = |m: &DistMatrix| {
@@ -1316,13 +1362,13 @@ mod window_tests {
                     let payload = payload.as_slice();
                     match r % 6 {
                         0 => m.copy_block_from(r, payload),
-                        1 => m.acc_block_from(r, -1.5, payload),
+                        1 => m.acc_block_from(r, -1.5, Some(MatRef::new(br, bc, bc, payload))),
                         2 => m.scale_block(r, 0.0),
                         3 => m.scale_block(r, 0.75),
                         4 => {
                             m.scale_block(r, 1.0);
                             m.copy_block_from(r, &[]); // modeled payloads:
-                            m.acc_block_from(r, 2.0, &[]); // nothing moves
+                            m.acc_block_from(r, 2.0, None); // nothing moves
                         }
                         _ => {
                             let mut w = m.write_block(r);
@@ -1336,21 +1382,21 @@ mod window_tests {
                     }
                 }
             };
-            apply(&arena);
+            apply(&owned);
             on_window(&mut host, shape, |c| {
                 apply(c);
                 let (mut got, mut want) = (vec![1.0], vec![2.0]);
                 for r in 0..grid.nranks() {
                     let what = format!("{shape:?} rank {r}");
-                    assert_eq!(c.block_bytes(r), arena.block_bytes(r), "{what}");
+                    assert_eq!(c.block_bytes(r), owned.block_bytes(r), "{what}");
                     assert_eq!(
                         c.copy_block_into(r, &mut got),
-                        arena.copy_block_into(r, &mut want),
+                        owned.copy_block_into(r, &mut want),
                         "{what}"
                     );
                     assert_eq!(bits(&got), bits(&want), "{what}");
-                    let (cb, ab) = (c.read_block(r), arena.read_block(r));
-                    let (v, a) = (cb.mat().unwrap(), ab.mat().unwrap());
+                    let (cb, ob) = (c.read_block(r), owned.read_block(r));
+                    let (v, a) = (cb.mat().unwrap(), ob.mat().unwrap());
                     assert_eq!((v.rows(), v.cols()), (a.rows(), a.cols()), "{what}");
                     // A `rows × 0` window has no storage to slice rows from.
                     for i in 0..if v.cols() > 0 { v.rows() } else { 0 } {
@@ -1358,7 +1404,7 @@ mod window_tests {
                     }
                 }
             });
-            let want = arena.gather();
+            let want = owned.gather();
             for i in 0..host.rows() {
                 for j in 0..host.cols() {
                     let inside =
@@ -1386,9 +1432,8 @@ mod window_tests {
     /// their own threads, each holding its handle throughout.
     #[test]
     fn owners_write_concurrently() {
-        let shape @ (rows, cols, p, q) = (41, 37, 2, 3);
-        let mut host = host_for(rows, cols, 23);
-        on_window(&mut host, shape, |c| {
+        let shape @ (_, _, p, q) = (41, 37, 2, 3);
+        on_inputs(shape, 23, |c| {
             let all_hold = std::sync::Barrier::new(p * q);
             std::thread::scope(|s| {
                 for r in 0..p * q {
@@ -1409,7 +1454,7 @@ mod window_tests {
     }
 
     #[test]
-    #[should_panic(expected = "discipline violation: write of a region under access")]
+    #[should_panic(expected = "discipline violation: write of a block under access")]
     fn a_second_writer_of_a_held_block_is_caught() {
         on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| {
             let _owner = c.write_block(1);
@@ -1422,22 +1467,22 @@ mod window_tests {
     /// neighbours: reading beside a writer of another grid row is fine,
     /// beside one of its own it is caught.
     #[test]
-    #[should_panic(expected = "discipline violation: read of a region under write")]
+    #[should_panic(expected = "discipline violation: read of a block under write")]
     fn a_read_beside_a_writer_of_its_grid_row_is_caught() {
-        on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| {
-            let _owner = c.write_block(2);
-            assert_eq!(c.read_block(0).mat().map(|m| m.rows()), Some(2));
-            assert_eq!(c.read_block(1).mat().map(|m| m.cols()), Some(2));
-            let _ = c.read_block(3);
+        panics_on_every_input((4, 4, 2, 2), |c| {
+            let _owner = c.write_block(c.owner(1, 0));
+            assert_eq!(c.read_block(c.owner(0, 0)).mat().map(|m| m.rows()), Some(2));
+            assert_eq!(c.read_block(c.owner(0, 1)).mat().map(|m| m.cols()), Some(2));
+            let _ = c.read_block(c.owner(1, 1));
         });
     }
 
     #[test]
-    #[should_panic(expected = "discipline violation: write of a region under access")]
+    #[should_panic(expected = "discipline violation: write of a block under access")]
     fn a_write_beside_a_reader_of_its_grid_row_is_caught() {
-        on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| {
-            let _reader = c.read_block(0);
-            let _ = c.write_block(1);
+        panics_on_every_input((4, 4, 2, 2), |c| {
+            let _reader = c.read_block(c.owner(0, 0));
+            let _ = c.write_block(c.owner(0, 1));
         });
     }
 
@@ -1494,7 +1539,7 @@ mod window_tests {
     /// product does not stop anyone writing block 2 of another, but a
     /// second writer of the block it holds is caught.
     #[test]
-    #[should_panic(expected = "discipline violation: write of a region under access")]
+    #[should_panic(expected = "discipline violation: write of a block under access")]
     fn a_non_owner_write_into_a_lent_product_is_caught() {
         let (mut x, mut y) = (host_for(4, 4, 1), host_for(4, 4, 2));
         let (grid, id) = (ProcGrid::new(2, 2), CostMap::Identity);
@@ -1507,21 +1552,6 @@ mod window_tests {
             drop(views[0].write_block(2));
             // Another rank's put lands on the block its owner is computing.
             views[1].copy_block_from(2, &[0.0; 4]);
-        });
-    }
-
-    /// The caller holds the matrix: there is nothing to gather it from.
-    #[test]
-    #[should_panic(expected = "gather() on a DistMatrix without an arena")]
-    fn a_window_has_no_arena_to_gather() {
-        on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| drop(c.gather()));
-    }
-
-    #[test]
-    #[should_panic(expected = "scatter() on a DistMatrix without an arena")]
-    fn a_window_has_no_arena_to_scatter_into() {
-        on_window(&mut host_for(4, 4, 1), (4, 4, 2, 2), |c| {
-            c.scatter(&Matrix::zeros(4, 4))
         });
     }
 }

@@ -43,7 +43,7 @@
 use crate::comm::{Comm, GetHandle, RankProgram, Step};
 use crate::deque::WorkDeque;
 use crate::dist::{DistMatrix, Landing};
-use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, Operand, PackedPanel};
+use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand, PackedPanel};
 use srumma_model::Topology;
 use srumma_trace::{Counters, ExecStats, Recorder, RunStats, TraceEvent, TraceKind};
 use std::any::Any;
@@ -819,7 +819,7 @@ impl Comm for ExecComm {
         GetHandle::Ready
     }
 
-    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: &[f64]) {
+    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>) {
         let t0 = self.span_start();
         mat.acc_block_from(owner, scale, data);
         let bytes = mat.block_bytes(owner);

@@ -34,7 +34,7 @@
 
 use crate::comm::{Comm, GetHandle};
 use crate::dist::{DistMatrix, Landing};
-use srumma_dense::{MatMut, Operand, PackedPanel, Rng};
+use srumma_dense::{MatMut, MatRef, Operand, PackedPanel, Rng};
 use srumma_model::Topology;
 use srumma_trace::Recorder;
 use std::time::{Duration, Instant};
@@ -282,7 +282,7 @@ impl<C: Comm + ?Sized> Comm for &mut C {
     fn put(&mut self, mat: &DistMatrix, owner: usize, data: &[f64]) {
         (**self).put(mat, owner, data)
     }
-    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: &[f64]) {
+    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>) {
         (**self).acc(mat, owner, scale, data)
     }
     fn fence(&mut self) {
@@ -430,7 +430,7 @@ impl<C: Comm> Comm for ChaosComm<C> {
     fn nbput(&mut self, mat: &DistMatrix, owner: usize, data: &[f64]) -> GetHandle {
         self.inner.nbput(mat, owner, data)
     }
-    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: &[f64]) {
+    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>) {
         self.inner.acc(mat, owner, scale, data)
     }
     fn fence(&mut self) {

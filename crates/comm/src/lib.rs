@@ -26,12 +26,12 @@
 //!
 //! ## Module map
 //!
-//! * [`arena`] — the shared allocation (`ArmciHeap` stand-in) with its
-//!   access checker.
+//! * [`arena`] — the shared-memory discipline and its access checker.
 //! * [`dist`] — [`dist::DistMatrix`]: 2-D block-distributed matrices
-//!   over a process grid: arena-backed, shape-only, or a view of a host
-//!   matrix distributed in place (read-only for an operand, writable for
-//!   the product).
+//!   over a process grid: shape-only, a read-only view of a host operand,
+//!   or a writable row-major window — of the caller's product, lent in
+//!   place, or of an allocation the matrix owns (the `ARMCI_Malloc`
+//!   stand-in).
 //! * [`comm`] — the [`Comm`] trait and block handle types; the split
 //!   fence, [`RankProgram`] and [`drive`].
 //! * [`simbackend`] / [`virt`] / [`exec`] — the three implementations
@@ -55,7 +55,6 @@ pub mod simbackend;
 pub mod subcomm;
 pub mod virt;
 
-pub use arena::SharedArena;
 pub use comm::{drive, Comm, GetHandle, RankProgram, Step};
 pub use dist::{CostMap, DistMatrix, Landing};
 pub use exec::{

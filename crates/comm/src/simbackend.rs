@@ -9,7 +9,7 @@
 use crate::comm::{Comm, GetHandle};
 use crate::dist::{DistMatrix, Landing};
 use crate::fault::{FaultPlan, FaultPlanError};
-use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, Operand};
+use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand};
 use srumma_model::network::Path;
 use srumma_model::{protocol, Machine, Topology, TransferCost};
 use srumma_sim::{run_sim, SimConfig, SimProc, SimResult, TransferSpec};
@@ -304,7 +304,7 @@ impl Comm for SimComm {
         GetHandle::Sim(id)
     }
 
-    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: &[f64]) {
+    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>) {
         let me = self.proc.rank();
         mat.acc_block_from(owner, scale, data);
         let bytes = mat.block_bytes(owner);
@@ -622,7 +622,8 @@ mod tests {
             buf.iter().sum::<f64>()
         });
         let b0 = mat.read_block(0);
-        let expect: f64 = b0.mat().unwrap().data()[..64].iter().sum();
+        let v = b0.mat().unwrap();
+        let expect: f64 = (0..v.rows()).flat_map(|i| v.row(i)).sum();
         for v in &res.outputs {
             assert!((v - expect).abs() < 1e-12);
         }

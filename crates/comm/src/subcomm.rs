@@ -19,7 +19,7 @@
 
 use crate::comm::{Comm, GetHandle};
 use crate::dist::{DistMatrix, Landing};
-use srumma_dense::{MatMut, Operand, PackedPanel};
+use srumma_dense::{MatMut, MatRef, Operand, PackedPanel};
 use srumma_model::Topology;
 use srumma_trace::Recorder;
 
@@ -120,7 +120,7 @@ impl<C: Comm> Comm for SubComm<'_, C> {
         self.inner.nbput(mat, owner, data)
     }
 
-    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: &[f64]) {
+    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>) {
         self.inner.acc(mat, owner, scale, data);
     }
 

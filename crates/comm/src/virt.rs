@@ -24,7 +24,7 @@
 use crate::comm::{Comm, GetHandle, Step};
 use crate::dist::{DistMatrix, Landing};
 use crate::exec::{exec_run_tasks, RankTask};
-use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, Operand};
+use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand};
 use srumma_model::{protocol, Machine, Topology, TransferCost};
 use srumma_trace::{Counters, RankStats, Recorder, RunStats};
 use std::sync::Arc;
@@ -191,7 +191,7 @@ impl Comm for VirtualComm {
         self.issue(cost)
     }
 
-    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: &[f64]) {
+    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>) {
         mat.acc_block_from(owner, scale, data);
         let bytes = mat.block_bytes(owner);
         let (rows, cols) = mat.block_dims(owner);

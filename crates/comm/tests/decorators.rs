@@ -135,8 +135,8 @@ impl Comm for Fake {
         ));
         GetHandle::Virt(78)
     }
-    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: &[f64]) {
-        let dims = mat.block_dims(owner);
+    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>) {
+        let (dims, data) = (mat.block_dims(owner), data.map(|d| d.to_matrix()));
         self.note(format!("acc({dims:?}, {owner}, {scale}, {data:?})"));
     }
     fn fence(&mut self) {
@@ -235,7 +235,7 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
     c.wait(GetHandle::Virt(9));
     c.get(&mat, 3, &mut buf);
     c.put(&mat, 2, &[1.5, 2.5]);
-    c.acc(&mat, 1, -2.0, &[0.5]);
+    c.acc(&mat, 1, -2.0, Some(MatRef::new(1, 1, 1, &[0.5])));
     c.fence();
     c.gemm(2, 4, 3, 1.5, a, None, 1.0, None, true, "lbl");
     c.send(peer, 31, &[9.0], 8);

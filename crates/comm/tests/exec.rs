@@ -97,9 +97,9 @@ fn get_copies_real_blocks() {
     });
     for (r, got) in res.outputs.iter().enumerate() {
         let peer = (r + 1) % 4;
-        let expect: f64 = mat.read_block(peer).mat().unwrap().data()[..16]
-            .iter()
-            .sum();
+        let block = mat.read_block(peer);
+        let v = block.mat().unwrap();
+        let expect: f64 = (0..v.rows()).flat_map(|i| v.row(i)).sum();
         assert!((got - expect).abs() < 1e-12);
     }
 }

@@ -4,7 +4,7 @@
 //! siblings in Global Arrays use all of them).
 
 use srumma_comm::{sim_run, thread_run, Comm, DistMatrix, SimOptions};
-use srumma_dense::Matrix;
+use srumma_dense::{MatRef, Matrix};
 use srumma_model::{Machine, ProcGrid};
 
 #[test]
@@ -66,11 +66,11 @@ fn accumulate_sums_contributions_from_all_ranks() {
         let contribution: Vec<f64> = vec![(c.rank() + 1) as f64; r * k];
         // Serialize accumulates with a crude barrier-ordered protocol.
         if c.rank() == 0 {
-            c.acc(&mat, 0, 1.0, &contribution);
+            c.acc(&mat, 0, 1.0, Some(MatRef::new(r, k, k, &contribution)));
         }
         c.barrier();
         if c.rank() == 1 {
-            c.acc(&mat, 0, 2.0, &contribution);
+            c.acc(&mat, 0, 2.0, Some(MatRef::new(r, k, k, &contribution)));
         }
         c.barrier();
         let mut buf = Vec::new();
@@ -89,7 +89,7 @@ fn acc_steals_target_cpu_under_simulation() {
     let mat = DistMatrix::create_virtual(grid, 4000, 4000);
     let res = sim_run(&SimOptions::new(Machine::linux_myrinet(), 2), |c| {
         if c.rank() == 0 {
-            c.acc(&mat, 1, 1.0, &[]);
+            c.acc(&mat, 1, 1.0, None);
         }
         c.barrier();
         c.now()

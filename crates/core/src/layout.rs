@@ -4,8 +4,8 @@
 //! A or B that a caller *builds* ([`dist_a`] / [`dist_b`], the
 //! shape-only matrices of a modeled run) is held in
 //! its *stored* orientation, gridded so that every block a task needs is
-//! a **whole stored block of one rank** — the property that keeps
-//! one-sided gets single contiguous transfers:
+//! a **whole stored block of one rank** — the property that keeps a
+//! one-sided get one (strided) transfer from one owner:
 //!
 //! | case | stored A | A grid | logical block `op(A)_{i,l}` lives at |
 //! |------|----------|--------|--------------------------------------|
@@ -22,22 +22,21 @@
 //! handed the logical `op(A)` (`m × k`) and `op(B)` (`k × n`), which are
 //! the `N` row of the table already. [`with_host_operands`] therefore
 //! distributes both in place — read-only [`DistMatrix::with_host_views`]
-//! over the C grid, no arena and no copy, whatever `transa` / `transb`
+//! over the C grid, no allocation and no copy, whatever `transa` / `transb`
 //! say — and hands back the spec the ranks must run over them, the
 //! transposes normalised to `N`, just as [`with_fresh_c`] normalises `β`
 //! for a C nobody has written; [`with_host_operand_sets`] is the same
 //! for every multiply of a batch stream at once, each over its own
 //! team's grid and cost map. [`dist_a`] /
-//! [`dist_b`] + [`scatter_operands`] remain the copying form (arenas in
-//! the stored orientation) for callers that own their distributed
-//! matrices.
+//! [`dist_b`] + [`scatter_operands`] remain the copying form (owned
+//! matrices in the stored orientation) for callers that own their
+//! distributed matrices.
 //!
 //! The result is in place too: [`with_fresh_c`] lends the ranks the
 //! matrix the caller will be handed as a writable
 //! [`DistMatrix::with_host_views_mut`], so each owner computes its tile
-//! where the caller reads it and there is no C arena to gather from.
-//! [`dist_c`] / [`fresh_c`] remain the arena form, for a C that is a
-//! one-sided accumulate target (replica teams), and for callers that own
+//! where the caller reads it and there is no second C to gather from.
+//! [`dist_c`] / [`fresh_c`] remain the owned form, for callers that own
 //! their C.
 
 use crate::options::GemmSpec;
@@ -150,15 +149,7 @@ pub fn with_host_operands<R>(
     f: impl FnOnce(&GemmSpec, &DistMatrix, &DistMatrix) -> R,
 ) -> R {
     let Some((a, b)) = ab else {
-        let (mut da, mut db) = (dist_a(spec, grid, false), dist_b(spec, grid, false));
-        if let Some(mask) = masks.0 {
-            set_a_mask(spec, &mut da, mask.clone());
-        }
-        if let Some(mask) = masks.1 {
-            set_b_mask(spec, &mut db, mask.clone());
-        }
-        da.set_cost_map(cost);
-        db.set_cost_map(cost);
+        let (da, db) = shape_only_operands(spec, grid, masks, cost);
         return f(spec, &da, &db);
     };
     let set = HostOperands {
@@ -170,6 +161,27 @@ pub fn with_host_operands<R>(
         cost,
     };
     with_host_operand_sets([set], |specs, views| f(&specs[0], &views[0], &views[1]))
+}
+
+/// The shape-only operands of one multiply: [`dist_a`] / [`dist_b`] in
+/// the stored layout `spec` names, with the **logical** `masks` and `cost`
+/// attached.
+pub(crate) fn shape_only_operands(
+    spec: &GemmSpec,
+    grid: ProcGrid,
+    masks: (Option<&BlockMask>, Option<&BlockMask>),
+    cost: CostMap,
+) -> (DistMatrix, DistMatrix) {
+    let (mut da, mut db) = (dist_a(spec, grid, false), dist_b(spec, grid, false));
+    if let Some(mask) = masks.0 {
+        set_a_mask(spec, &mut da, mask.clone());
+    }
+    if let Some(mask) = masks.1 {
+        set_b_mask(spec, &mut db, mask.clone());
+    }
+    da.set_cost_map(cost);
+    db.set_cost_map(cost);
+    (da, db)
 }
 
 /// [`with_host_operands`] for many multiplies at once — every entry of a

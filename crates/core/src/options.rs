@@ -15,8 +15,8 @@ use srumma_dense::Op;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GemmSpec {
     /// How a *distributed* A is stored — `T` = as `k × m`, for the local
-    /// `dgemm` to transpose: arenas built with [`crate::layout::dist_a`],
-    /// the batch stream's slots, the shape-only matrices of a modeled run.
+    /// `dgemm` to transpose: owned matrices built with
+    /// [`crate::layout::dist_a`], the shape-only matrices of a modeled run.
     /// A run over host matrices is handed `op(A)` itself and does not act
     /// on it ([`crate::layout::with_host_operands`]).
     pub transa: Op,
@@ -114,7 +114,7 @@ pub enum ReplicationFactor {
     /// (see [`crate::memory::replicated_arena_footprint`]) fits the
     /// byte budget. Always admits `c = 1`, so `Auto` never fails.
     Auto {
-        /// Per-rank arena byte budget the replicas must fit in.
+        /// Per-rank byte budget the replicas must fit in.
         budget_bytes: u64,
     },
 }

@@ -5,12 +5,17 @@
 //! distribution restricted to a disjoint `k`-slice, and lets every team
 //! run the ordinary SRUMMA schedule as if it were the whole machine
 //! (via [`SubComm`]). Team `l` computes the partial product
-//! `α·op(A)[:, K_l]·op(B)[K_l, :]` onto a C the set created zero (so
-//! `β` is moot). A final serialized accumulation folds teams
-//! `1..c` into team 0's C — the only cross-team communication.
+//! `α·op(A)[:, K_l]·op(B)[K_l, :]` onto a C nobody has written (so `β`
+//! is `0`). A final serialized accumulation folds teams `1..c` into team
+//! 0's C — the only cross-team communication.
+//!
+//! Everything is in place, as in a flat run: a team's operands are views
+//! of its `k`-windows of the host operands, and team 0's C *is* the
+//! product the caller gets back, lent as a writable window, so the
+//! accumulation lands where the caller reads it and nothing is gathered.
 //!
 //! The memory trade is the classic one (cf. 2.5D / SUMMA-2.5D): each
-//! team holds a full `m × n` C scratch over only `P/c` ranks, so
+//! other team holds a full `m × n` C scratch over only `P/c` ranks, so
 //! per-rank C memory grows `c`-fold, while each rank's communication
 //! sweep shrinks to its team — fewer, larger transfers confined to a
 //! `√(P/c)`-wide grid. [`crate::memory::replicated_arena_footprint`]
@@ -24,14 +29,14 @@
 //! recombination aligned across teams.
 
 use crate::hier::HierStageSet;
-use crate::layout::{fresh_c, with_host_operands};
+use crate::layout::{shape_only_operands, with_host_operand_sets, HostOperands};
 use crate::memory::replicated_arena_footprint;
 use crate::options::{GemmSpec, ReplicationFactor, SrummaOptions};
 use crate::run::{RankReport, RunError};
 use crate::srumma::SrummaProgram;
 use srumma_comm::{drive, Comm, CostMap, DistMatrix, SubComm};
 use srumma_dense::mask::{chunk_len, chunk_start};
-use srumma_dense::Matrix;
+use srumma_dense::{MatMut, Matrix};
 use srumma_model::{ProcGrid, Topology};
 
 /// Whether `c` teams are admissible for `nranks` ranks under `topo`:
@@ -79,17 +84,17 @@ pub fn resolve_factor(
     }
 }
 
-/// One team's slice of the problem.
+/// One team's slice of the problem, lent for the launch.
 struct TeamMats<'m> {
     /// The team-sized spec: `k` is this team's slice width, `beta` is
-    /// `0` (every team multiplies onto a C the set just created), and
-    /// over host operands the transposes are `N`.
+    /// `0` (every team multiplies onto a C nobody has written), and over
+    /// host operands the transposes are `N`.
     spec: GemmSpec,
-    /// Lent by [`with_host_operands`]: views of the team's `k`-windows
-    /// of the host operands.
+    /// Views of the team's `k`-windows of the host operands.
     da: &'m DistMatrix,
     db: &'m DistMatrix,
-    dc: DistMatrix,
+    /// The team's product: the caller's for team 0, scratch for the rest.
+    dc: &'m DistMatrix,
 }
 
 /// The collective state of one replicated multiply: every team's
@@ -103,17 +108,21 @@ pub struct ReplSet<'m> {
 }
 
 impl ReplSet<'_> {
-    /// Build every team's `k`-slice of the logical operands `a` (`m × k`)
-    /// and `b` (`k × n`) and lend the set to `f`. A team's slice is the
-    /// window `a[:, K_l]` / `b[K_l, :]` of the host matrix, distributed
-    /// in place — never copied. `c` must be admissible. `ab = None`
-    /// builds a shape-only (virtual) set.
+    /// Build every team's `k`-slice of the problem and lend the set to
+    /// `f`. `host` is the logical `m × k` and `k × n` operands and the
+    /// caller's all-zero `m × n` product, or `None` for a shape-only
+    /// (virtual) set. Team `l`'s operands are the windows `a[:, K_l]` /
+    /// `b[K_l, :]`, all teams' lent in one [`with_host_operand_sets`]; the
+    /// team products are lent in one [`DistMatrix::with_host_views_mut`]:
+    /// team 0's is the caller's product, which holds the result when `f`
+    /// returns, and teams `1..c` get zeroed scratch, dropped afterwards.
+    /// Nothing is copied. `c` must be admissible.
     pub fn create<R>(
         spec: &GemmSpec,
         nranks: usize,
         topo: Topology,
         c: usize,
-        ab: Option<(&Matrix, &Matrix)>,
+        host: Option<(&Matrix, &Matrix, MatMut<'_>)>,
         f: impl FnOnce(&ReplSet<'_>) -> R,
     ) -> R {
         assert!(
@@ -121,47 +130,65 @@ impl ReplSet<'_> {
             "inadmissible replication factor {c}"
         );
         let team_ranks = nranks / c;
-        let set = ReplSet {
-            c,
-            team_ranks,
-            team_topo: topo.team(team_ranks),
-            grid: ProcGrid::near_square(team_ranks),
-            teams: Vec::with_capacity(c),
+        let grid = ProcGrid::near_square(team_ranks);
+        let cost = |l: usize| CostMap::Base(l * team_ranks);
+        let team_specs: Vec<GemmSpec> = (0..c)
+            .map(|l| GemmSpec {
+                k: chunk_len(spec.k, c, l),
+                beta: 0.0,
+                ..*spec
+            })
+            .collect();
+        let lend = |specs: &[GemmSpec], ab: &[DistMatrix], cs: &[DistMatrix]| {
+            f(&ReplSet {
+                c,
+                team_ranks,
+                team_topo: topo.team(team_ranks),
+                grid,
+                teams: (0..c)
+                    .map(|l| TeamMats {
+                        spec: specs[l],
+                        da: &ab[2 * l],
+                        db: &ab[2 * l + 1],
+                        dc: &cs[l],
+                    })
+                    .collect(),
+            })
         };
-        set.with_remaining_teams(spec, ab, f)
-    }
-
-    /// Add team `self.teams.len()` and recurse; with all `c` teams in,
-    /// call `f`. Recursion because each team's operands are lent to a
-    /// closure ([`with_host_operands`]) and every team must be live at
-    /// once.
-    fn with_remaining_teams<R>(
-        self,
-        spec: &GemmSpec,
-        ab: Option<(&Matrix, &Matrix)>,
-        f: impl FnOnce(&ReplSet<'_>) -> R,
-    ) -> R {
-        let l = self.teams.len();
-        if l == self.c {
-            return f(&self);
-        }
-        let (k0, kl) = (chunk_start(spec.k, self.c, l), chunk_len(spec.k, self.c, l));
-        let team_spec = GemmSpec { k: kl, ..*spec };
-        let base = CostMap::Base(l * self.team_ranks);
-        let (team_spec, mut dc) = fresh_c(&team_spec, self.grid, ab.is_some());
-        dc.set_cost_map(base);
-        let windows = ab.map(|(a, b)| (a.block(0, k0, spec.m, kl), b.block(k0, 0, kl, spec.n)));
-        let (grid, dense) = (self.grid, (None, None));
-        with_host_operands(&team_spec, grid, windows, dense, base, |&team, da, db| {
-            // Every earlier team outlives this frame: shorten them.
-            let mut set: ReplSet<'_> = self;
-            set.teams.push(TeamMats {
+        let Some((a, b, product)) = host else {
+            let ab: Vec<DistMatrix> = (team_specs.iter().enumerate())
+                .flat_map(|(l, team)| {
+                    let (da, db) = shape_only_operands(team, grid, (None, None), cost(l));
+                    [da, db]
+                })
+                .collect();
+            let cs: Vec<DistMatrix> = (0..c)
+                .map(|l| {
+                    let mut dc = DistMatrix::create_virtual(grid, spec.m, spec.n);
+                    dc.set_cost_map(cost(l));
+                    dc
+                })
+                .collect();
+            return lend(&team_specs, &ab, &cs);
+        };
+        let operands = team_specs.iter().enumerate().map(|(l, team)| {
+            let k0 = chunk_start(spec.k, c, l);
+            HostOperands {
                 spec: team,
-                da,
-                db,
-                dc,
-            });
-            set.with_remaining_teams(spec, ab, f)
+                a: a.block(0, k0, spec.m, team.k),
+                b: b.block(k0, 0, team.k, spec.n),
+                masks: (None, None),
+                grid,
+                cost: cost(l),
+            }
+        });
+        let mut scratch: Vec<Matrix> = (1..c).map(|_| Matrix::zeros(spec.m, spec.n)).collect();
+        let products = (std::iter::once(product).chain(scratch.iter_mut().map(Matrix::as_mut)))
+            .enumerate()
+            .map(|(l, product)| (product, grid, cost(l)))
+            .collect();
+        with_host_operand_sets(operands, |specs, ab| {
+            DistMatrix::with_host_views_mut(products, |cs| lend(specs, ab, cs))
         })
     }
 
@@ -178,11 +205,6 @@ impl ReplSet<'_> {
                 HierStageSet::create_window(&t.spec, self.grid, topo, l * self.team_ranks, real)
             })
             .collect()
-    }
-
-    /// Gather the final product (lives on team 0's C).
-    pub fn gather(&self) -> Matrix {
-        self.teams[0].dc.gather()
     }
 }
 
@@ -209,18 +231,18 @@ pub fn srumma_replicated<C: Comm>(
     let report = {
         let mut sub = SubComm::new(comm, base, set.team_ranks, set.team_topo);
         let stages = stage_sets.map(|sets| &sets[team]);
-        let program = SrummaProgram::new(&mats.spec, mats.da, mats.db, &mats.dc, opts, stages);
+        let program = SrummaProgram::new(&mats.spec, mats.da, mats.db, mats.dc, opts, stages);
         drive(&mut sub, program)
     };
     // The team sweep ends with a (forwarded, machine-wide) barrier:
     // every team's partial product is complete here. Fold teams 1..c
-    // into team 0 one at a time — a fixed accumulation order keeps the
-    // result reproducible run to run.
-    let mut buf = Vec::new();
+    // into team 0 one at a time, each block straight from where its
+    // team's C holds it — a fixed accumulation order keeps the result
+    // reproducible run to run.
     for l in 1..set.c {
         if team == l {
-            mats.dc.copy_block_into(slot, &mut buf);
-            comm.acc(&set.teams[0].dc, slot, 1.0, &buf);
+            let partial = mats.dc.read_block(slot);
+            comm.acc(set.teams[0].dc, slot, 1.0, partial.mat());
         }
         comm.barrier();
     }

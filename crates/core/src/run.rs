@@ -17,10 +17,11 @@
 //! shape-only run keeps the stored layout its spec names. The product is
 //! allocated once, as the matrix the caller is handed, and lent to the
 //! ranks as C ([`crate::layout::with_fresh_c`]): each owner writes its
-//! tile where the caller will read it, so a run has no C arena and
+//! tile where the caller will read it, so a run has no second C and
 //! nothing to gather — on every backend, for every algorithm, mask, stage
-//! set and fault plan. Only a replicated run still gathers: team 0's C
-//! is the target of the other teams' accumulates ([`crate::repl`]).
+//! set, fault plan and replication factor. A replicated run lends it as
+//! team 0's C, the target of the other teams' accumulates
+//! ([`crate::repl`]).
 
 use crate::api::{parallel_gemm, Algorithm};
 use crate::chaos::{ChaosRecovery, ChaosSrummaRankTask};
@@ -338,37 +339,35 @@ impl<'a> Run<'a> {
     pub fn execute(&self) -> Result<RunOutput, RunError> {
         let (topology, replication) = self.resolve()?;
         let real = self.operands.is_some();
+        // Untouched until each owner's first task stores its tile.
+        let mut product = real.then(|| Matrix::zeros(self.spec.m, self.spec.n));
+        let c = product.as_mut().map(Matrix::as_mut);
 
-        let ((reports, stats, trace, wall_seconds), c) =
-            if self.replication == ReplicationFactor::One {
-                let grid = default_grid(self.nranks);
-                // Untouched until each owner's first task stores its tile.
-                let mut product = real.then(|| Matrix::zeros(self.spec.m, self.spec.n));
-                let ab = self.operands.map(|(a, b)| (a.as_ref(), b.as_ref()));
-                let masks = self
-                    .masks
-                    .map_or((None, None), |m| (m.a.as_ref(), m.b.as_ref()));
-                let c = product.as_mut().map(Matrix::as_mut);
-                let id = CostMap::Identity;
-                let launched = with_fresh_c(&self.spec, grid, c, |spec, c| {
-                    with_host_operands(spec, grid, ab, masks, id, |&spec, a, b| {
-                        let stages = self
-                            .hier
-                            .then(|| HierStageSet::create(&spec, grid, topology, real));
-                        self.launch(topology, &Mats::Flat(FlatMats { spec, a, b, c }, stages))
-                    })
-                })?;
-                (launched, product)
-            } else {
-                let (spec, nranks) = (&self.spec, self.nranks);
-                ReplSet::create(spec, nranks, topology, replication, self.operands, |set| {
-                    let stages = self.hier.then(|| set.hier_stage_sets(topology, real));
-                    self.launch(topology, &Mats::Replicated(set, stages))
-                        .map(|launched| (launched, real.then(|| set.gather())))
-                })?
-            };
+        let (reports, stats, trace, wall_seconds) = if self.replication == ReplicationFactor::One {
+            let grid = default_grid(self.nranks);
+            let ab = self.operands.map(|(a, b)| (a.as_ref(), b.as_ref()));
+            let masks = self
+                .masks
+                .map_or((None, None), |m| (m.a.as_ref(), m.b.as_ref()));
+            let id = CostMap::Identity;
+            with_fresh_c(&self.spec, grid, c, |spec, c| {
+                with_host_operands(spec, grid, ab, masks, id, |&spec, a, b| {
+                    let stages = self
+                        .hier
+                        .then(|| HierStageSet::create(&spec, grid, topology, real));
+                    self.launch(topology, &Mats::Flat(FlatMats { spec, a, b, c }, stages))
+                })
+            })?
+        } else {
+            let (spec, nranks) = (&self.spec, self.nranks);
+            let host = self.operands.zip(c).map(|((a, b), c)| (a, b, c));
+            ReplSet::create(spec, nranks, topology, replication, host, |set| {
+                let stages = self.hier.then(|| set.hier_stage_sets(topology, real));
+                self.launch(topology, &Mats::Replicated(set, stages))
+            })?
+        };
         Ok(RunOutput {
-            c,
+            c: product,
             stats,
             trace,
             wall_seconds,

@@ -61,7 +61,7 @@ pub struct SrummaReport {
 /// How one operand block reaches the kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Source {
-    /// Read in place from the owner's segment of the shared arena.
+    /// Read in place from the owner's block of the matrix's window.
     Direct { owner: usize },
     /// Fetched (shm memcpy or RMA get) into a pipeline panel, where it
     /// lands already packed for the kernel.
@@ -729,7 +729,7 @@ pub fn srumma<C: Comm>(
 mod tests {
     use super::*;
     use srumma_comm::Comm;
-    use srumma_dense::{MatMut, Op};
+    use srumma_dense::{MatMut, MatRef, Op};
     use srumma_model::{ProcGrid, Topology};
     use srumma_trace::Recorder;
 
@@ -788,7 +788,13 @@ mod tests {
         fn nbput(&mut self, _mat: &DistMatrix, _owner: usize, _data: &[f64]) -> GetHandle {
             unreachable!()
         }
-        fn acc(&mut self, _mat: &DistMatrix, _owner: usize, _scale: f64, _data: &[f64]) {
+        fn acc(
+            &mut self,
+            _mat: &DistMatrix,
+            _owner: usize,
+            _scale: f64,
+            _data: Option<MatRef<'_>>,
+        ) {
             unreachable!()
         }
         fn fence(&mut self) {}

@@ -136,9 +136,13 @@ fn hier_threads_matches_flat_bitwise_on_integers() {
     }
 }
 
-/// Replicated (and replicated+hierarchical) threads driver ≡ flat,
+/// Replicated (and replicated+hierarchical) driver ≡ flat threads,
 /// bitwise, across random admissible factors: the k-slice split and
-/// the serialized team reduction are value-preserving on integers.
+/// the serialized team reduction are value-preserving on integers. On
+/// ranks with threads of their own, ranks polled on two workers, and
+/// modeled time (where the simulator's machine sets the node width):
+/// team 0 multiplies into the returned product in place, and the other
+/// teams' `acc` lands in it through its window.
 #[test]
 fn replicated_threads_matches_flat_bitwise_on_integers() {
     let alg = Algorithm::srumma_default();
@@ -158,23 +162,26 @@ fn replicated_threads_matches_flat_bitwise_on_integers() {
         // `admissible_factor` only demands that when nodes are real
         // (nnodes > 1), so re-check before taking the hier path.
         let hier = rng.chance(0.5) && (nranks / c).is_multiple_of(rpn);
-        let out = restructured(
-            Backend::Threads,
-            nranks,
-            Some(rpn),
-            hier,
-            Some(c),
-            &spec,
-            &a,
-            &b,
-        );
-        let (repl, got_c) = (out.c.unwrap(), out.replication);
-        assert_eq!(got_c, c, "case {case}");
-        assert_eq!(
-            max_abs_diff(&repl, &flat),
-            0.0,
-            "case {case}: nranks={nranks} rpn={rpn} c={c} spec={spec:?}"
-        );
+        let machine = {
+            let mut m = Machine::linux_myrinet();
+            m.ranks_per_domain = RanksPerDomain::Fixed(rpn);
+            m
+        };
+        let backends = [
+            (Backend::Threads, Some(rpn)),
+            (Backend::Exec { workers: 2 }, Some(rpn)),
+            (Backend::Sim(&machine), None),
+        ];
+        for (backend, rpn_field) in backends {
+            let out = restructured(backend, nranks, rpn_field, hier, Some(c), &spec, &a, &b);
+            let (repl, got_c) = (out.c.unwrap(), out.replication);
+            assert_eq!(got_c, c, "case {case}");
+            assert_eq!(
+                max_abs_diff(&repl, &flat),
+                0.0,
+                "case {case} on {backend:?}: nranks={nranks} rpn={rpn} c={c} spec={spec:?}"
+            );
+        }
     }
 }
 

@@ -3,8 +3,8 @@
 //! Everything in the workspace moves blocks of `f64` around; this module
 //! provides the one shared representation: row-major storage with an
 //! explicit leading dimension, so a view can denote a sub-block of a
-//! larger allocation (a block of a distributed matrix living inside the
-//! shared arena) without copying.
+//! larger allocation (a block of a distributed matrix, a sub-window of
+//! the matrix's row-major window) without copying.
 
 use std::fmt;
 use std::marker::PhantomData;

@@ -69,13 +69,13 @@ if grep -rn 'ThreadComm\|PoisonBarrier\|ThreadRunResult\|thread_launch\|grant_an
     echo "FAIL: a retired host name is back (see above; EXPERIMENTS.md, \"One wall-clock communicator\")" >&2; exit 1
 fi
 
-echo "== product guard: a flat run writes C where the caller reads it =="
-# Run::execute lends the ranks the matrix it returns (layout::with_fresh_c):
-# a flat run has no C arena and nothing to gather. Only the replicated
-# path still gathers, from its ReplSet (team 0's C is an accumulate target).
+echo "== product guard: a run writes C where the caller reads it =="
+# Run::execute lends the ranks the matrix it returns (layout::with_fresh_c;
+# a replicated run lends it as team 0's C, ReplSet::create): no run builds
+# a second C, and no program path gathers or scatters.
 if grep -n 'dist_c(\|[^_]fresh_c(' crates/core/src/run.rs ||
-    grep -n 'gather(' crates/core/src/run.rs | grep -v 'set\.gather()'; then
-    echo "FAIL: core::run builds or gathers a C arena again (see above); the product is lent in place" >&2; exit 1
+    grep -n 'gather(\|scatter' crates/core/src/{run,repl,hier,batch}.rs; then
+    echo "FAIL: a program path builds a second C, gathers or scatters again (see above); the product is lent in place" >&2; exit 1
 fi
 # A C window interleaves with its neighbours' in memory, so no `&mut [f64]`
 # may span one: MatMut hands out slices a row at a time (row_mut), and the
@@ -98,6 +98,17 @@ if [ "$in_fresh" -ne 1 ] || [ "$(grep -r 'set_len' crates/*/src | wc -l)" -ne 1 
     echo "FAIL: set_len outside core::batch::with_fresh_outputs (see above)" >&2; exit 1
 fi
 
+echo "== one-backing guard: every DistMatrix with elements is one row-major window =="
+# An owned DistMatrix is a plain allocation behind the same window, base
+# pointer and per-block AccessChecker a lent one uses. A second real
+# backing, with its own regions, guards and unsafe, is the retired shared
+# arena coming back.
+if grep -rn 'SharedArena\|Backing::Real\|arena_for\|ReadGuard\|WriteGuard' crates src tests examples; then
+    echo "FAIL: a retired arena name is back (see above; EXPERIMENTS.md, \"One backing for real data\")" >&2; exit 1
+fi
+unsafe_comm=$(cat crates/comm/src/*.rs | grep -c 'unsafe')
+[ "$unsafe_comm" -le 6 ] || { echo "FAIL: $unsafe_comm lines with unsafe in crates/comm/src (max 6)" >&2; exit 1; }
+
 echo "== operand guard: a host operand reaches the ranks one way, as a view =="
 # Run::execute and ReplSet::create take both operands, and the spec to run
 # over them, from layout::with_host_operands: the matrix a driver is handed
@@ -116,7 +127,7 @@ echo "== batch guard: a batch entry reaches the ranks one way, as views =="
 # and output (DistMatrix::with_host_views_mut) for the whole launch, and
 # no rank waits for another. An arena, a staging or transposing copy, or
 # a fence in the batch is the slot ring coming back.
-if grep -n 'SharedArena\|fence_arrive\|fence_try\|copy_transposed_from\|_in_arena' crates/core/src/batch.rs; then
+if grep -n 'fence_arrive\|fence_try\|copy_transposed_from\|_in_arena' crates/core/src/batch.rs; then
     echo "FAIL: core::batch stages into an arena or fences again (see above); entries are lent in place" >&2; exit 1
 fi
 if grep -rn 'with_window\|batch_region_elems\|create_in_arena\|dist_c_in_arena' crates src tests examples; then
@@ -228,7 +239,7 @@ echo "== split-fence pass: decorators, blocking polling, polled and driven progr
 # A decorator that drops a fence method, a blocking rank that polls while
 # holding its permit, a program parked where nothing wakes it: all hang
 # rather than fail, so the tests that pin them run once more, bounded.
-# run_plan also holds the in-place ≡ arena differentials (operands and
+# run_plan also holds the in-place ≡ owned-copy differentials (operands and
 # product: 144 plans, each run twice on Sim/Threads/Exec), bounded here
 # for the same reason.
 timeout 300 cargo test -q --release -p srumma-comm --test exec --test decorators
