@@ -7,7 +7,7 @@
 //! on the per-rank virtual-clock backend (`virtual_run`): `P` LogGP
 //! clocks multiplexed onto a small host worker pool, which is what
 //! makes the 64k point feasible at all — the discrete-event simulator
-//! schedules rank threads one at a time and cannot go there.
+//! spends an OS thread per rank and cannot go there.
 //!
 //! Three schedules per rank count:
 //!

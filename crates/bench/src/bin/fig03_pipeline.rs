@@ -47,10 +47,11 @@ fn main() {
     // Chrome/Perfetto trace for interactive inspection, plus the
     // unified report (metrics summary + the events it derives from).
     let json = chrome_trace_json(&res.trace);
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/fig03_trace.json", &json).is_ok()
-    {
-        eprintln!("wrote results/fig03_trace.json (load in ui.perfetto.dev)");
+    if let Ok(dir) = srumma_trace::ensure_results_dir() {
+        let path = dir.join("fig03_trace.json");
+        if std::fs::write(&path, &json).is_ok() {
+            eprintln!("wrote {} (load in ui.perfetto.dev)", path.display());
+        }
     }
     write_bench_json(
         "fig03_pipeline",

@@ -154,8 +154,33 @@ impl SimComm {
         ((src as u64) << 44) | ((dst as u64) << 24) | (tag & 0xFF_FFFF)
     }
 
+    /// Issue a transfer of `bytes` from `src` to `dst`. The trace label
+    /// is built only when the run is traced.
+    fn issue(
+        &self,
+        cost: TransferCost,
+        src_rank: usize,
+        dst_rank: usize,
+        bytes: u64,
+        label: impl FnOnce() -> String,
+    ) -> srumma_sim::TransferId {
+        let label = if self.proc.config().trace {
+            label()
+        } else {
+            String::new()
+        };
+        self.proc.issue_transfer(TransferSpec {
+            cost,
+            src_rank,
+            dst_rank,
+            bytes,
+            label,
+        })
+    }
+
     /// Charge the network/membw portion of an MPI-style message and
-    /// post it; returns nothing (fire-and-forget for the sender).
+    /// post it, available to `dst` when its transfer completes. The
+    /// sender does not wait; a blocking send waits on the returned id.
     fn post_message(
         &mut self,
         dst: usize,
@@ -164,25 +189,15 @@ impl SimComm {
         bytes: u64,
         cost: TransferCost,
         label: &str,
-    ) {
-        let me = self.proc.rank();
-        let id = self.proc.issue_transfer(TransferSpec {
-            cost,
-            src_rank: me,
-            dst_rank: dst,
+    ) -> srumma_sim::TransferId {
+        let id = self.issue(cost, self.proc.rank(), dst, bytes, || label.to_string());
+        let msg = srumma_sim::kernel::Msg {
+            avail_at: 0.0,
+            payload: data.to_vec(),
             bytes,
-            label: label.to_string(),
-        });
-        let avail_at = self.proc.transfer_done_at(id);
-        self.proc.post_msg(
-            dst,
-            tag,
-            srumma_sim::kernel::Msg {
-                avail_at,
-                payload: data.to_vec(),
-                bytes,
-            },
-        );
+        };
+        self.proc.post_msg_after(id, dst, tag, msg);
+        id
     }
 }
 
@@ -233,13 +248,7 @@ impl Comm for SimComm {
             let bytes = (rows * cols * 8) as u64;
             let cost = protocol::shm_copy(&self.machine, bytes as usize, false);
             let cost = self.fault_onesided(cost);
-            let id = self.proc.issue_transfer(TransferSpec {
-                cost,
-                src_rank: me,
-                dst_rank: me,
-                bytes,
-                label: "local-copy".to_string(),
-            });
+            let id = self.issue(cost, me, me, bytes, || "local-copy".to_string());
             return GetHandle::Sim(id);
         }
         let bytes = (rows * cols * 8) as u64;
@@ -253,13 +262,7 @@ impl Comm for SimComm {
             protocol::rma_get(&self.machine, bytes as usize)
         };
         let cost = self.fault_onesided(cost);
-        let id = self.proc.issue_transfer(TransferSpec {
-            cost,
-            src_rank: serve,
-            dst_rank: me,
-            bytes,
-            label: format!("get<-{owner}"),
-        });
+        let id = self.issue(cost, serve, me, bytes, || format!("get<-{owner}"));
         GetHandle::Sim(id)
     }
 
@@ -293,13 +296,7 @@ impl Comm for SimComm {
             self.recorder.count_internode(bytes);
             protocol::rma_put(&self.machine, bytes as usize)
         };
-        let id = self.proc.issue_transfer(TransferSpec {
-            cost,
-            src_rank: me,
-            dst_rank: serve,
-            bytes,
-            label: format!("put->{owner}"),
-        });
+        let id = self.issue(cost, me, serve, bytes, || format!("put->{owner}"));
         self.outstanding.push(id);
         GetHandle::Sim(id)
     }
@@ -331,13 +328,7 @@ impl Comm for SimComm {
         } else {
             cost.remote_cpu += add_time;
         }
-        let id = self.proc.issue_transfer(TransferSpec {
-            cost,
-            src_rank: me,
-            dst_rank: serve,
-            bytes,
-            label: format!("acc->{owner}"),
-        });
+        let id = self.issue(cost, me, serve, bytes, || format!("acc->{owner}"));
         self.proc.wait_transfer(id);
     }
 
@@ -385,23 +376,7 @@ impl Comm for SimComm {
             );
             if bytes as usize > mach.net.eager_threshold {
                 self.proc.pair_sync(Self::pair_key(me, dst, tag));
-                let id = self.proc.issue_transfer(TransferSpec {
-                    cost,
-                    src_rank: me,
-                    dst_rank: dst,
-                    bytes,
-                    label: "mpi-shm-rndv".to_string(),
-                });
-                let avail_at = self.proc.transfer_done_at(id);
-                self.proc.post_msg(
-                    dst,
-                    tag,
-                    srumma_sim::kernel::Msg {
-                        avail_at,
-                        payload: data.to_vec(),
-                        bytes,
-                    },
-                );
+                let id = self.post_message(dst, tag, data, bytes, cost, "mpi-shm-rndv");
                 self.proc.wait_transfer(id);
             } else {
                 self.post_message(dst, tag, data, bytes, cost, "mpi-shm");
@@ -439,23 +414,7 @@ impl Comm for SimComm {
                 },
                 self.fault_msg(dst),
             );
-            let id = self.proc.issue_transfer(TransferSpec {
-                cost,
-                src_rank: me,
-                dst_rank: dst,
-                bytes,
-                label: "mpi-rndv".to_string(),
-            });
-            let avail_at = self.proc.transfer_done_at(id);
-            self.proc.post_msg(
-                dst,
-                tag,
-                srumma_sim::kernel::Msg {
-                    avail_at,
-                    payload: data.to_vec(),
-                    bytes,
-                },
-            );
+            let id = self.post_message(dst, tag, data, bytes, cost, "mpi-rndv");
             // Blocking rendezvous send completes at delivery.
             self.proc.wait_transfer(id);
         }

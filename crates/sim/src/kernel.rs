@@ -2,17 +2,30 @@
 //!
 //! ## Scheduling discipline
 //!
-//! Rank threads never run concurrently: a single *baton* is passed so
-//! that kernel operations execute in strict global order of
-//! `(virtual clock, rank id)`. Before a rank's operation takes effect,
-//! the kernel yields to every runnable rank whose clock is behind —
-//! therefore when an operation at virtual time `t` acquires a FIFO
-//! resource, every acquisition that should precede it already has.
+//! Rank threads run freely. A timed operation is *posted* to the
+//! rank's queue in the kernel, and the kernel applies posted
+//! operations one at a time: each time it takes the head operation of
+//! the rank with the least `(virtual clock, rank id)` among ranks that
+//! are neither blocked nor done, and it stops when that rank has
+//! nothing posted — its thread is still running, so its next operation
+//! is not yet known. Whichever thread posts runs this loop under the
+//! kernel lock. Operations therefore take effect in strict global order
+//! of `(clock, id)`, whichever host thread ran when: when an operation
+//! at virtual time `t` acquires a FIFO resource, every acquisition that
+//! should precede it already has.
+//!
+//! A rank's control flow can depend only on values it reads, so only
+//! the calls that return one wait: [`Kernel::now`] until everything the
+//! rank posted before it is applied, and [`Kernel::recv_msg`],
+//! [`Kernel::pair_sync`] and [`Kernel::barrier`] until the kernel has
+//! applied them. `advance`, `issue_transfer`, `wait_transfer`,
+//! `post_msg` and `finish` return at once. Data a rank moves itself
+//! still moves in its program order on its own thread.
 //!
 //! A pleasant consequence: a transfer's **completion time is fully
 //! determined at issue** (resources are FIFO, acquisition order is the
 //! virtual-time order). `wait` operations on transfers are plain clock
-//! advances; the only operations that genuinely block a thread are the
+//! advances; the only operations that genuinely block a rank are the
 //! *matching* ones — message receive, rendezvous pairing, barriers —
 //! which are resolved by another rank's later operation.
 //!
@@ -31,9 +44,11 @@ use srumma_model::network::Path;
 use srumma_model::{Topology, TransferCost};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Identifier of an issued transfer.
+/// Identifier of an issued transfer: the issuing rank's count of
+/// transfers before it. Meaningful only to the rank that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TransferId(usize);
 
@@ -53,7 +68,8 @@ pub struct TransferSpec {
     pub dst_rank: usize,
     /// Payload size in bytes (for statistics).
     pub bytes: u64,
-    /// Trace label (ignored unless tracing is enabled).
+    /// Trace label (ignored unless tracing is enabled; leave it empty
+    /// then, so a posted transfer holds no string).
     pub label: String,
 }
 
@@ -94,10 +110,8 @@ impl SimConfig {
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Status {
-    /// Holds the baton, executing user code.
-    Running,
-    /// Ready to run when the scheduler picks it.
-    Runnable,
+    /// Its thread runs or its posted operations wait for their turn.
+    Active,
     /// Waiting for a matching operation (recv / pair / barrier).
     Blocked(BlockReason),
     /// Rank program finished.
@@ -109,9 +123,46 @@ enum BlockReason {
     Recv,
     Pair,
     Barrier,
-    /// Waiting to be scheduled for the first time.
-    Start,
 }
+
+/// A timed operation a rank has posted and the kernel has not applied.
+enum Op {
+    Advance {
+        dt: f64,
+        compute: bool,
+        /// Built only when the run is traced.
+        label: Option<String>,
+    },
+    Issue(TransferSpec),
+    Wait(TransferId),
+    /// With `after`, the message is available when that transfer
+    /// completes (`msg.avail_at` is set when the post is applied).
+    Post {
+        dst: usize,
+        tag: u64,
+        msg: Msg,
+        after: Option<TransferId>,
+    },
+    Recv {
+        src: usize,
+        tag: u64,
+    },
+    Pair(u64),
+    Barrier,
+    Finish,
+}
+
+/// What a rank waiting in a value-returning call gets back.
+enum Reply {
+    Unit,
+    Time(f64),
+    Msg(Msg),
+}
+
+/// The payload a rank thread unwinds with when the run it waits in is
+/// aborted by another thread's panic (or a deadlock): the runner
+/// re-raises the panic that caused the abort, not these.
+pub(crate) struct Aborted;
 
 struct RankState {
     clock: f64,
@@ -120,11 +171,16 @@ struct RankState {
     cpu_free_at: f64,
     status: Status,
     stats: RankStats,
-}
-
-/// An in-flight (or completed — the kernel does not care) transfer.
-struct Transfer {
-    done_at: f64,
+    /// Posted operations not yet applied, in program order.
+    queue: VecDeque<Op>,
+    /// Completion time of each applied transfer, by [`TransferId`].
+    done_at: Vec<f64>,
+    /// Transfers posted so far: the next [`TransferId`].
+    issued: usize,
+    /// The result of the value-returning call the thread waits in.
+    reply: Option<Reply>,
+    /// The thread sleeps on its condvar.
+    parked: bool,
 }
 
 /// A message in a mailbox.
@@ -141,7 +197,6 @@ type MsgKey = (usize, usize, u64); // (src, dst, tag)
 
 #[derive(Default)]
 struct BarrierState {
-    generation: u64,
     arrived: usize,
     max_clock: f64,
     waiting: Vec<usize>,
@@ -154,19 +209,14 @@ struct KState {
     membw: Vec<Resource>,
     /// One MPI progress channel per shared-memory domain.
     shm_chan: Vec<Resource>,
-    transfers: Vec<Transfer>,
     mailbox: HashMap<MsgKey, VecDeque<Msg>>,
     recv_waiting: HashMap<MsgKey, usize>,
     pair_gate: HashMap<u64, (usize, f64)>,
-    pair_result: HashMap<(u64, usize), f64>,
     barrier: BarrierState,
     trace: Vec<TraceEvent>,
-    /// Ranks that have called [`Kernel::start`]; the baton is first
-    /// dispatched only when all have, so no rank can act before the
-    /// scheduler's view of "runnable" is complete.
-    registered: usize,
-    /// Set when a deadlock is detected; every blocked thread is woken
-    /// and panics, so the run unwinds instead of hanging.
+    /// Set on deadlock, on a panic while applying an operation, and
+    /// when a rank program panics; every waiting thread is woken and
+    /// unwinds, so the run fails instead of hanging.
     poisoned: bool,
 }
 
@@ -179,8 +229,7 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Build a kernel for `cfg.topology.nranks()` ranks. Rank 0 starts
-    /// with the baton.
+    /// Build a kernel for `cfg.topology.nranks()` ranks, all at time 0.
     pub fn new(cfg: SimConfig) -> Self {
         let n = cfg.topology.nranks();
         let nodes = cfg.topology.nnodes();
@@ -189,8 +238,13 @@ impl Kernel {
             .map(|_| RankState {
                 clock: 0.0,
                 cpu_free_at: 0.0,
-                status: Status::Blocked(BlockReason::Start),
+                status: Status::Active,
                 stats: RankStats::default(),
+                queue: VecDeque::new(),
+                done_at: Vec::new(),
+                issued: 0,
+                reply: None,
+                parked: false,
             })
             .collect();
         Kernel {
@@ -201,14 +255,11 @@ impl Kernel {
                 nic_out: vec![Resource::new(); nodes * cfg.nic_channels.max(1)],
                 membw: vec![Resource::new(); groups],
                 shm_chan: vec![Resource::new(); nodes * cfg.mpi_shm_channels.max(1)],
-                transfers: Vec::new(),
                 mailbox: HashMap::new(),
                 recv_waiting: HashMap::new(),
                 pair_gate: HashMap::new(),
-                pair_result: HashMap::new(),
                 barrier: BarrierState::default(),
                 trace: Vec::new(),
-                registered: 0,
                 poisoned: false,
             }),
             cfg,
@@ -219,10 +270,10 @@ impl Kernel {
         &self.cfg
     }
 
-    /// Lock the kernel state, tolerating mutex poisoning: when a rank
-    /// thread panics (e.g. the deadlock detector fires) the remaining
-    /// threads must still be able to observe the `poisoned` flag and
-    /// unwind instead of aborting on `PoisonError`.
+    /// Lock the kernel state, tolerating mutex poisoning: when a thread
+    /// panics holding the lock (e.g. the deadlock detector fires) the
+    /// remaining threads must still be able to observe the `poisoned`
+    /// flag and unwind instead of aborting on `PoisonError`.
     fn lock(&self) -> MutexGuard<'_, KState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -237,127 +288,184 @@ impl Kernel {
 
     // ----- scheduling core ---------------------------------------------
 
-    /// Pick the runnable rank with the least `(clock, id)` and hand it
-    /// the baton. Panics on deadlock (everything blocked, nothing done).
-    fn dispatch(&self, st: &mut KState) {
-        let mut best: Option<(f64, usize)> = None;
-        for (i, r) in st.ranks.iter().enumerate() {
-            if r.status == Status::Runnable {
-                let key = (r.clock, i);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
+    /// Append `op` to `rank`'s queue and apply whatever the global order
+    /// now allows. Returns with the lock still held.
+    fn post(&self, rank: usize, op: Op) -> MutexGuard<'_, KState> {
+        let mut st = self.lock();
+        if st.poisoned {
+            drop(st);
+            resume_unwind(Box::new(Aborted));
         }
-        match best {
-            Some((_, i)) => {
-                st.ranks[i].status = Status::Running;
-                self.cvars[i].notify_one();
-            }
-            None => {
-                if st.ranks.iter().all(|r| r.status == Status::Done) {
-                    return; // run complete
-                }
-                if st.ranks.iter().any(|r| r.status == Status::Running) {
-                    return; // baton already held
-                }
-                let blocked: Vec<String> = st
-                    .ranks
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| match r.status {
-                        Status::Blocked(why) => {
-                            Some(format!("rank {i} blocked on {why:?} at t={}", r.clock))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                // Poison the run and wake every blocked thread so the
-                // whole simulation unwinds instead of hanging.
-                st.poisoned = true;
-                for cv in &self.cvars {
-                    cv.notify_all();
-                }
-                panic!(
-                    "simulation deadlock: no runnable rank and no pending wakeups\n{}",
-                    blocked.join("\n")
-                );
-            }
-        }
+        st.ranks[rank].queue.push_back(op);
+        self.pump(&mut st);
+        st
     }
 
-    /// Give up the baton and wait until it is handed back. `std`'s
-    /// `Condvar::wait` consumes the guard, so the guard travels by
-    /// value and is handed back to the caller.
-    fn wait_for_baton<'a>(
+    /// Post a value-returning operation and sleep until it is applied.
+    fn call(&self, rank: usize, op: Op) -> Reply {
+        let st = self.post(rank, op);
+        let mut st = self.wait_until(st, rank, |r| r.reply.is_some());
+        st.ranks[rank].reply.take().expect("reply is ready")
+    }
+
+    /// Sleep on `rank`'s condvar until `ready` holds for it; unwind with
+    /// [`Aborted`] if the run is poisoned first.
+    fn wait_until<'a>(
         &self,
         mut st: MutexGuard<'a, KState>,
         rank: usize,
+        ready: impl Fn(&RankState) -> bool,
     ) -> MutexGuard<'a, KState> {
-        while st.ranks[rank].status != Status::Running {
+        while !ready(&st.ranks[rank]) {
             if st.poisoned {
-                panic!("simulation deadlock (rank {rank} woken by poison)");
+                drop(st);
+                resume_unwind(Box::new(Aborted));
             }
+            st.ranks[rank].parked = true;
             st = self.cvars[rank].wait(st).unwrap_or_else(|e| e.into_inner());
+            st.ranks[rank].parked = false;
         }
         st
     }
 
-    /// Ensure no runnable rank is behind this one in virtual time; if
-    /// one is, yield the baton until it is this rank's turn again.
-    fn sync_turn<'a>(&self, mut st: MutexGuard<'a, KState>, rank: usize) -> MutexGuard<'a, KState> {
+    /// Wake `rank`'s thread if it sleeps.
+    fn wake(&self, st: &KState, rank: usize) {
+        if st.ranks[rank].parked {
+            self.cvars[rank].notify_one();
+        }
+    }
+
+    /// Mark the run failed and wake every sleeping thread to unwind.
+    fn poison(&self, st: &mut KState) {
+        st.poisoned = true;
+        for cv in &self.cvars {
+            cv.notify_all();
+        }
+    }
+
+    /// Apply posted operations in `(clock, id)` order until the least
+    /// active rank has nothing posted. Panics on deadlock (nothing
+    /// active, not everything done); a panic while applying poisons the
+    /// run before it propagates.
+    fn pump(&self, st: &mut KState) {
         loop {
-            let my_key = (st.ranks[rank].clock, rank);
-            let earlier =
-                st.ranks.iter().enumerate().any(|(i, r)| {
-                    i != rank && r.status == Status::Runnable && (r.clock, i) < my_key
-                });
-            if !earlier {
-                return st;
+            let mut best: Option<(f64, usize)> = None;
+            for (i, r) in st.ranks.iter().enumerate() {
+                if r.status == Status::Active && best.is_none_or(|b| (r.clock, i) < b) {
+                    best = Some((r.clock, i));
+                }
             }
-            st.ranks[rank].status = Status::Runnable;
-            self.dispatch(&mut st);
-            st = self.wait_for_baton(st, rank);
+            let Some((_, rank)) = best else {
+                if st.ranks.iter().all(|r| r.status == Status::Done) {
+                    return; // run complete
+                }
+                self.deadlock(st);
+            };
+            let Some(op) = st.ranks[rank].queue.pop_front() else {
+                return; // its thread has not posted its next operation yet
+            };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.apply(st, rank, op))) {
+                self.poison(st);
+                resume_unwind(payload);
+            }
+            // Its thread may wait in `now` (for the queue to drain) or
+            // in a value-returning call (for its reply).
+            let r = &st.ranks[rank];
+            if r.reply.is_some() || (r.queue.is_empty() && r.status == Status::Active) {
+                self.wake(st, rank);
+            }
         }
     }
 
-    /// Called by the rank thread as its very first kernel interaction.
-    /// Blocks until **all** ranks have registered, then the scheduler
-    /// hands the baton to rank 0 — guaranteeing no rank acts while the
-    /// scheduler's view of the world is incomplete (which would break
-    /// the deterministic virtual-time ordering).
-    pub fn start(&self, rank: usize) {
-        let mut st = self.lock();
-        st.ranks[rank].status = Status::Runnable;
-        st.registered += 1;
-        if st.registered == st.ranks.len() {
-            self.dispatch(&mut st);
-        }
-        let _st = self.wait_for_baton(st, rank);
+    fn deadlock(&self, st: &mut KState) -> ! {
+        let blocked: Vec<String> = st
+            .ranks
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| match r.status {
+                Status::Blocked(why) => {
+                    Some(format!("rank {i} blocked on {why:?} at t={}", r.clock))
+                }
+                _ => None,
+            })
+            .collect();
+        self.poison(st);
+        panic!(
+            "simulation deadlock: no runnable rank and no pending wakeups\n{}",
+            blocked.join("\n")
+        );
     }
 
-    /// Called when the rank's closure returns.
+    fn apply(&self, st: &mut KState, rank: usize, op: Op) {
+        match op {
+            Op::Advance { dt, compute, label } => self.apply_advance(st, rank, dt, compute, label),
+            Op::Issue(spec) => self.apply_issue(st, rank, spec),
+            Op::Wait(id) => self.apply_wait(st, rank, id),
+            Op::Post {
+                dst,
+                tag,
+                mut msg,
+                after,
+            } => {
+                if let Some(id) = after {
+                    msg.avail_at = st.ranks[rank].done_at[id.0];
+                }
+                self.apply_post(st, rank, dst, tag, msg);
+            }
+            Op::Recv { src, tag } => self.apply_recv(st, rank, src, tag),
+            Op::Pair(key) => self.apply_pair(st, rank, key),
+            Op::Barrier => self.apply_barrier(st, rank),
+            Op::Finish => st.ranks[rank].status = Status::Done,
+        }
+    }
+
+    /// Called when the rank's closure returns. Does not wait.
     pub fn finish(&self, rank: usize) {
-        let st = self.lock();
-        let mut st = self.sync_turn(st, rank);
-        st.ranks[rank].status = Status::Done;
-        self.dispatch(&mut st);
+        let mut st = self.lock();
+        if !st.poisoned {
+            st.ranks[rank].queue.push_back(Op::Finish);
+            self.pump(&mut st);
+        }
+    }
+
+    /// Abort the run: every waiting rank wakes and unwinds. Called when
+    /// a rank program panics.
+    pub(crate) fn abort(&self) {
+        let mut st = self.lock();
+        self.poison(&mut st);
     }
 
     // ----- primitive operations ----------------------------------------
 
-    /// Current virtual time of `rank`.
+    /// Current virtual time of `rank`: its clock once everything it
+    /// posted before is applied. (Only its own operations move the clock
+    /// of a rank that is not blocked, so the global order need not reach
+    /// this call.)
     pub fn now(&self, rank: usize) -> f64 {
-        self.lock().ranks[rank].clock
+        let st = self.wait_until(self.lock(), rank, |r| r.queue.is_empty());
+        st.ranks[rank].clock
     }
 
     /// Charge `dt` seconds of CPU work to `rank` (optionally counted as
     /// computation in the statistics). Respects CPU time stolen by
     /// remote non-zero-copy operations.
     pub fn advance(&self, rank: usize, dt: f64, compute: bool, label: &str) {
-        assert!(dt >= 0.0 && dt.is_finite(), "bad advance dt={dt}");
-        let st = self.lock();
-        let mut st = self.sync_turn(st, rank);
+        assert!(
+            dt >= 0.0 && dt.is_finite(),
+            "rank {rank}: bad advance dt={dt}"
+        );
+        let label = (self.cfg.trace && compute && dt > 0.0).then(|| label.to_string());
+        let _st = self.post(rank, Op::Advance { dt, compute, label });
+    }
+
+    fn apply_advance(
+        &self,
+        st: &mut KState,
+        rank: usize,
+        dt: f64,
+        compute: bool,
+        label: Option<String>,
+    ) {
         let r = &mut st.ranks[rank];
         // `cpu_free_at` may be ahead of the clock when a remote
         // non-zero-copy operation stole CPU time from this rank (theft
@@ -369,32 +477,48 @@ impl Kernel {
         if compute {
             r.stats.compute_time += dt;
         }
-        if self.cfg.trace && compute && dt > 0.0 {
+        if let Some(label) = label {
             st.trace.push(TraceEvent {
                 rank,
                 t0: start,
                 t1: end,
                 kind: TraceKind::Compute,
-                label: label.to_string(),
+                label,
                 bytes: 0,
             });
         }
     }
 
     /// Issue a (possibly nonblocking) data movement. Returns an id whose
-    /// completion time is already fixed; [`Kernel::wait_transfer`]
-    /// advances the clock to it.
+    /// completion time is fixed when the kernel applies the issue;
+    /// [`Kernel::wait_transfer`] advances the clock to it.
     pub fn issue_transfer(&self, rank: usize, spec: TransferSpec) -> TransferId {
-        let st = self.lock();
-        let mut st = self.sync_turn(st, rank);
+        let n = self.nranks();
+        assert!(
+            spec.src_rank < n && spec.dst_rank < n,
+            "rank {rank}: transfer {} -> {} outside {n} ranks",
+            spec.src_rank,
+            spec.dst_rank
+        );
+        let c = &spec.cost;
+        let parts = [c.latency, c.initiator_cpu, c.remote_cpu, c.wire, c.membw];
+        assert!(
+            parts.iter().all(|t| t.is_finite() && *t >= 0.0) && c.async_fraction.is_finite(),
+            "rank {rank}: bad transfer cost {c:?}"
+        );
+        let mut st = self.post(rank, Op::Issue(spec));
+        let r = &mut st.ranks[rank];
+        r.issued += 1;
+        TransferId(r.issued - 1)
+    }
+
+    fn apply_issue(&self, st: &mut KState, rank: usize, spec: TransferSpec) {
         let topo = self.cfg.topology;
         let c = spec.cost;
         let now = st.ranks[rank].clock;
         let ready = now + c.latency;
 
-        // Resource phase. (Deref the guard once so two fields can be
-        // borrowed simultaneously.)
-        let stt: &mut KState = &mut st;
+        // Resource phase.
         let (start, end) = match c.path {
             Path::Network => {
                 let nch = self.cfg.nic_channels.max(1);
@@ -414,19 +538,17 @@ impl Kernel {
                 // channel. (A joint reservation would fragment both
                 // schedules and underestimate achievable throughput
                 // for permutation traffic like the diagonal shift's.)
-                let (s1, e1) = stt.nic_out[sn].acquire(ready, c.wire);
-                let _ = s1;
-                let (s2, e2) = stt.nic_in[dn].acquire(e1 - c.wire, c.wire);
-                let _ = s2;
+                let (_, e1) = st.nic_out[sn].acquire(ready, c.wire);
+                let (_, e2) = st.nic_in[dn].acquire(e1 - c.wire, c.wire);
                 (e1 - c.wire, e2)
             }
             Path::SharedMemory => {
                 let sg = self.membw_group(spec.src_rank);
                 let dg = self.membw_group(spec.dst_rank);
                 if sg == dg {
-                    stt.membw[sg].acquire(ready, c.membw)
+                    st.membw[sg].acquire(ready, c.membw)
                 } else {
-                    let (a, b) = split_one(&mut stt.membw, sg, dg);
+                    let (a, b) = split_one(&mut st.membw, sg, dg);
                     acquire_joint(&mut [a, b], ready, c.membw)
                 }
             }
@@ -441,7 +563,7 @@ impl Kernel {
                     "shm-channel transfer must stay within one domain"
                 );
                 let ch = (spec.src_rank + spec.dst_rank) % nch;
-                stt.shm_chan[sn * nch + ch].acquire(ready, c.membw)
+                st.shm_chan[sn * nch + ch].acquire(ready, c.membw)
             }
         };
 
@@ -476,6 +598,7 @@ impl Kernel {
         }
         let done_at = end.max(r.clock);
         r.stats.inflight_time += done_at - r.clock;
+        r.done_at.push(done_at);
 
         if self.cfg.trace {
             st.trace.push(TraceEvent {
@@ -487,17 +610,17 @@ impl Kernel {
                 bytes: spec.bytes,
             });
         }
-        st.transfers.push(Transfer { done_at });
-        TransferId(st.transfers.len() - 1)
     }
 
     /// Block (in virtual time) until the transfer completes; accounts
     /// the incurred wait.
     pub fn wait_transfer(&self, rank: usize, id: TransferId) {
-        let st = self.lock();
-        let mut st = self.sync_turn(st, rank);
-        let done_at = st.transfers[id.0].done_at;
+        let _st = self.post(rank, Op::Wait(id));
+    }
+
+    fn apply_wait(&self, st: &mut KState, rank: usize, id: TransferId) {
         let r = &mut st.ranks[rank];
+        let done_at = r.done_at[id.0];
         if done_at > r.clock {
             let wait = done_at - r.clock;
             r.stats.wait_time += wait;
@@ -518,120 +641,138 @@ impl Kernel {
         }
     }
 
-    /// Completion time of an issued transfer (virtual seconds). The
-    /// value is exact — see the module docs.
-    pub fn transfer_done_at(&self, id: TransferId) -> f64 {
-        self.lock().transfers[id.0].done_at
-    }
-
     /// Deposit a message for `(src=rank_of_sender → dst)` with the given
     /// availability time; wakes a waiting receiver.
     pub fn post_msg(&self, rank: usize, dst: usize, tag: u64, msg: Msg) {
-        let st = self.lock();
-        let mut st = self.sync_turn(st, rank);
+        let _st = self.post(
+            rank,
+            Op::Post {
+                dst,
+                tag,
+                msg,
+                after: None,
+            },
+        );
+    }
+
+    /// [`Kernel::post_msg`], available at the receiver when this rank's
+    /// transfer `id` completes (`msg.avail_at` is ignored).
+    pub fn post_msg_after(&self, rank: usize, id: TransferId, dst: usize, tag: u64, msg: Msg) {
+        let _st = self.post(
+            rank,
+            Op::Post {
+                dst,
+                tag,
+                msg,
+                after: Some(id),
+            },
+        );
+    }
+
+    fn apply_post(&self, st: &mut KState, rank: usize, dst: usize, tag: u64, msg: Msg) {
         st.ranks[rank].stats.messages += 1;
         let key: MsgKey = (rank, dst, tag);
         st.mailbox.entry(key).or_default().push_back(msg);
         if let Some(waiter) = st.recv_waiting.remove(&key) {
-            st.ranks[waiter].status = Status::Runnable;
-            // The waiter re-runs its receive path and picks the message
-            // up with correct wait accounting.
+            // The waiter re-runs its receive when its turn comes and
+            // picks the message up with correct wait accounting.
+            st.ranks[waiter].status = Status::Active;
         }
     }
 
     /// Receive the next message from `src` with `tag`; blocks (in both
     /// virtual and host time) until one is available.
     pub fn recv_msg(&self, rank: usize, src: usize, tag: u64) -> Msg {
-        let mut st = self.lock();
-        let key: MsgKey = (src, rank, tag);
-        loop {
-            st = self.sync_turn(st, rank);
-            if let Some(queue) = st.mailbox.get_mut(&key) {
-                if let Some(msg) = queue.pop_front() {
-                    if queue.is_empty() {
-                        st.mailbox.remove(&key);
-                    }
-                    let r = &mut st.ranks[rank];
-                    if msg.avail_at > r.clock {
-                        r.stats.wait_time += msg.avail_at - r.clock;
-                        r.clock = msg.avail_at;
-                        r.cpu_free_at = r.cpu_free_at.max(r.clock);
-                    }
-                    return msg;
-                }
-            }
-            let prev = st.recv_waiting.insert(key, rank);
-            assert!(
-                prev.is_none(),
-                "two ranks receiving on the same (src={src}, dst={rank}, tag={tag})"
-            );
-            st.ranks[rank].status = Status::Blocked(BlockReason::Recv);
-            self.dispatch(&mut st);
-            st = self.wait_for_baton(st, rank);
+        match self.call(rank, Op::Recv { src, tag }) {
+            Reply::Msg(msg) => msg,
+            _ => unreachable!("a receive replies with its message"),
         }
+    }
+
+    fn apply_recv(&self, st: &mut KState, rank: usize, src: usize, tag: u64) {
+        let key: MsgKey = (src, rank, tag);
+        if let Some(queue) = st.mailbox.get_mut(&key) {
+            if let Some(msg) = queue.pop_front() {
+                if queue.is_empty() {
+                    st.mailbox.remove(&key);
+                }
+                let r = &mut st.ranks[rank];
+                if msg.avail_at > r.clock {
+                    r.stats.wait_time += msg.avail_at - r.clock;
+                    r.clock = msg.avail_at;
+                    r.cpu_free_at = r.cpu_free_at.max(r.clock);
+                }
+                r.reply = Some(Reply::Msg(msg));
+                return;
+            }
+        }
+        let prev = st.recv_waiting.insert(key, rank);
+        assert!(
+            prev.is_none(),
+            "two ranks receiving on the same (src={src}, dst={rank}, tag={tag})"
+        );
+        let r = &mut st.ranks[rank];
+        r.status = Status::Blocked(BlockReason::Recv);
+        r.queue.push_front(Op::Recv { src, tag });
     }
 
     /// Two-party rendezvous on `key`: both callers return the pairing
     /// time `max(clock_a, clock_b)`, with their clocks advanced to it.
     /// Used by the MPI layer's rendezvous protocol.
     pub fn pair_sync(&self, rank: usize, key: u64) -> f64 {
-        let st = self.lock();
-        let mut st = self.sync_turn(st, rank);
-        if let Some((peer, peer_clock)) = st.pair_gate.remove(&key) {
-            let t = st.ranks[rank].clock.max(peer_clock);
-            // Wake the first arriver with the result stashed for it.
-            st.pair_result.insert((key, peer), t);
-            let waited = t - peer_clock;
-            st.ranks[peer].stats.wait_time += waited;
-            st.ranks[peer].clock = t;
-            st.ranks[peer].cpu_free_at = st.ranks[peer].cpu_free_at.max(t);
-            st.ranks[peer].status = Status::Runnable;
+        match self.call(rank, Op::Pair(key)) {
+            Reply::Time(t) => t,
+            _ => unreachable!("a pairing replies with its time"),
+        }
+    }
+
+    fn apply_pair(&self, st: &mut KState, rank: usize, key: u64) {
+        let Some((peer, peer_clock)) = st.pair_gate.remove(&key) else {
             let r = &mut st.ranks[rank];
+            let my_clock = r.clock;
+            r.status = Status::Blocked(BlockReason::Pair);
+            st.pair_gate.insert(key, (rank, my_clock));
+            return;
+        };
+        let t = st.ranks[rank].clock.max(peer_clock);
+        for (who, waited) in [(peer, t - peer_clock), (rank, 0.0)] {
+            let r = &mut st.ranks[who];
+            r.stats.wait_time += waited;
             r.clock = t;
             r.cpu_free_at = r.cpu_free_at.max(t);
-            return t;
+            r.status = Status::Active;
+            r.reply = Some(Reply::Time(t));
         }
-        let my_clock = st.ranks[rank].clock;
-        st.pair_gate.insert(key, (rank, my_clock));
-        st.ranks[rank].status = Status::Blocked(BlockReason::Pair);
-        self.dispatch(&mut st);
-        let mut st = self.wait_for_baton(st, rank);
-        st.pair_result
-            .remove(&(key, rank))
-            .expect("pair_sync woken without a result")
+        self.wake(st, peer);
     }
 
     /// Full barrier over all ranks. Releases everyone at
     /// `max(arrival clocks) + barrier_latency`.
     pub fn barrier(&self, rank: usize) {
-        let st = self.lock();
-        let mut st = self.sync_turn(st, rank);
+        self.call(rank, Op::Barrier);
+    }
+
+    fn apply_barrier(&self, st: &mut KState, rank: usize) {
         let my_clock = st.ranks[rank].clock;
-        let n = st.ranks.len();
         st.barrier.arrived += 1;
         st.barrier.max_clock = st.barrier.max_clock.max(my_clock);
-        if st.barrier.arrived == n {
-            let release = st.barrier.max_clock + self.cfg.barrier_latency;
-            let waiting = std::mem::take(&mut st.barrier.waiting);
-            st.barrier.arrived = 0;
-            st.barrier.max_clock = 0.0;
-            st.barrier.generation += 1;
-            for w in waiting {
-                let r = &mut st.ranks[w];
-                r.stats.barrier_time += release - r.clock;
-                r.clock = release;
-                r.cpu_free_at = r.cpu_free_at.max(release);
-                r.status = Status::Runnable;
-            }
-            let r = &mut st.ranks[rank];
+        if st.barrier.arrived < st.ranks.len() {
+            st.barrier.waiting.push(rank);
+            st.ranks[rank].status = Status::Blocked(BlockReason::Barrier);
+            return;
+        }
+        let release = st.barrier.max_clock + self.cfg.barrier_latency;
+        let mut waiting = std::mem::take(&mut st.barrier.waiting);
+        st.barrier = BarrierState::default();
+        waiting.push(rank);
+        for w in waiting {
+            let r = &mut st.ranks[w];
             r.stats.barrier_time += release - r.clock;
             r.clock = release;
             r.cpu_free_at = r.cpu_free_at.max(release);
-        } else {
-            st.barrier.waiting.push(rank);
-            st.ranks[rank].status = Status::Blocked(BlockReason::Barrier);
-            self.dispatch(&mut st);
-            let _st = self.wait_for_baton(st, rank);
+            r.status = Status::Active;
+            r.reply = Some(Reply::Unit);
+            self.wake(st, w);
         }
     }
 

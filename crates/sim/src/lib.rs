@@ -11,12 +11,17 @@
 //! * Each rank is an OS thread executing an arbitrary closure — the
 //!   *actual algorithm implementation*, written in natural blocking
 //!   style against the [`proc::SimProc`] handle.
-//! * Exactly **one rank thread runs at a time** ("baton passing"); the
-//!   kernel finds the next rank by scanning the rank clocks — there is
-//!   no event queue — and always resumes the runnable rank with the
-//!   lowest virtual clock (ties broken by rank id), so no rank acts
-//!   before an earlier-clocked one has. This makes every simulation
-//!   bit-for-bit deterministic, independent of host scheduling.
+//! * Rank threads **run ahead** of virtual time: a timed operation
+//!   (compute charge, transfer issue or wait, message post) is posted to
+//!   the rank's queue in the kernel and the thread carries on. The
+//!   kernel applies posted operations one at a time, always the next one
+//!   of the active rank with the lowest virtual clock (ties broken by
+//!   rank id, found by scanning the rank clocks), so no rank's operation
+//!   takes effect before an earlier-clocked one's. A thread waits only
+//!   where it reads a value — its clock, a message, a rendezvous time, a
+//!   barrier release — until the kernel has caught up with it. Every
+//!   simulation is bit-for-bit deterministic, independent of host
+//!   scheduling.
 //! * Time costs come from [`srumma_model::TransferCost`] decompositions
 //!   and the analytic dgemm efficiency model; *data movement is real*
 //!   when callers choose to move real data (so numerics can be verified

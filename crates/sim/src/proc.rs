@@ -10,7 +10,9 @@ use srumma_model::Topology;
 use std::sync::Arc;
 
 /// Handle to the simulation for one rank. Cheap to clone within the
-/// rank's thread; do not share across rank threads.
+/// rank's thread; do not share across rank threads. Calls that return
+/// nothing post their operation and return at once; calls that return
+/// a value wait for the kernel (see [`crate::kernel`]).
 #[derive(Clone)]
 pub struct SimProc {
     kernel: Arc<Kernel>,
@@ -42,7 +44,8 @@ impl SimProc {
         self.kernel.config()
     }
 
-    /// Current virtual time (seconds).
+    /// Current virtual time (seconds). Waits until the kernel has
+    /// applied every operation this rank posted before.
     pub fn now(&self) -> f64 {
         self.kernel.now(self.rank)
     }
@@ -70,18 +73,21 @@ impl SimProc {
         self.kernel.wait_transfer(self.rank, id);
     }
 
-    /// Completion time of an issued transfer.
-    pub fn transfer_done_at(&self, id: TransferId) -> f64 {
-        self.kernel.transfer_done_at(id)
-    }
-
     /// Deposit a message for `dst` (used by the MPI layer; `avail_at`
     /// inside `msg` must already account for the transfer time).
     pub fn post_msg(&self, dst: usize, tag: u64, msg: Msg) {
         self.kernel.post_msg(self.rank, dst, tag, msg);
     }
 
-    /// Receive the next message from `src` with `tag` (blocking).
+    /// Deposit a message for `dst` that is available when this rank's
+    /// transfer `id` completes (`msg.avail_at` is ignored). Returns at
+    /// once, like [`SimProc::post_msg`].
+    pub fn post_msg_after(&self, id: TransferId, dst: usize, tag: u64, msg: Msg) {
+        self.kernel.post_msg_after(self.rank, id, dst, tag, msg);
+    }
+
+    /// Receive the next message from `src` with `tag` (blocking until
+    /// the kernel applies the receive in its turn).
     pub fn recv_msg(&self, src: usize, tag: u64) -> Msg {
         self.kernel.recv_msg(self.rank, src, tag)
     }

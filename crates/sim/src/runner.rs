@@ -1,6 +1,6 @@
 //! Launching a simulation: one thread per rank, scoped, deterministic.
 
-use crate::kernel::{Kernel, SimConfig};
+use crate::kernel::{Aborted, Kernel, SimConfig};
 use crate::proc::SimProc;
 use crate::stats::RunStats;
 use crate::trace::TraceEvent;
@@ -28,13 +28,16 @@ impl<T> SimResult<T> {
 /// outputs, statistics and traces.
 ///
 /// `body` receives the rank's [`SimProc`] handle. Rank programs are
-/// ordinary blocking code; the kernel interleaves them deterministically
-/// in virtual-time order, so two runs of the same program produce
-/// identical virtual timings bit-for-bit.
+/// ordinary blocking code on threads of their own; the kernel applies
+/// their timed operations deterministically in virtual-time order, so
+/// two runs of the same program produce identical virtual timings
+/// bit-for-bit, however the host schedules the threads.
 ///
 /// # Panics
 /// Re-raises the first rank panic (lowest rank id), and panics on
-/// simulation deadlock.
+/// simulation deadlock. A rank panic aborts the run: the other ranks
+/// unwind out of whatever kernel call they are in, and those unwinds
+/// are not re-raised in its place.
 pub fn run_sim<T, F>(cfg: SimConfig, body: F) -> SimResult<T>
 where
     T: Send,
@@ -52,18 +55,19 @@ where
             let body = &body;
             handles.push(scope.spawn(move || {
                 let proc = SimProc::new(Arc::clone(&kernel), rank);
-                kernel.start(rank);
-                // If the body panics we must still release the baton,
-                // or every other rank thread hangs and the panic never
-                // surfaces. Catch, mark the rank done, re-raise later.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&proc)));
-                kernel.finish(rank);
-                match result {
+                // A panicking body must abort the run, or the ranks
+                // waiting on it hang (or report a deadlock that hides
+                // the panic). Catch, abort, re-raise later.
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&proc))) {
                     Ok(v) => {
+                        kernel.finish(rank);
                         *slot = Some(v);
                         None
                     }
-                    Err(payload) => Some(payload),
+                    Err(payload) => {
+                        kernel.abort();
+                        Some(payload)
+                    }
                 }
             }));
         }
@@ -72,14 +76,17 @@ where
                 Ok(None) => {}
                 Ok(Some(payload)) => panics.push(payload),
                 // The thread itself panicked (e.g. deadlock detected in
-                // a kernel call made after the catch_unwind region).
+                // `finish`, after the catch_unwind region).
                 Err(payload) => panics.push(payload),
             }
         }
     });
 
-    if let Some(payload) = panics.into_iter().next() {
-        std::panic::resume_unwind(payload);
+    // Ranks an abort woke unwind with `Aborted`; re-raise the panic that
+    // caused it.
+    if !panics.is_empty() {
+        let i = panics.iter().position(|p| !p.is::<Aborted>()).unwrap_or(0);
+        std::panic::resume_unwind(panics.swap_remove(i));
     }
 
     let (times, rank_stats, trace) = kernel.collect();
@@ -234,5 +241,85 @@ mod tests {
                 panic!("rank body exploded");
             }
         });
+    }
+
+    /// Run a simulation that must fail on a thread of its own, under a
+    /// 10 s watchdog (a hang fails the test instead of stalling the
+    /// suite), and return its panic message.
+    fn failure_within_10s<F>(body: F) -> String
+    where
+        F: Fn(&SimProc) + Send + Sync + 'static,
+        F: std::panic::RefUnwindSafe,
+    {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| run_sim(cfg(2, 2), &body));
+            let _ = tx.send(run.err().map(|p| {
+                p.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            }));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the simulation hung")
+            .expect("the simulation should have panicked")
+    }
+
+    fn nan_cost() -> srumma_model::TransferCost {
+        srumma_model::TransferCost {
+            latency: f64::NAN,
+            path: srumma_model::network::Path::SharedMemory,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn a_bad_transfer_panics_naming_its_rank_and_never_hangs() {
+        let msg = failure_within_10s(|p| {
+            if p.rank() == 0 {
+                p.barrier();
+            } else {
+                p.issue_transfer(crate::TransferSpec {
+                    cost: nan_cost(),
+                    src_rank: 0,
+                    dst_rank: 1,
+                    bytes: 8,
+                    label: String::new(),
+                });
+            }
+        });
+        assert!(
+            msg.contains("rank 1") && msg.contains("bad transfer cost"),
+            "{msg}"
+        );
+    }
+
+    /// A panic while the kernel applies an operation lands on whichever
+    /// thread is pumping; it poisons the run, so the rank waiting at the
+    /// barrier unwinds too and the panic surfaces.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_panic_while_applying_poisons_the_run() {
+        let msg = failure_within_10s(|p| {
+            if p.rank() == 0 {
+                p.barrier();
+            } else {
+                // Both ranks share a node: a network path is a model bug
+                // the kernel only notices when it applies the issue.
+                p.issue_transfer(crate::TransferSpec {
+                    cost: srumma_model::TransferCost {
+                        wire: 1e-6,
+                        path: srumma_model::network::Path::Network,
+                        ..Default::default()
+                    },
+                    src_rank: 0,
+                    dst_rank: 1,
+                    bytes: 8,
+                    label: String::new(),
+                });
+            }
+        });
+        assert!(msg.contains("network transfer within one node"), "{msg}");
     }
 }
