@@ -24,19 +24,18 @@
 //!   it when real data is present, each factor a stored matrix or a
 //!   fetched panel — [`Operand`]), because on the simulated machines
 //!   compute cost comes from the machine model, not the host;
-//! * **synchronisation**: `barrier`, and its split form
-//!   (`fence_arrive` / `fence_try` / `barrier_try` — the
-//!   `MPI_Ibarrier` / `MPI_Test` pair).
+//! * **synchronisation**: `barrier`, and its split form `barrier_try`
+//!   (the `MPI_Ibarrier` / `MPI_Test` pair in one call).
 //!
-//! # The split fence, and programs written over it
+//! # The split barrier, and programs written over it
 //!
 //! A rank that must not block its thread (thousands of ranks polled on
-//! a few executor workers) arrives at a fence without waiting and
-//! *tests* it later; a `false` test means "registered as a waiter —
-//! yield the thread". The trait's defaults make that protocol correct
-//! on every backend whose barrier simply blocks: **arrive is the full
-//! barrier and every test is `true`**. Only `ExecComm` overrides them
-//! (and the decorators forward them).
+//! a few executor workers) arrives at the barrier without waiting and
+//! *tests* it on later calls; a `false` test means "registered as a
+//! waiter — yield the thread". The trait's default makes that protocol
+//! correct on every backend whose barrier simply blocks: **the first
+//! call is the full barrier and returns `true`**. Only `ExecComm`
+//! overrides it (and the decorators forward it).
 //!
 //! That is what lets a schedule be written once: a [`RankProgram`] is a
 //! resumable state machine whose `step` takes whatever communicator
@@ -46,6 +45,7 @@
 
 use crate::dist::{DistMatrix, Landing};
 use srumma_dense::{MatMut, MatRef, Operand, PackedPanel};
+use srumma_model::protocol::Served;
 use srumma_model::Topology;
 use srumma_trace::Recorder;
 
@@ -100,29 +100,11 @@ pub trait Comm {
     /// Full barrier.
     fn barrier(&mut self);
 
-    /// Arrive at this rank's next fence without waiting for it and
-    /// return its index, to be handed to [`Comm::fence_try`] — the
-    /// `MPI_Ibarrier` of the split barrier. Every rank arrives at fences
-    /// in the same program order, and a rank may be several arrivals
-    /// ahead of the fence it waits on next. Where waiting blocks the
-    /// thread anyway there is nothing to split: the default is the full
-    /// barrier, after which every fence up to this one has completed.
-    fn fence_arrive(&mut self) -> u64 {
-        self.barrier();
-        0
-    }
-
-    /// Test fence `fence` (`MPI_Test`): `true` once every rank has
-    /// arrived at it. On `false` this rank has been registered as a
-    /// waiter and the program should report [`Step::Park`]. Always
-    /// `true` under the default [`Comm::fence_arrive`].
-    fn fence_try(&mut self, _fence: u64) -> bool {
-        true
-    }
-
     /// The full barrier in split form: arrives on the first call, then
     /// tests that arrival; call again after every [`Step::Park`] until
-    /// it returns `true`. The default blocks in [`Comm::barrier`].
+    /// it returns `true` — on `false` this rank has been registered as
+    /// a waiter. Where waiting blocks the thread anyway there is nothing
+    /// to split: the default blocks in [`Comm::barrier`].
     fn barrier_try(&mut self) -> bool {
         self.barrier();
         true
@@ -244,14 +226,24 @@ pub trait Comm {
     );
 }
 
+/// Count a one-sided transfer's `bytes` against the level of the
+/// hierarchy that served it — every backend's one classification.
+pub(crate) fn count_served(recorder: &mut Recorder, served: Served, bytes: u64) {
+    match served {
+        Served::Own => {}
+        Served::Domain => recorder.count_intragroup(bytes),
+        Served::Network => recorder.count_internode(bytes),
+    }
+}
+
 /// What one `step` of a resumable rank reports back to its host.
 pub enum Step<T> {
     /// The rank finished; `T` is its output.
     Done(T),
     /// More work immediately available: step again (on the executor the
-    /// worker re-runs it unless a thief takes it first).
+    /// worker that ran it runs it again next).
     Yield,
-    /// Blocked on a fence or a message this rank has already registered
+    /// Blocked on a barrier or a message this rank has already registered
     /// as a waiter for; the matching wake-up makes it runnable again.
     Park,
 }
@@ -264,14 +256,14 @@ pub trait RankProgram {
     /// The rank's output.
     type Out;
 
-    /// Advance until done, a natural yield point, or a fence test that
-    /// failed.
+    /// Advance until done, a natural yield point, or a barrier test
+    /// that failed.
     fn step<C: Comm>(&mut self, comm: &mut C) -> Step<Self::Out>;
 }
 
-/// Run `program` to completion on a communicator whose fences block —
+/// Run `program` to completion on a communicator whose barrier blocks —
 /// the simulator, the virtual clocks, or a *blocking* executor rank.
-/// Such a communicator never fails a fence test, so a [`Step::Park`]
+/// Such a communicator never fails a barrier test, so a [`Step::Park`]
 /// here is a bug in the program (it parked on something no one will
 /// wake it for) and panics rather than spin.
 pub fn drive<C: Comm, P: RankProgram>(comm: &mut C, mut program: P) -> P::Out {

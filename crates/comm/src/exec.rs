@@ -2,34 +2,35 @@
 //!
 //! Every rank sees the paper's shared-memory machine (SGI Altix): one
 //! cacheable domain, a get is a `memcpy`, time is the wall clock. The
-//! ranks are hosted in one of two ways, over one fence machinery:
+//! ranks are hosted in one of two ways, over one barrier:
 //!
 //! * ranks written as **resumable state machines** (the [`RankTask`]
 //!   trait; [`ProgramTask`] makes one of any [`RankProgram`] — every
 //!   SRUMMA schedule in `srumma-core` is such a program) are **polled**
-//!   on W worker threads, each owning a
-//!   [Chase–Lev deque](crate::deque::WorkDeque) of runnable task ids and
-//!   stealing from its siblings when its own runs dry: a failed fence
-//!   test returns [`Step::Park`] and costs a deque operation, not a
+//!   on W worker threads. Worker `w` claims the unstarted ranks
+//!   `w, w + W, …` from its own atomic counter, then a sibling's once
+//!   its share runs out; a rank that yields stays with the worker that
+//!   ran it, and a woken rank goes to a shared injector queue. A failed
+//!   barrier test returns [`Step::Park`] and costs a queue entry, not a
 //!   blocked OS thread, so thousands of ranks need only W threads;
 //! * ranks written in plain blocking style (SUMMA, Cannon — any
 //!   [`Comm`] closure, including one that [`drive`](crate::comm::drive)s
 //!   a program) are **blocking**: each owns a thread but runs only while
 //!   holding one of W **permits**. Every blocking point inside
 //!   [`ExecComm`] gives the permit back and sleeps on the rank's own
-//!   condvar until a fence, a message or a peer wakes it, so runnable
+//!   condvar until a barrier, a message or a peer wakes it, so runnable
 //!   concurrency never exceeds W and the barrier convoy of hundreds of
 //!   preempted threads disappears. With W = N no rank ever waits for a
 //!   permit: that is thread-per-rank ([`thread_run`]).
 //!
-//! Both reach the fences through the [`Comm`] split fence: a polled
-//! rank's failed `fence_try` / `barrier_try` registers it as a waiter
-//! and returns `false`; a blocking rank's never returns `false` — it
-//! gives its permit back and sleeps until the fence has completed,
-//! exactly as its `barrier` does, because a rank that polled while
-//! holding a permit would starve the very ranks it is waiting for.
+//! Both reach the barrier through [`Comm::barrier_try`]: a polled
+//! rank's failed test registers it as a waiter and returns `false`; a
+//! blocking rank's never returns `false` — it gives its permit back and
+//! sleeps until the barrier has completed, exactly as its `barrier`
+//! does, because a rank that polled while holding a permit would starve
+//! the very ranks it is waiting for.
 //!
-//! Scheduling itself is observable: steals, parks and resumes are
+//! Scheduling itself is observable: claims, parks and resumes are
 //! counted (and traced as [`TraceKind::Sched`] events when tracing is
 //! on), and every run's [`RunStats`] carries an
 //! [`ExecStats`](srumma_trace::ExecStats) with the steal rate and
@@ -40,10 +41,10 @@
 //! machines are dropped, and the original panic payload is rethrown
 //! from the run entry point.
 
-use crate::comm::{Comm, GetHandle, RankProgram, Step};
-use crate::deque::WorkDeque;
+use crate::comm::{count_served, Comm, GetHandle, RankProgram, Step};
 use crate::dist::{DistMatrix, Landing};
 use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand, PackedPanel};
+use srumma_model::protocol::Served;
 use srumma_model::Topology;
 use srumma_trace::{Counters, ExecStats, Recorder, RunStats, TraceEvent, TraceKind};
 use std::any::Any;
@@ -134,8 +135,9 @@ where
 /// Where a rank currently stands with the scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
-    /// Polled: in a deque or the injector, waiting for a worker.
-    /// Blocking: awake, holding a permit or waiting for one.
+    /// Polled: unstarted, handed back to the worker that ran it, or in
+    /// the injector — waiting for a worker. Blocking: awake, holding a
+    /// permit or waiting for one.
     Queued,
     /// Being polled.
     Running,
@@ -166,53 +168,30 @@ struct Permits {
 }
 
 struct Global {
-    /// Woken tasks, consumed by any worker (wake-ups go here rather
-    /// than into a private deque so a parked worker can be notified).
+    /// Woken tasks, consumed by any worker (wake-ups go here so a
+    /// parked worker can be notified).
     injector: VecDeque<usize>,
     /// Workers currently asleep on `work_cv`.
     sleepers: usize,
 }
 
-/// Multi-fence synchronization state: the classic split barrier
-/// generalized so every rank may be **several fences ahead** of the
-/// slowest rank.
+/// The one barrier, reused generation after generation.
 ///
-/// Every rank arrives at fences in the same program order, so a rank's
-/// `i`-th arrival is globally fence `i`. Fence `f` is complete once
-/// every rank has made at least `f + 1` arrivals — i.e. when
-/// `completed = min(arrived) > f`. A plain count/generation barrier
-/// breaks here: a fast rank's arrival at fence `f + 1` must not count
-/// toward fence `f`'s quorum, which is exactly what per-rank arrival
-/// counters capture. The classic full barrier is the special case where
-/// every rank waits on its own latest fence before arriving at the
-/// next.
+/// An arrival counts one — a rank's own, or a dead rank's by proxy
+/// ([`ExecComm::fence_arrive_for`]) — and the `nranks`-th completes the
+/// generation. That is exact because every arrival path
+/// ([`Comm::barrier`], [`Comm::barrier_try`], a blocking rank's
+/// `wait_fence`, the chaos proxy) waits for its barrier before it
+/// arrives again: no rank can arrive twice in one generation, so a
+/// count is as good as a per-rank ledger.
 struct FenceSt {
-    /// Arrivals per rank (rank `r`'s next arrival opens fence
-    /// `arrived[r]`).
-    arrived: Vec<u64>,
-    /// Fences fully passed: all fences `f < completed` are complete.
-    completed: u64,
-    /// Parked ranks: `(rank, fence awaited)`.
-    waiters: Vec<(usize, u64)>,
-    /// Ranks whose fence obligations have been retired (declared dead
-    /// under fault injection): the frontier ignores them so batches
-    /// drain instead of waiting forever on arrivals that cannot come.
-    retired: Vec<bool>,
-}
-
-impl FenceSt {
-    /// The completion frontier over **live** ranks: `min(arrived)`
-    /// among non-retired ranks. With every rank retired there is no one
-    /// left to wait for, so every fence counts as complete.
-    fn frontier(&self) -> u64 {
-        self.arrived
-            .iter()
-            .zip(&self.retired)
-            .filter(|&(_, &dead)| !dead)
-            .map(|(&a, _)| a)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
+    /// Arrivals at the open generation.
+    arrived: usize,
+    /// Generations completed: barrier `g` has passed once
+    /// `generation > g`.
+    generation: u64,
+    /// Ranks parked on the open generation.
+    waiters: Vec<usize>,
 }
 
 /// The shared scheduler: everything both `ExecComm` and the workers
@@ -222,7 +201,7 @@ struct SchedCore {
     nranks: usize,
     /// W: pool workers (polled) or permits (blocking).
     workers: usize,
-    /// Ranks own threads and run under permits; no deques, no injector.
+    /// Ranks own threads and run under permits; no shares, no injector.
     blocking: bool,
     trace: bool,
     /// Emulated node layout every rank's `ExecComm` reports. Defaults
@@ -232,7 +211,10 @@ struct SchedCore {
     t0: Instant,
     global: Mutex<Global>,
     work_cv: Condvar,
-    deques: Vec<WorkDeque>,
+    /// Per-worker claim counters (polled runs): worker `w`'s `i`-th
+    /// claim is rank `w + i·W`, taken by whichever worker bumps
+    /// `unstarted[w]` — `w` itself, or a sibling whose own share ran out.
+    unstarted: Vec<AtomicUsize>,
     tasks: Vec<TaskCtl>,
     permits: Mutex<Permits>,
     permit_cv: Condvar,
@@ -274,7 +256,7 @@ impl SchedCore {
         let workers = resolve_workers(workers, nranks);
         let topo = topo.unwrap_or_else(|| Topology::single_domain(nranks));
         assert_eq!(topo.nranks(), nranks, "topology rank count mismatch");
-        let deques = if blocking { 0 } else { workers };
+        let shares = if blocking { 0 } else { workers };
         Arc::new(SchedCore {
             nranks,
             workers,
@@ -287,7 +269,7 @@ impl SchedCore {
                 sleepers: 0,
             }),
             work_cv: Condvar::new(),
-            deques: (0..deques).map(|_| WorkDeque::new(nranks + 1)).collect(),
+            unstarted: (0..shares).map(|_| AtomicUsize::new(0)).collect(),
             tasks: (0..nranks)
                 .map(|_| TaskCtl {
                     st: Mutex::new(TaskSt {
@@ -304,10 +286,9 @@ impl SchedCore {
             }),
             permit_cv: Condvar::new(),
             fences: Mutex::new(FenceSt {
-                arrived: vec![0; nranks],
-                completed: 0,
+                arrived: 0,
+                generation: 0,
                 waiters: Vec::new(),
-                retired: vec![false; nranks],
             }),
             mail: (0..nranks).map(|_| Mutex::new(VecDeque::new())).collect(),
             remaining: AtomicUsize::new(nranks),
@@ -457,68 +438,60 @@ impl SchedCore {
         *held = self.permit_take();
     }
 
-    // ---- epoch fences -----------------------------------------------
+    // ---- the barrier ------------------------------------------------
 
-    /// Arrive at this rank's next fence; returns the fence index (the
-    /// rank's 0-based arrival count). Arrival never blocks — waiting is
-    /// a separate [`Self::fence_check`] / park loop, which is what lets
-    /// a rank arrive at several fences (stage entry `i+1`, finish entry
-    /// `i`) before anyone waits on the first.
-    fn fence_arrive(&self, id: usize) -> u64 {
+    /// Arrive at the open barrier generation for `rank` — the caller
+    /// itself, or a dead rank by proxy — and return that generation.
+    /// Arrival never blocks; waiting is a separate [`Self::fence_check`]
+    /// / park loop.
+    fn fence_arrive(&self, rank: usize) -> u64 {
+        debug_assert!(rank < self.nranks);
         let mut b = relock(&self.fences);
-        let fence = b.arrived[id];
-        b.arrived[id] += 1;
-        self.fence_advance(b);
-        fence
-    }
-
-    /// Recompute the live frontier and release any waiters now behind
-    /// it (wake after dropping the lock — wake() takes per-task locks).
-    fn fence_advance(&self, mut b: MutexGuard<'_, FenceSt>) {
-        let frontier = b.frontier();
-        if frontier > b.completed {
-            b.completed = frontier;
-            let mut woken = Vec::new();
-            b.waiters.retain(|&(rank, f)| {
-                if f < frontier {
-                    woken.push(rank);
-                    false
-                } else {
-                    true
-                }
-            });
+        let g = b.generation;
+        b.arrived += 1;
+        if b.arrived == self.nranks {
+            b.arrived = 0;
+            b.generation += 1;
+            let woken = std::mem::take(&mut b.waiters);
+            // Wake after unlocking: wake() takes per-task locks.
             drop(b);
             for w in woken {
                 self.wake(w);
             }
         }
+        g
     }
 
-    /// Retire a dead rank's fence obligations: it is removed from every
-    /// current and future fence quorum, so in-flight batches drain
-    /// instead of hanging on arrivals that can never come. Idempotent.
-    /// Note this releases *synchronization* only — re-executing the
-    /// dead rank's outstanding work is the chaos rank task's job.
-    fn retire_rank(&self, rank: usize) {
+    /// Whether barrier generation `g` has completed; if not, register
+    /// `id` as a waiter (idempotently) so the completing arrival wakes
+    /// it.
+    fn fence_check(&self, id: usize, g: u64) -> bool {
         let mut b = relock(&self.fences);
-        if b.retired[rank] {
-            return;
-        }
-        b.retired[rank] = true;
-        self.fence_advance(b);
-    }
-
-    /// Whether fence `f` has completed; if not, register `id` as a
-    /// waiter (idempotently) so the completing arrival wakes it.
-    fn fence_check(&self, id: usize, f: u64) -> bool {
-        let mut b = relock(&self.fences);
-        if b.completed > f {
+        if b.generation > g {
             return true;
         }
-        if !b.waiters.iter().any(|&(r, wf)| r == id && wf == f) {
-            b.waiters.push((id, f));
+        if !b.waiters.contains(&id) {
+            b.waiters.push(id);
         }
         false
+    }
+
+    // ---- claiming unstarted ranks -----------------------------------
+
+    /// Whether `share` still has an unclaimed rank.
+    fn share_left(&self, share: usize) -> bool {
+        share + self.unstarted[share].load(Ordering::Relaxed) * self.workers < self.nranks
+    }
+
+    /// Claim the next unstarted rank of worker `share`'s round-robin
+    /// share, if any is left. One `fetch_add`, so no rank is claimed
+    /// twice whoever races for it.
+    fn claim(&self, share: usize) -> Option<usize> {
+        if !self.share_left(share) {
+            return None;
+        }
+        let id = share + self.unstarted[share].fetch_add(1, Ordering::Relaxed) * self.workers;
+        (id < self.nranks).then_some(id)
     }
 
     // ---- mailboxes --------------------------------------------------
@@ -581,8 +554,8 @@ pub struct ExecComm {
     /// Grow count of the workspace this rank last computed in (the
     /// workspace itself belongs to whichever thread runs the `gemm`).
     ws_grows: u64,
-    /// Split-barrier bookkeeping for FSM ranks: fence index awaited and
-    /// the span start time.
+    /// Split-barrier bookkeeping for FSM ranks: the generation awaited
+    /// and the span start time.
     arrived: Option<(u64, f64)>,
     /// Blocking ranks: when the permit this rank holds was taken.
     held: Instant,
@@ -635,28 +608,22 @@ impl ExecComm {
         self.core.park_blocking(self.rank, &mut self.held);
     }
 
-    /// Blocking ranks: sleep until fence `f` has completed.
-    fn wait_fence(&mut self, f: u64) {
-        while !self.core.fence_check(self.rank, f) {
+    /// Blocking ranks: sleep until barrier generation `g` has completed.
+    fn wait_fence(&mut self, g: u64) {
+        while !self.core.fence_check(self.rank, g) {
             self.park();
         }
     }
 
-    /// Arrive at the next fence **on behalf of another rank** — the
+    /// Arrive at the open barrier **on behalf of another rank** — the
     /// re-execution protocol's proxy arrival: a survivor that has
     /// finished a dead rank's outstanding tasks discharges that rank's
-    /// barrier obligation for it, so the closing fence cannot complete
-    /// before the re-executed work has actually been done.
+    /// barrier obligation for it, so the closing barrier cannot complete
+    /// before the re-executed work has actually been done. The dead rank
+    /// never arrives itself, and the barrier it owes cannot complete
+    /// without this arrival, so that generation counts it exactly once.
     pub fn fence_arrive_for(&mut self, rank: usize) -> u64 {
         self.core.fence_arrive(rank)
-    }
-
-    /// Retire `rank` from every current and future fence quorum
-    /// (fail-stop death with **no** re-execution — batches drain, but
-    /// nobody vouches for the dead rank's unfinished work). Prefer
-    /// [`Self::fence_arrive_for`] when survivors re-execute.
-    pub fn fence_retire(&mut self, rank: usize) {
-        self.core.retire_rank(rank);
     }
 
     /// Wake every other rank (a dying rank calls this after publishing
@@ -673,14 +640,8 @@ impl ExecComm {
     /// the (pretend) memory hierarchy served it.
     #[inline]
     fn classify(&mut self, serve: usize, bytes: u64) {
-        if serve == self.rank {
-            return;
-        }
-        if self.core.topo.same_domain(self.rank, serve) {
-            self.recorder.count_intragroup(bytes);
-        } else {
-            self.recorder.count_internode(bytes);
-        }
+        let served = Served::of(&self.core.topo, self.rank, serve);
+        count_served(&mut self.recorder, served, bytes);
     }
 }
 
@@ -733,29 +694,13 @@ impl Comm for ExecComm {
              not the blocking Comm::barrier"
         );
         let t0 = self.span_start();
-        let f = self.core.fence_arrive(self.rank);
-        self.wait_fence(f);
+        let g = self.core.fence_arrive(self.rank);
+        self.wait_fence(g);
         self.span_end(TraceKind::Barrier, t0, 0, String::new);
     }
 
-    /// Never blocks, polled or blocking. Fence `f` completes once every
-    /// rank has made its `f`-th arrival.
-    fn fence_arrive(&mut self) -> u64 {
-        self.core.fence_arrive(self.rank)
-    }
-
-    fn fence_try(&mut self, f: u64) -> bool {
-        match self.mode {
-            TaskMode::Fsm => self.core.fence_check(self.rank, f),
-            TaskMode::Blocking => {
-                self.wait_fence(f);
-                true
-            }
-        }
-    }
-
-    /// A full barrier is an arrival followed by a wait on the same
-    /// fence. Panics when the executor has been poisoned, as a blocking
+    /// An arrival, then tests of the same generation until it passes.
+    /// Panics when the executor has been poisoned, as a blocking
     /// rank's permit wait does — a parked polled rank re-stepped after a
     /// peer's panic must unwind, not re-park.
     fn barrier_try(&mut self) -> bool {
@@ -767,8 +712,8 @@ impl Comm for ExecComm {
             panic!("executor poisoned: another rank panicked");
         }
         match self.arrived {
-            Some((f, t0)) => {
-                if self.core.fence_check(self.rank, f) {
+            Some((g, t0)) => {
+                if self.core.fence_check(self.rank, g) {
                     self.arrived = None;
                     self.span_end(TraceKind::Barrier, t0, 0, String::new);
                     true
@@ -778,12 +723,12 @@ impl Comm for ExecComm {
             }
             None => {
                 let t0 = self.span_start();
-                let f = self.core.fence_arrive(self.rank);
-                if self.core.fence_check(self.rank, f) {
+                let g = self.core.fence_arrive(self.rank);
+                if self.core.fence_check(self.rank, g) {
                     self.span_end(TraceKind::Barrier, t0, 0, String::new);
                     true
                 } else {
-                    self.arrived = Some((f, t0));
+                    self.arrived = Some((g, t0));
                     self.mark_park();
                     false
                 }
@@ -931,10 +876,11 @@ impl<T> Sink<T> {
     }
 }
 
-/// Pick the next task: own deque first (LIFO, cache-hot), then the
-/// injector (fresh wake-ups), then steal from siblings.
+/// Pick a task to start or resume: an unstarted rank of this worker's
+/// own share, then a woken rank from the injector, then an unstarted
+/// rank of a sibling's share.
 fn find_work(core: &SchedCore, me: usize, events: &mut Vec<TraceEvent>) -> Option<usize> {
-    if let Some(id) = core.deques[me].pop() {
+    if let Some(id) = core.claim(me) {
         core.local_pops.fetch_add(1, Ordering::Relaxed);
         return Some(id);
     }
@@ -949,7 +895,7 @@ fn find_work(core: &SchedCore, me: usize, events: &mut Vec<TraceEvent>) -> Optio
     }
     for off in 1..core.workers {
         let victim = (me + off) % core.workers;
-        if let Some(id) = core.deques[victim].steal() {
+        if let Some(id) = core.claim(victim) {
             core.steals.fetch_add(1, Ordering::Relaxed);
             core.sched_event(events, id, || format!("steal w{me}<-w{victim}"));
             return Some(id);
@@ -959,14 +905,15 @@ fn find_work(core: &SchedCore, me: usize, events: &mut Vec<TraceEvent>) -> Optio
 }
 
 /// Sleep until work may exist again. Returns `false` when the run is
-/// over (all tasks done, or poisoned).
+/// over (all tasks done, or poisoned). Shares only shrink, so the one
+/// wake-up to wait for is an injection.
 fn park_worker(core: &SchedCore) -> bool {
     let mut g = relock(&core.global);
     loop {
         if core.is_poisoned() || core.remaining.load(Ordering::SeqCst) == 0 {
             return false;
         }
-        if !g.injector.is_empty() || core.deques.iter().any(|d| !d.is_empty()) {
+        if !g.injector.is_empty() || (0..core.workers).any(|w| core.share_left(w)) {
             return true;
         }
         core.worker_parks.fetch_add(1, Ordering::Relaxed);
@@ -976,7 +923,9 @@ fn park_worker(core: &SchedCore) -> bool {
     }
 }
 
-/// Poll the state machine of scheduled task `id` once.
+/// Poll the state machine of scheduled task `id` once. Returns `id`
+/// again when the task is runnable at once — it yielded, or a wake
+/// raced its park — so the same worker resumes it next.
 fn run_one<T: Send>(
     core: &SchedCore,
     slots: &[Slot<'_, T>],
@@ -984,42 +933,44 @@ fn run_one<T: Send>(
     me: usize,
     id: usize,
     events: &mut Vec<TraceEvent>,
-) {
+) -> Option<usize> {
     let Some(mut task) = relock(&slots[id]).take() else {
-        return; // stale queue entry for a finished rank
+        return None; // stale queue entry for a finished rank
     };
     relock(&core.tasks[id].st).phase = Phase::Running;
     match catch_unwind(AssertUnwindSafe(|| task.step())) {
         Err(p) => {
             drop(task);
             core.poison(p);
+            None
         }
-        Ok(Step::Done(out)) => sink.finish(core, id, out, task.take_trace()),
+        Ok(Step::Done(out)) => {
+            sink.finish(core, id, out, task.take_trace());
+            None
+        }
         Ok(Step::Yield) => {
-            // The box must be back in its cell before the id is
-            // visible in any queue (a thief may run it at once).
             *relock(&slots[id]) = Some(task);
-            {
-                let mut st = relock(&core.tasks[id].st);
-                st.pending_wake = false;
-                st.phase = Phase::Queued;
-            }
-            core.deques[me].push(id);
+            let mut st = relock(&core.tasks[id].st);
+            st.pending_wake = false;
+            st.phase = Phase::Queued;
+            Some(id)
         }
         Ok(Step::Park) => {
+            // The box must be back in its cell before the rank is
+            // parked: the wake that follows may inject it at once.
             *relock(&slots[id]) = Some(task);
             let mut st = relock(&core.tasks[id].st);
             if st.pending_wake {
-                // The wake raced the park: requeue immediately.
+                // The wake raced the park: run it again at once.
                 st.pending_wake = false;
                 st.phase = Phase::Queued;
-                drop(st);
-                core.deques[me].push(id);
+                Some(id)
             } else {
                 st.phase = Phase::Parked;
                 drop(st);
                 core.parks.fetch_add(1, Ordering::Relaxed);
                 core.sched_event(events, id, || format!("park w{me}"));
+                None
             }
         }
     }
@@ -1030,18 +981,25 @@ fn run_one<T: Send>(
 fn worker_loop<T: Send>(core: &SchedCore, slots: &[Slot<'_, T>], sink: &Sink<T>, me: usize) {
     let mut busy = Duration::ZERO;
     let mut events: Vec<TraceEvent> = Vec::new();
+    // A rank this worker ran that is runnable again at once.
+    let mut next = None;
     loop {
         if core.is_poisoned() {
             break;
         }
-        let Some(id) = find_work(core, me, &mut events) else {
-            if park_worker(core) {
-                continue;
+        let id = match next.take() {
+            Some(id) => {
+                core.local_pops.fetch_add(1, Ordering::Relaxed);
+                id
             }
-            break;
+            None => match find_work(core, me, &mut events) {
+                Some(id) => id,
+                None if park_worker(core) => continue,
+                None => break,
+            },
         };
         let t = Instant::now();
-        run_one(core, slots, sink, me, id, &mut events);
+        next = run_one(core, slots, sink, me, id, &mut events);
         busy += t.elapsed();
     }
     if !events.is_empty() {
@@ -1242,9 +1200,6 @@ where
             Mutex::new(Some(factory(comm)))
         })
         .collect();
-    for id in 0..nranks {
-        core.deques[id % core.workers].push(id);
-    }
     run_threads(&core, core.workers, |w, sink| {
         worker_loop(&core, &slots, sink, w)
     })
@@ -1252,43 +1207,10 @@ where
 
 #[cfg(test)]
 mod tests {
-    //! Epoch/generation counter edges under fault injection: these need
-    //! the private `SchedCore`, so they live here rather than in the
-    //! integration suite.
+    //! Barrier edges under fault injection: these need the private
+    //! `SchedCore`, so they live here rather than in the integration
+    //! suite.
     use super::*;
-
-    #[test]
-    fn retiring_a_dead_rank_completes_its_pending_fences() {
-        let core = SchedCore::new(3, 1, false, false, None);
-        // Mid-batch: ranks 0 and 1 arrive at fence 0, rank 2 is dead
-        // and never will. The fence must not complete yet...
-        assert_eq!(core.fence_arrive(0), 0);
-        assert_eq!(core.fence_arrive(1), 0);
-        assert!(!core.fence_check(0, 0));
-        // ...until the dead rank's obligations are retired, which both
-        // completes fence 0 and removes rank 2 from future quorums.
-        core.retire_rank(2);
-        assert!(core.fence_check(0, 0));
-        assert_eq!(core.fence_arrive(0), 1);
-        assert_eq!(core.fence_arrive(1), 1);
-        assert!(core.fence_check(1, 1), "retired rank gates no later fence");
-    }
-
-    #[test]
-    fn retirement_releases_parked_waiters() {
-        let core = SchedCore::new(2, 1, false, false, None);
-        core.fence_arrive(0);
-        // Rank 0 is parked waiting on fence 0; rank 1 dies without
-        // arriving. Retirement must move the waiter back to the queue
-        // (the batch-drain path: survivors resume instead of hanging).
-        assert!(!core.fence_check(0, 0));
-        relock(&core.tasks[0].st).phase = Phase::Parked;
-        core.retire_rank(1);
-        assert_eq!(relock(&core.tasks[0].st).phase, Phase::Queued);
-        assert!(core.fence_check(0, 0));
-        // Idempotent: retiring again neither panics nor double-wakes.
-        core.retire_rank(1);
-    }
 
     #[test]
     fn proxy_arrival_discharges_a_dead_ranks_barrier() {
@@ -1301,15 +1223,6 @@ mod tests {
         assert_eq!(core.fence_arrive(2), 0, "proxy arrival uses rank 2's count");
         assert!(core.fence_check(0, 0));
         assert!(core.fence_check(1, 0));
-    }
-
-    #[test]
-    fn all_ranks_retired_completes_everything() {
-        let core = SchedCore::new(2, 1, false, false, None);
-        core.retire_rank(0);
-        core.retire_rank(1);
-        assert!(core.fence_check(0, 0));
-        assert!(core.fence_check(1, 41));
     }
 
     #[test]

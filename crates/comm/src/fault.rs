@@ -249,12 +249,6 @@ impl<C: Comm + ?Sized> Comm for &mut C {
     fn barrier(&mut self) {
         (**self).barrier()
     }
-    fn fence_arrive(&mut self) -> u64 {
-        (**self).fence_arrive()
-    }
-    fn fence_try(&mut self, fence: u64) -> bool {
-        (**self).fence_try(fence)
-    }
     fn barrier_try(&mut self) -> bool {
         (**self).barrier_try()
     }
@@ -402,12 +396,6 @@ impl<C: Comm> Comm for ChaosComm<C> {
     }
     fn barrier(&mut self) {
         self.inner.barrier()
-    }
-    fn fence_arrive(&mut self) -> u64 {
-        self.inner.fence_arrive()
-    }
-    fn fence_try(&mut self, fence: u64) -> bool {
-        self.inner.fence_try(fence)
     }
     fn barrier_try(&mut self) -> bool {
         self.inner.barrier_try()

@@ -33,20 +33,18 @@
 //!   place, or of an allocation the matrix owns (the `ARMCI_Malloc`
 //!   stand-in).
 //! * [`comm`] — the [`Comm`] trait and block handle types; the split
-//!   fence, [`RankProgram`] and [`drive`].
+//!   barrier, [`RankProgram`] and [`drive`].
 //! * [`simbackend`] / [`virt`] / [`exec`] — the three implementations
 //!   (discrete-event virtual time, per-rank virtual clocks, the host's
 //!   executor).
 //! * [`subcomm`] — [`SubComm`], a rank window presented as a machine.
-//! * [`deque`] — the Chase–Lev work-stealing deque under the executor.
-//! * [`mpi`] — two-sided collectives (broadcast, shift, allgather) built
+//! * [`mpi`] — two-sided collectives (tree and ring broadcast, shift) built
 //!   on `Comm::send`/`Comm::recv`, used by the baselines.
 //! * [`fault`] — seeded fault injection ([`FaultPlan`]) and the
 //!   [`ChaosComm`] decorator for wall-clock backends.
 
 pub mod arena;
 pub mod comm;
-pub mod deque;
 pub mod dist;
 pub mod exec;
 pub mod fault;

@@ -119,33 +119,6 @@ pub fn ring_shift<C: Comm>(
     comm.sendrecv(dst, tag, &send_data, bytes, src, buf, bytes);
 }
 
-/// All ranks contribute `value`; everyone receives the maximum. A tiny
-/// allreduce used by harnesses to agree on timings. Gather-to-0 then
-/// broadcast.
-pub fn allreduce_max<C: Comm>(comm: &mut C, value: f64, tag: u64) -> f64 {
-    let n = comm.nranks();
-    if n == 1 {
-        return value;
-    }
-    let me = comm.rank();
-    let mut best = value;
-    if me == 0 {
-        let mut buf = Vec::new();
-        for src in 1..n {
-            comm.recv(src, tag, &mut buf, 8);
-            if let Some(&v) = buf.first() {
-                best = best.max(v);
-            }
-        }
-    } else {
-        comm.send(0, tag, &[value], 8);
-    }
-    let group: Vec<usize> = (0..n).collect();
-    let mut out = vec![best];
-    bcast(comm, &group, 0, &mut out, 8, tag + 1);
-    out.first().copied().unwrap_or(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,20 +193,6 @@ mod tests {
             buf[0] as usize
         });
         assert_eq!(res.outputs, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn allreduce_max_agrees_everywhere() {
-        let res = thread_run(7, |c| {
-            let mine = ((c.rank() * 31 + 3) % 11) as f64;
-            allreduce_max(c, mine, 100)
-        });
-        let expect = (0..7)
-            .map(|r| ((r * 31 + 3) % 11) as f64)
-            .fold(0.0, f64::max);
-        for v in res.outputs {
-            assert_eq!(v, expect);
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! real-backed runs *verify numerics* while paper-scale virtual runs
 //! *measure the model* — with the same algorithm code.
 
-use crate::comm::{Comm, GetHandle};
+use crate::comm::{count_served, Comm, GetHandle};
 use crate::dist::{DistMatrix, Landing};
 use crate::fault::{FaultPlan, FaultPlanError};
 use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand};
@@ -101,8 +101,16 @@ fn scale_cost(mut cost: TransferCost, f: f64) -> TransferCost {
 }
 
 impl SimComm {
-    fn membw_group(&self, rank: usize) -> usize {
-        rank / self.machine.shm.membw_group_size.max(1)
+    /// Uncontended cost of moving `bytes` between us and cost endpoint
+    /// `serve` ([`protocol::onesided`]), counted against the level that
+    /// served it.
+    fn onesided(&mut self, serve: usize, bytes: u64, put: bool) -> TransferCost {
+        let topo = self.proc.topology();
+        let me = self.proc.rank();
+        let (cost, served) =
+            protocol::onesided(&self.machine, &topo, me, serve, bytes as usize, put);
+        count_served(&mut self.recorder, served, bytes);
+        cost
     }
 
     /// Fault model for **one-sided** gets/puts: only the initiator-side
@@ -241,28 +249,19 @@ impl Comm for SimComm {
         // `owner` indexes the data slot; the *cost* endpoint is the rank
         // whose memory serves it (they differ for staged/layered
         // matrices — see `CostMap`).
+        // A block in our own memory is normally read through a direct
+        // view, but a copy of it still costs a local memcpy.
         let serve = mat.cost_rank(owner);
-        if serve == me {
-            // Served from our own memory: the algorithm normally uses a
-            // direct view, but a copy still costs a local memcpy.
-            let bytes = (rows * cols * 8) as u64;
-            let cost = protocol::shm_copy(&self.machine, bytes as usize, false);
-            let cost = self.fault_onesided(cost);
-            let id = self.issue(cost, me, me, bytes, || "local-copy".to_string());
-            return GetHandle::Sim(id);
-        }
         let bytes = (rows * cols * 8) as u64;
-        let topo = self.proc.topology();
-        let cost = if topo.same_domain(me, serve) {
-            self.recorder.count_intragroup(bytes);
-            let cross = self.membw_group(me) != self.membw_group(serve);
-            protocol::shm_copy(&self.machine, bytes as usize, cross)
-        } else {
-            self.recorder.count_internode(bytes);
-            protocol::rma_get(&self.machine, bytes as usize)
-        };
+        let cost = self.onesided(serve, bytes, false);
         let cost = self.fault_onesided(cost);
-        let id = self.issue(cost, serve, me, bytes, || format!("get<-{owner}"));
+        let id = self.issue(cost, serve, me, bytes, || {
+            if serve == me {
+                "local-copy".to_string()
+            } else {
+                format!("get<-{owner}")
+            }
+        });
         GetHandle::Sim(id)
     }
 
@@ -284,18 +283,8 @@ impl Comm for SimComm {
         let me = self.proc.rank();
         mat.copy_block_from(owner, data);
         let bytes = mat.block_bytes(owner);
-        let topo = self.proc.topology();
         let serve = mat.cost_rank(owner);
-        let cost = if serve == me || topo.same_domain(me, serve) {
-            if serve != me {
-                self.recorder.count_intragroup(bytes);
-            }
-            let cross = serve != me && self.membw_group(me) != self.membw_group(serve);
-            protocol::shm_copy(&self.machine, bytes as usize, cross)
-        } else {
-            self.recorder.count_internode(bytes);
-            protocol::rma_put(&self.machine, bytes as usize)
-        };
+        let cost = self.onesided(serve, bytes, true);
         let id = self.issue(cost, me, serve, bytes, || format!("put->{owner}"));
         self.outstanding.push(id);
         GetHandle::Sim(id)
@@ -305,23 +294,13 @@ impl Comm for SimComm {
         let me = self.proc.rank();
         mat.acc_block_from(owner, scale, data);
         let bytes = mat.block_bytes(owner);
-        let topo = self.proc.topology();
         let (rows, cols) = mat.block_dims(owner);
         // The elementwise add runs on the target host (an ARMCI/LAPI
         // accumulate handler): model it as remote CPU time at one add
         // per element, stolen from the owner's processor.
         let add_time = (rows * cols) as f64 / self.machine.cpu.peak_flops;
         let serve = mat.cost_rank(owner);
-        let mut cost = if serve == me || topo.same_domain(me, serve) {
-            if serve != me {
-                self.recorder.count_intragroup(bytes);
-            }
-            let cross = serve != me && self.membw_group(me) != self.membw_group(serve);
-            protocol::shm_copy(&self.machine, bytes as usize, cross)
-        } else {
-            self.recorder.count_internode(bytes);
-            protocol::rma_put(&self.machine, bytes as usize)
-        };
+        let mut cost = self.onesided(serve, bytes, true);
         if serve == me {
             // Local accumulate: our own CPU does the adds.
             self.proc.advance(add_time);

@@ -82,14 +82,6 @@ impl<C: Comm> Comm for SubComm<'_, C> {
         self.inner.barrier();
     }
 
-    fn fence_arrive(&mut self) -> u64 {
-        self.inner.fence_arrive()
-    }
-
-    fn fence_try(&mut self, fence: u64) -> bool {
-        self.inner.fence_try(fence)
-    }
-
     fn barrier_try(&mut self) -> bool {
         self.inner.barrier_try()
     }

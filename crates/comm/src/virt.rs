@@ -21,7 +21,7 @@
 //! what makes the flat-vs-hierarchical byte and makespan crossover
 //! measurable at paper-untouchable scales.
 
-use crate::comm::{Comm, GetHandle, Step};
+use crate::comm::{count_served, Comm, GetHandle, Step};
 use crate::dist::{DistMatrix, Landing};
 use crate::exec::{exec_run_tasks, RankTask};
 use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand};
@@ -69,11 +69,6 @@ impl VirtualComm {
         }
     }
 
-    /// NUMA brick of `rank` (mirrors the simulator's grouping).
-    fn membw_group(&self, rank: usize) -> usize {
-        rank / self.machine.shm.membw_group_size.max(1)
-    }
-
     /// Charge a nonblocking issue: the initiator-busy part advances the
     /// clock now; the full blocking completion time is remembered for
     /// `wait`/`fence`.
@@ -87,31 +82,19 @@ impl VirtualComm {
     }
 
     /// Uncontended cost of moving `bytes` between us and cost endpoint
-    /// `serve` (a one-sided get; puts differ only in latency).
-    fn onesided_cost(&self, serve: usize, bytes: usize, put: bool) -> TransferCost {
-        if serve == self.rank {
-            protocol::shm_copy(&self.machine, bytes, false)
-        } else if self.topo.same_domain(self.rank, serve) {
-            let cross = self.membw_group(self.rank) != self.membw_group(serve);
-            protocol::shm_copy(&self.machine, bytes, cross)
-        } else if put {
-            protocol::rma_put(&self.machine, bytes)
-        } else {
-            protocol::rma_get(&self.machine, bytes)
-        }
-    }
-
-    /// Classify a transfer by the hierarchy level that served it.
-    #[inline]
-    fn classify(&mut self, serve: usize, bytes: u64) {
-        if serve == self.rank {
-            return;
-        }
-        if self.topo.same_domain(self.rank, serve) {
-            self.recorder.count_intragroup(bytes);
-        } else {
-            self.recorder.count_internode(bytes);
-        }
+    /// `serve` ([`protocol::onesided`]), counted against the level that
+    /// served it.
+    fn onesided(&mut self, serve: usize, bytes: u64, put: bool) -> TransferCost {
+        let (cost, served) = protocol::onesided(
+            &self.machine,
+            &self.topo,
+            self.rank,
+            serve,
+            bytes as usize,
+            put,
+        );
+        count_served(&mut self.recorder, served, bytes);
+        cost
     }
 
     /// Close the final segment and surrender the clock record.
@@ -165,9 +148,7 @@ impl Comm for VirtualComm {
         let (rows, cols) = mat.land_block(owner, into);
         let bytes = (rows * cols * 8) as u64;
         self.recorder.count_fetch(bytes);
-        let serve = mat.cost_rank(owner);
-        self.classify(serve, bytes);
-        let cost = self.onesided_cost(serve, bytes as usize, false);
+        let cost = self.onesided(mat.cost_rank(owner), bytes, false);
         self.issue(cost)
     }
 
@@ -185,9 +166,7 @@ impl Comm for VirtualComm {
     fn nbput(&mut self, mat: &DistMatrix, owner: usize, data: &[f64]) -> GetHandle {
         mat.copy_block_from(owner, data);
         let bytes = mat.block_bytes(owner);
-        let serve = mat.cost_rank(owner);
-        self.classify(serve, bytes);
-        let cost = self.onesided_cost(serve, bytes as usize, true);
+        let cost = self.onesided(mat.cost_rank(owner), bytes, true);
         self.issue(cost)
     }
 
@@ -195,10 +174,8 @@ impl Comm for VirtualComm {
         mat.acc_block_from(owner, scale, data);
         let bytes = mat.block_bytes(owner);
         let (rows, cols) = mat.block_dims(owner);
-        let serve = mat.cost_rank(owner);
-        self.classify(serve, bytes);
         let add_time = (rows * cols) as f64 / self.machine.cpu.peak_flops;
-        let cost = self.onesided_cost(serve, bytes as usize, true);
+        let cost = self.onesided(mat.cost_rank(owner), bytes, true);
         // Blocking accumulate: full transfer plus the target-side adds.
         self.clock += cost.blocking_time() + add_time;
     }

@@ -2,7 +2,7 @@
 //!
 //! `&mut C`, `ChaosComm<C>` and `SubComm<C>` wrap a communicator by
 //! re-implementing the whole trait. A method one of them forgets falls
-//! back to the trait's default — for the split fence that is a blocking
+//! back to the trait's default — for the split barrier that is a blocking
 //! `barrier()` inside a polled executor rank, for `lease_buf` a silent
 //! loss of buffer pooling — and nothing else in the suite would notice.
 //! A recording fake notes what reaches it; each call made through a
@@ -83,14 +83,6 @@ impl Comm for Fake {
     }
     fn barrier(&mut self) {
         self.note("barrier".into());
-    }
-    fn fence_arrive(&mut self) -> u64 {
-        self.note("fence_arrive".into());
-        11
-    }
-    fn fence_try(&mut self, fence: u64) -> bool {
-        self.note(format!("fence_try({fence})"));
-        false
     }
     fn barrier_try(&mut self) -> bool {
         self.note("barrier_try".into());
@@ -207,8 +199,6 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
         ("prefer_direct", c.prefer_direct_access(peer).to_string()),
         ("now", c.now().to_string()),
         ("recorder", c.recorder().rank().to_string()),
-        ("fence_arrive", c.fence_arrive().to_string()),
-        ("fence_try", c.fence_try(11).to_string()),
         ("barrier_try", c.barrier_try().to_string()),
         ("ws_grow_count", c.ws_grow_count().to_string()),
         (
@@ -260,9 +250,9 @@ fn without_rank_queries(mut log: Vec<String>) -> Vec<String> {
     log
 }
 
-/// The trait has 25 methods; `get` and `put` are its own compositions,
+/// The trait has 23 methods; `get` and `put` are its own compositions,
 /// which the fake leaves alone, so they show as the `nbget`/`nbput` +
-/// `wait` they issue. The other 23 must each have been reached.
+/// `wait` they issue. The other 21 must each have been reached.
 #[test]
 fn every_trait_method_is_called() {
     let mut reached: Vec<String> = direct()
@@ -277,7 +267,7 @@ fn every_trait_method_is_called() {
         .collect();
     reached.sort();
     reached.dedup();
-    assert_eq!(reached.len(), 23, "{reached:?}");
+    assert_eq!(reached.len(), 21, "{reached:?}");
 }
 
 #[test]

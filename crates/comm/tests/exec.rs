@@ -4,7 +4,7 @@
 
 use srumma_comm::exec::{exec_launch, exec_run, exec_run_tasks, ExecComm, RankTask};
 use srumma_comm::{Comm, DistMatrix, Step};
-use srumma_dense::Matrix;
+use srumma_dense::{Matrix, Rng};
 use srumma_model::ProcGrid;
 use srumma_trace::TraceKind;
 
@@ -205,8 +205,8 @@ impl RankTask for BadBarrierTask {
 }
 
 /// The blocking side of the same contract: a blocking rank's split
-/// fence never reports `false` while the rank holds a permit. If it did,
-/// this poll loop would keep the only permit and the three ranks it
+/// barrier never reports `false` while the rank holds a permit. If it
+/// did, this poll loop would keep the only permit and the three ranks it
 /// waits for could never arrive. A regression hangs, so the run sits on
 /// a helper thread with a deadline.
 #[test]
@@ -217,11 +217,6 @@ fn gated_ranks_can_poll_the_split_fence_on_one_worker() {
             for _ in 0..3 {
                 while !c.barrier_try() {}
             }
-            // The two halves apart: arrive twice, then test both.
-            let (f0, f1) = (c.fence_arrive(), c.fence_arrive());
-            assert!(f1 > f0);
-            while !c.fence_try(f1) {}
-            assert!(c.fence_try(f0), "an earlier fence completed first");
             c.rank()
         });
         let _ = done_tx.send(res.outputs);
@@ -230,6 +225,163 @@ fn gated_ranks_can_poll_the_split_fence_on_one_worker() {
         .recv_timeout(std::time::Duration::from_secs(10))
         .expect("gated ranks polling the split fence livelocked");
     assert_eq!(outputs, vec![0, 1, 2, 3]);
+}
+
+/// Run `f` on a helper thread and fail unless it returns within 10 s: a
+/// lost wake or a barrier that never completes hangs rather than fails.
+fn within_10s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .unwrap_or_else(|e| panic!("{what}: run panicked or hung ({e:?})"))
+}
+
+const ROUNDS: usize = 40;
+
+/// One polled rank of [`barrier_generations_never_overlap`]: each round
+/// a seeded number of yields, then a count-in and the split barrier.
+struct RoundsTask {
+    comm: ExecComm,
+    counts: std::sync::Arc<Vec<std::sync::atomic::AtomicUsize>>,
+    rng: Rng,
+    round: usize,
+    yields: usize,
+    counted: bool,
+}
+
+impl RankTask for RoundsTask {
+    type Out = usize;
+    fn step(&mut self) -> Step<usize> {
+        use std::sync::atomic::Ordering;
+        if self.round == ROUNDS {
+            return Step::Done(self.round);
+        }
+        if self.yields > 0 {
+            self.yields -= 1;
+            return Step::Yield;
+        }
+        if !self.counted {
+            self.counts[self.round].fetch_add(1, Ordering::SeqCst);
+            self.counted = true;
+        }
+        if !self.comm.barrier_try() {
+            return Step::Park;
+        }
+        let n = self.comm.nranks();
+        let seen = self.counts[self.round].load(Ordering::SeqCst);
+        assert_eq!(
+            seen, n,
+            "round {} passed with {seen} of {n} arrived",
+            self.round
+        );
+        self.round += 1;
+        self.counted = false;
+        self.yields = self.rng.below(4);
+        Step::Yield
+    }
+}
+
+/// Every rank arrives at round `r` before any rank passes it, and no
+/// arrival at round `r + 1` counts towards round `r`: a rank that passes
+/// its barrier sees every rank's count-in for that round, never more.
+#[test]
+fn barrier_generations_never_overlap() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    for workers in [1, 2, 3] {
+        let outputs = within_10s("48 polled ranks", move || {
+            let counts: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..ROUNDS).map(|_| AtomicUsize::new(0)).collect());
+            exec_run_tasks(48, workers, false, None, |comm| {
+                let mut rng = Rng::new(0xBA77_1E55 ^ comm.rank() as u64);
+                let yields = rng.below(4);
+                Box::new(RoundsTask {
+                    comm,
+                    counts: Arc::clone(&counts),
+                    rng,
+                    round: 0,
+                    yields,
+                    counted: false,
+                })
+            })
+            .outputs
+        });
+        assert_eq!(outputs, vec![ROUNDS; 48], "workers={workers}");
+    }
+    within_10s("32 blocking ranks", || {
+        let counts: Vec<AtomicUsize> = (0..ROUNDS).map(|_| AtomicUsize::new(0)).collect();
+        exec_run(32, 2, |c| {
+            for (round, count) in counts.iter().enumerate() {
+                count.fetch_add(1, Ordering::SeqCst);
+                c.barrier();
+                let seen = count.load(Ordering::SeqCst);
+                assert_eq!(seen, 32, "round {round} passed with {seen} of 32 arrived");
+            }
+        });
+    });
+}
+
+/// A task that yields `rank % 3` times, then finishes, counting its
+/// finishes.
+struct ClaimTask {
+    comm: ExecComm,
+    yields: usize,
+    done: std::sync::Arc<Vec<std::sync::atomic::AtomicUsize>>,
+}
+
+impl RankTask for ClaimTask {
+    type Out = usize;
+    fn step(&mut self) -> Step<usize> {
+        if self.yields > 0 {
+            self.yields -= 1;
+            return Step::Yield;
+        }
+        let me = self.comm.rank();
+        self.done[me].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Step::Done(me)
+    }
+}
+
+/// However the ranks divide among the workers — evenly or not, fewer
+/// ranks than workers — each is started by exactly one claim and
+/// finishes exactly once: a rank claimed twice would show as one pick
+/// too many even where its empty slot made the second a no-op.
+#[test]
+fn every_rank_is_claimed_once() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    for nranks in [1, 2, 3, 7, 64, 1000] {
+        for workers in [1, 2, 3, 8] {
+            let (outputs, done, exec) = within_10s("claims", move || {
+                let done: Arc<Vec<AtomicUsize>> =
+                    Arc::new((0..nranks).map(|_| AtomicUsize::new(0)).collect());
+                let res = exec_run_tasks(nranks, workers, false, None, |comm| {
+                    Box::new(ClaimTask {
+                        yields: comm.rank() % 3,
+                        comm,
+                        done: Arc::clone(&done),
+                    })
+                });
+                (res.outputs, done, res.stats.exec.unwrap())
+            });
+            let case = format!("nranks={nranks} workers={workers}");
+            assert_eq!(outputs, (0..nranks).collect::<Vec<_>>(), "{case}");
+            assert!(
+                done.iter().all(|d| d.load(Ordering::SeqCst) == 1),
+                "{case}: a rank finished more than once or never"
+            );
+            // No rank parks, so every pick is a claim or the resume of
+            // a yield the worker kept.
+            let yields: u64 = (0..nranks).map(|r| (r % 3) as u64).sum();
+            assert_eq!(
+                exec.local_pops + exec.steals,
+                nranks as u64 + yields,
+                "{case}: {exec:?}"
+            );
+        }
+    }
 }
 
 // ---- poison propagation ---------------------------------------------

@@ -583,8 +583,8 @@ impl<'a> SrummaMachine<'a> {
 }
 
 /// Tasks a program runs per `step` before yielding to its host — large
-/// enough to amortize the scheduling round-trip, small enough that
-/// ranks interleave and stealing stays effective.
+/// enough to amortize the scheduling round-trip, small enough that the
+/// worker notices a poisoned run soon.
 pub(crate) const STRIDE: usize = 8;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -599,8 +599,8 @@ enum Phase {
 /// set, the staging prologue and its fence; then the [`SrummaMachine`]
 /// `STRIDE` tasks per step; then the closing fence. On the executor
 /// the fences are park points, which is what lets 1024 ranks run on 4
-/// worker threads — a rank waiting in one costs a deque entry, not an
-/// OS thread.
+/// worker threads — a rank waiting in one costs an entry in the
+/// barrier's waiter list, not an OS thread.
 pub struct SrummaProgram<'a> {
     spec: &'a GemmSpec,
     a: &'a DistMatrix,

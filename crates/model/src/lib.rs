@@ -38,5 +38,5 @@ pub mod protocol;
 pub mod topology;
 
 pub use machine::{Machine, Platform};
-pub use network::{CpuParams, NetParams, ShmParams, TransferCost};
+pub use network::{membw_group, CpuParams, NetParams, ShmParams, TransferCost};
 pub use topology::{ProcGrid, Topology};

@@ -92,6 +92,15 @@ pub struct ShmParams {
     pub direct_access_eff: f64,
 }
 
+/// The memory-bandwidth group (NUMA brick) `rank` belongs to when
+/// groups are `group_size` consecutive ranks
+/// ([`ShmParams::membw_group_size`]): the one grouping the simulator's
+/// bandwidth resources and every one-sided price ([`crate::protocol::onesided`])
+/// agree on.
+pub fn membw_group(rank: usize, group_size: usize) -> usize {
+    rank / group_size.max(1)
+}
+
 /// Per-processor compute parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CpuParams {

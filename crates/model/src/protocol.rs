@@ -13,7 +13,8 @@
 //!   is already folded into the effective bandwidth).
 
 use crate::machine::Machine;
-use crate::network::{Path, TransferCost};
+use crate::network::{membw_group, Path, TransferCost};
+use crate::topology::Topology;
 
 /// The protocols the paper measures against each other.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -101,6 +102,58 @@ pub fn shm_copy(m: &Machine, bytes: usize, cross_numa: bool) -> TransferCost {
         // The initiator's own CPU performs the copy: nothing overlaps.
         async_fraction: 0.0,
     }
+}
+
+/// Which level of the memory hierarchy serves a one-sided transfer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Served {
+    /// The initiator's own memory.
+    Own,
+    /// Another rank of the initiator's shared-memory domain.
+    Domain,
+    /// A rank in another domain, across the network.
+    Network,
+}
+
+impl Served {
+    /// The level at which `me` reaches the memory of rank `serve`
+    /// under `topo`.
+    pub fn of(topo: &Topology, me: usize, serve: usize) -> Served {
+        if serve == me {
+            Served::Own
+        } else if topo.same_domain(me, serve) {
+            Served::Domain
+        } else {
+            Served::Network
+        }
+    }
+}
+
+/// The uncontended price of a one-sided transfer of `bytes` between
+/// `me` and the rank `serve` whose memory it touches — a get, or with
+/// `put` a put or accumulate — and the level that served it: a local
+/// copy from our own memory, a shared-memory copy within the domain
+/// (at the remote-brick bandwidth across memory-bandwidth groups), an
+/// RMA get or put across the network.
+pub fn onesided(
+    m: &Machine,
+    topo: &Topology,
+    me: usize,
+    serve: usize,
+    bytes: usize,
+    put: bool,
+) -> (TransferCost, Served) {
+    let served = Served::of(topo, me, serve);
+    let cost = match served {
+        Served::Own => shm_copy(m, bytes, false),
+        Served::Domain => {
+            let group = |r| membw_group(r, m.shm.membw_group_size);
+            shm_copy(m, bytes, group(me) != group(serve))
+        }
+        Served::Network if put => rma_put(m, bytes),
+        Served::Network => rma_get(m, bytes),
+    };
+    (cost, served)
 }
 
 /// Direct load/store access: no transfer happens at all — the cost moves

@@ -283,7 +283,7 @@ impl Kernel {
     }
 
     fn membw_group(&self, rank: usize) -> usize {
-        rank / self.cfg.membw_group_size.max(1)
+        srumma_model::membw_group(rank, self.cfg.membw_group_size)
     }
 
     // ----- scheduling core ---------------------------------------------

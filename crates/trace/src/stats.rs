@@ -100,9 +100,11 @@ impl RankStats {
 pub struct ExecStats {
     /// Worker pool size, or permit count.
     pub workers: usize,
-    /// Tasks a worker popped from its own deque, or permits granted.
+    /// Ranks a worker claimed from its own share of the unstarted ones
+    /// plus the resumes of a rank it kept (one that yielded), or
+    /// permits granted.
     pub local_pops: u64,
-    /// Tasks a worker stole from a sibling's deque.
+    /// Unstarted ranks a worker claimed from a sibling's share.
     pub steals: u64,
     /// Tasks a worker took from the global injector (wake-ups after a
     /// park).
@@ -130,7 +132,7 @@ impl ExecStats {
     }
 
     /// Fraction of scheduling decisions that were steals, in `[0, 1]`.
-    /// High values mean load was imbalanced across worker deques.
+    /// High values mean load was imbalanced across worker shares.
     pub fn steal_rate(&self) -> f64 {
         let total = self.schedules();
         if total == 0 {

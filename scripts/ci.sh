@@ -63,10 +63,12 @@ fi
 echo "== host guard: one wall-clock communicator, ranks polled or under permits =="
 # Thread-per-rank is the executor's blocking hosting with a permit per
 # rank (exec::thread_run); a second wall-clock Comm, or a worker lending
-# its slot to a blocking rank, is the retired design coming back.
-if grep -rn 'ThreadComm\|PoisonBarrier\|ThreadRunResult\|thread_launch\|grant_and_lend\|gate_wait_grant' \
+# its slot to a blocking rank, is the retired design coming back. So are
+# work-stealing deques, fence retirement and the multi-fence split pair:
+# workers claim ranks from counters, and the one barrier has generations.
+if grep -rn 'ThreadComm\|PoisonBarrier\|ThreadRunResult\|thread_launch\|grant_and_lend\|gate_wait_grant\|WorkDeque\|retire_rank\|fence_retire\|fn fence_try\|fn fence_arrive(&mut self)' \
     crates src tests examples; then
-    echo "FAIL: a retired host name is back (see above; EXPERIMENTS.md, \"One wall-clock communicator\")" >&2; exit 1
+    echo "FAIL: a retired host name is back (see above; EXPERIMENTS.md, \"One wall-clock communicator\", \"Claim counters\")" >&2; exit 1
 fi
 
 echo "== product guard: a run writes C where the caller reads it =="
@@ -255,8 +257,8 @@ echo "== oversubscription smoke: 128 ranks on 2 workers =="
 timeout 300 cargo run --release -q -p srumma-bench \
     --bin bench_executor_scaling -- --smoke
 
-echo "== split-fence pass: decorators, blocking polling, polled and driven programs =="
-# A decorator that drops a fence method, a blocking rank that polls while
+echo "== split-barrier pass: decorators, blocking polling, polled and driven programs =="
+# A decorator that drops the split barrier, a blocking rank that polls while
 # holding its permit, a program parked where nothing wakes it: all hang
 # rather than fail, so the tests that pin them run once more, bounded.
 # run_plan also holds the in-place ≡ owned-copy differentials (operands and
@@ -298,6 +300,18 @@ timeout 300 env SRUMMA_KERNEL=scalar cargo test -q --release -p srumma --test pr
 # same pass/fail, and the suite's reproducibility test asserts
 # bit-identical virtual-time results internally.
 timeout 300 cargo test -q --release -p srumma --test property_chaos
+
+echo "== schedule soak: the executor suites 20 times each =="
+# A schedule-dependent hang or lost wake shows in one run in many, not
+# in every run: repeat the executor's own tests and the multiply-level
+# ones, each run bounded, so such a bug fails CI rather than one run in
+# twenty.
+for i in $(seq 20); do
+    timeout 300 cargo test -q --release -p srumma-comm --test exec >/dev/null \
+        || { echo "FAIL: srumma-comm --test exec, soak run $i" >&2; exit 1; }
+    timeout 300 cargo test -q --release -p srumma-core --test exec_multiply >/dev/null \
+        || { echo "FAIL: srumma-core --test exec_multiply, soak run $i" >&2; exit 1; }
+done
 
 echo "== hierarchical smoke: 4096 simulated ranks on the virtual backend =="
 # Two-level node-group staging at CI-feasible scale: 4096 LogGP rank
