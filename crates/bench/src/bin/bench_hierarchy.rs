@@ -26,13 +26,14 @@
 //! count ≥ 4096. The model is deterministic — a violation is an
 //! algorithm or cost-model regression, never noise.
 //!
-//! Emits `results/BENCH_hierarchy.json`; `bench_diff` gates the
-//! `internode_bytes_*` keys (registered lower-is-better) at warn level
-//! in CI.
+//! Emits `results/BENCH_hierarchy.json`. CI runs the full sweep and
+//! requires the JSON to equal the checked-in one byte for byte;
+//! `bench_diff` also reports the `internode_bytes_*` keys (registered
+//! lower-is-better) at warn level.
 //!
 //! Usage: `cargo run --release -p srumma-bench --bin bench_hierarchy
 //! [-- --quick] [-- --smoke] [-- --out PATH] [-- --workers W]`
-//! (`--quick`: 1k/4k only; `--smoke`: the CI configuration, 4k only.)
+//! (`--quick`: 1k/4k only; `--smoke`: 4k only. CI runs the full sweep.)
 
 use srumma_bench::{print_table, write_bench_json, BenchArgs};
 use srumma_core::hier::{measure_flat_virtual, measure_hier_virtual};

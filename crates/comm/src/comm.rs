@@ -58,9 +58,8 @@ pub enum GetHandle {
     /// Pending simulated transfer.
     Sim(srumma_sim::TransferId),
     /// Pending transfer on the per-rank virtual-clock backend
-    /// ([`crate::virt::VirtualComm`]); the index keys its internal
-    /// completion-time table.
-    Virt(usize),
+    /// ([`crate::virt::VirtualComm`]): the virtual time it completes.
+    Virt(f64),
 }
 
 /// Backend-independent rank communicator.

@@ -6,9 +6,10 @@
 //! trades transfer *contention* for scale: every rank carries its own
 //! independent virtual clock, charges each operation its uncontended
 //! [`TransferCost`](srumma_model::TransferCost), and runs **to
-//! completion** as a state-machine task on the work-stealing executor —
-//! no per-rank OS thread, no cross-rank coupling, so 65 536 ranks are a
-//! few seconds of host time.
+//! completion** as one task on the executor's claim counters — no
+//! per-rank OS thread, no cross-rank coupling, so 65 536 ranks are a
+//! few seconds of host time. A get handle carries its own completion
+//! time, so a rank keeps no table of its transfers.
 //!
 //! Rank clocks are recombined **BSP-style** at barriers: `barrier()` is
 //! non-blocking in virtual time (it only cuts the current clock
@@ -41,10 +42,10 @@ pub struct VirtualComm {
     seg_start: f64,
     /// Closed segment durations (one per barrier passed).
     segments: Vec<f64>,
-    /// Completion time of every transfer issued, indexed by handle.
-    done_at: Vec<f64>,
-    /// Handles not yet waited on (drained by `fence`).
-    outstanding: Vec<usize>,
+    /// Latest completion time of any transfer issued: what `fence`
+    /// waits for. Waited handles stay in the max, which changes nothing
+    /// because the clock never goes back.
+    pending: f64,
     recorder: Recorder,
     ws: GemmWorkspace,
 }
@@ -62,23 +63,20 @@ impl VirtualComm {
             clock: 0.0,
             seg_start: 0.0,
             segments: Vec::new(),
-            done_at: Vec::new(),
-            outstanding: Vec::new(),
+            pending: 0.0,
             recorder: Recorder::disabled(rank),
             ws: GemmWorkspace::new(),
         }
     }
 
     /// Charge a nonblocking issue: the initiator-busy part advances the
-    /// clock now; the full blocking completion time is remembered for
-    /// `wait`/`fence`.
+    /// clock now; the full blocking completion time goes in the handle
+    /// and in `pending`.
     fn issue(&mut self, cost: TransferCost) -> GetHandle {
-        let start = self.clock;
+        let done = self.clock + cost.blocking_time();
         self.clock += cost.initiator_busy_time();
-        let id = self.done_at.len();
-        self.done_at.push(start + cost.blocking_time());
-        self.outstanding.push(id);
-        GetHandle::Virt(id)
+        self.pending = self.pending.max(done);
+        GetHandle::Virt(done)
     }
 
     /// Uncontended cost of moving `bytes` between us and cost endpoint
@@ -155,10 +153,7 @@ impl Comm for VirtualComm {
     fn wait(&mut self, h: GetHandle) {
         match h {
             GetHandle::Ready => {}
-            GetHandle::Virt(id) => {
-                self.clock = self.clock.max(self.done_at[id]);
-                self.outstanding.retain(|&o| o != id);
-            }
+            GetHandle::Virt(done) => self.clock = self.clock.max(done),
             GetHandle::Sim(_) => unreachable!("virtual backend issues no simulated transfers"),
         }
     }
@@ -181,9 +176,7 @@ impl Comm for VirtualComm {
     }
 
     fn fence(&mut self) {
-        for id in std::mem::take(&mut self.outstanding) {
-            self.clock = self.clock.max(self.done_at[id]);
-        }
+        self.clock = self.clock.max(self.pending);
     }
 
     fn gemm(

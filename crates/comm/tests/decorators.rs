@@ -115,7 +115,7 @@ impl Comm for Fake {
                 mark(panel, side, 3);
             }
         }
-        GetHandle::Virt(77)
+        GetHandle::Virt(77.0)
     }
     fn wait(&mut self, h: GetHandle) {
         self.note(format!("wait({h:?})"));
@@ -125,7 +125,7 @@ impl Comm for Fake {
             "nbput({:?}, {owner}, {data:?})",
             mat.block_dims(owner)
         ));
-        GetHandle::Virt(78)
+        GetHandle::Virt(78.0)
     }
     fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>) {
         let (dims, data) = (mat.block_dims(owner), data.map(|d| d.to_matrix()));
@@ -222,7 +222,7 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
     c.gemm(2, 1, 2, 0.5, None, b, 0.0, None, false, "packed");
     c.return_buf(&mut panel);
     seen.push(("returned", shape(&panel)));
-    c.wait(GetHandle::Virt(9));
+    c.wait(GetHandle::Virt(9.0));
     c.get(&mat, 3, &mut buf);
     c.put(&mat, 2, &[1.5, 2.5]);
     c.acc(&mat, 1, -2.0, Some(MatRef::new(1, 1, 1, &[0.5])));

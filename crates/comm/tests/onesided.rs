@@ -3,7 +3,7 @@
 //! library exposes (SRUMMA itself only needs get, but `ga_dgemm`'s
 //! siblings in Global Arrays use all of them).
 
-use srumma_comm::{sim_run, thread_run, Comm, DistMatrix, SimOptions};
+use srumma_comm::{sim_run, thread_run, virtual_run, Comm, DistMatrix, Landing, SimOptions};
 use srumma_dense::{MatRef, Matrix};
 use srumma_model::{Machine, ProcGrid};
 
@@ -130,4 +130,41 @@ fn put_then_get_roundtrip_on_threads() {
     for out in res.outputs {
         assert_eq!(out, expect.as_slice());
     }
+}
+
+/// `fence` over gets some of which were waited gives the clock, to
+/// the bit, that waiting on every handle in issue order gives.
+#[test]
+fn fence_after_partial_waits_is_waiting_on_every_handle() {
+    let machine = Machine::linux_myrinet();
+    let mat = DistMatrix::create_virtual(ProcGrid::new(2, 2), 300, 200);
+    let run = |fence: bool| {
+        virtual_run(&machine, 4, 2, |c| {
+            let mut buf = Vec::new();
+            let mut handles = Vec::new();
+            for owner in [(c.rank() + 2) % 4, c.rank(), (c.rank() + 1) % 4] {
+                handles.push(c.nbget(&mat, owner, Landing::Rows(&mut buf)));
+            }
+            c.gemm(32, 32, 32, 1.0, None, None, 1.0, None, false, "t");
+            handles.push(c.nbget(&mat, 3 - c.rank(), Landing::Rows(&mut buf)));
+            let issued = c.now();
+            if fence {
+                c.wait(handles.swap_remove(1));
+                c.fence();
+            } else {
+                handles.into_iter().for_each(|h| c.wait(h));
+            }
+            (issued.to_bits(), c.now().to_bits())
+        })
+    };
+    let (fenced, waited) = (run(true), run(false));
+    assert_eq!(fenced.outputs, waited.outputs);
+    assert!(fenced
+        .outputs
+        .iter()
+        .all(|&(i, d)| f64::from_bits(d) > f64::from_bits(i)));
+    assert_eq!(
+        fenced.stats.makespan.to_bits(),
+        waited.stats.makespan.to_bits()
+    );
 }

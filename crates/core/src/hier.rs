@@ -92,20 +92,30 @@ pub fn staging_duties(
     let members = topo.ranks_on_node(topo.node_of(me));
     let w = members.len();
     // Window-local view of my node group, for grid arithmetic.
-    let local = (members.start - base)..(members.end - base);
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    // Elected slots are exactly `me − members.start (mod w)`.
-    let mut slot = me - members.start;
-    while slot < grid.nranks() {
-        if !topo.same_domain(me, base + slot) {
-            if members_in_row(grid, local.clone(), slot / grid.q) >= 2 {
-                a.push(slot);
-            }
-            if members_in_col(grid, local.clone(), slot % grid.q) >= 2 {
-                b.push(slot);
-            }
+    let (lo, hi) = (members.start - base, members.end - base);
+    // Elected slots are exactly `me − members.start (mod w)`; the
+    // group's own slots are on-node and never staged.
+    let off = me - members.start;
+    let (q, mut a, mut b) = (grid.q, Vec::new(), Vec::new());
+    // A panels are shared only within the grid rows the group meets.
+    for row in lo / q..hi.div_ceil(q) {
+        if members_in_row(grid, lo..hi, row) >= 2 {
+            let first = row * q + (off + w - row * q % w) % w;
+            a.extend(
+                (first..(row + 1) * q)
+                    .step_by(w)
+                    .filter(|s| !(lo..hi).contains(s)),
+            );
         }
-        slot += w;
+    }
+    // A column holds two members only when the group is wider than a
+    // grid row.
+    if w > q {
+        b.extend(
+            (off..grid.nranks())
+                .step_by(w)
+                .filter(|&s| !(lo..hi).contains(&s) && members_in_col(grid, lo..hi, s % q) >= 2),
+        );
     }
     (a, b)
 }
@@ -120,35 +130,28 @@ pub struct HierStages<'a> {
     pub sa: &'a DistMatrix,
     /// My group's staging copy of B.
     pub sb: &'a DistMatrix,
-    /// The run topology (groups = SMP domains), in global ranks.
-    pub topo: Topology,
     /// The C process grid (slot → window-local grid coordinates).
     pub grid: ProcGrid,
-    /// This rank's global id.
-    pub me: usize,
-    /// First global rank of the slot window (see [`staging_duties`]).
-    pub base: usize,
+    /// My node group as window-local ranks `[lo, hi)`: its slots are
+    /// on-node, and it sets each panel's demand multiplicity.
+    pub lo: usize,
+    /// End of my node group's window-local range.
+    pub hi: usize,
 }
 
 impl<'a> HierStages<'a> {
-    /// My node group as window-local ranks, for grid arithmetic.
-    fn members(&self) -> std::ops::Range<usize> {
-        let m = self.topo.ranks_on_node(self.topo.node_of(self.me));
-        (m.start - self.base)..(m.end - self.base)
-    }
-
     /// Whether an A fetch of slot `owner` is served by the staging
     /// matrix.
     pub fn redirect_a(&self, owner: usize) -> bool {
-        !self.topo.same_domain(self.me, self.base + owner)
-            && members_in_row(self.grid, self.members(), owner / self.grid.q) >= 2
+        !(self.lo..self.hi).contains(&owner)
+            && members_in_row(self.grid, self.lo..self.hi, owner / self.grid.q) >= 2
     }
 
     /// Whether a B fetch of slot `owner` is served by the staging
     /// matrix.
     pub fn redirect_b(&self, owner: usize) -> bool {
-        !self.topo.same_domain(self.me, self.base + owner)
-            && members_in_col(self.grid, self.members(), owner % self.grid.q) >= 2
+        !(self.lo..self.hi).contains(&owner)
+            && members_in_col(self.grid, self.lo..self.hi, owner % self.grid.q) >= 2
     }
 
     /// The matrix an A fetch of `owner`'s panel should read.
@@ -239,13 +242,13 @@ impl HierStageSet {
     pub(crate) fn redirect(&self, rank: usize, grid: ProcGrid) -> HierStages<'_> {
         let me = self.base + rank;
         let (sa, sb) = self.stages_for(me);
+        let members = self.topo.ranks_on_node(self.topo.node_of(me));
         HierStages {
             sa,
             sb,
-            topo: self.topo,
             grid,
-            me,
-            base: self.base,
+            lo: members.start - self.base,
+            hi: members.end - self.base,
         }
     }
 }

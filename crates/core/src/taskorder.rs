@@ -76,42 +76,29 @@ pub fn build_tasks_into(tasks: &mut Vec<Task>, k: usize, aparts: usize, bparts: 
         // pre-pass.
         return;
     }
-    // Gather all panel boundaries from both partitions.
-    let mut bounds: Vec<usize> = Vec::new();
-    for i in 0..aparts {
-        bounds.push(chunk_start(k, aparts, i));
-    }
-    for i in 0..bparts {
-        bounds.push(chunk_start(k, bparts, i));
-    }
-    bounds.push(k);
-    bounds.sort_unstable();
-    bounds.dedup();
-
-    let panel_of = |n: usize, parts: usize, x: usize| -> usize {
-        // Find the chunk containing offset x (x < n).
-        let base = n / parts;
-        let rem = n % parts;
-        if x < rem * (base + 1) {
-            x / (base + 1)
-        } else {
-            rem + (x - rem * (base + 1)) / base.max(1)
+    // Merge the two partitions' boundaries in one pass: `la`/`lb` are
+    // the panels holding `k0`, and the task ends at the nearer of their
+    // ends. Panel lengths differ by at most one, so an empty panel only
+    // ever starts at `k`: one step past a panel that ended is enough.
+    let (mut la, mut lb, mut k0) = (0, 0, 0);
+    while k0 < k {
+        if chunk_start(k, aparts, la + 1) == k0 {
+            la += 1;
         }
-    };
-
-    tasks.extend(bounds.windows(2).filter(|w| w[1] > w[0]).map(|w| {
-        let (k0, k1) = (w[0], w[1]);
-        let la = panel_of(k, aparts, k0);
-        let lb = panel_of(k, bparts, k0);
-        Task {
+        if chunk_start(k, bparts, lb + 1) == k0 {
+            lb += 1;
+        }
+        let k1 = chunk_start(k, aparts, la + 1).min(chunk_start(k, bparts, lb + 1));
+        tasks.push(Task {
             k0,
             k1,
             la,
             lb,
             k0_rel_a: k0 - chunk_start(k, aparts, la),
             k0_rel_b: k0 - chunk_start(k, bparts, lb),
-        }
-    }));
+        });
+        k0 = k1;
+    }
 }
 
 /// Produce the execution order (a permutation of task indices) under

@@ -313,17 +313,22 @@ for i in $(seq 20); do
         || { echo "FAIL: srumma-core --test exec_multiply, soak run $i" >&2; exit 1; }
 done
 
-echo "== hierarchical smoke: 4096 simulated ranks on the virtual backend =="
-# Two-level node-group staging at CI-feasible scale: 4096 LogGP rank
-# clocks on the host pool. The bench itself hard-fails (exit 1) unless
-# the hierarchical schedule moves strictly fewer inter-node bytes than
-# flat at 4096 ranks; hangs in the staging fence or the replica
-# reduction are bounded by the timeout.
+echo "== hierarchical sweep: 1k-64k simulated ranks on the virtual backend =="
+# Two-level node-group staging over the whole crossover sweep (1k, 4k,
+# 16k and 64k LogGP rank clocks on the host pool, a few seconds). The
+# bench itself hard-fails (exit 1) unless the hierarchical schedule
+# moves strictly fewer inter-node bytes than flat; hangs in the staging
+# fence or the replica reduction are bounded by the timeout. The JSON
+# is a deterministic model output, so it must equal the checked-in
+# baseline byte for byte: a change to the staging enumeration, the task
+# list or the virtual clocks that moves one bit fails here.
 timeout 300 cargo run --release -q -p srumma-bench \
-    --bin bench_hierarchy -- --smoke --out "$out/BENCH_hierarchy.json"
+    --bin bench_hierarchy -- --out "$out/BENCH_hierarchy.json" >/dev/null
+cmp "$out/BENCH_hierarchy.json" results/BENCH_hierarchy.json \
+    || { echo "FAIL: BENCH_hierarchy.json differs from results/" >&2; exit 1; }
 
 echo "== perf gate (warn): hierarchical inter-node bytes =="
-# Diff the smoke point against the checked-in crossover baseline on the
+# Diff the sweep against the checked-in crossover baseline on the
 # internode_bytes_* keys (registered lower-is-better). The byte counts
 # are deterministic model outputs, so the tight per-key threshold only
 # trips when the staging algorithm or the cost model changes — but keep
