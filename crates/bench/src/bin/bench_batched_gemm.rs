@@ -28,7 +28,7 @@
 //! serial reference, with the grow-at-most-once workspace invariant
 //! asserted per rank.
 
-use srumma_bench::{fmt, print_table, write_bench_json, BenchArgs};
+use srumma_bench::{fmt, print_table, BenchArgs};
 use srumma_core::batch::{batch_serial_reference, multiply_batch_exec, BatchEntry, BatchSpec};
 use srumma_core::driver::multiply_exec;
 use srumma_core::{Algorithm, GemmSpec};
@@ -188,14 +188,5 @@ fn main() {
     );
 
     let report = bench_report_json("batched_gemm", "host", "[]", &metrics.finish());
-    match &cfg.out {
-        Some(path) => match std::fs::write(path, &report) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => write_bench_json("batched_gemm", &report),
-    }
+    cfg.write_report("batched_gemm", &report);
 }

@@ -26,7 +26,7 @@
 //! Usage: `cargo run --release -p srumma-bench --bin bench_degradation
 //! [-- --quick] [-- --out PATH] [-- --n N] [-- --nranks P]`
 
-use srumma_bench::{print_table, write_bench_json, BenchArgs};
+use srumma_bench::{print_table, BenchArgs};
 use srumma_comm::FaultPlan;
 use srumma_core::{Algorithm, Backend, GemmSpec, Run};
 use srumma_model::Machine;
@@ -139,16 +139,7 @@ fn main() {
     }
 
     let report = bench_report_json("degradation", "sim", "[]", &metrics.finish());
-    match &cfg.out {
-        Some(path) => match std::fs::write(path, &report) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => write_bench_json("degradation", &report),
-    }
+    cfg.write_report("degradation", &report);
     if !ok {
         std::process::exit(1);
     }

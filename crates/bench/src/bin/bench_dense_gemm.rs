@@ -65,7 +65,7 @@
 //! Usage: `cargo run --release -p srumma-bench --bin bench_dense_gemm
 //! [-- --quick] [-- --out PATH]`
 
-use srumma_bench::{fmt, print_table, write_bench_json, BenchArgs};
+use srumma_bench::{fmt, print_table, BenchArgs};
 use srumma_dense::aligned::AlignedBuf;
 use srumma_dense::gemm::gemm_flops;
 use srumma_dense::kernel::{active_kernel, Microkernel, NR_AVX512};
@@ -399,14 +399,5 @@ fn main() {
     );
 
     let report = bench_report_json("dense_gemm", "host", "[]", &metrics.finish());
-    match &cfg.out {
-        Some(path) => match std::fs::write(path, &report) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => write_bench_json("dense_gemm", &report),
-    }
+    cfg.write_report("dense_gemm", &report);
 }

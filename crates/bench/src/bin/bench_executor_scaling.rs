@@ -23,7 +23,7 @@
 //! permit-gated threads), verified against the serial kernel — a
 //! deadlock or mismatch fails fast.
 
-use srumma_bench::{fmt, print_table, write_bench_json, BenchArgs};
+use srumma_bench::{fmt, print_table, BenchArgs};
 use srumma_core::driver::{multiply_exec, multiply_threads, serial_reference};
 use srumma_core::{Algorithm, GemmSpec};
 use srumma_dense::{max_abs_diff, Matrix};
@@ -160,14 +160,5 @@ fn main() {
     );
 
     let report = bench_report_json("executor_scaling", "host", "[]", &metrics.finish());
-    match &cfg.out {
-        Some(path) => match std::fs::write(path, &report) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => write_bench_json("executor_scaling", &report),
-    }
+    cfg.write_report("executor_scaling", &report);
 }

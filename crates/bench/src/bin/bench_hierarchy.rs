@@ -35,7 +35,7 @@
 //! [-- --quick] [-- --smoke] [-- --out PATH] [-- --workers W]`
 //! (`--quick`: 1k/4k only; `--smoke`: 4k only. CI runs the full sweep.)
 
-use srumma_bench::{print_table, write_bench_json, BenchArgs};
+use srumma_bench::{print_table, BenchArgs};
 use srumma_core::hier::{measure_flat_virtual, measure_hier_virtual};
 use srumma_core::{Algorithm, Backend, GemmSpec, ReplicationFactor, Run, SrummaOptions};
 use srumma_model::machine::RanksPerDomain;
@@ -168,16 +168,7 @@ fn main() {
     );
 
     let report = bench_report_json("hierarchy", "virtual", "[]", &metrics.finish());
-    match &cfg.out {
-        Some(path) => match std::fs::write(path, &report) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => write_bench_json("hierarchy", &report),
-    }
+    cfg.write_report("hierarchy", &report);
     if !gate_ok {
         std::process::exit(1);
     }

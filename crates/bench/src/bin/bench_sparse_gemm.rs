@@ -32,7 +32,7 @@
 //! the executor with 2 workers, verified, with the per-rank counter
 //! invariant `tasks + masked_tasks == dense task count` asserted.
 
-use srumma_bench::{print_table, write_bench_json, BenchArgs};
+use srumma_bench::{print_table, BenchArgs};
 use srumma_core::driver::{default_grid, multiply_exec, sparse_serial_reference, SparseMasks};
 use srumma_core::{Algorithm, Backend, GemmSpec, Run, RunOutput, SrummaReport};
 use srumma_dense::{max_abs_diff, BlockMask, Matrix};
@@ -259,14 +259,5 @@ fn main() {
     );
 
     let report = bench_report_json("sparse_gemm", "host", "[]", &metrics.finish());
-    match &cfg.out {
-        Some(path) => match std::fs::write(path, &report) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => write_bench_json("sparse_gemm", &report),
-    }
+    cfg.write_report("sparse_gemm", &report);
 }

@@ -8,8 +8,8 @@
 //! `bench_executor_scaling` sweeps ranks per worker. Not a figure — a
 //! development tool.
 
-use srumma_bench::{fmt, pdgemm_best, srumma_gflops, srumma_stats};
-use srumma_core::GemmSpec;
+use srumma_bench::{fmt, pdgemm_best, srumma_run};
+use srumma_core::{GemmSpec, SrummaOptions};
 use srumma_dense::Microkernel;
 use srumma_model::Machine;
 
@@ -92,9 +92,9 @@ fn main() {
     ];
     for (name, machine, p, n, paper_s, paper_p) in anchors {
         let spec = GemmSpec::square(n);
-        let s = srumma_gflops(&machine, p, &spec);
+        let stats = srumma_run(&machine, p, &spec, SrummaOptions::default());
+        let s = stats.gflops(spec.flops());
         let (pd, nb) = pdgemm_best(&machine, p, &spec);
-        let stats = srumma_stats(&machine, p, &spec);
         let ov = stats.mean_overlap().map(|o| o * 100.0).unwrap_or(0.0);
         println!(
             "{name}: SRUMMA {} (paper {paper_s}), pdgemm {} nb={nb:?} (paper {paper_p}), ratio {:.1} (paper {:.1}), overlap {ov:.0}%",

@@ -1,8 +1,9 @@
 //! # srumma-bench — experiment harness support
 //!
-//! Shared plumbing for the per-figure binaries in `src/bin/`: aligned
-//! table printing, CSV output (under `results/`), and the measurement
-//! helpers every figure uses (SRUMMA GFLOP/s, block-size-tuned
+//! Shared plumbing for the `reproduce` binary (one row per figure of the
+//! paper) and the `bench_*` programs in `src/bin/`: aligned table
+//! printing, CSV and JSON output (under `results/`), and the measurement
+//! helpers every figure uses (a modeled SRUMMA run, block-size-tuned
 //! SUMMA/pdgemm GFLOP/s — the paper chose "optimum block sizes …
 //! empirically for all matrix sizes and processor counts", so the
 //! harness does the same sweep).
@@ -11,7 +12,8 @@ use srumma_core::driver::{measure_gflops, measure_modeled};
 use srumma_core::{Algorithm, GemmSpec, SrummaOptions, SummaOptions};
 use srumma_model::Machine;
 use srumma_sim::RunStats;
-use std::io::Write;
+use std::io;
+use std::path::Path;
 
 pub mod timing;
 
@@ -19,10 +21,11 @@ pub mod timing;
 /// sweep), `--smoke` (bounded CI correctness run), `--out PATH` (where
 /// the `BENCH_*.json` goes), `--workers W`, plus the binary's own
 /// numeric `--name N` flags. Anything else is a usage error (exit 2).
+#[derive(Default)]
 pub struct BenchArgs {
     pub quick: bool,
     pub smoke: bool,
-    pub out: Option<String>,
+    out: Option<String>,
     pub workers: Option<usize>,
     extra: Vec<(String, usize)>,
 }
@@ -31,13 +34,7 @@ impl BenchArgs {
     /// Parse the process arguments; `extra` names the binary's own
     /// numeric flags (e.g. `&["--n", "--nranks"]`).
     pub fn parse(extra: &[&str]) -> Self {
-        let mut cfg = BenchArgs {
-            quick: false,
-            smoke: false,
-            out: None,
-            workers: None,
-            extra: Vec::new(),
-        };
+        let mut cfg = BenchArgs::default();
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             let mut number = || args.next().and_then(|v| v.parse().ok());
@@ -64,21 +61,37 @@ impl BenchArgs {
         let given = self.extra.iter().rev().find(|(n, _)| n == name);
         given.map(|&(_, v)| v)
     }
+
+    /// Write the binary's report to `--out PATH`, or without it to
+    /// `<results_dir>/BENCH_<name>.json`. A report that cannot be
+    /// written exits 1.
+    pub fn write_report(&self, name: &str, json: &str) {
+        let written = match &self.out {
+            Some(path) => write_file(Path::new(path), json),
+            None => write_bench_json(&srumma_trace::results_dir(), name, json),
+        };
+        if let Err(e) = written {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+    }
 }
 
-/// Write a JSON report under `<results_dir>/BENCH_<name>.json` (the
-/// unified trace + metrics document the figure harnesses emit). The
-/// directory is the repo's `results/` — or `SRUMMA_RESULTS_DIR` —
-/// regardless of the cwd the binary was launched from
-/// (`srumma_trace::results_dir`).
-pub fn write_bench_json(name: &str, json: &str) {
-    let Ok(dir) = srumma_trace::ensure_results_dir() else {
-        return;
-    };
-    let path = dir.join(format!("BENCH_{name}.json"));
-    if std::fs::write(&path, json).is_ok() {
-        eprintln!("wrote {}", path.display());
-    }
+/// Write `contents` to `path`, creating its directory if missing; the
+/// error names the path.
+pub fn write_file(path: &Path, contents: &str) -> io::Result<()> {
+    let dir = path.parent().unwrap_or(Path::new(""));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(path, contents))
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
+}
+
+/// Write a JSON report as `<dir>/BENCH_<name>.json` (the unified trace
+/// + metrics document; `dir` is usually `srumma_trace::results_dir()`).
+pub fn write_bench_json(dir: &Path, name: &str, json: &str) -> io::Result<()> {
+    write_file(&dir.join(format!("BENCH_{name}.json")), json)
 }
 
 /// Print an aligned text table (paper-style).
@@ -86,10 +99,8 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
     let fmt_row = |cells: &[String]| {
@@ -100,33 +111,22 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!(
-        "{}",
-        fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
+    let head: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    let rule = widths.iter().sum::<usize>() + 2 * widths.len();
+    println!("{}\n{}", fmt_row(&head), "-".repeat(rule));
     for row in rows {
         println!("{}", fmt_row(row));
     }
 }
 
-/// Write the same table as CSV under `<results_dir>/<name>.csv`.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let Ok(dir) = srumma_trace::ensure_results_dir() else {
-        return;
-    };
-    let path = dir.join(format!("{name}.csv"));
-    let Ok(mut f) = std::fs::File::create(&path) else {
-        return;
-    };
-    let _ = writeln!(f, "{}", headers.join(","));
+/// Write the same table as CSV, `<dir>/<name>.csv`.
+pub fn write_csv(dir: &Path, name: &str, headers: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
+    let mut csv = headers.join(",") + "\n";
     for row in rows {
-        let _ = writeln!(f, "{}", row.join(","));
+        csv += &row.join(",");
+        csv.push('\n');
     }
-    eprintln!("wrote {}", path.display());
+    write_file(&dir.join(format!("{name}.csv")), &csv)
 }
 
 /// Format a float with sensible precision for tables.
@@ -140,24 +140,10 @@ pub fn fmt(v: f64) -> String {
     }
 }
 
-/// SRUMMA GFLOP/s with default (paper) options, modeled at scale.
-pub fn srumma_gflops(machine: &Machine, nranks: usize, spec: &GemmSpec) -> f64 {
-    measure_gflops(machine, nranks, &Algorithm::srumma_default(), spec)
-}
-
-/// SRUMMA run stats (for overlap and byte accounting).
-pub fn srumma_stats(machine: &Machine, nranks: usize, spec: &GemmSpec) -> RunStats {
-    measure_modeled(machine, nranks, &Algorithm::srumma_default(), spec)
-}
-
-/// SRUMMA with explicit options.
-pub fn srumma_gflops_opts(
-    machine: &Machine,
-    nranks: usize,
-    spec: &GemmSpec,
-    opts: SrummaOptions,
-) -> f64 {
-    measure_gflops(machine, nranks, &Algorithm::Srumma(opts), spec)
+/// A modeled SRUMMA run at paper scale: its statistics, from which the
+/// figures read GFLOP/s (`.gflops(spec.flops())`), overlap and bytes.
+pub fn srumma_run(m: &Machine, nranks: usize, spec: &GemmSpec, opts: SrummaOptions) -> RunStats {
+    measure_modeled(m, nranks, &Algorithm::Srumma(opts), spec)
 }
 
 /// The pdgemm stand-in: SUMMA with the empirically best panel width
@@ -204,9 +190,23 @@ mod tests {
     fn srumma_measurement_is_positive_and_bounded() {
         let m = Machine::linux_myrinet();
         let spec = GemmSpec::square(600);
-        let g = srumma_gflops(&m, 4, &spec);
+        let g = srumma_run(&m, 4, &spec, SrummaOptions::default()).gflops(spec.flops());
         // Cannot exceed 4 processors' peak.
         assert!(g > 0.0 && g < 4.0 * m.cpu.peak_flops / 1e9);
+    }
+
+    #[test]
+    fn writers_report_a_directory_they_cannot_create() {
+        // A regular file where the directory should be: unwritable even
+        // for root, which permission bits are not.
+        let file = std::env::temp_dir().join(format!("srumma-bench-{}-file", std::process::id()));
+        std::fs::write(&file, "").unwrap();
+        let dir = file.join("results");
+        let csv = write_csv(&dir, "t", &["a"], &[vec!["1".into()]]);
+        let json = write_bench_json(&dir, "t", "{}");
+        std::fs::remove_file(&file).unwrap();
+        assert!(csv.unwrap_err().to_string().contains("t.csv"));
+        assert!(json.unwrap_err().to_string().contains("BENCH_t.json"));
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub fn srumma_footprint(
             buffers: 0,
         };
     }
-    let slots = opts.effective_depth() as u64 + 1;
+    let slots = opts.prefetch_depth as u64 + 1;
     let per_a = max_a_block_bytes(spec, grid);
     let per_b = max_b_block_bytes(spec, grid);
     Footprint {

@@ -129,14 +129,12 @@ pub struct SrummaOptions {
     /// Stagger the remote fetch order so same-node processes pull from
     /// different nodes at each step (§3.1 "diagonal shift", Figure 4).
     pub diagonal_shift: bool,
-    /// Prefetch upcoming tasks' blocks with nonblocking gets while the
+    /// How many tasks ahead to prefetch with nonblocking gets while the
     /// current task computes (§3.1 step 4, the B1/B2 pipeline of
-    /// Figure 3). `false` forces blocking gets (the ablation).
-    pub double_buffer: bool,
-    /// How many tasks ahead to prefetch when `double_buffer` is on.
-    /// `1` is the paper's two-buffer scheme; larger values use
-    /// `depth + 1` buffers per operand (an extension, ablated in
-    /// `ablation_buffers`).
+    /// Figure 3). `0` forces blocking gets (the ablation), `1` is the
+    /// paper's two-buffer scheme, and larger values use `depth + 1`
+    /// buffers per operand (an extension, ablated in `reproduce
+    /// ablation_buffers`).
     pub prefetch_depth: usize,
     /// Shared-memory flavor (§3.2).
     pub shmem: ShmemFlavor,
@@ -147,7 +145,6 @@ impl Default for SrummaOptions {
         SrummaOptions {
             smp_first: true,
             diagonal_shift: true,
-            double_buffer: true,
             prefetch_depth: 1,
             shmem: ShmemFlavor::Auto,
         }
@@ -160,19 +157,8 @@ impl SrummaOptions {
         SrummaOptions {
             smp_first: false,
             diagonal_shift: false,
-            double_buffer: false,
             prefetch_depth: 0,
             shmem: ShmemFlavor::ForceCopy,
-        }
-    }
-
-    /// The pipeline depth actually used: 0 when double buffering is
-    /// disabled, at least 1 otherwise.
-    pub fn effective_depth(&self) -> usize {
-        if self.double_buffer {
-            self.prefetch_depth.max(1)
-        } else {
-            0
         }
     }
 }
@@ -198,9 +184,9 @@ mod tests {
     #[test]
     fn default_options_enable_everything() {
         let o = SrummaOptions::default();
-        assert!(o.smp_first && o.diagonal_shift && o.double_buffer);
+        assert!(o.smp_first && o.diagonal_shift && o.prefetch_depth == 1);
         assert_eq!(o.shmem, ShmemFlavor::Auto);
         let n = SrummaOptions::naive();
-        assert!(!n.smp_first && !n.diagonal_shift && !n.double_buffer);
+        assert!(!n.smp_first && !n.diagonal_shift && n.prefetch_depth == 0);
     }
 }

@@ -252,7 +252,7 @@ impl<'a> SrummaMachine<'a> {
         let (gi, gj) = grid.coords(me);
         let aparts = crate::layout::a_kparts(grid);
         let bparts = crate::layout::b_kparts(grid);
-        let depth = opts.effective_depth();
+        let depth = opts.prefetch_depth;
 
         build_tasks_into(&mut scratch.tasks, spec.k, aparts, bparts);
 

@@ -82,7 +82,7 @@ fn srumma_all_option_combinations() {
     let spec = GemmSpec::square(32);
     for smp_first in [false, true] {
         for diagonal_shift in [false, true] {
-            for double_buffer in [false, true] {
+            for prefetch_depth in [0, 1] {
                 for shmem in [
                     ShmemFlavor::Auto,
                     ShmemFlavor::ForceCopy,
@@ -91,9 +91,8 @@ fn srumma_all_option_combinations() {
                     let alg = Algorithm::Srumma(SrummaOptions {
                         smp_first,
                         diagonal_shift,
-                        double_buffer,
+                        prefetch_depth,
                         shmem,
-                        ..Default::default()
                     });
                     check_sim(&machine, 8, &alg, &spec, 41);
                 }

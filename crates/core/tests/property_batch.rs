@@ -58,8 +58,15 @@ fn random_batch(rng: &mut Rng, nranks: usize) -> BatchSpec {
             e = e.with_opts(SrummaOptions {
                 smp_first: rng.chance(0.5),
                 diagonal_shift: rng.chance(0.5),
-                double_buffer: rng.chance(0.8),
-                prefetch_depth: rng.range(1, 3),
+                prefetch_depth: {
+                    let nb = rng.chance(0.8);
+                    let d = rng.range(1, 3);
+                    if nb {
+                        d
+                    } else {
+                        0
+                    }
+                },
                 ..SrummaOptions::default()
             });
         }

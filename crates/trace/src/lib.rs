@@ -40,6 +40,6 @@ pub use batchstats::{BatchStats, EntryRankSample, EntryStats};
 pub use event::{TraceEvent, TraceKind};
 pub use export::{ascii_gantt, bench_report_json, chrome_trace_json};
 pub use jsonin::Json;
-pub use paths::{ensure_results_dir, results_dir};
+pub use paths::results_dir;
 pub use recorder::{Counters, Recorder};
 pub use stats::{ExecStats, RankStats, RunStats};

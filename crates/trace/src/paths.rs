@@ -19,8 +19,8 @@
 use std::path::{Path, PathBuf};
 
 /// The resolved `results/` directory (see the module docs for the
-/// three-step resolution). The directory is **not** created here —
-/// writers call [`ensure_results_dir`].
+/// three-step resolution). The directory is **not** created here: a
+/// writer creates it, and reports the error when it cannot.
 pub fn results_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("SRUMMA_RESULTS_DIR") {
         if !dir.is_empty() {
@@ -40,20 +40,6 @@ pub fn results_dir() -> PathBuf {
         .nth(2)
         .expect("crate manifest dir has a workspace root two levels up")
         .join("results")
-}
-
-/// [`results_dir`], created if missing. Errors carry the attempted path
-/// so a misconfigured `SRUMMA_RESULTS_DIR` fails loudly instead of
-/// scattering files.
-pub fn ensure_results_dir() -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| {
-        std::io::Error::new(
-            e.kind(),
-            format!("cannot create results dir {}: {e}", dir.display()),
-        )
-    })?;
-    Ok(dir)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate the unified trace + metrics reports (results/BENCH_*.json).
 #
-# Each figure harness below runs its experiment with event tracing on
+# Each figure below runs its experiment with event tracing on
 # and writes a self-describing JSON document: {bench, backend, metrics,
 # traceEvents}, where `metrics` is the RunStats summary (makespan,
 # overlap, bytes fetched vs direct, stall time, makespan skew) and
@@ -14,7 +14,7 @@ cargo build --release -p srumma-bench --bins
 
 for fig in fig03_pipeline fig07_overlap fig08_get_bandwidth; do
     echo "== $fig =="
-    cargo run --release -q -p srumma-bench --bin "$fig" >/dev/null
+    cargo run --release -q -p srumma-bench --bin reproduce -- "$fig" >/dev/null
 done
 
 # Local kernel throughput (naive vs scalar vs dispatched SIMD) — the

@@ -157,21 +157,32 @@ echo "== anchor table: calibrate's stdout is results/calibrate.txt =="
 cargo run --release -q -p srumma-bench --bin calibrate | diff results/calibrate.txt - ||
     { echo "FAIL: the anchor table moved (see above); if intended, regenerate results/calibrate.txt" >&2; exit 1; }
 
-echo "== model outputs: each simulated harness reproduces its results/ files byte for byte =="
-# Deterministic model outputs, like the anchor table: stdout is
-# results/<bin>.txt and every CSV or JSON a harness writes is the file of
-# that name in results/. Each runs with a results directory of its own.
+echo "== model outputs: each simulated figure reproduces its results/ files byte for byte =="
+# Deterministic model outputs, like the anchor table: the stdout of
+# `reproduce NAME` is results/NAME.txt and every CSV or JSON it writes is
+# the file of that name in results/. Each figure runs with a results
+# directory of its own, and every results/ file the figure owns must come
+# back: NAME.*, and for a figNN_* figure also figNN_* and BENCH_figNN_*.
 # (fig10 and table1 take a minute or more each; scripts/reproduce.sh
 # regenerates them.)
-for bin in fig03_pipeline fig04_diagshift fig05_direct_vs_copy fig06_bandwidth_x1 \
+for fig in fig03_pipeline fig04_diagshift fig05_direct_vs_copy fig06_bandwidth_x1 \
     fig07_overlap fig08_get_bandwidth fig09_zerocopy eq_model_check ablation_taskorder \
     ablation_buffers ablation_summa_bcast sensitivity memory_footprint; do
-    dir="$out/model/$bin"
+    dir="$out/model/$fig"
     mkdir -p "$dir"
-    SRUMMA_RESULTS_DIR="$dir" cargo run --release -q -p srumma-bench --bin "$bin" >"$dir/$bin.txt"
+    SRUMMA_RESULTS_DIR="$dir" cargo run --release -q -p srumma-bench --bin reproduce -- "$fig" >"$dir/$fig.txt"
     for file in "$dir"/*; do
         cmp "$file" "results/${file##*/}" || {
-            echo "FAIL: $bin: ${file##*/} is not results/${file##*/}; if the model moved on purpose, regenerate it with scripts/reproduce.sh" >&2
+            echo "FAIL: $fig: ${file##*/} is not results/${file##*/}; if the model moved on purpose, regenerate it with scripts/reproduce.sh" >&2
+            exit 1
+        }
+    done
+    owned=(results/"$fig".*)
+    case "$fig" in fig[0-9][0-9]_*) owned+=(results/"${fig%%_*}"_* results/BENCH_"${fig%%_*}"_*) ;; esac
+    for file in "${owned[@]}"; do
+        [ -e "$file" ] || continue # a pattern that matched nothing
+        [ -e "$dir/${file##*/}" ] || {
+            echo "FAIL: $fig did not write ${file##*/}, which results/ holds for it" >&2
             exit 1
         }
     done

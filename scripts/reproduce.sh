@@ -7,10 +7,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -p srumma-bench
+cargo build --release -p srumma-bench --bin calibrate --bin reproduce
 
-BINS=(
-    calibrate            # anchor check against DESIGN.md §6
+FIGURES=(
     fig03_pipeline
     fig04_diagshift
     fig05_direct_vs_copy
@@ -29,9 +28,11 @@ BINS=(
 )
 
 mkdir -p results
-for b in "${BINS[@]}"; do
-    echo "=== $b ==="
-    ./target/release/"$b" | tee "results/$b.txt"
+echo "=== calibrate ==="    # anchor check against DESIGN.md §6
+./target/release/calibrate | tee results/calibrate.txt
+for fig in "${FIGURES[@]}"; do
+    echo "=== $fig ==="
+    ./target/release/reproduce "$fig" | tee "results/$fig.txt"
 done
 
 echo

@@ -105,7 +105,7 @@ fn nonblocking_overlap_helps_on_clusters() {
         &machine,
         16,
         &Algorithm::Srumma(SrummaOptions {
-            double_buffer: false,
+            prefetch_depth: 0,
             ..Default::default()
         }),
         &spec,

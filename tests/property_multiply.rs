@@ -37,8 +37,15 @@ fn random_srumma(rng: &mut Rng) -> SrummaOptions {
     SrummaOptions {
         smp_first: rng.chance(0.5),
         diagonal_shift: rng.chance(0.5),
-        double_buffer: rng.chance(0.75),
-        prefetch_depth: rng.range(1, 3),
+        prefetch_depth: {
+            let nb = rng.chance(0.75);
+            let d = rng.range(1, 3);
+            if nb {
+                d
+            } else {
+                0
+            }
+        },
         shmem: *rng.pick(&[
             ShmemFlavor::Auto,
             ShmemFlavor::ForceCopy,

@@ -63,7 +63,6 @@ struct Draw {
 const SRUMMA: Algorithm = Algorithm::Srumma(SrummaOptions {
     smp_first: true,
     diagonal_shift: true,
-    double_buffer: true,
     prefetch_depth: 1,
     shmem: ShmemFlavor::Auto,
 });
@@ -298,8 +297,15 @@ fn random_draw(rng: &mut Rng) -> Draw {
         _ => Algorithm::Srumma(SrummaOptions {
             smp_first: rng.chance(0.5),
             diagonal_shift: rng.chance(0.5),
-            double_buffer: rng.chance(0.75),
-            prefetch_depth: rng.range(1, 3),
+            prefetch_depth: {
+                let nb = rng.chance(0.75);
+                let d = rng.range(1, 3);
+                if nb {
+                    d
+                } else {
+                    0
+                }
+            },
             shmem: *rng.pick(&[
                 ShmemFlavor::Auto,
                 ShmemFlavor::ForceCopy,
