@@ -6,8 +6,7 @@
 //! ([`crate::simbackend::SimComm`]), per-rank virtual clocks
 //! ([`crate::virt::VirtualComm`]) and the host's executor
 //! ([`crate::exec::ExecComm`], polled or blocking) — bare or behind the
-//! [`crate::fault::ChaosComm`] and [`crate::subcomm::SubComm`]
-//! decorators.
+//! [`crate::subcomm::SubComm`] decorator.
 //!
 //! The surface deliberately mirrors what the paper's implementation
 //! used from ARMCI and MPI:
@@ -35,7 +34,7 @@
 //! waiter — yield the thread". The trait's default makes that protocol
 //! correct on every backend whose barrier simply blocks: **the first
 //! call is the full barrier and returns `true`**. Only `ExecComm`
-//! overrides it (and the decorators forward it).
+//! overrides it (and `SubComm` forwards it).
 //!
 //! That is what lets a schedule be written once: a [`RankProgram`] is a
 //! resumable state machine whose `step` takes whatever communicator

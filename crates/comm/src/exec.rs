@@ -30,6 +30,10 @@
 //! does, because a rank that polled while holding a permit would starve
 //! the very ranks it is waiting for.
 //!
+//! A [`FaultPlan`] handed to the launcher is applied with real sleeps
+//! (see [`crate::fault`]), each part of the rank's turn: a blocking
+//! rank keeps its permit and a polled rank its worker.
+//!
 //! Scheduling itself is observable: claims, parks and resumes are
 //! counted (and traced as [`TraceKind::Sched`] events when tracing is
 //! on), and every run's [`RunStats`] carries an
@@ -43,6 +47,7 @@
 
 use crate::comm::{count_served, Comm, GetHandle, RankProgram, Step};
 use crate::dist::{DistMatrix, Landing};
+use crate::fault::FaultPlan;
 use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand, PackedPanel};
 use srumma_model::protocol::Served;
 use srumma_model::Topology;
@@ -60,6 +65,9 @@ type Payload = Box<dyn Any + Send + 'static>;
 type Mail = (usize, u64, Vec<f64>);
 /// Per-rank trace drainage: merged events plus `(rank, counters)`.
 type TraceBag = (Vec<TraceEvent>, Vec<(usize, Counters)>);
+
+/// Cap on one injected fault delay, so a plan cannot wedge a run.
+const MAX_INJECTED_SLEEP: f64 = 0.05;
 
 /// Scratch of the OS thread that is *running* — a pool worker polling
 /// state-machine ranks, or a blocking rank's own thread — rather than of
@@ -101,23 +109,22 @@ pub trait RankTask: Send {
 }
 
 /// The generic host of a [`RankProgram`] on the executor: the program
-/// plus the communicator it is stepped with — the rank's [`ExecComm`],
-/// bare or decorated (`ChaosComm<ExecComm>`) — as one pollable task.
-pub struct ProgramTask<C, P> {
-    comm: C,
+/// plus the rank's [`ExecComm`] it is stepped with, as one pollable
+/// task.
+pub struct ProgramTask<P> {
+    comm: ExecComm,
     program: P,
 }
 
-impl<C, P> ProgramTask<C, P> {
+impl<P> ProgramTask<P> {
     /// Host `program` on `comm`. Nothing runs until the first poll.
-    pub fn new(comm: C, program: P) -> Self {
+    pub fn new(comm: ExecComm, program: P) -> Self {
         ProgramTask { comm, program }
     }
 }
 
-impl<C, P> RankTask for ProgramTask<C, P>
+impl<P> RankTask for ProgramTask<P>
 where
-    C: Comm + Send,
     P: RankProgram + Send,
     P::Out: Send,
 {
@@ -128,7 +135,7 @@ where
     }
 
     fn take_trace(&mut self) -> (Vec<TraceEvent>, Counters) {
-        self.comm.recorder().take()
+        self.comm.recorder.take()
     }
 }
 
@@ -208,6 +215,9 @@ struct SchedCore {
     /// to one cacheable domain; the launchers' `topo` argument
     /// overrides it for hierarchical schedules.
     topo: Topology,
+    /// Faults every rank's `ExecComm` applies (the launchers' `faults`
+    /// argument); `None` runs healthy.
+    faults: Option<FaultPlan>,
     t0: Instant,
     global: Mutex<Global>,
     work_cv: Condvar,
@@ -251,6 +261,7 @@ impl SchedCore {
         blocking: bool,
         trace: bool,
         topo: Option<Topology>,
+        faults: Option<&FaultPlan>,
     ) -> Arc<Self> {
         assert!(nranks > 0);
         let workers = resolve_workers(workers, nranks);
@@ -263,6 +274,7 @@ impl SchedCore {
             blocking,
             trace,
             topo,
+            faults: faults.cloned(),
             t0: Instant::now(),
             global: Mutex::new(Global {
                 injector: VecDeque::new(),
@@ -559,11 +571,16 @@ pub struct ExecComm {
     arrived: Option<(u64, f64)>,
     /// Blocking ranks: when the permit this rank holds was taken.
     held: Instant,
+    /// This rank's slowdown factor under the run's fault plan.
+    slow: f64,
+    /// Gets issued so far (indexes the plan's spike schedule).
+    gets_issued: u64,
 }
 
 impl ExecComm {
     fn new(core: Arc<SchedCore>, rank: usize, mode: TaskMode) -> Self {
         let trace = core.trace;
+        let slow = core.faults.as_ref().map_or(1.0, |p| p.slow_factor(rank));
         ExecComm {
             rank,
             nranks: core.nranks,
@@ -573,6 +590,8 @@ impl ExecComm {
             ws_grows: 0,
             arrived: None,
             held: Instant::now(),
+            slow,
+            gets_issued: 0,
         }
     }
 
@@ -634,6 +653,12 @@ impl ExecComm {
                 self.core.wake(r);
             }
         }
+    }
+
+    /// Sleep an injected fault delay, counted and capped.
+    fn inject_delay(&mut self, seconds: f64) {
+        self.recorder.count_delay();
+        std::thread::sleep(Duration::from_secs_f64(seconds.min(MAX_INJECTED_SLEEP)));
     }
 
     /// Classify a transfer against the emulated topology: which level of
@@ -743,6 +768,13 @@ impl Comm for ExecComm {
         self.recorder.count_fetch(bytes);
         self.classify(mat.cost_rank(owner), bytes);
         self.span_end(TraceKind::Transfer, t0, bytes, || format!("get<-{owner}"));
+        if let Some(plan) = &self.core.faults {
+            let spike = plan.get_spike(self.rank, self.gets_issued);
+            self.gets_issued += 1;
+            if spike > 0.0 {
+                self.inject_delay(spike);
+            }
+        }
         GetHandle::Ready
     }
 
@@ -790,25 +822,31 @@ impl Comm for ExecComm {
         label: &str,
     ) {
         debug_assert!(beta == 0.0 || beta == 1.0, "Comm::gemm takes beta 0 or 1");
-        if m == 0 || n == 0 || k == 0 {
-            return;
+        // A straggler stretches its measured compute to `slow ×`.
+        let straggling = (self.slow > 1.0).then(Instant::now);
+        if m > 0 && n > 0 && k > 0 {
+            let (Some(a), Some(b), Some(c)) = (a, b, c) else {
+                panic!(
+                    "executor backend requires real-backed matrices ({m}x{n}x{k} block had none)"
+                );
+            };
+            let t0 = self.span_start();
+            // A gemm call never yields, so the lease of the running
+            // thread's workspace is the call.
+            SCRATCH.with_borrow_mut(|s| {
+                let ws = s.ws.get_or_insert_with(GemmWorkspace::new);
+                let before = ws.grow_count();
+                dgemm_operands(alpha, a, b, beta, c, ws);
+                self.ws_grows = ws.grow_count();
+                if self.ws_grows > before {
+                    self.core.ws_grows.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            self.span_end(TraceKind::Compute, t0, 0, || label.to_string());
         }
-        let (Some(a), Some(b), Some(c)) = (a, b, c) else {
-            panic!("executor backend requires real-backed matrices ({m}x{n}x{k} block had none)");
-        };
-        let t0 = self.span_start();
-        // A gemm call never yields, so the lease of the running
-        // thread's workspace is the call.
-        SCRATCH.with_borrow_mut(|s| {
-            let ws = s.ws.get_or_insert_with(GemmWorkspace::new);
-            let before = ws.grow_count();
-            dgemm_operands(alpha, a, b, beta, c, ws);
-            self.ws_grows = ws.grow_count();
-            if self.ws_grows > before {
-                self.core.ws_grows.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        self.span_end(TraceKind::Compute, t0, 0, || label.to_string());
+        if let Some(t0) = straggling {
+            self.inject_delay(t0.elapsed().as_secs_f64() * (self.slow - 1.0));
+        }
     }
 
     fn send(&mut self, dst: usize, tag: u64, data: &[f64], _bytes: u64) {
@@ -1143,7 +1181,7 @@ where
     T: Send,
     F: Fn(&mut ExecComm) -> T + Sync,
 {
-    exec_launch(nranks, workers, false, None, body)
+    exec_launch(nranks, workers, false, None, None, body)
 }
 
 /// Thread-per-rank: [`exec_run`] with a permit for every rank, so no
@@ -1160,19 +1198,22 @@ where
 /// wall-clock events (plus `Sched` park markers). With `topo`, every
 /// rank's `ExecComm` reports that emulated cluster topology: off-node
 /// blocks lose direct access, and transfers are classified intra-group
-/// vs inter-node.
+/// vs inter-node. With `faults`, every rank's `ExecComm` applies the
+/// plan's stragglers and get spikes (its death is the caller's to
+/// script).
 pub fn exec_launch<T, F>(
     nranks: usize,
     workers: usize,
     trace: bool,
     topo: Option<Topology>,
+    faults: Option<&FaultPlan>,
     body: F,
 ) -> ExecRunResult<T>
 where
     T: Send,
     F: Fn(&mut ExecComm) -> T + Sync,
 {
-    let core = SchedCore::new(nranks, workers, true, trace, topo);
+    let core = SchedCore::new(nranks, workers, true, trace, topo, faults);
     run_threads(&core, nranks, |rank, sink| {
         blocking_rank(&core, rank, &body, sink)
     })
@@ -1180,20 +1221,21 @@ where
 
 /// Run `nranks` state-machine rank tasks on `workers` workers — no
 /// per-rank OS threads at all. `factory` is called once per rank with
-/// that rank's [`ExecComm`] and returns the task that owns it. `trace`
-/// and `topo` as in [`exec_launch`].
+/// that rank's [`ExecComm`] and returns the task that owns it. `trace`,
+/// `topo` and `faults` as in [`exec_launch`].
 pub fn exec_run_tasks<'env, T, F>(
     nranks: usize,
     workers: usize,
     trace: bool,
     topo: Option<Topology>,
+    faults: Option<&FaultPlan>,
     mut factory: F,
 ) -> ExecRunResult<T>
 where
     T: Send,
     F: FnMut(ExecComm) -> Box<dyn RankTask<Out = T> + Send + 'env>,
 {
-    let core = SchedCore::new(nranks, workers, false, trace, topo);
+    let core = SchedCore::new(nranks, workers, false, trace, topo, faults);
     let slots: Vec<Slot<'env, T>> = (0..nranks)
         .map(|rank| {
             let comm = ExecComm::new(Arc::clone(&core), rank, TaskMode::Fsm);
@@ -1214,7 +1256,7 @@ mod tests {
 
     #[test]
     fn proxy_arrival_discharges_a_dead_ranks_barrier() {
-        let core = SchedCore::new(3, 1, false, false, None);
+        let core = SchedCore::new(3, 1, false, false, None, None);
         // Ranks 0 and 1 arrive; rank 2 is dead. A survivor vouches for
         // it via fence_arrive(dead) — the re-execution handshake.
         core.fence_arrive(0);
@@ -1227,7 +1269,7 @@ mod tests {
 
     #[test]
     fn barrier_try_after_poison_panics_instead_of_parking() {
-        let core = SchedCore::new(2, 1, false, false, None);
+        let core = SchedCore::new(2, 1, false, false, None, None);
         let mut comm = ExecComm::new(Arc::clone(&core), 0, TaskMode::Fsm);
         assert!(!comm.barrier_try(), "one arrival out of two cannot pass");
         core.poison(Box::new("boom"));

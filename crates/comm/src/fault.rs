@@ -11,16 +11,19 @@
 //! pure function of `(seed, rank, sequence index)`, so the same plan
 //! produces the same fault schedule on every backend and every rerun.
 //!
-//! Two application styles share the one plan:
+//! The communicator applies the plan, on either clock:
 //!
-//! * the **simulator** reads the plan natively and applies it in
-//!   virtual time (`SimOptions::with_faults`): a straggler's compute
-//!   charges and its two-sided message costs scale by its factor, get
-//!   spikes add to the modeled transfer latency, and the whole run
-//!   stays bit-for-bit deterministic;
-//! * the **wall-clock backends** (threads, executor) wrap their
-//!   communicator in a [`ChaosComm`] decorator, which injects real
-//!   sleeps after compute and on spiked gets. Wall-clock timing is
+//! * the **simulator** applies it in virtual time
+//!   (`SimOptions::with_faults`): a straggler's compute charges and its
+//!   two-sided message costs scale by its factor, get spikes add to the
+//!   modeled transfer latency, and the whole run stays bit-for-bit
+//!   deterministic;
+//! * the **host's executor** (`exec_launch` / `exec_run_tasks`, which
+//!   take the plan beside the topology) applies it with real sleeps:
+//!   each `ExecComm` stretches its rank's compute by the rank's factor
+//!   once the `Compute` span has closed, and sleeps a spiked get's extra
+//!   latency once the block has landed — each delay counted
+//!   (`delays_injected`) and capped at 50 ms. Wall-clock timing is
 //!   never deterministic, but the *fault schedule* (who is slow, which
 //!   get spikes, who dies when) still is — which is what the chaos
 //!   property suite relies on for reproduction.
@@ -32,12 +35,7 @@
 //! two-sided message cannot complete until both hosts' MPI progress
 //! engines run, so messages touching a straggler scale by its factor.
 
-use crate::comm::{Comm, GetHandle};
-use crate::dist::{DistMatrix, Landing};
-use srumma_dense::{MatMut, MatRef, Operand, PackedPanel, Rng};
-use srumma_model::Topology;
-use srumma_trace::Recorder;
-use std::time::{Duration, Instant};
+use srumma_dense::Rng;
 
 /// Fail-stop death of one rank: after it has executed `after_tasks` of
 /// its own SRUMMA tasks, it stops mid-run and its remaining work must
@@ -66,7 +64,7 @@ pub struct FaultPlan {
     /// Probability that any given get issued by a rank is spiked.
     spike_prob: f64,
     /// Extra latency per spiked get (virtual seconds under simulation,
-    /// real sleep seconds under [`ChaosComm`]).
+    /// real sleep seconds on the executor).
     spike_seconds: f64,
     /// At most one fail-stop death (executor backend only).
     pub death: Option<RankDeath>,
@@ -77,8 +75,10 @@ pub struct FaultPlan {
 pub enum FaultPlanError {
     /// The straggler table was sized for `plan` ranks, the run has `run`.
     RankCount { plan: usize, run: usize },
-    /// `rank`'s slowdown factor is below 1.0 (or NaN).
+    /// `rank`'s slowdown factor is below 1.0, infinite or NaN.
     SlowFactor { rank: usize },
+    /// The extra latency of a spiked get is infinite.
+    SpikeSeconds,
     /// The scripted death needs a rank the run has, and a survivor to
     /// re-execute its tasks: `rank < nranks` and `nranks >= 2`.
     DeadRank { rank: usize, nranks: usize },
@@ -173,8 +173,15 @@ impl FaultPlan {
                 run: nranks,
             });
         }
-        if let Some(rank) = self.slow.iter().position(|&f| f.is_nan() || f < 1.0) {
+        if let Some(rank) = self
+            .slow
+            .iter()
+            .position(|&f| !(1.0..f64::INFINITY).contains(&f))
+        {
             return Err(FaultPlanError::SlowFactor { rank });
+        }
+        if !self.spike_seconds.is_finite() {
+            return Err(FaultPlanError::SpikeSeconds);
         }
         match self.death {
             Some(d) if d.rank >= nranks || nranks < 2 => Err(FaultPlanError::DeadRank {
@@ -219,259 +226,6 @@ impl FaultPlan {
         } else {
             0.0
         }
-    }
-}
-
-/// Forwarding impl so a decorator (or any generic driver) can wrap a
-/// borrowed communicator: `ChaosComm::new(&mut comm, plan)`.
-impl<C: Comm + ?Sized> Comm for &mut C {
-    fn rank(&self) -> usize {
-        (**self).rank()
-    }
-    fn nranks(&self) -> usize {
-        (**self).nranks()
-    }
-    fn topology(&self) -> Topology {
-        (**self).topology()
-    }
-    fn same_domain(&self, other: usize) -> bool {
-        (**self).same_domain(other)
-    }
-    fn prefer_direct_access(&self, owner: usize) -> bool {
-        (**self).prefer_direct_access(owner)
-    }
-    fn now(&self) -> f64 {
-        (**self).now()
-    }
-    fn recorder(&mut self) -> &mut Recorder {
-        (**self).recorder()
-    }
-    fn barrier(&mut self) {
-        (**self).barrier()
-    }
-    fn barrier_try(&mut self) -> bool {
-        (**self).barrier_try()
-    }
-    fn ws_grow_count(&self) -> u64 {
-        (**self).ws_grow_count()
-    }
-    fn lease_buf(&mut self, panel: &mut PackedPanel) {
-        (**self).lease_buf(panel)
-    }
-    fn return_buf(&mut self, panel: &mut PackedPanel) {
-        (**self).return_buf(panel)
-    }
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
-        (**self).nbget(mat, owner, into)
-    }
-    fn wait(&mut self, h: GetHandle) {
-        (**self).wait(h)
-    }
-    fn get(&mut self, mat: &DistMatrix, owner: usize, buf: &mut Vec<f64>) {
-        (**self).get(mat, owner, buf)
-    }
-    fn nbput(&mut self, mat: &DistMatrix, owner: usize, data: &[f64]) -> GetHandle {
-        (**self).nbput(mat, owner, data)
-    }
-    fn put(&mut self, mat: &DistMatrix, owner: usize, data: &[f64]) {
-        (**self).put(mat, owner, data)
-    }
-    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>) {
-        (**self).acc(mat, owner, scale, data)
-    }
-    fn fence(&mut self) {
-        (**self).fence()
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &mut self,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: f64,
-        a: Option<Operand<'_>>,
-        b: Option<Operand<'_>>,
-        beta: f64,
-        c: Option<MatMut<'_>>,
-        direct: bool,
-        label: &str,
-    ) {
-        (**self).gemm(m, n, k, alpha, a, b, beta, c, direct, label)
-    }
-    fn send(&mut self, dst: usize, tag: u64, data: &[f64], bytes: u64) {
-        (**self).send(dst, tag, data, bytes)
-    }
-    fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) {
-        (**self).recv(src, tag, buf, bytes)
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn sendrecv(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        send_data: &[f64],
-        send_bytes: u64,
-        src: usize,
-        recv_buf: &mut Vec<f64>,
-        recv_bytes: u64,
-    ) {
-        (**self).sendrecv(dst, tag, send_data, send_bytes, src, recv_buf, recv_bytes)
-    }
-}
-
-/// Don't let one injected delay wedge a test run: a single sleep is
-/// capped here regardless of how large the measured compute was.
-const MAX_INJECTED_SLEEP: f64 = 0.05;
-
-/// Fault-injecting decorator for **wall-clock** backends: wraps any
-/// [`Comm`] (by value or `&mut`) and applies a [`FaultPlan`] with real
-/// sleeps — compute on a straggler is stretched to `factor ×` its
-/// measured duration, and spiked gets sleep their extra latency at
-/// issue. Rank death is *not* handled here (it is a scheduling event,
-/// owned by the chaos rank task in `srumma-core`), and the simulator
-/// applies plans natively in virtual time instead of through this
-/// decorator.
-pub struct ChaosComm<C: Comm> {
-    inner: C,
-    plan: FaultPlan,
-    gets_issued: u64,
-}
-
-impl<C: Comm> ChaosComm<C> {
-    /// Wrap `inner`, applying `plan` for `inner.rank()`.
-    pub fn new(inner: C, plan: FaultPlan) -> Self {
-        ChaosComm {
-            inner,
-            plan,
-            gets_issued: 0,
-        }
-    }
-
-    /// The wrapped communicator (for backend-specific calls like
-    /// `ExecComm::fence_arrive_for`).
-    pub fn inner_mut(&mut self) -> &mut C {
-        &mut self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-
-    fn sleep(seconds: f64) {
-        std::thread::sleep(Duration::from_secs_f64(seconds.min(MAX_INJECTED_SLEEP)));
-    }
-}
-
-impl<C: Comm> Comm for ChaosComm<C> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-    fn nranks(&self) -> usize {
-        self.inner.nranks()
-    }
-    fn topology(&self) -> Topology {
-        self.inner.topology()
-    }
-    fn same_domain(&self, other: usize) -> bool {
-        self.inner.same_domain(other)
-    }
-    fn prefer_direct_access(&self, owner: usize) -> bool {
-        self.inner.prefer_direct_access(owner)
-    }
-    fn now(&self) -> f64 {
-        self.inner.now()
-    }
-    fn recorder(&mut self) -> &mut Recorder {
-        self.inner.recorder()
-    }
-    fn ws_grow_count(&self) -> u64 {
-        self.inner.ws_grow_count()
-    }
-    fn lease_buf(&mut self, panel: &mut PackedPanel) {
-        self.inner.lease_buf(panel)
-    }
-    fn return_buf(&mut self, panel: &mut PackedPanel) {
-        self.inner.return_buf(panel)
-    }
-    fn barrier(&mut self) {
-        self.inner.barrier()
-    }
-    fn barrier_try(&mut self) -> bool {
-        self.inner.barrier_try()
-    }
-
-    fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
-        let seq = self.gets_issued;
-        self.gets_issued += 1;
-        let h = self.inner.nbget(mat, owner, into);
-        let spike = self.plan.get_spike(self.inner.rank(), seq);
-        if spike > 0.0 {
-            self.inner.recorder().count_delay();
-            Self::sleep(spike);
-        }
-        h
-    }
-    fn wait(&mut self, h: GetHandle) {
-        self.inner.wait(h)
-    }
-    fn nbput(&mut self, mat: &DistMatrix, owner: usize, data: &[f64]) -> GetHandle {
-        self.inner.nbput(mat, owner, data)
-    }
-    fn acc(&mut self, mat: &DistMatrix, owner: usize, scale: f64, data: Option<MatRef<'_>>) {
-        self.inner.acc(mat, owner, scale, data)
-    }
-    fn fence(&mut self) {
-        self.inner.fence()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &mut self,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: f64,
-        a: Option<Operand<'_>>,
-        b: Option<Operand<'_>>,
-        beta: f64,
-        c: Option<MatMut<'_>>,
-        direct: bool,
-        label: &str,
-    ) {
-        let f = self.plan.slow_factor(self.inner.rank());
-        if f <= 1.0 {
-            return self
-                .inner
-                .gemm(m, n, k, alpha, a, b, beta, c, direct, label);
-        }
-        let t0 = Instant::now();
-        self.inner
-            .gemm(m, n, k, alpha, a, b, beta, c, direct, label);
-        let stretch = t0.elapsed().as_secs_f64() * (f - 1.0);
-        self.inner.recorder().count_delay();
-        Self::sleep(stretch);
-    }
-
-    fn send(&mut self, dst: usize, tag: u64, data: &[f64], bytes: u64) {
-        self.inner.send(dst, tag, data, bytes)
-    }
-    fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) {
-        self.inner.recv(src, tag, buf, bytes)
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn sendrecv(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        send_data: &[f64],
-        send_bytes: u64,
-        src: usize,
-        recv_buf: &mut Vec<f64>,
-        recv_bytes: u64,
-    ) {
-        self.inner
-            .sendrecv(dst, tag, send_data, send_bytes, src, recv_buf, recv_bytes)
     }
 }
 
@@ -532,6 +286,16 @@ mod tests {
         assert_eq!(
             shrunk.validate(4),
             Err(FaultPlanError::SlowFactor { rank: 2 })
+        );
+        assert_eq!(
+            FaultPlan::single_straggler(4, 1, f64::INFINITY).validate(4),
+            Err(FaultPlanError::SlowFactor { rank: 1 })
+        );
+        assert_eq!(
+            FaultPlan::healthy()
+                .with_get_spikes(0.5, f64::INFINITY)
+                .validate(4),
+            Err(FaultPlanError::SpikeSeconds)
         );
         assert_eq!(
             FaultPlan::healthy().with_death(4, 0).validate(4),

@@ -21,8 +21,9 @@
 //!
 //! Algorithms in `srumma-core` are generic over the [`Comm`] trait, so
 //! the *same* SRUMMA/Cannon/SUMMA code runs on all three — and behind
-//! the two decorators ([`ChaosComm`], [`SubComm`]) that wrap any of
-//! them.
+//! the one decorator, [`SubComm`], that wraps any of them. A
+//! [`FaultPlan`] is the communicator's own to apply, on either clock:
+//! `SimComm` in virtual time, `ExecComm` with real sleeps.
 //!
 //! ## Module map
 //!
@@ -40,8 +41,8 @@
 //! * [`subcomm`] — [`SubComm`], a rank window presented as a machine.
 //! * [`mpi`] — two-sided collectives (tree and ring broadcast, shift) built
 //!   on `Comm::send`/`Comm::recv`, used by the baselines.
-//! * [`fault`] — seeded fault injection ([`FaultPlan`]) and the
-//!   [`ChaosComm`] decorator for wall-clock backends.
+//! * [`fault`] — seeded fault injection ([`FaultPlan`]): which ranks
+//!   straggle, which gets spike, which rank dies.
 
 pub mod arena;
 pub mod comm;
@@ -59,7 +60,7 @@ pub use exec::{
     exec_launch, exec_run, exec_run_tasks, resolve_workers, thread_run, ExecComm, ExecRunResult,
     ProgramTask, RankTask,
 };
-pub use fault::{ChaosComm, FaultPlan, FaultPlanError, RankDeath};
+pub use fault::{FaultPlan, FaultPlanError, RankDeath};
 pub use simbackend::{sim_run, SimComm, SimOptions};
 pub use subcomm::SubComm;
 pub use virt::{virtual_run, VirtualComm, VirtualRunResult};

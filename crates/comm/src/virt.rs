@@ -283,7 +283,7 @@ where
     assert!(nranks > 0);
     let topo = machine.topology(nranks);
     let machine = Arc::new(machine.clone());
-    let res = exec_run_tasks(nranks, workers, false, None, |comm| {
+    let res = exec_run_tasks(nranks, workers, false, None, None, |comm| {
         Box::new(VirtTask {
             rank: comm.rank(),
             nranks,

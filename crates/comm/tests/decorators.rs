@@ -1,15 +1,15 @@
-//! Every `Comm` decorator passes every trait method through.
+//! The one `Comm` decorator passes every trait method through.
 //!
-//! `&mut C`, `ChaosComm<C>` and `SubComm<C>` wrap a communicator by
-//! re-implementing the whole trait. A method one of them forgets falls
-//! back to the trait's default — for the split barrier that is a blocking
-//! `barrier()` inside a polled executor rank, for `lease_buf` a silent
-//! loss of buffer pooling — and nothing else in the suite would notice.
-//! A recording fake notes what reaches it; each call made through a
-//! decorator must reach it exactly as the same call made directly does,
-//! and bring the fake's (deliberately non-default) answer back.
+//! `SubComm<C>` wraps a communicator by re-implementing the whole trait.
+//! A method it forgets falls back to the trait's default — for the split
+//! barrier that is a blocking `barrier()` inside a polled executor rank,
+//! for `lease_buf` a silent loss of buffer pooling — and nothing else in
+//! the suite would notice. A recording fake notes what reaches it; each
+//! call made through the decorator must reach it exactly as the same
+//! call made directly does, and bring the fake's (deliberately
+//! non-default) answer back.
 
-use srumma_comm::{ChaosComm, Comm, DistMatrix, FaultPlan, GetHandle, Landing, SubComm};
+use srumma_comm::{Comm, DistMatrix, GetHandle, Landing, SubComm};
 use srumma_dense::{active_kernel, MatMut, MatRef, Op, Operand, PackedPanel, Side};
 use srumma_model::{ProcGrid, Topology};
 use srumma_trace::Recorder;
@@ -270,23 +270,6 @@ fn every_trait_method_is_called() {
     assert_eq!(reached.len(), 21, "{reached:?}");
 }
 
-#[test]
-fn mut_ref_passes_every_method_through() {
-    let mut fake = Fake::new();
-    let seen = call_all(&mut &mut fake, 6);
-    assert_eq!((seen, fake.log.into_inner()), direct());
-}
-
-#[test]
-fn healthy_chaos_comm_passes_every_method_through() {
-    let mut chaos = ChaosComm::new(Fake::new(), FaultPlan::healthy());
-    let seen = call_all(&mut chaos, 6);
-    // It looks up its rank's faults at every get and every gemm.
-    let log = without_rank_queries(chaos.into_inner().log.into_inner());
-    let (want_seen, want_log) = direct();
-    assert_eq!((seen, log), (want_seen, without_rank_queries(want_log)));
-}
-
 /// The window `[4, 8)` as a machine of 4 on nodes of 2: global rank 5 is
 /// its rank 1, its peer 2 is global rank 6. Size, layout and the
 /// locality that follows from them are the window's own answers; every
@@ -311,39 +294,4 @@ fn sub_comm_passes_every_method_through_with_ranks_translated() {
     want_log.retain(|call| !["nranks", "topology", "same_domain(6)"].contains(&call.as_str()));
     let log = without_rank_queries(fake.log.into_inner());
     assert_eq!((seen, log), (want_seen, without_rank_queries(want_log)));
-}
-
-/// A get that lands packed is still a get of the sequence `ChaosComm`
-/// draws its spikes from: alternating landings are delayed exactly
-/// where the plan spikes gets 0, 1, 2, … of this rank, and each reaches
-/// the wrapped communicator once.
-#[test]
-fn chaos_comm_counts_a_packed_landing_in_its_get_sequence() {
-    const GETS: u64 = 24;
-    let plan = FaultPlan::random_stragglers(9, 8).with_get_spikes(0.5, 1e-6);
-    let spiked = (0..GETS)
-        .filter(|&seq| plan.get_spike(5, seq) > 0.0)
-        .count() as u64;
-    let rows_only = (0..GETS / 2)
-        .filter(|&seq| plan.get_spike(5, seq) > 0.0)
-        .count() as u64;
-    assert_ne!(spiked, rows_only, "pick a seed that tells the two apart");
-    let before = Fake::new().recorder.counters.delays_injected;
-
-    let mut chaos = ChaosComm::new(Fake::new(), plan);
-    let mat = DistMatrix::create_virtual(ProcGrid::new(2, 2), 6, 10);
-    let (mut buf, mut panel) = (Vec::new(), PackedPanel::new());
-    for seq in 0..GETS {
-        if seq % 2 == 0 {
-            chaos.nbget(&mat, 3, Landing::Rows(&mut buf));
-        } else {
-            chaos.nbget(&mat, 3, Landing::Packed(&mut panel, Side::A(Op::T)));
-        }
-    }
-    let fake = chaos.into_inner();
-    assert_eq!(fake.recorder.counters.delays_injected - before, spiked);
-    let log = fake.log.into_inner();
-    let gets = log.iter().filter(|call| call.starts_with("nbget(")).count();
-    assert_eq!(gets as u64, GETS);
-    assert_eq!(shape(&panel), "1x3");
 }

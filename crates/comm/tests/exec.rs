@@ -3,8 +3,8 @@
 //! message passing, scheduling statistics, and poison propagation.
 
 use srumma_comm::exec::{exec_launch, exec_run, exec_run_tasks, ExecComm, RankTask};
-use srumma_comm::{Comm, DistMatrix, Step};
-use srumma_dense::{Matrix, Rng};
+use srumma_comm::{Comm, DistMatrix, FaultPlan, Landing, Step};
+use srumma_dense::{Matrix, Op, PackedPanel, Rng, Side};
 use srumma_model::ProcGrid;
 use srumma_trace::TraceKind;
 
@@ -104,9 +104,47 @@ fn get_copies_real_blocks() {
     }
 }
 
+/// A get that lands packed is still a get of the sequence a faulted
+/// `ExecComm` draws its spikes from: rank 5's alternating landings are
+/// delayed exactly where the plan spikes its gets 0, 1, 2, …, and no
+/// other rank issues a get or sleeps.
+#[test]
+fn exec_comm_counts_a_packed_landing_in_its_get_sequence() {
+    const GETS: u64 = 24;
+    let plan = FaultPlan::random_stragglers(9, 8).with_get_spikes(0.5, 1e-6);
+    let spiked = (0..GETS)
+        .filter(|&seq| plan.get_spike(5, seq) > 0.0)
+        .count() as u64;
+    let rows_only = (0..GETS / 2)
+        .filter(|&seq| plan.get_spike(5, seq) > 0.0)
+        .count() as u64;
+    assert_ne!(spiked, rows_only, "pick a seed that tells the two apart");
+
+    let mat = DistMatrix::create(ProcGrid::new(2, 4), 6, 12);
+    let res = exec_launch(8, 2, false, None, Some(&plan), |c| {
+        if c.rank() == 5 {
+            let (mut buf, mut panel) = (Vec::new(), PackedPanel::new());
+            for seq in 0..GETS {
+                if seq % 2 == 0 {
+                    c.nbget(&mat, 3, Landing::Rows(&mut buf));
+                } else {
+                    c.nbget(&mat, 3, Landing::Packed(&mut panel, Side::A(Op::T)));
+                }
+            }
+        }
+        let counters = &c.recorder().counters;
+        (counters.blocks_fetched, counters.delays_injected)
+    });
+    for (rank, &got) in res.outputs.iter().enumerate() {
+        let want = if rank == 5 { (GETS, spiked) } else { (0, 0) };
+        assert_eq!(got, want, "rank {rank}: (gets, delays)");
+        assert_eq!(res.stats.ranks[rank].delays_injected, want.1);
+    }
+}
+
 #[test]
 fn traced_run_records_sched_markers_and_occupancy() {
-    let res = exec_launch(32, 2, true, None, |c| {
+    let res = exec_launch(32, 2, true, None, None, |c| {
         c.barrier();
         c.rank()
     });
@@ -158,7 +196,7 @@ impl RankTask for CountTask {
 #[test]
 fn fsm_tasks_yield_park_and_finish() {
     for workers in [1, 2, 4] {
-        let res = exec_run_tasks(24, workers, false, None, |comm| {
+        let res = exec_run_tasks(24, workers, false, None, None, |comm| {
             let limit = 3 + comm.rank() % 5;
             Box::new(CountTask {
                 comm,
@@ -179,7 +217,7 @@ fn fsm_tasks_yield_park_and_finish() {
 #[test]
 fn fsm_blocking_barrier_is_rejected() {
     let caught = std::panic::catch_unwind(|| {
-        exec_run_tasks(2, 1, false, None, |comm| {
+        exec_run_tasks(2, 1, false, None, None, |comm| {
             Box::new(BadBarrierTask { comm }) as Box<dyn RankTask<Out = ()> + Send>
         })
     });
@@ -294,7 +332,7 @@ fn barrier_generations_never_overlap() {
         let outputs = within_10s("48 polled ranks", move || {
             let counts: Arc<Vec<AtomicUsize>> =
                 Arc::new((0..ROUNDS).map(|_| AtomicUsize::new(0)).collect());
-            exec_run_tasks(48, workers, false, None, |comm| {
+            exec_run_tasks(48, workers, false, None, None, |comm| {
                 let mut rng = Rng::new(0xBA77_1E55 ^ comm.rank() as u64);
                 let yields = rng.below(4);
                 Box::new(RoundsTask {
@@ -357,7 +395,7 @@ fn every_rank_is_claimed_once() {
             let (outputs, done, exec) = within_10s("claims", move || {
                 let done: Arc<Vec<AtomicUsize>> =
                     Arc::new((0..nranks).map(|_| AtomicUsize::new(0)).collect());
-                let res = exec_run_tasks(nranks, workers, false, None, |comm| {
+                let res = exec_run_tasks(nranks, workers, false, None, None, |comm| {
                     Box::new(ClaimTask {
                         yields: comm.rank() % 3,
                         comm,
@@ -449,7 +487,7 @@ impl RankTask for PanicAtTask {
 #[test]
 fn panicking_fsm_task_poisons_the_run() {
     let caught = std::panic::catch_unwind(|| {
-        exec_run_tasks(8, 2, false, None, |comm| {
+        exec_run_tasks(8, 2, false, None, None, |comm| {
             let bomb = comm.rank() == 5;
             Box::new(PanicAtTask {
                 comm,

@@ -571,7 +571,7 @@ fn launch_exec<'p>(
     trace: bool,
     program: &'p NewProgram<'p>,
 ) -> Launched<TracedRun> {
-    let res = exec_run_tasks(nranks, workers, trace, None, |comm| {
+    let res = exec_run_tasks(nranks, workers, trace, None, None, |comm| {
         Box::new(ProgramTask::new(comm, program()))
     });
     let traced = TracedRun {

@@ -1,9 +1,10 @@
 //! Rank death and task re-execution on the work-stealing executor.
 //!
-//! The simulator and the thread backend apply stragglers and get spikes
-//! (see `srumma_comm::fault`), but **fail-stop death** is a scheduling
-//! event, not a communication cost — it lives here, next to the
-//! algorithm's rank state machine.
+//! Stragglers and get spikes are the communicator's to apply — `SimComm`
+//! in virtual time, `ExecComm` with real sleeps (see
+//! `srumma_comm::fault`) — but **fail-stop death** is a scheduling event,
+//! not a communication cost: it lives here, next to the algorithm's rank
+//! state machine.
 //!
 //! The protocol exploits two SRUMMA properties the paper leans on:
 //!
@@ -38,7 +39,7 @@
 
 use crate::run::RankReport;
 use crate::srumma::{SrummaProgram, STRIDE};
-use srumma_comm::{ChaosComm, Comm, ExecComm, FaultPlan, RankTask, Step};
+use srumma_comm::{Comm, ExecComm, RankDeath, RankTask, Step};
 use std::sync::Mutex;
 
 /// A dead rank's unfinished multiply, waiting for a survivor.
@@ -80,11 +81,12 @@ fn tasks_run(program: &SrummaProgram<'_>) -> usize {
     program.report().srumma.map_or(0, |r| r.tasks)
 }
 
-/// A flat [`SrummaProgram`] under a [`FaultPlan`] that scripts a death:
-/// hosted on a [`ChaosComm`] (stragglers, get spikes) like any polled
-/// program, and taught the death/re-execution protocol above.
+/// A flat [`SrummaProgram`] under a fault plan that scripts a death:
+/// hosted on its rank's [`ExecComm`] (which applies the plan's
+/// stragglers and get spikes) like any polled program, and taught the
+/// death/re-execution protocol above.
 pub struct ChaosSrummaRankTask<'r, 'a> {
-    comm: ChaosComm<ExecComm>,
+    comm: ExecComm,
     /// Own tasks this rank runs before it dies; on every rank but the
     /// scripted one, more than it will ever have.
     dies_after: usize,
@@ -97,18 +99,22 @@ pub struct ChaosSrummaRankTask<'r, 'a> {
 
 impl<'r, 'a> ChaosSrummaRankTask<'r, 'a> {
     /// Host `program` (flat: a staged program cannot be handed over)
-    /// under `plan`. `recovery` must be shared by every rank of the
-    /// run.
+    /// under the plan's `death`. `recovery` must be shared by every rank
+    /// of the run.
     pub fn new(
         comm: ExecComm,
         program: SrummaProgram<'a>,
-        plan: FaultPlan,
+        death: RankDeath,
         recovery: &'r ChaosRecovery<'a>,
     ) -> Self {
-        let death = plan.death.filter(|d| d.rank == comm.rank());
+        let dies_after = if death.rank == comm.rank() {
+            death.after_tasks
+        } else {
+            usize::MAX
+        };
         ChaosSrummaRankTask {
-            comm: ChaosComm::new(comm, plan),
-            dies_after: death.map_or(usize::MAX, |d| d.after_tasks),
+            comm,
+            dies_after,
             recovery,
             program: Some(program),
             own_done: false,
@@ -142,7 +148,7 @@ impl RankTask for ChaosSrummaRankTask<'_, '_> {
                         rank: self.comm.rank(),
                         program,
                     });
-                    self.comm.inner_mut().wake_peers();
+                    self.comm.wake_peers();
                     return Step::Done(partial);
                 }
                 return Step::Yield;
@@ -172,7 +178,7 @@ impl RankTask for ChaosSrummaRankTask<'_, '_> {
             // C write guard, which must happen before the proxy
             // arrival lets peers past the barrier to gather C.
             let dead = self.adopted.take().expect("adopted orphan present").rank;
-            self.comm.inner_mut().fence_arrive_for(dead);
+            self.comm.fence_arrive_for(dead);
         }
 
         // Phase 3: the closing barrier.

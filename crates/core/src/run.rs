@@ -32,8 +32,8 @@ use crate::options::{GemmSpec, ReplicationFactor};
 use crate::repl::{resolve_factor, srumma_replicated, ReplSet};
 use crate::srumma::{SrummaProgram, SrummaReport};
 use srumma_comm::{
-    exec_launch, exec_run_tasks, sim_run, virtual_run, ChaosComm, Comm, CostMap, DistMatrix,
-    ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions,
+    exec_launch, exec_run_tasks, sim_run, virtual_run, Comm, CostMap, DistMatrix, ExecRunResult,
+    FaultPlan, FaultPlanError, ProgramTask, SimOptions,
 };
 use srumma_dense::{Matrix, Op};
 use srumma_model::{Machine, Topology};
@@ -206,20 +206,6 @@ fn rank_body<C: Comm>(comm: &mut C, algorithm: &Algorithm, mats: &Mats) -> RankR
     }
 }
 
-/// [`rank_body`] on a wall-clock backend: a fault plan becomes real
-/// sleeps through [`ChaosComm`].
-fn wall_body<C: Comm>(
-    comm: &mut C,
-    faults: Option<&FaultPlan>,
-    algorithm: &Algorithm,
-    mats: &Mats,
-) -> RankReport {
-    match faults {
-        Some(plan) => rank_body(&mut ChaosComm::new(comm, plan.clone()), algorithm, mats),
-        None => rank_body(comm, algorithm, mats),
-    }
-}
-
 impl<'a> Run<'a> {
     /// The plain run: shape-only, dense, healthy, flat, unreplicated,
     /// untraced. Set the other fields with struct-update syntax.
@@ -379,8 +365,14 @@ impl<'a> Run<'a> {
     /// Run the ranks over the prepared matrices on `self.backend`.
     fn launch(&self, topology: Topology, mats: &Mats<'_>) -> Result<Launched, RunError> {
         let (nranks, algorithm, faults) = (self.nranks, &self.algorithm, self.faults);
-        // On the wall-clock backends the launchers emulate the topology.
+        // On the wall-clock backends the launchers emulate the topology
+        // and apply the fault plan.
         let topo = Some(topology);
+        // The blocking hosting: a thread per rank under `workers` permits.
+        let blocking = |workers| {
+            let body = |comm: &mut _| rank_body(comm, algorithm, mats);
+            launched(exec_launch(nranks, workers, self.trace, topo, faults, body))
+        };
         Ok(match self.backend {
             Backend::Sim(machine) => {
                 let mut opts = SimOptions::new(machine.clone(), nranks);
@@ -402,15 +394,11 @@ impl<'a> Run<'a> {
                 let res = virtual_run(machine, nranks, workers, body);
                 (Vec::new(), res.stats, Vec::new(), res.wall_seconds)
             }
-            // Thread-per-rank: the blocking hosting with a permit per rank.
-            Backend::Threads => {
-                let body = |comm: &mut _| wall_body(comm, faults, algorithm, mats);
-                launched(exec_launch(nranks, nranks, self.trace, topo, body))
-            }
+            // Thread-per-rank: a permit per rank.
+            Backend::Threads => blocking(nranks),
             // Flat or staged SRUMMA is one program, polled (no OS thread
-            // per rank) under whichever communicator the fault plan
-            // calls for; everything else runs its blocking body on a
-            // permit-gated thread.
+            // per rank), taught re-execution when the plan scripts a
+            // death; everything else runs its blocking body.
             Backend::Exec { workers } => match (mats, algorithm) {
                 (Mats::Flat(m, stages), Algorithm::Srumma(opts)) => {
                     // Declared after the matrices: any unclaimed program
@@ -418,28 +406,25 @@ impl<'a> Run<'a> {
                     let recovery = ChaosRecovery::new();
                     let FlatMats { spec, a, b, c } = m;
                     let program = || SrummaProgram::new(spec, a, b, c, opts, stages.as_ref());
+                    let death = faults.and_then(|plan| plan.death);
                     launched(exec_run_tasks(
                         nranks,
                         workers,
                         self.trace,
                         topo,
-                        |comm| match faults {
+                        faults,
+                        |comm| match death {
                             None => Box::new(ProgramTask::new(comm, program())),
-                            Some(plan) if plan.death.is_none() => {
-                                let comm = ChaosComm::new(comm, plan.clone());
-                                Box::new(ProgramTask::new(comm, program()))
-                            }
-                            Some(plan) => {
-                                let plan = plan.clone();
-                                Box::new(ChaosSrummaRankTask::new(comm, program(), plan, &recovery))
-                            }
+                            Some(death) => Box::new(ChaosSrummaRankTask::new(
+                                comm,
+                                program(),
+                                death,
+                                &recovery,
+                            )),
                         },
                     ))
                 }
-                _ => {
-                    let body = |comm: &mut _| wall_body(comm, faults, algorithm, mats);
-                    launched(exec_launch(nranks, workers, self.trace, topo, body))
-                }
+                _ => blocking(workers),
             },
         })
     }

@@ -298,7 +298,7 @@ fn caller_supplied_c_keeps_its_beta_on_every_backend() {
         }
         dc.scatter(&c0);
         let opts = SrummaOptions::default();
-        srumma_comm::exec_run_tasks(4, 2, false, None, |comm| {
+        srumma_comm::exec_run_tasks(4, 2, false, None, None, |comm| {
             let program = SrummaProgram::new(&spec, &da, &db, &dc, &opts, None);
             Box::new(srumma_comm::ProgramTask::new(comm, program))
         });

@@ -193,7 +193,9 @@ fn panicking_fsm_rank_does_not_hang_the_run() {
         }
     }
     let result = std::panic::catch_unwind(|| {
-        exec_run_tasks(8, 2, false, None, |comm| Box::new(Bomb { comm, ticks: 0 }))
+        exec_run_tasks(8, 2, false, None, None, |comm| {
+            Box::new(Bomb { comm, ticks: 0 })
+        })
     });
     assert!(
         result.is_err(),

@@ -21,6 +21,7 @@ use srumma_dense::{max_abs_diff, BlockMask, Matrix, Op};
 use srumma_model::machine::RanksPerDomain;
 use srumma_model::{Machine, Topology};
 use srumma_trace::RunStats;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn operands(spec: &GemmSpec) -> (Matrix, Matrix) {
     (
@@ -139,6 +140,32 @@ fn fault_plans_that_do_not_fit() {
     // The same death on the executor is a legal plan.
     let dead_rank_3 = FaultPlan::healthy().with_death(3, 1);
     assert_eq!(faults(&dead_rank_3).validate(), Ok(()));
+}
+
+/// An infinite slowdown factor or spike is refused by `validate()`, and
+/// by `execute()` before any rank runs: on the simulator either would
+/// reach the kernel as an infinite transfer cost and panic there.
+#[test]
+fn infinite_delays_are_refused_on_every_clock() {
+    let ab = operands(&GemmSpec::new(Op::N, Op::N, 12, 10, 14));
+    let inf_factor = FaultPlan::single_straggler(8, 1, f64::INFINITY);
+    let inf_spike = FaultPlan::healthy().with_get_spikes(0.5, f64::INFINITY);
+    let machine = Machine::linux_myrinet();
+    for backend in [Backend::Sim(&machine), Backend::Exec { workers: 2 }] {
+        for (plan, want) in [
+            (&inf_factor, FaultPlanError::SlowFactor { rank: 1 }),
+            (&inf_spike, FaultPlanError::SpikeSeconds),
+        ] {
+            let run = Run {
+                faults: Some(plan),
+                ..plain(backend, &ab)
+            };
+            let want = RunError::Faults(want);
+            assert_eq!(run.validate(), Err(want), "{backend:?}");
+            let got = catch_unwind(AssertUnwindSafe(|| run.execute().err()));
+            assert_eq!(got.ok().flatten(), Some(want), "{backend:?}");
+        }
+    }
 }
 
 /// Death is a scheduling event only the executor implements — and the
@@ -386,9 +413,9 @@ fn staged_on_one_worker<'a>(spec: GemmSpec, ab: &'a (Matrix, Matrix), nranks: us
     }
 }
 
-/// Under a death-free fault plan it is the polled program on a
-/// `ChaosComm<ExecComm>`: eight ranks and their staging fences on one
-/// thread. What each rank staged and ran is what the thread-per-rank
+/// Under a death-free fault plan it is the polled program on an
+/// `ExecComm` that applies the plan: eight ranks and their staging
+/// fences on one thread. What each rank staged and ran is what the thread-per-rank
 /// host of the same program reports.
 #[test]
 fn staged_srumma_with_stragglers_is_polled_on_one_worker() {
@@ -479,12 +506,12 @@ fn launch_over(
         }
         Backend::Threads => {
             let body = |comm: &mut _| body(comm, run, spec, mats, stages);
-            let res = exec_launch(run.nranks, run.nranks, false, Some(topo), body);
+            let res = exec_launch(run.nranks, run.nranks, false, Some(topo), None, body);
             (res.outputs, res.stats)
         }
         Backend::Exec { workers } => {
             let body = |comm: &mut _| body(comm, run, spec, mats, stages);
-            let res = exec_launch(run.nranks, workers, false, Some(topo), body);
+            let res = exec_launch(run.nranks, workers, false, Some(topo), None, body);
             (res.outputs, res.stats)
         }
         Backend::Virtual { .. } => panic!("the virtual clock moves no data"),

@@ -71,6 +71,15 @@ if grep -rn 'ThreadComm\|PoisonBarrier\|ThreadRunResult\|thread_launch\|grant_an
     echo "FAIL: a retired host name is back (see above; EXPERIMENTS.md, \"One wall-clock communicator\", \"Claim counters\")" >&2; exit 1
 fi
 
+echo "== fault guard: the communicator applies a fault plan, on either clock =="
+# SimComm applies a FaultPlan in virtual time and ExecComm with real
+# sleeps, each handed the plan by its launcher. A fault-injecting
+# decorator, the blanket impl that let it wrap a borrowed communicator,
+# or a rank body that picks one of them is the retired second route.
+if grep -rn 'ChaosComm\|wall_body\|inner_mut\|Comm for &mut' crates src tests examples; then
+    echo "FAIL: a retired fault-injection name is back (see above; DESIGN.md §13, \"Wall-clock injection\")" >&2; exit 1
+fi
+
 echo "== product guard: a run writes C where the caller reads it =="
 # Run::execute lends the ranks the matrix it returns (layout::with_fresh_c;
 # a replicated run lends it as team 0's C, ReplSet::create): no run builds

@@ -17,7 +17,7 @@ pub use srumma_model as model;
 pub use srumma_sim as sim;
 pub use srumma_trace as trace;
 
-pub use srumma_comm::{ChaosComm, FaultPlan, RankDeath};
+pub use srumma_comm::{FaultPlan, RankDeath};
 pub use srumma_core::{Algorithm, GemmSpec, ShmemFlavor, SrummaOptions, SummaOptions};
 pub use srumma_core::{Backend, Run, RunError, RunOutput};
 pub use srumma_core::{BatchEntry, BatchResult, BatchSpec, ReplicationFactor, SparseMasks};

@@ -10,7 +10,9 @@
 
 use srumma::core::driver::{default_grid, serial_reference, sparse_serial_reference};
 use srumma::dense::{max_abs_diff, prop_rerun, prop_seeds, Rng};
-use srumma::{Algorithm, BlockMask, FaultPlan, GemmSpec, Machine, Matrix, SparseMasks};
+use srumma::{
+    Algorithm, BlockMask, FaultPlan, GemmSpec, Machine, Matrix, ReplicationFactor, SparseMasks,
+};
 use srumma::{Backend, Run, RunOutput};
 
 const CASES: u64 = 6;
@@ -247,4 +249,62 @@ fn sim_chaos_runs_are_bit_for_bit_reproducible() {
         s1.total_delays_injected() > 0,
         "a 50% spike rate must inject at least one delay"
     );
+}
+
+/// Wall-clock delays follow the plan's schedule however the executor
+/// hosts the ranks. SRUMMA — flat, staged and in two replica teams —
+/// sleeps on the same gemms and the same gets whether its ranks block
+/// on threads of their own (`Threads`) or, flat and staged, are polled
+/// on two workers (`Exec`). SUMMA and Cannon run blocking bodies under
+/// two permits on `Exec`, and their straggler sleeps there too.
+#[test]
+fn wall_clock_delays_follow_the_plan_on_both_hostings() {
+    let spec = GemmSpec::square(24);
+    let a = Matrix::random(spec.m, spec.k, 0xE1);
+    let b = Matrix::random(spec.k, spec.n, 0xE2);
+    let expect = serial_reference(&spec, &a, &b);
+    let exec = Backend::Exec { workers: 2 };
+    let run = |backend, nranks, alg, plan| Run {
+        operands: Some((&a, &b)),
+        faults: Some(plan),
+        ..Run::new(spec, nranks, alg, backend)
+    };
+    let delays = |run: Run| {
+        let out = run.execute().unwrap();
+        assert!(max_abs_diff(&out.c.unwrap(), &expect) < tolerance(spec.k));
+        let ranks = out.stats.ranks.iter();
+        ranks.map(|r| r.delays_injected).collect::<Vec<u64>>()
+    };
+
+    let plan = FaultPlan::random_stragglers(7, 8).with_get_spikes(0.25, WALL_SPIKE_SECONDS);
+    let straggled: Vec<usize> = (0..8).filter(|&r| plan.slow_factor(r) > 1.0).collect();
+    assert!(!straggled.is_empty(), "pick a seed with a straggler");
+    let srumma = Algorithm::srumma_default();
+    let schedules = [
+        (None, false, ReplicationFactor::One),
+        (Some(2), true, ReplicationFactor::One),
+        (None, false, ReplicationFactor::Fixed(2)),
+    ];
+    for (ranks_per_node, hier, replication) in schedules {
+        let on = |backend| Run {
+            ranks_per_node,
+            hier,
+            replication,
+            ..run(backend, 8, srumma, &plan)
+        };
+        let (threads, polled) = (delays(on(Backend::Threads)), delays(on(exec)));
+        let what = format!("hier {hier}, {replication:?}");
+        assert_eq!(threads, polled, "{what}: per-rank delays differ by hosting");
+        for &r in &straggled {
+            assert!(threads[r] > 0, "{what}: straggler {r} never slept");
+        }
+    }
+
+    let summa = delays(run(exec, 8, Algorithm::summa_default(), &plan));
+    for &r in &straggled {
+        assert!(summa[r] > 0, "SUMMA: straggler {r} never slept");
+    }
+    let plan = FaultPlan::single_straggler(4, 1, 2.0);
+    let cannon = delays(run(exec, 4, Algorithm::Cannon, &plan));
+    assert!(cannon[1] > 0, "Cannon: straggler 1 never slept");
 }
