@@ -30,8 +30,13 @@
 //! * `gflops_prepacked_{96,768}` — the same loop nest with both factors
 //!   already in sliver order (`dgemm_operands` over two `Packed`
 //!   sides, the dispatched kernel): what a SRUMMA task costs once its
-//!   gets have landed packed. Read it beside `gflops_simd_n`; the gap is
-//!   the pack the get took over.
+//!   gets have landed packed. Read it beside `gflops_simd_n`: at 768
+//!   the gap is the pack the get took over; at 96 there is little gap
+//!   left, because a product that small reads its operands in place.
+//!
+//! * `gflops_simd_{tn,nt}_96` — `gflops_simd_96` for `op(A) = Aᵀ` and
+//!   for `op(B) = Bᵀ`: the AVX-512 kernel reads a `T` A in place as it
+//!   reads an `N` one, while a `T` B still packs.
 //!
 //! * `gflops_ldc_{96,384}_96x96x1536` and `gflops_ldc_{96,768}_96` —
 //!   one rank-task of the ledger's `rect_tn` (`TN`, 96 × 96 × 1536) and
@@ -41,6 +46,11 @@
 //!   bytes a row, rows `r` and `r + 4` / `r + 2` of a micro-tile share
 //!   their low 12 address bits). The pair must read alike: the writeback
 //!   issues a tile's loads before its stores, so `ldc` costs nothing.
+//!
+//! * `gflops_ldb_{96,512}_96` — a 96³ `NN` task whose B is read in
+//!   place, once as its own block (rows 768 B apart) and once as the
+//!   window of a 512-wide matrix (rows 4 KiB apart, so every k-row of a
+//!   sliver shares its low 12 address bits).
 //!
 //! * `gflops_lda_96t_96x96x1536` and `gflops_lda_6144n_96x96x1536` —
 //!   the same `rect_tn` rank-task by where its A block lies: the
@@ -203,6 +213,23 @@ fn bench_lda(quick: bool) -> [(&'static str, f64); 2] {
     })
 }
 
+/// A 96³ `NN` task on the dispatched kernel, B once as its own block
+/// (`ldb` 96) and once as a window at `ldb` 512; `(ldb, GFLOP/s)`.
+fn bench_ldb(quick: bool) -> [(usize, f64); 2] {
+    let n = 96;
+    let a = Matrix::random(n, n, 7);
+    let mut c = Matrix::zeros(n, n);
+    let mut ws = GemmWorkspace::new();
+    [n, 512].map(|ldb| {
+        let host = Matrix::random(n, ldb, 8);
+        let b = host.block(0, ldb - n, n, n);
+        let secs = best_seconds(quick, || {
+            dgemm_ws(Op::N, Op::N, 1.0, a.as_ref(), b, 0.0, c.as_mut(), &mut ws)
+        });
+        (ldb, gemm_flops(n, n, n) as f64 / secs / 1e9)
+    })
+}
+
 fn main() {
     let cfg = BenchArgs::parse(&[]);
     // SRUMMA task-block sizes: a √P × √P grid over the paper's problem
@@ -232,6 +259,7 @@ fn main() {
     }
 
     let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut transpose_row = vec!["96".to_string()];
     let mut worst_speedup = f64::INFINITY;
     for &n in sizes {
         let a = Matrix::random(n, n, 1);
@@ -250,12 +278,12 @@ fn main() {
             None
         };
 
-        let mut bench_kernel = |k: Microkernel| {
+        let mut bench_kernel_ops = |k: Microkernel, (ta, tb): (Op, Op)| {
             let mut ws = GemmWorkspace::with_kernel(k);
             measure(n, cfg.quick, || {
                 dgemm_ws(
-                    Op::N,
-                    Op::N,
+                    ta,
+                    tb,
                     1.0,
                     a.as_ref(),
                     b.as_ref(),
@@ -265,6 +293,7 @@ fn main() {
                 )
             })
         };
+        let mut bench_kernel = |k: Microkernel| bench_kernel_ops(k, (Op::N, Op::N));
 
         let g_scalar = bench_kernel(Microkernel::Scalar);
         metrics.num(&format!("gflops_scalar_{n}"), g_scalar);
@@ -283,6 +312,17 @@ fn main() {
             let speedup = g / g_scalar;
             metrics.num(&format!("speedup_simd_over_scalar_{n}"), speedup);
             worst_speedup = worst_speedup.min(speedup);
+        }
+
+        // The other two transposes of the 96³ task, best SIMD kernel.
+        if n == 96 && !simd_kernels.is_empty() {
+            for (ops, tag) in [((Op::T, Op::N), "tn"), ((Op::N, Op::T), "nt")] {
+                let g = (simd_kernels.iter())
+                    .map(|&k| bench_kernel_ops(k, ops))
+                    .fold(f64::NAN, f64::max);
+                metrics.num(&format!("gflops_simd_{tag}_96"), g);
+                transpose_row.push(fmt(g));
+            }
         }
 
         // Both factors prepacked: the task shapes of `manyrank_copy`
@@ -341,6 +381,13 @@ fn main() {
         ],
         &rows,
     );
+    if transpose_row.len() > 1 {
+        print_table(
+            "the 96^3 task by transpose (GFLOP/s, best SIMD kernel, best of samples)",
+            &["n", "op(A) = A^T", "op(B) = B^T"],
+            &[transpose_row],
+        );
+    }
 
     let mut ldc_rows: Vec<Vec<String>> = Vec::new();
     for (ta, shape, tag, ldcs) in [
@@ -361,15 +408,20 @@ fn main() {
         &ldc_rows,
     );
 
-    let mut lda_row = vec!["TN/NN 96x96x1536".to_string()];
+    let mut lda_row = vec!["A: TN/NN 96x96x1536".to_string()];
     for (tag, g) in bench_lda(cfg.quick) {
         metrics.num(&format!("gflops_lda_{tag}_96x96x1536"), g);
         lda_row.push(format!("{tag}: {}", fmt(g)));
     }
+    let mut ldb_row = vec!["B: NN 96".to_string()];
+    for (ldb, g) in bench_ldb(cfg.quick) {
+        metrics.num(&format!("gflops_ldb_{ldb}_96"), g);
+        ldb_row.push(format!("{ldb}: {}", fmt(g)));
+    }
     print_table(
-        "one rank-task by where its A block lies (GFLOP/s by lda, best of samples)",
-        &["task", "stored-T block", "N window of the host A"],
-        &[lda_row],
+        "one rank-task by where an operand lies (GFLOP/s by lda / ldb, best of samples)",
+        &["task", "own block", "window of a wider matrix"],
+        &[lda_row, ldb_row],
     );
 
     let mut pack_rows: Vec<Vec<String>> = Vec::new();

@@ -78,35 +78,43 @@ fn heavy_oversubscription_completes_and_matches() {
 /// rank. 35 ranks are a 5×7 grid: 11 merged k-segments per rank, more
 /// than the 8 tasks of one poll (36 ranks would be 6×6 with 6), so
 /// every rank yields mid-list with panels resident and may resume on
-/// another worker. The result is the thread backend's, bit for bit,
-/// and the run grows one gemm workspace per worker, not per rank.
+/// another worker. The result is the thread backend's, bit for bit.
+/// Copied blocks land packed, so those tasks pack nothing and no
+/// workspace grows; blocks passed directly are `Plain`, and the `T` B
+/// packs, so the run grows one gemm workspace per worker that ran a
+/// task — at least one, never one per rank.
 #[test]
 fn worker_owned_scratch_survives_yield_and_steal() {
     let (nranks, workers) = (35, 3);
     let spec = GemmSpec::new(Op::N, Op::T, 70, 84, 110).with_scalars(1.5, 1.0);
     let a = Matrix::random(spec.m, spec.k, 21);
     let b = Matrix::random(spec.k, spec.n, 22);
-    let alg = Algorithm::Srumma(SrummaOptions {
-        shmem: ShmemFlavor::ForceCopy,
-        ..Default::default()
-    });
-    let (want, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
-    let (got, res) = multiply_exec(nranks, workers, &alg, &spec, &a, &b);
-    assert_eq!(max_abs_diff(&got, &want), 0.0);
-    let exec = res.stats.exec.unwrap();
-    // Polls per rank: 8 tasks and a yield; the last 3 and the barrier;
-    // and, for a rank that found the barrier open when it checked, the
-    // wake-up. `barrier_try` arrives and checks under two separate
-    // locks, so the check passes at once not only for the last arriver
-    // but for any rank whose arrival the last one overtook in between —
-    // it has seen every arrival, so it may go on (seen under load as
-    // `parks` of 33 and 32 with 70 other polls). A worker runs one rank
-    // at a time, so at most `workers` ranks skip the third poll.
-    assert!(
-        exec.schedules() >= (3 * nranks - workers) as u64,
-        "{exec:?}"
-    );
-    assert!((1..=workers as u64).contains(&exec.ws_grows), "{exec:?}");
+    for (shmem, grows) in [
+        (ShmemFlavor::ForceCopy, 0..=0),
+        (ShmemFlavor::ForceDirect, 1..=workers as u64),
+    ] {
+        let alg = Algorithm::Srumma(SrummaOptions {
+            shmem,
+            ..Default::default()
+        });
+        let (want, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
+        let (got, res) = multiply_exec(nranks, workers, &alg, &spec, &a, &b);
+        assert_eq!(max_abs_diff(&got, &want), 0.0, "{shmem:?}");
+        let exec = res.stats.exec.unwrap();
+        // Polls per rank: 8 tasks and a yield; the last 3 and the barrier;
+        // and, for a rank that found the barrier open when it checked, the
+        // wake-up. `barrier_try` arrives and checks under two separate
+        // locks, so the check passes at once not only for the last arriver
+        // but for any rank whose arrival the last one overtook in between —
+        // it has seen every arrival, so it may go on (seen under load as
+        // `parks` of 33 and 32 with 70 other polls). A worker runs one rank
+        // at a time, so at most `workers` ranks skip the third poll.
+        assert!(
+            exec.schedules() >= (3 * nranks - workers) as u64,
+            "{shmem:?} {exec:?}"
+        );
+        assert!(grows.contains(&exec.ws_grows), "{shmem:?} {exec:?}");
+    }
 }
 
 /// The other two ways a rank reaches a workspace: a blocking body
@@ -122,27 +130,35 @@ fn gated_and_reexecuted_ranks_compute_in_the_running_threads_scratch() {
     assert!(max_abs_diff(&c, &serial_reference(&spec, &a, &b)) < 1e-9);
     assert!((1..=4).contains(&res.stats.exec.unwrap().ws_grows));
 
-    let opts = SrummaOptions {
-        shmem: ShmemFlavor::ForceCopy,
-        ..Default::default()
-    };
-    let (healthy, _) = multiply_exec(9, 2, &Algorithm::Srumma(opts), &spec, &a, &b);
-    let plan = srumma_comm::FaultPlan::healthy().with_death(4, 1);
-    let res = Run {
-        operands: Some((&a, &b)),
-        faults: Some(&plan),
-        ..Run::new(
-            spec,
-            9,
-            Algorithm::Srumma(opts),
-            Backend::Exec { workers: 2 },
-        )
+    // Copied blocks land packed and pack nothing; 40 is not whole
+    // 8-row slivers, so blocks passed directly pack.
+    for (shmem, grows) in [
+        (ShmemFlavor::ForceCopy, 0..=0),
+        (ShmemFlavor::ForceDirect, 1..=2),
+    ] {
+        let opts = SrummaOptions {
+            shmem,
+            ..Default::default()
+        };
+        let (healthy, _) = multiply_exec(9, 2, &Algorithm::Srumma(opts), &spec, &a, &b);
+        let plan = srumma_comm::FaultPlan::healthy().with_death(4, 1);
+        let res = Run {
+            operands: Some((&a, &b)),
+            faults: Some(&plan),
+            ..Run::new(
+                spec,
+                9,
+                Algorithm::Srumma(opts),
+                Backend::Exec { workers: 2 },
+            )
+        }
+        .execute()
+        .unwrap();
+        assert_eq!(max_abs_diff(&res.c.unwrap(), &healthy), 0.0, "{shmem:?}");
+        assert!(res.stats.total_tasks_reexecuted() > 0, "{shmem:?}");
+        let exec = res.stats.exec.unwrap();
+        assert!(grows.contains(&exec.ws_grows), "{shmem:?} {exec:?}");
     }
-    .execute()
-    .unwrap();
-    assert_eq!(max_abs_diff(&res.c.unwrap(), &healthy), 0.0);
-    assert!(res.stats.total_tasks_reexecuted() > 0);
-    assert!((1..=2).contains(&res.stats.exec.unwrap().ws_grows));
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Cache-blocked gemm (the "vendor dgemm" stand-in).
 //!
-//! Classic three-level blocking around the packed micro-kernel:
+//! Classic three-level blocking around the micro-kernel:
 //!
 //! ```text
 //! for jc in steps of nc:          // B panel fits in L3 / stays streaming
 //!   for lc in steps of kc:        // packed B panel fits in L2
-//!     pack B[lc.., jc..]
+//!     pack B[lc.., jc..]          //   unless B is read in place
 //!     for ic in steps of mc:      // packed A panel fits in L1/L2
-//!       pack A[ic.., lc..]
-//!       macro-kernel: mr x nr micro-tiles over the packed panels
+//!       pack A[ic.., lc..]        //   unless A is read in place
+//!       macro-kernel: mr x nr micro-tiles over the two sides' slivers
 //! ```
 //!
 //! `β` has its BLAS meaning. With `β = 0`, C need not be set on input:
@@ -18,12 +18,17 @@
 //!
 //! That nest is written once, [`dgemm_operands`], over two
 //! [`Operand`]s. A `Plain` side (a stored matrix and its transpose
-//! flag) is packed as above; a `Packed` side is a k-range of a
+//! flag) is packed as above, or — when one shape rule says the product
+//! fits in cache and the kernel can read the side's layout — read where
+//! it lies; a `Packed` side is a k-range of a
 //! [`crate::pack::PackedPanel`] — a whole block some earlier step (a
-//! one-sided get) already left in sliver order — and its `pack` line
-//! simply does not run: the macro-kernel takes a sliver base and stride
-//! per side and cannot tell the two apart, so neither can any bit of C.
-//! [`dgemm_ws`] is the nest with two `Plain` sides.
+//! one-sided get) already left in sliver order. Only a packed `Plain`
+//! side runs its `pack` line: the macro-kernel takes each side as a
+//! sliver base, the step to the next sliver and the lane and k strides
+//! within one (`kernel::Sliver`), and the micro-kernel reads
+//! the same values in the same order whichever of the three forms they
+//! come in, so no bit of C can tell them apart. [`dgemm_ws`] is the
+//! nest with two `Plain` sides.
 //!
 //! The packing buffers live in a [`GemmWorkspace`] that callers on hot
 //! paths (the `Comm::gemm` implementations, the SRUMMA task loop) keep
@@ -40,7 +45,7 @@
 
 use crate::aligned::{AlignedBuf, ALIGN};
 use crate::gemm::Op;
-use crate::kernel::{active_kernel, Microkernel, ACC_LEN};
+use crate::kernel::{active_kernel, Microkernel, Sliver, ACC_LEN};
 use crate::matrix::{MatMut, MatRef};
 use crate::pack::{pack_a, pack_b, PackedView};
 
@@ -104,12 +109,13 @@ impl BlockSizes {
 /// sizes, and the micro-kernel the packing layout is sized for.
 ///
 /// Construct one per rank (or per thread) and pass it to [`dgemm_ws`];
-/// the buffers are sized on first use and never reallocated afterwards
-/// — [`Self::grow_count`] stays at 1 over any number of calls, which is
-/// what "zero per-call heap allocations in the steady state" means
-/// concretely. The packing buffers are 64-byte aligned
-/// ([`crate::aligned`]) so every sliver starts on a cache-line/zmm
-/// boundary.
+/// the buffers are sized on the first call that packs into them and
+/// never reallocated afterwards — [`Self::grow_count`] grows at most
+/// once over any number of calls (a run of products that read every
+/// side in place never allocates at all), which is what "zero per-call
+/// heap allocations in the steady state" means concretely. The packing
+/// buffers are 64-byte aligned ([`crate::aligned`]) so every sliver
+/// starts on a cache-line/zmm boundary.
 #[derive(Debug)]
 pub struct GemmWorkspace {
     kernel: Microkernel,
@@ -182,8 +188,8 @@ impl GemmWorkspace {
         self.blocks
     }
 
-    /// How many times the packing buffers have grown. After the first
-    /// gemm this stays constant — the reuse guarantee tests assert on.
+    /// How many times the packing buffers have grown: at most once, on
+    /// the first gemm that packs — the reuse guarantee tests assert on.
     pub fn grow_count(&self) -> u64 {
         self.grows
     }
@@ -212,7 +218,9 @@ impl GemmWorkspace {
 #[derive(Clone, Copy)]
 pub enum Operand<'a> {
     /// A stored matrix and the transpose flag it enters with; the loop
-    /// packs it, one cache block at a time, into the workspace.
+    /// packs it, one cache block at a time, into the workspace — or,
+    /// for a product small enough (see [`dgemm_operands`]), the
+    /// micro-kernel reads it where it lies.
     Plain(MatRef<'a>, Op),
     /// A k-range of a block already in sliver order
     /// ([`crate::pack::PackedPanel`]); the loop reads it in place.
@@ -240,11 +248,15 @@ pub fn dgemm_ws(
 }
 
 /// [`dgemm_ws`] over [`Operand`]s — the one blocked loop nest. A
-/// `Plain` side is packed per cache block as ever; a `Packed` side
-/// skips the pack and hands the macro-kernel the same values in the
-/// same order from where they already lie, `KC` chains starting at the
-/// view's first depth — so the result is bit-equal to `dgemm_ws` on the
-/// sub-blocks the views were packed from, whichever sides are packed.
+/// `Plain` side is packed per cache block, unless the AVX-512 kernel
+/// runs a product with `max(m, n, k) ≤ 128` and the side's shape lets
+/// it be read in place (`op(A)` in whole `mr`-row slivers, an `N` B in
+/// whole vectors of eight columns); a `Packed` side skips the pack.
+/// Either way the macro-kernel gets the same values in the same order,
+/// `KC` chains starting at the operand's first depth — so the result is
+/// bit-equal to `dgemm_ws` on the sub-blocks the views were packed
+/// from, whichever sides are packed or read in place. The workspace
+/// grows only when some side packs into it.
 ///
 /// # Panics
 /// Panics on a shape mismatch, or if a packed side's sliver width is not
@@ -282,7 +294,6 @@ pub fn dgemm_operands(
         c.scale(beta);
     }
 
-    ws.reserve();
     let kernel = ws.kernel;
     let (mr, nr) = (kernel.mr(), kernel.nr());
     for (side, w) in [(a, mr), (b, nr)] {
@@ -296,6 +307,17 @@ pub fn dgemm_operands(
             );
         }
     }
+    let plain_op = |side: Operand<'_>| match side {
+        Operand::Plain(_, op) => Some(op),
+        Operand::Packed(_) => None,
+    };
+    let (opa, opb) = (plain_op(a), plain_op(b));
+    let (a_in_place, b_in_place) = reads_in_place(kernel, (m, n, k), opa, opb);
+    if (opa.is_some() && !a_in_place) || (opb.is_some() && !b_in_place) {
+        ws.reserve();
+    }
+    // Both sides in sliver order: the packed kernel reads them.
+    let packed = !a_in_place && !b_in_place;
     let BlockSizes {
         mc: bmc,
         kc: bkc,
@@ -310,32 +332,86 @@ pub fn dgemm_operands(
         while lc < k {
             let kc = bkc.min(k - lc);
             let b_slivers = match b {
+                // op(B) = B: element (k, j) at k·ldb + j.
+                Operand::Plain(b, _) if b_in_place => {
+                    let ld = b.ld();
+                    Sliver::strided(&b.data()[lc * ld + jc..], nr, 1, ld)
+                }
                 Operand::Plain(b, op) => {
                     pack_b(op, b, lc, jc, kc, nc, nr, bpack.as_mut_slice());
-                    (bpack.as_slice(), nr * kc)
+                    Sliver::packed((bpack.as_slice(), nr * kc), nr)
                 }
-                Operand::Packed(p) => p.slivers_from(jc, lc),
+                Operand::Packed(p) => Sliver::packed(p.slivers_from(jc, lc), nr),
             };
             let mut ic = 0;
             while ic < m {
                 let mc = bmc.min(m - ic);
                 let a_slivers = match a {
+                    // op(A)(r, k) at r·lda + k (N) or k·lda + r (T).
+                    Operand::Plain(a, op) if a_in_place => {
+                        let ld = a.ld();
+                        match op {
+                            Op::N => Sliver::strided(&a.data()[ic * ld + lc..], mr * ld, ld, 1),
+                            Op::T => Sliver::strided(&a.data()[lc * ld + ic..], mr, 1, ld),
+                        }
+                    }
                     Operand::Plain(a, op) => {
                         pack_a(op, a, ic, lc, mc, kc, mr, apack.as_mut_slice());
-                        (apack.as_slice(), mr * kc)
+                        Sliver::packed((apack.as_slice(), mr * kc), mr)
                     }
-                    Operand::Packed(p) => p.slivers_from(ic, lc),
+                    Operand::Packed(p) => Sliver::packed(p.slivers_from(ic, lc), mr),
                 };
                 let store = store_first && lc == 0;
-                macro_kernel(
-                    kernel, mc, nc, kc, alpha, a_slivers, b_slivers, store, &mut c, ic, jc,
-                );
+                // Chosen per call, not per tile, and called directly so
+                // that both tile loops inline here: behind a function
+                // pointer the portable kernel's loop ran 20 % slower.
+                if packed {
+                    macro_kernel::<true>(
+                        kernel, mc, nc, kc, alpha, a_slivers, b_slivers, store, &mut c, ic, jc,
+                    );
+                } else {
+                    macro_kernel::<false>(
+                        kernel, mc, nc, kc, alpha, a_slivers, b_slivers, store, &mut c, ic, jc,
+                    );
+                }
                 ic += bmc;
             }
             lc += bkc;
         }
         jc += bnc;
     }
+}
+
+/// The one shape rule for reading a `Plain` side where it lies instead
+/// of packing it: which of `op(A)` and `op(B)` of an `m × n × k` product
+/// (`None` for a side that is not `Plain`) the micro-kernel reads in
+/// place, as `(a, b)`.
+///
+/// Only the AVX-512 kernel reads through strides, and only a product
+/// that fits in cache (`max(m, n, k) ≤ 128`) gains: there the pack is a
+/// large share of the work, and the operands' rows stay resident
+/// however far apart they lie. A is read in place in either
+/// orientation — its values are scalar broadcasts — when `m` is whole
+/// `mr`-row slivers; B only as `N` (each k-row's lanes are contiguous,
+/// three vector loads) when `n` is whole vectors of eight. Every sliver
+/// read in place is then whole or a whole number of vectors, so no
+/// load is ever masked; any other side packs.
+fn reads_in_place(
+    kernel: Microkernel,
+    (m, n, k): (usize, usize, usize),
+    opa: Option<Op>,
+    opb: Option<Op>,
+) -> (bool, bool) {
+    #[cfg(target_arch = "x86_64")]
+    let strided = kernel == Microkernel::Avx512;
+    #[cfg(not(target_arch = "x86_64"))]
+    let strided = false;
+    if !strided || m.max(n).max(k) > 128 {
+        return (false, false);
+    }
+    let a = opa.is_some() && m.is_multiple_of(kernel.mr());
+    let b = opb == Some(Op::N) && n.is_multiple_of(8);
+    (a, b)
 }
 
 /// One micro-tile's accumulator, on a cache-line boundary: the kernels
@@ -345,18 +421,19 @@ struct Acc([f64; ACC_LEN]);
 
 /// Run the micro-kernel over every `mr × nr` tile of an `mc × nc` block,
 /// storing each tile's `α·acc` into C when `store` (a first k-slice under
-/// `β = 0`) and adding it otherwise. Each side is its first sliver's
-/// slice and the distance to the next: `w · kc` in a workspace panel,
-/// `w ·` the full depth in a [`crate::pack::PackedPanel`].
+/// `β = 0`) and adding it otherwise. Each side is its slivers, packed or
+/// where they lie: `PACKED` (both sides packed) runs the packed kernel,
+/// otherwise the strided one, which reads the same values in the same
+/// order.
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel(
+fn macro_kernel<const PACKED: bool>(
     kernel: Microkernel,
     mc: usize,
     nc: usize,
     kc: usize,
     alpha: f64,
-    (apack, a_stride): (&[f64], usize),
-    (bpack, b_stride): (&[f64], usize),
+    a: Sliver<'_>,
+    b: Sliver<'_>,
     store: bool,
     c: &mut MatMut<'_>,
     ic: usize,
@@ -366,14 +443,19 @@ fn macro_kernel(
     let m_slivers = mc.div_ceil(mr);
     let n_slivers = nc.div_ceil(nr);
     for js in 0..n_slivers {
-        let b_sliver = &bpack[js * b_stride..][..nr * kc];
+        let b_sliver = b.nth(js);
         let cols = nr.min(nc - js * nr);
         for is in 0..m_slivers {
-            let a_sliver = &apack[is * a_stride..][..mr * kc];
+            let a_sliver = a.nth(is);
             let rows = mr.min(mc - is * mr);
             let mut acc = Acc([0.0; ACC_LEN]);
             let acc = &mut acc.0;
-            kernel.run_cols(cols, kc, a_sliver, b_sliver, acc);
+            if PACKED {
+                let (a, b) = (&a_sliver.data[..mr * kc], &b_sliver.data[..nr * kc]);
+                kernel.run_cols(cols, kc, a, b, acc);
+            } else {
+                kernel.run_strided(cols, kc, a_sliver, b_sliver, acc);
+            }
             // Element (ic + is*mr, jc + js*nr) of C within its buffer.
             let r0 = ic + is * mr;
             let c0 = jc + js * nr;
@@ -527,6 +609,29 @@ mod tests {
             &mut ws,
         );
         assert_eq!(ws.grow_count(), 1);
+    }
+
+    #[test]
+    fn a_pack_free_product_never_grows_the_workspace() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !Microkernel::Avx512.available() {
+                eprintln!("skipping: host lacks AVX-512F");
+                return;
+            }
+            let mut ws = GemmWorkspace::with_kernel(Microkernel::Avx512);
+            let (a, b) = (Matrix::random(96, 96, 1), Matrix::random(96, 96, 2));
+            let mut c = Matrix::zeros(96, 96);
+            for (ta, tb, grows) in [(Op::N, Op::N, 0), (Op::T, Op::N, 0), (Op::N, Op::T, 1)] {
+                for _ in 0..2 {
+                    let (a, b) = (a.as_ref(), b.as_ref());
+                    dgemm_ws(ta, tb, 1.0, a, b, 0.0, c.as_mut(), &mut ws);
+                    assert_eq!(ws.grow_count(), grows, "{ta:?}{tb:?} 96^3");
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        eprintln!("skipping: no AVX-512 kernel on this architecture");
     }
 
     #[test]

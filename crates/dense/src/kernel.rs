@@ -1,7 +1,9 @@
 //! Register-blocked micro-kernels and their runtime dispatch.
 //!
 //! Four micro-kernels compute an `mr × nr` tile of the product from
-//! packed operand slivers (see [`crate::pack`]):
+//! packed operand slivers (see [`crate::pack`]); the AVX-512 one also
+//! from operands read where they lie, through strides (`Sliver`,
+//! `Microkernel::run_strided`):
 //!
 //! * **scalar** (`mr = 4`, `nr = 8`) — portable Rust; the accumulator
 //!   lives in a local array the compiler keeps in vector registers, and
@@ -25,7 +27,9 @@
 //!   `mc × kc` panel stream from L2 (the table is in [`crate::simd`]).
 //!   A ragged last sliver runs a narrower instance of the same kernel
 //!   ([`Microkernel::run_cols`]). Packing adapts because
-//!   `pack_a`/`pack_b` take `mr`/`nr` as parameters.
+//!   `pack_a`/`pack_b` take `mr`/`nr` as parameters. A small product
+//!   skips them: the same kernel body reads `op(A)` and an `N` B in
+//!   place ([`crate::blocked`] says when).
 //! * **NEON** (`mr = 4`, `nr = 8`, [`crate::simd_neon`], `aarch64`
 //!   only) — sixteen 128-bit accumulators (4 rows × 4 vectors of two
 //!   `f64`), four B loads + four broadcasts + sixteen FMAs per `k`
@@ -243,6 +247,45 @@ impl Microkernel {
         }
     }
 
+    /// [`Self::run_cols`] over two [`Sliver`]s wherever they lie — an
+    /// operand read in place — through their strides, B lanes always
+    /// contiguous. Only the AVX-512 kernel reads through strides; packed
+    /// slivers (`lane = 1`, `depth` = `mr` / `nr`) read this way give the
+    /// packed kernel's values in the same order, so the same bits.
+    ///
+    /// # Panics
+    /// Panics on any kernel but AVX-512, or on a B sliver whose lanes
+    /// are not contiguous.
+    #[inline]
+    pub(crate) fn run_strided(
+        self,
+        cols: usize,
+        kc: usize,
+        a: Sliver<'_>,
+        b: Sliver<'_>,
+        acc: &mut [f64],
+    ) {
+        assert_eq!(b.lane, 1, "B sliver lanes must be contiguous");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Microkernel::Avx512 => {
+                debug_assert!(self.available(), "Avx512 kernel on a non-AVX512F host");
+                // SAFETY: constructed only after runtime detection
+                // confirmed avx512f; sliver bounds are checked inside.
+                unsafe {
+                    use crate::simd::microkernel_avx512_strided as kernel;
+                    let (a, b) = ((a.data, a.lane, a.depth), (b.data, b.depth));
+                    match cols.div_ceil(8) {
+                        ..=1 => kernel::<1>(kc, a, b, acc),
+                        2 => kernel::<2>(kc, a, b, acc),
+                        _ => kernel::<3>(kc, a, b, acc),
+                    }
+                }
+            }
+            _ => panic!("the {} kernel reads packed slivers only", self.name()),
+        }
+    }
+
     /// [`writeback`] of a tile this kernel produced (`acc` is `nr()`
     /// wide). A whole `mr() × nr()` tile of the AVX2 and AVX-512 kernels
     /// is summed in registers — all of its loads, then all of its stores
@@ -298,6 +341,49 @@ impl Microkernel {
             }
         }
         store(acc, alpha, self.nr(), tile);
+    }
+}
+
+/// One operand sliver as a micro-kernel reads it: element `(x, k)` —
+/// lane `x` (a row of `op(A)`, a column of `op(B)`), depth `k` — at
+/// `data[x * lane + k * depth]`, and the next sliver of the same side
+/// `step` values on. A packed sliver ([`crate::pack`]) is `lane = 1`,
+/// `depth = w`; a row-major operand read where it lies has its leading
+/// dimension in one of the two.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Sliver<'a> {
+    /// The values from element `(0, 0)` on.
+    pub(crate) data: &'a [f64],
+    /// Distance between two lanes at one depth.
+    pub(crate) lane: usize,
+    /// Distance between two depths of one lane.
+    pub(crate) depth: usize,
+    /// Distance to the next sliver.
+    pub(crate) step: usize,
+}
+
+impl<'a> Sliver<'a> {
+    /// Packed slivers `w` wide, `step` apart: `w · kc` in a workspace
+    /// panel, `w ·` the full depth in a [`crate::pack::PackedPanel`].
+    pub(crate) fn packed((data, step): (&'a [f64], usize), w: usize) -> Self {
+        Self::strided(data, step, 1, w)
+    }
+
+    pub(crate) fn strided(data: &'a [f64], step: usize, lane: usize, depth: usize) -> Self {
+        Sliver {
+            data,
+            lane,
+            depth,
+            step,
+        }
+    }
+
+    /// The sliver `s` steps on; the micro-kernel asserts its bounds.
+    pub(crate) fn nth(self, s: usize) -> Self {
+        Sliver {
+            data: &self.data[s * self.step..],
+            ..self
+        }
     }
 }
 

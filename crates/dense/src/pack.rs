@@ -4,7 +4,9 @@
 //! repacked into contiguous `mr`-row slivers and a panel of `op(B)` into
 //! contiguous `nr`-column slivers, so the micro-kernel streams through
 //! memory with unit stride regardless of the caller's leading dimensions
-//! or transpose flags. Rows/columns beyond the matrix edge are padded
+//! or transpose flags. A product small enough to sit in cache skips the
+//! pack for the sides the AVX-512 kernel can read in place (the rule is
+//! [`crate::blocked`]'s); every other side is packed here. Rows/columns beyond the matrix edge are padded
 //! with zeros so the micro-kernel never needs edge masks on its inputs.
 //!
 //! A sliver is `kc` groups of `w` values (`dst[k * w + x]`), and there

@@ -23,17 +23,26 @@
 //! where 8×16 reaches 65 and 8×24 69 on the same host (EXPERIMENTS.md,
 //! "Filling the register file").
 //!
-//! The kernel is written once, [`microkernel_avx512`]`<NV>`, over the
-//! 24-wide packed sliver: `NV` is the number of B vectors it reads per
-//! `k` step, and the macro-kernel runs the narrowest instance covering
-//! the live columns of a ragged last sliver. Each C element's FMA chain
-//! runs over `k` in order whatever `NV` is, so the tile shape never
-//! changes a bit of the result. The packing buffers are 64-byte aligned
-//! ([`crate::aligned`]); a 24-wide sliver row is three cache lines.
+//! The kernel is written once, over the 24-wide sliver: `NV` is the
+//! number of B vectors it reads per `k` step, and the macro-kernel runs
+//! the narrowest instance covering the live columns of a ragged last
+//! sliver. Its two entries differ only in where the slivers lie:
+//! [`microkernel_avx512`]`<NV>` reads packed ones at constant strides,
+//! `microkernel_avx512_strided<NV>` reads an operand where it lies,
+//! through the lane and `k` strides of a `kernel::Sliver`. Each C
+//! element's FMA chain runs over `k` in order whatever `NV` is, and
+//! wherever the slivers lie, so neither the tile shape nor the read
+//! path changes a bit of the result. The packing buffers are 64-byte
+//! aligned ([`crate::aligned`]); a 24-wide sliver row is three cache
+//! lines.
 //!
-//! Both consume the same `k`-major sliver format the scalar kernel
-//! does, at their own `mr`/`nr` (see [`crate::pack`]); slivers are
-//! zero-padded at the edges, so no masked loads are ever needed.
+//! The AVX2 kernel and the packed AVX-512 entry consume the `k`-major
+//! sliver format the scalar kernel does, at their own `mr`/`nr` (see
+//! [`crate::pack`]); packed slivers are zero-padded at the edges. The
+//! strided entry reads A as scalar broadcasts and B as whole vectors of
+//! a row-major `N` operand, and [`crate::blocked`] hands it only whole
+//! A slivers and B slivers of whole vectors — so no masked load is ever
+//! needed in either.
 //!
 //! Everything here is `unsafe fn` + `#[target_feature]`: callers reach
 //! it through [`crate::kernel::Microkernel::run`], which guarantees the
@@ -96,7 +105,8 @@ const ZMM_LANES: usize = 8;
 /// the `MR_AVX512 × NR_AVX512` tile at the front of `acc` (element
 /// `(r, c)` at `r * NR_AVX512 + c`), with fused multiply-adds. `NV` is
 /// the number of B vectors read per `k` step (1..=3); columns of `acc`
-/// and of `b_sliver` past `8 * NV` are neither read nor written.
+/// and of `b_sliver` past `8 * NV` are neither read nor written. Both
+/// slivers are packed ([`crate::pack`]).
 ///
 /// # Safety
 /// The caller must have verified `avx512f` is available on this host
@@ -114,7 +124,59 @@ pub unsafe fn microkernel_avx512<const NV: usize>(
     assert!(a_sliver.len() >= kc * MR_AVX512);
     assert!(kc == 0 || b_sliver.len() >= (kc - 1) * NR_AVX512 + live);
     assert!(acc.len() >= (MR_AVX512 - 1) * NR_AVX512 + live);
+    let (a, b) = (a_sliver.as_ptr(), b_sliver.as_ptr());
+    tile_avx512::<NV>(kc, (a, 1, MR_AVX512), (b, NR_AVX512), acc);
+}
 
+/// [`microkernel_avx512`] on slivers that lie where they are: element
+/// `(r, k)` of the A sliver at `a[r * a_lane + k * a_depth]`, row `k` of
+/// the B sliver the `8 * NV` contiguous values from `b[k * b_depth]`.
+/// A sliver packed in place of either reads the same values in the same
+/// order, so the tile comes out bit for bit the packed kernel's.
+///
+/// # Safety
+/// The caller must have verified `avx512f` is available on this host.
+/// Slice bounds are asserted.
+#[target_feature(enable = "avx512f")]
+pub(crate) unsafe fn microkernel_avx512_strided<const NV: usize>(
+    kc: usize,
+    (a, a_lane, a_depth): (&[f64], usize, usize),
+    (b, b_depth): (&[f64], usize),
+    acc: &mut [f64],
+) {
+    const { assert!(NV >= 1 && NV * ZMM_LANES <= NR_AVX512) };
+    let live = NV * ZMM_LANES;
+    if kc > 0 {
+        // The index of the last element read, if it has one.
+        let last = |lanes: usize, lane: usize, depth: usize| {
+            let far = (lanes - 1).checked_mul(lane)?;
+            far.checked_add((kc - 1).checked_mul(depth)?)
+        };
+        assert!(last(MR_AVX512, a_lane, a_depth).is_some_and(|i| i < a.len()));
+        assert!(last(live, 1, b_depth).is_some_and(|i| i < b.len()));
+    }
+    assert!(acc.len() >= (MR_AVX512 - 1) * NR_AVX512 + live);
+    tile_avx512::<NV>(
+        kc,
+        (a.as_ptr(), a_lane, a_depth),
+        (b.as_ptr(), b_depth),
+        acc,
+    );
+}
+
+/// The one body of both AVX-512 kernels: the packed one passes its
+/// constant strides, which fold away.
+///
+/// # Safety
+/// As `microkernel_avx512_strided`, with the bounds already checked.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn tile_avx512<const NV: usize>(
+    kc: usize,
+    (ap, a_lane, a_depth): (*const f64, usize, usize),
+    (bp, b_depth): (*const f64, usize),
+    acc: &mut [f64],
+) {
     // Start from the caller's accumulator so the kernel keeps the same
     // accumulate-in semantics as the scalar path.
     let mut c = [[_mm512_setzero_pd(); NV]; MR_AVX512];
@@ -124,15 +186,13 @@ pub unsafe fn microkernel_avx512<const NV: usize>(
         }
     }
 
-    let ap = a_sliver.as_ptr();
-    let bp = b_sliver.as_ptr();
     for k in 0..kc {
         let mut b = [_mm512_setzero_pd(); NV];
         for (j, v) in b.iter_mut().enumerate() {
-            *v = _mm512_loadu_pd(bp.add(k * NR_AVX512 + j * ZMM_LANES));
+            *v = _mm512_loadu_pd(bp.add(k * b_depth + j * ZMM_LANES));
         }
         for (r, row) in c.iter_mut().enumerate() {
-            let av = _mm512_set1_pd(*ap.add(k * MR_AVX512 + r));
+            let av = _mm512_set1_pd(*ap.add(r * a_lane + k * a_depth));
             for (v, bj) in row.iter_mut().zip(b) {
                 *v = _mm512_fmadd_pd(av, bj, *v);
             }

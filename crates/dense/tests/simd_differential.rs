@@ -487,6 +487,82 @@ fn packed_operands_are_bit_identical_to_plain_ones() {
     }
 }
 
+/// A product small enough to read its operands in place changes no bit
+/// by doing so: `dgemm_ws` on `Plain` views equals `dgemm_operands` over
+/// `Packed` panels of the same views — a path that never reads in place
+/// — bit for bit. Shapes over `1..=136` straddle the shape rule's 128
+/// and its whole-sliver and whole-vector conditions (`m % 8`, `n % 8`),
+/// all four transposes, both C writes (`β = 0` stores, others add), and
+/// operands that are windows at `ld` = cols, cols + 5, 512 and 768 —
+/// rows 4 and 6 KiB apart among them — at the default block sizes and
+/// at small ones. Under a kernel that never reads in place both sides
+/// pack, and the identity is the packed one.
+#[test]
+fn pack_free_matches_packed_bit_for_bit() {
+    let kernel = srumma_dense::active_kernel();
+    let dim = |rng: &mut Rng| match rng.range(0, 2) {
+        0 => *rng.pick(&[1, 127, 128, 129, 136]),
+        1 => 8 * rng.range(1, 17),
+        _ => rng.range(1, 136),
+    };
+    // A `rows × cols` window, at leading dimension `ld`, of a wider matrix.
+    let window = |rng: &mut Rng, rows: usize, cols: usize| {
+        let ld = *rng.pick(&[cols, cols + 5, 512, 768]);
+        let host = Matrix::random(rows, ld.max(cols), rng.next_u64());
+        (host, ld.max(cols) - cols)
+    };
+    for seed in prop_seeds(0x9AC_F4EE, 24) {
+        let mut rng = Rng::new(seed);
+        for (ta, tb) in [
+            (Op::N, Op::N),
+            (Op::T, Op::N),
+            (Op::N, Op::T),
+            (Op::T, Op::T),
+        ] {
+            let (m, n, k) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
+            let alpha = *rng.pick(&[1.0, -1.5]);
+            let beta = *rng.pick(&[0.0, 1.0, 0.25]);
+            let (ar, ac) = ta.apply(m, k);
+            let (br, bc) = tb.apply(k, n);
+            let (host_a, ja) = window(&mut rng, ar, ac);
+            let (host_b, jb) = window(&mut rng, br, bc);
+            let (a, b) = (host_a.block(0, ja, ar, ac), host_b.block(0, jb, br, bc));
+            let (host_c, jc) = window(&mut rng, m, n);
+            let (mut pa, mut pb) = (PackedPanel::new(), PackedPanel::new());
+            pa.pack(Side::A(ta), kernel, a);
+            pb.pack(Side::B(tb), kernel, b);
+            let (pa, pb) = (Operand::Packed(pa.view()), Operand::Packed(pb.view()));
+
+            // Small blocks put in-place reads at `lc > 0`, `ic > 0` and
+            // `jc > 0`, where the defaults never do.
+            for blocks in [None, Some(BlockSizes::new(24, 40, 48))] {
+                let ws = || match blocks {
+                    Some(blocks) => GemmWorkspace::with_config(kernel, blocks),
+                    None => GemmWorkspace::with_kernel(kernel),
+                };
+                let (mut want, mut got) = (host_c.clone(), host_c.clone());
+                dgemm_operands(alpha, pa, pb, beta, want.block_mut(0, jc, m, n), &mut ws());
+                let c = got.block_mut(0, jc, m, n);
+                dgemm_ws(ta, tb, alpha, a, b, beta, c, &mut ws());
+                let what = format!(
+                    "{} {ta:?}{tb:?} {m}x{n}x{k} alpha={alpha} beta={beta} lda={} ldb={} \
+                     blocks={blocks:?}",
+                    kernel.name(),
+                    a.ld(),
+                    b.ld()
+                );
+                let first_diff = (got.as_slice().iter().zip(want.as_slice()))
+                    .position(|(g, w)| g.to_bits() != w.to_bits());
+                assert!(
+                    first_diff.is_none(),
+                    "{what}: element {first_diff:?} differs\n{}",
+                    prop_rerun(seed, "pack_free_matches_packed_bit_for_bit")
+                );
+            }
+        }
+    }
+}
+
 /// `β = 0` means C need not be set on input: `dgemm_ws` into a C of NaN
 /// leaves the bits that `β = 1` leaves on a zeroed C — on every kernel
 /// this host runs, for whole tiles and ragged edges, for depths whose

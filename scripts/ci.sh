@@ -151,6 +151,21 @@ in_table=$(grep -oE '^\| `SRUMMA_[A-Z_]+`' README.md | grep -oE 'SRUMMA_[A-Z_]+'
 [ "$in_code" = "$in_table" ] || { echo "FAIL: SRUMMA_* knobs, code (<) vs README table (>):" >&2;
     diff <(echo "$in_code") <(echo "$in_table") >&2; exit 1; }
 
+echo "== pack-free guard: one shape rule, no knob =="
+# Whether dgemm_ws reads a side where it lies or packs it is decided by
+# one function, blocked::reads_in_place, from the product's shape and
+# the dispatched kernel. An environment read in the dense crate beside
+# SRUMMA_KERNEL (kernel.rs) and the test seeds (prop.rs) would be a
+# knob on it; a second definition or call site would be a second rule.
+if grep -rn 'env::var' crates/dense/src --exclude=kernel.rs --exclude=prop.rs; then
+    echo "FAIL: crates/dense/src reads the environment outside kernel.rs and prop.rs (see above)" >&2; exit 1
+fi
+rule_defs=$(cat crates/dense/src/*.rs | grep -c 'fn reads_in_place\b' || true)
+rule_calls=$(cat crates/dense/src/*.rs | grep -v 'fn reads_in_place\b' | grep -v '^\s*//' |
+    grep -c '\breads_in_place(' || true)
+[ "$rule_defs" -eq 1 ] && [ "$rule_calls" -eq 1 ] ||
+    { echo "FAIL: reads_in_place is defined $rule_defs and called $rule_calls times under crates/dense/src (want 1 and 1)" >&2; exit 1; }
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
