@@ -29,18 +29,21 @@
 //! # The split barrier, and programs written over it
 //!
 //! A rank that must not block its thread (thousands of ranks polled on
-//! a few executor workers) arrives at the barrier without waiting and
-//! *tests* it on later calls; a `false` test means "registered as a
-//! waiter — yield the thread". The trait's default makes that protocol
-//! correct on every backend whose barrier simply blocks: **the first
-//! call is the full barrier and returns `true`**. Only `ExecComm`
-//! overrides it (and `SubComm` forwards it).
+//! a few executor workers, or every simulated rank stepped on one host
+//! thread) arrives at the barrier without waiting and *tests* it on
+//! later calls; a `false` test means "registered as a waiter — yield
+//! the thread". The trait's default makes that protocol correct on
+//! every backend whose barrier simply blocks: **the first call is the
+//! full barrier and returns `true`**. `ExecComm` and `SimComm` split it
+//! for their polled ranks (and `SubComm` forwards it).
 //!
 //! That is what lets a schedule be written once: a [`RankProgram`] is a
 //! resumable state machine whose `step` takes whatever communicator
-//! hosts it. The executor polls it ([`crate::exec::ProgramTask`]);
-//! everywhere else [`drive`] loops it to completion, and it never parks
-//! because the tests never fail.
+//! hosts it. The executor polls it ([`crate::exec::ProgramTask`]), the
+//! simulator steps it in virtual-time order
+//! ([`crate::simbackend::sim_run_programs`]); everywhere else [`drive`]
+//! loops it to completion, and it never parks because the tests never
+//! fail.
 
 use crate::dist::{DistMatrix, Landing};
 use srumma_dense::{MatMut, MatRef, Operand, PackedPanel};
@@ -248,8 +251,9 @@ pub enum Step<T> {
 
 /// One rank's share of a collective schedule as a resumable state
 /// machine over whatever communicator hosts it. Written once; polled on
-/// the executor's workers ([`crate::exec::ProgramTask`]) or looped to
-/// completion by [`drive`] on a thread of its own.
+/// the executor's workers ([`crate::exec::ProgramTask`]), stepped by the
+/// simulator's polled host ([`crate::simbackend::sim_run_programs`]), or
+/// looped to completion by [`drive`] on a thread of its own.
 pub trait RankProgram {
     /// The rank's output.
     type Out;

@@ -10,9 +10,13 @@
 //! * [`SimComm`](simbackend::SimComm) — runs under the virtual-time
 //!   simulator (`srumma-sim`) with costs from `srumma-model`. Data
 //!   movement is *real* when matrices carry real backing (tests verify
-//!   numerics end-to-end) and elided for paper-scale modeled runs.
+//!   numerics end-to-end) and elided for paper-scale modeled runs. A
+//!   [`RankProgram`] is stepped on the calling thread
+//!   ([`sim_run_programs`]); a blocking body gets a thread per rank
+//!   ([`sim_run`]).
 //! * [`VirtualComm`](virt::VirtualComm) — one uncontended LogGP clock
-//!   per rank, recombined at barriers: the same machines at 64k ranks.
+//!   per rank, recombined at barriers: the same machines at 64k ranks,
+//!   each rank one iteration of a parallel-for.
 //! * [`ExecComm`](exec::ExecComm) — the host: one shared-memory domain,
 //!   real memcpys, wall-clock timing — the "SGI Altix flavor" made
 //!   concrete on today's hardware. Ranks are polled on W workers, or
@@ -61,6 +65,6 @@ pub use exec::{
     ProgramTask, RankTask,
 };
 pub use fault::{FaultPlan, FaultPlanError, RankDeath};
-pub use simbackend::{sim_run, SimComm, SimOptions};
+pub use simbackend::{sim_run, sim_run_programs, SimComm, SimOptions};
 pub use subcomm::SubComm;
 pub use virt::{virtual_run, VirtualComm, VirtualRunResult};

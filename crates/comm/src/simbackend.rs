@@ -5,15 +5,23 @@
 //! backend: timing is charged identically either way, so small
 //! real-backed runs *verify numerics* while paper-scale virtual runs
 //! *measure the model* — with the same algorithm code.
+//!
+//! Two hosts share one [`SimComm`]: [`sim_run`] runs a blocking body per
+//! rank on a thread of its own, and [`sim_run_programs`] steps one
+//! [`RankProgram`] per rank on the calling thread, in the kernel's
+//! `(clock, rank)` order. On the polled host the barrier is split, as
+//! on a polled executor rank ([`Comm::barrier_try`]); a call that would
+//! wait — `now`, `recv`, `barrier`, a rendezvous send — panics. Both give
+//! the same timings, statistics and data, bit for bit.
 
-use crate::comm::{count_served, Comm, GetHandle};
+use crate::comm::{count_served, Comm, GetHandle, RankProgram, Step};
 use crate::dist::{DistMatrix, Landing};
 use crate::fault::{FaultPlan, FaultPlanError};
 use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand};
 use srumma_model::network::Path;
 use srumma_model::{protocol, Machine, Topology, TransferCost};
-use srumma_sim::{run_sim, SimConfig, SimProc, SimResult, TransferSpec};
-use srumma_trace::Recorder;
+use srumma_sim::{run_sim, PolledSim, SimConfig, SimProc, SimResult, TraceEvent, TransferSpec};
+use srumma_trace::{Counters, Recorder};
 
 /// Options for a simulated run.
 #[derive(Clone, Debug)]
@@ -63,6 +71,33 @@ impl SimOptions {
         self.fault = plan;
         Ok(self)
     }
+
+    /// The kernel configuration of this run: the machine's topology,
+    /// channels and memory groups, and its [`barrier_latency`].
+    fn sim_config(&self) -> SimConfig {
+        let topology = self.machine.topology(self.nranks);
+        SimConfig {
+            topology,
+            membw_group_size: self.machine.shm.membw_group_size,
+            barrier_latency: barrier_latency(&self.machine, topology),
+            nic_channels: self.machine.net.nic_channels,
+            mpi_shm_channels: self.machine.net.mpi_shm_channels,
+            trace: self.trace,
+        }
+    }
+}
+
+/// Virtual time a barrier takes after its last arrival: a `⌈log₂ P⌉`-deep
+/// combining tree of message latencies (shared-memory flag latencies on
+/// a one-node machine). Both virtual-time engines charge it.
+pub(crate) fn barrier_latency(machine: &Machine, topo: Topology) -> f64 {
+    let depth = (topo.nranks().max(2) as f64).log2().ceil();
+    depth
+        * if topo.nnodes() == 1 {
+            machine.shm.latency * 4.0
+        } else {
+            machine.net.mpi_latency
+        }
 }
 
 /// Per-rank communicator under the simulator.
@@ -84,6 +119,8 @@ pub struct SimComm {
     fault: FaultPlan,
     /// Gets issued so far (indexes the deterministic spike schedule).
     gets_issued: u64,
+    /// Polled ranks: arrived at the barrier, release not yet tested.
+    arrived: bool,
 }
 
 /// Stretch every time component of a message cost by `f` (two-sided
@@ -101,6 +138,19 @@ fn scale_cost(mut cost: TransferCost, f: f64) -> TransferCost {
 }
 
 impl SimComm {
+    fn new(proc: SimProc, opts: &SimOptions) -> Self {
+        SimComm {
+            recorder: Recorder::new(proc.rank(), opts.trace),
+            proc,
+            machine: opts.machine.clone(),
+            outstanding: Vec::new(),
+            ws: GemmWorkspace::new(),
+            fault: opts.fault.clone(),
+            gets_issued: 0,
+            arrived: false,
+        }
+    }
+
     /// Uncontended cost of moving `bytes` between us and cost endpoint
     /// `serve` ([`protocol::onesided`]), counted against the level that
     /// served it.
@@ -240,6 +290,23 @@ impl Comm for SimComm {
 
     fn barrier(&mut self) {
         self.proc.barrier();
+    }
+
+    /// Split on the polled host: the first call arrives and returns
+    /// `false`, and the host steps the rank again once the barrier has
+    /// released it. A rank on a thread of its own blocks in the barrier.
+    fn barrier_try(&mut self) -> bool {
+        if !self.proc.is_polled() {
+            self.proc.barrier();
+            return true;
+        }
+        if !self.arrived {
+            self.proc.barrier_post();
+            self.arrived = true;
+            return false;
+        }
+        self.arrived = !self.proc.barrier_test();
+        !self.arrived
     }
 
     fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
@@ -472,50 +539,68 @@ impl Comm for SimComm {
 }
 
 /// Run one simulated parallel program: `body` once per rank against a
-/// [`SimComm`]. Barrier latency is modeled as a `⌈log₂ P⌉`-deep
-/// message-latency tree.
+/// [`SimComm`], each rank on a thread of its own.
 pub fn sim_run<T, F>(opts: &SimOptions, body: F) -> SimResult<T>
 where
     T: Send,
     F: Fn(&mut SimComm) -> T + Sync,
 {
-    let topology = opts.machine.topology(opts.nranks);
-    let depth = (opts.nranks.max(2) as f64).log2().ceil();
-    let barrier_latency = depth
-        * if topology.nnodes() == 1 {
-            opts.machine.shm.latency * 4.0
-        } else {
-            opts.machine.net.mpi_latency
-        };
-    let cfg = SimConfig {
-        topology,
-        membw_group_size: opts.machine.shm.membw_group_size,
-        barrier_latency,
-        nic_channels: opts.machine.net.nic_channels,
-        mpi_shm_channels: opts.machine.net.mpi_shm_channels,
-        trace: opts.trace,
-    };
-    let machine = &opts.machine;
-    let trace = opts.trace;
-    let fault = &opts.fault;
-    let res = run_sim(cfg, move |proc| {
-        let rank = proc.rank();
-        let mut comm = SimComm {
-            proc: proc.clone(),
-            machine: machine.clone(),
-            outstanding: Vec::new(),
-            recorder: Recorder::new(rank, trace),
-            ws: GemmWorkspace::new(),
-            fault: fault.clone(),
-            gets_issued: 0,
-        };
+    let res = run_sim(opts.sim_config(), |proc| {
+        let mut comm = SimComm::new(proc.clone(), opts);
         let out = body(&mut comm);
         let (events, counters) = comm.recorder.take();
         (out, events, counters)
     });
+    merge_recorders(res)
+}
 
-    // Merge the comm-level streams (algorithm task spans, counters)
-    // into the kernel's result: one unified trace and one RunStats.
+/// Run one [`RankProgram`] per rank, `program(rank)`, against a
+/// [`SimComm`] — all on the calling thread: the kernel applies posted
+/// operations in `(clock, rank)` order and the host steps the rank that
+/// order waits on. Timings, statistics and data are [`sim_run`]'s with
+/// each rank [`drive`](crate::comm::drive)n, bit for bit.
+///
+/// # Panics
+/// With a program's own panic payload; on deadlock, naming the blocked
+/// ranks — a program that returns [`Step::Park`] without a failed
+/// [`Comm::barrier_try`] is one nothing wakes; and when a program makes
+/// a call that waits (`now`, `recv`, `barrier`, a rendezvous send).
+pub fn sim_run_programs<P, F>(opts: &SimOptions, mut program: F) -> SimResult<P::Out>
+where
+    P: RankProgram,
+    F: FnMut(usize) -> P,
+{
+    let sim = PolledSim::new(opts.sim_config());
+    let mut ranks: Vec<Option<(SimComm, P)>> = (0..sim.nranks())
+        .map(|rank| Some((SimComm::new(sim.proc(rank), opts), program(rank))))
+        .collect();
+    let mut outputs: Vec<Option<RankOutput<P::Out>>> = ranks.iter().map(|_| None).collect();
+    while let Some(rank) = sim.next_rank() {
+        let (comm, prog) = ranks[rank]
+            .as_mut()
+            .expect("a finished rank is not stepped");
+        match prog.step(comm) {
+            Step::Done(out) => {
+                let (events, counters) = comm.recorder.take();
+                outputs[rank] = Some((out, events, counters));
+                ranks[rank] = None;
+                sim.finish(rank);
+            }
+            Step::Yield => {}
+            Step::Park if comm.arrived => {}
+            Step::Park => sim.park(rank),
+        }
+    }
+    let outputs = outputs.into_iter().map(|o| o.expect("every rank finished"));
+    merge_recorders(sim.into_result(outputs.collect()))
+}
+
+/// A rank's output with what its comm-level recorder holds.
+type RankOutput<T> = (T, Vec<TraceEvent>, Counters);
+
+/// Merge the comm-level streams (algorithm task spans, counters) into
+/// the kernel's result: one unified trace and one `RunStats`.
+fn merge_recorders<T>(res: SimResult<RankOutput<T>>) -> SimResult<T> {
     let SimResult {
         outputs,
         mut stats,
@@ -524,9 +609,7 @@ where
     let mut plain = Vec::with_capacity(outputs.len());
     for (rank, (out, events, counters)) in outputs.into_iter().enumerate() {
         trace.extend(events);
-        if rank < stats.ranks.len() {
-            stats.ranks[rank].absorb_counters(&counters);
-        }
+        stats.ranks[rank].absorb_counters(&counters);
         plain.push(out);
     }
     trace.sort_by(|a, b| a.t0.total_cmp(&b.t0).then(a.rank.cmp(&b.rank)));
@@ -802,6 +885,161 @@ mod tests {
             linux16().with_faults(plan).err(),
             Some(FaultPlanError::DeathNeedsExecutor)
         );
+    }
+
+    /// What a [`Faulty`] program's culprit rank does wrong.
+    #[derive(Clone, Copy)]
+    enum Misstep {
+        None,
+        ParkOnNothing,
+        Panic,
+        Now,
+        Recv,
+        Barrier,
+    }
+
+    /// A test program: twice a gemm charge and a get, then a split
+    /// barrier; then done — except on rank `culprit`, which makes its
+    /// `misstep` first.
+    struct Faulty {
+        misstep: Misstep,
+        culprit: usize,
+        passed: usize,
+        /// Arrived at the barrier: a step resumes at its test.
+        waiting: bool,
+    }
+
+    impl RankProgram for Faulty {
+        type Out = usize;
+
+        fn step<C: Comm>(&mut self, comm: &mut C) -> Step<usize> {
+            let me = comm.rank();
+            if !self.waiting {
+                comm.gemm(
+                    64 * (me + 1),
+                    64,
+                    64,
+                    1.0,
+                    None,
+                    None,
+                    1.0,
+                    None,
+                    false,
+                    "w",
+                );
+                let mat = DistMatrix::create_virtual(ProcGrid::new(4, 4), 512, 512);
+                let h = comm.nbget(&mat, (me + 5) % 16, Landing::Rows(&mut Vec::new()));
+                comm.wait(h);
+                if me == self.culprit {
+                    match self.misstep {
+                        Misstep::None => {}
+                        Misstep::ParkOnNothing => return Step::Park,
+                        Misstep::Panic => std::panic::panic_any(me),
+                        Misstep::Now => drop(comm.now()),
+                        Misstep::Recv => comm.recv(0, 1, &mut Vec::new(), 8),
+                        Misstep::Barrier => comm.barrier(),
+                    }
+                }
+                self.waiting = true;
+            }
+            if !comm.barrier_try() {
+                return Step::Park;
+            }
+            self.waiting = false;
+            self.passed += 1;
+            match self.passed {
+                2 => Step::Done(me),
+                _ => Step::Yield,
+            }
+        }
+    }
+
+    fn faulty(misstep: Misstep) -> impl FnMut(usize) -> Faulty {
+        move |_| Faulty {
+            misstep,
+            culprit: 1,
+            passed: 0,
+            waiting: false,
+        }
+    }
+
+    /// The panic payload of `run`, on a thread of its own under a 10 s
+    /// watchdog: a host that hangs fails the test instead of the suite.
+    fn payload_within_10s(run: impl FnOnce() + Send + 'static) -> Box<dyn std::any::Any + Send> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            let _ = tx.send(caught.err());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the polled host hung")
+            .expect("the polled host should have panicked")
+    }
+
+    fn message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// The polled host runs the program to the bits `sim_run` gets
+    /// driving it on a thread per rank: outputs, makespan, every rank's
+    /// statistics, under a straggler and spiked gets.
+    #[test]
+    fn polled_programs_match_driven_ones() {
+        let plan = FaultPlan::single_straggler(16, 3, 2.5).with_get_spikes(0.5, 1e-3);
+        let opts = linux16().with_faults(plan).unwrap();
+        let polled = sim_run_programs(&opts, faulty(Misstep::None));
+        let driven = sim_run(&opts, |c| crate::comm::drive(c, faulty(Misstep::None)(0)));
+        assert_eq!(polled.outputs, (0..16).collect::<Vec<_>>());
+        assert_eq!(polled.outputs, driven.outputs);
+        assert_eq!(polled.makespan().to_bits(), driven.makespan().to_bits());
+        assert_eq!(polled.stats.ranks, driven.stats.ranks);
+        assert!(polled.stats.ranks[3].compute_time > polled.stats.ranks[2].compute_time);
+    }
+
+    #[test]
+    fn a_program_parked_on_nothing_is_a_deadlock_naming_it() {
+        let payload = payload_within_10s(|| {
+            sim_run_programs(&linux16(), faulty(Misstep::ParkOnNothing));
+        });
+        let msg = message(&*payload);
+        assert!(msg.contains("simulation deadlock"), "{msg}");
+        assert!(msg.contains("rank 1 blocked on nothing"), "{msg}");
+        assert!(msg.contains("rank 0 blocked on the barrier"), "{msg}");
+    }
+
+    #[test]
+    fn a_panicking_program_re_raises_its_own_payload() {
+        let payload = payload_within_10s(|| {
+            sim_run_programs(&linux16(), faulty(Misstep::Panic));
+        });
+        assert_eq!(
+            payload.downcast_ref::<usize>(),
+            Some(&1),
+            "the program's payload"
+        );
+    }
+
+    #[test]
+    fn a_blocking_call_on_a_polled_rank_panics_naming_it() {
+        for (misstep, call) in [
+            (Misstep::Now, "`now`"),
+            (Misstep::Recv, "`recv_msg`"),
+            (Misstep::Barrier, "`barrier`"),
+        ] {
+            let payload = payload_within_10s(move || {
+                sim_run_programs(&linux16(), faulty(misstep));
+            });
+            let msg = message(&*payload);
+            assert!(
+                msg.contains("rank 1: a polled simulated rank cannot block in")
+                    && msg.contains(call),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! The per-rank virtual-clock backend: LogGP-modeled time at 64k ranks.
 //!
-//! The discrete-event simulator ([`crate::simbackend`]) spawns one OS
-//! thread per rank and synchronizes them through a global kernel —
-//! faithful, but infeasible past a few thousand ranks. This backend
-//! trades transfer *contention* for scale: every rank carries its own
-//! independent virtual clock, charges each operation its uncontended
+//! The discrete-event simulator ([`crate::simbackend`]) orders every
+//! rank's operations through one global kernel — faithful, but
+//! sequential past a few thousand ranks. This backend trades transfer
+//! *contention* for scale: every rank carries its own independent
+//! virtual clock, charges each operation its uncontended
 //! [`TransferCost`](srumma_model::TransferCost), and runs **to
-//! completion** as one task on the executor's claim counters — no
-//! per-rank OS thread, no cross-rank coupling, so 65 536 ranks are a
-//! few seconds of host time. A get handle carries its own completion
-//! time, so a rank keeps no table of its transfers.
+//! completion** in one call of its body, with nothing to park on and no
+//! cross-rank coupling. [`virtual_run`] is therefore a plain
+//! parallel-for: `workers` scoped threads claim rank indices from one
+//! atomic counter, so 65 536 ranks are a few seconds of host time. A get
+//! handle carries its own completion time, so a rank keeps no table of
+//! its transfers.
 //!
 //! Rank clocks are recombined **BSP-style** at barriers: `barrier()` is
 //! non-blocking in virtual time (it only cuts the current clock
@@ -22,13 +24,17 @@
 //! what makes the flat-vs-hierarchical byte and makespan crossover
 //! measurable at paper-untouchable scales.
 
-use crate::comm::{count_served, Comm, GetHandle, Step};
+use crate::comm::{count_served, Comm, GetHandle};
 use crate::dist::{DistMatrix, Landing};
-use crate::exec::{exec_run_tasks, RankTask};
+use crate::exec::resolve_workers;
+use crate::simbackend::barrier_latency;
 use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand};
 use srumma_model::{protocol, Machine, Topology, TransferCost};
 use srumma_trace::{Counters, RankStats, Recorder, RunStats};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Per-rank communicator over an independent virtual clock.
 pub struct VirtualComm {
@@ -233,43 +239,23 @@ pub struct VirtualRunResult<T> {
     /// Per-rank outputs.
     pub outputs: Vec<T>,
     /// Modeled per-rank and aggregate metrics (virtual seconds);
-    /// `stats.exec` carries the executor's scheduling counters.
+    /// `stats.exec` is `None`: no rank is scheduled, each runs once.
     pub stats: RunStats,
     /// Host wall-clock seconds the run took — the feasibility metric.
     pub wall_seconds: f64,
 }
 
-/// One rank program as a run-to-completion task: `barrier` never blocks
-/// on this backend, so the whole body is a single `step`.
-struct VirtTask<'env, T, F> {
-    rank: usize,
-    nranks: usize,
-    topo: Topology,
-    machine: Arc<Machine>,
-    body: &'env F,
-    _out: std::marker::PhantomData<fn() -> T>,
-}
+/// What one rank leaves behind: its output, clock segments and counters.
+type RankRecord<T> = (T, Vec<f64>, Counters);
 
-impl<'env, T, F> RankTask for VirtTask<'env, T, F>
-where
-    T: Send,
-    F: Fn(&mut VirtualComm) -> T + Sync,
-{
-    type Out = (T, Vec<f64>, Counters);
-
-    fn step(&mut self) -> Step<Self::Out> {
-        let mut comm =
-            VirtualComm::new(self.rank, self.nranks, self.topo, Arc::clone(&self.machine));
-        let out = (self.body)(&mut comm);
-        let (segments, counters) = comm.finish();
-        Step::Done((out, segments, counters))
-    }
-}
-
-/// Run `body` once per rank with independent virtual clocks, multiplexed
-/// onto `workers` executor workers, and recombine the clocks BSP-style.
-/// The topology comes from `machine.topology(nranks)`, matching
-/// [`sim_run`](crate::simbackend::sim_run).
+/// Run `body` once per rank with independent virtual clocks, on
+/// `workers` scoped threads (`0` = auto, as the executor resolves it)
+/// that claim rank indices from one counter, and recombine the clocks
+/// BSP-style. The topology comes from `machine.topology(nranks)`,
+/// matching [`sim_run`](crate::simbackend::sim_run).
+///
+/// # Panics
+/// With the payload of a rank body's panic.
 pub fn virtual_run<T, F>(
     machine: &Machine,
     nranks: usize,
@@ -282,24 +268,51 @@ where
 {
     assert!(nranks > 0);
     let topo = machine.topology(nranks);
-    let machine = Arc::new(machine.clone());
-    let res = exec_run_tasks(nranks, workers, false, None, None, |comm| {
-        Box::new(VirtTask {
-            rank: comm.rank(),
-            nranks,
-            topo,
-            machine: Arc::clone(&machine),
-            body: &body,
-            _out: std::marker::PhantomData,
-        })
+    let shared = Arc::new(machine.clone());
+    let next = AtomicUsize::new(0);
+    // One thread's share: the ranks it claimed, in claim order. The
+    // counter publishes nothing but the index; the records come back
+    // through `join`.
+    let worker = || {
+        let mut done: Vec<(usize, RankRecord<T>)> = Vec::new();
+        loop {
+            let rank = next.fetch_add(1, Ordering::Relaxed);
+            if rank >= nranks {
+                return done;
+            }
+            let mut comm = VirtualComm::new(rank, nranks, topo, Arc::clone(&shared));
+            let out = body(&mut comm);
+            let (segments, counters) = comm.finish();
+            done.push((rank, (out, segments, counters)));
+        }
+    };
+    let t0 = Instant::now();
+    let shares: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..resolve_workers(workers, nranks))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    let wall_seconds = res.wall_seconds;
-    let exec = res.stats.exec;
+    let wall_seconds = t0.elapsed().as_secs_f64();
 
+    let mut records: Vec<Option<RankRecord<T>>> = (0..nranks).map(|_| None).collect();
+    for share in shares {
+        match share {
+            Ok(done) => {
+                for (rank, record) in done {
+                    records[rank] = Some(record);
+                }
+            }
+            Err(payload) => resume_unwind(payload),
+        }
+    }
     let mut outputs = Vec::with_capacity(nranks);
     let mut segs: Vec<Vec<f64>> = Vec::with_capacity(nranks);
     let mut counters = Vec::with_capacity(nranks);
-    for (out, s, c) in res.outputs {
+    for (out, s, c) in records
+        .into_iter()
+        .map(|r| r.expect("every rank was claimed"))
+    {
         outputs.push(out);
         segs.push(s);
         counters.push(c);
@@ -312,18 +325,10 @@ where
             "rank {r} executed a different barrier sequence"
         );
     }
-    // Same alignment latency the discrete-event kernel charges: a
-    // log-depth combining tree per barrier. The final segment boundary
-    // is program exit, not a barrier.
+    // Same alignment latency the discrete-event kernel charges. The
+    // final segment boundary is program exit, not a barrier.
     let nbarriers = nseg.saturating_sub(1);
-    let depth = (nranks.max(2) as f64).log2().ceil();
-    let barrier_latency = depth
-        * if topo.nnodes() == 1 {
-            machine.shm.latency * 4.0
-        } else {
-            machine.net.mpi_latency
-        };
-    let sync_time = nbarriers as f64 * barrier_latency;
+    let sync_time = nbarriers as f64 * barrier_latency(machine, topo);
     let mut makespan = sync_time;
     for i in 0..nseg {
         makespan += segs.iter().map(|s| s[i]).fold(0.0, f64::max);
@@ -343,7 +348,7 @@ where
         ranks,
         final_times,
         makespan,
-        exec,
+        exec: None,
     };
     VirtualRunResult {
         outputs,
@@ -413,5 +418,28 @@ mod tests {
         });
         assert_eq!(res.outputs.len(), 4096);
         assert!(res.stats.makespan > 0.0, "barrier latency alone is charged");
+        assert!(res.stats.exec.is_none(), "no rank is scheduled");
+    }
+
+    /// A rank body's panic comes back out of the run with its own
+    /// payload, under a 10 s watchdog: a pool that swallowed it or waited
+    /// on the dead thread would fail here instead of hanging the suite.
+    #[test]
+    fn a_panicking_body_re_raises_its_payload() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                virtual_run(&Machine::linux_myrinet(), 64, 2, |c| {
+                    if c.rank() == 37 {
+                        std::panic::panic_any(37usize);
+                    }
+                })
+            });
+            let _ = tx.send(run.err().and_then(|p| p.downcast_ref::<usize>().copied()));
+        });
+        let payload = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the run hung");
+        assert_eq!(payload, Some(37), "the body's own payload");
     }
 }

@@ -32,8 +32,8 @@ use crate::options::{GemmSpec, ReplicationFactor};
 use crate::repl::{resolve_factor, srumma_replicated, ReplSet};
 use crate::srumma::{SrummaProgram, SrummaReport};
 use srumma_comm::{
-    exec_launch, exec_run_tasks, sim_run, virtual_run, Comm, CostMap, DistMatrix, ExecRunResult,
-    FaultPlan, FaultPlanError, ProgramTask, SimOptions,
+    exec_launch, exec_run_tasks, sim_run, sim_run_programs, virtual_run, Comm, CostMap, DistMatrix,
+    ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions,
 };
 use srumma_dense::{Matrix, Op};
 use srumma_model::{Machine, Topology};
@@ -155,7 +155,7 @@ pub struct RunOutput {
     /// The product (`None` for a shape-only run).
     pub c: Option<Matrix>,
     /// Per-rank and aggregate metrics, in virtual seconds on `Sim` and
-    /// `Virtual`; `stats.exec` is set on every backend but `Sim`.
+    /// `Virtual`; `stats.exec` is set on the wall-clock backends only.
     pub stats: RunStats,
     /// Merged event timeline (empty unless `trace`).
     pub trace: Vec<TraceEvent>,
@@ -375,13 +375,24 @@ impl<'a> Run<'a> {
         };
         Ok(match self.backend {
             Backend::Sim(machine) => {
-                let mut opts = SimOptions::new(machine.clone(), nranks);
-                opts.trace = self.trace;
+                let mut sim = SimOptions::new(machine.clone(), nranks);
+                sim.trace = self.trace;
                 if let Some(plan) = faults {
-                    opts = opts.with_faults(plan.clone())?;
+                    sim = sim.with_faults(plan.clone())?;
                 }
                 let t0 = Instant::now();
-                let res = sim_run(&opts, |comm| rank_body(comm, algorithm, mats));
+                // Flat or staged SRUMMA is one program, stepped on this
+                // thread in virtual-time order. A blocking body — SUMMA,
+                // Cannon, the replica reduction — or a traced task span
+                // (it reads `now()` mid-task) gets a thread per rank.
+                let res = match (mats, algorithm) {
+                    (Mats::Flat(m, stages), Algorithm::Srumma(opts)) if !self.trace => {
+                        let FlatMats { spec, a, b, c } = m;
+                        let program = |_| SrummaProgram::new(spec, a, b, c, opts, stages.as_ref());
+                        sim_run_programs(&sim, program)
+                    }
+                    _ => sim_run(&sim, |comm| rank_body(comm, algorithm, mats)),
+                };
                 let wall_seconds = t0.elapsed().as_secs_f64();
                 (res.outputs, res.stats, res.trace, wall_seconds)
             }

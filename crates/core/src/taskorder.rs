@@ -76,6 +76,8 @@ pub fn build_tasks_into(tasks: &mut Vec<Task>, k: usize, aparts: usize, bparts: 
         // pre-pass.
         return;
     }
+    let ntasks = task_count(k, aparts, bparts);
+    tasks.reserve_exact(ntasks);
     // Merge the two partitions' boundaries in one pass: `la`/`lb` are
     // the panels holding `k0`, and the task ends at the nearer of their
     // ends. Panel lengths differ by at most one, so an empty panel only
@@ -99,6 +101,26 @@ pub fn build_tasks_into(tasks: &mut Vec<Task>, k: usize, aparts: usize, bparts: 
         });
         k0 = k1;
     }
+    debug_assert_eq!(tasks.len(), ntasks);
+}
+
+/// How many tasks [`build_tasks_into`] makes for `k > 0`: one per
+/// distinct panel start below `k` in either partition — A's nonempty
+/// panels, plus B's, less the starts they share.
+fn task_count(k: usize, aparts: usize, bparts: usize) -> usize {
+    // Inverts `chunk_start(k, bparts, j)`: `k % bparts` panels of
+    // `base + 1`, then panels of `base`.
+    let (base, rem) = (k / bparts, k % bparts);
+    let wide = rem * (base + 1);
+    let starts_b = |v: usize| match v < wide {
+        true => v.is_multiple_of(base + 1),
+        false => (v - wide).is_multiple_of(base),
+    };
+    let (a, b) = (aparts.min(k), bparts.min(k));
+    let shared = (0..a)
+        .filter(|&i| starts_b(chunk_start(k, aparts, i)))
+        .count();
+    a + b - shared
 }
 
 /// Produce the execution order (a permutation of task indices) under
@@ -138,6 +160,7 @@ pub fn order_tasks_into(
 ) {
     assert_eq!(ntasks, tasks.len());
     order.clear();
+    order.reserve_exact(ntasks);
     if !smp_first {
         // Pure cyclic rotation: start the sweep at the shift panel.
         let start = tasks
@@ -153,18 +176,21 @@ pub fn order_tasks_into(
     // front, collapsing different ranks' shift origins onto identical
     // remote sweeps — recreating exactly the contention the shift is
     // meant to remove.
+    // One locality test per task: local tasks fill the front in k
+    // order, remote ones the back in reverse k order, turned round below.
+    order.resize(ntasks, 0);
+    let (mut split, mut back) = (0, ntasks);
     for (idx, task) in tasks.iter().enumerate() {
         if is_local(task) {
-            order.push(idx);
-        }
-    }
-    let split = order.len();
-    for (idx, task) in tasks.iter().enumerate() {
-        if !is_local(task) {
-            order.push(idx);
+            order[split] = idx;
+            split += 1;
+        } else {
+            back -= 1;
+            order[back] = idx;
         }
     }
     let remote = &mut order[split..];
+    remote.reverse();
     if !remote.is_empty() {
         let rot = shift % remote.len();
         remote.rotate_left(rot);
@@ -241,6 +267,39 @@ mod tests {
             }
             assert_eq!(cursor, k);
         }
+    }
+
+    /// The reservation is the length: on every small partition pair,
+    /// including more panels than k (empty panels at the end).
+    #[test]
+    fn task_count_is_the_built_length() {
+        for k in 1..40 {
+            for a in 1..12 {
+                for b in 1..12 {
+                    let tasks = build_tasks(k, a, b);
+                    assert_eq!(task_count(k, a, b), tasks.len(), "k={k} a={a} b={b}");
+                    assert_eq!(tasks.capacity(), tasks.len(), "k={k} a={a} b={b}");
+                }
+            }
+        }
+    }
+
+    /// Each task's locality is asked once, and the order is the two-pass
+    /// one: local tasks in k order, then the remote ones rotated.
+    #[test]
+    fn locality_is_tested_once_per_task() {
+        let tasks = build_tasks(90, 9, 5);
+        let mut asked = 0;
+        let order = order_tasks(tasks.len(), &tasks, 9, 4, true, |t| {
+            asked += 1;
+            t.la % 3 == 1
+        });
+        assert_eq!(asked, tasks.len());
+        let local: Vec<usize> = (0..tasks.len()).filter(|&i| tasks[i].la % 3 == 1).collect();
+        let mut remote: Vec<usize> = (0..tasks.len()).filter(|&i| tasks[i].la % 3 != 1).collect();
+        let rot = 4 % remote.len();
+        remote.rotate_left(rot);
+        assert_eq!(order, [local, remote].concat());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! `Run::validate`: every way a plan can be illegal is a typed
 //! `RunError` variant, decided before any matrix is allocated or any
 //! thread is started. And, at the end, two legal plans named for how
-//! the executor hosts them, and the differentials that say distributing
+//! the executor hosts them, the differentials that say distributing
 //! the host matrices in place — the operands read where they lie, the
 //! product written where the caller reads it — changed nothing a rank
-//! can observe.
+//! can observe, and the one that says neither does stepping simulated
+//! ranks on one thread instead of a thread each.
 
 use srumma_comm::{
-    drive, exec_launch, sim_run, Comm, CostMap, DistMatrix, FaultPlan, FaultPlanError, SimOptions,
+    drive, exec_launch, sim_run, sim_run_programs, Comm, CostMap, DistMatrix, FaultPlan,
+    FaultPlanError, SimOptions,
 };
 use srumma_core::driver::{default_grid, serial_reference, sparse_serial_reference};
 use srumma_core::layout::{
@@ -948,4 +950,112 @@ fn a_machine_adopted_mid_run_keeps_multiplying_from_its_packed_panels() {
         "recovered vs healthy"
     );
     assert_eq!(healthy.as_slice(), direct.as_slice(), "copy vs direct");
+}
+
+// ---- simulated ranks polled on one thread ≡ a thread per rank --------
+
+/// One seeded SRUMMA plan, run under the simulator twice: its programs
+/// stepped on the calling thread in virtual-time order
+/// (`sim_run_programs`, what `Run` does for untraced SRUMMA), and driven
+/// on a thread per rank (`sim_run` + `drive`). The draws cover the four
+/// machine presets, 2–256 ranks, flat and node-group staged, `ForceCopy`
+/// and `Auto`, prefetch depth 0 and 1, all four transposes, healthy,
+/// one-straggler and random-straggler-with-spiked-get plans, and real
+/// data at small `n` beside shape-only runs at larger `n`. Every bit a
+/// rank can leave behind agrees: reports, the makespan, each rank's
+/// final clock and statistics (counters included), and C.
+#[test]
+fn polled_simulated_ranks_match_threaded_ones_bit_for_bit() {
+    let presets = [
+        Machine::ibm_sp(),
+        Machine::linux_myrinet(),
+        Machine::cray_x1(),
+        Machine::sgi_altix(),
+    ];
+    let ops = [Op::N, Op::T];
+    let mut rng = srumma_dense::Rng::new(0x5EED_0040);
+    let mut staged_cases = 0;
+    for case in 0..32 {
+        let machine = &presets[case % presets.len()];
+        let nranks = match rng.below(3) {
+            0 => rng.range(2, 16),
+            1 => rng.range(17, 64),
+            _ => rng.range(65, 256),
+        };
+        let real = rng.below(2) == 0;
+        let dim = |rng: &mut srumma_dense::Rng| match real {
+            true => rng.range(1, 48),
+            false => rng.range(64, 3000),
+        };
+        let (m, n, k) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
+        let (ta, tb) = (ops[rng.below(2)], ops[rng.below(2)]);
+        let spec = GemmSpec::new(ta, tb, m, n, k).with_scalars(1.5, 0.0);
+        let topo = machine.topology(nranks);
+        let staged = rng.below(2) == 0 && nranks.is_multiple_of(topo.ranks_per_node());
+        staged_cases += usize::from(staged);
+        let opts = SrummaOptions {
+            shmem: [ShmemFlavor::ForceCopy, ShmemFlavor::Auto][rng.below(2)],
+            prefetch_depth: rng.below(2),
+            ..SrummaOptions::default()
+        };
+        let plan = match rng.below(3) {
+            0 => FaultPlan::healthy(),
+            1 => FaultPlan::single_straggler(nranks, rng.below(nranks), 3.0),
+            _ => FaultPlan::random_stragglers(rng.next_u64(), nranks).with_get_spikes(0.3, 2e-4),
+        };
+        let sim = SimOptions::new(machine.clone(), nranks)
+            .with_faults(plan)
+            .unwrap();
+        let what = format!(
+            "case {case}: {:?} {nranks} ranks {spec:?} real={real} staged={staged} {opts:?}",
+            machine.platform
+        );
+
+        let grid = default_grid(nranks);
+        let (da, db) = (dist_a(&spec, grid, real), dist_b(&spec, grid, real));
+        if real {
+            let (a, b) = operands(&spec);
+            scatter_operands(&spec, &da, &db, &a, &b);
+        }
+        let (spec, c_polled) = fresh_c(&spec, grid, real);
+        let (_, c_driven) = fresh_c(&spec, grid, real);
+        let stages = || staged.then(|| HierStageSet::create(&spec, grid, topo, real));
+        let (st_polled, st_driven) = (stages(), stages());
+        let polled = sim_run_programs(&sim, |_| {
+            SrummaProgram::new(&spec, &da, &db, &c_polled, &opts, st_polled.as_ref())
+        });
+        let driven = sim_run(&sim, |comm| {
+            let program = SrummaProgram::new(&spec, &da, &db, &c_driven, &opts, st_driven.as_ref());
+            drive(comm, program)
+        });
+
+        assert_eq!(polled.outputs, driven.outputs, "{what}: reports");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            polled.makespan().to_bits(),
+            driven.makespan().to_bits(),
+            "{what}: makespan"
+        );
+        assert_eq!(
+            bits(&polled.stats.final_times),
+            bits(&driven.stats.final_times),
+            "{what}: final clocks"
+        );
+        // `{:?}` prints each f64 in its shortest round-trip form: equal
+        // strings are equal bits.
+        for (rank, (p, d)) in polled
+            .stats
+            .ranks
+            .iter()
+            .zip(&driven.stats.ranks)
+            .enumerate()
+        {
+            assert_eq!(format!("{p:?}"), format!("{d:?}"), "{what}: rank {rank}");
+        }
+        if real {
+            let (p, d) = (c_polled.gather(), c_driven.gather());
+            assert_eq!(bits(p.as_slice()), bits(d.as_slice()), "{what}: C");
+        }
+    }
+    assert!(staged_cases > 0, "no staged plan was drawn");
 }

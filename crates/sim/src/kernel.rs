@@ -2,25 +2,37 @@
 //!
 //! ## Scheduling discipline
 //!
-//! Rank threads run freely. A timed operation is *posted* to the
-//! rank's queue in the kernel, and the kernel applies posted
-//! operations one at a time: each time it takes the head operation of
-//! the rank with the least `(virtual clock, rank id)` among ranks that
-//! are neither blocked nor done, and it stops when that rank has
-//! nothing posted — its thread is still running, so its next operation
-//! is not yet known. Whichever thread posts runs this loop under the
-//! kernel lock. Operations therefore take effect in strict global order
-//! of `(clock, id)`, whichever host thread ran when: when an operation
-//! at virtual time `t` acquires a FIFO resource, every acquisition that
-//! should precede it already has.
+//! A rank's timed operations are *posted* to its queue in the kernel,
+//! and the kernel applies posted operations one at a time: each time it
+//! takes the head operation of the rank with the least `(virtual clock,
+//! rank id)` among ranks that are neither blocked nor done — the top of
+//! a binary heap of rank turns, each re-keyed when its rank's clock
+//! moves, stale turns skipped — and it stops when that rank has nothing
+//! posted: its next operation is not yet known. Operations therefore
+//! take effect in strict global order of `(clock, id)`, whoever posted
+//! them when: when an operation at virtual time `t` acquires a FIFO
+//! resource, every acquisition that should precede it already has.
 //!
-//! A rank's control flow can depend only on values it reads, so only
-//! the calls that return one wait: [`Kernel::now`] until everything the
-//! rank posted before it is applied, and [`Kernel::recv_msg`],
-//! [`Kernel::pair_sync`] and [`Kernel::barrier`] until the kernel has
-//! applied them. `advance`, `issue_transfer`, `wait_transfer`,
-//! `post_msg` and `finish` return at once. Data a rank moves itself
-//! still moves in its program order on its own thread.
+//! A rank is hosted in one of two ways over that one order:
+//!
+//! * **on a thread of its own** ([`crate::runner::run_sim`]): ranks run
+//!   freely, and whichever thread posts runs the apply loop under the
+//!   kernel lock. A rank's control flow can depend only on values it
+//!   reads, so only the calls that return one wait: [`Kernel::now`]
+//!   until everything the rank posted before it is applied, and
+//!   [`Kernel::recv_msg`], [`Kernel::pair_sync`] and [`Kernel::barrier`]
+//!   until the kernel has applied them. `advance`, `issue_transfer`,
+//!   `wait_transfer`, `post_msg` and `finish` return at once;
+//! * **polled** ([`crate::runner::PolledSim`]): one host thread steps
+//!   resumable rank programs. A post only queues; the host runs the
+//!   apply loop between steps, and it returns the rank the order waits
+//!   on, which the host steps next — so at most one step's operations
+//!   per rank are ever queued. Such a rank never blocks: it reaches the
+//!   barrier in split form ([`Kernel::barrier_post`], then
+//!   [`Kernel::barrier_test`] when it is stepped again), and a call that
+//!   would wait panics instead.
+//!
+//! Data a rank moves itself still moves in its program order.
 //!
 //! A pleasant consequence: a transfer's **completion time is fully
 //! determined at issue** (resources are FIFO, acquisition order is the
@@ -42,8 +54,8 @@ use crate::stats::RankStats;
 use crate::trace::{TraceEvent, TraceKind};
 use srumma_model::network::Path;
 use srumma_model::{Topology, TransferCost};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -110,7 +122,7 @@ impl SimConfig {
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Status {
-    /// Its thread runs or its posted operations wait for their turn.
+    /// Its program runs or its posted operations wait for their turn.
     Active,
     /// Waiting for a matching operation (recv / pair / barrier).
     Blocked(BlockReason),
@@ -123,6 +135,9 @@ enum BlockReason {
     Recv,
     Pair,
     Barrier,
+    /// A polled program parked without arriving at the barrier: nothing
+    /// the kernel applies can wake it.
+    Nothing,
 }
 
 /// A timed operation a rank has posted and the kernel has not applied.
@@ -149,6 +164,8 @@ enum Op {
     },
     Pair(u64),
     Barrier,
+    /// A polled program parked on nothing the kernel knows of.
+    Park,
     Finish,
 }
 
@@ -181,7 +198,43 @@ struct RankState {
     reply: Option<Reply>,
     /// The thread sleeps on its condvar.
     parked: bool,
+    /// Bumped each time the rank takes a new [`Turn`]: an older turn of
+    /// the rank is stale.
+    epoch: u64,
 }
+
+/// A rank's place in the kernel's `(clock, rank)` order. The heap is a
+/// max-heap, so the least `(clock, rank)` compares greatest; the epoch
+/// only tells a live turn from a stale one.
+#[derive(Clone, Copy)]
+struct Turn {
+    clock: f64,
+    rank: usize,
+    epoch: u64,
+}
+
+impl Ord for Turn {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .clock
+            .total_cmp(&self.clock)
+            .then(other.rank.cmp(&self.rank))
+    }
+}
+
+impl PartialOrd for Turn {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Turn {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Turn {}
 
 /// A message in a mailbox.
 pub struct Msg {
@@ -204,6 +257,8 @@ struct BarrierState {
 
 struct KState {
     ranks: Vec<RankState>,
+    /// One live [`Turn`] per active rank, plus stale ones not yet popped.
+    order: BinaryHeap<Turn>,
     nic_in: Vec<Resource>,
     nic_out: Vec<Resource>,
     membw: Vec<Resource>,
@@ -220,17 +275,57 @@ struct KState {
     poisoned: bool,
 }
 
-/// The shared simulation kernel. One per run; rank threads hold an
+impl KState {
+    /// Give `rank` a fresh turn at its current clock; any older one goes
+    /// stale.
+    fn requeue(&mut self, rank: usize) {
+        let r = &mut self.ranks[rank];
+        r.epoch += 1;
+        self.order.push(Turn {
+            clock: r.clock,
+            rank,
+            epoch: r.epoch,
+        });
+    }
+
+    /// The active rank with the least `(clock, rank)`, popping the stale
+    /// turns above it.
+    fn least_active(&mut self) -> Option<usize> {
+        while let Some(t) = self.order.peek() {
+            let r = &self.ranks[t.rank];
+            if r.status == Status::Active && r.epoch == t.epoch {
+                return Some(t.rank);
+            }
+            self.order.pop();
+        }
+        None
+    }
+}
+
+/// The shared simulation kernel. One per run; ranks hold an
 /// `Arc<Kernel>` through their [`crate::proc::SimProc`] handles.
 pub struct Kernel {
     cfg: SimConfig,
+    /// Ranks are stepped by one host thread ([`crate::runner::PolledSim`]):
+    /// posts only queue, and nothing waits.
+    polled: bool,
     state: Mutex<KState>,
     cvars: Vec<Condvar>,
 }
 
 impl Kernel {
-    /// Build a kernel for `cfg.topology.nranks()` ranks, all at time 0.
+    /// Build a kernel for `cfg.topology.nranks()` ranks on threads of
+    /// their own, all at time 0.
     pub fn new(cfg: SimConfig) -> Self {
+        Self::hosted(cfg, false)
+    }
+
+    /// Build a kernel whose ranks one host thread steps.
+    pub(crate) fn polled(cfg: SimConfig) -> Self {
+        Self::hosted(cfg, true)
+    }
+
+    fn hosted(cfg: SimConfig, polled: bool) -> Self {
         let n = cfg.topology.nranks();
         let nodes = cfg.topology.nnodes();
         let groups = n.div_ceil(cfg.membw_group_size.max(1));
@@ -245,12 +340,22 @@ impl Kernel {
                 issued: 0,
                 reply: None,
                 parked: false,
+                epoch: 0,
+            })
+            .collect();
+        let order = (0..n)
+            .map(|rank| Turn {
+                clock: 0.0,
+                rank,
+                epoch: 0,
             })
             .collect();
         Kernel {
+            polled,
             cvars: (0..n).map(|_| Condvar::new()).collect(),
             state: Mutex::new(KState {
                 ranks,
+                order,
                 nic_in: vec![Resource::new(); nodes * cfg.nic_channels.max(1)],
                 nic_out: vec![Resource::new(); nodes * cfg.nic_channels.max(1)],
                 membw: vec![Resource::new(); groups],
@@ -268,6 +373,12 @@ impl Kernel {
 
     pub fn config(&self) -> &SimConfig {
         &self.cfg
+    }
+
+    /// Whether one host thread steps the ranks
+    /// ([`crate::runner::PolledSim`]).
+    pub fn is_polled(&self) -> bool {
+        self.polled
     }
 
     /// Lock the kernel state, tolerating mutex poisoning: when a thread
@@ -288,8 +399,9 @@ impl Kernel {
 
     // ----- scheduling core ---------------------------------------------
 
-    /// Append `op` to `rank`'s queue and apply whatever the global order
-    /// now allows. Returns with the lock still held.
+    /// Append `op` to `rank`'s queue and, on threads, apply whatever the
+    /// global order now allows (a polled host applies between steps).
+    /// Returns with the lock still held.
     fn post(&self, rank: usize, op: Op) -> MutexGuard<'_, KState> {
         let mut st = self.lock();
         if st.poisoned {
@@ -297,12 +409,25 @@ impl Kernel {
             resume_unwind(Box::new(Aborted));
         }
         st.ranks[rank].queue.push_back(op);
-        self.pump(&mut st);
+        if !self.polled {
+            self.pump(&mut st);
+        }
         st
     }
 
+    /// Refuse a call that waits when no thread of the rank's own could.
+    fn may_block(&self, rank: usize, call: &str) {
+        assert!(
+            !self.polled,
+            "rank {rank}: a polled simulated rank cannot block in `{call}`: its host \
+             steps every rank on one thread; use the split barrier \
+             (`Comm::barrier_try`), or run the rank on a thread of its own (`run_sim`)"
+        );
+    }
+
     /// Post a value-returning operation and sleep until it is applied.
-    fn call(&self, rank: usize, op: Op) -> Reply {
+    fn call(&self, rank: usize, op: Op, what: &str) -> Reply {
+        self.may_block(rank, what);
         let st = self.post(rank, op);
         let mut st = self.wait_until(st, rank, |r| r.reply.is_some());
         st.ranks[rank].reply.take().expect("reply is ready")
@@ -344,29 +469,27 @@ impl Kernel {
     }
 
     /// Apply posted operations in `(clock, id)` order until the least
-    /// active rank has nothing posted. Panics on deadlock (nothing
-    /// active, not everything done); a panic while applying poisons the
-    /// run before it propagates.
-    fn pump(&self, st: &mut KState) {
+    /// active rank has nothing posted, and return that rank (`None`:
+    /// every rank is done). Panics on deadlock (nothing active, not
+    /// everything done); a panic while applying poisons the run before
+    /// it propagates.
+    fn pump(&self, st: &mut KState) -> Option<usize> {
         loop {
-            let mut best: Option<(f64, usize)> = None;
-            for (i, r) in st.ranks.iter().enumerate() {
-                if r.status == Status::Active && best.is_none_or(|b| (r.clock, i) < b) {
-                    best = Some((r.clock, i));
-                }
-            }
-            let Some((_, rank)) = best else {
+            let Some(rank) = st.least_active() else {
                 if st.ranks.iter().all(|r| r.status == Status::Done) {
-                    return; // run complete
+                    return None; // run complete
                 }
                 self.deadlock(st);
             };
             let Some(op) = st.ranks[rank].queue.pop_front() else {
-                return; // its thread has not posted its next operation yet
+                return Some(rank); // its next operation is not posted yet
             };
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.apply(st, rank, op))) {
                 self.poison(st);
                 resume_unwind(payload);
+            }
+            if st.ranks[rank].status == Status::Active {
+                st.requeue(rank);
             }
             // Its thread may wait in `now` (for the queue to drain) or
             // in a value-returning call (for its reply).
@@ -384,7 +507,13 @@ impl Kernel {
             .enumerate()
             .filter_map(|(i, r)| match r.status {
                 Status::Blocked(why) => {
-                    Some(format!("rank {i} blocked on {why:?} at t={}", r.clock))
+                    let why = match why {
+                        BlockReason::Recv => "a receive",
+                        BlockReason::Pair => "a rendezvous",
+                        BlockReason::Barrier => "the barrier",
+                        BlockReason::Nothing => "nothing: its program parked outside a barrier",
+                    };
+                    Some(format!("rank {i} blocked on {why} at t={}", r.clock))
                 }
                 _ => None,
             })
@@ -415,17 +544,35 @@ impl Kernel {
             Op::Recv { src, tag } => self.apply_recv(st, rank, src, tag),
             Op::Pair(key) => self.apply_pair(st, rank, key),
             Op::Barrier => self.apply_barrier(st, rank),
+            Op::Park => st.ranks[rank].status = Status::Blocked(BlockReason::Nothing),
             Op::Finish => st.ranks[rank].status = Status::Done,
         }
     }
 
-    /// Called when the rank's closure returns. Does not wait.
+    /// Called when the rank's program returns. Does not wait.
     pub fn finish(&self, rank: usize) {
         let mut st = self.lock();
         if !st.poisoned {
             st.ranks[rank].queue.push_back(Op::Finish);
-            self.pump(&mut st);
+            if !self.polled {
+                self.pump(&mut st);
+            }
         }
+    }
+
+    /// Polled hosting: apply what the order allows and return the rank
+    /// it waits on — the one to step next — or `None` once every rank is
+    /// done. Panics on deadlock, naming the blocked ranks.
+    pub(crate) fn next_rank(&self) -> Option<usize> {
+        let mut st = self.lock();
+        self.pump(&mut st)
+    }
+
+    /// Polled hosting: `rank`'s program parked without arriving at the
+    /// barrier. Nothing wakes it; if the rest of the run cannot finish
+    /// without it, that is reported as a deadlock naming it.
+    pub(crate) fn park(&self, rank: usize) {
+        let _st = self.post(rank, Op::Park);
     }
 
     /// Abort the run: every waiting rank wakes and unwinds. Called when
@@ -442,6 +589,7 @@ impl Kernel {
     /// of a rank that is not blocked, so the global order need not reach
     /// this call.)
     pub fn now(&self, rank: usize) -> f64 {
+        self.may_block(rank, "now");
         let st = self.wait_until(self.lock(), rank, |r| r.queue.is_empty());
         st.ranks[rank].clock
     }
@@ -677,13 +825,14 @@ impl Kernel {
             // The waiter re-runs its receive when its turn comes and
             // picks the message up with correct wait accounting.
             st.ranks[waiter].status = Status::Active;
+            st.requeue(waiter);
         }
     }
 
     /// Receive the next message from `src` with `tag`; blocks (in both
     /// virtual and host time) until one is available.
     pub fn recv_msg(&self, rank: usize, src: usize, tag: u64) -> Msg {
-        match self.call(rank, Op::Recv { src, tag }) {
+        match self.call(rank, Op::Recv { src, tag }, "recv_msg") {
             Reply::Msg(msg) => msg,
             _ => unreachable!("a receive replies with its message"),
         }
@@ -720,7 +869,7 @@ impl Kernel {
     /// time `max(clock_a, clock_b)`, with their clocks advanced to it.
     /// Used by the MPI layer's rendezvous protocol.
     pub fn pair_sync(&self, rank: usize, key: u64) -> f64 {
-        match self.call(rank, Op::Pair(key)) {
+        match self.call(rank, Op::Pair(key), "pair_sync") {
             Reply::Time(t) => t,
             _ => unreachable!("a pairing replies with its time"),
         }
@@ -742,6 +891,7 @@ impl Kernel {
             r.cpu_free_at = r.cpu_free_at.max(t);
             r.status = Status::Active;
             r.reply = Some(Reply::Time(t));
+            st.requeue(who);
         }
         self.wake(st, peer);
     }
@@ -749,7 +899,24 @@ impl Kernel {
     /// Full barrier over all ranks. Releases everyone at
     /// `max(arrival clocks) + barrier_latency`.
     pub fn barrier(&self, rank: usize) {
-        self.call(rank, Op::Barrier);
+        self.call(rank, Op::Barrier, "barrier");
+    }
+
+    /// The barrier's first half: arrive, without waiting. Test the
+    /// arrival with [`Kernel::barrier_test`].
+    pub fn barrier_post(&self, rank: usize) {
+        let _st = self.post(rank, Op::Barrier);
+    }
+
+    /// Whether the barrier `rank` arrived at with [`Kernel::barrier_post`]
+    /// has released it; `true` consumes the release.
+    pub fn barrier_test(&self, rank: usize) -> bool {
+        let mut st = self.lock();
+        match st.ranks[rank].reply.take() {
+            Some(Reply::Unit) => true,
+            Some(_) => unreachable!("a barrier replies with nothing"),
+            None => false,
+        }
     }
 
     fn apply_barrier(&self, st: &mut KState, rank: usize) {
@@ -772,6 +939,7 @@ impl Kernel {
             r.cpu_free_at = r.cpu_free_at.max(release);
             r.status = Status::Active;
             r.reply = Some(Reply::Unit);
+            st.requeue(w);
             self.wake(st, w);
         }
     }

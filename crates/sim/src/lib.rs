@@ -8,20 +8,25 @@
 //!
 //! ## Execution model
 //!
-//! * Each rank is an OS thread executing an arbitrary closure — the
-//!   *actual algorithm implementation*, written in natural blocking
-//!   style against the [`proc::SimProc`] handle.
-//! * Rank threads **run ahead** of virtual time: a timed operation
-//!   (compute charge, transfer issue or wait, message post) is posted to
-//!   the rank's queue in the kernel and the thread carries on. The
-//!   kernel applies posted operations one at a time, always the next one
-//!   of the active rank with the lowest virtual clock (ties broken by
-//!   rank id, found by scanning the rank clocks), so no rank's operation
-//!   takes effect before an earlier-clocked one's. A thread waits only
-//!   where it reads a value — its clock, a message, a rendezvous time, a
-//!   barrier release — until the kernel has caught up with it. Every
-//!   simulation is bit-for-bit deterministic, independent of host
-//!   scheduling.
+//! * Each rank runs the *actual algorithm implementation* against the
+//!   [`proc::SimProc`] handle, hosted one of two ways: as an ordinary
+//!   blocking closure on an OS thread of its own ([`runner::run_sim`]),
+//!   or as a resumable program that one host thread steps
+//!   ([`runner::PolledSim`]), so a rank costs its operations and no
+//!   thread.
+//! * Ranks **run ahead** of virtual time: a timed operation (compute
+//!   charge, transfer issue or wait, message post) is posted to the
+//!   rank's queue in the kernel and the rank carries on. The kernel
+//!   applies posted operations one at a time, always the next one of
+//!   the active rank with the lowest virtual clock (ties broken by rank
+//!   id, kept in a binary heap), so no rank's operation takes effect
+//!   before an earlier-clocked one's. A threaded rank waits only where
+//!   it reads a value — its clock, a message, a rendezvous time, a
+//!   barrier release — until the kernel has caught up with it; a polled
+//!   rank reads none but the barrier's, in split form, and is stepped
+//!   when the order reaches it. Every simulation is bit-for-bit
+//!   deterministic, independent of host scheduling, and the two
+//!   hostings of one program agree to the bit.
 //! * Time costs come from [`srumma_model::TransferCost`] decompositions
 //!   and the analytic dgemm efficiency model; *data movement is real*
 //!   when callers choose to move real data (so numerics can be verified
@@ -48,7 +53,8 @@
 //!
 //! [`runner::run_sim`] launches the rank threads, runs the simulation to
 //! completion and returns per-rank outputs, final virtual times and
-//! aggregated [`stats::RunStats`].
+//! aggregated [`stats::RunStats`]; [`runner::PolledSim`] hands the
+//! stepping loop to its caller and returns the same.
 
 pub mod kernel;
 pub mod proc;
@@ -59,6 +65,6 @@ pub mod trace;
 
 pub use kernel::{SimConfig, TransferId, TransferSpec};
 pub use proc::SimProc;
-pub use runner::{run_sim, SimResult};
+pub use runner::{run_sim, PolledSim, SimResult};
 pub use stats::{RankStats, RunStats};
 pub use trace::{TraceEvent, TraceKind};

@@ -12,7 +12,8 @@ use std::sync::Arc;
 /// Handle to the simulation for one rank. Cheap to clone within the
 /// rank's thread; do not share across rank threads. Calls that return
 /// nothing post their operation and return at once; calls that return
-/// a value wait for the kernel (see [`crate::kernel`]).
+/// a value wait for the kernel (see [`crate::kernel`]) — and panic on a
+/// polled rank ([`crate::runner::PolledSim`]), which nothing could wake.
 #[derive(Clone)]
 pub struct SimProc {
     kernel: Arc<Kernel>,
@@ -100,5 +101,21 @@ impl SimProc {
     /// Full barrier across all ranks.
     pub fn barrier(&self) {
         self.kernel.barrier(self.rank);
+    }
+
+    /// Whether this rank is stepped by a polled host, so may not block.
+    pub fn is_polled(&self) -> bool {
+        self.kernel.is_polled()
+    }
+
+    /// Arrive at the barrier without waiting.
+    pub fn barrier_post(&self) {
+        self.kernel.barrier_post(self.rank);
+    }
+
+    /// Whether the barrier arrived at with [`SimProc::barrier_post`] has
+    /// released this rank (`true` consumes the release).
+    pub fn barrier_test(&self) -> bool {
+        self.kernel.barrier_test(self.rank)
     }
 }

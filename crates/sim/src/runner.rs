@@ -1,4 +1,7 @@
-//! Launching a simulation: one thread per rank, scoped, deterministic.
+//! Launching a simulation, deterministic either way: [`run_sim`] gives
+//! each rank a scoped thread of its own and runs blocking closures;
+//! [`PolledSim`] leaves the stepping of resumable rank programs to one
+//! host thread, which costs a rank only its own operations.
 
 use crate::kernel::{Aborted, Kernel, SimConfig};
 use crate::proc::SimProc;
@@ -89,10 +92,16 @@ where
         std::panic::resume_unwind(panics.swap_remove(i));
     }
 
+    result(&kernel, outputs.into_iter().map(|o| o.unwrap()).collect())
+}
+
+/// The finished run: the kernel's clocks, statistics and trace beside
+/// the ranks' outputs.
+fn result<T>(kernel: &Kernel, outputs: Vec<T>) -> SimResult<T> {
     let (times, rank_stats, trace) = kernel.collect();
     let makespan = times.iter().copied().fold(0.0, f64::max);
     SimResult {
-        outputs: outputs.into_iter().map(|o| o.unwrap()).collect(),
+        outputs,
         stats: RunStats {
             ranks: rank_stats,
             final_times: times,
@@ -100,6 +109,73 @@ where
             exec: None,
         },
         trace,
+    }
+}
+
+/// A simulation whose ranks the caller steps on its own thread: no
+/// thread, stack or condvar wait per rank. Each rank is a resumable
+/// program over the [`SimProc`] from [`PolledSim::proc`], whose posts
+/// only queue. The loop is
+///
+/// ```text
+/// while let Some(rank) = sim.next_rank() {
+///     step rank's program;            // posts its operations
+///     if it finished { sim.finish(rank) }
+///     if it parked outside the split barrier { sim.park(rank) }
+/// }
+/// ```
+///
+/// `next_rank` applies the posted operations in `(clock, rank)` order
+/// and returns the rank the order waits on, so the timings are those of
+/// [`run_sim`] on the same operations, bit for bit.
+pub struct PolledSim {
+    kernel: Arc<Kernel>,
+}
+
+impl PolledSim {
+    pub fn new(cfg: SimConfig) -> Self {
+        PolledSim {
+            kernel: Arc::new(Kernel::polled(cfg)),
+        }
+    }
+
+    pub fn nranks(&self) -> usize {
+        self.kernel.nranks()
+    }
+
+    /// `rank`'s handle. Its value-returning calls (`now`, `recv_msg`,
+    /// `pair_sync`, `barrier`) panic: a polled rank reaches the barrier
+    /// through [`SimProc::barrier_post`] and [`SimProc::barrier_test`].
+    pub fn proc(&self, rank: usize) -> SimProc {
+        SimProc::new(Arc::clone(&self.kernel), rank)
+    }
+
+    /// Apply what the order allows; the rank to step next, or `None`
+    /// once every rank has finished.
+    ///
+    /// # Panics
+    /// On deadlock — no rank can run and not every rank finished — with
+    /// the blocked ranks named; and with whatever panic applying an
+    /// operation raised.
+    pub fn next_rank(&self) -> Option<usize> {
+        self.kernel.next_rank()
+    }
+
+    /// `rank`'s program returned.
+    pub fn finish(&self, rank: usize) {
+        self.kernel.finish(rank);
+    }
+
+    /// `rank`'s program parked without arriving at the barrier: nothing
+    /// will wake it.
+    pub fn park(&self, rank: usize) {
+        self.kernel.park(rank);
+    }
+
+    /// Clocks, statistics and trace of the finished run, beside the
+    /// ranks' `outputs`.
+    pub fn into_result<T>(self, outputs: Vec<T>) -> SimResult<T> {
+        result(&self.kernel, outputs)
     }
 }
 

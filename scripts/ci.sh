@@ -71,6 +71,19 @@ if grep -rn 'ThreadComm\|PoisonBarrier\|ThreadRunResult\|thread_launch\|grant_an
     echo "FAIL: a retired host name is back (see above; EXPERIMENTS.md, \"One wall-clock communicator\", \"Claim counters\")" >&2; exit 1
 fi
 
+echo "== simulator hosting guard: a simulated rank costs its operations, not a thread =="
+# Untraced flat or staged SRUMMA under the simulator is a RankProgram that
+# Run::launch hands to sim_run_programs, which steps every rank on the
+# calling thread in the kernel's (clock, rank) order; a virtual-clock rank
+# is one iteration of virtual_run's parallel-for. virt.rs reaching for the
+# executor's task slots, or Run::launch no longer stepping SRUMMA on the
+# polled host, is a thread or a slot per rank coming back.
+if grep -n 'exec_run_tasks\|RankTask' crates/comm/src/virt.rs; then
+    echo "FAIL: comm/src/virt.rs hosts its ranks on the executor again (see above); virtual_run is a parallel-for" >&2; exit 1
+fi
+awk '/fn launch\(/,/^    }$/' crates/core/src/run.rs | grep -q 'sim_run_programs(' ||
+    { echo "FAIL: Run::launch no longer steps SRUMMA on the polled DES host (sim_run_programs)" >&2; exit 1; }
+
 echo "== fault guard: the communicator applies a fault plan, on either clock =="
 # SimComm applies a FaultPlan in virtual time and ExecComm with real
 # sleeps, each handed the plan by its launcher. A fault-injecting
