@@ -106,7 +106,7 @@ fn smoke() {
 }
 
 fn main() {
-    let cfg = BenchArgs::parse(&[]);
+    let cfg = BenchArgs::parse();
     if cfg.smoke {
         smoke();
         return;

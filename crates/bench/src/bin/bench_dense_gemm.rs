@@ -231,7 +231,7 @@ fn bench_ldb(quick: bool) -> [(usize, f64); 2] {
 }
 
 fn main() {
-    let cfg = BenchArgs::parse(&[]);
+    let cfg = BenchArgs::parse();
     // SRUMMA task-block sizes: a √P × √P grid over the paper's problem
     // range leaves per-task operand blocks in the 64–500 band.
     // The quick set feeds CI's hard simd-over-scalar ratio gate and

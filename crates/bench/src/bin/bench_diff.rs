@@ -12,7 +12,7 @@
 //!
 //! Usage:
 //! `cargo run -p srumma-bench --bin bench_diff -- BASE.json NEW.json
-//! [--strict] [--threshold PCT] [--threshold SUBSTR=PCT]... [--only SUBSTR]`
+//! [--strict] [--threshold PCT] [--only SUBSTR]`
 //!
 //! `--only SUBSTR` restricts the comparison to metric keys containing
 //! `SUBSTR` (repeatable; a key matching any filter is kept). CI uses it
@@ -21,12 +21,6 @@
 //! A filter that matches no numeric metric in both reports is a hard
 //! error (exit 2) even without `--strict` — a vacuous gate is a broken
 //! gate, not a passing one.
-//!
-//! `--threshold SUBSTR=PCT` (repeatable) overrides the global
-//! percentage for keys containing `SUBSTR` — deterministic byte-count
-//! gates can run tight (`--threshold internode_bytes=0.5`) while noisy
-//! wall-clock GFLOP/s gates in the same invocation keep a loose global
-//! default. The first matching override wins, in the order given.
 //!
 //! Default mode always exits 0 (a *soft* gate: CI warns but stays
 //! green); `--strict` exits 1 when regressions were found.
@@ -38,29 +32,13 @@ struct Config {
     new: String,
     strict: bool,
     threshold: f64,
-    /// Per-key overrides: `(key substring, percentage)`, first match
-    /// wins.
-    key_thresholds: Vec<(String, f64)>,
     only: Vec<String>,
-}
-
-impl Config {
-    /// The threshold governing `key`: the first matching per-key
-    /// override, else the global default.
-    fn threshold_for(&self, key: &str) -> f64 {
-        self.key_thresholds
-            .iter()
-            .find(|(sub, _)| key.contains(sub.as_str()))
-            .map(|&(_, pct)| pct)
-            .unwrap_or(self.threshold)
-    }
 }
 
 fn parse_args() -> Config {
     let mut paths = Vec::new();
     let mut strict = false;
     let mut threshold = 10.0;
-    let mut key_thresholds = Vec::new();
     let mut only = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -68,22 +46,10 @@ fn parse_args() -> Config {
             "--strict" => strict = true,
             "--threshold" => {
                 let v = args.next().unwrap_or_default();
-                if let Some((sub, pct)) = v.split_once('=') {
-                    let pct: f64 = pct.parse().unwrap_or_else(|_| {
-                        eprintln!("--threshold {sub}=PCT wants a number, got {pct:?}");
-                        std::process::exit(2);
-                    });
-                    if sub.is_empty() {
-                        eprintln!("--threshold KEY=PCT wants a non-empty key substring");
-                        std::process::exit(2);
-                    }
-                    key_thresholds.push((sub.to_string(), pct));
-                } else {
-                    threshold = v.parse().unwrap_or_else(|_| {
-                        eprintln!("--threshold wants PCT or KEY=PCT, got {v:?}");
-                        std::process::exit(2);
-                    });
-                }
+                threshold = v.parse().unwrap_or_else(|_| {
+                    eprintln!("--threshold wants PCT, got {v:?}");
+                    std::process::exit(2);
+                });
             }
             "--only" => match args.next() {
                 Some(s) if !s.is_empty() => only.push(s),
@@ -101,8 +67,7 @@ fn parse_args() -> Config {
     }
     if paths.len() != 2 {
         eprintln!(
-            "usage: bench_diff BASE.json NEW.json [--strict] [--threshold PCT] \
-             [--threshold KEY=PCT]... [--only SUBSTR]"
+            "usage: bench_diff BASE.json NEW.json [--strict] [--threshold PCT] [--only SUBSTR]"
         );
         std::process::exit(2);
     }
@@ -111,7 +76,6 @@ fn parse_args() -> Config {
         new: paths.remove(0),
         strict,
         threshold,
-        key_thresholds,
         only,
     }
 }
@@ -125,8 +89,6 @@ fn direction(key: &str) -> i32 {
         "makespan",
         "seconds",
         "time",
-        "degradation",
-        "internode",
         "ns_per_elem",
     ];
     if HIGHER.iter().any(|w| key.contains(w)) {
@@ -185,11 +147,10 @@ fn main() {
         }
         let pct = (n - b) / b.abs() * 100.0;
         let dir = direction(key);
-        let thr = cfg.threshold_for(key);
         // "Worse" is in the metric's own direction; unknown-direction
         // keys are shown for context but never gate.
-        let worse = dir != 0 && pct * dir as f64 <= -thr;
-        let better = dir != 0 && pct * dir as f64 >= thr;
+        let worse = dir != 0 && pct * dir as f64 <= -cfg.threshold;
+        let better = dir != 0 && pct * dir as f64 >= cfg.threshold;
         let mark = if worse {
             regressions += 1;
             "REGRESSION"

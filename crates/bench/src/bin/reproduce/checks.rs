@@ -1,15 +1,23 @@
 //! Checks built on the paper: its §2 cost model, the ablations DESIGN.md
-//! calls for, the network-speed sweep and the memory-footprint claim.
+//! calls for, the network-speed sweep, the memory-footprint claim, the
+//! straggler-degradation comparison with SUMMA and the 1k–64k-rank
+//! hierarchical crossover study.
 
 use crate::{overlap_pct, table, Out};
 use srumma_bench::{fmt, pdgemm_best, srumma_run};
+use srumma_comm::FaultPlan;
 use srumma_core::driver::measure_gflops;
+use srumma_core::hier::{measure_flat_virtual, measure_hier_virtual};
 use srumma_core::memory::{cannon_footprint, srumma_footprint, summa_footprint};
 use srumma_core::summa::BcastKind;
-use srumma_core::{Algorithm, GemmSpec, ShmemFlavor, SrummaOptions, SummaOptions};
+use srumma_core::{
+    Algorithm, Backend, GemmSpec, ReplicationFactor, Run, ShmemFlavor, SrummaOptions, SummaOptions,
+};
 use srumma_model::isoeff::EqModel;
 use srumma_model::machine::RanksPerDomain;
 use srumma_model::{Machine, ProcGrid};
+use srumma_trace::bench_report_json;
+use srumma_trace::json::JsonObject;
 
 /// **§2 efficiency model check** — compare the simulator against the
 /// paper's analytic cost model, Equation (1):
@@ -290,5 +298,163 @@ pub fn memory_footprint() -> Vec<Out> {
              direct access, a fixed two-buffer pipeline otherwise; Cannon stages twice as much.\n"
                 .into(),
         ),
+    ]
+}
+
+/// **Graceful degradation under a straggler** — the paper's resilience
+/// story, quantified against SUMMA (pdgemm): slow **one** rank by a
+/// factor `f` and compare the whole run's makespan with the healthy one.
+/// SUMMA's per-k-panel broadcasts are two-sided, so every panel waits
+/// for the straggler's host and the run degrades by roughly the full
+/// factor. SRUMMA's one-sided gets are served without the straggler's
+/// CPU in the loop: peers keep prefetching and computing, only the
+/// straggler's own tile work stretches, and the prefetch pipeline hides
+/// some of that. SRUMMA's degradation ratio (straggled / healthy
+/// makespan) must stay strictly below SUMMA's at every factor; the row
+/// asserts it.
+///
+/// Shape-only runs on the simulator, faults applied in virtual time.
+/// The size is deliberately communication-bound (small tiles per rank),
+/// the regime where the two communication styles differ: at
+/// compute-bound sizes both makespans converge to `f ×` the straggler's
+/// compute, and the ratio favours whichever algorithm had the worse
+/// healthy baseline — a denominator artifact, not resilience.
+pub fn degradation() -> Vec<Out> {
+    let (nranks, n, straggler) = (16, 384, 0);
+    let machine = Machine::linux_myrinet();
+    let spec = GemmSpec::square(n);
+    let algs = [
+        ("srumma", Algorithm::srumma_default()),
+        ("summa", Algorithm::summa_default()),
+    ];
+    let makespan = |alg: &Algorithm, plan: &FaultPlan| {
+        Run {
+            faults: Some(plan),
+            ..Run::new(spec, nranks, *alg, Backend::Sim(&machine))
+        }
+        .execute()
+        .expect("straggler plans are legal on the simulator")
+        .stats
+        .makespan
+    };
+
+    let mut metrics = JsonObject::new();
+    metrics.num("nranks", nranks as f64);
+    metrics.num("n", n as f64);
+    let healthy = algs.map(|(name, alg)| {
+        let t = makespan(&alg, &FaultPlan::healthy());
+        metrics.num(&format!("seconds_healthy_{name}"), t);
+        t
+    });
+    let mut rows = Vec::new();
+    for f in [1.5, 2.0, 3.0, 4.0] {
+        let fx = (f * 100.0_f64).round() as u64;
+        let plan = FaultPlan::single_straggler(nranks, straggler, f);
+        let mut row = vec![format!("{f:.2}x")];
+        let mut ratios = [0.0; 2];
+        for (i, (name, alg)) in algs.iter().enumerate() {
+            let t = makespan(alg, &plan);
+            ratios[i] = t / healthy[i];
+            metrics.num(&format!("seconds_straggled_{name}_x{fx}"), t);
+            metrics.num(&format!("degradation_ratio_{name}_x{fx}"), ratios[i]);
+            row.extend([format!("{t:.3}"), format!("{:.3}", ratios[i])]);
+        }
+        assert!(
+            ratios[0] < ratios[1],
+            "at {f}x SRUMMA's degradation ratio {:.3} reaches SUMMA's {:.3}",
+            ratios[0],
+            ratios[1]
+        );
+        rows.push(row);
+    }
+    let report = bench_report_json("degradation", "sim", "[]", &metrics.finish());
+    vec![
+        table(
+            format!(
+                "single straggler (rank {straggler}) degradation, n={n}, {nranks} ranks, \
+                 Linux+Myrinet model"
+            ),
+            "degradation",
+            "factor,srumma s,srumma ratio,summa s,summa ratio",
+            rows,
+        ),
+        Out::File("BENCH_degradation.json".into(), report),
+    ]
+}
+
+/// **The crossover study** — flat SRUMMA vs two-level node-group
+/// staging vs staging inside `c = 4` replica teams, over a weak-scaling
+/// sweep (`n = 64·√P`, constant tile work per rank) on the Linux +
+/// Myrinet profile widened to 8-way SMP nodes, at 1k / 4k / 16k / 64k
+/// ranks. Every run is on the per-rank virtual clock (`virtual_run`):
+/// LogGP clocks on a small host pool, which is what makes 64k ranks
+/// feasible. It reports modeled makespan and inter-node bytes (and the
+/// staged runs' intra-group bytes), and asserts that staging moves
+/// strictly fewer inter-node bytes than flat from 4096 ranks up. The
+/// model is deterministic, and the host's worker count moves no number.
+pub fn hierarchy() -> Vec<Out> {
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    // 8-way SMP nodes: wide enough that a node covers only part of a
+    // 2^k-square grid row, so shared off-node A demand exists at every
+    // swept rank count.
+    let mut machine = Machine::linux_myrinet();
+    machine.ranks_per_domain = RanksPerDomain::Fixed(8);
+    let opts = SrummaOptions::default();
+
+    let mut metrics = JsonObject::new();
+    metrics.num("ranks_per_node", 8.0);
+    metrics.num("replication_factor", 4.0);
+    let mut rows = Vec::new();
+    for p in [1024usize, 4096, 16384, 65536] {
+        let n = 64 * (p as f64).sqrt() as usize;
+        let spec = GemmSpec::square(n).with_scalars(1.0, 0.0);
+        let flat = measure_flat_virtual(&machine, p, workers, &opts, &spec);
+        let hier = measure_hier_virtual(&machine, p, workers, &opts, &spec);
+        let backend = Backend::Virtual {
+            machine: &machine,
+            workers,
+        };
+        let repl = Run {
+            hier: true,
+            replication: ReplicationFactor::Fixed(4),
+            ..Run::new(spec, p, Algorithm::Srumma(opts), backend)
+        }
+        .execute()
+        .expect("c = 4 leaves whole 8-rank nodes per team at every swept rank count")
+        .stats;
+        let inter = [&flat, &hier, &repl].map(|s| s.total_internode_bytes());
+        assert!(
+            p < 4096 || inter[1] < inter[0],
+            "at {p} ranks staging moves {} inter-node bytes, flat {}",
+            inter[1],
+            inter[0]
+        );
+
+        metrics.num(&format!("n_p{p}"), n as f64);
+        for (name, s) in [("flat", &flat), ("hier", &hier), ("hier_repl", &repl)] {
+            metrics.num(&format!("makespan_{name}_p{p}"), s.makespan);
+        }
+        for (name, bytes) in ["flat", "hier", "hier_repl"].iter().zip(inter) {
+            metrics.num(&format!("internode_bytes_{name}_p{p}"), bytes as f64);
+        }
+        metrics.num(
+            &format!("intragroup_bytes_hier_p{p}"),
+            hier.total_intragroup_bytes() as f64,
+        );
+        let mut row = vec![p.to_string(), n.to_string()];
+        row.extend([&flat, &hier, &repl].map(|s| format!("{:.3}", s.makespan)));
+        row.extend(inter.map(|b| b.to_string()));
+        rows.push(row);
+    }
+    let report = bench_report_json("hierarchy", "virtual", "[]", &metrics.finish());
+    vec![
+        table(
+            "flat vs hierarchical vs hierarchical+replicated (weak scaling n=64·√P, \
+             Linux+Myrinet, 8 ranks/node, c=4)",
+            "hierarchy",
+            "ranks,n,flat s,hier s,h+r s,flat inter-B,hier inter-B,h+r inter-B",
+            rows,
+        ),
+        Out::File("BENCH_hierarchy.json".into(), report),
     ]
 }

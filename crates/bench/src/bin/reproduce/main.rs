@@ -78,6 +78,8 @@ const FIGURES: &[(&str, Figure)] = &[
     ("ablation_summa_bcast", checks::ablation_summa_bcast),
     ("sensitivity", checks::sensitivity),
     ("memory_footprint", checks::memory_footprint),
+    ("degradation", checks::degradation),
+    ("hierarchy", checks::hierarchy),
 ];
 
 /// The figure the arguments name, or the usage text listing the names.
@@ -163,10 +165,9 @@ mod tests {
 
     #[test]
     fn arguments_name_one_figure() {
-        assert_eq!(
-            parse(&["fig05_direct_vs_copy"]).unwrap().0,
-            "fig05_direct_vs_copy"
-        );
+        for name in ["fig05_direct_vs_copy", "degradation", "hierarchy"] {
+            assert_eq!(parse(&[name]).unwrap().0, name);
+        }
         assert_eq!(parse(&[FIG10, "--quick"]).unwrap().0, FIG10);
         assert_eq!(parse(&["--quick", FIG10]).unwrap().0, FIG10);
         for bad in [
@@ -176,6 +177,8 @@ mod tests {
             &["fig04_diagshift", "--quick"],
             &[FIG10, "--full"],
             &["sensitivity", "sensitivity"],
+            &["hierarchy", "--quick"],
+            &["degradation", "--n", "384"],
         ] {
             let usage = parse(bad).expect_err("a usage error");
             assert!(FIGURES.iter().all(|(n, _)| usage.contains(n)), "{usage}");

@@ -18,48 +18,33 @@ use std::path::Path;
 pub mod timing;
 
 /// The command line every `bench_*` binary shares: `--quick` (short
-/// sweep), `--smoke` (bounded CI correctness run), `--out PATH` (where
-/// the `BENCH_*.json` goes), `--workers W`, plus the binary's own
-/// numeric `--name N` flags. Anything else is a usage error (exit 2).
+/// sweep), `--smoke` (bounded CI correctness run) and `--out PATH`
+/// (where the `BENCH_*.json` goes). Anything else is a usage error
+/// (exit 2).
 #[derive(Default)]
 pub struct BenchArgs {
     pub quick: bool,
     pub smoke: bool,
     out: Option<String>,
-    pub workers: Option<usize>,
-    extra: Vec<(String, usize)>,
 }
 
 impl BenchArgs {
-    /// Parse the process arguments; `extra` names the binary's own
-    /// numeric flags (e.g. `&["--n", "--nranks"]`).
-    pub fn parse(extra: &[&str]) -> Self {
+    /// Parse the process arguments.
+    pub fn parse() -> Self {
         let mut cfg = BenchArgs::default();
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
-            let mut number = || args.next().and_then(|v| v.parse().ok());
             match a.as_str() {
                 "--quick" => cfg.quick = true,
                 "--smoke" => cfg.smoke = true,
                 "--out" => cfg.out = args.next(),
-                "--workers" => cfg.workers = number(),
-                name if extra.contains(&name) => cfg.extra.extend(number().map(|v| (a.clone(), v))),
                 other => {
-                    let own: String = extra.iter().map(|e| format!(", {e} N")).collect();
-                    eprintln!(
-                        "unknown arg {other:?} (expected --quick, --smoke, --out PATH, --workers W{own})"
-                    );
+                    eprintln!("unknown arg {other:?} (expected --quick, --smoke, --out PATH)");
                     std::process::exit(2);
                 }
             }
         }
         cfg
-    }
-
-    /// The (last, parseable) value given for one of the `extra` flags.
-    pub fn extra(&self, name: &str) -> Option<usize> {
-        let given = self.extra.iter().rev().find(|(n, _)| n == name);
-        given.map(|&(_, v)| v)
     }
 
     /// Write the binary's report to `--out PATH`, or without it to
@@ -90,7 +75,7 @@ pub fn write_file(path: &Path, contents: &str) -> io::Result<()> {
 
 /// Write a JSON report as `<dir>/BENCH_<name>.json` (the unified trace
 /// + metrics document; `dir` is usually `srumma_trace::results_dir()`).
-pub fn write_bench_json(dir: &Path, name: &str, json: &str) -> io::Result<()> {
+pub(crate) fn write_bench_json(dir: &Path, name: &str, json: &str) -> io::Result<()> {
     write_file(&dir.join(format!("BENCH_{name}.json")), json)
 }
 

@@ -13,9 +13,9 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug)]
 pub struct Sampled {
     /// Fastest observed per-iteration time (seconds).
-    pub min: f64,
+    pub(crate) min: f64,
     /// Median per-iteration time (seconds).
-    pub median: f64,
+    pub(crate) median: f64,
 }
 
 /// Time `f` over `samples` batches of `iters_per_sample` iterations

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicI32, Ordering};
 /// Access conflict detector for one block of a window: a counter that
 /// is positive while readers hold the block and `-1` while a writer
 /// does.
-pub struct AccessChecker {
+pub(crate) struct AccessChecker {
     state: AtomicI32,
 }
 

@@ -368,7 +368,7 @@ impl DistMatrix {
     /// backends must use for topology/cost classification of one-sided
     /// operations on this matrix (`slot` itself stays the data index).
     #[inline]
-    pub fn cost_rank(&self, slot: usize) -> usize {
+    pub(crate) fn cost_rank(&self, slot: usize) -> usize {
         self.cost.cost_rank(slot)
     }
 
@@ -409,7 +409,7 @@ impl DistMatrix {
     }
 
     /// Grid coordinates of the block owned by `rank`.
-    pub fn block_coords(&self, rank: usize) -> (usize, usize) {
+    pub(crate) fn block_coords(&self, rank: usize) -> (usize, usize) {
         match self.order {
             RankOrder::RowMajor => self.grid.coords(rank),
             RankOrder::ColMajor => (rank % self.grid.p, rank / self.grid.p),
@@ -449,15 +449,6 @@ impl DistMatrix {
             chunk_start(self.rows, self.grid.p, pi),
             chunk_start(self.cols, self.grid.q, pj),
         )
-    }
-
-    /// Rank owning grid block `(bi, bj)`.
-    pub fn owner(&self, bi: usize, bj: usize) -> usize {
-        debug_assert!(bi < self.grid.p && bj < self.grid.q);
-        match self.order {
-            RankOrder::RowMajor => self.grid.rank_at(bi, bj),
-            RankOrder::ColMajor => bj * self.grid.p + bi,
-        }
     }
 
     /// Size in bytes of `rank`'s block.
@@ -584,7 +575,7 @@ impl DistMatrix {
     /// one-sided **put**; timing lives in the backend). No-op on
     /// virtual backing. `src` may be empty (modeled runs); otherwise it
     /// must hold exactly the block's elements, row-major.
-    pub fn copy_block_from(&self, rank: usize, src: &[f64]) {
+    pub(crate) fn copy_block_from(&self, rank: usize, src: &[f64]) {
         let mut w = self.write_block_for(rank, "copy_block_from");
         let (rows, cols) = (w.rows(), w.cols());
         let Some(mut dst) = w.mat_mut() else {
@@ -601,7 +592,7 @@ impl DistMatrix {
     /// data half of an ARMCI-style **accumulate**; `src` is shaped like
     /// the block, at any `ld`). No-op on virtual backing or a modeled
     /// payload (`None`).
-    pub fn acc_block_from(&self, rank: usize, scale: f64, src: Option<MatRef<'_>>) {
+    pub(crate) fn acc_block_from(&self, rank: usize, scale: f64, src: Option<MatRef<'_>>) {
         let mut w = self.write_block_for(rank, "acc_block_from");
         let (Some(mut dst), Some(src)) = (w.mat_mut(), src) else {
             return;
@@ -700,11 +691,11 @@ pub struct BlockRead<'a> {
 }
 
 impl BlockRead<'_> {
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -1037,7 +1028,7 @@ mod tests {
     fn owner_matches_grid() {
         let grid = ProcGrid::new(3, 2);
         let m = DistMatrix::create_virtual(grid, 6, 6);
-        assert_eq!(m.owner(2, 1), grid.rank_at(2, 1));
+        assert_eq!(m.block_coords(grid.rank_at(2, 1)), (2, 1));
     }
 
     #[test]
@@ -1187,6 +1178,13 @@ mod put_acc_tests {
 #[cfg(test)]
 mod window_tests {
     use super::*;
+
+    /// The rank holding grid block `(bi, bj)` of `c`, in its rank order.
+    fn owner(c: &DistMatrix, bi: usize, bj: usize) -> usize {
+        (0..c.grid().nranks())
+            .find(|&r| c.block_coords(r) == (bi, bj))
+            .unwrap()
+    }
 
     /// `(rows, cols, p, q)`: uneven blocks, more grid rows (columns) than
     /// matrix rows (columns) so some blocks are empty, `1 × q` and
@@ -1470,10 +1468,16 @@ mod window_tests {
     #[should_panic(expected = "discipline violation: read of a block under write")]
     fn a_read_beside_a_writer_of_its_grid_row_is_caught() {
         panics_on_every_input((4, 4, 2, 2), |c| {
-            let _owner = c.write_block(c.owner(1, 0));
-            assert_eq!(c.read_block(c.owner(0, 0)).mat().map(|m| m.rows()), Some(2));
-            assert_eq!(c.read_block(c.owner(0, 1)).mat().map(|m| m.cols()), Some(2));
-            let _ = c.read_block(c.owner(1, 1));
+            let _owner = c.write_block(owner(c, 1, 0));
+            assert_eq!(
+                c.read_block(owner(c, 0, 0)).mat().map(|m| m.rows()),
+                Some(2)
+            );
+            assert_eq!(
+                c.read_block(owner(c, 0, 1)).mat().map(|m| m.cols()),
+                Some(2)
+            );
+            let _ = c.read_block(owner(c, 1, 1));
         });
     }
 
@@ -1481,8 +1485,8 @@ mod window_tests {
     #[should_panic(expected = "discipline violation: write of a block under access")]
     fn a_write_beside_a_reader_of_its_grid_row_is_caught() {
         panics_on_every_input((4, 4, 2, 2), |c| {
-            let _reader = c.read_block(c.owner(0, 0));
-            let _ = c.write_block(c.owner(0, 1));
+            let _reader = c.read_block(owner(c, 0, 0));
+            let _ = c.write_block(owner(c, 0, 1));
         });
     }
 

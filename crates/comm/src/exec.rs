@@ -1160,7 +1160,7 @@ fn run_threads<T: Send>(
 /// never hold a task. All `exec_run*` entry points apply this, so a
 /// caller can pass the auto sentinel straight through and still report
 /// the *resolved* count.
-pub fn resolve_workers(requested: usize, nranks: usize) -> usize {
+pub(crate) fn resolve_workers(requested: usize, nranks: usize) -> usize {
     let requested = if requested == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())

@@ -58,7 +58,7 @@ pub struct RankDeath {
 pub struct FaultPlan {
     /// Seed driving the per-get spike schedule (and recorded so a
     /// failing test can print one number that reproduces everything).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Per-rank slowdown factors (≥ 1.0); empty means all-healthy.
     slow: Vec<f64>,
     /// Probability that any given get issued by a rank is spiked.
@@ -192,11 +192,6 @@ impl FaultPlan {
         }
     }
 
-    /// True when the plan injects nothing.
-    pub fn is_healthy(&self) -> bool {
-        self.slow.iter().all(|&f| f == 1.0) && self.spike_prob == 0.0 && self.death.is_none()
-    }
-
     /// `rank`'s slowdown factor (1.0 = healthy).
     pub fn slow_factor(&self, rank: usize) -> f64 {
         self.slow.get(rank).copied().unwrap_or(1.0)
@@ -205,7 +200,7 @@ impl FaultPlan {
     /// The factor applied to a **two-sided** message between `a` and
     /// `b`: MPI progress is host-driven at both endpoints, so the
     /// slower of the two gates the message.
-    pub fn msg_factor(&self, a: usize, b: usize) -> f64 {
+    pub(crate) fn msg_factor(&self, a: usize, b: usize) -> f64 {
         self.slow_factor(a).max(self.slow_factor(b))
     }
 
@@ -268,7 +263,6 @@ mod tests {
     #[test]
     fn healthy_plan_injects_nothing() {
         let p = FaultPlan::healthy();
-        assert!(p.is_healthy());
         assert_eq!(p.validate(1024), Ok(()));
         assert_eq!(p.slow_factor(7), 1.0);
         assert_eq!(p.get_spike(7, 0), 0.0);

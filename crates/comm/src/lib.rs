@@ -61,10 +61,10 @@ pub mod virt;
 pub use comm::{drive, Comm, GetHandle, RankProgram, Step};
 pub use dist::{CostMap, DistMatrix, Landing};
 pub use exec::{
-    exec_launch, exec_run, exec_run_tasks, resolve_workers, thread_run, ExecComm, ExecRunResult,
-    ProgramTask, RankTask,
+    exec_launch, exec_run, exec_run_tasks, thread_run, ExecComm, ExecRunResult, ProgramTask,
+    RankTask,
 };
 pub use fault::{FaultPlan, FaultPlanError, RankDeath};
 pub use simbackend::{sim_run, sim_run_programs, SimComm, SimOptions};
 pub use subcomm::SubComm;
-pub use virt::{virtual_run, VirtualComm, VirtualRunResult};
+pub use virt::{virtual_run, VirtualComm};

@@ -27,7 +27,7 @@ use srumma_trace::{Counters, Recorder};
 #[derive(Clone, Debug)]
 pub struct SimOptions {
     /// Machine profile (costs + topology rule).
-    pub machine: Machine,
+    pub(crate) machine: Machine,
     /// Number of ranks to launch.
     pub nranks: usize,
     /// Record a trace timeline.
@@ -38,7 +38,7 @@ pub struct SimOptions {
     /// gain modeled latency. [`SimOptions::with_faults`] rejects deaths —
     /// fail-stop is an executor-scheduling event the simulator does not
     /// model.
-    pub fault: FaultPlan,
+    pub(crate) fault: FaultPlan,
 }
 
 impl SimOptions {
@@ -201,11 +201,6 @@ impl SimComm {
     /// instrumentation such as custom trace labels).
     pub fn proc(&self) -> &SimProc {
         &self.proc
-    }
-
-    /// The machine profile this run models.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
     }
 
     fn pair_key(src: usize, dst: usize, tag: u64) -> u64 {

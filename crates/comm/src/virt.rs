@@ -59,7 +59,7 @@ pub struct VirtualComm {
 impl VirtualComm {
     /// A communicator for `rank` of `nranks` on `machine` with layout
     /// `topo`.
-    pub fn new(rank: usize, nranks: usize, topo: Topology, machine: Arc<Machine>) -> Self {
+    pub(crate) fn new(rank: usize, nranks: usize, topo: Topology, machine: Arc<Machine>) -> Self {
         assert_eq!(topo.nranks(), nranks, "topology rank count mismatch");
         VirtualComm {
             rank,

@@ -87,7 +87,7 @@ pub struct BatchEntry {
     /// Initial C for `β`-accumulation (zeros when absent).
     pub c0: Option<Matrix>,
     /// Per-entry override of the batch's default options.
-    pub opts: Option<SrummaOptions>,
+    pub(crate) opts: Option<SrummaOptions>,
     /// Logical block-sparsity mask of A (`p` C-row blocks × `q`
     /// k-panels of `default_grid(nranks)`, which is why a masked entry
     /// runs on the whole machine). Masked blocks are declared zero:
@@ -147,7 +147,7 @@ pub struct BatchSpec {
     /// the ranks run them in (largest first).
     pub entries: Vec<BatchEntry>,
     /// Default options for entries without an override.
-    pub opts: SrummaOptions,
+    pub(crate) opts: SrummaOptions,
 }
 
 impl Default for BatchSpec {
@@ -289,14 +289,14 @@ fn seed_c(c: &DistMatrix, rank: usize, c0: &Matrix) {
 
 /// One rank's results for the whole stream, in batch order (default
 /// values for the entries whose team does not hold the rank).
-pub struct BatchRankOut {
+pub(crate) struct BatchRankOut {
     /// Per-entry SRUMMA reports (tasks, fetched/direct blocks).
-    pub reports: Vec<SrummaReport>,
+    pub(crate) reports: Vec<SrummaReport>,
     /// Per-entry timing samples for the [`BatchStats`] rollup.
-    pub samples: Vec<EntryRankSample>,
+    pub(crate) samples: Vec<EntryRankSample>,
     /// Final gemm-workspace grow count — the grow-at-most-once
     /// regression asserts this stays `≤ 1` across the whole batch.
-    pub ws_grow_count: u64,
+    pub(crate) ws_grow_count: u64,
 }
 
 /// One rank's whole batch as **one** [`RankProgram`]: the entries of
@@ -304,7 +304,7 @@ pub struct BatchRankOut {
 /// `STRIDE` tasks per step through its team's [`SubComm`]. It never
 /// parks — there is nothing to wait for — so on the executor a worker
 /// only leaves it for another rank at a yield.
-pub struct BatchProgram<'a> {
+pub(crate) struct BatchProgram<'a> {
     /// Every entry's plan, in deal order.
     plans: &'a [EntryPlan<'a>],
     /// The plan this rank is on.

@@ -23,7 +23,7 @@ use srumma_trace::TraceKind;
 ///
 /// # Panics
 /// Panics if the grid is not square or the spec carries transposes.
-pub fn cannon<C: Comm>(
+pub(crate) fn cannon<C: Comm>(
     comm: &mut C,
     spec: &GemmSpec,
     a: &DistMatrix,

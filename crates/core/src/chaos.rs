@@ -55,13 +55,13 @@ struct Orphan<'a> {
 /// their programs here, survivors claim them. One per
 /// [`crate::run::Run`] whose fault plan scripts a death.
 #[derive(Default)]
-pub struct ChaosRecovery<'a> {
+pub(crate) struct ChaosRecovery<'a> {
     orphans: Mutex<Vec<Orphan<'a>>>,
 }
 
 impl<'a> ChaosRecovery<'a> {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -85,7 +85,7 @@ fn tasks_run(program: &SrummaProgram<'_>) -> usize {
 /// hosted on its rank's [`ExecComm`] (which applies the plan's
 /// stragglers and get spikes) like any polled program, and taught the
 /// death/re-execution protocol above.
-pub struct ChaosSrummaRankTask<'r, 'a> {
+pub(crate) struct ChaosSrummaRankTask<'r, 'a> {
     comm: ExecComm,
     /// Own tasks this rank runs before it dies; on every rank but the
     /// scripted one, more than it will ever have.
@@ -101,7 +101,7 @@ impl<'r, 'a> ChaosSrummaRankTask<'r, 'a> {
     /// Host `program` (flat: a staged program cannot be handed over)
     /// under the plan's `death`. `recovery` must be shared by every rank
     /// of the run.
-    pub fn new(
+    pub(crate) fn new(
         comm: ExecComm,
         program: SrummaProgram<'a>,
         death: RankDeath,

@@ -8,10 +8,11 @@
 //! two levels:
 //!
 //! 1. **staging** — for every off-node panel demanded by *two or more*
-//!    members of a group, one member (the *elected fetcher*, chosen by
-//!    the fixed rule [`elected_fetcher`]) gets the panel over the
-//!    network once and lands it in the group's staging matrix; a fence
-//!    plus one barrier makes the staged panels visible group-wide;
+//!    members of a group, one member (the *elected fetcher*: member
+//!    `slot mod group size`, the rule [`CostMap::Staged`] applies) gets
+//!    the panel over the network once and lands it in the group's
+//!    staging matrix; a fence plus one barrier makes the staged panels
+//!    visible group-wide;
 //! 2. **compute** — the ordinary SRUMMA task loop runs unchanged,
 //!    except that fetches of staged panels are redirected to the
 //!    staging matrix (see [`HierStages`]); the staging
@@ -64,10 +65,12 @@ pub fn members_in_col(grid: ProcGrid, members: std::ops::Range<usize>, col: usiz
     count(members.end) - count(members.start)
 }
 
-/// The member of `node`'s group elected to fetch `slot`'s panel. This
-/// **must** equal [`CostMap::Staged`]`::cost_rank(slot)` — the staging
-/// pass and the backends' cost classification share this one rule.
-pub fn elected_fetcher(topo: Topology, node: usize, slot: usize) -> usize {
+/// The member of `node`'s group elected to fetch `slot`'s panel, written
+/// out on its own: the tests hold the staging duties and
+/// [`CostMap::Staged`]`::cost_rank(slot)` — the backends' cost
+/// classification — to this one rule.
+#[cfg(test)]
+fn elected_fetcher(topo: Topology, node: usize, slot: usize) -> usize {
     let members = topo.ranks_on_node(node);
     members.start + slot % members.len()
 }
@@ -125,37 +128,37 @@ pub fn staging_duties(
 /// predicate must match [`staging_duties`] exactly: off-node owner,
 /// demanded by ≥ 2 group members.
 #[derive(Clone, Copy)]
-pub struct HierStages<'a> {
+pub(crate) struct HierStages<'a> {
     /// My group's staging copy of A ([`CostMap::Staged`]).
-    pub sa: &'a DistMatrix,
+    pub(crate) sa: &'a DistMatrix,
     /// My group's staging copy of B.
-    pub sb: &'a DistMatrix,
+    pub(crate) sb: &'a DistMatrix,
     /// The C process grid (slot → window-local grid coordinates).
-    pub grid: ProcGrid,
+    pub(crate) grid: ProcGrid,
     /// My node group as window-local ranks `[lo, hi)`: its slots are
     /// on-node, and it sets each panel's demand multiplicity.
-    pub lo: usize,
+    pub(crate) lo: usize,
     /// End of my node group's window-local range.
-    pub hi: usize,
+    pub(crate) hi: usize,
 }
 
 impl<'a> HierStages<'a> {
     /// Whether an A fetch of slot `owner` is served by the staging
     /// matrix.
-    pub fn redirect_a(&self, owner: usize) -> bool {
+    pub(crate) fn redirect_a(&self, owner: usize) -> bool {
         !(self.lo..self.hi).contains(&owner)
             && members_in_row(self.grid, self.lo..self.hi, owner / self.grid.q) >= 2
     }
 
     /// Whether a B fetch of slot `owner` is served by the staging
     /// matrix.
-    pub fn redirect_b(&self, owner: usize) -> bool {
+    pub(crate) fn redirect_b(&self, owner: usize) -> bool {
         !(self.lo..self.hi).contains(&owner)
             && members_in_col(self.grid, self.lo..self.hi, owner % self.grid.q) >= 2
     }
 
     /// The matrix an A fetch of `owner`'s panel should read.
-    pub fn a_mat(&self, flat: &'a DistMatrix, owner: usize) -> &'a DistMatrix {
+    pub(crate) fn a_mat(&self, flat: &'a DistMatrix, owner: usize) -> &'a DistMatrix {
         if self.redirect_a(owner) {
             self.sa
         } else {
@@ -164,7 +167,7 @@ impl<'a> HierStages<'a> {
     }
 
     /// The matrix a B fetch of `owner`'s panel should read.
-    pub fn b_mat(&self, flat: &'a DistMatrix, owner: usize) -> &'a DistMatrix {
+    pub(crate) fn b_mat(&self, flat: &'a DistMatrix, owner: usize) -> &'a DistMatrix {
         if self.redirect_b(owner) {
             self.sb
         } else {
@@ -197,7 +200,7 @@ impl HierStageSet {
     /// Staging matrices for the groups inside the rank window
     /// `[base, base + grid.nranks())` of `topo` — the window a replica
     /// team occupies. The window must cover whole node groups.
-    pub fn create_window(
+    pub(crate) fn create_window(
         spec: &GemmSpec,
         grid: ProcGrid,
         topo: Topology,
@@ -233,7 +236,7 @@ impl HierStageSet {
     }
 
     /// Global rank `rank`'s group's `(stage_a, stage_b)` pair.
-    pub fn stages_for(&self, rank: usize) -> (&DistMatrix, &DistMatrix) {
+    pub(crate) fn stages_for(&self, rank: usize) -> (&DistMatrix, &DistMatrix) {
         let g = self.topo.node_of(rank) - self.first_node;
         (&self.sa[g], &self.sb[g])
     }
@@ -298,7 +301,7 @@ pub(crate) fn stage_panels<C: Comm>(
 /// matrices first. All ranks must call this collectively with the same
 /// arguments; `stages` must have been created for the communicator's
 /// topology.
-pub fn srumma_hier<C: Comm>(
+pub(crate) fn srumma_hier<C: Comm>(
     comm: &mut C,
     spec: &GemmSpec,
     a: &DistMatrix,

@@ -56,7 +56,7 @@ pub fn b_kparts(grid: ProcGrid) -> usize {
 }
 
 /// Stored dimensions of A for this spec.
-pub fn a_stored_dims(spec: &GemmSpec) -> (usize, usize) {
+pub(crate) fn a_stored_dims(spec: &GemmSpec) -> (usize, usize) {
     match spec.transa {
         Op::N => (spec.m, spec.k),
         Op::T => (spec.k, spec.m),
@@ -64,7 +64,7 @@ pub fn a_stored_dims(spec: &GemmSpec) -> (usize, usize) {
 }
 
 /// Stored dimensions of B for this spec.
-pub fn b_stored_dims(spec: &GemmSpec) -> (usize, usize) {
+pub(crate) fn b_stored_dims(spec: &GemmSpec) -> (usize, usize) {
     match spec.transb {
         Op::N => (spec.k, spec.n),
         Op::T => (spec.n, spec.k),
@@ -73,7 +73,7 @@ pub fn b_stored_dims(spec: &GemmSpec) -> (usize, usize) {
 
 /// Grid for stored A (transposed cases flip the grid so logical blocks
 /// stay whole).
-pub fn a_grid(spec: &GemmSpec, grid: ProcGrid) -> ProcGrid {
+pub(crate) fn a_grid(spec: &GemmSpec, grid: ProcGrid) -> ProcGrid {
     match spec.transa {
         Op::N => grid,
         Op::T => ProcGrid::new(grid.q, grid.p),
@@ -81,7 +81,7 @@ pub fn a_grid(spec: &GemmSpec, grid: ProcGrid) -> ProcGrid {
 }
 
 /// Grid for stored B.
-pub fn b_grid(spec: &GemmSpec, grid: ProcGrid) -> ProcGrid {
+pub(crate) fn b_grid(spec: &GemmSpec, grid: ProcGrid) -> ProcGrid {
     match spec.transb {
         Op::N => grid,
         Op::T => ProcGrid::new(grid.q, grid.p),
@@ -195,7 +195,7 @@ pub(crate) fn shape_only_operands(
 ///
 /// # Panics
 /// Panics if an `a` is not `m × k` or a `b` not `k × n` for its spec.
-pub fn with_host_operand_sets<'m, R>(
+pub(crate) fn with_host_operand_sets<'m, R>(
     sets: impl IntoIterator<Item = HostOperands<'m>>,
     f: impl FnOnce(&[GemmSpec], &[DistMatrix]) -> R,
 ) -> R {
@@ -226,12 +226,12 @@ pub fn with_host_operand_sets<'m, R>(
 /// logical `m × k` A and `k × n` B, and their logical masks — and where
 /// its ranks are: the grid they multiply on and the cost map from its
 /// slots to global ranks.
-pub struct HostOperands<'m> {
+pub(crate) struct HostOperands<'m> {
     pub spec: &'m GemmSpec,
-    pub a: MatRef<'m>,
-    pub b: MatRef<'m>,
+    pub(crate) a: MatRef<'m>,
+    pub(crate) b: MatRef<'m>,
     pub masks: (Option<&'m BlockMask>, Option<&'m BlockMask>),
-    pub grid: ProcGrid,
+    pub(crate) grid: ProcGrid,
     pub cost: CostMap,
 }
 
@@ -269,7 +269,7 @@ pub fn fresh_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> (GemmSpec, DistMa
 /// product into the window, is what faults them in, in parallel, on the
 /// thread that computes there. Nothing is allocated or copied for C and
 /// nothing is gathered: when `f` returns, `product` holds the result.
-pub fn with_fresh_c<R>(
+pub(crate) fn with_fresh_c<R>(
     spec: &GemmSpec,
     grid: ProcGrid,
     product: Option<MatMut<'_>>,
@@ -304,40 +304,6 @@ pub fn set_b_mask(spec: &GemmSpec, db: &mut DistMatrix, logical: BlockMask) {
     db.set_mask(stored_mask(spec.transb, logical));
 }
 
-/// Derive C's nonzero structure from the operand masks:
-/// `C_ij` is nonzero iff some surviving k-segment hits it —
-/// `∃ t: mask_a[i][t.la] AND mask_b[t.lb][j]` over the merged-segment
-/// task list. On a square grid (where A's and B's k-panels coincide)
-/// this reduces to the boolean product [`BlockMask::matmul`]; the
-/// merged-segment form is the general `p ≠ q` version.
-///
-/// The derived mask is *diagnostic* — correctness comes from task
-/// pruning plus the unconditional β pre-pass, which scales every C
-/// block (masked or not) even on ranks whose whole k-row vanished.
-pub fn derive_c_mask(
-    k: usize,
-    grid: ProcGrid,
-    mask_a: &BlockMask,
-    mask_b: &BlockMask,
-) -> BlockMask {
-    assert_eq!(
-        (mask_a.rows(), mask_a.cols()),
-        (grid.p, a_kparts(grid)),
-        "A mask must be p x q (C-row blocks x A k-panels)"
-    );
-    assert_eq!(
-        (mask_b.rows(), mask_b.cols()),
-        (b_kparts(grid), grid.q),
-        "B mask must be p x q (B k-panels x C-column blocks)"
-    );
-    let tasks = crate::taskorder::build_tasks(k.max(1), a_kparts(grid), b_kparts(grid));
-    BlockMask::from_fn(grid.p, grid.q, |i, j| {
-        tasks
-            .iter()
-            .any(|t| mask_a.get(i, t.la) && mask_b.get(t.lb, j))
-    })
-}
-
 /// Rank owning logical block `op(A)_{i, la}` (C-row `i`, k-panel `la`).
 ///
 /// Thanks to the column-major placement of transposed storage this is
@@ -362,7 +328,7 @@ pub fn b_owner(spec: &GemmSpec, grid: ProcGrid, lb: usize, j: usize) -> usize {
 /// stored block of `a_owner(spec, grid, i, la)`. (A block that was
 /// *fetched* is a packed panel, already in `op(A)` order: its segment is
 /// `PackedView::k_range(rel0, seg)`, with no orientation to choose.)
-pub fn a_seg_view<'a>(
+pub(crate) fn a_seg_view<'a>(
     spec: &GemmSpec,
     view: MatRef<'a>,
     rel0: usize,
@@ -377,7 +343,7 @@ pub fn a_seg_view<'a>(
 }
 
 /// Sub-view of a *stored* B block for the k-segment, with its dgemm op.
-pub fn b_seg_view<'a>(
+pub(crate) fn b_seg_view<'a>(
     spec: &GemmSpec,
     view: MatRef<'a>,
     rel0: usize,
@@ -621,35 +587,6 @@ mod tests {
                 assert_masks_on_logical_owners(run, grid, (da, db), (&mask_a, &mask_b));
             });
         }
-    }
-
-    #[test]
-    fn derived_c_mask_is_boolean_product_on_square_grids() {
-        let grid = ProcGrid::new(3, 3);
-        let ma = BlockMask::from_fn(3, 3, |i, l| i == l);
-        let mb = BlockMask::from_fn(3, 3, |l, j| l == 0 && j < 2);
-        let derived = derive_c_mask(30, grid, &ma, &mb);
-        assert_eq!(derived, ma.matmul(&mb));
-        // Empty operand structure derives an empty C.
-        let none = derive_c_mask(30, grid, &BlockMask::empty(3, 3), &mb);
-        assert_eq!(none.nnz(), 0);
-    }
-
-    #[test]
-    fn derived_c_mask_uses_merged_segments_on_nonsquare_grids() {
-        // p=2, q=3: A has 3 k-panels, B has 2. A segment straddling
-        // both partitions links A panel la with B panel lb.
-        let grid = ProcGrid::new(2, 3);
-        let ma = BlockMask::from_fn(2, 3, |_, la| la == 2); // only A k-panel 2
-        let mb = BlockMask::from_fn(2, 3, |lb, _| lb == 1); // only B k-panel 1
-                                                            // k=6: A panels cover k 0..2,2..4,4..6; B panels 0..3,3..6.
-                                                            // Segment 4..6 has la=2, lb=1 → every C block survives.
-        let c = derive_c_mask(6, grid, &ma, &mb);
-        assert!(c.is_full());
-        // But A k-panel 0 (k 0..2) only overlaps B panel 0 → nothing.
-        let ma0 = BlockMask::from_fn(2, 3, |_, la| la == 0);
-        let c0 = derive_c_mask(6, grid, &ma0, &mb);
-        assert_eq!(c0.nnz(), 0);
     }
 
     #[test]

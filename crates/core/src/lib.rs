@@ -56,11 +56,9 @@ pub use batch::{
     batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_sim,
     multiply_batch_traced, BatchEntry, BatchResult, BatchSpec,
 };
-pub use chaos::{ChaosRecovery, ChaosSrummaRankTask};
 pub use driver::SparseMasks;
-pub use hier::{srumma_hier, HierStageSet, HierStages};
+pub use hier::HierStageSet;
 pub use options::{GemmSpec, ReplicationFactor, ShmemFlavor, SrummaOptions};
-pub use repl::{resolve_factor, srumma_replicated, ReplSet};
 pub use run::{Backend, RankReport, Run, RunError, RunOutput};
-pub use srumma::{srumma as srumma_gemm, SrummaMachine, SrummaProgram, SrummaReport};
+pub use srumma::{SrummaProgram, SrummaReport};
 pub use summa::SummaOptions;

@@ -27,7 +27,7 @@ pub struct Footprint {
     /// Peak bytes of temporary operand buffers.
     pub buffer_bytes: u64,
     /// Number of distinct buffers held at peak.
-    pub buffers: usize,
+    pub(crate) buffers: usize,
 }
 
 fn max_a_block_bytes(spec: &GemmSpec, grid: ProcGrid) -> u64 {
@@ -94,7 +94,7 @@ pub fn cannon_footprint(spec: &GemmSpec, grid: ProcGrid) -> Footprint {
 /// C block grows `c`-fold — the classic replication memory trade.
 /// Includes the SRUMMA fetch-pipeline buffers for the team-sized
 /// problem.
-pub fn replicated_arena_footprint(
+pub(crate) fn replicated_arena_footprint(
     spec: &GemmSpec,
     nranks: usize,
     c: usize,

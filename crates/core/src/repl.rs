@@ -58,7 +58,7 @@ pub fn admissible_factor(nranks: usize, topo: Topology, k: usize, c: usize) -> b
 /// scans downward from the largest admissible factor to the first whose
 /// [`replicated_arena_footprint`] fits the budget, falling back to
 /// `c = 1` (always admissible) if even the flat footprint is over.
-pub fn resolve_factor(
+pub(crate) fn resolve_factor(
     factor: ReplicationFactor,
     nranks: usize,
     topo: Topology,
@@ -99,7 +99,7 @@ struct TeamMats<'m> {
 
 /// The collective state of one replicated multiply: every team's
 /// distributed slices, created up front like the flat drivers' operands.
-pub struct ReplSet<'m> {
+pub(crate) struct ReplSet<'m> {
     c: usize,
     team_ranks: usize,
     team_topo: Topology,
@@ -117,7 +117,7 @@ impl ReplSet<'_> {
     /// team 0's is the caller's product, which holds the result when `f`
     /// returns, and teams `1..c` get zeroed scratch, dropped afterwards.
     /// Nothing is copied. `c` must be admissible.
-    pub fn create<R>(
+    pub(crate) fn create<R>(
         spec: &GemmSpec,
         nranks: usize,
         topo: Topology,
@@ -197,7 +197,7 @@ impl ReplSet<'_> {
     /// shapes, enabling the staged [`srumma_replicated`]. Replication
     /// admissibility already guarantees every window covers whole
     /// nodes.
-    pub fn hier_stage_sets(&self, topo: Topology, real: bool) -> Vec<HierStageSet> {
+    pub(crate) fn hier_stage_sets(&self, topo: Topology, real: bool) -> Vec<HierStageSet> {
         self.teams
             .iter()
             .enumerate()
@@ -217,7 +217,7 @@ impl ReplSet<'_> {
 /// study. All ranks call collectively; straight-line symmetric code
 /// (every rank executes the same barrier sequence), so it runs
 /// unchanged on all backends.
-pub fn srumma_replicated<C: Comm>(
+pub(crate) fn srumma_replicated<C: Comm>(
     comm: &mut C,
     set: &ReplSet<'_>,
     stage_sets: Option<&[HierStageSet]>,

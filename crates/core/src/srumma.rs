@@ -47,9 +47,9 @@ pub struct SrummaReport {
     /// Segment tasks executed.
     pub tasks: usize,
     /// Blocks fetched with (possibly nonblocking) gets.
-    pub fetched_blocks: usize,
+    pub(crate) fetched_blocks: usize,
     /// Blocks passed to the kernel directly from shared memory.
-    pub direct_blocks: usize,
+    pub(crate) direct_blocks: usize,
     /// Segment tasks pruned by block-sparsity masks — their gets,
     /// packing and gemm never ran.
     pub masked_tasks: usize,
@@ -185,7 +185,7 @@ impl Pipeline {
 /// a whole batch of multiplies runs with no steady-state per-entry
 /// heap allocation.
 #[derive(Default)]
-pub struct MachineScratch {
+pub(crate) struct MachineScratch {
     tasks: Vec<Task>,
     order: Vec<usize>,
     sources: Vec<(Source, Source)>,
@@ -208,7 +208,7 @@ pub struct MachineScratch {
 /// ([`SrummaProgram`], the batch program), and a machine — cursor,
 /// pipelines, C guard and all — can be handed to another rank's
 /// communicator mid-run (see [`crate::chaos`]).
-pub struct SrummaMachine<'a> {
+pub(crate) struct SrummaMachine<'a> {
     spec: &'a GemmSpec,
     a: &'a DistMatrix,
     b: &'a DistMatrix,
@@ -238,7 +238,7 @@ impl<'a> SrummaMachine<'a> {
     /// apply the beta pre-pass (under `β = 0`, only on a rank left with no
     /// task: otherwise its first task stores), and take the C write
     /// guard. No task runs yet.
-    pub fn new<C: Comm>(
+    pub(crate) fn new<C: Comm>(
         comm: &mut C,
         spec: &'a GemmSpec,
         a: &'a DistMatrix,
@@ -381,14 +381,14 @@ impl<'a> SrummaMachine<'a> {
     /// are fetched from the group's staging matrices, pricing as
     /// intra-node copies. Call between [`SrummaMachine::new`] and the
     /// first [`SrummaMachine::step`], after the staging barrier.
-    pub fn with_hier(mut self, stages: HierStages<'a>) -> Self {
+    pub(crate) fn with_hier(mut self, stages: HierStages<'a>) -> Self {
         self.hier = Some(stages);
         self
     }
 
     /// Run one pipelined task (prefetch lookahead, wait for the current
     /// blocks, segment dgemm). Returns `true` while more tasks remain.
-    pub fn step<C: Comm>(&mut self, comm: &mut C) -> bool {
+    pub(crate) fn step<C: Comm>(&mut self, comm: &mut C) -> bool {
         let Some(&idx) = self.scratch.order.get(self.pos) else {
             return false;
         };
@@ -552,7 +552,7 @@ impl<'a> SrummaMachine<'a> {
     }
 
     /// Run at most `limit` tasks; `true` while more remain.
-    pub fn run<C: Comm>(&mut self, comm: &mut C, limit: usize) -> bool {
+    pub(crate) fn run<C: Comm>(&mut self, comm: &mut C, limit: usize) -> bool {
         for _ in 0..limit {
             if !self.step(comm) {
                 return false;
@@ -563,7 +563,7 @@ impl<'a> SrummaMachine<'a> {
 
     /// Snapshot of the report so far, without consuming the machine
     /// (a rank that dies mid-run reports its partial progress).
-    pub fn report(&self) -> SrummaReport {
+    pub(crate) fn report(&self) -> SrummaReport {
         self.report
     }
 
@@ -573,7 +573,7 @@ impl<'a> SrummaMachine<'a> {
     /// [`MachineScratch`]). Call this *before* arriving at the fence
     /// that follows — peers may not read C while this rank's guard is
     /// live.
-    pub fn finish<C: Comm>(mut self, comm: &mut C) -> (SrummaReport, MachineScratch) {
+    pub(crate) fn finish<C: Comm>(mut self, comm: &mut C) -> (SrummaReport, MachineScratch) {
         let pipes = &mut self.scratch;
         for buf in pipes.a_pipe.bufs().chain(pipes.b_pipe.bufs()) {
             comm.return_buf(buf);
@@ -644,7 +644,7 @@ impl<'a> SrummaProgram<'a> {
     }
 
     /// The report so far (partial while tasks remain).
-    pub fn report(&self) -> RankReport {
+    pub(crate) fn report(&self) -> RankReport {
         self.report
     }
 
@@ -712,7 +712,7 @@ impl RankProgram for SrummaProgram<'_> {
 /// All ranks must call this collectively with the same `spec`, matrices
 /// (laid out by [`crate::layout`]) and options. A closing barrier makes
 /// the result globally visible.
-pub fn srumma<C: Comm>(
+pub(crate) fn srumma<C: Comm>(
     comm: &mut C,
     spec: &GemmSpec,
     a: &DistMatrix,

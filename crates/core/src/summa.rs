@@ -45,7 +45,7 @@ pub struct SummaOptions {
 
 /// Run SUMMA: `C ← C + op(A)·op(B)`. Collective; all ranks must agree
 /// on arguments.
-pub fn summa<C: Comm>(
+pub(crate) fn summa<C: Comm>(
     comm: &mut C,
     spec: &GemmSpec,
     a: &DistMatrix,

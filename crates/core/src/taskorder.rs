@@ -44,12 +44,12 @@ impl Task {
     }
 
     /// Range start relative to the A panel.
-    pub fn rel_a(&self) -> usize {
+    pub(crate) fn rel_a(&self) -> usize {
         self.k0_rel_a
     }
 
     /// Range start relative to the B panel.
-    pub fn rel_b(&self) -> usize {
+    pub(crate) fn rel_b(&self) -> usize {
         self.k0_rel_b
     }
 }
@@ -149,7 +149,7 @@ pub fn order_tasks(
 /// [`order_tasks`] into a caller-owned vector (cleared first) — the
 /// allocation-free path for the batched driver.
 #[allow(clippy::too_many_arguments)]
-pub fn order_tasks_into(
+pub(crate) fn order_tasks_into(
     order: &mut Vec<usize>,
     ntasks: usize,
     tasks: &[Task],
@@ -208,7 +208,7 @@ pub fn order_tasks_into(
 /// all-pruned list is fine — ordering and the rank state machines
 /// tolerate empty task lists (the rank still runs its β pre-pass and
 /// arrives at every fence).
-pub fn prune_masked_tasks(
+pub(crate) fn prune_masked_tasks(
     tasks: &mut Vec<Task>,
     mut keep: impl FnMut(&Task) -> bool,
 ) -> (usize, usize) {

@@ -14,7 +14,7 @@
 /// Alignment in bytes: one x86 cache line, also the width of a zmm
 /// register — the strictest alignment any kernel in [`crate::kernel`]
 /// benefits from.
-pub const ALIGN: usize = 64;
+pub(crate) const ALIGN: usize = 64;
 
 const ALIGN_ELEMS: usize = ALIGN / std::mem::size_of::<f64>();
 
@@ -32,16 +32,6 @@ impl AlignedBuf {
     /// An empty buffer; no allocation until the first [`Self::grow_to`].
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Logical length in elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Grow to at least `n` elements (zero-filling new space) and
@@ -72,7 +62,7 @@ impl AlignedBuf {
 
     /// The aligned contents.
     #[inline]
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.raw[self.off..self.off + self.len]
     }
 
@@ -90,8 +80,6 @@ mod tests {
     #[test]
     fn empty_buffer_has_no_allocation() {
         let b = AlignedBuf::new();
-        assert_eq!(b.len(), 0);
-        assert!(b.is_empty());
         assert!(b.as_slice().is_empty());
     }
 
@@ -100,7 +88,7 @@ mod tests {
         for n in [1usize, 7, 64, 1000, 4096] {
             let mut b = AlignedBuf::new();
             assert!(b.grow_to(n));
-            assert_eq!(b.len(), n);
+            assert_eq!(b.as_slice().len(), n);
             assert_eq!(b.as_slice().as_ptr() as usize % ALIGN, 0, "n={n}");
             assert_eq!(b.as_mut_slice().as_ptr() as usize % ALIGN, 0, "n={n}");
             assert!(b.as_slice().iter().all(|&v| v == 0.0));
@@ -115,12 +103,12 @@ mod tests {
         // Same or smaller demand: no reallocation, contents kept.
         assert!(!b.grow_to(100));
         assert!(!b.grow_to(10));
-        assert_eq!(b.len(), 100);
+        assert_eq!(b.as_slice().len(), 100);
         assert_eq!(b.as_slice()[0], 3.5);
         // Larger demand reallocates (contents need not survive — the
         // packers rewrite every cell they read) and stays aligned.
         assert!(b.grow_to(1000));
-        assert_eq!(b.len(), 1000);
+        assert_eq!(b.as_slice().len(), 1000);
         assert_eq!(b.as_slice().as_ptr() as usize % ALIGN, 0);
     }
 }

@@ -53,7 +53,7 @@ use crate::pack::{pack_a, pack_b, PackedView};
 /// (128 KiB) stays in L2 while every B sliver passes over it. Like
 /// [`NC`] it only regroups whole micro-tiles — no bit of the result
 /// depends on it.
-pub const MC: usize = 64;
+pub(crate) const MC: usize = 64;
 /// Default K-dimension block. The one block size that fixes bits: each C
 /// element is summed in `KC`-long FMA chains, added to C one after the
 /// other, so changing it changes the rounding of every product with
@@ -67,7 +67,7 @@ pub const KC: usize = 256;
 /// `nr`-wide slivers of its kernel ([`GemmWorkspace::with_config`]): 512
 /// as it stands would end every B panel of a wide matrix in a ragged
 /// 8-column sliver under both `nr = 12` and `nr = 24`.
-pub const NC: usize = 512;
+pub(crate) const NC: usize = 512;
 
 /// Cache-block sizes for the three blocking levels.
 ///

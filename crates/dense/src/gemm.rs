@@ -28,14 +28,6 @@ impl Op {
             Op::T => (cols, rows),
         }
     }
-
-    /// One-letter BLAS-style tag, for display.
-    pub fn tag(self) -> char {
-        match self {
-            Op::N => 'N',
-            Op::T => 'T',
-        }
-    }
 }
 
 /// `C ← α·op(A)·op(B) + β·C` over strided views.
@@ -77,16 +69,6 @@ pub fn dgemm(
     );
 }
 
-/// Convenience wrapper: allocate and return `op(A)·op(B)`.
-pub fn dgemm_into(transa: Op, transb: Op, a: MatRef<'_>, b: MatRef<'_>) -> crate::Matrix {
-    let (m, k) = transa.apply(a.rows(), a.cols());
-    let (k2, n) = transb.apply(b.rows(), b.cols());
-    assert_eq!(k, k2, "inner dimensions differ: {k} vs {k2}");
-    let mut c = crate::Matrix::zeros(m, n);
-    dgemm(transa, transb, 1.0, a, b, 0.0, c.as_mut());
-    c
-}
-
 /// Floating-point operation count of a gemm of the given shape
 /// (one multiply and one add per inner-loop step, as in the paper's
 /// cost model where "the cost of the addition and multiplication floating
@@ -98,37 +80,16 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
 
     #[test]
-    fn op_apply_and_tag() {
+    fn op_apply() {
         assert_eq!(Op::N.apply(2, 3), (2, 3));
         assert_eq!(Op::T.apply(2, 3), (3, 2));
-        assert_eq!(Op::N.tag(), 'N');
-        assert_eq!(Op::T.tag(), 'T');
     }
 
     #[test]
     fn gemm_flops_counts_mul_add() {
         assert_eq!(gemm_flops(10, 20, 30), 12_000);
         assert_eq!(gemm_flops(0, 5, 5), 0);
-    }
-
-    #[test]
-    fn dgemm_into_shapes() {
-        let a = Matrix::random(3, 7, 1);
-        let b = Matrix::random(7, 2, 2);
-        let c = dgemm_into(Op::N, Op::N, a.as_ref(), b.as_ref());
-        assert_eq!((c.rows(), c.cols()), (3, 2));
-        let ct = dgemm_into(Op::T, Op::T, b.as_ref(), a.as_ref());
-        assert_eq!((ct.rows(), ct.cols()), (2, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimensions differ")]
-    fn dgemm_into_mismatch_panics() {
-        let a = Matrix::zeros(3, 4);
-        let b = Matrix::zeros(5, 2);
-        let _ = dgemm_into(Op::N, Op::N, a.as_ref(), b.as_ref());
     }
 }

@@ -55,7 +55,7 @@ pub const MR: usize = 4;
 /// Micro-tile rows of the AVX-512 kernel.
 pub const MR_AVX512: usize = 8;
 /// Largest `mr` any kernel uses.
-pub const MR_MAX: usize = 8;
+pub(crate) const MR_MAX: usize = 8;
 /// Micro-tile columns of the scalar kernel.
 pub const NR: usize = 8;
 /// Micro-tile columns of the AVX2 kernel.
@@ -63,9 +63,11 @@ pub const NR_AVX2: usize = 12;
 /// Micro-tile columns of the AVX-512 kernel.
 pub const NR_AVX512: usize = 24;
 /// Micro-tile columns of the NEON kernel.
-pub const NR_NEON: usize = 8;
+#[cfg(target_arch = "aarch64")]
+pub(crate) const NR_NEON: usize = 8;
 /// Largest `nr` any kernel uses.
-pub const NR_MAX: usize = 24;
+#[cfg(test)]
+const NR_MAX: usize = 24;
 /// Accumulator length covering every kernel's `mr × nr` tile
 /// (the largest tile is the AVX-512 kernel's 8×24 = 192).
 pub const ACC_LEN: usize = 192;
@@ -292,7 +294,7 @@ impl Microkernel {
     /// ([`crate::simd`]); ragged edge tiles and the other kernels take
     /// the portable path. The same sums either way, bit for bit.
     #[inline]
-    pub fn writeback(self, acc: &mut [f64], alpha: f64, tile: &mut MatMut<'_>) {
+    pub(crate) fn writeback(self, acc: &mut [f64], alpha: f64, tile: &mut MatMut<'_>) {
         #[cfg(target_arch = "x86_64")]
         if (tile.rows(), tile.cols()) == (self.mr(), self.nr()) {
             let ldc = tile.ld();
@@ -324,7 +326,7 @@ impl Microkernel {
     /// takes the portable path. The bits of [`Self::writeback`] onto a
     /// zero tile, but for the sign of an exact zero (`0 + (−0)` is `+0`).
     #[inline]
-    pub fn store(self, acc: &[f64], alpha: f64, tile: &mut MatMut<'_>) {
+    pub(crate) fn store(self, acc: &[f64], alpha: f64, tile: &mut MatMut<'_>) {
         #[cfg(target_arch = "x86_64")]
         if (tile.rows(), tile.cols()) == (self.mr(), self.nr()) {
             let ldc = tile.ld();
@@ -392,7 +394,7 @@ impl<'a> Sliver<'a> {
 /// name on any runner; resolution against the host happens in
 /// [`detect_kernel`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelRequest {
+pub(crate) enum KernelRequest {
     /// Detect the best available kernel (`auto`, or unset).
     Auto,
     /// `scalar` / `portable`.
@@ -437,7 +439,7 @@ fn host_kernel_summary() -> String {
 /// error (the caller hard-fails) so a typo cannot silently degrade to
 /// auto-detection; the error lists every valid name and whether it can
 /// run on this host.
-pub fn parse_kernel_request(raw: &str) -> Result<KernelRequest, String> {
+pub(crate) fn parse_kernel_request(raw: &str) -> Result<KernelRequest, String> {
     match raw {
         "auto" => Ok(KernelRequest::Auto),
         "scalar" | "portable" => Ok(KernelRequest::Scalar),
@@ -555,7 +557,7 @@ pub fn active_kernel() -> Microkernel {
 /// Panics on an unrecognized `SRUMMA_KERNEL` value: the strict-parse
 /// contract. Recognized-but-unavailable kernels fall back with a log
 /// line instead.
-pub fn detect_kernel() -> Microkernel {
+pub(crate) fn detect_kernel() -> Microkernel {
     match std::env::var("SRUMMA_KERNEL") {
         Ok(raw) => match parse_kernel_request(&raw) {
             Ok(req) => resolve_request(req),
@@ -572,7 +574,7 @@ pub fn detect_kernel() -> Microkernel {
 /// * `b_sliver` — packed `kc × NR` sliver, element `(k, c)` at `k*NR + c`.
 /// * `acc` — accumulator, element `(r, c)` at `r*NR + c`.
 #[inline]
-pub fn microkernel(kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &mut [f64]) {
+pub(crate) fn microkernel(kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &mut [f64]) {
     debug_assert!(a_sliver.len() >= kc * MR);
     debug_assert!(b_sliver.len() >= kc * NR);
     debug_assert!(acc.len() >= MR * NR);
@@ -631,7 +633,7 @@ pub fn writeback(acc: &mut [f64], alpha: f64, nr: usize, tile: &mut MatMut<'_>) 
 /// `tile = alpha · acc` over the tile's valid extent, C never read —
 /// the portable path of [`Microkernel::store`], and its oracle.
 #[inline]
-pub fn store(acc: &[f64], alpha: f64, nr: usize, tile: &mut MatMut<'_>) {
+pub(crate) fn store(acc: &[f64], alpha: f64, nr: usize, tile: &mut MatMut<'_>) {
     let (rows, cols) = (tile.rows(), tile.cols());
     debug_assert!(rows <= MR_MAX && cols <= nr);
     for r in 0..rows {

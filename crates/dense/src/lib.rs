@@ -54,11 +54,11 @@ pub mod verify;
 
 pub use blocked::{dgemm_operands, dgemm_ws, BlockSizes, GemmWorkspace, Operand};
 pub use effmodel::EffModel;
-pub use gemm::{dgemm, dgemm_into, Op};
+pub use gemm::{dgemm, Op};
 pub use kernel::{active_kernel, Microkernel};
 pub use mask::BlockMask;
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use pack::{PackedPanel, PackedView, Side};
 pub use prop::{prop_rerun, prop_seeds};
 pub use rng::Rng;
-pub use verify::{assert_close, max_abs_diff, rel_fro_error};
+pub use verify::{max_abs_diff, rel_fro_error};

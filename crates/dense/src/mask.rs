@@ -8,13 +8,6 @@
 //! `Σ_k A_ik·B_kj` segment whose A or B block is masked out, skipping
 //! its get, packing and gemm entirely.
 //!
-//! Masks compose: [`BlockMask::and`] / [`BlockMask::or`] elementwise,
-//! and [`BlockMask::matmul`] as the boolean product
-//! `C[i][j] = OR_k (A[i][k] AND B[k][j])` — the structure of the result
-//! of multiplying two block-sparse operands over a shared k-blocking.
-//! (When A's and B's k-panels differ — non-square process grids — use
-//! the layout layer's merged-segment derivation instead.)
-//!
 //! This module also owns the canonical near-even 1-D partition
 //! ([`chunk_start`] / [`chunk_len`]): block `(bi, bj)` of an `r × c`
 //! matrix under an `rows × cols` mask covers exactly the rows
@@ -116,12 +109,6 @@ impl BlockMask {
         self.bits[bi * self.cols + bj]
     }
 
-    /// Mark block `(bi, bj)` as nonzero (`true`) or zero (`false`).
-    pub fn set(&mut self, bi: usize, bj: usize, nonzero: bool) {
-        assert!(bi < self.rows && bj < self.cols, "block out of range");
-        self.bits[bi * self.cols + bj] = nonzero;
-    }
-
     /// Count of nonzero blocks.
     pub fn nnz(&self) -> usize {
         self.bits.iter().filter(|&&b| b).count()
@@ -132,77 +119,17 @@ impl BlockMask {
         self.nnz() as f64 / (self.rows * self.cols) as f64
     }
 
-    /// Whether every block is nonzero (mask ≡ dense).
-    pub fn is_full(&self) -> bool {
-        self.bits.iter().all(|&b| b)
-    }
-
     /// The transposed mask (block `(i, j)` ↦ `(j, i)`) — how a mask
     /// follows its matrix into transposed storage.
     pub fn transposed(&self) -> Self {
         BlockMask::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
     }
 
-    /// Elementwise AND (intersection of nonzero structure).
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn and(&self, other: &Self) -> Self {
-        self.zip(other, |a, b| a && b)
-    }
-
-    /// Elementwise OR (union of nonzero structure).
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn or(&self, other: &Self) -> Self {
-        self.zip(other, |a, b| a || b)
-    }
-
-    fn zip(&self, other: &Self, f: impl Fn(bool, bool) -> bool) -> Self {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "mask shape mismatch: {}x{} vs {}x{}",
-            self.rows,
-            self.cols,
-            other.rows,
-            other.cols
-        );
-        BlockMask {
-            rows: self.rows,
-            cols: self.cols,
-            bits: self
-                .bits
-                .iter()
-                .zip(&other.bits)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
-    }
-
-    /// Boolean product mask: `out[i][j] = OR_l (self[i][l] AND
-    /// other[l][j])` — the nonzero structure of `C = A·B` when both
-    /// operands share the same k-blocking (`self.cols == other.rows`).
-    ///
-    /// # Panics
-    /// Panics if the inner block dimensions disagree.
-    pub fn matmul(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.rows,
-            "mask matmul inner mismatch: {} vs {}",
-            self.cols, other.rows
-        );
-        BlockMask::from_fn(self.rows, other.cols, |i, j| {
-            (0..self.cols).any(|l| self.get(i, l) && other.get(l, j))
-        })
-    }
-
     /// Zero every element of `m` that falls in a masked-out block,
     /// partitioning `m` into `rows() × cols()` near-even chunks. This
     /// materializes the mask's semantics on a dense matrix — the masked
     /// **serial reference** is `dgemm` over operands run through this.
-    pub fn zero_blocks(&self, m: &mut Matrix) {
+    pub(crate) fn zero_blocks(&self, m: &mut Matrix) {
         let (mrows, mcols) = (m.rows(), m.cols());
         for bi in 0..self.rows {
             let r0 = chunk_start(mrows, self.rows, bi);
@@ -253,36 +180,11 @@ mod tests {
     #[test]
     fn full_and_empty_densities() {
         let f = BlockMask::full(2, 3);
-        assert!(f.is_full());
         assert_eq!(f.nnz(), 6);
         assert_eq!(f.density(), 1.0);
         let e = BlockMask::empty(2, 3);
         assert_eq!(e.nnz(), 0);
         assert_eq!(e.density(), 0.0);
-        assert!(!e.is_full());
-    }
-
-    #[test]
-    fn and_or_compose_elementwise() {
-        let a = BlockMask::from_fn(2, 2, |i, j| i == j);
-        let b = BlockMask::from_fn(2, 2, |i, _| i == 0);
-        let and = a.and(&b);
-        let or = a.or(&b);
-        assert!(and.get(0, 0) && !and.get(0, 1) && !and.get(1, 1));
-        assert!(or.get(0, 0) && or.get(0, 1) && or.get(1, 1) && !or.get(1, 0));
-    }
-
-    #[test]
-    fn matmul_is_boolean_product() {
-        // A: row 0 hits k=1 only; B: k=1 hits col 0 only.
-        let a = BlockMask::from_fn(2, 2, |i, l| i == 0 && l == 1);
-        let b = BlockMask::from_fn(2, 2, |l, j| l == 1 && j == 0);
-        let c = a.matmul(&b);
-        assert!(c.get(0, 0));
-        assert!(!c.get(0, 1) && !c.get(1, 0) && !c.get(1, 1));
-        // Identity-structure masks compose to themselves.
-        let i2 = BlockMask::from_fn(2, 2, |i, j| i == j);
-        assert_eq!(i2.matmul(&i2), i2);
     }
 
     #[test]

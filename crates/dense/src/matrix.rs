@@ -132,11 +132,6 @@ impl Matrix {
         t.as_mut().copy_transposed_from(self.as_ref());
         t
     }
-
-    /// Fill every entry with `v`.
-    pub fn fill(&mut self, v: f64) {
-        self.data.fill(v);
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -301,7 +296,7 @@ impl<'a> MatMut<'a> {
     ///
     /// # Panics
     /// Panics if the buffer is too short for the described view.
-    pub fn new(rows: usize, cols: usize, ld: usize, data: &'a mut [f64]) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize, ld: usize, data: &'a mut [f64]) -> Self {
         assert!(ld >= cols, "leading dimension {ld} < cols {cols}");
         if rows > 0 && cols > 0 {
             assert!(
@@ -360,14 +355,14 @@ impl<'a> MatMut<'a> {
     }
 
     #[inline]
-    pub fn at(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn at(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.rows && j < self.cols);
         // SAFETY: in range, so within row `i` of the view.
         unsafe { *self.ptr.add(i * self.ld + j) }
     }
 
     #[inline]
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
+    pub(crate) fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
         assert!(i < self.rows && j < self.cols);
         // SAFETY: in range, so within row `i` of the view, which `self`
         // borrows exclusively.
@@ -395,7 +390,7 @@ impl<'a> MatMut<'a> {
     }
 
     /// Mutable sub-block of `nrows × ncols` starting at `(r0, c0)`.
-    pub fn block(self, r0: usize, c0: usize, nrows: usize, ncols: usize) -> MatMut<'a> {
+    pub(crate) fn block(self, r0: usize, c0: usize, nrows: usize, ncols: usize) -> MatMut<'a> {
         assert!(r0 + nrows <= self.rows && c0 + ncols <= self.cols);
         // See `MatRef::block`: an empty block must not step out of range.
         let start = if nrows == 0 || ncols == 0 {

@@ -19,7 +19,7 @@
 /// Returns `None` on anything else — callers treat that as a hard
 /// error, since a typo silently falling back to the default sweep
 /// would be worse than failing loudly.
-pub fn parse_seed(s: &str) -> Option<u64> {
+pub(crate) fn parse_seed(s: &str) -> Option<u64> {
     let s = s.trim();
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok()

@@ -63,7 +63,12 @@ const NV: usize = NR_AVX2 / 4;
 /// host (e.g. via [`crate::kernel::Microkernel::available`]). Slice
 /// bounds are asserted.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn microkernel_avx2(kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &mut [f64]) {
+pub(crate) unsafe fn microkernel_avx2(
+    kc: usize,
+    a_sliver: &[f64],
+    b_sliver: &[f64],
+    acc: &mut [f64],
+) {
     assert!(a_sliver.len() >= kc * MR);
     assert!(b_sliver.len() >= kc * NR_AVX2);
     assert!(acc.len() >= MR * NR_AVX2);
@@ -218,7 +223,7 @@ unsafe fn tile_avx512<const NV: usize>(
 /// valid for reads and writes and not borrowed elsewhere. The bound of
 /// `acc` is asserted.
 #[target_feature(enable = "avx2")]
-pub unsafe fn writeback_avx2(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
+pub(crate) unsafe fn writeback_avx2(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
     assert!(acc.len() >= MR * NR_AVX2);
     // Each sum is formed as its C vector is loaded, so the tile is never
     // live twice over and stays in the twelve registers it needs.
@@ -251,7 +256,7 @@ pub unsafe fn writeback_avx2(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
 /// must be valid for reads and writes and not borrowed elsewhere. The
 /// bound of `acc` is asserted.
 #[target_feature(enable = "avx512f")]
-pub unsafe fn writeback_avx512(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
+pub(crate) unsafe fn writeback_avx512(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
     const NV: usize = NR_AVX512 / ZMM_LANES;
     assert!(acc.len() >= MR_AVX512 * NR_AVX512);
     let scale = _mm512_set1_pd(alpha);
@@ -284,7 +289,7 @@ pub unsafe fn writeback_avx512(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize)
 /// valid for writes and not borrowed elsewhere. The bound of `acc` is
 /// asserted.
 #[target_feature(enable = "avx2")]
-pub unsafe fn store_avx2(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
+pub(crate) unsafe fn store_avx2(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
     assert!(acc.len() >= MR * NR_AVX2);
     let scale = _mm256_set1_pd(alpha);
     for r in 0..MR {
@@ -308,7 +313,7 @@ pub unsafe fn store_avx2(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
 /// must be valid for writes and not borrowed elsewhere. The bound of
 /// `acc` is asserted.
 #[target_feature(enable = "avx512f")]
-pub unsafe fn store_avx512(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
+pub(crate) unsafe fn store_avx512(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
     const NV: usize = NR_AVX512 / ZMM_LANES;
     assert!(acc.len() >= MR_AVX512 * NR_AVX512);
     let scale = _mm512_set1_pd(alpha);
@@ -339,7 +344,7 @@ pub unsafe fn store_avx512(acc: &[f64], alpha: f64, c: *mut f64, ldc: usize) {
 /// touched). `n` and `kk` must be multiples of four; the source bounds
 /// are asserted.
 #[target_feature(enable = "avx2")]
-pub unsafe fn transpose_avx2(
+pub(crate) unsafe fn transpose_avx2(
     src: &[f64],
     sld: usize,
     n: usize,

@@ -30,7 +30,12 @@ const NV: usize = NR_NEON / 2;
 /// via [`crate::kernel::Microkernel::available`]). Slice bounds are
 /// asserted.
 #[target_feature(enable = "neon")]
-pub unsafe fn microkernel_neon(kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &mut [f64]) {
+pub(crate) unsafe fn microkernel_neon(
+    kc: usize,
+    a_sliver: &[f64],
+    b_sliver: &[f64],
+    acc: &mut [f64],
+) {
     assert!(a_sliver.len() >= kc * MR);
     assert!(b_sliver.len() >= kc * NR_NEON);
     assert!(acc.len() >= MR * NR_NEON);

@@ -39,7 +39,8 @@ pub fn rel_fro_error(a: &Matrix, b: &Matrix) -> f64 {
 
 /// Assert two matrices agree to `tol` in max-abs difference, with a
 /// useful failure message locating the first offending element.
-pub fn assert_close(got: &Matrix, expect: &Matrix, tol: f64) {
+#[cfg(test)]
+pub(crate) fn assert_close(got: &Matrix, expect: &Matrix, tol: f64) {
     assert_eq!(
         (got.rows(), got.cols()),
         (expect.rows(), expect.cols()),

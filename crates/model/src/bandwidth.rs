@@ -35,26 +35,6 @@ pub fn standard_sizes() -> Vec<usize> {
     (3..=22).map(|e| 1usize << e).collect()
 }
 
-/// One row of a bandwidth figure.
-#[derive(Clone, Copy, Debug)]
-pub struct BandwidthPoint {
-    /// Message size in bytes.
-    pub bytes: usize,
-    /// Achieved bandwidth in MB/s (the paper's unit).
-    pub mbps: f64,
-}
-
-/// Full curve for a protocol on a machine.
-pub fn bandwidth_curve(m: &Machine, proto: Protocol, cross: bool) -> Vec<BandwidthPoint> {
-    standard_sizes()
-        .into_iter()
-        .map(|bytes| BandwidthPoint {
-            bytes,
-            mbps: achieved_bandwidth(m, proto, bytes, cross) / 1e6,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,20 +50,20 @@ mod tests {
             Machine::cray_x1(),
         ] {
             for proto in [Protocol::ArmciGet, Protocol::MpiSendRecv] {
-                let curve = bandwidth_curve(&m, proto, true);
-                for w in curve.windows(2) {
+                let sizes = standard_sizes();
+                for w in sizes.windows(2) {
                     let crosses_threshold = proto == Protocol::MpiSendRecv
-                        && w[0].bytes <= m.net.eager_threshold
-                        && w[1].bytes > m.net.eager_threshold;
+                        && w[0] <= m.net.eager_threshold
+                        && w[1] > m.net.eager_threshold;
                     if crosses_threshold {
                         continue;
                     }
+                    let [lo, hi] =
+                        [w[0], w[1]].map(|bytes| achieved_bandwidth(&m, proto, bytes, true));
                     assert!(
-                        w[1].mbps >= w[0].mbps * 0.99,
-                        "{proto:?} on {:?} not monotone: {} -> {}",
-                        m.platform,
-                        w[0].mbps,
-                        w[1].mbps
+                        hi >= lo * 0.99,
+                        "{proto:?} on {:?} not monotone: {lo} -> {hi}",
+                        m.platform
                     );
                 }
             }

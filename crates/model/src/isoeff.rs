@@ -18,14 +18,14 @@ use crate::machine::Machine;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EqModel {
     /// Data transfer time per *element* (s) — `t_w`.
-    pub tw: f64,
+    pub(crate) tw: f64,
     /// Startup cost per block transfer (s) — `t_s`.
-    pub ts: f64,
+    pub(crate) ts: f64,
     /// Time per multiply-add *pair* (s) — the paper's unit cost
     /// ("the cost of the addition and multiplication floating point
     /// operation takes unit time"), so `T_seq = N³·tc`. For real
     /// predictions use `2 / (peak · eff)`.
-    pub tc: f64,
+    pub(crate) tc: f64,
 }
 
 impl EqModel {
@@ -41,7 +41,7 @@ impl EqModel {
     }
 
     /// Equation (1): predicted parallel time without overlap.
-    pub fn t_par(&self, n: usize, p: usize) -> f64 {
+    pub(crate) fn t_par(&self, n: usize, p: usize) -> f64 {
         let nf = n as f64;
         let sq = (p as f64).sqrt();
         nf.powi(3) / p as f64 * self.tc + 2.0 * nf * nf / sq * self.tw + 2.0 * self.ts * sq
@@ -49,7 +49,8 @@ impl EqModel {
 
     /// Equation (3) with overlap degree `ω ∈ [0, 1]` (0 = fully
     /// hidden): the communication term shrinks to `ω` of itself.
-    pub fn t_par_overlapped(&self, n: usize, p: usize, omega: f64) -> f64 {
+    #[cfg(test)]
+    fn t_par_overlapped(&self, n: usize, p: usize, omega: f64) -> f64 {
         let nf = n as f64;
         let sq = (p as f64).sqrt();
         nf.powi(3) / p as f64 * self.tc
@@ -65,13 +66,15 @@ impl EqModel {
 
     /// The paper's closed form `η ≈ 1 / (1 + 2·√P·t_w/(N·t_c))`
     /// (neglecting `t_s`).
-    pub fn efficiency_closed_form(&self, n: usize, p: usize) -> f64 {
+    #[cfg(test)]
+    fn efficiency_closed_form(&self, n: usize, p: usize) -> f64 {
         1.0 / (1.0 + 2.0 * (p as f64).sqrt() * self.tw / (n as f64 * self.tc))
     }
 
     /// Smallest `N` (by bisection) keeping efficiency ≥ `eta` at `p`
     /// ranks. Returns `None` if even N = 10⁷ cannot reach it.
-    pub fn iso_n(&self, p: usize, eta: f64) -> Option<usize> {
+    #[cfg(test)]
+    fn iso_n(&self, p: usize, eta: f64) -> Option<usize> {
         let (mut lo, mut hi) = (1usize, 10_000_000usize);
         if self.efficiency(hi, p) < eta {
             return None;
@@ -89,7 +92,8 @@ impl EqModel {
 
     /// The isoefficiency *work* `W(P) = N(P)³` for fixed `eta`. The
     /// paper proves `W = O(P^{3/2})`.
-    pub fn iso_work(&self, p: usize, eta: f64) -> Option<f64> {
+    #[cfg(test)]
+    fn iso_work(&self, p: usize, eta: f64) -> Option<f64> {
         self.iso_n(p, eta).map(|n| (n as f64).powi(3))
     }
 }

@@ -177,7 +177,7 @@ impl TransferCost {
 
     /// Idealized overlappable fraction: what a perfect nonblocking user
     /// can hide, `1 − busy/total` (the quantity Figure 7 plots).
-    pub fn overlap_potential(&self) -> f64 {
+    pub(crate) fn overlap_potential(&self) -> f64 {
         let total = self.blocking_time();
         if total <= 0.0 {
             return 0.0;

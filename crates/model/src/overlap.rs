@@ -13,7 +13,7 @@ use crate::protocol::{protocol_cost, Protocol};
 
 /// Fraction of a `bytes`-sized transfer's time that an ideal
 /// nonblocking caller can overlap with its own computation.
-pub fn overlap_potential(m: &Machine, proto: Protocol, bytes: usize) -> f64 {
+pub(crate) fn overlap_potential(m: &Machine, proto: Protocol, bytes: usize) -> f64 {
     protocol_cost(m, proto, bytes, true).overlap_potential()
 }
 

@@ -30,18 +30,6 @@ pub enum Protocol {
     DirectLoadStore,
 }
 
-impl Protocol {
-    /// Display name used by the figure harnesses.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Protocol::ArmciGet => "ARMCI_Get",
-            Protocol::MpiSendRecv => "MPI send/recv",
-            Protocol::ShmCopy => "shmem copy",
-            Protocol::DirectLoadStore => "direct load/store",
-        }
-    }
-}
-
 /// One-sided RMA **get** of `bytes` from a rank in another domain.
 ///
 /// A get is a request/reply pair, so it pays the one-way latency twice —
@@ -51,7 +39,7 @@ impl Protocol {
 /// issue, remote CPU untouched). Without it (IBM LAPI) the remote host
 /// CPU must copy user data into DMA buffers: effective bandwidth drops
 /// to the harmonic combination and the remote rank loses compute time.
-pub fn rma_get(m: &Machine, bytes: usize) -> TransferCost {
+pub(crate) fn rma_get(m: &Machine, bytes: usize) -> TransferCost {
     let net = &m.net;
     let b = bytes as f64;
     let (wire, remote_cpu) = if net.zero_copy {
@@ -75,7 +63,7 @@ pub fn rma_get(m: &Machine, bytes: usize) -> TransferCost {
 
 /// One-sided RMA **put** — single traversal, no reply to wait for
 /// (completion semantics aside), hence one latency.
-pub fn rma_put(m: &Machine, bytes: usize) -> TransferCost {
+pub(crate) fn rma_put(m: &Machine, bytes: usize) -> TransferCost {
     let mut c = rma_get(m, bytes);
     c.latency = m.net.rma_latency;
     c
@@ -85,7 +73,7 @@ pub fn rma_put(m: &Machine, bytes: usize) -> TransferCost {
 /// the calling rank — ARMCI get within an SMP node, or the X1/Altix
 /// copy-based flavor). `cross_numa` selects the remote-brick bandwidth
 /// on machine-wide domains.
-pub fn shm_copy(m: &Machine, bytes: usize, cross_numa: bool) -> TransferCost {
+pub(crate) fn shm_copy(m: &Machine, bytes: usize, cross_numa: bool) -> TransferCost {
     let shm = &m.shm;
     let bw = if cross_numa {
         shm.remote_copy_bandwidth
@@ -159,7 +147,7 @@ pub fn onesided(
 /// Direct load/store access: no transfer happens at all — the cost moves
 /// into the *compute* phase via [`Machine::shm`]`.direct_access_eff`.
 /// Returned for uniformity (zero bytes moved ahead of time).
-pub fn direct_access(m: &Machine) -> TransferCost {
+pub(crate) fn direct_access(m: &Machine) -> TransferCost {
     TransferCost {
         latency: m.shm.latency,
         initiator_cpu: 0.0,
@@ -251,7 +239,12 @@ pub fn mpi_send_recv(m: &Machine, bytes: usize, same_domain: bool) -> TransferCo
 
 /// Dispatch a protocol tag to its cost (used by the analytic figures;
 /// `cross` = inter-domain for network protocols / cross-NUMA for shm).
-pub fn protocol_cost(m: &Machine, proto: Protocol, bytes: usize, cross: bool) -> TransferCost {
+pub(crate) fn protocol_cost(
+    m: &Machine,
+    proto: Protocol,
+    bytes: usize,
+    cross: bool,
+) -> TransferCost {
     match proto {
         Protocol::ArmciGet => rma_get(m, bytes),
         Protocol::MpiSendRecv => mpi_send_recv(m, bytes, !cross),

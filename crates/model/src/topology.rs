@@ -76,11 +76,6 @@ impl Topology {
         lo..hi
     }
 
-    /// Index of `rank` within its node (0-based).
-    pub fn local_index(&self, rank: usize) -> usize {
-        rank % self.ranks_per_node
-    }
-
     /// What a team of `n` consecutive ranks of this machine sees when it
     /// runs as a machine of its own (a replica team, a batch entry's
     /// team): one domain if this machine is one, otherwise nodes of the
@@ -185,14 +180,6 @@ mod tests {
         let s = Topology::single_domain(6);
         assert_eq!(s.nnodes(), 1);
         assert!(s.same_domain(0, 5));
-    }
-
-    #[test]
-    fn local_index_wraps() {
-        let t = Topology::new(8, 4);
-        assert_eq!(t.local_index(0), 0);
-        assert_eq!(t.local_index(5), 1);
-        assert_eq!(t.local_index(7), 3);
     }
 
     /// A team inside a node is one domain; a team of whole nodes keeps

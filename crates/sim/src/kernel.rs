@@ -22,7 +22,7 @@
 //!   until everything the rank posted before it is applied, and
 //!   [`Kernel::recv_msg`], [`Kernel::pair_sync`] and [`Kernel::barrier`]
 //!   until the kernel has applied them. `advance`, `issue_transfer`,
-//!   `wait_transfer`, `post_msg` and `finish` return at once;
+//!   `wait_transfer`, `post_msg_after` and `finish` return at once;
 //! * **polled** ([`crate::runner::PolledSim`]): one host thread steps
 //!   resumable rank programs. A post only queues; the host runs the
 //!   apply loop between steps, and it returns the rank the order waits
@@ -150,13 +150,13 @@ enum Op {
     },
     Issue(TransferSpec),
     Wait(TransferId),
-    /// With `after`, the message is available when that transfer
-    /// completes (`msg.avail_at` is set when the post is applied).
+    /// The message is available when transfer `after` completes
+    /// (`msg.avail_at` is set when the post is applied).
     Post {
         dst: usize,
         tag: u64,
         msg: Msg,
-        after: Option<TransferId>,
+        after: TransferId,
     },
     Recv {
         src: usize,
@@ -304,7 +304,7 @@ impl KState {
 
 /// The shared simulation kernel. One per run; ranks hold an
 /// `Arc<Kernel>` through their [`crate::proc::SimProc`] handles.
-pub struct Kernel {
+pub(crate) struct Kernel {
     cfg: SimConfig,
     /// Ranks are stepped by one host thread ([`crate::runner::PolledSim`]):
     /// posts only queue, and nothing waits.
@@ -316,7 +316,7 @@ pub struct Kernel {
 impl Kernel {
     /// Build a kernel for `cfg.topology.nranks()` ranks on threads of
     /// their own, all at time 0.
-    pub fn new(cfg: SimConfig) -> Self {
+    pub(crate) fn new(cfg: SimConfig) -> Self {
         Self::hosted(cfg, false)
     }
 
@@ -371,13 +371,13 @@ impl Kernel {
         }
     }
 
-    pub fn config(&self) -> &SimConfig {
+    pub(crate) fn config(&self) -> &SimConfig {
         &self.cfg
     }
 
     /// Whether one host thread steps the ranks
     /// ([`crate::runner::PolledSim`]).
-    pub fn is_polled(&self) -> bool {
+    pub(crate) fn is_polled(&self) -> bool {
         self.polled
     }
 
@@ -536,9 +536,7 @@ impl Kernel {
                 mut msg,
                 after,
             } => {
-                if let Some(id) = after {
-                    msg.avail_at = st.ranks[rank].done_at[id.0];
-                }
+                msg.avail_at = st.ranks[rank].done_at[after.0];
                 self.apply_post(st, rank, dst, tag, msg);
             }
             Op::Recv { src, tag } => self.apply_recv(st, rank, src, tag),
@@ -550,7 +548,7 @@ impl Kernel {
     }
 
     /// Called when the rank's program returns. Does not wait.
-    pub fn finish(&self, rank: usize) {
+    pub(crate) fn finish(&self, rank: usize) {
         let mut st = self.lock();
         if !st.poisoned {
             st.ranks[rank].queue.push_back(Op::Finish);
@@ -588,7 +586,7 @@ impl Kernel {
     /// posted before is applied. (Only its own operations move the clock
     /// of a rank that is not blocked, so the global order need not reach
     /// this call.)
-    pub fn now(&self, rank: usize) -> f64 {
+    pub(crate) fn now(&self, rank: usize) -> f64 {
         self.may_block(rank, "now");
         let st = self.wait_until(self.lock(), rank, |r| r.queue.is_empty());
         st.ranks[rank].clock
@@ -597,7 +595,7 @@ impl Kernel {
     /// Charge `dt` seconds of CPU work to `rank` (optionally counted as
     /// computation in the statistics). Respects CPU time stolen by
     /// remote non-zero-copy operations.
-    pub fn advance(&self, rank: usize, dt: f64, compute: bool, label: &str) {
+    pub(crate) fn advance(&self, rank: usize, dt: f64, compute: bool, label: &str) {
         assert!(
             dt >= 0.0 && dt.is_finite(),
             "rank {rank}: bad advance dt={dt}"
@@ -640,7 +638,7 @@ impl Kernel {
     /// Issue a (possibly nonblocking) data movement. Returns an id whose
     /// completion time is fixed when the kernel applies the issue;
     /// [`Kernel::wait_transfer`] advances the clock to it.
-    pub fn issue_transfer(&self, rank: usize, spec: TransferSpec) -> TransferId {
+    pub(crate) fn issue_transfer(&self, rank: usize, spec: TransferSpec) -> TransferId {
         let n = self.nranks();
         assert!(
             spec.src_rank < n && spec.dst_rank < n,
@@ -762,7 +760,7 @@ impl Kernel {
 
     /// Block (in virtual time) until the transfer completes; accounts
     /// the incurred wait.
-    pub fn wait_transfer(&self, rank: usize, id: TransferId) {
+    pub(crate) fn wait_transfer(&self, rank: usize, id: TransferId) {
         let _st = self.post(rank, Op::Wait(id));
     }
 
@@ -789,30 +787,24 @@ impl Kernel {
         }
     }
 
-    /// Deposit a message for `(src=rank_of_sender → dst)` with the given
-    /// availability time; wakes a waiting receiver.
-    pub fn post_msg(&self, rank: usize, dst: usize, tag: u64, msg: Msg) {
+    /// Deposit a message for `(src=rank_of_sender → dst)`, available at
+    /// the receiver when this rank's transfer `id` completes
+    /// (`msg.avail_at` is ignored); wakes a waiting receiver.
+    pub(crate) fn post_msg_after(
+        &self,
+        rank: usize,
+        id: TransferId,
+        dst: usize,
+        tag: u64,
+        msg: Msg,
+    ) {
         let _st = self.post(
             rank,
             Op::Post {
                 dst,
                 tag,
                 msg,
-                after: None,
-            },
-        );
-    }
-
-    /// [`Kernel::post_msg`], available at the receiver when this rank's
-    /// transfer `id` completes (`msg.avail_at` is ignored).
-    pub fn post_msg_after(&self, rank: usize, id: TransferId, dst: usize, tag: u64, msg: Msg) {
-        let _st = self.post(
-            rank,
-            Op::Post {
-                dst,
-                tag,
-                msg,
-                after: Some(id),
+                after: id,
             },
         );
     }
@@ -831,7 +823,7 @@ impl Kernel {
 
     /// Receive the next message from `src` with `tag`; blocks (in both
     /// virtual and host time) until one is available.
-    pub fn recv_msg(&self, rank: usize, src: usize, tag: u64) -> Msg {
+    pub(crate) fn recv_msg(&self, rank: usize, src: usize, tag: u64) -> Msg {
         match self.call(rank, Op::Recv { src, tag }, "recv_msg") {
             Reply::Msg(msg) => msg,
             _ => unreachable!("a receive replies with its message"),
@@ -868,7 +860,7 @@ impl Kernel {
     /// Two-party rendezvous on `key`: both callers return the pairing
     /// time `max(clock_a, clock_b)`, with their clocks advanced to it.
     /// Used by the MPI layer's rendezvous protocol.
-    pub fn pair_sync(&self, rank: usize, key: u64) -> f64 {
+    pub(crate) fn pair_sync(&self, rank: usize, key: u64) -> f64 {
         match self.call(rank, Op::Pair(key), "pair_sync") {
             Reply::Time(t) => t,
             _ => unreachable!("a pairing replies with its time"),
@@ -898,19 +890,19 @@ impl Kernel {
 
     /// Full barrier over all ranks. Releases everyone at
     /// `max(arrival clocks) + barrier_latency`.
-    pub fn barrier(&self, rank: usize) {
+    pub(crate) fn barrier(&self, rank: usize) {
         self.call(rank, Op::Barrier, "barrier");
     }
 
     /// The barrier's first half: arrive, without waiting. Test the
     /// arrival with [`Kernel::barrier_test`].
-    pub fn barrier_post(&self, rank: usize) {
+    pub(crate) fn barrier_post(&self, rank: usize) {
         let _st = self.post(rank, Op::Barrier);
     }
 
     /// Whether the barrier `rank` arrived at with [`Kernel::barrier_post`]
     /// has released it; `true` consumes the release.
-    pub fn barrier_test(&self, rank: usize) -> bool {
+    pub(crate) fn barrier_test(&self, rank: usize) -> bool {
         let mut st = self.lock();
         match st.ranks[rank].reply.take() {
             Some(Reply::Unit) => true,
@@ -947,7 +939,7 @@ impl Kernel {
     // ----- results -------------------------------------------------------
 
     /// Final clocks and statistics; call after all ranks finished.
-    pub fn collect(&self) -> (Vec<f64>, Vec<RankStats>, Vec<TraceEvent>) {
+    pub(crate) fn collect(&self) -> (Vec<f64>, Vec<RankStats>, Vec<TraceEvent>) {
         let mut st = self.lock();
         assert!(
             st.ranks.iter().all(|r| r.status == Status::Done),

@@ -74,15 +74,9 @@ impl SimProc {
         self.kernel.wait_transfer(self.rank, id);
     }
 
-    /// Deposit a message for `dst` (used by the MPI layer; `avail_at`
-    /// inside `msg` must already account for the transfer time).
-    pub fn post_msg(&self, dst: usize, tag: u64, msg: Msg) {
-        self.kernel.post_msg(self.rank, dst, tag, msg);
-    }
-
     /// Deposit a message for `dst` that is available when this rank's
     /// transfer `id` completes (`msg.avail_at` is ignored). Returns at
-    /// once, like [`SimProc::post_msg`].
+    /// once.
     pub fn post_msg_after(&self, id: TransferId, dst: usize, tag: u64, msg: Msg) {
         self.kernel.post_msg_after(self.rank, id, dst, tag, msg);
     }

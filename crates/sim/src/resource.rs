@@ -14,8 +14,6 @@
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Resource {
     busy_until: f64,
-    /// Total occupied time, for utilization reporting.
-    occupied: f64,
 }
 
 impl Resource {
@@ -30,18 +28,12 @@ impl Resource {
         let start = now.max(self.busy_until);
         let end = start + dur;
         self.busy_until = end;
-        self.occupied += dur;
         (start, end)
     }
 
     /// When the resource next becomes free.
     pub fn busy_until(&self) -> f64 {
         self.busy_until
-    }
-
-    /// Total busy time granted so far.
-    pub fn occupied(&self) -> f64 {
-        self.occupied
     }
 }
 
@@ -50,12 +42,11 @@ impl Resource {
 /// the destination node's in-channel for the same interval). The slot
 /// starts when all of them are free and marks all of them busy to its
 /// end.
-pub fn acquire_joint(resources: &mut [&mut Resource], now: f64, dur: f64) -> (f64, f64) {
+pub(crate) fn acquire_joint(resources: &mut [&mut Resource], now: f64, dur: f64) -> (f64, f64) {
     let start = resources.iter().map(|r| r.busy_until).fold(now, f64::max);
     let end = start + dur;
     for r in resources.iter_mut() {
         r.busy_until = end;
-        r.occupied += dur;
     }
     (start, end)
 }
@@ -89,14 +80,6 @@ mod tests {
         let mut nic = Resource::new();
         let ends: Vec<f64> = (0..4).map(|_| nic.acquire(0.0, 1.0).1).collect();
         assert_eq!(ends, vec![1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn occupied_accumulates() {
-        let mut r = Resource::new();
-        r.acquire(0.0, 2.0);
-        r.acquire(0.0, 3.0);
-        assert_eq!(r.occupied(), 5.0);
     }
 
     #[test]

@@ -220,21 +220,33 @@ mod tests {
         assert!(res.stats.ranks[3].barrier_time < 1e-3);
     }
 
+    /// Send `value` from rank 0 to rank 1 the way `SimComm` sends: a
+    /// message posted behind a transfer, here one of pure latency `delay`.
+    fn send(p: &SimProc, tag: u64, delay: f64, value: f64) {
+        let id = p.issue_transfer(crate::TransferSpec {
+            cost: srumma_model::TransferCost {
+                latency: delay,
+                ..Default::default()
+            },
+            src_rank: 0,
+            dst_rank: 1,
+            bytes: 8,
+            label: String::new(),
+        });
+        let msg = crate::kernel::Msg {
+            avail_at: 0.0,
+            payload: vec![value],
+            bytes: 8,
+        };
+        p.post_msg_after(id, 1, tag, msg);
+    }
+
     #[test]
     fn messages_carry_payloads_and_time() {
-        use crate::kernel::Msg;
         let res = run_sim(cfg(2, 1), |p| {
             if p.rank() == 0 {
                 p.charge_compute(2.0, "pre-send work");
-                p.post_msg(
-                    1,
-                    7,
-                    Msg {
-                        avail_at: p.now() + 0.5,
-                        payload: vec![42.0],
-                        bytes: 8,
-                    },
-                );
+                send(p, 7, 0.5, 42.0);
                 0.0
             } else {
                 let m = p.recv_msg(0, 7);
@@ -249,7 +261,6 @@ mod tests {
 
     #[test]
     fn recv_before_send_blocks_correctly() {
-        use crate::kernel::Msg;
         // Receiver arrives first; sender shows up later.
         let res = run_sim(cfg(2, 1), |p| {
             if p.rank() == 1 {
@@ -257,15 +268,7 @@ mod tests {
                 (p.now(), m.payload[0])
             } else {
                 p.charge_compute(5.0, "delay");
-                p.post_msg(
-                    1,
-                    1,
-                    Msg {
-                        avail_at: p.now(),
-                        payload: vec![9.0],
-                        bytes: 8,
-                    },
-                );
+                send(p, 1, 0.0, 9.0);
                 (p.now(), 0.0)
             }
         });

@@ -8,8 +8,7 @@
 //! time computing, first-touch and finish wall times) and this module
 //! rolls them up:
 //!
-//! * [`EntryStats`] — one entry across its team's ranks, convertible to
-//!   the familiar per-run [`RunStats`] shape;
+//! * [`EntryStats`] — one entry across its team's ranks;
 //! * [`BatchStats`] — the whole stream: fence time per entry (0 since
 //!   the stream has no fences; kept so a ledger that reads it still
 //!   can) and the **inter-entry overlap fraction** (how much of the
@@ -18,7 +17,6 @@
 //!   level to the batch level; near 1 when fast ranks run ahead).
 
 use crate::json::JsonObject;
-use crate::stats::{RankStats, RunStats};
 
 /// One rank's timings for one batch entry, stamped by the driver.
 #[derive(Clone, Copy, Debug, Default)]
@@ -30,7 +28,7 @@ pub struct EntryRankSample {
     pub compute_s: f64,
     /// Seconds blocked waiting for other ranks on the entry's account —
     /// 0 in today's stream, which never waits.
-    pub fence_s: f64,
+    pub(crate) fence_s: f64,
     /// Wall time this rank first touched the entry.
     pub t_start: f64,
     /// Wall time this rank finished the entry.
@@ -61,17 +59,17 @@ pub struct EntryStats {
 
 impl EntryStats {
     /// Summed staging seconds across ranks.
-    pub fn stage_s(&self) -> f64 {
+    pub(crate) fn stage_s(&self) -> f64 {
         self.samples.iter().map(|s| s.stage_s).sum()
     }
 
     /// Summed compute seconds across ranks.
-    pub fn compute_s(&self) -> f64 {
+    pub(crate) fn compute_s(&self) -> f64 {
         self.samples.iter().map(|s| s.compute_s).sum()
     }
 
     /// Summed fence-blocked seconds across ranks.
-    pub fn fence_s(&self) -> f64 {
+    pub(crate) fn fence_s(&self) -> f64 {
         self.samples.iter().map(|s| s.fence_s).sum()
     }
 
@@ -93,17 +91,17 @@ impl EntryStats {
     }
 
     /// Tasks executed across ranks for this entry.
-    pub fn tasks_run(&self) -> u64 {
+    pub(crate) fn tasks_run(&self) -> u64 {
         self.samples.iter().map(|s| s.tasks_run).sum()
     }
 
     /// Tasks pruned by masks across ranks for this entry.
-    pub fn tasks_masked(&self) -> u64 {
+    pub(crate) fn tasks_masked(&self) -> u64 {
         self.samples.iter().map(|s| s.tasks_masked).sum()
     }
 
     /// Flops skipped across ranks for this entry.
-    pub fn flops_skipped(&self) -> u64 {
+    pub(crate) fn flops_skipped(&self) -> u64 {
         self.samples.iter().map(|s| s.flops_skipped).sum()
     }
 
@@ -111,38 +109,13 @@ impl EntryStats {
     /// `(max − min) / max` over per-rank executed-task counts, `[0, 1]`.
     /// Returns 0 (never NaN) when no rank ran a task — the all-masked
     /// and zero-rank cases sparsity makes common.
-    pub fn task_skew(&self) -> f64 {
+    pub(crate) fn task_skew(&self) -> f64 {
         let max = self.samples.iter().map(|s| s.tasks_run).max().unwrap_or(0);
         if max == 0 {
             return 0.0;
         }
         let min = self.samples.iter().map(|s| s.tasks_run).min().unwrap_or(0);
         (max - min) as f64 / max as f64
-    }
-
-    /// The entry's timings in the per-run [`RunStats`] shape (compute
-    /// time, barrier time, per-rank finish times, makespan), so batch
-    /// entries and standalone runs read the same way.
-    pub fn run_stats(&self) -> RunStats {
-        let ranks = self
-            .samples
-            .iter()
-            .map(|s| RankStats {
-                compute_time: s.compute_s,
-                barrier_time: s.fence_s,
-                tasks: s.tasks_run,
-                tasks_masked: s.tasks_masked,
-                flops_skipped: s.flops_skipped,
-                ..RankStats::default()
-            })
-            .collect();
-        let final_times: Vec<f64> = self.samples.iter().map(|s| s.t_end).collect();
-        RunStats {
-            ranks,
-            makespan: self.span_s(),
-            final_times,
-            exec: None,
-        }
     }
 }
 
@@ -162,12 +135,12 @@ impl BatchStats {
     }
 
     /// Summed compute seconds across entries and ranks.
-    pub fn compute_s_total(&self) -> f64 {
+    pub(crate) fn compute_s_total(&self) -> f64 {
         self.entries.iter().map(|e| e.compute_s()).sum()
     }
 
     /// Summed fence-blocked seconds across entries and ranks.
-    pub fn fence_s_total(&self) -> f64 {
+    pub(crate) fn fence_s_total(&self) -> f64 {
         self.entries.iter().map(|e| e.fence_s()).sum()
     }
 
@@ -196,7 +169,7 @@ impl BatchStats {
     }
 
     /// Tasks executed across the whole stream.
-    pub fn tasks_run_total(&self) -> u64 {
+    pub(crate) fn tasks_run_total(&self) -> u64 {
         self.entries.iter().map(|e| e.tasks_run()).sum()
     }
 
@@ -206,7 +179,7 @@ impl BatchStats {
     }
 
     /// Flops skipped across the whole stream.
-    pub fn flops_skipped_total(&self) -> u64 {
+    pub(crate) fn flops_skipped_total(&self) -> u64 {
         self.entries.iter().map(|e| e.flops_skipped()).sum()
     }
 
@@ -215,7 +188,7 @@ impl BatchStats {
     /// signal, so they are excluded rather than dragging the mean to 0;
     /// a batch where *nothing* ran reports 0, never NaN — the same
     /// guard discipline as `makespan_skew`.
-    pub fn mean_task_skew(&self) -> f64 {
+    pub(crate) fn mean_task_skew(&self) -> f64 {
         let live: Vec<f64> = self
             .entries
             .iter()
@@ -229,7 +202,7 @@ impl BatchStats {
     }
 
     /// Useful GFLOP/s of the whole stream.
-    pub fn gflops(&self) -> f64 {
+    pub(crate) fn gflops(&self) -> f64 {
         if self.wall_s <= 0.0 {
             return 0.0;
         }
@@ -300,10 +273,6 @@ mod tests {
         assert!((e.span_s() - 1.0).abs() < 1e-12);
         assert!((e.compute_s() - 0.75).abs() < 1e-12);
         assert!((e.fence_s() - 0.3).abs() < 1e-12);
-        let rs = e.run_stats();
-        assert_eq!(rs.ranks.len(), 2);
-        assert!((rs.makespan - 1.0).abs() < 1e-12);
-        assert!((rs.ranks[1].barrier_time - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -362,9 +331,6 @@ mod tests {
         assert_eq!(e.flops_skipped(), 400);
         // Ranks ran 3 and 1 tasks → skew (3−1)/3.
         assert!((e.task_skew() - 2.0 / 3.0).abs() < 1e-12);
-        let rs = e.run_stats();
-        assert_eq!(rs.total_tasks(), 4);
-        assert_eq!(rs.total_tasks_masked(), 4);
         let b = BatchStats::from_entries(vec![e.clone(), e], 2.0);
         assert_eq!(b.tasks_run_total(), 8);
         assert_eq!(b.flops_skipped_total(), 800);
@@ -387,7 +353,6 @@ mod tests {
         };
         assert_eq!(zero.span_s(), 0.0);
         assert_eq!(zero.task_skew(), 0.0);
-        assert!(zero.run_stats().makespan_skew().is_finite());
 
         // No samples at all.
         let hollow = EntryStats {

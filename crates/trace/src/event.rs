@@ -24,7 +24,7 @@ pub enum TraceKind {
 
 impl TraceKind {
     /// Chrome-trace category string.
-    pub fn category(self) -> &'static str {
+    pub(crate) fn category(self) -> &'static str {
         match self {
             TraceKind::Compute => "compute",
             TraceKind::Transfer => "comm",

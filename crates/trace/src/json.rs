@@ -4,7 +4,7 @@
 //! so a tiny escape + builder layer is all the workspace needs.
 
 /// Escape a string for inclusion inside JSON double quotes.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -22,7 +22,7 @@ pub fn escape(s: &str) -> String {
 
 /// Format an `f64` as a JSON number (finite values only; non-finite
 /// values become `null`, which JSON requires).
-pub fn number(v: f64) -> String {
+pub(crate) fn number(v: f64) -> String {
     if v.is_finite() {
         // Shortest round-trip representation Rust offers.
         let s = format!("{v}");
@@ -36,7 +36,7 @@ pub fn number(v: f64) -> String {
 }
 
 /// Render a JSON array of numbers.
-pub fn array_f64(vals: &[f64]) -> String {
+pub(crate) fn array_f64(vals: &[f64]) -> String {
     let mut out = String::from("[");
     for (i, v) in vals.iter().enumerate() {
         if i > 0 {
@@ -85,15 +85,9 @@ impl JsonObject {
     }
 
     /// Add an unsigned integer field.
-    pub fn int(&mut self, k: &str, v: u64) {
+    pub(crate) fn int(&mut self, k: &str, v: u64) {
         self.key(k);
         self.body.push_str(&v.to_string());
-    }
-
-    /// Add a boolean field.
-    pub fn bool(&mut self, k: &str, v: bool) {
-        self.key(k);
-        self.body.push_str(if v { "true" } else { "false" });
     }
 
     /// Add an explicit `null` field.
@@ -104,7 +98,7 @@ impl JsonObject {
 
     /// Add a field whose value is already-rendered JSON (an array or a
     /// nested object).
-    pub fn raw(&mut self, k: &str, json: &str) {
+    pub(crate) fn raw(&mut self, k: &str, json: &str) {
         self.key(k);
         self.body.push_str(json);
     }
@@ -139,13 +133,12 @@ mod tests {
         o.str("name", "fig07");
         o.num("overlap", 0.9);
         o.int("bytes", 1024);
-        o.bool("sim", true);
         o.null("missing");
         o.raw("xs", &array_f64(&[1.0, 2.5]));
         assert_eq!(
             o.finish(),
             "{\"name\": \"fig07\", \"overlap\": 0.9, \"bytes\": 1024, \
-             \"sim\": true, \"missing\": null, \"xs\": [1, 2.5]}"
+             \"missing\": null, \"xs\": [1, 2.5]}"
         );
     }
 

@@ -12,11 +12,11 @@ pub struct Counters {
     /// Blocks moved by gets.
     pub blocks_fetched: u64,
     /// Bytes read in place from cacheable shared memory (no copy).
-    pub bytes_direct: u64,
+    pub(crate) bytes_direct: u64,
     /// Blocks passed to the kernel directly.
-    pub blocks_direct: u64,
+    pub(crate) blocks_direct: u64,
     /// Algorithm-level tasks executed.
-    pub tasks: u64,
+    pub(crate) tasks: u64,
     /// Tasks pruned by block-sparsity masks before execution (their
     /// gets, packing and gemm never ran).
     pub tasks_masked: u64,
@@ -25,7 +25,7 @@ pub struct Counters {
     pub flops_skipped: u64,
     /// Tasks this rank executed **on behalf of a dead rank** (the
     /// executor's re-execution protocol under fault injection).
-    pub tasks_reexecuted: u64,
+    pub(crate) tasks_reexecuted: u64,
     /// Injected fault delays observed (spiked gets, stretched compute).
     pub delays_injected: u64,
     /// Bytes moved between shared-memory domains (the hierarchical
@@ -33,31 +33,12 @@ pub struct Counters {
     /// endpoint lives on a different node).
     pub bytes_internode: u64,
     /// Transfers moved between shared-memory domains.
-    pub blocks_internode: u64,
+    pub(crate) blocks_internode: u64,
     /// Bytes moved within a shared-memory domain but between distinct
     /// ranks (groupmate reads off a staged panel, intra-node puts).
-    pub bytes_intragroup: u64,
+    pub(crate) bytes_intragroup: u64,
     /// Transfers moved within a domain between distinct ranks.
-    pub blocks_intragroup: u64,
-}
-
-impl Counters {
-    /// Merge another rank-phase's counters into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        self.bytes_fetched += other.bytes_fetched;
-        self.blocks_fetched += other.blocks_fetched;
-        self.bytes_direct += other.bytes_direct;
-        self.blocks_direct += other.blocks_direct;
-        self.tasks += other.tasks;
-        self.tasks_masked += other.tasks_masked;
-        self.flops_skipped += other.flops_skipped;
-        self.tasks_reexecuted += other.tasks_reexecuted;
-        self.delays_injected += other.delays_injected;
-        self.bytes_internode += other.bytes_internode;
-        self.blocks_internode += other.blocks_internode;
-        self.bytes_intragroup += other.bytes_intragroup;
-        self.blocks_intragroup += other.blocks_intragroup;
-    }
+    pub(crate) blocks_intragroup: u64,
 }
 
 /// Per-rank trace recorder: a flat event buffer plus counters.
@@ -183,11 +164,6 @@ impl Recorder {
         self.counters.blocks_intragroup += 1;
     }
 
-    /// The events recorded so far.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
     /// Drain the recorder: events out, counters out, buffer reset.
     pub fn take(&mut self) -> (Vec<TraceEvent>, Counters) {
         let ctr = self.counters;
@@ -209,7 +185,7 @@ mod tests {
             "x".into()
         });
         assert!(!evaluated, "label closure must not run when disabled");
-        assert!(r.events().is_empty());
+        assert!(r.take().0.is_empty());
         // Counters still work.
         r.count_fetch(100);
         r.count_direct(50);
@@ -227,50 +203,7 @@ mod tests {
         assert_eq!(events[0].rank, 1);
         assert_eq!(events[0].bytes, 4096);
         assert_eq!(events[1].kind, TraceKind::Compute);
-        assert!(r.events().is_empty(), "take drains the buffer");
-    }
-
-    #[test]
-    fn counters_merge() {
-        let mut a = Counters {
-            bytes_fetched: 10,
-            blocks_fetched: 1,
-            bytes_direct: 20,
-            blocks_direct: 2,
-            tasks: 3,
-            tasks_masked: 2,
-            flops_skipped: 600,
-            tasks_reexecuted: 1,
-            delays_injected: 4,
-            bytes_internode: 7,
-            blocks_internode: 1,
-            ..Default::default()
-        };
-        a.merge(&Counters {
-            bytes_fetched: 5,
-            blocks_fetched: 1,
-            bytes_direct: 0,
-            blocks_direct: 0,
-            tasks: 1,
-            tasks_masked: 1,
-            flops_skipped: 400,
-            tasks_reexecuted: 2,
-            delays_injected: 1,
-            bytes_internode: 3,
-            blocks_internode: 1,
-            bytes_intragroup: 9,
-            blocks_intragroup: 2,
-        });
-        assert_eq!(a.bytes_fetched, 15);
-        assert_eq!(a.tasks, 4);
-        assert_eq!(a.tasks_masked, 3);
-        assert_eq!(a.flops_skipped, 1000);
-        assert_eq!(a.tasks_reexecuted, 3);
-        assert_eq!(a.delays_injected, 5);
-        assert_eq!(a.bytes_internode, 10);
-        assert_eq!(a.blocks_internode, 2);
-        assert_eq!(a.bytes_intragroup, 9);
-        assert_eq!(a.blocks_intragroup, 2);
+        assert!(r.take().0.is_empty(), "take drains the buffer");
     }
 
     #[test]

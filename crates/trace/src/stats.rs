@@ -39,10 +39,10 @@ pub struct RankStats {
     /// Tasks pruned by block-sparsity masks (never executed).
     pub tasks_masked: u64,
     /// Flops the pruned tasks would have cost.
-    pub flops_skipped: u64,
+    pub(crate) flops_skipped: u64,
     /// Tasks this rank ran on behalf of a dead rank (fault injection's
     /// re-execution protocol).
-    pub tasks_reexecuted: u64,
+    pub(crate) tasks_reexecuted: u64,
     /// Injected fault delays observed by this rank.
     pub delays_injected: u64,
     /// Bytes this rank moved across shared-memory domain boundaries
@@ -69,12 +69,6 @@ impl RankStats {
             return None;
         }
         Some((1.0 - self.wait_time / self.inflight_time).clamp(0.0, 1.0))
-    }
-
-    /// Total bytes this rank *fetched* (copied), network or shared
-    /// memory — as opposed to bytes it read in place.
-    pub fn bytes_fetched(&self) -> u64 {
-        self.bytes_network + self.bytes_shm
     }
 
     /// Fold a comm-layer [`Counters`] snapshot into this rank's stats
@@ -215,7 +209,7 @@ impl RunStats {
 
     /// Total pipeline stall time: seconds any rank sat blocked on a
     /// transfer or message instead of computing.
-    pub fn total_stall_time(&self) -> f64 {
+    pub(crate) fn total_stall_time(&self) -> f64 {
         self.ranks.iter().map(|r| r.wait_time).sum()
     }
 
@@ -236,17 +230,17 @@ impl RunStats {
     }
 
     /// Total tasks executed across ranks.
-    pub fn total_tasks(&self) -> u64 {
+    pub(crate) fn total_tasks(&self) -> u64 {
         self.ranks.iter().map(|r| r.tasks).sum()
     }
 
     /// Total tasks pruned by block-sparsity masks across ranks.
-    pub fn total_tasks_masked(&self) -> u64 {
+    pub(crate) fn total_tasks_masked(&self) -> u64 {
         self.ranks.iter().map(|r| r.tasks_masked).sum()
     }
 
     /// Total flops skipped thanks to masking, across ranks.
-    pub fn total_flops_skipped(&self) -> u64 {
+    pub(crate) fn total_flops_skipped(&self) -> u64 {
         self.ranks.iter().map(|r| r.flops_skipped).sum()
     }
 
@@ -266,7 +260,7 @@ impl RunStats {
     /// (0 = balanced, →1 = a few ranks hold all the surviving work).
     /// Returns 0 for empty runs and runs where **no** rank executed a
     /// task (all-masked) — never NaN.
-    pub fn task_skew(&self) -> f64 {
+    pub(crate) fn task_skew(&self) -> f64 {
         let max = self.ranks.iter().map(|r| r.tasks).max().unwrap_or(0);
         if max == 0 {
             return 0.0;

@@ -25,6 +25,8 @@ FIGURES=(
     ablation_summa_bcast
     sensitivity          # beyond-paper: network-speed sweep
     memory_footprint     # paper's memory-efficiency claim
+    degradation          # beyond-paper: one straggler, SRUMMA vs SUMMA
+    hierarchy            # beyond-paper: node-group staging at 1k-64k ranks
 )
 
 mkdir -p results
