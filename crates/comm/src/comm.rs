@@ -49,7 +49,7 @@ use crate::dist::{DistMatrix, Landing};
 use srumma_dense::{MatMut, MatRef, Operand, PackedPanel};
 use srumma_model::protocol::Served;
 use srumma_model::Topology;
-use srumma_trace::Recorder;
+use srumma_trace::{Recorder, TraceKind};
 
 /// Completion handle for a nonblocking get.
 #[derive(Debug)]
@@ -62,6 +62,16 @@ pub enum GetHandle {
     /// Pending transfer on the per-rank virtual-clock backend
     /// ([`crate::virt::VirtualComm`]): the virtual time it completes.
     Virt(f64),
+}
+
+/// Where a traced task span began ([`Comm::task_begin`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum TaskSpan {
+    /// At this time, read off the rank's clock.
+    At(f64),
+    /// At the clock the kernel stamps on the simulated rank's mark
+    /// number `.0` when it applies it.
+    Mark(usize),
 }
 
 /// Backend-independent rank communicator.
@@ -109,6 +119,31 @@ pub trait Comm {
     fn barrier_try(&mut self) -> bool {
         self.barrier();
         true
+    }
+
+    /// Open a traced task span here; `None` when the run is untraced.
+    /// Close it with [`Comm::task_end`]. The default reads
+    /// [`Comm::now`]; a simulated rank, whose clock is known only once
+    /// the kernel has applied what it posted, posts a mark instead.
+    fn task_begin(&mut self) -> Option<TaskSpan> {
+        if !self.recorder().is_enabled() {
+            return None;
+        }
+        Some(TaskSpan::At(self.now()))
+    }
+
+    /// Close `span` (from [`Comm::task_begin`]) here: record it as a
+    /// [`TraceKind::Task`] event labelled `label`, which is evaluated
+    /// only when there is a span.
+    fn task_end(&mut self, span: Option<TaskSpan>, label: impl FnOnce() -> String) {
+        match span {
+            None => {}
+            Some(TaskSpan::At(t0)) => {
+                let t1 = self.now();
+                self.recorder().span(TraceKind::Task, t0, t1, 0, label);
+            }
+            Some(TaskSpan::Mark(_)) => unreachable!("only a simulated rank posts marks"),
+        }
     }
 
     /// How many times this rank's reusable gemm packing workspace has
@@ -211,6 +246,17 @@ pub trait Comm {
     /// the expected logical size (drives the eager/rendezvous choice).
     fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64);
 
+    /// [`Comm::recv`] in split form, shaped like [`Comm::barrier_try`]:
+    /// a call that cannot complete posts the receive and returns
+    /// `false` — return [`Step::Park`] and call again, with the same
+    /// arguments, when the rank is stepped next; a call that completes
+    /// fills `buf` and returns `true`. The default blocks in
+    /// [`Comm::recv`].
+    fn recv_try(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) -> bool {
+        self.recv(src, tag, buf, bytes);
+        true
+    }
+
     /// Deadlock-free simultaneous exchange (the `MPI_Sendrecv` of the
     /// baselines' shift steps): send to `dst` while receiving from
     /// `src`.
@@ -225,6 +271,25 @@ pub trait Comm {
         recv_buf: &mut Vec<f64>,
         recv_bytes: u64,
     );
+
+    /// [`Comm::sendrecv`] in split form, as [`Comm::recv_try`] splits
+    /// `recv`: the first call sends; `false` means the receive is posted
+    /// and the call must be repeated, same arguments, on the next step.
+    /// The default blocks in [`Comm::sendrecv`].
+    #[allow(clippy::too_many_arguments)]
+    fn sendrecv_try(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        send_data: &[f64],
+        send_bytes: u64,
+        src: usize,
+        recv_buf: &mut Vec<f64>,
+        recv_bytes: u64,
+    ) -> bool {
+        self.sendrecv(dst, tag, send_data, send_bytes, src, recv_buf, recv_bytes);
+        true
+    }
 }
 
 /// Count a one-sided transfer's `bytes` against the level of the

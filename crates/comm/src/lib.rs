@@ -58,7 +58,7 @@ pub mod simbackend;
 pub mod subcomm;
 pub mod virt;
 
-pub use comm::{drive, Comm, GetHandle, RankProgram, Step};
+pub use comm::{drive, Comm, GetHandle, RankProgram, Step, TaskSpan};
 pub use dist::{CostMap, DistMatrix, Landing};
 pub use exec::{
     exec_launch, exec_run, exec_run_tasks, thread_run, ExecComm, ExecRunResult, ProgramTask,

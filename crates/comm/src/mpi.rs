@@ -1,19 +1,38 @@
-//! Two-sided collectives over `Comm::send`/`Comm::recv`.
+//! Two-sided collectives over `Comm::send`/`Comm::recv_try`.
 //!
 //! The message-passing baselines need what ScaLAPACK's BLACS provides:
 //! broadcasts along process-grid rows and columns (SUMMA) and ring
-//! shifts (Cannon). These are built portably on the trait's send/recv
-//! with the classic binomial-tree broadcast, so their cost under the
-//! simulator reflects real collective behaviour (log-depth latency,
-//! link contention, rendezvous stalls for big panels).
+//! shifts (Cannon). These are built portably on the trait's send and
+//! split receive with the classic binomial-tree broadcast, so their cost
+//! under the simulator reflects real collective behaviour (log-depth
+//! latency, link contention, rendezvous stalls for big panels).
+//!
+//! Each is resumable: at most one receive that may park
+//! ([`Comm::recv_try`], [`Comm::sendrecv_try`]), then its sends. A call
+//! returns `false` when the receive parked — return
+//! [`Step::Park`](crate::comm::Step::Park) and call again, with the same
+//! arguments, when the rank is stepped next — and `true` once this
+//! rank's share is done. Where receives block, the first call does it
+//! all and returns `true`.
 
 use crate::comm::Comm;
+
+/// This rank's position in `group`, re-indexed so that the member at
+/// `root_idx` is 0.
+fn vrank<C: Comm>(comm: &C, group: &[usize], root_idx: usize) -> (usize, usize) {
+    let n = group.len();
+    let me_idx = group
+        .iter()
+        .position(|&r| r == comm.rank())
+        .expect("caller not in the group");
+    (me_idx, (me_idx + n - root_idx) % n)
+}
 
 /// Binomial-tree broadcast of `data` from `group[root_idx]` to every
 /// rank in `group`. Every member must call this with identical `group`
 /// and `root_idx`. On non-root ranks `data` is overwritten (cleared and
 /// filled; stays empty in modeled runs). `bytes` is the logical payload
-/// size.
+/// size. Resumable (see the module docs).
 pub fn bcast<C: Comm>(
     comm: &mut C,
     group: &[usize],
@@ -21,33 +40,28 @@ pub fn bcast<C: Comm>(
     data: &mut Vec<f64>,
     bytes: u64,
     tag: u64,
-) {
+) -> bool {
     let n = group.len();
     if n <= 1 {
-        return;
+        return true;
     }
-    let me_idx = group
-        .iter()
-        .position(|&r| r == comm.rank())
-        .expect("caller not in the broadcast group");
-    // Re-index so the root is virtual rank 0.
-    let vrank = (me_idx + n - root_idx) % n;
-
+    let (_, vrank) = vrank(comm, group, root_idx);
     // Receive phase: find the highest bit of vrank — the parent sent in
     // that round.
     if vrank != 0 {
         let round = usize::BITS - 1 - vrank.leading_zeros();
         let parent_v = vrank - (1 << round);
         let parent = group[(parent_v + root_idx) % n];
-        comm.recv(parent, tag, data, bytes);
+        if !comm.recv_try(parent, tag, data, bytes) {
+            return false;
+        }
     }
     // Send phase: forward to children in increasing round order.
-    let start_round = if vrank == 0 {
+    let mut round = if vrank == 0 {
         0
     } else {
         (usize::BITS - vrank.leading_zeros()) as usize
     };
-    let mut round = start_round;
     while (1usize << round) < n {
         let child_v = vrank + (1 << round);
         if child_v < n {
@@ -56,6 +70,7 @@ pub fn bcast<C: Comm>(
         }
         round += 1;
     }
+    true
 }
 
 /// Ring broadcast of `data` from `group[root_idx]`: the root sends to
@@ -64,7 +79,7 @@ pub fn bcast<C: Comm>(
 /// the binomial tree's `⌈log₂ n⌉`), but every link is used exactly once
 /// and consecutive broadcasts with rotating roots pipeline around the
 /// ring — the communication schedule DIMMA [Choi '97] exploits, exposed
-/// here as the `Ring` SUMMA variant.
+/// here as the `Ring` SUMMA variant. Resumable (see the module docs).
 pub fn bcast_ring<C: Comm>(
     comm: &mut C,
     group: &[usize],
@@ -72,31 +87,27 @@ pub fn bcast_ring<C: Comm>(
     data: &mut Vec<f64>,
     bytes: u64,
     tag: u64,
-) {
+) -> bool {
     let n = group.len();
     if n <= 1 {
-        return;
+        return true;
     }
-    let me_idx = group
-        .iter()
-        .position(|&r| r == comm.rank())
-        .expect("caller not in the broadcast group");
-    let vrank = (me_idx + n - root_idx) % n; // 0 = root
+    let (me_idx, vrank) = vrank(comm, group, root_idx);
     let next = group[(me_idx + 1) % n];
     let prev = group[(me_idx + n - 1) % n];
-    if vrank == 0 {
-        comm.send(next, tag, data, bytes);
-    } else {
-        comm.recv(prev, tag, data, bytes);
-        if vrank != n - 1 {
-            comm.send(next, tag, data, bytes);
-        }
+    if vrank != 0 && !comm.recv_try(prev, tag, data, bytes) {
+        return false;
     }
+    if vrank != n - 1 {
+        comm.send(next, tag, data, bytes);
+    }
+    true
 }
 
 /// Ring shift within `group`: send `buf` to the member `shift`
 /// positions ahead, receive from the member `shift` behind, replacing
-/// `buf` (Cannon's skew/shift step). Deadlock-free.
+/// `buf` (Cannon's skew/shift step). Deadlock-free. Resumable (see the
+/// module docs): the first call hands `buf`'s contents to the send.
 pub fn ring_shift<C: Comm>(
     comm: &mut C,
     group: &[usize],
@@ -104,19 +115,16 @@ pub fn ring_shift<C: Comm>(
     buf: &mut Vec<f64>,
     bytes: u64,
     tag: u64,
-) {
+) -> bool {
     let n = group.len();
     if n <= 1 || shift.is_multiple_of(n) {
-        return;
+        return true;
     }
-    let me_idx = group
-        .iter()
-        .position(|&r| r == comm.rank())
-        .expect("caller not in the shift group");
+    let (me_idx, _) = vrank(comm, group, 0);
     let dst = group[(me_idx + shift) % n];
     let src = group[(me_idx + n - shift % n) % n];
     let send_data = std::mem::take(buf);
-    comm.sendrecv(dst, tag, &send_data, bytes, src, buf, bytes);
+    comm.sendrecv_try(dst, tag, &send_data, bytes, src, buf, bytes)
 }
 
 #[cfg(test)]

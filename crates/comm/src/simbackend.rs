@@ -14,14 +14,14 @@
 //! wait — `now`, `recv`, `barrier`, a rendezvous send — panics. Both give
 //! the same timings, statistics and data, bit for bit.
 
-use crate::comm::{count_served, Comm, GetHandle, RankProgram, Step};
+use crate::comm::{count_served, Comm, GetHandle, RankProgram, Step, TaskSpan};
 use crate::dist::{DistMatrix, Landing};
 use crate::fault::{FaultPlan, FaultPlanError};
 use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand};
 use srumma_model::network::Path;
 use srumma_model::{protocol, Machine, Topology, TransferCost};
 use srumma_sim::{run_sim, PolledSim, SimConfig, SimProc, SimResult, TraceEvent, TransferSpec};
-use srumma_trace::{Counters, Recorder};
+use srumma_trace::{Counters, Recorder, TraceKind};
 
 /// Options for a simulated run.
 #[derive(Clone, Debug)]
@@ -119,8 +119,12 @@ pub struct SimComm {
     fault: FaultPlan,
     /// Gets issued so far (indexes the deterministic spike schedule).
     gets_issued: u64,
-    /// Polled ranks: arrived at the barrier, release not yet tested.
-    arrived: bool,
+    /// A split call (barrier, receive, exchange) posted its operation;
+    /// its next call takes the result.
+    posted: bool,
+    /// Traced task spans, as the marks that stamp their ends, with
+    /// their labels: resolved when the run is over.
+    spans: Vec<(usize, usize, String)>,
 }
 
 /// Stretch every time component of a message cost by `f` (two-sided
@@ -147,7 +151,8 @@ impl SimComm {
             ws: GemmWorkspace::new(),
             fault: opts.fault.clone(),
             gets_issued: 0,
-            arrived: false,
+            posted: false,
+            spans: Vec::new(),
         }
     }
 
@@ -295,13 +300,39 @@ impl Comm for SimComm {
             self.proc.barrier();
             return true;
         }
-        if !self.arrived {
+        if !self.posted {
             self.proc.barrier_post();
-            self.arrived = true;
+            self.posted = true;
             return false;
         }
-        self.arrived = !self.proc.barrier_test();
-        !self.arrived
+        self.posted = !self.proc.barrier_test();
+        !self.posted
+    }
+
+    /// A mark, which the kernel stamps with this rank's clock when it
+    /// applies it.
+    fn task_begin(&mut self) -> Option<TaskSpan> {
+        if !self.recorder.is_enabled() {
+            return None;
+        }
+        if !self.proc.is_polled() {
+            return Some(TaskSpan::At(self.proc.now()));
+        }
+        Some(TaskSpan::Mark(self.proc.mark()))
+    }
+
+    fn task_end(&mut self, span: Option<TaskSpan>, label: impl FnOnce() -> String) {
+        match span {
+            None => {}
+            Some(TaskSpan::At(t0)) => {
+                let t1 = self.proc.now();
+                self.recorder.span(TraceKind::Task, t0, t1, 0, label);
+            }
+            Some(TaskSpan::Mark(begin)) => {
+                let end = self.proc.mark();
+                self.spans.push((begin, end, label()));
+            }
+        }
     }
 
     fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
@@ -416,7 +447,7 @@ impl Comm for SimComm {
                 self.fault_msg(dst),
             );
             if bytes as usize > mach.net.eager_threshold {
-                self.proc.pair_sync(Self::pair_key(me, dst, tag));
+                self.proc.pair(Self::pair_key(me, dst, tag));
                 let id = self.post_message(dst, tag, data, bytes, cost, "mpi-shm-rndv");
                 self.proc.wait_transfer(id);
             } else {
@@ -442,7 +473,7 @@ impl Comm for SimComm {
         } else {
             // Rendezvous: handshake with the receiver, then a transfer
             // the host must keep driving (poor overlap — Figure 7).
-            self.proc.pair_sync(Self::pair_key(me, dst, tag));
+            self.proc.pair(Self::pair_key(me, dst, tag));
             let cost = scale_cost(
                 TransferCost {
                     latency: 3.0 * mach.net.mpi_latency,
@@ -462,23 +493,30 @@ impl Comm for SimComm {
     }
 
     fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) {
-        let me = self.proc.rank();
-        assert_ne!(me, src, "recv from self");
-        let mach = self.machine.clone();
-        let same = self.same_domain(src);
-        if bytes as usize > mach.net.eager_threshold {
-            // Rendezvous handshake (intra- and inter-domain alike).
-            self.proc.pair_sync(Self::pair_key(src, me, tag));
-        }
+        self.post_recv(src, tag, bytes);
         let msg = self.proc.recv_msg(src, tag);
-        buf.clear();
-        buf.extend_from_slice(&msg.payload);
-        // Receiver-side copy out of the system buffer (eager network
-        // path only; the shm-channel rate already covers both copies).
-        if !same && bytes as usize <= mach.net.eager_threshold {
-            self.proc
-                .advance(bytes as f64 / mach.net.host_copy_bandwidth * self.fault_self());
+        self.land(msg, buf, bytes, self.recv_copies_out(src, bytes));
+    }
+
+    /// Split on the polled host: the first call posts the receive (after
+    /// the rendezvous handshake a large message needs) and returns
+    /// `false`; the host steps the rank again once the kernel has
+    /// applied it, and the second call lands the payload.
+    fn recv_try(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) -> bool {
+        if !self.proc.is_polled() {
+            self.recv(src, tag, buf, bytes);
+            return true;
         }
+        if !self.posted {
+            self.post_recv(src, tag, bytes);
+            self.proc.recv_post(src, tag);
+            self.posted = true;
+            return false;
+        }
+        self.posted = false;
+        let msg = self.proc.recv_take();
+        self.land(msg, buf, bytes, self.recv_copies_out(src, bytes));
+        true
     }
 
     fn sendrecv(
@@ -491,15 +529,85 @@ impl Comm for SimComm {
         recv_buf: &mut Vec<f64>,
         recv_bytes: u64,
     ) {
-        // Deadlock-free buffered exchange (MPI_Sendrecv semantics):
-        // the outgoing message is posted without a rendezvous
-        // handshake, then the incoming one is received.
+        self.exchange_send(dst, tag, send_data, send_bytes);
+        let msg = self.proc.recv_msg(src, tag);
+        let copy_out = !self.same_domain(src);
+        self.land(msg, recv_buf, recv_bytes, copy_out);
+    }
+
+    fn sendrecv_try(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        send_data: &[f64],
+        send_bytes: u64,
+        src: usize,
+        recv_buf: &mut Vec<f64>,
+        recv_bytes: u64,
+    ) -> bool {
+        if !self.proc.is_polled() {
+            self.sendrecv(dst, tag, send_data, send_bytes, src, recv_buf, recv_bytes);
+            return true;
+        }
+        if !self.posted {
+            self.exchange_send(dst, tag, send_data, send_bytes);
+            self.proc.recv_post(src, tag);
+            self.posted = true;
+            return false;
+        }
+        self.posted = false;
+        let msg = self.proc.recv_take();
+        let copy_out = !self.same_domain(src);
+        self.land(msg, recv_buf, recv_bytes, copy_out);
+        true
+    }
+}
+
+impl SimComm {
+    /// What a receive posts before the kernel can match it: the
+    /// rendezvous handshake of a message past the eager threshold
+    /// (intra- and inter-domain alike).
+    fn post_recv(&mut self, src: usize, tag: u64, bytes: u64) {
+        let me = self.proc.rank();
+        assert_ne!(me, src, "recv from self");
+        if bytes as usize > self.machine.net.eager_threshold {
+            self.proc.pair(Self::pair_key(src, me, tag));
+        }
+    }
+
+    /// Whether a received message is copied out of a system buffer:
+    /// on the eager network path only (the shm-channel rate already
+    /// covers both copies).
+    fn recv_copies_out(&self, src: usize, bytes: u64) -> bool {
+        !self.same_domain(src) && bytes as usize <= self.machine.net.eager_threshold
+    }
+
+    /// Land a received message in `buf`, charging the receiver-side copy
+    /// of `bytes` out of the system buffer when `copy_out`.
+    fn land(
+        &mut self,
+        msg: srumma_sim::kernel::Msg,
+        buf: &mut Vec<f64>,
+        bytes: u64,
+        copy_out: bool,
+    ) {
+        buf.clear();
+        buf.extend_from_slice(&msg.payload);
+        if copy_out {
+            let rate = self.machine.net.host_copy_bandwidth;
+            self.proc.advance(bytes as f64 / rate * self.fault_self());
+        }
+    }
+
+    /// The send half of a buffered exchange (MPI_Sendrecv semantics):
+    /// posted without a rendezvous handshake, so a ring of exchanges
+    /// cannot deadlock.
+    fn exchange_send(&mut self, dst: usize, tag: u64, send_data: &[f64], send_bytes: u64) {
         let me = self.proc.rank();
         assert_ne!(me, dst);
         let mach = self.machine.clone();
         if self.same_domain(dst) {
-            // Buffered exchange: full shm-channel cost, no handshake
-            // (MPI_Sendrecv must not deadlock on a ring).
+            // Buffered exchange: full shm-channel cost, no handshake.
             let cost = scale_cost(
                 protocol::mpi_send_recv(&mach, send_bytes as usize, true),
                 self.fault_msg(dst),
@@ -521,14 +629,6 @@ impl Comm for SimComm {
                 self.fault_msg(dst),
             );
             self.post_message(dst, tag, send_data, send_bytes, cost, "xchg-net");
-        }
-        let same_src = self.same_domain(src);
-        let msg = self.proc.recv_msg(src, tag);
-        recv_buf.clear();
-        recv_buf.extend_from_slice(&msg.payload);
-        if !same_src {
-            self.proc
-                .advance(recv_bytes as f64 / mach.net.host_copy_bandwidth * self.fault_self());
         }
     }
 }
@@ -569,24 +669,37 @@ where
     let mut ranks: Vec<Option<(SimComm, P)>> = (0..sim.nranks())
         .map(|rank| Some((SimComm::new(sim.proc(rank), opts), program(rank))))
         .collect();
-    let mut outputs: Vec<Option<RankOutput<P::Out>>> = ranks.iter().map(|_| None).collect();
+    let mut outputs: Vec<Option<(P::Out, SimComm)>> = ranks.iter().map(|_| None).collect();
     while let Some(rank) = sim.next_rank() {
         let (comm, prog) = ranks[rank]
             .as_mut()
             .expect("a finished rank is not stepped");
         match prog.step(comm) {
             Step::Done(out) => {
-                let (events, counters) = comm.recorder.take();
-                outputs[rank] = Some((out, events, counters));
-                ranks[rank] = None;
+                let (comm, _) = ranks[rank].take().expect("the rank just stepped");
+                outputs[rank] = Some((out, comm));
                 sim.finish(rank);
             }
             Step::Yield => {}
-            Step::Park if comm.arrived => {}
+            Step::Park if comm.posted => {}
             Step::Park => sim.park(rank),
         }
     }
-    let outputs = outputs.into_iter().map(|o| o.expect("every rank finished"));
+    // Every mark is applied now: the task spans can be stamped.
+    let outputs = outputs.into_iter().map(|o| {
+        let (out, mut comm) = o.expect("every rank finished");
+        let (mut events, counters) = comm.recorder.take();
+        let rank = comm.proc.rank();
+        events.extend(comm.spans.drain(..).map(|(begin, end, label)| TraceEvent {
+            rank,
+            t0: comm.proc.mark_time(begin),
+            t1: comm.proc.mark_time(end),
+            kind: TraceKind::Task,
+            label,
+            bytes: 0,
+        }));
+        (out, events, counters)
+    });
     merge_recorders(sim.into_result(outputs.collect()))
 }
 

@@ -17,7 +17,7 @@
 //! to the machine-wide one, which is also what keeps the virtual
 //! backend's BSP segment recombination aligned across layers.
 
-use crate::comm::{Comm, GetHandle};
+use crate::comm::{Comm, GetHandle, TaskSpan};
 use crate::dist::{DistMatrix, Landing};
 use srumma_dense::{MatMut, MatRef, Operand, PackedPanel};
 use srumma_model::Topology;
@@ -86,6 +86,14 @@ impl<C: Comm> Comm for SubComm<'_, C> {
         self.inner.barrier_try()
     }
 
+    fn task_begin(&mut self) -> Option<TaskSpan> {
+        self.inner.task_begin()
+    }
+
+    fn task_end(&mut self, span: Option<TaskSpan>, label: impl FnOnce() -> String) {
+        self.inner.task_end(span, label);
+    }
+
     fn ws_grow_count(&self) -> u64 {
         self.inner.ws_grow_count()
     }
@@ -146,6 +154,10 @@ impl<C: Comm> Comm for SubComm<'_, C> {
         self.inner.recv(self.base + src, tag, buf, bytes);
     }
 
+    fn recv_try(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) -> bool {
+        self.inner.recv_try(self.base + src, tag, buf, bytes)
+    }
+
     fn sendrecv(
         &mut self,
         dst: usize,
@@ -165,6 +177,27 @@ impl<C: Comm> Comm for SubComm<'_, C> {
             recv_buf,
             recv_bytes,
         );
+    }
+
+    fn sendrecv_try(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        send_data: &[f64],
+        send_bytes: u64,
+        src: usize,
+        recv_buf: &mut Vec<f64>,
+        recv_bytes: u64,
+    ) -> bool {
+        self.inner.sendrecv_try(
+            self.base + dst,
+            tag,
+            send_data,
+            send_bytes,
+            self.base + src,
+            recv_buf,
+            recv_bytes,
+        )
     }
 }
 

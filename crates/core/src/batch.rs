@@ -64,7 +64,7 @@ use crate::layout::{fresh_c, with_host_operand_sets, HostOperands};
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::srumma::{MachineScratch, SrummaMachine, SrummaReport, STRIDE};
 use srumma_comm::{
-    drive, exec_run_tasks, sim_run, thread_run, Comm, CostMap, DistMatrix, ProgramTask,
+    drive, exec_run_tasks, sim_run_programs, thread_run, Comm, CostMap, DistMatrix, ProgramTask,
     RankProgram, SimOptions, Step, SubComm,
 };
 use srumma_dense::{BlockMask, MatMut, Matrix, Op};
@@ -311,6 +311,10 @@ pub(crate) struct BatchProgram<'a> {
     e: usize,
     machine: Option<SrummaMachine<'a>>,
     scratch: MachineScratch,
+    /// The entry the last step ran tasks of, and the clock it started
+    /// them at: the next step's first clock read closes that interval
+    /// (and the entry, if the step finished it).
+    ran: Option<(usize, f64)>,
     samples: Vec<EntryRankSample>,
     reports: Vec<SrummaReport>,
 }
@@ -322,6 +326,7 @@ impl<'a> BatchProgram<'a> {
             e: 0,
             machine: None,
             scratch: MachineScratch::default(),
+            ran: None,
             samples: vec![EntryRankSample::default(); plans.len()],
             reports: vec![SrummaReport::default(); plans.len()],
         }
@@ -339,7 +344,19 @@ impl<'a> BatchProgram<'a> {
 impl RankProgram for BatchProgram<'_> {
     type Out = BatchRankOut;
 
+    /// The clock is read at the top of a step, before the step posts
+    /// anything — a simulated rank's is known only there — and again
+    /// after a `c0` copy, which costs the model nothing. What the last
+    /// step ran is timed up to that first read.
     fn step<C: Comm>(&mut self, comm: &mut C) -> Step<BatchRankOut> {
+        let mut t0 = comm.now();
+        if let Some((e, since)) = self.ran.take() {
+            let sample = &mut self.samples[e];
+            sample.compute_s += t0 - since;
+            if self.machine.is_none() {
+                sample.t_end = t0;
+            }
+        }
         let me = comm.rank();
         while (self.plans.get(self.e)).is_some_and(|plan| !plan.team.contains(&me)) {
             self.e += 1;
@@ -349,7 +366,6 @@ impl RankProgram for BatchProgram<'_> {
         };
         let comm = &mut SubComm::new(comm, plan.team.start, plan.team.len(), plan.topo);
         let sample = &mut self.samples[plan.index];
-        let mut t0 = comm.now();
         let machine = self.machine.get_or_insert_with(|| {
             sample.t_start = t0;
             if let Some(c0) = plan.c0 {
@@ -363,16 +379,13 @@ impl RankProgram for BatchProgram<'_> {
                 comm, &plan.spec, plan.a, plan.b, plan.c, &plan.opts, scratch,
             )
         });
+        self.ran = Some((plan.index, t0));
         if machine.run(comm, STRIDE) {
-            sample.compute_s += comm.now() - t0;
             return Step::Yield;
         }
         let machine = self.machine.take().expect("machine exists");
         let (report, scratch) = machine.finish(comm);
         self.scratch = scratch;
-        let t1 = comm.now();
-        sample.compute_s += t1 - t0;
-        sample.t_end = t1;
         sample.tasks_run = report.tasks as u64;
         sample.tasks_masked = report.masked_tasks as u64;
         sample.flops_skipped = report.skipped_flops;
@@ -597,7 +610,7 @@ pub fn multiply_batch(batch: &BatchSpec, nranks: usize) -> BatchResult {
 pub fn multiply_batch_sim(batch: &BatchSpec, machine: &Machine, nranks: usize) -> BatchResult {
     run_batch(batch, machine.topology(nranks), |program| {
         let opts = SimOptions::new(machine.clone(), nranks);
-        let res = sim_run(&opts, |comm| drive(comm, program()));
+        let res = sim_run_programs(&opts, |_| program());
         (res.outputs, res.stats.makespan, ())
     })
     .0

@@ -11,13 +11,205 @@
 //!
 //! Requires a square process grid (as Cannon does); supports `C = A·B`
 //! (the baseline case the paper benchmarks it against).
+//!
+//! A rank's share is one [`CannonProgram`], which parks in each shift's
+//! receive and in the closing fence.
 
 use crate::options::GemmSpec;
-use srumma_comm::dist::chunk_len;
+use crate::run::RankReport;
+use srumma_comm::dist::{chunk_len, BlockWrite};
 use srumma_comm::mpi::ring_shift;
-use srumma_comm::{Comm, DistMatrix};
+use srumma_comm::{Comm, DistMatrix, RankProgram, Step};
 use srumma_dense::{MatRef, Op, Operand};
 use srumma_trace::TraceKind;
+
+/// Where a [`CannonProgram`] resumes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Start,
+    /// The initial skew of A along the grid row, then of B along the
+    /// column.
+    SkewA,
+    SkewB,
+    /// Multiply the held blocks at step `.0`.
+    Multiply(usize),
+    /// Shift A left one, then B up one, after step `.0`.
+    ShiftA(usize),
+    ShiftB(usize),
+    Fence,
+}
+
+/// One rank of Cannon's algorithm, `C ← β·C + α·A·B`, as a
+/// [`RankProgram`]. All ranks run it collectively.
+///
+/// # Panics
+/// On its first step, if the grid is not square or the spec carries
+/// transposes.
+pub(crate) struct CannonProgram<'a> {
+    spec: &'a GemmSpec,
+    a: &'a DistMatrix,
+    b: &'a DistMatrix,
+    c: &'a DistMatrix,
+    phase: Phase,
+    my_row: Vec<usize>,
+    my_col: Vec<usize>,
+    a_buf: Vec<f64>,
+    b_buf: Vec<f64>,
+    /// This rank's C tile, held from the skew to the last multiply.
+    cw: Option<BlockWrite<'a>>,
+}
+
+impl<'a> CannonProgram<'a> {
+    pub(crate) fn new(
+        spec: &'a GemmSpec,
+        a: &'a DistMatrix,
+        b: &'a DistMatrix,
+        c: &'a DistMatrix,
+    ) -> Self {
+        CannonProgram {
+            spec,
+            a,
+            b,
+            c,
+            phase: Phase::Start,
+            my_row: Vec::new(),
+            my_col: Vec::new(),
+            a_buf: Vec::new(),
+            b_buf: Vec::new(),
+            cw: None,
+        }
+    }
+
+    /// Bytes of the A block `(gi, col)` and the B block `(row, gj)`.
+    fn block_bytes(&self, me: usize, col: usize, row: usize) -> (u64, u64) {
+        let (spec, grid) = (self.spec, self.c.grid());
+        let (gi, gj) = grid.coords(me);
+        let q = grid.q;
+        let a = chunk_len(spec.m, q, gi) * chunk_len(spec.k, q, col) * 8;
+        let b = chunk_len(spec.k, q, row) * chunk_len(spec.n, q, gj) * 8;
+        (a as u64, b as u64)
+    }
+
+    /// Multiply the blocks held at `step`: after the skew and `step`
+    /// shifts, A(i, l) and B(l, j) with l = (i + j + step) mod q.
+    fn multiply<C: Comm>(&mut self, comm: &mut C, step: usize) {
+        let grid = self.c.grid();
+        let (gi, gj) = grid.coords(comm.rank());
+        let l = (gi + gj + step) % grid.q;
+        let ka = chunk_len(self.spec.k, grid.q, l);
+        let cw = self.cw.as_mut().expect("C is held while steps remain");
+        let (crows, ccols) = (cw.rows(), cw.cols());
+        let plain = |rows, cols, buf| Operand::Plain(MatRef::new(rows, cols, cols, buf), Op::N);
+        let av = (!self.a_buf.is_empty()).then(|| plain(crows, ka, &self.a_buf));
+        let bv = (!self.b_buf.is_empty()).then(|| plain(ka, ccols, &self.b_buf));
+        let span = comm.task_begin();
+        let label = if span.is_some() {
+            format!("cannon step {step}")
+        } else {
+            String::new()
+        };
+        comm.gemm(
+            crows,
+            ccols,
+            ka,
+            self.spec.alpha,
+            av,
+            bv,
+            1.0,
+            cw.mat_mut(),
+            false,
+            &label,
+        );
+        comm.recorder().count_task();
+        comm.task_end(span, || format!("cannon step {step}"));
+    }
+}
+
+impl RankProgram for CannonProgram<'_> {
+    type Out = RankReport;
+
+    fn step<C: Comm>(&mut self, comm: &mut C) -> Step<RankReport> {
+        let me = comm.rank();
+        let grid = self.c.grid();
+        let q = grid.q;
+        let (gi, gj) = grid.coords(me);
+        loop {
+            match self.phase {
+                Phase::Start => {
+                    assert_eq!(
+                        (self.spec.transa, self.spec.transb),
+                        (Op::N, Op::N),
+                        "the Cannon baseline supports C = A*B only"
+                    );
+                    assert_eq!(grid.p, q, "Cannon's algorithm needs a square process grid");
+                    self.my_row = grid.row_ranks(gi).collect();
+                    self.my_col = grid.col_ranks(gj).collect();
+                    // Start from the locally owned blocks.
+                    self.a.copy_block_into(me, &mut self.a_buf);
+                    self.b.copy_block_into(me, &mut self.b_buf);
+                    self.phase = Phase::SkewA;
+                }
+                // Initial skew: A row i left by i ⇒ ring-shift right by
+                // (q - i); B column j up by j ⇒ ring-shift down by (q - j).
+                Phase::SkewA => {
+                    let bytes = self.block_bytes(me, gj, gi).0;
+                    let shift = q - gi % q;
+                    if !ring_shift(comm, &self.my_row, shift, &mut self.a_buf, bytes, 1000) {
+                        return Step::Park;
+                    }
+                    self.phase = Phase::SkewB;
+                }
+                Phase::SkewB => {
+                    let bytes = self.block_bytes(me, gj, gi).1;
+                    let shift = q - gj % q;
+                    if !ring_shift(comm, &self.my_col, shift, &mut self.b_buf, bytes, 1001) {
+                        return Step::Park;
+                    }
+                    if self.spec.beta != 1.0 {
+                        self.c.scale_block(me, self.spec.beta);
+                    }
+                    self.cw = Some(self.c.write_block(me));
+                    self.phase = Phase::Multiply(0);
+                }
+                Phase::Multiply(step) => {
+                    self.multiply(comm, step);
+                    self.phase = if step + 1 < q {
+                        Phase::ShiftA(step)
+                    } else {
+                        self.cw = None;
+                        Phase::Fence
+                    };
+                }
+                // Shift A left one (receive the block one to the right)
+                // and B up one (receive the block one below).
+                Phase::ShiftA(step) => {
+                    let next_l = (gi + gj + step + 1) % q;
+                    let bytes = self.block_bytes(me, next_l, next_l).0;
+                    let tag = 2000 + step as u64;
+                    if !ring_shift(comm, &self.my_row, q - 1, &mut self.a_buf, bytes, tag) {
+                        return Step::Park;
+                    }
+                    self.phase = Phase::ShiftB(step);
+                }
+                Phase::ShiftB(step) => {
+                    let next_l = (gi + gj + step + 1) % q;
+                    let bytes = self.block_bytes(me, next_l, next_l).1;
+                    let tag = 3000 + step as u64;
+                    if !ring_shift(comm, &self.my_col, q - 1, &mut self.b_buf, bytes, tag) {
+                        return Step::Park;
+                    }
+                    self.phase = Phase::Multiply(step + 1);
+                }
+                Phase::Fence => {
+                    return match comm.barrier_try() {
+                        true => Step::Done(RankReport::default()),
+                        false => Step::Park,
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// Run Cannon's algorithm: `C ← C + A·B`. Collective.
 ///

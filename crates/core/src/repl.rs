@@ -34,7 +34,7 @@ use crate::memory::replicated_arena_footprint;
 use crate::options::{GemmSpec, ReplicationFactor, SrummaOptions};
 use crate::run::{RankReport, RunError};
 use crate::srumma::SrummaProgram;
-use srumma_comm::{drive, Comm, CostMap, DistMatrix, SubComm};
+use srumma_comm::{drive, Comm, CostMap, DistMatrix, RankProgram, Step, SubComm};
 use srumma_dense::mask::{chunk_len, chunk_start};
 use srumma_dense::{MatMut, Matrix};
 use srumma_model::{ProcGrid, Topology};
@@ -205,6 +205,89 @@ impl ReplSet<'_> {
                 HierStageSet::create_window(&t.spec, self.grid, topo, l * self.team_ranks, real)
             })
             .collect()
+    }
+}
+
+/// One rank of a replicated multiply as a [`RankProgram`]: its team's
+/// [`SrummaProgram`] over this team's `k`-slice, stepped through the
+/// team's [`SubComm`], then the serialized cross-team accumulation into
+/// team 0's C, one fence per round. With `stage_sets` (from
+/// [`ReplSet::hier_stage_sets`] for the same set) each team runs the
+/// two-level staged schedule of [`crate::hier`] inside its window — the
+/// combined "hierarchical + replicated" configuration of the crossover
+/// study. All ranks run it collectively; every rank passes the same
+/// fences, so it runs unchanged on all backends.
+pub(crate) struct ReplProgram<'a> {
+    set: &'a ReplSet<'a>,
+    team: usize,
+    team_sweep: SrummaProgram<'a>,
+    /// The team sweep's report, once it is done.
+    report: Option<RankReport>,
+    /// The accumulation round in flight, `1..c`.
+    round: usize,
+    /// This rank has done its part of the round and arrived at its fence.
+    arrived: bool,
+}
+
+impl<'a> ReplProgram<'a> {
+    /// `rank`'s program.
+    pub(crate) fn new(
+        rank: usize,
+        set: &'a ReplSet<'a>,
+        stage_sets: Option<&'a [HierStageSet]>,
+        opts: &SrummaOptions,
+    ) -> Self {
+        let team = rank / set.team_ranks;
+        let mats = &set.teams[team];
+        let stages = stage_sets.map(|sets| &sets[team]);
+        ReplProgram {
+            set,
+            team,
+            team_sweep: SrummaProgram::new(&mats.spec, mats.da, mats.db, mats.dc, opts, stages),
+            report: None,
+            round: 1,
+            arrived: false,
+        }
+    }
+}
+
+impl RankProgram for ReplProgram<'_> {
+    type Out = RankReport;
+
+    fn step<C: Comm>(&mut self, comm: &mut C) -> Step<RankReport> {
+        let set = self.set;
+        let base = self.team * set.team_ranks;
+        if self.report.is_none() {
+            let mut sub = SubComm::new(comm, base, set.team_ranks, set.team_topo);
+            match self.team_sweep.step(&mut sub) {
+                Step::Done(report) => self.report = Some(report),
+                Step::Yield => return Step::Yield,
+                Step::Park => return Step::Park,
+            }
+        }
+        // The team sweep ends with a (forwarded, machine-wide) fence:
+        // every team's partial product is complete here. Fold teams
+        // 1..c into team 0 one at a time, each block straight from where
+        // its team's C holds it — a fixed accumulation order keeps the
+        // result reproducible run to run.
+        while self.round < set.c {
+            if !self.arrived && self.team == self.round {
+                let slot = comm.rank() - base;
+                let partial = set.teams[self.team].dc.read_block(slot);
+                comm.acc(set.teams[0].dc, slot, 1.0, partial.mat());
+            }
+            self.arrived = true;
+            if !comm.barrier_try() {
+                return Step::Park;
+            }
+            self.arrived = false;
+            self.round += 1;
+        }
+        let report = self.report.expect("the team sweep is done");
+        Step::Done(RankReport {
+            team: self.team,
+            ..report
+        })
     }
 }
 

@@ -24,16 +24,19 @@
 //! ([`crate::repl`]).
 
 use crate::api::{parallel_gemm, Algorithm};
+use crate::cannon::CannonProgram;
 use crate::chaos::{ChaosRecovery, ChaosSrummaRankTask};
 use crate::driver::{default_grid, SparseMasks};
 use crate::hier::{srumma_hier, HierStageSet};
 use crate::layout::{with_fresh_c, with_host_operands};
 use crate::options::{GemmSpec, ReplicationFactor};
-use crate::repl::{resolve_factor, srumma_replicated, ReplSet};
+use crate::repl::{resolve_factor, srumma_replicated, ReplProgram, ReplSet};
 use crate::srumma::{SrummaProgram, SrummaReport};
+use crate::summa::SummaProgram;
 use srumma_comm::{
-    exec_launch, exec_run_tasks, sim_run, sim_run_programs, virtual_run, Comm, CostMap, DistMatrix,
-    ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions,
+    drive, exec_launch, exec_run_tasks, sim_run, sim_run_programs, virtual_run, Comm, CostMap,
+    DistMatrix, ExecComm, ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, RankProgram,
+    SimOptions, Step, VirtualComm,
 };
 use srumma_dense::{Matrix, Op};
 use srumma_model::{Machine, Topology};
@@ -88,6 +91,9 @@ pub struct Run<'a> {
     pub replication: ReplicationFactor,
     /// Record the event timeline.
     pub trace: bool,
+    /// Run the blocking bodies on the simulator's thread per rank.
+    #[doc(hidden)]
+    pub threaded_reference: bool,
 }
 
 /// Why a [`Run`] cannot execute.
@@ -190,6 +196,52 @@ fn launched(res: ExecRunResult<RankReport>) -> Launched {
 }
 
 /// The rank program, chosen once by `(algorithm, hier, replication)`.
+enum RankBody<'m> {
+    /// Flat or staged.
+    Srumma(SrummaProgram<'m>),
+    Summa(SummaProgram<'m>),
+    Cannon(CannonProgram<'m>),
+    Replicated(ReplProgram<'m>),
+}
+
+impl RankProgram for RankBody<'_> {
+    type Out = RankReport;
+
+    fn step<C: Comm>(&mut self, comm: &mut C) -> Step<RankReport> {
+        match self {
+            RankBody::Srumma(p) => p.step(comm),
+            RankBody::Summa(p) => p.step(comm),
+            RankBody::Cannon(p) => p.step(comm),
+            RankBody::Replicated(p) => p.step(comm),
+        }
+    }
+}
+
+/// `rank`'s program over the prepared matrices.
+fn rank_program<'m>(rank: usize, algorithm: &Algorithm, mats: &'m Mats<'m>) -> RankBody<'m> {
+    match (mats, algorithm) {
+        (Mats::Flat(m, stages), Algorithm::Srumma(opts)) => RankBody::Srumma(SrummaProgram::new(
+            &m.spec,
+            m.a,
+            m.b,
+            m.c,
+            opts,
+            stages.as_ref(),
+        )),
+        (Mats::Flat(m, None), Algorithm::Summa(opts)) => {
+            RankBody::Summa(SummaProgram::new(&m.spec, m.a, m.b, m.c, opts))
+        }
+        (Mats::Flat(m, None), Algorithm::Cannon) => {
+            RankBody::Cannon(CannonProgram::new(&m.spec, m.a, m.b, m.c))
+        }
+        (Mats::Replicated(set, stages), Algorithm::Srumma(opts)) => {
+            RankBody::Replicated(ReplProgram::new(rank, set, stages.as_deref(), opts))
+        }
+        _ => unreachable!("validate() admits staging and replication for SRUMMA only"),
+    }
+}
+
+/// The rank program of the threaded reference: the blocking bodies.
 fn rank_body<C: Comm>(comm: &mut C, algorithm: &Algorithm, mats: &Mats) -> RankReport {
     match (mats, algorithm) {
         (Mats::Flat(m, None), _) => RankReport {
@@ -222,6 +274,7 @@ impl<'a> Run<'a> {
             hier: false,
             replication: ReplicationFactor::One,
             trace: false,
+            threaded_reference: false,
         }
     }
 
@@ -276,6 +329,8 @@ impl<'a> Run<'a> {
             Some("a node holds at least one rank")
         } else if srumma.is_none() && (self.masks.is_some() || restructured) {
             Some("masks, node-group staging and replication are SRUMMA schedules")
+        } else if matches!(self.algorithm, Algorithm::Summa(o) if o.panel_nb == Some(0)) {
+            Some("a SUMMA panel is at least one column wide: panel_nb may not be Some(0)")
         } else if self.algorithm == Algorithm::Cannon
             && (grid.p != grid.q || (spec.transa, spec.transb) != (Op::N, Op::N))
         {
@@ -370,7 +425,8 @@ impl<'a> Run<'a> {
         let topo = Some(topology);
         // The blocking hosting: a thread per rank under `workers` permits.
         let blocking = |workers| {
-            let body = |comm: &mut _| rank_body(comm, algorithm, mats);
+            let body =
+                |comm: &mut ExecComm| drive(comm, rank_program(comm.rank(), algorithm, mats));
             launched(exec_launch(nranks, workers, self.trace, topo, faults, body))
         };
         Ok(match self.backend {
@@ -381,17 +437,12 @@ impl<'a> Run<'a> {
                     sim = sim.with_faults(plan.clone())?;
                 }
                 let t0 = Instant::now();
-                // Flat or staged SRUMMA is one program, stepped on this
-                // thread in virtual-time order. A blocking body — SUMMA,
-                // Cannon, the replica reduction — or a traced task span
-                // (it reads `now()` mid-task) gets a thread per rank.
-                let res = match (mats, algorithm) {
-                    (Mats::Flat(m, stages), Algorithm::Srumma(opts)) if !self.trace => {
-                        let FlatMats { spec, a, b, c } = m;
-                        let program = |_| SrummaProgram::new(spec, a, b, c, opts, stages.as_ref());
-                        sim_run_programs(&sim, program)
-                    }
-                    _ => sim_run(&sim, |comm| rank_body(comm, algorithm, mats)),
+                // Every rank is a program, stepped on this thread in
+                // virtual-time order.
+                let res = if self.threaded_reference {
+                    sim_run(&sim, |comm| rank_body(comm, algorithm, mats))
+                } else {
+                    sim_run_programs(&sim, |rank| rank_program(rank, algorithm, mats))
                 };
                 let wall_seconds = t0.elapsed().as_secs_f64();
                 (res.outputs, res.stats, res.trace, wall_seconds)
@@ -399,8 +450,8 @@ impl<'a> Run<'a> {
             Backend::Virtual { machine, workers } => {
                 // At 64k ranks the executor would hold several copies of
                 // the per-rank reports; the modeled run is its `stats`.
-                let body = |comm: &mut _| {
-                    rank_body(comm, algorithm, mats);
+                let body = |comm: &mut VirtualComm| {
+                    drive(comm, rank_program(comm.rank(), algorithm, mats));
                 };
                 let res = virtual_run(machine, nranks, workers, body);
                 (Vec::new(), res.stats, Vec::new(), res.wall_seconds)

@@ -39,7 +39,6 @@ use crate::run::RankReport;
 use crate::taskorder::{build_tasks_into, diagonal_shift_origin, order_tasks_into, Task};
 use srumma_comm::{drive, Comm, DistMatrix, GetHandle, Landing, RankProgram, Step};
 use srumma_dense::{Operand, PackedPanel, PackedView, Side};
-use srumma_trace::TraceKind;
 
 /// Per-rank execution summary.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -401,8 +400,7 @@ impl<'a> SrummaMachine<'a> {
             self.scratch.wa.push(self.scratch.tasks[i].la);
             self.scratch.wb.push(self.scratch.tasks[i].lb);
         }
-        let traced = comm.recorder().is_enabled();
-        let t_task = if traced { comm.now() } else { 0.0 };
+        let span = comm.task_begin();
 
         // Prefetch: issue nonblocking gets for the next `depth` tasks'
         // blocks (including this task's, if not yet issued) before
@@ -487,7 +485,7 @@ impl<'a> SrummaMachine<'a> {
         // guards must outlive the gemm call.
         let seg = t.klen();
         let direct = a_slot.is_none() || b_slot.is_none();
-        let label = if traced {
+        let label = if span.is_some() {
             format!("dgemm la={} lb={} k={}..{}", t.la, t.lb, t.k0, t.k1)
         } else {
             String::new()
@@ -541,12 +539,9 @@ impl<'a> SrummaMachine<'a> {
         );
         self.report.tasks += 1;
         comm.recorder().count_task();
-        if traced {
-            let t1 = comm.now();
-            comm.recorder().span(TraceKind::Task, t_task, t1, 0, || {
-                format!("task la={} lb={} k={}..{}", t.la, t.lb, t.k0, t.k1)
-            });
-        }
+        comm.task_end(span, || {
+            format!("task la={} lb={} k={}..{}", t.la, t.lb, t.k0, t.k1)
+        });
         self.pos += 1;
         self.pos < self.scratch.order.len()
     }

@@ -13,12 +13,19 @@
 //! `panel_nb` optionally splits panels into narrower column strips, the
 //! ScaLAPACK blocking factor the paper tuned "empirically for all
 //! matrix sizes and processor counts".
+//!
+//! A rank's share is one [`SummaProgram`]: each broadcast is a receive
+//! that may park, then its sends ([`srumma_comm::mpi`]), so the
+//! simulator steps every rank on one thread and the blocking backends
+//! [`drive`](srumma_comm::drive) the same value.
 
 use crate::layout::{a_owner, a_seg_view, b_owner, b_seg_view};
 use crate::options::GemmSpec;
-use crate::taskorder::build_tasks;
+use crate::run::RankReport;
+use crate::taskorder::{build_tasks, Task};
+use srumma_comm::dist::BlockWrite;
 use srumma_comm::mpi::{bcast, bcast_ring};
-use srumma_comm::{Comm, DistMatrix};
+use srumma_comm::{Comm, DistMatrix, RankProgram, Step, TaskSpan};
 use srumma_dense::{MatRef, Op, Operand};
 use srumma_trace::TraceKind;
 
@@ -41,6 +48,259 @@ pub struct SummaOptions {
     pub panel_nb: Option<usize>,
     /// Broadcast schedule.
     pub bcast: BcastKind,
+}
+
+/// Where a [`SummaProgram`] resumes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Nothing has run.
+    Start,
+    /// Broadcasting the current segment's A strip along the grid row.
+    BcastA,
+    /// Broadcasting its B strip along the grid column.
+    BcastB,
+    /// Every segment multiplied: the closing fence.
+    Fence,
+}
+
+/// One rank of SUMMA, `C ← β·C + α·op(A)·op(B)`, as a [`RankProgram`]:
+/// per k-segment, the A strip's broadcast along the grid row, the B
+/// strip's along the grid column, then the local update; a closing
+/// fence makes C visible. It parks in a broadcast's receive and in the
+/// fence. All ranks run it collectively with the same arguments.
+pub(crate) struct SummaProgram<'a> {
+    spec: &'a GemmSpec,
+    a: &'a DistMatrix,
+    b: &'a DistMatrix,
+    c: &'a DistMatrix,
+    opts: SummaOptions,
+    phase: Phase,
+    /// Merged k-segments, re-split to the blocking factor.
+    segs: Vec<Task>,
+    /// The segment in flight.
+    next: usize,
+    my_row: Vec<usize>,
+    my_col: Vec<usize>,
+    /// This rank's C tile, held from the first step to the last update.
+    cw: Option<BlockWrite<'a>>,
+    a_buf: Vec<f64>,
+    b_buf: Vec<f64>,
+    /// The traced span of the segment in flight.
+    span: Option<TaskSpan>,
+}
+
+impl<'a> SummaProgram<'a> {
+    pub(crate) fn new(
+        spec: &'a GemmSpec,
+        a: &'a DistMatrix,
+        b: &'a DistMatrix,
+        c: &'a DistMatrix,
+        opts: &SummaOptions,
+    ) -> Self {
+        SummaProgram {
+            spec,
+            a,
+            b,
+            c,
+            opts: *opts,
+            phase: Phase::Start,
+            segs: Vec::new(),
+            next: 0,
+            my_row: Vec::new(),
+            my_col: Vec::new(),
+            cw: None,
+            a_buf: Vec::new(),
+            b_buf: Vec::new(),
+            span: None,
+        }
+    }
+
+    /// Build the segment list and the grid row and column, apply `β`
+    /// and take the C tile.
+    fn start<C: Comm>(&mut self, comm: &C) {
+        let me = comm.rank();
+        let grid = self.c.grid();
+        let (gi, gj) = grid.coords(me);
+        let (aparts, bparts) = (crate::layout::a_kparts(grid), crate::layout::b_kparts(grid));
+        for t in build_tasks(self.spec.k, aparts, bparts) {
+            match self.opts.panel_nb {
+                None => self.segs.push(t),
+                Some(nb) => {
+                    assert!(nb > 0, "panel_nb must be positive");
+                    let mut k0 = t.k0;
+                    while k0 < t.k1 {
+                        let k1 = (k0 + nb).min(t.k1);
+                        self.segs.push(Task {
+                            k0,
+                            k1,
+                            la: t.la,
+                            lb: t.lb,
+                            k0_rel_a: t.k0_rel_a + (k0 - t.k0),
+                            k0_rel_b: t.k0_rel_b + (k0 - t.k0),
+                        });
+                        k0 = k1;
+                    }
+                }
+            }
+        }
+        self.my_row = grid.row_ranks(gi).collect();
+        self.my_col = grid.col_ranks(gj).collect();
+        if self.spec.beta != 1.0 {
+            self.c.scale_block(me, self.spec.beta);
+        }
+        self.cw = Some(self.c.write_block(me));
+    }
+
+    /// Open the next segment — its span, and its A strip on the rank
+    /// that owns it — or, past the last, release C for the fence.
+    fn open_segment<C: Comm>(&mut self, comm: &mut C) {
+        let Some(t) = self.segs.get(self.next) else {
+            self.cw = None;
+            self.phase = Phase::Fence;
+            return;
+        };
+        self.span = comm.task_begin();
+        let me = comm.rank();
+        let (gi, _) = self.c.grid().coords(me);
+        if a_owner(self.spec, self.c.grid(), gi, t.la) == me {
+            // Extract my strip (a sub-view of my stored block).
+            self.a_buf.clear();
+            let blk = self.a.read_block(me);
+            if let Some(v) = blk.mat() {
+                let (sv, _) = a_seg_view(self.spec, v, t.rel_a(), t.klen());
+                for i in 0..sv.rows() {
+                    self.a_buf.extend((0..sv.cols()).map(|j| sv.at(i, j)));
+                }
+            }
+        }
+        self.phase = Phase::BcastA;
+    }
+
+    /// The B strip, on the rank that owns it, normalised to
+    /// `seg × ccols` row-major whatever the stored orientation.
+    fn fill_b_strip(&mut self, me: usize) {
+        let t = self.segs[self.next];
+        let (_, gj) = self.c.grid().coords(me);
+        if b_owner(self.spec, self.c.grid(), t.lb, gj) != me {
+            return;
+        }
+        self.b_buf.clear();
+        let blk = self.b.read_block(me);
+        if let Some(v) = blk.mat() {
+            let (sv, op) = b_seg_view(self.spec, v, t.rel_b(), t.klen());
+            match op {
+                Op::N => {
+                    for i in 0..sv.rows() {
+                        self.b_buf.extend((0..sv.cols()).map(|j| sv.at(i, j)));
+                    }
+                }
+                Op::T => {
+                    for i in 0..sv.cols() {
+                        self.b_buf.extend((0..sv.rows()).map(|j| sv.at(j, i)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// This rank's part of the current segment's broadcast along its
+    /// grid row (A) or column (B); `false` while its receive waits.
+    fn bcast<C: Comm>(&mut self, comm: &mut C, side_a: bool) -> bool {
+        let t = self.segs[self.next];
+        let grid = self.c.grid();
+        let (gi, gj) = grid.coords(comm.rank());
+        let cw = self.cw.as_ref().expect("C is held while segments remain");
+        let (group, owner, buf, elems) = if side_a {
+            let owner = a_owner(self.spec, grid, gi, t.la);
+            (&self.my_row, owner, &mut self.a_buf, cw.rows() * t.klen())
+        } else {
+            let owner = b_owner(self.spec, grid, t.lb, gj);
+            (&self.my_col, owner, &mut self.b_buf, t.klen() * cw.cols())
+        };
+        let root = group
+            .iter()
+            .position(|&r| r == owner)
+            .expect("a panel's owner sits in the grid row or column it feeds");
+        let (bytes, tag) = (
+            (elems * 8) as u64,
+            2 * self.next as u64 + u64::from(!side_a),
+        );
+        match self.opts.bcast {
+            BcastKind::Tree => bcast(comm, group, root, buf, bytes, tag),
+            BcastKind::Ring => bcast_ring(comm, group, root, buf, bytes, tag),
+        }
+    }
+
+    /// The local update of the current segment. The A strip is in
+    /// *stored* orientation (op applied at the kernel); the B strip was
+    /// normalised to `seg × ccols`.
+    fn multiply<C: Comm>(&mut self, comm: &mut C) {
+        let (step, seg) = (self.next, self.segs[self.next].klen());
+        let spec = self.spec;
+        let cw = self.cw.as_mut().expect("C is held while segments remain");
+        let (crows, ccols) = (cw.rows(), cw.cols());
+        let av = (!self.a_buf.is_empty()).then(|| {
+            let (rows, cols) = spec.transa.apply(crows, seg);
+            Operand::Plain(MatRef::new(rows, cols, cols, &self.a_buf), spec.transa)
+        });
+        let bv = (!self.b_buf.is_empty())
+            .then(|| Operand::Plain(MatRef::new(seg, ccols, ccols, &self.b_buf), Op::N));
+        let label = if self.span.is_some() {
+            format!("summa step {step}")
+        } else {
+            String::new()
+        };
+        comm.gemm(
+            crows,
+            ccols,
+            seg,
+            spec.alpha,
+            av,
+            bv,
+            1.0,
+            cw.mat_mut(),
+            false,
+            &label,
+        );
+        comm.recorder().count_task();
+        comm.task_end(self.span.take(), || format!("summa step {step}"));
+    }
+}
+
+impl RankProgram for SummaProgram<'_> {
+    type Out = RankReport;
+
+    fn step<C: Comm>(&mut self, comm: &mut C) -> Step<RankReport> {
+        loop {
+            match self.phase {
+                Phase::Start => {
+                    self.start(comm);
+                    self.open_segment(comm);
+                }
+                Phase::BcastA => {
+                    if !self.bcast(comm, true) {
+                        return Step::Park;
+                    }
+                    self.fill_b_strip(comm.rank());
+                    self.phase = Phase::BcastB;
+                }
+                Phase::BcastB => {
+                    if !self.bcast(comm, false) {
+                        return Step::Park;
+                    }
+                    self.multiply(comm);
+                    self.next += 1;
+                    self.open_segment(comm);
+                }
+                Phase::Fence => {
+                    return match comm.barrier_try() {
+                        true => Step::Done(RankReport::default()),
+                        false => Step::Park,
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Run SUMMA: `C ← C + op(A)·op(B)`. Collective; all ranks must agree

@@ -15,6 +15,7 @@ use srumma_core::driver::{default_grid, serial_reference, sparse_serial_referenc
 use srumma_core::layout::{
     dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask, with_host_operands,
 };
+use srumma_core::summa::BcastKind;
 use srumma_core::{
     parallel_gemm, Algorithm, Backend, GemmSpec, HierStageSet, RankReport, ReplicationFactor, Run,
     RunError, ShmemFlavor, SparseMasks, SrummaOptions, SrummaProgram, SummaOptions,
@@ -1058,4 +1059,139 @@ fn polled_simulated_ranks_match_threaded_ones_bit_for_bit() {
         }
     }
     assert!(staged_cases > 0, "no staged plan was drawn");
+}
+
+/// Every other schedule on the simulator, two ways: `Run::execute`,
+/// which steps each rank's program on the calling thread, and the same
+/// plan through the blocking bodies on a thread per rank
+/// (`threaded_reference`). Per schedule at least 32 draws, real data
+/// and shape-only, healthy and straggling plans: SUMMA with tree and
+/// ring broadcasts at the natural, 64-wide and narrow panel widths;
+/// Cannon on square grids; replicated SRUMMA at c = 2 and 4, flat and
+/// staged teams; and traced SRUMMA (the others traced at random), whose
+/// event timelines must agree event for event. Reports, makespan, final
+/// clocks, rank statistics and C agree to the bit.
+#[test]
+fn every_polled_schedule_matches_its_threaded_body_bit_for_bit() {
+    let presets = [
+        Machine::ibm_sp(),
+        Machine::linux_myrinet(),
+        Machine::cray_x1(),
+        Machine::sgi_altix(),
+    ];
+    let ops = [Op::N, Op::T];
+    let mut rng = srumma_dense::Rng::new(0x5EED_0042);
+    let mut drawn = [0usize; 4];
+    let mut case = 0;
+    while drawn.iter().any(|&d| d < 32) {
+        case += 1;
+        let kind = case % 4;
+        let machine = &presets[rng.below(presets.len())];
+        let real = rng.below(2) == 0;
+        let dim = |rng: &mut srumma_dense::Rng| match real {
+            true => rng.range(1, 40),
+            false => rng.range(64, 900),
+        };
+        let (m, n, k) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
+        let (ta, tb) = (ops[rng.below(2)], ops[rng.below(2)]);
+        let mut traced = rng.below(3) == 0;
+        let (nranks, algorithm, spec, replication, hier) = match kind {
+            0 => {
+                let panel_nb = match rng.below(3) {
+                    0 => None,
+                    1 => Some(64),
+                    _ => Some(rng.range(1, 9)),
+                };
+                let bcast = [BcastKind::Tree, BcastKind::Ring][rng.below(2)];
+                let summa = Algorithm::Summa(SummaOptions { panel_nb, bcast });
+                let spec = GemmSpec::new(ta, tb, m, n, k);
+                (rng.range(1, 25), summa, spec, ReplicationFactor::One, false)
+            }
+            1 => {
+                let q = rng.range(1, 7);
+                let spec = GemmSpec::new(Op::N, Op::N, m, n, k);
+                (
+                    q * q,
+                    Algorithm::Cannon,
+                    spec,
+                    ReplicationFactor::One,
+                    false,
+                )
+            }
+            2 => {
+                let c = [2, 4][rng.below(2)];
+                let spec = GemmSpec::new(ta, tb, m, n, k);
+                let nranks = c * rng.range(1, 9);
+                let replication = ReplicationFactor::Fixed(c);
+                let srumma = Algorithm::srumma_default();
+                (nranks, srumma, spec, replication, rng.below(2) == 0)
+            }
+            _ => {
+                traced = true;
+                let opts = SrummaOptions {
+                    shmem: [ShmemFlavor::ForceCopy, ShmemFlavor::Auto][rng.below(2)],
+                    prefetch_depth: rng.below(3),
+                    ..SrummaOptions::default()
+                };
+                let spec = GemmSpec::new(ta, tb, m, n, k);
+                let hier = rng.below(2) == 0;
+                let (replication, srumma) = (ReplicationFactor::One, Algorithm::Srumma(opts));
+                (rng.range(2, 33), srumma, spec, replication, hier)
+            }
+        };
+        let plan = match rng.below(3) {
+            0 => FaultPlan::healthy(),
+            1 => FaultPlan::single_straggler(nranks, rng.below(nranks), 3.0),
+            _ => FaultPlan::random_stragglers(rng.next_u64(), nranks).with_get_spikes(0.3, 2e-4),
+        };
+        let spec = spec.with_scalars(1.5, 0.0);
+        let ab = operands(&spec);
+        let polled = Run {
+            operands: real.then_some((&ab.0, &ab.1)),
+            faults: Some(&plan),
+            replication,
+            hier,
+            trace: traced,
+            ..Run::new(spec, nranks, algorithm, Backend::Sim(machine))
+        };
+        if polled.validate().is_err() {
+            continue;
+        }
+        drawn[kind] += 1;
+        let what = format!(
+            "case {case}: {:?} {nranks} ranks {spec:?} {algorithm:?} {replication:?} \
+             hier={hier} real={real} traced={traced}",
+            machine.platform
+        );
+        let threaded = Run {
+            threaded_reference: true,
+            ..polled
+        };
+        let (p, t) = (polled.execute().unwrap(), threaded.execute().unwrap());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(p.reports, t.reports, "{what}: reports");
+        assert_eq!(
+            bits(&p.stats.final_times),
+            bits(&t.stats.final_times),
+            "{what}: final clocks"
+        );
+        assert_eq!(
+            p.stats.makespan.to_bits(),
+            t.stats.makespan.to_bits(),
+            "{what}"
+        );
+        for (rank, (x, y)) in p.stats.ranks.iter().zip(&t.stats.ranks).enumerate() {
+            assert_eq!(format!("{x:?}"), format!("{y:?}"), "{what}: rank {rank}");
+        }
+        assert_eq!(
+            format!("{:?}", p.trace),
+            format!("{:?}", t.trace),
+            "{what}: trace"
+        );
+        assert_eq!(p.trace.is_empty(), !traced, "{what}: trace");
+        if real {
+            let (x, y) = (p.c.unwrap(), t.c.unwrap());
+            assert_eq!(bits(x.as_slice()), bits(y.as_slice()), "{what}: C");
+        }
+    }
 }

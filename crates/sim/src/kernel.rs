@@ -164,6 +164,8 @@ enum Op {
     },
     Pair(u64),
     Barrier,
+    /// Stamp the rank's clock into its marks (zero cost).
+    Mark,
     /// A polled program parked on nothing the kernel knows of.
     Park,
     Finish,
@@ -172,7 +174,6 @@ enum Op {
 /// What a rank waiting in a value-returning call gets back.
 enum Reply {
     Unit,
-    Time(f64),
     Msg(Msg),
 }
 
@@ -194,6 +195,10 @@ struct RankState {
     done_at: Vec<f64>,
     /// Transfers posted so far: the next [`TransferId`].
     issued: usize,
+    /// The clock at each applied [`Op::Mark`], in program order.
+    marks: Vec<f64>,
+    /// Marks posted so far: the index of the next.
+    marked: usize,
     /// The result of the value-returning call the thread waits in.
     reply: Option<Reply>,
     /// The thread sleeps on its condvar.
@@ -338,6 +343,8 @@ impl Kernel {
                 queue: VecDeque::new(),
                 done_at: Vec::new(),
                 issued: 0,
+                marks: Vec::new(),
+                marked: 0,
                 reply: None,
                 parked: false,
                 epoch: 0,
@@ -542,6 +549,10 @@ impl Kernel {
             Op::Recv { src, tag } => self.apply_recv(st, rank, src, tag),
             Op::Pair(key) => self.apply_pair(st, rank, key),
             Op::Barrier => self.apply_barrier(st, rank),
+            Op::Mark => {
+                let r = &mut st.ranks[rank];
+                r.marks.push(r.clock);
+            }
             Op::Park => st.ranks[rank].status = Status::Blocked(BlockReason::Nothing),
             Op::Finish => st.ranks[rank].status = Status::Done,
         }
@@ -587,9 +598,36 @@ impl Kernel {
     /// of a rank that is not blocked, so the global order need not reach
     /// this call.)
     pub(crate) fn now(&self, rank: usize) -> f64 {
-        self.may_block(rank, "now");
-        let st = self.wait_until(self.lock(), rank, |r| r.queue.is_empty());
+        if self.polled {
+            let st = self.lock();
+            let r = &st.ranks[rank];
+            assert!(
+                r.queue.is_empty() && r.status == Status::Active,
+                "rank {rank}: a polled simulated rank reads `now` only at the top of a \
+                 step, before it posts an operation; a span takes its ends from \
+                 posted marks (`Comm::task_begin`)"
+            );
+            return r.clock;
+        }
+        let st = self.wait_until(self.lock(), rank, |r| {
+            r.queue.is_empty() && r.status == Status::Active
+        });
         st.ranks[rank].clock
+    }
+
+    /// Post a zero-cost mark: when the kernel applies it, the rank's
+    /// clock is stamped as mark number `i` (the value returned), read
+    /// back with [`Kernel::mark_time`] once applied.
+    pub(crate) fn mark(&self, rank: usize) -> usize {
+        let mut st = self.post(rank, Op::Mark);
+        let r = &mut st.ranks[rank];
+        r.marked += 1;
+        r.marked - 1
+    }
+
+    /// The clock mark `i` of `rank` was stamped with.
+    pub(crate) fn mark_time(&self, rank: usize, i: usize) -> f64 {
+        self.lock().ranks[rank].marks[i]
     }
 
     /// Charge `dt` seconds of CPU work to `rank` (optionally counted as
@@ -830,6 +868,21 @@ impl Kernel {
         }
     }
 
+    /// The receive's first half: post it, without waiting. Take the
+    /// message with [`Kernel::recv_take`] once the host steps the rank
+    /// again.
+    pub(crate) fn recv_post(&self, rank: usize, src: usize, tag: u64) {
+        let _st = self.post(rank, Op::Recv { src, tag });
+    }
+
+    /// The message the receive posted with [`Kernel::recv_post`] took.
+    pub(crate) fn recv_take(&self, rank: usize) -> Msg {
+        match self.lock().ranks[rank].reply.take() {
+            Some(Reply::Msg(msg)) => msg,
+            _ => panic!("rank {rank}: a split receive taken before the kernel applied it"),
+        }
+    }
+
     fn apply_recv(&self, st: &mut KState, rank: usize, src: usize, tag: u64) {
         let key: MsgKey = (src, rank, tag);
         if let Some(queue) = st.mailbox.get_mut(&key) {
@@ -857,14 +910,12 @@ impl Kernel {
         r.queue.push_front(Op::Recv { src, tag });
     }
 
-    /// Two-party rendezvous on `key`: both callers return the pairing
-    /// time `max(clock_a, clock_b)`, with their clocks advanced to it.
-    /// Used by the MPI layer's rendezvous protocol.
-    pub(crate) fn pair_sync(&self, rank: usize, key: u64) -> f64 {
-        match self.call(rank, Op::Pair(key), "pair_sync") {
-            Reply::Time(t) => t,
-            _ => unreachable!("a pairing replies with its time"),
-        }
+    /// Two-party rendezvous on `key`: both ranks' clocks advance to the
+    /// pairing time `max(clock_a, clock_b)`; each waits there until the
+    /// other has arrived. Used by the MPI layer's rendezvous protocol.
+    /// Nothing is read back: the call returns at once.
+    pub(crate) fn pair(&self, rank: usize, key: u64) {
+        let _st = self.post(rank, Op::Pair(key));
     }
 
     fn apply_pair(&self, st: &mut KState, rank: usize, key: u64) {
@@ -882,7 +933,6 @@ impl Kernel {
             r.clock = t;
             r.cpu_free_at = r.cpu_free_at.max(t);
             r.status = Status::Active;
-            r.reply = Some(Reply::Time(t));
             st.requeue(who);
         }
         self.wake(st, peer);

@@ -87,9 +87,34 @@ impl SimProc {
         self.kernel.recv_msg(self.rank, src, tag)
     }
 
-    /// Two-party rendezvous; returns the pairing time.
-    pub fn pair_sync(&self, key: u64) -> f64 {
-        self.kernel.pair_sync(self.rank, key)
+    /// Two-party rendezvous with whichever rank posts the same `key`:
+    /// both clocks advance to the later arrival. Returns at once.
+    pub fn pair(&self, key: u64) {
+        self.kernel.pair(self.rank, key);
+    }
+
+    /// Post a receive from `src` with `tag` without waiting; take the
+    /// message with [`SimProc::recv_take`] when the host steps the rank
+    /// again.
+    pub fn recv_post(&self, src: usize, tag: u64) {
+        self.kernel.recv_post(self.rank, src, tag);
+    }
+
+    /// The message of the receive posted with [`SimProc::recv_post`].
+    pub fn recv_take(&self) -> Msg {
+        self.kernel.recv_take(self.rank)
+    }
+
+    /// Post a zero-cost mark; returns its index. The kernel stamps it
+    /// with this rank's clock when it applies it ([`SimProc::mark_time`]).
+    pub fn mark(&self) -> usize {
+        self.kernel.mark(self.rank)
+    }
+
+    /// The clock mark `i` was stamped with; the mark must have been
+    /// applied (every mark has, once the run is over).
+    pub fn mark_time(&self, i: usize) -> f64 {
+        self.kernel.mark_time(self.rank, i)
     }
 
     /// Full barrier across all ranks.

@@ -279,8 +279,8 @@ mod tests {
     fn pair_sync_returns_max_clock_to_both() {
         let res = run_sim(cfg(2, 1), |p| {
             p.charge_compute(if p.rank() == 0 { 1.0 } else { 4.0 }, "skew");
-            let t = p.pair_sync(99);
-            (t, p.now())
+            p.pair(99);
+            (p.now(), p.now())
         });
         assert_eq!(res.outputs[0], (4.0, 4.0));
         assert_eq!(res.outputs[1], (4.0, 4.0));

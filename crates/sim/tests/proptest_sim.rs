@@ -156,8 +156,7 @@ fn simulate(
                 Step::Pair => {
                     let peer = me ^ 1;
                     if peer < n {
-                        let t = p.pair_sync(((i as u64) << 32) | (me & !1) as u64);
-                        assert_eq!(t, p.now(), "step {i}: pairing time is the clock");
+                        p.pair(((i as u64) << 32) | (me & !1) as u64);
                     }
                 }
                 Step::Stamp => {
