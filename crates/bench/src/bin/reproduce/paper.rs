@@ -2,11 +2,13 @@
 
 use crate::{overlap_pct, table, Out};
 use srumma_bench::{fmt, pdgemm_best, srumma_run};
-use srumma_comm::{sim_run, Comm, DistMatrix, Landing, SimComm, SimOptions};
+use srumma_comm::{
+    sim_run_programs, sim_run_steps, Comm, DistMatrix, Landing, SimComm, SimOptions, Step,
+};
 use srumma_core::driver::default_grid;
 use srumma_core::layout::{a_kparts, b_kparts, b_owner, dist_a, dist_b, dist_c};
 use srumma_core::taskorder::{build_tasks, diagonal_shift_origin, order_tasks};
-use srumma_core::{parallel_gemm, Algorithm, GemmSpec, ShmemFlavor, SrummaOptions};
+use srumma_core::{Algorithm, GemmProgram, GemmSpec, ShmemFlavor, SrummaOptions};
 use srumma_dense::Op;
 use srumma_model::bandwidth::{achieved_bandwidth, standard_sizes};
 use srumma_model::machine::RanksPerDomain;
@@ -18,7 +20,7 @@ use srumma_trace::{ascii_gantt, bench_report_json, chrome_trace_json, TraceKind}
 
 /// The unified report of a traced run: its metrics summary plus the
 /// event timeline it was derived from, as `BENCH_<stem>.json`.
-fn bench_report(stem: &str, res: &SimResult<()>) -> Out {
+fn bench_report<T>(stem: &str, res: &SimResult<T>) -> Out {
     let trace = chrome_trace_json(&res.trace);
     let json = bench_report_json(stem, "sim", &trace, &res.stats.summary_json());
     Out::File(format!("BENCH_{stem}.json"), json)
@@ -41,8 +43,9 @@ pub fn fig03_pipeline() -> Vec<Out> {
     let da = dist_a(&spec, grid, false);
     let db = dist_b(&spec, grid, false);
     let dc = dist_c(&spec, grid, false);
-    let res = sim_run(&SimOptions::traced(machine, nranks), |comm| {
-        parallel_gemm(comm, &Algorithm::srumma_default(), &spec, &da, &db, &dc);
+    let srumma = Algorithm::srumma_default();
+    let res = sim_run_programs(&SimOptions::traced(machine, nranks), |_| {
+        GemmProgram::new(&srumma, &spec, &da, &db, &dc)
     });
 
     // Quantify the overlap the picture shows, then dump the per-task
@@ -266,13 +269,14 @@ pub fn fig06_bandwidth_x1() -> Vec<Out> {
     ]
 }
 
-/// A traced probe across the network: rank 0 runs `probe` against a
+/// A traced probe across the network: rank 0 steps `probe` against a
 /// virtual block of `bytes` owned by the first rank of a second full
-/// node. Returns the run and the block's size in bytes.
+/// node (`probe(comm, block, peer, i)` is its step `i`). Returns the run
+/// and the block's size in bytes.
 fn two_node_probe(
     machine: &Machine,
     bytes: usize,
-    probe: impl Fn(&mut SimComm, &DistMatrix, usize) + Sync,
+    mut probe: impl FnMut(&mut SimComm, &DistMatrix, usize, usize) -> Step<()>,
 ) -> (SimResult<()>, u64) {
     let width = match machine.ranks_per_domain {
         RanksPerDomain::Fixed(w) => w,
@@ -281,11 +285,13 @@ fn two_node_probe(
     let nranks = 2 * width;
     let peer = width; // first rank of the second node
     let mat = DistMatrix::create_virtual(ProcGrid::new(1, nranks), (bytes / 8).max(1), nranks);
-    let res = sim_run(&SimOptions::traced(machine.clone(), nranks), |c| {
-        if c.rank() == 0 {
-            probe(c, &mat, peer);
-        }
-    });
+    let res = sim_run_steps(
+        &SimOptions::traced(machine.clone(), nranks),
+        |c, i| match c.rank() {
+            0 => probe(c, &mat, peer, i),
+            _ => Step::Done(()),
+        },
+    );
     (res, mat.block_bytes(peer))
 }
 
@@ -294,16 +300,20 @@ fn two_node_probe(
 /// the transfer's blocking duration, then waits. Returns the overlap,
 /// 1 − T_exposed / T_comm with both read off the trace, and the run.
 fn measured_overlap(machine: &Machine, bytes: usize) -> (f64, SimResult<()>) {
-    let (res, _) = two_node_probe(machine, bytes, |c, mat, peer| {
-        // Calibrate T_comm with a blocking get, then probe: a
-        // nonblocking get overlapped with an equal amount of compute.
-        let t0 = c.now();
+    let (res, _) = two_node_probe(machine, bytes, |c, mat, peer, i| {
+        // Calibrate T_comm with a blocking get from time 0, read at the
+        // next step's top; then probe: a nonblocking get overlapped with
+        // an equal amount of compute.
         let mut buf = Vec::new();
-        c.get(mat, peer, &mut buf);
-        let t_comm = c.now() - t0;
+        if i == 0 {
+            c.get(mat, peer, &mut buf);
+            return Step::Yield;
+        }
+        let t_comm = c.now();
         let h = c.nbget(mat, peer, Landing::Rows(&mut buf));
         c.proc().charge_compute(t_comm, "probe work");
         c.wait(h);
+        Step::Done(())
     });
 
     // Read the answer off the recorded events with the COMB formula
@@ -401,8 +411,9 @@ pub fn fig07_overlap() -> Vec<Out> {
 /// another node. The achieved bandwidth (MB/s) is read off the recorded
 /// Transfer span (issue → completion, in virtual seconds).
 fn measured_get(machine: &Machine, bytes: usize) -> (f64, SimResult<()>) {
-    let (res, block_bytes) = two_node_probe(machine, bytes, |c, mat, peer| {
+    let (res, block_bytes) = two_node_probe(machine, bytes, |c, mat, peer, _| {
         c.get(mat, peer, &mut Vec::new());
+        Step::Done(())
     });
     let secs: f64 = res
         .trace

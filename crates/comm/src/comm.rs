@@ -26,23 +26,24 @@
 //! * **synchronisation**: `barrier`, and its split form `barrier_try`
 //!   (the `MPI_Ibarrier` / `MPI_Test` pair in one call).
 //!
-//! # The split barrier, and programs written over it
+//! # Split calls, and programs written over them
 //!
 //! A rank that must not block its thread (thousands of ranks polled on
-//! a few executor workers, or every simulated rank stepped on one host
-//! thread) arrives at the barrier without waiting and *tests* it on
-//! later calls; a `false` test means "registered as a waiter — yield
-//! the thread". The trait's default makes that protocol correct on
-//! every backend whose barrier simply blocks: **the first call is the
-//! full barrier and returns `true`**. `ExecComm` and `SimComm` split it
-//! for their polled ranks (and `SubComm` forwards it).
+//! a few executor workers, every simulated rank stepped on one host
+//! thread) reaches the barrier and its receives in split form
+//! ([`Comm::barrier_try`], [`Comm::recv_try`], [`Comm::sendrecv_try`]):
+//! a `false` call has registered the rank as a waiter — yield the thread
+//! and call again when stepped. The trait's defaults make that protocol
+//! correct on every backend whose calls simply block: **the first call
+//! does it all and returns `true`**. `SimComm` splits all three,
+//! `ExecComm` the barrier of its polled ranks, and `SubComm` forwards.
 //!
 //! That is what lets a schedule be written once: a [`RankProgram`] is a
 //! resumable state machine whose `step` takes whatever communicator
 //! hosts it. The executor polls it ([`crate::exec::ProgramTask`]), the
 //! simulator steps it in virtual-time order
 //! ([`crate::simbackend::sim_run_programs`]); everywhere else [`drive`]
-//! loops it to completion, and it never parks because the tests never
+//! loops it to completion, and it never parks because the calls never
 //! fail.
 
 use crate::dist::{DistMatrix, Landing};

@@ -10,10 +10,9 @@
 //! * [`SimComm`](simbackend::SimComm) — runs under the virtual-time
 //!   simulator (`srumma-sim`) with costs from `srumma-model`. Data
 //!   movement is *real* when matrices carry real backing (tests verify
-//!   numerics end-to-end) and elided for paper-scale modeled runs. A
-//!   [`RankProgram`] is stepped on the calling thread
-//!   ([`sim_run_programs`]); a blocking body gets a thread per rank
-//!   ([`sim_run`]).
+//!   numerics end-to-end) and elided for paper-scale modeled runs. Every
+//!   rank is a [`RankProgram`], stepped on the calling thread
+//!   ([`sim_run_programs`]).
 //! * [`VirtualComm`](virt::VirtualComm) — one uncontended LogGP clock
 //!   per rank, recombined at barriers: the same machines at 64k ranks,
 //!   each rank one iteration of a parallel-for.
@@ -65,6 +64,6 @@ pub use exec::{
     RankTask,
 };
 pub use fault::{FaultPlan, FaultPlanError, RankDeath};
-pub use simbackend::{sim_run, sim_run_programs, SimComm, SimOptions};
+pub use simbackend::{sim_run_programs, sim_run_steps, SimComm, SimOptions};
 pub use subcomm::SubComm;
 pub use virt::{virtual_run, VirtualComm};

@@ -130,122 +130,168 @@ pub fn ring_shift<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::{drive, RankProgram, Step};
     use crate::exec::thread_run;
+    use crate::simbackend::{sim_run_programs, SimOptions};
+    use srumma_model::Machine;
+
+    #[derive(Clone, Copy, Debug)]
+    pub(super) enum Which {
+        Tree,
+        Ring,
+        Shift,
+    }
+
+    /// One rank's share of a collective over `group` (a rank outside it
+    /// keeps its `data`), as a program that parks while its receive
+    /// waits.
+    struct Collective<'g> {
+        which: Which,
+        group: &'g [usize],
+        root: usize,
+        bytes: u64,
+        data: Vec<f64>,
+    }
+
+    impl RankProgram for Collective<'_> {
+        type Out = Vec<f64>;
+
+        fn step<C: Comm>(&mut self, comm: &mut C) -> Step<Vec<f64>> {
+            let (group, root, data, bytes) = (self.group, self.root, &mut self.data, self.bytes);
+            let done = !group.contains(&comm.rank())
+                || match self.which {
+                    Which::Tree => bcast(comm, group, root, data, bytes, 9),
+                    Which::Ring => bcast_ring(comm, group, root, data, bytes, 9),
+                    Which::Shift => ring_shift(comm, group, root, data, bytes, 9),
+                };
+            match done {
+                true => Step::Done(std::mem::take(&mut self.data)),
+                false => Step::Park,
+            }
+        }
+    }
+
+    /// What each of `n` ranks holds after `which` over `group` from
+    /// `root` (by `root` positions, for a shift), `data(rank)` its
+    /// payload before — driven on a thread per rank and stepped on the
+    /// simulator's one thread, which must agree.
+    pub(super) fn deliver(
+        which: Which,
+        n: usize,
+        group: &[usize],
+        (root, bytes): (usize, u64),
+        data: impl Fn(usize) -> Vec<f64> + Sync,
+    ) -> Vec<Vec<f64>> {
+        let program = |rank| Collective {
+            which,
+            group,
+            root,
+            bytes,
+            data: data(rank),
+        };
+        let driven = thread_run(n, |c| drive(c, program(c.rank()))).outputs;
+        let opts = SimOptions::new(Machine::linux_myrinet(), n);
+        let polled = sim_run_programs(&opts, program).outputs;
+        assert_eq!(
+            polled, driven,
+            "{which:?} over {group:?} by {root}, {bytes} B"
+        );
+        driven
+    }
+
+    /// A broadcast over all `n` ranks of `[root, 42]` from `root`.
+    pub(super) fn bcast_all(which: Which, n: usize, root: usize, bytes: u64) -> Vec<Vec<f64>> {
+        let all: Vec<usize> = (0..n).collect();
+        deliver(which, n, &all, (root, bytes), |rank| match rank == root {
+            true => vec![root as f64, 42.0],
+            false => Vec::new(),
+        })
+    }
+
+    /// Each of `n` ranks' `[rank]` after a shift by `shift` positions.
+    fn shifted(n: usize, shift: usize) -> Vec<usize> {
+        let all: Vec<usize> = (0..n).collect();
+        let out = deliver(Which::Shift, n, &all, (shift, 8), |rank| vec![rank as f64]);
+        out.iter().map(|v| v[0] as usize).collect()
+    }
 
     #[test]
     fn bcast_delivers_to_all_from_any_root() {
         for root in 0..5 {
-            let res = thread_run(5, |c| {
-                let group: Vec<usize> = (0..5).collect();
-                let mut data = if c.rank() == root {
-                    vec![42.0, 7.0]
-                } else {
-                    Vec::new()
-                };
-                bcast(c, &group, root, &mut data, 16, 9);
-                data
-            });
-            for out in &res.outputs {
-                assert_eq!(out, &vec![42.0, 7.0], "root {root}");
-            }
+            assert_eq!(
+                bcast_all(Which::Tree, 5, root, 16),
+                vec![vec![root as f64, 42.0]; 5]
+            );
         }
     }
 
     #[test]
     fn bcast_within_subgroup_leaves_others_alone() {
-        let res = thread_run(6, |c| {
-            // Broadcast only among even ranks.
-            let group = vec![0, 2, 4];
-            if group.contains(&c.rank()) {
-                let mut data = if c.rank() == 2 { vec![5.0] } else { Vec::new() };
-                bcast(c, &group, 1, &mut data, 8, 3);
-                data
-            } else {
-                vec![-1.0]
-            }
+        // Broadcast only among even ranks, from rank 2.
+        let out = deliver(Which::Tree, 6, &[0, 2, 4], (1, 8), |rank| match rank {
+            2 => vec![5.0],
+            1 | 3 | 5 => vec![-1.0],
+            _ => Vec::new(),
         });
-        assert_eq!(res.outputs[0], vec![5.0]);
-        assert_eq!(res.outputs[2], vec![5.0]);
-        assert_eq!(res.outputs[4], vec![5.0]);
-        assert_eq!(res.outputs[1], vec![-1.0]);
+        assert_eq!(out, [[5.0], [-1.0]].repeat(3));
     }
 
     #[test]
     fn ring_shift_rotates_payloads() {
-        let res = thread_run(4, |c| {
-            let group: Vec<usize> = (0..4).collect();
-            let mut buf = vec![c.rank() as f64];
-            ring_shift(c, &group, 1, &mut buf, 8, 2);
-            buf[0] as usize
-        });
-        assert_eq!(res.outputs, vec![3, 0, 1, 2]);
+        assert_eq!(shifted(4, 1), [3, 0, 1, 2]);
     }
 
     #[test]
     fn ring_shift_by_multiple_positions() {
-        let res = thread_run(6, |c| {
-            let group: Vec<usize> = (0..6).collect();
-            let mut buf = vec![c.rank() as f64];
-            ring_shift(c, &group, 2, &mut buf, 8, 2);
-            buf[0] as usize
-        });
-        assert_eq!(res.outputs, vec![4, 5, 0, 1, 2, 3]);
+        assert_eq!(shifted(6, 2), [4, 5, 0, 1, 2, 3]);
     }
 
     #[test]
     fn zero_shift_is_identity() {
-        let res = thread_run(3, |c| {
-            let group: Vec<usize> = (0..3).collect();
-            let mut buf = vec![c.rank() as f64];
-            ring_shift(c, &group, 0, &mut buf, 8, 2);
-            buf[0] as usize
-        });
-        assert_eq!(res.outputs, vec![0, 1, 2]);
+        assert_eq!(shifted(3, 0), [0, 1, 2]);
+    }
+
+    /// Every collective on 1–8 ranks, from every root (by every shift),
+    /// at an eager and a rendezvous size, delivers the payloads it should
+    /// on the simulator's one thread as on a thread per rank.
+    #[test]
+    fn collectives_deliver_on_the_polled_simulator() {
+        for n in 1..=8 {
+            for root in 0..n {
+                let rotated: Vec<usize> = (0..n).map(|rank| (rank + n - root) % n).collect();
+                assert_eq!(shifted(n, root), rotated, "shift {root} of {n}");
+                for which in [Which::Tree, Which::Ring] {
+                    for bytes in [16, 1 << 20] {
+                        let want = vec![vec![root as f64, 42.0]; n];
+                        assert_eq!(bcast_all(which, n, root, bytes), want, "{which:?}");
+                    }
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod ring_tests {
-    use super::*;
-    use crate::exec::thread_run;
+    use super::tests::{bcast_all, Which};
 
     #[test]
     fn ring_bcast_delivers_from_any_root() {
         for root in 0..5 {
-            let res = thread_run(5, |c| {
-                let group: Vec<usize> = (0..5).collect();
-                let mut data = if c.rank() == root {
-                    vec![root as f64, 42.0]
-                } else {
-                    Vec::new()
-                };
-                bcast_ring(c, &group, root, &mut data, 16, 77);
-                data
-            });
-            for out in &res.outputs {
-                assert_eq!(out, &vec![root as f64, 42.0], "root {root}");
-            }
+            assert_eq!(
+                bcast_all(Which::Ring, 5, root, 16),
+                vec![vec![root as f64, 42.0]; 5]
+            );
         }
     }
 
     #[test]
     fn ring_bcast_two_members() {
-        let res = thread_run(2, |c| {
-            let group = vec![0, 1];
-            let mut data = if c.rank() == 1 { vec![9.0] } else { Vec::new() };
-            bcast_ring(c, &group, 1, &mut data, 8, 3);
-            data[0]
-        });
-        assert_eq!(res.outputs, vec![9.0, 9.0]);
+        assert_eq!(bcast_all(Which::Ring, 2, 1, 8), vec![vec![1.0, 42.0]; 2]);
     }
 
     #[test]
     fn ring_bcast_singleton_is_noop() {
-        let res = thread_run(1, |c| {
-            let mut data = vec![1.0];
-            bcast_ring(c, &[0], 0, &mut data, 8, 1);
-            data[0]
-        });
-        assert_eq!(res.outputs, vec![1.0]);
+        assert_eq!(bcast_all(Which::Ring, 1, 0, 8), vec![vec![0.0, 42.0]]);
     }
 }

@@ -6,13 +6,16 @@
 //! real-backed runs *verify numerics* while paper-scale virtual runs
 //! *measure the model* — with the same algorithm code.
 //!
-//! Two hosts share one [`SimComm`]: [`sim_run`] runs a blocking body per
-//! rank on a thread of its own, and [`sim_run_programs`] steps one
-//! [`RankProgram`] per rank on the calling thread, in the kernel's
-//! `(clock, rank)` order. On the polled host the barrier is split, as
-//! on a polled executor rank ([`Comm::barrier_try`]); a call that would
-//! wait — `now`, `recv`, `barrier`, a rendezvous send — panics. Both give
-//! the same timings, statistics and data, bit for bit.
+//! [`sim_run_programs`] steps one [`RankProgram`] per rank against a
+//! [`SimComm`] on the calling thread, in the kernel's `(clock, rank)`
+//! order. A simulated rank never waits inside a call: the barrier and
+//! the receives are split ([`Comm::barrier_try`], [`Comm::recv_try`],
+//! [`Comm::sendrecv_try`]) and their results are taken when the host
+//! steps the rank again; a send posts its rendezvous and its transfer
+//! and returns; [`Comm::now`] is read at the top of a step, where the
+//! rank has posted nothing; and a task span takes its ends from posted
+//! marks ([`Comm::task_begin`]). The blocking forms — `barrier`, `recv`,
+//! `sendrecv` — panic.
 
 use crate::comm::{count_served, Comm, GetHandle, RankProgram, Step, TaskSpan};
 use crate::dist::{DistMatrix, Landing};
@@ -20,8 +23,8 @@ use crate::fault::{FaultPlan, FaultPlanError};
 use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand};
 use srumma_model::network::Path;
 use srumma_model::{protocol, Machine, Topology, TransferCost};
-use srumma_sim::{run_sim, PolledSim, SimConfig, SimProc, SimResult, TraceEvent, TransferSpec};
-use srumma_trace::{Counters, Recorder, TraceKind};
+use srumma_sim::{PolledSim, SimConfig, SimProc, SimResult, TraceEvent, TransferSpec};
+use srumma_trace::{Recorder, TraceKind};
 
 /// Options for a simulated run.
 #[derive(Clone, Debug)]
@@ -55,10 +58,8 @@ impl SimOptions {
     /// Run `nranks` ranks of `machine` with event tracing on.
     pub fn traced(machine: Machine, nranks: usize) -> Self {
         SimOptions {
-            machine,
-            nranks,
             trace: true,
-            fault: FaultPlan::healthy(),
+            ..Self::new(machine, nranks)
         }
     }
 
@@ -107,10 +108,10 @@ pub struct SimComm {
     /// One-sided operations issued but not yet known complete
     /// (for `fence`).
     outstanding: Vec<srumma_sim::TransferId>,
-    /// Comm-level recorder: algorithm task spans (virtual-time) and the
-    /// fetch/direct/task counters. Fine-grained transfer/compute/wait
-    /// events stay with the kernel, which knows their exact virtual
-    /// intervals; [`sim_run`] merges both streams.
+    /// Comm-level recorder: the fetch/direct/task counters. Transfer,
+    /// compute and wait events stay with the kernel, which knows their
+    /// exact virtual intervals, and so do the clocks of the task spans'
+    /// marks; [`sim_run_programs`] merges both streams.
     recorder: Recorder,
     /// Per-rank gemm packing workspace, reused across every real-backed
     /// `gemm` this rank executes.
@@ -289,17 +290,12 @@ impl Comm for SimComm {
     }
 
     fn barrier(&mut self) {
-        self.proc.barrier();
+        panic!("rank {}: {BLOCKING}", self.proc.rank());
     }
 
-    /// Split on the polled host: the first call arrives and returns
-    /// `false`, and the host steps the rank again once the barrier has
-    /// released it. A rank on a thread of its own blocks in the barrier.
+    /// Split: the first call arrives and returns `false`, and the host
+    /// steps the rank again once the barrier has released it.
     fn barrier_try(&mut self) -> bool {
-        if !self.proc.is_polled() {
-            self.proc.barrier();
-            return true;
-        }
         if !self.posted {
             self.proc.barrier_post();
             self.posted = true;
@@ -312,26 +308,18 @@ impl Comm for SimComm {
     /// A mark, which the kernel stamps with this rank's clock when it
     /// applies it.
     fn task_begin(&mut self) -> Option<TaskSpan> {
-        if !self.recorder.is_enabled() {
-            return None;
-        }
-        if !self.proc.is_polled() {
-            return Some(TaskSpan::At(self.proc.now()));
-        }
-        Some(TaskSpan::Mark(self.proc.mark()))
+        let mark = self.recorder.is_enabled().then(|| self.proc.mark());
+        mark.map(TaskSpan::Mark)
     }
 
     fn task_end(&mut self, span: Option<TaskSpan>, label: impl FnOnce() -> String) {
         match span {
             None => {}
-            Some(TaskSpan::At(t0)) => {
-                let t1 = self.proc.now();
-                self.recorder.span(TraceKind::Task, t0, t1, 0, label);
-            }
             Some(TaskSpan::Mark(begin)) => {
                 let end = self.proc.mark();
                 self.spans.push((begin, end, label()));
             }
+            Some(TaskSpan::At(_)) => unreachable!("a simulated rank's spans start at marks"),
         }
     }
 
@@ -446,29 +434,15 @@ impl Comm for SimComm {
                 protocol::mpi_send_recv(&mach, bytes as usize, true),
                 self.fault_msg(dst),
             );
-            if bytes as usize > mach.net.eager_threshold {
+            if self.rendezvous(bytes) {
                 self.proc.pair(Self::pair_key(me, dst, tag));
                 let id = self.post_message(dst, tag, data, bytes, cost, "mpi-shm-rndv");
                 self.proc.wait_transfer(id);
             } else {
                 self.post_message(dst, tag, data, bytes, cost, "mpi-shm");
             }
-        } else if bytes as usize <= mach.net.eager_threshold {
-            // Eager: copy into a system buffer, NIC drains it.
-            self.proc
-                .advance(bytes as f64 / mach.net.host_copy_bandwidth * self.fault_self());
-            let cost = scale_cost(
-                TransferCost {
-                    latency: mach.net.mpi_latency,
-                    initiator_cpu: 0.0,
-                    remote_cpu: 0.0,
-                    wire: bytes as f64 / mach.net.mpi_bandwidth,
-                    membw: 0.0,
-                    path: Path::Network,
-                    async_fraction: 0.9,
-                },
-                self.fault_msg(dst),
-            );
+        } else if !self.rendezvous(bytes) {
+            let cost = self.eager_net_cost(dst, bytes);
             self.post_message(dst, tag, data, bytes, cost, "mpi-eager");
         } else {
             // Rendezvous: handshake with the receiver, then a transfer
@@ -492,49 +466,41 @@ impl Comm for SimComm {
         }
     }
 
-    fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) {
-        self.post_recv(src, tag, bytes);
-        let msg = self.proc.recv_msg(src, tag);
-        self.land(msg, buf, bytes, self.recv_copies_out(src, bytes));
+    fn recv(&mut self, _src: usize, _tag: u64, _buf: &mut Vec<f64>, _bytes: u64) {
+        panic!("rank {}: {BLOCKING}", self.proc.rank());
     }
 
-    /// Split on the polled host: the first call posts the receive (after
-    /// the rendezvous handshake a large message needs) and returns
-    /// `false`; the host steps the rank again once the kernel has
-    /// applied it, and the second call lands the payload.
+    /// Split: the first call posts the receive (after the rendezvous
+    /// handshake a large message needs) and returns `false`; the host
+    /// steps the rank again once the kernel has applied it, and the
+    /// second call lands the payload.
     fn recv_try(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) -> bool {
-        if !self.proc.is_polled() {
-            self.recv(src, tag, buf, bytes);
-            return true;
-        }
-        if !self.posted {
-            self.post_recv(src, tag, bytes);
-            self.proc.recv_post(src, tag);
-            self.posted = true;
-            return false;
-        }
-        self.posted = false;
-        let msg = self.proc.recv_take();
-        self.land(msg, buf, bytes, self.recv_copies_out(src, bytes));
-        true
+        let copy_out = !self.same_domain(src) && !self.rendezvous(bytes);
+        self.split_recv(src, tag, buf, bytes, copy_out, |comm| {
+            // A large message's rendezvous handshake (intra- and
+            // inter-domain alike).
+            if comm.rendezvous(bytes) {
+                let me = comm.proc.rank();
+                comm.proc.pair(Self::pair_key(src, me, tag));
+            }
+        })
     }
 
     fn sendrecv(
         &mut self,
-        dst: usize,
-        tag: u64,
-        send_data: &[f64],
-        send_bytes: u64,
-        src: usize,
-        recv_buf: &mut Vec<f64>,
-        recv_bytes: u64,
+        _dst: usize,
+        _tag: u64,
+        _send_data: &[f64],
+        _send_bytes: u64,
+        _src: usize,
+        _recv_buf: &mut Vec<f64>,
+        _recv_bytes: u64,
     ) {
-        self.exchange_send(dst, tag, send_data, send_bytes);
-        let msg = self.proc.recv_msg(src, tag);
-        let copy_out = !self.same_domain(src);
-        self.land(msg, recv_buf, recv_bytes, copy_out);
+        panic!("rank {}: {BLOCKING}", self.proc.rank());
     }
 
+    /// Split like [`Comm::recv_try`]: the first call posts the outgoing
+    /// message and the receive.
     fn sendrecv_try(
         &mut self,
         dst: usize,
@@ -545,58 +511,53 @@ impl Comm for SimComm {
         recv_buf: &mut Vec<f64>,
         recv_bytes: u64,
     ) -> bool {
-        if !self.proc.is_polled() {
-            self.sendrecv(dst, tag, send_data, send_bytes, src, recv_buf, recv_bytes);
-            return true;
-        }
-        if !self.posted {
-            self.exchange_send(dst, tag, send_data, send_bytes);
-            self.proc.recv_post(src, tag);
-            self.posted = true;
-            return false;
-        }
-        self.posted = false;
-        let msg = self.proc.recv_take();
         let copy_out = !self.same_domain(src);
-        self.land(msg, recv_buf, recv_bytes, copy_out);
-        true
+        self.split_recv(src, tag, recv_buf, recv_bytes, copy_out, |comm| {
+            comm.exchange_send(dst, tag, send_data, send_bytes);
+        })
     }
 }
 
+/// Why a simulated rank may not call a blocking form.
+const BLOCKING: &str = "a simulated rank is stepped on the host's one thread and cannot block: \
+                        use the split forms (`Comm::barrier_try`, `Comm::recv_try`, \
+                        `Comm::sendrecv_try`)";
+
 impl SimComm {
-    /// What a receive posts before the kernel can match it: the
-    /// rendezvous handshake of a message past the eager threshold
-    /// (intra- and inter-domain alike).
-    fn post_recv(&mut self, src: usize, tag: u64, bytes: u64) {
-        let me = self.proc.rank();
-        assert_ne!(me, src, "recv from self");
-        if bytes as usize > self.machine.net.eager_threshold {
-            self.proc.pair(Self::pair_key(src, me, tag));
-        }
+    /// Whether a message of `bytes` takes the rendezvous protocol.
+    fn rendezvous(&self, bytes: u64) -> bool {
+        bytes as usize > self.machine.net.eager_threshold
     }
 
-    /// Whether a received message is copied out of a system buffer:
-    /// on the eager network path only (the shm-channel rate already
-    /// covers both copies).
-    fn recv_copies_out(&self, src: usize, bytes: u64) -> bool {
-        !self.same_domain(src) && bytes as usize <= self.machine.net.eager_threshold
-    }
-
-    /// Land a received message in `buf`, charging the receiver-side copy
-    /// of `bytes` out of the system buffer when `copy_out`.
-    fn land(
+    /// A split receive from `src`: the first call runs `post` — what
+    /// goes before the receive — posts the receive and returns `false`;
+    /// the next lands the message in `buf`, charging the receiver-side
+    /// copy of `bytes` out of the system buffer when `copy_out` (the
+    /// eager network path; the shm-channel rate covers both copies).
+    fn split_recv(
         &mut self,
-        msg: srumma_sim::kernel::Msg,
+        src: usize,
+        tag: u64,
         buf: &mut Vec<f64>,
         bytes: u64,
         copy_out: bool,
-    ) {
+        post: impl FnOnce(&mut Self),
+    ) -> bool {
+        assert_ne!(self.proc.rank(), src, "recv from self");
+        self.posted = !self.posted;
+        if self.posted {
+            post(self);
+            self.proc.recv_post(src, tag);
+            return false;
+        }
+        let msg = self.proc.recv_take();
         buf.clear();
         buf.extend_from_slice(&msg.payload);
         if copy_out {
             let rate = self.machine.net.host_copy_bandwidth;
             self.proc.advance(bytes as f64 / rate * self.fault_self());
         }
+        true
     }
 
     /// The send half of a buffered exchange (MPI_Sendrecv semantics):
@@ -614,67 +575,86 @@ impl SimComm {
             );
             self.post_message(dst, tag, send_data, send_bytes, cost, "xchg-shm");
         } else {
-            self.proc
-                .advance(send_bytes as f64 / mach.net.host_copy_bandwidth * self.fault_self());
-            let cost = scale_cost(
-                TransferCost {
-                    latency: mach.net.mpi_latency,
-                    initiator_cpu: 0.0,
-                    remote_cpu: 0.0,
-                    wire: send_bytes as f64 / mach.net.mpi_bandwidth,
-                    membw: 0.0,
-                    path: Path::Network,
-                    async_fraction: 0.9,
-                },
-                self.fault_msg(dst),
-            );
+            let cost = self.eager_net_cost(dst, send_bytes);
             self.post_message(dst, tag, send_data, send_bytes, cost, "xchg-net");
         }
     }
-}
 
-/// Run one simulated parallel program: `body` once per rank against a
-/// [`SimComm`], each rank on a thread of its own.
-pub fn sim_run<T, F>(opts: &SimOptions, body: F) -> SimResult<T>
-where
-    T: Send,
-    F: Fn(&mut SimComm) -> T + Sync,
-{
-    let res = run_sim(opts.sim_config(), |proc| {
-        let mut comm = SimComm::new(proc.clone(), opts);
-        let out = body(&mut comm);
-        let (events, counters) = comm.recorder.take();
-        (out, events, counters)
-    });
-    merge_recorders(res)
+    /// An eager message to another node: the sender copies it into a
+    /// system buffer (charged here) and the NIC drains it.
+    fn eager_net_cost(&mut self, dst: usize, bytes: u64) -> TransferCost {
+        let net = &self.machine.net;
+        let (copy, latency, wire) = (
+            bytes as f64 / net.host_copy_bandwidth,
+            net.mpi_latency,
+            bytes as f64 / net.mpi_bandwidth,
+        );
+        self.proc.advance(copy * self.fault_self());
+        let cost = TransferCost {
+            latency,
+            initiator_cpu: 0.0,
+            remote_cpu: 0.0,
+            wire,
+            membw: 0.0,
+            path: Path::Network,
+            async_fraction: 0.9,
+        };
+        scale_cost(cost, self.fault_msg(dst))
+    }
 }
 
 /// Run one [`RankProgram`] per rank, `program(rank)`, against a
 /// [`SimComm`] — all on the calling thread: the kernel applies posted
 /// operations in `(clock, rank)` order and the host steps the rank that
-/// order waits on. Timings, statistics and data are [`sim_run`]'s with
-/// each rank [`drive`](crate::comm::drive)n, bit for bit.
+/// order waits on.
 ///
 /// # Panics
 /// With a program's own panic payload; on deadlock, naming the blocked
-/// ranks — a program that returns [`Step::Park`] without a failed
-/// [`Comm::barrier_try`] is one nothing wakes; and when a program makes
-/// a call that waits (`now`, `recv`, `barrier`, a rendezvous send).
-pub fn sim_run_programs<P, F>(opts: &SimOptions, mut program: F) -> SimResult<P::Out>
+/// ranks — a program that returns [`Step::Park`] without a failed split
+/// call is one nothing wakes; and when a program calls a blocking form
+/// (`barrier`, `recv`, `sendrecv`) or reads `now` after posting.
+pub fn sim_run_programs<P, F>(opts: &SimOptions, program: F) -> SimResult<P::Out>
 where
     P: RankProgram,
     F: FnMut(usize) -> P,
 {
+    host(opts, program, |program, comm| program.step(comm))
+}
+
+/// [`sim_run_programs`] for a program written against the [`SimComm`]
+/// itself — a probe that charges model time directly
+/// ([`SimComm::proc`]): `step(comm, i)` is step `i` of `comm`'s rank.
+pub fn sim_run_steps<T, F>(opts: &SimOptions, mut step: F) -> SimResult<T>
+where
+    F: FnMut(&mut SimComm, usize) -> Step<T>,
+{
+    host(
+        opts,
+        |_| 0,
+        |i, comm| {
+            *i += 1;
+            step(comm, *i - 1)
+        },
+    )
+}
+
+/// The polled host: rank `r`'s program is the state `init(r)`, which
+/// `step` advances by one step.
+fn host<S, T>(
+    opts: &SimOptions,
+    mut init: impl FnMut(usize) -> S,
+    mut step: impl FnMut(&mut S, &mut SimComm) -> Step<T>,
+) -> SimResult<T> {
     let sim = PolledSim::new(opts.sim_config());
-    let mut ranks: Vec<Option<(SimComm, P)>> = (0..sim.nranks())
-        .map(|rank| Some((SimComm::new(sim.proc(rank), opts), program(rank))))
+    let mut ranks: Vec<Option<(SimComm, S)>> = (0..sim.nranks())
+        .map(|rank| Some((SimComm::new(sim.proc(rank), opts), init(rank))))
         .collect();
-    let mut outputs: Vec<Option<(P::Out, SimComm)>> = ranks.iter().map(|_| None).collect();
+    let mut outputs: Vec<Option<(T, SimComm)>> = ranks.iter().map(|_| None).collect();
     while let Some(rank) = sim.next_rank() {
-        let (comm, prog) = ranks[rank]
+        let (comm, state) = ranks[rank]
             .as_mut()
             .expect("a finished rank is not stepped");
-        match prog.step(comm) {
+        match step(state, comm) {
             Step::Done(out) => {
                 let (comm, _) = ranks[rank].take().expect("the rank just stepped");
                 outputs[rank] = Some((out, comm));
@@ -685,47 +665,32 @@ where
             Step::Park => sim.park(rank),
         }
     }
-    // Every mark is applied now: the task spans can be stamped.
-    let outputs = outputs.into_iter().map(|o| {
-        let (out, mut comm) = o.expect("every rank finished");
-        let (mut events, counters) = comm.recorder.take();
-        let rank = comm.proc.rank();
-        events.extend(comm.spans.drain(..).map(|(begin, end, label)| TraceEvent {
-            rank,
-            t0: comm.proc.mark_time(begin),
-            t1: comm.proc.mark_time(end),
-            kind: TraceKind::Task,
-            label,
-            bytes: 0,
-        }));
-        (out, events, counters)
-    });
-    merge_recorders(sim.into_result(outputs.collect()))
-}
-
-/// A rank's output with what its comm-level recorder holds.
-type RankOutput<T> = (T, Vec<TraceEvent>, Counters);
-
-/// Merge the comm-level streams (algorithm task spans, counters) into
-/// the kernel's result: one unified trace and one `RunStats`.
-fn merge_recorders<T>(res: SimResult<RankOutput<T>>) -> SimResult<T> {
-    let SimResult {
-        outputs,
-        mut stats,
-        mut trace,
-    } = res;
-    let mut plain = Vec::with_capacity(outputs.len());
-    for (rank, (out, events, counters)) in outputs.into_iter().enumerate() {
-        trace.extend(events);
-        stats.ranks[rank].absorb_counters(&counters);
-        plain.push(out);
+    // Every mark is applied now: the task spans can be stamped. The
+    // comm-level streams (task spans, counters) join the kernel's
+    // result: one unified trace and one `RunStats`.
+    let comms: Vec<(T, SimComm)> = outputs
+        .into_iter()
+        .map(|o| o.expect("every rank finished"))
+        .collect();
+    let (outputs, comms): (Vec<T>, Vec<SimComm>) = comms.into_iter().unzip();
+    let mut res = sim.into_result(outputs);
+    for (rank, mut comm) in comms.into_iter().enumerate() {
+        let (events, counters) = comm.recorder.take();
+        res.trace.extend(events);
+        res.trace
+            .extend(comm.spans.drain(..).map(|(begin, end, label)| TraceEvent {
+                rank,
+                t0: comm.proc.mark_time(begin),
+                t1: comm.proc.mark_time(end),
+                kind: TraceKind::Task,
+                label,
+                bytes: 0,
+            }));
+        res.stats.ranks[rank].absorb_counters(&counters);
     }
-    trace.sort_by(|a, b| a.t0.total_cmp(&b.t0).then(a.rank.cmp(&b.rank)));
-    SimResult {
-        outputs: plain,
-        stats,
-        trace,
-    }
+    res.trace
+        .sort_by(|a, b| a.t0.total_cmp(&b.t0).then(a.rank.cmp(&b.rank)));
+    res
 }
 
 #[cfg(test)]
@@ -738,13 +703,18 @@ mod tests {
         SimOptions::new(Machine::linux_myrinet(), 16)
     }
 
+    /// Every rank runs `body` as a program of one step, then finishes.
+    fn one_step<T>(opts: &SimOptions, body: impl Fn(&mut SimComm) -> T) -> SimResult<T> {
+        sim_run_steps(opts, |c, _| Step::Done(body(c)))
+    }
+
     #[test]
     fn get_moves_real_data_between_ranks() {
         let grid = ProcGrid::new(4, 4);
         let mat = DistMatrix::create(grid, 32, 32);
         let global = srumma_dense::Matrix::random(32, 32, 5);
         mat.scatter(&global);
-        let res = sim_run(&linux16(), |c| {
+        let res = one_step(&linux16(), |c| {
             // Every rank fetches rank 0's block and returns a checksum.
             let mut buf = Vec::new();
             c.get(&mat, 0, &mut buf);
@@ -764,18 +734,13 @@ mod tests {
         // rank 2 is not.
         let grid = ProcGrid::new(4, 4);
         let mat = DistMatrix::create_virtual(grid, 2048, 2048);
-        let res = sim_run(&linux16(), |c| {
+        let res = one_step(&linux16(), |c| {
             if c.rank() == 1 || c.rank() == 2 {
-                let t0 = c.now();
-                let mut buf = Vec::new();
-                c.get(&mat, 0, &mut buf);
-                c.now() - t0
-            } else {
-                0.0
+                c.get(&mat, 0, &mut Vec::new());
             }
         });
-        let shm_time = res.outputs[1];
-        let net_time = res.outputs[2];
+        let shm_time = res.stats.final_times[1];
+        let net_time = res.stats.final_times[2];
         assert!(
             net_time > 3.0 * shm_time,
             "shm {shm_time} vs net {net_time}"
@@ -786,26 +751,20 @@ mod tests {
 
     #[test]
     fn gemm_charges_model_time_and_computes() {
-        let res = sim_run(&SimOptions::new(Machine::sgi_altix(), 2), |c| {
+        let res = one_step(&SimOptions::new(Machine::sgi_altix(), 2), |c| {
             let a = srumma_dense::Matrix::random(32, 16, 1);
             let b = srumma_dense::Matrix::random(16, 8, 2);
             let mut cm = srumma_dense::Matrix::zeros(32, 8);
-            c.gemm(
-                32,
-                8,
-                16,
-                1.0,
-                Some(Operand::Plain(a.as_ref(), Op::N)),
-                Some(Operand::Plain(b.as_ref(), Op::N)),
-                1.0,
-                Some(cm.as_mut()),
-                false,
-                "t",
+            let (a, b) = (
+                Operand::Plain(a.as_ref(), Op::N),
+                Operand::Plain(b.as_ref(), Op::N),
             );
-            (c.now(), cm.as_slice().iter().sum::<f64>())
+            let (a, b, cv) = (Some(a), Some(b), Some(cm.as_mut()));
+            c.gemm(32, 8, 16, 1.0, a, b, 1.0, cv, false, "t");
+            cm.as_slice().iter().sum::<f64>()
         });
         let expect_t = Machine::sgi_altix().cpu.gemm_time(32, 8, 16);
-        for (t, sum) in &res.outputs {
+        for (t, sum) in res.stats.final_times.iter().zip(&res.outputs) {
             assert!((t - expect_t).abs() < 1e-15);
             assert!(sum.abs() > 0.0);
         }
@@ -814,15 +773,21 @@ mod tests {
     #[test]
     fn direct_access_gemm_is_slower_on_x1_faster_than_copy_on_altix() {
         // The kernel-rate direction of Figure 5: charge factor reflects
-        // cacheability of remote shared memory.
+        // cacheability of remote shared memory. Each step reads the
+        // clock the last one left at its top.
         for (machine, expect_slow) in [(Machine::cray_x1(), true), (Machine::sgi_altix(), false)] {
-            let res = sim_run(&SimOptions::new(machine, 2), |c| {
-                let t0 = c.now();
-                c.gemm(256, 256, 256, 1.0, None, None, 1.0, None, true, "d");
-                let direct = c.now() - t0;
-                let t1 = c.now();
-                c.gemm(256, 256, 256, 1.0, None, None, 1.0, None, false, "c");
-                (direct, c.now() - t1)
+            let mut direct = [0.0; 2];
+            let res = sim_run_steps(&SimOptions::new(machine, 2), |c, i| match i {
+                0 => {
+                    c.gemm(256, 256, 256, 1.0, None, None, 1.0, None, true, "d");
+                    Step::Yield
+                }
+                1 => {
+                    direct[c.rank()] = c.now();
+                    c.gemm(256, 256, 256, 1.0, None, None, 1.0, None, false, "c");
+                    Step::Yield
+                }
+                _ => Step::Done((direct[c.rank()], c.now() - direct[c.rank()])),
             });
             let (direct, copied) = res.outputs[0];
             if expect_slow {
@@ -833,80 +798,83 @@ mod tests {
         }
     }
 
+    /// Rank `to` receives `bytes` from rank `from` (`sum` of its payload),
+    /// parking until it is in; rank `from` runs `send` first; the rest
+    /// have nothing to do.
+    fn send_recv(
+        opts: &SimOptions,
+        (from, to, bytes): (usize, usize, u64),
+        send: impl Fn(&mut SimComm),
+        recv_first: impl Fn(&mut SimComm),
+    ) -> SimResult<f64> {
+        sim_run_steps(opts, |c, i| {
+            let mut buf = Vec::new();
+            if c.rank() == from {
+                send(c);
+            } else if c.rank() == to {
+                if i == 0 {
+                    recv_first(c);
+                }
+                if !c.recv_try(from, 1, &mut buf, bytes) {
+                    return Step::Park;
+                }
+            }
+            Step::Done(buf.iter().sum())
+        })
+    }
+
     #[test]
     fn send_recv_roundtrip_real_payload() {
-        let res = sim_run(&linux16(), |c| {
-            if c.rank() == 0 {
-                let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
-                c.send(15, 3, &data, 800);
-                0.0
-            } else if c.rank() == 15 {
-                let mut buf = Vec::new();
-                c.recv(0, 3, &mut buf, 800);
-                buf.iter().sum()
-            } else {
-                0.0
-            }
-        });
+        let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
+        let res = send_recv(
+            &linux16(),
+            (0, 15, 800),
+            |c| c.send(15, 1, &data, 800),
+            |_| {},
+        );
         assert_eq!(res.outputs[15], 4950.0);
     }
 
     #[test]
     fn rendezvous_send_blocks_until_receiver_arrives() {
         let big = 1u64 << 20; // above eager threshold
-        let res = sim_run(&linux16(), |c| {
-            if c.rank() == 0 {
-                let t0 = c.now();
-                c.send(2, 1, &[], big);
-                c.now() - t0
-            } else if c.rank() == 2 {
-                c.proc().charge_compute(5.0, "late receiver");
-                let mut buf = Vec::new();
-                c.recv(0, 1, &mut buf, big);
-                0.0
-            } else {
-                0.0
-            }
-        });
+        let res = send_recv(
+            &linux16(),
+            (0, 2, big),
+            |c| c.send(2, 1, &[], big),
+            |c| c.proc().charge_compute(5.0, "late receiver"),
+        );
         // The sender had to wait ~5 s for the receiver's handshake.
-        assert!(res.outputs[0] > 4.9, "sender blocked {}", res.outputs[0]);
+        let sender = res.stats.final_times[0];
+        assert!(sender > 4.9, "sender blocked {sender}");
     }
 
     #[test]
     fn eager_send_does_not_block_on_receiver() {
         let small = 1024u64;
-        let res = sim_run(&linux16(), |c| {
-            if c.rank() == 0 {
-                let t0 = c.now();
-                c.send(2, 1, &[], small);
-                c.now() - t0
-            } else if c.rank() == 2 {
-                c.proc().charge_compute(5.0, "late receiver");
-                let mut buf = Vec::new();
-                c.recv(0, 1, &mut buf, small);
-                0.0
-            } else {
-                0.0
-            }
-        });
-        assert!(
-            res.outputs[0] < 1e-3,
-            "eager sender stalled {}",
-            res.outputs[0]
+        let res = send_recv(
+            &linux16(),
+            (0, 2, small),
+            |c| c.send(2, 1, &[], small),
+            |c| c.proc().charge_compute(5.0, "late receiver"),
         );
+        let sender = res.stats.final_times[0];
+        assert!(sender < 1e-3, "eager sender stalled {sender}");
     }
 
     #[test]
     fn sendrecv_ring_shift_does_not_deadlock() {
         let big = 1u64 << 20;
-        let res = sim_run(&linux16(), |c| {
+        let res = sim_run_steps(&linux16(), |c, _| {
             let n = c.nranks();
             let right = (c.rank() + 1) % n;
             let left = (c.rank() + n - 1) % n;
             let data = vec![c.rank() as f64];
             let mut buf = Vec::new();
-            c.sendrecv(right, 7, &data, big, left, &mut buf, big);
-            buf[0]
+            match c.sendrecv_try(right, 7, &data, big, left, &mut buf, big) {
+                true => Step::Done(buf[0]),
+                false => Step::Park,
+            }
         });
         for (r, v) in res.outputs.iter().enumerate() {
             let n = res.outputs.len();
@@ -923,28 +891,23 @@ mod tests {
         let run = |opts: &SimOptions| {
             let grid = ProcGrid::new(4, 4);
             let mat = DistMatrix::create_virtual(grid, 2048, 2048);
-            sim_run(opts, |c| {
+            one_step(opts, |c| {
                 if c.rank() == 0 {
-                    let t0 = c.now();
                     c.gemm(256, 256, 256, 1.0, None, None, 1.0, None, false, "g");
-                    c.now() - t0
                 } else if c.rank() == 2 {
                     // Rank 2 is on another node: remote RMA get from 0.
-                    let t0 = c.now();
-                    let mut buf = Vec::new();
-                    c.get(&mat, 0, &mut buf);
-                    c.now() - t0
-                } else {
-                    0.0
+                    c.get(&mat, 0, &mut Vec::new());
                 }
             })
+            .stats
+            .final_times
         };
         let healthy = run(&linux16());
         let faulty = run(&linux16()
             .with_faults(crate::fault::FaultPlan::single_straggler(16, 0, 4.0))
             .unwrap());
-        let (hc, hg) = (healthy.outputs[0], healthy.outputs[2]);
-        let (fc, fg) = (faulty.outputs[0], faulty.outputs[2]);
+        let (hc, hg) = (healthy[0], healthy[2]);
+        let (fc, fg) = (faulty[0], faulty[2]);
         assert!(
             (fc / hc - 4.0).abs() < 1e-9,
             "straggler compute {fc} should be 4x healthy {hc}"
@@ -961,27 +924,22 @@ mod tests {
         let grid = ProcGrid::new(4, 4);
         let mat = DistMatrix::create_virtual(grid, 2048, 2048);
         let run = |plan: FaultPlan| {
-            sim_run(&linux16().with_faults(plan).unwrap(), |c| {
-                let mut t = 0.0;
+            let opts = linux16().with_faults(plan).unwrap();
+            one_step(&opts, |c| {
                 for owner in 0..c.nranks() {
-                    let t0 = c.now();
-                    let mut buf = Vec::new();
-                    c.get(&mat, owner, &mut buf);
-                    t += c.now() - t0;
+                    c.get(&mat, owner, &mut Vec::new());
                 }
-                t
             })
+            .stats
+            .final_times
         };
         let plan = FaultPlan::random_stragglers(7, 16).with_get_spikes(0.5, 0.25);
         let a = run(plan.clone());
         let b = run(plan);
         let healthy = run(FaultPlan::healthy());
-        assert_eq!(
-            a.outputs, b.outputs,
-            "same plan must reproduce identical virtual times"
-        );
+        assert_eq!(a, b, "same plan must reproduce identical virtual times");
         assert!(
-            a.outputs.iter().sum::<f64>() > healthy.outputs.iter().sum::<f64>() + 0.2,
+            a.iter().sum::<f64>() > healthy.iter().sum::<f64>() + 0.2,
             "spikes should visibly lengthen get time"
         );
     }
@@ -998,7 +956,6 @@ mod tests {
     /// What a [`Faulty`] program's culprit rank does wrong.
     #[derive(Clone, Copy)]
     enum Misstep {
-        None,
         ParkOnNothing,
         Panic,
         Now,
@@ -1023,24 +980,13 @@ mod tests {
         fn step<C: Comm>(&mut self, comm: &mut C) -> Step<usize> {
             let me = comm.rank();
             if !self.waiting {
-                comm.gemm(
-                    64 * (me + 1),
-                    64,
-                    64,
-                    1.0,
-                    None,
-                    None,
-                    1.0,
-                    None,
-                    false,
-                    "w",
-                );
+                let m = 64 * (me + 1);
+                comm.gemm(m, 64, 64, 1.0, None, None, 1.0, None, false, "w");
                 let mat = DistMatrix::create_virtual(ProcGrid::new(4, 4), 512, 512);
                 let h = comm.nbget(&mat, (me + 5) % 16, Landing::Rows(&mut Vec::new()));
                 comm.wait(h);
                 if me == self.culprit {
                     match self.misstep {
-                        Misstep::None => {}
                         Misstep::ParkOnNothing => return Step::Park,
                         Misstep::Panic => std::panic::panic_any(me),
                         Misstep::Now => drop(comm.now()),
@@ -1062,26 +1008,16 @@ mod tests {
         }
     }
 
-    fn faulty(misstep: Misstep) -> impl FnMut(usize) -> Faulty {
-        move |_| Faulty {
+    /// The panic payload of the 16-rank run of [`Faulty`] programs.
+    fn payload(misstep: Misstep) -> Box<dyn std::any::Any + Send> {
+        let program = move |_| Faulty {
             misstep,
             culprit: 1,
             passed: 0,
             waiting: false,
-        }
-    }
-
-    /// The panic payload of `run`, on a thread of its own under a 10 s
-    /// watchdog: a host that hangs fails the test instead of the suite.
-    fn payload_within_10s(run: impl FnOnce() + Send + 'static) -> Box<dyn std::any::Any + Send> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
-            let _ = tx.send(caught.err());
-        });
-        rx.recv_timeout(std::time::Duration::from_secs(10))
-            .expect("the polled host hung")
-            .expect("the polled host should have panicked")
+        };
+        let run = || drop(sim_run_programs(&linux16(), program));
+        std::panic::catch_unwind(run).expect_err("the host should have panicked")
     }
 
     fn message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1092,28 +1028,9 @@ mod tests {
             .unwrap_or_default()
     }
 
-    /// The polled host runs the program to the bits `sim_run` gets
-    /// driving it on a thread per rank: outputs, makespan, every rank's
-    /// statistics, under a straggler and spiked gets.
-    #[test]
-    fn polled_programs_match_driven_ones() {
-        let plan = FaultPlan::single_straggler(16, 3, 2.5).with_get_spikes(0.5, 1e-3);
-        let opts = linux16().with_faults(plan).unwrap();
-        let polled = sim_run_programs(&opts, faulty(Misstep::None));
-        let driven = sim_run(&opts, |c| crate::comm::drive(c, faulty(Misstep::None)(0)));
-        assert_eq!(polled.outputs, (0..16).collect::<Vec<_>>());
-        assert_eq!(polled.outputs, driven.outputs);
-        assert_eq!(polled.makespan().to_bits(), driven.makespan().to_bits());
-        assert_eq!(polled.stats.ranks, driven.stats.ranks);
-        assert!(polled.stats.ranks[3].compute_time > polled.stats.ranks[2].compute_time);
-    }
-
     #[test]
     fn a_program_parked_on_nothing_is_a_deadlock_naming_it() {
-        let payload = payload_within_10s(|| {
-            sim_run_programs(&linux16(), faulty(Misstep::ParkOnNothing));
-        });
-        let msg = message(&*payload);
+        let msg = message(&*payload(Misstep::ParkOnNothing));
         assert!(msg.contains("simulation deadlock"), "{msg}");
         assert!(msg.contains("rank 1 blocked on nothing"), "{msg}");
         assert!(msg.contains("rank 0 blocked on the barrier"), "{msg}");
@@ -1121,11 +1038,8 @@ mod tests {
 
     #[test]
     fn a_panicking_program_re_raises_its_own_payload() {
-        let payload = payload_within_10s(|| {
-            sim_run_programs(&linux16(), faulty(Misstep::Panic));
-        });
         assert_eq!(
-            payload.downcast_ref::<usize>(),
+            payload(Misstep::Panic).downcast_ref::<usize>(),
             Some(&1),
             "the program's payload"
         );
@@ -1133,35 +1047,26 @@ mod tests {
 
     #[test]
     fn a_blocking_call_on_a_polled_rank_panics_naming_it() {
-        for (misstep, call) in [
-            (Misstep::Now, "`now`"),
-            (Misstep::Recv, "`recv_msg`"),
-            (Misstep::Barrier, "`barrier`"),
+        for (misstep, what) in [
+            (Misstep::Now, "reads `now` only at the top of a step"),
+            (Misstep::Recv, "cannot block"),
+            (Misstep::Barrier, "cannot block"),
         ] {
-            let payload = payload_within_10s(move || {
-                sim_run_programs(&linux16(), faulty(misstep));
-            });
-            let msg = message(&*payload);
-            assert!(
-                msg.contains("rank 1: a polled simulated rank cannot block in")
-                    && msg.contains(call),
-                "{msg}"
-            );
+            let msg = message(&*payload(misstep));
+            assert!(msg.contains("rank 1: ") && msg.contains(what), "{msg}");
         }
     }
 
     #[test]
     fn barrier_latency_scales_with_ranks() {
-        let t4 = sim_run(&SimOptions::new(Machine::linux_myrinet(), 4), |c| {
-            c.barrier();
-            c.now()
-        })
-        .makespan();
-        let t64 = sim_run(&SimOptions::new(Machine::linux_myrinet(), 64), |c| {
-            c.barrier();
-            c.now()
-        })
-        .makespan();
-        assert!(t64 > t4);
+        let fence = |nranks| {
+            let opts = SimOptions::new(Machine::linux_myrinet(), nranks);
+            sim_run_steps(&opts, |c, _| match c.barrier_try() {
+                true => Step::Done(()),
+                false => Step::Park,
+            })
+            .makespan()
+        };
+        assert!(fence(64) > fence(4));
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! `SubComm<C>` wraps a communicator by re-implementing the whole trait.
 //! A method it forgets falls back to the trait's default — for the split
-//! barrier that is a blocking `barrier()` inside a polled executor rank,
-//! for `lease_buf` a silent loss of buffer pooling — and nothing else in
-//! the suite would notice. A recording fake notes what reaches it; each
+//! barrier and the split receives that is a blocking call inside a polled
+//! rank, which hangs a polled executor and panics the simulator; for a
+//! task span, a clock read a simulated rank may not make; for `lease_buf`
+//! a silent loss of buffer pooling — and nothing else in the suite would
+//! notice. A recording fake notes what reaches it; each
 //! call made through the decorator must reach it exactly as the same
 //! call made directly does, and bring the fake's (deliberately
 //! non-default) answer back.
 
-use srumma_comm::{Comm, DistMatrix, GetHandle, Landing, SubComm};
+use srumma_comm::{Comm, DistMatrix, GetHandle, Landing, SubComm, TaskSpan};
 use srumma_dense::{active_kernel, MatMut, MatRef, Op, Operand, PackedPanel, Side};
 use srumma_model::{ProcGrid, Topology};
 use srumma_trace::Recorder;
@@ -88,6 +90,13 @@ impl Comm for Fake {
         self.note("barrier_try".into());
         false
     }
+    fn task_begin(&mut self) -> Option<TaskSpan> {
+        self.note("task_begin".into());
+        Some(TaskSpan::Mark(11))
+    }
+    fn task_end(&mut self, span: Option<TaskSpan>, label: impl FnOnce() -> String) {
+        self.note(format!("task_end({span:?}, {})", label()));
+    }
     fn ws_grow_count(&self) -> u64 {
         self.note("ws_grow_count".into());
         7
@@ -165,6 +174,11 @@ impl Comm for Fake {
         self.note(format!("recv({src}, {tag}, {bytes})"));
         buf.push(3.0);
     }
+    fn recv_try(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) -> bool {
+        self.note(format!("recv_try({src}, {tag}, {bytes})"));
+        buf.push(5.0);
+        false
+    }
     fn sendrecv(
         &mut self,
         dst: usize,
@@ -179,6 +193,22 @@ impl Comm for Fake {
             "sendrecv({dst}, {tag}, {send_data:?}, {send_bytes}, {src}, {recv_bytes})"
         ));
         recv_buf.push(4.0);
+    }
+    fn sendrecv_try(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        send_data: &[f64],
+        send_bytes: u64,
+        src: usize,
+        recv_buf: &mut Vec<f64>,
+        recv_bytes: u64,
+    ) -> bool {
+        self.note(format!(
+            "sendrecv_try({dst}, {tag}, {send_data:?}, {send_bytes}, {src}, {recv_bytes})"
+        ));
+        recv_buf.push(6.0);
+        false
     }
 }
 
@@ -200,6 +230,7 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
         ("now", c.now().to_string()),
         ("recorder", c.recorder().rank().to_string()),
         ("barrier_try", c.barrier_try().to_string()),
+        ("task_begin", format!("{:?}", c.task_begin())),
         ("ws_grow_count", c.ws_grow_count().to_string()),
         (
             "nbget",
@@ -231,6 +262,12 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
     c.send(peer, 31, &[9.0], 8);
     c.recv(peer, 32, &mut buf, 16);
     c.sendrecv(peer, 33, &[8.0], 8, peer, &mut buf, 24);
+    let split = (
+        c.recv_try(peer, 34, &mut buf, 8),
+        (c.sendrecv_try(peer, 35, &[7.0], 8, peer, &mut buf, 40)),
+    );
+    seen.push(("split receives", format!("{split:?}")));
+    c.task_end(Some(TaskSpan::At(2.5)), || "lbl".into());
     // Every buffer handed down came back with what the fake did to it.
     seen.push(("buf", format!("{buf:?}")));
     seen
@@ -250,9 +287,9 @@ fn without_rank_queries(mut log: Vec<String>) -> Vec<String> {
     log
 }
 
-/// The trait has 23 methods; `get` and `put` are its own compositions,
+/// The trait has 27 methods; `get` and `put` are its own compositions,
 /// which the fake leaves alone, so they show as the `nbget`/`nbput` +
-/// `wait` they issue. The other 21 must each have been reached.
+/// `wait` they issue. The other 25 must each have been reached.
 #[test]
 fn every_trait_method_is_called() {
     let mut reached: Vec<String> = direct()
@@ -267,7 +304,7 @@ fn every_trait_method_is_called() {
         .collect();
     reached.sort();
     reached.dedup();
-    assert_eq!(reached.len(), 21, "{reached:?}");
+    assert_eq!(reached.len(), 25, "{reached:?}");
 }
 
 /// The window `[4, 8)` as a machine of 4 on nodes of 2: global rank 5 is

@@ -3,7 +3,9 @@
 //! library exposes (SRUMMA itself only needs get, but `ga_dgemm`'s
 //! siblings in Global Arrays use all of them).
 
-use srumma_comm::{sim_run, thread_run, virtual_run, Comm, DistMatrix, Landing, SimOptions};
+use srumma_comm::{
+    sim_run_steps, thread_run, virtual_run, Comm, DistMatrix, Landing, SimOptions, Step,
+};
 use srumma_dense::{MatRef, Matrix};
 use srumma_model::{Machine, ProcGrid};
 
@@ -11,18 +13,20 @@ use srumma_model::{Machine, ProcGrid};
 fn put_moves_data_between_ranks_under_simulation() {
     let grid = ProcGrid::new(2, 2);
     let mat = DistMatrix::create(grid, 8, 8);
-    let res = sim_run(&SimOptions::new(Machine::linux_myrinet(), 4), |c| {
+    let res = sim_run_steps(&SimOptions::new(Machine::linux_myrinet(), 4), |c, i| {
         // Rank 0 puts a recognizable pattern into rank 3's block.
-        if c.rank() == 0 {
+        if c.rank() == 0 && i == 0 {
             let (r, k) = mat.block_dims(3);
             let payload: Vec<f64> = (0..r * k).map(|i| i as f64).collect();
             c.put(&mat, 3, &payload);
         }
-        c.barrier();
+        if !c.barrier_try() {
+            return Step::Park;
+        }
         // Everyone reads rank 3's block back.
         let mut buf = Vec::new();
         c.get(&mat, 3, &mut buf);
-        buf[5]
+        Step::Done(buf[5])
     });
     for v in res.outputs {
         assert_eq!(v, 5.0);
@@ -35,16 +39,23 @@ fn nbput_with_fence_completes_in_time_order() {
     // path (an intra-node put is a synchronous memcpy by design).
     let grid = ProcGrid::new(2, 2);
     let mat = DistMatrix::create_virtual(grid, 512, 512);
-    let res = sim_run(&SimOptions::new(Machine::linux_myrinet(), 4), |c| {
-        if c.rank() == 0 {
-            let t0 = c.now();
-            let _h = c.nbput(&mat, 2, &[]);
-            let issued = c.now() - t0; // nonblocking: returns fast
-            c.fence(); // must cover the outstanding put
-            let fenced = c.now() - t0;
-            (issued, fenced)
-        } else {
-            (0.0, 0.0)
+    // Each step reads the clock the last one left at its top.
+    let mut issued = 0.0;
+    let res = sim_run_steps(&SimOptions::new(Machine::linux_myrinet(), 4), |c, i| {
+        if c.rank() != 0 {
+            return Step::Done((0.0, 0.0));
+        }
+        match i {
+            0 => {
+                let _h = c.nbput(&mat, 2, &[]);
+                Step::Yield
+            }
+            1 => {
+                issued = c.now(); // nonblocking: returns fast
+                c.fence(); // must cover the outstanding put
+                Step::Yield
+            }
+            _ => Step::Done((issued, c.now())),
         }
     });
     let (issued, fenced) = res.outputs[0];
@@ -87,12 +98,14 @@ fn accumulate_sums_contributions_from_all_ranks() {
 fn acc_steals_target_cpu_under_simulation() {
     let grid = ProcGrid::new(1, 2);
     let mat = DistMatrix::create_virtual(grid, 4000, 4000);
-    let res = sim_run(&SimOptions::new(Machine::linux_myrinet(), 2), |c| {
-        if c.rank() == 0 {
+    let res = sim_run_steps(&SimOptions::new(Machine::linux_myrinet(), 2), |c, i| {
+        if c.rank() == 0 && i == 0 {
             c.acc(&mat, 1, 1.0, None);
         }
-        c.barrier();
-        c.now()
+        match c.barrier_try() {
+            true => Step::Done(()),
+            false => Step::Park,
+        }
     });
     // The accumulate handler ran on rank 1's CPU: stolen time recorded.
     assert!(
@@ -103,13 +116,12 @@ fn acc_steals_target_cpu_under_simulation() {
 
 #[test]
 fn fence_with_nothing_outstanding_is_free() {
-    let res = sim_run(&SimOptions::new(Machine::sgi_altix(), 2), |c| {
-        let t0 = c.now();
+    let res = sim_run_steps(&SimOptions::new(Machine::sgi_altix(), 2), |c, _| {
         c.fence();
-        c.now() - t0
+        Step::Done(())
     });
-    for v in res.outputs {
-        assert_eq!(v, 0.0);
+    for t in res.stats.final_times {
+        assert_eq!(t, 0.0);
     }
 }
 

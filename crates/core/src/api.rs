@@ -1,10 +1,12 @@
 //! The top-level algorithm selector.
 
-use crate::cannon::cannon;
+use crate::cannon::CannonProgram;
 use crate::options::{GemmSpec, SrummaOptions};
-use crate::srumma::{srumma, SrummaReport};
-use crate::summa::{summa, SummaOptions};
-use srumma_comm::{Comm, DistMatrix};
+use crate::repl::ReplProgram;
+use crate::run::RankReport;
+use crate::srumma::{SrummaProgram, SrummaReport};
+use crate::summa::{SummaOptions, SummaProgram};
+use srumma_comm::{drive, Comm, DistMatrix, RankProgram, Step};
 
 /// Which parallel matrix-multiplication algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,8 +40,54 @@ impl Algorithm {
     }
 }
 
-/// Run the selected algorithm collectively. Returns the SRUMMA report
-/// when applicable.
+/// One rank of a multiply as a [`RankProgram`], whose output is the
+/// rank's [`RankReport`]: stepped on the simulator's one thread
+/// ([`srumma_comm::sim_run_programs`]), or [`drive`]n where receives and
+/// fences block ([`parallel_gemm`]). All ranks run it collectively.
+pub struct GemmProgram<'a>(pub(crate) Body<'a>);
+
+/// The schedule a [`GemmProgram`] runs.
+pub(crate) enum Body<'a> {
+    /// Flat or staged.
+    Srumma(SrummaProgram<'a>),
+    Summa(SummaProgram<'a>),
+    Cannon(CannonProgram<'a>),
+    Replicated(ReplProgram<'a>),
+}
+
+impl<'a> GemmProgram<'a> {
+    /// `alg`, flat, over matrices laid out by [`crate::layout`].
+    pub fn new(
+        alg: &Algorithm,
+        spec: &'a GemmSpec,
+        a: &'a DistMatrix,
+        b: &'a DistMatrix,
+        c: &'a DistMatrix,
+    ) -> Self {
+        GemmProgram(match alg {
+            Algorithm::Srumma(opts) => Body::Srumma(SrummaProgram::new(spec, a, b, c, opts, None)),
+            Algorithm::Summa(opts) => Body::Summa(SummaProgram::new(spec, a, b, c, opts)),
+            Algorithm::Cannon => Body::Cannon(CannonProgram::new(spec, a, b, c)),
+        })
+    }
+}
+
+impl RankProgram for GemmProgram<'_> {
+    type Out = RankReport;
+
+    fn step<C: Comm>(&mut self, comm: &mut C) -> Step<RankReport> {
+        match &mut self.0 {
+            Body::Srumma(p) => p.step(comm),
+            Body::Summa(p) => p.step(comm),
+            Body::Cannon(p) => p.step(comm),
+            Body::Replicated(p) => p.step(comm),
+        }
+    }
+}
+
+/// Run the selected algorithm collectively on a communicator whose
+/// receives and fences block, [`drive`]ing its [`GemmProgram`]. Returns
+/// the SRUMMA report when applicable.
 pub fn parallel_gemm<C: Comm>(
     comm: &mut C,
     alg: &Algorithm,
@@ -48,17 +96,7 @@ pub fn parallel_gemm<C: Comm>(
     b: &DistMatrix,
     c: &DistMatrix,
 ) -> Option<SrummaReport> {
-    match alg {
-        Algorithm::Srumma(opts) => Some(srumma(comm, spec, a, b, c, opts)),
-        Algorithm::Summa(opts) => {
-            summa(comm, spec, a, b, c, opts);
-            None
-        }
-        Algorithm::Cannon => {
-            cannon(comm, spec, a, b, c);
-            None
-        }
-    }
+    drive(comm, GemmProgram::new(alg, spec, a, b, c)).srumma
 }
 
 #[cfg(test)]

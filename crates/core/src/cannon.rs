@@ -21,21 +21,16 @@ use srumma_comm::dist::{chunk_len, BlockWrite};
 use srumma_comm::mpi::ring_shift;
 use srumma_comm::{Comm, DistMatrix, RankProgram, Step};
 use srumma_dense::{MatRef, Op, Operand};
-use srumma_trace::TraceKind;
 
 /// Where a [`CannonProgram`] resumes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Start,
-    /// The initial skew of A along the grid row, then of B along the
-    /// column.
-    SkewA,
-    SkewB,
+    /// Shift A (side 0) along the grid row, then B (side 1) along the
+    /// column: the initial skew (`None`), or the shift after step `s`.
+    Shift(usize, Option<usize>),
     /// Multiply the held blocks at step `.0`.
     Multiply(usize),
-    /// Shift A left one, then B up one, after step `.0`.
-    ShiftA(usize),
-    ShiftB(usize),
     Fence,
 }
 
@@ -47,14 +42,13 @@ enum Phase {
 /// transposes.
 pub(crate) struct CannonProgram<'a> {
     spec: &'a GemmSpec,
-    a: &'a DistMatrix,
-    b: &'a DistMatrix,
+    ab: [&'a DistMatrix; 2],
     c: &'a DistMatrix,
     phase: Phase,
-    my_row: Vec<usize>,
-    my_col: Vec<usize>,
-    a_buf: Vec<f64>,
-    b_buf: Vec<f64>,
+    /// The shift groups: this rank's grid row, then its column.
+    groups: [Vec<usize>; 2],
+    /// The A and B blocks held.
+    bufs: [Vec<f64>; 2],
     /// This rank's C tile, held from the skew to the last multiply.
     cw: Option<BlockWrite<'a>>,
 }
@@ -68,26 +62,32 @@ impl<'a> CannonProgram<'a> {
     ) -> Self {
         CannonProgram {
             spec,
-            a,
-            b,
+            ab: [a, b],
             c,
             phase: Phase::Start,
-            my_row: Vec::new(),
-            my_col: Vec::new(),
-            a_buf: Vec::new(),
-            b_buf: Vec::new(),
+            groups: Default::default(),
+            bufs: Default::default(),
             cw: None,
         }
     }
 
-    /// Bytes of the A block `(gi, col)` and the B block `(row, gj)`.
-    fn block_bytes(&self, me: usize, col: usize, row: usize) -> (u64, u64) {
-        let (spec, grid) = (self.spec, self.c.grid());
-        let (gi, gj) = grid.coords(me);
-        let q = grid.q;
-        let a = chunk_len(spec.m, q, gi) * chunk_len(spec.k, q, col) * 8;
-        let b = chunk_len(spec.k, q, row) * chunk_len(spec.n, q, gj) * 8;
-        (a as u64, b as u64)
+    /// This rank's part of shifting `side`; `false` while the receive
+    /// waits. The skew moves row `i` of A left by `i` (a ring shift right
+    /// by `q − i`) and column `j` of B up by `j`; each later shift moves A
+    /// left one and B up one.
+    fn shift<C: Comm>(&mut self, comm: &mut C, side: usize, after: Option<usize>) -> bool {
+        let (spec, q) = (self.spec, self.c.grid().q);
+        let (gi, gj) = self.c.grid().coords(comm.rank());
+        let (by, tag, l) = match after {
+            None => (q - [gi, gj][side] % q, 1000 + side, [gj, gi][side]),
+            Some(step) => (q - 1, 2000 + 1000 * side + step, (gi + gj + step + 1) % q),
+        };
+        let elems = match side {
+            0 => chunk_len(spec.m, q, gi) * chunk_len(spec.k, q, l),
+            _ => chunk_len(spec.k, q, l) * chunk_len(spec.n, q, gj),
+        };
+        let (group, buf) = (&self.groups[side], &mut self.bufs[side]);
+        ring_shift(comm, group, by, buf, (elems * 8) as u64, tag as u64)
     }
 
     /// Multiply the blocks held at `step`: after the skew and `step`
@@ -95,33 +95,22 @@ impl<'a> CannonProgram<'a> {
     fn multiply<C: Comm>(&mut self, comm: &mut C, step: usize) {
         let grid = self.c.grid();
         let (gi, gj) = grid.coords(comm.rank());
-        let l = (gi + gj + step) % grid.q;
-        let ka = chunk_len(self.spec.k, grid.q, l);
+        let ka = chunk_len(self.spec.k, grid.q, (gi + gj + step) % grid.q);
         let cw = self.cw.as_mut().expect("C is held while steps remain");
         let (crows, ccols) = (cw.rows(), cw.cols());
         let plain = |rows, cols, buf| Operand::Plain(MatRef::new(rows, cols, cols, buf), Op::N);
-        let av = (!self.a_buf.is_empty()).then(|| plain(crows, ka, &self.a_buf));
-        let bv = (!self.b_buf.is_empty()).then(|| plain(ka, ccols, &self.b_buf));
+        let [a, b] = &self.bufs;
+        let av = (!a.is_empty()).then(|| plain(crows, ka, a));
+        let bv = (!b.is_empty()).then(|| plain(ka, ccols, b));
         let span = comm.task_begin();
-        let label = if span.is_some() {
-            format!("cannon step {step}")
-        } else {
-            String::new()
+        let label = match span {
+            Some(_) => format!("cannon step {step}"),
+            None => String::new(),
         };
-        comm.gemm(
-            crows,
-            ccols,
-            ka,
-            self.spec.alpha,
-            av,
-            bv,
-            1.0,
-            cw.mat_mut(),
-            false,
-            &label,
-        );
+        let (alpha, c) = (self.spec.alpha, cw.mat_mut());
+        comm.gemm(crows, ccols, ka, alpha, av, bv, 1.0, c, false, &label);
         comm.recorder().count_task();
-        comm.task_end(span, || format!("cannon step {step}"));
+        comm.task_end(span, || label);
     }
 }
 
@@ -131,74 +120,51 @@ impl RankProgram for CannonProgram<'_> {
     fn step<C: Comm>(&mut self, comm: &mut C) -> Step<RankReport> {
         let me = comm.rank();
         let grid = self.c.grid();
-        let q = grid.q;
-        let (gi, gj) = grid.coords(me);
         loop {
-            match self.phase {
+            self.phase = match self.phase {
                 Phase::Start => {
+                    let ops = (self.spec.transa, self.spec.transb);
                     assert_eq!(
-                        (self.spec.transa, self.spec.transb),
+                        ops,
                         (Op::N, Op::N),
                         "the Cannon baseline supports C = A*B only"
                     );
-                    assert_eq!(grid.p, q, "Cannon's algorithm needs a square process grid");
-                    self.my_row = grid.row_ranks(gi).collect();
-                    self.my_col = grid.col_ranks(gj).collect();
+                    assert_eq!(
+                        grid.p, grid.q,
+                        "Cannon's algorithm needs a square process grid"
+                    );
+                    let (gi, gj) = grid.coords(me);
+                    self.groups = [grid.row_ranks(gi).collect(), grid.col_ranks(gj).collect()];
                     // Start from the locally owned blocks.
-                    self.a.copy_block_into(me, &mut self.a_buf);
-                    self.b.copy_block_into(me, &mut self.b_buf);
-                    self.phase = Phase::SkewA;
+                    for (m, buf) in self.ab.iter().zip(&mut self.bufs) {
+                        m.copy_block_into(me, buf);
+                    }
+                    Phase::Shift(0, None)
                 }
-                // Initial skew: A row i left by i ⇒ ring-shift right by
-                // (q - i); B column j up by j ⇒ ring-shift down by (q - j).
-                Phase::SkewA => {
-                    let bytes = self.block_bytes(me, gj, gi).0;
-                    let shift = q - gi % q;
-                    if !ring_shift(comm, &self.my_row, shift, &mut self.a_buf, bytes, 1000) {
+                Phase::Shift(side, after) => {
+                    if !self.shift(comm, side, after) {
                         return Step::Park;
                     }
-                    self.phase = Phase::SkewB;
-                }
-                Phase::SkewB => {
-                    let bytes = self.block_bytes(me, gj, gi).1;
-                    let shift = q - gj % q;
-                    if !ring_shift(comm, &self.my_col, shift, &mut self.b_buf, bytes, 1001) {
-                        return Step::Park;
+                    match (side, after) {
+                        (0, _) => Phase::Shift(1, after),
+                        (_, Some(step)) => Phase::Multiply(step + 1),
+                        (_, None) => {
+                            if self.spec.beta != 1.0 {
+                                self.c.scale_block(me, self.spec.beta);
+                            }
+                            self.cw = Some(self.c.write_block(me));
+                            Phase::Multiply(0)
+                        }
                     }
-                    if self.spec.beta != 1.0 {
-                        self.c.scale_block(me, self.spec.beta);
-                    }
-                    self.cw = Some(self.c.write_block(me));
-                    self.phase = Phase::Multiply(0);
                 }
                 Phase::Multiply(step) => {
                     self.multiply(comm, step);
-                    self.phase = if step + 1 < q {
-                        Phase::ShiftA(step)
+                    if step + 1 < grid.q {
+                        Phase::Shift(0, Some(step))
                     } else {
                         self.cw = None;
                         Phase::Fence
-                    };
-                }
-                // Shift A left one (receive the block one to the right)
-                // and B up one (receive the block one below).
-                Phase::ShiftA(step) => {
-                    let next_l = (gi + gj + step + 1) % q;
-                    let bytes = self.block_bytes(me, next_l, next_l).0;
-                    let tag = 2000 + step as u64;
-                    if !ring_shift(comm, &self.my_row, q - 1, &mut self.a_buf, bytes, tag) {
-                        return Step::Park;
                     }
-                    self.phase = Phase::ShiftB(step);
-                }
-                Phase::ShiftB(step) => {
-                    let next_l = (gi + gj + step + 1) % q;
-                    let bytes = self.block_bytes(me, next_l, next_l).1;
-                    let tag = 3000 + step as u64;
-                    if !ring_shift(comm, &self.my_col, q - 1, &mut self.b_buf, bytes, tag) {
-                        return Step::Park;
-                    }
-                    self.phase = Phase::Multiply(step + 1);
                 }
                 Phase::Fence => {
                     return match comm.barrier_try() {
@@ -206,134 +172,7 @@ impl RankProgram for CannonProgram<'_> {
                         false => Step::Park,
                     }
                 }
-            }
+            };
         }
     }
-}
-
-/// Run Cannon's algorithm: `C ← C + A·B`. Collective.
-///
-/// # Panics
-/// Panics if the grid is not square or the spec carries transposes.
-pub(crate) fn cannon<C: Comm>(
-    comm: &mut C,
-    spec: &GemmSpec,
-    a: &DistMatrix,
-    b: &DistMatrix,
-    c: &DistMatrix,
-) {
-    assert_eq!(
-        (spec.transa, spec.transb),
-        (Op::N, Op::N),
-        "the Cannon baseline supports C = A*B only"
-    );
-    let grid = c.grid();
-    let q = grid.q;
-    assert_eq!(grid.p, q, "Cannon's algorithm needs a square process grid");
-
-    let me = comm.rank();
-    let (gi, gj) = grid.coords(me);
-    let my_row: Vec<usize> = grid.row_ranks(gi).collect();
-    let my_col: Vec<usize> = grid.col_ranks(gj).collect();
-
-    // Start from the locally owned blocks.
-    let mut a_buf = Vec::new();
-    let mut b_buf = Vec::new();
-    a.copy_block_into(me, &mut a_buf);
-    b.copy_block_into(me, &mut b_buf);
-
-    let block_bytes_a =
-        |col: usize| (chunk_len(spec.m, q, gi) * chunk_len(spec.k, q, col) * 8) as u64;
-    let block_bytes_b =
-        |row: usize| (chunk_len(spec.k, q, row) * chunk_len(spec.n, q, gj) * 8) as u64;
-
-    // Initial skew: A row i left by i ⇒ ring-shift right by (q - i);
-    // B column j up by j ⇒ ring-shift down by (q - j).
-    if gi % q != 0 {
-        ring_shift(
-            comm,
-            &my_row,
-            q - (gi % q),
-            &mut a_buf,
-            block_bytes_a(gj),
-            1000,
-        );
-    }
-    if gj % q != 0 {
-        ring_shift(
-            comm,
-            &my_col,
-            q - (gj % q),
-            &mut b_buf,
-            block_bytes_b(gi),
-            1001,
-        );
-    }
-
-    if spec.beta != 1.0 {
-        c.scale_block(me, spec.beta);
-    }
-    let mut cw = c.write_block(me);
-    let (crows, ccols) = (cw.rows(), cw.cols());
-
-    for step in 0..q {
-        // After the skew and `step` shifts, we hold A(i, l) and B(l, j)
-        // with l = (i + j + step) mod q.
-        let l = (gi + gj + step) % q;
-        let ka = chunk_len(spec.k, q, l);
-        let plain = |rows, cols, buf| Operand::Plain(MatRef::new(rows, cols, cols, buf), Op::N);
-        let av = (!a_buf.is_empty()).then(|| plain(crows, ka, &a_buf));
-        let bv = (!b_buf.is_empty()).then(|| plain(ka, ccols, &b_buf));
-        let traced = comm.recorder().is_enabled();
-        let t_task = if traced { comm.now() } else { 0.0 };
-        let label = if traced {
-            format!("cannon step {step}")
-        } else {
-            String::new()
-        };
-        comm.gemm(
-            crows,
-            ccols,
-            ka,
-            spec.alpha,
-            av,
-            bv,
-            1.0,
-            cw.mat_mut(),
-            false,
-            &label,
-        );
-        comm.recorder().count_task();
-        if traced {
-            let t1 = comm.now();
-            comm.recorder().span(TraceKind::Task, t_task, t1, 0, || {
-                format!("cannon step {step}")
-            });
-        }
-
-        if step + 1 < q {
-            // Shift A left one (receive the block one to the right) and
-            // B up one (receive the block one below).
-            let next_l = (gi + gj + step + 1) % q;
-            ring_shift(
-                comm,
-                &my_row,
-                q - 1,
-                &mut a_buf,
-                block_bytes_a(next_l),
-                2000 + step as u64,
-            );
-            ring_shift(
-                comm,
-                &my_col,
-                q - 1,
-                &mut b_buf,
-                block_bytes_b(next_l),
-                3000 + step as u64,
-            );
-        }
-    }
-
-    drop(cw);
-    comm.barrier();
 }

@@ -20,8 +20,8 @@
 //!    *same* election formula, so the redirected gets price and
 //!    classify as intra-node copies.
 //!
-//! Both levels are phases of the one [`SrummaProgram`]; [`srumma_hier`]
-//! drives it where fences block.
+//! Both levels are phases of the one
+//! [`SrummaProgram`](crate::srumma::SrummaProgram).
 //!
 //! Panels demanded by only one member are **not** staged — staging them
 //! would add an intra-node hop without saving any network traffic — so
@@ -40,9 +40,8 @@
 use crate::api::Algorithm;
 use crate::layout::{dist_a, dist_b};
 use crate::options::{GemmSpec, SrummaOptions};
-use crate::run::{Backend, RankReport, Run};
-use crate::srumma::SrummaProgram;
-use srumma_comm::{drive, Comm, CostMap, DistMatrix, Landing};
+use crate::run::{Backend, Run};
+use srumma_comm::{Comm, CostMap, DistMatrix, Landing};
 use srumma_model::{Machine, ProcGrid, Topology};
 use srumma_sim::RunStats;
 
@@ -294,23 +293,6 @@ pub(crate) fn stage_panels<C: Comm>(
     }
     comm.fence();
     duties.len()
-}
-
-/// Run hierarchical SRUMMA: `C ← α·op(A)·op(B) + β·C` on this rank's C
-/// block, staging shared off-node panels through the group's staging
-/// matrices first. All ranks must call this collectively with the same
-/// arguments; `stages` must have been created for the communicator's
-/// topology.
-pub(crate) fn srumma_hier<C: Comm>(
-    comm: &mut C,
-    spec: &GemmSpec,
-    a: &DistMatrix,
-    b: &DistMatrix,
-    c: &DistMatrix,
-    opts: &SrummaOptions,
-    stages: &HierStageSet,
-) -> RankReport {
-    drive(comm, SrummaProgram::new(spec, a, b, c, opts, Some(stages)))
 }
 
 /// Modeled hierarchical run on the per-rank virtual-clock backend —

@@ -51,7 +51,7 @@ pub mod srumma;
 pub mod summa;
 pub mod taskorder;
 
-pub use api::{parallel_gemm, Algorithm};
+pub use api::{parallel_gemm, Algorithm, GemmProgram};
 pub use batch::{
     batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_sim,
     multiply_batch_traced, BatchEntry, BatchResult, BatchSpec,

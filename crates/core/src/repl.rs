@@ -34,7 +34,7 @@ use crate::memory::replicated_arena_footprint;
 use crate::options::{GemmSpec, ReplicationFactor, SrummaOptions};
 use crate::run::{RankReport, RunError};
 use crate::srumma::SrummaProgram;
-use srumma_comm::{drive, Comm, CostMap, DistMatrix, RankProgram, Step, SubComm};
+use srumma_comm::{Comm, CostMap, DistMatrix, RankProgram, Step, SubComm};
 use srumma_dense::mask::{chunk_len, chunk_start};
 use srumma_dense::{MatMut, Matrix};
 use srumma_model::{ProcGrid, Topology};
@@ -194,7 +194,7 @@ impl ReplSet<'_> {
 
     /// Per-team hierarchical stage sets under the *global* topology
     /// `topo` — team `l`'s set covers its rank window and its `k`-slice
-    /// shapes, enabling the staged [`srumma_replicated`]. Replication
+    /// shapes, enabling staged teams in a [`ReplProgram`]. Replication
     /// admissibility already guarantees every window covers whole
     /// nodes.
     pub(crate) fn hier_stage_sets(&self, topo: Topology, real: bool) -> Vec<HierStageSet> {
@@ -289,47 +289,6 @@ impl RankProgram for ReplProgram<'_> {
             ..report
         })
     }
-}
-
-/// Run one rank of a replicated multiply: the team-local SRUMMA sweep
-/// over this team's `k`-slice, then the serialized cross-team
-/// accumulation into team 0's C. With `stage_sets` (from
-/// [`ReplSet::hier_stage_sets`] for the same set) each team runs the
-/// two-level staged schedule of [`crate::hier`] inside its window — the
-/// combined "hierarchical + replicated" configuration of the crossover
-/// study. All ranks call collectively; straight-line symmetric code
-/// (every rank executes the same barrier sequence), so it runs
-/// unchanged on all backends.
-pub(crate) fn srumma_replicated<C: Comm>(
-    comm: &mut C,
-    set: &ReplSet<'_>,
-    stage_sets: Option<&[HierStageSet]>,
-    opts: &SrummaOptions,
-) -> RankReport {
-    let me = comm.rank();
-    let team = me / set.team_ranks;
-    let base = team * set.team_ranks;
-    let slot = me - base;
-    let mats = &set.teams[team];
-    let report = {
-        let mut sub = SubComm::new(comm, base, set.team_ranks, set.team_topo);
-        let stages = stage_sets.map(|sets| &sets[team]);
-        let program = SrummaProgram::new(&mats.spec, mats.da, mats.db, mats.dc, opts, stages);
-        drive(&mut sub, program)
-    };
-    // The team sweep ends with a (forwarded, machine-wide) barrier:
-    // every team's partial product is complete here. Fold teams 1..c
-    // into team 0 one at a time, each block straight from where its
-    // team's C holds it — a fixed accumulation order keeps the result
-    // reproducible run to run.
-    for l in 1..set.c {
-        if team == l {
-            let partial = mats.dc.read_block(slot);
-            comm.acc(set.teams[0].dc, slot, 1.0, partial.mat());
-        }
-        comm.barrier();
-    }
-    RankReport { team, ..report }
 }
 
 #[cfg(test)]

@@ -23,20 +23,17 @@
 //! team 0's C, the target of the other teams' accumulates
 //! ([`crate::repl`]).
 
-use crate::api::{parallel_gemm, Algorithm};
-use crate::cannon::CannonProgram;
+use crate::api::{Algorithm, Body, GemmProgram};
 use crate::chaos::{ChaosRecovery, ChaosSrummaRankTask};
 use crate::driver::{default_grid, SparseMasks};
-use crate::hier::{srumma_hier, HierStageSet};
+use crate::hier::HierStageSet;
 use crate::layout::{with_fresh_c, with_host_operands};
 use crate::options::{GemmSpec, ReplicationFactor};
-use crate::repl::{resolve_factor, srumma_replicated, ReplProgram, ReplSet};
+use crate::repl::{resolve_factor, ReplProgram, ReplSet};
 use crate::srumma::{SrummaProgram, SrummaReport};
-use crate::summa::SummaProgram;
 use srumma_comm::{
-    drive, exec_launch, exec_run_tasks, sim_run, sim_run_programs, virtual_run, Comm, CostMap,
-    DistMatrix, ExecComm, ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, RankProgram,
-    SimOptions, Step, VirtualComm,
+    drive, exec_launch, exec_run_tasks, sim_run_programs, virtual_run, Comm, CostMap, DistMatrix,
+    ExecComm, ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions, VirtualComm,
 };
 use srumma_dense::{Matrix, Op};
 use srumma_model::{Machine, Topology};
@@ -91,9 +88,6 @@ pub struct Run<'a> {
     pub replication: ReplicationFactor,
     /// Record the event timeline.
     pub trace: bool,
-    /// Run the blocking bodies on the simulator's thread per rank.
-    #[doc(hidden)]
-    pub threaded_reference: bool,
 }
 
 /// Why a [`Run`] cannot execute.
@@ -195,65 +189,17 @@ fn launched(res: ExecRunResult<RankReport>) -> Launched {
     (res.outputs, res.stats, res.trace, res.wall_seconds)
 }
 
-/// The rank program, chosen once by `(algorithm, hier, replication)`.
-enum RankBody<'m> {
-    /// Flat or staged.
-    Srumma(SrummaProgram<'m>),
-    Summa(SummaProgram<'m>),
-    Cannon(CannonProgram<'m>),
-    Replicated(ReplProgram<'m>),
-}
-
-impl RankProgram for RankBody<'_> {
-    type Out = RankReport;
-
-    fn step<C: Comm>(&mut self, comm: &mut C) -> Step<RankReport> {
-        match self {
-            RankBody::Srumma(p) => p.step(comm),
-            RankBody::Summa(p) => p.step(comm),
-            RankBody::Cannon(p) => p.step(comm),
-            RankBody::Replicated(p) => p.step(comm),
-        }
-    }
-}
-
-/// `rank`'s program over the prepared matrices.
-fn rank_program<'m>(rank: usize, algorithm: &Algorithm, mats: &'m Mats<'m>) -> RankBody<'m> {
+/// `rank`'s program over the prepared matrices, chosen by `(algorithm,
+/// hier, replication)`.
+fn rank_program<'m>(rank: usize, algorithm: &Algorithm, mats: &'m Mats<'m>) -> GemmProgram<'m> {
     match (mats, algorithm) {
-        (Mats::Flat(m, stages), Algorithm::Srumma(opts)) => RankBody::Srumma(SrummaProgram::new(
-            &m.spec,
-            m.a,
-            m.b,
-            m.c,
-            opts,
-            stages.as_ref(),
+        (Mats::Flat(m, None), _) => GemmProgram::new(algorithm, &m.spec, m.a, m.b, m.c),
+        (Mats::Flat(m, Some(stages)), Algorithm::Srumma(opts)) => GemmProgram(Body::Srumma(
+            SrummaProgram::new(&m.spec, m.a, m.b, m.c, opts, Some(stages)),
         )),
-        (Mats::Flat(m, None), Algorithm::Summa(opts)) => {
-            RankBody::Summa(SummaProgram::new(&m.spec, m.a, m.b, m.c, opts))
-        }
-        (Mats::Flat(m, None), Algorithm::Cannon) => {
-            RankBody::Cannon(CannonProgram::new(&m.spec, m.a, m.b, m.c))
-        }
-        (Mats::Replicated(set, stages), Algorithm::Srumma(opts)) => {
-            RankBody::Replicated(ReplProgram::new(rank, set, stages.as_deref(), opts))
-        }
-        _ => unreachable!("validate() admits staging and replication for SRUMMA only"),
-    }
-}
-
-/// The rank program of the threaded reference: the blocking bodies.
-fn rank_body<C: Comm>(comm: &mut C, algorithm: &Algorithm, mats: &Mats) -> RankReport {
-    match (mats, algorithm) {
-        (Mats::Flat(m, None), _) => RankReport {
-            srumma: parallel_gemm(comm, algorithm, &m.spec, m.a, m.b, m.c),
-            ..RankReport::default()
-        },
-        (Mats::Flat(m, Some(stages)), Algorithm::Srumma(opts)) => {
-            srumma_hier(comm, &m.spec, m.a, m.b, m.c, opts, stages)
-        }
-        (Mats::Replicated(set, stages), Algorithm::Srumma(opts)) => {
-            srumma_replicated(comm, set, stages.as_deref(), opts)
-        }
+        (Mats::Replicated(set, stages), Algorithm::Srumma(opts)) => GemmProgram(Body::Replicated(
+            ReplProgram::new(rank, set, stages.as_deref(), opts),
+        )),
         _ => unreachable!("validate() admits staging and replication for SRUMMA only"),
     }
 }
@@ -274,7 +220,6 @@ impl<'a> Run<'a> {
             hier: false,
             replication: ReplicationFactor::One,
             trace: false,
-            threaded_reference: false,
         }
     }
 
@@ -439,11 +384,7 @@ impl<'a> Run<'a> {
                 let t0 = Instant::now();
                 // Every rank is a program, stepped on this thread in
                 // virtual-time order.
-                let res = if self.threaded_reference {
-                    sim_run(&sim, |comm| rank_body(comm, algorithm, mats))
-                } else {
-                    sim_run_programs(&sim, |rank| rank_program(rank, algorithm, mats))
-                };
+                let res = sim_run_programs(&sim, |rank| rank_program(rank, algorithm, mats));
                 let wall_seconds = t0.elapsed().as_secs_f64();
                 (res.outputs, res.stats, res.trace, wall_seconds)
             }

@@ -29,15 +29,16 @@
 //!
 //! The rank's whole share — optional node-group staging
 //! ([`crate::hier`]), the task loop, the closing fence — is one
-//! [`SrummaProgram`]: polled on the executor, [`drive`]n everywhere
-//! else ([`srumma`], [`crate::hier::srumma_hier`]).
+//! [`SrummaProgram`]: polled on the executor and stepped by the
+//! simulator on one thread, [`drive`](srumma_comm::drive)n where fences
+//! block.
 
 use crate::hier::{stage_panels, HierStageSet, HierStages};
 use crate::layout::{a_owner, a_seg_view, b_owner, b_seg_view};
 use crate::options::{GemmSpec, ShmemFlavor, SrummaOptions};
 use crate::run::RankReport;
 use crate::taskorder::{build_tasks_into, diagonal_shift_origin, order_tasks_into, Task};
-use srumma_comm::{drive, Comm, DistMatrix, GetHandle, Landing, RankProgram, Step};
+use srumma_comm::{Comm, DistMatrix, GetHandle, Landing, RankProgram, Step};
 use srumma_dense::{Operand, PackedPanel, PackedView, Side};
 
 /// Per-rank execution summary.
@@ -702,27 +703,10 @@ impl RankProgram for SrummaProgram<'_> {
     }
 }
 
-/// Run SRUMMA: `C ← α·op(A)·op(B) + β·C` on this rank's C block.
-///
-/// All ranks must call this collectively with the same `spec`, matrices
-/// (laid out by [`crate::layout`]) and options. A closing barrier makes
-/// the result globally visible.
-pub(crate) fn srumma<C: Comm>(
-    comm: &mut C,
-    spec: &GemmSpec,
-    a: &DistMatrix,
-    b: &DistMatrix,
-    c: &DistMatrix,
-    opts: &SrummaOptions,
-) -> SrummaReport {
-    drive(comm, SrummaProgram::new(spec, a, b, c, opts, None))
-        .srumma
-        .expect("a finished SRUMMA program reports its sweep")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{parallel_gemm, Algorithm};
     use srumma_comm::Comm;
     use srumma_dense::{MatMut, MatRef, Op};
     use srumma_model::{ProcGrid, Topology};
@@ -893,7 +877,8 @@ mod tests {
         let dense_tasks = crate::taskorder::build_tasks(spec.k, aparts, bparts).len();
         for rank in 0..nranks {
             let mut comm = CountingComm::new(rank, nranks);
-            let report = srumma(&mut comm, &spec, &da, &db, &dc, &opts);
+            let srumma = Algorithm::Srumma(opts);
+            let report = parallel_gemm(&mut comm, &srumma, &spec, &da, &db, &dc).unwrap();
             // Pruned + executed tile the dense task list exactly.
             assert_eq!(report.tasks + report.masked_tasks, dense_tasks);
             assert_eq!(report.fetched_blocks, comm.issued, "rank {rank}");
@@ -941,7 +926,8 @@ mod tests {
         dc.scatter(&c0);
         for rank in 0..grid.nranks() {
             let mut comm = CountingComm::new(rank, grid.nranks());
-            let report = srumma(&mut comm, &spec, &da, &db, &dc, &SrummaOptions::default());
+            let srumma = Algorithm::srumma_default();
+            let report = parallel_gemm(&mut comm, &srumma, &spec, &da, &db, &dc).unwrap();
             assert_eq!(report.tasks, 0, "rank {rank} must run nothing");
             assert!(report.masked_tasks > 0);
             assert_eq!(comm.issued, 0, "no gets for pruned tasks");
@@ -1027,7 +1013,8 @@ mod tests {
             // and the mock's barrier is a no-op.
             for rank in 0..nranks {
                 let mut comm = CountingComm::new(rank, nranks);
-                let report = srumma(&mut comm, &spec, &da, &db, &dc, &opts);
+                let srumma = Algorithm::Srumma(opts);
+                let report = parallel_gemm(&mut comm, &srumma, &spec, &da, &db, &dc).unwrap();
                 assert_eq!(report.fetched_blocks, comm.issued, "rank {rank}");
                 assert_eq!(
                     comm.issued, comm.completed,

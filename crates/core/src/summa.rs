@@ -27,7 +27,6 @@ use srumma_comm::dist::BlockWrite;
 use srumma_comm::mpi::{bcast, bcast_ring};
 use srumma_comm::{Comm, DistMatrix, RankProgram, Step, TaskSpan};
 use srumma_dense::{MatRef, Op, Operand};
-use srumma_trace::TraceKind;
 
 /// Broadcast schedule for the panel distribution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -53,12 +52,10 @@ pub struct SummaOptions {
 /// Where a [`SummaProgram`] resumes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Nothing has run.
     Start,
-    /// Broadcasting the current segment's A strip along the grid row.
-    BcastA,
-    /// Broadcasting its B strip along the grid column.
-    BcastB,
+    /// Broadcasting the current segment's strip of A (side 0) along the
+    /// grid row, then of B (side 1) along the grid column.
+    Bcast(usize),
     /// Every segment multiplied: the closing fence.
     Fence,
 }
@@ -70,8 +67,7 @@ enum Phase {
 /// fence. All ranks run it collectively with the same arguments.
 pub(crate) struct SummaProgram<'a> {
     spec: &'a GemmSpec,
-    a: &'a DistMatrix,
-    b: &'a DistMatrix,
+    ab: [&'a DistMatrix; 2],
     c: &'a DistMatrix,
     opts: SummaOptions,
     phase: Phase,
@@ -79,12 +75,13 @@ pub(crate) struct SummaProgram<'a> {
     segs: Vec<Task>,
     /// The segment in flight.
     next: usize,
-    my_row: Vec<usize>,
-    my_col: Vec<usize>,
+    /// The broadcast groups: this rank's grid row, then its column.
+    groups: [Vec<usize>; 2],
+    /// The strips: A's in stored orientation (op applied at the
+    /// kernel), B's normalised to `seg × ccols` row-major.
+    strips: [Vec<f64>; 2],
     /// This rank's C tile, held from the first step to the last update.
     cw: Option<BlockWrite<'a>>,
-    a_buf: Vec<f64>,
-    b_buf: Vec<f64>,
     /// The traced span of the segment in flight.
     span: Option<TaskSpan>,
 }
@@ -99,171 +96,124 @@ impl<'a> SummaProgram<'a> {
     ) -> Self {
         SummaProgram {
             spec,
-            a,
-            b,
+            ab: [a, b],
             c,
             opts: *opts,
             phase: Phase::Start,
             segs: Vec::new(),
             next: 0,
-            my_row: Vec::new(),
-            my_col: Vec::new(),
+            groups: Default::default(),
+            strips: Default::default(),
             cw: None,
-            a_buf: Vec::new(),
-            b_buf: Vec::new(),
             span: None,
         }
     }
 
-    /// Build the segment list and the grid row and column, apply `β`
-    /// and take the C tile.
-    fn start<C: Comm>(&mut self, comm: &C) {
-        let me = comm.rank();
+    /// Build the segment list and the broadcast groups, apply `β` and
+    /// take the C tile.
+    fn start(&mut self, me: usize) {
         let grid = self.c.grid();
         let (gi, gj) = grid.coords(me);
         let (aparts, bparts) = (crate::layout::a_kparts(grid), crate::layout::b_kparts(grid));
         for t in build_tasks(self.spec.k, aparts, bparts) {
-            match self.opts.panel_nb {
-                None => self.segs.push(t),
-                Some(nb) => {
-                    assert!(nb > 0, "panel_nb must be positive");
-                    let mut k0 = t.k0;
-                    while k0 < t.k1 {
-                        let k1 = (k0 + nb).min(t.k1);
-                        self.segs.push(Task {
-                            k0,
-                            k1,
-                            la: t.la,
-                            lb: t.lb,
-                            k0_rel_a: t.k0_rel_a + (k0 - t.k0),
-                            k0_rel_b: t.k0_rel_b + (k0 - t.k0),
-                        });
-                        k0 = k1;
-                    }
-                }
+            let Some(nb) = self.opts.panel_nb else {
+                self.segs.push(t);
+                continue;
+            };
+            for k0 in (t.k0..t.k1).step_by(nb) {
+                self.segs.push(Task {
+                    k0,
+                    k1: (k0 + nb).min(t.k1),
+                    k0_rel_a: t.k0_rel_a + (k0 - t.k0),
+                    k0_rel_b: t.k0_rel_b + (k0 - t.k0),
+                    ..t
+                });
             }
         }
-        self.my_row = grid.row_ranks(gi).collect();
-        self.my_col = grid.col_ranks(gj).collect();
+        self.groups = [grid.row_ranks(gi).collect(), grid.col_ranks(gj).collect()];
         if self.spec.beta != 1.0 {
             self.c.scale_block(me, self.spec.beta);
         }
         self.cw = Some(self.c.write_block(me));
     }
 
-    /// Open the next segment — its span, and its A strip on the rank
-    /// that owns it — or, past the last, release C for the fence.
+    /// Open the next segment, or, past the last, release C for the
+    /// fence.
     fn open_segment<C: Comm>(&mut self, comm: &mut C) {
-        let Some(t) = self.segs.get(self.next) else {
+        if self.next == self.segs.len() {
             self.cw = None;
             self.phase = Phase::Fence;
-            return;
-        };
-        self.span = comm.task_begin();
-        let me = comm.rank();
-        let (gi, _) = self.c.grid().coords(me);
-        if a_owner(self.spec, self.c.grid(), gi, t.la) == me {
-            // Extract my strip (a sub-view of my stored block).
-            self.a_buf.clear();
-            let blk = self.a.read_block(me);
-            if let Some(v) = blk.mat() {
-                let (sv, _) = a_seg_view(self.spec, v, t.rel_a(), t.klen());
-                for i in 0..sv.rows() {
-                    self.a_buf.extend((0..sv.cols()).map(|j| sv.at(i, j)));
-                }
-            }
-        }
-        self.phase = Phase::BcastA;
-    }
-
-    /// The B strip, on the rank that owns it, normalised to
-    /// `seg × ccols` row-major whatever the stored orientation.
-    fn fill_b_strip(&mut self, me: usize) {
-        let t = self.segs[self.next];
-        let (_, gj) = self.c.grid().coords(me);
-        if b_owner(self.spec, self.c.grid(), t.lb, gj) != me {
-            return;
-        }
-        self.b_buf.clear();
-        let blk = self.b.read_block(me);
-        if let Some(v) = blk.mat() {
-            let (sv, op) = b_seg_view(self.spec, v, t.rel_b(), t.klen());
-            match op {
-                Op::N => {
-                    for i in 0..sv.rows() {
-                        self.b_buf.extend((0..sv.cols()).map(|j| sv.at(i, j)));
-                    }
-                }
-                Op::T => {
-                    for i in 0..sv.cols() {
-                        self.b_buf.extend((0..sv.rows()).map(|j| sv.at(j, i)));
-                    }
-                }
-            }
-        }
-    }
-
-    /// This rank's part of the current segment's broadcast along its
-    /// grid row (A) or column (B); `false` while its receive waits.
-    fn bcast<C: Comm>(&mut self, comm: &mut C, side_a: bool) -> bool {
-        let t = self.segs[self.next];
-        let grid = self.c.grid();
-        let (gi, gj) = grid.coords(comm.rank());
-        let cw = self.cw.as_ref().expect("C is held while segments remain");
-        let (group, owner, buf, elems) = if side_a {
-            let owner = a_owner(self.spec, grid, gi, t.la);
-            (&self.my_row, owner, &mut self.a_buf, cw.rows() * t.klen())
         } else {
-            let owner = b_owner(self.spec, grid, t.lb, gj);
-            (&self.my_col, owner, &mut self.b_buf, t.klen() * cw.cols())
+            self.span = comm.task_begin();
+            self.phase = Phase::Bcast(0);
+        }
+    }
+
+    /// This rank's part of the current segment's broadcast of `side`,
+    /// whose owner first copies its strip out of its stored block;
+    /// `false` while the receive waits.
+    fn bcast<C: Comm>(&mut self, comm: &mut C, side: usize) -> bool {
+        let (t, spec, grid, me) = (self.segs[self.next], self.spec, self.c.grid(), comm.rank());
+        let ((gi, gj), seg) = (grid.coords(me), t.klen());
+        let cw = self.cw.as_ref().expect("C is held while segments remain");
+        let (owner, elems) = match side {
+            0 => (a_owner(spec, grid, gi, t.la), cw.rows() * seg),
+            _ => (b_owner(spec, grid, t.lb, gj), seg * cw.cols()),
         };
+        let strip = &mut self.strips[side];
+        if owner == me {
+            strip.clear();
+            let blk = self.ab[side].read_block(me);
+            if let Some(v) = blk.mat() {
+                let (sv, transpose) = match side {
+                    0 => (a_seg_view(spec, v, t.rel_a(), seg).0, false),
+                    _ => {
+                        let (sv, op) = b_seg_view(spec, v, t.rel_b(), seg);
+                        (sv, op == Op::T)
+                    }
+                };
+                let at = |i, j| if transpose { sv.at(j, i) } else { sv.at(i, j) };
+                let (rows, cols) = if transpose {
+                    (sv.cols(), sv.rows())
+                } else {
+                    (sv.rows(), sv.cols())
+                };
+                for i in 0..rows {
+                    strip.extend((0..cols).map(|j| at(i, j)));
+                }
+            }
+        }
+        let group = &self.groups[side];
         let root = group
             .iter()
             .position(|&r| r == owner)
             .expect("a panel's owner sits in the grid row or column it feeds");
-        let (bytes, tag) = (
-            (elems * 8) as u64,
-            2 * self.next as u64 + u64::from(!side_a),
-        );
+        let (bytes, tag) = ((elems * 8) as u64, (2 * self.next + side) as u64);
         match self.opts.bcast {
-            BcastKind::Tree => bcast(comm, group, root, buf, bytes, tag),
-            BcastKind::Ring => bcast_ring(comm, group, root, buf, bytes, tag),
+            BcastKind::Tree => bcast(comm, group, root, strip, bytes, tag),
+            BcastKind::Ring => bcast_ring(comm, group, root, strip, bytes, tag),
         }
     }
 
-    /// The local update of the current segment. The A strip is in
-    /// *stored* orientation (op applied at the kernel); the B strip was
-    /// normalised to `seg × ccols`.
+    /// The local update of the current segment.
     fn multiply<C: Comm>(&mut self, comm: &mut C) {
-        let (step, seg) = (self.next, self.segs[self.next].klen());
-        let spec = self.spec;
+        let (step, seg, spec) = (self.next, self.segs[self.next].klen(), self.spec);
         let cw = self.cw.as_mut().expect("C is held while segments remain");
         let (crows, ccols) = (cw.rows(), cw.cols());
-        let av = (!self.a_buf.is_empty()).then(|| {
+        let [a, b] = &self.strips;
+        let av = (!a.is_empty()).then(|| {
             let (rows, cols) = spec.transa.apply(crows, seg);
-            Operand::Plain(MatRef::new(rows, cols, cols, &self.a_buf), spec.transa)
+            Operand::Plain(MatRef::new(rows, cols, cols, a), spec.transa)
         });
-        let bv = (!self.b_buf.is_empty())
-            .then(|| Operand::Plain(MatRef::new(seg, ccols, ccols, &self.b_buf), Op::N));
-        let label = if self.span.is_some() {
-            format!("summa step {step}")
-        } else {
-            String::new()
+        let bv = (!b.is_empty()).then(|| Operand::Plain(MatRef::new(seg, ccols, ccols, b), Op::N));
+        let label = match self.span {
+            Some(_) => format!("summa step {step}"),
+            None => String::new(),
         };
-        comm.gemm(
-            crows,
-            ccols,
-            seg,
-            spec.alpha,
-            av,
-            bv,
-            1.0,
-            cw.mat_mut(),
-            false,
-            &label,
-        );
+        let c = cw.mat_mut();
+        comm.gemm(crows, ccols, seg, spec.alpha, av, bv, 1.0, c, false, &label);
         comm.recorder().count_task();
-        comm.task_end(self.span.take(), || format!("summa step {step}"));
+        comm.task_end(self.span.take(), || label);
     }
 }
 
@@ -274,23 +224,20 @@ impl RankProgram for SummaProgram<'_> {
         loop {
             match self.phase {
                 Phase::Start => {
-                    self.start(comm);
+                    self.start(comm.rank());
                     self.open_segment(comm);
                 }
-                Phase::BcastA => {
-                    if !self.bcast(comm, true) {
+                Phase::Bcast(side) => {
+                    if !self.bcast(comm, side) {
                         return Step::Park;
                     }
-                    self.fill_b_strip(comm.rank());
-                    self.phase = Phase::BcastB;
-                }
-                Phase::BcastB => {
-                    if !self.bcast(comm, false) {
-                        return Step::Park;
+                    if side == 0 {
+                        self.phase = Phase::Bcast(1);
+                    } else {
+                        self.multiply(comm);
+                        self.next += 1;
+                        self.open_segment(comm);
                     }
-                    self.multiply(comm);
-                    self.next += 1;
-                    self.open_segment(comm);
                 }
                 Phase::Fence => {
                     return match comm.barrier_try() {
@@ -301,176 +248,4 @@ impl RankProgram for SummaProgram<'_> {
             }
         }
     }
-}
-
-/// Run SUMMA: `C ← C + op(A)·op(B)`. Collective; all ranks must agree
-/// on arguments.
-pub(crate) fn summa<C: Comm>(
-    comm: &mut C,
-    spec: &GemmSpec,
-    a: &DistMatrix,
-    b: &DistMatrix,
-    c: &DistMatrix,
-    opts: &SummaOptions,
-) {
-    let me = comm.rank();
-    let grid = c.grid();
-    let (gi, gj) = grid.coords(me);
-    let aparts = crate::layout::a_kparts(grid);
-    let bparts = crate::layout::b_kparts(grid);
-
-    // Merged segments, optionally re-split to the blocking factor.
-    let mut segs = Vec::new();
-    for t in build_tasks(spec.k, aparts, bparts) {
-        match opts.panel_nb {
-            None => segs.push(t),
-            Some(nb) => {
-                assert!(nb > 0, "panel_nb must be positive");
-                let mut k0 = t.k0;
-                while k0 < t.k1 {
-                    let k1 = (k0 + nb).min(t.k1);
-                    segs.push(crate::taskorder::Task {
-                        k0,
-                        k1,
-                        la: t.la,
-                        lb: t.lb,
-                        k0_rel_a: t.k0_rel_a + (k0 - t.k0),
-                        k0_rel_b: t.k0_rel_b + (k0 - t.k0),
-                    });
-                    k0 = k1;
-                }
-            }
-        }
-    }
-
-    let my_row: Vec<usize> = grid.row_ranks(gi).collect();
-    let my_col: Vec<usize> = grid.col_ranks(gj).collect();
-
-    if spec.beta != 1.0 {
-        c.scale_block(me, spec.beta);
-    }
-    let mut cw = c.write_block(me);
-    let (crows, ccols) = (cw.rows(), cw.cols());
-    let mut a_buf: Vec<f64> = Vec::new();
-    let mut b_buf: Vec<f64> = Vec::new();
-
-    for (step, t) in segs.iter().enumerate() {
-        let seg = t.klen();
-        let tag = 2 * step as u64;
-        let traced = comm.recorder().is_enabled();
-        let t_task = if traced { comm.now() } else { 0.0 };
-
-        // --- broadcast the A strip along my grid row -----------------
-        let a_own = a_owner(spec, grid, gi, t.la);
-        let root_idx = my_row
-            .iter()
-            .position(|&r| r == a_own)
-            .expect("A panel owner must sit in my grid row");
-        let strip_elems = crows * seg;
-        if a_own == me {
-            // Extract my strip (a sub-view of my stored block).
-            a_buf.clear();
-            let blk = a.read_block(me);
-            if let Some(v) = blk.mat() {
-                let (sv, _) = a_seg_view(spec, v, t.rel_a(), seg);
-                for i in 0..sv.rows() {
-                    for j in 0..sv.cols() {
-                        a_buf.push(sv.at(i, j));
-                    }
-                }
-            }
-        }
-        let do_bcast =
-            |comm: &mut C, group: &[usize], root: usize, buf: &mut Vec<f64>, bytes, tag| match opts
-                .bcast
-            {
-                BcastKind::Tree => bcast(comm, group, root, buf, bytes, tag),
-                BcastKind::Ring => bcast_ring(comm, group, root, buf, bytes, tag),
-            };
-        do_bcast(
-            comm,
-            &my_row,
-            root_idx,
-            &mut a_buf,
-            (strip_elems * 8) as u64,
-            tag,
-        );
-
-        // --- broadcast the B strip along my grid column --------------
-        let b_own = b_owner(spec, grid, t.lb, gj);
-        let root_idx = my_col
-            .iter()
-            .position(|&r| r == b_own)
-            .expect("B panel owner must sit in my grid column");
-        let strip_elems_b = seg * ccols;
-        if b_own == me {
-            b_buf.clear();
-            let blk = b.read_block(me);
-            if let Some(v) = blk.mat() {
-                let (sv, op) = b_seg_view(spec, v, t.rel_b(), seg);
-                // Normalize to (seg × ccols) row-major regardless of op.
-                match op {
-                    Op::N => {
-                        for i in 0..sv.rows() {
-                            for j in 0..sv.cols() {
-                                b_buf.push(sv.at(i, j));
-                            }
-                        }
-                    }
-                    Op::T => {
-                        for i in 0..sv.cols() {
-                            for j in 0..sv.rows() {
-                                b_buf.push(sv.at(j, i));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        do_bcast(
-            comm,
-            &my_col,
-            root_idx,
-            &mut b_buf,
-            (strip_elems_b * 8) as u64,
-            tag + 1,
-        );
-
-        // --- local update --------------------------------------------
-        // The A strip is in *stored* orientation (op applied at the
-        // kernel); the B strip was normalized to (seg × ccols).
-        let av = (!a_buf.is_empty()).then(|| {
-            let (rows, cols) = spec.transa.apply(crows, seg);
-            Operand::Plain(MatRef::new(rows, cols, cols, &a_buf), spec.transa)
-        });
-        let bv = (!b_buf.is_empty())
-            .then(|| Operand::Plain(MatRef::new(seg, ccols, ccols, &b_buf), Op::N));
-        let label = if traced {
-            format!("summa step {step}")
-        } else {
-            String::new()
-        };
-        comm.gemm(
-            crows,
-            ccols,
-            seg,
-            spec.alpha,
-            av,
-            bv,
-            1.0,
-            cw.mat_mut(),
-            false,
-            &label,
-        );
-        comm.recorder().count_task();
-        if traced {
-            let t1 = comm.now();
-            comm.recorder().span(TraceKind::Task, t_task, t1, 0, || {
-                format!("summa step {step}")
-            });
-        }
-    }
-
-    drop(cw);
-    comm.barrier();
 }

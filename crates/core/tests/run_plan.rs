@@ -1,24 +1,23 @@
 //! `Run::validate`: every way a plan can be illegal is a typed
 //! `RunError` variant, decided before any matrix is allocated or any
 //! thread is started. And, at the end, two legal plans named for how
-//! the executor hosts them, the differentials that say distributing
+//! the executor hosts them, and the differentials that say distributing
 //! the host matrices in place — the operands read where they lie, the
 //! product written where the caller reads it — changed nothing a rank
-//! can observe, and the one that says neither does stepping simulated
-//! ranks on one thread instead of a thread each.
+//! can observe.
 
 use srumma_comm::{
-    drive, exec_launch, sim_run, sim_run_programs, Comm, CostMap, DistMatrix, FaultPlan,
-    FaultPlanError, SimOptions,
+    drive, exec_launch, sim_run_programs, Comm, CostMap, DistMatrix, FaultPlan, FaultPlanError,
+    SimOptions,
 };
 use srumma_core::driver::{default_grid, serial_reference, sparse_serial_reference};
 use srumma_core::layout::{
     dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask, with_host_operands,
 };
-use srumma_core::summa::BcastKind;
 use srumma_core::{
-    parallel_gemm, Algorithm, Backend, GemmSpec, HierStageSet, RankReport, ReplicationFactor, Run,
-    RunError, ShmemFlavor, SparseMasks, SrummaOptions, SrummaProgram, SummaOptions,
+    parallel_gemm, Algorithm, Backend, GemmProgram, GemmSpec, HierStageSet, RankReport,
+    ReplicationFactor, Run, RunError, ShmemFlavor, SparseMasks, SrummaOptions, SrummaProgram,
+    SummaOptions,
 };
 use srumma_dense::{max_abs_diff, BlockMask, Matrix, Op};
 use srumma_model::machine::RanksPerDomain;
@@ -394,6 +393,40 @@ fn unsupported_combinations() {
     }
 }
 
+/// A SUMMA panel of width 0 would cut no k-segment at all: every backend
+/// refuses the plan before a rank starts, rather than a rank panicking.
+#[test]
+fn a_zero_width_summa_panel_is_refused_on_every_backend() {
+    let ab = operands(&GemmSpec::new(Op::N, Op::N, 12, 10, 14));
+    let machine = Machine::linux_myrinet();
+    let summa = Algorithm::Summa(SummaOptions {
+        panel_nb: Some(0),
+        ..SummaOptions::default()
+    });
+    let virt = Backend::Virtual {
+        machine: &machine,
+        workers: 2,
+    };
+    for backend in [
+        Backend::Threads,
+        Backend::Exec { workers: 2 },
+        Backend::Sim(&machine),
+        virt,
+    ] {
+        let run = Run {
+            algorithm: summa,
+            operands: (!matches!(backend, Backend::Virtual { .. })).then_some((&ab.0, &ab.1)),
+            ..plain(backend, &ab)
+        };
+        let err = run.validate();
+        assert!(
+            matches!(err, Err(RunError::Unsupported(_))),
+            "{backend:?}: {err:?}"
+        );
+        assert_eq!(run.execute().err(), err.err(), "{backend:?}");
+    }
+}
+
 // ---- how the executor hosts the one SRUMMA program -------------------
 
 /// Entries in −4..=4: every partial sum is exact in f64, so any schedule
@@ -504,7 +537,12 @@ fn launch_over(
     match run.backend {
         Backend::Sim(machine) => {
             let sim = SimOptions::new(machine.clone(), run.nranks);
-            let res = sim_run(&sim, |comm| body(comm, run, spec, mats, stages));
+            let res = match &run.algorithm {
+                Algorithm::Srumma(opts) => {
+                    sim_run_programs(&sim, |_| SrummaProgram::new(spec, da, db, dc, opts, stages))
+                }
+                other => sim_run_programs(&sim, |_| GemmProgram::new(other, spec, da, db, dc)),
+            };
             (res.outputs, res.stats)
         }
         Backend::Threads => {
@@ -951,247 +989,4 @@ fn a_machine_adopted_mid_run_keeps_multiplying_from_its_packed_panels() {
         "recovered vs healthy"
     );
     assert_eq!(healthy.as_slice(), direct.as_slice(), "copy vs direct");
-}
-
-// ---- simulated ranks polled on one thread ≡ a thread per rank --------
-
-/// One seeded SRUMMA plan, run under the simulator twice: its programs
-/// stepped on the calling thread in virtual-time order
-/// (`sim_run_programs`, what `Run` does for untraced SRUMMA), and driven
-/// on a thread per rank (`sim_run` + `drive`). The draws cover the four
-/// machine presets, 2–256 ranks, flat and node-group staged, `ForceCopy`
-/// and `Auto`, prefetch depth 0 and 1, all four transposes, healthy,
-/// one-straggler and random-straggler-with-spiked-get plans, and real
-/// data at small `n` beside shape-only runs at larger `n`. Every bit a
-/// rank can leave behind agrees: reports, the makespan, each rank's
-/// final clock and statistics (counters included), and C.
-#[test]
-fn polled_simulated_ranks_match_threaded_ones_bit_for_bit() {
-    let presets = [
-        Machine::ibm_sp(),
-        Machine::linux_myrinet(),
-        Machine::cray_x1(),
-        Machine::sgi_altix(),
-    ];
-    let ops = [Op::N, Op::T];
-    let mut rng = srumma_dense::Rng::new(0x5EED_0040);
-    let mut staged_cases = 0;
-    for case in 0..32 {
-        let machine = &presets[case % presets.len()];
-        let nranks = match rng.below(3) {
-            0 => rng.range(2, 16),
-            1 => rng.range(17, 64),
-            _ => rng.range(65, 256),
-        };
-        let real = rng.below(2) == 0;
-        let dim = |rng: &mut srumma_dense::Rng| match real {
-            true => rng.range(1, 48),
-            false => rng.range(64, 3000),
-        };
-        let (m, n, k) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
-        let (ta, tb) = (ops[rng.below(2)], ops[rng.below(2)]);
-        let spec = GemmSpec::new(ta, tb, m, n, k).with_scalars(1.5, 0.0);
-        let topo = machine.topology(nranks);
-        let staged = rng.below(2) == 0 && nranks.is_multiple_of(topo.ranks_per_node());
-        staged_cases += usize::from(staged);
-        let opts = SrummaOptions {
-            shmem: [ShmemFlavor::ForceCopy, ShmemFlavor::Auto][rng.below(2)],
-            prefetch_depth: rng.below(2),
-            ..SrummaOptions::default()
-        };
-        let plan = match rng.below(3) {
-            0 => FaultPlan::healthy(),
-            1 => FaultPlan::single_straggler(nranks, rng.below(nranks), 3.0),
-            _ => FaultPlan::random_stragglers(rng.next_u64(), nranks).with_get_spikes(0.3, 2e-4),
-        };
-        let sim = SimOptions::new(machine.clone(), nranks)
-            .with_faults(plan)
-            .unwrap();
-        let what = format!(
-            "case {case}: {:?} {nranks} ranks {spec:?} real={real} staged={staged} {opts:?}",
-            machine.platform
-        );
-
-        let grid = default_grid(nranks);
-        let (da, db) = (dist_a(&spec, grid, real), dist_b(&spec, grid, real));
-        if real {
-            let (a, b) = operands(&spec);
-            scatter_operands(&spec, &da, &db, &a, &b);
-        }
-        let (spec, c_polled) = fresh_c(&spec, grid, real);
-        let (_, c_driven) = fresh_c(&spec, grid, real);
-        let stages = || staged.then(|| HierStageSet::create(&spec, grid, topo, real));
-        let (st_polled, st_driven) = (stages(), stages());
-        let polled = sim_run_programs(&sim, |_| {
-            SrummaProgram::new(&spec, &da, &db, &c_polled, &opts, st_polled.as_ref())
-        });
-        let driven = sim_run(&sim, |comm| {
-            let program = SrummaProgram::new(&spec, &da, &db, &c_driven, &opts, st_driven.as_ref());
-            drive(comm, program)
-        });
-
-        assert_eq!(polled.outputs, driven.outputs, "{what}: reports");
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            polled.makespan().to_bits(),
-            driven.makespan().to_bits(),
-            "{what}: makespan"
-        );
-        assert_eq!(
-            bits(&polled.stats.final_times),
-            bits(&driven.stats.final_times),
-            "{what}: final clocks"
-        );
-        // `{:?}` prints each f64 in its shortest round-trip form: equal
-        // strings are equal bits.
-        for (rank, (p, d)) in polled
-            .stats
-            .ranks
-            .iter()
-            .zip(&driven.stats.ranks)
-            .enumerate()
-        {
-            assert_eq!(format!("{p:?}"), format!("{d:?}"), "{what}: rank {rank}");
-        }
-        if real {
-            let (p, d) = (c_polled.gather(), c_driven.gather());
-            assert_eq!(bits(p.as_slice()), bits(d.as_slice()), "{what}: C");
-        }
-    }
-    assert!(staged_cases > 0, "no staged plan was drawn");
-}
-
-/// Every other schedule on the simulator, two ways: `Run::execute`,
-/// which steps each rank's program on the calling thread, and the same
-/// plan through the blocking bodies on a thread per rank
-/// (`threaded_reference`). Per schedule at least 32 draws, real data
-/// and shape-only, healthy and straggling plans: SUMMA with tree and
-/// ring broadcasts at the natural, 64-wide and narrow panel widths;
-/// Cannon on square grids; replicated SRUMMA at c = 2 and 4, flat and
-/// staged teams; and traced SRUMMA (the others traced at random), whose
-/// event timelines must agree event for event. Reports, makespan, final
-/// clocks, rank statistics and C agree to the bit.
-#[test]
-fn every_polled_schedule_matches_its_threaded_body_bit_for_bit() {
-    let presets = [
-        Machine::ibm_sp(),
-        Machine::linux_myrinet(),
-        Machine::cray_x1(),
-        Machine::sgi_altix(),
-    ];
-    let ops = [Op::N, Op::T];
-    let mut rng = srumma_dense::Rng::new(0x5EED_0042);
-    let mut drawn = [0usize; 4];
-    let mut case = 0;
-    while drawn.iter().any(|&d| d < 32) {
-        case += 1;
-        let kind = case % 4;
-        let machine = &presets[rng.below(presets.len())];
-        let real = rng.below(2) == 0;
-        let dim = |rng: &mut srumma_dense::Rng| match real {
-            true => rng.range(1, 40),
-            false => rng.range(64, 900),
-        };
-        let (m, n, k) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
-        let (ta, tb) = (ops[rng.below(2)], ops[rng.below(2)]);
-        let mut traced = rng.below(3) == 0;
-        let (nranks, algorithm, spec, replication, hier) = match kind {
-            0 => {
-                let panel_nb = match rng.below(3) {
-                    0 => None,
-                    1 => Some(64),
-                    _ => Some(rng.range(1, 9)),
-                };
-                let bcast = [BcastKind::Tree, BcastKind::Ring][rng.below(2)];
-                let summa = Algorithm::Summa(SummaOptions { panel_nb, bcast });
-                let spec = GemmSpec::new(ta, tb, m, n, k);
-                (rng.range(1, 25), summa, spec, ReplicationFactor::One, false)
-            }
-            1 => {
-                let q = rng.range(1, 7);
-                let spec = GemmSpec::new(Op::N, Op::N, m, n, k);
-                (
-                    q * q,
-                    Algorithm::Cannon,
-                    spec,
-                    ReplicationFactor::One,
-                    false,
-                )
-            }
-            2 => {
-                let c = [2, 4][rng.below(2)];
-                let spec = GemmSpec::new(ta, tb, m, n, k);
-                let nranks = c * rng.range(1, 9);
-                let replication = ReplicationFactor::Fixed(c);
-                let srumma = Algorithm::srumma_default();
-                (nranks, srumma, spec, replication, rng.below(2) == 0)
-            }
-            _ => {
-                traced = true;
-                let opts = SrummaOptions {
-                    shmem: [ShmemFlavor::ForceCopy, ShmemFlavor::Auto][rng.below(2)],
-                    prefetch_depth: rng.below(3),
-                    ..SrummaOptions::default()
-                };
-                let spec = GemmSpec::new(ta, tb, m, n, k);
-                let hier = rng.below(2) == 0;
-                let (replication, srumma) = (ReplicationFactor::One, Algorithm::Srumma(opts));
-                (rng.range(2, 33), srumma, spec, replication, hier)
-            }
-        };
-        let plan = match rng.below(3) {
-            0 => FaultPlan::healthy(),
-            1 => FaultPlan::single_straggler(nranks, rng.below(nranks), 3.0),
-            _ => FaultPlan::random_stragglers(rng.next_u64(), nranks).with_get_spikes(0.3, 2e-4),
-        };
-        let spec = spec.with_scalars(1.5, 0.0);
-        let ab = operands(&spec);
-        let polled = Run {
-            operands: real.then_some((&ab.0, &ab.1)),
-            faults: Some(&plan),
-            replication,
-            hier,
-            trace: traced,
-            ..Run::new(spec, nranks, algorithm, Backend::Sim(machine))
-        };
-        if polled.validate().is_err() {
-            continue;
-        }
-        drawn[kind] += 1;
-        let what = format!(
-            "case {case}: {:?} {nranks} ranks {spec:?} {algorithm:?} {replication:?} \
-             hier={hier} real={real} traced={traced}",
-            machine.platform
-        );
-        let threaded = Run {
-            threaded_reference: true,
-            ..polled
-        };
-        let (p, t) = (polled.execute().unwrap(), threaded.execute().unwrap());
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(p.reports, t.reports, "{what}: reports");
-        assert_eq!(
-            bits(&p.stats.final_times),
-            bits(&t.stats.final_times),
-            "{what}: final clocks"
-        );
-        assert_eq!(
-            p.stats.makespan.to_bits(),
-            t.stats.makespan.to_bits(),
-            "{what}"
-        );
-        for (rank, (x, y)) in p.stats.ranks.iter().zip(&t.stats.ranks).enumerate() {
-            assert_eq!(format!("{x:?}"), format!("{y:?}"), "{what}: rank {rank}");
-        }
-        assert_eq!(
-            format!("{:?}", p.trace),
-            format!("{:?}", t.trace),
-            "{what}: trace"
-        );
-        assert_eq!(p.trace.is_empty(), !traced, "{what}: trace");
-        if real {
-            let (x, y) = (p.c.unwrap(), t.c.unwrap());
-            assert_eq!(bits(x.as_slice()), bits(y.as_slice()), "{what}: C");
-        }
-    }
 }

@@ -13,26 +13,18 @@
 //! them when: when an operation at virtual time `t` acquires a FIFO
 //! resource, every acquisition that should precede it already has.
 //!
-//! A rank is hosted in one of two ways over that one order:
-//!
-//! * **on a thread of its own** ([`crate::runner::run_sim`]): ranks run
-//!   freely, and whichever thread posts runs the apply loop under the
-//!   kernel lock. A rank's control flow can depend only on values it
-//!   reads, so only the calls that return one wait: [`Kernel::now`]
-//!   until everything the rank posted before it is applied, and
-//!   [`Kernel::recv_msg`], [`Kernel::pair_sync`] and [`Kernel::barrier`]
-//!   until the kernel has applied them. `advance`, `issue_transfer`,
-//!   `wait_transfer`, `post_msg_after` and `finish` return at once;
-//! * **polled** ([`crate::runner::PolledSim`]): one host thread steps
-//!   resumable rank programs. A post only queues; the host runs the
-//!   apply loop between steps, and it returns the rank the order waits
-//!   on, which the host steps next — so at most one step's operations
-//!   per rank are ever queued. Such a rank never blocks: it reaches the
-//!   barrier in split form ([`Kernel::barrier_post`], then
-//!   [`Kernel::barrier_test`] when it is stepped again), and a call that
-//!   would wait panics instead.
-//!
-//! Data a rank moves itself still moves in its program order.
+//! One host thread steps resumable rank programs
+//! ([`crate::runner::PolledSim`]). A post only queues; the host runs the
+//! apply loop between steps, and it returns the rank the order waits on,
+//! which the host steps next — so at most one step's operations per rank
+//! are ever queued. A rank never blocks. Nothing it posts returns a value
+//! the kernel has yet to compute: a transfer's id is its issue count, a
+//! mark's its index. What it must read comes back at the top of its next
+//! step, when its queue is empty: its clock ([`SimProc::now`](crate::SimProc::now), which
+//! asserts that), a barrier release ([`SimProc::barrier_post`](crate::SimProc::barrier_post), then
+//! [`SimProc::barrier_test`](crate::SimProc::barrier_test)), a message ([`SimProc::recv_post`](crate::SimProc::recv_post), then
+//! [`SimProc::recv_take`](crate::SimProc::recv_take)), and, once the run is over, the clocks its
+//! marks were stamped with.
 //!
 //! A pleasant consequence: a transfer's **completion time is fully
 //! determined at issue** (resources are FIFO, acquisition order is the
@@ -50,21 +42,19 @@
 //! faithful granularity.
 
 use crate::resource::{acquire_joint, Resource};
-use crate::stats::RankStats;
-use crate::trace::{TraceEvent, TraceKind};
 use srumma_model::network::Path;
 use srumma_model::{Topology, TransferCost};
+use srumma_trace::{RankStats, RunStats, TraceEvent, TraceKind};
+use std::cell::{RefCell, RefMut};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Identifier of an issued transfer: the issuing rank's count of
 /// transfers before it. Meaningful only to the rank that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TransferId(usize);
+pub struct TransferId(pub(crate) usize);
 
-/// Description of one data movement handed to [`Kernel::issue_transfer`].
+/// Description of one data movement handed to [`SimProc::issue_transfer`](crate::SimProc::issue_transfer).
 ///
 /// The *initiator* is the calling rank and may be either endpoint: for a
 /// get it is `dst_rank` (data flows toward the caller), for a put/send it
@@ -121,7 +111,7 @@ impl SimConfig {
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Status {
+pub(crate) enum Status {
     /// Its program runs or its posted operations wait for their turn.
     Active,
     /// Waiting for a matching operation (recv / pair / barrier).
@@ -131,17 +121,17 @@ enum Status {
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BlockReason {
+pub(crate) enum BlockReason {
     Recv,
     Pair,
     Barrier,
-    /// A polled program parked without arriving at the barrier: nothing
+    /// A program parked without posting what it waits for: nothing
     /// the kernel applies can wake it.
     Nothing,
 }
 
 /// A timed operation a rank has posted and the kernel has not applied.
-enum Op {
+pub(crate) enum Op {
     Advance {
         dt: f64,
         compute: bool,
@@ -166,43 +156,36 @@ enum Op {
     Barrier,
     /// Stamp the rank's clock into its marks (zero cost).
     Mark,
-    /// A polled program parked on nothing the kernel knows of.
+    /// A program parked on nothing the kernel knows of.
     Park,
     Finish,
 }
 
-/// What a rank waiting in a value-returning call gets back.
-enum Reply {
+/// What a split operation leaves for the rank's next step.
+pub(crate) enum Reply {
     Unit,
     Msg(Msg),
 }
 
-/// The payload a rank thread unwinds with when the run it waits in is
-/// aborted by another thread's panic (or a deadlock): the runner
-/// re-raises the panic that caused the abort, not these.
-pub(crate) struct Aborted;
-
-struct RankState {
-    clock: f64,
+pub(crate) struct RankState {
+    pub(crate) clock: f64,
     /// The rank's CPU is unavailable before this time (own work and
     /// remote-theft both push it).
     cpu_free_at: f64,
-    status: Status,
+    pub(crate) status: Status,
     stats: RankStats,
     /// Posted operations not yet applied, in program order.
-    queue: VecDeque<Op>,
+    pub(crate) queue: VecDeque<Op>,
     /// Completion time of each applied transfer, by [`TransferId`].
     done_at: Vec<f64>,
     /// Transfers posted so far: the next [`TransferId`].
-    issued: usize,
+    pub(crate) issued: usize,
     /// The clock at each applied [`Op::Mark`], in program order.
-    marks: Vec<f64>,
+    pub(crate) marks: Vec<f64>,
     /// Marks posted so far: the index of the next.
-    marked: usize,
-    /// The result of the value-returning call the thread waits in.
-    reply: Option<Reply>,
-    /// The thread sleeps on its condvar.
-    parked: bool,
+    pub(crate) marked: usize,
+    /// The result of the split operation the rank waits in.
+    pub(crate) reply: Option<Reply>,
     /// Bumped each time the rank takes a new [`Turn`]: an older turn of
     /// the rank is stale.
     epoch: u64,
@@ -260,8 +243,8 @@ struct BarrierState {
     waiting: Vec<usize>,
 }
 
-struct KState {
-    ranks: Vec<RankState>,
+pub(crate) struct KState {
+    pub(crate) ranks: Vec<RankState>,
     /// One live [`Turn`] per active rank, plus stale ones not yet popped.
     order: BinaryHeap<Turn>,
     nic_in: Vec<Resource>,
@@ -274,10 +257,6 @@ struct KState {
     pair_gate: HashMap<u64, (usize, f64)>,
     barrier: BarrierState,
     trace: Vec<TraceEvent>,
-    /// Set on deadlock, on a panic while applying an operation, and
-    /// when a rank program panics; every waiting thread is woken and
-    /// unwinds, so the run fails instead of hanging.
-    poisoned: bool,
 }
 
 impl KState {
@@ -307,30 +286,16 @@ impl KState {
     }
 }
 
-/// The shared simulation kernel. One per run; ranks hold an
-/// `Arc<Kernel>` through their [`crate::proc::SimProc`] handles.
+/// The simulation kernel. One per run, owned by the host thread; ranks
+/// hold an `Rc<Kernel>` through their [`crate::proc::SimProc`] handles.
 pub(crate) struct Kernel {
     cfg: SimConfig,
-    /// Ranks are stepped by one host thread ([`crate::runner::PolledSim`]):
-    /// posts only queue, and nothing waits.
-    polled: bool,
-    state: Mutex<KState>,
-    cvars: Vec<Condvar>,
+    state: RefCell<KState>,
 }
 
 impl Kernel {
-    /// Build a kernel for `cfg.topology.nranks()` ranks on threads of
-    /// their own, all at time 0.
+    /// Build a kernel for `cfg.topology.nranks()` ranks, all at time 0.
     pub(crate) fn new(cfg: SimConfig) -> Self {
-        Self::hosted(cfg, false)
-    }
-
-    /// Build a kernel whose ranks one host thread steps.
-    pub(crate) fn polled(cfg: SimConfig) -> Self {
-        Self::hosted(cfg, true)
-    }
-
-    fn hosted(cfg: SimConfig, polled: bool) -> Self {
         let n = cfg.topology.nranks();
         let nodes = cfg.topology.nnodes();
         let groups = n.div_ceil(cfg.membw_group_size.max(1));
@@ -346,7 +311,6 @@ impl Kernel {
                 marks: Vec::new(),
                 marked: 0,
                 reply: None,
-                parked: false,
                 epoch: 0,
             })
             .collect();
@@ -358,9 +322,7 @@ impl Kernel {
             })
             .collect();
         Kernel {
-            polled,
-            cvars: (0..n).map(|_| Condvar::new()).collect(),
-            state: Mutex::new(KState {
+            state: RefCell::new(KState {
                 ranks,
                 order,
                 nic_in: vec![Resource::new(); nodes * cfg.nic_channels.max(1)],
@@ -372,7 +334,6 @@ impl Kernel {
                 pair_gate: HashMap::new(),
                 barrier: BarrierState::default(),
                 trace: Vec::new(),
-                poisoned: false,
             }),
             cfg,
         }
@@ -382,18 +343,8 @@ impl Kernel {
         &self.cfg
     }
 
-    /// Whether one host thread steps the ranks
-    /// ([`crate::runner::PolledSim`]).
-    pub(crate) fn is_polled(&self) -> bool {
-        self.polled
-    }
-
-    /// Lock the kernel state, tolerating mutex poisoning: when a thread
-    /// panics holding the lock (e.g. the deadlock detector fires) the
-    /// remaining threads must still be able to observe the `poisoned`
-    /// flag and unwind instead of aborting on `PoisonError`.
-    fn lock(&self) -> MutexGuard<'_, KState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    pub(crate) fn lock(&self) -> RefMut<'_, KState> {
+        self.state.borrow_mut()
     }
 
     pub fn nranks(&self) -> usize {
@@ -406,80 +357,18 @@ impl Kernel {
 
     // ----- scheduling core ---------------------------------------------
 
-    /// Append `op` to `rank`'s queue and, on threads, apply whatever the
-    /// global order now allows (a polled host applies between steps).
-    /// Returns with the lock still held.
-    fn post(&self, rank: usize, op: Op) -> MutexGuard<'_, KState> {
+    /// Append `op` to `rank`'s queue; the host applies it between
+    /// steps. Returns with the state still borrowed.
+    pub(crate) fn post(&self, rank: usize, op: Op) -> RefMut<'_, KState> {
         let mut st = self.lock();
-        if st.poisoned {
-            drop(st);
-            resume_unwind(Box::new(Aborted));
-        }
         st.ranks[rank].queue.push_back(op);
-        if !self.polled {
-            self.pump(&mut st);
-        }
         st
-    }
-
-    /// Refuse a call that waits when no thread of the rank's own could.
-    fn may_block(&self, rank: usize, call: &str) {
-        assert!(
-            !self.polled,
-            "rank {rank}: a polled simulated rank cannot block in `{call}`: its host \
-             steps every rank on one thread; use the split barrier \
-             (`Comm::barrier_try`), or run the rank on a thread of its own (`run_sim`)"
-        );
-    }
-
-    /// Post a value-returning operation and sleep until it is applied.
-    fn call(&self, rank: usize, op: Op, what: &str) -> Reply {
-        self.may_block(rank, what);
-        let st = self.post(rank, op);
-        let mut st = self.wait_until(st, rank, |r| r.reply.is_some());
-        st.ranks[rank].reply.take().expect("reply is ready")
-    }
-
-    /// Sleep on `rank`'s condvar until `ready` holds for it; unwind with
-    /// [`Aborted`] if the run is poisoned first.
-    fn wait_until<'a>(
-        &self,
-        mut st: MutexGuard<'a, KState>,
-        rank: usize,
-        ready: impl Fn(&RankState) -> bool,
-    ) -> MutexGuard<'a, KState> {
-        while !ready(&st.ranks[rank]) {
-            if st.poisoned {
-                drop(st);
-                resume_unwind(Box::new(Aborted));
-            }
-            st.ranks[rank].parked = true;
-            st = self.cvars[rank].wait(st).unwrap_or_else(|e| e.into_inner());
-            st.ranks[rank].parked = false;
-        }
-        st
-    }
-
-    /// Wake `rank`'s thread if it sleeps.
-    fn wake(&self, st: &KState, rank: usize) {
-        if st.ranks[rank].parked {
-            self.cvars[rank].notify_one();
-        }
-    }
-
-    /// Mark the run failed and wake every sleeping thread to unwind.
-    fn poison(&self, st: &mut KState) {
-        st.poisoned = true;
-        for cv in &self.cvars {
-            cv.notify_all();
-        }
     }
 
     /// Apply posted operations in `(clock, id)` order until the least
     /// active rank has nothing posted, and return that rank (`None`:
     /// every rank is done). Panics on deadlock (nothing active, not
-    /// everything done); a panic while applying poisons the run before
-    /// it propagates.
+    /// everything done).
     fn pump(&self, st: &mut KState) -> Option<usize> {
         loop {
             let Some(rank) = st.least_active() else {
@@ -491,18 +380,9 @@ impl Kernel {
             let Some(op) = st.ranks[rank].queue.pop_front() else {
                 return Some(rank); // its next operation is not posted yet
             };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.apply(st, rank, op))) {
-                self.poison(st);
-                resume_unwind(payload);
-            }
+            self.apply(st, rank, op);
             if st.ranks[rank].status == Status::Active {
                 st.requeue(rank);
-            }
-            // Its thread may wait in `now` (for the queue to drain) or
-            // in a value-returning call (for its reply).
-            let r = &st.ranks[rank];
-            if r.reply.is_some() || (r.queue.is_empty() && r.status == Status::Active) {
-                self.wake(st, rank);
             }
         }
     }
@@ -525,7 +405,6 @@ impl Kernel {
                 _ => None,
             })
             .collect();
-        self.poison(st);
         panic!(
             "simulation deadlock: no runnable rank and no pending wakeups\n{}",
             blocked.join("\n")
@@ -558,89 +437,15 @@ impl Kernel {
         }
     }
 
-    /// Called when the rank's program returns. Does not wait.
-    pub(crate) fn finish(&self, rank: usize) {
-        let mut st = self.lock();
-        if !st.poisoned {
-            st.ranks[rank].queue.push_back(Op::Finish);
-            if !self.polled {
-                self.pump(&mut st);
-            }
-        }
-    }
-
-    /// Polled hosting: apply what the order allows and return the rank
-    /// it waits on — the one to step next — or `None` once every rank is
-    /// done. Panics on deadlock, naming the blocked ranks.
+    /// Apply what the order allows and return the rank it waits on — the
+    /// one to step next — or `None` once every rank is done. Panics on
+    /// deadlock, naming the blocked ranks.
     pub(crate) fn next_rank(&self) -> Option<usize> {
         let mut st = self.lock();
         self.pump(&mut st)
     }
 
-    /// Polled hosting: `rank`'s program parked without arriving at the
-    /// barrier. Nothing wakes it; if the rest of the run cannot finish
-    /// without it, that is reported as a deadlock naming it.
-    pub(crate) fn park(&self, rank: usize) {
-        let _st = self.post(rank, Op::Park);
-    }
-
-    /// Abort the run: every waiting rank wakes and unwinds. Called when
-    /// a rank program panics.
-    pub(crate) fn abort(&self) {
-        let mut st = self.lock();
-        self.poison(&mut st);
-    }
-
-    // ----- primitive operations ----------------------------------------
-
-    /// Current virtual time of `rank`: its clock once everything it
-    /// posted before is applied. (Only its own operations move the clock
-    /// of a rank that is not blocked, so the global order need not reach
-    /// this call.)
-    pub(crate) fn now(&self, rank: usize) -> f64 {
-        if self.polled {
-            let st = self.lock();
-            let r = &st.ranks[rank];
-            assert!(
-                r.queue.is_empty() && r.status == Status::Active,
-                "rank {rank}: a polled simulated rank reads `now` only at the top of a \
-                 step, before it posts an operation; a span takes its ends from \
-                 posted marks (`Comm::task_begin`)"
-            );
-            return r.clock;
-        }
-        let st = self.wait_until(self.lock(), rank, |r| {
-            r.queue.is_empty() && r.status == Status::Active
-        });
-        st.ranks[rank].clock
-    }
-
-    /// Post a zero-cost mark: when the kernel applies it, the rank's
-    /// clock is stamped as mark number `i` (the value returned), read
-    /// back with [`Kernel::mark_time`] once applied.
-    pub(crate) fn mark(&self, rank: usize) -> usize {
-        let mut st = self.post(rank, Op::Mark);
-        let r = &mut st.ranks[rank];
-        r.marked += 1;
-        r.marked - 1
-    }
-
-    /// The clock mark `i` of `rank` was stamped with.
-    pub(crate) fn mark_time(&self, rank: usize, i: usize) -> f64 {
-        self.lock().ranks[rank].marks[i]
-    }
-
-    /// Charge `dt` seconds of CPU work to `rank` (optionally counted as
-    /// computation in the statistics). Respects CPU time stolen by
-    /// remote non-zero-copy operations.
-    pub(crate) fn advance(&self, rank: usize, dt: f64, compute: bool, label: &str) {
-        assert!(
-            dt >= 0.0 && dt.is_finite(),
-            "rank {rank}: bad advance dt={dt}"
-        );
-        let label = (self.cfg.trace && compute && dt > 0.0).then(|| label.to_string());
-        let _st = self.post(rank, Op::Advance { dt, compute, label });
-    }
+    // ----- applying operations -------------------------------------------
 
     fn apply_advance(
         &self,
@@ -671,29 +476,6 @@ impl Kernel {
                 bytes: 0,
             });
         }
-    }
-
-    /// Issue a (possibly nonblocking) data movement. Returns an id whose
-    /// completion time is fixed when the kernel applies the issue;
-    /// [`Kernel::wait_transfer`] advances the clock to it.
-    pub(crate) fn issue_transfer(&self, rank: usize, spec: TransferSpec) -> TransferId {
-        let n = self.nranks();
-        assert!(
-            spec.src_rank < n && spec.dst_rank < n,
-            "rank {rank}: transfer {} -> {} outside {n} ranks",
-            spec.src_rank,
-            spec.dst_rank
-        );
-        let c = &spec.cost;
-        let parts = [c.latency, c.initiator_cpu, c.remote_cpu, c.wire, c.membw];
-        assert!(
-            parts.iter().all(|t| t.is_finite() && *t >= 0.0) && c.async_fraction.is_finite(),
-            "rank {rank}: bad transfer cost {c:?}"
-        );
-        let mut st = self.post(rank, Op::Issue(spec));
-        let r = &mut st.ranks[rank];
-        r.issued += 1;
-        TransferId(r.issued - 1)
     }
 
     fn apply_issue(&self, st: &mut KState, rank: usize, spec: TransferSpec) {
@@ -796,12 +578,6 @@ impl Kernel {
         }
     }
 
-    /// Block (in virtual time) until the transfer completes; accounts
-    /// the incurred wait.
-    pub(crate) fn wait_transfer(&self, rank: usize, id: TransferId) {
-        let _st = self.post(rank, Op::Wait(id));
-    }
-
     fn apply_wait(&self, st: &mut KState, rank: usize, id: TransferId) {
         let r = &mut st.ranks[rank];
         let done_at = r.done_at[id.0];
@@ -825,28 +601,6 @@ impl Kernel {
         }
     }
 
-    /// Deposit a message for `(src=rank_of_sender → dst)`, available at
-    /// the receiver when this rank's transfer `id` completes
-    /// (`msg.avail_at` is ignored); wakes a waiting receiver.
-    pub(crate) fn post_msg_after(
-        &self,
-        rank: usize,
-        id: TransferId,
-        dst: usize,
-        tag: u64,
-        msg: Msg,
-    ) {
-        let _st = self.post(
-            rank,
-            Op::Post {
-                dst,
-                tag,
-                msg,
-                after: id,
-            },
-        );
-    }
-
     fn apply_post(&self, st: &mut KState, rank: usize, dst: usize, tag: u64, msg: Msg) {
         st.ranks[rank].stats.messages += 1;
         let key: MsgKey = (rank, dst, tag);
@@ -856,30 +610,6 @@ impl Kernel {
             // picks the message up with correct wait accounting.
             st.ranks[waiter].status = Status::Active;
             st.requeue(waiter);
-        }
-    }
-
-    /// Receive the next message from `src` with `tag`; blocks (in both
-    /// virtual and host time) until one is available.
-    pub(crate) fn recv_msg(&self, rank: usize, src: usize, tag: u64) -> Msg {
-        match self.call(rank, Op::Recv { src, tag }, "recv_msg") {
-            Reply::Msg(msg) => msg,
-            _ => unreachable!("a receive replies with its message"),
-        }
-    }
-
-    /// The receive's first half: post it, without waiting. Take the
-    /// message with [`Kernel::recv_take`] once the host steps the rank
-    /// again.
-    pub(crate) fn recv_post(&self, rank: usize, src: usize, tag: u64) {
-        let _st = self.post(rank, Op::Recv { src, tag });
-    }
-
-    /// The message the receive posted with [`Kernel::recv_post`] took.
-    pub(crate) fn recv_take(&self, rank: usize) -> Msg {
-        match self.lock().ranks[rank].reply.take() {
-            Some(Reply::Msg(msg)) => msg,
-            _ => panic!("rank {rank}: a split receive taken before the kernel applied it"),
         }
     }
 
@@ -910,14 +640,6 @@ impl Kernel {
         r.queue.push_front(Op::Recv { src, tag });
     }
 
-    /// Two-party rendezvous on `key`: both ranks' clocks advance to the
-    /// pairing time `max(clock_a, clock_b)`; each waits there until the
-    /// other has arrived. Used by the MPI layer's rendezvous protocol.
-    /// Nothing is read back: the call returns at once.
-    pub(crate) fn pair(&self, rank: usize, key: u64) {
-        let _st = self.post(rank, Op::Pair(key));
-    }
-
     fn apply_pair(&self, st: &mut KState, rank: usize, key: u64) {
         let Some((peer, peer_clock)) = st.pair_gate.remove(&key) else {
             let r = &mut st.ranks[rank];
@@ -934,30 +656,6 @@ impl Kernel {
             r.cpu_free_at = r.cpu_free_at.max(t);
             r.status = Status::Active;
             st.requeue(who);
-        }
-        self.wake(st, peer);
-    }
-
-    /// Full barrier over all ranks. Releases everyone at
-    /// `max(arrival clocks) + barrier_latency`.
-    pub(crate) fn barrier(&self, rank: usize) {
-        self.call(rank, Op::Barrier, "barrier");
-    }
-
-    /// The barrier's first half: arrive, without waiting. Test the
-    /// arrival with [`Kernel::barrier_test`].
-    pub(crate) fn barrier_post(&self, rank: usize) {
-        let _st = self.post(rank, Op::Barrier);
-    }
-
-    /// Whether the barrier `rank` arrived at with [`Kernel::barrier_post`]
-    /// has released it; `true` consumes the release.
-    pub(crate) fn barrier_test(&self, rank: usize) -> bool {
-        let mut st = self.lock();
-        match st.ranks[rank].reply.take() {
-            Some(Reply::Unit) => true,
-            Some(_) => unreachable!("a barrier replies with nothing"),
-            None => false,
         }
     }
 
@@ -982,23 +680,24 @@ impl Kernel {
             r.status = Status::Active;
             r.reply = Some(Reply::Unit);
             st.requeue(w);
-            self.wake(st, w);
         }
     }
 
     // ----- results -------------------------------------------------------
 
-    /// Final clocks and statistics; call after all ranks finished.
-    pub(crate) fn collect(&self) -> (Vec<f64>, Vec<RankStats>, Vec<TraceEvent>) {
+    /// The run's statistics and trace; call after all ranks finished.
+    pub(crate) fn collect(&self) -> (RunStats, Vec<TraceEvent>) {
         let mut st = self.lock();
-        assert!(
-            st.ranks.iter().all(|r| r.status == Status::Done),
-            "collect() before all ranks finished"
-        );
-        let times = st.ranks.iter().map(|r| r.clock).collect();
-        let stats = st.ranks.iter().map(|r| r.stats).collect();
-        let trace = std::mem::take(&mut st.trace);
-        (times, stats, trace)
+        let done = st.ranks.iter().all(|r| r.status == Status::Done);
+        assert!(done, "collect() before all ranks finished");
+        let final_times: Vec<f64> = st.ranks.iter().map(|r| r.clock).collect();
+        let stats = RunStats {
+            ranks: st.ranks.iter().map(|r| r.stats).collect(),
+            makespan: final_times.iter().copied().fold(0.0, f64::max),
+            final_times,
+            exec: None,
+        };
+        (stats, std::mem::take(&mut st.trace))
     }
 }
 

@@ -3,30 +3,27 @@
 //! The SRUMMA paper evaluates parallel algorithms on four machines we do
 //! not have. This crate provides the substitute: a **conservative,
 //! sequential discrete-event simulator** that runs *real rank programs*
-//! (ordinary blocking Rust closures, one per process) against a virtual
-//! clock driven by the cost model in `srumma-model`.
+//! (resumable state machines, one per process) against a virtual clock
+//! driven by the cost model in `srumma-model`.
 //!
 //! ## Execution model
 //!
 //! * Each rank runs the *actual algorithm implementation* against the
-//!   [`proc::SimProc`] handle, hosted one of two ways: as an ordinary
-//!   blocking closure on an OS thread of its own ([`runner::run_sim`]),
-//!   or as a resumable program that one host thread steps
-//!   ([`runner::PolledSim`]), so a rank costs its operations and no
-//!   thread.
+//!   [`proc::SimProc`] handle, as a resumable program that one host
+//!   thread steps ([`runner::PolledSim`]): a rank costs its operations,
+//!   and no thread.
 //! * Ranks **run ahead** of virtual time: a timed operation (compute
-//!   charge, transfer issue or wait, message post) is posted to the
-//!   rank's queue in the kernel and the rank carries on. The kernel
-//!   applies posted operations one at a time, always the next one of
-//!   the active rank with the lowest virtual clock (ties broken by rank
-//!   id, kept in a binary heap), so no rank's operation takes effect
-//!   before an earlier-clocked one's. A threaded rank waits only where
-//!   it reads a value — its clock, a message, a rendezvous time, a
-//!   barrier release — until the kernel has caught up with it; a polled
-//!   rank reads none but the barrier's, in split form, and is stepped
-//!   when the order reaches it. Every simulation is bit-for-bit
-//!   deterministic, independent of host scheduling, and the two
-//!   hostings of one program agree to the bit.
+//!   charge, transfer issue or wait, message post or receive, rendezvous,
+//!   barrier arrival, mark) is posted to the rank's queue in the kernel
+//!   and the rank carries on to the end of its step. The kernel applies
+//!   posted operations one at a time, always the next one of the active
+//!   rank with the lowest virtual clock (ties broken by rank id, kept in
+//!   a binary heap), so no rank's operation takes effect before an
+//!   earlier-clocked one's, and it hands the host the rank the order
+//!   waits on. A rank reads what the kernel computed — its clock, a
+//!   message, a barrier release — at the top of its next step, when its
+//!   queue is empty. Every simulation is bit-for-bit deterministic and
+//!   independent of how the programs split their work into steps.
 //! * Time costs come from [`srumma_model::TransferCost`] decompositions
 //!   and the analytic dgemm efficiency model; *data movement is real*
 //!   when callers choose to move real data (so numerics can be verified
@@ -51,20 +48,18 @@
 //!
 //! ## Entry point
 //!
-//! [`runner::run_sim`] launches the rank threads, runs the simulation to
-//! completion and returns per-rank outputs, final virtual times and
-//! aggregated [`stats::RunStats`]; [`runner::PolledSim`] hands the
-//! stepping loop to its caller and returns the same.
+//! [`runner::PolledSim`] hands the stepping loop to its caller and, once
+//! every rank has finished, returns per-rank outputs, final virtual times
+//! and aggregated [`RunStats`] — the statistics and trace event types
+//! are `srumma-trace`'s, shared with the wall-clock backends; under the
+//! simulator all times are *virtual* seconds.
 
 pub mod kernel;
 pub mod proc;
 pub mod resource;
 pub mod runner;
-pub mod stats;
-pub mod trace;
 
 pub use kernel::{SimConfig, TransferId, TransferSpec};
 pub use proc::SimProc;
-pub use runner::{run_sim, PolledSim, SimResult};
-pub use stats::{RankStats, RunStats};
-pub use trace::{TraceEvent, TraceKind};
+pub use runner::{PolledSim, SimResult};
+pub use srumma_trace::{RankStats, RunStats, TraceEvent, TraceKind};

@@ -1,18 +1,16 @@
-//! Launching a simulation, deterministic either way: [`run_sim`] gives
-//! each rank a scoped thread of its own and runs blocking closures;
-//! [`PolledSim`] leaves the stepping of resumable rank programs to one
-//! host thread, which costs a rank only its own operations.
+//! Launching a simulation: [`PolledSim`] leaves the stepping of
+//! resumable rank programs to one host thread, which costs a rank only
+//! its own operations.
 
-use crate::kernel::{Aborted, Kernel, SimConfig};
+use crate::kernel::{Kernel, Op, SimConfig};
 use crate::proc::SimProc;
-use crate::stats::RunStats;
-use crate::trace::TraceEvent;
-use std::sync::Arc;
+use srumma_trace::{RunStats, TraceEvent};
+use std::rc::Rc;
 
 /// Everything a finished simulation returns.
 #[derive(Debug)]
 pub struct SimResult<T> {
-    /// Per-rank return values of the rank closures.
+    /// Per-rank outputs of the rank programs.
     pub outputs: Vec<T>,
     /// Aggregated statistics (per-rank counters, final clocks, makespan).
     pub stats: RunStats,
@@ -27,115 +25,31 @@ impl<T> SimResult<T> {
     }
 }
 
-/// Run `body` once per rank under the virtual-time kernel and collect
-/// outputs, statistics and traces.
-///
-/// `body` receives the rank's [`SimProc`] handle. Rank programs are
-/// ordinary blocking code on threads of their own; the kernel applies
-/// their timed operations deterministically in virtual-time order, so
-/// two runs of the same program produce identical virtual timings
-/// bit-for-bit, however the host schedules the threads.
-///
-/// # Panics
-/// Re-raises the first rank panic (lowest rank id), and panics on
-/// simulation deadlock. A rank panic aborts the run: the other ranks
-/// unwind out of whatever kernel call they are in, and those unwinds
-/// are not re-raised in its place.
-pub fn run_sim<T, F>(cfg: SimConfig, body: F) -> SimResult<T>
-where
-    T: Send,
-    F: Fn(&SimProc) -> T + Sync,
-{
-    let nranks = cfg.topology.nranks();
-    let kernel = Arc::new(Kernel::new(cfg));
-    let mut outputs: Vec<Option<T>> = (0..nranks).map(|_| None).collect();
-    let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, slot) in outputs.iter_mut().enumerate() {
-            let kernel = Arc::clone(&kernel);
-            let body = &body;
-            handles.push(scope.spawn(move || {
-                let proc = SimProc::new(Arc::clone(&kernel), rank);
-                // A panicking body must abort the run, or the ranks
-                // waiting on it hang (or report a deadlock that hides
-                // the panic). Catch, abort, re-raise later.
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&proc))) {
-                    Ok(v) => {
-                        kernel.finish(rank);
-                        *slot = Some(v);
-                        None
-                    }
-                    Err(payload) => {
-                        kernel.abort();
-                        Some(payload)
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(None) => {}
-                Ok(Some(payload)) => panics.push(payload),
-                // The thread itself panicked (e.g. deadlock detected in
-                // `finish`, after the catch_unwind region).
-                Err(payload) => panics.push(payload),
-            }
-        }
-    });
-
-    // Ranks an abort woke unwind with `Aborted`; re-raise the panic that
-    // caused it.
-    if !panics.is_empty() {
-        let i = panics.iter().position(|p| !p.is::<Aborted>()).unwrap_or(0);
-        std::panic::resume_unwind(panics.swap_remove(i));
-    }
-
-    result(&kernel, outputs.into_iter().map(|o| o.unwrap()).collect())
-}
-
-/// The finished run: the kernel's clocks, statistics and trace beside
-/// the ranks' outputs.
-fn result<T>(kernel: &Kernel, outputs: Vec<T>) -> SimResult<T> {
-    let (times, rank_stats, trace) = kernel.collect();
-    let makespan = times.iter().copied().fold(0.0, f64::max);
-    SimResult {
-        outputs,
-        stats: RunStats {
-            ranks: rank_stats,
-            final_times: times,
-            makespan,
-            exec: None,
-        },
-        trace,
-    }
-}
-
 /// A simulation whose ranks the caller steps on its own thread: no
-/// thread, stack or condvar wait per rank. Each rank is a resumable
-/// program over the [`SimProc`] from [`PolledSim::proc`], whose posts
-/// only queue. The loop is
+/// thread or stack per rank. Each rank is a resumable program over the
+/// [`SimProc`] from [`PolledSim::proc`], whose posts only queue. The
+/// loop is
 ///
 /// ```text
 /// while let Some(rank) = sim.next_rank() {
 ///     step rank's program;            // posts its operations
 ///     if it finished { sim.finish(rank) }
-///     if it parked outside the split barrier { sim.park(rank) }
+///     if it parked without posting what it waits for { sim.park(rank) }
 /// }
 /// ```
 ///
 /// `next_rank` applies the posted operations in `(clock, rank)` order
-/// and returns the rank the order waits on, so the timings are those of
-/// [`run_sim`] on the same operations, bit for bit.
+/// and returns the rank the order waits on — one whose queue is empty —
+/// so the timings depend on the operations alone, bit for bit, however
+/// the programs split them into steps.
 pub struct PolledSim {
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
 }
 
 impl PolledSim {
     pub fn new(cfg: SimConfig) -> Self {
         PolledSim {
-            kernel: Arc::new(Kernel::polled(cfg)),
+            kernel: Rc::new(Kernel::new(cfg)),
         }
     }
 
@@ -143,11 +57,9 @@ impl PolledSim {
         self.kernel.nranks()
     }
 
-    /// `rank`'s handle. Its value-returning calls (`now`, `recv_msg`,
-    /// `pair_sync`, `barrier`) panic: a polled rank reaches the barrier
-    /// through [`SimProc::barrier_post`] and [`SimProc::barrier_test`].
+    /// `rank`'s handle.
     pub fn proc(&self, rank: usize) -> SimProc {
-        SimProc::new(Arc::clone(&self.kernel), rank)
+        SimProc::new(Rc::clone(&self.kernel), rank)
     }
 
     /// Apply what the order allows; the rank to step next, or `None`
@@ -163,19 +75,24 @@ impl PolledSim {
 
     /// `rank`'s program returned.
     pub fn finish(&self, rank: usize) {
-        self.kernel.finish(rank);
+        self.kernel.post(rank, Op::Finish);
     }
 
-    /// `rank`'s program parked without arriving at the barrier: nothing
-    /// will wake it.
+    /// `rank`'s program parked without posting what it waits for:
+    /// nothing will wake it.
     pub fn park(&self, rank: usize) {
-        self.kernel.park(rank);
+        self.kernel.post(rank, Op::Park);
     }
 
     /// Clocks, statistics and trace of the finished run, beside the
     /// ranks' `outputs`.
     pub fn into_result<T>(self, outputs: Vec<T>) -> SimResult<T> {
-        result(&self.kernel, outputs)
+        let (stats, trace) = self.kernel.collect();
+        SimResult {
+            outputs,
+            stats,
+            trace,
+        }
     }
 }
 
@@ -188,33 +105,55 @@ mod tests {
         SimConfig::new(Topology::new(nranks, per_node))
     }
 
+    /// Step every rank on this thread: `step(proc, i)` is the rank's
+    /// step number `i`, which returns its output when it is the last.
+    fn polled<T>(cfg: SimConfig, step: impl Fn(&SimProc, usize) -> Option<T>) -> SimResult<T> {
+        let sim = PolledSim::new(cfg);
+        let mut steps = vec![0; sim.nranks()];
+        let mut outputs: Vec<Option<T>> = (0..sim.nranks()).map(|_| None).collect();
+        while let Some(rank) = sim.next_rank() {
+            outputs[rank] = step(&sim.proc(rank), steps[rank]);
+            steps[rank] += 1;
+            if outputs[rank].is_some() {
+                sim.finish(rank);
+            }
+        }
+        sim.into_result(outputs.into_iter().map(Option::unwrap).collect())
+    }
+
     #[test]
     fn ranks_see_their_ids() {
-        let res = run_sim(cfg(4, 2), |p| (p.rank(), p.nranks()));
+        let res = polled(cfg(4, 2), |p, _| Some((p.rank(), p.nranks())));
         assert_eq!(res.outputs, vec![(0, 4), (1, 4), (2, 4), (3, 4)]);
     }
 
     #[test]
     fn compute_advances_clock() {
-        let res = run_sim(cfg(3, 1), |p| {
+        let res = polled(cfg(3, 1), |p, _| {
             p.charge_compute(1.5 * (p.rank() as f64 + 1.0), "work");
-            p.now()
+            Some(())
         });
-        assert_eq!(res.outputs, vec![1.5, 3.0, 4.5]);
+        assert_eq!(res.stats.final_times, vec![1.5, 3.0, 4.5]);
         assert_eq!(res.makespan(), 4.5);
         assert_eq!(res.stats.ranks[2].compute_time, 4.5);
     }
 
     #[test]
     fn barrier_aligns_everyone() {
-        let res = run_sim(cfg(4, 4), |p| {
-            p.charge_compute(p.rank() as f64, "stagger");
-            p.barrier();
-            p.now()
+        let res = polled(cfg(4, 4), |p, i| match i {
+            0 => {
+                p.charge_compute(p.rank() as f64, "stagger");
+                p.barrier_post();
+                None
+            }
+            _ => {
+                assert!(p.barrier_test(), "stepped before the release");
+                Some(())
+            }
         });
         // Everyone leaves at max(arrivals) + barrier latency.
-        let t = res.outputs[0];
-        assert!(res.outputs.iter().all(|&x| x == t));
+        let t = res.stats.final_times[0];
+        assert!(res.stats.final_times.iter().all(|&x| x == t));
         assert!(t >= 3.0);
         assert!(res.stats.ranks[0].barrier_time >= 3.0);
         assert!(res.stats.ranks[3].barrier_time < 1e-3);
@@ -241,35 +180,43 @@ mod tests {
         p.post_msg_after(id, 1, tag, msg);
     }
 
+    /// Step `i` of rank 1's receive from rank 0 with `tag`: the payload,
+    /// at the step the message has arrived.
+    fn receive(p: &SimProc, i: usize, tag: u64) -> Option<f64> {
+        if i == 0 {
+            p.recv_post(0, tag);
+            return None;
+        }
+        Some(p.recv_take().payload[0])
+    }
+
     #[test]
     fn messages_carry_payloads_and_time() {
-        let res = run_sim(cfg(2, 1), |p| {
+        let res = polled(cfg(2, 1), |p, i| {
             if p.rank() == 0 {
                 p.charge_compute(2.0, "pre-send work");
                 send(p, 7, 0.5, 42.0);
-                0.0
+                Some(0.0)
             } else {
-                let m = p.recv_msg(0, 7);
-                assert_eq!(m.payload, vec![42.0]);
-                p.now()
+                receive(p, i, 7)
             }
         });
+        assert_eq!(res.outputs[1], 42.0);
         // Receiver resumed exactly when the payload became available.
-        assert!((res.outputs[1] - 2.5).abs() < 1e-12);
+        assert!((res.stats.final_times[1] - 2.5).abs() < 1e-12);
         assert!(res.stats.ranks[1].wait_time >= 2.4);
     }
 
     #[test]
     fn recv_before_send_blocks_correctly() {
         // Receiver arrives first; sender shows up later.
-        let res = run_sim(cfg(2, 1), |p| {
+        let res = polled(cfg(2, 1), |p, i| {
             if p.rank() == 1 {
-                let m = p.recv_msg(0, 1);
-                (p.now(), m.payload[0])
+                receive(p, i, 1).map(|value| (p.now(), value))
             } else {
                 p.charge_compute(5.0, "delay");
                 send(p, 1, 0.0, 9.0);
-                (p.now(), 0.0)
+                Some((0.0, 0.0))
             }
         });
         assert_eq!(res.outputs[1], (5.0, 9.0));
@@ -277,72 +224,74 @@ mod tests {
 
     #[test]
     fn pair_sync_returns_max_clock_to_both() {
-        let res = run_sim(cfg(2, 1), |p| {
-            p.charge_compute(if p.rank() == 0 { 1.0 } else { 4.0 }, "skew");
-            p.pair(99);
-            (p.now(), p.now())
+        let res = polled(cfg(2, 1), |p, i| match i {
+            0 => {
+                p.charge_compute(if p.rank() == 0 { 1.0 } else { 4.0 }, "skew");
+                p.pair(99);
+                None
+            }
+            _ => Some(p.now()),
         });
-        assert_eq!(res.outputs[0], (4.0, 4.0));
-        assert_eq!(res.outputs[1], (4.0, 4.0));
+        assert_eq!(res.outputs, vec![4.0, 4.0]);
+        assert_eq!(res.stats.ranks[0].wait_time, 3.0);
     }
 
     #[test]
     fn determinism_across_runs() {
         let run = || {
-            run_sim(cfg(6, 2), |p| {
-                // A little asymmetric mixing of compute and barriers.
-                p.charge_compute(0.1 * ((p.rank() * 7 % 5) as f64 + 1.0), "a");
-                p.barrier();
-                p.charge_compute(0.05 * (p.rank() as f64 + 1.0), "b");
-                p.now()
+            polled(cfg(6, 2), |p, i| match i {
+                0 => {
+                    // A little asymmetric mixing of compute and barriers.
+                    p.charge_compute(0.1 * ((p.rank() * 7 % 5) as f64 + 1.0), "a");
+                    p.barrier_post();
+                    None
+                }
+                _ => {
+                    assert!(p.barrier_test());
+                    p.charge_compute(0.05 * (p.rank() as f64 + 1.0), "b");
+                    Some(())
+                }
             })
-            .outputs
+            .stats
+            .final_times
         };
         assert_eq!(run(), run());
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
+    #[should_panic(expected = "rank 0 blocked on a receive")]
     fn deadlock_is_detected() {
         // Rank 0 waits for a message nobody sends while rank 1 exits.
-        let _ = run_sim(cfg(2, 1), |p| {
-            if p.rank() == 0 {
-                let _ = p.recv_msg(1, 0);
+        polled(cfg(2, 1), |p, i| {
+            if p.rank() == 0 && i == 0 {
+                p.recv_post(1, 0);
+                return None;
             }
+            Some(())
         });
     }
 
     #[test]
     #[should_panic(expected = "rank body exploded")]
     fn rank_panic_propagates() {
-        let _ = run_sim(cfg(2, 1), |p| {
+        polled(cfg(2, 1), |p, _| {
             if p.rank() == 1 {
                 panic!("rank body exploded");
             }
+            Some(())
         });
     }
 
-    /// Run a simulation that must fail on a thread of its own, under a
-    /// 10 s watchdog (a hang fails the test instead of stalling the
-    /// suite), and return its panic message.
-    fn failure_within_10s<F>(body: F) -> String
-    where
-        F: Fn(&SimProc) + Send + Sync + 'static,
-        F: std::panic::RefUnwindSafe,
-    {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let run = std::panic::catch_unwind(|| run_sim(cfg(2, 2), &body));
-            let _ = tx.send(run.err().map(|p| {
-                p.downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default()
-            }));
-        });
-        rx.recv_timeout(std::time::Duration::from_secs(10))
-            .expect("the simulation hung")
-            .expect("the simulation should have panicked")
+    /// The panic message of a simulation that must fail.
+    fn failure(step: impl Fn(&SimProc, usize) -> Option<()>) -> String {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            polled(cfg(2, 2), step);
+        }));
+        let p = run.expect_err("the simulation should have panicked");
+        p.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
     }
 
     fn nan_cost() -> srumma_model::TransferCost {
@@ -355,9 +304,12 @@ mod tests {
 
     #[test]
     fn a_bad_transfer_panics_naming_its_rank_and_never_hangs() {
-        let msg = failure_within_10s(|p| {
+        let msg = failure(|p, i| {
             if p.rank() == 0 {
-                p.barrier();
+                match i {
+                    0 => p.barrier_post(),
+                    _ => return Some(()),
+                }
             } else {
                 p.issue_transfer(crate::TransferSpec {
                     cost: nan_cost(),
@@ -367,38 +319,11 @@ mod tests {
                     label: String::new(),
                 });
             }
+            None
         });
         assert!(
             msg.contains("rank 1") && msg.contains("bad transfer cost"),
             "{msg}"
         );
-    }
-
-    /// A panic while the kernel applies an operation lands on whichever
-    /// thread is pumping; it poisons the run, so the rank waiting at the
-    /// barrier unwinds too and the panic surfaces.
-    #[cfg(debug_assertions)]
-    #[test]
-    fn a_panic_while_applying_poisons_the_run() {
-        let msg = failure_within_10s(|p| {
-            if p.rank() == 0 {
-                p.barrier();
-            } else {
-                // Both ranks share a node: a network path is a model bug
-                // the kernel only notices when it applies the issue.
-                p.issue_transfer(crate::TransferSpec {
-                    cost: srumma_model::TransferCost {
-                        wire: 1e-6,
-                        path: srumma_model::network::Path::Network,
-                        ..Default::default()
-                    },
-                    src_rank: 0,
-                    dst_rank: 1,
-                    bytes: 8,
-                    label: String::new(),
-                });
-            }
-        });
-        assert!(msg.contains("network transfer within one node"), "{msg}");
     }
 }

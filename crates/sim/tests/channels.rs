@@ -2,9 +2,12 @@
 //! channels multiply aggregate throughput without changing per-stream
 //! rates.
 
+mod common;
+
+use common::clocks;
 use srumma_model::network::Path;
 use srumma_model::{Topology, TransferCost};
-use srumma_sim::{run_sim, SimConfig, TransferSpec};
+use srumma_sim::{SimConfig, TransferSpec};
 
 fn net_cost(wire: f64) -> TransferCost {
     TransferCost {
@@ -41,7 +44,7 @@ fn nic_planes_multiply_aggregate_throughput() {
             nic_channels: planes,
             ..SimConfig::new(Topology::new(4, 2))
         };
-        run_sim(cfg, |p| {
+        clocks(cfg, |p| {
             // Ranks 0, 1 (node 0) both fetch from rank 2 (node 1):
             // (src + dst) parities 0+2 and 1+2 differ, so with two
             // planes the flows use distinct channels.
@@ -56,7 +59,6 @@ fn nic_planes_multiply_aggregate_throughput() {
                 });
                 p.wait_transfer(t);
             }
-            p.now()
         })
         .makespan()
     };
@@ -74,7 +76,7 @@ fn shm_channels_multiply_aggregate_throughput() {
             mpi_shm_channels: channels,
             ..SimConfig::new(Topology::new(4, 4))
         };
-        run_sim(cfg, |p| {
+        clocks(cfg, |p| {
             // Rank 0 -> 2 (channel (0+2)%2 = 0), rank 1 -> 2? choose
             // destinations with distinct parity: 0->2 (0), 1->2 (1).
             if p.rank() < 2 {
@@ -87,7 +89,6 @@ fn shm_channels_multiply_aggregate_throughput() {
                 });
                 p.wait_transfer(t);
             }
-            p.now()
         })
         .makespan()
     };
@@ -107,7 +108,7 @@ fn busy_destination_does_not_block_the_source_channel() {
     // ingress), while rank 2 pulls a short one from node 0. Rank 2's
     // fetch must not wait for rank 1's ingress backlog.
     let cfg = SimConfig::new(Topology::new(3, 1));
-    let res = run_sim(cfg, |p| {
+    let res = clocks(cfg, |p| {
         match p.rank() {
             1 => {
                 let long = p.issue_transfer(TransferSpec {
@@ -140,7 +141,6 @@ fn busy_destination_does_not_block_the_source_channel() {
             }
             _ => {}
         }
-        p.now()
     });
     // Rank 2's short fetch: node 0's egress was occupied 0..1 ms by the
     // queued transfer's *send* phase, so rank 2 finishes ~2.5 ms —

@@ -1,17 +1,17 @@
 //! Property-style tests on the virtual-time kernel: determinism,
-//! monotonicity and conservation over randomized rank programs, and the
-//! guarantee that host scheduling cannot move virtual time.
+//! monotonicity and conservation over randomized rank programs.
 //!
 //! Programs are generated from the in-repo deterministic [`Rng`] (the
 //! workspace builds offline, without a property-testing framework).
-//! They draw every kind of kernel call, so every value-returning path
-//! (`now`, `recv_msg`, `pair_sync`, `barrier`) is exercised.
+//! They draw every kind of kernel call, so every path that hands a value
+//! back at the top of a step (`now`, a received message, a barrier
+//! release) and the rendezvous are exercised.
 
 use srumma_dense::Rng;
 use srumma_model::network::Path;
 use srumma_model::{Topology, TransferCost};
 use srumma_sim::kernel::Msg;
-use srumma_sim::{run_sim, SimConfig, SimProc, SimResult, TransferSpec};
+use srumma_sim::{PolledSim, SimConfig, SimProc, TransferSpec};
 
 const CASES: u64 = 24;
 
@@ -32,7 +32,8 @@ enum Step {
     },
     /// Ranks `2i` and `2i + 1` rendezvous.
     Pair,
-    /// Read the clock and let the value steer a compute charge.
+    /// Read the clock (at the top of a step) and let the value steer a
+    /// compute charge.
     Stamp,
 }
 
@@ -78,99 +79,117 @@ fn move_cost(p: &SimProc, a: usize, b: usize, bytes: u64, local: Path) -> Transf
     }
 }
 
-/// Run `steps` on every rank. With `jitter`, each rank perturbs its host
-/// timing between operations (spins, yields and short sleeps drawn from
-/// a per-rank seed), which must not change any virtual-time result.
-fn simulate(
-    nranks: usize,
-    per_node: usize,
-    steps: &[Step],
-    trace: bool,
-    jitter: Option<u64>,
-) -> SimResult<f64> {
-    let cfg = SimConfig {
-        trace,
-        ..SimConfig::new(Topology::new(nranks, per_node))
-    };
-    run_sim(cfg, |p| {
-        let me = p.rank();
-        let n = p.nranks();
-        let mut host = jitter.map(|seed| Rng::new(seed ^ ((me as u64) << 32)));
-        for (i, s) in steps.iter().enumerate() {
-            if let Some(rng) = host.as_mut() {
-                match rng.below(4) {
-                    0 => std::thread::yield_now(),
-                    1 => (0..rng.below(20_000)).for_each(|_| std::hint::spin_loop()),
-                    2 => {
-                        std::thread::sleep(std::time::Duration::from_micros(rng.below(200) as u64))
-                    }
-                    _ => {}
-                }
-            }
-            match *s {
-                Step::Compute(units) => {
-                    // Vary per rank so ranks are not in lockstep.
-                    let dt = units as f64 * 1e-5 * (1.0 + (me + i) as f64 * 0.01);
-                    p.charge_compute(dt, "w");
-                }
-                Step::Get { src_off, kb } => {
-                    let src = (me + src_off as usize) % n;
-                    if src == me {
-                        continue;
-                    }
-                    let bytes = kb as u64 * 1024;
-                    let t = p.issue_transfer(TransferSpec {
-                        cost: move_cost(p, src, me, bytes, Path::SharedMemory),
-                        src_rank: src,
-                        dst_rank: me,
-                        bytes,
-                        label: String::new(),
-                    });
-                    p.wait_transfer(t);
-                }
-                Step::Barrier => p.barrier(),
-                Step::Ring { off, kb } => {
-                    let off = off as usize % n;
-                    if off == 0 {
-                        continue;
-                    }
-                    let (dst, src) = ((me + off) % n, (me + n - off) % n);
-                    let bytes = kb as u64 * 1024;
-                    let t = p.issue_transfer(TransferSpec {
-                        cost: move_cost(p, me, dst, bytes, Path::ShmChannel),
-                        src_rank: me,
-                        dst_rank: dst,
-                        bytes,
-                        label: String::new(),
-                    });
-                    let msg = Msg {
-                        avail_at: 0.0,
-                        payload: vec![me as f64],
-                        bytes,
-                    };
-                    // Eager: available when the transfer lands.
-                    p.post_msg_after(t, dst, i as u64, msg);
-                    let got = p.recv_msg(src, i as u64);
+/// Run `steps` on every rank, polled on this thread: a rank's step runs
+/// the list on until it waits for a value — a barrier release or a
+/// message, taken at the top of its next step — or reaches a `Stamp`
+/// after posting something, whose clock read must wait for the next
+/// step's top. Returns every rank's final clock.
+fn simulate(nranks: usize, per_node: usize, steps: &[Step]) -> srumma_sim::SimResult<()> {
+    let sim = PolledSim::new(SimConfig::new(Topology::new(nranks, per_node)));
+    // Per rank: the next list entry, and whether it waits on a value.
+    let mut at = vec![(0, false); nranks];
+    while let Some(me) = sim.next_rank() {
+        let p = &sim.proc(me);
+        let (next, waiting) = &mut at[me];
+        let mut fresh = true;
+        while let Some(&s) = steps.get(*next) {
+            let i = *next;
+            if std::mem::take(waiting) {
+                if let Step::Ring { off, .. } = s {
+                    let src = (me + nranks - off as usize % nranks) % nranks;
+                    let got = p.recv_take();
                     assert_eq!(got.payload, vec![src as f64], "step {i}: wrong message");
+                } else {
+                    assert!(p.barrier_test(), "step {i}: stepped before the release");
                 }
-                Step::Pair => {
-                    let peer = me ^ 1;
-                    if peer < n {
-                        p.pair(((i as u64) << 32) | (me & !1) as u64);
-                    }
-                }
-                Step::Stamp => {
-                    let t = p.now();
-                    p.charge_compute((t.to_bits() % 7) as f64 * 1e-6, "stamp");
-                }
+                *next += 1;
+                continue;
+            }
+            if matches!(s, Step::Stamp) && !fresh {
+                break;
+            }
+            fresh = false;
+            if step(p, i, s) {
+                *waiting = true;
+                break;
+            }
+            *next += 1;
+        }
+        if *next == steps.len() {
+            sim.finish(me);
+        }
+    }
+    sim.into_result(vec![(); nranks])
+}
+
+/// Post entry `i` of the list, `s`, for `p`'s rank; `true` when the rank
+/// must wait for what it posted.
+fn step(p: &SimProc, i: usize, s: Step) -> bool {
+    let me = p.rank();
+    let n = p.nranks();
+    match s {
+        Step::Compute(units) => {
+            // Vary per rank so ranks are not in lockstep.
+            let dt = units as f64 * 1e-5 * (1.0 + (me + i) as f64 * 0.01);
+            p.charge_compute(dt, "w");
+        }
+        Step::Get { src_off, kb } => {
+            let src = (me + src_off as usize) % n;
+            if src != me {
+                let bytes = kb as u64 * 1024;
+                let t = p.issue_transfer(TransferSpec {
+                    cost: move_cost(p, src, me, bytes, Path::SharedMemory),
+                    src_rank: src,
+                    dst_rank: me,
+                    bytes,
+                    label: String::new(),
+                });
+                p.wait_transfer(t);
             }
         }
-        p.now()
-    })
+        Step::Barrier => {
+            p.barrier_post();
+            return true;
+        }
+        Step::Ring { off, kb } => {
+            let off = off as usize % n;
+            if off == 0 {
+                return false;
+            }
+            let (dst, src) = ((me + off) % n, (me + n - off) % n);
+            let bytes = kb as u64 * 1024;
+            let t = p.issue_transfer(TransferSpec {
+                cost: move_cost(p, me, dst, bytes, Path::ShmChannel),
+                src_rank: me,
+                dst_rank: dst,
+                bytes,
+                label: String::new(),
+            });
+            let msg = Msg {
+                avail_at: 0.0,
+                payload: vec![me as f64],
+                bytes,
+            };
+            // Eager: available when the transfer lands.
+            p.post_msg_after(t, dst, i as u64, msg);
+            p.recv_post(src, i as u64);
+            return true;
+        }
+        Step::Pair => {
+            if me ^ 1 < n {
+                p.pair(((i as u64) << 32) | (me & !1) as u64);
+            }
+        }
+        Step::Stamp => {
+            let t = p.now();
+            p.charge_compute((t.to_bits() % 7) as f64 * 1e-6, "stamp");
+        }
+    }
+    false
 }
 
 fn run_program(nranks: usize, per_node: usize, steps: &[Step]) -> (Vec<f64>, f64, u64) {
-    let res = simulate(nranks, per_node, steps, false, None);
+    let res = simulate(nranks, per_node, steps);
     let bytes = res.stats.total_network_bytes() + res.stats.total_shm_bytes();
     (res.stats.final_times.clone(), res.stats.makespan, bytes)
 }
@@ -394,27 +413,6 @@ fn final_clocks_match_the_pinned_order() {
         let (times, _, _) = run_program(nranks, per_node, &steps);
         let got: Vec<u64> = times.iter().map(|t| t.to_bits()).collect();
         assert_eq!(&got[..], *want, "case {case} (x{nranks}, {per_node}/node)");
-    }
-}
-
-/// Host timing cannot move virtual time: ranks that spin, yield and
-/// sleep at random between operations get bit-identical clocks, rank
-/// statistics and traces.
-#[test]
-fn host_jitter_does_not_move_virtual_time() {
-    for case in 0..CASES {
-        let (steps, nranks, per_node) = deterministic_case(case);
-        let calm = simulate(nranks, per_node, &steps, true, None);
-        let jittered = simulate(nranks, per_node, &steps, true, Some(0x7177_E500 + case));
-        let bits = |r: &SimResult<f64>| -> Vec<u64> {
-            r.stats.final_times.iter().map(|t| t.to_bits()).collect()
-        };
-        assert_eq!(bits(&calm), bits(&jittered), "case {case}: final clocks");
-        assert_eq!(
-            calm.stats.ranks, jittered.stats.ranks,
-            "case {case}: rank stats"
-        );
-        assert_eq!(calm.trace, jittered.trace, "case {case}: trace");
     }
 }
 

@@ -2,9 +2,12 @@
 //! remote-CPU theft — the mechanisms the SRUMMA paper's experiments
 //! manipulate.
 
+mod common;
+
+use common::clocks;
 use srumma_model::network::Path;
 use srumma_model::{Topology, TransferCost};
-use srumma_sim::{run_sim, SimConfig, TransferSpec};
+use srumma_sim::{SimConfig, TransferSpec};
 
 fn net_cost(latency: f64, wire: f64, async_fraction: f64) -> TransferCost {
     TransferCost {
@@ -32,12 +35,11 @@ fn spec(src_rank: usize, dst_rank: usize, cost: TransferCost) -> TransferSpec {
 fn blocking_transfer_takes_latency_plus_wire() {
     // 2 nodes, 1 rank each; rank 0 gets from rank 1.
     let cfg = SimConfig::new(Topology::new(2, 1));
-    let res = run_sim(cfg, |p| {
+    let res = clocks(cfg, |p| {
         if p.rank() == 0 {
             let t = p.issue_transfer(spec(1, 0, net_cost(2e-6, 10e-6, 1.0)));
             p.wait_transfer(t);
         }
-        p.now()
     });
     assert!((res.outputs[0] - 12e-6).abs() < 1e-12);
     assert_eq!(res.outputs[1], 0.0);
@@ -47,13 +49,12 @@ fn blocking_transfer_takes_latency_plus_wire() {
 #[test]
 fn nonblocking_transfer_overlaps_with_compute() {
     let cfg = SimConfig::new(Topology::new(2, 1));
-    let res = run_sim(cfg, |p| {
+    let res = clocks(cfg, |p| {
         if p.rank() == 0 {
             let t = p.issue_transfer(spec(1, 0, net_cost(0.0, 10e-6, 1.0)));
             p.charge_compute(10e-6, "overlapped work");
             p.wait_transfer(t); // should already be done
         }
-        p.now()
     });
     // Total time = max(compute, transfer) = 10 µs, not 20 µs.
     assert!((res.outputs[0] - 10e-6).abs() < 1e-12);
@@ -65,12 +66,11 @@ fn nonblocking_transfer_overlaps_with_compute() {
 #[test]
 fn without_compute_the_same_transfer_is_all_wait() {
     let cfg = SimConfig::new(Topology::new(2, 1));
-    let res = run_sim(cfg, |p| {
+    let res = clocks(cfg, |p| {
         if p.rank() == 0 {
             let t = p.issue_transfer(spec(1, 0, net_cost(0.0, 10e-6, 1.0)));
             p.wait_transfer(t);
         }
-        p.now()
     });
     let s = &res.stats.ranks[0];
     assert!((s.wait_time - 10e-6).abs() < 1e-12);
@@ -83,12 +83,11 @@ fn nic_contention_serializes_pulls_from_one_node() {
     // rank 4 simultaneously: the source node's out-channel serializes
     // them — the exact contention SRUMMA's diagonal shift avoids.
     let cfg = SimConfig::new(Topology::new(5, 1));
-    let res = run_sim(cfg, |p| {
+    let res = clocks(cfg, |p| {
         if p.rank() < 4 {
             let t = p.issue_transfer(spec(4, p.rank(), net_cost(0.0, 1e-3, 1.0)));
             p.wait_transfer(t);
         }
-        p.now()
     });
     let mut finish: Vec<f64> = res.outputs[..4].to_vec();
     finish.sort_by(f64::total_cmp);
@@ -106,13 +105,12 @@ fn pulls_from_distinct_nodes_proceed_in_parallel() {
     // Diagonal-shift pattern: each of ranks 0..4 pulls from a distinct
     // source node — no shared resource, all finish together.
     let cfg = SimConfig::new(Topology::new(8, 1));
-    let res = run_sim(cfg, |p| {
+    let res = clocks(cfg, |p| {
         if p.rank() < 4 {
             let src = 4 + p.rank();
             let t = p.issue_transfer(spec(src, p.rank(), net_cost(0.0, 1e-3, 1.0)));
             p.wait_transfer(t);
         }
-        p.now()
     });
     for r in 0..4 {
         assert!((res.outputs[r] - 1e-3).abs() < 1e-9);
@@ -128,14 +126,13 @@ fn remote_cpu_theft_delays_victims_compute() {
         remote_cpu: 5e-3,
         ..net_cost(0.0, 1e-3, 1.0)
     };
-    let res = run_sim(cfg, |p| {
+    let res = clocks(cfg, |p| {
         if p.rank() == 0 {
             let t = p.issue_transfer(spec(1, 0, steal));
             p.wait_transfer(t);
         } else {
             p.charge_compute(10e-3, "victim work");
         }
-        p.now()
     });
     assert!(
         res.outputs[1] >= 15e-3 - 1e-9,
@@ -148,14 +145,13 @@ fn remote_cpu_theft_delays_victims_compute() {
 #[test]
 fn zero_copy_steals_nothing() {
     let cfg = SimConfig::new(Topology::new(2, 1));
-    let res = run_sim(cfg, |p| {
+    let res = clocks(cfg, |p| {
         if p.rank() == 0 {
             let t = p.issue_transfer(spec(1, 0, net_cost(0.0, 1e-3, 1.0)));
             p.wait_transfer(t);
         } else {
             p.charge_compute(10e-3, "undisturbed");
         }
-        p.now()
     });
     assert!((res.outputs[1] - 10e-3).abs() < 1e-12);
     assert_eq!(res.stats.ranks[1].stolen_cpu_time, 0.0);
@@ -179,7 +175,7 @@ fn shm_transfers_share_membw_groups() {
         path: Path::SharedMemory,
         async_fraction: 0.0,
     };
-    let res = run_sim(cfg, |p| {
+    let res = clocks(cfg, |p| {
         if p.rank() < 2 {
             let t = p.issue_transfer(TransferSpec {
                 cost: shm,
@@ -190,7 +186,6 @@ fn shm_transfers_share_membw_groups() {
             });
             p.wait_transfer(t);
         }
-        p.now()
     });
     let mut t: Vec<f64> = res.outputs[..2].to_vec();
     t.sort_by(f64::total_cmp);
@@ -204,13 +199,12 @@ fn driven_transfer_charges_initiator() {
     // async_fraction = 0 means the initiator drives the whole wire
     // phase: no overlap is possible even if it "computes" after.
     let cfg = SimConfig::new(Topology::new(2, 1));
-    let res = run_sim(cfg, |p| {
+    let res = clocks(cfg, |p| {
         if p.rank() == 0 {
             let t = p.issue_transfer(spec(1, 0, net_cost(0.0, 10e-6, 0.0)));
             p.charge_compute(10e-6, "not actually overlapped");
             p.wait_transfer(t);
         }
-        p.now()
     });
     // Busy issue (10 µs) then compute (10 µs): 20 µs total.
     assert!(res.outputs[0] >= 20e-6 - 1e-12, "t = {}", res.outputs[0]);
@@ -221,7 +215,7 @@ fn driven_transfer_charges_initiator() {
 fn transfer_timings_are_deterministic() {
     let run = || {
         let cfg = SimConfig::new(Topology::new(6, 2));
-        run_sim(cfg, |p| {
+        clocks(cfg, |p| {
             let n = p.nranks();
             let topo = p.topology();
             for step in 1..n {
@@ -236,7 +230,6 @@ fn transfer_timings_are_deterministic() {
                     p.wait_transfer(t);
                 }
             }
-            p.now()
         })
         .outputs
     };
