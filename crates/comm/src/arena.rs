@@ -16,7 +16,7 @@
 //! * each C block is written **only by its owner** ("owner computes");
 //! * operations are separated by barriers.
 //!
-//! Every block access goes through an [`AccessChecker`] that counts
+//! Every block access goes through an `AccessChecker` that counts
 //! concurrent readers/writers of the block and panics on a read/write or
 //! write/write overlap — a tiny race detector for the discipline itself.
 
@@ -65,7 +65,7 @@ impl AccessChecker {
     }
 }
 
-/// A reader's entry in an [`AccessChecker`], left on drop.
+/// A reader's entry in an `AccessChecker`, left on drop.
 pub(crate) struct ReadHeld<'a>(&'a AccessChecker);
 
 impl Drop for ReadHeld<'_> {
@@ -74,7 +74,7 @@ impl Drop for ReadHeld<'_> {
     }
 }
 
-/// The writer's entry in an [`AccessChecker`], left on drop.
+/// The writer's entry in an `AccessChecker`, left on drop.
 pub(crate) struct WriteHeld<'a>(&'a AccessChecker);
 
 impl Drop for WriteHeld<'_> {

@@ -37,7 +37,7 @@
 //! Scheduling itself is observable: claims, parks and resumes are
 //! counted (and traced as [`TraceKind::Sched`] events when tracing is
 //! on), and every run's [`RunStats`] carries an
-//! [`ExecStats`](srumma_trace::ExecStats) with the steal rate and
+//! [`ExecStats`] with the steal rate and
 //! occupancy of the W workers or permits.
 //!
 //! A panicking rank poisons the whole executor: parked and

@@ -7,16 +7,16 @@
 //! the MPI-style two-sided operations the baselines (Cannon,
 //! SUMMA/pdgemm) need — over three interchangeable backends:
 //!
-//! * [`SimComm`](simbackend::SimComm) — runs under the virtual-time
+//! * [`SimComm`] — runs under the virtual-time
 //!   simulator (`srumma-sim`) with costs from `srumma-model`. Data
 //!   movement is *real* when matrices carry real backing (tests verify
 //!   numerics end-to-end) and elided for paper-scale modeled runs. Every
 //!   rank is a [`RankProgram`], stepped on the calling thread
 //!   ([`sim_run_programs`]).
-//! * [`VirtualComm`](virt::VirtualComm) — one uncontended LogGP clock
+//! * [`VirtualComm`] — one uncontended LogGP clock
 //!   per rank, recombined at barriers: the same machines at 64k ranks,
 //!   each rank one iteration of a parallel-for.
-//! * [`ExecComm`](exec::ExecComm) — the host: one shared-memory domain,
+//! * [`ExecComm`] — the host: one shared-memory domain,
 //!   real memcpys, wall-clock timing — the "SGI Altix flavor" made
 //!   concrete on today's hardware. Ranks are polled on W workers, or
 //!   block on threads of their own under W permits; thread-per-rank is

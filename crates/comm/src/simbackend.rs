@@ -668,11 +668,8 @@ fn host<S, T>(
     // Every mark is applied now: the task spans can be stamped. The
     // comm-level streams (task spans, counters) join the kernel's
     // result: one unified trace and one `RunStats`.
-    let comms: Vec<(T, SimComm)> = outputs
-        .into_iter()
-        .map(|o| o.expect("every rank finished"))
-        .collect();
-    let (outputs, comms): (Vec<T>, Vec<SimComm>) = comms.into_iter().unzip();
+    let done = outputs.into_iter().map(|o| o.expect("every rank finished"));
+    let (outputs, comms): (Vec<T>, Vec<SimComm>) = done.unzip();
     let mut res = sim.into_result(outputs);
     for (rank, mut comm) in comms.into_iter().enumerate() {
         let (events, counters) = comm.recorder.take();

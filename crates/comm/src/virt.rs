@@ -5,7 +5,7 @@
 //! sequential past a few thousand ranks. This backend trades transfer
 //! *contention* for scale: every rank carries its own independent
 //! virtual clock, charges each operation its uncontended
-//! [`TransferCost`](srumma_model::TransferCost), and runs **to
+//! [`TransferCost`], and runs **to
 //! completion** in one call of its body, with nothing to park on and no
 //! cross-rank coupling. [`virtual_run`] is therefore a plain
 //! parallel-for: `workers` scoped threads claim rank indices from one
@@ -18,7 +18,8 @@
 //! segment), and [`virtual_run`] aligns segments across ranks — the
 //! run's makespan is the sum over segments of the slowest rank's
 //! duration, plus a log-depth latency per barrier, exactly the
-//! accounting `sim_run` converges to for barrier-separated phases. The
+//! accounting the discrete-event simulator converges to for
+//! barrier-separated phases. The
 //! price is that *within* a segment, ranks do not contend for wires or
 //! memory bandwidth; this is the classic LogGP idealization, and it is
 //! what makes the flat-vs-hierarchical byte and makespan crossover
@@ -252,7 +253,7 @@ type RankRecord<T> = (T, Vec<f64>, Counters);
 /// `workers` scoped threads (`0` = auto, as the executor resolves it)
 /// that claim rank indices from one counter, and recombine the clocks
 /// BSP-style. The topology comes from `machine.topology(nranks)`,
-/// matching [`sim_run`](crate::simbackend::sim_run).
+/// matching [`crate::simbackend::sim_run_programs`].
 ///
 /// # Panics
 /// With the payload of a rank body's panic.

@@ -10,7 +10,7 @@
 //!
 //! * **every matrix in place** — all entries' logical `a` and `b` are
 //!   lent to the ranks as read-only views for the whole launch
-//!   ([`with_host_operand_sets`]: transposes normalised to `N`, logical
+//!   (`with_host_operand_sets`: transposes normalised to `N`, logical
 //!   masks unflipped, exactly as a `Run` reads its operands), and every
 //!   entry's output as a writable view
 //!   ([`DistMatrix::with_host_views_mut`]): the owner of a tile computes
@@ -24,7 +24,7 @@
 //!   and only a rank left with no task fills its tile instead;
 //! * **one worker pool** — [`multiply_batch_exec`] keeps a single
 //!   `ExecComm` executor (each worker's gemm workspace and fetch
-//!   buffers, each rank's [`MachineScratch`]) alive across every entry,
+//!   buffers, each rank's `MachineScratch`) alive across every entry,
 //!   so `ws_grow_count() ≤ 1` holds for the whole stream;
 //! * **a team per entry** — entry `e` runs on the ranks
 //!   `[base, base + s)`, which run the ordinary SRUMMA machine on
@@ -54,7 +54,7 @@
 //! synchronisation, on all three backends. Each entry's
 //! [`EntryRankSample::fence_s`] therefore reads 0.
 //!
-//! That loop is one [`RankProgram`], [`BatchProgram`], which never
+//! That loop is one [`RankProgram`], `BatchProgram`, which never
 //! parks: the executor polls it, the blocking backends (threads,
 //! simulator) [`drive`] the same value — which is what makes the
 //! three-backend correctness matrix possible.
@@ -511,7 +511,7 @@ unsafe fn with_fresh_outputs<R>(
 /// check the masks, deal the entries to teams of `topo`'s ranks,
 /// allocate the outputs ([`with_fresh_outputs`]), lend every entry's
 /// operands and output to its team in place, let `launch` run one
-/// [`BatchProgram`] per rank (it is handed the constructor), and roll the
+/// `BatchProgram` per rank (it is handed the constructor), and roll the
 /// per-rank results up. An empty batch launches nothing.
 fn run_batch<X>(
     batch: &BatchSpec,

@@ -12,7 +12,7 @@
 //! Requires a square process grid (as Cannon does); supports `C = A·B`
 //! (the baseline case the paper benchmarks it against).
 //!
-//! A rank's share is one [`CannonProgram`], which parks in each shift's
+//! A rank's share is one `CannonProgram`, which parks in each shift's
 //! receive and in the closing fence.
 
 use crate::options::GemmSpec;
@@ -22,7 +22,7 @@ use srumma_comm::mpi::ring_shift;
 use srumma_comm::{Comm, DistMatrix, RankProgram, Step};
 use srumma_dense::{MatRef, Op, Operand};
 
-/// Where a [`CannonProgram`] resumes.
+/// Where a `CannonProgram` resumes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Start,

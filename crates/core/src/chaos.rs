@@ -21,7 +21,7 @@
 //!
 //! Concretely: when a rank hits its scripted death point
 //! ([`srumma_comm::RankDeath`]), it publishes its whole program to the
-//! shared [`ChaosRecovery`] queue, wakes every parked peer, and
+//! shared `ChaosRecovery` queue, wakes every parked peer, and
 //! returns `Done` **without** arriving at the barrier. Survivors check
 //! the queue after finishing their own tasks (and again every time
 //! they are woken while parked — the wake may *be* the death

@@ -15,7 +15,7 @@
 //!    visible group-wide;
 //! 2. **compute** — the ordinary SRUMMA task loop runs unchanged,
 //!    except that fetches of staged panels are redirected to the
-//!    staging matrix (see [`HierStages`]); the staging
+//!    staging matrix (see `HierStages`); the staging
 //!    matrices carry [`CostMap::Staged`], whose `cost_rank` is the
 //!    *same* election formula, so the redirected gets price and
 //!    classify as intra-node copies.

@@ -24,15 +24,15 @@
 //! distributes both in place — read-only [`DistMatrix::with_host_views`]
 //! over the C grid, no allocation and no copy, whatever `transa` / `transb`
 //! say — and hands back the spec the ranks must run over them, the
-//! transposes normalised to `N`, just as [`with_fresh_c`] normalises `β`
-//! for a C nobody has written; [`with_host_operand_sets`] is the same
+//! transposes normalised to `N`, just as `with_fresh_c` normalises `β`
+//! for a C nobody has written; `with_host_operand_sets` is the same
 //! for every multiply of a batch stream at once, each over its own
 //! team's grid and cost map. [`dist_a`] /
 //! [`dist_b`] + [`scatter_operands`] remain the copying form (owned
 //! matrices in the stored orientation) for callers that own their
 //! distributed matrices.
 //!
-//! The result is in place too: [`with_fresh_c`] lends the ranks the
+//! The result is in place too: `with_fresh_c` lends the ranks the
 //! matrix the caller will be handed as a writable
 //! [`DistMatrix::with_host_views_mut`], so each owner computes its tile
 //! where the caller reads it and there is no second C to gather from.
@@ -137,7 +137,7 @@ fn stored_mask(op: Op, logical: BlockMask) -> BlockMask {
 /// spec's transposes are normalised to `N`: nothing is allocated,
 /// transposed or copied, and layout and spec cannot disagree because
 /// they come from this one call (the one-multiply case of
-/// [`with_host_operand_sets`]). Shape-only operands hold no data to be
+/// `with_host_operand_sets`). Shape-only operands hold no data to be
 /// oriented either way; they keep the stored layout `spec` names
 /// ([`dist_a`] / [`dist_b`]) and `spec` itself.
 pub fn with_host_operands<R>(

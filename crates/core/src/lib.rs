@@ -5,13 +5,13 @@
 //! Clusters and Scalable Shared Memory Systems"* (IPDPS 2004), together
 //! with the two classic algorithms it is evaluated against:
 //!
-//! * [`srumma::srumma`] — the paper's algorithm: owner-computes over C,
+//! * [`srumma`] — the paper's algorithm: owner-computes over C,
 //!   one-sided nonblocking gets of A/B blocks, locality-aware task
 //!   ordering (SMP-first + diagonal shift), B1/B2 double buffering, and
 //!   the two shared-memory flavors (direct access vs copy-based);
-//! * [`summa::summa`] — SUMMA, the algorithm inside ScaLAPACK/PBLAS
+//! * [`summa`] — SUMMA, the algorithm inside ScaLAPACK/PBLAS
 //!   `pdgemm`, on message-passing broadcasts;
-//! * [`cannon::cannon`] — Cannon's systolic algorithm on ring shifts.
+//! * [`cannon`] — Cannon's systolic algorithm on ring shifts.
 //!
 //! All three are generic over [`srumma_comm::Comm`], so they run
 //! unchanged under the virtual-time machine simulator (paper-scale

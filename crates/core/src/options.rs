@@ -111,7 +111,7 @@ pub enum ReplicationFactor {
     /// [`crate::run::RunError::Replication`].
     Fixed(usize),
     /// The largest admissible `c` whose per-rank replicated footprint
-    /// (see [`crate::memory::replicated_arena_footprint`]) fits the
+    /// (see `memory::replicated_arena_footprint`) fits the
     /// byte budget. Always admits `c = 1`, so `Auto` never fails.
     Auto {
         /// Per-rank byte budget the replicas must fit in.

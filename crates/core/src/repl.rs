@@ -18,7 +18,7 @@
 //! other team holds a full `m × n` C scratch over only `P/c` ranks, so
 //! per-rank C memory grows `c`-fold, while each rank's communication
 //! sweep shrinks to its team — fewer, larger transfers confined to a
-//! `√(P/c)`-wide grid. [`crate::memory::replicated_arena_footprint`]
+//! `√(P/c)`-wide grid. `memory::replicated_arena_footprint`
 //! prices the footprint; [`ReplicationFactor::Auto`] picks the largest
 //! `c` that fits a budget.
 //!

@@ -16,7 +16,7 @@
 //! operand before the first flop, in any of the four cases. Only a
 //! shape-only run keeps the stored layout its spec names. The product is
 //! allocated once, as the matrix the caller is handed, and lent to the
-//! ranks as C ([`crate::layout::with_fresh_c`]): each owner writes its
+//! ranks as C (`layout::with_fresh_c`): each owner writes its
 //! tile where the caller will read it, so a run has no second C and
 //! nothing to gather — on every backend, for every algorithm, mask, stage
 //! set, fault plan and replication factor. A replicated run lends it as

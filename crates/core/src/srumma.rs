@@ -592,7 +592,7 @@ enum Phase {
 }
 
 /// One SRUMMA rank, flat or staged, as a [`RankProgram`]: with a stage
-/// set, the staging prologue and its fence; then the [`SrummaMachine`]
+/// set, the staging prologue and its fence; then the `SrummaMachine`
 /// `STRIDE` tasks per step; then the closing fence. On the executor
 /// the fences are park points, which is what lets 1024 ranks run on 4
 /// worker threads — a rank waiting in one costs an entry in the

@@ -14,7 +14,7 @@
 //! ScaLAPACK blocking factor the paper tuned "empirically for all
 //! matrix sizes and processor counts".
 //!
-//! A rank's share is one [`SummaProgram`]: each broadcast is a receive
+//! A rank's share is one `SummaProgram`: each broadcast is a receive
 //! that may park, then its sends ([`srumma_comm::mpi`]), so the
 //! simulator steps every rank on one thread and the blocking backends
 //! [`drive`](srumma_comm::drive) the same value.
@@ -49,7 +49,7 @@ pub struct SummaOptions {
     pub bcast: BcastKind,
 }
 
-/// Where a [`SummaProgram`] resumes.
+/// Where a `SummaProgram` resumes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Start,

@@ -13,7 +13,7 @@
 //!
 //! `β` has its BLAS meaning. With `β = 0`, C need not be set on input:
 //! nothing reads or clears it first, and the first `lc` slice *stores*
-//! `α·acc` into every tile ([`Microkernel::store`]). Any other `β` scales
+//! `α·acc` into every tile (`Microkernel::store`). Any other `β` scales
 //! C once at the start. Every later `lc` slice accumulates into C.
 //!
 //! That nest is written once, [`dgemm_operands`], over two
@@ -35,7 +35,7 @@
 //! across calls, so the steady state performs **zero** heap
 //! allocations. A workspace runs the process kernel — dispatched once
 //! per process, see [`crate::kernel::Microkernel`] — over the constant
-//! [`MC`]/[`KC`]/[`NC`]; only the differential tests and the kernel
+//! `MC`/[`KC`]/`NC`; only the differential tests and the kernel
 //! ladder pin another kernel or other [`BlockSizes`] per workspace.
 //!
 //! `SRUMMA_KERNEL` (see [`crate::kernel`]) is the one environment knob
@@ -51,7 +51,7 @@ use crate::pack::{pack_a, pack_b, PackedView};
 
 /// Default M-dimension cache block: the packed `MC × KC` A panel
 /// (128 KiB) stays in L2 while every B sliver passes over it. Like
-/// [`NC`] it only regroups whole micro-tiles — no bit of the result
+/// `NC` it only regroups whole micro-tiles — no bit of the result
 /// depends on it.
 pub(crate) const MC: usize = 64;
 /// Default K-dimension block. The one block size that fixes bits: each C

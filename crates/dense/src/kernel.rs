@@ -30,7 +30,7 @@
 //!   `pack_a`/`pack_b` take `mr`/`nr` as parameters. A small product
 //!   skips them: the same kernel body reads `op(A)` and an `N` B in
 //!   place ([`crate::blocked`] says when).
-//! * **NEON** (`mr = 4`, `nr = 8`, [`crate::simd_neon`], `aarch64`
+//! * **NEON** (`mr = 4`, `nr = 8`, `crate::simd_neon`, `aarch64`
 //!   only) — sixteen 128-bit accumulators (4 rows × 4 vectors of two
 //!   `f64`), four B loads + four broadcasts + sixteen FMAs per `k`
 //!   step, using `vfmaq_f64`.
@@ -319,7 +319,7 @@ impl Microkernel {
         writeback(acc, alpha, self.nr(), tile);
     }
 
-    /// [`store`] of a tile this kernel produced: `tile = alpha · acc`,
+    /// `store` of a tile this kernel produced: `tile = alpha · acc`,
     /// with no load of C — the writeback of a product's first k-panel
     /// when `β = 0` says C need not be set. A whole tile of the AVX2 and
     /// AVX-512 kernels leaves from registers ([`crate::simd`]); the rest
@@ -543,7 +543,7 @@ fn resolve_request(req: KernelRequest) -> Microkernel {
 /// The process-wide dispatched kernel: detected once, cached forever.
 ///
 /// Order of precedence: `SRUMMA_KERNEL` env var (strictly parsed — see
-/// [`parse_kernel_request`]), then runtime CPU feature detection
+/// `parse_kernel_request`), then runtime CPU feature detection
 /// preferring the widest vectors.
 pub fn active_kernel() -> Microkernel {
     static ACTIVE: OnceLock<Microkernel> = OnceLock::new();
@@ -593,13 +593,13 @@ pub(crate) fn microkernel(kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &m
 
 /// Add an accumulator tile into its tile of `C`: `tile += alpha · acc`
 /// over the tile's valid (non-padded) extent. This is the portable
-/// writeback path — what [`Microkernel::writeback`] runs for every tile
+/// writeback path — what `Microkernel::writeback` runs for every tile
 /// it has no register-resident routine for — and the oracle for those.
 ///
 /// `acc` holds an `nr`-wide tile (element `(r, c)` at `r*nr + c`) and is
 /// used up: it comes back holding the sums. `beta` is applied by the
 /// caller once per whole-matrix pass (BLAS convention), so this routine
-/// only accumulates; a first k-panel with `β = 0` takes [`store`]
+/// only accumulates; a first k-panel with `β = 0` takes `store`
 /// instead.
 ///
 /// Every element of the tile is read before the first one is written:

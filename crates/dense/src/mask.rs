@@ -13,7 +13,7 @@
 //! matrix under an `rows × cols` mask covers exactly the rows
 //! `chunk_start(r, rows, bi) ..+ chunk_len(r, rows, bi)` and likewise
 //! for columns — the same partition the distributed block layout uses,
-//! which is what lets [`BlockMask::zero_blocks`] build the masked
+//! which is what lets `BlockMask::zero_blocks` build the masked
 //! *serial reference* that verification tests compare against.
 
 use crate::matrix::Matrix;
@@ -150,7 +150,7 @@ impl BlockMask {
     }
 
     /// A copy of `m` with masked-out blocks zeroed (see
-    /// [`BlockMask::zero_blocks`]).
+    /// `BlockMask::zero_blocks`).
     pub fn masked_copy(&self, m: &Matrix) -> Matrix {
         let mut out = m.clone();
         self.zero_blocks(&mut out);

@@ -12,14 +12,14 @@
 //! A sliver is `kc` groups of `w` values (`dst[k * w + x]`), and there
 //! are only two ways to fill one from a row-major source:
 //!
-//! * **contiguous** ([`move_contig`]; `pack_a` `T`, `pack_b` `N`) — the
+//! * **contiguous** (`move_contig`; `pack_a` `T`, `pack_b` `N`) — the
 //!   values of group `k` are adjacent in source row `k0 + k`: one copy
 //!   per `k`, of a size fixed at compile time for every `mr`/`nr` of
 //!   the kernel ladder (4, 8, 12, 24; [`crate::kernel::Microkernel`]).
 //! * **strided** (`pack_a` `N`, `pack_b` `T`) — they sit in `w` source
 //!   rows, at column `k0 + k` of each: a `w × kc` block lands
 //!   transposed, tile by tile, through the crate's one transposing
-//!   mover ([`crate::matrix::transpose_into`]). Its tiles are
+//!   mover (`crate::matrix::transpose_into`). Its tiles are
 //!   store-bound and measured no faster at a compile-time width.
 //!
 //! A ragged last sliver and any other width run through the same two

@@ -11,7 +11,7 @@ use crate::protocol::{protocol_cost, Protocol};
 
 /// Achieved bandwidth (bytes/s) moving one `bytes`-sized message with
 /// `proto` between two ranks (`cross` as in
-/// [`crate::protocol::protocol_cost`]).
+/// `protocol::protocol_cost`).
 pub fn achieved_bandwidth(m: &Machine, proto: Protocol, bytes: usize, cross: bool) -> f64 {
     if bytes == 0 {
         return 0.0;

@@ -37,7 +37,7 @@ pub struct NetParams {
     /// Fraction of a *rendezvous* MPI transfer that can progress without
     /// the host re-entering the MPI library. Near zero for the
     /// single-threaded 2004-era MPIs measured in the paper (and in COMB
-    /// [38] / White & Bova [39]).
+    /// \[38\] / White & Bova \[39\]).
     pub rndv_progress_fraction: f64,
     /// Effective throughput of MPI *within* a shared-memory domain
     /// (bytes/s). This is **not** the hardware memcpy rate: 2004-era

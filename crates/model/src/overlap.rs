@@ -6,7 +6,7 @@
 //! nonblocking get approaches 99 % for medium/large messages; MPI's
 //! overlap collapses above the eager threshold (16 KiB) because the
 //! rendezvous protocol only makes progress inside MPI library calls —
-//! the same effect reported by COMB [38] and White & Bova [39].
+//! the same effect reported by COMB \[38\] and White & Bova \[39\].
 
 use crate::machine::Machine;
 use crate::protocol::{protocol_cost, Protocol};

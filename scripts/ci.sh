@@ -91,17 +91,25 @@ if grep -rn 'ThreadComm\|PoisonBarrier\|ThreadRunResult\|thread_launch\|grant_an
 fi
 
 echo "== simulator hosting guard: a simulated rank costs its operations, not a thread =="
-# Untraced flat or staged SRUMMA under the simulator is a RankProgram that
-# Run::launch hands to sim_run_programs, which steps every rank on the
-# calling thread in the kernel's (clock, rank) order; a virtual-clock rank
-# is one iteration of virtual_run's parallel-for. virt.rs reaching for the
-# executor's task slots, or Run::launch no longer stepping SRUMMA on the
-# polled host, is a thread or a slot per rank coming back.
+# Every rank under the simulator is a RankProgram: Run::launch hands every
+# algorithm, flat, staged or replicated, traced or not, to
+# sim_run_programs, which steps each rank on the calling thread in the
+# kernel's (clock, rank) order; the kernel has one scheduling mode and
+# starts no thread, and a simulated rank waits only in split calls. A
+# virtual-clock rank is one iteration of virtual_run's parallel-for. A
+# thread, a condvar or a blocking host in the simulator, Run::launch's
+# Sim arm reaching for anything but sim_run_programs, or virt.rs reaching
+# for the executor's task slots, is a thread or a slot per rank coming back.
+if grep -rn 'run_sim\|sim_run(\|Condvar\|thread::' crates/sim/src crates/comm/src/simbackend.rs; then
+    echo "FAIL: the simulator hosts ranks on threads again (see above); every simulated rank is a polled program" >&2; exit 1
+fi
+sim_arm=$(awk '/fn launch\(/,/^    }$/' crates/core/src/run.rs | awk '/Backend::Sim\(/,/^            }$/' | grep -v '^ *//')
+[ "$(grep -c 'sim_run_programs(' <<<"$sim_arm")" -eq 1 ] &&
+    ! grep -qE 'sim_run_steps|drive\(|exec_|thread|spawn|virtual_run|match |if self' <<<"$sim_arm" ||
+    { echo "FAIL: the Backend::Sim arm of Run::launch does more than hand every rank to sim_run_programs:" >&2; echo "$sim_arm" >&2; exit 1; }
 if grep -n 'exec_run_tasks\|RankTask' crates/comm/src/virt.rs; then
     echo "FAIL: comm/src/virt.rs hosts its ranks on the executor again (see above); virtual_run is a parallel-for" >&2; exit 1
 fi
-awk '/fn launch\(/,/^    }$/' crates/core/src/run.rs | grep -q 'sim_run_programs(' ||
-    { echo "FAIL: Run::launch no longer steps SRUMMA on the polled DES host (sim_run_programs)" >&2; exit 1; }
 
 echo "== fault guard: the communicator applies a fault plan, on either clock =="
 # SimComm applies a FaultPlan in virtual time and ExecComm with real
@@ -223,6 +231,9 @@ for lib in crates/*/src; do
 done
 [ "$unnamed" -eq 0 ] || { echo "FAIL: $unnamed pub fn(s) with no caller outside their crate (see above)" >&2; exit 1; }
 
+echo "== rustdoc: the public docs build without a warning =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -248,13 +259,13 @@ echo "== model outputs: each simulated figure reproduces its results/ files byte
 # Fig. 10 and exit non-zero when one fails: `degradation` (SRUMMA's
 # straggler degradation ratio stays below SUMMA's) and `hierarchy` (the
 # 1k-64k crossover sweep: node-group staging moves fewer inter-node bytes
-# than flat from 4096 ranks up). (fig10 and table1 take a minute or more
-# each; scripts/reproduce.sh regenerates them.) Each run is bounded, so a
-# hang in a staging fence or a replica reduction fails instead of waiting.
+# than flat from 4096 ranks up). Each run is bounded, so a hang in a
+# staging fence, a broadcast or a replica reduction fails instead of
+# waiting.
 for fig in fig03_pipeline fig04_diagshift fig05_direct_vs_copy fig06_bandwidth_x1 \
     fig07_overlap fig08_get_bandwidth fig09_zerocopy eq_model_check ablation_taskorder \
     ablation_buffers ablation_summa_bcast sensitivity memory_footprint degradation \
-    hierarchy; do
+    hierarchy fig10_srumma_vs_pdgemm table1_best_cases; do
     dir="$out/model/$fig"
     mkdir -p "$dir"
     SRUMMA_RESULTS_DIR="$dir" timeout 300 cargo run --release -q -p srumma-bench --bin reproduce -- "$fig" >"$dir/$fig.txt"
