@@ -55,9 +55,9 @@
 //! [`EntryRankSample::fence_s`] therefore reads 0.
 //!
 //! That loop is one [`RankProgram`], `BatchProgram`, which never
-//! parks: the executor polls it, the blocking backends (threads,
-//! simulator) [`drive`] the same value — which is what makes the
-//! three-backend correctness matrix possible.
+//! parks: the executor polls it, the simulator steps it, the threads
+//! [`drive`] the same value — which is what makes the three-backend
+//! correctness matrix possible.
 
 use crate::driver::{default_grid, TracedRun};
 use crate::layout::{fresh_c, with_host_operand_sets, HostOperands};

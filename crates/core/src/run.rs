@@ -399,9 +399,9 @@ impl<'a> Run<'a> {
             }
             // Thread-per-rank: a permit per rank.
             Backend::Threads => blocking(nranks),
-            // Flat or staged SRUMMA is one program, polled (no OS thread
-            // per rank), taught re-execution when the plan scripts a
-            // death; everything else runs its blocking body.
+            // Flat or staged SRUMMA is polled (no OS thread per rank),
+            // taught re-execution when the plan scripts a death; every
+            // other program is driven on a blocking rank.
             Backend::Exec { workers } => match (mats, algorithm) {
                 (Mats::Flat(m, stages), Algorithm::Srumma(opts)) => {
                     // Declared after the matrices: any unclaimed program
