@@ -329,6 +329,16 @@ pub trait RankProgram {
     fn step<C: Comm>(&mut self, comm: &mut C) -> Step<Self::Out>;
 }
 
+/// A borrowed program steps the one it borrows: [`drive`] it and keep
+/// the program, for what it leaves behind.
+impl<P: RankProgram> RankProgram for &mut P {
+    type Out = P::Out;
+
+    fn step<C: Comm>(&mut self, comm: &mut C) -> Step<P::Out> {
+        (**self).step(comm)
+    }
+}
+
 /// Run `program` to completion on a communicator whose barrier blocks —
 /// the simulator, the virtual clocks, or a *blocking* executor rank.
 /// Such a communicator never fails a barrier test, so a [`Step::Park`]

@@ -5,22 +5,23 @@
 //! sequential past a few thousand ranks. This backend trades transfer
 //! *contention* for scale: every rank carries its own independent
 //! virtual clock, charges each operation its uncontended
-//! [`TransferCost`], and runs **to
-//! completion** in one call of its body, with nothing to park on and no
-//! cross-rank coupling. [`virtual_run`] is therefore a plain
-//! parallel-for: `workers` scoped threads claim rank indices from one
-//! atomic counter, so 65 536 ranks are a few seconds of host time. A get
-//! handle carries its own completion time, so a rank keeps no table of
-//! its transfers.
+//! [`TransferCost`] (priced once per distinct shape, on each worker), and
+//! runs **to completion** in one call of its body, with nothing to park
+//! on and no cross-rank coupling. [`virtual_run`] is therefore a plain
+//! parallel-for: `workers` scoped threads claim chunks of ranks, and a
+//! 65 536-rank SRUMMA run (n = 16 384, 256 tasks a rank) takes
+//! ≈ 1.0–1.5 s flat and 1.3–1.9 s staged on 2 workers of a 2-vCPU host.
+//! A get handle carries its own completion time, so a rank keeps no
+//! table of its transfers.
 //!
 //! Rank clocks are recombined **BSP-style** at barriers: `barrier()` is
 //! non-blocking in virtual time (it only cuts the current clock
-//! segment), and [`virtual_run`] aligns segments across ranks — the
+//! segment), folded into per-segment maxima as each rank ends — the
 //! run's makespan is the sum over segments of the slowest rank's
 //! duration, plus a log-depth latency per barrier, exactly the
 //! accounting the discrete-event simulator converges to for
-//! barrier-separated phases. The
-//! price is that *within* a segment, ranks do not contend for wires or
+//! barrier-separated phases; a rank's final clock is that sum up to its
+//! last barrier plus its own final segment. The price is that *within* a segment, ranks do not contend for wires or
 //! memory bandwidth; this is the classic LogGP idealization, and it is
 //! what makes the flat-vs-hierarchical byte and makespan crossover
 //! measurable at paper-untouchable scales.
@@ -30,19 +31,31 @@ use crate::dist::{DistMatrix, Landing};
 use crate::exec::resolve_workers;
 use crate::simbackend::barrier_latency;
 use srumma_dense::{dgemm_operands, GemmWorkspace, MatMut, MatRef, Operand};
-use srumma_model::{protocol, Machine, Topology, TransferCost};
-use srumma_trace::{Counters, RankStats, Recorder, RunStats};
+use srumma_model::protocol::{self, Served};
+use srumma_model::{Machine, Topology, TransferCost};
+use srumma_trace::{RankStats, Recorder, RunStats};
+use std::ops::Range;
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Per-rank communicator over an independent virtual clock.
-pub struct VirtualComm {
+/// Ranks a worker claims at once: the claim is one lock per chunk, not
+/// one contended counter per rank.
+const CHUNK: usize = 32;
+
+/// Per-rank communicator over an independent virtual clock. One serves
+/// every rank a [`virtual_run`] worker claims, re-armed per rank; its
+/// workspace and kept prices outlive the rank.
+pub struct VirtualComm<'m> {
     rank: usize,
     nranks: usize,
     topo: Topology,
-    machine: Arc<Machine>,
+    machine: &'m Machine,
+    /// This rank's node, fixed per rank: a same-domain test is a range
+    /// check, not a division per get.
+    node: Range<usize>,
+    /// This rank's memory-bandwidth group, for the same reason.
+    membw: Range<usize>,
     /// This rank's virtual time (monotonic across segments).
     clock: f64,
     /// Start time of the current inter-barrier segment.
@@ -55,25 +68,49 @@ pub struct VirtualComm {
     pending: f64,
     recorder: Recorder,
     ws: GemmWorkspace,
+    /// The last price of each kind of transfer (served level, memory-
+    /// bandwidth group crossed, put), with its bytes. Ranks move blocks
+    /// of a few sizes over and over, and a price is a pure function of
+    /// the four, so a kept one has the bits a fresh call returns.
+    transfers: [Option<(u64, TransferCost)>; 12],
+    /// The last gemm time, with its `(m, n, k, direct)`.
+    gemm: Option<((usize, usize, usize, bool), f64)>,
 }
 
-impl VirtualComm {
-    /// A communicator for `rank` of `nranks` on `machine` with layout
-    /// `topo`.
-    pub(crate) fn new(rank: usize, nranks: usize, topo: Topology, machine: Arc<Machine>) -> Self {
-        assert_eq!(topo.nranks(), nranks, "topology rank count mismatch");
+impl<'m> VirtualComm<'m> {
+    /// A worker's communicator for the ranks of `topo` on `machine`;
+    /// [`VirtualComm::start`] arms it for a rank.
+    fn new(topo: Topology, machine: &'m Machine) -> Self {
         VirtualComm {
-            rank,
-            nranks,
+            rank: 0,
+            nranks: topo.nranks(),
             topo,
             machine,
+            node: 0..0,
+            membw: 0..0,
             clock: 0.0,
             seg_start: 0.0,
             segments: Vec::new(),
             pending: 0.0,
-            recorder: Recorder::disabled(rank),
+            recorder: Recorder::disabled(0),
             ws: GemmWorkspace::new(),
+            transfers: [None; 12],
+            gemm: None,
         }
+    }
+
+    /// Arm for `rank`, at virtual time zero with no segment closed.
+    fn start(&mut self, rank: usize) {
+        let group = self.machine.shm.membw_group_size.max(1);
+        let g = rank / group * group;
+        self.rank = rank;
+        self.node = self.topo.ranks_on_node(self.topo.node_of(rank));
+        self.membw = g..g + group;
+        self.clock = 0.0;
+        self.seg_start = 0.0;
+        self.segments.clear();
+        self.pending = 0.0;
+        self.recorder = Recorder::disabled(rank);
     }
 
     /// Charge a nonblocking issue: the initiator-busy part advances the
@@ -90,28 +127,44 @@ impl VirtualComm {
     /// `serve` ([`protocol::onesided`]), counted against the level that
     /// served it.
     fn onesided(&mut self, serve: usize, bytes: u64, put: bool) -> TransferCost {
-        let (cost, served) = protocol::onesided(
-            &self.machine,
-            &self.topo,
-            self.rank,
-            serve,
-            bytes as usize,
-            put,
-        );
+        let served = match serve {
+            s if s == self.rank => Served::Own,
+            s if self.node.contains(&s) => Served::Domain,
+            _ => Served::Network,
+        };
+        let cross = served == Served::Domain && !self.membw.contains(&serve);
+        let kind = &mut self.transfers[served as usize * 4 + 2 * cross as usize + put as usize];
+        let cost = match *kind {
+            Some((kept, cost)) if kept == bytes => cost,
+            _ => {
+                let cost =
+                    protocol::onesided_cost(self.machine, served, cross, bytes as usize, put);
+                *kind = Some((bytes, cost));
+                cost
+            }
+        };
         count_served(&mut self.recorder, served, bytes);
         cost
     }
 
-    /// Close the final segment and surrender the clock record.
-    fn finish(mut self) -> (Vec<f64>, Counters) {
+    /// Close the rank's final segment, fold its segments into the
+    /// worker's per-segment `maxima` and its counters into its `stats`
+    /// (still the default), and return the final segment's length.
+    fn finish(&mut self, maxima: &mut Vec<f64>, stats: &mut RankStats) -> f64 {
         self.fence();
-        self.segments.push(self.clock - self.seg_start);
-        let (_, counters) = self.recorder.take();
-        (self.segments, counters)
+        let last = self.clock - self.seg_start;
+        self.segments.push(last);
+        fold_max(maxima, &self.segments);
+        let ctr = &self.recorder.counters;
+        stats.bytes_network = ctr.bytes_internode;
+        stats.bytes_shm = ctr.bytes_fetched.saturating_sub(ctr.bytes_internode);
+        stats.transfers = ctr.blocks_fetched;
+        stats.absorb_counters(ctr);
+        last
     }
 }
 
-impl Comm for VirtualComm {
+impl Comm for VirtualComm<'_> {
     fn rank(&self) -> usize {
         self.rank
     }
@@ -124,8 +177,12 @@ impl Comm for VirtualComm {
         self.topo
     }
 
+    fn same_domain(&self, other: usize) -> bool {
+        self.node.contains(&other)
+    }
+
     fn prefer_direct_access(&self, owner: usize) -> bool {
-        self.topo.same_domain(self.rank, owner) && self.machine.shm.cacheable_remote
+        self.same_domain(owner) && self.machine.shm.cacheable_remote
     }
 
     fn now(&self) -> f64 {
@@ -200,13 +257,20 @@ impl Comm for VirtualComm {
         _label: &str,
     ) {
         debug_assert!(beta == 0.0 || beta == 1.0, "Comm::gemm takes beta 0 or 1");
-        let base = self.machine.cpu.gemm_time(m, n, k);
-        let factor = if direct {
-            self.machine.shm.direct_access_eff.max(1e-3)
-        } else {
-            1.0
+        let key = (m, n, k, direct);
+        self.clock += match self.gemm {
+            Some((kept, time)) if kept == key => time,
+            _ => {
+                let base = self.machine.cpu.gemm_time(m, n, k);
+                let factor = if direct {
+                    self.machine.shm.direct_access_eff.max(1e-3)
+                } else {
+                    1.0
+                };
+                self.gemm = Some((key, base / factor));
+                base / factor
+            }
         };
-        self.clock += base / factor;
         if let (Some(a), Some(b), Some(c)) = (a, b, c) {
             dgemm_operands(alpha, a, b, beta, c, &mut self.ws);
         }
@@ -246,115 +310,114 @@ pub struct VirtualRunResult<T> {
     pub wall_seconds: f64,
 }
 
-/// What one rank leaves behind: its output, clock segments and counters.
-type RankRecord<T> = (T, Vec<f64>, Counters);
+/// Fold one rank's (or worker's) clock `segments` into the per-segment
+/// `maxima` — empty before the first.
+fn fold_max(maxima: &mut Vec<f64>, segments: &[f64]) {
+    if maxima.is_empty() {
+        maxima.resize(segments.len(), 0.0);
+    }
+    assert_eq!(
+        segments.len(),
+        maxima.len(),
+        "ranks executed different barrier sequences"
+    );
+    for (max, &seg) in maxima.iter_mut().zip(segments) {
+        *max = max.max(seg);
+    }
+}
 
 /// Run `body` once per rank with independent virtual clocks, on
 /// `workers` scoped threads (`0` = auto, as the executor resolves it)
-/// that claim rank indices from one counter, and recombine the clocks
-/// BSP-style. The topology comes from `machine.topology(nranks)`,
+/// that claim chunks of consecutive ranks, and recombine the clocks
+/// BSP-style. Each worker hands every rank it runs the same `S`,
+/// `S::default()` at its start: allocations a rank may leave to the
+/// next. A rank's clock segments and counters are folded in as it
+/// finishes. The topology comes from `machine.topology(nranks)`,
 /// matching [`crate::simbackend::sim_run_programs`].
 ///
 /// # Panics
 /// With the payload of a rank body's panic.
-pub fn virtual_run<T, F>(
-    machine: &Machine,
+pub fn virtual_run<'m, S, T, F>(
+    machine: &'m Machine,
     nranks: usize,
     workers: usize,
     body: F,
 ) -> VirtualRunResult<T>
 where
+    S: Default,
     T: Send,
-    F: Fn(&mut VirtualComm) -> T + Sync,
+    F: Fn(&mut VirtualComm<'m>, &mut S) -> T + Sync,
 {
     assert!(nranks > 0);
+    let t0 = Instant::now();
     let topo = machine.topology(nranks);
-    let shared = Arc::new(machine.clone());
-    let next = AtomicUsize::new(0);
-    // One thread's share: the ranks it claimed, in claim order. The
-    // counter publishes nothing but the index; the records come back
-    // through `join`.
+    let mut ranks = vec![RankStats::default(); nranks];
+    // Each rank's final segment, until the segment maxima are known.
+    let mut final_times = vec![0.0f64; nranks];
+    let chunks = ranks.chunks_mut(CHUNK).zip(final_times.chunks_mut(CHUNK));
+    let chunks = Mutex::new(chunks.enumerate());
     let worker = || {
-        let mut done: Vec<(usize, RankRecord<T>)> = Vec::new();
+        let mut comm = VirtualComm::new(topo, machine);
+        let mut state = S::default();
+        // The per-segment maxima over this worker's ranks, and their
+        // outputs by chunk.
+        let (mut maxima, mut outputs) = (Vec::new(), Vec::new());
         loop {
-            let rank = next.fetch_add(1, Ordering::Relaxed);
-            if rank >= nranks {
-                return done;
+            let claim = chunks.lock().expect("no worker panics holding it").next();
+            let Some((chunk, (stats, lasts))) = claim else {
+                return (maxima, outputs);
+            };
+            let base = chunk * CHUNK;
+            let mut outs = Vec::with_capacity(stats.len());
+            for (rank, (stats, last)) in (base..).zip(stats.iter_mut().zip(lasts)) {
+                comm.start(rank);
+                outs.push(body(&mut comm, &mut state));
+                *last = comm.finish(&mut maxima, stats);
             }
-            let mut comm = VirtualComm::new(rank, nranks, topo, Arc::clone(&shared));
-            let out = body(&mut comm);
-            let (segments, counters) = comm.finish();
-            done.push((rank, (out, segments, counters)));
+            outputs.push((base, outs));
         }
     };
-    let t0 = Instant::now();
     let shares: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..resolve_workers(workers, nranks))
             .map(|_| scope.spawn(worker))
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
-    let wall_seconds = t0.elapsed().as_secs_f64();
 
-    let mut records: Vec<Option<RankRecord<T>>> = (0..nranks).map(|_| None).collect();
+    let mut maxima: Vec<f64> = Vec::new();
+    let mut chunks = Vec::new();
     for share in shares {
-        match share {
-            Ok(done) => {
-                for (rank, record) in done {
-                    records[rank] = Some(record);
-                }
-            }
-            Err(payload) => resume_unwind(payload),
+        let (worker_maxima, outputs) = share.unwrap_or_else(|payload| resume_unwind(payload));
+        if !worker_maxima.is_empty() {
+            fold_max(&mut maxima, &worker_maxima);
         }
+        chunks.extend(outputs);
     }
-    let mut outputs = Vec::with_capacity(nranks);
-    let mut segs: Vec<Vec<f64>> = Vec::with_capacity(nranks);
-    let mut counters = Vec::with_capacity(nranks);
-    for (out, s, c) in records
-        .into_iter()
-        .map(|r| r.expect("every rank was claimed"))
-    {
-        outputs.push(out);
-        segs.push(s);
-        counters.push(c);
-    }
-    let nseg = segs[0].len();
-    for (r, s) in segs.iter().enumerate() {
-        assert_eq!(
-            s.len(),
-            nseg,
-            "rank {r} executed a different barrier sequence"
-        );
-    }
+    chunks.sort_unstable_by_key(|&(base, _)| base);
+    let outputs = chunks.into_iter().flat_map(|(_, outs)| outs).collect();
     // Same alignment latency the discrete-event kernel charges. The
-    // final segment boundary is program exit, not a barrier.
-    let nbarriers = nseg.saturating_sub(1);
-    let sync_time = nbarriers as f64 * barrier_latency(machine, topo);
-    let mut makespan = sync_time;
-    for i in 0..nseg {
-        makespan += segs.iter().map(|s| s[i]).fold(0.0, f64::max);
+    // final segment boundary is program exit, not a barrier. A rank
+    // leaves each barrier when the slowest arrives, so its clock is the
+    // makespan's sum up to the last barrier plus its own final segment:
+    // the slowest rank's is the makespan, bit for bit.
+    let (last, before) = maxima.split_last().expect("every rank closes a segment");
+    let mut released = before.len() as f64 * barrier_latency(machine, topo);
+    for max in before {
+        released += max;
     }
-    let mut ranks = vec![RankStats::default(); nranks];
-    let mut final_times = vec![0.0f64; nranks];
-    for r in 0..nranks {
-        let ctr = &counters[r];
-        let rs = &mut ranks[r];
-        rs.bytes_network = ctr.bytes_internode;
-        rs.bytes_shm = ctr.bytes_fetched.saturating_sub(ctr.bytes_internode);
-        rs.transfers = ctr.blocks_fetched;
-        rs.absorb_counters(ctr);
-        final_times[r] = segs[r].iter().sum::<f64>() + sync_time;
+    for t in &mut final_times {
+        *t += released;
     }
     let stats = RunStats {
         ranks,
         final_times,
-        makespan,
+        makespan: released + last,
         exec: None,
     };
     VirtualRunResult {
         outputs,
         stats,
-        wall_seconds,
+        wall_seconds: t0.elapsed().as_secs_f64(),
     }
 }
 
@@ -366,7 +429,7 @@ mod tests {
     #[test]
     fn clocks_advance_and_segments_align() {
         let machine = Machine::linux_myrinet();
-        let res = virtual_run(&machine, 4, 2, |c| {
+        let res = virtual_run(&machine, 4, 2, |c, _: &mut ()| {
             c.gemm(64, 64, 64, 1.0, None, None, 1.0, None, false, "t");
             c.barrier();
             if c.rank() == 0 {
@@ -390,7 +453,7 @@ mod tests {
         let machine = Machine::linux_myrinet(); // 2 ranks/node: rank 2 is off-node from rank 0
         let grid = ProcGrid::new(2, 2);
         let mat = DistMatrix::create_virtual(grid, 256, 256);
-        let res = virtual_run(&machine, 4, 2, |c| {
+        let res = virtual_run(&machine, 4, 2, |c, _: &mut ()| {
             let mut buf = Vec::new();
             let peer = (c.rank() + 2) % 4; // always off-node under w=2
             let h = c.nbget(&mat, peer, Landing::Rows(&mut buf));
@@ -413,7 +476,7 @@ mod tests {
     #[test]
     fn scales_to_thousands_of_ranks() {
         let machine = Machine::linux_myrinet();
-        let res = virtual_run(&machine, 4096, 8, |c| {
+        let res = virtual_run(&machine, 4096, 8, |c, _: &mut ()| {
             c.barrier();
             c.rank()
         });
@@ -430,7 +493,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let run = std::panic::catch_unwind(|| {
-                virtual_run(&Machine::linux_myrinet(), 64, 2, |c| {
+                virtual_run(&Machine::linux_myrinet(), 64, 2, |c, _: &mut ()| {
                     if c.rank() == 37 {
                         std::panic::panic_any(37usize);
                     }

@@ -151,7 +151,7 @@ fn fence_after_partial_waits_is_waiting_on_every_handle() {
     let machine = Machine::linux_myrinet();
     let mat = DistMatrix::create_virtual(ProcGrid::new(2, 2), 300, 200);
     let run = |fence: bool| {
-        virtual_run(&machine, 4, 2, |c| {
+        virtual_run(&machine, 4, 2, |c, _: &mut ()| {
             let mut buf = Vec::new();
             let mut handles = Vec::new();
             for owner in [(c.rank() + 2) % 4, c.rank(), (c.rank() + 1) % 4] {
@@ -179,4 +179,28 @@ fn fence_after_partial_waits_is_waiting_on_every_handle() {
         fenced.stats.makespan.to_bits(),
         waited.stats.makespan.to_bits()
     );
+}
+
+/// A rank's final clock counts its barrier waits. Rank 0 runs 64³ then
+/// 640³, rank 1 320³ then 64³, one barrier between: rank 0 waits there
+/// for rank 1's 320³, so both leave it at that time plus the barrier
+/// latency, each final clock is that plus its own second gemm, and the
+/// largest is the makespan, bit for bit.
+#[test]
+fn a_final_clock_counts_its_barrier_waits() {
+    let machine = Machine::linux_myrinet();
+    let latency = virtual_run(&machine, 2, 2, |c, _: &mut ()| c.barrier());
+    let res = virtual_run(&machine, 2, 2, |c, _: &mut ()| {
+        let (first, second) = if c.rank() == 0 { (64, 640) } else { (320, 64) };
+        c.gemm(first, first, first, 1.0, None, None, 1.0, None, false, "t");
+        c.barrier();
+        c.gemm(
+            second, second, second, 1.0, None, None, 1.0, None, false, "t",
+        );
+    });
+    let t = |n| machine.cpu.gemm_time(n, n, n);
+    let released = latency.stats.makespan + t(320);
+    assert_eq!(res.stats.final_times, [released + t(640), released + t(64)]);
+    let slowest = res.stats.final_times.iter().copied().fold(0.0, f64::max);
+    assert_eq!(slowest.to_bits(), res.stats.makespan.to_bits());
 }

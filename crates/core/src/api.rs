@@ -4,7 +4,7 @@ use crate::cannon::CannonProgram;
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::repl::ReplProgram;
 use crate::run::RankReport;
-use crate::srumma::{SrummaProgram, SrummaReport};
+use crate::srumma::{MachineScratch, SrummaProgram, SrummaReport};
 use crate::summa::{SummaOptions, SummaProgram};
 use srumma_comm::{drive, Comm, DistMatrix, RankProgram, Step};
 
@@ -69,6 +69,18 @@ impl<'a> GemmProgram<'a> {
             Algorithm::Summa(opts) => Body::Summa(SummaProgram::new(spec, a, b, c, opts)),
             Algorithm::Cannon => Body::Cannon(CannonProgram::new(spec, a, b, c)),
         })
+    }
+
+    /// Swap `scratch` with the SRUMMA sweep's machine allocations:
+    /// before the run, lend it a previous rank's (`Some`); after, take
+    /// back what it left. SUMMA and Cannon hold none.
+    pub(crate) fn swap_scratch(&mut self, scratch: &mut Option<MachineScratch>) {
+        let sweep = match &mut self.0 {
+            Body::Srumma(p) => p,
+            Body::Replicated(p) => &mut p.team_sweep,
+            Body::Summa(_) | Body::Cannon(_) => return,
+        };
+        std::mem::swap(&mut sweep.scratch, scratch);
     }
 }
 

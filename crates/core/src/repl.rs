@@ -220,7 +220,7 @@ impl ReplSet<'_> {
 pub(crate) struct ReplProgram<'a> {
     set: &'a ReplSet<'a>,
     team: usize,
-    team_sweep: SrummaProgram<'a>,
+    pub(crate) team_sweep: SrummaProgram<'a>,
     /// The team sweep's report, once it is done.
     report: Option<RankReport>,
     /// The accumulation round in flight, `1..c`.

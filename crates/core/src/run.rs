@@ -30,7 +30,7 @@ use crate::hier::HierStageSet;
 use crate::layout::{with_fresh_c, with_host_operands};
 use crate::options::{GemmSpec, ReplicationFactor};
 use crate::repl::{resolve_factor, ReplProgram, ReplSet};
-use crate::srumma::{SrummaProgram, SrummaReport};
+use crate::srumma::{MachineScratch, SrummaProgram, SrummaReport};
 use srumma_comm::{
     drive, exec_launch, exec_run_tasks, sim_run_programs, virtual_run, Comm, CostMap, DistMatrix,
     ExecComm, ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions, VirtualComm,
@@ -391,8 +391,14 @@ impl<'a> Run<'a> {
             Backend::Virtual { machine, workers } => {
                 // At 64k ranks the executor would hold several copies of
                 // the per-rank reports; the modeled run is its `stats`.
-                let body = |comm: &mut VirtualComm| {
-                    drive(comm, rank_program(comm.rank(), algorithm, mats));
+                // A worker's ranks run one after another on one
+                // machine's allocations.
+                let body = |comm: &mut VirtualComm<'_>, scratch: &mut Option<MachineScratch>| {
+                    let mut program = rank_program(comm.rank(), algorithm, mats);
+                    scratch.get_or_insert_default();
+                    program.swap_scratch(scratch);
+                    drive(comm, &mut program);
+                    program.swap_scratch(scratch);
                 };
                 let res = virtual_run(machine, nranks, workers, body);
                 (Vec::new(), res.stats, Vec::new(), res.wall_seconds)

@@ -187,6 +187,9 @@ impl Pipeline {
 #[derive(Default)]
 pub(crate) struct MachineScratch {
     tasks: Vec<Task>,
+    /// The `(k, aparts, bparts)` that `tasks` is the whole list of;
+    /// `None` once a mask pruned it.
+    built: Option<(usize, usize, usize)>,
     order: Vec<usize>,
     sources: Vec<(Source, Source)>,
     a_pipe: Pipeline,
@@ -254,7 +257,10 @@ impl<'a> SrummaMachine<'a> {
         let bparts = crate::layout::b_kparts(grid);
         let depth = opts.prefetch_depth;
 
-        build_tasks_into(&mut scratch.tasks, spec.k, aparts, bparts);
+        if scratch.built != Some((spec.k, aparts, bparts)) {
+            build_tasks_into(&mut scratch.tasks, spec.k, aparts, bparts);
+            scratch.built = Some((spec.k, aparts, bparts));
+        }
 
         // Block-sparsity pruning: a k-segment whose A block or B block
         // is masked out contributes nothing to this rank's C_ij, so the
@@ -272,6 +278,7 @@ impl<'a> SrummaMachine<'a> {
                         && b.block_nonzero(b_owner(spec, grid, t.lb, gj))
                 });
             if pruned > 0 {
+                scratch.built = None;
                 let crows = srumma_comm::dist::chunk_len(spec.m, grid.p, gi);
                 let ccols = srumma_comm::dist::chunk_len(spec.n, grid.q, gj);
                 masked_tasks = pruned;
@@ -288,10 +295,10 @@ impl<'a> SrummaMachine<'a> {
 
         // A task is "local" when both its blocks are in this rank's
         // domain.
-        let topo = comm.topology();
+        let local_comm = &*comm;
         let is_local = |t: &Task| {
-            topo.same_domain(me, a_owner(spec, grid, gi, t.la))
-                && topo.same_domain(me, b_owner(spec, grid, t.lb, gj))
+            local_comm.same_domain(a_owner(spec, grid, gi, t.la))
+                && local_comm.same_domain(b_owner(spec, grid, t.lb, gj))
         };
         order_tasks_into(
             &mut scratch.order,
@@ -606,6 +613,10 @@ pub struct SrummaProgram<'a> {
     stages: Option<&'a HierStageSet>,
     phase: Phase,
     machine: Option<SrummaMachine<'a>>,
+    /// Machine allocations a host lent (`GemmProgram::swap_scratch`):
+    /// the machine runs on them and leaves them here after its last
+    /// task. `None`: it allocates its own and drops them then.
+    pub(crate) scratch: Option<MachineScratch>,
     report: RankReport,
 }
 
@@ -635,6 +646,7 @@ impl<'a> SrummaProgram<'a> {
                 Phase::Compute
             },
             machine: None,
+            scratch: None,
             report: RankReport::default(),
         }
     }
@@ -652,9 +664,10 @@ impl<'a> SrummaProgram<'a> {
     /// dead rank's program, see [`crate::chaos`]).
     pub(crate) fn run_tasks<C: Comm>(&mut self, comm: &mut C, limit: usize) -> bool {
         let machine = self.machine.get_or_insert_with(|| {
-            let fresh = MachineScratch::default();
+            let lent = self.scratch.as_mut().map(std::mem::take);
+            let scratch = lent.unwrap_or_default();
             let machine =
-                SrummaMachine::new(comm, self.spec, self.a, self.b, self.c, &self.opts, fresh);
+                SrummaMachine::new(comm, self.spec, self.a, self.b, self.c, &self.opts, scratch);
             match self.stages {
                 Some(stages) => machine.with_hier(stages.redirect(comm.rank(), self.c.grid())),
                 None => machine,
@@ -664,7 +677,10 @@ impl<'a> SrummaProgram<'a> {
         self.report.srumma = Some(machine.report());
         if !more {
             let machine = self.machine.take().expect("machine exists here");
-            machine.finish(comm);
+            let (_, scratch) = machine.finish(comm);
+            if let Some(lent) = &mut self.scratch {
+                *lent = scratch;
+            }
             self.phase = Phase::CloseFence;
         }
         more

@@ -8,7 +8,8 @@ use srumma_core::hier::{
     measure_flat_virtual, measure_hier_virtual, members_in_col, members_in_row, staging_duties,
 };
 use srumma_core::taskorder::{build_tasks_into, Task};
-use srumma_core::{GemmSpec, SrummaOptions};
+use srumma_core::{Algorithm, Backend, GemmSpec, Run, SparseMasks, SrummaOptions};
+use srumma_dense::BlockMask;
 use srumma_model::machine::RanksPerDomain;
 use srumma_model::{Machine, ProcGrid, Topology};
 
@@ -120,16 +121,21 @@ fn staging_duties_match_the_full_scan() {
     assert_eq!(cases, 278_389);
 }
 
+/// The Myrinet profile on 8-way nodes: the virtual-clock crossover
+/// study's machine.
+fn wide_node_cluster() -> Machine {
+    let mut m = Machine::linux_myrinet();
+    m.ranks_per_domain = RanksPerDomain::Fixed(8);
+    m
+}
+
 /// The virtual-clock runs' makespan bits and inter-node bytes, flat
-/// and staged, on 8-way Myrinet nodes: constants recorded before the
-/// staging duties, task list and get handles stopped rescanning.
+/// and staged, on 8-way Myrinet nodes, on one to three workers:
+/// constants recorded before the staging duties, task list and get
+/// handles stopped rescanning.
 #[test]
 fn virtual_runs_match_the_pinned_clocks() {
-    let machine = {
-        let mut m = Machine::linux_myrinet();
-        m.ranks_per_domain = RanksPerDomain::Fixed(8);
-        m
-    };
+    let machine = wide_node_cluster();
     let opts = SrummaOptions::default();
     for (nranks, n, flat_bits, flat_bytes, hier_bits, hier_bytes) in [
         (
@@ -150,27 +156,71 @@ fn virtual_runs_match_the_pinned_clocks() {
         ),
     ] {
         let spec = GemmSpec::square(n);
-        let flat = measure_flat_virtual(&machine, nranks, 2, &opts, &spec);
-        let hier = measure_hier_virtual(&machine, nranks, 2, &opts, &spec);
-        assert_eq!(
-            flat.makespan.to_bits(),
-            flat_bits,
-            "flat makespan at {nranks}"
-        );
-        assert_eq!(
-            flat.total_internode_bytes(),
-            flat_bytes,
-            "flat bytes at {nranks}"
-        );
-        assert_eq!(
-            hier.makespan.to_bits(),
-            hier_bits,
-            "hier makespan at {nranks}"
-        );
-        assert_eq!(
-            hier.total_internode_bytes(),
-            hier_bytes,
-            "hier bytes at {nranks}"
-        );
+        for workers in 1..=3 {
+            let at = format!("at {nranks} ranks on {workers} workers");
+            let flat = measure_flat_virtual(&machine, nranks, workers, &opts, &spec);
+            let hier = measure_hier_virtual(&machine, nranks, workers, &opts, &spec);
+            assert_eq!(flat.makespan.to_bits(), flat_bits, "flat makespan {at}");
+            assert_eq!(flat.total_internode_bytes(), flat_bytes, "flat bytes {at}");
+            assert_eq!(hier.makespan.to_bits(), hier_bits, "hier makespan {at}");
+            assert_eq!(hier.total_internode_bytes(), hier_bytes, "hier bytes {at}");
+        }
+    }
+}
+
+/// Which worker claims which ranks leaks into no statistic: on 200
+/// ranks (not a whole number of claimed chunks) every final clock and
+/// every rank's stats, flat and staged, are the same on one, two and
+/// three workers.
+#[test]
+fn virtual_run_stats_do_not_depend_on_the_workers() {
+    let machine = wide_node_cluster();
+    let (opts, spec) = (SrummaOptions::default(), GemmSpec::square(1000));
+    for measure in [measure_flat_virtual, measure_hier_virtual] {
+        let one = measure(&machine, 200, 1, &opts, &spec);
+        assert!(one.makespan > 0.0);
+        for workers in [2, 3] {
+            let other = measure(&machine, 200, workers, &opts, &spec);
+            assert_eq!(one.final_times, other.final_times, "{workers} workers");
+            assert_eq!(one.ranks, other.ranks, "{workers} workers");
+        }
+    }
+}
+
+/// A worker hands each rank the task list the last one left, rebuilt
+/// when a mask pruned it: masked shape-only SRUMMA on the virtual clock
+/// runs and prunes, rank by rank, the tasks the simulator's ranks do,
+/// on one worker and on two.
+#[test]
+fn a_pruned_task_list_is_not_handed_on() {
+    let machine = wide_node_cluster();
+    let masks = SparseMasks::new(
+        BlockMask::random(8, 8, 0.6, 0xA),
+        BlockMask::random(8, 8, 0.6, 0xB),
+    );
+    let counts = |backend| {
+        let run = Run {
+            masks: Some(&masks),
+            ..Run::new(
+                GemmSpec::square(256),
+                64,
+                Algorithm::srumma_default(),
+                backend,
+            )
+        };
+        let ranks = run.execute().expect("a legal plan").stats.ranks;
+        ranks
+            .iter()
+            .map(|r| (r.tasks, r.tasks_masked))
+            .collect::<Vec<_>>()
+    };
+    let sim = counts(Backend::Sim(&machine));
+    assert!(sim.iter().any(|&(_, masked)| masked > 0));
+    for workers in [1, 2] {
+        let virt = counts(Backend::Virtual {
+            machine: &machine,
+            workers,
+        });
+        assert_eq!(virt, sim, "{workers} workers");
     }
 }

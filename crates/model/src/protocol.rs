@@ -132,16 +132,28 @@ pub fn onesided(
     put: bool,
 ) -> (TransferCost, Served) {
     let served = Served::of(topo, me, serve);
-    let cost = match served {
+    let group = |r| membw_group(r, m.shm.membw_group_size);
+    let cross = served == Served::Domain && group(me) != group(serve);
+    (onesided_cost(m, served, cross, bytes, put), served)
+}
+
+/// [`onesided`]'s price once the endpoints are classified: served at
+/// `served`, from another memory-bandwidth group when `cross_membw`. A
+/// pure function of its arguments, so a caller may keep what it
+/// returned for the same key.
+pub fn onesided_cost(
+    m: &Machine,
+    served: Served,
+    cross_membw: bool,
+    bytes: usize,
+    put: bool,
+) -> TransferCost {
+    match served {
         Served::Own => shm_copy(m, bytes, false),
-        Served::Domain => {
-            let group = |r| membw_group(r, m.shm.membw_group_size);
-            shm_copy(m, bytes, group(me) != group(serve))
-        }
+        Served::Domain => shm_copy(m, bytes, cross_membw),
         Served::Network if put => rma_put(m, bytes),
         Served::Network => rma_get(m, bytes),
-    };
-    (cost, served)
+    }
 }
 
 /// Direct load/store access: no transfer happens at all — the cost moves
