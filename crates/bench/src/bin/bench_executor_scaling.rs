@@ -1,5 +1,5 @@
 //! Executor scaling: thousands of SRUMMA ranks on a fixed worker pool
-//! versus one OS thread per rank.
+//! versus a worker thread per rank.
 //!
 //! The paper ran one process per processor; studying SRUMMA's task
 //! ordering and pipeline behavior at 256–1024 "processors" on a
@@ -7,7 +7,8 @@
 //! pays for it in spawn cost and scheduler convoys (hundreds of
 //! preempted threads piling into the closing barrier). The
 //! work-stealing executor runs the same ranks as polled state machines
-//! on `min(8, host cores)` workers. This bench sweeps the logical rank
+//! on `min(8, host cores)` workers; thread-per-rank polls them on a
+//! worker per rank. This bench sweeps the logical rank
 //! count at a fixed problem size and reports both backends' wall time
 //! plus the executor's scheduling metrics (steal rate, occupancy).
 //!
@@ -19,8 +20,8 @@
 //! bench_executor_scaling [-- --quick] [-- --smoke] [-- --out PATH]`
 //!
 //! `--smoke` runs the CI oversubscription check instead of the sweep:
-//! 128 ranks on 2 workers (SRUMMA as state machines, SUMMA on
-//! permit-gated threads), verified against the serial kernel — a
+//! 128 ranks on 2 workers (SRUMMA ranks park at the barrier, SUMMA
+//! ranks on an empty mailbox), verified against the serial kernel — a
 //! deadlock or mismatch fails fast.
 
 use srumma_bench::{fmt, print_table, BenchArgs};
@@ -48,8 +49,8 @@ fn best_of<F: FnMut() -> f64>(mut f: F) -> f64 {
 
 /// CI oversubscription smoke: correctness under heavy oversubscription,
 /// bounded runtime, loud failure. 128 ranks on 2 workers covers both
-/// scheduling modes (SRUMMA state machines park in the closing barrier;
-/// SUMMA's blocking threads pass 2 permits around every broadcast).
+/// ways a polled rank waits (SRUMMA ranks park in the closing barrier;
+/// SUMMA ranks park on an empty mailbox in every broadcast).
 fn smoke() {
     let nranks = 128;
     let workers = 2;

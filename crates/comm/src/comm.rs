@@ -5,7 +5,7 @@
 //! on all three backends: the discrete-event simulator
 //! ([`crate::simbackend::SimComm`]), per-rank virtual clocks
 //! ([`crate::virt::VirtualComm`]) and the host's executor
-//! ([`crate::exec::ExecComm`], polled or blocking) — bare or behind the
+//! ([`crate::exec::ExecComm`], whose ranks are polled) — bare or behind the
 //! [`crate::subcomm::SubComm`] decorator.
 //!
 //! The surface deliberately mirrors what the paper's implementation
@@ -35,16 +35,16 @@
 //! a `false` call has registered the rank as a waiter — yield the thread
 //! and call again when stepped. The trait's defaults make that protocol
 //! correct on every backend whose calls simply block: **the first call
-//! does it all and returns `true`**. `SimComm` splits all three,
-//! `ExecComm` the barrier of its polled ranks, and `SubComm` forwards.
+//! does it all and returns `true`**. `SimComm` and the polled ranks of
+//! `ExecComm` split all three, and `SubComm` forwards.
 //!
 //! That is what lets a schedule be written once: a [`RankProgram`] is a
 //! resumable state machine whose `step` takes whatever communicator
 //! hosts it. The executor polls it ([`crate::exec::ProgramTask`]), the
 //! simulator steps it in virtual-time order
-//! ([`crate::simbackend::sim_run_programs`]); everywhere else [`drive`]
-//! loops it to completion, and it never parks because the calls never
-//! fail.
+//! ([`crate::simbackend::sim_run_programs`]); on the virtual clocks
+//! [`drive`] loops it to completion, and it never parks because the
+//! calls never fail.
 
 use crate::dist::{DistMatrix, Landing};
 use srumma_dense::{MatMut, MatRef, Operand, PackedPanel};
@@ -319,7 +319,7 @@ pub enum Step<T> {
 /// machine over whatever communicator hosts it. Written once; polled on
 /// the executor's workers ([`crate::exec::ProgramTask`]), stepped by the
 /// simulator's polled host ([`crate::simbackend::sim_run_programs`]), or
-/// looped to completion by [`drive`] on a thread of its own.
+/// looped to completion by [`drive`] where the calls block.
 pub trait RankProgram {
     /// The rank's output.
     type Out;
@@ -340,7 +340,8 @@ impl<P: RankProgram> RankProgram for &mut P {
 }
 
 /// Run `program` to completion on a communicator whose barrier blocks —
-/// the simulator, the virtual clocks, or a *blocking* executor rank.
+/// the virtual clocks, a rank of an `exec_run` closure, or a test's own
+/// communicator.
 /// Such a communicator never fails a barrier test, so a [`Step::Park`]
 /// here is a bug in the program (it parked on something no one will
 /// wake it for) and panics rather than spin.

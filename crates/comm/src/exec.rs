@@ -1,38 +1,27 @@
 //! The host's wall-clock backend: N logical ranks, at most W running.
 //!
 //! Every rank sees the paper's shared-memory machine (SGI Altix): one
-//! cacheable domain, a get is a `memcpy`, time is the wall clock. The
-//! ranks are hosted in one of two ways, over one barrier:
+//! cacheable domain, a get is a `memcpy`, time is the wall clock. Each
+//! rank is a [`RankTask`] — [`ProgramTask`] makes one of any
+//! [`RankProgram`], which every schedule in `srumma-core` is — **polled**
+//! on W worker threads ([`exec_run_tasks`]; thread-per-rank is W = N).
+//! Worker `w` claims the unstarted ranks `w, w + W, …` from its own
+//! atomic counter, then a sibling's once its share runs out; a rank that
+//! yields stays with the worker that ran it, and a woken rank goes to a
+//! shared injector queue. A rank waits only in a split call
+//! ([`Comm::barrier_try`], [`Comm::recv_try`], [`Comm::sendrecv_try`]):
+//! `false` has registered it as the barrier's waiter or found its mailbox
+//! empty, and its [`Step::Park`] costs a queue entry, not a blocked OS
+//! thread, until the completing arrival or the message's send re-queues it.
 //!
-//! * ranks written as **resumable state machines** (the [`RankTask`]
-//!   trait; [`ProgramTask`] makes one of any [`RankProgram`] — every
-//!   SRUMMA schedule in `srumma-core` is such a program) are **polled**
-//!   on W worker threads. Worker `w` claims the unstarted ranks
-//!   `w, w + W, …` from its own atomic counter, then a sibling's once
-//!   its share runs out; a rank that yields stays with the worker that
-//!   ran it, and a woken rank goes to a shared injector queue. A failed
-//!   barrier test returns [`Step::Park`] and costs a queue entry, not a
-//!   blocked OS thread, so thousands of ranks need only W threads;
-//! * ranks written in plain blocking style (SUMMA, Cannon — any
-//!   [`Comm`] closure, including one that [`drive`](crate::comm::drive)s
-//!   a program) are **blocking**: each owns a thread but runs only while
-//!   holding one of W **permits**. Every blocking point inside
-//!   [`ExecComm`] gives the permit back and sleeps on the rank's own
-//!   condvar until a barrier, a message or a peer wakes it, so runnable
-//!   concurrency never exceeds W and the barrier convoy of hundreds of
-//!   preempted threads disappears. With W = N no rank ever waits for a
-//!   permit: that is thread-per-rank ([`thread_run`]).
+//! [`exec_run`] / [`thread_run`] keep a closure host for code in plain
+//! blocking style — untraced, healthy, single-domain, and running no
+//! schedule of the library: each rank owns a thread but runs only while
+//! holding one of W **permits**, which every blocking point inside
+//! [`ExecComm`] gives back while the rank sleeps on its own condvar.
 //!
-//! Both reach the barrier through [`Comm::barrier_try`]: a polled
-//! rank's failed test registers it as a waiter and returns `false`; a
-//! blocking rank's never returns `false` — it gives its permit back and
-//! sleeps until the barrier has completed, exactly as its `barrier`
-//! does, because a rank that polled while holding a permit would starve
-//! the very ranks it is waiting for.
-//!
-//! A [`FaultPlan`] handed to the launcher is applied with real sleeps
-//! (see [`crate::fault`]), each part of the rank's turn: a blocking
-//! rank keeps its permit and a polled rank its worker.
+//! A [`FaultPlan`] handed to [`exec_run_tasks`] is applied with real
+//! sleeps (see [`crate::fault`]) on the rank's worker.
 //!
 //! Scheduling itself is observable: claims, parks and resumes are
 //! counted (and traced as [`TraceKind::Sched`] events when tracing is
@@ -513,12 +502,20 @@ impl SchedCore {
         self.wake(dst);
     }
 
-    /// Take the oldest message from `src`, if any (per-edge FIFO).
-    fn mail_recv(&self, dst: usize, src: usize) -> Option<(u64, Vec<f64>)> {
+    /// Move the oldest message from `src` (per-edge FIFO) into `buf`;
+    /// `false` if there is none.
+    fn mail_recv(&self, dst: usize, src: usize, tag: u64, buf: &mut Vec<f64>) -> bool {
         let mut q = relock(&self.mail[dst]);
-        let pos = q.iter().position(|m| m.0 == src)?;
-        let (_, tag, data) = q.remove(pos).expect("position came from this queue");
-        Some((tag, data))
+        let Some(pos) = q.iter().position(|m| m.0 == src) else {
+            return false;
+        };
+        let (_, got, data) = q.remove(pos).expect("position came from this queue");
+        assert_eq!(
+            got, tag,
+            "tag mismatch receiving from {src}: expected {tag}, got {got}"
+        );
+        *buf = data;
+        true
     }
 
     /// Record an instantaneous scheduling marker into the worker-side
@@ -545,30 +542,23 @@ impl SchedCore {
 
 // ---- the per-rank communicator -------------------------------------
 
-/// How this `ExecComm`'s rank is scheduled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TaskMode {
-    /// Own thread, permit-gated; gives the permit back at blocking points.
-    Blocking,
-    /// State machine polled on the workers ([`RankTask`]).
-    Fsm,
-}
-
 /// Per-rank communicator of the host: one cacheable shared-memory
 /// domain, eager memcpy gets, wall-clock time, and blocking points that
 /// cooperate with the scheduler instead of convoying OS threads.
 pub struct ExecComm {
     rank: usize,
     nranks: usize,
-    mode: TaskMode,
     core: Arc<SchedCore>,
     recorder: Recorder,
     /// Grow count of the workspace this rank last computed in (the
     /// workspace itself belongs to whichever thread runs the `gemm`).
     ws_grows: u64,
-    /// Split-barrier bookkeeping for FSM ranks: the generation awaited
-    /// and the span start time.
+    /// Split-barrier bookkeeping for polled ranks: the generation
+    /// awaited and the span start time.
     arrived: Option<(u64, f64)>,
+    /// A polled rank's split receive is waiting (an exchange has sent):
+    /// the span start time.
+    posted: Option<f64>,
     /// Blocking ranks: when the permit this rank holds was taken.
     held: Instant,
     /// This rank's slowdown factor under the run's fault plan.
@@ -578,17 +568,17 @@ pub struct ExecComm {
 }
 
 impl ExecComm {
-    fn new(core: Arc<SchedCore>, rank: usize, mode: TaskMode) -> Self {
+    fn new(core: Arc<SchedCore>, rank: usize) -> Self {
         let trace = core.trace;
         let slow = core.faults.as_ref().map_or(1.0, |p| p.slow_factor(rank));
         ExecComm {
             rank,
             nranks: core.nranks,
-            mode,
             core,
             recorder: Recorder::new(rank, trace),
             ws_grows: 0,
             arrived: None,
+            posted: None,
             held: Instant::now(),
             slow,
             gets_issued: 0,
@@ -621,17 +611,17 @@ impl ExecComm {
         }
     }
 
+    /// A polled rank re-stepped after a peer's panic unwinds, not re-parks.
+    fn unwind_if_poisoned(&self) {
+        if self.core.is_poisoned() {
+            panic!("executor poisoned: another rank panicked");
+        }
+    }
+
     /// Blocking ranks: sleep, permit given back, until woken.
     fn park(&mut self) {
         self.mark_park();
         self.core.park_blocking(self.rank, &mut self.held);
-    }
-
-    /// Blocking ranks: sleep until barrier generation `g` has completed.
-    fn wait_fence(&mut self, g: u64) {
-        while !self.core.fence_check(self.rank, g) {
-            self.park();
-        }
     }
 
     /// Arrive at the open barrier **on behalf of another rank** — the
@@ -714,13 +704,14 @@ impl Comm for ExecComm {
 
     fn barrier(&mut self) {
         assert!(
-            self.mode == TaskMode::Blocking,
-            "state-machine rank tasks must use Comm::barrier_try and Step::Park, \
-             not the blocking Comm::barrier"
+            self.core.blocking,
+            "a polled rank must use Comm::barrier_try and Step::Park, not the blocking Comm::barrier"
         );
         let t0 = self.span_start();
         let g = self.core.fence_arrive(self.rank);
-        self.wait_fence(g);
+        while !self.core.fence_check(self.rank, g) {
+            self.park();
+        }
         self.span_end(TraceKind::Barrier, t0, 0, String::new);
     }
 
@@ -729,13 +720,11 @@ impl Comm for ExecComm {
     /// rank's permit wait does — a parked polled rank re-stepped after a
     /// peer's panic must unwind, not re-park.
     fn barrier_try(&mut self) -> bool {
-        if self.mode == TaskMode::Blocking {
+        if self.core.blocking {
             self.barrier();
             return true;
         }
-        if self.core.is_poisoned() {
-            panic!("executor poisoned: another rank panicked");
-        }
+        self.unwind_if_poisoned();
         match self.arrived {
             Some((g, t0)) => {
                 if self.core.fence_check(self.rank, g) {
@@ -854,25 +843,36 @@ impl Comm for ExecComm {
     }
 
     fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, _bytes: u64) {
+        assert!(
+            self.core.blocking,
+            "a polled rank must use Comm::recv_try and Step::Park, not the blocking Comm::recv"
+        );
         let t0 = self.span_start();
-        loop {
-            if let Some((got_tag, payload)) = self.core.mail_recv(self.rank, src) {
-                assert_eq!(
-                    got_tag, tag,
-                    "tag mismatch receiving from {src}: expected {tag}, got {got_tag}"
-                );
-                *buf = payload;
-                break;
-            }
-            match self.mode {
-                TaskMode::Blocking => self.park(),
-                TaskMode::Fsm => panic!(
-                    "state-machine rank tasks must not call the blocking Comm::recv \
-                     (no message-passing algorithm runs as an FSM yet)"
-                ),
-            }
+        while !self.core.mail_recv(self.rank, src, tag, buf) {
+            self.park();
         }
         self.span_end(TraceKind::Wait, t0, 0, || format!("recv<-{src}"));
+    }
+
+    /// Takes the message if it is in the mailbox; otherwise returns
+    /// `false`, and the send that delivers it wakes the parked rank.
+    /// Panics once the executor has been poisoned, as `barrier_try` does.
+    fn recv_try(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) -> bool {
+        if self.core.blocking {
+            self.recv(src, tag, buf, bytes);
+            return true;
+        }
+        self.unwind_if_poisoned();
+        let t0 = self.posted.unwrap_or_else(|| self.span_start());
+        if !self.core.mail_recv(self.rank, src, tag, buf) {
+            if self.posted.replace(t0).is_none() {
+                self.mark_park();
+            }
+            return false;
+        }
+        self.posted = None;
+        self.span_end(TraceKind::Wait, t0, 0, || format!("recv<-{src}"));
+        true
     }
 
     fn sendrecv(
@@ -888,6 +888,23 @@ impl Comm for ExecComm {
         // Mailboxes are buffered: send first, then receive — no deadlock.
         self.send(dst, tag, send_data, send_bytes);
         self.recv(src, tag, recv_buf, recv_bytes);
+    }
+
+    /// Sends on the first call only, then receives as `recv_try` does.
+    fn sendrecv_try(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        send_data: &[f64],
+        send_bytes: u64,
+        src: usize,
+        recv_buf: &mut Vec<f64>,
+        recv_bytes: u64,
+    ) -> bool {
+        if self.posted.is_none() {
+            self.send(dst, tag, send_data, send_bytes);
+        }
+        self.recv_try(src, tag, recv_buf, recv_bytes)
     }
 }
 
@@ -1056,7 +1073,7 @@ fn blocking_rank<T>(
     body: &(dyn Fn(&mut ExecComm) -> T + Sync),
     sink: &Sink<T>,
 ) {
-    let mut comm = ExecComm::new(Arc::clone(core), rank, TaskMode::Blocking);
+    let mut comm = ExecComm::new(Arc::clone(core), rank);
     let res = catch_unwind(AssertUnwindSafe(|| {
         comm.held = core.permit_take();
         body(&mut comm)
@@ -1174,14 +1191,18 @@ pub(crate) fn resolve_workers(requested: usize, nranks: usize) -> usize {
 
 /// Run `body` once per rank, each on its own thread but only `workers`
 /// of them at any moment: a blocking point inside gives the rank's
-/// permit to another instead of convoying the OS scheduler. Tracing
-/// off.
+/// permit to another instead of convoying the OS scheduler. Untraced,
+/// healthy, one shared-memory domain: the closure host of code written
+/// in blocking style, beside the polled [`exec_run_tasks`].
 pub fn exec_run<T, F>(nranks: usize, workers: usize, body: F) -> ExecRunResult<T>
 where
     T: Send,
     F: Fn(&mut ExecComm) -> T + Sync,
 {
-    exec_launch(nranks, workers, false, None, None, body)
+    let core = SchedCore::new(nranks, workers, true, false, None, None);
+    run_threads(&core, nranks, |rank, sink| {
+        blocking_rank(&core, rank, &body, sink)
+    })
 }
 
 /// Thread-per-rank: [`exec_run`] with a permit for every rank, so no
@@ -1194,35 +1215,15 @@ where
     exec_run(nranks, nranks, body)
 }
 
-/// The general form of [`exec_run`]. With `trace`, ranks record
-/// wall-clock events (plus `Sched` park markers). With `topo`, every
-/// rank's `ExecComm` reports that emulated cluster topology: off-node
-/// blocks lose direct access, and transfers are classified intra-group
-/// vs inter-node. With `faults`, every rank's `ExecComm` applies the
-/// plan's stragglers and get spikes (its death is the caller's to
-/// script).
-pub fn exec_launch<T, F>(
-    nranks: usize,
-    workers: usize,
-    trace: bool,
-    topo: Option<Topology>,
-    faults: Option<&FaultPlan>,
-    body: F,
-) -> ExecRunResult<T>
-where
-    T: Send,
-    F: Fn(&mut ExecComm) -> T + Sync,
-{
-    let core = SchedCore::new(nranks, workers, true, trace, topo, faults);
-    run_threads(&core, nranks, |rank, sink| {
-        blocking_rank(&core, rank, &body, sink)
-    })
-}
-
 /// Run `nranks` state-machine rank tasks on `workers` workers — no
 /// per-rank OS threads at all. `factory` is called once per rank with
-/// that rank's [`ExecComm`] and returns the task that owns it. `trace`,
-/// `topo` and `faults` as in [`exec_launch`].
+/// that rank's [`ExecComm`] and returns the task that owns it. With
+/// `trace`, ranks record wall-clock events (plus `Sched` park markers).
+/// With `topo`, every rank's `ExecComm` reports that emulated cluster
+/// topology: off-node blocks lose direct access, and transfers are
+/// classified intra-group vs inter-node. With `faults`, every rank's
+/// `ExecComm` applies the plan's stragglers and get spikes (its death is
+/// the caller's to script).
 pub fn exec_run_tasks<'env, T, F>(
     nranks: usize,
     workers: usize,
@@ -1238,7 +1239,7 @@ where
     let core = SchedCore::new(nranks, workers, false, trace, topo, faults);
     let slots: Vec<Slot<'env, T>> = (0..nranks)
         .map(|rank| {
-            let comm = ExecComm::new(Arc::clone(&core), rank, TaskMode::Fsm);
+            let comm = ExecComm::new(Arc::clone(&core), rank);
             Mutex::new(Some(factory(comm)))
         })
         .collect();
@@ -1270,7 +1271,7 @@ mod tests {
     #[test]
     fn barrier_try_after_poison_panics_instead_of_parking() {
         let core = SchedCore::new(2, 1, false, false, None, None);
-        let mut comm = ExecComm::new(Arc::clone(&core), 0, TaskMode::Fsm);
+        let mut comm = ExecComm::new(Arc::clone(&core), 0);
         assert!(!comm.barrier_try(), "one arrival out of two cannot pass");
         core.poison(Box::new("boom"));
         let err = catch_unwind(AssertUnwindSafe(|| comm.barrier_try()))
@@ -1284,5 +1285,19 @@ mod tests {
             msg.contains("executor poisoned"),
             "unexpected panic message: {msg}"
         );
+    }
+
+    /// The same for a rank parked in `recv_try` on an empty mailbox.
+    #[test]
+    fn recv_try_after_poison_panics_instead_of_parking() {
+        let core = SchedCore::new(2, 1, false, false, None, None);
+        let mut comm = ExecComm::new(Arc::clone(&core), 0);
+        let mut buf = Vec::new();
+        assert!(!comm.recv_try(1, 3, &mut buf, 8), "nothing was sent");
+        core.poison(Box::new("boom"));
+        let err = catch_unwind(AssertUnwindSafe(|| comm.recv_try(1, 3, &mut buf, 8)))
+            .expect_err("a parked rank re-stepped after poison must unwind");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("executor poisoned"), "got: {msg}");
     }
 }

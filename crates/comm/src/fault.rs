@@ -18,8 +18,8 @@
 //!   two-sided message costs scale by its factor, get spikes add to the
 //!   modeled transfer latency, and the whole run stays bit-for-bit
 //!   deterministic;
-//! * the **host's executor** (`exec_launch` / `exec_run_tasks`, which
-//!   take the plan beside the topology) applies it with real sleeps:
+//! * the **host's executor** (`exec_run_tasks`, which takes the plan
+//!   beside the topology) applies it with real sleeps:
 //!   each `ExecComm` stretches its rank's compute by the rank's factor
 //!   once the `Compute` span has closed, and sleeps a spiked get's extra
 //!   latency once the block has landed — each delay counted

@@ -18,9 +18,11 @@
 //!   each rank one iteration of a parallel-for.
 //! * [`ExecComm`] — the host: one shared-memory domain,
 //!   real memcpys, wall-clock timing — the "SGI Altix flavor" made
-//!   concrete on today's hardware. Ranks are polled on W workers, or
-//!   block on threads of their own under W permits; thread-per-rank is
-//!   W = N ([`thread_run`]).
+//!   concrete on today's hardware. Every rank is a [`RankProgram`]
+//!   polled on W workers ([`exec_run_tasks`] + [`ProgramTask`]);
+//!   thread-per-rank is W = N. Closures written in blocking style run on
+//!   threads of their own under W permits ([`exec_run`],
+//!   [`thread_run`]), untraced and healthy.
 //!
 //! Algorithms in `srumma-core` are generic over the [`Comm`] trait, so
 //! the *same* SRUMMA/Cannon/SUMMA code runs on all three — and behind
@@ -60,8 +62,7 @@ pub mod virt;
 pub use comm::{drive, Comm, GetHandle, RankProgram, Step, TaskSpan};
 pub use dist::{CostMap, DistMatrix, Landing};
 pub use exec::{
-    exec_launch, exec_run, exec_run_tasks, thread_run, ExecComm, ExecRunResult, ProgramTask,
-    RankTask,
+    exec_run, exec_run_tasks, thread_run, ExecComm, ExecRunResult, ProgramTask, RankTask,
 };
 pub use fault::{FaultPlan, FaultPlanError, RankDeath};
 pub use simbackend::{sim_run_programs, sim_run_steps, SimComm, SimOptions};

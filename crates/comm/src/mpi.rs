@@ -131,7 +131,7 @@ pub fn ring_shift<C: Comm>(
 mod tests {
     use super::*;
     use crate::comm::{drive, RankProgram, Step};
-    use crate::exec::thread_run;
+    use crate::exec::{exec_run_tasks, thread_run, ProgramTask};
     use crate::simbackend::{sim_run_programs, SimOptions};
     use srumma_model::Machine;
 
@@ -173,8 +173,9 @@ mod tests {
 
     /// What each of `n` ranks holds after `which` over `group` from
     /// `root` (by `root` positions, for a shift), `data(rank)` its
-    /// payload before — driven on a thread per rank and stepped on the
-    /// simulator's one thread, which must agree.
+    /// payload before — driven on a thread per rank, stepped on the
+    /// simulator's one thread and polled on 1 and 2 executor workers,
+    /// which must all agree.
     pub(super) fn deliver(
         which: Which,
         n: usize,
@@ -191,11 +192,16 @@ mod tests {
         };
         let driven = thread_run(n, |c| drive(c, program(c.rank()))).outputs;
         let opts = SimOptions::new(Machine::linux_myrinet(), n);
-        let polled = sim_run_programs(&opts, program).outputs;
-        assert_eq!(
-            polled, driven,
-            "{which:?} over {group:?} by {root}, {bytes} B"
-        );
+        let stepped = sim_run_programs(&opts, program).outputs;
+        let case = format!("{which:?} over {group:?} by {root}, {bytes} B");
+        assert_eq!(stepped, driven, "simulated: {case}");
+        for workers in [1, 2] {
+            let polled = exec_run_tasks(n, workers, false, None, None, |comm| {
+                let rank = comm.rank();
+                Box::new(ProgramTask::new(comm, program(rank)))
+            });
+            assert_eq!(polled.outputs, driven, "{workers} workers: {case}");
+        }
         driven
     }
 
@@ -253,7 +259,8 @@ mod tests {
 
     /// Every collective on 1–8 ranks, from every root (by every shift),
     /// at an eager and a rendezvous size, delivers the payloads it should
-    /// on the simulator's one thread as on a thread per rank.
+    /// on the simulator's one thread and on the executor's workers as on
+    /// a thread per rank.
     #[test]
     fn collectives_deliver_on_the_polled_simulator() {
         for n in 1..=8 {

@@ -1,9 +1,10 @@
 //! Executor backend integration tests: correctness of the scheduler
-//! (permit-gated threads and FSM tasks), oversubscribed collectives,
-//! message passing, scheduling statistics, and poison propagation.
+//! (polled tasks, and the permit-gated threads of closure runs),
+//! oversubscribed collectives, message passing, scheduling statistics,
+//! and poison propagation.
 
-use srumma_comm::exec::{exec_launch, exec_run, exec_run_tasks, ExecComm, RankTask};
-use srumma_comm::{Comm, DistMatrix, FaultPlan, Landing, Step};
+use srumma_comm::exec::{exec_run, exec_run_tasks, ExecComm, RankTask};
+use srumma_comm::{Comm, DistMatrix, FaultPlan, Landing, ProgramTask, RankProgram, Step};
 use srumma_dense::{Matrix, Op, PackedPanel, Rng, Side};
 use srumma_model::ProcGrid;
 use srumma_trace::TraceKind;
@@ -120,20 +121,31 @@ fn exec_comm_counts_a_packed_landing_in_its_get_sequence() {
         .count() as u64;
     assert_ne!(spiked, rows_only, "pick a seed that tells the two apart");
 
-    let mat = DistMatrix::create(ProcGrid::new(2, 4), 6, 12);
-    let res = exec_launch(8, 2, false, None, Some(&plan), |c| {
-        if c.rank() == 5 {
-            let (mut buf, mut panel) = (Vec::new(), PackedPanel::new());
-            for seq in 0..GETS {
-                if seq % 2 == 0 {
-                    c.nbget(&mat, 3, Landing::Rows(&mut buf));
-                } else {
-                    c.nbget(&mat, 3, Landing::Packed(&mut panel, Side::A(Op::T)));
+    /// Rank 5 gets rank 3's block `GETS` times, landing it row-major
+    /// and packed in turn; every rank reports `(gets, delays)`.
+    struct Gets<'m>(&'m DistMatrix);
+
+    impl RankProgram for Gets<'_> {
+        type Out = (u64, u64);
+        fn step<C: Comm>(&mut self, c: &mut C) -> Step<(u64, u64)> {
+            if c.rank() == 5 {
+                let (mut buf, mut panel) = (Vec::new(), PackedPanel::new());
+                for seq in 0..GETS {
+                    if seq % 2 == 0 {
+                        c.nbget(self.0, 3, Landing::Rows(&mut buf));
+                    } else {
+                        c.nbget(self.0, 3, Landing::Packed(&mut panel, Side::A(Op::T)));
+                    }
                 }
             }
+            let counters = &c.recorder().counters;
+            Step::Done((counters.blocks_fetched, counters.delays_injected))
         }
-        let counters = &c.recorder().counters;
-        (counters.blocks_fetched, counters.delays_injected)
+    }
+
+    let mat = DistMatrix::create(ProcGrid::new(2, 4), 6, 12);
+    let res = exec_run_tasks(8, 2, false, None, Some(&plan), |comm| {
+        Box::new(ProgramTask::new(comm, Gets(&mat)))
     });
     for (rank, &got) in res.outputs.iter().enumerate() {
         let want = if rank == 5 { (GETS, spiked) } else { (0, 0) };
@@ -142,12 +154,25 @@ fn exec_comm_counts_a_packed_landing_in_its_get_sequence() {
     }
 }
 
+/// Each rank passes one barrier, then returns its rank.
+struct BarrierThenRank;
+
+impl RankProgram for BarrierThenRank {
+    type Out = usize;
+    fn step<C: Comm>(&mut self, c: &mut C) -> Step<usize> {
+        match c.barrier_try() {
+            true => Step::Done(c.rank()),
+            false => Step::Park,
+        }
+    }
+}
+
 #[test]
 fn traced_run_records_sched_markers_and_occupancy() {
-    let res = exec_launch(32, 2, true, None, None, |c| {
-        c.barrier();
-        c.rank()
+    let res = exec_run_tasks(32, 2, true, None, None, |comm| {
+        Box::new(ProgramTask::new(comm, BarrierThenRank))
     });
+    assert_eq!(res.outputs, (0..32).collect::<Vec<_>>());
     let exec = res.stats.exec.unwrap();
     assert!(
         exec.parks > 0,
@@ -240,6 +265,39 @@ impl RankTask for BadBarrierTask {
         self.comm.barrier(); // wrong: blocking call on an FSM rank
         Step::Done(())
     }
+}
+
+/// A polled rank's blocking `Comm::recv` would hold its worker while the
+/// message's sender may need that very worker: it panics, naming the
+/// split form, instead of waiting.
+#[test]
+fn fsm_blocking_recv_is_rejected() {
+    struct BadRecv;
+
+    impl RankProgram for BadRecv {
+        type Out = ();
+        fn step<C: Comm>(&mut self, c: &mut C) -> Step<()> {
+            if c.rank() == 0 {
+                c.recv(1, 4, &mut Vec::new(), 8); // wrong: blocking call on an FSM rank
+            } else {
+                c.send(0, 4, &[1.0], 8);
+            }
+            Step::Done(())
+        }
+    }
+
+    let caught = std::panic::catch_unwind(|| {
+        exec_run_tasks(2, 1, false, None, None, |comm| {
+            Box::new(ProgramTask::new(comm, BadRecv))
+        })
+    });
+    let payload = caught.expect_err("blocking recv in an FSM task must panic");
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap();
+    assert!(msg.contains("recv_try"), "got: {msg}");
 }
 
 /// The blocking side of the same contract: a blocking rank's split
@@ -441,6 +499,75 @@ fn panicking_gated_rank_unwinds_parked_peers() {
         .downcast::<&str>()
         .unwrap();
     assert_eq!(msg, "injected rank failure");
+}
+
+/// An exchange sends on its first call only, however often its receive
+/// is retried: rank 0 parks in its first exchange and is stepped again,
+/// and each rank's second exchange, tagged anew, must find the peer's
+/// second message, not a resent first one (a tag mismatch panics).
+#[test]
+fn sendrecv_try_sends_on_its_first_call_only() {
+    struct TwoExchanges(u64, Vec<f64>);
+
+    impl RankProgram for TwoExchanges {
+        type Out = Vec<f64>;
+        fn step<C: Comm>(&mut self, c: &mut C) -> Step<Vec<f64>> {
+            let peer = 1 - c.rank();
+            while self.0 < 2 {
+                let (data, mut buf) = ([(10 * c.rank()) as f64 + self.0 as f64], Vec::new());
+                if !c.sendrecv_try(peer, self.0, &data, 8, peer, &mut buf, 8) {
+                    return Step::Park;
+                }
+                self.1.extend(buf);
+                self.0 += 1;
+            }
+            Step::Done(std::mem::take(&mut self.1))
+        }
+    }
+
+    for workers in [1, 2] {
+        let res = exec_run_tasks(2, workers, false, None, None, |comm| {
+            Box::new(ProgramTask::new(comm, TwoExchanges(0, Vec::new())))
+        });
+        assert_eq!(res.outputs, [[10.0, 11.0], [0.0, 1.0]], "workers={workers}");
+    }
+}
+
+/// Rank 0 parks in `recv_try` for a message rank 1 never sends: rank 1
+/// yields, then panics. The run must not wait for rank 0's wake; it
+/// unwinds with rank 1's payload, on one worker and on two.
+#[test]
+fn a_peer_panic_unwinds_a_rank_parked_in_recv_try() {
+    struct SenderDies(usize);
+
+    impl RankProgram for SenderDies {
+        type Out = ();
+        fn step<C: Comm>(&mut self, c: &mut C) -> Step<()> {
+            if c.rank() == 0 {
+                return match c.recv_try(1, 9, &mut Vec::new(), 8) {
+                    true => Step::Done(()),
+                    false => Step::Park,
+                };
+            }
+            self.0 += 1;
+            match self.0 {
+                3 => panic!("sender died"),
+                _ => Step::Yield,
+            }
+        }
+    }
+
+    for workers in [1, 2] {
+        let msg = within_10s("a parked receiver", move || {
+            let caught = std::panic::catch_unwind(|| {
+                exec_run_tasks(2, workers, false, None, None, |comm| {
+                    Box::new(ProgramTask::new(comm, SenderDies(0)))
+                })
+            });
+            *caught.expect_err("must unwind").downcast::<&str>().unwrap()
+        });
+        assert_eq!(msg, "sender died", "workers={workers}");
+    }
 }
 
 #[test]

@@ -4,9 +4,9 @@ use crate::cannon::CannonProgram;
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::repl::ReplProgram;
 use crate::run::RankReport;
-use crate::srumma::{MachineScratch, SrummaProgram, SrummaReport};
+use crate::srumma::{MachineScratch, SrummaProgram};
 use crate::summa::{SummaOptions, SummaProgram};
-use srumma_comm::{drive, Comm, DistMatrix, RankProgram, Step};
+use srumma_comm::{Comm, DistMatrix, RankProgram, Step};
 
 /// Which parallel matrix-multiplication algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -41,9 +41,11 @@ impl Algorithm {
 }
 
 /// One rank of a multiply as a [`RankProgram`], whose output is the
-/// rank's [`RankReport`]: stepped on the simulator's one thread
-/// ([`srumma_comm::sim_run_programs`]), or [`drive`]n where receives and
-/// fences block ([`parallel_gemm`]). All ranks run it collectively.
+/// rank's [`RankReport`]: polled on the executor's workers
+/// ([`srumma_comm::ProgramTask`]), stepped on the simulator's one thread
+/// ([`srumma_comm::sim_run_programs`]), or driven where receives and
+/// fences block (`drive(comm, GemmProgram::new(..)).srumma` is the
+/// SRUMMA report). All ranks run it collectively.
 pub struct GemmProgram<'a>(pub(crate) Body<'a>);
 
 /// The schedule a [`GemmProgram`] runs.
@@ -95,20 +97,6 @@ impl RankProgram for GemmProgram<'_> {
             Body::Replicated(p) => p.step(comm),
         }
     }
-}
-
-/// Run the selected algorithm collectively on a communicator whose
-/// receives and fences block, [`drive`]ing its [`GemmProgram`]. Returns
-/// the SRUMMA report when applicable.
-pub fn parallel_gemm<C: Comm>(
-    comm: &mut C,
-    alg: &Algorithm,
-    spec: &GemmSpec,
-    a: &DistMatrix,
-    b: &DistMatrix,
-    c: &DistMatrix,
-) -> Option<SrummaReport> {
-    drive(comm, GemmProgram::new(alg, spec, a, b, c)).srumma
 }
 
 #[cfg(test)]

@@ -55,17 +55,17 @@
 //! [`EntryRankSample::fence_s`] therefore reads 0.
 //!
 //! That loop is one [`RankProgram`], `BatchProgram`, which never
-//! parks: the executor polls it, the simulator steps it, the threads
-//! [`drive`] the same value — which is what makes the three-backend
-//! correctness matrix possible.
+//! parks: the executor polls it, on W workers or a worker per rank, and
+//! the simulator steps the same value — which is what makes the
+//! three-way correctness matrix possible.
 
 use crate::driver::{default_grid, TracedRun};
 use crate::layout::{fresh_c, with_host_operand_sets, HostOperands};
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::srumma::{MachineScratch, SrummaMachine, SrummaReport, STRIDE};
 use srumma_comm::{
-    drive, exec_run_tasks, sim_run_programs, thread_run, Comm, CostMap, DistMatrix, ProgramTask,
-    RankProgram, SimOptions, Step, SubComm,
+    exec_run_tasks, sim_run_programs, Comm, CostMap, DistMatrix, ProgramTask, RankProgram,
+    SimOptions, Step, SubComm,
 };
 use srumma_dense::{BlockMask, MatMut, Matrix, Op};
 use srumma_model::{Machine, ProcGrid, Topology};
@@ -594,15 +594,11 @@ fn launch_exec<'p>(
     (res.outputs, res.wall_seconds, traced)
 }
 
-/// Run the batch on real host threads (one thread per rank). The
-/// correctness baseline for the executor path — the same program over
-/// the same views.
+/// Run the batch on the executor with a worker per rank: the
+/// thread-per-rank baseline of [`multiply_batch_exec`] — the same program
+/// over the same views.
 pub fn multiply_batch(batch: &BatchSpec, nranks: usize) -> BatchResult {
-    run_batch(batch, Topology::single_domain(nranks), |program| {
-        let res = thread_run(nranks, |comm| drive(comm, program()));
-        (res.outputs, res.wall_seconds, ())
-    })
-    .0
+    multiply_batch_exec(batch, nranks, nranks)
 }
 
 /// Run the batch under the virtual-time simulator (real data, modeled

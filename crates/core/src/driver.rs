@@ -52,9 +52,9 @@ pub fn measure_gflops(machine: &Machine, nranks: usize, alg: &Algorithm, spec: &
     measure_modeled(machine, nranks, alg, spec).gflops(spec.flops())
 }
 
-/// Run `alg` on real data with real host threads (one shared-memory
-/// domain — the Altix configuration on today's hardware). Returns
-/// `(C, wall seconds)`.
+/// Run `alg` on real data with a host thread per rank (one shared-memory
+/// domain — the Altix configuration on today's hardware): the executor
+/// with a worker per rank. Returns `(C, wall seconds)`.
 pub fn multiply_threads(
     nranks: usize,
     alg: &Algorithm,
@@ -72,12 +72,12 @@ pub fn multiply_threads(
 }
 
 /// Run `alg` on real data on the **work-stealing executor**: `nranks`
-/// logical ranks multiplexed onto `workers` worker threads. SRUMMA
-/// ranks run as polled state machines ([`crate::srumma::SrummaProgram`]
-/// — zero OS threads per rank); SUMMA and Cannon run their unmodified
-/// blocking code on permit-gated threads. Returns the numeric result and
-/// the full run result — `stats.exec` carries the steal-rate/occupancy
-/// counters.
+/// logical ranks multiplexed onto `workers` worker threads. Every rank,
+/// SRUMMA, SUMMA or Cannon, is a polled [`crate::api::GemmProgram`] —
+/// zero OS threads per rank: a SUMMA or Cannon rank parks on an empty
+/// mailbox as a SRUMMA rank parks at the barrier. Returns the numeric
+/// result and the full run result — `stats.exec` carries the
+/// steal-rate/occupancy counters.
 pub fn multiply_exec(
     nranks: usize,
     workers: usize,

@@ -32,8 +32,8 @@ use crate::options::{GemmSpec, ReplicationFactor};
 use crate::repl::{resolve_factor, ReplProgram, ReplSet};
 use crate::srumma::{MachineScratch, SrummaProgram, SrummaReport};
 use srumma_comm::{
-    drive, exec_launch, exec_run_tasks, sim_run_programs, virtual_run, Comm, CostMap, DistMatrix,
-    ExecComm, ExecRunResult, FaultPlan, FaultPlanError, ProgramTask, SimOptions, VirtualComm,
+    drive, exec_run_tasks, sim_run_programs, virtual_run, Comm, CostMap, DistMatrix, FaultPlan,
+    FaultPlanError, ProgramTask, SimOptions, VirtualComm,
 };
 use srumma_dense::{Matrix, Op};
 use srumma_model::{Machine, Topology};
@@ -52,7 +52,7 @@ pub enum Backend<'a> {
         machine: &'a Machine,
         workers: usize,
     },
-    /// One OS thread per rank, wall clock.
+    /// The executor with a worker per rank, wall clock.
     Threads,
     /// Logical ranks on a work-stealing pool of `workers` threads
     /// (`0` = auto), wall clock.
@@ -184,10 +184,6 @@ enum Mats<'m> {
 
 /// What every launcher hands back: reports, stats, trace, wall seconds.
 type Launched = (Vec<RankReport>, RunStats, Vec<TraceEvent>, f64);
-
-fn launched(res: ExecRunResult<RankReport>) -> Launched {
-    (res.outputs, res.stats, res.trace, res.wall_seconds)
-}
 
 /// `rank`'s program over the prepared matrices, chosen by `(algorithm,
 /// hier, replication)`.
@@ -365,15 +361,6 @@ impl<'a> Run<'a> {
     /// Run the ranks over the prepared matrices on `self.backend`.
     fn launch(&self, topology: Topology, mats: &Mats<'_>) -> Result<Launched, RunError> {
         let (nranks, algorithm, faults) = (self.nranks, &self.algorithm, self.faults);
-        // On the wall-clock backends the launchers emulate the topology
-        // and apply the fault plan.
-        let topo = Some(topology);
-        // The blocking hosting: a thread per rank under `workers` permits.
-        let blocking = |workers| {
-            let body =
-                |comm: &mut ExecComm| drive(comm, rank_program(comm.rank(), algorithm, mats));
-            launched(exec_launch(nranks, workers, self.trace, topo, faults, body))
-        };
         Ok(match self.backend {
             Backend::Sim(machine) => {
                 let mut sim = SimOptions::new(machine.clone(), nranks);
@@ -403,38 +390,38 @@ impl<'a> Run<'a> {
                 let res = virtual_run(machine, nranks, workers, body);
                 (Vec::new(), res.stats, Vec::new(), res.wall_seconds)
             }
-            // Thread-per-rank: a permit per rank.
-            Backend::Threads => blocking(nranks),
-            // Flat or staged SRUMMA is polled (no OS thread per rank),
-            // taught re-execution when the plan scripts a death; every
-            // other program is driven on a blocking rank.
-            Backend::Exec { workers } => match (mats, algorithm) {
-                (Mats::Flat(m, stages), Algorithm::Srumma(opts)) => {
-                    // Declared after the matrices: any unclaimed program
-                    // (borrowing them) drops with the queue first.
-                    let recovery = ChaosRecovery::new();
-                    let FlatMats { spec, a, b, c } = m;
-                    let program = || SrummaProgram::new(spec, a, b, c, opts, stages.as_ref());
-                    let death = faults.and_then(|plan| plan.death);
-                    launched(exec_run_tasks(
-                        nranks,
-                        workers,
-                        self.trace,
-                        topo,
-                        faults,
-                        |comm| match death {
-                            None => Box::new(ProgramTask::new(comm, program())),
-                            Some(death) => Box::new(ChaosSrummaRankTask::new(
-                                comm,
-                                program(),
-                                death,
-                                &recovery,
-                            )),
-                        },
-                    ))
-                }
-                _ => blocking(workers),
-            },
+            // Every program is polled on `workers` threads, which
+            // emulate the topology and apply the fault plan;
+            // thread-per-rank is a worker per rank. A scripted death
+            // teaches flat SRUMMA re-execution.
+            Backend::Threads | Backend::Exec { .. } => {
+                let workers = match self.backend {
+                    Backend::Exec { workers } => workers,
+                    _ => nranks,
+                };
+                // Declared after the matrices: any unclaimed program
+                // (borrowing them) drops with the queue first.
+                let recovery = ChaosRecovery::new();
+                let death = faults.and_then(|plan| plan.death);
+                let res = exec_run_tasks(
+                    nranks,
+                    workers,
+                    self.trace,
+                    Some(topology),
+                    faults,
+                    |comm| {
+                        let program = rank_program(comm.rank(), algorithm, mats);
+                        match (death, program) {
+                            (None, program) => Box::new(ProgramTask::new(comm, program)),
+                            (Some(death), GemmProgram(Body::Srumma(program))) => {
+                                Box::new(ChaosSrummaRankTask::new(comm, program, death, &recovery))
+                            }
+                            _ => unreachable!("validate() scripts deaths for flat SRUMMA only"),
+                        }
+                    },
+                );
+                (res.outputs, res.stats, res.trace, res.wall_seconds)
+            }
         })
     }
 

@@ -722,8 +722,8 @@ impl RankProgram for SrummaProgram<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{parallel_gemm, Algorithm};
-    use srumma_comm::Comm;
+    use crate::api::{Algorithm, GemmProgram};
+    use srumma_comm::{drive, Comm};
     use srumma_dense::{MatMut, MatRef, Op};
     use srumma_model::{ProcGrid, Topology};
     use srumma_trace::Recorder;
@@ -894,7 +894,8 @@ mod tests {
         for rank in 0..nranks {
             let mut comm = CountingComm::new(rank, nranks);
             let srumma = Algorithm::Srumma(opts);
-            let report = parallel_gemm(&mut comm, &srumma, &spec, &da, &db, &dc).unwrap();
+            let program = GemmProgram::new(&srumma, &spec, &da, &db, &dc);
+            let report = drive(&mut comm, program).srumma.unwrap();
             // Pruned + executed tile the dense task list exactly.
             assert_eq!(report.tasks + report.masked_tasks, dense_tasks);
             assert_eq!(report.fetched_blocks, comm.issued, "rank {rank}");
@@ -943,7 +944,8 @@ mod tests {
         for rank in 0..grid.nranks() {
             let mut comm = CountingComm::new(rank, grid.nranks());
             let srumma = Algorithm::srumma_default();
-            let report = parallel_gemm(&mut comm, &srumma, &spec, &da, &db, &dc).unwrap();
+            let program = GemmProgram::new(&srumma, &spec, &da, &db, &dc);
+            let report = drive(&mut comm, program).srumma.unwrap();
             assert_eq!(report.tasks, 0, "rank {rank} must run nothing");
             assert!(report.masked_tasks > 0);
             assert_eq!(comm.issued, 0, "no gets for pruned tasks");
@@ -1030,7 +1032,8 @@ mod tests {
             for rank in 0..nranks {
                 let mut comm = CountingComm::new(rank, nranks);
                 let srumma = Algorithm::Srumma(opts);
-                let report = parallel_gemm(&mut comm, &srumma, &spec, &da, &db, &dc).unwrap();
+                let program = GemmProgram::new(&srumma, &spec, &da, &db, &dc);
+                let report = drive(&mut comm, program).srumma.unwrap();
                 assert_eq!(report.fetched_blocks, comm.issued, "rank {rank}");
                 assert_eq!(
                     comm.issued, comm.completed,

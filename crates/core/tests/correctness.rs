@@ -2,11 +2,23 @@
 //! case × square and rectangular shapes × both backends, checked
 //! against the serial kernel.
 
+use srumma_comm::{exec_run_tasks, DistMatrix, ProgramTask};
 use srumma_core::driver::{multiply_threads, serial_reference};
-use srumma_core::{Algorithm, Backend, GemmSpec, Run, ShmemFlavor, SrummaOptions, SummaOptions};
+use srumma_core::{
+    Algorithm, Backend, GemmProgram, GemmSpec, Run, ShmemFlavor, SrummaOptions, SummaOptions,
+};
 use srumma_dense::{max_abs_diff, Matrix, Op};
 use srumma_model::Machine;
 use srumma_sim::RunStats;
+
+/// Poll `alg`'s program of each of 4 ranks on `workers` executor
+/// workers, over matrices laid out by hand.
+fn poll_gemm(workers: usize, alg: &Algorithm, spec: &GemmSpec, mats: [&DistMatrix; 3]) {
+    let [a, b, c] = mats;
+    exec_run_tasks(4, workers, false, None, None, |comm| {
+        Box::new(ProgramTask::new(comm, GemmProgram::new(alg, spec, a, b, c)))
+    });
+}
 
 /// Real data under the simulated `machine`: `(C, stats)`.
 fn multiply_verified(
@@ -238,9 +250,7 @@ fn pblas_alpha_beta_semantics() {
         let dc = srumma_core::layout::dist_c(&spec, grid, true);
         srumma_core::layout::scatter_operands(&spec, &da, &db, &a, &b);
         dc.scatter(&c0);
-        srumma_comm::thread_run(4, |comm| {
-            srumma_core::parallel_gemm(comm, &alg, &spec, &da, &db, &dc);
-        });
+        poll_gemm(4, &alg, &spec, [&da, &db, &dc]);
         let got = dc.gather();
         let err = max_abs_diff(&got, &expect);
         assert!(err < 1e-9, "{} alpha/beta: err {err}", alg.name());
@@ -249,9 +259,9 @@ fn pblas_alpha_beta_semantics() {
 
 /// The drivers normalise β to 0 for a C they created themselves
 /// (`layout::fresh_c`); that must never reach a C the caller supplied.
-/// Every algorithm on threads, on the executor's permit-gated threads
-/// and — SRUMMA — as polled state machines still accumulates onto a
-/// scattered C with the caller's β.
+/// Every algorithm polled on a worker per rank and on 2 workers, and
+/// SRUMMA's own program polled bare, still accumulates onto a scattered
+/// C with the caller's β.
 #[test]
 fn caller_supplied_c_keeps_its_beta_on_every_backend() {
     use srumma_core::srumma::SrummaProgram;
@@ -285,22 +295,17 @@ fn caller_supplied_c_keeps_its_beta_on_every_backend() {
             Algorithm::summa_default(),
             Algorithm::Cannon,
         ] {
-            dc.scatter(&c0);
-            srumma_comm::thread_run(4, |comm| {
-                srumma_core::parallel_gemm(comm, &alg, &spec, &da, &db, &dc);
-            });
-            check(&format!("{} on thread_run", alg.name()));
-            dc.scatter(&c0);
-            srumma_comm::exec_run(4, 2, |comm| {
-                srumma_core::parallel_gemm(comm, &alg, &spec, &da, &db, &dc);
-            });
-            check(&format!("{} on exec_run", alg.name()));
+            for workers in [4, 2] {
+                dc.scatter(&c0);
+                poll_gemm(workers, &alg, &spec, [&da, &db, &dc]);
+                check(&format!("{} on {workers} workers", alg.name()));
+            }
         }
         dc.scatter(&c0);
         let opts = SrummaOptions::default();
-        srumma_comm::exec_run_tasks(4, 2, false, None, None, |comm| {
+        exec_run_tasks(4, 2, false, None, None, |comm| {
             let program = SrummaProgram::new(&spec, &da, &db, &dc, &opts, None);
-            Box::new(srumma_comm::ProgramTask::new(comm, program))
+            Box::new(ProgramTask::new(comm, program))
         });
         check("srumma on exec_run_tasks");
     }
@@ -320,9 +325,7 @@ fn beta_zero_overwrites_stale_c() {
     let dc = srumma_core::layout::dist_c(&spec, grid, true);
     srumma_core::layout::scatter_operands(&spec, &da, &db, &a, &b);
     dc.scatter(&garbage);
-    srumma_comm::thread_run(4, |comm| {
-        srumma_core::parallel_gemm(comm, &Algorithm::srumma_default(), &spec, &da, &db, &dc);
-    });
+    poll_gemm(4, &Algorithm::srumma_default(), &spec, [&da, &db, &dc]);
     let got = dc.gather();
     let expect = serial_reference(&GemmSpec::square(n), &a, &b);
     assert!(max_abs_diff(&got, &expect) < 1e-9);

@@ -7,7 +7,7 @@
 //! can observe.
 
 use srumma_comm::{
-    drive, exec_launch, sim_run_programs, Comm, CostMap, DistMatrix, FaultPlan, FaultPlanError,
+    exec_run_tasks, sim_run_programs, CostMap, DistMatrix, FaultPlan, FaultPlanError, ProgramTask,
     SimOptions,
 };
 use srumma_core::driver::{default_grid, serial_reference, sparse_serial_reference};
@@ -15,9 +15,8 @@ use srumma_core::layout::{
     dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask, with_host_operands,
 };
 use srumma_core::{
-    parallel_gemm, Algorithm, Backend, GemmProgram, GemmSpec, HierStageSet, RankReport,
-    ReplicationFactor, Run, RunError, ShmemFlavor, SparseMasks, SrummaOptions, SrummaProgram,
-    SummaOptions,
+    Algorithm, Backend, GemmProgram, GemmSpec, HierStageSet, RankReport, ReplicationFactor, Run,
+    RunError, ShmemFlavor, SparseMasks, SrummaOptions, SrummaProgram, SummaOptions,
 };
 use srumma_dense::{max_abs_diff, BlockMask, Matrix, Op};
 use srumma_model::machine::RanksPerDomain;
@@ -476,10 +475,11 @@ fn staged_srumma_with_stragglers_is_polled_on_one_worker() {
     assert!(exec.reports.iter().all(|r| r.srumma.unwrap().tasks > 0));
 }
 
-/// In two replica teams it is a blocking body: sixteen permit-gated
-/// threads, each driving the program through a `SubComm`, taking turns
-/// on one permit — the split fence of a blocking rank must give the
-/// permit back rather than report `false`.
+/// In two replica teams it is the replica program: sixteen ranks polled
+/// on one worker, each stepping its team's program through a `SubComm`
+/// and parking in the team fences and the reduction's barrier — a
+/// failed split fence must report `false` and park, never block the one
+/// thread.
 #[test]
 fn staged_replica_teams_drive_the_program_from_gated_threads_on_one_worker() {
     let spec = GemmSpec::new(Op::N, Op::N, 23, 19, 29);
@@ -500,9 +500,10 @@ fn staged_replica_teams_drive_the_program_from_gated_threads_on_one_worker() {
 
 // ---- host operands in place ≡ operands scattered into arenas ---------
 
-/// `run`'s rank program — flat or staged SRUMMA, SUMMA, Cannon — driven
+/// `run`'s rank program — flat or staged SRUMMA, SUMMA, Cannon — hosted
 /// by hand over distributed matrices the caller built, on `run`'s backend
-/// and topology.
+/// and topology: stepped by the simulator, or polled on `run`'s workers
+/// (a worker per rank on `Threads`).
 fn launch_over(
     run: &Run,
     spec: &GemmSpec,
@@ -516,25 +517,8 @@ fn launch_over(
     let stages = run
         .hier
         .then(|| HierStageSet::create(spec, grid, topo, true));
-    fn body<C: Comm>(
-        comm: &mut C,
-        run: &Run,
-        spec: &GemmSpec,
-        (da, db, dc): (&DistMatrix, &DistMatrix, &DistMatrix),
-        stages: Option<&HierStageSet>,
-    ) -> RankReport {
-        match &run.algorithm {
-            Algorithm::Srumma(opts) => {
-                drive(comm, SrummaProgram::new(spec, da, db, dc, opts, stages))
-            }
-            other => RankReport {
-                srumma: parallel_gemm(comm, other, spec, da, db, dc),
-                ..RankReport::default()
-            },
-        }
-    }
-    let (mats, stages) = ((da, db, dc), stages.as_ref());
-    match run.backend {
+    let stages = stages.as_ref();
+    let workers = match run.backend {
         Backend::Sim(machine) => {
             let sim = SimOptions::new(machine.clone(), run.nranks);
             let res = match &run.algorithm {
@@ -543,20 +527,30 @@ fn launch_over(
                 }
                 other => sim_run_programs(&sim, |_| GemmProgram::new(other, spec, da, db, dc)),
             };
-            (res.outputs, res.stats)
+            return (res.outputs, res.stats);
         }
-        Backend::Threads => {
-            let body = |comm: &mut _| body(comm, run, spec, mats, stages);
-            let res = exec_launch(run.nranks, run.nranks, false, Some(topo), None, body);
-            (res.outputs, res.stats)
-        }
-        Backend::Exec { workers } => {
-            let body = |comm: &mut _| body(comm, run, spec, mats, stages);
-            let res = exec_launch(run.nranks, workers, false, Some(topo), None, body);
-            (res.outputs, res.stats)
-        }
+        Backend::Threads => run.nranks,
+        Backend::Exec { workers } => workers,
         Backend::Virtual { .. } => panic!("the virtual clock moves no data"),
-    }
+    };
+    let res = exec_run_tasks(
+        run.nranks,
+        workers,
+        false,
+        Some(topo),
+        None,
+        |comm| match &run.algorithm {
+            Algorithm::Srumma(opts) => {
+                let program = SrummaProgram::new(spec, da, db, dc, opts, stages);
+                Box::new(ProgramTask::new(comm, program))
+            }
+            other => Box::new(ProgramTask::new(
+                comm,
+                GemmProgram::new(other, spec, da, db, dc),
+            )),
+        },
+    );
+    (res.outputs, res.stats)
 }
 
 /// What `run` computes when both operands are copied into arenas first

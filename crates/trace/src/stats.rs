@@ -86,17 +86,17 @@ impl RankStats {
     }
 }
 
-/// Scheduling counters of an executor run: how N logical ranks shared
-/// W workers (polled) or W permits (blocking; thread-per-rank is W = N).
+/// Scheduling counters of an executor run: how N logical ranks shared W
+/// polled workers (thread-per-rank is W = N), or an `exec_run`'s permits.
 /// `None` on the simulator, where no scheduler sits between ranks and
 /// the hardware.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ExecStats {
-    /// Worker pool size, or permit count.
+    /// Worker pool size (a closure run's permit count).
     pub workers: usize,
     /// Ranks a worker claimed from its own share of the unstarted ones
-    /// plus the resumes of a rank it kept (one that yielded), or
-    /// permits granted.
+    /// plus the resumes of a rank it kept (one that yielded); a closure
+    /// run's permits granted.
     pub local_pops: u64,
     /// Unstarted ranks a worker claimed from a sibling's share.
     pub steals: u64,
@@ -113,7 +113,7 @@ pub struct ExecStats {
     /// one per worker however many ranks there are.
     pub ws_grows: u64,
     /// Summed seconds workers spent running rank work (across all
-    /// workers), or permits were held.
+    /// workers); a closure run's permits held.
     pub busy_seconds: f64,
     /// Wall-clock duration of the executor run.
     pub wall_seconds: f64,

@@ -80,8 +80,8 @@ if grep -rn 'nbget_packed' crates src tests examples; then
 fi
 
 echo "== host guard: one wall-clock communicator, ranks polled or under permits =="
-# Thread-per-rank is the executor's blocking hosting with a permit per
-# rank (exec::thread_run); a second wall-clock Comm, or a worker lending
+# Thread-per-rank is the executor with a worker per rank (Backend::Threads;
+# exec::thread_run for closures); a second wall-clock Comm, or a worker lending
 # its slot to a blocking rank, is the retired design coming back. So are
 # work-stealing deques, fence retirement and the multi-fence split pair:
 # workers claim ranks from counters, and the one barrier has generations.
@@ -110,6 +110,22 @@ sim_arm=$(awk '/fn launch\(/,/^    }$/' crates/core/src/run.rs | awk '/Backend::
 if grep -n 'exec_run_tasks\|RankTask' crates/comm/src/virt.rs; then
     echo "FAIL: comm/src/virt.rs hosts its ranks on the executor again (see above); virtual_run is a parallel-for" >&2; exit 1
 fi
+
+echo "== wall-clock hosting guard: a wall-clock rank costs a queue entry, not a thread =="
+# Run::launch hosts every program on both wall-clock backends through one
+# exec_run_tasks call (Threads is a worker per rank), and drives a program
+# only on the virtual clocks. The permit-gated closure host survives only
+# behind exec_run/thread_run, which benchmark/ pins; no library code names
+# them, and the general blocking launcher is gone.
+if grep -rn 'exec_launch\|exec_run(\|thread_run(' crates/core/src ||
+    grep -n 'exec_launch' crates/comm/src/lib.rs; then
+    echo "FAIL: library code hosts a rank on a blocking thread again (see above); poll it with exec_run_tasks" >&2; exit 1
+fi
+launch_fn=$(awk '/fn launch\(/,/^    }$/' crates/core/src/run.rs | grep -v '^ *//')
+virt_arm=$(awk '/Backend::Virtual \{/,/^            }$/' <<<"$launch_fn")
+[ "$(grep -c 'exec_run_tasks(' <<<"$launch_fn")" -eq 1 ] &&
+    [ "$(grep -c 'drive(' <<<"$launch_fn")" -eq "$(grep -c 'drive(' <<<"$virt_arm")" ] ||
+    { echo "FAIL: Run::launch must make exactly one exec_run_tasks call and drive programs only in its Backend::Virtual arm:" >&2; echo "$launch_fn" >&2; exit 1; }
 
 echo "== fault guard: the communicator applies a fault plan, on either clock =="
 # SimComm applies a FaultPlan in virtual time and ExecComm with real

@@ -251,12 +251,12 @@ fn sim_chaos_runs_are_bit_for_bit_reproducible() {
     );
 }
 
-/// Wall-clock delays follow the plan's schedule however the executor
-/// hosts the ranks. SRUMMA — flat, staged and in two replica teams —
-/// sleeps on the same gemms and the same gets whether its ranks block
-/// on threads of their own (`Threads`) or, flat and staged, are polled
-/// on two workers (`Exec`). SUMMA and Cannon run blocking bodies under
-/// two permits on `Exec`, and their straggler sleeps there too.
+/// Wall-clock delays follow the plan's schedule however many workers
+/// poll the ranks. SRUMMA — flat, staged and in two replica teams —
+/// sleeps on the same gemms and the same gets whether its ranks are
+/// polled on a worker each (`Threads`) or on two workers (`Exec`).
+/// SUMMA and Cannon, polled on two workers, take their straggler sleeps
+/// there too.
 #[test]
 fn wall_clock_delays_follow_the_plan_on_both_hostings() {
     let spec = GemmSpec::square(24);

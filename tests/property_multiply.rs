@@ -63,7 +63,7 @@ fn tolerance(k: usize) -> f64 {
 /// Which backend a property case runs on.
 #[derive(Clone, Copy, Debug)]
 enum Kind {
-    /// One OS thread per rank (`ExecComm` with a permit per rank).
+    /// One OS thread per rank (the executor with a worker per rank).
     Threads,
     /// Virtual-time simulator (`SimComm`).
     Sim,
