@@ -8,6 +8,8 @@
 //! empirically for all matrix sizes and processor counts", so the
 //! harness does the same sweep).
 
+#![warn(unreachable_pub)]
+
 use srumma_core::driver::{measure_gflops, measure_modeled};
 use srumma_core::{Algorithm, GemmSpec, SrummaOptions, SummaOptions};
 use srumma_model::Machine;

@@ -17,26 +17,28 @@
 //!   backend keeps one body for its counters, cost model and trace span
 //!   and a decorator has one method to forward — and the locality query
 //!   (`same_domain`, `prefer_direct_access`);
-//! * **two-sided**: `send`/`recv`/`sendrecv` for the message-passing
-//!   baselines;
+//! * **two-sided**: `send`/`recv_try`/`sendrecv_try` for the
+//!   message-passing baselines;
 //! * **compute**: `gemm` charges the serial-kernel time (and executes
 //!   it when real data is present, each factor a stored matrix or a
 //!   fetched panel — [`Operand`]), because on the simulated machines
 //!   compute cost comes from the machine model, not the host;
-//! * **synchronisation**: `barrier`, and its split form `barrier_try`
+//! * **synchronisation**: `barrier_try`, the barrier in split form
 //!   (the `MPI_Ibarrier` / `MPI_Test` pair in one call).
 //!
 //! # Split calls, and programs written over them
 //!
-//! A rank that must not block its thread (thousands of ranks polled on
-//! a few executor workers, every simulated rank stepped on one host
-//! thread) reaches the barrier and its receives in split form
-//! ([`Comm::barrier_try`], [`Comm::recv_try`], [`Comm::sendrecv_try`]):
-//! a `false` call has registered the rank as a waiter — yield the thread
-//! and call again when stepped. The trait's defaults make that protocol
-//! correct on every backend whose calls simply block: **the first call
-//! does it all and returns `true`**. `SimComm` and the polled ranks of
-//! `ExecComm` split all three, and `SubComm` forwards.
+//! A rank must not block its thread (thousands of ranks polled on a few
+//! executor workers, every simulated rank stepped on one host thread),
+//! so the trait's only waits are split calls ([`Comm::barrier_try`],
+//! [`Comm::recv_try`], [`Comm::sendrecv_try`]), and every backend writes
+//! all three: a `false` call has registered the rank as a waiter — yield
+//! the thread and call again when stepped. `SimComm` and `ExecComm`'s
+//! polled ranks split them, `SubComm` forwards them, and the virtual
+//! clocks' barrier never waits: **its first call does it all and returns
+//! `true`**. A program or decorator that waits any other way does not
+//! compile; the blocking `barrier`/`recv`/`sendrecv` are `ExecComm`'s
+//! own, for the closures of its permit-gated host.
 //!
 //! That is what lets a schedule be written once: a [`RankProgram`] is a
 //! resumable state machine whose `step` takes whatever communicator
@@ -109,18 +111,13 @@ pub trait Comm {
     /// the run was started without tracing.
     fn recorder(&mut self) -> &mut Recorder;
 
-    /// Full barrier.
-    fn barrier(&mut self);
-
-    /// The full barrier in split form: arrives on the first call, then
+    /// The full barrier, in split form (the `MPI_Ibarrier` /
+    /// `MPI_Test` pair in one call): arrives on the first call, then
     /// tests that arrival; call again after every [`Step::Park`] until
     /// it returns `true` — on `false` this rank has been registered as
-    /// a waiter. Where waiting blocks the thread anyway there is nothing
-    /// to split: the default blocks in [`Comm::barrier`].
-    fn barrier_try(&mut self) -> bool {
-        self.barrier();
-        true
-    }
+    /// a waiter. A backend whose barrier never waits returns `true` at
+    /// once.
+    fn barrier_try(&mut self) -> bool;
 
     /// Open a traced task span here; `None` when the run is untraced.
     /// Close it with [`Comm::task_end`]. The default reads
@@ -243,40 +240,20 @@ pub trait Comm {
     /// may be empty in modeled runs).
     fn send(&mut self, dst: usize, tag: u64, data: &[f64], bytes: u64);
 
-    /// Blocking tagged receive into `buf` (cleared/filled); `bytes` is
-    /// the expected logical size (drives the eager/rendezvous choice).
-    fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64);
-
-    /// [`Comm::recv`] in split form, shaped like [`Comm::barrier_try`]:
-    /// a call that cannot complete posts the receive and returns
-    /// `false` — return [`Step::Park`] and call again, with the same
-    /// arguments, when the rank is stepped next; a call that completes
-    /// fills `buf` and returns `true`. The default blocks in
-    /// [`Comm::recv`].
-    fn recv_try(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) -> bool {
-        self.recv(src, tag, buf, bytes);
-        true
-    }
+    /// Tagged receive into `buf` (cleared/filled), in split form,
+    /// shaped like [`Comm::barrier_try`]: a call that cannot complete
+    /// posts the receive and returns `false` — return [`Step::Park`] and
+    /// call again, with the same arguments, when the rank is stepped
+    /// next; a call that completes fills `buf` and returns `true`.
+    /// `bytes` is the expected logical size (drives the eager/rendezvous
+    /// choice).
+    fn recv_try(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) -> bool;
 
     /// Deadlock-free simultaneous exchange (the `MPI_Sendrecv` of the
-    /// baselines' shift steps): send to `dst` while receiving from
-    /// `src`.
-    #[allow(clippy::too_many_arguments)]
-    fn sendrecv(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        send_data: &[f64],
-        send_bytes: u64,
-        src: usize,
-        recv_buf: &mut Vec<f64>,
-        recv_bytes: u64,
-    );
-
-    /// [`Comm::sendrecv`] in split form, as [`Comm::recv_try`] splits
-    /// `recv`: the first call sends; `false` means the receive is posted
-    /// and the call must be repeated, same arguments, on the next step.
-    /// The default blocks in [`Comm::sendrecv`].
+    /// baselines' shift steps), split as [`Comm::recv_try`] is: the
+    /// first call sends to `dst` and receives from `src`; `false` means
+    /// the receive is posted and the call must be repeated, same
+    /// arguments, on the next step.
     #[allow(clippy::too_many_arguments)]
     fn sendrecv_try(
         &mut self,
@@ -287,10 +264,7 @@ pub trait Comm {
         src: usize,
         recv_buf: &mut Vec<f64>,
         recv_bytes: u64,
-    ) -> bool {
-        self.sendrecv(dst, tag, send_data, send_bytes, src, recv_buf, recv_bytes);
-        true
-    }
+    ) -> bool;
 }
 
 /// Count a one-sided transfer's `bytes` against the level of the
@@ -319,7 +293,7 @@ pub enum Step<T> {
 /// machine over whatever communicator hosts it. Written once; polled on
 /// the executor's workers ([`crate::exec::ProgramTask`]), stepped by the
 /// simulator's polled host ([`crate::simbackend::sim_run_programs`]), or
-/// looped to completion by [`drive`] where the calls block.
+/// looped to completion by [`drive`] where the split calls never fail.
 pub trait RankProgram {
     /// The rank's output.
     type Out;
@@ -339,10 +313,9 @@ impl<P: RankProgram> RankProgram for &mut P {
     }
 }
 
-/// Run `program` to completion on a communicator whose barrier blocks —
-/// the virtual clocks, a rank of an `exec_run` closure, or a test's own
-/// communicator.
-/// Such a communicator never fails a barrier test, so a [`Step::Park`]
+/// Run `program` to completion on a communicator whose split calls never
+/// fail — the virtual clocks, a rank of an `exec_run` closure (whose
+/// split calls block), or a test's own communicator. A [`Step::Park`]
 /// here is a bug in the program (it parked on something no one will
 /// wake it for) and panics rather than spin.
 pub fn drive<C: Comm, P: RankProgram>(comm: &mut C, mut program: P) -> P::Out {
@@ -351,8 +324,8 @@ pub fn drive<C: Comm, P: RankProgram>(comm: &mut C, mut program: P) -> P::Out {
             Step::Done(out) => return out,
             Step::Yield => {}
             Step::Park => panic!(
-                "a rank program parked on a communicator whose fences block: \
-                 only a polled executor rank may be told to wait"
+                "a rank program parked on a communicator whose split calls never fail: \
+                 only a polled rank may be told to wait"
             ),
         }
     }

@@ -17,8 +17,9 @@
 //! [`exec_run`] / [`thread_run`] keep a closure host for code in plain
 //! blocking style — untraced, healthy, single-domain, and running no
 //! schedule of the library: each rank owns a thread but runs only while
-//! holding one of W **permits**, which every blocking point inside
-//! [`ExecComm`] gives back while the rank sleeps on its own condvar.
+//! holding one of W **permits**, and waits in `ExecComm`'s own blocking
+//! [`ExecComm::barrier`], [`ExecComm::recv`] and [`ExecComm::sendrecv`],
+//! which give the permit back while the rank sleeps on its own condvar.
 //!
 //! A [`FaultPlan`] handed to [`exec_run_tasks`] is applied with real
 //! sleeps (see [`crate::fault`]) on the rank's worker.
@@ -176,10 +177,9 @@ struct Global {
 /// An arrival counts one — a rank's own, or a dead rank's by proxy
 /// ([`ExecComm::fence_arrive_for`]) — and the `nranks`-th completes the
 /// generation. That is exact because every arrival path
-/// ([`Comm::barrier`], [`Comm::barrier_try`], a blocking rank's
-/// `wait_fence`, the chaos proxy) waits for its barrier before it
-/// arrives again: no rank can arrive twice in one generation, so a
-/// count is as good as a per-rank ledger.
+/// ([`ExecComm::barrier`], [`Comm::barrier_try`], the chaos proxy)
+/// waits for its barrier before it arrives again: no rank can arrive
+/// twice in one generation, so a count is as good as a per-rank ledger.
 struct FenceSt {
     /// Arrivals at the open generation.
     arrived: usize,
@@ -660,6 +660,60 @@ impl ExecComm {
     }
 }
 
+// ---- the closure host's blocking waits -----------------------------
+
+/// The waits of a rank of the permit-gated closure host ([`exec_run`],
+/// [`thread_run`]): they block its thread, giving its permit back while
+/// it sleeps. They are not [`Comm`]'s — a rank program waits only in the
+/// split calls — and a polled rank that calls one panics.
+impl ExecComm {
+    /// Full barrier.
+    pub fn barrier(&mut self) {
+        assert!(
+            self.core.blocking,
+            "a polled rank must use Comm::barrier_try and Step::Park, \
+             not the blocking ExecComm::barrier"
+        );
+        let t0 = self.span_start();
+        let g = self.core.fence_arrive(self.rank);
+        while !self.core.fence_check(self.rank, g) {
+            self.park();
+        }
+        self.span_end(TraceKind::Barrier, t0, 0, String::new);
+    }
+
+    /// Tagged receive into `buf` (cleared/filled).
+    pub fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, _bytes: u64) {
+        assert!(
+            self.core.blocking,
+            "a polled rank must use Comm::recv_try and Step::Park, \
+             not the blocking ExecComm::recv"
+        );
+        let t0 = self.span_start();
+        while !self.core.mail_recv(self.rank, src, tag, buf) {
+            self.park();
+        }
+        self.span_end(TraceKind::Wait, t0, 0, || format!("recv<-{src}"));
+    }
+
+    /// Send to `dst` while receiving from `src` (`MPI_Sendrecv`).
+    #[allow(clippy::too_many_arguments)]
+    pub fn sendrecv(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        send_data: &[f64],
+        send_bytes: u64,
+        src: usize,
+        recv_buf: &mut Vec<f64>,
+        recv_bytes: u64,
+    ) {
+        // Mailboxes are buffered: send first, then receive — no deadlock.
+        self.send(dst, tag, send_data, send_bytes);
+        self.recv(src, tag, recv_buf, recv_bytes);
+    }
+}
+
 impl Comm for ExecComm {
     fn rank(&self) -> usize {
         self.rank
@@ -700,19 +754,6 @@ impl Comm for ExecComm {
 
     fn return_buf(&mut self, panel: &mut PackedPanel) {
         SCRATCH.with_borrow_mut(|s| s.bufs.push(std::mem::take(panel)));
-    }
-
-    fn barrier(&mut self) {
-        assert!(
-            self.core.blocking,
-            "a polled rank must use Comm::barrier_try and Step::Park, not the blocking Comm::barrier"
-        );
-        let t0 = self.span_start();
-        let g = self.core.fence_arrive(self.rank);
-        while !self.core.fence_check(self.rank, g) {
-            self.park();
-        }
-        self.span_end(TraceKind::Barrier, t0, 0, String::new);
     }
 
     /// An arrival, then tests of the same generation until it passes.
@@ -842,18 +883,6 @@ impl Comm for ExecComm {
         self.core.mail_send(dst, self.rank, tag, data.to_vec());
     }
 
-    fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, _bytes: u64) {
-        assert!(
-            self.core.blocking,
-            "a polled rank must use Comm::recv_try and Step::Park, not the blocking Comm::recv"
-        );
-        let t0 = self.span_start();
-        while !self.core.mail_recv(self.rank, src, tag, buf) {
-            self.park();
-        }
-        self.span_end(TraceKind::Wait, t0, 0, || format!("recv<-{src}"));
-    }
-
     /// Takes the message if it is in the mailbox; otherwise returns
     /// `false`, and the send that delivers it wakes the parked rank.
     /// Panics once the executor has been poisoned, as `barrier_try` does.
@@ -873,21 +902,6 @@ impl Comm for ExecComm {
         self.posted = None;
         self.span_end(TraceKind::Wait, t0, 0, || format!("recv<-{src}"));
         true
-    }
-
-    fn sendrecv(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        send_data: &[f64],
-        send_bytes: u64,
-        src: usize,
-        recv_buf: &mut Vec<f64>,
-        recv_bytes: u64,
-    ) {
-        // Mailboxes are buffered: send first, then receive — no deadlock.
-        self.send(dst, tag, send_data, send_bytes);
-        self.recv(src, tag, recv_buf, recv_bytes);
     }
 
     /// Sends on the first call only, then receives as `recv_try` does.

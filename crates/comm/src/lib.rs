@@ -22,7 +22,8 @@
 //!   polled on W workers ([`exec_run_tasks`] + [`ProgramTask`]);
 //!   thread-per-rank is W = N. Closures written in blocking style run on
 //!   threads of their own under W permits ([`exec_run`],
-//!   [`thread_run`]), untraced and healthy.
+//!   [`thread_run`]), untraced and healthy, and wait in `ExecComm`'s own
+//!   blocking `barrier`/`recv`/`sendrecv`.
 //!
 //! Algorithms in `srumma-core` are generic over the [`Comm`] trait, so
 //! the *same* SRUMMA/Cannon/SUMMA code runs on all three — and behind
@@ -45,9 +46,11 @@
 //!   executor).
 //! * [`subcomm`] — [`SubComm`], a rank window presented as a machine.
 //! * [`mpi`] — two-sided collectives (tree and ring broadcast, shift) built
-//!   on `Comm::send`/`Comm::recv`, used by the baselines.
+//!   on `Comm::send`/`Comm::recv_try`, used by the baselines.
 //! * [`fault`] — seeded fault injection ([`FaultPlan`]): which ranks
 //!   straggle, which gets spike, which rank dies.
+
+#![warn(unreachable_pub)]
 
 pub mod arena;
 pub mod comm;

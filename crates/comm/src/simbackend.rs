@@ -14,8 +14,8 @@
 //! steps the rank again; a send posts its rendezvous and its transfer
 //! and returns; [`Comm::now`] is read at the top of a step, where the
 //! rank has posted nothing; and a task span takes its ends from posted
-//! marks ([`Comm::task_begin`]). The blocking forms — `barrier`, `recv`,
-//! `sendrecv` — panic.
+//! marks ([`Comm::task_begin`]). There are no blocking forms to call:
+//! the trait's only waits are the split calls.
 
 use crate::comm::{count_served, Comm, GetHandle, RankProgram, Step, TaskSpan};
 use crate::dist::{DistMatrix, Landing};
@@ -289,10 +289,6 @@ impl Comm for SimComm {
         self.ws.grow_count()
     }
 
-    fn barrier(&mut self) {
-        panic!("rank {}: {BLOCKING}", self.proc.rank());
-    }
-
     /// Split: the first call arrives and returns `false`, and the host
     /// steps the rank again once the barrier has released it.
     fn barrier_try(&mut self) -> bool {
@@ -466,10 +462,6 @@ impl Comm for SimComm {
         }
     }
 
-    fn recv(&mut self, _src: usize, _tag: u64, _buf: &mut Vec<f64>, _bytes: u64) {
-        panic!("rank {}: {BLOCKING}", self.proc.rank());
-    }
-
     /// Split: the first call posts the receive (after the rendezvous
     /// handshake a large message needs) and returns `false`; the host
     /// steps the rank again once the kernel has applied it, and the
@@ -484,19 +476,6 @@ impl Comm for SimComm {
                 comm.proc.pair(Self::pair_key(src, me, tag));
             }
         })
-    }
-
-    fn sendrecv(
-        &mut self,
-        _dst: usize,
-        _tag: u64,
-        _send_data: &[f64],
-        _send_bytes: u64,
-        _src: usize,
-        _recv_buf: &mut Vec<f64>,
-        _recv_bytes: u64,
-    ) {
-        panic!("rank {}: {BLOCKING}", self.proc.rank());
     }
 
     /// Split like [`Comm::recv_try`]: the first call posts the outgoing
@@ -517,11 +496,6 @@ impl Comm for SimComm {
         })
     }
 }
-
-/// Why a simulated rank may not call a blocking form.
-const BLOCKING: &str = "a simulated rank is stepped on the host's one thread and cannot block: \
-                        use the split forms (`Comm::barrier_try`, `Comm::recv_try`, \
-                        `Comm::sendrecv_try`)";
 
 impl SimComm {
     /// Whether a message of `bytes` takes the rendezvous protocol.
@@ -611,8 +585,8 @@ impl SimComm {
 /// # Panics
 /// With a program's own panic payload; on deadlock, naming the blocked
 /// ranks — a program that returns [`Step::Park`] without a failed split
-/// call is one nothing wakes; and when a program calls a blocking form
-/// (`barrier`, `recv`, `sendrecv`) or reads `now` after posting.
+/// call is one nothing wakes; and when a program reads `now` after
+/// posting.
 pub fn sim_run_programs<P, F>(opts: &SimOptions, program: F) -> SimResult<P::Out>
 where
     P: RankProgram,
@@ -956,8 +930,6 @@ mod tests {
         ParkOnNothing,
         Panic,
         Now,
-        Recv,
-        Barrier,
     }
 
     /// A test program: twice a gemm charge and a get, then a split
@@ -987,8 +959,6 @@ mod tests {
                         Misstep::ParkOnNothing => return Step::Park,
                         Misstep::Panic => std::panic::panic_any(me),
                         Misstep::Now => drop(comm.now()),
-                        Misstep::Recv => comm.recv(0, 1, &mut Vec::new(), 8),
-                        Misstep::Barrier => comm.barrier(),
                     }
                 }
                 self.waiting = true;
@@ -1044,14 +1014,11 @@ mod tests {
 
     #[test]
     fn a_blocking_call_on_a_polled_rank_panics_naming_it() {
-        for (misstep, what) in [
-            (Misstep::Now, "reads `now` only at the top of a step"),
-            (Misstep::Recv, "cannot block"),
-            (Misstep::Barrier, "cannot block"),
-        ] {
-            let msg = message(&*payload(misstep));
-            assert!(msg.contains("rank 1: ") && msg.contains(what), "{msg}");
-        }
+        let msg = message(&*payload(Misstep::Now));
+        assert!(
+            msg.contains("rank 1: ") && msg.contains("reads `now` only at the top of a step"),
+            "{msg}"
+        );
     }
 
     #[test]

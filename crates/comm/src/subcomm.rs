@@ -13,8 +13,8 @@
 //!
 //! **Barriers are global.** Every rank program in a replicated run is
 //! straight-line symmetric code executing the identical barrier
-//! sequence, so a layer barrier — blocking or split — simply forwards
-//! to the machine-wide one, which is also what keeps the virtual
+//! sequence, so a layer's split barrier simply forwards to the
+//! machine-wide one, which is also what keeps the virtual
 //! backend's BSP segment recombination aligned across layers.
 
 use crate::comm::{Comm, GetHandle, TaskSpan};
@@ -78,10 +78,6 @@ impl<C: Comm> Comm for SubComm<'_, C> {
     }
 
     /// Machine-wide barrier (see the module docs): every layer arrives.
-    fn barrier(&mut self) {
-        self.inner.barrier();
-    }
-
     fn barrier_try(&mut self) -> bool {
         self.inner.barrier_try()
     }
@@ -150,33 +146,8 @@ impl<C: Comm> Comm for SubComm<'_, C> {
         self.inner.send(self.base + dst, tag, data, bytes);
     }
 
-    fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) {
-        self.inner.recv(self.base + src, tag, buf, bytes);
-    }
-
     fn recv_try(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) -> bool {
         self.inner.recv_try(self.base + src, tag, buf, bytes)
-    }
-
-    fn sendrecv(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        send_data: &[f64],
-        send_bytes: u64,
-        src: usize,
-        recv_buf: &mut Vec<f64>,
-        recv_bytes: u64,
-    ) {
-        self.inner.sendrecv(
-            self.base + dst,
-            tag,
-            send_data,
-            send_bytes,
-            self.base + src,
-            recv_buf,
-            recv_bytes,
-        );
     }
 
     fn sendrecv_try(
@@ -217,7 +188,8 @@ mod tests {
             let peer = 1 - me;
             let mut buf = Vec::new();
             // Exchange within the window: layer-local ranks 0↔1.
-            sub.sendrecv(peer, 7, &[me as f64], 8, peer, &mut buf, 8);
+            // The closure host's split calls block: the first completes.
+            assert!(sub.sendrecv_try(peer, 7, &[me as f64], 8, peer, &mut buf, 8));
             (me, buf[0] as usize)
         });
         assert_eq!(res.outputs, vec![(0, 1), (1, 0), (0, 1), (1, 0)]);

@@ -14,9 +14,9 @@
 //! A get handle carries its own completion time, so a rank keeps no
 //! table of its transfers.
 //!
-//! Rank clocks are recombined **BSP-style** at barriers: `barrier()` is
-//! non-blocking in virtual time (it only cuts the current clock
-//! segment), folded into per-segment maxima as each rank ends — the
+//! Rank clocks are recombined **BSP-style** at barriers: `barrier_try()`
+//! never waits (it only cuts the current clock segment and returns
+//! `true`), folded into per-segment maxima as each rank ends — the
 //! run's makespan is the sum over segments of the slowest rank's
 //! duration, plus a log-depth latency per barrier, exactly the
 //! accounting the discrete-event simulator converges to for
@@ -197,13 +197,14 @@ impl Comm for VirtualComm<'_> {
         self.ws.grow_count()
     }
 
-    /// Non-blocking in virtual time: cuts the current clock segment.
+    /// Never waits: cuts the current clock segment and returns `true`.
     /// [`virtual_run`] realigns ranks here and charges the log-depth
     /// barrier latency during recombination, so every rank must execute
     /// the same barrier sequence.
-    fn barrier(&mut self) {
+    fn barrier_try(&mut self) -> bool {
         self.segments.push(self.clock - self.seg_start);
         self.seg_start = self.clock;
+        true
     }
 
     fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
@@ -280,11 +281,11 @@ impl Comm for VirtualComm<'_> {
         unimplemented!("the virtual-clock backend models one-sided algorithms only");
     }
 
-    fn recv(&mut self, _src: usize, _tag: u64, _buf: &mut Vec<f64>, _bytes: u64) {
+    fn recv_try(&mut self, _src: usize, _tag: u64, _buf: &mut Vec<f64>, _bytes: u64) -> bool {
         unimplemented!("the virtual-clock backend models one-sided algorithms only");
     }
 
-    fn sendrecv(
+    fn sendrecv_try(
         &mut self,
         _dst: usize,
         _tag: u64,
@@ -293,7 +294,7 @@ impl Comm for VirtualComm<'_> {
         _src: usize,
         _recv_buf: &mut Vec<f64>,
         _recv_bytes: u64,
-    ) {
+    ) -> bool {
         unimplemented!("the virtual-clock backend models one-sided algorithms only");
     }
 }
@@ -431,7 +432,7 @@ mod tests {
         let machine = Machine::linux_myrinet();
         let res = virtual_run(&machine, 4, 2, |c, _: &mut ()| {
             c.gemm(64, 64, 64, 1.0, None, None, 1.0, None, false, "t");
-            c.barrier();
+            assert!(c.barrier_try());
             if c.rank() == 0 {
                 // Rank 0 computes more in segment 2: it alone should
                 // stretch the second segment's maximum.
@@ -477,7 +478,7 @@ mod tests {
     fn scales_to_thousands_of_ranks() {
         let machine = Machine::linux_myrinet();
         let res = virtual_run(&machine, 4096, 8, |c, _: &mut ()| {
-            c.barrier();
+            assert!(c.barrier_try());
             c.rank()
         });
         assert_eq!(res.outputs.len(), 4096);

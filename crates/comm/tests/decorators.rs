@@ -1,15 +1,14 @@
 //! The one `Comm` decorator passes every trait method through.
 //!
 //! `SubComm<C>` wraps a communicator by re-implementing the whole trait.
-//! A method it forgets falls back to the trait's default — for the split
-//! barrier and the split receives that is a blocking call inside a polled
-//! rank, which hangs a polled executor and panics the simulator; for a
-//! task span, a clock read a simulated rank may not make; for `lease_buf`
-//! a silent loss of buffer pooling — and nothing else in the suite would
-//! notice. A recording fake notes what reaches it; each
-//! call made through the decorator must reach it exactly as the same
-//! call made directly does, and bring the fake's (deliberately
-//! non-default) answer back.
+//! A split call it forgets (the barrier and the receives) does not
+//! compile: the trait gives them no default. Any other method it forgets
+//! falls back to the trait's default — for a task span, a clock read a
+//! simulated rank may not make; for `lease_buf` a silent loss of buffer
+//! pooling — and nothing else in the suite would notice. A recording
+//! fake notes what reaches it; each call made through the decorator must
+//! reach it exactly as the same call made directly does, and bring the
+//! fake's (deliberately non-default) answer back.
 
 use srumma_comm::{Comm, DistMatrix, GetHandle, Landing, SubComm, TaskSpan};
 use srumma_dense::{active_kernel, MatMut, MatRef, Op, Operand, PackedPanel, Side};
@@ -82,9 +81,6 @@ impl Comm for Fake {
     fn recorder(&mut self) -> &mut Recorder {
         self.note("recorder".into());
         &mut self.recorder
-    }
-    fn barrier(&mut self) {
-        self.note("barrier".into());
     }
     fn barrier_try(&mut self) -> bool {
         self.note("barrier_try".into());
@@ -170,29 +166,10 @@ impl Comm for Fake {
     fn send(&mut self, dst: usize, tag: u64, data: &[f64], bytes: u64) {
         self.note(format!("send({dst}, {tag}, {data:?}, {bytes})"));
     }
-    fn recv(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) {
-        self.note(format!("recv({src}, {tag}, {bytes})"));
-        buf.push(3.0);
-    }
     fn recv_try(&mut self, src: usize, tag: u64, buf: &mut Vec<f64>, bytes: u64) -> bool {
         self.note(format!("recv_try({src}, {tag}, {bytes})"));
         buf.push(5.0);
         false
-    }
-    fn sendrecv(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        send_data: &[f64],
-        send_bytes: u64,
-        src: usize,
-        recv_buf: &mut Vec<f64>,
-        recv_bytes: u64,
-    ) {
-        self.note(format!(
-            "sendrecv({dst}, {tag}, {send_data:?}, {send_bytes}, {src}, {recv_bytes})"
-        ));
-        recv_buf.push(4.0);
     }
     fn sendrecv_try(
         &mut self,
@@ -246,7 +223,6 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
         ("landed", shape(&panel)),
         ("nbput", format!("{:?}", c.nbput(&mat, 2, &[1.5, 2.5]))),
     ];
-    c.barrier();
     c.lease_buf(&mut panel);
     seen.push(("leased", shape(&panel)));
     let b = Some(Operand::Packed(panel.view()));
@@ -260,8 +236,6 @@ fn call_all<C: Comm>(c: &mut C, peer: usize) -> Vec<(&'static str, String)> {
     c.fence();
     c.gemm(2, 4, 3, 1.5, a, None, 1.0, None, true, "lbl");
     c.send(peer, 31, &[9.0], 8);
-    c.recv(peer, 32, &mut buf, 16);
-    c.sendrecv(peer, 33, &[8.0], 8, peer, &mut buf, 24);
     let split = (
         c.recv_try(peer, 34, &mut buf, 8),
         (c.sendrecv_try(peer, 35, &[7.0], 8, peer, &mut buf, 40)),
@@ -287,9 +261,9 @@ fn without_rank_queries(mut log: Vec<String>) -> Vec<String> {
     log
 }
 
-/// The trait has 27 methods; `get` and `put` are its own compositions,
+/// The trait has 24 methods; `get` and `put` are its own compositions,
 /// which the fake leaves alone, so they show as the `nbget`/`nbput` +
-/// `wait` they issue. The other 25 must each have been reached.
+/// `wait` they issue. The other 22 must each have been reached.
 #[test]
 fn every_trait_method_is_called() {
     let mut reached: Vec<String> = direct()
@@ -304,7 +278,7 @@ fn every_trait_method_is_called() {
         .collect();
     reached.sort();
     reached.dedup();
-    assert_eq!(reached.len(), 25, "{reached:?}");
+    assert_eq!(reached.len(), 22, "{reached:?}");
 }
 
 /// The window `[4, 8)` as a machine of 4 on nodes of 2: global rank 5 is

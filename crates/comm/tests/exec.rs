@@ -267,20 +267,23 @@ impl RankTask for BadBarrierTask {
     }
 }
 
-/// A polled rank's blocking `Comm::recv` would hold its worker while the
-/// message's sender may need that very worker: it panics, naming the
-/// split form, instead of waiting.
+/// A polled rank's blocking `ExecComm::recv` would hold its worker while
+/// the message's sender may need that very worker: it panics, naming the
+/// split form, instead of waiting. (A `RankProgram` cannot make the call
+/// at all: `Comm` has no blocking receive.)
 #[test]
 fn fsm_blocking_recv_is_rejected() {
-    struct BadRecv;
+    struct BadRecvTask {
+        comm: ExecComm,
+    }
 
-    impl RankProgram for BadRecv {
+    impl RankTask for BadRecvTask {
         type Out = ();
-        fn step<C: Comm>(&mut self, c: &mut C) -> Step<()> {
-            if c.rank() == 0 {
-                c.recv(1, 4, &mut Vec::new(), 8); // wrong: blocking call on an FSM rank
+        fn step(&mut self) -> Step<()> {
+            if self.comm.rank() == 0 {
+                self.comm.recv(1, 4, &mut Vec::new(), 8); // wrong: blocking call on an FSM rank
             } else {
-                c.send(0, 4, &[1.0], 8);
+                self.comm.send(0, 4, &[1.0], 8);
             }
             Step::Done(())
         }
@@ -288,7 +291,7 @@ fn fsm_blocking_recv_is_rejected() {
 
     let caught = std::panic::catch_unwind(|| {
         exec_run_tasks(2, 1, false, None, None, |comm| {
-            Box::new(ProgramTask::new(comm, BadRecv))
+            Box::new(BadRecvTask { comm }) as Box<dyn RankTask<Out = ()> + Send>
         })
     });
     let payload = caught.expect_err("blocking recv in an FSM task must panic");

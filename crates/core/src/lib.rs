@@ -36,6 +36,8 @@
 //! assert!(srumma_dense::max_abs_diff(&out.c.unwrap(), &expect) < 1e-9);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod api;
 pub mod batch;
 pub mod cannon;

@@ -771,7 +771,9 @@ mod tests {
         fn recorder(&mut self) -> &mut Recorder {
             &mut self.recorder
         }
-        fn barrier(&mut self) {}
+        fn barrier_try(&mut self) -> bool {
+            true
+        }
         fn nbget(&mut self, mat: &DistMatrix, owner: usize, into: Landing<'_>) -> GetHandle {
             self.issued += 1;
             mat.land_block(owner, into);
@@ -818,11 +820,11 @@ mod tests {
         fn send(&mut self, _dst: usize, _tag: u64, _data: &[f64], _bytes: u64) {
             unreachable!()
         }
-        fn recv(&mut self, _src: usize, _tag: u64, _buf: &mut Vec<f64>, _bytes: u64) {
+        fn recv_try(&mut self, _src: usize, _tag: u64, _buf: &mut Vec<f64>, _bytes: u64) -> bool {
             unreachable!()
         }
         #[allow(clippy::too_many_arguments)]
-        fn sendrecv(
+        fn sendrecv_try(
             &mut self,
             _dst: usize,
             _tag: u64,
@@ -831,7 +833,7 @@ mod tests {
             _src: usize,
             _recv_buf: &mut Vec<f64>,
             _recv_bytes: u64,
-        ) {
+        ) -> bool {
             unreachable!()
         }
     }

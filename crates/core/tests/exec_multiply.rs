@@ -73,7 +73,9 @@ fn cannon_gated_matches_serial() {
 
 /// `alg` on `nranks` ranks polled on 2 workers, with `replication`, over
 /// small-integer operands: C is the serial product to the bit, and the
-/// run reports the two workers it ran on.
+/// run reports the two workers it ran on and the woken ranks they took
+/// from the injector — which a permit-gated closure run, whose grants all
+/// count as local pops, never does.
 fn on_two_workers(alg: Algorithm, nranks: usize, replication: ReplicationFactor, n: usize) {
     let spec = GemmSpec::square(n);
     let mut rng = Rng::new(44);
@@ -89,7 +91,9 @@ fn on_two_workers(alg: Algorithm, nranks: usize, replication: ReplicationFactor,
     let want = serial_reference(&spec, &a, &b);
     let case = format!("{} x{nranks}", alg.name());
     assert_eq!(max_abs_diff(&out.c.unwrap(), &want), 0.0, "{case}");
-    assert_eq!(out.stats.exec.unwrap().workers, 2, "{case}");
+    let exec = out.stats.exec.unwrap();
+    assert_eq!(exec.workers, 2, "{case}");
+    assert!(exec.injector_pops > 0, "{case}: {exec:?}");
 }
 
 /// The oversubscription gate: 128 SUMMA ranks, tree and ring broadcasts,

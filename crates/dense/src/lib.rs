@@ -35,6 +35,8 @@
 //! product transposed; `op(A)` always has shape `m × k` and `op(B)` shape
 //! `k × n`.
 
+#![warn(unreachable_pub)]
+
 pub mod aligned;
 pub mod blocked;
 pub mod effmodel;

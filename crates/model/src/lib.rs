@@ -29,6 +29,8 @@
 //! * [`isoeff`] — the paper's §2.1 cost/efficiency formulas
 //!   (Equations (1)–(3), isoefficiency).
 
+#![warn(unreachable_pub)]
+
 pub mod bandwidth;
 pub mod isoeff;
 pub mod machine;

@@ -347,7 +347,7 @@ impl Kernel {
         self.state.borrow_mut()
     }
 
-    pub fn nranks(&self) -> usize {
+    pub(crate) fn nranks(&self) -> usize {
         self.cfg.topology.nranks()
     }
 

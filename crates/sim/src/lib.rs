@@ -54,6 +54,8 @@
 //! are `srumma-trace`'s, shared with the wall-clock backends; under the
 //! simulator all times are *virtual* seconds.
 
+#![warn(unreachable_pub)]
+
 pub mod kernel;
 pub mod proc;
 pub mod resource;

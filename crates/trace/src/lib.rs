@@ -27,6 +27,8 @@
 //! * [`ascii_gantt`] — the compact terminal Gantt chart the Figure 3
 //!   harness prints.
 
+#![warn(unreachable_pub)]
+
 pub mod batchstats;
 pub mod event;
 pub mod export;

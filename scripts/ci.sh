@@ -127,6 +127,18 @@ virt_arm=$(awk '/Backend::Virtual \{/,/^            }$/' <<<"$launch_fn")
     [ "$(grep -c 'drive(' <<<"$launch_fn")" -eq "$(grep -c 'drive(' <<<"$virt_arm")" ] ||
     { echo "FAIL: Run::launch must make exactly one exec_run_tasks call and drive programs only in its Backend::Virtual arm:" >&2; echo "$launch_fn" >&2; exit 1; }
 
+echo "== one-way-to-wait guard: a rank program waits only in the split calls =="
+# Comm's only waits are barrier_try, recv_try and sendrecv_try, with no
+# default body, so a program or decorator that gets waiting wrong fails to
+# compile instead of hanging a worker or panicking the simulator. The
+# blocking barrier/recv/sendrecv are ExecComm's own inherent methods, for
+# the closures of the permit-gated host that benchmark/ pins; a backend,
+# the decorator or the library defining one again is a second way to wait.
+if grep -rn 'fn barrier(\|fn recv(\|fn sendrecv(' \
+    crates/comm/src/{comm,simbackend,subcomm,virt}.rs crates/core/src; then
+    echo "FAIL: a blocking wait is back beside the split calls (see above); write barrier_try/recv_try/sendrecv_try" >&2; exit 1
+fi
+
 echo "== fault guard: the communicator applies a fault plan, on either clock =="
 # SimComm applies a FaultPlan in virtual time and ExecComm with real
 # sleeps, each handed the plan by its launcher. A fault-injecting
@@ -388,9 +400,10 @@ timeout 300 cargo run --release -q -p srumma-bench \
     --bin bench_executor_scaling -- --smoke
 
 echo "== split-barrier pass: decorators, blocking polling, polled and driven programs =="
-# A decorator that drops the split barrier, a blocking rank that polls while
-# holding its permit, a program parked where nothing wakes it: all hang
-# rather than fail, so the tests that pin them run once more, bounded.
+# A blocking rank that polls while holding its permit, a program parked
+# where nothing wakes it: both hang rather than fail, so the tests that pin
+# them run once more, bounded, with the decorator's (a decorator that drops
+# a split call does not compile; one that drops another method is caught).
 # run_plan also holds the in-place ≡ owned-copy differentials (operands and
 # product: 144 plans, each run twice on Sim/Threads/Exec), bounded here
 # for the same reason.

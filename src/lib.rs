@@ -10,6 +10,8 @@
 //! * [`srumma_dense`] ([`dense`]) — serial blocked dgemm;
 //! * [`srumma_trace`] ([`trace`]) — per-rank event recorder & metrics.
 
+#![warn(unreachable_pub)]
+
 pub use srumma_comm as comm;
 pub use srumma_core as core;
 pub use srumma_dense as dense;
