@@ -28,7 +28,7 @@
 //! serial reference, with the grow-at-most-once workspace invariant
 //! asserted per rank.
 
-use srumma_bench::{fmt, print_table, BenchArgs};
+use srumma_bench::{fmt, print_table, worker_pool, BenchArgs};
 use srumma_core::batch::{batch_serial_reference, multiply_batch_exec, BatchEntry, BatchSpec};
 use srumma_core::driver::multiply_exec;
 use srumma_core::{Algorithm, GemmSpec};
@@ -36,13 +36,6 @@ use srumma_dense::{max_abs_diff, Matrix, Op};
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 use std::time::Instant;
-
-fn worker_pool() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8)
-}
 
 /// A stream of `entries` square `n×n` multiplies with a mix of
 /// transpose cases (seeded, so loop and batched see identical data).

@@ -24,19 +24,12 @@
 //! ranks on an empty mailbox), verified against the serial kernel — a
 //! deadlock or mismatch fails fast.
 
-use srumma_bench::{fmt, print_table, BenchArgs};
+use srumma_bench::{fmt, print_table, worker_pool, BenchArgs};
 use srumma_core::driver::{multiply_exec, multiply_threads, serial_reference};
 use srumma_core::{Algorithm, GemmSpec};
 use srumma_dense::{max_abs_diff, Matrix};
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
-
-fn worker_pool() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8)
-}
 
 /// Samples per cell, the same under `--quick` as in the full sweep that
 /// recorded the checked-in baseline: the CI gate compares like with like.

@@ -12,7 +12,7 @@
 //! against a dense B (the sparse-weights × dense-activations shape, so
 //! surviving work scales linearly with density) on all three backends:
 //!
-//! * **threads** — `Backend::Threads`, wall seconds;
+//! * **threads** — `Backend::Exec` with a worker per rank, wall seconds;
 //! * **exec** — `Backend::Exec` (work-stealing executor, ranks
 //!   oversubscribed onto a bounded pool), wall seconds;
 //! * **sim** — `Backend::Sim` with the SGI Altix machine model,
@@ -32,7 +32,7 @@
 //! the executor with 2 workers, verified, with the per-rank counter
 //! invariant `tasks + masked_tasks == dense task count` asserted.
 
-use srumma_bench::{print_table, BenchArgs};
+use srumma_bench::{print_table, worker_pool, BenchArgs};
 use srumma_core::driver::{default_grid, multiply_exec, sparse_serial_reference, SparseMasks};
 use srumma_core::{Algorithm, Backend, GemmSpec, Run, RunOutput, SrummaReport};
 use srumma_dense::{max_abs_diff, BlockMask, Matrix};
@@ -40,13 +40,6 @@ use srumma_model::Machine;
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 use std::time::Instant;
-
-fn worker_pool() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8)
-}
 
 /// Logical masks for a square spec on the grid of `nranks`: block-
 /// sparse A at the swept density against a dense B (the sparse-weights
@@ -164,6 +157,7 @@ fn main() {
     let densities: &[f64] = &[0.05, 0.10, 0.25, 0.50, 0.75, 1.00];
     let machine = Machine::sgi_altix();
     let exec = Backend::Exec { workers };
+    let per_rank = Backend::Exec { workers: nranks };
 
     let spec = GemmSpec::square(n);
     let a = Matrix::random(n, n, 7001);
@@ -204,9 +198,9 @@ fn main() {
         let skipped: u64 = srumma_reports(&res).map(|r| r.skipped_flops).sum();
 
         // Warm both wall-clock paths, then time.
-        let _ = multiply_sparse(Backend::Threads, nranks, &spec, &a, &b, &masks);
+        let _ = multiply_sparse(per_rank, nranks, &spec, &a, &b, &masks);
         let t_threads = best_of(samples, || {
-            multiply_sparse(Backend::Threads, nranks, &spec, &a, &b, &masks).wall_seconds
+            multiply_sparse(per_rank, nranks, &spec, &a, &b, &masks).wall_seconds
         });
         let t_exec = best_of(samples, || {
             let t0 = Instant::now();

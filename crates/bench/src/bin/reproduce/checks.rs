@@ -4,7 +4,7 @@
 //! hierarchical crossover study.
 
 use crate::{overlap_pct, table, Out};
-use srumma_bench::{fmt, pdgemm_best, srumma_run};
+use srumma_bench::{fmt, pdgemm_best, srumma_run, worker_pool};
 use srumma_comm::FaultPlan;
 use srumma_core::driver::measure_gflops;
 use srumma_core::hier::{measure_flat_virtual, measure_hier_virtual};
@@ -393,7 +393,7 @@ pub fn degradation() -> Vec<Out> {
 /// strictly fewer inter-node bytes than flat from 4096 ranks up. The
 /// model is deterministic, and the host's worker count moves no number.
 pub fn hierarchy() -> Vec<Out> {
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let workers = worker_pool();
     // 8-way SMP nodes: wide enough that a node covers only part of a
     // 2^k-square grid row, so shared off-node A demand exists at every
     // swept rank count.

@@ -19,6 +19,11 @@ use std::path::Path;
 
 pub mod timing;
 
+/// The executor pool of every `bench_*` binary: host parallelism, at most 8.
+pub fn worker_pool() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get().min(8))
+}
+
 /// The command line every `bench_*` binary shares: `--quick` (short
 /// sweep), `--smoke` (bounded CI correctness run) and `--out PATH`
 /// (where the `BENCH_*.json` goes). Anything else is a usage error

@@ -1184,22 +1184,11 @@ fn run_threads<T: Send>(
     }
 }
 
-/// The worker-pool size an executor run will actually use for a
-/// `requested` count: `0` means *auto* (host parallelism, capped at 8 —
-/// the same default every bench harness uses), and any request is
-/// clamped to `[1, nranks]` since a worker beyond one-per-rank can
-/// never hold a task. All `exec_run*` entry points apply this, so a
-/// caller can pass the auto sentinel straight through and still report
+/// The worker-pool size a run will actually use for a `requested`
+/// count: clamped to `[1, nranks]`, since a worker beyond one-per-rank
+/// can never hold a task. Every host applies this, so a caller reports
 /// the *resolved* count.
 pub(crate) fn resolve_workers(requested: usize, nranks: usize) -> usize {
-    let requested = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(8)
-    } else {
-        requested
-    };
     requested.clamp(1, nranks.max(1))
 }
 

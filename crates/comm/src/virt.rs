@@ -328,11 +328,11 @@ fn fold_max(maxima: &mut Vec<f64>, segments: &[f64]) {
 }
 
 /// Run `body` once per rank with independent virtual clocks, on
-/// `workers` scoped threads (`0` = auto, as the executor resolves it)
-/// that claim chunks of consecutive ranks, and recombine the clocks
-/// BSP-style. Each worker hands every rank it runs the same `S`,
-/// `S::default()` at its start: allocations a rank may leave to the
-/// next. A rank's clock segments and counters are folded in as it
+/// `workers` scoped threads (clamped to `[1, nranks]`, as the executor
+/// clamps its pool) that claim chunks of consecutive ranks, and
+/// recombine the clocks BSP-style. Each worker hands every rank it runs
+/// the same `S`, `S::default()` at its start: allocations a rank may
+/// leave to the next. A rank's clock segments and counters are folded in as it
 /// finishes. The topology comes from `machine.topology(nranks)`,
 /// matching [`crate::simbackend::sim_run_programs`].
 ///

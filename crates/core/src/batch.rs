@@ -62,14 +62,16 @@
 use crate::driver::{default_grid, TracedRun};
 use crate::layout::{fresh_c, with_host_operand_sets, HostOperands};
 use crate::options::{GemmSpec, SrummaOptions};
+use crate::run::{Backend, RunError, NO_WORKERS};
 use crate::srumma::{MachineScratch, SrummaMachine, SrummaReport, STRIDE};
 use srumma_comm::{
     exec_run_tasks, sim_run_programs, Comm, CostMap, DistMatrix, ProgramTask, RankProgram,
     SimOptions, Step, SubComm,
 };
 use srumma_dense::{BlockMask, MatMut, Matrix, Op};
-use srumma_model::{Machine, ProcGrid, Topology};
-use srumma_trace::{BatchStats, EntryRankSample, EntryStats};
+use srumma_model::{ProcGrid, Topology};
+use srumma_sim::RunStats;
+use srumma_trace::{BatchStats, EntryRankSample, EntryStats, TraceEvent};
 use std::ops::Range;
 
 /// One multiply of a batch: a spec, its logical operands (`a` is
@@ -454,8 +456,8 @@ fn assemble_batch(
 type NewProgram<'p> = dyn Fn() -> BatchProgram<'p> + Sync + 'p;
 
 /// What the backend hands back: each rank's results, the run's wall (or
-/// modeled) seconds, and whatever else it reports.
-type Launched<X> = (Vec<BatchRankOut>, f64, X);
+/// modeled) seconds, its statistics and its timeline.
+type Launched = (Vec<BatchRankOut>, f64, RunStats, Vec<TraceEvent>);
 
 /// Lend `f` a writable view of a fresh `rows × cols` output per
 /// `(rows, cols, grid, cost)` of `windows`, paired with its `grid` and
@@ -513,11 +515,11 @@ unsafe fn with_fresh_outputs<R>(
 /// operands and output to its team in place, let `launch` run one
 /// `BatchProgram` per rank (it is handed the constructor), and roll the
 /// per-rank results up. An empty batch launches nothing.
-fn run_batch<X>(
+fn run_batch(
     batch: &BatchSpec,
     topo: Topology,
-    launch: impl for<'p> FnOnce(&'p NewProgram<'p>) -> Launched<X>,
-) -> (BatchResult, Option<X>) {
+    launch: impl for<'p> FnOnce(&'p NewProgram<'p>) -> Launched,
+) -> (BatchResult, Option<TracedRun>) {
     check_masks(batch, topo.nranks());
     if batch.entries.is_empty() {
         return (
@@ -570,56 +572,29 @@ fn run_batch<X>(
     // team's grid cover the output, each written whole by its owner: the
     // `c0` copy, the pre-pass fill of a rank with no task, or the first
     // task's store.
-    let (outputs, (rank_outs, wall_s, extra)) = unsafe { with_fresh_outputs(products, run) };
+    let (outputs, (rank_outs, wall_s, stats, trace)) = unsafe { with_fresh_outputs(products, run) };
     let res = assemble_batch(batch, outputs, rank_outs, wall_s, &teams);
-    (res, Some(extra))
+    (res, Some(TracedRun { stats, trace }))
 }
 
-/// The executor launcher of [`multiply_batch_exec`] and
-/// [`multiply_batch_traced`]: a [`ProgramTask`] per rank polls the
-/// program.
-fn launch_exec<'p>(
+/// Run the batch on `backend`: one `BatchProgram` per rank, polled on
+/// the executor's pool (`workers: nranks` is a worker per rank) or
+/// stepped by the simulator (modeled time: `stats.wall_s` is the
+/// makespan). `Virtual` is refused: it is shape-only, and a batch moves
+/// real data.
+pub fn multiply_batch_on(
+    batch: &BatchSpec,
     nranks: usize,
-    workers: usize,
-    trace: bool,
-    program: &'p NewProgram<'p>,
-) -> Launched<TracedRun> {
-    let res = exec_run_tasks(nranks, workers, trace, None, None, |comm| {
-        Box::new(ProgramTask::new(comm, program()))
-    });
-    let traced = TracedRun {
-        stats: res.stats,
-        trace: res.trace,
-    };
-    (res.outputs, res.wall_seconds, traced)
+    backend: Backend<'_>,
+) -> Result<BatchResult, RunError> {
+    host(batch, nranks, backend, false).map(|(res, _)| res)
 }
 
-/// Run the batch on the executor with a worker per rank: the
-/// thread-per-rank baseline of [`multiply_batch_exec`] — the same program
-/// over the same views.
-pub fn multiply_batch(batch: &BatchSpec, nranks: usize) -> BatchResult {
-    multiply_batch_exec(batch, nranks, nranks)
-}
-
-/// Run the batch under the virtual-time simulator (real data, modeled
-/// time) — the third leg of the correctness matrix.
-pub fn multiply_batch_sim(batch: &BatchSpec, machine: &Machine, nranks: usize) -> BatchResult {
-    run_batch(batch, machine.topology(nranks), |program| {
-        let opts = SimOptions::new(machine.clone(), nranks);
-        let res = sim_run_programs(&opts, |_| program());
-        (res.outputs, res.stats.makespan, ())
-    })
-    .0
-}
-
-/// Run the batch on the work-stealing executor: `nranks` logical ranks
-/// on `workers` worker threads, **one** pool for the whole stream, every
-/// matrix read and written in place, and no rank ever waiting for
-/// another. This is the tentpole path — ranks run ahead into later
-/// entries while stragglers finish earlier ones.
+/// [`multiply_batch_on`] on `Backend::Exec { workers }`.
 pub fn multiply_batch_exec(batch: &BatchSpec, nranks: usize, workers: usize) -> BatchResult {
-    let topo = Topology::single_domain(nranks);
-    run_batch(batch, topo, |p| launch_exec(nranks, workers, false, p)).0
+    host(batch, nranks, Backend::Exec { workers }, false)
+        .expect("a legal batch plan")
+        .0
 }
 
 /// [`multiply_batch_exec`] with wall-clock event tracing on: returns
@@ -630,9 +605,33 @@ pub fn multiply_batch_traced(
     nranks: usize,
     workers: usize,
 ) -> (BatchResult, TracedRun) {
-    let topo = Topology::single_domain(nranks);
-    let (res, traced) = run_batch(batch, topo, |p| launch_exec(nranks, workers, true, p));
+    let (res, traced) =
+        host(batch, nranks, Backend::Exec { workers }, true).expect("a legal batch plan");
     (res, traced.expect("a traced run needs at least one entry"))
+}
+
+/// Host the batch's programs on `backend`; `trace` applies on `Exec`.
+fn host(
+    batch: &BatchSpec,
+    nranks: usize,
+    backend: Backend<'_>,
+    trace: bool,
+) -> Result<(BatchResult, Option<TracedRun>), RunError> {
+    Ok(match backend {
+        _ if nranks == 0 => return Err(RunError::NoRanks),
+        Backend::Sim(machine) => run_batch(batch, machine.topology(nranks), |program| {
+            let res = sim_run_programs(&SimOptions::new(machine.clone(), nranks), |_| program());
+            (res.outputs, res.stats.makespan, res.stats, res.trace)
+        }),
+        Backend::Exec { workers: 0 } => return Err(RunError::Unsupported(NO_WORKERS)),
+        Backend::Exec { workers } => run_batch(batch, Topology::single_domain(nranks), |program| {
+            let res = exec_run_tasks(nranks, workers, trace, None, None, |comm| {
+                Box::new(ProgramTask::new(comm, program()))
+            });
+            (res.outputs, res.wall_seconds, res.stats, res.trace)
+        }),
+        Backend::Virtual { .. } => return Err(RunError::Unsupported("a batch moves real data")),
+    })
 }
 
 /// Serial reference for every entry: `C_e = α·A_e·B_e + β·C0_e` (zeros

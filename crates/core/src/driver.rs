@@ -62,7 +62,7 @@ pub fn multiply_threads(
     a: &Matrix,
     b: &Matrix,
 ) -> (Matrix, f64) {
-    let run = Run::new(*spec, nranks, *alg, Backend::Threads);
+    let run = Run::new(*spec, nranks, *alg, Backend::Exec { workers: nranks });
     let out = Run {
         operands: Some((a, b)),
         ..run

@@ -444,9 +444,9 @@ mod tests {
         .unwrap()
     }
 
-    /// The hierarchical thread run computes exactly the same-topology
-    /// flat result bitwise, and the true product within tolerance —
-    /// across sharing widths including both degenerate ones.
+    /// The hierarchical run on a worker per rank computes exactly the
+    /// same-topology flat result bitwise, and the true product within
+    /// tolerance — across sharing widths including both degenerate ones.
     #[test]
     fn hier_threads_matches_flat_bitwise() {
         let spec = GemmSpec::new(srumma_dense::Op::N, srumma_dense::Op::T, 24, 20, 28)
@@ -461,9 +461,10 @@ mod tests {
                 want[(i, j)] *= spec.alpha;
             }
         }
+        let per_rank = Backend::Exec { workers: 8 };
         for rpn in [1, 2, 4, 8] {
-            let flat = run_with_topology(Backend::Threads, rpn, false, &spec, &a, &b);
-            let hier = run_with_topology(Backend::Threads, rpn, true, &spec, &a, &b);
+            let flat = run_with_topology(per_rank, rpn, false, &spec, &a, &b);
+            let hier = run_with_topology(per_rank, rpn, true, &spec, &a, &b);
             let (flat, hier) = (flat.c.unwrap(), hier.c.unwrap());
             assert_eq!(
                 max_abs_diff(&hier, &flat),
@@ -484,7 +485,7 @@ mod tests {
         // Nodes of 2 on the 2x4 grid: each node is half a grid row, so
         // the row's other half is off-node A demand shared by both
         // members — real staging work.
-        let flat = run_with_topology(Backend::Threads, 2, false, &spec, &a, &b);
+        let flat = run_with_topology(Backend::Exec { workers: 8 }, 2, false, &spec, &a, &b);
         let hier = run_with_topology(Backend::Exec { workers: 2 }, 2, true, &spec, &a, &b);
         assert_eq!(max_abs_diff(&hier.c.unwrap(), &flat.c.unwrap()), 0.0);
         assert!(hier.reports.iter().any(|r| r.staged_panels > 0));

@@ -30,7 +30,8 @@
 //!
 //! let spec = GemmSpec::square(64);
 //! let (a, b) = (Matrix::random(64, 64, 1), Matrix::random(64, 64, 2));
-//! let run = Run::new(spec, 4, Algorithm::srumma_default(), Backend::Threads);
+//! // Four ranks, a worker each: the paper's process per rank.
+//! let run = Run::new(spec, 4, Algorithm::srumma_default(), Backend::Exec { workers: 4 });
 //! let out = Run { operands: Some((&a, &b)), ..run }.execute().unwrap();
 //! let expect = serial_reference(&spec, &a, &b);
 //! assert!(srumma_dense::max_abs_diff(&out.c.unwrap(), &expect) < 1e-9);
@@ -55,8 +56,8 @@ pub mod taskorder;
 
 pub use api::{Algorithm, GemmProgram};
 pub use batch::{
-    batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_sim,
-    multiply_batch_traced, BatchEntry, BatchResult, BatchSpec,
+    batch_serial_reference, multiply_batch_exec, multiply_batch_on, multiply_batch_traced,
+    BatchEntry, BatchResult, BatchSpec,
 };
 pub use driver::SparseMasks;
 pub use hier::HierStageSet;

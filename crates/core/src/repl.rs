@@ -374,12 +374,13 @@ mod tests {
         let b = Matrix::random(32, 32, 52);
         let want = expected(&spec, &a, &b);
         let tol = 1e-13 * spec.k as f64;
+        let per_rank = Backend::Exec { workers: 8 };
         for c in [2usize, 4] {
             let out = Run {
                 operands: Some((&a, &b)),
                 ranks_per_node: Some(2),
                 replication: ReplicationFactor::Fixed(c),
-                ..Run::new(spec, 8, Algorithm::srumma_default(), Backend::Threads)
+                ..Run::new(spec, 8, Algorithm::srumma_default(), per_rank)
             }
             .execute()
             .unwrap();

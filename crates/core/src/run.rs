@@ -46,16 +46,14 @@ use std::time::Instant;
 pub enum Backend<'a> {
     /// The discrete-event simulator (virtual time, NIC contention).
     Sim(&'a Machine),
-    /// Per-rank LogGP clocks on `workers` host threads (`0` = auto): the
+    /// Per-rank LogGP clocks on `workers ≥ 1` host threads: the
     /// 64k-rank path — shape-only, one-sided algorithms only.
     Virtual {
         machine: &'a Machine,
         workers: usize,
     },
-    /// The executor with a worker per rank, wall clock.
-    Threads,
-    /// Logical ranks on a work-stealing pool of `workers` threads
-    /// (`0` = auto), wall clock.
+    /// Logical ranks polled on a pool of `workers ≥ 1` threads, wall
+    /// clock; `workers: nranks` is the paper's process per rank.
     Exec { workers: usize },
 }
 
@@ -122,6 +120,9 @@ pub enum RunError {
     /// why.
     Unsupported(&'static str),
 }
+
+/// Why a run or a batch refuses a pool of no workers.
+pub(crate) const NO_WORKERS: &str = "a pool has at least one worker: workers may not be 0";
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -250,10 +251,10 @@ impl<'a> Run<'a> {
             }
         }
 
-        let (machine, virtual_clock) = match self.backend {
-            Backend::Sim(machine) => (Some(machine), false),
-            Backend::Virtual { machine, .. } => (Some(machine), true),
-            Backend::Threads | Backend::Exec { .. } => (None, false),
+        let (machine, virtual_clock, workers) = match self.backend {
+            Backend::Sim(machine) => (Some(machine), false, 1),
+            Backend::Virtual { machine, workers } => (Some(machine), true, workers),
+            Backend::Exec { workers } => (None, false, workers),
         };
         let srumma = match self.algorithm {
             Algorithm::Srumma(opts) => Some(opts),
@@ -262,7 +263,9 @@ impl<'a> Run<'a> {
         let replicated = self.replication != ReplicationFactor::One;
         let restructured = self.hier || replicated;
         let death = self.faults.is_some_and(|plan| plan.death.is_some());
-        let unsupported = if machine.is_none() && self.operands.is_none() {
+        let unsupported = if workers == 0 {
+            Some(NO_WORKERS)
+        } else if machine.is_none() && self.operands.is_none() {
             Some("wall-clock backends move real data: operands must be Some")
         } else if machine.is_some() && self.ranks_per_node.is_some() {
             Some("virtual-time backends take their topology from the Machine")
@@ -391,14 +394,9 @@ impl<'a> Run<'a> {
                 (Vec::new(), res.stats, Vec::new(), res.wall_seconds)
             }
             // Every program is polled on `workers` threads, which
-            // emulate the topology and apply the fault plan;
-            // thread-per-rank is a worker per rank. A scripted death
-            // teaches flat SRUMMA re-execution.
-            Backend::Threads | Backend::Exec { .. } => {
-                let workers = match self.backend {
-                    Backend::Exec { workers } => workers,
-                    _ => nranks,
-                };
+            // emulate the topology and apply the fault plan. A scripted
+            // death teaches flat SRUMMA re-execution.
+            Backend::Exec { workers } => {
                 // Declared after the matrices: any unclaimed program
                 // (borrowing them) drops with the queue first.
                 let recovery = ChaosRecovery::new();

@@ -4,8 +4,8 @@
 //! another.
 
 use srumma_core::batch::{
-    batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_sim,
-    multiply_batch_traced, BatchEntry, BatchResult, BatchSpec,
+    batch_serial_reference, multiply_batch_exec, multiply_batch_on, multiply_batch_traced,
+    BatchEntry, BatchResult, BatchSpec,
 };
 use srumma_core::driver::{default_grid, multiply_exec, serial_reference, SparseMasks};
 use srumma_core::{Algorithm, Backend, GemmSpec, Run, ShmemFlavor, SrummaOptions};
@@ -41,6 +41,16 @@ fn mixed_batch() -> BatchSpec {
     batch
 }
 
+/// The batch on `backend`, a legal plan.
+fn on(batch: &BatchSpec, nranks: usize, backend: Backend<'_>) -> BatchResult {
+    multiply_batch_on(batch, nranks, backend).expect("a legal batch plan")
+}
+
+/// The executor with a worker per rank: the paper's process per rank.
+fn per_rank(nranks: usize) -> Backend<'static> {
+    Backend::Exec { workers: nranks }
+}
+
 fn assert_matches_reference(outputs: &[Matrix], batch: &BatchSpec, what: &str) {
     let expect = batch_serial_reference(batch);
     assert_eq!(outputs.len(), expect.len(), "{what}: entry count");
@@ -54,8 +64,8 @@ fn assert_matches_reference(outputs: &[Matrix], batch: &BatchSpec, what: &str) {
 fn batched_threads_matches_serial_reference() {
     let batch = mixed_batch();
     for nranks in [1usize, 4, 6] {
-        let res = multiply_batch(&batch, nranks);
-        assert_matches_reference(&res.outputs, &batch, &format!("threads x{nranks}"));
+        let res = on(&batch, nranks, per_rank(nranks));
+        assert_matches_reference(&res.outputs, &batch, &format!("per-rank x{nranks}"));
     }
 }
 
@@ -75,7 +85,8 @@ fn batched_exec_matches_serial_reference() {
 #[test]
 fn batched_sim_matches_serial_reference() {
     let batch = mixed_batch();
-    let res = multiply_batch_sim(&batch, &Machine::linux_myrinet(), 4);
+    let machine = Machine::linux_myrinet();
+    let res = on(&batch, 4, Backend::Sim(&machine));
     assert_matches_reference(&res.outputs, &batch, "sim x4");
     assert!(res.stats.wall_s > 0.0, "sim makespan should be positive");
 }
@@ -95,9 +106,9 @@ fn workspace_grows_at_most_once_across_batch() {
             batch.entries.len()
         );
     }
-    let res = multiply_batch(&batch, 4);
+    let res = on(&batch, 4, per_rank(4));
     for (rank, &g) in res.ws_grow_counts.iter().enumerate() {
-        assert!(g <= 1, "threads rank {rank}: workspace grew {g} times");
+        assert!(g <= 1, "per-rank rank {rank}: workspace grew {g} times");
     }
 }
 
@@ -107,7 +118,7 @@ fn bits(m: &Matrix) -> Vec<u64> {
 
 /// Prefetch depth moves *when* blocks are fetched, never which gemm
 /// calls run or in what per-rank order: at depth {1, 2, 4}, on the
-/// executor and on threads, every stream is bit for bit the executor's
+/// executor and on a worker per rank, every stream is bit for bit the executor's
 /// depth-1 stream, on one workspace grown at most once.
 #[test]
 fn prefetch_depth_never_changes_a_bit() {
@@ -139,8 +150,8 @@ fn prefetch_depth_never_changes_a_bit() {
             &format!("exec depth {depth}"),
         );
         check(
-            &multiply_batch(&batch, 4),
-            &format!("threads depth {depth}"),
+            &on(&batch, 4, per_rank(4)),
+            &format!("per-rank depth {depth}"),
         );
     }
 }
@@ -211,15 +222,11 @@ fn a_batch_entry_is_its_run_bit_for_bit() {
         let batch = run_equivalent_batch(nranks);
         let backends = [
             ("exec", Backend::Exec { workers: 2 }, exec_team),
-            ("threads", Backend::Threads, exec_team),
+            ("per-rank", per_rank(nranks), exec_team),
             ("sim", Backend::Sim(&machine), sim_team),
         ];
         for (name, backend, big_team) in backends {
-            let res = match backend {
-                Backend::Exec { workers } => multiply_batch_exec(&batch, nranks, workers),
-                Backend::Threads => multiply_batch(&batch, nranks),
-                _ => multiply_batch_sim(&batch, &machine, nranks),
-            };
+            let res = on(&batch, nranks, backend);
             let teams: Vec<usize> = (res.stats.entries.iter())
                 .map(|es| es.samples.len())
                 .collect();
@@ -297,11 +304,12 @@ fn every_fresh_output_element_is_written_by_its_owner() {
     let big = batch.entries.len() - 1;
 
     let machine = Machine::linux_myrinet();
-    for (name, res) in [
-        ("exec", multiply_batch_exec(&batch, nranks, 2)),
-        ("threads", multiply_batch(&batch, nranks)),
-        ("sim", multiply_batch_sim(&batch, &machine, nranks)),
+    for (name, backend) in [
+        ("exec", Backend::Exec { workers: 2 }),
+        ("per-rank", per_rank(nranks)),
+        ("sim", Backend::Sim(&machine)),
     ] {
+        let res = on(&batch, nranks, backend);
         assert_eq!(res.stats.entries[0].samples.len(), nranks, "{name}: masked");
         assert!(res.reports[0].masked_tasks > 0, "{name}: nothing masked");
         assert!(res.stats.entries[big].samples.len() > 1, "{name}: big team");
@@ -327,15 +335,16 @@ fn small_entry_stream() -> BatchSpec {
 
 /// A one-rank entry is one kernel call over the whole of its logical
 /// operands: bit for bit the serial reference, on the executor and on
-/// threads.
+/// a worker per rank.
 #[test]
 fn a_one_rank_entry_is_the_serial_reference_bit_for_bit() {
     let batch = small_entry_stream();
     let expect = batch_serial_reference(&batch);
-    for (name, res) in [
-        ("exec", multiply_batch_exec(&batch, 16, 2)),
-        ("threads", multiply_batch(&batch, 16)),
+    for (name, backend) in [
+        ("exec", Backend::Exec { workers: 2 }),
+        ("per-rank", per_rank(16)),
     ] {
+        let res = on(&batch, 16, backend);
         for (e, es) in res.stats.entries.iter().enumerate() {
             assert_eq!(
                 es.samples.len(),
@@ -387,7 +396,10 @@ fn a_batch_never_parks_a_rank() {
 #[test]
 fn empty_batch_is_empty() {
     let batch = BatchSpec::new();
-    for res in [multiply_batch(&batch, 4), multiply_batch_exec(&batch, 4, 2)] {
+    for res in [
+        on(&batch, 4, per_rank(4)),
+        multiply_batch_exec(&batch, 4, 2),
+    ] {
         assert!(res.outputs.is_empty());
         assert!(res.reports.is_empty());
         assert!(res.ws_grow_counts.is_empty());
@@ -433,7 +445,10 @@ fn per_entry_option_overrides_apply() {
     }
     assert_eq!(batch.entry_opts(1), SrummaOptions::naive());
     assert_eq!(batch.entry_opts(2), SrummaOptions::default());
-    for res in [multiply_batch(&batch, 4), multiply_batch_exec(&batch, 4, 2)] {
+    for res in [
+        on(&batch, 4, per_rank(4)),
+        multiply_batch_exec(&batch, 4, 2),
+    ] {
         assert_matches_reference(&res.outputs, &batch, "mixed per-entry options");
     }
 }

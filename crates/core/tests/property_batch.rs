@@ -1,15 +1,15 @@
 //! Property-style tests for the batched driver: random batches (mixed
 //! shapes, transposes, scalars, degenerate extents, per-entry option
 //! overrides, block masks) checked against the serial reference on
-//! all three backends — host threads, the virtual-time simulator, and
+//! all three rows — a worker per rank, the virtual-time simulator, and
 //! the work-stealing executor including oversubscribed pools. Driven by
 //! the in-repo deterministic [`Rng`] (the workspace builds offline,
 //! without a property-testing framework). Set `SRUMMA_PROP_SEED` to
 //! pin one case or `SRUMMA_PROP_CASES` to widen the sweep.
 
-use srumma_core::batch::{batch_serial_reference, BatchEntry, BatchSpec};
+use srumma_core::batch::{batch_serial_reference, multiply_batch_on, BatchEntry, BatchSpec};
 use srumma_core::driver::default_grid;
-use srumma_core::{GemmSpec, SrummaOptions};
+use srumma_core::{Backend, GemmSpec, SrummaOptions};
 use srumma_dense::{max_abs_diff, prop_rerun, prop_seeds, BlockMask, Matrix, Op, Rng};
 use srumma_model::Machine;
 
@@ -114,12 +114,13 @@ fn random_batches_on_threads_match_serial() {
         let mut rng = Rng::new(seed);
         let nranks = rng.range(1, 8);
         let batch = random_batch(&mut rng, nranks);
-        let res = srumma_core::batch::multiply_batch(&batch, nranks);
+        let per_rank = Backend::Exec { workers: nranks };
+        let res = multiply_batch_on(&batch, nranks, per_rank).expect("a legal batch plan");
         check(
             &res.outputs,
             &batch,
             seed,
-            &format!("threads x{nranks}"),
+            &format!("per-rank x{nranks}"),
             "random_batches_on_threads_match_serial",
         );
         for &g in &res.ws_grow_counts {
@@ -186,7 +187,8 @@ fn random_batches_on_sim_match_serial() {
         let nranks = rng.range(1, 6);
         let batch = random_batch(&mut rng, nranks);
         let machine = rng.pick(&machines);
-        let res = srumma_core::batch::multiply_batch_sim(&batch, machine, nranks);
+        let sim = Backend::Sim(machine);
+        let res = multiply_batch_on(&batch, nranks, sim).expect("a legal batch plan");
         check(
             &res.outputs,
             &batch,

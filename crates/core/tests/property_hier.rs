@@ -103,7 +103,7 @@ fn random_factor(rng: &mut Rng, nranks: usize, rpn: usize, k: usize) -> Option<u
     }
 }
 
-/// Hierarchical threads driver ≡ flat threads driver, bitwise, across
+/// Hierarchical ≡ flat on a worker per rank, bitwise, across
 /// random shapes, transposes and group sizes (degenerate ones
 /// included).
 #[test]
@@ -118,7 +118,7 @@ fn hier_threads_matches_flat_bitwise_on_integers() {
         let b = int_matrix(spec.k, spec.n, 901 + 2 * case);
         let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
         let hier = restructured(
-            Backend::Threads,
+            Backend::Exec { workers: nranks },
             nranks,
             Some(rpn),
             true,
@@ -136,10 +136,10 @@ fn hier_threads_matches_flat_bitwise_on_integers() {
     }
 }
 
-/// Replicated (and replicated+hierarchical) driver ≡ flat threads,
+/// Replicated (and replicated+hierarchical) driver ≡ flat per-rank,
 /// bitwise, across random admissible factors: the k-slice split and
 /// the serialized team reduction are value-preserving on integers. On
-/// ranks with threads of their own, ranks polled on two workers, and
+/// ranks with a worker each, ranks polled on two workers, and
 /// modeled time (where the simulator's machine sets the node width):
 /// team 0 multiplies into the returned product in place, and the other
 /// teams' `acc` lands in it through its window.
@@ -168,7 +168,7 @@ fn replicated_threads_matches_flat_bitwise_on_integers() {
             m
         };
         let backends = [
-            (Backend::Threads, Some(rpn)),
+            (Backend::Exec { workers: nranks }, Some(rpn)),
             (Backend::Exec { workers: 2 }, Some(rpn)),
             (Backend::Sim(&machine), None),
         ];
@@ -210,7 +210,7 @@ fn hier_and_replicated_float_within_k_scaled_tolerance() {
             }
         }
         let hier = restructured(
-            Backend::Threads,
+            Backend::Exec { workers: nranks },
             nranks,
             Some(rpn),
             true,
@@ -227,7 +227,7 @@ fn hier_and_replicated_float_within_k_scaled_tolerance() {
         );
         if let Some(c) = random_factor(&mut rng, nranks, rpn, spec.k) {
             let out = restructured(
-                Backend::Threads,
+                Backend::Exec { workers: nranks },
                 nranks,
                 Some(rpn),
                 false,
@@ -333,19 +333,11 @@ fn degenerate_groups_and_factors_match_flat_bitwise() {
     let a = int_matrix(spec.m, spec.k, 77);
     let b = int_matrix(spec.k, spec.n, 78);
     let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
+    let per_rank = Backend::Exec { workers: nranks };
     for rpn in [1usize, nranks] {
-        let hier = restructured(
-            Backend::Threads,
-            nranks,
-            Some(rpn),
-            true,
-            None,
-            &spec,
-            &a,
-            &b,
-        );
+        let hier = restructured(per_rank, nranks, Some(rpn), true, None, &spec, &a, &b);
         let hier = hier.c.unwrap();
-        assert_eq!(max_abs_diff(&hier, &flat), 0.0, "threads hier rpn={rpn}");
+        assert_eq!(max_abs_diff(&hier, &flat), 0.0, "per-rank hier rpn={rpn}");
         let exec = Backend::Exec { workers: 2 };
         let out = restructured(exec, nranks, Some(rpn), true, None, &spec, &a, &b);
         let (ehier, reports) = (out.c.unwrap(), out.reports);
@@ -359,7 +351,7 @@ fn degenerate_groups_and_factors_match_flat_bitwise() {
     // Whole-machine node => single domain => every c | nranks (≤ k) is
     // admissible, including single-rank teams.
     let whole = Some(nranks);
-    let out = restructured(Backend::Threads, nranks, whole, false, whole, &spec, &a, &b);
+    let out = restructured(per_rank, nranks, whole, false, whole, &spec, &a, &b);
     let (repl, got_c) = (out.c.unwrap(), out.replication);
     assert_eq!(got_c, nranks);
     assert_eq!(max_abs_diff(&repl, &flat), 0.0, "full replication c=nranks");

@@ -10,6 +10,7 @@ use srumma_comm::{
     exec_run_tasks, sim_run_programs, CostMap, DistMatrix, FaultPlan, FaultPlanError, ProgramTask,
     SimOptions,
 };
+use srumma_core::batch::{multiply_batch_on, BatchEntry, BatchSpec};
 use srumma_core::driver::{default_grid, serial_reference, sparse_serial_reference};
 use srumma_core::layout::{
     dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask, with_host_operands,
@@ -31,6 +32,9 @@ fn operands(spec: &GemmSpec) -> (Matrix, Matrix) {
     )
 }
 
+/// The executor with a worker per rank of [`plain`]'s eight.
+const PER_RANK: Backend<'static> = Backend::Exec { workers: 8 };
+
 /// A legal plain plan on `backend` to break one field at a time.
 fn plain<'a>(backend: Backend<'a>, ab: &'a (Matrix, Matrix)) -> Run<'a> {
     let spec = GemmSpec::new(Op::N, Op::N, 12, 10, 14);
@@ -45,7 +49,7 @@ fn a_plain_plan_is_legal_on_every_backend() {
     let ab = operands(&GemmSpec::new(Op::N, Op::N, 12, 10, 14));
     let machine = Machine::linux_myrinet();
     for backend in [
-        Backend::Threads,
+        PER_RANK,
         Backend::Exec { workers: 2 },
         Backend::Sim(&machine),
     ] {
@@ -75,7 +79,7 @@ fn zero_ranks() {
     let ab = operands(&GemmSpec::new(Op::N, Op::N, 12, 10, 14));
     let run = Run {
         nranks: 0,
-        ..plain(Backend::Threads, &ab)
+        ..plain(PER_RANK, &ab)
     };
     assert_eq!(run.validate(), Err(RunError::NoRanks));
 }
@@ -83,7 +87,7 @@ fn zero_ranks() {
 #[test]
 fn operand_and_mask_shapes() {
     let ab = operands(&GemmSpec::new(Op::N, Op::N, 12, 10, 14));
-    let run = plain(Backend::Threads, &ab);
+    let run = plain(PER_RANK, &ab);
     // A is 12 x 14: passing it as B (which must be 14 x 10) is caught.
     let swapped = Run {
         operands: Some((&ab.0, &ab.0)),
@@ -171,35 +175,89 @@ fn infinite_delays_are_refused_on_every_clock() {
 
 /// Death is a scheduling event only the executor implements — and the
 /// refusal comes from `validate()`, before anything is allocated: ten
-/// thousand rank threads (or a 100 x 100 grid of blocks) would be
-/// noticed.
+/// thousand simulated ranks (or a 100 x 100 grid of blocks) would be
+/// noticed. A worker per rank is the executor, so there the same death
+/// is a legal plan.
 #[test]
 fn death_off_the_executor_is_refused_before_any_thread_starts() {
     let ab = operands(&GemmSpec::new(Op::N, Op::N, 12, 10, 14));
     let plan = FaultPlan::healthy().with_death(1, 0);
     let machine = Machine::linux_myrinet();
-    for backend in [Backend::Threads, Backend::Sim(&machine)] {
-        let run = Run {
-            nranks: 10_000,
-            faults: Some(&plan),
-            ..plain(backend, &ab)
-        };
+    let run = Run {
+        nranks: 10_000,
+        faults: Some(&plan),
+        ..plain(Backend::Sim(&machine), &ab)
+    };
+    let t0 = std::time::Instant::now();
+    assert_eq!(
+        run.execute().err(),
+        Some(RunError::Faults(FaultPlanError::DeathNeedsExecutor))
+    );
+    assert!(
+        t0.elapsed().as_secs_f64() < 0.5,
+        "the refusal did real work"
+    );
+    let per_rank = Run {
+        faults: Some(&plan),
+        ..plain(PER_RANK, &ab)
+    };
+    assert_eq!(per_rank.validate(), Ok(()));
+}
+
+/// A pool of no workers would never poll a rank: `Exec` and `Virtual`
+/// refuse `workers: 0` in `validate()`, before any thread starts (a
+/// thousand ranks a worker each would be noticed), and so does the
+/// batch. A batch moves real data, so the shape-only virtual clock
+/// refuses it whatever its pool.
+#[test]
+fn a_pool_of_no_workers_and_a_virtual_batch_are_refused_typed() {
+    let ab = operands(&GemmSpec::new(Op::N, Op::N, 12, 10, 14));
+    let machine = Machine::linux_myrinet();
+    let exec = Run {
+        nranks: 1_000,
+        ..plain(Backend::Exec { workers: 0 }, &ab)
+    };
+    let virt = Run {
+        operands: None,
+        backend: Backend::Virtual {
+            machine: &machine,
+            workers: 0,
+        },
+        ..exec
+    };
+    for run in [exec, virt] {
         let t0 = std::time::Instant::now();
-        assert_eq!(
-            run.execute().err(),
-            Some(RunError::Faults(FaultPlanError::DeathNeedsExecutor))
-        );
+        let err = run.validate();
+        assert!(matches!(err, Err(RunError::Unsupported(_))), "{run:?}");
+        assert_eq!(run.execute().err(), err.err(), "{run:?}");
         assert!(
             t0.elapsed().as_secs_f64() < 0.5,
             "the refusal did real work"
         );
     }
+
+    let mut batch = BatchSpec::new();
+    batch.push(BatchEntry::new(exec.spec, ab.0.clone(), ab.1.clone()));
+    let refused = |backend| {
+        let err = multiply_batch_on(&batch, 4, backend).err();
+        assert!(
+            matches!(err, Some(RunError::Unsupported(_))),
+            "{backend:?}: {err:?}"
+        );
+    };
+    for workers in [0, 2] {
+        refused(Backend::Virtual {
+            machine: &machine,
+            workers,
+        });
+    }
+    refused(Backend::Exec { workers: 0 });
 }
 
 #[test]
 fn node_groups_that_do_not_tile() {
     let ab = operands(&GemmSpec::new(Op::N, Op::N, 12, 10, 14));
-    let run = plain(Backend::Threads, &ab);
+    let run = plain(PER_RANK, &ab);
     // Nodes of 3 cannot tile 8 ranks for staging ...
     let staged = Run {
         ranks_per_node: Some(3),
@@ -253,7 +311,7 @@ fn inadmissible_replication_factor() {
     let ab = operands(&GemmSpec::new(Op::N, Op::N, 12, 10, 14));
     let run = Run {
         ranks_per_node: Some(4),
-        ..plain(Backend::Threads, &ab)
+        ..plain(PER_RANK, &ab)
     };
     let fixed = |c| Run {
         replication: ReplicationFactor::Fixed(c),
@@ -289,7 +347,7 @@ fn unsupported_combinations() {
     let masks = SparseMasks::a_only(BlockMask::full(grid.p, grid.q));
     let death = FaultPlan::healthy().with_death(1, 0);
     let stragglers = FaultPlan::random_stragglers(7, 8);
-    let threads = plain(Backend::Threads, &ab);
+    let per_rank = plain(PER_RANK, &ab);
     let exec = plain(Backend::Exec { workers: 2 }, &ab);
     let sim = plain(Backend::Sim(&machine), &ab);
     let virt = Run {
@@ -305,7 +363,7 @@ fn unsupported_combinations() {
         // What the backend needs.
         Run {
             operands: None,
-            ..threads
+            ..per_rank
         },
         Run {
             ranks_per_node: Some(2),
@@ -313,28 +371,28 @@ fn unsupported_combinations() {
         },
         Run {
             ranks_per_node: Some(0),
-            ..threads
+            ..per_rank
         },
         // SRUMMA schedules on the baselines.
         Run {
             algorithm: summa,
             masks: Some(&masks),
-            ..threads
+            ..per_rank
         },
         Run {
             algorithm: summa,
             hier: true,
-            ..threads
+            ..per_rank
         },
         Run {
             algorithm: Algorithm::Cannon,
             replication: ReplicationFactor::Fixed(2),
-            ..threads
+            ..per_rank
         },
         // Cannon's own preconditions: 8 ranks are 2 x 4.
         Run {
             algorithm: Algorithm::Cannon,
-            ..threads
+            ..per_rank
         },
         Run {
             algorithm: Algorithm::Cannon,
@@ -344,7 +402,7 @@ fn unsupported_combinations() {
         },
         // The virtual-clock backend.
         Run {
-            operands: threads.operands,
+            operands: per_rank.operands,
             ..virt
         },
         Run {
@@ -363,7 +421,7 @@ fn unsupported_combinations() {
         Run {
             masks: Some(&masks),
             replication: ReplicationFactor::Fixed(2),
-            ..threads
+            ..per_rank
         },
         Run {
             faults: Some(&death),
@@ -407,7 +465,7 @@ fn a_zero_width_summa_panel_is_refused_on_every_backend() {
         workers: 2,
     };
     for backend in [
-        Backend::Threads,
+        PER_RANK,
         Backend::Exec { workers: 2 },
         Backend::Sim(&machine),
         virt,
@@ -450,8 +508,8 @@ fn staged_on_one_worker<'a>(spec: GemmSpec, ab: &'a (Matrix, Matrix), nranks: us
 
 /// Under a death-free fault plan it is the polled program on an
 /// `ExecComm` that applies the plan: eight ranks and their staging
-/// fences on one thread. What each rank staged and ran is what the thread-per-rank
-/// host of the same program reports.
+/// fences on one thread. What each rank staged and ran is what the same
+/// program reports on a worker per rank.
 #[test]
 fn staged_srumma_with_stragglers_is_polled_on_one_worker() {
     let spec = GemmSpec::new(Op::N, Op::N, 23, 19, 29);
@@ -462,15 +520,15 @@ fn staged_srumma_with_stragglers_is_polled_on_one_worker() {
         ..staged_on_one_worker(spec, &ab, 8)
     };
     let exec = on_exec.execute().unwrap();
-    let threads = Run {
-        backend: Backend::Threads,
+    let per_rank = Run {
+        backend: PER_RANK,
         ..on_exec
     }
     .execute()
     .unwrap();
     let want = serial_reference(&spec, &ab.0, &ab.1);
     assert_eq!(max_abs_diff(&exec.c.unwrap(), &want), 0.0);
-    assert_eq!(exec.reports, threads.reports);
+    assert_eq!(exec.reports, per_rank.reports);
     assert!(exec.reports.iter().all(|r| r.staged_panels > 0));
     assert!(exec.reports.iter().all(|r| r.srumma.unwrap().tasks > 0));
 }
@@ -503,7 +561,7 @@ fn staged_replica_teams_drive_the_program_from_gated_threads_on_one_worker() {
 /// `run`'s rank program — flat or staged SRUMMA, SUMMA, Cannon — hosted
 /// by hand over distributed matrices the caller built, on `run`'s backend
 /// and topology: stepped by the simulator, or polled on `run`'s workers
-/// (a worker per rank on `Threads`).
+/// (a worker per rank when `workers` is `nranks`).
 fn launch_over(
     run: &Run,
     spec: &GemmSpec,
@@ -529,7 +587,6 @@ fn launch_over(
             };
             return (res.outputs, res.stats);
         }
-        Backend::Threads => run.nranks,
         Backend::Exec { workers } => workers,
         Backend::Virtual { .. } => panic!("the virtual clock moves no data"),
     };
@@ -609,8 +666,8 @@ fn assert_indistinguishable(
 }
 
 /// `f` on every plan of the 144-plan grid: NN/NT/TN/TT × every
-/// shared-memory flavour × flat/staged × dense/masked × `Sim`/`Threads`/
-/// `Exec`, SRUMMA on 8 ranks in nodes of 2, shapes by turns, operands
+/// shared-memory flavour × flat/staged × dense/masked × `Sim`/a worker
+/// per rank/`Exec` on two, SRUMMA on 8 ranks in nodes of 2, shapes by turns, operands
 /// from `make`.
 fn for_each_srumma_plan(make: fn(&GemmSpec) -> (Matrix, Matrix), f: impl Fn(&Run, &str)) {
     let mut machine = Machine::linux_myrinet();
@@ -647,7 +704,7 @@ fn for_each_srumma_plan(make: fn(&GemmSpec) -> (Matrix, Matrix), f: impl Fn(&Run
                 });
                 for backend in [
                     Backend::Sim(&machine),
-                    Backend::Threads,
+                    Backend::Exec { workers: nranks },
                     Backend::Exec { workers: 2 },
                 ] {
                     let on_sim = matches!(backend, Backend::Sim(_));
@@ -691,7 +748,7 @@ fn operands_in_place_are_indistinguishable_from_scattered_copies() {
     let spec = GemmSpec::new(Op::T, Op::N, 23, 19, 29).with_scalars(2.0, 0.0);
     let ab = operands(&spec);
     let summa = Algorithm::Summa(SummaOptions::default());
-    for backend in [Backend::Sim(&machine), Backend::Threads] {
+    for backend in [Backend::Sim(&machine), PER_RANK] {
         let run = Run {
             operands: Some((&ab.0, &ab.1)),
             ..Run::new(spec, 8, summa, backend)
@@ -713,11 +770,10 @@ fn operands_in_place_are_indistinguishable_from_scattered_copies() {
 fn a_replica_team_reads_its_k_window_of_a_stored_t_operand_in_place() {
     let spec = GemmSpec::new(Op::T, Op::N, 23, 19, 61).with_scalars(2.0, 0.0);
     let ab = operands(&spec);
-    let backend = Backend::Threads;
     let replicated = Run {
         operands: Some((&ab.0, &ab.1)),
         replication: ReplicationFactor::Fixed(2),
-        ..Run::new(spec, 8, Algorithm::srumma_default(), backend)
+        ..Run::new(spec, 8, Algorithm::srumma_default(), PER_RANK)
     };
     let got = replicated.execute().unwrap().c.unwrap();
 
@@ -732,7 +788,7 @@ fn a_replica_team_reads_its_k_window_of_a_stored_t_operand_in_place() {
                 GemmSpec { k: kl, ..spec },
                 4,
                 Algorithm::srumma_default(),
-                backend,
+                Backend::Exec { workers: 4 },
             )
         };
         over_scattered_arenas(&team).0
@@ -806,7 +862,7 @@ fn c_in_place_is_indistinguishable_from_a_gathered_arena() {
                 let Some(algorithm) = algorithm else { continue };
                 for backend in [
                     Backend::Sim(&machine),
-                    Backend::Threads,
+                    Backend::Exec { workers: nranks },
                     Backend::Exec { workers: 2 },
                 ] {
                     let run = Run {
@@ -878,7 +934,8 @@ fn a_tile_of_the_product_changes_hands_when_its_rank_dies() {
 /// inside a panel on either side, panels used by two tasks — and
 /// `ForceCopy` equals `ForceDirect` bit for bit on random operands, and
 /// the serial reference bit for bit on small-integer ones (every partial
-/// sum exact), for all four transposes, on `Sim`, `Threads` and `Exec`;
+/// sum exact), for all four transposes, on `Sim`, a worker per rank and
+/// `Exec` on two;
 /// in one domain (every block fetched, or every block direct) and in
 /// nodes of 2 (a task with one fetched and one direct operand), masked,
 /// and staged through the node groups.
@@ -910,7 +967,7 @@ fn fetched_panels_multiply_to_the_bits_of_blocks_read_in_place() {
         ] {
             for backend in [
                 Backend::Sim(&machine),
-                Backend::Threads,
+                Backend::Exec { workers: nranks },
                 Backend::Exec { workers: 2 },
             ] {
                 let on_sim = matches!(backend, Backend::Sim(_));

@@ -1,4 +1,4 @@
-//! Trace a real thread-backend multiply and a simulated cluster run,
+//! Trace a real multiply on a worker per rank and a simulated cluster run,
 //! write both timelines as Chrome/Perfetto JSON, and print the derived
 //! metrics (overlap, stall, skew, bytes moved).
 //!
@@ -13,7 +13,7 @@ use srumma::{Algorithm, Backend, GemmSpec, Machine, Matrix, Run};
 fn main() {
     std::fs::create_dir_all("results").expect("create results/");
 
-    // Real threads, wall-clock events.
+    // Four ranks on a worker each, wall-clock events.
     let n = 512;
     let spec = GemmSpec::square(n);
     let a = Matrix::random(n, n, 1);
@@ -21,14 +21,19 @@ fn main() {
     let run = Run {
         operands: Some((&a, &b)),
         trace: true,
-        ..Run::new(spec, 4, Algorithm::srumma_default(), Backend::Threads)
+        ..Run::new(
+            spec,
+            4,
+            Algorithm::srumma_default(),
+            Backend::Exec { workers: 4 },
+        )
     }
     .execute()
-    .expect("a dense traced thread run is a legal plan");
+    .expect("a dense traced run on real data is a legal plan");
     std::fs::write("results/trace_threads.json", chrome_trace_json(&run.trace))
         .expect("write trace");
     println!(
-        "thread backend: {} events from 4 ranks -> results/trace_threads.json",
+        "executor, a worker per rank: {} events from 4 ranks -> results/trace_threads.json",
         run.trace.len()
     );
     println!("{}\n", run.stats.summary_json());

@@ -10,9 +10,10 @@ trap 'rm -rf "$out"' EXIT
 
 echo "== entry-point guard: a feature is a Run field, not another function =="
 # The survivors: seven in the drivers (the harness-pinned wrappers plus
-# measure_gflops) and the batch driver's four (threads, sim, exec, traced).
+# measure_gflops) and the batch driver's three (on a Backend, and the pinned
+# exec and traced).
 entry_points=$(cat crates/core/src/{driver,hier,repl,batch}.rs | grep -c 'pub fn \(multiply\|measure\)_')
-[ "$entry_points" -le 11 ] || { echo "FAIL: $entry_points multiply_*/measure_* drivers (max 11 = 7 + 4); add a field to core::run::Run" >&2; exit 1; }
+[ "$entry_points" -le 10 ] || { echo "FAIL: $entry_points multiply_*/measure_* drivers (max 10 = 7 + 3); add a field to core::run::Run" >&2; exit 1; }
 
 echo "== retired-tuner guard: a stream runs at the depth its options say =="
 if grep -rn 'Tuner\|with_tuner\|_tuned' crates src tests examples; then
@@ -80,8 +81,8 @@ if grep -rn 'nbget_packed' crates src tests examples; then
 fi
 
 echo "== host guard: one wall-clock communicator, ranks polled or under permits =="
-# Thread-per-rank is the executor with a worker per rank (Backend::Threads;
-# exec::thread_run for closures); a second wall-clock Comm, or a worker lending
+# Thread-per-rank is the executor with a worker per rank (Backend::Exec with
+# workers = nranks; exec::thread_run for closures); a second wall-clock Comm, or a worker lending
 # its slot to a blocking rank, is the retired design coming back. So are
 # work-stealing deques, fence retirement and the multi-fence split pair:
 # workers claim ranks from counters, and the one barrier has generations.
@@ -112,14 +113,22 @@ if grep -n 'exec_run_tasks\|RankTask' crates/comm/src/virt.rs; then
 fi
 
 echo "== wall-clock hosting guard: a wall-clock rank costs a queue entry, not a thread =="
-# Run::launch hosts every program on both wall-clock backends through one
-# exec_run_tasks call (Threads is a worker per rank), and drives a program
-# only on the virtual clocks. The permit-gated closure host survives only
-# behind exec_run/thread_run, which benchmark/ pins; no library code names
-# them, and the general blocking launcher is gone.
+# Run::launch hosts every program on the wall-clock backend through one
+# exec_run_tasks call, and drives a program only on the virtual clocks.
+# Thread-per-rank is that backend with a worker per rank, and a batch runs
+# on any backend through one multiply_batch_on: a Backend::Threads, a
+# per-backend batch driver or a pool sized behind the caller's back (the
+# retired 0 = auto worker sentinel) is the special case coming back. The
+# permit-gated closure host survives only behind exec_run/thread_run, which
+# benchmark/ pins; no library code names them, and the general blocking
+# launcher is gone.
 if grep -rn 'exec_launch\|exec_run(\|thread_run(' crates/core/src ||
     grep -n 'exec_launch' crates/comm/src/lib.rs; then
     echo "FAIL: library code hosts a rank on a blocking thread again (see above); poll it with exec_run_tasks" >&2; exit 1
+fi
+if grep -rn 'Backend::Threads\|multiply_batch(\|multiply_batch_sim' crates src tests examples ||
+    grep -rn 'available_parallelism' crates/comm/src; then
+    echo "FAIL: thread-per-rank is a special case again (see above); run Backend::Exec { workers: nranks }, multiply_batch_on, and an explicit worker count" >&2; exit 1
 fi
 launch_fn=$(awk '/fn launch\(/,/^    }$/' crates/core/src/run.rs | grep -v '^ *//')
 virt_arm=$(awk '/Backend::Virtual \{/,/^            }$/' <<<"$launch_fn")
@@ -405,7 +414,8 @@ echo "== split-barrier pass: decorators, blocking polling, polled and driven pro
 # them run once more, bounded, with the decorator's (a decorator that drops
 # a split call does not compile; one that drops another method is caught).
 # run_plan also holds the in-place ≡ owned-copy differentials (operands and
-# product: 144 plans, each run twice on Sim/Threads/Exec), bounded here
+# product: 144 plans, each run twice on Sim, a worker per rank and Exec on
+# two), bounded here
 # for the same reason.
 timeout 300 cargo test -q --release -p srumma-comm --test exec --test decorators
 timeout 300 cargo test -q --release -p srumma-core --test run_plan

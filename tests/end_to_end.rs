@@ -232,14 +232,15 @@ fn backends_agree_bitwise() {
 fn traced_runs_emit_perfetto_json_and_metrics_on_both_backends() {
     use srumma::trace::{bench_report_json, chrome_trace_json, TraceKind};
 
-    // Thread backend: wall-clock events from a real multiply.
+    // A worker per rank: wall-clock events from a real multiply.
+    let per_rank = Backend::Exec { workers: 4 };
     let spec = GemmSpec::square(48);
     let a = Matrix::random(48, 48, 11);
     let b = Matrix::random(48, 48, 12);
     let run = Run {
         operands: Some((&a, &b)),
         trace: true,
-        ..Run::new(spec, 4, Algorithm::srumma_default(), Backend::Threads)
+        ..Run::new(spec, 4, Algorithm::srumma_default(), per_rank)
     }
     .execute()
     .unwrap();
@@ -326,7 +327,8 @@ fn disabled_recorder_overhead_is_small() {
     let time = |traced: bool| {
         let t0 = std::time::Instant::now();
         for _ in 0..reps {
-            let run = Run::new(spec, 4, Algorithm::srumma_default(), Backend::Threads);
+            let per_rank = Backend::Exec { workers: 4 };
+            let run = Run::new(spec, 4, Algorithm::srumma_default(), per_rank);
             let _ = Run {
                 operands: Some((&a, &b)),
                 trace: traced,

@@ -63,11 +63,12 @@ fn straggled_backends_match_serial_reference() {
         let plan =
             FaultPlan::random_stragglers(seed, nranks).with_get_spikes(0.25, WALL_SPIKE_SECONDS);
 
-        let threads = multiply_under(Backend::Threads, nranks, srumma, &spec, (&a, &b), &plan);
-        let d = max_abs_diff(&threads.c.unwrap(), &expect);
+        let per_rank = Backend::Exec { workers: nranks };
+        let per_rank = multiply_under(per_rank, nranks, srumma, &spec, (&a, &b), &plan);
+        let d = max_abs_diff(&per_rank.c.unwrap(), &expect);
         assert!(
             d < tolerance(spec.k),
-            "seed {seed:#x}: threads n={n} x{nranks}: |diff|={d:e}\n{}",
+            "seed {seed:#x}: per-rank n={n} x{nranks}: |diff|={d:e}\n{}",
             prop_rerun(seed, test)
         );
 
@@ -254,7 +255,7 @@ fn sim_chaos_runs_are_bit_for_bit_reproducible() {
 /// Wall-clock delays follow the plan's schedule however many workers
 /// poll the ranks. SRUMMA — flat, staged and in two replica teams —
 /// sleeps on the same gemms and the same gets whether its ranks are
-/// polled on a worker each (`Threads`) or on two workers (`Exec`).
+/// polled on a worker each (`Exec { workers: 8 }`) or on two.
 /// SUMMA and Cannon, polled on two workers, take their straggler sleeps
 /// there too.
 #[test]
@@ -292,11 +293,15 @@ fn wall_clock_delays_follow_the_plan_on_both_hostings() {
             replication,
             ..run(backend, 8, srumma, &plan)
         };
-        let (threads, polled) = (delays(on(Backend::Threads)), delays(on(exec)));
+        let per_rank = Backend::Exec { workers: 8 };
+        let (per_rank, polled) = (delays(on(per_rank)), delays(on(exec)));
         let what = format!("hier {hier}, {replication:?}");
-        assert_eq!(threads, polled, "{what}: per-rank delays differ by hosting");
+        assert_eq!(
+            per_rank, polled,
+            "{what}: per-rank delays differ by hosting"
+        );
         for &r in &straggled {
-            assert!(threads[r] > 0, "{what}: straggler {r} never slept");
+            assert!(per_rank[r] > 0, "{what}: straggler {r} never slept");
         }
     }
 

@@ -63,8 +63,8 @@ fn tolerance(k: usize) -> f64 {
 /// Which backend a property case runs on.
 #[derive(Clone, Copy, Debug)]
 enum Kind {
-    /// One OS thread per rank (the executor with a worker per rank).
-    Threads,
+    /// The executor with a worker per rank.
+    PerRank,
     /// Virtual-time simulator (`SimComm`).
     Sim,
     /// Work-stealing executor: ranks multiplexed onto a random worker
@@ -73,9 +73,9 @@ enum Kind {
 }
 
 impl Kind {
-    fn backend<'a>(self, rng: &mut Rng, machine: &'a Machine) -> Backend<'a> {
+    fn backend<'a>(self, rng: &mut Rng, machine: &'a Machine, nranks: usize) -> Backend<'a> {
         match self {
-            Kind::Threads => Backend::Threads,
+            Kind::PerRank => Backend::Exec { workers: nranks },
             Kind::Sim => Backend::Sim(machine),
             // Workers chosen independently of ranks: frequently an
             // oversubscribed pool, sometimes more workers than ranks.
@@ -131,7 +131,7 @@ fn check_case(seed: u64, backend: Kind, test: &str) {
     };
 
     let machine = Machine::linux_myrinet();
-    let on = backend.backend(&mut rng, &machine);
+    let on = backend.backend(&mut rng, &machine, nranks);
     let c = multiply(on, nranks, alg, &spec, (&a, &b), None).c.unwrap();
     let diff = max_abs_diff(&c, &expect);
     assert!(
@@ -189,7 +189,7 @@ fn check_sparse_case(seed: u64, backend: Kind, test: &str) {
     }
 
     let machine = Machine::linux_myrinet();
-    let on = backend.backend(&mut rng, &machine);
+    let on = backend.backend(&mut rng, &machine, nranks);
     let alg = Algorithm::Srumma(opts);
     let c = multiply(on, nranks, alg, &spec, (&a, &b), Some(&masks));
     let c = c.c.unwrap();
@@ -215,7 +215,7 @@ fn threads_match_serial_reference_on_random_problems() {
     for seed in prop_seeds(0xE2E_7EAD, CASES) {
         check_case(
             seed,
-            Kind::Threads,
+            Kind::PerRank,
             "threads_match_serial_reference_on_random_problems",
         );
     }
@@ -248,7 +248,7 @@ fn sparse_threads_match_masked_serial_reference() {
     for seed in prop_seeds(0x5BA_57EAD, CASES) {
         check_sparse_case(
             seed,
-            Kind::Threads,
+            Kind::PerRank,
             "sparse_threads_match_masked_serial_reference",
         );
     }
@@ -303,7 +303,7 @@ fn density_one_is_bitwise_identical_to_dense() {
             assert_eq!(diff, 0.0, "{what} seed {seed}");
             (dense, sparse)
         };
-        bitwise(Backend::Threads, "threads");
+        bitwise(Backend::Exec { workers: nranks }, "per-rank");
         bitwise(Backend::Sim(&machine), "sim");
         let (dres, sres) = bitwise(Backend::Exec { workers: 2 }, "exec");
         for (rank, (d, s)) in dres.reports.iter().zip(&sres.reports).enumerate() {

@@ -28,8 +28,11 @@ const SPIKE_SECONDS: f64 = 1e-4;
 #[derive(Clone, Copy, Debug)]
 enum On {
     Sim,
-    Threads,
-    Exec { workers: usize },
+    /// The executor with a worker per rank.
+    PerRank,
+    Exec {
+        workers: usize,
+    },
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -71,7 +74,7 @@ const SRUMMA: Algorithm = Algorithm::Srumma(SrummaOptions {
 /// with uneven blocks.
 const PLAIN: Draw = Draw {
     alg: SRUMMA,
-    on: On::Threads,
+    on: On::PerRank,
     gemm: (Op::N, Op::N, 23, 19, 29, 1.0),
     nranks: 8,
     masks: None,
@@ -124,7 +127,9 @@ fn check(draw: &Draw, seed: u64, test: &str) -> Result<(), RunError> {
     machine.ranks_per_domain = RanksPerDomain::Fixed(draw.sim_node);
     let backend = match draw.on {
         On::Sim => Backend::Sim(&machine),
-        On::Threads => Backend::Threads,
+        On::PerRank => Backend::Exec {
+            workers: draw.nranks,
+        },
         On::Exec { workers } => Backend::Exec { workers },
     };
     let run = Run {
@@ -315,7 +320,7 @@ fn random_draw(rng: &mut Rng) -> Draw {
     };
     let on = match rng.below(3) {
         0 => On::Sim,
-        1 => On::Threads,
+        1 => On::PerRank,
         _ => On::Exec {
             workers: rng.range(1, 4),
         },
