@@ -129,7 +129,7 @@ pub fn fig04_diagshift() -> Vec<Out> {
                     order_tasks(tasks.len(), &tasks, a_kparts(grid), shift, false, |_| false);
                 let src_node = order
                     .iter()
-                    .map(|&idx| b_owner(&spec, grid, tasks[idx].lb, gj))
+                    .map(|&idx| b_owner(grid, tasks[idx].lb, gj))
                     .map(|owner| topo.node_of(owner))
                     .find(|&sn| sn != node);
                 text += &match src_node {

@@ -1,12 +1,14 @@
 //! 2-D block-distributed matrices.
 //!
 //! SRUMMA assumes "the regular block distribution of the matrices A, B,
-//! and C" over a `p × q` process grid: process `(i, j)` owns the
-//! `(i, j)` block of every matrix. Every `DistMatrix` that holds elements
-//! is one **row-major window**, and block `(i, j)` is the sub-window at
-//! [`DistMatrix::block_origin`] with the window's leading dimension —
-//! what Global Arrays' `ga_access` hands SRUMMA's direct flavour. A
-//! `DistMatrix` is one of:
+//! and C" over a `p × q` process grid: process `(i, j)` — rank
+//! `i·q + j` — owns the `(i, j)` block of every matrix. There is one
+//! placement, for an operand as for C: a distributed A is `op(A)`
+//! (`m × k`), never a stored transpose. Every `DistMatrix` that holds
+//! elements is one **row-major window**, and block `(i, j)` is the
+//! sub-window at [`DistMatrix::block_origin`] with the window's leading
+//! dimension — what Global Arrays' `ga_access` hands SRUMMA's direct
+//! flavour. A `DistMatrix` is one of:
 //!
 //! * **virtual** — shape only, for modeled paper-scale experiments where
 //!   a 16000×16000 matrix would otherwise cost 2 GiB per operand;
@@ -51,7 +53,7 @@ enum Backing {
     View(MatRef<'static>),
     /// A writable row-major window: of a caller's matrix
     /// ([`DistMatrix::with_host_views_mut`]) or of this matrix's own
-    /// allocation ([`DistMatrix::create_with_order`]).
+    /// allocation ([`DistMatrix::create`]).
     Window(HostWindowMut),
 }
 
@@ -62,9 +64,9 @@ struct HostWindowMut {
     /// Element `(0, 0)` of the window, `ld` elements between row starts.
     base: *mut f64,
     ld: usize,
-    /// One per grid block, by grid coordinates (`bi·q + bj`, so a grid
-    /// row's are adjacent, whatever the rank placement): "written only by
-    /// its owner, not read while written" is checked here.
+    /// One per grid block, by owner rank (`bi·q + bj`, so a grid row's
+    /// are adjacent): "written only by its owner, not read while
+    /// written" is checked here.
     checkers: Vec<AccessChecker>,
     /// The allocation `base` points into when the matrix owns it; `None`
     /// for a lent window. Only ever freed: every element is reached
@@ -93,23 +95,6 @@ impl HostWindowMut {
             _owned: owned,
         }
     }
-}
-
-/// How grid blocks map to rank ids.
-///
-/// `RowMajor` is the normal placement (block `(i, j)` → rank
-/// `i·q + j`). `ColMajor` (block `(i, j)` → rank `j·p + i`) is used for
-/// *transposed-storage* operands so that the rank owning the stored
-/// block `Aᵀ(l, i)` is the same rank that owns the logical block
-/// `op(A)(i, l)` — keeping SUMMA's row/column broadcast structure valid
-/// for the `T` cases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RankOrder {
-    /// Block `(i, j)` owned by rank `i·q + j`.
-    #[default]
-    RowMajor,
-    /// Block `(i, j)` owned by rank `j·p + i`.
-    ColMajor,
 }
 
 /// How a matrix's data-slot indices map to **cost ranks** — the global
@@ -171,11 +156,9 @@ pub struct DistMatrix {
     grid: ProcGrid,
     rows: usize,
     cols: usize,
-    order: RankOrder,
     backing: Backing,
-    /// Optional block-sparsity structure, indexed by **stored** grid
-    /// block coordinates (`p × q` of this matrix's grid, after any
-    /// transposition applied by the layout layer). `None` means dense.
+    /// Optional block-sparsity structure, indexed by grid block
+    /// coordinates (`p × q` of this matrix's grid). `None` means dense.
     mask: Option<BlockMask>,
     /// Slot → cost-rank mapping (see [`CostMap`]).
     cost: CostMap,
@@ -186,38 +169,25 @@ impl DistMatrix {
     /// row-major `rows × cols` window (collective allocation — call once,
     /// before launching rank code, like `ARMCI_Malloc`).
     pub fn create(grid: ProcGrid, rows: usize, cols: usize) -> Self {
-        Self::create_with_order(grid, rows, cols, RankOrder::RowMajor, true)
+        let mut owned = vec![0.0; rows * cols];
+        let base = owned.as_mut_ptr();
+        let window = HostWindowMut::new(base, cols, grid, Some(owned));
+        Self::with_backing(grid, rows, cols, Backing::Window(window))
     }
 
     /// Create a **virtual** distributed matrix (shape only) for modeled
     /// experiments.
     pub fn create_virtual(grid: ProcGrid, rows: usize, cols: usize) -> Self {
-        Self::create_with_order(grid, rows, cols, RankOrder::RowMajor, false)
+        Self::with_backing(grid, rows, cols, Backing::Virtual)
     }
 
-    /// Full-control constructor: rank placement order, and whether the
-    /// matrix owns elements (`real`) or is shape only. An owned matrix is
-    /// one row-major window whatever the placement: `order` decides which
-    /// rank owns which block of it, not where the block lies.
-    pub fn create_with_order(
-        grid: ProcGrid,
-        rows: usize,
-        cols: usize,
-        order: RankOrder,
-        real: bool,
-    ) -> Self {
-        let backing = if real {
-            let mut owned = vec![0.0; rows * cols];
-            let base = owned.as_mut_ptr();
-            Backing::Window(HostWindowMut::new(base, cols, grid, Some(owned)))
-        } else {
-            Backing::Virtual
-        };
+    /// A dense `rows × cols` matrix over `grid` on `backing`, with the
+    /// identity cost map.
+    fn with_backing(grid: ProcGrid, rows: usize, cols: usize, backing: Backing) -> Self {
         DistMatrix {
             grid,
             rows,
             cols,
-            order,
             backing,
             mask: None,
             cost: CostMap::Identity,
@@ -226,9 +196,7 @@ impl DistMatrix {
 
     /// Distribute each host matrix of `windows` **in place** and lend the
     /// results to `f`, in order: for `(window, grid, cost, mask)`, view
-    /// `i` is a read-only `DistMatrix` over `grid` (row-major rank
-    /// placement — a host matrix is `op(A)` as handed, never stored
-    /// transposed) whose blocks are sub-windows of `window` (same
+    /// `i` is a read-only `DistMatrix` over `grid` whose blocks are sub-windows of `window` (same
     /// elements, same leading dimension), with the cost map `cost` and
     /// the mask `mask` attached. Each window has its own grid and cost
     /// map, so one scope can lend matrices to ranks of different teams.
@@ -262,15 +230,9 @@ impl DistMatrix {
                 // `&self`, never `'static`. The memory is therefore only
                 // read while the caller's shared borrow of it is live.
                 let host = unsafe { std::mem::transmute::<MatRef<'_>, MatRef<'static>>(*window) };
-                let mut view = DistMatrix {
-                    grid: *grid,
-                    rows: window.rows(),
-                    cols: window.cols(),
-                    order: RankOrder::RowMajor,
-                    backing: Backing::View(host),
-                    mask: None,
-                    cost: *cost,
-                };
+                let (rows, cols) = (window.rows(), window.cols());
+                let mut view = Self::with_backing(*grid, rows, cols, Backing::View(host));
+                view.cost = *cost;
                 if let Some(mask) = mask {
                     view.set_mask(mask.clone());
                 }
@@ -282,8 +244,7 @@ impl DistMatrix {
 
     /// Distribute each host matrix of `windows` **in place, writably**,
     /// and lend the results to `f`, in order: for `(window, grid, cost)`,
-    /// view `i` is a dense `DistMatrix` over `grid` (row-major rank
-    /// placement — what a result matrix is) with the cost map `cost`,
+    /// view `i` is a dense `DistMatrix` over `grid` with the cost map `cost`,
     /// whose blocks are sub-windows of `window`, so what a rank writes
     /// through [`Self::write_block`] is written into the caller's matrix
     /// `i` and nowhere else. No element is copied and nothing is
@@ -309,32 +270,18 @@ impl DistMatrix {
     ) -> R {
         let views: Vec<DistMatrix> = windows
             .iter_mut()
-            .map(|(window, grid, cost)| DistMatrix {
-                grid: *grid,
-                rows: window.rows(),
-                cols: window.cols(),
-                order: RankOrder::RowMajor,
-                backing: Backing::Window(HostWindowMut::new(
-                    window.as_mut_ptr(),
-                    window.ld(),
-                    *grid,
-                    None,
-                )),
-                mask: None,
-                cost: *cost,
+            .map(|(window, grid, cost)| {
+                let (rows, cols) = (window.rows(), window.cols());
+                let host = HostWindowMut::new(window.as_mut_ptr(), window.ld(), *grid, None);
+                let mut view = Self::with_backing(*grid, rows, cols, Backing::Window(host));
+                view.cost = *cost;
+                view
             })
             .collect();
         // `windows` — the exclusive borrows the bases stand for — is held
         // by this frame, unused, until `f` has returned and `views` is
         // gone (locals drop in reverse order).
         f(&views)
-    }
-
-    /// Index of `rank`'s block among a window's checkers: its grid
-    /// coordinates, row-major.
-    fn block_index(&self, rank: usize) -> usize {
-        let (bi, bj) = self.block_coords(rank);
-        bi * self.grid.q + bj
     }
 
     /// `rank`'s block of the host view `host`: the sub-window at its
@@ -372,11 +319,9 @@ impl DistMatrix {
         self.cost.cost_rank(slot)
     }
 
-    /// Attach a block-sparsity mask. The mask is indexed by **stored**
-    /// block coordinates, so it must be shaped exactly like this
-    /// matrix's grid (`p × q` blocks); the layout layer is responsible
-    /// for transposing a logical mask before attaching it to
-    /// transposed-storage operands.
+    /// Attach a block-sparsity mask, indexed by grid block coordinates:
+    /// it must be shaped exactly like this matrix's grid (`p × q`
+    /// blocks).
     ///
     /// # Panics
     /// Panics if the mask shape does not match the grid.
@@ -408,12 +353,10 @@ impl DistMatrix {
         }
     }
 
-    /// Grid coordinates of the block owned by `rank`.
+    /// Grid coordinates of the block owned by `rank` (row-major rank
+    /// placement: block `(i, j)` is rank `i·q + j`'s).
     pub(crate) fn block_coords(&self, rank: usize) -> (usize, usize) {
-        match self.order {
-            RankOrder::RowMajor => self.grid.coords(rank),
-            RankOrder::ColMajor => (rank % self.grid.p, rank / self.grid.p),
-        }
+        self.grid.coords(rank)
     }
 
     /// Whether real elements back this matrix (a view or a window).
@@ -510,7 +453,7 @@ impl DistMatrix {
             Backing::Virtual => None,
             Backing::View(_) => panic!("{accessor}(): operand views are read-only"),
             Backing::Window(host) => {
-                let held = host.checkers[self.block_index(rank)].write();
+                let held = host.checkers[rank].write();
                 // SAFETY: the block's rows are elements of the window
                 // this matrix alone reaches, no two blocks share an
                 // element, and `held` is the one writer's entry for this
@@ -631,34 +574,14 @@ impl DistMatrix {
     /// Panics on shape mismatch, a virtual matrix or a read-only view.
     pub fn scatter(&self, global: &Matrix) {
         assert_eq!((global.rows(), global.cols()), (self.rows, self.cols));
-        self.fill_blocks("scatter", |blk, (r0, c0)| {
-            blk.copy_from(global.block(r0, c0, blk.rows(), blk.cols()));
-        });
-    }
-
-    /// [`Self::scatter`] of `logical`ᵀ (`logical` is `cols × rows`, any
-    /// window of a host matrix) without materialising the transpose:
-    /// each owner's block is filled straight from the logical matrix by
-    /// the tiled transposing copy ([`MatMut::copy_transposed_from`]).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch, a virtual matrix or a read-only view.
-    pub fn scatter_transposed(&self, logical: MatRef<'_>) {
-        assert_eq!((logical.cols(), logical.rows()), (self.rows, self.cols));
-        self.fill_blocks("scatter_transposed", |blk, (r0, c0)| {
-            blk.copy_transposed_from(logical.block(c0, r0, blk.cols(), blk.rows()));
-        });
-    }
-
-    /// Hand every non-empty block, writable, to `fill` with its origin.
-    fn fill_blocks(&self, accessor: &str, mut fill: impl FnMut(&mut MatMut<'_>, (usize, usize))) {
         for rank in 0..self.grid.nranks() {
-            let mut w = self.write_block_for(rank, accessor);
+            let mut w = self.write_block_for(rank, "scatter");
             let Some(mut blk) = w.mat_mut() else {
-                panic!("{accessor}() on a virtual DistMatrix");
+                panic!("scatter() on a virtual DistMatrix");
             };
             if blk.rows() > 0 && blk.cols() > 0 {
-                fill(&mut blk, self.block_origin(rank));
+                let (r0, c0) = self.block_origin(rank);
+                blk.copy_from(global.block(r0, c0, blk.rows(), blk.cols()));
             }
         }
     }
@@ -774,16 +697,14 @@ mod tests {
         assert_eq!(o, d);
     }
 
-    /// Owned under both rank placements, and lent in place.
+    /// Owned, and lent in place.
     #[test]
     fn scatter_gather_roundtrip() {
         let grid = ProcGrid::new(2, 3);
         let global = Matrix::random(7, 8, 99);
-        for order in [RankOrder::RowMajor, RankOrder::ColMajor] {
-            let m = DistMatrix::create_with_order(grid, 7, 8, order, true);
-            m.scatter(&global);
-            assert_eq!(m.gather(), global, "{order:?}");
-        }
+        let m = DistMatrix::create(grid, 7, 8);
+        m.scatter(&global);
+        assert_eq!(m.gather(), global);
         let mut host = Matrix::random(9, 11, 98);
         let window = host.block_mut(1, 2, 7, 8);
         DistMatrix::with_host_views_mut(vec![(window, grid, CostMap::Identity)], |c| {
@@ -791,33 +712,6 @@ mod tests {
             assert_eq!(c[0].gather(), global);
         });
         assert_eq!(host.block(1, 2, 7, 8).to_matrix(), global);
-    }
-
-    /// Element for element, on uneven blocks wider than one 16×16
-    /// tile, `p ≠ q`, under both rank placements.
-    #[test]
-    fn scatter_transposed_matches_scatter_of_the_transpose() {
-        let grid = ProcGrid::new(2, 3);
-        let logical = Matrix::random(41, 37, 5);
-        for order in [RankOrder::RowMajor, RankOrder::ColMajor] {
-            let want = DistMatrix::create_with_order(grid, 37, 41, order, true);
-            want.scatter(&logical.transposed());
-            let got = DistMatrix::create_with_order(grid, 37, 41, order, true);
-            got.scatter_transposed(logical.as_ref());
-            for r in 0..grid.nranks() {
-                let (g, w) = (got.read_block(r), want.read_block(r));
-                let (g, w) = (g.mat().unwrap(), w.mat().unwrap());
-                assert_eq!((g.rows(), g.cols()), (w.rows(), w.cols()));
-                for i in 0..g.rows() {
-                    assert_eq!(g.row(i), w.row(i), "{order:?} rank {r} row {i}");
-                }
-            }
-        }
-        // And into a lent window.
-        let mut host = Matrix::zeros(37, 41);
-        let lent = vec![(host.as_mut(), grid, CostMap::Identity)];
-        DistMatrix::with_host_views_mut(lent, |c| c[0].scatter_transposed(logical.as_ref()));
-        assert_eq!(host, logical.transposed());
     }
 
     #[test]
@@ -1032,20 +926,17 @@ mod tests {
     }
 
     #[test]
-    fn mask_follows_block_coords_in_both_rank_orders() {
+    fn mask_follows_block_coords() {
         let grid = ProcGrid::new(2, 3);
         let mask = BlockMask::from_fn(2, 3, |i, j| (i, j) == (1, 2));
-        for order in [RankOrder::RowMajor, RankOrder::ColMajor] {
-            let mut m = DistMatrix::create_with_order(grid, 6, 6, order, false);
-            assert!(m.mask().is_none());
-            assert!((0..grid.nranks()).all(|r| m.block_nonzero(r)));
-            m.set_mask(mask.clone());
-            for r in 0..grid.nranks() {
-                let (bi, bj) = m.block_coords(r);
-                assert_eq!(m.block_nonzero(r), (bi, bj) == (1, 2), "{order:?} rank {r}");
-            }
-            assert_eq!(m.mask().unwrap().nnz(), 1);
+        let mut m = DistMatrix::create_virtual(grid, 6, 6);
+        assert!(m.mask().is_none());
+        assert!((0..grid.nranks()).all(|r| m.block_nonzero(r)));
+        m.set_mask(mask);
+        for r in 0..grid.nranks() {
+            assert_eq!(m.block_nonzero(r), r == grid.rank_at(1, 2), "rank {r}");
         }
+        assert_eq!(m.mask().unwrap().nnz(), 1);
     }
 
     #[test]
@@ -1166,25 +1057,12 @@ mod put_acc_tests {
     fn view_refuses_scatter() {
         on_view(|v| v.scatter(&Matrix::zeros(4, 4)));
     }
-
-    #[test]
-    #[should_panic(expected = "operand views are read-only")]
-    fn view_refuses_scatter_transposed() {
-        on_view(|v| v.scatter_transposed(Matrix::zeros(4, 4).as_ref()));
-    }
 }
 
 /// The writable window, lent (C distributed in place) or owned.
 #[cfg(test)]
 mod window_tests {
     use super::*;
-
-    /// The rank holding grid block `(bi, bj)` of `c`, in its rank order.
-    fn owner(c: &DistMatrix, bi: usize, bj: usize) -> usize {
-        (0..c.grid().nranks())
-            .find(|&r| c.block_coords(r) == (bi, bj))
-            .unwrap()
-    }
 
     /// `(rows, cols, p, q)`: uneven blocks, more grid rows (columns) than
     /// matrix rows (columns) so some blocks are empty, `1 × q` and
@@ -1215,34 +1093,19 @@ mod window_tests {
         (i, j): (usize, usize),
     ) -> Option<usize> {
         let inside = (AT.0..AT.0 + rows).contains(&i) && (AT.1..AT.1 + cols).contains(&j);
-        inside.then(|| {
-            owner_in(
-                grid,
-                RankOrder::RowMajor,
-                (rows, cols),
-                (i - AT.0, j - AT.1),
-            )
-        })
+        inside.then(|| owner_in(grid, (rows, cols), (i - AT.0, j - AT.1)))
     }
 
     /// The rank whose block of a `rows × cols` matrix distributed over
-    /// `grid` under `order` holds its element `(i, j)`.
-    fn owner_in(
-        grid: ProcGrid,
-        order: RankOrder,
-        (rows, cols): (usize, usize),
-        (i, j): (usize, usize),
-    ) -> usize {
+    /// `grid` holds its element `(i, j)`.
+    fn owner_in(grid: ProcGrid, (rows, cols): (usize, usize), (i, j): (usize, usize)) -> usize {
         let bi = (0..grid.p)
             .rfind(|&b| chunk_start(rows, grid.p, b) <= i)
             .unwrap();
         let bj = (0..grid.q)
             .rfind(|&b| chunk_start(cols, grid.q, b) <= j)
             .unwrap();
-        match order {
-            RankOrder::RowMajor => grid.rank_at(bi, bj),
-            RankOrder::ColMajor => bj * grid.p + bi,
-        }
+        grid.rank_at(bi, bj)
     }
 
     /// `f` on the `rows × cols` window at [`AT`] of `host`, distributed
@@ -1259,14 +1122,13 @@ mod window_tests {
 
     /// `f` on every matrix a window test takes for `shape`: the window at
     /// [`AT`] of `host_for(rows, cols, seed)`, lent in place, then an
-    /// owned matrix under each [`RankOrder`]. Returns each one's rank
-    /// placement and the `rows × cols` elements `f` left in it; no host
-    /// element outside the lent window may move.
+    /// owned matrix. Returns the `rows × cols` elements `f` left in each;
+    /// no host element outside the lent window may move.
     fn on_inputs(
         shape @ (rows, cols, p, q): (usize, usize, usize, usize),
         seed: u64,
         mut f: impl FnMut(&DistMatrix),
-    ) -> Vec<(RankOrder, Matrix)> {
+    ) -> [Matrix; 2] {
         let grid = ProcGrid::new(p, q);
         let before = host_for(rows, cols, seed);
         let mut host = before.clone();
@@ -1279,14 +1141,12 @@ mod window_tests {
                 }
             }
         }
-        let lent = host.block(AT.0, AT.1, rows, cols).to_matrix();
-        let mut left = vec![(RankOrder::RowMajor, lent)];
-        for order in [RankOrder::RowMajor, RankOrder::ColMajor] {
-            let owned = DistMatrix::create_with_order(grid, rows, cols, order, true);
-            f(&owned);
-            left.push((order, owned.gather()));
-        }
-        left
+        let owned = DistMatrix::create(grid, rows, cols);
+        f(&owned);
+        [
+            host.block(AT.0, AT.1, rows, cols).to_matrix(),
+            owned.gather(),
+        ]
     }
 
     /// `f` on every input [`on_inputs`] makes for `shape`, each of which
@@ -1301,7 +1161,7 @@ mod window_tests {
                 .or_else(|| payload.downcast_ref::<String>().cloned());
             messages.push(message.expect("a panic message"));
         });
-        assert_eq!(messages.len(), 3);
+        assert_eq!(messages.len(), 2);
         assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
         panic!("{}", messages[0]);
     }
@@ -1326,11 +1186,11 @@ mod window_tests {
                 }
             });
             let grid = ProcGrid::new(p, q);
-            for (order, got) in left {
+            for got in left {
                 for i in 0..rows {
                     for j in 0..cols {
-                        let want = owner_in(grid, order, (rows, cols), (i, j)) as f64;
-                        assert_eq!(got[(i, j)], want, "{shape:?} {order:?} ({i},{j})");
+                        let want = owner_in(grid, (rows, cols), (i, j)) as f64;
+                        assert_eq!(got[(i, j)], want, "{shape:?} ({i},{j})");
                     }
                 }
             }
@@ -1468,16 +1328,16 @@ mod window_tests {
     #[should_panic(expected = "discipline violation: read of a block under write")]
     fn a_read_beside_a_writer_of_its_grid_row_is_caught() {
         panics_on_every_input((4, 4, 2, 2), |c| {
-            let _owner = c.write_block(owner(c, 1, 0));
+            let _owner = c.write_block(c.grid().rank_at(1, 0));
             assert_eq!(
-                c.read_block(owner(c, 0, 0)).mat().map(|m| m.rows()),
+                c.read_block(c.grid().rank_at(0, 0)).mat().map(|m| m.rows()),
                 Some(2)
             );
             assert_eq!(
-                c.read_block(owner(c, 0, 1)).mat().map(|m| m.cols()),
+                c.read_block(c.grid().rank_at(0, 1)).mat().map(|m| m.cols()),
                 Some(2)
             );
-            let _ = c.read_block(owner(c, 1, 1));
+            let _ = c.read_block(c.grid().rank_at(1, 1));
         });
     }
 
@@ -1485,8 +1345,8 @@ mod window_tests {
     #[should_panic(expected = "discipline violation: write of a block under access")]
     fn a_write_beside_a_reader_of_its_grid_row_is_caught() {
         panics_on_every_input((4, 4, 2, 2), |c| {
-            let _reader = c.read_block(owner(c, 0, 0));
-            let _ = c.write_block(owner(c, 0, 1));
+            let _reader = c.read_block(c.grid().rank_at(0, 0));
+            let _ = c.write_block(c.grid().rank_at(0, 1));
         });
     }
 

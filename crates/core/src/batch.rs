@@ -11,7 +11,7 @@
 //! * **every matrix in place** — all entries' logical `a` and `b` are
 //!   lent to the ranks as read-only views for the whole launch
 //!   (`with_host_operand_sets`: transposes normalised to `N`, logical
-//!   masks unflipped, exactly as a `Run` reads its operands), and every
+//!   masks as given, exactly as a `Run` reads its operands), and every
 //!   entry's output as a writable view
 //!   ([`DistMatrix::with_host_views_mut`]): the owner of a tile computes
 //!   it where the caller reads it. Nothing zeroes an output
@@ -134,7 +134,7 @@ impl BatchEntry {
     /// B's rows indexing k-panels — the blocks of the logical operands
     /// the ranks read, in every transpose case. Whatever data sits inside
     /// a masked block is ignored. A batch with a mask of another shape
-    /// panics before any rank runs, naming the entry.
+    /// is refused before any rank runs ([`RunError::Shape`]).
     pub fn with_masks(mut self, mask_a: Option<BlockMask>, mask_b: Option<BlockMask>) -> Self {
         self.mask_a = mask_a;
         self.mask_b = mask_b;
@@ -257,26 +257,23 @@ fn deal(batch: &BatchSpec, topo: Topology) -> (Vec<Range<usize>>, Vec<usize>) {
     (teams, order)
 }
 
-/// Fail, naming the entry, on a mask that is not shaped for
+/// `RunError::Shape` for the first mask that is not shaped for
 /// `default_grid(nranks)` — the grid a masked entry's team runs on —
-/// before any rank runs.
-fn check_masks(batch: &BatchSpec, nranks: usize) {
-    let grid = default_grid(nranks);
-    for (e, entry) in batch.entries.iter().enumerate() {
-        for (what, mask) in [("A", &entry.mask_a), ("B", &entry.mask_b)] {
+/// as [`Run::validate`](crate::Run::validate) refuses the same fault.
+fn check_masks(batch: &BatchSpec, nranks: usize) -> Result<(), RunError> {
+    let want = default_grid(nranks);
+    let want = (want.p, want.q);
+    for entry in &batch.entries {
+        for (what, mask) in [("mask A", &entry.mask_a), ("mask B", &entry.mask_b)] {
             if let Some(mask) = mask {
-                assert!(
-                    (mask.rows(), mask.cols()) == (grid.p, grid.q),
-                    "batch entry {e}: mask {what} is {}x{}, want {}x{} \
-                     (the blocks of default_grid({nranks}))",
-                    mask.rows(),
-                    mask.cols(),
-                    grid.p,
-                    grid.q
-                );
+                let got = (mask.rows(), mask.cols());
+                if got != want {
+                    return Err(RunError::Shape { what, want, got });
+                }
             }
         }
     }
+    Ok(())
 }
 
 /// Copy `rank`'s block of `c0` into its tile of the output `c` — the one
@@ -519,13 +516,11 @@ fn run_batch(
     batch: &BatchSpec,
     topo: Topology,
     launch: impl for<'p> FnOnce(&'p NewProgram<'p>) -> Launched,
-) -> (BatchResult, Option<TracedRun>) {
-    check_masks(batch, topo.nranks());
+) -> Result<(BatchResult, Option<TracedRun>), RunError> {
+    check_masks(batch, topo.nranks())?;
     if batch.entries.is_empty() {
-        return (
-            assemble_batch(batch, Vec::new(), Vec::new(), 0.0, &[]),
-            None,
-        );
+        let empty = assemble_batch(batch, Vec::new(), Vec::new(), 0.0, &[]);
+        return Ok((empty, None));
     }
     let (teams, order) = deal(batch, topo);
     let place = |e: usize| (default_grid(teams[e].len()), CostMap::Base(teams[e].start));
@@ -574,14 +569,15 @@ fn run_batch(
     // task's store.
     let (outputs, (rank_outs, wall_s, stats, trace)) = unsafe { with_fresh_outputs(products, run) };
     let res = assemble_batch(batch, outputs, rank_outs, wall_s, &teams);
-    (res, Some(TracedRun { stats, trace }))
+    Ok((res, Some(TracedRun { stats, trace })))
 }
 
 /// Run the batch on `backend`: one `BatchProgram` per rank, polled on
 /// the executor's pool (`workers: nranks` is a worker per rank) or
 /// stepped by the simulator (modeled time: `stats.wall_s` is the
 /// makespan). `Virtual` is refused: it is shape-only, and a batch moves
-/// real data.
+/// real data. So is a mask not shaped for `default_grid(nranks)`
+/// ([`RunError::Shape`]), before any rank runs.
 pub fn multiply_batch_on(
     batch: &BatchSpec,
     nranks: usize,
@@ -617,21 +613,21 @@ fn host(
     backend: Backend<'_>,
     trace: bool,
 ) -> Result<(BatchResult, Option<TracedRun>), RunError> {
-    Ok(match backend {
-        _ if nranks == 0 => return Err(RunError::NoRanks),
+    match backend {
+        _ if nranks == 0 => Err(RunError::NoRanks),
         Backend::Sim(machine) => run_batch(batch, machine.topology(nranks), |program| {
             let res = sim_run_programs(&SimOptions::new(machine.clone(), nranks), |_| program());
             (res.outputs, res.stats.makespan, res.stats, res.trace)
         }),
-        Backend::Exec { workers: 0 } => return Err(RunError::Unsupported(NO_WORKERS)),
+        Backend::Exec { workers: 0 } => Err(RunError::Unsupported(NO_WORKERS)),
         Backend::Exec { workers } => run_batch(batch, Topology::single_domain(nranks), |program| {
             let res = exec_run_tasks(nranks, workers, trace, None, None, |comm| {
                 Box::new(ProgramTask::new(comm, program()))
             });
             (res.outputs, res.wall_seconds, res.stats, res.trace)
         }),
-        Backend::Virtual { .. } => return Err(RunError::Unsupported("a batch moves real data")),
-    })
+        Backend::Virtual { .. } => Err(RunError::Unsupported("a batch moves real data")),
+    }
 }
 
 /// Serial reference for every entry: `C_e = α·A_e·B_e + β·C0_e` (zeros

@@ -9,8 +9,9 @@
 //! synchronizes neighbours — the sender-receiver coordination the paper
 //! calls out as Cannon's weakness on loaded/asynchronous systems.
 //!
-//! Requires a square process grid (as Cannon does); supports `C = A·B`
-//! (the baseline case the paper benchmarks it against).
+//! Requires a square process grid (as Cannon does). It multiplies the
+//! distributed `op(A)` and `op(B)` it is handed, so it runs all four
+//! transpose cases; the paper benchmarks it on `C = A·B`.
 //!
 //! A rank's share is one `CannonProgram`, which parks in each shift's
 //! receive and in the closing fence.
@@ -34,12 +35,11 @@ enum Phase {
     Fence,
 }
 
-/// One rank of Cannon's algorithm, `C ← β·C + α·A·B`, as a
+/// One rank of Cannon's algorithm, `C ← β·C + α·op(A)·op(B)`, as a
 /// [`RankProgram`]. All ranks run it collectively.
 ///
 /// # Panics
-/// On its first step, if the grid is not square or the spec carries
-/// transposes.
+/// On its first step, if the grid is not square.
 pub(crate) struct CannonProgram<'a> {
     spec: &'a GemmSpec,
     ab: [&'a DistMatrix; 2],
@@ -123,12 +123,6 @@ impl RankProgram for CannonProgram<'_> {
         loop {
             self.phase = match self.phase {
                 Phase::Start => {
-                    let ops = (self.spec.transa, self.spec.transb);
-                    assert_eq!(
-                        ops,
-                        (Op::N, Op::N),
-                        "the Cannon baseline supports C = A*B only"
-                    );
                     assert_eq!(
                         grid.p, grid.q,
                         "Cannon's algorithm needs a square process grid"

@@ -129,8 +129,8 @@ fn multiply_exec_inner(
 
 /// Logical block masks for a sparse multiply. `a` is `grid.p × kparts`
 /// over the logical `m × k` operand, `b` is `kparts × grid.q` over the
-/// logical `k × n` operand ([`crate::layout::set_a_mask`] resolves the
-/// transpose to stored coordinates). `None` means dense.
+/// logical `k × n` operand — both shaped like the C grid, and attached
+/// to the distributed `op(A)` / `op(B)` as they are. `None` means dense.
 #[derive(Clone, Debug, Default)]
 pub struct SparseMasks {
     /// Logical mask for A, or `None` for a dense operand.

@@ -14,13 +14,13 @@ use srumma_dense::Op;
 /// `C=AᵀBᵀ`, square or rectangular, with full PBLAS-style scalars).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GemmSpec {
-    /// How a *distributed* A is stored — `T` = as `k × m`, for the local
-    /// `dgemm` to transpose: owned matrices built with
-    /// [`crate::layout::dist_a`], the shape-only matrices of a modeled run.
-    /// A run over host matrices is handed `op(A)` itself and does not act
-    /// on it ([`crate::layout::with_host_operands`]).
+    /// Which paper case A is in (`T`: `C = Aᵀ…`). A run is handed
+    /// `op(A)` itself, `m × k`, and a distributed A is that matrix in
+    /// every case ([`crate::layout::dist_a`]), so no rank reads this: it
+    /// labels the case ([`GemmSpec::case_label`]).
     pub transa: Op,
-    /// How a distributed B is stored (`T` = as `n × k`); see `transa`.
+    /// Which paper case B is in; the run is handed `op(B)` (`k × n`).
+    /// See `transa`.
     pub transb: Op,
     /// Rows of `op(A)` and of C.
     pub m: usize,

@@ -13,8 +13,9 @@
 //! them through read-only views ([`crate::layout::with_host_operands`])
 //! and run the spec that call hands back, `transa` / `transb` normalised
 //! to `N`: nothing is allocated, faulted in, transposed or copied for an
-//! operand before the first flop, in any of the four cases. Only a
-//! shape-only run keeps the stored layout its spec names. The product is
+//! operand before the first flop, in any of the four cases. A shape-only
+//! run's operands have the same shapes and placement (`transa` /
+//! `transb` name the paper's case and no rank reads them). The product is
 //! allocated once, as the matrix the caller is handed, and lent to the
 //! ranks as C (`layout::with_fresh_c`): each owner writes its
 //! tile where the caller will read it, so a run has no second C and
@@ -35,7 +36,7 @@ use srumma_comm::{
     drive, exec_run_tasks, sim_run_programs, virtual_run, Comm, CostMap, DistMatrix, FaultPlan,
     FaultPlanError, ProgramTask, SimOptions, VirtualComm,
 };
-use srumma_dense::{Matrix, Op};
+use srumma_dense::Matrix;
 use srumma_model::{Machine, Topology};
 use srumma_sim::RunStats;
 use srumma_trace::TraceEvent;
@@ -62,9 +63,9 @@ pub enum Backend<'a> {
 #[derive(Clone, Copy, Debug)]
 pub struct Run<'a> {
     /// Shapes, transposes and `α`. The run creates `C` zero, so `β` is
-    /// moot; so are the transposes over host `operands`, which are
-    /// `op(A)` and `op(B)` themselves (a shape-only run models the stored
-    /// layout they name).
+    /// moot; the transposes name the paper's case, and no rank reads
+    /// them: `operands` are `op(A)` and `op(B)` themselves, and a
+    /// shape-only run's have the same shapes.
     pub spec: GemmSpec,
     /// Ranks, laid out on [`default_grid`].
     pub nranks: usize,
@@ -275,10 +276,8 @@ impl<'a> Run<'a> {
             Some("masks, node-group staging and replication are SRUMMA schedules")
         } else if matches!(self.algorithm, Algorithm::Summa(o) if o.panel_nb == Some(0)) {
             Some("a SUMMA panel is at least one column wide: panel_nb may not be Some(0)")
-        } else if self.algorithm == Algorithm::Cannon
-            && (grid.p != grid.q || (spec.transa, spec.transb) != (Op::N, Op::N))
-        {
-            Some("Cannon needs a square process grid and C = A*B")
+        } else if self.algorithm == Algorithm::Cannon && grid.p != grid.q {
+            Some("Cannon needs a square process grid")
         } else if virtual_clock
             && (srumma.is_none() || self.operands.is_some() || self.trace || self.faults.is_some())
         {

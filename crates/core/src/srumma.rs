@@ -39,7 +39,7 @@ use crate::options::{GemmSpec, ShmemFlavor, SrummaOptions};
 use crate::run::RankReport;
 use crate::taskorder::{build_tasks_into, diagonal_shift_origin, order_tasks_into, Task};
 use srumma_comm::{Comm, DistMatrix, GetHandle, Landing, RankProgram, Step};
-use srumma_dense::{Operand, PackedPanel, PackedView, Side};
+use srumma_dense::{Op, Operand, PackedPanel, PackedView, Side};
 
 /// Per-rank execution summary.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -274,8 +274,8 @@ impl<'a> SrummaMachine<'a> {
         if a.mask().is_some() || b.mask().is_some() {
             let (pruned, skipped_k) =
                 crate::taskorder::prune_masked_tasks(&mut scratch.tasks, |t| {
-                    a.block_nonzero(a_owner(spec, grid, gi, t.la))
-                        && b.block_nonzero(b_owner(spec, grid, t.lb, gj))
+                    a.block_nonzero(a_owner(grid, gi, t.la))
+                        && b.block_nonzero(b_owner(grid, t.lb, gj))
                 });
             if pruned > 0 {
                 scratch.built = None;
@@ -297,8 +297,8 @@ impl<'a> SrummaMachine<'a> {
         // domain.
         let local_comm = &*comm;
         let is_local = |t: &Task| {
-            local_comm.same_domain(a_owner(spec, grid, gi, t.la))
-                && local_comm.same_domain(b_owner(spec, grid, t.lb, gj))
+            local_comm.same_domain(a_owner(grid, gi, t.la))
+                && local_comm.same_domain(b_owner(grid, t.lb, gj))
         };
         order_tasks_into(
             &mut scratch.order,
@@ -321,8 +321,8 @@ impl<'a> SrummaMachine<'a> {
         scratch.sources.clear();
         scratch.sources.extend(scratch.order.iter().map(|&idx| {
             let t = &scratch.tasks[idx];
-            let ao = a_owner(spec, grid, gi, t.la);
-            let bo = b_owner(spec, grid, t.lb, gj);
+            let ao = a_owner(grid, gi, t.la);
+            let bo = b_owner(grid, t.lb, gj);
             let sa = if direct_ok(ao, comm) {
                 Source::Direct { owner: ao }
             } else {
@@ -431,7 +431,7 @@ impl<'a> SrummaMachine<'a> {
                     mat,
                     owner,
                     nt.la,
-                    Side::A(spec.transa),
+                    Side::A(Op::N),
                     &self.scratch.wa,
                     &mut self.report.fetched_blocks,
                 );
@@ -446,7 +446,7 @@ impl<'a> SrummaMachine<'a> {
                     mat,
                     owner,
                     nt.lb,
-                    Side::B(spec.transb),
+                    Side::B(Op::N),
                     &self.scratch.wb,
                     &mut self.report.fetched_blocks,
                 );
@@ -507,10 +507,9 @@ impl<'a> SrummaMachine<'a> {
             _ => None,
         };
         let av = match (&a_direct, a_slot) {
-            (Some(blk), _) => blk.mat().map(|whole| {
-                let (v, op) = a_seg_view(spec, whole, t.rel_a(), seg);
-                Operand::Plain(v, op)
-            }),
+            (Some(blk), _) => blk
+                .mat()
+                .map(|whole| Operand::Plain(a_seg_view(whole, t.rel_a(), seg), Op::N)),
             (None, Some(s)) => {
                 let whole = self.scratch.a_pipe.view(s);
                 whole.map(|p| Operand::Packed(p.k_range(t.rel_a(), seg)))
@@ -518,10 +517,9 @@ impl<'a> SrummaMachine<'a> {
             _ => None,
         };
         let bv = match (&b_direct, b_slot) {
-            (Some(blk), _) => blk.mat().map(|whole| {
-                let (v, op) = b_seg_view(spec, whole, t.rel_b(), seg);
-                Operand::Plain(v, op)
-            }),
+            (Some(blk), _) => blk
+                .mat()
+                .map(|whole| Operand::Plain(b_seg_view(whole, t.rel_b(), seg), Op::N)),
             (None, Some(s)) => {
                 let whole = self.scratch.b_pipe.view(s);
                 whole.map(|p| Operand::Packed(p.k_range(t.rel_b(), seg)))
@@ -886,8 +884,8 @@ mod tests {
         let a = Matrix::random(spec.m, spec.k, 21);
         let b = Matrix::random(spec.k, spec.n, 22);
         crate::layout::scatter_operands(&spec, &da, &db, &a, &b);
-        crate::layout::set_a_mask(&spec, &mut da, mask_a.clone());
-        crate::layout::set_b_mask(&spec, &mut db, mask_b.clone());
+        da.set_mask(mask_a.clone());
+        db.set_mask(mask_b.clone());
         let opts = SrummaOptions {
             shmem: ShmemFlavor::ForceCopy,
             ..Default::default()
@@ -940,7 +938,7 @@ mod tests {
         let a = Matrix::random(8, 8, 31);
         let b = Matrix::random(8, 8, 32);
         crate::layout::scatter_operands(&spec, &da, &db, &a, &b);
-        crate::layout::set_a_mask(&spec, &mut da, BlockMask::empty(2, 2));
+        da.set_mask(BlockMask::empty(2, 2));
         let c0 = Matrix::random(8, 8, 33);
         dc.scatter(&c0);
         for rank in 0..grid.nranks() {

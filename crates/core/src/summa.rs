@@ -150,36 +150,27 @@ impl<'a> SummaProgram<'a> {
     }
 
     /// This rank's part of the current segment's broadcast of `side`,
-    /// whose owner first copies its strip out of its stored block;
+    /// whose owner first copies its strip out of its block, row-major;
     /// `false` while the receive waits.
     fn bcast<C: Comm>(&mut self, comm: &mut C, side: usize) -> bool {
-        let (t, spec, grid, me) = (self.segs[self.next], self.spec, self.c.grid(), comm.rank());
+        let (t, grid, me) = (self.segs[self.next], self.c.grid(), comm.rank());
         let ((gi, gj), seg) = (grid.coords(me), t.klen());
         let cw = self.cw.as_ref().expect("C is held while segments remain");
         let (owner, elems) = match side {
-            0 => (a_owner(spec, grid, gi, t.la), cw.rows() * seg),
-            _ => (b_owner(spec, grid, t.lb, gj), seg * cw.cols()),
+            0 => (a_owner(grid, gi, t.la), cw.rows() * seg),
+            _ => (b_owner(grid, t.lb, gj), seg * cw.cols()),
         };
         let strip = &mut self.strips[side];
         if owner == me {
             strip.clear();
             let blk = self.ab[side].read_block(me);
             if let Some(v) = blk.mat() {
-                let (sv, transpose) = match side {
-                    0 => (a_seg_view(spec, v, t.rel_a(), seg).0, false),
-                    _ => {
-                        let (sv, op) = b_seg_view(spec, v, t.rel_b(), seg);
-                        (sv, op == Op::T)
-                    }
+                let sv = match side {
+                    0 => a_seg_view(v, t.rel_a(), seg),
+                    _ => b_seg_view(v, t.rel_b(), seg),
                 };
-                let at = |i, j| if transpose { sv.at(j, i) } else { sv.at(i, j) };
-                let (rows, cols) = if transpose {
-                    (sv.cols(), sv.rows())
-                } else {
-                    (sv.rows(), sv.cols())
-                };
-                for i in 0..rows {
-                    strip.extend((0..cols).map(|j| at(i, j)));
+                for i in 0..sv.rows() {
+                    strip.extend((0..sv.cols()).map(|j| sv.at(i, j)));
                 }
             }
         }
@@ -201,11 +192,9 @@ impl<'a> SummaProgram<'a> {
         let cw = self.cw.as_mut().expect("C is held while segments remain");
         let (crows, ccols) = (cw.rows(), cw.cols());
         let [a, b] = &self.strips;
-        let av = (!a.is_empty()).then(|| {
-            let (rows, cols) = spec.transa.apply(crows, seg);
-            Operand::Plain(MatRef::new(rows, cols, cols, a), spec.transa)
-        });
-        let bv = (!b.is_empty()).then(|| Operand::Plain(MatRef::new(seg, ccols, ccols, b), Op::N));
+        let plain = |rows, cols, strip| Operand::Plain(MatRef::new(rows, cols, cols, strip), Op::N);
+        let av = (!a.is_empty()).then(|| plain(crows, seg, a));
+        let bv = (!b.is_empty()).then(|| plain(seg, ccols, b));
         let label = match self.span {
             Some(_) => format!("summa step {step}"),
             None => String::new(),

@@ -102,13 +102,11 @@ fn ownership_covers_ranks() {
         let mut rng = Rng::new(0x01BE_0004 + case);
         let p = rng.range(1, 5);
         let q = rng.range(1, 5);
-        let (ta, tb) = (random_op(&mut rng), random_op(&mut rng));
         let grid = ProcGrid::new(p, q);
-        let spec = GemmSpec::new(ta, tb, 8, 8, 8);
         let mut owners = std::collections::HashSet::new();
         for i in 0..p {
             for la in 0..a_kparts(grid) {
-                let o = a_owner(&spec, grid, i, la);
+                let o = a_owner(grid, i, la);
                 assert!(o < grid.nranks(), "case {case}");
                 owners.insert(o);
             }
@@ -117,7 +115,7 @@ fn ownership_covers_ranks() {
         let mut owners = std::collections::HashSet::new();
         for lb in 0..b_kparts(grid) {
             for j in 0..q {
-                owners.insert(b_owner(&spec, grid, lb, j));
+                owners.insert(b_owner(grid, lb, j));
             }
         }
         assert_eq!(owners.len(), grid.nranks(), "case {case} ({p}x{q})");

@@ -12,9 +12,7 @@ use srumma_comm::{
 };
 use srumma_core::batch::{multiply_batch_on, BatchEntry, BatchSpec};
 use srumma_core::driver::{default_grid, serial_reference, sparse_serial_reference};
-use srumma_core::layout::{
-    dist_a, dist_b, fresh_c, scatter_operands, set_a_mask, set_b_mask, with_host_operands,
-};
+use srumma_core::layout::{dist_a, dist_b, fresh_c, scatter_operands, with_host_operands};
 use srumma_core::{
     Algorithm, Backend, GemmProgram, GemmSpec, HierStageSet, RankReport, ReplicationFactor, Run,
     RunError, ShmemFlavor, SparseMasks, SrummaOptions, SrummaProgram, SummaOptions,
@@ -394,12 +392,6 @@ fn unsupported_combinations() {
             algorithm: Algorithm::Cannon,
             ..per_rank
         },
-        Run {
-            algorithm: Algorithm::Cannon,
-            nranks: 4,
-            spec: GemmSpec::new(Op::T, Op::N, 12, 10, 14),
-            ..sim
-        },
         // The virtual-clock backend.
         Run {
             operands: per_rank.operands,
@@ -447,6 +439,34 @@ fn unsupported_combinations() {
         );
         assert_eq!(run.validate(), first, "plan {i}: unstable answer");
         assert_eq!(run.execute().err(), first.err(), "plan {i}");
+    }
+}
+
+/// Cannon multiplies the distributed `op(A)` and `op(B)` it is handed,
+/// so on a square grid every transpose case is a legal plan, and its C
+/// is the serial product's to the bit (small-integer operands).
+#[test]
+fn cannon_runs_every_transpose_case() {
+    let machine = Machine::linux_myrinet();
+    for (ta, tb) in [
+        (Op::N, Op::N),
+        (Op::T, Op::N),
+        (Op::N, Op::T),
+        (Op::T, Op::T),
+    ] {
+        let spec = GemmSpec::new(ta, tb, 12, 10, 14).with_scalars(1.0, 0.0);
+        let ab = int_operands(&spec);
+        let want = serial_reference(&spec, &ab.0, &ab.1);
+        for backend in [Backend::Sim(&machine), Backend::Exec { workers: 4 }] {
+            let run = Run {
+                operands: Some((&ab.0, &ab.1)),
+                ..Run::new(spec, 4, Algorithm::Cannon, backend)
+            };
+            let what = format!("{} on {backend:?}", spec.case_label());
+            assert_eq!(run.validate(), Ok(()), "{what}");
+            let got = run.execute().unwrap().c.unwrap();
+            assert_eq!(got.as_slice(), want.as_slice(), "{what}");
+        }
     }
 }
 
@@ -621,8 +641,8 @@ fn over_scattered_arenas(run: &Run) -> (Matrix, Vec<RankReport>, RunStats) {
     let (spec, dc) = fresh_c(&run.spec, grid, true);
     scatter_operands(&spec, &da, &db, a, b);
     if let Some(masks) = run.masks {
-        set_a_mask(&spec, &mut da, masks.a.clone().expect("both masked"));
-        set_b_mask(&spec, &mut db, masks.b.clone().expect("both masked"));
+        da.set_mask(masks.a.clone().expect("both masked"));
+        db.set_mask(masks.b.clone().expect("both masked"));
     }
     let (reports, stats) = launch_over(run, &spec, (&da, &db, &dc));
     (dc.gather(), reports, stats)
@@ -725,13 +745,13 @@ fn for_each_srumma_plan(make: fn(&GemmSpec) -> (Matrix, Matrix), f: impl Fn(&Run
 }
 
 /// On every plan of the grid: `Run` reads both operands through views of
-/// the caller's matrices, whatever their stored orientation, and copies
-/// none — and no rank can tell. On small integers (exact in any order)
-/// over the whole grid; then, on the three quarters with a stored-`T`
-/// operand, on random ones, where only equal panels give equal bits: the
-/// `N` packer over the caller's window must build what the `T` packer
-/// built from the transposed arena. Likewise under SUMMA, whose owners
-/// broadcast row-major copies of their blocks.
+/// the caller's matrices and copies none, and no rank can tell them from
+/// owned copies scattered from the same matrices under the spec as given
+/// (transposes and all: no rank reads them). On small integers (exact in
+/// any order) over the whole grid; then, on the three quarters whose
+/// spec names a transpose, on random ones, where only equal panels give
+/// equal bits. Likewise under SUMMA, whose owners broadcast row-major
+/// copies of their blocks.
 #[test]
 fn operands_in_place_are_indistinguishable_from_scattered_copies() {
     for_each_srumma_plan(int_operands, |run, what| {
@@ -761,11 +781,10 @@ fn operands_in_place_are_indistinguishable_from_scattered_copies() {
     }
 }
 
-/// A replica team reads its `k`-window `a[:, K_l]` of a stored-`T`
-/// operand in place too. Two teams of four on random operands: the
+/// A replica team reads its `k`-window `a[:, K_l]` of the `op(A)` of a
+/// `C = AᵀB` in place too. Two teams of four on random operands: the
 /// product is, bit for bit, team 0's partial plus team 1's, each computed
-/// flat on four ranks over stored-`T` arenas scattered from a copy of the
-/// team's slice.
+/// flat on four ranks over owned copies scattered from the team's slice.
 #[test]
 fn a_replica_team_reads_its_k_window_of_a_stored_t_operand_in_place() {
     let spec = GemmSpec::new(Op::T, Op::N, 23, 19, 61).with_scalars(2.0, 0.0);
@@ -801,6 +820,115 @@ fn a_replica_team_reads_its_k_window_of_a_stored_t_operand_in_place() {
         .map(|(x, y)| x + y)
         .collect();
     assert_eq!(got.as_slice(), want.as_slice());
+}
+
+/// The model never read the operands' layout: a shape-only run's
+/// makespan, every rank's final clock and its eight traffic counters are,
+/// bit for bit, the same in all four transpose cases. SRUMMA (default and
+/// naive) flat, staged, masked and replicated, and SUMMA on both
+/// broadcast schedules, on the simulator and (SRUMMA) the virtual clock,
+/// on 6 and 8 ranks (`p ≠ q`) of 2-way nodes, on a rectangular shape.
+#[test]
+fn shape_only_runs_are_the_same_in_every_transpose_case() {
+    use srumma_core::summa::BcastKind;
+    let mut machine = Machine::linux_myrinet();
+    machine.ranks_per_domain = RanksPerDomain::Fixed(2);
+    let (default, naive) = (
+        Algorithm::srumma_default(),
+        Algorithm::Srumma(SrummaOptions::naive()),
+    );
+    let summa = |bcast| {
+        Algorithm::Summa(SummaOptions {
+            bcast,
+            ..SummaOptions::default()
+        })
+    };
+    let nn = GemmSpec::new(Op::N, Op::N, 61, 46, 97);
+    let mut runs = 0;
+    for nranks in [6, 8] {
+        let grid = default_grid(nranks);
+        let masks = SparseMasks::new(
+            BlockMask::random(grid.p, grid.q, 0.6, 5),
+            BlockMask::random(grid.p, grid.q, 0.6, 6),
+        );
+        let virt = Backend::Virtual {
+            machine: &machine,
+            workers: 2,
+        };
+        let mut plans = Vec::new();
+        for backend in [Backend::Sim(&machine), virt] {
+            let base = |algorithm| Run {
+                operands: None,
+                ..Run::new(nn, nranks, algorithm, backend)
+            };
+            for algorithm in [default, naive] {
+                let staged = Run {
+                    hier: true,
+                    ..base(algorithm)
+                };
+                plans.extend([base(algorithm), staged]);
+            }
+            let masked = Run {
+                masks: Some(&masks),
+                ..base(default)
+            };
+            // Teams of whole nodes: three of two ranks, two of four.
+            let replicated = Run {
+                replication: ReplicationFactor::Fixed(if nranks == 6 { 3 } else { 2 }),
+                ..base(default)
+            };
+            plans.extend([masked, replicated]);
+            if let Backend::Sim(_) = backend {
+                plans.extend([BcastKind::Tree, BcastKind::Ring].map(|b| base(summa(b))));
+            }
+        }
+        for plan in plans {
+            let what = |spec: &GemmSpec| {
+                let (alg, backend) = (plan.algorithm, plan.backend);
+                let (hier, repl) = (plan.hier, plan.replication);
+                let masked = plan.masks.is_some();
+                format!(
+                    "{} x{nranks} {alg:?} hier={hier} {repl:?} masked={masked} {backend:?}",
+                    spec.case_label()
+                )
+            };
+            let want = plan
+                .execute()
+                .unwrap_or_else(|e| panic!("{}: {e}", what(&nn)));
+            assert!(want.stats.makespan > 0.0, "{}", what(&nn));
+            for (transa, transb) in [(Op::T, Op::N), (Op::N, Op::T), (Op::T, Op::T)] {
+                let spec = GemmSpec {
+                    transa,
+                    transb,
+                    ..nn
+                };
+                let run = Run { spec, ..plan };
+                let got = run
+                    .execute()
+                    .unwrap_or_else(|e| panic!("{}: {e}", what(&spec)));
+                let what = what(&spec);
+                let bits = |s: &RunStats| {
+                    s.final_times
+                        .iter()
+                        .map(|t| t.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                let (g, w) = (&got.stats, &want.stats);
+                assert_eq!(
+                    g.makespan.to_bits(),
+                    w.makespan.to_bits(),
+                    "{what}: makespan"
+                );
+                assert_eq!(bits(g), bits(w), "{what}: final clocks");
+                for (rank, (g, w)) in g.ranks.iter().zip(&w.ranks).enumerate() {
+                    assert_eq!(traffic(g), traffic(w), "{what}: traffic of rank {rank}");
+                }
+                runs += 1;
+            }
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, 2 * 14 * 4);
 }
 
 // ---- C written in place ≡ a C arena, gathered ------------------------
@@ -856,8 +984,7 @@ fn c_in_place_is_indistinguishable_from_a_gathered_arena() {
         for (ta, tb) in [(Op::N, Op::N), (Op::T, Op::N), (Op::N, Op::T)] {
             let spec = GemmSpec::new(ta, tb, m, n, k).with_scalars(-1.5, 0.0);
             let ab = int_operands(&spec);
-            let cannon =
-                (grid.p == grid.q && (ta, tb) == (Op::N, Op::N)).then_some(Algorithm::Cannon);
+            let cannon = (grid.p == grid.q).then_some(Algorithm::Cannon);
             for algorithm in [Some(Algorithm::srumma_default()), Some(summa), cannon] {
                 let Some(algorithm) = algorithm else { continue };
                 for backend in [

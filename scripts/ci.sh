@@ -201,14 +201,24 @@ echo "== operand guard: a host operand reaches the ranks one way, as a view =="
 # Run::execute and ReplSet::create take both operands, and the spec to run
 # over them, from layout::with_host_operands: the matrix a driver is handed
 # is op(A) already, so nothing is scattered, whatever transa/transb say. A
-# driver that builds an operand arena again, or a layout that transposes a
-# host matrix into one outside the copying form, is the copy coming back.
-if grep -n 'scatter_transposed(\|scatter_operands(\|[^_]dist_a(\|[^_]dist_b(' crates/core/src/{run,repl}.rs; then
+# driver that builds an operand arena again is the copy coming back.
+if grep -n 'scatter_operands(\|[^_]dist_a(\|[^_]dist_b(' crates/core/src/{run,repl}.rs; then
     echo "FAIL: core::run or core::repl copies a host operand again (see above); layout::with_host_operands lends views" >&2; exit 1
 fi
-in_scatter_operands=$(sed -n '/^pub fn scatter_operands(/,/^}/p' crates/core/src/layout.rs | grep -c 'scatter_transposed(')
-[ "$(grep -c 'scatter_transposed(' crates/core/src/layout.rs)" -eq "$in_scatter_operands" ] ||
-    { echo "FAIL: crates/core/src/layout.rs calls scatter_transposed outside scatter_operands" >&2; exit 1; }
+
+echo "== one-layout guard: a distributed A or B is op(X) on the C grid =="
+# One placement for every matrix (block (i, j) is rank i*q + j's) and one
+# shape for every operand (op(A) is m x k, op(B) k x n), in all four
+# transpose cases: transa/transb label the paper's case, and no rank
+# program reads them. A second rank order, a transposing scatter, stored
+# dimensions, or a rank program that reads a transpose flag is the
+# retired stored-transpose layout coming back.
+if grep -rn 'RankOrder\|ColMajor\|create_with_order\|scatter_transposed\|stored_dims' crates src tests examples; then
+    echo "FAIL: a retired stored-transpose layout name is back (see above); every operand is op(X) on the C grid" >&2; exit 1
+fi
+if grep -n '\.trans[ab]\b' crates/core/src/{srumma,summa,cannon,hier,repl}.rs; then
+    echo "FAIL: a rank program reads transa/transb (see above); its operands are op(A) and op(B)" >&2; exit 1
+fi
 
 echo "== batch guard: a batch entry reaches the ranks one way, as views =="
 # run_batch lends every entry's operands (layout::with_host_operand_sets)
